@@ -31,6 +31,7 @@ bytes/payload counts on the wire.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Sequence, TypeVar
 
 from repro.cluster.coordinator import ClusterCoordinator, ClusterError
@@ -190,6 +191,9 @@ class RemoteBackend(ThreadBackend):
         if self.autoscale is not None and self.listen is None:
             self.listen = 0  # autoscaled campaigns accept joins by default
         self._coordinator: ClusterCoordinator | None = None
+        # Serialises the first dial: concurrent first requests must share one
+        # coordinator, not each connect one and leak the loser's threads.
+        self._dial_lock = threading.Lock()
         self._listener = None
         self._autoscaler = None
 
@@ -202,34 +206,38 @@ class RemoteBackend(ThreadBackend):
         if self._closed:
             raise BackendError("remote backend is closed")
         if self._coordinator is None:
-            ledger = None
-            if self.ledger_dir:
-                from repro.elastic.ledger import ShardLedger
-
-                ledger = ShardLedger(self.ledger_dir)
-            coordinator = ClusterCoordinator(
-                self.addresses,
-                window=self.per_worker_window,
-                placement=self.placement,
-                connect_timeout=self.connect_timeout,
-                heartbeat_interval=self.heartbeat_interval,
-                heartbeat_timeout=self.heartbeat_timeout,
-                ledger=ledger,
-            )
-            try:
-                coordinator.connect()
-            except ClusterError as exc:
-                raise BackendError(str(exc)) from exc
-            self._coordinator = coordinator
-            if self.listen is not None:
-                from repro.elastic.membership import MembershipListener
-
-                self._listener = MembershipListener(
-                    coordinator, port=self.listen
-                ).start()
-            if self.autoscale is not None:
-                self._start_autoscaler(coordinator)
+            with self._dial_lock:
+                if self._coordinator is None:
+                    self._dial()
         return self._coordinator
+
+    def _dial(self) -> None:
+        """Connect the cluster, then start its listener and autoscaler."""
+        ledger = None
+        if self.ledger_dir:
+            from repro.elastic.ledger import ShardLedger
+
+            ledger = ShardLedger(self.ledger_dir)
+        coordinator = ClusterCoordinator(
+            self.addresses,
+            window=self.per_worker_window,
+            placement=self.placement,
+            connect_timeout=self.connect_timeout,
+            heartbeat_interval=self.heartbeat_interval,
+            heartbeat_timeout=self.heartbeat_timeout,
+            ledger=ledger,
+        )
+        try:
+            coordinator.connect()
+        except ClusterError as exc:
+            raise BackendError(str(exc)) from exc
+        self._coordinator = coordinator
+        if self.listen is not None:
+            from repro.elastic.membership import MembershipListener
+
+            self._listener = MembershipListener(coordinator, port=self.listen).start()
+        if self.autoscale is not None:
+            self._start_autoscaler(coordinator)
 
     def _start_autoscaler(self, coordinator: ClusterCoordinator) -> None:
         from repro.elastic.autoscaler import (

@@ -21,6 +21,14 @@ from repro.ml.trainer import AdamOptimizer, TrainingHistory, minibatch_indices
 from repro.utils.hashing import stable_hash
 from repro.utils.rng import rng_from
 
+#: Bounds of a model's sub-word id table.  Each of its two generations holds
+#: at most this many words, and only words up to this many characters are
+#: kept (longer ones are dropped-whitespace runs that never repeat), so the
+#: table stays under ~7 MB (2 x 4096 entries of at most 70 packed ids plus
+#: the ``bytes``/``str``/``dict`` overheads, ~0.8 KB each).
+_ID_TABLE_GENERATION_WORDS = 4096
+_ID_TABLE_MAX_WORD_CHARS = 24
+
 
 @dataclass(frozen=True)
 class FastTextConfig:
@@ -66,26 +74,58 @@ class FastTextModel:
         self.head_weight = rng.normal(0.0, scale, size=(config.embedding_dim, n_outputs))
         self.head_bias = np.zeros(n_outputs, dtype=np.float64)
         self.history = TrainingHistory()
+        # word -> its sub-word ids (packed int64), in two generations: a word
+        # found only in the old one is promoted, and when the recent one fills
+        # up it becomes the old one.  The ids depend on the word and the frozen
+        # config alone, so the table is not model state: not fingerprinted, not
+        # pickled.  Threads sharing the model only get and set; a lost race
+        # recomputes an equal entry.  Entries are ``bytes``, not arrays:
+        # thousands of small array buffers on the malloc heap fragmented it
+        # under training's 16 MB temporaries (+16-32 MB peak RSS), while small
+        # ``bytes`` live in the interpreter's own arenas.
+        self._recent_word_ids: dict[str, bytes] = {}
+        self._old_word_ids: dict[str, bytes] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_recent_word_ids"] = {}
+        state["_old_word_ids"] = {}
+        return state
 
     # ------------------------------------------------------------------ #
     # Encoding
     # ------------------------------------------------------------------ #
+    def _hash_word(self, word: str) -> bytes:
+        """Bucket ids of one word followed by its character n-grams (packed int64)."""
+        cfg = self.config
+        ids = [stable_hash("ft-word", word) % cfg.n_buckets]
+        padded = f"<{word}>"
+        for n in range(cfg.char_ngram_min, cfg.char_ngram_max + 1):
+            for i in range(len(padded) - n + 1):
+                ids.append(stable_hash("ft-char", padded[i : i + n]) % cfg.n_buckets)
+        return np.asarray(ids, dtype=np.int64).tobytes()
+
+    def _word_ids(self, word: str) -> bytes:
+        """:meth:`_hash_word`, hashing each distinct word once while it is kept."""
+        ids = self._recent_word_ids.get(word)
+        if ids is not None:
+            return ids
+        ids = self._old_word_ids.get(word)
+        if ids is None:
+            ids = self._hash_word(word)
+            if len(word) > _ID_TABLE_MAX_WORD_CHARS:
+                return ids
+        if len(self._recent_word_ids) >= _ID_TABLE_GENERATION_WORDS:
+            self._old_word_ids, self._recent_word_ids = self._recent_word_ids, {}
+        self._recent_word_ids[word] = ids
+        return ids
+
     def bucket_ids(self, text: str) -> np.ndarray:
         """Hashed feature ids (words + character n-grams) of a text."""
-        cfg = self.config
-        words = self._tokenizer.words(text)[: cfg.max_tokens]
-        ids: list[int] = []
-        for word in words:
-            ids.append(stable_hash("ft-word", word) % cfg.n_buckets)
-            padded = f"<{word}>"
-            for n in range(cfg.char_ngram_min, cfg.char_ngram_max + 1):
-                if len(padded) < n:
-                    continue
-                for i in range(len(padded) - n + 1):
-                    ids.append(stable_hash("ft-char", padded[i : i + n]) % cfg.n_buckets)
-        if not ids:
-            ids = [0]
-        return np.asarray(ids, dtype=np.int64)
+        words = self._tokenizer.words(text)[: self.config.max_tokens]
+        if not words:
+            return np.zeros(1, dtype=np.int64)
+        return np.frombuffer(bytearray().join(map(self._word_ids, words)), dtype=np.int64)
 
     def text_vector(self, text: str) -> np.ndarray:
         """Mean embedding of a text's hashed features."""

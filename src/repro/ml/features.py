@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -24,9 +25,53 @@ from repro.documents import lexicon
 from repro.documents.metadata import DocumentMetadata
 from repro.utils.hashing import stable_hash
 
-_VOWELS = set("aeiou")
+_VOWELS = frozenset("aeiou")
 _MATH_GLYPHS = set("∂∇Σ∫∞αβγλμσθφωε·×√^_{}\\=+")
-_WORD_RE = re.compile(r"[A-Za-z]+")
+_WHITESPACE = set(" \t\n\r")  # what ``whitespace_ratio`` counts, not ``str.isspace``
+
+# Character classes of a code point, as bit flags in one ``uint8``.
+_ALPHA, _DIGIT, _UPPER, _MATH, _SPACE = 1, 2, 4, 8, 16
+_BMP = 0x10000
+
+
+def _char_class(char: str) -> int:
+    """Class flags of one character, from the ``str`` predicates themselves."""
+    return (
+        (_ALPHA if char.isalpha() else 0)
+        | (_DIGIT if char.isdigit() else 0)
+        | (_UPPER if char.isupper() else 0)
+        | (_MATH if char in _MATH_GLYPHS else 0)
+        | (_SPACE if char in _WHITESPACE else 0)
+    )
+
+
+# Built on first use, never at import: ``import repro`` is in every run's
+# start-up time.
+@functools.cache
+def _bmp_class_table() -> np.ndarray:
+    """:func:`_char_class` of every code point below ``_BMP`` (64 KB)."""
+    table = np.fromiter(map(_char_class, map(chr, range(_BMP))), dtype=np.uint8, count=_BMP)
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _known_terms() -> frozenset[str]:
+    return frozenset(lexicon.all_scientific_terms()) | frozenset(lexicon.ACADEMIC_NOUNS)
+
+
+@functools.cache
+def _repeated_run_re() -> re.Pattern[str]:
+    return re.compile(r"(.)\1{3,}")
+
+
+def _char_classes(code_points: np.ndarray) -> np.ndarray:
+    """Class flags of each code point: one table look-up, exact for all of Unicode."""
+    classes = _bmp_class_table()[np.minimum(code_points, _BMP - 1)]
+    for astral in np.unique(code_points[code_points >= _BMP]):
+        classes[code_points == astral] = _char_class(chr(astral))
+    return classes
+
 
 #: Names of the features produced by :class:`TextStatisticsExtractor`, in order.
 TEXT_FEATURE_NAMES: tuple[str, ...] = (
@@ -75,45 +120,43 @@ class TextStatisticsExtractor:
         if n_chars == 0:
             return np.zeros(self.n_features, dtype=np.float64)
         chars = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-        whitespace = np.isin(chars, np.asarray([ord(c) for c in " \t\n\r"], dtype=np.uint32))
-        is_alpha = np.asarray([c.isalpha() for c in text], dtype=bool)
-        is_digit = np.asarray([c.isdigit() for c in text], dtype=bool)
-        is_upper = np.asarray([c.isupper() for c in text], dtype=bool)
-        non_ascii = chars > 127
-        math_glyphs = np.asarray([c in _MATH_GLYPHS for c in text], dtype=bool)
-        punctuation = ~(is_alpha | is_digit | whitespace)
+        classes = _char_classes(chars)
+
+        def count(flags: int) -> int:
+            return np.count_nonzero(classes & flags)
 
         words = text.split()
         n_words = max(1, len(words))
-        word_lengths = np.asarray([len(w) for w in words], dtype=np.float64) if words else np.zeros(1)
-        alpha_words = [w for w in words if _WORD_RE.fullmatch(w)]
-        vowel_free = sum(1 for w in alpha_words if len(w) >= 4 and not (set(w.lower()) & _VOWELS))
-        long_words = sum(1 for w in words if len(w) > 18)
-        single_char_words = sum(1 for w in words if len(w) == 1)
-        repeated_runs = len(re.findall(r"(.)\1{3,}", text))
+        word_lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+        # Scrambled-word indicator: [A-Za-z]{4,} words without a vowel.
+        vowel_free = sum(
+            1
+            for w in words
+            if len(w) >= 4 and w.isascii() and w.isalpha() and _VOWELS.isdisjoint(w.lower())
+        )
+        repeated_runs = len(_repeated_run_re().findall(text))
         lines = [ln for ln in text.split("\n") if ln.strip()]
         line_length_mean = float(np.mean([len(ln) for ln in lines])) if lines else 0.0
         hyphen_breaks = text.count("-\n")
 
         lowercase_words = {w.lower().strip(".,;:()") for w in words}
-        scientific_terms = set(lexicon.all_scientific_terms()) | set(lexicon.ACADEMIC_NOUNS)
-        lexicon_hits = len(lowercase_words & scientific_terms)
+        lexicon_hits = len(lowercase_words & _known_terms())
 
         features = np.asarray(
             [
                 math.log1p(n_chars),
                 math.log1p(len(words)),
-                float(np.mean(word_lengths)),
-                float(np.mean(whitespace)),
-                float(np.mean(is_alpha)),
-                float(np.mean(is_digit)),
-                float(np.mean(punctuation)),
-                float(np.mean(is_upper)),
-                float(np.mean(non_ascii)),
-                float(np.mean(math_glyphs)),
+                word_lengths.sum() / n_words,
+                count(_SPACE) / n_chars,
+                count(_ALPHA) / n_chars,
+                count(_DIGIT) / n_chars,
+                (n_chars - count(_ALPHA | _DIGIT | _SPACE)) / n_chars,
+                count(_UPPER) / n_chars,
+                np.count_nonzero(chars > 127) / n_chars,
+                count(_MATH) / n_chars,
                 vowel_free / n_words,
-                long_words / n_words,
-                single_char_words / n_words,
+                np.count_nonzero(word_lengths > 18) / n_words,
+                np.count_nonzero(word_lengths == 1) / n_words,
                 repeated_runs / max(1, len(lines)),
                 line_length_mean / 100.0,
                 lexicon_hits / n_words,

@@ -9,6 +9,7 @@ the hash is stable — keeps models reproducible across processes.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -23,6 +24,14 @@ PAD_ID = 0
 CLS_ID = 1
 MASK_ID = 2
 FIRST_HASH_ID = 3
+
+
+# Text is Zipfian, so most occurrences repeat a token already hashed.  Memoised
+# here, not on the tokenizer, which stays a frozen, hashable, picklable value;
+# at ~250 B an entry the bound keeps the memo near 4 MB.
+@functools.lru_cache(maxsize=1 << 14)
+def _hashed_token_id(vocab_size: int, token: str) -> int:
+    return FIRST_HASH_ID + stable_hash("tok", token) % (vocab_size - FIRST_HASH_ID)
 
 
 @dataclass(frozen=True)
@@ -59,8 +68,7 @@ class HashingTokenizer:
 
     def token_id(self, token: str) -> int:
         """Stable id of one token."""
-        span = self.vocab_size - FIRST_HASH_ID
-        return FIRST_HASH_ID + (stable_hash("tok", token) % span)
+        return _hashed_token_id(self.vocab_size, token)
 
     def encode(self, text: str) -> np.ndarray:
         """Encode text into a fixed-length id array ``[CLS, tokens..., PAD...]``."""

@@ -527,7 +527,8 @@ class ParsePipeline:
             if cache_policy.writes:
                 # Make the run durable before reporting it: buffered shard
                 # writes land with atomic write-then-rename.
-                self.cache.flush()
+                with _profiling.phase("cache.flush"):
+                    self.cache.flush()
             # Stop the clock before stats(): the HPC backend's snapshot runs
             # the simulated-campaign replay, which must not deflate the
             # reported parse throughput.

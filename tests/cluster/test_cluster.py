@@ -127,6 +127,53 @@ class TestRemoteRegistration:
         with pytest.raises(BackendError, match="rebuild by name"):
             worker_spec_for(lambda batch: batch)
 
+    def test_racing_first_requests_dial_one_coordinator(self, monkeypatch):
+        """Concurrent first requests share one coordinator; the unlocked dial
+        connected one per caller and never closed the losers, whose monitor
+        threads outlived the backend."""
+        import repro.cluster.backend as backend_module
+        from repro.cluster.coordinator import COORDINATOR_THREAD_PREFIX
+
+        monitor_name = f"{COORDINATOR_THREAD_PREFIX}-monitor-stub"
+        built = []
+
+        class CountingCoordinator:
+            def __init__(self, addresses, **options):
+                built.append(self)
+                self._stop = threading.Event()
+
+            def connect(self):
+                time.sleep(0.05)  # hold the dial open so every racer arrives
+                self._monitor = threading.Thread(
+                    target=self._stop.wait, name=monitor_name, daemon=True
+                )
+                self._monitor.start()
+
+            def close(self):
+                self._stop.set()
+                self._monitor.join(timeout=5)
+
+        monkeypatch.setattr(backend_module, "ClusterCoordinator", CountingCoordinator)
+        backend = create_backend("remote", {"workers": "127.0.0.1:9101"})
+        n_racers = 8
+        barrier = threading.Barrier(n_racers)
+        seen = []
+
+        def first_request():
+            barrier.wait(timeout=5)
+            seen.append(backend._ensure_coordinator())
+
+        racers = [threading.Thread(target=first_request) for _ in range(n_racers)]
+        for racer in racers:
+            racer.start()
+        for racer in racers:
+            racer.join(timeout=10)
+        assert not any(racer.is_alive() for racer in racers)
+        backend.close()
+        assert len(built) == 1
+        assert seen == built * n_racers
+        assert not [t for t in threading.enumerate() if t.name == monitor_name]
+
 
 def _subprocess_env():
     import os

@@ -39,6 +39,15 @@ def sample_document() -> SciDocument:
     return build_document(0, CorpusConfig(n_documents=1, seed=404, min_pages=4, max_pages=6))
 
 
+@pytest.fixture(scope="session")
+def default_ft_engine():
+    """``build_default_engine(variant="ft")``: the engine every on-demand
+    ``adaparse_ft`` run trains (~11 s, once per session)."""
+    from repro.core.engine import build_default_engine
+
+    return build_default_engine(variant="ft")
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     """A fresh seeded generator per test."""

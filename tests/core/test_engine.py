@@ -119,6 +119,18 @@ class TestEngineRouting:
         assert sum(counts.values()) == len(training_corpus)
 
 
+class TestDefaultEngineFingerprints:
+    """The default FT engine's trained weights and routing configuration are
+    pinned: cached routing decisions are keyed on ``config_fingerprint()``
+    and every reproduced table comes out of these weights, so selector
+    performance work (hashing, feature extraction) must leave both alone."""
+
+    def test_weights_and_config_fingerprints_are_unchanged(self, default_ft_engine):
+        predictor = default_ft_engine.selector.predictor
+        assert predictor.weights_fingerprint() == "2df019a3435dc2ac065e4fd618c33ced"
+        assert default_ft_engine.config_fingerprint() == "2c8b41446a60da3988515b84c2170089"
+
+
 class TestTrainerLLM:
     def test_train_llm_with_dpo(self, training_corpus, fast_settings):
         from repro.ml.dpo import PreferencePair

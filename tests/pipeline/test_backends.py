@@ -519,6 +519,36 @@ class TestRemoteBackendParity:
         )
 
 
+class TestFastTextEngineParity:
+    """The parity contract with the real ``adaparse_ft`` engine: its fastText
+    model keeps a word-id table that every thread of the pool shares (and
+    that a process pool's pickled copy starts without)."""
+
+    def _report(self, registry, engine, documents, backend, options):
+        pipeline = ParsePipeline(registry, engines={engine.name: engine})
+        return pipeline.run(
+            request_for_documents(
+                engine.name, documents, batch_size=10, alpha=0.1,
+                backend=backend, backend_options=options,
+            )
+        )
+
+    def test_reports_byte_identical_with_a_shared_engine(
+        self, registry, default_ft_engine, corpus_100
+    ):
+        documents = list(corpus_100)
+        cases = [("thread", {"n_jobs": 8})]
+        if HAVE_FORK:
+            cases.append(("process", dict(PROCESS_OPTIONS)))
+        baseline = self._report(registry, default_ft_engine, documents, "serial", {})
+        assert 0 < baseline.fraction_routed() <= 0.1
+        for backend, options in cases:
+            candidate = self._report(registry, default_ft_engine, documents, backend, options)
+            assert _normalized_bytes(candidate.to_json_dict(include_text=True)) == (
+                _normalized_bytes(baseline.to_json_dict(include_text=True))
+            ), backend
+
+
 # ---------------------------------------------------------------------- #
 # Phase attribution parity: identical phase keys on every backend
 # ---------------------------------------------------------------------- #
@@ -533,7 +563,14 @@ ENGINE_PHASE_KEYS = BASE_PHASE_KEYS | {
     "route.score",
     "parse.high_quality",
 }
-CACHE_PHASE_KEYS = {"cache.key", "cache.lookup", "cache.store"}
+CACHE_PHASE_KEYS = {"cache.key", "cache.lookup", "cache.store", "cache.flush"}
+#: ...and per cache policy: reading looks up, writing stores and flushes.
+CACHE_PHASE_KEYS_BY_POLICY = {
+    "off": set(),
+    "read": {"cache.key", "cache.lookup"},
+    "write": {"cache.key", "cache.store", "cache.flush"},
+    "readwrite": CACHE_PHASE_KEYS,
+}
 
 _PHASE_ROW_KEYS = {"total_s", "self_s", "cpu_s", "calls", "bytes"}
 
@@ -600,6 +637,25 @@ class TestPhaseAttributionParity:
         )
         assert set(report.phases) == ENGINE_PHASE_KEYS | CACHE_PHASE_KEYS
         _assert_phase_rows_well_formed(report)
+
+    @pytest.mark.parametrize("policy", sorted(CACHE_PHASE_KEYS_BY_POLICY))
+    @pytest.mark.parametrize("backend,options", _backend_cases())
+    def test_cache_phase_keys_follow_the_policy(
+        self, registry, small_corpus, backend, options, policy
+    ):
+        # ``cache.flush`` is the run's durability point: attributed whenever
+        # the policy writes, absent (not a zero row) when it does not.
+        report = ParsePipeline(registry, cache=ParseCache()).run(
+            request_for_documents(
+                "pymupdf", list(small_corpus), batch_size=4,
+                backend=backend, backend_options=options, cache=policy,
+            )
+        )
+        assert set(report.phases) == BASE_PHASE_KEYS | CACHE_PHASE_KEYS_BY_POLICY[policy]
+        _assert_phase_rows_well_formed(report)
+        assert set(report.summary()["phases"]) == set(report.phases)
+        if "cache.flush" in report.phases:
+            assert report.phases["cache.flush"]["calls"] == 1
 
     def test_phases_survive_json_round_trip(self, registry, engine, corpus_100):
         report = self._report(registry, engine, list(corpus_100), "serial", {})
