@@ -24,19 +24,19 @@ from repro.core.training import AdaParseTrainer, TrainerSettings
 from repro.datasets.assembly import DatasetBuildConfig, DatasetBuilder
 from repro.datasets.tokens import goodput_table
 from repro.documents.corpus import CorpusConfig, benchmark_splits, build_corpus
+from repro.obs.profiling import PhaseTimer
 from repro.parsers.registry import default_registry
-from repro.utils.timer import WallTimer
 
 
 def main() -> None:
-    timer = WallTimer()
+    timer = PhaseTimer()
 
-    with timer.section("build corpus"):
+    with timer.phase("build corpus"):
         corpus = build_corpus(CorpusConfig(n_documents=150, seed=17))
         splits = benchmark_splits(corpus)
 
     registry = default_registry()
-    with timer.section("train AdaParse (FT)"):
+    with timer.phase("train AdaParse (FT)"):
         trainer = AdaParseTrainer(registry, TrainerSettings(pretrain=False))
         engine = trainer.train_ft(splits["train"])
 
@@ -48,7 +48,7 @@ def main() -> None:
     }
 
     reports = {}
-    with timer.section("assemble datasets"):
+    with timer.phase("assemble datasets"):
         for name, parser in strategies.items():
             builder = DatasetBuilder(
                 parser,
@@ -74,7 +74,8 @@ def main() -> None:
     print()
     print(f"JSONL shards and manifests written under {output_root}")
     print()
-    print(timer.summary())
+    for name, row in timer.snapshot().items():
+        print(f"{name}: {row['total_s']:.3f}s")
 
 
 if __name__ == "__main__":

@@ -26,16 +26,16 @@ from dataclasses import replace
 from repro.core.training import AdaParseTrainer, TrainerSettings
 from repro.documents.corpus import CorpusConfig, benchmark_splits, build_corpus
 from repro.evaluation.harness import EvaluationHarness, HarnessConfig
+from repro.obs.profiling import PhaseTimer
 from repro.pipeline import ParsePipeline, request_for_documents
-from repro.utils.timer import WallTimer
 
 
 def main() -> None:
-    timer = WallTimer()
+    timer = PhaseTimer()
 
     # 1. A small corpus: 120 synthetic scientific documents across domains,
     #    publishers, text-layer qualities and scan qualities.
-    with timer.section("build corpus"):
+    with timer.phase("build corpus"):
         corpus = build_corpus(CorpusConfig(n_documents=120, seed=7))
         splits = benchmark_splits(corpus)
     print("corpus:", corpus.described())
@@ -44,7 +44,7 @@ def main() -> None:
     # 2. Train the fastText-based engine variant on the training split.  The
     #    trainer labels the split by running every parser once and scoring it.
     pipeline = ParsePipeline()
-    with timer.section("train AdaParse (FT)"):
+    with timer.phase("train AdaParse (FT)"):
         trainer = AdaParseTrainer(pipeline.registry, TrainerSettings(pretrain=False))
         engine = trainer.train_ft(splits["train"])
         pipeline.engines[engine.name] = engine
@@ -52,7 +52,7 @@ def main() -> None:
     # 3. Evaluate the engine next to its constituent parsers on the test
     #    split.  The harness runs every parser through the shared pipeline
     #    and collects the engine's routing telemetry as a return value.
-    with timer.section("evaluate"):
+    with timer.phase("evaluate"):
         harness = EvaluationHarness(HarnessConfig(), pipeline=pipeline)
         parsers = list(pipeline.registry) + [engine]
         report = harness.evaluate(splits["test"], parsers)
@@ -60,7 +60,7 @@ def main() -> None:
     # 4. The pipeline facade directly: replay the split at a doubled routing
     #    budget without retraining or mutating the engine (α is a per-request
     #    override).
-    with timer.section("parse via pipeline (2α)"):
+    with timer.phase("parse via pipeline (2α)"):
         request = request_for_documents(
             engine.name, list(splits["test"]),
             alpha=2 * engine.config.alpha, batch_size=64,
@@ -71,7 +71,7 @@ def main() -> None:
     # 4b. Execution backends: the same request on two backends.  Only the
     #     execution block differs — the parses (and routing decisions) are
     #     identical, which is the parity guarantee backends are held to.
-    with timer.section("same request, serial vs thread backend"):
+    with timer.phase("same request, serial vs thread backend"):
         base = request_for_documents(
             "pymupdf", list(splits["test"]), batch_size=16, backend="serial"
         )
@@ -92,9 +92,9 @@ def main() -> None:
     #    cache.  The cold pass parses and stores; the warm pass is pure
     #    cache hits — identical output without touching a parser.
     docs = list(splits["test"])
-    with timer.section("cold pass (cache miss + store)"):
+    with timer.phase("cold pass (cache miss + store)"):
         cold = pipeline.run(request_for_documents("pymupdf", docs, cache="readwrite"))
-    with timer.section("warm pass (cache hits)"):
+    with timer.phase("warm pass (cache hits)"):
         warm = pipeline.run(request_for_documents("pymupdf", docs, cache="readwrite"))
     assert warm.cache.hits == len(docs)
     assert [r.page_texts for r in warm.results] == [r.page_texts for r in cold.results]
@@ -116,7 +116,8 @@ def main() -> None:
           f"{cold.throughput_docs_per_second:.0f} cold, "
           f"{warm.cache.time_saved_seconds:.3f}s of parsing saved)")
     print()
-    print(timer.summary())
+    for name, row in timer.snapshot().items():
+        print(f"{name}: {row['total_s']:.3f}s")
 
 
 if __name__ == "__main__":

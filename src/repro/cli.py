@@ -252,7 +252,8 @@ def _add_backend_arguments(
         default=None,
         metavar="KEY=VALUE",
         help="backend option (repeatable), e.g. n_jobs=4, n_nodes=16, "
-        "mp_context=fork, max_window=32, adaptive=false, "
+        "mp_context=fork, max_window=32, adaptive=false (async: the thread "
+        "pool behind an AIMD in-flight window), "
         "workers=127.0.0.1:9101,127.0.0.1:9102",
     )
 

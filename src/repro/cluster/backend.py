@@ -31,7 +31,6 @@ bytes/payload counts on the wire.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Sequence, TypeVar
 
 from repro.cluster.coordinator import ClusterCoordinator, ClusterError
@@ -191,9 +190,6 @@ class RemoteBackend(ThreadBackend):
         if self.autoscale is not None and self.listen is None:
             self.listen = 0  # autoscaled campaigns accept joins by default
         self._coordinator: ClusterCoordinator | None = None
-        # Serialises the first dial: concurrent first requests must share one
-        # coordinator, not each connect one and leak the loser's threads.
-        self._dial_lock = threading.Lock()
         self._listener = None
         self._autoscaler = None
 
@@ -203,13 +199,15 @@ class RemoteBackend(ThreadBackend):
 
     # ------------------------------------------------------------------ #
     def _ensure_coordinator(self) -> ClusterCoordinator:
-        if self._closed:
-            raise BackendError("remote backend is closed")
-        if self._coordinator is None:
-            with self._dial_lock:
-                if self._coordinator is None:
-                    self._dial()
-        return self._coordinator
+        # The first dial runs under the lifecycle lock: concurrent first
+        # requests share one coordinator (not each connect one and leak the
+        # loser's threads), and a racing close() waits for the dial and then
+        # closes what it connected.
+        with self._lifecycle_lock:
+            self._check_open()
+            if self._coordinator is None:
+                self._dial()
+            return self._coordinator
 
     def _dial(self) -> None:
         """Connect the cluster, then start its listener and autoscaler."""
@@ -327,12 +325,16 @@ class RemoteBackend(ThreadBackend):
         # joins), then the coordinator: it fails any still-pending shard
         # futures, which unblocks orchestration threads so the inherited
         # close() can join the pool without deadlocking on them.
-        if self._autoscaler is not None:
-            self._autoscaler.stop()
-        if self._listener is not None:
-            self._listener.stop()
-        if self._coordinator is not None:
-            self._coordinator.close()
+        with self._lifecycle_lock:
+            self._closed = True
+            autoscaler, listener = self._autoscaler, self._listener
+            coordinator = self._coordinator  # stays readable for stats()
+        if autoscaler is not None:
+            autoscaler.stop()
+        if listener is not None:
+            listener.stop()
+        if coordinator is not None:
+            coordinator.close()
         super().close()
 
 

@@ -55,6 +55,7 @@ from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
 from repro.obs.tracing import SpanRecorder, TraceContext
 from repro.parsers.base import ParseResult
+from repro.utils.wire import Listener
 
 #: Thread-name prefix of daemon-owned threads (accept/reader/slots/heartbeat).
 WORKER_THREAD_PREFIX = "repro-cluster-worker"
@@ -155,10 +156,8 @@ class WorkerDaemon:
 
         self.tags = coerce_tags(tags)
 
-        self._listener: socket.socket | None = None
-        self._bound_port: int | None = None
+        self._listener: Listener | None = None
         self._backend = None
-        self._accept_thread: threading.Thread | None = None
         self._handlers: list[_ConnectionHandler] = []
         self._lock = threading.Lock()
         self._stopped = threading.Event()
@@ -188,9 +187,9 @@ class WorkerDaemon:
     # ------------------------------------------------------------------ #
     @property
     def port(self) -> int:
-        if self._bound_port is None:
+        if self._listener is None:
             raise RuntimeError("worker is not started")
-        return self._bound_port
+        return self._listener.port
 
     @property
     def address(self) -> str:
@@ -219,40 +218,25 @@ class WorkerDaemon:
         self._backend = create_backend(self._backend_name, self._backend_options)
         if self._slots is None:
             self._slots = max(1, self._backend.workers)
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._requested_port))
-        listener.listen(8)
-        self._listener = listener
-        self._bound_port = listener.getsockname()[1]
-        self._started = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop,
-            name=f"{WORKER_THREAD_PREFIX}-accept-{self.port}",
-            daemon=True,
+        self._listener = Listener(
+            self._host, self._requested_port, self._on_connection, WORKER_THREAD_PREFIX
         )
-        self._accept_thread.start()
+        self._started = True
+        self._listener.start()
         log_event(
             _LOG, "info", "listening",
             worker=self.name, host=self._host, port=self.port,
         )
         return self
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopped.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed by stop()/kill()
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            handler = _ConnectionHandler(self, MessageChannel(sock))
-            with self._lock:
-                if self._stopped.is_set():
-                    handler.channel.close()
-                    return
-                self._handlers.append(handler)
-            handler.start()
+    def _on_connection(self, sock: socket.socket) -> None:
+        handler = _ConnectionHandler(self, MessageChannel(sock))
+        with self._lock:
+            if self._stopped.is_set():
+                handler.channel.close()
+                return
+            self._handlers.append(handler)
+        handler.start()
 
     def serve_forever(self) -> None:
         """Block until :meth:`stop` (the CLI daemon mode)."""
@@ -266,11 +250,7 @@ class WorkerDaemon:
             self._stopped.set()
             return
         self._stopped.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._listener.stop()
         with self._lock:
             handlers = list(self._handlers)
         for handler in handlers:
@@ -287,10 +267,7 @@ class WorkerDaemon:
         """
         self._stopped.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            self._listener.stop()
         with self._lock:
             handlers = list(self._handlers)
         for handler in handlers:
@@ -433,7 +410,7 @@ class WorkerDaemon:
         description.update(
             {
                 "name": self.name,
-                "address": self.address if self._bound_port is not None else None,
+                "address": self.address if self._listener is not None else None,
                 "slots": self._slots,
                 "tags": dict(self.tags),
                 "doc_store_entries": len(self._doc_store),

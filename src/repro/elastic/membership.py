@@ -38,6 +38,7 @@ from repro.cluster import protocol
 from repro.cluster.protocol import MessageChannel, ProtocolError
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger, log_event
+from repro.utils.wire import Listener
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.coordinator import ClusterCoordinator
@@ -181,75 +182,44 @@ class MembershipListener:
         self.coordinator = coordinator
         self._host = host
         self._requested_port = port
-        self._listener: socket.socket | None = None
-        self._bound_port: int | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._stopped = threading.Event()
+        self._listener: Listener | None = None
 
     @property
     def port(self) -> int:
-        if self._bound_port is None:
+        if self._listener is None:
             raise RuntimeError("membership listener is not started")
-        return self._bound_port
+        return self._listener.port
 
     @property
     def address(self) -> str:
         return f"{self._host}:{self.port}"
 
     def start(self) -> "MembershipListener":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._requested_port))
-        listener.listen(8)
-        self._listener = listener
-        self._bound_port = listener.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop,
-            name=f"{MEMBERSHIP_THREAD_PREFIX}-accept-{self.port}",
-            daemon=True,
+        self._listener = Listener(
+            self._host, self._requested_port, self._on_connection, MEMBERSHIP_THREAD_PREFIX
         )
-        self._accept_thread.start()
+        self._listener.start()
         log_event(_LOG, "info", "membership_listening", host=self._host, port=self.port)
         return self
 
     def stop(self) -> None:
-        self._stopped.set()
         if self._listener is not None:
-            # shutdown() before close(): closing a listening socket does
-            # not wake a thread blocked in accept() on Linux, shutdown
-            # does (the accept fails immediately with EINVAL).
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
+            self._listener.stop()
 
     def __enter__(self) -> "MembershipListener":
-        return self.start() if self._bound_port is None else self
+        return self.start() if self._listener is None else self
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
 
     # ------------------------------------------------------------------ #
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopped.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed by stop()
-            thread = threading.Thread(
-                target=self._serve_one,
-                args=(MessageChannel(sock),),
-                name=f"{MEMBERSHIP_THREAD_PREFIX}-conn",
-                daemon=True,
-            )
-            thread.start()
+    def _on_connection(self, sock: socket.socket) -> None:
+        threading.Thread(
+            target=self._serve_one,
+            args=(MessageChannel(sock),),
+            name=f"{MEMBERSHIP_THREAD_PREFIX}-conn",
+            daemon=True,
+        ).start()
 
     def _serve_one(self, channel: MessageChannel) -> None:
         try:

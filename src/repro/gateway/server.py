@@ -49,6 +49,7 @@ from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
 from repro.obs.tracing import TraceContext
 from repro.serve.service import ParseService, ParseTicket, ServiceError
+from repro.utils.wire import Listener
 
 #: Thread-name prefix of gateway-owned threads (accept/reader/streamers).
 GATEWAY_THREAD_PREFIX = "repro-gateway"
@@ -122,9 +123,7 @@ class GatewayServer:
         self.finished_retention = finished_retention
         self._host = host
         self._requested_port = port
-        self._listener: socket.socket | None = None
-        self._bound_port: int | None = None
-        self._accept_thread: threading.Thread | None = None
+        self._listener: Listener | None = None
         self._connections: list[_ClientConnection] = []
         self._stopped = threading.Event()
         self._started = False
@@ -153,9 +152,9 @@ class GatewayServer:
     # ------------------------------------------------------------------ #
     @property
     def port(self) -> int:
-        if self._bound_port is None:
+        if self._listener is None:
             raise RuntimeError("gateway is not started")
-        return self._bound_port
+        return self._listener.port
 
     @property
     def address(self) -> str:
@@ -165,37 +164,22 @@ class GatewayServer:
         """Bind and begin accepting client connections."""
         if self._started:
             raise RuntimeError("gateway already started")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._requested_port))
-        listener.listen(128)
-        self._listener = listener
-        self._bound_port = listener.getsockname()[1]
-        self._started = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop,
-            name=f"{GATEWAY_THREAD_PREFIX}-accept-{self.port}",
-            daemon=True,
+        self._listener = Listener(
+            self._host, self._requested_port, self._on_connection, GATEWAY_THREAD_PREFIX
         )
-        self._accept_thread.start()
+        self._started = True
+        self._listener.start()
         log_event(_LOG, "info", "listening", host=self._host, port=self.port)
         return self
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopped.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed by stop()
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            connection = _ClientConnection(self, MessageChannel(sock))
-            with self._lock:
-                if self._stopped.is_set():
-                    connection.channel.close()
-                    return
-                self._connections.append(connection)
-            connection.start()
+    def _on_connection(self, sock: socket.socket) -> None:
+        connection = _ClientConnection(self, MessageChannel(sock))
+        with self._lock:
+            if self._stopped.is_set():
+                connection.channel.close()
+                return
+            self._connections.append(connection)
+        connection.start()
 
     def serve_forever(self) -> None:
         """Block until :meth:`stop` (the CLI daemon mode)."""
@@ -213,11 +197,7 @@ class GatewayServer:
             self._stopped.set()
             return
         self._stopped.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._listener.stop()
         if drain:
             for record in self._open_records():
                 try:
@@ -478,7 +458,7 @@ class GatewayServer:
         """Inventory for CLI logging (stats plus the bind address)."""
         description = self.stats()
         description["address"] = (
-            self.address if self._bound_port is not None else None
+            self.address if self._listener is not None else None
         )
         return description
 

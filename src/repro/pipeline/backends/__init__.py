@@ -9,7 +9,7 @@ serial    inline in the calling thread (reference; parity baseline)
 thread    bounded thread-pool window sharing parent memory
 process   worker processes for GIL-free parsing; cache stays parent-side
 hpc       inline parse + measured-usage replay on the simulated cluster
-async     asyncio event loop with an adaptive (AIMD) in-flight window
+async     the same thread-pool loop, adaptive (AIMD) in-flight window
 remote    repro.cluster worker daemons over TCP (multi-process/multi-host)
 ========= ==================================================================
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 #: Public name → "module:attribute", resolved on first access.
 _LAZY_EXPORTS: dict[str, str] = {
-    "AdaptiveWindow": "repro.pipeline.backends.async_:AdaptiveWindow",
+    "AdaptiveWindow": "repro.pipeline.backends.thread:AdaptiveWindow",
     "AsyncBackend": "repro.pipeline.backends.async_:AsyncBackend",
     "BackendError": "repro.pipeline.backends.base:BackendError",
     "BackendSpec": "repro.pipeline.backends.base:BackendSpec",

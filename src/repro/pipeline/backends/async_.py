@@ -1,144 +1,41 @@
-"""The async backend: batches scheduled on an asyncio event loop.
+"""The async backend: the thread backend's loop with a window that moves.
 
-Where the thread backend drives a *fixed* in-flight window with blocking
-futures, :class:`AsyncBackend` owns a private asyncio event loop (on a
-dedicated thread) and schedules batch executions as awaitables with an
-**adaptive** in-flight window: the window grows additively while observed
-per-batch latency stays near its smoothed baseline and shrinks
-multiplicatively when latency inflates — the classic AIMD control loop,
-here used as a backpressure valve in front of the executor threads that
-run the actual (synchronous) parse workers.
-
-Two entry points share the same scheduling core:
-
-* :meth:`AsyncBackend.map_ordered` — the synchronous
-  :class:`~repro.pipeline.backends.base.ExecutionBackend` contract.  The
-  caller's thread drives an async generator on the backend's loop via
-  ``run_coroutine_threadsafe``, so the pipeline (and every existing
-  consumer) uses the backend unchanged.
-* :meth:`AsyncBackend.amap_ordered` — the asyncio-native async generator,
-  for callers that already live on the loop (the ``repro.serve`` request
-  multiplexer schedules many concurrent maps this way).
+Where the thread backend keeps a *fixed* number of batches in flight,
+:class:`AsyncBackend` lets each map's ``AdaptiveWindow`` move: the window
+grows additively while observed per-batch latency stays near its smoothed
+baseline and shrinks multiplicatively when latency inflates — the classic
+AIMD control loop, here used as a backpressure valve in front of the
+executor threads that run the parse workers.  Submission, ordering,
+cancellation and the pool lifecycle are all inherited; this module is the
+window policy and its telemetry.
 
 Window telemetry (high/low-water marks, growth/shrink counts, final
 size) is aggregated across every map the instance ran and reported in
 ``ExecutionStats.extra`` under ``window_*`` keys.  Concurrent
-``map_ordered`` calls are safe: per-call state lives in the generator,
-and the recorder, the executor pool, and the window telemetry are all
-lock-guarded — this is what lets one shared ``AsyncBackend`` serve many
-simultaneous requests in :class:`repro.serve.ParseService`.
+``map_ordered`` calls are safe (see :class:`ThreadBackend`) — this is
+what lets one shared ``AsyncBackend`` serve many simultaneous requests in
+:class:`repro.serve.ParseService`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from time import perf_counter
-from typing import Any, AsyncIterator, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Any
 
-from repro.pipeline.backends.base import (
-    BackendError,
-    BackendSpec,
-    ExecutionBackend,
-    ExecutionRecorder,
-    ExecutionStats,
-    register_backend,
-)
+from repro.pipeline.backends.base import BackendSpec, ExecutionStats, register_backend
+from repro.pipeline.backends.thread import THREAD_NAME_PREFIX, AdaptiveWindow, ThreadBackend
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-#: Thread-name prefix of the loop thread and the executor workers.
-ASYNC_THREAD_PREFIX = "repro-backend-async"
-
-#: Sentinel returned by the anext bridge when the async generator is done.
-_DONE = object()
+#: Thread-name prefix of the executor workers.
+ASYNC_THREAD_PREFIX = f"{THREAD_NAME_PREFIX}-async"
 
 
-class AdaptiveWindow:
-    """AIMD controller for how many batches the backend keeps in flight.
-
-    The controller watches per-batch execution latency (queue wait
-    excluded) against an exponentially weighted moving average:
-
-    * latency within ``growth_headroom`` of the EWMA → the window grows
-      by one (additive increase), up to ``max_size``;
-    * latency beyond ``shrink_headroom`` × EWMA → the window halves
-      (multiplicative decrease, ``shrink_factor``), down to ``min_size``.
-
-    Growth is the default posture — a stable latency profile means the
-    executor still has headroom — while a latency spike (an overloaded
-    pool, a straggler parser, GIL contention) collapses the window
-    quickly so queued work stops piling onto a struggling executor.
-    High/low-water marks and the growth/shrink counts are exported for
-    ``ExecutionStats.extra``.
-    """
-
-    def __init__(
-        self,
-        initial: int,
-        min_size: int = 1,
-        max_size: int = 64,
-        enabled: bool = True,
-        smoothing: float = 0.3,
-        growth_headroom: float = 1.1,
-        shrink_headroom: float = 1.5,
-        shrink_factor: float = 0.5,
-    ) -> None:
-        if min_size < 1:
-            raise ValueError("min_window must be positive")
-        if max_size < min_size:
-            raise ValueError("max_window must be >= min_window")
-        self.initial = min(max(initial, min_size), max_size)
-        self.size = self.initial
-        self.min_size = min_size
-        self.max_size = max_size
-        self.enabled = enabled
-        self.smoothing = smoothing
-        self.growth_headroom = growth_headroom
-        self.shrink_headroom = shrink_headroom
-        self.shrink_factor = shrink_factor
-        self.high_water = self.size
-        self.low_water = self.size
-        self.growths = 0
-        self.shrinks = 0
-        self._ewma: float | None = None
-
-    def observe(self, latency_seconds: float) -> int:
-        """Feed one completed batch's latency; returns the updated window."""
-        if not self.enabled:
-            return self.size
-        if self._ewma is None:
-            self._ewma = latency_seconds
-            return self.size
-        if latency_seconds > self._ewma * self.shrink_headroom:
-            shrunk = max(self.min_size, int(self.size * self.shrink_factor))
-            if shrunk < self.size:
-                self.size = shrunk
-                self.shrinks += 1
-                self.low_water = min(self.low_water, self.size)
-        elif latency_seconds <= self._ewma * self.growth_headroom:
-            if self.size < self.max_size:
-                self.size += 1
-                self.growths += 1
-                self.high_water = max(self.high_water, self.size)
-        self._ewma = (
-            (1.0 - self.smoothing) * self._ewma + self.smoothing * latency_seconds
-        )
-        return self.size
-
-
-class AsyncBackend(ExecutionBackend):
-    """Schedule batches on a private asyncio loop with an adaptive window.
+class AsyncBackend(ThreadBackend):
+    """Run batches on ``n_jobs`` threads behind an adaptive in-flight window.
 
     Parameters
     ----------
     n_jobs:
-        Executor threads that run the (synchronous) batch workers.  The
-        loop itself never blocks on a parse.
+        Executor threads that run the batch workers.
     window:
         Initial in-flight window; defaults to ``n_jobs``.
     min_window / max_window:
@@ -159,75 +56,18 @@ class AsyncBackend(ExecutionBackend):
         max_window: int | None = None,
         adaptive: bool = True,
     ) -> None:
-        if isinstance(n_jobs, bool) or n_jobs < 1:
-            raise ValueError("n_jobs must be a positive integer")
-        if window is not None and window < 1:
-            raise ValueError("window must be positive")
-        if min_window < 1:
-            raise ValueError("min_window must be positive")
-        self.n_jobs = int(n_jobs)
-        self.window = int(window) if window is not None else self.n_jobs
-        self.min_window = int(min_window)
+        super().__init__(n_jobs=n_jobs, window=window if window is not None else n_jobs)
+        self.min_window = min_window
         self.max_window = (
-            int(max_window) if max_window is not None else max(4 * self.n_jobs, self.window)
+            max_window if max_window is not None else max(4 * n_jobs, self.window)
         )
-        if self.max_window < self.min_window:
-            raise ValueError("max_window must be >= min_window")
         self.adaptive = bool(adaptive)
-        self._recorder = ExecutionRecorder(self.name)
-        self._lifecycle_lock = threading.Lock()
+        self._make_window()  # validates the bounds now, not at the first map
         self._window_lock = threading.Lock()
         self._window_telemetry: dict[str, Any] = {}
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._loop_thread: threading.Thread | None = None
-        self._pool: ThreadPoolExecutor | None = None
-        self._closed = False
 
-    @property
-    def workers(self) -> int:
-        return self.n_jobs
-
-    # ------------------------------------------------------------------ #
-    # Loop lifecycle
-    # ------------------------------------------------------------------ #
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        """The executor pool (created on first use, under the lifecycle lock)."""
-        with self._lifecycle_lock:
-            if self._closed:
-                raise BackendError(f"{self.name} backend is closed")
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.n_jobs,
-                    thread_name_prefix=f"{ASYNC_THREAD_PREFIX}-worker",
-                )
-            return self._pool
-
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        self._ensure_pool()
-        with self._lifecycle_lock:
-            if self._closed:
-                raise BackendError(f"{self.name} backend is closed")
-            if self._loop is None:
-                self._loop = asyncio.new_event_loop()
-                self._loop_thread = threading.Thread(
-                    target=self._loop.run_forever,
-                    name=f"{ASYNC_THREAD_PREFIX}-loop",
-                    daemon=True,
-                )
-                self._loop_thread.start()
-            return self._loop
-
-    def _make_window(self, options: Mapping[str, Any] | None) -> AdaptiveWindow:
-        opts = dict(options or {})
-        initial = int(opts.get("window", self.window))
-        if initial < 1:
-            raise ValueError("window must be positive")
-        return AdaptiveWindow(
-            initial=initial,
-            min_size=self.min_window,
-            max_size=self.max_window,
-            enabled=bool(opts.get("adaptive", self.adaptive)),
-        )
+    def _make_window(self) -> AdaptiveWindow:
+        return AdaptiveWindow(self.window, self.min_window, self.max_window, self.adaptive)
 
     def _note_window(self, window: AdaptiveWindow) -> None:
         """Fold one finished map's window telemetry into the instance totals."""
@@ -241,165 +81,15 @@ class AsyncBackend(ExecutionBackend):
             telemetry["window_low_water"] = min(
                 telemetry.get("window_low_water", window.low_water), window.low_water
             )
-            telemetry["window_growths"] = (
-                telemetry.get("window_growths", 0) + window.growths
-            )
-            telemetry["window_shrinks"] = (
-                telemetry.get("window_shrinks", 0) + window.shrinks
-            )
+            telemetry["window_growths"] = telemetry.get("window_growths", 0) + window.growths
+            telemetry["window_shrinks"] = telemetry.get("window_shrinks", 0) + window.shrinks
             telemetry["maps_completed"] = telemetry.get("maps_completed", 0) + 1
 
-    # ------------------------------------------------------------------ #
-    # Asyncio-native mapping
-    # ------------------------------------------------------------------ #
-    async def amap_ordered(
-        self,
-        fn: Callable[[_T], _R],
-        items: Iterable[_T],
-        *,
-        options: Mapping[str, Any] | None = None,
-    ) -> AsyncIterator[_R]:
-        """Async generator over ``fn(item)`` results, in input order.
-
-        Runs on whichever loop awaits it — the backend's own (via
-        ``map_ordered``'s bridge) or a caller-owned one
-        (:class:`repro.serve.ParseService` schedules many of these on its
-        service loop); the executor pool is shared either way.  At most
-        the adaptive window's current size is in flight; abandoning the
-        generator cancels batches that have not started.
-        """
-        window = self._make_window(options)
-        loop = asyncio.get_running_loop()
-        pool = self._ensure_pool()
-        recorder = self._recorder
-        iterator = iter(items)
-        #: (awaitable wrapper, underlying executor future) per in-flight
-        #: batch.  Cancellation must be judged on the *executor* future:
-        #: an asyncio wrapper reports cancel() success even when the
-        #: executor task is already running.
-        pending: deque[tuple[asyncio.Future[tuple[float, _R]], Any]] = deque()
-        exhausted = False
-
-        def submit_one() -> bool:
-            nonlocal exhausted
-            try:
-                item = next(iterator)
-            except StopIteration:
-                exhausted = True
-                return False
-            recorder.record_dispatch()
-            submitted_at = perf_counter()
-
-            def task(item: _T = item) -> tuple[float, _R]:
-                started = perf_counter()
-                try:
-                    result = fn(item)
-                except BaseException:
-                    # A batch that executed to an exception still *finished*:
-                    # record it so the accounting invariant (completed +
-                    # cancelled == dispatched) survives errored runs.
-                    recorder.record_batch(
-                        started - submitted_at, perf_counter() - started
-                    )
-                    raise
-                latency = perf_counter() - started
-                recorder.record_batch(started - submitted_at, latency)
-                return latency, result
-
-            executor_future = pool.submit(task)
-            pending.append((asyncio.wrap_future(executor_future), executor_future))
-            recorder.record_in_flight(len(pending))
-            return True
-
-        try:
-            while True:
-                while not exhausted and len(pending) < window.size:
-                    if not submit_one():
-                        break
-                if not pending:
-                    break
-                awaitable, _ = pending.popleft()
-                latency, result = await awaitable
-                window.observe(latency)
-                yield result
-        finally:
-            # An abandoned generator (or a worker error) leaves submitted
-            # batches behind: cancel what has not started, then drain the
-            # rest so no executor work outlives the map.
-            recorder.record_cancelled(
-                sum(1 for _, executor_future in pending if executor_future.cancel())
-            )
-            if pending:
-                await asyncio.gather(
-                    *(awaitable for awaitable, _ in pending), return_exceptions=True
-                )
-            self._note_window(window)
-
-    # ------------------------------------------------------------------ #
-    # The synchronous ExecutionBackend contract
-    # ------------------------------------------------------------------ #
-    def map_ordered(
-        self,
-        fn: Callable[[_T], _R],
-        items: Iterable[_T],
-        *,
-        options: Mapping[str, Any] | None = None,
-    ) -> Iterator[_R]:
-        loop = self._ensure_loop()
-        generator = self.amap_ordered(fn, items, options=options)
-
-        async def advance() -> Any:
-            try:
-                return await generator.__anext__()
-            except StopAsyncIteration:
-                return _DONE
-
-        def iterate() -> Iterator[_R]:
-            try:
-                while True:
-                    value = asyncio.run_coroutine_threadsafe(advance(), loop).result()
-                    if value is _DONE:
-                        return
-                    yield value
-            finally:
-                # Runs on early abandonment too: close the async generator
-                # so its finally-block cancels unstarted batches.  If the
-                # backend was closed first the loop is stopped and the
-                # bridge would never resolve — the executor shutdown has
-                # already cancelled the queue, so give up quietly.
-                try:
-                    if not loop.is_closed():
-                        asyncio.run_coroutine_threadsafe(
-                            generator.aclose(), loop
-                        ).result(timeout=5.0)
-                except (FuturesTimeoutError, RuntimeError):
-                    pass
-
-        return iterate()
-
     def stats(self) -> ExecutionStats:
-        stats = self._recorder.snapshot(self.name, self.workers)
-        stats.extra["event_loop"] = "asyncio"
+        stats = super().stats()
         with self._window_lock:
             stats.extra.update(self._window_telemetry)
         return stats
-
-    def close(self) -> None:
-        with self._lifecycle_lock:
-            self._closed = True
-            loop, thread, pool = self._loop, self._loop_thread, self._pool
-            self._loop = None
-            self._loop_thread = None
-            self._pool = None
-        if pool is not None:
-            # Cancel batches still queued behind the executor, join the
-            # ones that started — no worker threads outlive the backend.
-            pool.shutdown(wait=True, cancel_futures=True)
-        if loop is not None:
-            loop.call_soon_threadsafe(loop.stop)
-            if thread is not None:
-                thread.join()
-            loop.close()
 
 
 register_backend(
@@ -407,6 +97,6 @@ register_backend(
         name="async",
         factory=AsyncBackend,
         options=frozenset({"n_jobs", "window", "min_window", "max_window", "adaptive"}),
-        description="asyncio event loop with an adaptive (AIMD) in-flight window",
+        description="thread pool behind an adaptive (AIMD) in-flight window",
     )
 )

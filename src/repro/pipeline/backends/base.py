@@ -258,13 +258,7 @@ class ExecutionBackend(abc.ABC):
         return inner
 
     @abc.abstractmethod
-    def map_ordered(
-        self,
-        fn: Callable[[_T], _R],
-        items: Iterable[_T],
-        *,
-        options: Mapping[str, Any] | None = None,
-    ) -> Iterator[_R]:
+    def map_ordered(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> Iterator[_R]:
         """Apply ``fn`` over ``items``, yielding results in input order.
 
         At most a bounded window of items is in flight at once, so

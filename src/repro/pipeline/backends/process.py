@@ -104,25 +104,25 @@ class ProcessBackend(ThreadBackend):
     def _ensure_executor(
         self, token: str | None = None, payload: bytes | None = None
     ) -> ProcessPoolExecutor:
-        if self._closed:
-            raise BackendError("process backend is closed")
-        if self._executor is None:
-            initargs = ()
-            initializer = None
-            if token is not None and payload is not None:
-                # Ship the worker once per child via the initializer (it
-                # also re-runs when a crashed worker is replaced); batch
-                # submissions then carry only the token and the documents.
-                initializer = _register_worker
-                initargs = (token, payload)
-                self._registered_token = token
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.n_jobs,
-                mp_context=_preferred_context(self._mp_context_name),
-                initializer=initializer,
-                initargs=initargs,
-            )
-        return self._executor
+        with self._lifecycle_lock:
+            self._check_open()
+            if self._executor is None:
+                initargs = ()
+                initializer = None
+                if token is not None and payload is not None:
+                    # Ship the worker once per child via the initializer (it
+                    # also re-runs when a crashed worker is replaced); batch
+                    # submissions then carry only the token and the documents.
+                    initializer = _register_worker
+                    initargs = (token, payload)
+                    self._registered_token = token
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.n_jobs,
+                    mp_context=_preferred_context(self._mp_context_name),
+                    initializer=initializer,
+                    initargs=initargs,
+                )
+            return self._executor
 
     def wrap_inner(self, inner: Callable[[_T], _R]) -> Callable[[_T], _R]:
         # Serialise the worker up front: the pool would otherwise pickle it
@@ -174,10 +174,14 @@ class ProcessBackend(ThreadBackend):
         return remote
 
     def close(self) -> None:
+        # The inherited close marks the backend closed (no executor can be
+        # created after it) and joins the orchestration threads first: they
+        # block on child futures, so the children must outlive them.
         super().close()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        with self._lifecycle_lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
 
 
 register_backend(

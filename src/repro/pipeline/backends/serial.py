@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.pipeline.backends.base import (
     BackendError,
@@ -36,13 +36,7 @@ class SerialBackend(ExecutionBackend):
     def _observe(self, output: object) -> None:
         """Hook for subclasses watching completed batches (the HPC adapter)."""
 
-    def map_ordered(
-        self,
-        fn: Callable[[_T], _R],
-        items: Iterable[_T],
-        *,
-        options: Mapping[str, Any] | None = None,
-    ) -> Iterator[_R]:
+    def map_ordered(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> Iterator[_R]:
         if self._closed:
             raise BackendError(f"{self.name} backend is closed")
         recorder = self._recorder

@@ -94,7 +94,8 @@ class ParseRequest:
     backend_options:
         Backend construction options (e.g. ``{"n_jobs": 8}`` for the
         thread/process/async backends, ``{"n_nodes": 16}`` for ``hpc``,
-        ``{"max_window": 32, "adaptive": True}`` for ``async``,
+        ``{"max_window": 32, "adaptive": True}`` for ``async`` (the thread
+        pool behind an adaptive in-flight window),
         ``{"workers": "host:port,host:port"}`` for ``remote``); see
         :func:`repro.pipeline.backends.backend_specs`.
     seed:

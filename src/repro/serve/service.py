@@ -7,8 +7,8 @@ concurrent** :class:`~repro.pipeline.request.ParseRequest` submissions
 and multiplexes them onto
 
 * **one shared execution backend** (``async`` by default — every
-  request's batches interleave on the same event loop and executor
-  pool), and
+  request's runner thread drives its own ordered window over the same
+  executor pool), and
 * **one shared :class:`~repro.cache.ParseCache`** — so single-flight
   deduplication works *across requests*, not just across one request's
   workers: two clients submitting overlapping corpora parse each

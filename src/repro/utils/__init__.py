@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.utils.rng import derive_seed, rng_from, spawn_rng
 from repro.utils.hashing import stable_hash, stable_hash_bytes
 from repro.utils.tables import Table, format_table
-from repro.utils.timer import WallTimer
 
 __all__ = [
     "derive_seed",
@@ -15,5 +14,4 @@ __all__ = [
     "stable_hash_bytes",
     "Table",
     "format_table",
-    "WallTimer",
 ]

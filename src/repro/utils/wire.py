@@ -18,6 +18,9 @@ the oversized-frame refusal (:class:`MessageTooLarge` at send time,
 :class:`ProtocolError` at receive time).  :mod:`repro.cluster.protocol`
 and :mod:`repro.gateway.protocol` both build their message vocabularies
 on top of it, so the two wires cannot drift apart on framing.
+:class:`Listener` is the accepting side every daemon shares (gateway,
+cluster worker, membership listener): bind, a named accept thread, and a
+stop that actually wakes it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 #: Upper bound on one message body (a guard against garbage prefixes, not
 #: a practical limit: a 64 MiB shard would be ~1000 dense documents).
@@ -47,9 +50,8 @@ class MessageTooLarge(ProtocolError):
 
 def encode_message(message: Mapping[str, Any]) -> bytes:
     """Frame one message: decimal length prefix + NDJSON body."""
-    body = json.dumps(message, ensure_ascii=False, separators=(",", ":")).encode(
-        "utf-8"
-    ) + b"\n"
+    text = json.dumps(message, ensure_ascii=False, separators=(",", ":"))
+    body = text.encode("utf-8") + b"\n"
     return str(len(body)).encode("ascii") + b"\n" + body
 
 
@@ -67,9 +69,7 @@ class MessageChannel:
     module global); pass an explicit limit to pin a channel down.
     """
 
-    def __init__(
-        self, sock: socket.socket, max_message_bytes: int | None = None
-    ) -> None:
+    def __init__(self, sock: socket.socket, max_message_bytes: int | None = None) -> None:
         self._sock = sock
         self._reader = sock.makefile("rb")
         self._send_lock = threading.Lock()
@@ -130,9 +130,7 @@ class MessageChannel:
             raise ProtocolError(f"message length {length} out of bounds")
         body = self._reader.read(length)
         if len(body) != length:
-            raise ProtocolError(
-                f"truncated message: expected {length} bytes, got {len(body)}"
-            )
+            raise ProtocolError(f"truncated message: expected {length} bytes, got {len(body)}")
         self.last_frame_bytes = len(prefix) + len(body)
         self.bytes_received += self.last_frame_bytes
         try:
@@ -161,3 +159,63 @@ class MessageChannel:
             self._sock.close()
         except OSError:
             pass
+
+
+class Listener:
+    """One bound TCP listening socket and the thread that accepts on it.
+
+    Binding happens at construction (``port=0`` picks a free port; read
+    :attr:`port` back), accepting begins with :meth:`start`.  Every accepted
+    connection gets ``TCP_NODELAY`` and is handed to ``on_connection(sock)``
+    on the accept thread, named ``<thread_prefix>-accept-<port>`` — the
+    handshake, the read loop and the message handling stay with the caller.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        on_connection: Callable[[socket.socket], None],
+        thread_prefix: str,
+    ) -> None:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind((host, port))
+        sock.listen(128)
+        self._sock = sock
+        self.port: int = sock.getsockname()[1]
+        self._on_connection = on_connection
+        self._stopped = threading.Event()
+        self._thread = threading.Thread(
+            target=self._accept_loop,
+            name=f"{thread_prefix}-accept-{self.port}",
+            daemon=True,
+        )
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def _accept_loop(self) -> None:
+        while not self._stopped.is_set():
+            try:
+                sock, _ = self._sock.accept()
+            except OSError:
+                return  # the listening socket was shut down by stop()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._on_connection(sock)
+
+    def stop(self) -> None:
+        """Stop accepting and join the accept thread (idempotent)."""
+        self._stopped.set()
+        # shutdown() before close(): closing a listening socket does not
+        # wake a thread blocked in accept() on Linux, shutdown does (the
+        # accept fails immediately with EINVAL).
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self._sock.close()
+        except OSError:
+            pass
+        self._thread.join(timeout=5.0)

@@ -174,6 +174,40 @@ class TestRemoteRegistration:
         assert seen == built * n_racers
         assert not [t for t in threading.enumerate() if t.name == monitor_name]
 
+    def test_close_during_first_dial_leaves_no_coordinator_open(self, monkeypatch):
+        """close() racing a slow first dial waits for it and closes what it
+        connected; unguarded, close() saw no coordinator yet and the dial
+        then published one that nobody would ever close."""
+        import repro.cluster.backend as backend_module
+
+        dialling = threading.Event()
+        built = []
+
+        class SlowCoordinator:
+            def __init__(self, addresses, **options):
+                built.append(self)
+                self.open = False
+
+            def connect(self):
+                dialling.set()
+                time.sleep(0.1)  # close() arrives while the dial is in flight
+                self.open = True
+
+            def close(self):
+                self.open = False
+
+        monkeypatch.setattr(backend_module, "ClusterCoordinator", SlowCoordinator)
+        backend = create_backend("remote", {"workers": "127.0.0.1:9101"})
+        dialler = threading.Thread(target=backend._ensure_coordinator)
+        dialler.start()
+        assert dialling.wait(timeout=5)
+        backend.close()
+        dialler.join(timeout=5)
+        assert not dialler.is_alive()
+        assert [coordinator.open for coordinator in built] == [False]
+        with pytest.raises(BackendError, match="closed"):
+            backend._ensure_coordinator()
+
 
 def _subprocess_env():
     import os

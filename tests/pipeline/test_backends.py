@@ -179,6 +179,12 @@ class TestRegistry:
 # ---------------------------------------------------------------------- #
 # map_ordered contract
 # ---------------------------------------------------------------------- #
+#: The backends that run the one ordered-window loop in-process.  ``process``
+#: inherits it too and is cheap here: ``map_ordered`` alone (no
+#: ``wrap_inner``) never spawns a child.
+WINDOW_LOOP_BACKENDS = ["thread", "async", "process"]
+
+
 class TestMapOrdered:
     def test_serial_order_and_stats(self):
         backend = SerialBackend()
@@ -193,8 +199,9 @@ class TestMapOrdered:
         assert set(stats.batch_latency_seconds) == {"mean", "p50", "p90", "p99", "max"}
         backend.close()
 
-    def test_thread_order_preserved_under_jitter(self):
-        backend = ThreadBackend(n_jobs=4)
+    @pytest.mark.parametrize("kind", WINDOW_LOOP_BACKENDS)
+    def test_order_preserved_under_jitter(self, kind):
+        backend = create_backend(kind, {"n_jobs": 4})
 
         def jittery(x: int) -> int:
             time.sleep(0.001 * (x % 5))
@@ -203,17 +210,30 @@ class TestMapOrdered:
         with backend:
             assert list(backend.map_ordered(jittery, range(40))) == list(range(40))
         stats = backend.stats()
+        assert stats.backend == kind
+        assert stats.workers == 4
         assert stats.batches_completed == 40
-        assert 1 <= stats.in_flight_high_water <= backend.window
+        bound = getattr(backend, "max_window", backend.window)
+        assert 1 <= stats.in_flight_high_water <= bound
 
-    def test_thread_window_bounds_in_flight(self):
-        backend = ThreadBackend(n_jobs=2, window=3)
+    @pytest.mark.parametrize(
+        "kind,options,bound",
+        [
+            ("thread", {"n_jobs": 2, "window": 3}, 3),
+            ("async", {"n_jobs": 2, "window": 2, "max_window": 5}, 5),
+        ],
+    )
+    def test_window_bounds_in_flight(self, kind, options, bound):
+        backend = create_backend(kind, options)
         with backend:
-            list(backend.map_ordered(lambda x: x, range(20)))
-        assert backend.stats().in_flight_high_water <= 3
+            list(backend.map_ordered(lambda x: x, range(50)))
+        stats = backend.stats()
+        assert stats.in_flight_high_water <= bound
+        assert stats.extra.get("window_high_water", bound) <= bound
 
-    def test_worker_error_propagates(self):
-        backend = ThreadBackend(n_jobs=2)
+    @pytest.mark.parametrize("kind", WINDOW_LOOP_BACKENDS)
+    def test_worker_error_propagates(self, kind):
+        backend = create_backend(kind, {"n_jobs": 2})
 
         def boom(x: int) -> int:
             if x == 3:
@@ -223,21 +243,34 @@ class TestMapOrdered:
         with backend:
             with pytest.raises(RuntimeError, match="bad batch"):
                 list(backend.map_ordered(boom, range(10)))
+        # The accounting invariant survives errored runs: the batch that
+        # raised still executed, so it counts as completed, and everything
+        # dispatched is accounted for.
+        stats = backend.stats()
+        assert stats.batches_completed + stats.batches_cancelled == stats.batches_dispatched
 
-    def test_closed_backend_refuses_work(self):
-        backend = ThreadBackend(n_jobs=2)
+    @pytest.mark.parametrize("kind", WINDOW_LOOP_BACKENDS)
+    def test_closed_backend_refuses_work(self, kind):
+        backend = create_backend(kind, {"n_jobs": 2})
         backend.close()
         with pytest.raises(BackendError, match="closed"):
             list(backend.map_ordered(lambda x: x, [1]))
         backend.close()  # idempotent
 
-    def test_early_close_cancels_pending_and_leaks_no_threads(self):
+    @pytest.mark.parametrize(
+        "kind,options",
+        [
+            ("thread", {"n_jobs": 2, "window": 6}),
+            ("async", {"n_jobs": 2, "window": 6, "adaptive": False}),
+        ],
+    )
+    def test_early_close_cancels_pending_and_leaks_no_threads(self, kind, options):
         """Regression: abandoning the stream used to leave queued batches
         uncancelled and the pool's threads behind.  Now the iterator's
         teardown cancels everything that hasn't started and close() joins
         the workers."""
         assert _backend_threads() == []
-        backend = ThreadBackend(n_jobs=2, window=6)
+        backend = create_backend(kind, options)
 
         def slow(x: int) -> int:
             time.sleep(0.05)
@@ -253,6 +286,72 @@ class TestMapOrdered:
         # Whatever wasn't cancelled actually ran; nothing is unaccounted for.
         assert stats.batches_completed + stats.batches_cancelled == stats.batches_dispatched
         assert stats.batches_completed < 50
+        assert _backend_threads() == []
+
+    @pytest.mark.parametrize("kind", ["thread", "async"])
+    def test_concurrent_maps_share_one_backend(self, kind):
+        """Two threads streaming through one instance interleave safely —
+        the invariant the parse service relies on."""
+        backend = create_backend(kind, {"n_jobs": 4})
+        results: dict[str, list[int]] = {}
+
+        def run(label: str, offset: int) -> None:
+            results[label] = list(
+                backend.map_ordered(
+                    lambda x: (time.sleep(0.002), x + offset)[1], range(20)
+                )
+            )
+
+        threads = [
+            threading.Thread(target=run, args=("a", 0)),
+            threading.Thread(target=run, args=("b", 100)),
+        ]
+        with backend:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert results["a"] == list(range(20))
+        assert results["b"] == list(range(100, 120))
+        stats = backend.stats()
+        assert stats.batches_completed == 40
+        assert stats.extra.get("maps_completed", 2) == 2
+
+    @pytest.mark.parametrize("kind", WINDOW_LOOP_BACKENDS)
+    def test_racing_first_maps_build_one_pool(self, kind, monkeypatch):
+        """Concurrent first maps on one shared backend (the parse service's
+        shape) share one pool; the unguarded creation built one per racer
+        and close() joined only the last, leaving the others' threads."""
+        import repro.pipeline.backends.thread as thread_module
+
+        built = []
+
+        class SlowPool(thread_module.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.01)  # hold creation open so every racer arrives
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(thread_module, "ThreadPoolExecutor", SlowPool)
+        assert _backend_threads() == []
+        backend = create_backend(kind, {"n_jobs": 2})
+        n_racers = 4
+        barrier = threading.Barrier(n_racers)
+        outputs = []
+
+        def first_map():
+            barrier.wait(timeout=5)
+            outputs.append(list(backend.map_ordered(lambda x: x, range(3))))
+
+        racers = [threading.Thread(target=first_map) for _ in range(n_racers)]
+        for racer in racers:
+            racer.start()
+        for racer in racers:
+            racer.join(timeout=10)
+        assert not any(racer.is_alive() for racer in racers)
+        backend.close()
+        assert outputs == [[0, 1, 2]] * n_racers
+        assert len(built) == 1
         assert _backend_threads() == []
 
 
@@ -790,39 +889,8 @@ class TestProcessBackend:
 # Async backend specifics
 # ---------------------------------------------------------------------- #
 class TestAsyncBackend:
-    def _threads(self) -> list[threading.Thread]:
-        from repro.pipeline.backends.async_ import ASYNC_THREAD_PREFIX
-
-        return [
-            t for t in threading.enumerate() if t.name.startswith(ASYNC_THREAD_PREFIX)
-        ]
-
-    def test_order_preserved_under_jitter(self):
-        from repro.pipeline.backends import AsyncBackend
-
-        backend = AsyncBackend(n_jobs=4)
-
-        def jittery(x: int) -> int:
-            time.sleep(0.001 * (x % 5))
-            return x
-
-        with backend:
-            assert list(backend.map_ordered(jittery, range(40))) == list(range(40))
-            stats = backend.stats()
-        assert stats.backend == "async"
-        assert stats.workers == 4
-        assert stats.batches_completed == 40
-        assert stats.extra["event_loop"] == "asyncio"
-
-    def test_max_window_bounds_in_flight(self):
-        from repro.pipeline.backends import AsyncBackend
-
-        backend = AsyncBackend(n_jobs=2, window=2, max_window=5)
-        with backend:
-            list(backend.map_ordered(lambda x: x, range(50)))
-        stats = backend.stats()
-        assert stats.in_flight_high_water <= 5
-        assert stats.extra["window_high_water"] <= 5
+    """The AIMD-specific behaviour; the ``map_ordered`` contract itself is
+    covered, for this backend too, by ``TestMapOrdered``."""
 
     def test_adaptive_window_grows_on_stable_latency(self):
         from repro.pipeline.backends import AsyncBackend
@@ -847,106 +915,42 @@ class TestAsyncBackend:
         assert extra["window_shrinks"] == 0
         assert extra["window_high_water"] == 3
 
-    def test_worker_error_propagates(self):
+    def test_map_runs_on_exactly_n_jobs_threads_and_no_loop_thread(self):
         from repro.pipeline.backends import AsyncBackend
+        from repro.pipeline.backends.async_ import ASYNC_THREAD_PREFIX
 
+        seen: set[str] = set()
         backend = AsyncBackend(n_jobs=2)
-
-        def boom(x: int) -> int:
-            if x == 3:
-                raise RuntimeError("bad async batch")
-            return x
-
         with backend:
-            with pytest.raises(RuntimeError, match="bad async batch"):
-                list(backend.map_ordered(boom, range(10)))
-        # The accounting invariant survives errored runs: the batch that
-        # raised still executed, so it counts as completed, and everything
-        # dispatched is accounted for.
-        stats = backend.stats()
-        assert stats.batches_completed + stats.batches_cancelled == stats.batches_dispatched
-
-    def test_closed_backend_refuses_work(self):
-        from repro.pipeline.backends import AsyncBackend
-
-        backend = AsyncBackend(n_jobs=2)
-        backend.close()
-        with pytest.raises(BackendError, match="closed"):
-            list(backend.map_ordered(lambda x: x, [1]))
-        backend.close()  # idempotent
-
-    def test_early_close_cancels_pending_and_leaks_no_threads(self):
-        """Abandoning the stream cancels unstarted batches (judged on the
-        executor future, which cannot lie about already-running work) and
-        close() joins both the loop thread and the executor workers."""
-        from repro.pipeline.backends import AsyncBackend
-
-        assert self._threads() == []
-        backend = AsyncBackend(n_jobs=2, window=6, adaptive=False)
-
-        def slow(x: int) -> int:
-            time.sleep(0.05)
-            return x
-
-        stream = backend.map_ordered(slow, range(50))
-        assert next(stream) == 0
-        stream.close()  # abandon mid-stream
-        backend.close()
-        stats = backend.stats()
-        assert stats.batches_cancelled >= 1
-        assert stats.batches_completed + stats.batches_cancelled == stats.batches_dispatched
-        assert stats.batches_completed < 50
-        assert self._threads() == []
-
-    def test_amap_ordered_runs_on_a_caller_owned_loop(self):
-        """The asyncio-native generator works from any loop (the serve
-        multiplexer's usage); the executor pool is shared either way."""
-        import asyncio
-
-        from repro.pipeline.backends import AsyncBackend
-
-        backend = AsyncBackend(n_jobs=2)
-
-        async def collect() -> list[int]:
-            out = []
-            async for value in backend.amap_ordered(lambda x: x * x, range(12)):
-                out.append(value)
-            return out
-
-        try:
-            assert asyncio.run(collect()) == [x * x for x in range(12)]
-        finally:
-            backend.close()
-
-    def test_concurrent_maps_share_one_backend(self):
-        """Two threads streaming through one instance interleave safely —
-        the invariant the parse service relies on."""
-        from repro.pipeline.backends import AsyncBackend
-
-        backend = AsyncBackend(n_jobs=4)
-        results: dict[str, list[int]] = {}
-
-        def run(label: str, offset: int) -> None:
-            results[label] = list(
-                backend.map_ordered(
-                    lambda x: (time.sleep(0.002), x + offset)[1], range(20)
+            for _ in backend.map_ordered(lambda x: time.sleep(0.01), range(8)):
+                seen.update(
+                    t.name
+                    for t in threading.enumerate()
+                    if t.name.startswith(ASYNC_THREAD_PREFIX)
                 )
-            )
+        assert len(seen) == 2
+        assert not any(name.endswith("-loop") for name in seen)
 
-        threads = [
-            threading.Thread(target=run, args=("a", 0)),
-            threading.Thread(target=run, args=("b", 100)),
-        ]
-        with backend:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        assert results["a"] == list(range(20))
-        assert results["b"] == list(range(100, 120))
-        stats = backend.stats()
-        assert stats.batches_completed == 40
-        assert stats.extra["maps_completed"] == 2
+    def test_async_request_never_imports_asyncio(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import sys, repro\n"
+            "report = repro.ParsePipeline().run(repro.ParseRequest(\n"
+            "    parser='pymupdf', source='synthetic:6?seed=2', batch_size=2,\n"
+            "    backend='async', backend_options={'n_jobs': 2}))\n"
+            "assert report.execution.backend == 'async', report.execution\n"
+            "assert report.execution.batches_completed == 3, report.execution\n"
+            "assert 'asyncio' not in sys.modules, 'asyncio imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestAdaptiveWindowController:

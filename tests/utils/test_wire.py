@@ -3,12 +3,15 @@
 The framing behaviour itself is exhaustively covered through the cluster
 protocol suite (tests/cluster/test_protocol.py); this file pins the
 extraction contract: cluster.protocol re-exports the *same* objects, and
-per-channel frame limits work standalone.
+per-channel frame limits work standalone.  It also covers the shared
+:class:`~repro.utils.wire.Listener` and its three users' ``stop()``.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
+import time
 
 import pytest
 
@@ -72,3 +75,63 @@ class TestSharedFraming:
             assert right.recv() is None
         finally:
             right.close()
+
+
+def _accept_threads(port: int) -> list[str]:
+    suffix = f"-accept-{port}"
+    return [t.name for t in threading.enumerate() if t.name.endswith(suffix)]
+
+
+def _gateway():
+    from repro.gateway import GatewayServer
+    from repro.serve import ParseService
+
+    return GatewayServer(ParseService(), port=0)
+
+
+def _worker():
+    from repro.cluster.worker import WorkerDaemon
+
+    return WorkerDaemon(port=0)
+
+
+def _membership():
+    from repro.elastic.membership import MembershipListener
+
+    # Announcements are the only thing that touches the coordinator.
+    return MembershipListener(coordinator=None, port=0)
+
+
+class TestListener:
+    def test_hands_over_connections_and_stop_joins_the_accept_thread(self):
+        accepted: list[socket.socket] = []
+        listener = wire.Listener("127.0.0.1", 0, accepted.append, "repro-test")
+        listener.start()
+        assert _accept_threads(listener.port) == [f"repro-test-accept-{listener.port}"]
+        client = socket.create_connection(("127.0.0.1", listener.port), timeout=5)
+        try:
+            deadline = time.monotonic() + 5
+            while not accepted and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert len(accepted) == 1
+            assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            client.close()
+            for sock in accepted:
+                sock.close()
+        listener.stop()
+        listener.stop()  # idempotent
+        assert _accept_threads(listener.port) == []
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", listener.port), timeout=1)
+
+    @pytest.mark.parametrize("make", [_gateway, _worker, _membership])
+    def test_no_accept_thread_survives_stop(self, make):
+        """close() alone does not wake a thread blocked in accept(); only
+        the membership listener used to shutdown() first, so the gateway's
+        and the worker's accept threads outlived stop()."""
+        server = make().start()
+        port = server.port
+        assert len(_accept_threads(port)) == 1
+        server.stop()
+        assert _accept_threads(port) == []
