@@ -6,8 +6,8 @@
    the hot working set,
 2. an optional sharded on-disk backend
    (:class:`repro.cache.disk.ShardedDiskStore`) that persists entries
-   across processes with atomic write-then-rename and corruption-tolerant
-   reads, and
+   across processes with append-on-flush, atomic rewrites and
+   corruption-tolerant reads, and
 3. a single-flight guard (:class:`repro.cache.singleflight.SingleFlight`)
    so concurrent workers that miss on the same key do the parse exactly
    once.
@@ -349,6 +349,7 @@ class ParseCache:
             "entries": len(self.memory),
             "shards": 0,
             "bytes_on_disk": 0,
+            "superseded_lines": 0,
             "corrupt_lines_skipped": 0,
             "parsers": {},
         }
@@ -366,6 +367,7 @@ class ParseCache:
                 "entries": total,
                 "shards": len(self.disk.shard_paths()),
                 "bytes_on_disk": self.disk.bytes_on_disk(),
+                "superseded_lines": self.disk.superseded_lines(),
                 "corrupt_lines_skipped": self.disk.corrupt_lines_skipped,
                 "parsers": dict(sorted(parsers.items())),
             }

@@ -1,41 +1,54 @@
 """The persistent tier: hash-prefix-sharded JSONL files.
 
 Layout: ``<directory>/shard-NNN.jsonl``, one JSON object per line, each
-carrying its full cache key.  The design choices are the ones that matter at
-scale:
+carrying its full cache key; when a key appears more than once the last
+line wins.  Entries are distributed over ``n_shards`` files by the content
+hash's prefix, so concurrent writers contend on different files.
 
-* **Sharding** — entries are distributed over ``n_shards`` files by the
-  content hash's prefix, so concurrent writers contend on different files
-  and a purge or compaction never rewrites more than one shard at a time.
-* **Atomic write-then-rename** — a shard is always rewritten to a
-  ``*.tmp-*`` sibling and moved into place with :func:`os.replace`; readers
-  never observe a half-written shard file.
-* **Corruption-tolerant reads** — a torn line (crash mid-write, truncated
-  copy) is skipped and counted, never fatal; the surviving entries remain
-  usable.  Leftover temporary files from a crashed writer are ignored and
-  cleaned up on the next flush.
-* **Merge-on-flush** — flushing re-reads the shard file and overlays this
-  store's writes (and tombstones) on top, so concurrent *processes*
-  sharing a directory are additive: each flush preserves entries the other
-  process landed since this store loaded the shard.  Races on the *same*
-  key remain last-writer-wins, which is harmless for a content-addressed
-  cache (both writers computed the same parse).
+Puts are staged per shard and persisted by :meth:`ShardedDiskStore.flush`
+(the pipeline flushes once per run; the store flushes itself every
+``flush_every`` staged puts).  A flush takes one of two write paths per
+shard, both from :mod:`repro.utils.durable`:
+
+* **Append** — the staged lines go onto the end of the shard file as one
+  fsynced block; the file is never read, so a flush costs the new entries
+  and not the cache.  Appends are *torn-tolerant, not atomic*: a crash
+  mid-block leaves a torn last line and two processes appending at once
+  may interleave, and readers skip (and count) every line that does not
+  parse — the cache is content-addressed, so a lost entry is re-parsed,
+  never wrong.  A block always starts on a fresh line, so a torn tail
+  costs the torn entry and never the next one.  Processes sharing a
+  directory are additive by construction: nobody overwrites anybody.
+* **Rewrite** — the shard file is re-read, this store's entries and
+  tombstones are overlaid, and the result replaces the file *atomically*
+  (``*.tmp-*`` sibling, fsync, :func:`os.replace`): readers see the old
+  shard or the new one.  It costs the whole shard and runs exactly when
+
+  1. the shard has tombstones (``delete`` / ``purge``) — an append cannot
+     remove a line;
+  2. the shard's load skipped a torn or garbage line — the shard heals on
+     the next flush that touches it; or
+  3. the shard would hold more than twice as many lines as live keys —
+     bounds the superseded lines that re-putting the same keys leaves
+     behind, at an amortised cost of one rewritten line per put.
+
+  A block another process appends between a rewrite's read and its rename
+  is lost with the old file; like every same-key race here that costs a
+  re-parse, not correctness.
 
 Entries are kept as their serialised JSONL lines (bytes), so each entry is
-encoded exactly once per put and a flush is a plain join; reads parse on
-demand and the parsed objects are promoted into the memory tier above.
-
-Writes are buffered per shard and flushed either explicitly (the pipeline
-flushes once per run) or automatically every ``flush_every`` puts.
+encoded exactly once per put; reads parse on demand and the parsed objects
+are promoted into the memory tier above.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from pathlib import Path
 from typing import Any, Callable, Iterator
+
+from repro.utils.durable import append_lines, replace_lines, temporary_suffix
 
 _SHARD_PREFIX = "shard-"
 _SHARD_SUFFIX = ".jsonl"
@@ -57,12 +70,15 @@ class ShardedDiskStore:
         self.flush_every = flush_every
         self.corrupt_lines_skipped = 0
         self._locks = [threading.Lock() for _ in range(n_shards)]
-        # Per shard: loaded serialised lines by key (None until first touch),
-        # keys deleted since load (tombstones for merge-on-flush), dirty flag.
+        # Per shard, guarded by its lock: live serialised lines by key (None
+        # until first touch); the lines put since the last flush; keys
+        # deleted since then (tombstones); whether the load skipped a line;
+        # and the lines the file holds as far as this store knows.
         self._entries: list[dict[str, bytes] | None] = [None] * n_shards
+        self._staged: list[dict[str, bytes]] = [{} for _ in range(n_shards)]
         self._deleted: list[set[str]] = [set() for _ in range(n_shards)]
-        self._dirty = [False] * n_shards
-        self._pending_puts = 0
+        self._torn = [False] * n_shards
+        self._lines_on_disk = [0] * n_shards
 
     # ------------------------------------------------------------------ #
     # Shard files
@@ -73,82 +89,93 @@ class ShardedDiskStore:
     def shard_paths(self) -> list[Path]:
         """Existing shard files (sorted; temporary files excluded)."""
         return sorted(
-            p
-            for p in self.directory.glob(f"{_SHARD_PREFIX}*{_SHARD_SUFFIX}")
-            if p.is_file()
+            p for p in self.directory.glob(f"{_SHARD_PREFIX}*{_SHARD_SUFFIX}") if p.is_file()
         )
 
-    def _parse_shard_file(self, index: int, count_corrupt: bool) -> dict[str, bytes]:
-        """Read one shard file, skipping torn or malformed lines."""
+    def _parse_shard_file(self, index: int) -> tuple[dict[str, bytes], int, int]:
+        """Read one shard file, skipping torn or malformed lines.
+
+        Returns the live line of every key (later lines win), the number of
+        lines in the file and how many of them were skipped.
+        """
         entries: dict[str, bytes] = {}
+        n_lines = skipped = 0
         path = self.shard_path(index)
         if not path.exists():
-            return entries
+            return entries, n_lines, skipped
         for line in path.read_bytes().split(b"\n"):
             line = line.strip()
             if not line:
                 continue
+            n_lines += 1
             try:
                 payload = json.loads(line)
                 key = payload["key"]
             except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError):
-                if count_corrupt:
-                    self.corrupt_lines_skipped += 1
+                skipped += 1
                 continue
             if not isinstance(payload, dict) or not isinstance(key, str):
-                if count_corrupt:
-                    self.corrupt_lines_skipped += 1
+                skipped += 1
                 continue
-            # Later lines win: an append-style writer may have superseded
-            # an entry.
             entries[key] = line
-        return entries
+        return entries, n_lines, skipped
 
     def _load_shard(self, index: int) -> dict[str, bytes]:
         loaded = self._entries[index]
         if loaded is None:
-            loaded = self._parse_shard_file(index, count_corrupt=True)
+            loaded, self._lines_on_disk[index], skipped = self._parse_shard_file(index)
             self._entries[index] = loaded
+            self._torn[index] = skipped > 0
+            self.corrupt_lines_skipped += skipped
         return loaded
 
-    def _write_shard(self, index: int) -> int:
-        """Atomically rewrite one shard (merge-on-flush); returns bytes written."""
+    def _flush_shard(self, index: int) -> int:
+        """Persist one shard's staged lines and tombstones; returns bytes written.
+
+        Appends unless one of the module docstring's three rules asks for a
+        rewrite.  The caller holds the shard's lock.
+        """
+        staged, deleted = self._staged[index], self._deleted[index]
+        if not staged and not deleted:
+            return 0
         entries = self._entries[index]
-        assert entries is not None
-        # Overlay our writes and tombstones on the *current* file contents,
+        assert entries is not None  # put and delete load the shard
+        path = self.shard_path(index)
+        lines_after_append = self._lines_on_disk[index] + len(staged)
+        if not deleted and not self._torn[index] and lines_after_append <= 2 * len(entries):
+            written = append_lines(path, staged.values())
+            self._lines_on_disk[index] = lines_after_append
+            staged.clear()
+            return written
+        # Overlay our entries and tombstones on the *current* file contents,
         # so entries another process flushed since our load survive.
         merged = {
             key: line
-            for key, line in self._parse_shard_file(index, count_corrupt=False).items()
-            if key not in self._deleted[index]
+            for key, line in self._parse_shard_file(index)[0].items()
+            if key not in deleted
         }
         merged.update(entries)
-        self._entries[index] = merged
-        self._deleted[index].clear()
-        self._dirty[index] = False
-        path = self.shard_path(index)
-        if not merged:
+        if merged:
+            written = replace_lines(path, merged.values())
+        else:
             path.unlink(missing_ok=True)
-            return 0
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
-        data = b"\n".join(merged.values()) + b"\n"
-        with tmp.open("wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        return len(data)
+            written = 0
+        self._entries[index] = merged
+        self._lines_on_disk[index] = len(merged)
+        self._torn[index] = False
+        staged.clear()
+        deleted.clear()
+        return written
 
     def _sweep_temporaries(self) -> None:
-        # Only this process's own temporaries: another live process sharing
-        # the directory may be between fsync and rename on its tmp file.
-        # (A crashed process's stragglers are harmless — never read as
-        # shards — and reclaimed when a store with the same pid reuses the
-        # name or the operator purges.)
-        marker = f".tmp-{os.getpid()}-"
-        for stray in self.directory.glob(f"{_SHARD_PREFIX}*{_SHARD_SUFFIX}.tmp-*"):
-            if marker in stray.name:
-                stray.unlink(missing_ok=True)
+        # Only this thread's own temporaries: another thread, or another
+        # process sharing the directory, may be between fsync and rename on
+        # its tmp file.  (A crashed writer's stragglers are harmless — never
+        # read as shards — and reclaimed when a writer with the same pid and
+        # thread id reuses the name or the operator purges.)
+        pattern = f"{_SHARD_PREFIX}*{_SHARD_SUFFIX}{temporary_suffix()}"
+        for stray in self.directory.glob(pattern):
+            stray.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------ #
     # Key-value interface
@@ -181,16 +208,16 @@ class ShardedDiskStore:
         Returns the entry's serialised size in bytes (the line is encoded
         exactly once, here).
         """
-        line = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode(
-            "utf-8"
-        )
+        line = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
         index = self.shard_index_for(key)
         with self._locks[index]:
             self._load_shard(index)[key] = line
+            self._staged[index][key] = line
             self._deleted[index].discard(key)
-            self._dirty[index] = True
-            self._pending_puts += 1
-        if self._pending_puts >= self.flush_every:
+        # Unlocked reads of the other shards' sizes: a line stays counted
+        # from its put until a flush takes it, so no put is ever lost to the
+        # trigger; a racing put or flush only moves it by that one line.
+        if sum(map(len, self._staged)) >= self.flush_every:
             self.flush()
         return len(line)
 
@@ -199,18 +226,16 @@ class ShardedDiskStore:
         with self._locks[index]:
             removed = self._load_shard(index).pop(key, None) is not None
             if removed:
+                self._staged[index].pop(key, None)
                 self._deleted[index].add(key)
-                self._dirty[index] = True
         return removed
 
     def flush(self) -> int:
-        """Persist every dirty shard (write-then-rename); returns bytes written."""
+        """Persist every shard with staged puts or deletes; returns bytes written."""
         written = 0
         for index in range(self.n_shards):
             with self._locks[index]:
-                if self._dirty[index]:
-                    written += self._write_shard(index)
-        self._pending_puts = 0
+                written += self._flush_shard(index)
         self._sweep_temporaries()
         return written
 
@@ -227,20 +252,19 @@ class ShardedDiskStore:
                 if predicate is None:
                     removed += len(entries)
                     entries.clear()
+                    self._staged[index].clear()
                     self._deleted[index].clear()
-                    self._dirty[index] = False
+                    self._torn[index] = False
+                    self._lines_on_disk[index] = 0
                     self.shard_path(index).unlink(missing_ok=True)
                     continue
-                doomed = [
-                    key for key, line in entries.items() if predicate(json.loads(line))
-                ]
+                doomed = [key for key, line in entries.items() if predicate(json.loads(line))]
                 for key in doomed:
                     del entries[key]
+                    self._staged[index].pop(key, None)
                     self._deleted[index].add(key)
                 removed += len(doomed)
-                if doomed or self._dirty[index]:
-                    self._dirty[index] = True
-                    self._write_shard(index)
+                self._flush_shard(index)
         self._sweep_temporaries()
         return removed
 
@@ -261,3 +285,16 @@ class ShardedDiskStore:
 
     def bytes_on_disk(self) -> int:
         return sum(p.stat().st_size for p in self.shard_paths())
+
+    def superseded_lines(self) -> int:
+        """Lines on disk that are no key's live entry (exact when nothing is staged).
+
+        What the append path leaves behind until rule 3 rewrites the shard:
+        older lines of re-put keys, plus any torn line.
+        """
+        total = 0
+        for index in range(self.n_shards):
+            with self._locks[index]:
+                live = len(self._load_shard(index))
+                total += max(0, self._lines_on_disk[index] - live)
+        return total

@@ -1822,7 +1822,7 @@ def build_parser() -> argparse.ArgumentParser:
         policy_default=None,
         dir_help="local parse-cache directory (a warm cache answers shards "
         "without re-parsing or re-transfer); several workers may share "
-        "one directory — the disk store merges additively on flush, so "
+        "one directory — the disk store appends on flush, so "
         "concurrent writers are safe",
     )
     _add_profile_argument(
@@ -1888,7 +1888,7 @@ def build_parser() -> argparse.ArgumentParser:
         cluster,
         dir_help="cache root: coordinator cache plus per-worker subdirectories "
         "(autoscaled workers share one directory — safe, since the disk "
-        "store merges additively on flush)",
+        "store appends on flush)",
     )
     cluster.add_argument(
         "--at",

@@ -13,16 +13,20 @@ all.  Results are **exactly-once across restarts**: a shard is either
 replayed (it completed before the kill) or dispatched (it did not), never
 both.
 
-Durability follows :mod:`repro.cache.disk`:
+Durability comes from :mod:`repro.utils.durable`, the two write primitives
+the disk cache also uses:
 
 * every completed shard is *appended* to ``ledger.jsonl`` and fsynced
-  before the coordinator considers it recorded — a kill at any instant
-  loses at most the shard being written, never a previously recorded one;
-* full rewrites (:meth:`ShardLedger.compact`) go through the same
-  write-to-``*.tmp-{pid}-{tid}`` / fsync / :func:`os.replace` dance the
-  disk cache uses, so readers never observe a half-written file;
-* reads are corruption-tolerant line by line: a torn final line (the
-  kill landed mid-append) is skipped, not fatal.
+  before the coordinator considers it recorded.  An append is not atomic —
+  a kill mid-write leaves a torn last line — but it always starts on a
+  fresh line, so a kill at any instant loses at most the shard being
+  written: never a previously recorded one, and never the first shard the
+  resumed run records after the torn tail;
+* full rewrites (:meth:`ShardLedger.compact`) are atomic
+  (write-to-``*.tmp-{pid}-{tid}`` / fsync / :func:`os.replace`), so readers
+  never observe a half-written file;
+* reads are corruption-tolerant line by line: a torn line (the kill landed
+  mid-append) is skipped, not fatal.
 
 The ledger is deliberately *not* the cache: it keys whole shards, lives
 with the campaign (one directory per campaign), and records routing
@@ -40,6 +44,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger, log_event
+from repro.utils.durable import append_lines, replace_lines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import RoutingDecision
@@ -116,8 +121,11 @@ class ShardLedger:
         self._loaded_entries = len(self._entries)
         if skipped:
             log_event(
-                _LOG, "warning", "ledger_lines_skipped",
-                path=str(self.path), skipped=skipped,
+                _LOG,
+                "warning",
+                "ledger_lines_skipped",
+                path=str(self.path),
+                skipped=skipped,
             )
 
     def __len__(self) -> int:
@@ -178,13 +186,10 @@ class ShardLedger:
             "results": list(results),
             "decisions": list(decisions),
         }
-        line = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+        line = json.dumps(record, sort_keys=True).encode("utf-8")
         with self._lock:
             self.directory.mkdir(parents=True, exist_ok=True)
-            with self.path.open("ab") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
+            append_lines(self.path, [line])
             self._entries[record["key"]] = record
         _LEDGER_SHARDS.inc(outcome="recorded")
 
@@ -193,22 +198,16 @@ class ShardLedger:
 
         Appends may record the same key more than once across runs (the
         in-memory map keeps the latest); compaction writes one line per
-        key via the disk cache's write-then-rename idiom.  Returns the
-        number of entries written.
+        key through the atomic replace.  Returns the number of entries
+        written.
         """
         with self._lock:
             entries = list(self._entries.values())
             self.directory.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_name(
-                f"{self.path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
+            replace_lines(
+                self.path,
+                (json.dumps(record, sort_keys=True).encode("utf-8") for record in entries),
             )
-            with tmp.open("wb") as handle:
-                for record in entries:
-                    handle.write(json.dumps(record, sort_keys=True).encode("utf-8"))
-                    handle.write(b"\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
         return len(entries)
 
     def stats(self) -> dict[str, Any]:

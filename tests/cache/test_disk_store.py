@@ -121,3 +121,222 @@ class TestShardedDiskStore:
             ShardedDiskStore(tmp_path, n_shards=0)
         with pytest.raises(ValueError):
             ShardedDiskStore(tmp_path, flush_every=0)
+
+
+def _key(i: int) -> str:
+    return f"{i * 2654435761 % 2**32:08x}{i:024x}:fp"
+
+
+def _put_round(store: ShardedDiskStore, start: int, count: int, value: str = "v") -> int:
+    """Put ``count`` fresh keys; returns the bytes their lines take on disk."""
+    return sum(
+        store.put(_key(i), _payload(_key(i), value)) + 1 for i in range(start, start + count)
+    )
+
+
+def _disk_lines(directory) -> list[bytes]:
+    return [
+        line
+        for path in sorted(directory.glob("shard-*.jsonl"))
+        for line in path.read_bytes().split(b"\n")
+        if line
+    ]
+
+
+class TestAppendOnFlush:
+    """A flush costs the new entries: counts of reads and bytes, not clocks."""
+
+    def test_flush_never_reads_and_writes_exactly_the_staged_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        store = ShardedDiskStore(tmp_path, n_shards=4)
+        len(store)  # load every (empty) shard before counting reads
+        reads = []
+        parse = store._parse_shard_file
+        monkeypatch.setattr(
+            store, "_parse_shard_file", lambda index: reads.append(index) or parse(index)
+        )
+        written = []
+        for flush_number in range(40):
+            staged = _put_round(store, flush_number * 40, 40)
+            before = store.bytes_on_disk()
+            written.append(store.flush())
+            assert written[-1] == staged
+            assert store.bytes_on_disk() - before == staged
+        assert reads == []
+        # Flush #40 wrote what flush #1 wrote, not the 1600-entry cache.
+        assert written[-1] == pytest.approx(written[0], rel=0.05)
+        reopened = ShardedDiskStore(tmp_path, n_shards=4)
+        assert len(reopened) == 1600
+        assert reopened.superseded_lines() == 0
+        assert not list(tmp_path.glob("*.tmp-*"))
+
+    def test_flush_without_staged_puts_writes_nothing(self, tmp_path):
+        store = ShardedDiskStore(tmp_path, n_shards=2)
+        _put_round(store, 0, 4)
+        assert store.flush() > 0
+        assert store.flush() == 0
+
+    def test_torn_tail_then_append_heals_without_gluing(self, tmp_path):
+        store = ShardedDiskStore(tmp_path, n_shards=1)
+        _put_round(store, 0, 3, "keep")
+        store.flush()
+        with store.shard_path(0).open("ab") as handle:
+            handle.write(b'{"key": "torn", "value": "tor')  # killed mid-append
+        second = ShardedDiskStore(tmp_path, n_shards=1)
+        _put_round(second, 3, 2, "new")
+        assert second.corrupt_lines_skipped == 1
+        second.flush()
+        third = ShardedDiskStore(tmp_path, n_shards=1)
+        assert {third.get(_key(i))["value"] for i in range(3)} == {"keep"}
+        assert {third.get(_key(i))["value"] for i in (3, 4)} == {"new"}
+        assert third.corrupt_lines_skipped == 0
+        assert len(_disk_lines(tmp_path)) == 5
+
+    def test_tail_torn_after_load_costs_only_the_torn_line(self, tmp_path):
+        # The store loaded a clean shard, then another writer died mid-block:
+        # this flush appends (it has no reason to rewrite), on a fresh line.
+        store = ShardedDiskStore(tmp_path, n_shards=1)
+        _put_round(store, 0, 2)
+        store.flush()
+        with store.shard_path(0).open("ab") as handle:
+            handle.write(b'{"key": "torn", "value": "tor')
+        _put_round(store, 2, 2)
+        store.flush()
+        reopened = ShardedDiskStore(tmp_path, n_shards=1)
+        assert all(reopened.get(_key(i)) is not None for i in range(4))
+        assert reopened.corrupt_lines_skipped == 1
+        assert reopened.superseded_lines() == 1
+
+    def test_two_stores_alternating_rounds_are_additive(self, tmp_path):
+        first = ShardedDiskStore(tmp_path, n_shards=2)
+        second = ShardedDiskStore(tmp_path, n_shards=2)
+        for round_number in range(5):
+            _put_round(first, round_number * 10, 5)
+            first.flush()
+            _put_round(second, round_number * 10 + 5, 5)
+            second.flush()
+        third = ShardedDiskStore(tmp_path, n_shards=2)
+        assert all(third.get(_key(i)) is not None for i in range(50))
+        assert third.corrupt_lines_skipped == 0
+
+    def test_two_processes_alternating_rounds_are_additive(self, tmp_path):
+        import subprocess
+        import sys
+
+        script = (
+            "import sys, time\n"
+            "from repro.cache.disk import ShardedDiskStore\n"
+            "directory, offset = sys.argv[1], int(sys.argv[2])\n"
+            "store = ShardedDiskStore(directory, n_shards=2)\n"
+            "for round_number in range(5):\n"
+            "    for i in range(round_number * 10 + offset, round_number * 10 + offset + 5):\n"
+            "        key = f'{i * 2654435761 % 2**32:08x}{i:024x}:fp'\n"
+            "        store.put(key, {'key': key, 'value': 'v' * 2000})\n"
+            "    store.flush()\n"
+            "    time.sleep(0.01)\n"
+        )
+        writers = [
+            subprocess.Popen([sys.executable, "-c", script, str(tmp_path), str(offset)])
+            for offset in (0, 5)
+        ]
+        assert [writer.wait(timeout=60) for writer in writers] == [0, 0]
+        third = ShardedDiskStore(tmp_path, n_shards=2)
+        assert all(third.get(_key(i)) is not None for i in range(50))
+        assert third.corrupt_lines_skipped == 0
+
+    def test_put_delete_put_and_purge_leave_exactly_the_live_keys(self, tmp_path):
+        store = ShardedDiskStore(tmp_path, n_shards=2)
+        _put_round(store, 0, 6, "old")
+        store.flush()
+        store.put(_key(0), _payload(_key(0), "staged"))
+        assert store.delete(_key(0))
+        store.put(_key(0), _payload(_key(0), "new"))
+        assert store.delete(_key(1))
+        _put_round(store, 6, 2)
+        store.flush()
+        live = {_key(i) for i in (0, 2, 3, 4, 5, 6, 7)}
+        # (Key 0's superseded "old" line may remain; a reader lets the last win.)
+        assert {json.loads(line)["key"] for line in _disk_lines(tmp_path)} == live
+        assert ShardedDiskStore(tmp_path, n_shards=2).get(_key(0))["value"] == "new"
+        # Purge after appends: the doomed keys' lines go, staged puts land.
+        _put_round(store, 8, 2)
+        doomed = {_key(2), _key(8)}
+        assert store.purge(lambda payload: payload["key"] in doomed) == 2
+        live = (live | {_key(9)}) - doomed
+        assert {json.loads(line)["key"] for line in _disk_lines(tmp_path)} == live
+        reopened = ShardedDiskStore(tmp_path, n_shards=2)
+        assert {payload["key"] for payload in reopened.iter_entries()} == live
+        assert not list(tmp_path.glob("*.tmp-*"))
+
+    def test_reputting_the_same_keys_keeps_the_file_bounded(self, tmp_path):
+        store = ShardedDiskStore(tmp_path, n_shards=1)
+        live_bytes = block = 0
+        for generation in range(10):
+            block = _put_round(store, 0, 20, f"generation-{generation}")
+            live_bytes = block
+            store.flush()
+            assert store.bytes_on_disk() <= 2 * live_bytes + block
+            assert store.superseded_lines() <= 20
+        reopened = ShardedDiskStore(tmp_path, n_shards=1)
+        assert len(reopened) == 20
+        assert {payload["value"] for payload in reopened.iter_entries()} == {"generation-9"}
+
+    def test_auto_flush_counts_every_put_across_threads(self, tmp_path):
+        import sys
+        import threading
+
+        flush_every, n_threads, puts_per_thread = 16, 8, 100
+        store = ShardedDiskStore(tmp_path, n_shards=8, flush_every=flush_every)
+
+        def writer(offset: int) -> None:
+            for i in range(offset, offset + puts_per_thread):
+                store.put(_key(i), _payload(_key(i)))
+
+        threads = [
+            threading.Thread(target=writer, args=(n * puts_per_thread,))
+            for n in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = n_threads * puts_per_thread
+        # No put is lost to the trigger: what is still staged once the
+        # writers are done is less than one flush_every window.
+        on_disk = len(ShardedDiskStore(tmp_path, n_shards=8))
+        assert 0 <= total - on_disk < flush_every
+        assert len(store) == total
+
+    def test_concurrent_rewrites_survive_each_others_sweeps(self, tmp_path):
+        # Re-putting the same keys makes rule 3 rewrite shards while other
+        # threads finish their own flushes: a flush may sweep only its own
+        # thread's temporaries, never the one a rewrite is about to rename.
+        import threading
+
+        store = ShardedDiskStore(tmp_path, n_shards=2, flush_every=4)
+        errors: list[BaseException] = []
+
+        def writer(value: str) -> None:
+            try:
+                for _ in range(30):
+                    _put_round(store, 0, 8, value)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(f"w{n}",)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        store.flush()
+        assert len(ShardedDiskStore(tmp_path, n_shards=2)) == 8
+        assert not list(tmp_path.glob("*.tmp-*"))

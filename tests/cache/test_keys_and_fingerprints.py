@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.config import AdaParseConfig
 from repro.core.engine import AdaParseEngine
 from repro.documents.corpus import CorpusConfig, build_corpus
 from repro.documents.document import TextLayer, TextLayerQuality
+from repro.documents.sources import HtmlDirSource
 from repro.parsers.registry import default_registry
 
 
@@ -63,6 +66,26 @@ class TestContentHash:
             )
         )
         assert document_content_hash(upper) != document_content_hash(doc)
+
+
+class TestGoldenContentHashes:
+    """Pinned keys: a change here invalidates every on-disk cache and ledger."""
+
+    def test_born_digital_and_scanned(self):
+        documents = build_corpus(
+            CorpusConfig(n_documents=12, seed=11, min_pages=1, max_pages=3)
+        ).documents
+        born_digital, scanned = documents[0], documents[6]
+        assert not born_digital.image_layer.is_scanned
+        assert scanned.image_layer.is_scanned
+        assert document_content_hash(born_digital) == "566623453de940473f499178f2aef0fe"
+        assert document_content_hash(scanned) == "1e3652fa41eb4f6c1cfb901176731789"
+
+    def test_html_doc_type(self):
+        fixtures = Path(__file__).resolve().parents[1] / "fixtures" / "ingest" / "html"
+        document = next(iter(HtmlDirSource(fixtures).iter_documents()))
+        assert (document.doc_id, document.doc_type) == ("alpha", "html")
+        assert document_content_hash(document) == "93848a992bd09000188939769f7a966f"
 
 
 class TestCacheKey:

@@ -298,3 +298,8 @@ class TestMaintenance:
         assert description["entries"] == 1
         assert description["parsers"] == {"pymupdf": 1}
         assert description["bytes_on_disk"] > 0
+        assert description["superseded_lines"] == 0
+        # A re-put appends a second line for the key until a rewrite drops it.
+        cache.store(_key(1), _result())
+        cache.flush()
+        assert ParseCache(tmp_path).describe()["superseded_lines"] == 1

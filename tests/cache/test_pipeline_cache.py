@@ -249,6 +249,7 @@ class TestCacheCli:
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 6
         assert stats["parsers"] == {"pymupdf": 6}
+        assert stats["superseded_lines"] == 0
         assert main(["cache", "purge", "--dir", cache_dir]) == 0
         assert "purged 6" in capsys.readouterr().out
         assert main(["cache", "stats", "--dir", cache_dir]) == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,35 @@ BASE_TEXT = (
 )
 
 
+#: The whitespace and case-mapping edge cases of ``normalize_for_dedup``:
+#: the separators ``\\s`` and ``str.split`` must agree on, and letters whose
+#: lower-casing changes length.
+_EDGE_CHARACTERS = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000İẞ \t\n\r\x0b\x0caB"
+
+
+def _reference_normalize(text: str) -> str:
+    """The regex form every existing key and fingerprint was computed with."""
+    return re.sub(r"\s+", " ", text.strip().lower())
+
+
 class TestNormalisation:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.one_of(st.sampled_from(_EDGE_CHARACTERS), st.characters())))
+    def test_equals_regex_reference(self, text):
+        assert normalize_for_dedup(text) == _reference_normalize(text)
+
+    def test_equals_regex_reference_on_every_whitespace_code_point(self):
+        for code_point in range(0x110000):
+            char = chr(code_point)
+            if char.isspace() or char.lower() != char:
+                text = f" A{char}{char}b{char}"
+                assert normalize_for_dedup(text) == _reference_normalize(text), hex(code_point)
+
+    def test_golden_fingerprints(self):
+        # Pinned: dedup fingerprints feed every cache key.
+        assert content_fingerprint("  Hello \n WORLD \t") == 17270730657402447456
+        assert content_fingerprint("Straẞe İstanbul\u3000\x1cend") == 12781365953716382580
+
     def test_case_and_whitespace_folded(self):
         assert normalize_for_dedup("  Hello \n WORLD \t") == "hello world"
 

@@ -93,6 +93,24 @@ class TestCorruptionTolerance:
         assert len(reopened) == 1
         assert reopened.completed_output(placement_key, fingerprint) is not None
 
+    def test_record_after_a_torn_tail_survives_the_next_resume(
+        self, tmp_path, shard_output
+    ):
+        # Three runs.  Run 1 records p1 and is killed while appending p2;
+        # run 2 resumes and records p3; run 3 must replay p1 *and* p3 — p3
+        # was fsynced and reported as recorded, so it must not be glued onto
+        # the torn tail and skipped as corrupt.
+        _, fingerprint, results, decisions = shard_output
+        ShardLedger(tmp_path).record("p1", fingerprint, results, decisions)
+        with (tmp_path / "ledger.jsonl").open("ab") as handle:
+            handle.write(b'{"key": "p2:' + fingerprint.encode() + b'", "results": [{"pa')
+        second = ShardLedger(tmp_path)
+        assert second.keys() == [ledger_key("p1", fingerprint)]
+        second.record("p3", fingerprint, results, decisions)
+        third = ShardLedger(tmp_path)
+        assert third.keys() == [ledger_key("p1", fingerprint), ledger_key("p3", fingerprint)]
+        assert third.completed_output("p3", fingerprint) is not None
+
     def test_garbage_and_schema_less_lines_are_skipped(self, tmp_path, shard_output):
         placement_key, fingerprint, results, decisions = shard_output
         path = tmp_path / "ledger.jsonl"
