@@ -77,8 +77,7 @@ def _service(sleep_seconds: float) -> ParseService:
 def _request(n_documents: int) -> ParseRequest:
     return ParseRequest(
         parser=SleepyGatewayParser.name,
-        n_documents=n_documents,
-        seed=41,
+        source=f"synthetic:{n_documents}?seed=41",
         batch_size=BATCH_SIZE,
         cache="readwrite",
     )

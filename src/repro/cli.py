@@ -905,30 +905,19 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _cmd_cluster_status(args: argparse.Namespace) -> int:
     """Query a running campaign's membership listener and print the JSON."""
-    import socket as _socket
-
     from repro.cluster import protocol as _protocol
-    from repro.cluster.protocol import MessageChannel, ProtocolError
+    from repro.utils import rpc
 
     if not args.at:
         raise SystemExit(
             "error: cluster status needs --at HOST:PORT (the --listen "
             "address of the running campaign)"
         )
-    host, _, port = args.at.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit(f"error: --at must be host:port, got {args.at!r}")
     try:
-        sock = _socket.create_connection((host, int(port)), timeout=5.0)
-        channel = MessageChannel(sock)
-        try:
-            channel.send({"type": _protocol.STATUS})
-            reply = channel.recv()
-        finally:
-            channel.close()
-    except (OSError, ProtocolError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    if reply is None or reply.get("type") != _protocol.STATUS_RESULT:
+        reply = rpc.call(args.at, {"type": _protocol.STATUS}, timeout=5.0)
+    except (OSError, ValueError, rpc.ProtocolError) as exc:
+        raise SystemExit(f"error: --at {args.at}: {exc}") from exc
+    if reply.get("type") != _protocol.STATUS_RESULT:
         raise SystemExit(f"error: unexpected status reply: {reply!r}")
     reply.pop("type", None)
     print(json.dumps(reply, indent=2, sort_keys=True, default=str))

@@ -44,6 +44,7 @@ from repro.pipeline.backends.base import (
     register_backend,
 )
 from repro.pipeline.backends.thread import ThreadBackend
+from repro.utils.rpc import parse_address
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -94,11 +95,7 @@ def _parse_addresses(workers: "str | Sequence[str] | None") -> list[str]:
     if not addresses:
         raise ValueError("remote backend needs at least one worker address")
     for address in addresses:
-        host, _, port = address.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValueError(
-                f"worker address must be host:port, got {address!r}"
-            )
+        parse_address(address)
     return addresses
 
 

@@ -49,7 +49,6 @@ replayed, not re-parsed.
 
 from __future__ import annotations
 
-import socket
 import threading
 from collections import deque
 from time import monotonic
@@ -76,6 +75,7 @@ from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
 from repro.obs.tracing import TraceContext
 from repro.parsers.base import ParseResult
+from repro.utils import rpc
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.elastic.ledger import ShardLedger
@@ -324,16 +324,10 @@ class ClusterCoordinator:
         return self
 
     def _connect_one(self, address: str, source: str = "fixed") -> _WorkerLink:
-        host, _, port = address.rpartition(":")
-        if not host or not port.isdigit():
-            raise ClusterError(f"worker address must be host:port, got {address!r}")
-        sock = socket.create_connection((host, int(port)), timeout=self.connect_timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        channel = MessageChannel(sock)
-        link = _WorkerLink(address, channel, self.window)
-        link.source = source
         try:
-            channel.send(
+            channel = rpc.dial(address, self.connect_timeout)
+            ack = rpc.handshake(
+                channel,
                 {
                     "type": protocol.HELLO,
                     "protocol": protocol.PROTOCOL_VERSION,
@@ -341,27 +335,16 @@ class ClusterCoordinator:
                     # Capability flag, not a version bump: v1 workers
                     # ignore it and keep working as fixed-list members.
                     "capabilities": {"membership": True},
-                }
+                },
+                protocol.PROTOCOL_VERSION,
             )
-            ack = channel.recv()
-        except (OSError, ProtocolError):
-            channel.close()
-            raise
-        if ack is None or ack.get("type") != protocol.HELLO_ACK:
-            channel.close()
-            detail = (ack or {}).get("message", "connection closed during handshake")
-            raise ClusterError(f"worker refused the handshake: {detail}")
-        if int(ack.get("protocol", -1)) != protocol.PROTOCOL_VERSION:
-            channel.close()
-            raise ClusterError(
-                f"protocol version mismatch with worker at {address}: "
-                f"coordinator speaks {protocol.PROTOCOL_VERSION}, worker "
-                f"answered {ack.get('protocol')}"
-            )
+        except (ValueError, rpc.HandshakeRefused) as exc:
+            raise ClusterError(f"worker at {address}: {exc}") from exc
+        link = _WorkerLink(address, channel, self.window)
+        link.source = source
         link.worker_id = str(ack.get("worker_id", address))
         link.capabilities = dict(ack.get("capabilities", {}))
         link.tags = tags_from_capabilities(link.capabilities)
-        sock.settimeout(None)
         with self._lock:
             if any(peer.worker_id == link.worker_id for peer in self._links):
                 channel.close()
@@ -998,10 +981,7 @@ class ClusterCoordinator:
         self._monitor_stop.set()
         for link in links:
             if link.alive:
-                try:
-                    link.channel.send({"type": protocol.DRAIN})
-                except (OSError, ProtocolError):
-                    pass
+                rpc.send_safely(link.channel, {"type": protocol.DRAIN})
         for link in links:
             link.channel.close()
         if self._monitor is not None:

@@ -1,22 +1,15 @@
-"""The cluster wire protocol: length-prefixed NDJSON messages over TCP.
+"""The cluster wire's vocabulary: message types, schemas and builders.
 
-Every message on a cluster connection is one JSON object, encoded as a
-single UTF-8 line and framed by an ASCII decimal byte-length prefix::
-
-    <decimal length of body>\\n
-    {"type": "...", ...}\\n
-
-The prefix makes framing robust (a reader never has to guess where a
-message ends, even mid-recovery), while the NDJSON body keeps the stream
-greppable — ``nc`` into a worker and you can read the conversation.
+Framing (length-prefixed NDJSON) is :mod:`repro.utils.wire`'s; how a
+coordinator and a worker connect, introduce themselves, fail and part is
+:mod:`repro.utils.rpc`'s.  This module only says what they talk about.
 
 Message types
 -------------
 ``hello`` / ``hello_ack``
-    Version + capability handshake.  The coordinator opens with ``hello``
-    (protocol version, heartbeat interval); the worker answers with its
-    identity, parallel slot count, and whether it runs a local parse
-    cache.  Version mismatches are refused with ``error``.
+    The :mod:`repro.utils.rpc` handshake.  The coordinator's ``hello``
+    adds its heartbeat interval; the worker's ack adds its identity,
+    parallel slot count, and whether it runs a local parse cache.
 ``submit_shard``
     One shard of work: a :class:`WorkerSpec` (parser name, α override,
     and the coordinator-side ``config_fingerprint()`` the worker must
@@ -62,7 +55,8 @@ Message types
     Membership-listener introspection: current workers, their states and
     tags, and the coordinator counters (``cluster status``).
 ``error``
-    Fatal connection-level failure (before/outside any shard).
+    Fatal connection-level failure (before/outside any shard); see
+    :mod:`repro.utils.rpc` for what produces one.
 
 Documents cross the wire as :func:`repro.documents.simpdf.document_to_dict`
 payloads — the same JSON schema the on-disk SimPDF container uses — so
@@ -77,10 +71,10 @@ from typing import Any, Iterable, Mapping
 from repro.core.engine import RoutingDecision
 from repro.parsers.base import ParseResult
 
-# The framing machinery (length-prefixed NDJSON read/write, oversized-
-# frame refusal, byte counters) lives in repro.utils.wire and is shared
-# with the gateway wire; these names are re-exported unchanged so every
+# The lifecycle's message types and the framing machinery are shared with
+# the gateway wire; the names are re-exported unchanged so every
 # historical `from repro.cluster.protocol import ...` keeps working.
+from repro.utils.rpc import BYE, ERROR, HELLO, HELLO_ACK  # noqa: F401
 from repro.utils.wire import (  # noqa: F401  (re-exports)
     MAX_MESSAGE_BYTES,
     MessageChannel,
@@ -95,10 +89,8 @@ PROTOCOL_VERSION = 1
 
 
 # ---------------------------------------------------------------------- #
-# Message type names
+# Message type names (hello / hello_ack / error / bye come from rpc)
 # ---------------------------------------------------------------------- #
-HELLO = "hello"
-HELLO_ACK = "hello_ack"
 SUBMIT_SHARD = "submit_shard"
 SHARD_NEED = "shard_need"
 DOC_DATA = "doc_data"
@@ -106,8 +98,6 @@ BATCH_RESULT = "batch_result"
 SHARD_ERROR = "shard_error"
 HEARTBEAT = "heartbeat"
 DRAIN = "drain"
-BYE = "bye"
-ERROR = "error"
 # Live-membership messages (repro.elastic); capability-flagged, so the
 # protocol version stays 1 — v1 peers never see or send these.
 JOIN = "join"

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import queue
-import socket
 import threading
 from contextlib import ExitStack
 from time import perf_counter
@@ -55,7 +54,7 @@ from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
 from repro.obs.tracing import SpanRecorder, TraceContext
 from repro.parsers.base import ParseResult
-from repro.utils.wire import Listener
+from repro.utils import rpc
 
 #: Thread-name prefix of daemon-owned threads (accept/reader/slots/heartbeat).
 WORKER_THREAD_PREFIX = "repro-cluster-worker"
@@ -89,8 +88,11 @@ class _ShardJob:
         self.trace = trace
 
 
-class WorkerDaemon:
+class WorkerDaemon(rpc.Server):
     """Serve parse shards over TCP (see the module docstring).
+
+    The connection lifecycle (accept, handshake, error replies, stop) is
+    :class:`repro.utils.rpc.Server`'s; this class adds shard execution.
 
     Parameters
     ----------
@@ -127,6 +129,10 @@ class WorkerDaemon:
         (``"true"`` → ``True``, ``"8"`` → ``8``).
     """
 
+    role = "worker"
+    thread_prefix = WORKER_THREAD_PREFIX
+    protocol_version = protocol.PROTOCOL_VERSION
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -141,8 +147,7 @@ class WorkerDaemon:
         heartbeat_interval: float = 1.0,
         tags: Mapping[str, Any] | None = None,
     ) -> None:
-        self._host = host
-        self._requested_port = port
+        super().__init__(host, port)
         self._pipeline = pipeline
         self._backend_name = backend
         self._backend_options = dict(backend_options or {})
@@ -156,12 +161,7 @@ class WorkerDaemon:
 
         self.tags = coerce_tags(tags)
 
-        self._listener: Listener | None = None
         self._backend = None
-        self._handlers: list[_ConnectionHandler] = []
-        self._lock = threading.Lock()
-        self._stopped = threading.Event()
-        self._started = False
 
         #: Session document store: content hash → document.  Shared across
         #: connections so a reconnecting coordinator skips re-transfer too.
@@ -186,16 +186,6 @@ class WorkerDaemon:
     # Lifecycle
     # ------------------------------------------------------------------ #
     @property
-    def port(self) -> int:
-        if self._listener is None:
-            raise RuntimeError("worker is not started")
-        return self._listener.port
-
-    @property
-    def address(self) -> str:
-        return f"{self._host}:{self.port}"
-
-    @property
     def name(self) -> str:
         if self._name is not None:
             return self._name
@@ -211,52 +201,33 @@ class WorkerDaemon:
 
     def start(self) -> "WorkerDaemon":
         """Bind, spin up the local backend, and begin accepting coordinators."""
-        if self._started:
+        if self._listener is not None:
             raise RuntimeError("worker already started")
         from repro.pipeline.backends.base import create_backend
 
         self._backend = create_backend(self._backend_name, self._backend_options)
         if self._slots is None:
             self._slots = max(1, self._backend.workers)
-        self._listener = Listener(
-            self._host, self._requested_port, self._on_connection, WORKER_THREAD_PREFIX
-        )
-        self._started = True
-        self._listener.start()
+        super().start()
         log_event(
             _LOG, "info", "listening",
             worker=self.name, host=self._host, port=self.port,
         )
         return self
 
-    def _on_connection(self, sock: socket.socket) -> None:
-        handler = _ConnectionHandler(self, MessageChannel(sock))
-        with self._lock:
-            if self._stopped.is_set():
-                handler.channel.close()
-                return
-            self._handlers.append(handler)
-        handler.start()
-
-    def serve_forever(self) -> None:
-        """Block until :meth:`stop` (the CLI daemon mode)."""
-        if not self._started:
-            self.start()
-        self._stopped.wait()
+    def new_session(self, channel: MessageChannel) -> "_ConnectionHandler":
+        return _ConnectionHandler(self, channel)
 
     def stop(self, drain: bool = True) -> None:
         """Stop accepting and shut down; ``drain`` finishes in-flight shards."""
-        if not self._started or self._stopped.is_set():
-            self._stopped.set()
-            return
-        self._stopped.set()
-        self._listener.stop()
-        with self._lock:
-            handlers = list(self._handlers)
-        for handler in handlers:
-            handler.shutdown(drain=drain)
+        super().stop(drain)
         if self._backend is not None:
             self._backend.close()
+
+    def drain(self, timeout: float | None) -> None:
+        for handler in self.sessions():
+            if not handler.channel.closed:  # a dead link has nobody to drain for
+                handler.drain(timeout)
 
     def kill(self) -> None:
         """Die abruptly: sever every connection without drain or goodbye.
@@ -265,23 +236,10 @@ class WorkerDaemon:
         coordinator's point of view this is indistinguishable from the
         worker process being SIGKILLed (immediate EOF on the socket).
         """
-        self._stopped.set()
-        if self._listener is not None:
-            self._listener.stop()
-        with self._lock:
-            handlers = list(self._handlers)
-        for handler in handlers:
-            handler.channel.close()
-        for handler in handlers:
-            handler.shutdown(drain=False)
+        self._stop_accepting()
+        self._end_sessions(bye_reason=None)
         if self._backend is not None:
             self._backend.close()
-
-    def __enter__(self) -> "WorkerDaemon":
-        return self.start() if not self._started else self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------ #
     # Live membership (repro.elastic)
@@ -298,36 +256,16 @@ class WorkerDaemon:
         """One request-response on a coordinator's membership listener."""
         from time import sleep
 
-        host, _, port = coordinator_address.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValueError(
-                f"coordinator address must be host:port, got {coordinator_address!r}"
-            )
         last_error: Exception | None = None
         for attempt in range(max(1, retries)):
             if attempt:
                 sleep(retry_delay)
             try:
-                sock = socket.create_connection((host, int(port)), timeout=timeout)
-            except OSError as exc:
+                return rpc.call(coordinator_address, message, timeout)
+            except (OSError, ProtocolError) as exc:
                 # The membership listener may start moments after us
                 # (the coordinator dials lazily); keep knocking.
                 last_error = exc
-                continue
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            channel = MessageChannel(sock)
-            try:
-                channel.send(dict(message))
-                reply = channel.recv()
-            except (OSError, ProtocolError) as exc:
-                last_error = exc
-                continue
-            finally:
-                channel.close()
-            if reply is None:
-                last_error = ProtocolError("membership listener closed mid-reply")
-                continue
-            return reply
         raise ProtocolError(
             f"could not announce to coordinator at {coordinator_address}: "
             f"{last_error}"
@@ -348,7 +286,7 @@ class WorkerDaemon:
         this returns the worker is a full cluster member receiving
         shards.  Retries while the listener is still coming up.
         """
-        if not self._started:
+        if self._listener is None:
             raise RuntimeError("start the worker before joining a coordinator")
         reply = self._announce(
             coordinator_address,
@@ -611,12 +549,12 @@ class WorkerDaemon:
         raise SpecError("backend_closed", "local execution backend yielded nothing")
 
 
-class _ConnectionHandler:
+class _ConnectionHandler(rpc.Session):
     """One coordinator connection: reader + slot pool + heartbeat."""
 
     def __init__(self, daemon: WorkerDaemon, channel: MessageChannel) -> None:
+        super().__init__(daemon, channel)
         self.daemon = daemon
-        self.channel = channel
         self._queue: "queue.Queue[_ShardJob | None]" = queue.Queue()
         self._pending: dict[str, _ShardJob] = {}  # awaiting doc_data
         self._pending_lock = threading.Lock()
@@ -624,136 +562,55 @@ class _ConnectionHandler:
         self._in_flight_lock = threading.Lock()
         self._idle = threading.Condition(self._in_flight_lock)
         self._draining = threading.Event()
-        self._closed = threading.Event()
         self._heartbeat_interval = daemon.heartbeat_interval
-        self._threads: list[threading.Thread] = []
 
-    # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        reader = threading.Thread(
-            target=self._read_loop,
-            name=f"{WORKER_THREAD_PREFIX}-reader",
-            daemon=True,
-        )
-        self._threads.append(reader)
-        reader.start()
-
-    def _start_workers(self) -> None:
-        for index in range(self.daemon._slots or 1):
-            slot = threading.Thread(
-                target=self._slot_loop,
-                name=f"{WORKER_THREAD_PREFIX}-slot-{index}",
-                daemon=True,
-            )
-            self._threads.append(slot)
-            slot.start()
-        beat = threading.Thread(
-            target=self._heartbeat_loop,
-            name=f"{WORKER_THREAD_PREFIX}-heartbeat",
-            daemon=True,
-        )
-        self._threads.append(beat)
-        beat.start()
-
-    def shutdown(self, drain: bool = True) -> None:
-        if drain and not self._closed.is_set():
-            self._begin_drain()
-            self._await_drained(timeout=30.0)
-            self._safe_send({"type": protocol.BYE, "reason": "worker stopping"})
-        self._close()
-        for thread in self._threads:
-            if thread is not threading.current_thread():
-                thread.join(timeout=5.0)
-
-    def _close(self) -> None:
-        self._closed.set()
-        self._draining.set()
-        self._queue.put(None)
-        self.channel.close()
-
-    # ------------------------------------------------------------------ #
-    # Reader
-    # ------------------------------------------------------------------ #
-    def _read_loop(self) -> None:
-        try:
-            if not self._handshake():
-                return
-            self._start_workers()
-            while not self._closed.is_set():
-                message = self.channel.recv()
-                if message is None:
-                    return
-                self._dispatch(message)
-        except (ProtocolError, OSError, ValueError) as exc:
-            self._safe_send({"type": protocol.ERROR, "message": str(exc)})
-        finally:
-            self._close()
-            with self.daemon._lock:
-                if self in self.daemon._handlers:
-                    self.daemon._handlers.remove(self)
-
-    def _handshake(self) -> bool:
-        message = self.channel.recv()
-        if message is None:
-            return False
-        if message.get("type") != protocol.HELLO:
-            self._safe_send(
-                {"type": protocol.ERROR, "message": "expected hello first"}
-            )
-            return False
-        version = int(message.get("protocol", -1))
-        if version != protocol.PROTOCOL_VERSION:
-            self._safe_send(
-                {
-                    "type": protocol.ERROR,
-                    "message": f"protocol version mismatch: worker speaks "
-                    f"{protocol.PROTOCOL_VERSION}, coordinator sent {version}",
-                }
-            )
-            return False
-        interval = float(message.get("heartbeat_interval", 0.0))
+    def on_hello(self, hello: dict[str, Any]) -> dict[str, Any]:
+        interval = float(hello.get("heartbeat_interval", 0.0))
         if interval > 0:
             self._heartbeat_interval = interval
-        self.channel.send(
-            {
-                "type": protocol.HELLO_ACK,
-                "protocol": protocol.PROTOCOL_VERSION,
-                "worker_id": self.daemon.name,
-                "pid": os.getpid(),
-                "capabilities": {
-                    "backend": self.daemon._backend_name,
-                    "slots": self.daemon._slots,
-                    "cache": self.daemon.cache is not None,
-                    # Elastic-era capability flags: v1 coordinators
-                    # ignore unknown keys, so no protocol version bump.
-                    "membership": True,
-                    "tags": dict(self.daemon.tags),
-                },
-            }
-        )
-        return True
+        return {
+            "worker_id": self.daemon.name,
+            "pid": os.getpid(),
+            "capabilities": {
+                "backend": self.daemon._backend_name,
+                "slots": self.daemon._slots,
+                "cache": self.daemon.cache is not None,
+                # Elastic-era capability flags: v1 coordinators
+                # ignore unknown keys, so no protocol version bump.
+                "membership": True,
+                "tags": dict(self.daemon.tags),
+            },
+        }
 
-    def _dispatch(self, message: dict[str, Any]) -> None:
-        kind = message.get("type")
-        if kind == protocol.SUBMIT_SHARD:
-            self._on_submit(message)
-        elif kind == protocol.DOC_DATA:
-            self._on_doc_data(message)
-        elif kind == protocol.DRAIN:
-            self._begin_drain()
-            self._await_drained(timeout=None)
-            self._safe_send({"type": protocol.BYE, "reason": "drained"})
-            self._close()
-        elif kind == protocol.BYE:
-            self._close()
-        elif kind == protocol.HEARTBEAT:
-            pass  # coordinators may echo beacons; nothing to do
-        else:
-            raise ProtocolError(f"unexpected message type {kind!r}")
+    def on_open(self) -> None:
+        for index in range(self.daemon._slots or 1):
+            self.spawn(f"slot-{index}", self._slot_loop)
+        self.spawn("heartbeat", self._heartbeat_loop)
+
+    def drain(self, timeout: float | None) -> None:
+        """Refuse new shards and wait for the in-flight ones."""
+        self._draining.set()
+        # Queued-but-unstarted jobs already count in ``_in_flight`` (the
+        # counter moves at enqueue time), so this is the whole condition.
+        with self._idle:
+            self._idle.wait_for(lambda: self._in_flight == 0, timeout)
+
+    def close(self) -> None:
+        super().close()
+        self._draining.set()
+        self._queue.put(None)  # release the slot pool
+
+    # ------------------------------------------------------------------ #
+    # Requests (reader thread)
+    # ------------------------------------------------------------------ #
+    def _on_drain(self, message: dict[str, Any]) -> None:
+        self.drain(timeout=None)
+        self.say_bye("drained")
+        self.close()
 
     def _on_submit(self, message: dict[str, Any]) -> None:
         if self._draining.is_set():
-            self._safe_send(
+            self.send_safely(
                 {
                     "type": protocol.SHARD_ERROR,
                     "shard_id": message.get("shard_id"),
@@ -788,7 +645,7 @@ class _ConnectionHandler:
             raise ProtocolError(f"doc_data for unknown shard {shard_id!r}")
         still_missing = self.daemon.missing_hashes(job.spec, job.descriptors)
         if still_missing:
-            self._safe_send(
+            self.send_safely(
                 {
                     "type": protocol.SHARD_ERROR,
                     "shard_id": shard_id,
@@ -864,7 +721,7 @@ class _ConnectionHandler:
                 )
         except SpecError as exc:
             self.daemon._bump("shards_failed")
-            self._safe_send(
+            self.send_safely(
                 {
                     "type": protocol.SHARD_ERROR,
                     "shard_id": job.shard_id,
@@ -875,7 +732,7 @@ class _ConnectionHandler:
             return
         except Exception as exc:  # noqa: BLE001 - shard failures must travel
             self.daemon._bump("shards_failed")
-            self._safe_send(
+            self.send_safely(
                 {
                     "type": protocol.SHARD_ERROR,
                     "shard_id": job.shard_id,
@@ -920,7 +777,7 @@ class _ConnectionHandler:
         except MessageTooLarge as exc:
             # The results cannot cross the wire: report a shard error so
             # the coordinator fails this shard instead of waiting forever.
-            self._safe_send(
+            self.send_safely(
                 {
                     "type": protocol.SHARD_ERROR,
                     "shard_id": job.shard_id,
@@ -932,13 +789,13 @@ class _ConnectionHandler:
             pass  # connection death; the reader loop handles it
 
     # ------------------------------------------------------------------ #
-    # Heartbeat / drain
+    # Heartbeat
     # ------------------------------------------------------------------ #
     def _heartbeat_loop(self) -> None:
         while not self._closed.wait(self._heartbeat_interval):
             with self._in_flight_lock:
                 in_flight = self._in_flight
-            if not self._safe_send(
+            if not self.send_safely(
                 {
                     "type": protocol.HEARTBEAT,
                     "worker_id": self.daemon.name,
@@ -947,19 +804,10 @@ class _ConnectionHandler:
             ):
                 return
 
-    def _begin_drain(self) -> None:
-        self._draining.set()
-
-    def _await_drained(self, timeout: float | None) -> None:
-        # Queued-but-unstarted jobs already count in ``_in_flight`` (the
-        # counter moves at enqueue time), so this is the whole condition.
-        with self._idle:
-            self._idle.wait_for(lambda: self._in_flight == 0, timeout)
-
-    def _safe_send(self, message: Mapping[str, Any]) -> bool:
-        """Send, swallowing connection failures (the reader handles death)."""
-        try:
-            self.channel.send(message)
-            return True
-        except (ProtocolError, OSError):
-            return False
+    handlers = {
+        protocol.SUBMIT_SHARD: _on_submit,
+        protocol.DOC_DATA: _on_doc_data,
+        protocol.DRAIN: _on_drain,
+        # Coordinators may echo beacons; nothing to do.
+        protocol.HEARTBEAT: lambda self, message: None,
+    }

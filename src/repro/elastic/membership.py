@@ -28,7 +28,6 @@ unknown key and keep working as a fixed-list cluster.
 
 from __future__ import annotations
 
-import socket
 import threading
 from dataclasses import dataclass, field
 from time import monotonic
@@ -38,7 +37,7 @@ from repro.cluster import protocol
 from repro.cluster.protocol import MessageChannel, ProtocolError
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger, log_event
-from repro.utils.wire import Listener
+from repro.utils import rpc
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.coordinator import ClusterCoordinator
@@ -164,14 +163,18 @@ class MembershipRegistry:
             _MEMBERSHIP_WORKERS.set(count, state=state)
 
 
-class MembershipListener:
+class MembershipListener(rpc.Server):
     """Accept ``join``/``leave``/``status`` announcements for a coordinator.
 
-    One short request-response conversation per connection; the admitted
+    One short request-response conversation per connection (no ``hello``;
+    the lifecycle is :class:`repro.utils.rpc.Server`'s); the admitted
     worker's actual shard traffic flows over the coordinator-dialled link,
     not this socket.  Start with :meth:`start`; ``port=0`` picks a free
     port (read :attr:`address` back).
     """
+
+    role = "membership listener"
+    thread_prefix = MEMBERSHIP_THREAD_PREFIX
 
     def __init__(
         self,
@@ -179,107 +182,70 @@ class MembershipListener:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(host, port)
         self.coordinator = coordinator
-        self._host = host
-        self._requested_port = port
-        self._listener: Listener | None = None
-
-    @property
-    def port(self) -> int:
-        if self._listener is None:
-            raise RuntimeError("membership listener is not started")
-        return self._listener.port
-
-    @property
-    def address(self) -> str:
-        return f"{self._host}:{self.port}"
 
     def start(self) -> "MembershipListener":
-        self._listener = Listener(
-            self._host, self._requested_port, self._on_connection, MEMBERSHIP_THREAD_PREFIX
-        )
-        self._listener.start()
+        super().start()
         log_event(_LOG, "info", "membership_listening", host=self._host, port=self.port)
         return self
 
-    def stop(self) -> None:
-        if self._listener is not None:
-            self._listener.stop()
+    def new_session(self, channel: MessageChannel) -> "_Announcement":
+        return _Announcement(self, channel)
 
-    def __enter__(self) -> "MembershipListener":
-        return self.start() if self._listener is None else self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+class _Announcement(rpc.Session):
+    """One announcement: a single request, its reply, then close."""
 
-    # ------------------------------------------------------------------ #
-    def _on_connection(self, sock: socket.socket) -> None:
-        threading.Thread(
-            target=self._serve_one,
-            args=(MessageChannel(sock),),
-            name=f"{MEMBERSHIP_THREAD_PREFIX}-conn",
-            daemon=True,
-        ).start()
+    reader_name = "conn"
+    expects_hello = False
 
-    def _serve_one(self, channel: MessageChannel) -> None:
-        try:
-            message = channel.recv()
-            if message is None:
-                return
-            reply = self._handle(message)
-            channel.send(reply)
-        except (OSError, ProtocolError, ValueError):
-            pass  # announcement sockets are best-effort; the peer retries
-        finally:
-            channel.close()
+    def dispatch(self, message: dict[str, Any]) -> None:
+        super().dispatch(message)
+        self.close()
 
-    def _handle(self, message: Mapping[str, Any]) -> dict[str, Any]:
-        kind = message.get("type")
-        if kind == protocol.JOIN:
-            return self._on_join(message)
-        if kind == protocol.LEAVE:
-            return self._on_leave(message)
-        if kind == protocol.STATUS:
-            return {"type": protocol.STATUS_RESULT, **self.coordinator.status()}
-        return {
-            "type": protocol.ERROR,
-            "message": f"unexpected membership message type {kind!r}",
-        }
+    def _on_status(self, message: Mapping[str, Any]) -> None:
+        self.channel.send(
+            {"type": protocol.STATUS_RESULT, **self.server.coordinator.status()}
+        )
 
-    def _on_join(self, message: Mapping[str, Any]) -> dict[str, Any]:
+    def _on_join(self, message: Mapping[str, Any]) -> None:
         from repro.cluster.coordinator import ClusterError
 
-        version = int(message.get("protocol", -1))
-        if version != protocol.PROTOCOL_VERSION:
-            return {
-                "type": protocol.JOIN_ACK,
-                "accepted": False,
-                "message": f"protocol version mismatch: coordinator speaks "
-                f"{protocol.PROTOCOL_VERSION}, worker sent {version}",
-            }
         address = str(message.get("address", ""))
         try:
-            worker_id = self.coordinator.add_worker(address, source="join")
+            rpc.check_version(message, protocol.PROTOCOL_VERSION, "coordinator")
+            worker_id = self.server.coordinator.add_worker(address, source="join")
         except (ClusterError, OSError, ProtocolError) as exc:
             log_event(
                 _LOG, "warning", "join_refused", address=address, reason=str(exc)
             )
-            return {"type": protocol.JOIN_ACK, "accepted": False, "message": str(exc)}
-        log_event(_LOG, "info", "worker_joined", worker=worker_id, address=address)
-        return {
-            "type": protocol.JOIN_ACK,
-            "accepted": True,
-            "worker_id": worker_id,
-            "protocol": protocol.PROTOCOL_VERSION,
-        }
+            reply = {"type": protocol.JOIN_ACK, "accepted": False, "message": str(exc)}
+        else:
+            log_event(_LOG, "info", "worker_joined", worker=worker_id, address=address)
+            reply = {
+                "type": protocol.JOIN_ACK,
+                "accepted": True,
+                "worker_id": worker_id,
+                "protocol": protocol.PROTOCOL_VERSION,
+            }
+        self.channel.send(reply)
 
-    def _on_leave(self, message: Mapping[str, Any]) -> dict[str, Any]:
+    def _on_leave(self, message: Mapping[str, Any]) -> None:
         from repro.cluster.coordinator import ClusterError
 
         worker_id = str(message.get("worker_id", ""))
         try:
-            self.coordinator.remove_worker(worker_id)
+            self.server.coordinator.remove_worker(worker_id)
         except ClusterError as exc:
-            return {"type": protocol.LEAVE_ACK, "accepted": False, "message": str(exc)}
-        log_event(_LOG, "info", "worker_leaving", worker=worker_id)
-        return {"type": protocol.LEAVE_ACK, "accepted": True, "worker_id": worker_id}
+            reply = {"type": protocol.LEAVE_ACK, "accepted": False, "message": str(exc)}
+        else:
+            log_event(_LOG, "info", "worker_leaving", worker=worker_id)
+            reply = {"type": protocol.LEAVE_ACK, "accepted": True, "worker_id": worker_id}
+        self.channel.send(reply)
+
+    handlers = {
+        protocol.JOIN: _on_join,
+        protocol.LEAVE: _on_leave,
+        protocol.STATUS: _on_status,
+    }

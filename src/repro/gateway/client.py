@@ -24,7 +24,6 @@ Failure semantics are explicit:
 from __future__ import annotations
 
 import queue
-import socket
 import threading
 from typing import Any, Iterator, Mapping
 
@@ -32,6 +31,7 @@ from repro.gateway import protocol
 from repro.gateway.protocol import MessageChannel, ProtocolError
 from repro.obs import tracing as _tracing
 from repro.serve.events import ProgressEvent
+from repro.utils import rpc
 
 
 class GatewayError(RuntimeError):
@@ -203,32 +203,20 @@ class GatewayClient:
         """Dial, handshake, and start the demultiplexing reader."""
         if self._channel is not None:
             return self
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # The connect timeout stays on the socket through the handshake —
-        # a server that accepts the TCP connection but never answers the
-        # hello must not hang connect() forever.  Only the established,
-        # event-streaming connection goes blocking (below).
-        channel = MessageChannel(sock)
+        # The timeout covers the handshake too (a server that accepts TCP
+        # but never answers the hello must not hang connect() forever);
+        # the established, event-streaming connection is blocking.
+        channel = rpc.dial(f"{self.host}:{self.port}", self.timeout)
         try:
-            channel.send(protocol.hello_message(self.token, self.requested_client))
-            reply = channel.recv()
-        except TimeoutError:
-            channel.close()
-            raise GatewayError(
-                f"no handshake reply from gateway within {self.timeout}s"
-            ) from None
-        if reply is None:
-            channel.close()
-            raise GatewayError("gateway closed the connection during handshake")
-        if reply.get("type") != protocol.HELLO_ACK:
-            channel.close()
-            raise GatewayError(
-                reply.get("message", f"handshake refused: {reply!r}")
+            ack = rpc.handshake(
+                channel,
+                protocol.hello_message(self.token, self.requested_client),
+                protocol.GATEWAY_PROTOCOL_VERSION,
             )
-        self.client_id = str(reply.get("client_id", ""))
-        self.quota = dict(reply.get("quota") or {})
-        sock.settimeout(None)
+        except ProtocolError as exc:
+            raise GatewayError(str(exc)) from None
+        self.client_id = str(ack.get("client_id", ""))
+        self.quota = dict(ack.get("quota") or {})
         self._channel = channel
         self._reader = threading.Thread(
             target=self._read_loop, name="repro-gateway-client-reader", daemon=True
@@ -242,10 +230,7 @@ class GatewayClient:
             return
         self._closed = True
         if self._channel is not None:
-            try:
-                self._channel.send({"type": protocol.BYE})
-            except (ProtocolError, OSError):
-                pass
+            rpc.send_safely(self._channel, {"type": protocol.BYE})
             self._channel.close()
 
     def __enter__(self) -> "GatewayClient":

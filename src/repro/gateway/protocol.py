@@ -1,8 +1,9 @@
-"""The gateway wire protocol: submission and event streaming over TCP.
+"""The gateway wire's vocabulary: submission and event streaming.
 
-The gateway speaks the same length-prefixed NDJSON framing as the
-cluster wire (shared via :mod:`repro.utils.wire`), but its vocabulary is
-the *submission* surface: remote clients file
+The gateway speaks the same framing (:mod:`repro.utils.wire`) and the
+same connection lifecycle (:mod:`repro.utils.rpc`: who speaks first,
+refusals, ``error`` replies, goodbye) as the cluster wire; its
+vocabulary is the *submission* surface: remote clients file
 :class:`~repro.pipeline.request.ParseRequest` JSON and consume live
 :class:`~repro.serve.events.ProgressEvent` streams, while parsing itself
 stays behind one shared :class:`~repro.serve.ParseService`.
@@ -10,10 +11,10 @@ stays behind one shared :class:`~repro.serve.ParseService`.
 Message types
 -------------
 ``hello`` / ``hello_ack``
-    Version + auth handshake.  The client opens with ``hello`` (protocol
-    version, optional auth token, optional requested client name); the
-    gateway answers with the resolved client id and its quota, or with
-    ``error`` and a connection close for a bad version or token.
+    The :mod:`repro.utils.rpc` handshake.  The client's ``hello`` adds an
+    optional auth token and an optional requested client name; the
+    gateway's ack adds the resolved client id and its quota.  A bad token
+    is refused with ``error`` (``code: "unauthorized"``).
 ``submit``
     One :class:`ParseRequest` as JSON plus an admission priority.  The
     gateway answers ``submitted`` (ticket id, queue position) and starts
@@ -69,8 +70,9 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-# Shared framing (length-prefixed NDJSON, oversized-frame refusal, byte
-# counters) — one implementation for the cluster and gateway wires.
+# The lifecycle's message types and the framing are shared with the
+# cluster wire — one implementation of each.
+from repro.utils.rpc import BYE, ERROR, HELLO, HELLO_ACK  # noqa: F401
 from repro.utils.wire import (  # noqa: F401  (re-exports)
     MAX_MESSAGE_BYTES,
     MessageChannel,
@@ -84,10 +86,8 @@ from repro.utils.wire import (  # noqa: F401  (re-exports)
 GATEWAY_PROTOCOL_VERSION = 1
 
 # ---------------------------------------------------------------------- #
-# Message type names
+# Message type names (hello / hello_ack / error / bye come from rpc)
 # ---------------------------------------------------------------------- #
-HELLO = "hello"
-HELLO_ACK = "hello_ack"
 SUBMIT = "submit"
 SUBMITTED = "submitted"
 REJECTED = "rejected"
@@ -102,8 +102,6 @@ PROFILE = "profile"
 PROFILE_RESULT = "profile_result"
 METRICS = "metrics"
 METRICS_RESULT = "metrics_result"
-ERROR = "error"
-BYE = "bye"
 
 # ---------------------------------------------------------------------- #
 # Rejection reasons (the ``rejected`` message's ``reason`` field)

@@ -36,7 +36,6 @@ with a gapless replay from the last sequence number it saw.
 
 from __future__ import annotations
 
-import socket
 import threading
 from typing import Any
 
@@ -49,7 +48,7 @@ from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
 from repro.obs.tracing import TraceContext
 from repro.serve.service import ParseService, ParseTicket, ServiceError
-from repro.utils.wire import Listener
+from repro.utils.rpc import HandshakeRefused, Server, Session
 
 #: Thread-name prefix of gateway-owned threads (accept/reader/streamers).
 GATEWAY_THREAD_PREFIX = "repro-gateway"
@@ -77,8 +76,11 @@ class _TicketRecord:
         self.trace_id = ticket.trace_id
 
 
-class GatewayServer:
+class GatewayServer(Server):
     """Serve remote parse submissions over TCP (see the module docstring).
+
+    The connection lifecycle (accept, handshake, error replies, stop) is
+    :class:`repro.utils.rpc.Server`'s; this class adds admission.
 
     Parameters
     ----------
@@ -103,6 +105,10 @@ class GatewayServer:
         evicted (bounds gateway memory under sustained traffic).
     """
 
+    role = "gateway"
+    thread_prefix = GATEWAY_THREAD_PREFIX
+    protocol_version = protocol.GATEWAY_PROTOCOL_VERSION
+
     def __init__(
         self,
         service: ParseService,
@@ -116,19 +122,12 @@ class GatewayServer:
     ) -> None:
         if max_queue_depth < 0:
             raise ValueError("max_queue_depth must be >= 0")
+        super().__init__(host, port)
         self.service = service
         self.auth = auth or AuthRegistry()
         self.max_queue_depth = max_queue_depth
         self.retry_after = retry_after
         self.finished_retention = finished_retention
-        self._host = host
-        self._requested_port = port
-        self._listener: Listener | None = None
-        self._connections: list[_ClientConnection] = []
-        self._stopped = threading.Event()
-        self._started = False
-
-        self._lock = threading.Lock()
         #: Serializes the admission decision (quota/capacity checks →
         #: submit → record insertion) so concurrent submits on separate
         #: connections cannot all pass the same snapshot and over-admit.
@@ -142,50 +141,19 @@ class GatewayServer:
         self._rejected_by_client: dict[str, int] = {}
         self._rejected_by_reason: dict[str, int] = {}
         self._backlog_high_water = 0
-        #: Byte counters of connections that already closed; live
-        #: connections are summed on demand.
+        #: Byte counters of sessions that already ended; live ones are
+        #: summed on demand.
         self._retired_bytes_in = 0
         self._retired_bytes_out = 0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    @property
-    def port(self) -> int:
-        if self._listener is None:
-            raise RuntimeError("gateway is not started")
-        return self._listener.port
-
-    @property
-    def address(self) -> str:
-        return f"{self._host}:{self.port}"
-
     def start(self) -> "GatewayServer":
         """Bind and begin accepting client connections."""
-        if self._started:
-            raise RuntimeError("gateway already started")
-        self._listener = Listener(
-            self._host, self._requested_port, self._on_connection, GATEWAY_THREAD_PREFIX
-        )
-        self._started = True
-        self._listener.start()
+        super().start()
         log_event(_LOG, "info", "listening", host=self._host, port=self.port)
         return self
-
-    def _on_connection(self, sock: socket.socket) -> None:
-        connection = _ClientConnection(self, MessageChannel(sock))
-        with self._lock:
-            if self._stopped.is_set():
-                connection.channel.close()
-                return
-            self._connections.append(connection)
-        connection.start()
-
-    def serve_forever(self) -> None:
-        """Block until :meth:`stop` (the CLI daemon mode)."""
-        if not self._started:
-            self.start()
-        self._stopped.wait()
 
     def stop(self, drain: bool = True, timeout: float | None = 30.0) -> None:
         """Stop accepting; ``drain`` waits for open tickets to settle.
@@ -193,28 +161,18 @@ class GatewayServer:
         The shared service stays with its owner: stopping the gateway
         never closes the service or its backend.
         """
-        if not self._started or self._stopped.is_set():
-            self._stopped.set()
-            return
-        self._stopped.set()
-        self._listener.stop()
-        if drain:
-            for record in self._open_records():
-                try:
-                    record.ticket.result(timeout=timeout)
-                except Exception:
-                    pass  # failed/cancelled tickets are settled too
-        with self._lock:
-            connections = list(self._connections)
-        for connection in connections:
-            connection.say_bye_and_close()
+        super().stop(drain, timeout)
         log_event(_LOG, "info", "stopping", drained=drain)
 
-    def __enter__(self) -> "GatewayServer":
-        return self.start() if not self._started else self
+    def new_session(self, channel: MessageChannel) -> "_ClientConnection":
+        return _ClientConnection(self, channel)
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
+    def drain(self, timeout: float | None) -> None:
+        for record in self._open_records():
+            try:
+                record.ticket.result(timeout=timeout)
+            except Exception:
+                pass  # failed/cancelled tickets are settled too
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -404,12 +362,9 @@ class GatewayServer:
             if backlog > self._backlog_high_water:
                 self._backlog_high_water = backlog
 
-    def _retire_connection(self, connection: "_ClientConnection") -> None:
-        with self._lock:
-            if connection in self._connections:
-                self._connections.remove(connection)
-            self._retired_bytes_in += connection.channel.bytes_received
-            self._retired_bytes_out += connection.channel.bytes_sent
+    def on_session_end(self, session: Session) -> None:
+        self._retired_bytes_in += session.channel.bytes_received
+        self._retired_bytes_out += session.channel.bytes_sent
 
     def stats(self) -> dict[str, Any]:
         """The ``stats`` reply: gateway-level counters, JSON-trivial."""
@@ -417,9 +372,9 @@ class GatewayServer:
         with self._lock:
             bytes_in = self._retired_bytes_in
             bytes_out = self._retired_bytes_out
-            for connection in self._connections:
-                bytes_in += connection.channel.bytes_received
-                bytes_out += connection.channel.bytes_sent
+            for session in self._sessions:
+                bytes_in += session.channel.bytes_received
+                bytes_out += session.channel.bytes_sent
             clients = sorted(
                 set(self._submitted_by_client) | set(self._rejected_by_client)
             )
@@ -443,7 +398,7 @@ class GatewayServer:
                 "bytes_in": bytes_in,
                 "bytes_out": bytes_out,
                 "event_backlog_high_water": self._backlog_high_water,
-                "connections": len(self._connections),
+                "connections": sum(1 for s in self._sessions if not s.channel.closed),
             }
         service = self.service.describe()
         payload["service"] = {
@@ -463,126 +418,44 @@ class GatewayServer:
         return description
 
 
-class _ClientConnection:
-    """One remote client: handshake, sequential requests, event streamers."""
+class _ClientConnection(Session):
+    """One remote client: auth at hello, sequential requests, event streamers."""
 
     def __init__(self, server: GatewayServer, channel: MessageChannel) -> None:
-        self.server = server
-        self.channel = channel
+        super().__init__(server, channel)
         self.client_id = ""
         self.quota = ClientQuota()
-        self._closed = threading.Event()
-        self._streamers: list[threading.Thread] = []
 
-    def start(self) -> None:
-        reader = threading.Thread(
-            target=self._read_loop,
-            name=f"{GATEWAY_THREAD_PREFIX}-reader",
-            daemon=True,
-        )
-        reader.start()
-
-    def say_bye_and_close(self) -> None:
-        self._safe_send({"type": protocol.BYE, "reason": "gateway stopping"})
-        self._close()
-
-    def _close(self) -> None:
-        self._closed.set()
-        self.channel.close()
-
-    # ------------------------------------------------------------------ #
-    # Reader
-    # ------------------------------------------------------------------ #
-    def _read_loop(self) -> None:
-        try:
-            if not self._handshake():
-                return
-            while not self._closed.is_set():
-                message = self.channel.recv()
-                if message is None:
-                    return
-                frame_bytes = self.channel.last_frame_bytes
-                if not self._dispatch(message, frame_bytes):
-                    return
-        except (ProtocolError, OSError, ValueError, TypeError) as exc:
-            # TypeError covers valid-JSON-but-wrong-type fields (null or
-            # array where an int belongs: protocol, after_seq, priority) —
-            # the client still deserves an error reply, not a silent close.
-            self._safe_send({"type": protocol.ERROR, "message": str(exc)})
-        finally:
-            self._close()
-            self.server._retire_connection(self)
-
-    def _handshake(self) -> bool:
-        message = self.channel.recv()
-        if message is None:
-            return False
-        if message.get("type") != protocol.HELLO:
-            self._safe_send(
-                {"type": protocol.ERROR, "message": "expected hello first"}
-            )
-            return False
-        version = int(message.get("protocol", -1))
-        if version != protocol.GATEWAY_PROTOCOL_VERSION:
-            self._safe_send(
-                {
-                    "type": protocol.ERROR,
-                    "message": f"protocol version mismatch: gateway speaks "
-                    f"{protocol.GATEWAY_PROTOCOL_VERSION}, client sent {version}",
-                }
-            )
-            return False
+    def on_hello(self, hello: dict[str, Any]) -> dict[str, Any]:
         try:
             authenticated = self.server.auth.authenticate(
-                message.get("token"), message.get("client")
+                hello.get("token"), hello.get("client")
             )
         except AuthError as exc:
-            self._safe_send(
-                {"type": protocol.ERROR, "code": "unauthorized", "message": str(exc)}
-            )
-            return False
+            raise HandshakeRefused(str(exc), code="unauthorized") from exc
         self.client_id = authenticated.client_id
         self.quota = authenticated.quota
         log_event(_LOG, "debug", "client_connected", client=self.client_id)
-        self.channel.send(
-            {
-                "type": protocol.HELLO_ACK,
-                "protocol": protocol.GATEWAY_PROTOCOL_VERSION,
-                "client_id": self.client_id,
-                "quota": self.quota.to_json_dict(),
-                "server": {
-                    "max_active": self.server.service.config.max_active,
-                    "max_queue_depth": self.server.max_queue_depth,
-                },
-            }
-        )
-        return True
+        return {
+            "client_id": self.client_id,
+            "quota": self.quota.to_json_dict(),
+            "server": {
+                "max_active": self.server.service.config.max_active,
+                "max_queue_depth": self.server.max_queue_depth,
+            },
+        }
 
-    def _dispatch(self, message: dict[str, Any], frame_bytes: int) -> bool:
-        """Handle one request; returns False to end the conversation."""
-        kind = message.get("type")
-        if kind == protocol.SUBMIT:
-            reply, record = self.server._admit(self, message, frame_bytes)
-            self.channel.send(reply)
-            if record is not None:
-                self._start_streamer(record, after_seq=-1)
-        elif kind == protocol.RESUME:
-            self._on_resume(message)
-        elif kind == protocol.FETCH_RESULT:
-            self._on_fetch_result(message)
-        elif kind == protocol.STATS:
-            self.channel.send({"type": protocol.STATS, **self.server.stats()})
-        elif kind == protocol.TRACE:
-            self._on_trace(message)
-        elif kind == protocol.PROFILE:
-            self._on_profile(message)
-        elif kind == protocol.METRICS:
-            self._on_metrics(message)
-        elif kind == protocol.BYE:
-            return False
-        else:
-            raise ProtocolError(f"unexpected message type {kind!r}")
-        return True
+    # ------------------------------------------------------------------ #
+    # Requests (reader thread)
+    # ------------------------------------------------------------------ #
+    def _on_submit(self, message: dict[str, Any]) -> None:
+        reply, record = self.server._admit(self, message, self.channel.last_frame_bytes)
+        self.channel.send(reply)
+        if record is not None:
+            self._start_streamer(record, after_seq=-1)
+
+    def _on_stats(self, message: dict[str, Any]) -> None:
+        self.channel.send({"type": protocol.STATS, **self.server.stats()})
 
     def _on_trace(self, message: dict[str, Any]) -> None:
         """Reply with the span list recorded for a ticket this client owns."""
@@ -715,14 +588,9 @@ class _ClientConnection:
     # Event streaming
     # ------------------------------------------------------------------ #
     def _start_streamer(self, record: "_TicketRecord", after_seq: int) -> None:
-        streamer = threading.Thread(
-            target=self._stream_events,
-            args=(record, after_seq),
-            name=f"{GATEWAY_THREAD_PREFIX}-stream-{record.ticket.id}",
-            daemon=True,
+        self.spawn(
+            f"stream-{record.ticket.id}", self._stream_events, record, after_seq
         )
-        self._streamers.append(streamer)
-        streamer.start()
 
     def _stream_events(self, record: "_TicketRecord", after_seq: int) -> None:
         ticket = record.ticket
@@ -739,9 +607,12 @@ class _ClientConnection:
             # client reconnects and resumes from its last seen seq.
             return
 
-    def _safe_send(self, message: dict[str, Any]) -> bool:
-        try:
-            self.channel.send(message)
-            return True
-        except (ProtocolError, OSError):
-            return False
+    handlers = {
+        protocol.SUBMIT: _on_submit,
+        protocol.RESUME: _on_resume,
+        protocol.FETCH_RESULT: _on_fetch_result,
+        protocol.STATS: _on_stats,
+        protocol.TRACE: _on_trace,
+        protocol.PROFILE: _on_profile,
+        protocol.METRICS: _on_metrics,
+    }

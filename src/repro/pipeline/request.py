@@ -14,16 +14,15 @@ The canonical way to say "which documents" is the ``source`` field::
     ParseRequest(parser="pymupdf", source="html-dir:corpus/html")
     ParseRequest(parser="pymupdf", source=SourceSpec("synthetic", {"n_documents": 50}))
 
-The pre-source fields (``documents=``, ``corpus=``, an explicit
-``n_documents=``) still construct working requests but emit a
-:class:`DeprecationWarning` and are normalised onto ``source``.
+The pre-source inputs (``documents=``, ``corpus=``, ``n_documents=``,
+``seed=``) were removed: passing one is a :class:`TypeError` that spells
+out the ``source=`` replacement.
 """
 
 from __future__ import annotations
 
 import difflib
-import warnings
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.documents.corpus import CorpusConfig
@@ -36,15 +35,17 @@ from repro.documents.sources import (
     create_source,
     parse_source_arg,
 )
-from repro.documents.textgen import TextGenConfig
 
+#: Seed of the default synthetic source, and the ``seed`` every
+#: non-synthetic request reports in its JSON form.
+_DEFAULT_SEED = 2025
 
-def _warn_legacy(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"ParseRequest.{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
+_SOURCE_HINT = (
+    "say which documents with source=: source=ExplicitSource(documents) (or "
+    "request_for_documents(parser, documents)) for a collection, "
+    "source='synthetic:N?seed=S' (or SyntheticSource(CorpusConfig(...))) for "
+    "a synthetic corpus"
+)
 
 
 @dataclass(frozen=True)
@@ -65,20 +66,8 @@ class ParseRequest:
         resolved at construction; after ``__init__`` the field always holds
         a ``DocumentSource`` (or ``None`` for a provenance-only request
         rehydrated from JSON, which refuses replay).  When nothing is
-        passed, a default synthetic source (100 documents under ``seed``)
-        is used.
-    documents:
-        Deprecated: an explicit document collection.  Normalised onto an
-        :class:`~repro.documents.sources.ExplicitSource`; the field remains
-        populated (as a tuple) for provenance.
-    corpus:
-        Deprecated: a :class:`~repro.documents.corpus.CorpusConfig`.
-        Normalised onto a :class:`~repro.documents.sources.SyntheticSource`.
-    n_documents:
-        Deprecated as an *input* (use a synthetic source); always populated
-        after construction with the resolved document count when it is
-        knowable without reading content (``None`` otherwise, e.g. a
-        directory source whose path only exists on the executing service).
+        passed, a default synthetic source (100 documents, seed 2025) is
+        used.
     batch_size:
         Documents per scheduling batch; ``None`` uses the parser's own
         default (the engine's configured batch size, or the pipeline
@@ -98,9 +87,6 @@ class ParseRequest:
         pool behind an adaptive in-flight window),
         ``{"workers": "host:port,host:port"}`` for ``remote``); see
         :func:`repro.pipeline.backends.backend_specs`.
-    seed:
-        Corpus seed used by the synthetic-source shortcut (and recorded for
-        provenance either way).
     cache:
         Cache policy for this run: ``"off"`` (default), ``"read"``,
         ``"write"``, or ``"readwrite"`` — see
@@ -110,10 +96,6 @@ class ParseRequest:
 
     parser: str = "pymupdf"
     source: Any = None
-    documents: tuple[SciDocument, ...] | None = None
-    corpus: CorpusConfig | None = None
-    n_documents: int | None = None
-    seed: int = 2025
     batch_size: int | None = None
     alpha: float | None = None
     backend: str = "auto"
@@ -125,21 +107,30 @@ class ParseRequest:
     #: replay (the documents themselves were not serialised).  An *empty*
     #: tuple marks a custom source that could not be serialised at all.
     doc_ids: tuple[str, ...] | None = None
-    #: Removed field (hard error): parallelism now lives in
-    #: ``backend_options={"n_jobs": N}``.
+    #: Removed inputs (hard errors): parallelism lives in
+    #: ``backend_options={"n_jobs": N}``, the documents in ``source``.
     n_jobs: InitVar[Any] = None
+    documents: InitVar[Any] = None
+    corpus: InitVar[Any] = None
+    n_documents: InitVar[Any] = None
+    seed: InitVar[Any] = None
 
-    def __post_init__(self, n_jobs: Any) -> None:
+    def __post_init__(
+        self, n_jobs: Any, documents: Any, corpus: Any, n_documents: Any, seed: Any
+    ) -> None:
         if n_jobs is not None:
             raise TypeError(
                 "ParseRequest.n_jobs was removed; request parallelism with "
                 "backend='thread' (or 'process') and backend_options={'n_jobs': N}"
             )
-        if self.documents is not None:
-            if not isinstance(self.documents, tuple):
-                object.__setattr__(self, "documents", tuple(self.documents))
-            if not self.documents:
-                raise ValueError("documents must not be empty")
+        for name, value in (
+            ("documents", documents),
+            ("corpus", corpus),
+            ("n_documents", n_documents),
+            ("seed", seed),
+        ):
+            if value is not None:
+                raise TypeError(f"ParseRequest.{name} was removed; {_SOURCE_HINT}")
         if self.doc_ids is not None and not isinstance(self.doc_ids, tuple):
             object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
 
@@ -158,68 +149,16 @@ class ParseRequest:
                 "source must be a DocumentSource, SourceSpec, mapping, or "
                 f"'kind:...' string, not {type(source).__name__}"
             )
-
-        if source is None:
-            if self.documents is not None:
-                _warn_legacy(
-                    "documents",
-                    "source=ExplicitSource(documents) (or request_for_documents)",
-                )
-                source = ExplicitSource(self.documents)
-            elif self.corpus is not None:
-                _warn_legacy("corpus", "source=SyntheticSource(corpus_config)")
-                source = SyntheticSource(self.corpus)
-            elif self.doc_ids is not None:
-                source = None  # provenance-only rehydration; refuses replay
-            else:
-                if self.n_documents is not None:
-                    _warn_legacy(
-                        "n_documents",
-                        "source=SyntheticSource(CorpusConfig(...)) or "
-                        "source='synthetic:N?seed=S'",
-                    )
-                count = 100 if self.n_documents is None else int(self.n_documents)
-                if count < 1:
-                    raise ValueError("n_documents must be positive")
-                source = SyntheticSource(CorpusConfig(n_documents=count, seed=self.seed))
-        else:
-            # Legacy fields may ride along (dataclasses.replace re-passes
-            # every field) but only when they agree with the source.
-            if self.documents is not None and not (
-                isinstance(source, ExplicitSource)
-                and source.documents == self.documents
-            ):
-                raise ValueError(
-                    "pass either source= or the deprecated documents=, not both"
-                )
-            if self.corpus is not None and not (
-                isinstance(source, SyntheticSource) and source.config == self.corpus
-            ):
-                raise ValueError(
-                    "pass either source= or the deprecated corpus=, not both"
-                )
+        if source is None and self.doc_ids is None:
+            # (doc_ids alone is a provenance-only rehydration; refuses replay)
+            source = SyntheticSource(CorpusConfig(n_documents=100, seed=_DEFAULT_SEED))
         object.__setattr__(self, "source", source)
 
-        # Provenance fields, kept truthful against the resolved source.
-        if isinstance(source, SyntheticSource):
-            object.__setattr__(self, "n_documents", source.config.n_documents)
-            object.__setattr__(self, "seed", source.config.seed)
-            object.__setattr__(self, "corpus", source.config)
-        elif isinstance(source, ExplicitSource):
-            object.__setattr__(self, "documents", source.documents)
+        if isinstance(source, ExplicitSource):
             object.__setattr__(
                 self, "doc_ids", tuple(d.doc_id for d in source.documents)
             )
-            object.__setattr__(self, "n_documents", len(source.documents))
-        elif source is not None:
-            object.__setattr__(self, "n_documents", source.count_hint())
-        elif self.doc_ids is not None:
-            object.__setattr__(
-                self, "n_documents", len(self.doc_ids) if self.doc_ids else None
-            )
 
-        if self.n_documents is not None and self.n_documents < 1:
-            raise ValueError("n_documents must be positive")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
@@ -301,11 +240,19 @@ class ParseRequest:
         both rehydrate into requests that refuse replay.
         """
         spec = self.source_spec()
+        # Derived provenance: how many documents (when knowable without
+        # reading content) and, for a synthetic corpus, under which seed.
+        if isinstance(self.source, SyntheticSource):
+            n_documents, seed = self.source.config.n_documents, self.source.config.seed
+        elif self.source is not None:
+            n_documents, seed = self.source.count_hint(), _DEFAULT_SEED
+        else:
+            n_documents, seed = len(self.doc_ids or ()) or None, _DEFAULT_SEED
         payload: dict[str, Any] = {
             "parser": self.parser,
             "source": None if spec is None else spec.to_json_dict(),
-            "n_documents": self.n_documents,
-            "seed": self.seed,
+            "n_documents": n_documents,
+            "seed": seed,
             "batch_size": self.batch_size,
             "alpha": self.alpha,
             "backend": self.backend,
@@ -317,10 +264,10 @@ class ParseRequest:
             payload["doc_ids"] = list(self.doc_ids) if self.doc_ids else []
         return payload
 
-    #: JSON keys :meth:`from_json_dict` understands.  ``corpus`` and
-    #: ``n_jobs`` are legacy keys: the former still rehydrates (through the
-    #: deprecated constructor path), the latter is rejected unless it holds
-    #: its old default.
+    #: JSON keys :meth:`from_json_dict` understands.  ``n_documents`` and
+    #: ``seed`` are derived provenance (read back only to reject a payload
+    #: that has them *instead of* a source); ``corpus`` and ``n_jobs`` are
+    #: removed keys, named here so they get their own error.
     _JSON_KEYS = frozenset(
         {
             "parser",
@@ -352,7 +299,7 @@ class ParseRequest:
         """
         unknown = sorted(set(payload) - cls._JSON_KEYS)
         if unknown:
-            known = sorted(cls._JSON_KEYS - {"n_jobs"})
+            known = sorted(cls._JSON_KEYS - {"n_jobs", "corpus"})
             hints = []
             for name in unknown:
                 match = difflib.get_close_matches(name, known, n=1, cutoff=0.6)
@@ -365,36 +312,27 @@ class ParseRequest:
                 "request field 'n_jobs' was removed; use backend_options="
                 "{'n_jobs': N} with backend 'thread' or 'process'"
             )
-        corpus = None
-        if payload.get("corpus") is not None:
-            corpus_payload = dict(payload["corpus"])
-            textgen_payload = corpus_payload.pop("textgen", None)
-            known_fields = {f.name for f in fields(CorpusConfig)}
-            kwargs = {k: v for k, v in corpus_payload.items() if k in known_fields}
-            if textgen_payload is not None:
-                textgen_known = {f.name for f in fields(TextGenConfig)}
-                kwargs["textgen"] = TextGenConfig(
-                    **{k: v for k, v in textgen_payload.items() if k in textgen_known}
-                )
-            corpus = CorpusConfig(**kwargs)
-        doc_ids = payload.get("doc_ids")
         source = payload.get("source")
-        common: dict[str, Any] = dict(
+        doc_ids = payload.get("doc_ids")
+        # Beside a source (or doc_ids) the counts are derived provenance and
+        # ignored; on their own they used to *pick* the documents.
+        counts = () if source is not None or doc_ids is not None else ("n_documents", "seed")
+        for name in ("corpus", *counts):
+            if payload.get(name) is not None:
+                raise ValueError(
+                    f"request field {name!r} no longer says which documents to "
+                    f"parse; {_SOURCE_HINT}"
+                )
+        return cls(
             parser=payload.get("parser", "pymupdf"),
-            seed=payload.get("seed", 2025),
+            source=source,
+            doc_ids=None if source is not None else doc_ids,
             batch_size=payload.get("batch_size"),
             alpha=payload.get("alpha"),
             backend=payload.get("backend", "auto"),
             backend_options=dict(payload.get("backend_options", {}) or {}),
             cache=payload.get("cache", "off"),
         )
-        if source is not None:
-            return cls(source=source, n_documents=None, **common)
-        if doc_ids is not None:
-            return cls(doc_ids=tuple(doc_ids), **common)
-        if corpus is not None:
-            return cls(corpus=corpus, **common)
-        return cls(n_documents=payload.get("n_documents"), **common)
 
 
 def request_for_documents(

@@ -20,7 +20,9 @@ and :mod:`repro.gateway.protocol` both build their message vocabularies
 on top of it, so the two wires cannot drift apart on framing.
 :class:`Listener` is the accepting side every daemon shares (gateway,
 cluster worker, membership listener): bind, a named accept thread, and a
-stop that actually wakes it.
+stop that actually wakes it.  What happens on a connection once it is
+accepted (or dialled) — handshake, read loop, error reply, goodbye — is
+:mod:`repro.utils.rpc`.
 """
 
 from __future__ import annotations
@@ -90,6 +92,10 @@ class MessageChannel:
         if self._max_message_bytes is not None:
             return self._max_message_bytes
         return MAX_MESSAGE_BYTES
+
+    def settimeout(self, timeout: float | None) -> None:
+        """Bound every later socket operation (``None`` = block forever)."""
+        self._sock.settimeout(timeout)
 
     def send(self, message: Mapping[str, Any]) -> int:
         """Send one message; returns the framed byte count.
@@ -168,7 +174,7 @@ class Listener:
     :attr:`port` back), accepting begins with :meth:`start`.  Every accepted
     connection gets ``TCP_NODELAY`` and is handed to ``on_connection(sock)``
     on the accept thread, named ``<thread_prefix>-accept-<port>`` — the
-    handshake, the read loop and the message handling stay with the caller.
+    handshake and the read loop are :class:`repro.utils.rpc.Server`'s.
     """
 
     def __init__(

@@ -61,7 +61,7 @@ class TestRequestPolicy:
             ParseRequest(cache="maybe")
 
     def test_json_round_trip_carries_policy(self):
-        request = ParseRequest(parser="pymupdf", n_documents=5, cache="readwrite")
+        request = ParseRequest(parser="pymupdf", source="synthetic:5", cache="readwrite")
         rebuilt = ParseRequest.from_json_dict(request.to_json_dict())
         assert rebuilt.cache == "readwrite"
 

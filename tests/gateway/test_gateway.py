@@ -59,7 +59,7 @@ def make_service(max_active: int = 4, sleep_seconds: float = 0.02) -> ParseServi
 
 
 def snail_request(n_documents: int = 8, seed: int = 7, **overrides) -> ParseRequest:
-    options = {"parser": "snail", "n_documents": n_documents, "seed": seed}
+    options = {"parser": "snail", "source": f"synthetic:{n_documents}?seed={seed}"}
     options.update(overrides)
     return ParseRequest(**options)
 
@@ -184,14 +184,14 @@ class TestSubmitAndStream:
     def test_invalid_request_is_rejected_bad_request(self, gateway):
         with connect(gateway) as client:
             with pytest.raises(GatewayRejected) as exc_info:
-                client.submit({"parser": "snail", "n_documents": -5})
+                client.submit({"parser": "snail", "source": "synthetic:-5"})
             assert exc_info.value.reason == protocol.REJECT_BAD_REQUEST
 
     def test_request_failure_surfaces_not_hangs(self, gateway):
         # An unknown parser fails at run time: the ticket must end in a
         # `failed` terminal event and result() must raise, remotely too.
         with connect(gateway) as client:
-            ticket = client.submit({"parser": "no-such-parser", "n_documents": 2})
+            ticket = client.submit({"parser": "no-such-parser", "source": "synthetic:2"})
             events = list(ticket.events(timeout=30))
             assert events[-1].kind == "failed"
             with pytest.raises(GatewayError, match="failed"):
@@ -259,7 +259,7 @@ class TestBackpressure:
         gateway.auth.default_quota = ClientQuota(max_request_bytes=512)
         with connect(gateway, client="bulky") as client:
             with pytest.raises(GatewayRejected) as exc_info:
-                client.submit({"parser": "snail" + "x" * 2000, "n_documents": 2})
+                client.submit({"parser": "snail" + "x" * 2000, "source": "synthetic:2"})
             assert exc_info.value.reason == protocol.REJECT_TOO_LARGE
             # The connection survived: a sane submission still works.
             ticket = client.submit(snail_request(n_documents=2))
@@ -277,7 +277,7 @@ class TestBackpressure:
             channel.send(
                 {
                     "type": protocol.SUBMIT,
-                    "request": {"parser": "snail", "n_documents": 2},
+                    "request": {"parser": "snail", "source": "synthetic:2"},
                     "priority": None,
                 }
             )

@@ -30,7 +30,7 @@ def gateway():
 
 def submit_and_finish(server: GatewayServer, client: str = "cli") -> str:
     with GatewayClient("127.0.0.1", server.port, client=client).connect() as conn:
-        ticket = conn.submit(ParseRequest(parser="pymupdf", n_documents=4, seed=3))
+        ticket = conn.submit(ParseRequest(parser="pymupdf", source="synthetic:4?seed=3"))
         list(ticket.events())
         return ticket.id
 

@@ -34,8 +34,8 @@ def clean_obs_state():
     tracing.default_recorder().clear()
 
 
-def request_for(n_documents: int = 8, **overrides) -> ParseRequest:
-    options = {"parser": "pymupdf", "n_documents": n_documents, "seed": 11}
+def request_for(n_documents: int = 8, seed: int = 11, **overrides) -> ParseRequest:
+    options = {"parser": "pymupdf", "source": f"synthetic:{n_documents}?seed={seed}"}
     options.update(overrides)
     return ParseRequest(**options)
 
@@ -146,7 +146,7 @@ class TestGatewayInstrumentation:
             from repro.gateway import protocol
 
             reply = client._rpc(
-                {"type": protocol.SUBMIT, "request": {"n_documents": -5}}
+                {"type": protocol.SUBMIT, "request": {"source": "synthetic:-5"}}
             )
             assert reply.get("type") == protocol.REJECTED
             text = client.metrics(format="text")

@@ -362,7 +362,7 @@ class TestRequestBackendFields:
     def test_json_round_trip(self):
         request = ParseRequest(
             parser="pymupdf",
-            n_documents=5,
+            source="synthetic:5",
             backend="process",
             backend_options={"n_jobs": 2},
         )
@@ -1121,7 +1121,7 @@ class TestConsumers:
         src = str(Path(repro.__file__).resolve().parents[1])
         code = (
             "import sys, repro\n"
-            "repro.ParseRequest(parser='pymupdf', n_documents=2, backend='serial')\n"
+            "repro.ParseRequest(parser='pymupdf', source='synthetic:2', backend='serial')\n"
             "assert not any(m.startswith('repro.hpc') for m in sys.modules), 'hpc leaked'\n"
             "assert 'repro.pipeline.backends.async_' not in sys.modules, 'async leaked'\n"
             "assert not any(m.startswith('repro.serve') for m in sys.modules), 'serve leaked'\n"

@@ -10,6 +10,7 @@ import pytest
 from repro.core.config import AdaParseConfig
 from repro.core.engine import AdaParseEngine
 from repro.documents.corpus import CorpusConfig, build_corpus
+from repro.documents.sources import ExplicitSource, SyntheticSource
 from repro.parsers.registry import default_registry
 from repro.pipeline import (
     DEFAULT_BATCH_SIZE,
@@ -54,7 +55,7 @@ def engine(registry):
 class TestParseRequest:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ParseRequest(n_documents=0)
+            ParseRequest(source="synthetic:0")
         with pytest.raises(TypeError, match="n_jobs was removed"):
             ParseRequest(n_jobs=4)
         with pytest.raises(ValueError):
@@ -63,19 +64,18 @@ class TestParseRequest:
             ParseRequest(alpha=1.5)
 
     def test_documents_coerced_to_tuple(self, small_corpus):
-        request = ParseRequest(documents=list(small_corpus))
-        assert isinstance(request.documents, tuple)
+        request = ParseRequest(source=ExplicitSource(list(small_corpus)))
+        assert isinstance(request.source.documents, tuple)
         assert request.corpus_config() is None
         # Provenance count follows the explicit collection, not the default.
-        assert request.n_documents == len(small_corpus)
         assert request.to_json_dict()["n_documents"] == len(small_corpus)
 
     def test_empty_documents_rejected(self):
         with pytest.raises(ValueError):
-            ParseRequest(documents=())
+            ParseRequest(source=ExplicitSource(()))
 
     def test_corpus_shortcut(self):
-        request = ParseRequest(n_documents=7, seed=3)
+        request = ParseRequest(source="synthetic:7?seed=3")
         config = request.corpus_config()
         assert config is not None
         assert (config.n_documents, config.seed) == (7, 3)
@@ -85,12 +85,16 @@ class TestParseRequest:
 
         request = ParseRequest(
             parser="nougat",
-            corpus=CorpusConfig(
-                n_documents=9,
-                seed=4,
-                min_pages=2,
-                max_pages=5,
-                textgen=TextGenConfig(min_words_per_sentence=30, max_words_per_sentence=40),
+            source=SyntheticSource(
+                CorpusConfig(
+                    n_documents=9,
+                    seed=4,
+                    min_pages=2,
+                    max_pages=5,
+                    textgen=TextGenConfig(
+                        min_words_per_sentence=30, max_words_per_sentence=40
+                    ),
+                )
             ),
             batch_size=3,
             alpha=0.2,
@@ -105,9 +109,10 @@ class TestParseRequest:
         assert rebuilt.backend_options == {"n_jobs": 2}
         # The full corpus spec (including nested textgen knobs) is lossless,
         # so a rehydrated request replays over identical documents.
-        assert rebuilt.corpus == request.corpus
+        assert rebuilt.corpus_config() == request.corpus_config()
         # Headline provenance mirrors the corpus spec.
-        assert (rebuilt.n_documents, rebuilt.seed) == (9, 4)
+        payload = rebuilt.to_json_dict()
+        assert (payload["n_documents"], payload["seed"]) == (9, 4)
 
     def test_explicit_documents_rebuild_but_refuse_replay(self, registry, small_corpus):
         request = request_for_documents("pymupdf", list(small_corpus))
@@ -116,7 +121,7 @@ class TestParseRequest:
         rebuilt = ParseRequest.from_json_dict(payload)
         # Inspectable provenance survives...
         assert rebuilt.doc_ids == tuple(d.doc_id for d in small_corpus)
-        assert rebuilt.n_documents == len(small_corpus)
+        assert rebuilt.to_json_dict()["n_documents"] == len(small_corpus)
         # ...but replaying against a freshly generated corpus is refused.
         with pytest.raises(ValueError, match="not serialised"):
             rebuilt.corpus_config()
@@ -196,12 +201,14 @@ class TestPipelineRun:
 
     def test_unknown_parser_lists_known_names(self, registry):
         with pytest.raises(KeyError, match="adaparse_ft"):
-            ParsePipeline(registry).run(ParseRequest(parser="nope", n_documents=2))
+            ParsePipeline(registry).run(ParseRequest(parser="nope", source="synthetic:2"))
 
     def test_run_from_corpus_spec_is_deterministic(self, registry):
         request = ParseRequest(
             parser="pypdf",
-            corpus=CorpusConfig(n_documents=6, seed=21, min_pages=2, max_pages=3),
+            source=SyntheticSource(
+                CorpusConfig(n_documents=6, seed=21, min_pages=2, max_pages=3)
+            ),
         )
         first = ParsePipeline(registry).run(request)
         second = ParsePipeline(registry).run(request)
@@ -339,7 +346,9 @@ class TestReportRoundTrip:
         report = ParsePipeline(registry).run(
             ParseRequest(
                 parser="pymupdf",
-                corpus=CorpusConfig(n_documents=5, seed=2, min_pages=2, max_pages=3),
+                source=SyntheticSource(
+                    CorpusConfig(n_documents=5, seed=2, min_pages=2, max_pages=3)
+                ),
             )
         )
         rebuilt = ParseReport.from_json_dict(report.to_json_dict(include_text=False))

@@ -2,8 +2,8 @@
 
 Covers the redesign's acceptance criteria: a request built from a source
 *instance* and one built from the equivalent declarative *spec* produce
-byte-identical reports; request JSON is strict about unknown keys; legacy
-constructors still work behind a DeprecationWarning; source fingerprints
+byte-identical reports; request JSON is strict about unknown keys; the
+removed pre-source inputs fail with the replacement spelled out; source fingerprints
 and cache keys interact correctly (content-addressed sharing, edit → miss);
 and HTML documents never route to PDF-only recognition parsers.
 """
@@ -24,6 +24,7 @@ from repro.core.config import AdaParseConfig
 from repro.core.engine import AdaParseEngine
 from repro.documents.corpus import CorpusConfig
 from repro.documents.sources import (
+    ExplicitSource,
     HtmlDirSource,
     MarkdownDirSource,
     SourceSpec,
@@ -135,12 +136,13 @@ class TestSourceParity:
             _normalized_bytes(_run(registry, request).to_json_dict(include_text=True))
         )
 
-    def test_synthetic_shorthand_equals_legacy_count(self):
+    def test_synthetic_shorthand_replaces_the_removed_count(self):
         modern = ParseRequest(source="synthetic:7?seed=3")
-        with pytest.warns(DeprecationWarning, match="n_documents is deprecated"):
-            legacy = ParseRequest(n_documents=7, seed=3)
-        assert modern == legacy
+        with pytest.raises(TypeError, match=r"n_documents was removed.*synthetic:N\?seed=S"):
+            ParseRequest(n_documents=7, seed=3)
         assert modern.source == SyntheticSource(CorpusConfig(n_documents=7, seed=3))
+        payload = modern.to_json_dict()
+        assert (payload["n_documents"], payload["seed"]) == (7, 3)
 
 
 # ---------------------------------------------------------------------- #
@@ -171,28 +173,50 @@ class TestStrictJson:
             ParseRequest.from_json_dict(payload)
 
 
-class TestLegacyConstructors:
+class TestRemovedInputs:
     def test_default_request_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             request = ParseRequest()
         assert isinstance(request.source, SyntheticSource)
-        assert request.n_documents == 100
+        assert request.to_json_dict()["n_documents"] == 100
 
-    def test_each_legacy_field_warns_and_normalises(self, small_corpus):
-        with pytest.warns(DeprecationWarning, match="documents is deprecated"):
-            explicit = ParseRequest(documents=tuple(small_corpus))
-        assert explicit.source.kind == "explicit"
-        with pytest.warns(DeprecationWarning, match="corpus is deprecated"):
-            synthetic = ParseRequest(corpus=CorpusConfig(n_documents=4, seed=1))
-        assert isinstance(synthetic.source, SyntheticSource)
-        assert synthetic.n_documents == 4
+    def test_each_removed_input_raises_with_the_replacement(self, small_corpus):
+        with pytest.raises(TypeError, match=r"documents was removed.*ExplicitSource"):
+            ParseRequest(documents=tuple(small_corpus))
+        with pytest.raises(TypeError, match="corpus was removed.*SyntheticSource"):
+            ParseRequest(corpus=CorpusConfig(n_documents=4, seed=1))
+        with pytest.raises(TypeError, match="seed was removed"):
+            ParseRequest(source="synthetic:4", seed=1)
 
-    def test_source_and_conflicting_legacy_field_rejected(self, small_corpus):
-        with pytest.raises(ValueError, match="not both"):
-            ParseRequest(
-                source="synthetic:5", documents=tuple(small_corpus)
-            )
+    def test_a_removed_input_beside_a_source_is_rejected_too(self, small_corpus):
+        with pytest.raises(TypeError, match="request_for_documents"):
+            ParseRequest(source="synthetic:5", documents=tuple(small_corpus))
+
+    def test_replace_keeps_working(self, small_corpus):
+        import dataclasses
+
+        for request in (
+            ParseRequest(source="synthetic:5?seed=2"),
+            ParseRequest(source=ExplicitSource(small_corpus)),
+        ):
+            assert dataclasses.replace(request, batch_size=2).source == request.source
+
+    def test_json_that_picks_documents_without_a_source_is_rejected(self):
+        for payload in (
+            {"parser": "pymupdf", "n_documents": 4},
+            {"parser": "pymupdf", "seed": 4},
+            {"parser": "pymupdf", "source": "synthetic:4", "corpus": {"n_documents": 4}},
+        ):
+            with pytest.raises(ValueError, match=r"source='synthetic:N\?seed=S'"):
+                ParseRequest.from_json_dict(payload)
+        # Beside a source the counts are provenance: stored request files
+        # (to_json_dict output) keep loading.
+        stored = ParseRequest(source="synthetic:4?seed=9").to_json_dict()
+        assert (stored["n_documents"], stored["seed"]) == (4, 9)
+        assert ParseRequest.from_json_dict(stored).source == SyntheticSource(
+            CorpusConfig(n_documents=4, seed=9)
+        )
 
 
 # ---------------------------------------------------------------------- #

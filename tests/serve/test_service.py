@@ -185,7 +185,7 @@ class TestTicketLifecycle:
         service = ParseService(pipeline=snail_pipeline)
         service.close()
         with pytest.raises(ServiceError, match="closed"):
-            service.submit(ParseRequest(parser="pymupdf", n_documents=2))
+            service.submit(ParseRequest(parser="pymupdf", source="synthetic:2"))
         service.close()  # idempotent: the second close is a no-op
 
     def test_raising_event_sink_does_not_break_the_lifecycle(
@@ -392,7 +392,7 @@ class TestServeFrontends:
 
         request_path = tmp_path / "request.json"
         request_path.write_text(
-            json.dumps(ParseRequest(parser="pypdf", n_documents=4, seed=9).to_json_dict()),
+            json.dumps(ParseRequest(parser="pypdf", source="synthetic:4?seed=9").to_json_dict()),
             encoding="utf-8",
         )
         output = tmp_path / "report.json"
@@ -461,7 +461,7 @@ class TestAbandonedTicketsSettle:
         # Force the race deterministically: the pool is already shut down
         # when submit()'s dispatch tries to hand the ticket over.
         service._runners.shutdown(wait=True)
-        ticket = service.submit(ParseRequest(parser="snail", n_documents=2, seed=1))
+        ticket = service.submit(ParseRequest(parser="snail", source="synthetic:2?seed=1"))
         assert [e.kind for e in ticket.events(timeout=5)] == ["queued", "cancelled"]
         assert ticket.state is TicketState.CANCELLED
         with pytest.raises(ServiceError, match="cancelled"):
