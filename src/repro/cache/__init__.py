@@ -34,6 +34,7 @@ from repro.cache.cache import (
     CachePolicy,
     ParseCache,
     cached_batch_worker,
+    run_cached_batch,
 )
 from repro.cache.disk import ShardedDiskStore
 from repro.cache.keys import CacheKey, document_content_hash, parse_cache_key
@@ -55,4 +56,5 @@ __all__ = [
     "cached_batch_worker",
     "document_content_hash",
     "parse_cache_key",
+    "run_cached_batch",
 ]

@@ -391,172 +391,185 @@ def cached_batch_worker(
     inner: BatchWorker,
     recorder: CacheStatsRecorder | None = None,
 ) -> BatchWorker:
-    """Wrap a batch worker with cache lookups and single-flight leases.
+    """Wrap a batch worker with :func:`run_cached_batch`, keyed per document.
 
-    Per batch: documents whose key is cached are filled from the cache;
-    keys another worker is currently parsing are awaited (coalesced); the
-    remaining documents are parsed as **one** sub-batch through ``inner``
-    (so the engine's per-batch α budget applies to the documents that
-    actually run) and, policy permitting, stored.  Results are merged back
-    in the original document order, with per-document routing decisions
-    replayed from the cache for hits.
+    The keys are ``parse_cache_key(document, config_fingerprint)``, hashed
+    up front and attributed to the ``cache.key`` phase.
     """
     policy = CachePolicy.coerce(policy)
-    recorder = recorder or _NULL_RECORDER
 
     def run_batch(
         documents: list[SciDocument],
     ) -> tuple[list[ParseResult], list[RoutingDecision]]:
-        n = len(documents)
-        entries: list[CacheEntry | None] = [None] * n
-        waits: list[tuple[int, Flight]] = []
-        owned: deque[tuple[int, str, Flight]] = deque()  # begun, not yet settled
-        owned_by_key: dict[str, int] = {}
-        duplicates: list[tuple[int, int]] = []  # (slot, slot of owning occurrence)
-        # Phase attribution accumulators: one leaf record per batch for
-        # each of key hashing / lookup / store, instead of a (costlier)
-        # nested phase bracket around every per-document operation.
-        key_seconds = 0.0
-        lookup_seconds = 0.0
-        lookup_calls = 0
-        store_seconds = 0.0
-        store_calls = 0
-
-        # Any exception while we hold unsettled flights must fail them, or
-        # every other worker coalescing on those keys blocks forever.
-        try:
-            # The span's attributes mapping is snapshotted when the span
-            # closes, so the hit/owned/wait tallies filled in after the
-            # loop land on the recorded span.
-            lookup_attrs: dict[str, int] = {"n_documents": n}
-            with _tracing.span("cache.lookup", attributes=lookup_attrs):
-                for i, document in enumerate(documents):
-                    tick = perf_counter()
-                    raw = str(parse_cache_key(document, config_fingerprint))
-                    key_seconds += perf_counter() - tick
-                    if policy.reads:
-                        tick = perf_counter()
-                        entry = cache.lookup(raw, recorder)
-                        lookup_seconds += perf_counter() - tick
-                        lookup_calls += 1
-                        if entry is not None:
-                            entries[i] = entry
-                            continue
-                    if raw in owned_by_key:
-                        # Same key twice in one batch: the first occurrence
-                        # parses, this one reuses its entry (waiting on our own
-                        # flight would deadlock).
-                        duplicates.append((i, owned_by_key[raw]))
-                        continue
-                    owner, flight = cache.flights.begin(raw)
-                    if not owner:
-                        waits.append((i, flight))
-                        continue
-                    owned.append((i, raw, flight))
-                    owned_by_key[raw] = i
-                    if policy.reads:
-                        # Double-check: a previous owner may have completed (and
-                        # stored) between our miss and our taking ownership.
-                        tick = perf_counter()
-                        entry = cache.lookup(raw, recorder)
-                        lookup_seconds += perf_counter() - tick
-                        lookup_calls += 1
-                        if entry is not None:
-                            owned.pop()
-                            del owned_by_key[raw]
-                            cache.flights.complete(raw, flight, entry)
-                            entries[i] = entry
-                lookup_attrs["hits"] = sum(1 for e in entries if e is not None)
-                lookup_attrs["parsing"] = len(owned)
-                lookup_attrs["coalescing"] = len(waits) + len(duplicates)
-
-            # Parse everything this worker owns as a single sub-batch.
-            if owned:
-                sub_batch = [documents[i] for i, _, _ in owned]
-                started = perf_counter()
-                results, decisions = inner(sub_batch)
-                elapsed = perf_counter() - started
-                if len(results) != len(sub_batch):
-                    raise RuntimeError(
-                        f"batch worker returned {len(results)} results "
-                        f"for {len(sub_batch)} documents"
-                    )
-                per_doc_seconds = elapsed / len(sub_batch)
-                decision_by_doc = {d.doc_id: d for d in decisions}
-                for result in results:
-                    # Peek, settle, then pop: if store() raises (full disk,
-                    # I/O error) the flight is still in `owned` and the
-                    # handler below fails it for the waiters.
-                    i, raw, flight = owned[0]
-                    recorder.record_miss()
-                    decision = decision_by_doc.get(result.doc_id)
-                    if policy.writes:
-                        tick = perf_counter()
-                        entry = cache.store(
-                            raw,
-                            result,
-                            decision,
-                            compute_seconds=per_doc_seconds,
-                            recorder=recorder,
-                        )
-                        store_seconds += perf_counter() - tick
-                        store_calls += 1
-                    else:
-                        entry = CacheEntry(
-                            key=raw,
-                            result=result,
-                            decision=decision,
-                            compute_seconds=per_doc_seconds,
-                            stored_at=time.time(),
-                        )
-                    entries[i] = entry
-                    owned.popleft()
-                    cache.flights.complete(raw, flight, entry)
-        except BaseException as exc:
-            while owned:
-                _, raw, flight = owned.popleft()
-                cache.flights.fail(raw, flight, exc)
-            raise
-
-        # Only after our own flights are settled do we wait on other
-        # workers' flights (settle-before-wait makes deadlock impossible).
-        for i, flight in waits:
-            entry = flight.wait()
-            recorder.record_coalesced(time_saved_seconds=entry.compute_seconds)
-            entries[i] = entry
-        for i, source in duplicates:
-            entry = entries[source]
-            assert entry is not None
-            recorder.record_coalesced(time_saved_seconds=entry.compute_seconds)
-            entries[i] = entry
-
-        timer = _profiling.current_timer() if _profiling.phases_enabled() else None
-        if timer is not None:
-            timer.record(
-                "cache.key", key_seconds, cpu_seconds=key_seconds, calls=n
-            )
-            if lookup_calls:
-                timer.record(
-                    "cache.lookup",
-                    lookup_seconds,
-                    cpu_seconds=lookup_seconds,
-                    calls=lookup_calls,
-                )
-            if store_calls:
-                timer.record(
-                    "cache.store",
-                    store_seconds,
-                    cpu_seconds=store_seconds,
-                    calls=store_calls,
-                )
-
-        results_out: list[ParseResult] = []
-        decisions_out: list[RoutingDecision] = []
-        for entry in entries:
-            assert entry is not None
-            results_out.append(entry.fresh_result())
-            if entry.decision is not None:
-                decisions_out.append(entry.decision)
-        return results_out, decisions_out
+        tick = perf_counter()
+        keys = [str(parse_cache_key(d, config_fingerprint)) for d in documents]
+        key_seconds = perf_counter() - tick
+        _profiling.record(
+            "cache.key", key_seconds, cpu_seconds=key_seconds, calls=len(keys)
+        )
+        return run_cached_batch(
+            cache, policy, keys, documents.__getitem__, inner, recorder
+        )
 
     return run_batch
+
+
+def run_cached_batch(
+    cache: ParseCache,
+    policy: CachePolicy,
+    keys: Sequence[str],
+    load: Callable[[int], SciDocument],
+    inner: BatchWorker,
+    recorder: CacheStatsRecorder | None = None,
+) -> tuple[list[ParseResult], list[RoutingDecision]]:
+    """Run one batch, given as cache keys, against the cache.
+
+    Slots whose key is cached are filled from the cache; keys another
+    worker is currently parsing are awaited (coalesced); the remaining
+    slots are parsed as **one** sub-batch through ``inner`` (so the
+    engine's per-batch α budget applies to the documents that actually
+    run) and, policy permitting, stored.  Results are merged back in slot
+    order, with per-document routing decisions replayed from the cache
+    for hits.  ``load(slot)`` fetches a document and is called only for
+    the slots that parse — a batch of hits needs no documents at all.
+    """
+    recorder = recorder or _NULL_RECORDER
+    n = len(keys)
+    entries: list[CacheEntry | None] = [None] * n
+    waits: list[tuple[int, Flight]] = []
+    owned: deque[tuple[int, str, Flight]] = deque()  # begun, not yet settled
+    owned_by_key: dict[str, int] = {}
+    duplicates: list[tuple[int, int]] = []  # (slot, slot of owning occurrence)
+    # Phase attribution accumulators: one leaf record per batch for each
+    # of lookup / store, instead of a (costlier) nested phase bracket
+    # around every per-document operation.
+    lookup_seconds = 0.0
+    lookup_calls = 0
+    store_seconds = 0.0
+    store_calls = 0
+
+    # Any exception while we hold unsettled flights must fail them, or
+    # every other worker coalescing on those keys blocks forever.
+    try:
+        # The span's attributes mapping is snapshotted when the span
+        # closes, so the hit/owned/wait tallies filled in after the
+        # loop land on the recorded span.
+        lookup_attrs: dict[str, int] = {"n_documents": n}
+        with _tracing.span("cache.lookup", attributes=lookup_attrs):
+            for i, raw in enumerate(keys):
+                if policy.reads:
+                    tick = perf_counter()
+                    entry = cache.lookup(raw, recorder)
+                    lookup_seconds += perf_counter() - tick
+                    lookup_calls += 1
+                    if entry is not None:
+                        entries[i] = entry
+                        continue
+                if raw in owned_by_key:
+                    # Same key twice in one batch: the first occurrence
+                    # parses, this one reuses its entry (waiting on our own
+                    # flight would deadlock).
+                    duplicates.append((i, owned_by_key[raw]))
+                    continue
+                owner, flight = cache.flights.begin(raw)
+                if not owner:
+                    waits.append((i, flight))
+                    continue
+                owned.append((i, raw, flight))
+                owned_by_key[raw] = i
+                if policy.reads:
+                    # Double-check: a previous owner may have completed (and
+                    # stored) between our miss and our taking ownership.
+                    tick = perf_counter()
+                    entry = cache.lookup(raw, recorder)
+                    lookup_seconds += perf_counter() - tick
+                    lookup_calls += 1
+                    if entry is not None:
+                        owned.pop()
+                        del owned_by_key[raw]
+                        cache.flights.complete(raw, flight, entry)
+                        entries[i] = entry
+            lookup_attrs["hits"] = sum(1 for e in entries if e is not None)
+            lookup_attrs["parsing"] = len(owned)
+            lookup_attrs["coalescing"] = len(waits) + len(duplicates)
+
+        # Parse everything this worker owns as a single sub-batch.
+        if owned:
+            sub_batch = [load(i) for i, _, _ in owned]
+            started = perf_counter()
+            results, decisions = inner(sub_batch)
+            elapsed = perf_counter() - started
+            if len(results) != len(sub_batch):
+                raise RuntimeError(
+                    f"batch worker returned {len(results)} results "
+                    f"for {len(sub_batch)} documents"
+                )
+            per_doc_seconds = elapsed / len(sub_batch)
+            decision_by_doc = {d.doc_id: d for d in decisions}
+            for result in results:
+                # Peek, settle, then pop: if store() raises (full disk,
+                # I/O error) the flight is still in `owned` and the
+                # handler below fails it for the waiters.
+                i, raw, flight = owned[0]
+                recorder.record_miss()
+                decision = decision_by_doc.get(result.doc_id)
+                if policy.writes:
+                    tick = perf_counter()
+                    entry = cache.store(
+                        raw,
+                        result,
+                        decision,
+                        compute_seconds=per_doc_seconds,
+                        recorder=recorder,
+                    )
+                    store_seconds += perf_counter() - tick
+                    store_calls += 1
+                else:
+                    entry = CacheEntry(
+                        key=raw,
+                        result=result,
+                        decision=decision,
+                        compute_seconds=per_doc_seconds,
+                        stored_at=time.time(),
+                    )
+                entries[i] = entry
+                owned.popleft()
+                cache.flights.complete(raw, flight, entry)
+    except BaseException as exc:
+        while owned:
+            _, raw, flight = owned.popleft()
+            cache.flights.fail(raw, flight, exc)
+        raise
+
+    # Only after our own flights are settled do we wait on other
+    # workers' flights (settle-before-wait makes deadlock impossible).
+    for i, flight in waits:
+        entry = flight.wait()
+        recorder.record_coalesced(time_saved_seconds=entry.compute_seconds)
+        entries[i] = entry
+    for i, source in duplicates:
+        entry = entries[source]
+        assert entry is not None
+        recorder.record_coalesced(time_saved_seconds=entry.compute_seconds)
+        entries[i] = entry
+
+    if lookup_calls:
+        _profiling.record(
+            "cache.lookup",
+            lookup_seconds,
+            cpu_seconds=lookup_seconds,
+            calls=lookup_calls,
+        )
+    if store_calls:
+        _profiling.record(
+            "cache.store", store_seconds, cpu_seconds=store_seconds, calls=store_calls
+        )
+
+    results_out: list[ParseResult] = []
+    decisions_out: list[RoutingDecision] = []
+    for entry in entries:
+        assert entry is not None
+        results_out.append(entry.fresh_result())
+        if entry.decision is not None:
+            decisions_out.append(entry.decision)
+    return results_out, decisions_out

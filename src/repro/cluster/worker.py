@@ -14,10 +14,13 @@ A :class:`WorkerDaemon` listens on a TCP port and speaks the
    :class:`~repro.cache.ParseCache`, asking the coordinator for payloads
    only for hashes it cannot serve — a warm worker re-parses nothing and
    re-transfers nothing;
-3. runs the cache misses as **one sub-batch** through a local
+3. runs the shard through :func:`repro.cache.run_cached_batch` — the
+   loop the parent-side cache wrapper runs — so the cache misses go as
+   **one sub-batch** through a local
    :class:`~repro.pipeline.backends.ExecutionBackend` (preserving the
-   engine's per-batch α semantics, exactly like the parent-side cache
-   wrapper does), stores fresh parses policy-permitting, and
+   engine's per-batch α semantics), fresh parses are stored
+   policy-permitting, and a document two overlapping shards share is
+   parsed once, and
 4. streams an ordered ``batch_result`` back.
 
 Shards execute on a small slot pool (default: the local backend's worker
@@ -38,8 +41,13 @@ from contextlib import ExitStack
 from time import perf_counter
 from typing import Any, Callable, Mapping
 
-from repro.cache import CachePolicy, ParseCache
-from repro.cache.keys import CacheKey
+from repro.cache import (
+    CacheKey,
+    CachePolicy,
+    CacheStatsRecorder,
+    ParseCache,
+    run_cached_batch,
+)
 from repro.cluster import protocol
 from repro.cluster.protocol import (
     MessageChannel,
@@ -434,35 +442,19 @@ class WorkerDaemon(rpc.Server):
         """Execute one fully resolvable shard.
 
         Returns ``(results, decisions, cache_hits, cache_misses)`` with
-        results in descriptor order.  Cache hits are replayed from the
-        local cache; the remaining documents run as **one** sub-batch on
-        the local execution backend (matching the parent-side cache
-        wrapper's α semantics), and fresh parses are stored when the
-        spec's policy writes.
+        results in descriptor order.  With a local cache the shard runs
+        through :func:`repro.cache.run_cached_batch` — the loop the
+        pipeline's own batches run through — keyed by the descriptors'
+        content hashes, so a hit never needs the document and overlapping
+        shards parse a shared document once (the later one counts it as a
+        hit).  Without one, every document goes straight to the parser.
         """
-        worker = self._resolve_spec(spec)
+        inner = self._on_local_backend(self._resolve_spec(spec))
         policy = CachePolicy.coerce(spec.cache) if self.cache is not None else CachePolicy.OFF
-        timer = _profiling.current_timer() if _profiling.phases_enabled() else None
-        n = len(descriptors)
-        slots: list[tuple[ParseResult, Any] | None] = [None] * n
-        to_parse: list[tuple[int, str, SciDocument]] = []
-        hits = 0
-        lookup_seconds = 0.0
-        lookup_calls = 0
-        store_seconds = 0.0
-        store_calls = 0
-        for i, descriptor in enumerate(descriptors):
+
+        def load(slot: int) -> SciDocument:
+            descriptor = descriptors[slot]
             content_hash = str(descriptor["content_hash"])
-            key = CacheKey(content_hash, spec.fingerprint)
-            if policy.reads:
-                tick = perf_counter()
-                entry = self.cache.lookup(key)  # type: ignore[union-attr]
-                lookup_seconds += perf_counter() - tick
-                lookup_calls += 1
-                if entry is not None:
-                    slots[i] = (entry.fresh_result(), entry.decision)
-                    hits += 1
-                    continue
             with self._doc_store_lock:
                 document = self._doc_store.get(content_hash)
             if document is None:
@@ -471,82 +463,54 @@ class WorkerDaemon(rpc.Server):
                     f"document {content_hash} is neither stored nor cached on "
                     f"this worker (protocol error: submit before doc_data?)",
                 )
-            to_parse.append((i, content_hash, document))
             if descriptor.get("payload") is None:
                 self._bump("docs_reused")
-        if to_parse:
-            sub_batch = [document for _, _, document in to_parse]
-            started = perf_counter()
-            if timer is not None:
-                # Capture the parse's phase table through the local backend
-                # exactly as the pipeline does for its own pools — a fresh
-                # child timer whose table merges back, so the shipped table
-                # carries the same engine-internal keys on every worker
-                # backend (pool threads do not inherit contextvars).
-                from repro.pipeline.pipeline import _ChildPhasedWorker
+            return document
 
-                output, table = self._map_on_backend(
-                    _ChildPhasedWorker(worker), sub_batch
-                )
-                results, decisions = output
-                timer.merge_table(table)
-            else:
-                results, decisions = self._map_on_backend(worker, sub_batch)
-            elapsed = perf_counter() - started
-            if len(results) != len(sub_batch):
+        if policy is CachePolicy.OFF:
+            results, decisions = inner([load(i) for i in range(len(descriptors))])
+            if len(results) != len(descriptors):
                 raise SpecError(
                     "bad_worker_output",
                     f"worker returned {len(results)} results for "
-                    f"{len(sub_batch)} documents",
+                    f"{len(descriptors)} documents",
                 )
-            decision_by_doc = {d.doc_id: d for d in decisions}
-            per_doc_seconds = elapsed / len(sub_batch)
-            for (i, content_hash, _), result in zip(to_parse, results):
-                decision = decision_by_doc.get(result.doc_id)
-                if policy.writes:
-                    tick = perf_counter()
-                    self.cache.store(  # type: ignore[union-attr]
-                        CacheKey(content_hash, spec.fingerprint),
-                        result,
-                        decision,
-                        compute_seconds=per_doc_seconds,
-                    )
-                    store_seconds += perf_counter() - tick
-                    store_calls += 1
-                slots[i] = (result, decision)
-        results_out: list[ParseResult] = []
-        decisions_out: list = []
-        for slot in slots:
-            assert slot is not None
-            result, decision = slot
-            results_out.append(result)
-            if decision is not None:
-                decisions_out.append(decision)
-        if timer is not None:
-            if lookup_calls:
-                timer.record(
-                    "cache.lookup",
-                    lookup_seconds,
-                    cpu_seconds=lookup_seconds,
-                    calls=lookup_calls,
-                )
-            if store_calls:
-                timer.record(
-                    "cache.store",
-                    store_seconds,
-                    cpu_seconds=store_seconds,
-                    calls=store_calls,
-                )
-        self._bump("docs_parsed", len(to_parse))
+            hits, misses = 0, len(descriptors)
+        else:
+            recorder = CacheStatsRecorder()
+            keys = [
+                str(CacheKey(str(d["content_hash"]), spec.fingerprint))
+                for d in descriptors
+            ]
+            results, decisions = run_cached_batch(
+                self.cache, policy, keys, load, inner, recorder
+            )
+            stats = recorder.snapshot()
+            hits, misses = stats.hits + stats.coalesced, stats.misses
+        self._bump("docs_parsed", misses)
         self._bump("docs_from_cache", hits)
-        return results_out, decisions_out, hits, len(to_parse)
+        return results, decisions, hits, misses
 
-    def _map_on_backend(self, worker: Callable, sub_batch: list[SciDocument]):
-        """Run one sub-batch through the local execution backend."""
-        assert self._backend is not None
-        for output in self._backend.map_ordered(worker, [sub_batch]):
-            return output
-        raise SpecError("backend_closed", "local execution backend yielded nothing")
+    def _on_local_backend(self, worker: Callable) -> Callable:
+        """``worker`` as one sub-batch through the local execution backend.
+
+        With a shard timer active the parse's phase table is captured
+        exactly as the pipeline does for its own pools — a fresh child
+        timer whose table merges back — so the shipped table carries the
+        same engine-internal keys on every worker backend (pool threads
+        do not inherit contextvars).
+        """
+        capture = _profiling.phases_enabled() and _profiling.current_timer() is not None
+        if capture:
+            worker = _profiling.PhaseCapture(worker)
+
+        def run(sub_batch: list[SciDocument]):
+            assert self._backend is not None
+            for output in self._backend.map_ordered(worker, [sub_batch]):
+                return output
+            raise SpecError("backend_closed", "local execution backend yielded nothing")
+
+        return _profiling.merge_captured(run) if capture else run
 
 
 class _ConnectionHandler(rpc.Session):

@@ -14,19 +14,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from repro.utils.durable import replace_lines
+
 MANIFEST_FILENAME = "manifest.json"
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping[str, object]]) -> int:
-    """Write records to a single JSONL file, returning the number written."""
+    """Atomically write records as one JSONL file, returning the number written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(dict(record), ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    lines = [
+        json.dumps(dict(record), ensure_ascii=False).encode("utf-8")
+        for record in records
+    ]
+    replace_lines(path, lines)
+    return len(lines)
 
 
 def read_jsonl(path: str | Path) -> list[dict[str, object]]:
@@ -95,10 +97,15 @@ class JsonlShardManifest:
         }
 
     def save(self, path: str | Path | None = None) -> Path:
-        """Write the manifest (defaults to ``<directory>/manifest.json``)."""
+        """Write the manifest (defaults to ``<directory>/manifest.json``).
+
+        The write is atomic: an interrupted save leaves the previous
+        manifest in place, never a torn one.
+        """
         path = Path(path) if path is not None else Path(self.directory) / MANIFEST_FILENAME
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_json_dict(), indent=2), encoding="utf-8")
+        text = json.dumps(self.to_json_dict(), indent=2)
+        replace_lines(path, [text.encode("utf-8")])
         return path
 
     @classmethod

@@ -37,16 +37,18 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 __all__ = [
     "PHASE_SECONDS_BUCKETS",
+    "PhaseCapture",
     "PhaseTimer",
     "Profile",
     "ProfileStore",
     "StackSampler",
     "current_timer",
     "default_store",
+    "merge_captured",
     "phase",
     "phase_seconds_histogram",
     "phases_enabled",
@@ -296,6 +298,43 @@ def record(
         timer.record(
             name, seconds, cpu_seconds=cpu_seconds, calls=calls, n_bytes=n_bytes
         )
+
+
+class PhaseCapture:
+    """Run ``inner`` under a fresh :class:`PhaseTimer`; return its table too.
+
+    Returns ``(output, phase_table)`` so :func:`merge_captured` can fold
+    the child's attribution into the caller's timer.  A module-level
+    class so the process backend can pickle it into worker processes —
+    the fresh-timer-per-call design is what makes phase capture work
+    identically in a pool thread, a child process and a cluster worker:
+    the child never needs the parent's timer object, only its table
+    crosses back.
+    """
+
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Callable[[Any], Any]) -> None:
+        self.inner = inner
+
+    def __call__(self, item: Any) -> "tuple[Any, dict[str, dict[str, float]]]":
+        timer = PhaseTimer()
+        with use_timer(timer):
+            output = self.inner(item)
+        return output, timer.snapshot()
+
+
+def merge_captured(site: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """Unwrap a :class:`PhaseCapture` result, merging its phase table."""
+
+    def merged(item: Any) -> Any:
+        output, table = site(item)
+        timer = current_timer()
+        if timer is not None:
+            timer.merge_table(table)
+        return output
+
+    return merged
 
 
 # ---------------------------------------------------------------------- #

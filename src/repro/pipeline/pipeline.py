@@ -27,13 +27,13 @@ facade: a frozen :class:`~repro.pipeline.request.ParseRequest` goes in, a
 
 from __future__ import annotations
 
+import threading
 from contextlib import ExitStack
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.cache import (
     CachePolicy,
-    CacheStats,
     CacheStatsRecorder,
     ParseCache,
     cached_batch_worker,
@@ -123,45 +123,6 @@ def _traced_batch_worker(
     return traced
 
 
-class _ChildPhasedWorker:
-    """Run the inner worker under a fresh :class:`PhaseTimer`.
-
-    Returns ``(output, phase_table)`` so the parent-side merge adapter can
-    fold the child's attribution into the run's timer.  A module-level
-    class (like :class:`_ParserBatchWorker`) so the process backend can
-    pickle it into worker processes — the fresh-timer-per-call design is
-    what makes phase capture work identically in-process and out: the
-    child never needs the parent's timer object, only its table crosses
-    back.
-    """
-
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: Callable[[list[SciDocument]], BatchOutput]) -> None:
-        self.inner = inner
-
-    def __call__(
-        self, batch: list[SciDocument]
-    ) -> "tuple[BatchOutput, dict[str, dict[str, float]]]":
-        timer = _profiling.PhaseTimer()
-        with _profiling.use_timer(timer):
-            output = self.inner(batch)
-        return output, timer.snapshot()
-
-
-def _merge_phased_worker(site: Callable) -> Callable[[list[SciDocument]], BatchOutput]:
-    """Unwrap a :class:`_ChildPhasedWorker` result, merging its phase table."""
-
-    def merged(batch: list[SciDocument]) -> BatchOutput:
-        output, table = site(batch)
-        timer = _profiling.current_timer()
-        if timer is not None and table:
-            timer.merge_table(table)
-        return output
-
-    return merged
-
-
 def _parse_phased_worker(site: Callable) -> Callable[[list[SciDocument]], BatchOutput]:
     """Bracket the execution site in the ``parse`` phase.
 
@@ -205,6 +166,7 @@ class ParsePipeline:
         self._registry = registry
         self.engines: dict[str, Parser] = dict(engines or {})
         self._cache = cache
+        self._resolve_lock = threading.Lock()
 
     @property
     def registry(self) -> ParserRegistry:
@@ -339,10 +301,10 @@ class ParsePipeline:
             and backend.name != "remote"
         )
         if capture:
-            inner = _ChildPhasedWorker(inner)
+            inner = _profiling.PhaseCapture(inner)
         worker = backend.wrap_inner(inner)
         if capture:
-            worker = _merge_phased_worker(worker)
+            worker = _profiling.merge_captured(worker)
         worker = _parse_phased_worker(worker)
         if cache_policy is CachePolicy.OFF:
             return worker
@@ -471,29 +433,99 @@ class ParsePipeline:
     # The request → report entry point
     # ------------------------------------------------------------------ #
     def run(self, request: ParseRequest) -> ParseReport:
-        """Execute a request end to end and report what happened.
+        """Execute a request end to end on a backend of its own."""
+        return self.execute(request)
+
+    def execute(
+        self,
+        request: ParseRequest,
+        backend: ExecutionBackend | None = None,
+        on_batch: Callable[[int, int, int, float], None] | None = None,
+    ) -> ParseReport:
+        """Turn a request into a report: the one run path.
+
+        Without ``backend`` the request's own backend spec is built, owned
+        and closed here.  A backend that is passed in (the parse service's)
+        is shared: it stays open and the report's ``execution`` block says
+        ``shared_backend``, because its counters span every run on it.
+        ``on_batch(documents_done, n_documents, batches_done, elapsed_s)``
+        is called after each completed batch, in document order.
 
         Each run executes under a :class:`~repro.obs.tracing.TraceContext`
         — the caller's, when one is active (the parse service propagates
         its ticket's), or a fresh root trace otherwise — so per-batch and
-        cache spans always have somewhere to hang.
+        cache spans always have somewhere to hang, and under its own
+        :class:`~repro.obs.profiling.PhaseTimer`, ambient before document
+        resolution so source iteration is attributed too.
         """
-        with _tracing.ensure_trace():
-            with _tracing.span(
-                "pipeline.run", attributes={"parser": str(request.parser)}
-            ):
-                return self._run(request)
-
-    def _run(self, request: ParseRequest) -> ParseReport:
-        # The timer goes ambient before document resolution so source
-        # iteration is attributed too; an existing ambient timer (a serve
-        # ticket's) is reused so the service sees one merged table.
-        timer = _profiling.current_timer() if _profiling.phases_enabled() else None
-        owns_timer = timer is None and _profiling.phases_enabled()
-        if owns_timer:
-            timer = _profiling.PhaseTimer()
-        with _profiling.use_timer(timer):
-            report = self._run_timed(request)
+        timer = _profiling.PhaseTimer() if _profiling.phases_enabled() else None
+        span = _tracing.span("pipeline.run", attributes={"parser": str(request.parser)})
+        with _tracing.ensure_trace(), span, _profiling.use_timer(timer):
+            with self._resolve_lock:
+                # Engine training and corpus building mutate pipeline-level
+                # state; serialising resolution keeps concurrent runs from
+                # double-training one engine.  Parsing itself runs unlocked.
+                parser = self.resolve_parser(request.parser, alpha=request.alpha)
+                documents = self.resolve_documents(request)
+            cache_policy = request.cache_policy
+            cache_recorder = CacheStatsRecorder()  # stays all-zero under policy off
+            owned = backend is None
+            if owned:
+                backend = create_backend(*request.resolved_backend())
+            results: list[ParseResult] = []
+            decisions: list[RoutingDecision] = []
+            batches_done = 0
+            started = perf_counter()
+            try:
+                for batch_results, batch_decisions in self.parse_batches(
+                    parser,
+                    documents,
+                    batch_size=request.batch_size,
+                    cache_policy=cache_policy,
+                    cache_recorder=cache_recorder,
+                    backend=backend,
+                ):
+                    results.extend(batch_results)
+                    decisions.extend(batch_decisions)
+                    batches_done += 1
+                    if on_batch is not None:
+                        # Monotonic progress clock: wall-clock timestamps can
+                        # step under NTP; elapsed seconds cannot.
+                        on_batch(
+                            len(results),
+                            len(documents),
+                            batches_done,
+                            perf_counter() - started,
+                        )
+                if cache_policy.writes:
+                    # Make the run durable before reporting it: buffered shard
+                    # writes land with atomic write-then-rename.
+                    with _profiling.phase("cache.flush"):
+                        self.cache.flush()
+                # Stop the clock before stats(): the HPC backend's snapshot runs
+                # the simulated-campaign replay, which must not deflate the
+                # reported parse throughput.
+                wall_time = perf_counter() - started
+                execution = backend.stats()
+            finally:
+                if owned:
+                    backend.close()
+        if not owned:
+            execution.extra["shared_backend"] = True
+        usage = ResourceUsage()
+        for result in results:
+            usage = usage + result.usage
+        report = ParseReport(
+            request=request,
+            parser_name=parser.name,
+            n_documents=len(documents),
+            results=results,
+            decisions=decisions,
+            usage=usage,
+            wall_time_seconds=wall_time,
+            cache=cache_recorder.snapshot(),
+            execution=execution,
+        )
         if timer is not None:
             report.phases = timer.snapshot()
             histogram = _profiling.phase_seconds_histogram()
@@ -504,49 +536,3 @@ class ParsePipeline:
             "Documents parsed by completed pipeline runs",
         ).inc(report.n_documents)
         return report
-
-    def _run_timed(self, request: ParseRequest) -> ParseReport:
-        parser = self.resolve_parser(request.parser, alpha=request.alpha)
-        documents = self.resolve_documents(request)
-        cache_policy = request.cache_policy
-        cache_recorder = (
-            CacheStatsRecorder() if cache_policy is not CachePolicy.OFF else None
-        )
-        backend_name, backend_options = request.resolved_backend()
-        backend = create_backend(backend_name, backend_options)
-        started = perf_counter()
-        try:
-            results, decisions = self.parse_with_telemetry(
-                parser,
-                documents,
-                batch_size=request.batch_size,
-                cache_policy=cache_policy,
-                cache_recorder=cache_recorder,
-                backend=backend,
-            )
-            if cache_policy.writes:
-                # Make the run durable before reporting it: buffered shard
-                # writes land with atomic write-then-rename.
-                with _profiling.phase("cache.flush"):
-                    self.cache.flush()
-            # Stop the clock before stats(): the HPC backend's snapshot runs
-            # the simulated-campaign replay, which must not deflate the
-            # reported parse throughput.
-            wall_time = perf_counter() - started
-            execution = backend.stats()
-        finally:
-            backend.close()
-        usage = ResourceUsage()
-        for result in results:
-            usage = usage + result.usage
-        return ParseReport(
-            request=request,
-            parser_name=parser.name,
-            n_documents=len(documents),
-            results=results,
-            decisions=decisions,
-            usage=usage,
-            wall_time_seconds=wall_time,
-            cache=cache_recorder.snapshot() if cache_recorder is not None else CacheStats(),
-            execution=execution,
-        )

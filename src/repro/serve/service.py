@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.cache import CachePolicy, CacheStats, CacheStatsRecorder
 from repro.obs import metrics as _metrics
 from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
@@ -298,7 +297,6 @@ class ParseService:
         self._next_seq = 0
         self._closed = False
         self._torn_down = False
-        self._resolve_lock = threading.Lock()
         self._runners = ThreadPoolExecutor(
             max_workers=self.config.max_active,
             thread_name_prefix=SERVE_THREAD_PREFIX,
@@ -542,91 +540,23 @@ class ParseService:
             self._maybe_dispatch()
 
     def _execute(self, ticket: ParseTicket) -> ParseReport:
-        """Run one admitted request on the shared backend, emitting progress.
+        """Run one admitted request on the shared backend, emitting progress."""
 
-        The ticket gets its own :class:`~repro.obs.PhaseTimer` (ambient
-        for the duration, so pipeline, cache, and backend instrumentation
-        all accumulate into it) and the report carries the merged table.
-        """
-        timer = _profiling.PhaseTimer() if _profiling.phases_enabled() else None
-        with _profiling.use_timer(timer):
-            report = self._execute_timed(ticket)
-        if timer is not None:
-            report.phases = timer.snapshot()
-            histogram = _profiling.phase_seconds_histogram()
-            for name, row in report.phases.items():
-                histogram.observe(row["total_s"], phase=name)
-        # The service path bypasses ParsePipeline.run(), so it publishes
-        # the same throughput counter itself (obs top's docs/sec).
-        _metrics.counter(
-            "repro_pipeline_documents_total",
-            "Documents parsed by completed pipeline runs",
-        ).inc(report.n_documents)
-        return report
-
-    def _execute_timed(self, ticket: ParseTicket) -> ParseReport:
-        from repro.parsers.base import ResourceUsage
-
-        request = ticket.request
-        pipeline = self.pipeline
-        with self._resolve_lock:
-            # Engine training and corpus building mutate pipeline-level
-            # state; serialising resolution keeps concurrent tickets from
-            # double-training one engine.  Parsing itself runs unlocked.
-            parser = pipeline.resolve_parser(request.parser, alpha=request.alpha)
-            documents = pipeline.resolve_documents(request)
-        cache_policy = request.cache_policy
-        cache_recorder = (
-            CacheStatsRecorder() if cache_policy is not CachePolicy.OFF else None
-        )
-        results: list = []
-        decisions: list = []
-        batches_done = 0
-        started = perf_counter()
-        for batch_results, batch_decisions in pipeline.parse_batches(
-            parser,
-            documents,
-            batch_size=request.batch_size,
-            cache_policy=cache_policy,
-            cache_recorder=cache_recorder,
-            backend=self._backend,
-        ):
-            results.extend(batch_results)
-            decisions.extend(batch_decisions)
-            batches_done += 1
+        def emit_batch(
+            documents_done: int, n_documents: int, batches_done: int, elapsed_s: float
+        ) -> None:
             ticket._emit(
                 EventKind.BATCH,
                 {
-                    "documents_done": len(results),
-                    "n_documents": len(documents),
+                    "documents_done": documents_done,
+                    "n_documents": n_documents,
                     "batches_done": batches_done,
-                    # Monotonic progress clock: wall-clock timestamps on the
-                    # event envelope can step under NTP; elapsed_s cannot.
-                    "elapsed_s": round(perf_counter() - started, 6),
+                    "elapsed_s": round(elapsed_s, 6),
                 },
             )
-        if cache_policy.writes:
-            pipeline.cache.flush()
-        wall_time = perf_counter() - started
-        execution = self._backend.stats()
-        # The backend is shared across tickets, so the execution block is
-        # service-scoped telemetry, not this request's alone — say so.
-        execution.extra["shared_backend"] = True
-        usage = ResourceUsage()
-        for result in results:
-            usage = usage + result.usage
-        return ParseReport(
-            request=request,
-            parser_name=parser.name,
-            n_documents=len(documents),
-            results=results,
-            decisions=decisions,
-            usage=usage,
-            wall_time_seconds=wall_time,
-            cache=(
-                cache_recorder.snapshot() if cache_recorder is not None else CacheStats()
-            ),
-            execution=execution,
+
+        return self.pipeline.execute(
+            ticket.request, backend=self._backend, on_batch=emit_batch
         )
 
     # ------------------------------------------------------------------ #

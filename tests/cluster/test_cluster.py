@@ -346,6 +346,78 @@ class TestWorkerDaemon:
             channel.close()
 
 
+class CountingTortoise(TortoiseParser):
+    """A tortoise that records each parse and signals when the first began."""
+
+    def __init__(self, sleep_seconds: float) -> None:
+        super().__init__(sleep_seconds)
+        self.parsed: list[str] = []
+        self.started = threading.Event()
+
+    def _parse_pages(self, document, rng):
+        self.parsed.append(document.doc_id)
+        self.started.set()
+        return super()._parse_pages(document, rng)
+
+
+class TestWorkerExactlyOnce:
+    """The worker's shards meet its cache in ``run_cached_batch``, so the
+    parent-side contract — a key is parsed once, later askers coalesce —
+    holds across a worker's slots and inside one shard too."""
+
+    @staticmethod
+    def _setup(registry, document, sleep_seconds):
+        from repro.cache import document_content_hash
+        from repro.documents.simpdf import document_to_dict
+
+        parser = CountingTortoise(sleep_seconds)
+        daemon = WorkerDaemon(
+            pipeline=ParsePipeline(registry, engines={"tortoise": parser}),
+            cache=ParseCache(),
+            slots=2,
+        )
+        spec = WorkerSpec(parser="tortoise", fingerprint=parser.config_fingerprint())
+        descriptor = {
+            "doc_id": document.doc_id,
+            "content_hash": document_content_hash(document),
+            "payload": document_to_dict(document),
+        }
+        return parser, daemon, spec, descriptor
+
+    def test_overlapping_shards_parse_a_shared_document_once(self, registry, corpus_30):
+        document = corpus_30.documents[0]
+        parser, daemon, spec, descriptor = self._setup(registry, document, 0.3)
+        outcomes = []
+        with daemon:
+            daemon._store_documents([descriptor])
+            first = threading.Thread(
+                target=lambda: outcomes.append(daemon.run_shard(spec, [descriptor]))
+            )
+            first.start()
+            assert parser.started.wait(10)
+            # The first shard is mid-parse: nothing is stored yet, so only
+            # the single-flight lease can keep this one from parsing again.
+            second = daemon.run_shard(spec, [descriptor])
+            first.join(10)
+        assert parser.parsed == [document.doc_id]
+        assert second[2:] == (1, 0)  # a coalesced hit, no miss
+        assert outcomes[0][2:] == (0, 1)
+        assert second[0][0].page_texts == outcomes[0][0][0].page_texts
+        assert daemon.counters["docs_parsed"] == 1
+        assert daemon.counters["docs_from_cache"] == 1
+
+    def test_one_hash_twice_in_a_shard_parses_once(self, registry, corpus_30):
+        document = corpus_30.documents[1]
+        parser, daemon, spec, descriptor = self._setup(registry, document, 0.0)
+        with daemon:
+            daemon._store_documents([descriptor])
+            results, _, hits, misses = daemon.run_shard(spec, [descriptor, descriptor])
+        assert parser.parsed == [document.doc_id]
+        assert (hits, misses) == (1, 1)
+        assert [r.doc_id for r in results] == [document.doc_id] * 2
+        assert results[0].page_texts == results[1].page_texts
+
+
 def _submit_message(shard, with_payloads: bool) -> dict:
     from repro.documents.simpdf import document_to_dict
 

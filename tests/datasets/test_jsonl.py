@@ -136,3 +136,36 @@ class TestShardedWriter:
         assert payload["n_records"] == 3
         assert len(payload["shards"]) == 2
         assert all({"path", "n_records", "n_bytes"} <= set(s) for s in payload["shards"])
+
+
+class TestWritesAreAtomic:
+    """Both writers go through ``repro.utils.durable.replace_lines``: the
+    new content becomes visible in one rename, after it is on disk."""
+
+    @staticmethod
+    def _kill_before_rename(monkeypatch):
+        def crash(src, dst):
+            raise OSError("killed before rename")
+
+        monkeypatch.setattr("repro.utils.durable.os.replace", crash)
+
+    def test_interrupted_manifest_save_keeps_the_old_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        with ShardedJsonlWriter(tmp_path, max_records_per_shard=2) as writer:
+            writer.write_many({"i": i} for i in range(3))
+        before = (tmp_path / "manifest.json").read_bytes()
+        writer.manifest.extra["campaign"] = "second-save"
+        self._kill_before_rename(monkeypatch)
+        with pytest.raises(OSError, match="killed"):
+            writer.manifest.save()
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert JsonlShardManifest.load(tmp_path).n_records == 3
+
+    def test_interrupted_write_jsonl_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [{"i": 1}])
+        self._kill_before_rename(monkeypatch)
+        with pytest.raises(OSError, match="killed"):
+            write_jsonl(path, [{"i": 2}, {"i": 3}])
+        assert read_jsonl(path) == [{"i": 1}]

@@ -40,6 +40,7 @@ from repro.pipeline.backends import (
     resolve_execution,
 )
 from repro.pipeline.backends.thread import THREAD_NAME_PREFIX
+from repro.serve import ParseService, ServiceConfig
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -738,23 +739,49 @@ class TestPhaseAttributionParity:
         _assert_phase_rows_well_formed(report)
 
     @pytest.mark.parametrize("policy", sorted(CACHE_PHASE_KEYS_BY_POLICY))
-    @pytest.mark.parametrize("backend,options", _backend_cases())
+    @pytest.mark.parametrize(
+        "backend,options", _backend_cases() + [("served", {"n_jobs": 2})]
+    )
     def test_cache_phase_keys_follow_the_policy(
         self, registry, small_corpus, backend, options, policy
     ):
         # ``cache.flush`` is the run's durability point: attributed whenever
-        # the policy writes, absent (not a zero row) when it does not.
-        report = ParsePipeline(registry, cache=ParseCache()).run(
-            request_for_documents(
-                "pymupdf", list(small_corpus), batch_size=4,
-                backend=backend, backend_options=options, cache=policy,
+        # the policy writes, absent (not a zero row) when it does not.  The
+        # ``served`` row submits the same request through a ParseService:
+        # a ticket's report has the table a direct run's has.
+        pipeline = ParsePipeline(registry, cache=ParseCache())
+        if backend == "served":
+            request = request_for_documents(
+                "pymupdf", list(small_corpus), batch_size=4, cache=policy
             )
-        )
+            config = ServiceConfig(backend="thread", backend_options=options)
+            with ParseService(pipeline, config) as service:
+                report = service.submit(request).result(timeout=60)
+        else:
+            report = pipeline.run(
+                request_for_documents(
+                    "pymupdf", list(small_corpus), batch_size=4,
+                    backend=backend, backend_options=options, cache=policy,
+                )
+            )
         assert set(report.phases) == BASE_PHASE_KEYS | CACHE_PHASE_KEYS_BY_POLICY[policy]
         _assert_phase_rows_well_formed(report)
         assert set(report.summary()["phases"]) == set(report.phases)
         if "cache.flush" in report.phases:
             assert report.phases["cache.flush"]["calls"] == 1
+
+    def test_served_run_is_a_pipeline_run_span_under_the_ticket(
+        self, registry, small_corpus
+    ):
+        from repro.obs.tracing import default_recorder
+
+        request = request_for_documents("pymupdf", list(small_corpus), batch_size=4)
+        with ParseService(ParsePipeline(registry), ServiceConfig("serial")) as service:
+            ticket = service.submit(request)
+            ticket.result(timeout=60)
+        spans = {s["name"]: s for s in default_recorder().spans(ticket.trace_id)}
+        assert spans["pipeline.run"]["parent_id"] == spans["service.ticket"]["span_id"]
+        assert spans["backend.batch"]["parent_id"] == spans["pipeline.run"]["span_id"]
 
     def test_phases_survive_json_round_trip(self, registry, engine, corpus_100):
         report = self._report(registry, engine, list(corpus_100), "serial", {})
@@ -822,6 +849,70 @@ class TestRemotePhaseAttributionParity:
         )
         assert set(report.phases) == ENGINE_PHASE_KEYS | CACHE_PHASE_KEYS
         _assert_phase_rows_well_formed(report)
+
+
+class TestOneRequestThreeRoutes:
+    """A request gives the same report however it reaches the run path:
+    ``ParsePipeline.run``, a ``ParseService`` ticket, or a cluster worker."""
+
+    @pytest.fixture()
+    def worker(self, registry, engine):
+        from repro.cluster.worker import WorkerDaemon
+
+        daemon = WorkerDaemon(
+            name="three-routes",
+            pipeline=ParsePipeline(registry, engines={engine.name: engine}),
+            cache=ParseCache(),
+        ).start()
+        yield daemon
+        daemon.stop()
+
+    def test_reports_agree(self, registry, engine, corpus_100, worker):
+        documents = list(corpus_100)
+
+        def request(**backend):
+            return request_for_documents(
+                engine.name, documents, batch_size=40, cache="readwrite", **backend
+            )
+
+        def pipeline():
+            return ParsePipeline(
+                registry, engines={engine.name: engine}, cache=ParseCache()
+            )
+
+        remote_options = {"workers": worker.address}
+        direct = pipeline().run(request())
+        with ParseService(pipeline(), ServiceConfig("serial")) as service:
+            served = service.submit(request()).result(timeout=60)
+        remote = pipeline().run(request(backend="remote", backend_options=remote_options))
+
+        baseline = _normalized_bytes(direct.to_json_dict(include_text=True))
+        for report in (served, remote):
+            # results, decisions, usage and the cache block, timings zeroed
+            assert _normalized_bytes(report.to_json_dict(include_text=True)) == baseline
+            assert set(report.phases) == set(direct.phases)
+        assert set(direct.phases) == ENGINE_PHASE_KEYS | CACHE_PHASE_KEYS
+
+        def execution(report):
+            block = report.execution.to_json_dict()
+            block["extra"].pop("shared_backend", None)
+            return {k: v for k, v in block.items() if "seconds" not in k}
+
+        assert execution(served) == execution(direct)
+        assert "shared_backend" not in direct.execution.extra
+        assert served.execution.extra["shared_backend"] is True
+        assert remote.execution.backend == "remote"
+        assert "shared_backend" not in remote.execution.extra
+
+        # The worker's cache is warm now, and a hit never needs the document:
+        # with its document store emptied it still answers hash-only shards
+        # without asking for a single payload.
+        worker._doc_store.clear()
+        warm = pipeline().run(request(backend="remote", backend_options=remote_options))
+        assert _normalized_bytes(warm.to_json_dict(include_text=True)) == baseline
+        assert warm.execution.extra["cluster_doc_payloads_sent"] == 0
+        assert warm.execution.extra["cluster_remote_cache_hits"] == len(documents)
+        assert worker.counters["docs_parsed"] == len(documents)
 
 
 # ---------------------------------------------------------------------- #
