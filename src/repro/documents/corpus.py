@@ -24,7 +24,7 @@ from repro.documents.document import (
 from repro.documents.metadata import DocumentMetadata, sample_metadata
 from repro.documents.rendering import latex_to_embedded_glyphs, table_reading_order
 from repro.documents.textgen import ScientificTextGenerator, TextGenConfig
-from repro.utils.rng import rng_from
+from repro.utils.rng import DrawStream, WeightedTable, replayed, rng_from
 
 
 @dataclass(frozen=True)
@@ -76,22 +76,28 @@ _QUALITY_ORDER = (
     TextLayerQuality.SCRAMBLED,
     TextLayerQuality.MISSING,
 )
+_PRODUCER_QUALITY = {
+    producer: WeightedTable(_QUALITY_ORDER, probs)
+    for producer, probs in lexicon.PRODUCER_TEXT_QUALITY.items()
+}
+_SCAN_DPI = WeightedTable((120, 150, 200, 300), (0.2, 0.35, 0.3, 0.15))
 
 
-def sample_text_layer_quality(producer: str, rng: np.random.Generator) -> TextLayerQuality:
+def sample_text_layer_quality(
+    producer: str, rng: np.random.Generator | DrawStream
+) -> TextLayerQuality:
     """Sample the embedded-text fidelity class implied by a producer tool."""
-    probs = lexicon.PRODUCER_TEXT_QUALITY.get(producer)
-    if probs is None:
-        probs = lexicon.PRODUCER_TEXT_QUALITY["unknown"]
-    idx = int(rng.choice(len(_QUALITY_ORDER), p=np.asarray(probs) / np.sum(probs)))
-    return _QUALITY_ORDER[idx]
+    table = _PRODUCER_QUALITY.get(producer, _PRODUCER_QUALITY["unknown"])
+    with replayed(rng) as draws:
+        return draws.weighted(table)
 
 
-def embedded_page_text(page: PageContent, rng: np.random.Generator) -> str:
+def embedded_page_text(page: PageContent, rng: np.random.Generator | DrawStream) -> str:
     """Render a page's ground truth into the form a text layer stores.
 
     Equations collapse to glyph runs, tables flatten into reading order, and
-    paragraphs get the PDF's visual line wrapping.
+    paragraphs get the PDF's visual line wrapping.  Only ``rng.random()`` is
+    drawn, so a Generator and a stream over it serve alike.
     """
     blocks: list[str] = []
     for element in page.elements:
@@ -111,32 +117,35 @@ def build_text_layer(
     quality: TextLayerQuality,
     producer: str,
     image_layer: ImageLayer,
-    rng: np.random.Generator,
+    rng: np.random.Generator | DrawStream,
 ) -> TextLayer:
     """Construct the embedded text layer of a document.
 
     The layer starts from the faithful "embedded rendering" of each page and
     is then pushed through the channel that corresponds to its fidelity class
     (light noise, OCR noise matched to the scan quality, scrambling, or
-    removal).
+    removal).  The channels that draw one ``random()`` at a time read the
+    stream; the vectorised ones get the Generator handed over.
     """
     page_texts: list[str] = []
-    for page in pages:
-        text = embedded_page_text(page, rng)
-        if quality is TextLayerQuality.CLEAN:
-            text = noise.break_ligatures(text, rate=0.15, rng=rng)
-        elif quality is TextLayerQuality.NOISY:
-            text = noise.break_ligatures(text, rate=0.5, rng=rng)
-            text = noise.inject_whitespace(text, rate=0.03, rng=rng)
-            text = noise.substitute_characters(text, rate=0.004, rng=rng)
-        elif quality is TextLayerQuality.OCR_DERIVED:
-            severity = 0.35 + 0.5 * image_layer.degradation_score() + 0.1 * rng.random()
-            text = noise.ocr_channel(text, severity=severity, rng=rng)
-        elif quality is TextLayerQuality.SCRAMBLED:
-            text = noise.scramble_layer(text, rng=rng)
-        elif quality is TextLayerQuality.MISSING:
-            text = ""
-        page_texts.append(text)
+    with replayed(rng) as draws:
+        for page in pages:
+            text = embedded_page_text(page, draws)
+            if quality is TextLayerQuality.CLEAN:
+                text = noise.break_ligatures(text, rate=0.15, rng=draws)
+            elif quality is TextLayerQuality.NOISY:
+                text = noise.break_ligatures(text, rate=0.5, rng=draws)
+                generator = draws.handover()
+                text = noise.inject_whitespace(text, rate=0.03, rng=generator)
+                text = noise.substitute_characters(text, rate=0.004, rng=generator)
+            elif quality is TextLayerQuality.OCR_DERIVED:
+                severity = 0.35 + 0.5 * image_layer.degradation_score() + 0.1 * draws.random()
+                text = noise.ocr_channel(text, severity=severity, rng=draws.handover())
+            elif quality is TextLayerQuality.SCRAMBLED:
+                text = noise.scramble_layer(text, rng=draws.handover())
+            elif quality is TextLayerQuality.MISSING:
+                text = ""
+            page_texts.append(text)
     return TextLayer(quality=quality, page_texts=page_texts, producer=producer)
 
 
@@ -144,7 +153,7 @@ def build_image_layer(
     producer: str,
     year: int,
     scanned_fraction: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | DrawStream,
 ) -> ImageLayer:
     """Construct the image layer (pristine render vs degraded scan)."""
     scanner_produced = producer == "scanner_firmware"
@@ -156,17 +165,20 @@ def build_image_layer(
         p_scan = max(p_scan, 0.5)
     elif year < 2005:
         p_scan = max(p_scan, 0.35)
-    if rng.random() >= p_scan:
-        return ImageLayer(is_scanned=False)
-    return ImageLayer(
-        dpi=int(rng.choice([120, 150, 200, 300], p=[0.2, 0.35, 0.3, 0.15])),
-        rotation_deg=float(rng.normal(0.0, 1.8)),
-        blur_sigma=float(abs(rng.normal(0.6, 0.5))),
-        contrast=float(np.clip(rng.normal(0.85, 0.15), 0.3, 1.3)),
-        noise_level=float(abs(rng.normal(0.08, 0.08))),
-        jpeg_quality=int(rng.integers(35, 90)),
-        is_scanned=True,
-    )
+    with replayed(rng) as draws:
+        if draws.random() >= p_scan:
+            return ImageLayer(is_scanned=False)
+        dpi = draws.weighted(_SCAN_DPI)
+        normal = draws.handover().normal
+        return ImageLayer(
+            dpi=dpi,
+            rotation_deg=float(normal(0.0, 1.8)),
+            blur_sigma=float(abs(normal(0.6, 0.5))),
+            contrast=float(np.clip(normal(0.85, 0.15), 0.3, 1.3)),
+            noise_level=float(abs(normal(0.08, 0.08))),
+            jpeg_quality=draws.integers(35, 90),
+            is_scanned=True,
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -176,20 +188,21 @@ def build_image_layer(
 
 def build_document(doc_index: int, config: CorpusConfig) -> SciDocument:
     """Generate one document from its index and the corpus configuration."""
-    rng = rng_from(config.seed, "document", doc_index)
-    n_pages = int(rng.integers(config.min_pages, config.max_pages + 1))
-    metadata = sample_metadata(rng, n_pages=n_pages)
-    generator = ScientificTextGenerator(metadata.domain, rng, config.textgen)
+    # One stream for the whole document; nobody reads the Generator afterwards.
+    draws = DrawStream(rng_from(config.seed, "document", doc_index))
+    n_pages = draws.integers(config.min_pages, config.max_pages + 1)
+    metadata = sample_metadata(draws, n_pages=n_pages)
+    generator = ScientificTextGenerator(metadata.domain, draws, config.textgen)
     pages = generator.document_pages(metadata.title, n_pages)
     image_layer = build_image_layer(
-        metadata.producer, metadata.year, config.scanned_fraction, rng
+        metadata.producer, metadata.year, config.scanned_fraction, draws
     )
-    quality = sample_text_layer_quality(metadata.producer, rng)
+    quality = sample_text_layer_quality(metadata.producer, draws)
     if image_layer.is_scanned and quality in (TextLayerQuality.CLEAN, TextLayerQuality.NOISY):
         # A scanned document cannot carry a born-digital text layer: it either
         # has an OCR-derived layer or none at all.
-        quality = TextLayerQuality.OCR_DERIVED if rng.random() < 0.75 else TextLayerQuality.MISSING
-    text_layer = build_text_layer(pages, quality, metadata.producer, image_layer, rng)
+        quality = TextLayerQuality.OCR_DERIVED if draws.random() < 0.75 else TextLayerQuality.MISSING
+    text_layer = build_text_layer(pages, quality, metadata.producer, image_layer, draws)
     doc_id = f"{config.name}-{doc_index:06d}"
     return SciDocument(
         doc_id=doc_id,

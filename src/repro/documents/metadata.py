@@ -13,6 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from repro.documents import lexicon
+from repro.utils.rng import DrawStream, WeightedTable, replayed
 
 
 @dataclass(frozen=True)
@@ -43,67 +44,79 @@ class DocumentMetadata:
         return cls(**payload)  # type: ignore[arg-type]
 
 
-def _weighted_choice(rng: np.random.Generator, options: dict[str, float]) -> str:
-    names = list(options.keys())
-    weights = np.asarray([options[n] for n in names], dtype=float)
-    weights = weights / weights.sum()
-    return str(rng.choice(names, p=weights))
-
-
-def sample_publisher(rng: np.random.Generator) -> str:
-    """Sample a publisher from the corpus prior."""
-    return _weighted_choice(rng, lexicon.PUBLISHER_WEIGHTS)
-
-
-def sample_domain(rng: np.random.Generator, publisher: str) -> str:
-    """Sample a scientific domain conditioned on the publisher."""
-    affinity = lexicon.PUBLISHER_DOMAIN_AFFINITY.get(publisher)
-    if not affinity:
-        return _weighted_choice(rng, lexicon.DOMAIN_WEIGHTS)
-    valid = {d: w for d, w in affinity.items() if d in lexicon.DOMAINS and w > 0}
-    if not valid:
-        return _weighted_choice(rng, lexicon.DOMAIN_WEIGHTS)
-    return _weighted_choice(rng, valid)
-
-
-def sample_producer(rng: np.random.Generator, year: int) -> str:
-    """Sample a producing tool, biased towards scanners for old documents."""
+def _producer_table(scanner: float, distiller: float, pdftex: float = 1.0) -> WeightedTable:
     weights = dict(lexicon.PRODUCER_WEIGHTS)
+    weights["scanner_firmware"] *= scanner
+    weights["legacy_distiller"] *= distiller
+    weights["pdftex"] *= pdftex
+    return WeightedTable.of(weights)
+
+
+def _domain_table(affinity: dict[str, float]) -> WeightedTable:
+    valid = {d: w for d, w in affinity.items() if d in lexicon.DOMAINS and w > 0}
+    return WeightedTable.of(valid) if valid else _DOMAINS
+
+
+_PUBLISHERS = WeightedTable.of(lexicon.PUBLISHER_WEIGHTS)
+_DOMAINS = WeightedTable.of(lexicon.DOMAIN_WEIGHTS)
+_PUBLISHER_DOMAINS = {
+    publisher: _domain_table(affinity)
+    for publisher, affinity in lexicon.PUBLISHER_DOMAIN_AFFINITY.items()
+}
+_FORMATS = WeightedTable.of(lexicon.FORMAT_WEIGHTS)
+_PRODUCERS_BEFORE_2005 = _producer_table(scanner=6.0, distiller=4.0, pdftex=0.5)
+_PRODUCERS_BEFORE_2015 = _producer_table(scanner=2.0, distiller=2.0)
+_PRODUCERS = WeightedTable.of(lexicon.PRODUCER_WEIGHTS)
+
+
+def sample_publisher(rng: np.random.Generator | DrawStream) -> str:
+    """Sample a publisher from the corpus prior."""
+    with replayed(rng) as draws:
+        return draws.weighted(_PUBLISHERS)
+
+
+def sample_domain(rng: np.random.Generator | DrawStream, publisher: str) -> str:
+    """Sample a scientific domain conditioned on the publisher."""
+    with replayed(rng) as draws:
+        return draws.weighted(_PUBLISHER_DOMAINS.get(publisher, _DOMAINS))
+
+
+def sample_producer(rng: np.random.Generator | DrawStream, year: int) -> str:
+    """Sample a producing tool, biased towards scanners for old documents."""
     if year < 2005:
-        weights["scanner_firmware"] *= 6.0
-        weights["legacy_distiller"] *= 4.0
-        weights["pdftex"] *= 0.5
+        table = _PRODUCERS_BEFORE_2005
     elif year < 2015:
-        weights["scanner_firmware"] *= 2.0
-        weights["legacy_distiller"] *= 2.0
-    return _weighted_choice(rng, weights)
+        table = _PRODUCERS_BEFORE_2015
+    else:
+        table = _PRODUCERS
+    with replayed(rng) as draws:
+        return draws.weighted(table)
 
 
-def sample_year(rng: np.random.Generator) -> int:
+def sample_year(rng: np.random.Generator | DrawStream) -> int:
     """Sample a publication year.
 
     The paper focuses on recent documents (to avoid training-data leakage into
     the ViT parsers) but retains a tail of older material whose metadata and
     text layers are of lower quality.
     """
-    u = rng.random()
-    if u < 0.70:
-        return int(rng.integers(2019, 2025))
-    if u < 0.90:
-        return int(rng.integers(2010, 2019))
-    return int(rng.integers(1995, 2010))
+    with replayed(rng) as draws:
+        u = draws.random()
+        if u < 0.70:
+            return draws.integers(2019, 2025)
+        if u < 0.90:
+            return draws.integers(2010, 2019)
+        return draws.integers(1995, 2010)
 
 
-def make_title(rng: np.random.Generator, domain: str) -> str:
+def make_title(rng: np.random.Generator | DrawStream, domain: str) -> str:
     """Generate a plausible paper title for a domain."""
     terms = lexicon.DOMAIN_TERMS[domain]
-    adjectives = lexicon.ACADEMIC_ADJECTIVES
-    nouns = lexicon.ACADEMIC_NOUNS
-    pattern = int(rng.integers(0, 3))
-    t1 = str(rng.choice(terms))
-    t2 = str(rng.choice(terms))
-    adj = str(rng.choice(adjectives))
-    noun = str(rng.choice(nouns))
+    with replayed(rng) as draws:
+        pattern = draws.integers(0, 3)
+        t1, t2 = draws.picks(terms, 2)
+        adj = draws.pick(lexicon.ACADEMIC_ADJECTIVES)
+        noun = draws.pick(lexicon.ACADEMIC_NOUNS)
     if pattern == 0:
         title = f"A {adj} {noun} for {t1} {t2}"
     elif pattern == 1:
@@ -113,19 +126,18 @@ def make_title(rng: np.random.Generator, domain: str) -> str:
     return title[0].upper() + title[1:]
 
 
-def sample_metadata(rng: np.random.Generator, n_pages: int) -> DocumentMetadata:
+def sample_metadata(rng: np.random.Generator | DrawStream, n_pages: int) -> DocumentMetadata:
     """Sample a complete, internally consistent metadata record."""
-    publisher = sample_publisher(rng)
-    domain = sample_domain(rng, publisher)
-    subcategory = str(rng.choice(lexicon.SUBCATEGORIES[domain]))
-    year = sample_year(rng)
-    producer = sample_producer(rng, year)
-    pdf_format = _weighted_choice(rng, lexicon.FORMAT_WEIGHTS)
-    title = make_title(rng, domain)
-    n_keywords = int(rng.integers(3, 7))
-    keywords = tuple(
-        str(w) for w in rng.choice(lexicon.DOMAIN_TERMS[domain], size=n_keywords, replace=False)
-    )
+    with replayed(rng) as draws:
+        publisher = sample_publisher(draws)
+        domain = sample_domain(draws, publisher)
+        subcategory = draws.pick(lexicon.SUBCATEGORIES[domain])
+        year = sample_year(draws)
+        producer = sample_producer(draws, year)
+        pdf_format = draws.weighted(_FORMATS)
+        title = make_title(draws, domain)
+        terms = lexicon.DOMAIN_TERMS[domain]
+        picked = draws.sample(len(terms), draws.integers(3, 7))
     return DocumentMetadata(
         title=title,
         publisher=publisher,
@@ -135,5 +147,5 @@ def sample_metadata(rng: np.random.Generator, n_pages: int) -> DocumentMetadata:
         pdf_format=pdf_format,
         producer=producer,
         n_pages=n_pages,
-        keywords=keywords,
+        keywords=tuple(terms[i] for i in picked),
     )

@@ -9,12 +9,17 @@ is known exactly, which is what makes the accuracy metrics computable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from repro.documents import lexicon
 from repro.documents.document import PageContent, PageElement
+from repro.utils.rng import DrawStream, WeightedTable, replayed
+
+F = TypeVar("F", bound=Callable[..., object])
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,34 @@ _OPERATORS = ("+", "-", "\\cdot", "\\times")
 _FUNCTIONS = ("\\exp", "\\log", "\\sin", "\\cos", "\\tanh", "\\sqrt")
 _VARIABLES = ("x", "y", "z", "t", "u", "v", "n", "k", "p", "q")
 _SMILES_FRAGMENTS = ("C", "CC", "C(=O)", "O", "N", "c1ccccc1", "C(N)", "S(=O)(=O)", "Cl", "F", "[Na+]", "C#N", "OC")
+_ELEMENT_MIX = {domain: WeightedTable.of(mix) for domain, mix in lexicon.ELEMENT_MIX.items()}
+_GENERIC_VOCABULARY = (
+    lexicon.GENERIC_TERMS
+    + lexicon.ACADEMIC_ADJECTIVES[:6]
+    + ("is", "was", "the", "a", "of", "for", "with", "and", "new", "best", "near", "local")
+)
+
+
+def _hands_back(method: F) -> F:
+    """Mark a public method of :class:`ScientificTextGenerator`.
+
+    A generator built on a bare numpy Generator borrows it: whoever holds
+    that Generator when the method returns must find it where numpy would
+    have left it (``ml.pretrain`` runs one generator per domain down a single
+    stream).  A generator built on a :class:`DrawStream` leaves that to the
+    stream's owner.
+    """
+
+    @functools.wraps(method)
+    def entry(self: "ScientificTextGenerator", *args: object, **kwargs: object) -> object:
+        if not self._borrowed:
+            return method(self, *args, **kwargs)
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self.draws.handover()
+
+    return entry  # type: ignore[return-value]
 
 
 class ScientificTextGenerator:
@@ -54,8 +87,10 @@ class ScientificTextGenerator:
     domain:
         One of :data:`repro.documents.lexicon.DOMAINS`.
     rng:
-        Random generator driving all sampling (pass a per-document stream for
-        reproducibility).
+        Source of all sampling: the :class:`~repro.utils.rng.DrawStream` of the
+        caller (a per-document stream for reproducibility), or a PCG64
+        :class:`numpy.random.Generator`, which is drawn from through a stream
+        and handed back in place whenever a public method returns.
     config:
         Optional :class:`TextGenConfig`.
     """
@@ -63,96 +98,94 @@ class ScientificTextGenerator:
     def __init__(
         self,
         domain: str,
-        rng: np.random.Generator,
+        rng: np.random.Generator | DrawStream,
         config: TextGenConfig | None = None,
     ) -> None:
         if domain not in lexicon.DOMAINS:
             raise KeyError(f"unknown domain: {domain!r}")
         self.domain = domain
-        self.rng = rng
+        self._borrowed = not isinstance(rng, DrawStream)
+        self.draws = DrawStream(rng) if self._borrowed else rng
         self.config = config or TextGenConfig()
-        self._terms = np.asarray(lexicon.DOMAIN_TERMS[domain])
-        self._nouns = np.asarray(lexicon.ACADEMIC_NOUNS)
-        self._verbs = np.asarray(lexicon.ACADEMIC_VERBS)
-        self._adjectives = np.asarray(lexicon.ACADEMIC_ADJECTIVES)
-        self._connectives = np.asarray(lexicon.CONNECTIVES)
-        self._fragile = np.asarray(lexicon.FRAGILE_ENTITIES.get(domain, ("unit",)))
-        self._surnames = np.asarray(lexicon.AUTHOR_SURNAMES)
+        self._terms = lexicon.DOMAIN_TERMS[domain]
+        self._fragile = lexicon.FRAGILE_ENTITIES.get(domain, ("unit",))
+        self._element_mix = _ELEMENT_MIX[domain]
 
     # ------------------------------------------------------------------ #
     # Sentence / paragraph generation
     # ------------------------------------------------------------------ #
+    @_hands_back
     def sentence(self) -> str:
         """Generate one scientific-sounding sentence."""
-        rng = self.rng
+        draws = self.draws
         cfg = self.config
-        n_words = int(rng.integers(cfg.min_words_per_sentence, cfg.max_words_per_sentence + 1))
-        adj = rng.choice(self._adjectives, size=3)
-        noun = rng.choice(self._nouns, size=4)
-        term = rng.choice(self._terms, size=4)
-        verb = rng.choice(self._verbs, size=2)
-        parts: list[str] = []
-        if rng.random() < 0.25:
-            parts.append(str(rng.choice(self._connectives)).capitalize() + ",")
-            parts.append("the")
+        terms = self._terms
+        n_words = draws.integers(cfg.min_words_per_sentence, cfg.max_words_per_sentence + 1)
+        adj = draws.picks(lexicon.ACADEMIC_ADJECTIVES, 3)
+        noun = draws.picks(lexicon.ACADEMIC_NOUNS, 4)
+        term = draws.picks(terms, 4)
+        verb = draws.picks(lexicon.ACADEMIC_VERBS, 2)
+        if draws.random() < 0.25:
+            parts = [draws.pick(lexicon.CONNECTIVES).capitalize() + ",", "the"]
         else:
-            parts.append("The")
-        parts.extend([str(adj[0]), str(noun[0]), "of", "the", str(term[0])])
-        parts.append(str(verb[0]) + "s")
-        parts.extend(["a", str(adj[1]), str(noun[1]), "in", "the", str(term[1]), str(noun[2])])
-        if rng.random() < 0.35:
-            parts.extend(["with", "respect", "to", "the", str(term[2]), str(noun[3])])
-        if rng.random() < 0.25:
-            value = rng.random() * 100
-            parts.extend(["at", f"{value:.1f}", "percent"])
-        if rng.random() < 0.18:
-            parts.extend(["for", str(self._fragile[int(rng.integers(0, len(self._fragile)))])])
+            parts = ["The"]
+        parts += (adj[0], noun[0], "of", "the", term[0], verb[0] + "s")
+        parts += ("a", adj[1], noun[1], "in", "the", term[1], noun[2])
+        if draws.random() < 0.35:
+            parts += ("with", "respect", "to", "the", term[2], noun[3])
+        if draws.random() < 0.25:
+            value = draws.random() * 100
+            parts += ("at", f"{value:.1f}", "percent")
+        if draws.random() < 0.18:
+            parts += ("for", draws.pick(self._fragile))
         # Pad or trim to the target length with additional qualifier words.
-        fillers = rng.choice(self._terms, size=max(1, n_words))
-        i = 0
-        while len(parts) < n_words and i < len(fillers):
-            parts.extend(["and", "the", str(fillers[i])])
-            i += 1
+        for filler in draws.picks(terms, max(1, n_words)):
+            if len(parts) >= n_words:
+                break
+            parts += ("and", "the", filler)
         sentence = " ".join(parts[:n_words]).rstrip(",")
         return sentence + "."
 
+    @_hands_back
     def paragraph(self, n_sentences: int | None = None) -> str:
         """Generate a paragraph of several sentences, possibly with a citation."""
-        rng = self.rng
+        draws = self.draws
         cfg = self.config
         if n_sentences is None:
-            n_sentences = int(
-                rng.integers(cfg.min_sentences_per_paragraph, cfg.max_sentences_per_paragraph + 1)
+            n_sentences = draws.integers(
+                cfg.min_sentences_per_paragraph, cfg.max_sentences_per_paragraph + 1
             )
         sentences = [self.sentence() for _ in range(n_sentences)]
-        if rng.random() < 0.5:
-            cite_at = int(rng.integers(0, n_sentences))
+        if draws.random() < 0.5:
+            cite_at = draws.integers(0, n_sentences)
             sentences[cite_at] = sentences[cite_at][:-1] + " " + self.inline_citation() + "."
         return " ".join(sentences)
 
+    @_hands_back
     def inline_citation(self) -> str:
         """Generate an inline citation marker."""
-        rng = self.rng
-        if rng.random() < 0.5:
-            return f"[{int(rng.integers(1, 60))}]"
-        name = str(rng.choice(self._surnames))
-        year = int(rng.integers(1998, 2025))
+        draws = self.draws
+        if draws.random() < 0.5:
+            return f"[{draws.integers(1, 60)}]"
+        name = draws.pick(lexicon.AUTHOR_SURNAMES)
+        year = draws.integers(1998, 2025)
         return f"({name} et al., {year})"
 
     # ------------------------------------------------------------------ #
     # Structured elements
     # ------------------------------------------------------------------ #
+    @_hands_back
     def equation_latex(self) -> str:
         """Generate a LaTeX equation string."""
-        rng = self.rng
-        lhs_var = str(rng.choice(_VARIABLES))
-        greek = rng.choice(_GREEK, size=2)
-        op = rng.choice(_OPERATORS, size=2)
-        fn = str(rng.choice(_FUNCTIONS))
-        rhs_var = rng.choice(_VARIABLES, size=2)
-        style = int(rng.integers(0, 4))
+        draws = self.draws
+        lhs_var = draws.pick(_VARIABLES)
+        greek = draws.picks(_GREEK, 2)
+        op = draws.picks(_OPERATORS, 2)
+        fn = draws.pick(_FUNCTIONS)
+        rhs_var = draws.picks(_VARIABLES, 2)
+        style = draws.integers(0, 4)
         if style == 0:
-            body = f"{fn}({greek[0]} {op[0]} {rhs_var[0]}^{int(rng.integers(2, 5))})"
+            body = f"{fn}({greek[0]} {op[0]} {rhs_var[0]}^{draws.integers(2, 5)})"
             return f"{lhs_var} = \\frac{{{body}}}{{{greek[1]} {op[1]} {rhs_var[1]}}}"
         if style == 1:
             return (
@@ -169,78 +202,87 @@ class ScientificTextGenerator:
             f"\\, d{rhs_var[0]} {op[1]} {greek[1]}"
         )
 
+    @_hands_back
     def equation_element(self) -> PageElement:
         """Equation block (ground truth is the LaTeX source, as in HTML/MathML)."""
         latex = self.equation_latex()
         return PageElement(kind="equation", text=latex, latex=latex)
 
+    @_hands_back
     def smiles_string(self) -> str:
         """Generate a SMILES-like molecular identifier."""
-        rng = self.rng
-        n = int(rng.integers(3, 8))
-        frags = rng.choice(np.asarray(_SMILES_FRAGMENTS), size=n)
-        return "".join(str(f) for f in frags)
+        draws = self.draws
+        return "".join(draws.picks(_SMILES_FRAGMENTS, draws.integers(3, 8)))
 
+    @_hands_back
     def smiles_element(self) -> PageElement:
         """A compound description sentence carrying a SMILES identifier."""
         smiles = self.smiles_string()
         sentence = (
             f"The candidate compound ({smiles}) was synthesized and characterized "
-            f"by {self.rng.choice(self._terms)} analysis."
+            f"by {self.draws.pick(self._terms)} analysis."
         )
         return PageElement(kind="smiles", text=sentence)
 
+    @_hands_back
     def table_element(self) -> PageElement:
         """A small numeric results table rendered as aligned plain text."""
-        rng = self.rng
-        n_rows = int(rng.integers(3, 7))
-        n_cols = int(rng.integers(3, 6))
-        headers = ["condition"] + [str(rng.choice(self._nouns)) for _ in range(n_cols - 1)]
+        draws = self.draws
+        n_rows = draws.integers(3, 7)
+        n_values = draws.integers(3, 6) - 1  # numeric columns beside the label column
+        headers = ["condition"] + draws.picks(lexicon.ACADEMIC_NOUNS, n_values)
         lines = ["Table: " + " | ".join(headers)]
-        values = rng.random((n_rows, n_cols - 1)) * rng.integers(1, 100)
+        values = [draws.random() for _ in range(n_rows * n_values)]  # row-major block
+        scale = draws.integers(1, 100)
         for r in range(n_rows):
-            label = str(rng.choice(self._terms))
-            cells = [f"{values[r, c]:.2f}" for c in range(n_cols - 1)]
+            label = draws.pick(self._terms)
+            cells = [f"{value * scale:.2f}" for value in values[r * n_values : (r + 1) * n_values]]
             lines.append(" | ".join([label] + cells))
         return PageElement(kind="table", text="\n".join(lines))
 
+    @_hands_back
     def figure_caption_element(self, figure_number: int) -> PageElement:
         """A figure caption block."""
         caption = (
             f"Figure {figure_number}: {self.sentence()} Error bars denote one "
-            f"standard deviation across {int(self.rng.integers(3, 12))} replicates."
+            f"standard deviation across {self.draws.integers(3, 12)} replicates."
         )
         return PageElement(kind="figure_caption", text=caption)
 
+    @_hands_back
     def citation_block_element(self) -> PageElement:
         """A short related-work passage dense with citations."""
-        rng = self.rng
         sentences = []
-        for _ in range(int(rng.integers(2, 4))):
+        for _ in range(self.draws.integers(2, 4)):
             s = self.sentence()
             sentences.append(s[:-1] + " " + self.inline_citation() + ".")
         return PageElement(kind="citation_block", text=" ".join(sentences))
 
+    @_hands_back
     def reference_entry_element(self, index: int) -> PageElement:
         """A bibliography entry."""
-        rng = self.rng
-        authors = ", ".join(str(s) for s in rng.choice(self._surnames, size=int(rng.integers(2, 4)), replace=False))
-        title = " ".join(str(w) for w in rng.choice(self._terms, size=int(rng.integers(4, 7))))
-        journal = f"Journal of {str(rng.choice(self._terms)).capitalize()}"
-        year = int(rng.integers(1995, 2025))
-        pages = f"{int(rng.integers(1, 900))}--{int(rng.integers(900, 1800))}"
+        draws = self.draws
+        surnames = lexicon.AUTHOR_SURNAMES
+        picked = draws.sample(len(surnames), draws.integers(2, 4))
+        authors = ", ".join(surnames[i] for i in picked)
+        title = " ".join(draws.picks(self._terms, draws.integers(4, 7)))
+        journal = f"Journal of {draws.pick(self._terms).capitalize()}"
+        year = draws.integers(1995, 2025)
+        pages = f"{draws.integers(1, 900)}--{draws.integers(900, 1800)}"
         text = f"[{index}] {authors}. {title.capitalize()}. {journal}, {year}, pp. {pages}."
         return PageElement(kind="reference_entry", text=text)
 
+    @_hands_back
     def heading_element(self, title: str | None = None) -> PageElement:
         """A section heading block."""
         if title is None:
-            title = str(self.rng.choice(np.asarray(lexicon.SECTION_TITLES)))
+            title = self.draws.pick(lexicon.SECTION_TITLES)
         return PageElement(kind="heading", text=title)
 
+    @_hands_back
     def boilerplate_element(self) -> PageElement:
         """First-page boilerplate (license lines, submission notes, ...)."""
-        line = str(self.rng.choice(np.asarray(lexicon.FIRST_PAGE_BOILERPLATE)))
+        line = self.draws.pick(lexicon.FIRST_PAGE_BOILERPLATE)
         return PageElement(kind="boilerplate", text=line)
 
     # ------------------------------------------------------------------ #
@@ -248,12 +290,7 @@ class ScientificTextGenerator:
     # ------------------------------------------------------------------ #
     def _body_element(self, figure_counter: int) -> tuple[PageElement, int]:
         """Sample one body element according to the domain element mix."""
-        rng = self.rng
-        mix = lexicon.ELEMENT_MIX[self.domain]
-        kinds = list(mix.keys())
-        weights = np.asarray([mix[k] for k in kinds], dtype=float)
-        weights = weights / weights.sum()
-        kind = str(rng.choice(kinds, p=weights))
+        kind = self.draws.weighted(self._element_mix)
         if kind == "paragraph":
             return PageElement(kind="paragraph", text=self.paragraph()), figure_counter
         if kind == "equation":
@@ -267,6 +304,7 @@ class ScientificTextGenerator:
             return self.smiles_element(), figure_counter
         return self.citation_block_element(), figure_counter
 
+    @_hands_back
     def first_page(self, title: str, abstract_sentences: int = 5) -> PageContent:
         """Generate the title/abstract page."""
         elements: list[PageElement] = [
@@ -280,29 +318,31 @@ class ScientificTextGenerator:
         ]
         return PageContent(index=0, elements=tuple(elements))
 
+    @_hands_back
     def body_page(self, index: int, figure_counter: int = 0) -> tuple[PageContent, int]:
         """Generate a body page; returns the page and the updated figure count."""
-        rng = self.rng
+        draws = self.draws
         cfg = self.config
-        n_elements = int(rng.integers(cfg.min_elements_per_page, cfg.max_elements_per_page + 1))
+        n_elements = draws.integers(cfg.min_elements_per_page, cfg.max_elements_per_page + 1)
         elements: list[PageElement] = []
-        if rng.random() < 0.4:
+        if draws.random() < 0.4:
             elements.append(self.heading_element())
         for _ in range(n_elements):
             element, figure_counter = self._body_element(figure_counter)
             elements.append(element)
         return PageContent(index=index, elements=tuple(elements)), figure_counter
 
+    @_hands_back
     def references_page(self, index: int, n_entries: int | None = None) -> PageContent:
         """Generate the bibliography page."""
-        rng = self.rng
         if n_entries is None:
-            n_entries = int(rng.integers(10, 25))
+            n_entries = self.draws.integers(10, 25)
         elements: list[PageElement] = [self.heading_element("References")]
         for i in range(1, n_entries + 1):
             elements.append(self.reference_entry_element(i))
         return PageContent(index=index, elements=tuple(elements))
 
+    @_hands_back
     def document_pages(self, title: str, n_pages: int) -> list[PageContent]:
         """Generate all pages of a document (first page, body, references)."""
         if n_pages < 1:
@@ -317,21 +357,15 @@ class ScientificTextGenerator:
         return pages[:n_pages]
 
 
-def generate_generic_sentences(rng: np.random.Generator, n_sentences: int) -> list[str]:
+def generate_generic_sentences(rng: np.random.Generator | DrawStream, n_sentences: int) -> list[str]:
     """Generate non-scientific filler sentences (web-style text).
 
     Used to pre-train the "generic" encoder baselines (BERT / MiniLM stand-ins)
     so that Table 4 can contrast scientific vs web-scale pre-training.
     """
-    vocab = np.asarray(
-        lexicon.GENERIC_TERMS
-        + lexicon.ACADEMIC_ADJECTIVES[:6]
-        + ("is", "was", "the", "a", "of", "for", "with", "and", "new", "best", "near", "local")
-    )
     sentences = []
-    for _ in range(n_sentences):
-        n = int(rng.integers(7, 16))
-        words = rng.choice(vocab, size=n)
-        sentence = " ".join(str(w) for w in words)
-        sentences.append(sentence.capitalize() + ".")
+    with replayed(rng) as draws:
+        for _ in range(n_sentences):
+            words = draws.picks(_GENERIC_VOCABULARY, draws.integers(7, 16))
+            sentences.append(" ".join(words).capitalize() + ".")
     return sentences

@@ -21,7 +21,7 @@ from repro.documents.textgen import ScientificTextGenerator, generate_generic_se
 from repro.ml.tokenizer import MASK_ID, PAD_ID
 from repro.ml.trainer import AdamOptimizer, TrainingHistory, clip_gradients, minibatch_indices
 from repro.ml.transformer import TransformerEncoder
-from repro.utils.rng import rng_from
+from repro.utils.rng import DrawStream, rng_from
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,13 @@ class PretrainConfig:
 
 def scientific_sentences(n_sentences: int, seed: int) -> list[str]:
     """Sentences sampled across scientific domains (SciBERT-style corpus)."""
-    rng = rng_from(seed, "pretrain-scientific")
+    # One stream down all domains: each generator starts where the last stopped.
+    draws = DrawStream(rng_from(seed, "pretrain-scientific"))
     sentences: list[str] = []
     domains = list(lexicon.DOMAINS)
     per_domain = max(1, n_sentences // len(domains))
     for domain in domains:
-        generator = ScientificTextGenerator(domain, rng)
+        generator = ScientificTextGenerator(domain, draws)
         for _ in range(per_domain):
             sentences.append(generator.sentence())
     return sentences[:n_sentences]

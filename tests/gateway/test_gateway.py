@@ -401,7 +401,11 @@ class TestManyClientsE2E:
         # The parse phase must dominate the per-ticket corpus synthesis,
         # or the first ticket finishes parsing before its peers reach the
         # cache and nothing coalesces — hence the deliberately slow snail.
-        request = snail_request(n_documents=16, seed=11, batch_size=4, cache="readwrite")
+        # Two batches a ticket, so the first ticket cannot fill the shared
+        # four-thread pool by itself: with four, its peers' batches queued
+        # behind it and coalesced only when they met its last one by a
+        # millisecond (about one run in three did not, on two cores).
+        request = snail_request(n_documents=16, seed=11, batch_size=8, cache="readwrite")
         outcomes: dict[int, dict] = {}
         failures: list[BaseException] = []
         lock = threading.Lock()

@@ -28,9 +28,10 @@ def gateway():
     profiling.default_store().clear()
 
 
-def submit_and_finish(server: GatewayServer, client: str = "cli") -> str:
+def submit_and_finish(server: GatewayServer, client: str = "cli", n_documents: int = 4) -> str:
     with GatewayClient("127.0.0.1", server.port, client=client).connect() as conn:
-        ticket = conn.submit(ParseRequest(parser="pymupdf", source="synthetic:4?seed=3"))
+        source = f"synthetic:{n_documents}?seed=3"
+        ticket = conn.submit(ParseRequest(parser="pymupdf", source=source))
         list(ticket.events())
         return ticket.id
 
@@ -75,6 +76,11 @@ class TestObsTraceExitCode:
             main(["obs", "trace", "TICKET-missing", "--port", str(gateway.port)])
 
 
+# The sampler ticks every 10 ms and four documents now take under two ticks:
+# a ticket that must have samples runs long enough to be hit by many.
+SAMPLED_DOCUMENTS = 32
+
+
 class TestObsProfileExitCode:
     def test_profileless_ticket_exits_1_with_stderr_message(self, gateway, capsys):
         assert not profiling.profiling_enabled()
@@ -97,7 +103,7 @@ class TestObsProfileExitCode:
     def test_profiled_ticket_prints_collapsed_stacks(self, gateway, capsys):
         profiling.set_profiling_enabled(True)
         try:
-            ticket_id = submit_and_finish(gateway)
+            ticket_id = submit_and_finish(gateway, n_documents=SAMPLED_DOCUMENTS)
             code = main(
                 ["obs", "profile", ticket_id, "--port", str(gateway.port)]
             )
@@ -113,7 +119,7 @@ class TestObsProfileExitCode:
     def test_profiled_ticket_top_table(self, gateway, capsys):
         profiling.set_profiling_enabled(True)
         try:
-            ticket_id = submit_and_finish(gateway)
+            ticket_id = submit_and_finish(gateway, n_documents=SAMPLED_DOCUMENTS)
             code = main(
                 [
                     "obs", "profile", ticket_id,
