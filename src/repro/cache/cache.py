@@ -113,42 +113,21 @@ class CacheEntry:
     # Serialisation (the on-disk JSONL line)
     # ------------------------------------------------------------------ #
     def to_json_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
+        return {
             "key": self.key,
             "compute_seconds": self.compute_seconds,
             "stored_at": self.stored_at,
             "result": self.result.to_json_dict(),
-            "decision": None,
+            "decision": None if self.decision is None else self.decision.to_json_dict(),
         }
-        if self.decision is not None:
-            payload["decision"] = {
-                "doc_id": self.decision.doc_id,
-                "chosen_parser": self.decision.chosen_parser,
-                "stage": self.decision.stage,
-                "predicted_improvement": self.decision.predicted_improvement,
-                "doc_type": self.decision.doc_type,
-            }
-        return payload
 
     @classmethod
     def from_json_dict(cls, payload: dict[str, Any]) -> "CacheEntry":
-        result = ParseResult.from_json_dict(payload["result"])
-        decision = None
-        decision_payload = payload.get("decision")
-        if decision_payload is not None:
-            decision = RoutingDecision(
-                doc_id=decision_payload["doc_id"],
-                chosen_parser=decision_payload["chosen_parser"],
-                stage=decision_payload["stage"],
-                predicted_improvement=float(
-                    decision_payload.get("predicted_improvement", 0.0)
-                ),
-                doc_type=str(decision_payload.get("doc_type", "pdf")),
-            )
+        decision = payload.get("decision")
         return cls(
             key=payload["key"],
-            result=result,
-            decision=decision,
+            result=ParseResult.from_json_dict(payload["result"]),
+            decision=None if decision is None else RoutingDecision.from_json_dict(decision),
             compute_seconds=float(payload.get("compute_seconds", 0.0)),
             stored_at=float(payload.get("stored_at", 0.0)),
         )

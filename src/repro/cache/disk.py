@@ -48,7 +48,7 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.utils.durable import append_lines, replace_lines, temporary_suffix
+from repro.utils.durable import JsonLines, append_lines, replace_lines, temporary_suffix
 
 _SHARD_PREFIX = "shard-"
 _SHARD_SUFFIX = ".jsonl"
@@ -99,26 +99,16 @@ class ShardedDiskStore:
         lines in the file and how many of them were skipped.
         """
         entries: dict[str, bytes] = {}
-        n_lines = skipped = 0
-        path = self.shard_path(index)
-        if not path.exists():
-            return entries, n_lines, skipped
-        for line in path.read_bytes().split(b"\n"):
-            line = line.strip()
-            if not line:
-                continue
-            n_lines += 1
-            try:
-                payload = json.loads(line)
-                key = payload["key"]
-            except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError):
-                skipped += 1
-                continue
-            if not isinstance(payload, dict) or not isinstance(key, str):
-                skipped += 1
-                continue
-            entries[key] = line
-        return entries, n_lines, skipped
+        parsed = malformed = 0
+        reader = JsonLines(self.shard_path(index))
+        for payload, line in reader:
+            parsed += 1
+            key = payload.get("key") if isinstance(payload, dict) else None
+            if isinstance(key, str):
+                entries[key] = line
+            else:
+                malformed += 1
+        return entries, parsed + reader.skipped, reader.skipped + malformed
 
     def _load_shard(self, index: int) -> dict[str, bytes]:
         loaded = self._entries[index]

@@ -49,7 +49,7 @@ Serve many concurrent requests from one backend + one cache (streams
 NDJSON progress events; identical corpora dedup via cross-request
 single-flight), or submit a single request the client-side way::
 
-    adaparse-repro serve --documents 100 --requests 4 --backend async \
+    adaparse-repro serve --documents 100 --requests 4 --backend thread \
         --backend-opt n_jobs=8 --cache readwrite
     adaparse-repro submit --documents 50 --parser pymupdf --priority 5
 
@@ -243,8 +243,8 @@ def _add_backend_arguments(
         "--backend",
         type=str,
         default=default,
-        help=f"execution backend: auto, serial, thread, process, hpc, async, "
-        f"remote (default: {default})",
+        help=f"execution backend: auto, serial, thread, process, hpc, remote; "
+        f"async is accepted as a name for thread (default: {default})",
     )
     parser.add_argument(
         "--backend-opt",
@@ -252,9 +252,7 @@ def _add_backend_arguments(
         default=None,
         metavar="KEY=VALUE",
         help="backend option (repeatable), e.g. n_jobs=4, n_nodes=16, "
-        "mp_context=fork, max_window=32, adaptive=false (async: the thread "
-        "pool behind an AIMD in-flight window), "
-        "workers=127.0.0.1:9101,127.0.0.1:9102",
+        "mp_context=fork, workers=127.0.0.1:9101,127.0.0.1:9102",
     )
 
 
@@ -1269,8 +1267,7 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     raw = payload.get("profile")
-    profile = Profile.from_dict(raw) if raw else None
-    if profile is None or not profile.counts:
+    if raw is None:
         # Same contract as `obs trace`: an owned ticket with nothing
         # recorded is a failure, not a silent empty success.
         print(
@@ -1280,10 +1277,15 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    profile = Profile.from_dict(raw)
+    # A stored profile without samples is a fast ticket, not a missing one.
+    note = "" if profile.counts else " — the ticket finished inside one sampler tick"
     print(
         f"ticket {payload.get('ticket_id')}  state {payload.get('state')}  "
-        f"({profile.n_samples} sample(s) at {profile.interval * 1000:.0f}ms)"
+        f"({profile.n_samples} sample(s) at {profile.interval * 1000:.0f}ms{note})"
     )
+    if not profile.counts:
+        return 0
     if args.top:
         width = max(len(frame) for frame, _ in profile.top(args.top))
         for frame, count in profile.top(args.top):
@@ -1641,7 +1643,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--quiet", action="store_true", help="suppress the NDJSON event stream")
     _add_source_argument(serve)
     _add_logging_arguments(serve)
-    _add_backend_arguments(serve, default="async")
+    _add_backend_arguments(serve, default="thread")
     _add_cache_arguments(serve, policy_default="readwrite")
     _add_profile_argument(
         serve,
@@ -1678,7 +1680,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--include-text", action="store_true", help="embed page texts in --output")
     submit.add_argument("--output", type=str, default="", help="write the full report JSON here")
     _add_source_argument(submit)
-    _add_backend_arguments(submit, default="async")
+    _add_backend_arguments(submit, default="thread")
     _add_cache_arguments(submit)
     submit.add_argument(
         "--host",
@@ -1751,7 +1753,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest submit frame accepted from one client",
     )
     _add_logging_arguments(gateway)
-    _add_backend_arguments(gateway, default="async")
+    _add_backend_arguments(gateway, default="thread")
     _add_cache_arguments(
         gateway,
         policy_default=None,

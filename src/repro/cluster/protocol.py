@@ -150,28 +150,8 @@ class WorkerSpec:
 
 
 # ---------------------------------------------------------------------- #
-# Result / decision serialisation (shared with the cache's JSONL schema)
+# Batch results (results and decisions in their own JSON schemas)
 # ---------------------------------------------------------------------- #
-def decision_to_dict(decision: RoutingDecision) -> dict[str, Any]:
-    return {
-        "doc_id": decision.doc_id,
-        "chosen_parser": decision.chosen_parser,
-        "stage": decision.stage,
-        "predicted_improvement": decision.predicted_improvement,
-        "doc_type": decision.doc_type,
-    }
-
-
-def decision_from_dict(payload: Mapping[str, Any]) -> RoutingDecision:
-    return RoutingDecision(
-        doc_id=str(payload["doc_id"]),
-        chosen_parser=str(payload["chosen_parser"]),
-        stage=str(payload["stage"]),
-        predicted_improvement=float(payload.get("predicted_improvement", 0.0)),
-        doc_type=str(payload.get("doc_type", "pdf")),
-    )
-
-
 def batch_result_message(
     shard_id: str,
     results: Iterable[ParseResult],
@@ -202,7 +182,7 @@ def batch_result_message(
         "worker_id": worker_id,
         "elapsed_seconds": elapsed_seconds,
         "results": [result.to_json_dict() for result in results],
-        "decisions": [decision_to_dict(decision) for decision in decisions],
+        "decisions": [decision.to_json_dict() for decision in decisions],
         "cache_hits": cache_hits,
         "cache_misses": cache_misses,
     }
@@ -220,7 +200,7 @@ def parse_batch_result(
 ) -> tuple[list[ParseResult], list[RoutingDecision]]:
     """Rehydrate a ``batch_result`` message's payload."""
     results = [ParseResult.from_json_dict(item) for item in message.get("results", [])]
-    decisions = [decision_from_dict(item) for item in message.get("decisions", [])]
+    decisions = [RoutingDecision.from_json_dict(item) for item in message.get("decisions", [])]
     return results, decisions
 
 

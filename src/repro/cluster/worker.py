@@ -211,9 +211,9 @@ class WorkerDaemon(rpc.Server):
         """Bind, spin up the local backend, and begin accepting coordinators."""
         if self._listener is not None:
             raise RuntimeError("worker already started")
-        from repro.pipeline.backends.base import create_backend
+        from repro.pipeline.backends.base import resolve_execution
 
-        self._backend = create_backend(self._backend_name, self._backend_options)
+        self._backend, _ = resolve_execution(self._backend_name, self._backend_options)
         if self._slots is None:
             self._slots = max(1, self._backend.workers)
         super().start()

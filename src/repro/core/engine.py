@@ -37,7 +37,7 @@ decisions, aggregate resource usage, and throughput (the pre-PR-1
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -75,6 +75,27 @@ class RoutingDecision:
     predicted_improvement: float = 0.0
     #: Format family of the document (drives per-type eligibility).
     doc_type: str = "pdf"
+
+    def to_json_dict(self) -> dict[str, Any]:
+        """JSON view; the one serialisation shared by reports, the cache,
+        ``batch_result`` frames and the shard ledger."""
+        return {
+            "doc_id": self.doc_id,
+            "chosen_parser": self.chosen_parser,
+            "stage": self.stage,
+            "predicted_improvement": self.predicted_improvement,
+            "doc_type": self.doc_type,
+        }
+
+    @classmethod
+    def from_json_dict(cls, payload: Mapping[str, Any]) -> "RoutingDecision":
+        return cls(
+            doc_id=str(payload["doc_id"]),
+            chosen_parser=str(payload["chosen_parser"]),
+            stage=str(payload["stage"]),
+            predicted_improvement=float(payload.get("predicted_improvement", 0.0)),
+            doc_type=str(payload.get("doc_type", "pdf")),
+        )
 
 
 @dataclass

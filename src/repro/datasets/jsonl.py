@@ -33,28 +33,26 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping[str, object]]) -> in
 
 def read_jsonl(path: str | Path) -> list[dict[str, object]]:
     """Read every record of a JSONL file."""
+    return list(iter_jsonl(path))
+
+
+def iter_jsonl(path: str | Path) -> Iterator[dict[str, object]]:
+    """Stream records of a JSONL file without loading it entirely.
+
+    Dataset shards are written atomically, so a line that is not JSON is
+    an error naming the file and line, never skipped.
+    """
     path = Path(path)
-    records: list[dict[str, object]] = []
     with path.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_number}: invalid JSON line") from exc
-    return records
-
-
-def iter_jsonl(path: str | Path) -> Iterator[dict[str, object]]:
-    """Stream records of a JSONL file without loading it entirely."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+            yield record
 
 
 @dataclass

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger, log_event
-from repro.utils.durable import append_lines, replace_lines
+from repro.utils.durable import JsonLines, append_lines, replace_lines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import RoutingDecision
@@ -53,6 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _LOG = get_logger("elastic.ledger")
 
 _LEDGER_FILENAME = "ledger.jsonl"
+#: What a line must carry to count as a record.
+_RECORD_KEYS = {"key", "results", "decisions"}
 
 _LEDGER_SHARDS = _metrics.counter(
     "repro_elastic_ledger_shards_total",
@@ -99,25 +101,17 @@ class ShardLedger:
     # ------------------------------------------------------------------ #
     def _load(self) -> None:
         """Read the ledger file, skipping torn or corrupt lines."""
-        if not self.path.exists():
-            return
+        reader = JsonLines(self.path)  # counts torn appends from a kill mid-write
         skipped = 0
         try:
-            raw = self.path.read_bytes()
+            for record, _ in reader:
+                if isinstance(record, dict) and record.keys() >= _RECORD_KEYS:
+                    self._entries[str(record["key"])] = record
+                else:
+                    skipped += 1
         except OSError:
             return
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                key = str(record["key"])
-                record["results"]  # noqa: B018 - presence check
-                record["decisions"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                skipped += 1  # torn append from a kill mid-write
-                continue
-            self._entries[key] = record
+        skipped += reader.skipped
         self._loaded_entries = len(self._entries)
         if skipped:
             log_event(
@@ -149,7 +143,7 @@ class ShardLedger:
         self, placement_key: str, fingerprint: str
     ) -> "tuple[list[ParseResult], list[RoutingDecision]] | None":
         """Rehydrate one completed shard's output, or ``None`` if absent."""
-        from repro.cluster.protocol import decision_from_dict
+        from repro.core.engine import RoutingDecision
         from repro.parsers.base import ParseResult
 
         with self._lock:
@@ -157,7 +151,7 @@ class ShardLedger:
         if record is None:
             return None
         results = [ParseResult.from_json_dict(item) for item in record["results"]]
-        decisions = [decision_from_dict(item) for item in record["decisions"]]
+        decisions = [RoutingDecision.from_json_dict(item) for item in record["decisions"]]
         _LEDGER_SHARDS.inc(outcome="replayed")
         return results, decisions
 

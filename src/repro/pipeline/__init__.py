@@ -18,8 +18,9 @@ Example
 
 Execution is pluggable: ``ParseRequest.backend`` selects an
 :class:`~repro.pipeline.backends.ExecutionBackend` by name (``serial``,
-``thread``, ``process``, ``hpc``, ``async``, or ``auto``) and
-``ParseRequest.backend_options`` configures it; the report's
+``thread``, ``process``, ``hpc``, ``remote``, or ``auto``; ``async`` is
+accepted as a name for ``thread``) and ``ParseRequest.backend_options``
+configures it; the report's
 ``execution`` block (:class:`~repro.pipeline.backends.ExecutionStats`)
 records what the backend did.
 
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 #: Public name → "module:attribute", resolved on first access.
 _LAZY_EXPORTS: dict[str, str] = {
-    "AsyncBackend": "repro.pipeline.backends.async_:AsyncBackend",
     "CachePolicy": "repro.cache:CachePolicy",
     "CacheStats": "repro.cache:CacheStats",
     "DEFAULT_BATCH_SIZE": "repro.pipeline.pipeline:DEFAULT_BATCH_SIZE",

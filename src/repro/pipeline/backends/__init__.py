@@ -1,6 +1,6 @@
 """Pluggable execution backends of the parsing pipeline.
 
-One :class:`ExecutionBackend` protocol, six implementations:
+One :class:`ExecutionBackend` protocol, five implementations:
 
 ========= ==================================================================
 name      execution
@@ -9,7 +9,6 @@ serial    inline in the calling thread (reference; parity baseline)
 thread    bounded thread-pool window sharing parent memory
 process   worker processes for GIL-free parsing; cache stays parent-side
 hpc       inline parse + measured-usage replay on the simulated cluster
-async     the same thread-pool loop, adaptive (AIMD) in-flight window
 remote    repro.cluster worker daemons over TCP (multi-process/multi-host)
 ========= ==================================================================
 
@@ -17,7 +16,8 @@ Backends are selected by name through :class:`~repro.pipeline.ParseRequest`
 (``backend="process"``, ``backend_options={"n_jobs": 8}``), resolved via
 the registry (:func:`create_backend`), or passed as instances to the
 pipeline's methods.  ``"auto"`` picks serial, or thread when an
-``{"n_jobs": N}`` option asks for parallelism.
+``{"n_jobs": N}`` option asks for parallelism; ``"async"`` is accepted as
+a name for ``thread``.
 
 Public names resolve lazily (PEP 562) so that importing this package — or
 :mod:`repro.pipeline.backends.base` beneath it — does not pull in the
@@ -29,8 +29,6 @@ from __future__ import annotations
 
 #: Public name → "module:attribute", resolved on first access.
 _LAZY_EXPORTS: dict[str, str] = {
-    "AdaptiveWindow": "repro.pipeline.backends.thread:AdaptiveWindow",
-    "AsyncBackend": "repro.pipeline.backends.async_:AsyncBackend",
     "BackendError": "repro.pipeline.backends.base:BackendError",
     "BackendSpec": "repro.pipeline.backends.base:BackendSpec",
     "ExecutionBackend": "repro.pipeline.backends.base:ExecutionBackend",

@@ -31,13 +31,14 @@ Backends are constructed by name through the registry
 (:func:`create_backend`), with option dictionaries validated against the
 backend's :class:`BackendSpec`; :func:`normalize_backend_spec` resolves
 the ``"auto"`` name (an ``{"n_jobs": N}`` option steers it to the thread
-backend).
+backend) and ``"async"``, which is an accepted name for ``thread``.
 """
 
 from __future__ import annotations
 
 import abc
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
@@ -78,6 +79,10 @@ _IN_FLIGHT = _metrics.gauge(
 )
 
 
+#: Batch latencies an :class:`ExecutionRecorder` keeps for its percentiles.
+LATENCY_SAMPLE_SIZE = 1024
+
+
 class BackendError(RuntimeError):
     """An execution backend could not run the requested work."""
 
@@ -105,8 +110,11 @@ class ExecutionStats:
     queue_wait_seconds_high_water:
         Longest a batch sat between submission and a worker picking it up.
     batch_latency_seconds:
-        Per-batch execution-time percentiles (``mean``/``p50``/``p90``/
-        ``p99``/``max``), excluding queue wait.
+        Per-batch execution time (``mean``/``p50``/``p90``/``p99``/
+        ``max``), excluding queue wait.  ``mean`` and ``max`` cover every
+        completed batch; the percentiles are over the last
+        ``LATENCY_SAMPLE_SIZE`` (1024) batches, so a long-lived shared
+        backend holds a bounded sample.
     extra:
         Backend-specific numbers (e.g. the HPC adapter's simulated
         cluster time and utilisation).
@@ -166,7 +174,10 @@ class ExecutionRecorder:
     def __init__(self, backend: str = "unknown") -> None:
         self.backend = backend
         self._lock = threading.Lock()
-        self._latencies: list[float] = []
+        self._latencies: deque[float] = deque(maxlen=LATENCY_SAMPLE_SIZE)
+        self._latency_sum = 0.0
+        self._latency_max = 0.0
+        self._completed = 0
         self._queue_wait_high_water = 0.0
         self._in_flight_high_water = 0
         self._dispatched = 0
@@ -186,6 +197,10 @@ class ExecutionRecorder:
     def record_batch(self, queue_wait_seconds: float, latency_seconds: float) -> None:
         with self._lock:
             self._latencies.append(latency_seconds)
+            self._latency_sum += latency_seconds
+            if latency_seconds > self._latency_max:
+                self._latency_max = latency_seconds
+            self._completed += 1
             if queue_wait_seconds > self._queue_wait_high_water:
                 self._queue_wait_high_water = queue_wait_seconds
         _BATCHES_COMPLETED.inc(backend=self.backend)
@@ -201,11 +216,12 @@ class ExecutionRecorder:
     def snapshot(self, backend: str, workers: int) -> ExecutionStats:
         with self._lock:
             latencies = sorted(self._latencies)
+            latency_sum, latency_max = self._latency_sum, self._latency_max
             stats = ExecutionStats(
                 backend=backend,
                 workers=workers,
                 batches_dispatched=self._dispatched,
-                batches_completed=len(latencies),
+                batches_completed=self._completed,
                 batches_cancelled=self._cancelled,
                 in_flight_high_water=self._in_flight_high_water,
                 queue_wait_seconds_high_water=self._queue_wait_high_water,
@@ -217,11 +233,11 @@ class ExecutionRecorder:
                 return latencies[min(n - 1, max(0, int(round(q * (n - 1)))))]
 
             stats.batch_latency_seconds = {
-                "mean": sum(latencies) / n,
+                "mean": latency_sum / stats.batches_completed,
                 "p50": rank(0.50),
                 "p90": rank(0.90),
                 "p99": rank(0.99),
-                "max": latencies[-1],
+                "max": latency_max,
             }
         return stats
 
@@ -232,14 +248,17 @@ class ExecutionRecorder:
 class ExecutionBackend(abc.ABC):
     """How the pipeline's batches actually run.
 
-    Subclasses set :attr:`name` (the registry name) and implement
-    :meth:`map_ordered`; :meth:`wrap_inner` defaults to identity and is
-    overridden by backends whose workers execute outside the parent
-    process.  Backends are context managers (``close()`` on exit).
+    Subclasses set :attr:`name` (the registry name), create
+    :attr:`_recorder` and implement :meth:`map_ordered`; :meth:`wrap_inner`
+    defaults to identity and is overridden by backends whose workers
+    execute outside the parent process.  Backends are context managers
+    (``close()`` on exit).
     """
 
     #: Registry name of the backend.
     name: str = "abstract"
+    #: What :meth:`map_ordered` records into and :meth:`stats` snapshots.
+    _recorder: ExecutionRecorder
 
     @property
     def workers(self) -> int:
@@ -268,9 +287,9 @@ class ExecutionBackend(abc.ABC):
         :meth:`close`.
         """
 
-    @abc.abstractmethod
     def stats(self) -> ExecutionStats:
         """Snapshot of this backend's execution telemetry (safe after close)."""
+        return self._recorder.snapshot(self.name, self.workers)
 
     def close(self) -> None:
         """Release worker pools.  Idempotent; further maps are refused."""
@@ -306,7 +325,6 @@ _BUILTIN_BACKEND_MODULES: dict[str, str] = {
     "thread": "repro.pipeline.backends.thread",
     "process": "repro.pipeline.backends.process",
     "hpc": "repro.pipeline.backends.hpc",
-    "async": "repro.pipeline.backends.async_",
     "remote": "repro.cluster.backend",
 }
 
@@ -395,16 +413,16 @@ def normalize_backend_spec(
     backend: str,
     backend_options: Mapping[str, Any] | None = None,
 ) -> tuple[str, dict[str, Any]]:
-    """Resolve ``"auto"`` to a concrete backend spec.
+    """Resolve ``"auto"`` and ``"async"`` to a concrete backend spec.
 
     An ``{"n_jobs": N}`` option with N > 1 selects the thread backend
     under ``"auto"``; ``"auto"`` without parallelism resolves to the
-    serial backend.
+    serial backend.  ``"async"`` is an accepted name for ``"thread"``.
     """
     options = dict(backend_options or {})
-    if "n_jobs" in options and backend_accepts_option(backend, "n_jobs"):
+    name = "thread" if backend == "async" else backend
+    if "n_jobs" in options and backend_accepts_option(name, "n_jobs"):
         options["n_jobs"] = _validated_n_jobs(options["n_jobs"])
-    name = backend
     if name == "auto":
         name = "thread" if options.get("n_jobs", 1) > 1 else "serial"
         if name == "serial":
@@ -431,12 +449,12 @@ def validate_backend_spec(
     when a worker dequeues them; backend constructors are lazy (no pools
     are spawned), so a construct-and-close round trip is cheap.
     """
-    if backend != "auto" and backend not in backend_names():
+    name, options = normalize_backend_spec(backend, backend_options)
+    if name not in backend_names():
         raise ValueError(
             f"unknown execution backend {backend!r}; known: "
             f"{['auto'] + backend_names()}"
         )
-    name, options = normalize_backend_spec(backend, backend_options)
     create_backend(name, options).close()
 
 

@@ -10,7 +10,6 @@ from repro.pipeline.backends.base import (
     BackendSpec,
     ExecutionBackend,
     ExecutionRecorder,
-    ExecutionStats,
     register_backend,
 )
 
@@ -48,9 +47,6 @@ class SerialBackend(ExecutionBackend):
             recorder.record_batch(0.0, perf_counter() - started)
             self._observe(result)
             yield result
-
-    def stats(self) -> ExecutionStats:
-        return self._recorder.snapshot(self.name, self.workers)
 
     def close(self) -> None:
         self._closed = True

@@ -63,7 +63,7 @@ class ParseReport:
     #: Where the time went: phase name → ``{total_s, self_s, cpu_s,
     #: calls, bytes}`` from the run's :class:`~repro.obs.PhaseTimer`
     #: (empty when phase attribution is disabled).  Child-worker tables
-    #: — thread/process/async pools and remote shards alike — are merged
+    #: — thread/process pools and remote shards alike — are merged
     #: in, so the same phase keys appear on every backend.
     phases: dict[str, dict[str, float]] = field(default_factory=dict)
 
@@ -171,16 +171,7 @@ class ParseReport:
             "phases": {name: dict(row) for name, row in self.phases.items()},
             "execution": self.execution.to_json_dict(),
             "summary": self.summary(),
-            "decisions": [
-                {
-                    "doc_id": d.doc_id,
-                    "chosen_parser": d.chosen_parser,
-                    "stage": d.stage,
-                    "predicted_improvement": d.predicted_improvement,
-                    "doc_type": d.doc_type,
-                }
-                for d in self.decisions
-            ],
+            "decisions": [d.to_json_dict() for d in self.decisions],
             "results": results_payload,
         }
 
@@ -208,14 +199,7 @@ class ParseReport:
             for entry in payload.get("results", [])
         ]
         decisions = [
-            RoutingDecision(
-                doc_id=entry["doc_id"],
-                chosen_parser=entry["chosen_parser"],
-                stage=entry["stage"],
-                predicted_improvement=float(entry.get("predicted_improvement", 0.0)),
-                doc_type=str(entry.get("doc_type", "pdf")),
-            )
-            for entry in payload.get("decisions", [])
+            RoutingDecision.from_json_dict(entry) for entry in payload.get("decisions", [])
         ]
         return cls(
             request=ParseRequest.from_json_dict(payload["request"]),

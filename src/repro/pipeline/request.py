@@ -77,14 +77,12 @@ class ParseRequest:
         base parsers.
     backend:
         Execution backend by registry name (``serial``, ``thread``,
-        ``process``, ``hpc``, ``async``, ``remote``) or ``"auto"``, which
-        picks serial — or thread when parallelism is requested via
-        ``backend_options``.
+        ``process``, ``hpc``, ``remote``) or ``"auto"``, which picks serial —
+        or thread when parallelism is requested via ``backend_options``.
+        ``"async"`` is accepted as a name for ``thread``.
     backend_options:
         Backend construction options (e.g. ``{"n_jobs": 8}`` for the
-        thread/process/async backends, ``{"n_nodes": 16}`` for ``hpc``,
-        ``{"max_window": 32, "adaptive": True}`` for ``async`` (the thread
-        pool behind an adaptive in-flight window),
+        thread/process backends, ``{"n_nodes": 16}`` for ``hpc``,
         ``{"workers": "host:port,host:port"}`` for ``remote``); see
         :func:`repro.pipeline.backends.backend_specs`.
     cache:

@@ -2,7 +2,7 @@
 
 :class:`ParseService` accepts many concurrent
 :class:`~repro.pipeline.request.ParseRequest` submissions and multiplexes
-them onto **one shared execution backend** (``async`` by default) and
+them onto **one shared execution backend** (``thread`` by default) and
 **one shared parse cache**, so single-flight deduplication holds across
 requests, admission follows a priority + fair-share policy, and every
 submission streams :class:`~repro.serve.events.ProgressEvent` values

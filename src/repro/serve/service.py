@@ -6,7 +6,7 @@ executes one request on a private backend, the service accepts **many
 concurrent** :class:`~repro.pipeline.request.ParseRequest` submissions
 and multiplexes them onto
 
-* **one shared execution backend** (``async`` by default — every
+* **one shared execution backend** (``thread`` by default — every
   request's runner thread drives its own ordered window over the same
   executor pool), and
 * **one shared :class:`~repro.cache.ParseCache`** — so single-flight
@@ -91,17 +91,17 @@ class ServiceConfig:
     ----------
     backend:
         Registry name of the shared execution backend (default
-        ``"async"``); every admitted request executes on this one
+        ``"thread"``); every admitted request executes on this one
         instance, so its worker pool is the service's parse capacity.
     backend_options:
         Construction options for the shared backend (e.g. ``{"n_jobs":
-        8, "max_window": 32}``).
+        8, "window": 32}``).
     max_active:
         Requests executing concurrently; submissions beyond this wait in
         the admission queue.
     """
 
-    backend: str = "async"
+    backend: str = "thread"
     backend_options: dict[str, Any] = field(default_factory=dict)
     max_active: int = 4
 

@@ -1,8 +1,9 @@
-"""Durable line-oriented files: append a block, or replace the whole file.
+"""Durable line-oriented files: append a block, replace the whole file, read it back.
 
 The two write primitives behind every fsynced JSONL file in the repo (the
-parse cache's shards, the campaign ledger).  Lines are ``bytes`` without
-their newline; both functions add it and return the bytes written.
+parse cache's shards, the campaign ledger) and the tolerant reader both
+load with.  Lines are ``bytes`` without their newline; the writers add it
+and return the bytes written.
 
 * :func:`append_lines` costs the block, never the file.  It is *not*
   atomic: a kill mid-write leaves a torn last line, and two processes
@@ -11,14 +12,17 @@ their newline; both functions add it and return the bytes written.
   so a torn tail costs the line that was torn and never the next one.
 * :func:`replace_lines` is atomic: readers see the old file or the new
   one.  It costs the whole file.
+* :class:`JsonLines` is that reader: it skips, and counts, the lines that
+  are not JSON.  What a parsed line must contain is the caller's check.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable, Iterator
 
 
 def temporary_suffix() -> str:
@@ -66,3 +70,33 @@ def replace_lines(path: Path, lines: Iterable[bytes]) -> int:
         os.fsync(handle.fileno())
     os.replace(tmp, path)
     return len(data)
+
+
+class JsonLines:
+    """Iterate the JSON lines of a file a torn append may have damaged.
+
+    Yields ``(payload, raw line)`` for every non-blank line that parses;
+    ``skipped`` counts the ones passed over so far.  A missing file reads
+    as empty.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.skipped = 0
+
+    def __iter__(self) -> Iterator[tuple[Any, bytes]]:
+        self.skipped = 0
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return
+        for line in data.split(b"\n"):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                payload = json.loads(line)
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                self.skipped += 1
+                continue
+            yield payload, line

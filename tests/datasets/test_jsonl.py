@@ -41,6 +41,12 @@ class TestWriteReadJsonl:
         path.write_text('{"a": 1}\nnot-json\n', encoding="utf-8")
         with pytest.raises(ValueError, match="bad.jsonl:2"):
             read_jsonl(path)
+        # The streaming reader (and so a manifest's iter_records) names
+        # the file too, after yielding the good lines before it.
+        stream = iter_jsonl(path)
+        assert next(stream) == {"a": 1}
+        with pytest.raises(ValueError, match="bad.jsonl:2"):
+            next(stream)
 
     def test_iter_jsonl_streams_all_records(self, tmp_path):
         path = tmp_path / "stream.jsonl"

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cluster.protocol import decision_to_dict, shard_placement_key
+from repro.cluster.protocol import shard_placement_key
 from repro.core.engine import RoutingDecision
 from repro.documents.corpus import CorpusConfig, build_corpus
 from repro.elastic.ledger import ShardLedger, ledger_key
@@ -22,11 +22,9 @@ def shard_output():
     documents = list(corpus)
     results = [r.to_json_dict() for r in parser.parse_many(documents)]
     decisions = [
-        decision_to_dict(
-            RoutingDecision(
-                doc_id=d.doc_id, chosen_parser="pymupdf", stage="fixed"
-            )
-        )
+        RoutingDecision(
+            doc_id=d.doc_id, chosen_parser="pymupdf", stage="fixed"
+        ).to_json_dict()
         for d in documents
     ]
     from repro.cache.keys import document_content_hash
@@ -55,7 +53,7 @@ class TestRecordAndReplay:
         assert replay is not None
         replayed_results, replayed_decisions = replay
         assert [r.to_json_dict() for r in replayed_results] == results
-        assert [decision_to_dict(d) for d in replayed_decisions] == decisions
+        assert [d.to_json_dict() for d in replayed_decisions] == decisions
 
     def test_persists_across_instances(self, tmp_path, shard_output):
         placement_key, fingerprint, results, decisions = shard_output

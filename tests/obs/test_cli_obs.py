@@ -100,6 +100,19 @@ class TestObsProfileExitCode:
         assert code == 0
         assert payload["profile"] is None
 
+    def test_zero_sample_profile_is_a_fast_ticket_not_an_error(self, gateway, capsys):
+        """A profiled ticket that finished inside one sampler tick is stored
+        with no samples; that is not the operator forgetting --profile."""
+        ticket_id = submit_and_finish(gateway)
+        profiling.default_store().put(ticket_id, profiling.Profile())
+        for extra in ([], ["--top", "3"]):
+            code = main(["obs", "profile", ticket_id, "--port", str(gateway.port), *extra])
+            captured = capsys.readouterr()
+            assert code == 0
+            assert "0 sample(s) at 10ms" in captured.out
+            assert "finished inside one sampler tick" in captured.out
+            assert "no profile recorded" not in captured.err
+
     def test_profiled_ticket_prints_collapsed_stacks(self, gateway, capsys):
         profiling.set_profiling_enabled(True)
         try:

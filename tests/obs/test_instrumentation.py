@@ -326,11 +326,6 @@ class TestBackendExtraParity:
         report = ParsePipeline(registry).run(request)
         return report.execution.to_json_dict()["extra"]
 
-    def test_async_publishes_window_family(self, registry):
-        extra = self.extra_for("async", registry, n_jobs=2)
-        for key in ("window_initial", "window_final", "window_high_water"):
-            assert key in extra, f"async extra missing {key}"
-
     def test_hpc_publishes_sim_family(self, registry):
         extra = self.extra_for("hpc", registry, n_nodes=2)
         for key in ("sim_nodes", "sim_time_s", "sim_docs_per_s"):

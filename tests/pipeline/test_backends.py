@@ -88,6 +88,11 @@ def _triple(x: int) -> int:
     return 3 * x
 
 
+def _create(kind: str, options: dict | None = None):
+    """Build a backend the way a request does (``async`` names ``thread``)."""
+    return create_backend(*normalize_backend_spec(kind, options))
+
+
 def _backend_threads() -> list[threading.Thread]:
     return [
         t for t in threading.enumerate() if t.name.startswith(THREAD_NAME_PREFIX)
@@ -99,7 +104,7 @@ def _backend_threads() -> list[threading.Thread]:
 # ---------------------------------------------------------------------- #
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"serial", "thread", "process", "hpc", "async"} <= set(backend_names())
+        assert {"serial", "thread", "process", "hpc"} <= set(backend_names())
 
     def test_create_by_name(self):
         backend = create_backend("thread", {"n_jobs": 2})
@@ -129,6 +134,8 @@ class TestRegistry:
             ("process", {"n_jobs": 2}, ("process", {"n_jobs": 2})),
             ("serial", None, ("serial", {})),
             ("hpc", {"n_nodes": 2}, ("hpc", {"n_nodes": 2})),
+            ("async", {"n_jobs": 4}, ("thread", {"n_jobs": 4})),
+            ("async", None, ("thread", {})),
         ],
     )
     def test_normalize_spec(self, backend, options, expected):
@@ -182,7 +189,8 @@ class TestRegistry:
 # ---------------------------------------------------------------------- #
 #: The backends that run the one ordered-window loop in-process.  ``process``
 #: inherits it too and is cheap here: ``map_ordered`` alone (no
-#: ``wrap_inner``) never spawns a child.
+#: ``wrap_inner``) never spawns a child.  ``async`` is the alias row: the
+#: name resolves to ``thread``.
 WINDOW_LOOP_BACKENDS = ["thread", "async", "process"]
 
 
@@ -202,7 +210,7 @@ class TestMapOrdered:
 
     @pytest.mark.parametrize("kind", WINDOW_LOOP_BACKENDS)
     def test_order_preserved_under_jitter(self, kind):
-        backend = create_backend(kind, {"n_jobs": 4})
+        backend = _create(kind, {"n_jobs": 4})
 
         def jittery(x: int) -> int:
             time.sleep(0.001 * (x % 5))
@@ -211,30 +219,27 @@ class TestMapOrdered:
         with backend:
             assert list(backend.map_ordered(jittery, range(40))) == list(range(40))
         stats = backend.stats()
-        assert stats.backend == kind
+        assert stats.backend == normalize_backend_spec(kind)[0]
         assert stats.workers == 4
         assert stats.batches_completed == 40
-        bound = getattr(backend, "max_window", backend.window)
-        assert 1 <= stats.in_flight_high_water <= bound
+        assert 1 <= stats.in_flight_high_water <= backend.window
 
     @pytest.mark.parametrize(
         "kind,options,bound",
         [
             ("thread", {"n_jobs": 2, "window": 3}, 3),
-            ("async", {"n_jobs": 2, "window": 2, "max_window": 5}, 5),
+            ("async", {"n_jobs": 2, "window": 5}, 5),
         ],
     )
     def test_window_bounds_in_flight(self, kind, options, bound):
-        backend = create_backend(kind, options)
+        backend = _create(kind, options)
         with backend:
             list(backend.map_ordered(lambda x: x, range(50)))
-        stats = backend.stats()
-        assert stats.in_flight_high_water <= bound
-        assert stats.extra.get("window_high_water", bound) <= bound
+        assert backend.stats().in_flight_high_water <= bound
 
     @pytest.mark.parametrize("kind", WINDOW_LOOP_BACKENDS)
     def test_worker_error_propagates(self, kind):
-        backend = create_backend(kind, {"n_jobs": 2})
+        backend = _create(kind, {"n_jobs": 2})
 
         def boom(x: int) -> int:
             if x == 3:
@@ -252,7 +257,7 @@ class TestMapOrdered:
 
     @pytest.mark.parametrize("kind", WINDOW_LOOP_BACKENDS)
     def test_closed_backend_refuses_work(self, kind):
-        backend = create_backend(kind, {"n_jobs": 2})
+        backend = _create(kind, {"n_jobs": 2})
         backend.close()
         with pytest.raises(BackendError, match="closed"):
             list(backend.map_ordered(lambda x: x, [1]))
@@ -262,7 +267,7 @@ class TestMapOrdered:
         "kind,options",
         [
             ("thread", {"n_jobs": 2, "window": 6}),
-            ("async", {"n_jobs": 2, "window": 6, "adaptive": False}),
+            ("async", {"n_jobs": 2, "window": 6}),
         ],
     )
     def test_early_close_cancels_pending_and_leaks_no_threads(self, kind, options):
@@ -271,7 +276,7 @@ class TestMapOrdered:
         teardown cancels everything that hasn't started and close() joins
         the workers."""
         assert _backend_threads() == []
-        backend = create_backend(kind, options)
+        backend = _create(kind, options)
 
         def slow(x: int) -> int:
             time.sleep(0.05)
@@ -293,7 +298,7 @@ class TestMapOrdered:
     def test_concurrent_maps_share_one_backend(self, kind):
         """Two threads streaming through one instance interleave safely —
         the invariant the parse service relies on."""
-        backend = create_backend(kind, {"n_jobs": 4})
+        backend = _create(kind, {"n_jobs": 4})
         results: dict[str, list[int]] = {}
 
         def run(label: str, offset: int) -> None:
@@ -316,7 +321,6 @@ class TestMapOrdered:
         assert results["b"] == list(range(100, 120))
         stats = backend.stats()
         assert stats.batches_completed == 40
-        assert stats.extra.get("maps_completed", 2) == 2
 
     @pytest.mark.parametrize("kind", WINDOW_LOOP_BACKENDS)
     def test_racing_first_maps_build_one_pool(self, kind, monkeypatch):
@@ -335,7 +339,7 @@ class TestMapOrdered:
 
         monkeypatch.setattr(thread_module, "ThreadPoolExecutor", SlowPool)
         assert _backend_threads() == []
-        backend = create_backend(kind, {"n_jobs": 2})
+        backend = _create(kind, {"n_jobs": 2})
         n_racers = 4
         barrier = threading.Barrier(n_racers)
         outputs = []
@@ -354,6 +358,31 @@ class TestMapOrdered:
         assert outputs == [[0, 1, 2]] * n_racers
         assert len(built) == 1
         assert _backend_threads() == []
+
+
+class TestExecutionRecorder:
+    def test_long_lived_recorder_keeps_a_bounded_latency_sample(self):
+        """A shared backend's recorder lives as long as the service does:
+        counts and mean/max stay exact, the percentile sample stays bounded."""
+        from repro.pipeline.backends.base import LATENCY_SAMPLE_SIZE, ExecutionRecorder
+
+        recorder = ExecutionRecorder("test")
+        n = 10_000
+        for i in range(n):
+            recorder.record_dispatch()
+            recorder.record_batch(0.0, 2.0 if i < n - LATENCY_SAMPLE_SIZE else 1.0)
+        recorder.record_dispatch()
+        recorder.record_cancelled(1)
+        stats = recorder.snapshot("test", 1)
+        assert stats.batches_completed == n
+        assert stats.batches_completed + stats.batches_cancelled == stats.batches_dispatched
+        assert len(recorder._latencies) == LATENCY_SAMPLE_SIZE
+        latency = stats.batch_latency_seconds
+        # Exact over every batch ...
+        assert latency["max"] == 2.0
+        assert latency["mean"] == pytest.approx(2.0 - LATENCY_SAMPLE_SIZE / n)
+        # ... percentiles over the most recent LATENCY_SAMPLE_SIZE only.
+        assert latency["p50"] == latency["p99"] == 1.0
 
 
 # ---------------------------------------------------------------------- #
@@ -488,7 +517,7 @@ class TestBackendParity:
         # The α budget holds per batch on every backend (40/40/20 boundaries).
         assert candidate.fraction_routed() <= engine.config.alpha + 1e-9
         assert len(candidate.decisions) == len(documents)
-        assert candidate.execution.backend == backend
+        assert candidate.execution.backend == normalize_backend_spec(backend)[0]
 
     @pytest.mark.parametrize("backend,options", _backend_cases())
     def test_cache_readwrite_parity(
@@ -977,50 +1006,60 @@ class TestProcessBackend:
 
 
 # ---------------------------------------------------------------------- #
-# Async backend specifics
+# ``async``: an accepted name for the thread backend
 # ---------------------------------------------------------------------- #
 class TestAsyncBackend:
-    """The AIMD-specific behaviour; the ``map_ordered`` contract itself is
-    covered, for this backend too, by ``TestMapOrdered``."""
+    """``async`` no longer names a backend of its own; the ``map_ordered``
+    contract is covered, for the alias too, by ``TestMapOrdered``."""
 
-    def test_adaptive_window_grows_on_stable_latency(self):
-        from repro.pipeline.backends import AsyncBackend
+    def test_async_report_is_the_thread_report(self, registry, small_corpus):
+        reports = {
+            name: ParsePipeline(registry).run(
+                request_for_documents(
+                    "pymupdf", list(small_corpus), batch_size=4,
+                    backend=name, backend_options={"n_jobs": 2},
+                )
+            )
+            for name in ("thread", "async")
+        }
+        as_thread, as_async = (
+            reports[name].to_json_dict(include_text=True) for name in ("thread", "async")
+        )
+        assert _normalized_bytes(as_async) == _normalized_bytes(as_thread)
+        assert as_async["execution"]["backend"] == "thread"
+        assert as_async["execution"]["extra"] == as_thread["execution"]["extra"] == {}
+        assert {k: v for k, v in as_async["execution"].items() if isinstance(v, int)} == {
+            k: v for k, v in as_thread["execution"].items() if isinstance(v, int)
+        }
+        assert reports["async"].request.resolved_backend() == ("thread", {"n_jobs": 2})
 
-        backend = AsyncBackend(n_jobs=2, window=2, max_window=8)
-        with backend:
-            list(backend.map_ordered(lambda x: (time.sleep(0.005), x)[1], range(30)))
-        extra = backend.stats().extra
-        assert extra["window_initial"] == 2
-        assert extra["window_growths"] > 0
-        assert extra["window_high_water"] > 2
-        assert extra["maps_completed"] == 1
+    @pytest.mark.parametrize(
+        "options", [{"max_window": 5}, {"min_window": 1}, {"adaptive": False}]
+    )
+    def test_removed_options_fail_as_unknown_thread_options(self, options):
+        with pytest.raises(ValueError, match=r"unknown option.*'thread'.*n_jobs.*window"):
+            ParseRequest(parser="pymupdf", backend="async", backend_options=options)
 
-    def test_adaptive_disabled_pins_window(self):
-        from repro.pipeline.backends import AsyncBackend
+    def test_aimd_names_are_no_longer_exported(self):
+        import importlib.util
 
-        backend = AsyncBackend(n_jobs=2, window=3, adaptive=False)
-        with backend:
-            list(backend.map_ordered(lambda x: x, range(20)))
-        extra = backend.stats().extra
-        assert extra["window_growths"] == 0
-        assert extra["window_shrinks"] == 0
-        assert extra["window_high_water"] == 3
+        import repro.pipeline
+        import repro.pipeline.backends as backends
+
+        for name in ("AsyncBackend", "AdaptiveWindow"):
+            assert name not in backends.__all__
+            assert not hasattr(backends, name)
+        assert not hasattr(repro.pipeline, "AsyncBackend")
+        assert importlib.util.find_spec("repro.pipeline.backends.async_") is None
 
     def test_map_runs_on_exactly_n_jobs_threads_and_no_loop_thread(self):
-        from repro.pipeline.backends import AsyncBackend
-        from repro.pipeline.backends.async_ import ASYNC_THREAD_PREFIX
-
         seen: set[str] = set()
-        backend = AsyncBackend(n_jobs=2)
+        backend = _create("async", {"n_jobs": 2})
         with backend:
             for _ in backend.map_ordered(lambda x: time.sleep(0.01), range(8)):
-                seen.update(
-                    t.name
-                    for t in threading.enumerate()
-                    if t.name.startswith(ASYNC_THREAD_PREFIX)
-                )
+                seen.update(t.name for t in _backend_threads())
         assert len(seen) == 2
-        assert not any(name.endswith("-loop") for name in seen)
+        assert all(name.startswith(f"{THREAD_NAME_PREFIX}-thread") for name in seen)
 
     def test_async_request_never_imports_asyncio(self):
         import os
@@ -1036,63 +1075,12 @@ class TestAsyncBackend:
             "report = repro.ParsePipeline().run(repro.ParseRequest(\n"
             "    parser='pymupdf', source='synthetic:6?seed=2', batch_size=2,\n"
             "    backend='async', backend_options={'n_jobs': 2}))\n"
-            "assert report.execution.backend == 'async', report.execution\n"
+            "assert report.execution.backend == 'thread', report.execution\n"
             "assert report.execution.batches_completed == 3, report.execution\n"
             "assert 'asyncio' not in sys.modules, 'asyncio imported'\n"
         )
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-class TestAdaptiveWindowController:
-    def test_grows_additively_on_stable_latency(self):
-        from repro.pipeline.backends import AdaptiveWindow
-
-        window = AdaptiveWindow(initial=2, min_size=1, max_size=6)
-        for _ in range(10):
-            window.observe(0.01)
-        assert window.size == 6  # grew to the cap, one step at a time
-        assert window.growths == 4
-        assert window.high_water == 6
-
-    def test_shrinks_multiplicatively_on_latency_spike(self):
-        from repro.pipeline.backends import AdaptiveWindow
-
-        window = AdaptiveWindow(initial=8, min_size=1, max_size=8)
-        window.observe(0.01)  # prime the EWMA
-        window.observe(0.2)  # 20x spike
-        assert window.size == 4  # halved, not decremented
-        assert window.shrinks == 1
-        assert window.low_water == 4
-        window.observe(1.0)
-        assert window.size <= 4
-
-    def test_respects_bounds(self):
-        from repro.pipeline.backends import AdaptiveWindow
-
-        window = AdaptiveWindow(initial=2, min_size=2, max_size=3)
-        window.observe(0.01)
-        for _ in range(5):
-            window.observe(10.0)
-        assert window.size >= 2
-        for _ in range(20):
-            window.observe(0.001)
-        assert window.size <= 3
-
-    def test_disabled_never_moves(self):
-        from repro.pipeline.backends import AdaptiveWindow
-
-        window = AdaptiveWindow(initial=4, min_size=1, max_size=8, enabled=False)
-        for latency in (0.01, 5.0, 0.0001):
-            window.observe(latency)
-        assert window.size == 4
-        assert window.growths == window.shrinks == 0
-
-    def test_initial_clamped_into_bounds(self):
-        from repro.pipeline.backends import AdaptiveWindow
-
-        assert AdaptiveWindow(initial=100, min_size=1, max_size=8).size == 8
-        assert AdaptiveWindow(initial=0, min_size=2, max_size=8).size == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -1214,7 +1202,6 @@ class TestConsumers:
             "import sys, repro\n"
             "repro.ParseRequest(parser='pymupdf', source='synthetic:2', backend='serial')\n"
             "assert not any(m.startswith('repro.hpc') for m in sys.modules), 'hpc leaked'\n"
-            "assert 'repro.pipeline.backends.async_' not in sys.modules, 'async leaked'\n"
             "assert not any(m.startswith('repro.serve') for m in sys.modules), 'serve leaked'\n"
         )
         env = dict(os.environ, PYTHONPATH=src)

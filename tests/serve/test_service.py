@@ -363,7 +363,7 @@ class TestServeFrontends:
         assert summary["service"]["completed"] == 3
         assert summary["cache_totals"]["misses"] == 6  # identical corpora dedup
         assert summary["cache_totals"]["hits"] + summary["cache_totals"]["coalesced"] == 12
-        assert summary["service"]["backend"]["backend"] == "async"
+        assert summary["service"]["backend"]["backend"] == "thread"
 
     def test_cli_serve_quiet_suppresses_events(self, capsys):
         from repro.cli import main

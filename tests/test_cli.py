@@ -74,6 +74,8 @@ class TestBackendOptionHandling:
                   "--backend-opt", "n_jobs=0"])
 
     def test_async_backend_with_bool_option(self, capsys):
+        """``async`` names the thread backend; its removed options fail like
+        any unknown one, listing the options ``thread`` has."""
         import json
 
         from repro.cli import main
@@ -83,14 +85,19 @@ class TestBackendOptionHandling:
                 "pipeline", "--documents", "6", "--seed", "4",
                 "--backend", "async",
                 "--backend-opt", "n_jobs=2",
-                "--backend-opt", "adaptive=false",
             ]
         )
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["execution"]["backend"] == "async"
-        assert payload["request"]["backend_options"] == {"n_jobs": 2, "adaptive": False}
-        assert payload["execution"]["extra"]["window_shrinks"] == 0
+        assert payload["execution"]["backend"] == "thread"
+        assert payload["request"]["backend_options"] == {"n_jobs": 2}
+        with pytest.raises(SystemExit, match=r"adaptive.*n_jobs.*window"):
+            main(
+                [
+                    "pipeline", "--documents", "6", "--backend", "async",
+                    "--backend-opt", "adaptive=false",
+                ]
+            )
 
 
 class TestCommands:

@@ -1,8 +1,8 @@
-"""The two durable-JSONL write primitives: block append and atomic replace."""
+"""The durable-JSONL primitives: block append, atomic replace, tolerant read."""
 
 from __future__ import annotations
 
-from repro.utils.durable import append_lines, replace_lines
+from repro.utils.durable import JsonLines, append_lines, replace_lines
 
 
 class TestAppendLines:
@@ -33,3 +33,19 @@ class TestReplaceLines:
         path = tmp_path / "log.jsonl"
         assert replace_lines(path, []) == 0
         assert path.read_bytes() == b""
+
+
+class TestJsonLines:
+    def test_yields_payloads_with_their_raw_lines_and_counts_the_rest(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        append_lines(path, [b'{"key": "a"}', b"", b"garbage", b"\xff\xfe", b" [1, 2] "])
+        with path.open("ab") as handle:
+            handle.write(b'{"key": "tor')  # a writer died mid-line
+        reader = JsonLines(path)
+        assert list(reader) == [({"key": "a"}, b'{"key": "a"}'), ([1, 2], b"[1, 2]")]
+        assert reader.skipped == 3
+
+    def test_a_missing_file_reads_as_empty(self, tmp_path):
+        reader = JsonLines(tmp_path / "absent.jsonl")
+        assert list(reader) == []
+        assert reader.skipped == 0
