@@ -19,10 +19,15 @@ Behind that contract it implements the distribution policy:
 * **Windowing** — at most ``window`` shards are in flight per worker;
   excess placements wait in that worker's queue, so a slow worker
   backpressures its own shards without stalling the others.
-* **Transfer economy** — document payloads ship at most once per worker
-  and session; descriptors for previously shipped (or worker-cached)
-  content go hash-only, and the worker's ``shard_need`` reply pulls any
-  payloads it genuinely lacks.
+* **Transfer economy** — a shard of
+  :class:`~repro.documents.sources.DocumentRef` goes to a worker that
+  advertises ``source_refs`` as references: the worker reads its own
+  documents and nothing is read, hashed or serialised here.  A worker
+  that cannot resolve one answers ``shard_need``, is served the
+  documents inline, and gets inline payloads from then on.  Inline
+  payloads ship at most once per worker and session; descriptors for
+  previously shipped (or worker-cached) content go hash-only, and
+  ``shard_need`` pulls any payloads the worker genuinely lacks.
 * **Fault tolerance** — a worker is dead on socket EOF/reset or after
   ``heartbeat_timeout`` without a beacon.  Both detection paths converge
   on one reap-and-requeue code path (:meth:`ClusterCoordinator.
@@ -67,6 +72,7 @@ from repro.cluster.protocol import (
 from repro.core.engine import RoutingDecision
 from repro.documents.document import SciDocument
 from repro.documents.simpdf import document_to_dict
+from repro.documents.sources import DocumentRef, create_source
 from repro.elastic.membership import MembershipRegistry
 from repro.elastic.policy import satisfies, tags_from_capabilities
 from repro.obs import metrics as _metrics
@@ -144,12 +150,18 @@ class ShardFuture:
 
 
 class _Shard:
-    """Coordinator-side state of one dispatched batch."""
+    """Coordinator-side state of one dispatched batch.
+
+    A batch of :class:`DocumentRef` is held as ``refs`` and addressed by
+    ``ref.key()``; a batch of documents is held as ``documents`` and
+    addressed by content hash.  Exactly one of the two is set.
+    """
 
     __slots__ = (
         "shard_id",
         "spec",
         "documents",
+        "refs",
         "content_hashes",
         "placement_key",
         "future",
@@ -164,14 +176,22 @@ class _Shard:
         self,
         shard_id: str,
         spec: WorkerSpec,
-        documents: list[SciDocument],
+        documents: "list[SciDocument] | list[DocumentRef]",
         trace: TraceContext | None = None,
         constraints: Mapping[str, Any] | None = None,
     ) -> None:
         self.shard_id = shard_id
         self.spec = spec
-        self.documents = documents
-        self.content_hashes = [document_content_hash(doc) for doc in documents]
+        self.documents: list[SciDocument] | None = None
+        self.refs: list[DocumentRef] | None = None
+        if documents and isinstance(documents[0], DocumentRef):
+            self.refs = documents
+            self.content_hashes = [ref.key() for ref in documents]
+        else:
+            self.documents = documents
+            self.content_hashes = [document_content_hash(doc) for doc in documents]
+        #: Fixed at construction: placement affinity and the ledger key must
+        #: not move when a by-reference shard is later sent inline.
         self.placement_key = shard_placement_key(self.content_hashes)
         self.future = ShardFuture(shard_id)
         self.attempts = 0
@@ -182,6 +202,21 @@ class _Shard:
         #: parsers); matched against worker tags, relaxed when no alive
         #: worker satisfies them.
         self.constraints = dict(constraints or {})
+
+    def materialise(self) -> None:
+        """Read a by-reference shard's documents here, for an inline send."""
+        refs = self.refs
+        if refs is None:
+            return
+        documents = [_load_here(ref) for ref in refs]
+        self.content_hashes = [document_content_hash(doc) for doc in documents]
+        self.documents, self.refs = documents, None
+
+
+def _load_here(ref: DocumentRef) -> SciDocument:
+    """What ``ref`` names *now*: this process is where the request was planned,
+    so a moved stamp is not a disagreement with anyone."""
+    return create_source(ref.source).load(ref, check_stamp=False)
 
 
 class _WorkerLink:
@@ -209,6 +244,10 @@ class _WorkerLink:
         #: Content hashes already shipped to (or confirmed held by) this
         #: worker this session — their payloads are skipped on later sends.
         self.sent_hashes: set[str] = set()
+        #: Whether by-reference shards go to this worker as references: it
+        #: advertised ``source_refs`` and has not yet answered one with
+        #: ``shard_need``.
+        self.takes_refs = False
         self.reader: threading.Thread | None = None
 
     @property
@@ -295,6 +334,7 @@ class ClusterCoordinator:
             "duplicate_results_ignored": 0,
             "doc_payloads_sent": 0,
             "doc_payloads_skipped": 0,
+            "doc_refs_sent": 0,
             "remote_cache_hits": 0,
             "remote_cache_misses": 0,
             "placement_relaxed": 0,
@@ -345,6 +385,7 @@ class ClusterCoordinator:
         link.worker_id = str(ack.get("worker_id", address))
         link.capabilities = dict(ack.get("capabilities", {}))
         link.tags = tags_from_capabilities(link.capabilities)
+        link.takes_refs = bool(link.capabilities.get("source_refs"))
         with self._lock:
             if any(peer.worker_id == link.worker_id for peer in self._links):
                 channel.close()
@@ -487,11 +528,14 @@ class ClusterCoordinator:
     def submit(
         self,
         spec: WorkerSpec,
-        documents: Iterable[SciDocument],
+        documents: "Iterable[SciDocument] | Iterable[DocumentRef]",
         trace: TraceContext | None = None,
         constraints: Mapping[str, Any] | None = None,
     ) -> ShardFuture:
         """Plan one shard onto the cluster; returns its future immediately.
+
+        The batch is either documents or
+        :class:`~repro.documents.sources.DocumentRef` values (never mixed).
 
         ``trace`` (default: the caller's active trace) rides the
         ``submit_shard`` frame so worker-side spans join the submitting
@@ -507,15 +551,12 @@ class ClusterCoordinator:
         with self._lock:
             if self._closed:
                 raise ClusterError("coordinator is closed")
-            shard = _Shard(
-                f"s{self._next_shard:06d}",
-                spec,
-                batch,
-                trace=trace,
-                constraints=constraints,
-            )
+            shard_id = f"s{self._next_shard:06d}"
             self._next_shard += 1
             self.counters["shards_submitted"] += 1
+        # Built outside the lock: hashing inline documents takes ~0.5 ms
+        # each, and every reader thread's result handling waits on the lock.
+        shard = _Shard(shard_id, spec, batch, trace=trace, constraints=constraints)
         if self.ledger is not None:
             replay = self.ledger.completed_output(shard.placement_key, spec.fingerprint)
             if replay is not None:
@@ -543,9 +584,9 @@ class ClusterCoordinator:
         shard.future.set_exception(error)
 
     def _fail_unsendable(
-        self, link: _WorkerLink, shard: _Shard, error: MessageTooLarge
+        self, link: _WorkerLink, shard: _Shard, error: Exception
     ) -> None:
-        """Fail one shard whose message cannot cross the wire."""
+        """Fail one shard whose message cannot be built or cross the wire."""
         with self._lock:
             link.in_flight.pop(shard.shard_id, None)
             if shard.shard_id in self._shards:
@@ -606,29 +647,45 @@ class ClusterCoordinator:
     def _send_planned(self, sends: list[tuple[_WorkerLink, _Shard]]) -> None:
         """Transmit planned submissions outside the lock.
 
-        Hashes already shipped this session always go hash-only.  For the
-        rest the worker's capabilities decide: a worker *with* a local
-        cache gets hash-only descriptors (it may hold the parse from an
-        earlier run and then needs nothing at all; ``shard_need`` pulls
+        A by-reference shard goes to a link that takes references as
+        ``{"content_hash": ref.key(), "ref": {...}}`` descriptors; for any
+        other link it is read here first and sent like an inline shard.
+
+        Inline hashes already shipped this session always go hash-only.
+        For the rest the worker's capabilities decide: a worker *with* a
+        local cache gets hash-only descriptors (it may hold the parse from
+        an earlier run and then needs nothing at all; ``shard_need`` pulls
         any payloads it genuinely lacks), while a cache-less worker gets
         payloads inline, saving the guaranteed round trip.
         """
         for link, shard in sends:
-            hash_first = bool(link.capabilities.get("cache"))
+            refs = shard.refs if link.takes_refs else None
             descriptors: list[dict[str, Any]] = []
             shipped: list[str] = []
             skipped = 0
-            for document, content_hash in zip(shard.documents, shard.content_hashes):
-                descriptor: dict[str, Any] = {
-                    "doc_id": document.doc_id,
-                    "content_hash": content_hash,
-                }
-                if content_hash in link.sent_hashes or hash_first:
-                    skipped += 1
-                else:
-                    descriptor["payload"] = document_to_dict(document)
-                    shipped.append(content_hash)
-                descriptors.append(descriptor)
+            if refs is not None:
+                descriptors = [
+                    {"content_hash": key, "ref": ref.to_json_dict()}
+                    for ref, key in zip(refs, shard.content_hashes)
+                ]
+            else:
+                try:
+                    shard.materialise()
+                except Exception as exc:  # noqa: BLE001 - fails the shard, not this thread
+                    self._fail_unsendable(link, shard, exc)
+                    continue
+                hash_first = bool(link.capabilities.get("cache"))
+                for document, content_hash in zip(shard.documents, shard.content_hashes):
+                    descriptor: dict[str, Any] = {
+                        "doc_id": document.doc_id,
+                        "content_hash": content_hash,
+                    }
+                    if content_hash in link.sent_hashes or hash_first:
+                        skipped += 1
+                    else:
+                        descriptor["payload"] = document_to_dict(document)
+                        shipped.append(content_hash)
+                    descriptors.append(descriptor)
             message = {
                 "type": protocol.SUBMIT_SHARD,
                 "shard_id": shard.shard_id,
@@ -650,6 +707,8 @@ class ClusterCoordinator:
                 self._on_worker_death(link, f"send failed: {exc}")
                 continue
             with self._lock:
+                if refs is not None:
+                    self.counters["doc_refs_sent"] += len(refs)
                 self.counters["doc_payloads_sent"] += len(shipped)
                 self.counters["doc_payloads_skipped"] += skipped
                 link.sent_hashes.update(shipped)
@@ -705,8 +764,9 @@ class ClusterCoordinator:
                     message.get("cache_misses", 0)
                 )
                 self.last_batch_seconds = float(message.get("elapsed_seconds", 0.0))
-                # Everything the shard carried is now materialised worker-side.
-                link.sent_hashes.update(shard.content_hashes)
+                if shard.refs is None:
+                    # Every inline document is now in the worker's store.
+                    link.sent_hashes.update(shard.content_hashes)
                 sends = self._pump_locked()
         self._send_planned(sends)
         if shard is None:
@@ -743,11 +803,11 @@ class ClusterCoordinator:
                 ClusterError(f"malformed batch_result for {shard_id}: {exc}")
             )
             return
-        if len(output[0]) != len(shard.documents):
+        if len(output[0]) != len(shard.content_hashes):
             shard.future.set_exception(
                 ClusterError(
                     f"worker {link.worker_id} returned {len(output[0])} results "
-                    f"for shard {shard_id} of {len(shard.documents)} documents"
+                    f"for shard {shard_id} of {len(shard.content_hashes)} documents"
                 )
             )
             return
@@ -777,9 +837,21 @@ class ClusterCoordinator:
             shard = link.in_flight.get(shard_id)
         if shard is None:
             return  # re-placed meanwhile; the new worker owns it now
+        refs = shard.refs
+        if refs is not None:
+            # The worker cannot resolve these references (no such directory
+            # on its host, or a file changed under it): read them here, and
+            # stop sending this link references it would bounce again.
+            link.takes_refs = False
         docs = []
-        for document, content_hash in zip(shard.documents, shard.content_hashes):
-            if content_hash in needed:
+        try:
+            for slot, content_hash in enumerate(shard.content_hashes):
+                if content_hash not in needed:
+                    continue
+                needed.discard(content_hash)
+                document = (
+                    shard.documents[slot] if refs is None else _load_here(refs[slot])
+                )
                 docs.append(
                     {
                         "doc_id": document.doc_id,
@@ -787,7 +859,9 @@ class ClusterCoordinator:
                         "payload": document_to_dict(document),
                     }
                 )
-                needed.discard(content_hash)
+        except Exception as exc:  # noqa: BLE001 - fails the shard, not the reader
+            self._fail_unsendable(link, shard, exc)
+            return
         try:
             link.channel.send(
                 {"type": protocol.DOC_DATA, "shard_id": shard_id, "docs": docs}
@@ -800,8 +874,11 @@ class ClusterCoordinator:
             return
         with self._lock:
             self.counters["doc_payloads_sent"] += len(docs)
-            self.counters["doc_payloads_skipped"] -= len(docs)
-            link.sent_hashes.update(doc["content_hash"] for doc in docs)
+            if refs is not None:
+                self.counters["doc_refs_sent"] -= len(docs)
+            else:
+                self.counters["doc_payloads_skipped"] -= len(docs)
+                link.sent_hashes.update(doc["content_hash"] for doc in docs)
 
     def _on_shard_error(self, link: _WorkerLink, message: Mapping[str, Any]) -> None:
         shard_id = str(message.get("shard_id"))

@@ -16,16 +16,23 @@ Message types
     reproduce) plus the documents as **content-hash-addressed
     descriptors**.  Payloads are only attached for hashes the coordinator
     has not shipped to this worker before; a cache- or store-warm worker
-    resolves the rest locally and skips the re-transfer entirely.  An
-    optional ``trace`` field carries the submitting request's
+    resolves the rest locally and skips the re-transfer entirely.  A
+    descriptor may instead carry a ``ref`` — a
+    :class:`~repro.documents.sources.DocumentRef` as JSON, its
+    ``content_hash`` being ``ref.key()`` — which the worker loads from its
+    own copy of the source; only workers whose ``hello_ack`` advertises
+    ``capabilities: {"source_refs": true}`` are sent one, so this needs no
+    version bump either.  An optional ``trace`` field carries the
+    submitting request's
     :class:`~repro.obs.tracing.TraceContext` as JSON so worker-side spans
     join the same distributed trace; workers that predate tracing ignore
     it (and coordinators tolerate replies without ``spans``), which is
     why this needs no protocol version bump.
 ``shard_need``
     The worker's response when descriptors arrived hash-only and it holds
-    neither the document nor a cached parse: the list of content hashes
-    it needs payloads for.
+    neither the document nor a cached parse — or arrived as references it
+    cannot resolve (no such directory on its host, a changed stamp): the
+    list of content hashes it needs payloads for.
 ``doc_data``
     The coordinator's payload top-up answering ``shard_need``.
 ``batch_result``

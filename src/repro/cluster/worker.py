@@ -13,7 +13,11 @@ A :class:`WorkerDaemon` listens on a TCP port and speaks the
    against its session document store and (when configured) its local
    :class:`~repro.cache.ParseCache`, asking the coordinator for payloads
    only for hashes it cannot serve — a warm worker re-parses nothing and
-   re-transfers nothing;
+   re-transfers nothing; a descriptor that carries a
+   :class:`~repro.documents.sources.DocumentRef` instead is read from the
+   worker's own copy of the source, inside the shard's slot thread, and
+   only a reference that cannot be resolved here (no such directory, a
+   changed stamp) is asked for with the same ``shard_need``;
 3. runs the shard through :func:`repro.cache.run_cached_batch` — the
    loop the parent-side cache wrapper runs — so the cache misses go as
    **one sub-batch** through a local
@@ -46,6 +50,7 @@ from repro.cache import (
     CachePolicy,
     CacheStatsRecorder,
     ParseCache,
+    document_content_hash,
     run_cached_batch,
 )
 from repro.cluster import protocol
@@ -57,6 +62,7 @@ from repro.cluster.protocol import (
 )
 from repro.documents.document import SciDocument
 from repro.documents.simpdf import document_from_dict
+from repro.documents.sources import DocumentRef, StaleReference, create_source
 from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
@@ -78,10 +84,18 @@ class SpecError(RuntimeError):
         self.code = code
 
 
+class UnresolvedReferences(Exception):
+    """Document references of a shard that this worker cannot load."""
+
+    def __init__(self, keys: list[str]) -> None:
+        super().__init__(f"{len(keys)} document reference(s) do not resolve here")
+        self.keys = keys
+
+
 class _ShardJob:
     """One shard queued for execution on the slot pool."""
 
-    __slots__ = ("shard_id", "spec", "descriptors", "trace")
+    __slots__ = ("shard_id", "spec", "descriptors", "trace", "asked")
 
     def __init__(
         self,
@@ -94,6 +108,9 @@ class _ShardJob:
         self.spec = spec
         self.descriptors = descriptors
         self.trace = trace
+        #: Set once ``shard_need`` went out for references: the coordinator's
+        #: ``doc_data`` gets one chance to resolve them.
+        self.asked = False
 
 
 class WorkerDaemon(rpc.Server):
@@ -187,6 +204,7 @@ class WorkerDaemon(rpc.Server):
             "docs_from_cache": 0,
             "docs_received": 0,
             "docs_reused": 0,
+            "docs_loaded": 0,
         }
         self._counters_lock = threading.Lock()
 
@@ -420,8 +438,8 @@ class WorkerDaemon(rpc.Server):
         policy = CachePolicy.coerce(spec.cache)
         missing: list[str] = []
         for descriptor in docs:
-            if descriptor.get("payload") is not None:
-                continue
+            if descriptor.get("payload") is not None or "ref" in descriptor:
+                continue  # shipped inline / read from the source when the shard runs
             content_hash = str(descriptor["content_hash"])
             with self._doc_store_lock:
                 if content_hash in self._doc_store:
@@ -436,6 +454,54 @@ class WorkerDaemon(rpc.Server):
             missing.append(content_hash)
         return missing
 
+    def _load_references(
+        self, batch_worker: Callable, descriptors: list[dict[str, Any]]
+    ) -> dict[int, SciDocument]:
+        """Read the shard's by-reference documents from this worker's sources.
+
+        Returns ``slot → document`` for every descriptor carrying a ``ref``;
+        the documents live for the shard only and never enter the session
+        document store.  A reference the coordinator topped up with
+        ``doc_data`` (after a ``shard_need``) is served from that store.
+        Raises :class:`UnresolvedReferences` for the ones that do not
+        resolve here, and :class:`SpecError` for one that never could.
+        """
+        loaded: dict[int, SciDocument] = {}
+        if not any("ref" in descriptor for descriptor in descriptors):
+            return loaded
+        parser = batch_worker.__self__  # both shapes are bound parser methods
+        unresolved: list[str] = []
+        with _profiling.phase("source.load"):
+            for slot, descriptor in enumerate(descriptors):
+                if "ref" not in descriptor:
+                    continue
+                key = str(descriptor["content_hash"])
+                with self._doc_store_lock:
+                    document = self._doc_store.get(key)
+                if document is None:
+                    try:
+                        ref = DocumentRef.from_json_dict(descriptor["ref"])
+                        # Registered kinds only, options validated.
+                        document = create_source(ref.source).load(ref)
+                    except StaleReference:
+                        unresolved.append(key)
+                        continue
+                    except ValueError as exc:
+                        raise SpecError("bad_reference", str(exc)) from exc
+                    self._bump("docs_loaded")
+                # The coordinator checked the type the source *declares*;
+                # this is the type the file actually holds.
+                if not parser.supports_doc_type(document.doc_type):
+                    raise SpecError(
+                        "unsupported_doc_type",
+                        f"parser {parser.name!r} does not support document type "
+                        f"{document.doc_type!r} (document {document.doc_id!r})",
+                    )
+                loaded[slot] = document
+        if unresolved:
+            raise UnresolvedReferences(unresolved)
+        return loaded
+
     def run_shard(
         self, spec: WorkerSpec, descriptors: list[dict[str, Any]]
     ) -> tuple[list[ParseResult], list, int, int]:
@@ -448,11 +514,18 @@ class WorkerDaemon(rpc.Server):
         content hashes, so a hit never needs the document and overlapping
         shards parse a shared document once (the later one counts it as a
         hit).  Without one, every document goes straight to the parser.
+        A by-reference document is read (and, for the cache, hashed) here
+        first: the cache saves its parse, not its read.
         """
-        inner = self._on_local_backend(self._resolve_spec(spec))
+        batch_worker = self._resolve_spec(spec)
+        inner = self._on_local_backend(batch_worker)
         policy = CachePolicy.coerce(spec.cache) if self.cache is not None else CachePolicy.OFF
+        loaded = self._load_references(batch_worker, descriptors)
 
         def load(slot: int) -> SciDocument:
+            document = loaded.get(slot)
+            if document is not None:
+                return document
             descriptor = descriptors[slot]
             content_hash = str(descriptor["content_hash"])
             with self._doc_store_lock:
@@ -478,10 +551,13 @@ class WorkerDaemon(rpc.Server):
             hits, misses = 0, len(descriptors)
         else:
             recorder = CacheStatsRecorder()
-            keys = [
-                str(CacheKey(str(d["content_hash"]), spec.fingerprint))
-                for d in descriptors
+            # A referenced document is keyed by its content like any other:
+            # its descriptor's hash is ``ref.key()``, which names a location.
+            content_hashes = [
+                document_content_hash(loaded[slot]) if slot in loaded else str(d["content_hash"])
+                for slot, d in enumerate(descriptors)
             ]
+            keys = [str(CacheKey(h, spec.fingerprint)) for h in content_hashes]
             results, decisions = run_cached_batch(
                 self.cache, policy, keys, load, inner, recorder
             )
@@ -543,6 +619,9 @@ class _ConnectionHandler(rpc.Session):
                 # ignore unknown keys, so no protocol version bump.
                 "membership": True,
                 "tags": dict(self.daemon.tags),
+                # This worker resolves `ref` descriptors against its own
+                # copy of the source; without the flag it is sent documents.
+                "source_refs": True,
             },
         }
 
@@ -574,14 +653,7 @@ class _ConnectionHandler(rpc.Session):
 
     def _on_submit(self, message: dict[str, Any]) -> None:
         if self._draining.is_set():
-            self.send_safely(
-                {
-                    "type": protocol.SHARD_ERROR,
-                    "shard_id": message.get("shard_id"),
-                    "code": "draining",
-                    "error": "worker is draining",
-                }
-            )
+            self._shard_error(message.get("shard_id"), "draining", "worker is draining")
             return
         shard_id = str(message["shard_id"])
         spec = WorkerSpec.from_json_dict(message["spec"])
@@ -609,14 +681,11 @@ class _ConnectionHandler(rpc.Session):
             raise ProtocolError(f"doc_data for unknown shard {shard_id!r}")
         still_missing = self.daemon.missing_hashes(job.spec, job.descriptors)
         if still_missing:
-            self.send_safely(
-                {
-                    "type": protocol.SHARD_ERROR,
-                    "shard_id": shard_id,
-                    "code": "missing_document",
-                    "error": f"doc_data left {len(still_missing)} hash(es) "
-                    f"unresolved: {still_missing[:3]}",
-                }
+            self._shard_error(
+                shard_id,
+                "missing_document",
+                f"doc_data left {len(still_missing)} hash(es) unresolved: "
+                f"{still_missing[:3]}",
             )
             return
         self._enqueue(job)
@@ -625,6 +694,21 @@ class _ConnectionHandler(rpc.Session):
         with self._in_flight_lock:
             self._in_flight += 1
         self._queue.put(job)
+
+    def _shard_error(self, shard_id: Any, code: str, error: str) -> None:
+        self.send_safely(
+            {
+                "type": protocol.SHARD_ERROR,
+                "shard_id": shard_id,
+                "code": code,
+                "error": error,
+            }
+        )
+
+    def _fail(self, job: _ShardJob, code: str, error: str) -> None:
+        """Count one executed shard as failed and tell the coordinator why."""
+        self.daemon._bump("shards_failed")
+        self._shard_error(job.shard_id, code, error)
 
     # ------------------------------------------------------------------ #
     # Slot pool
@@ -683,27 +767,32 @@ class _ConnectionHandler(rpc.Session):
                 results, decisions, hits, misses = self.daemon.run_shard(
                     job.spec, job.descriptors
                 )
-        except SpecError as exc:
-            self.daemon._bump("shards_failed")
-            self.send_safely(
-                {
-                    "type": protocol.SHARD_ERROR,
-                    "shard_id": job.shard_id,
-                    "code": exc.code,
-                    "error": str(exc),
-                }
+        except UnresolvedReferences as exc:
+            if not job.asked:
+                # Park before asking: the doc_data answer may beat this
+                # thread back to the pending table.
+                job.asked = True
+                with self._pending_lock:
+                    self._pending[job.shard_id] = job
+                self.send_safely(
+                    {
+                        "type": protocol.SHARD_NEED,
+                        "shard_id": job.shard_id,
+                        "need": exc.keys,
+                    }
+                )
+                return
+            self._fail(
+                job,
+                "missing_document",
+                f"doc_data left {len(exc.keys)} reference(s) unresolved: {exc.keys[:3]}",
             )
             return
+        except SpecError as exc:
+            self._fail(job, exc.code, str(exc))
+            return
         except Exception as exc:  # noqa: BLE001 - shard failures must travel
-            self.daemon._bump("shards_failed")
-            self.send_safely(
-                {
-                    "type": protocol.SHARD_ERROR,
-                    "shard_id": job.shard_id,
-                    "code": "worker_exception",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
+            self._fail(job, "worker_exception", f"{type(exc).__name__}: {exc}")
             return
         self.daemon._bump("shards_completed")
         log_event(
@@ -741,14 +830,7 @@ class _ConnectionHandler(rpc.Session):
         except MessageTooLarge as exc:
             # The results cannot cross the wire: report a shard error so
             # the coordinator fails this shard instead of waiting forever.
-            self.send_safely(
-                {
-                    "type": protocol.SHARD_ERROR,
-                    "shard_id": job.shard_id,
-                    "code": "result_too_large",
-                    "error": str(exc),
-                }
-            )
+            self._shard_error(job.shard_id, "result_too_large", str(exc))
         except (ProtocolError, OSError):
             pass  # connection death; the reader loop handles it
 

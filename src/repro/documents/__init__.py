@@ -36,6 +36,7 @@ from repro.documents.augment import (
 from repro.documents.simpdf import SimPdfReader, SimPdfWriter
 from repro.documents.sources import (
     CrawlDumpSource,
+    DocumentRef,
     DocumentSource,
     ExplicitSource,
     HtmlDirSource,
@@ -43,6 +44,7 @@ from repro.documents.sources import (
     SimPdfDirSource,
     SourceKind,
     SourceSpec,
+    StaleReference,
     SyntheticSource,
     create_source,
     parse_source_arg,
@@ -69,9 +71,11 @@ __all__ = [
     "replace_text_layers_with_ocr",
     "SimPdfReader",
     "SimPdfWriter",
+    "DocumentRef",
     "DocumentSource",
     "SourceKind",
     "SourceSpec",
+    "StaleReference",
     "SyntheticSource",
     "ExplicitSource",
     "SimPdfDirSource",

@@ -13,6 +13,14 @@ A :class:`DocumentSource` answers three questions for the pipeline:
   (``None`` for mixed-format sources such as crawl dumps), which feeds
   format-aware routing.
 
+Sources that can enumerate their documents *without reading them*
+(``synthetic`` by index; ``simpdf-dir``, ``html-dir`` and ``markdown-dir``
+by relative path) also offer :meth:`~DocumentSource.refs` — a stream of
+small JSON-round-trippable :class:`DocumentRef` values — and
+:meth:`~DocumentSource.load`, which turns one reference back into its
+document.  An execution backend whose workers can rebuild the source
+themselves ships the references and lets each worker read its own share.
+
 Sources are constructed either directly (``HtmlDirSource("corpus/html")``)
 or declaratively through a :class:`SourceSpec` — a JSON-round-trippable
 ``(kind, options)`` pair resolved against a registry, mirroring how
@@ -26,8 +34,10 @@ from __future__ import annotations
 
 import abc
 import difflib
+import json
+import os
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.documents.corpus import CorpusConfig, build_document
@@ -92,6 +102,26 @@ class DocumentSource(abc.ABC):
     def count_hint(self) -> int | None:
         """Document count when knowable without reading content, else ``None``."""
         return None
+
+    def refs(self) -> "Iterator[DocumentRef] | None":
+        """References to the documents, in :meth:`iter_documents` order.
+
+        ``None`` (the default) means the source cannot enumerate its
+        documents without reading them — an in-memory collection, or a
+        crawl dump whose mirror dedup compares content across files — and
+        must be materialised with :meth:`iter_documents`.
+        """
+        return None
+
+    def load(self, ref: "DocumentRef", *, check_stamp: bool = True) -> SciDocument:
+        """The one document ``ref`` names.
+
+        Raises :class:`StaleReference` when the document is not what the
+        reference was cut from (gone, or its stamp moved; ``check_stamp=
+        False`` reads whatever is there now), and :class:`ValueError` for
+        a locator this source could never have issued.
+        """
+        raise ValueError(f"{self.kind} source cannot load documents by reference")
 
     def describe(self) -> dict[str, Any]:
         """Human-oriented summary (CLI listings, service logs)."""
@@ -164,6 +194,25 @@ class SyntheticSource(DocumentSource):
 
     def count_hint(self) -> int:
         return self.config.n_documents
+
+    def refs(self) -> "Iterator[DocumentRef]":
+        spec, stamp = self.spec(), self.fingerprint()
+        for index in range(self.config.n_documents):
+            yield DocumentRef(spec, str(index), stamp, self.doc_type.value)
+
+    def load(self, ref: "DocumentRef", *, check_stamp: bool = True) -> SciDocument:
+        index = int(ref.locator) if ref.locator.isdecimal() else -1
+        if not 0 <= index < self.config.n_documents:
+            raise ValueError(
+                f"synthetic locator {ref.locator!r} is not an index below "
+                f"{self.config.n_documents}"
+            )
+        if check_stamp and ref.stamp != self.fingerprint():
+            raise StaleReference(
+                f"synthetic corpus configuration differs from the referenced one "
+                f"(document {ref.locator})"
+            )
+        return build_document(index, self.config)
 
 
 class ExplicitSource(DocumentSource):
@@ -238,7 +287,56 @@ class _FileSource(DocumentSource):
         return SourceSpec(kind=self.kind, options=options)
 
 
-class SimPdfDirSource(_FileSource):
+class _PerFileSource(_FileSource):
+    """Directory sources where one file is one document.
+
+    That is what makes them reference-able: the files can be listed (and
+    stamped with ``size:mtime_ns``) without opening any of them.
+    """
+
+    @abc.abstractmethod
+    def _read(self, path: Path) -> SciDocument:
+        """Read and extract the document stored at ``path``."""
+
+    def iter_documents(self) -> Iterator[SciDocument]:
+        for path in self.paths():
+            yield self._read(path)
+
+    def refs(self) -> "Iterator[DocumentRef]":
+        spec, doc_type = self.spec(), self.doc_type.value
+        for path in self.paths():
+            yield DocumentRef(
+                spec,
+                path.relative_to(self.directory).as_posix(),
+                _file_stamp(path.stat()),
+                doc_type,
+            )
+
+    def load(self, ref: "DocumentRef", *, check_stamp: bool = True) -> SciDocument:
+        relative = PurePosixPath(ref.locator)
+        if relative.is_absolute() or ".." in relative.parts or not relative.parts:
+            raise ValueError(
+                f"locator {ref.locator!r} does not name a file under the "
+                f"{self.kind} source root"
+            )
+        path = self.directory / relative
+        try:
+            stamp = _file_stamp(path.stat())
+            if check_stamp and stamp != ref.stamp:
+                raise StaleReference(
+                    f"{path} changed since it was referenced "
+                    f"({ref.stamp} -> {stamp})"
+                )
+            return self._read(path)
+        except (FileNotFoundError, NotADirectoryError) as exc:
+            raise StaleReference(f"{path} is not readable here: {exc}") from exc
+
+
+def _file_stamp(stat: os.stat_result) -> str:
+    return f"{stat.st_size}:{stat.st_mtime_ns}"
+
+
+class SimPdfDirSource(_PerFileSource):
     """A directory of ``*.simpdf`` files (the existing on-disk format)."""
 
     kind = "simpdf-dir"
@@ -250,12 +348,11 @@ class SimPdfDirSource(_FileSource):
     def doc_type(self) -> DocumentType:
         return DocumentType.PDF
 
-    def iter_documents(self) -> Iterator[SciDocument]:
-        for path in self.paths():
-            yield deserialize_document(path.read_bytes())
+    def _read(self, path: Path) -> SciDocument:
+        return deserialize_document(path.read_bytes())
 
 
-class HtmlDirSource(_FileSource):
+class HtmlDirSource(_PerFileSource):
     """A directory of HTML files, extracted to structured text."""
 
     kind = "html-dir"
@@ -267,21 +364,20 @@ class HtmlDirSource(_FileSource):
     def doc_type(self) -> DocumentType:
         return DocumentType.HTML
 
-    def iter_documents(self) -> Iterator[SciDocument]:
-        for path in self.paths():
-            blocks, title = html_to_blocks(path.read_text(encoding="utf-8", errors="replace"))
-            yield record_to_document(
-                WebTextRecord(
-                    doc_id=_doc_id_for(path, self.directory),
-                    doc_type=DocumentType.HTML,
-                    blocks=tuple(blocks),
-                    title=title,
-                    origin=self.directory.name or "html",
-                )
+    def _read(self, path: Path) -> SciDocument:
+        blocks, title = html_to_blocks(path.read_text(encoding="utf-8", errors="replace"))
+        return record_to_document(
+            WebTextRecord(
+                doc_id=_doc_id_for(path, self.directory),
+                doc_type=DocumentType.HTML,
+                blocks=tuple(blocks),
+                title=title,
+                origin=self.directory.name or "html",
             )
+        )
 
 
-class MarkdownDirSource(_FileSource):
+class MarkdownDirSource(_PerFileSource):
     """A directory of Markdown files, extracted to structured text."""
 
     kind = "markdown-dir"
@@ -293,20 +389,19 @@ class MarkdownDirSource(_FileSource):
     def doc_type(self) -> DocumentType:
         return DocumentType.MARKDOWN
 
-    def iter_documents(self) -> Iterator[SciDocument]:
-        for path in self.paths():
-            blocks, title = markdown_to_blocks(
-                path.read_text(encoding="utf-8", errors="replace")
+    def _read(self, path: Path) -> SciDocument:
+        blocks, title = markdown_to_blocks(
+            path.read_text(encoding="utf-8", errors="replace")
+        )
+        return record_to_document(
+            WebTextRecord(
+                doc_id=_doc_id_for(path, self.directory),
+                doc_type=DocumentType.MARKDOWN,
+                blocks=tuple(blocks),
+                title=title,
+                origin=self.directory.name or "markdown",
             )
-            yield record_to_document(
-                WebTextRecord(
-                    doc_id=_doc_id_for(path, self.directory),
-                    doc_type=DocumentType.MARKDOWN,
-                    blocks=tuple(blocks),
-                    title=title,
-                    origin=self.directory.name or "markdown",
-                )
-            )
+        )
 
 
 class CrawlDumpSource(_FileSource):
@@ -420,6 +515,81 @@ class SourceSpec:
 
     def __hash__(self) -> int:
         return hash((self.kind, tuple(sorted(self.options.items()))))
+
+
+class StaleReference(LookupError):
+    """A :class:`DocumentRef` no longer names what it was cut from.
+
+    The document is gone from where this process looks, or its stamp has
+    moved; whoever holds the reference should fetch the document another
+    way instead of trusting it.
+    """
+
+
+@dataclass(frozen=True)
+class DocumentRef:
+    """One document of a source, named without reading it.
+
+    Attributes
+    ----------
+    source:
+        The spec that rebuilds the source (:func:`create_source`).
+    locator:
+        Where in the source the document is: the index for ``synthetic``,
+        the ``/``-separated path relative to the root for directory kinds.
+    stamp:
+        What the document looked like when the reference was cut —
+        ``size:mtime_ns`` for a file, the configuration fingerprint for
+        ``synthetic``.  :meth:`DocumentSource.load` compares it, so a
+        reader that sees a different document finds out.
+    doc_type:
+        The source's declared :class:`DocumentType` value.
+    """
+
+    source: SourceSpec
+    locator: str
+    stamp: str
+    doc_type: str | None = None
+
+    def __hash__(self) -> int:
+        # Not the generated field hash: a spec's options may nest a mapping
+        # (``synthetic``'s ``textgen``), which is comparable but unhashable.
+        return hash((self.locator, self.stamp))
+
+    def key(self) -> str:
+        """Stable hex identity of (spec, locator, stamp).
+
+        Stands where a content hash would for placement and checkpoints:
+        it moves whenever the referenced bytes can have moved.
+        """
+        return stable_hash_hex(
+            "document-ref",
+            self.source.kind,
+            json.dumps(self.source.options, sort_keys=True),
+            self.locator,
+            self.stamp,
+        )
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {
+            "source": self.source.to_json_dict(),
+            "locator": self.locator,
+            "stamp": self.stamp,
+            "doc_type": self.doc_type,
+        }
+
+    @classmethod
+    def from_json_dict(cls, payload: Mapping[str, Any]) -> "DocumentRef":
+        missing = sorted({"source", "locator", "stamp"} - set(payload))
+        if missing:
+            raise ValueError(f"document reference is missing {missing}")
+        doc_type = payload.get("doc_type")
+        return cls(
+            source=SourceSpec.from_json_dict(payload["source"]),
+            locator=str(payload["locator"]),
+            stamp=str(payload["stamp"]),
+            doc_type=None if doc_type is None else str(doc_type),
+        )
 
 
 @dataclass(frozen=True)

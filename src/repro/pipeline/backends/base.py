@@ -259,6 +259,12 @@ class ExecutionBackend(abc.ABC):
     name: str = "abstract"
     #: What :meth:`map_ordered` records into and :meth:`stats` snapshots.
     _recorder: ExecutionRecorder
+    #: Whether batches run somewhere that can rebuild a document source from
+    #: its spec.  The pipeline then hands :meth:`wrap_inner`'s stub batches of
+    #: :class:`~repro.documents.sources.DocumentRef` instead of documents
+    #: (for reference-able sources under cache policy ``off``), so documents
+    #: are read where they are parsed and never cross the process boundary.
+    resolves_sources: bool = False
 
     @property
     def workers(self) -> int:

@@ -40,6 +40,7 @@ from repro.cache import (
 )
 from repro.core.engine import AdaParseEngine, RoutingDecision, build_default_engine
 from repro.documents.document import SciDocument
+from repro.documents.sources import DocumentRef
 from repro.obs import metrics as _metrics
 from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
@@ -212,28 +213,30 @@ class ParsePipeline:
             resolved = resolved.with_overrides(alpha=alpha)
         return resolved
 
-    def resolve_documents(self, request: ParseRequest) -> list[SciDocument]:
-        """Materialise the request's document source."""
-        with _profiling.phase("source.iter"):
-            return list(request.resolve_source().iter_documents())
-
     @staticmethod
     def check_doc_type_eligibility(
-        parser: Parser, documents: Iterable[SciDocument]
-    ) -> Iterator[SciDocument]:
+        parser: Parser, documents: "Iterable[SciDocument | DocumentRef]"
+    ) -> "Iterator[SciDocument | DocumentRef]":
         """Stream ``documents``, failing fast on a type the parser can't take.
 
         Engines route around ineligible formats internally (their default
         extractor accepts every type), so this guard matters for *base*
         parser requests: sending an HTML corpus straight to a PDF-only
         recognition parser is a configuration error, not a degraded run.
+        A :class:`~repro.documents.sources.DocumentRef` is checked on the
+        type its source declares.
         """
         for document in documents:
             if not parser.supports_doc_type(document.doc_type):
                 supported = sorted(parser.supported_doc_types)
+                name = (
+                    document.locator
+                    if isinstance(document, DocumentRef)
+                    else document.doc_id
+                )
                 raise ValueError(
                     f"parser {parser.name!r} does not support document type "
-                    f"{document.doc_type!r} (document {document.doc_id!r}); "
+                    f"{document.doc_type!r} (document {name!r}); "
                     f"supported types: {supported}. Pick an extraction parser "
                     f"or an AdaParse engine for this source"
                 )
@@ -462,11 +465,10 @@ class ParsePipeline:
         span = _tracing.span("pipeline.run", attributes={"parser": str(request.parser)})
         with _tracing.ensure_trace(), span, _profiling.use_timer(timer):
             with self._resolve_lock:
-                # Engine training and corpus building mutate pipeline-level
-                # state; serialising resolution keeps concurrent runs from
-                # double-training one engine.  Parsing itself runs unlocked.
+                # Engine training mutates pipeline-level state; serialising
+                # it keeps concurrent runs from double-training one engine.
+                # Reading sources and parsing run unlocked.
                 parser = self.resolve_parser(request.parser, alpha=request.alpha)
-                documents = self.resolve_documents(request)
             cache_policy = request.cache_policy
             cache_recorder = CacheStatsRecorder()  # stays all-zero under policy off
             owned = backend is None
@@ -475,8 +477,21 @@ class ParsePipeline:
             results: list[ParseResult] = []
             decisions: list[RoutingDecision] = []
             batches_done = 0
-            started = perf_counter()
             try:
+                source = request.resolve_source()
+                with _profiling.phase("source.iter"):
+                    # A backend that reads sources where it parses gets
+                    # references; a parent-side cache lookup is keyed by
+                    # content, so a cached request needs the documents here.
+                    refs = (
+                        source.refs()
+                        if backend.resolves_sources and cache_policy is CachePolicy.OFF
+                        else None
+                    )
+                    documents: "list[SciDocument] | list[DocumentRef]" = list(
+                        source.iter_documents() if refs is None else refs
+                    )
+                started = perf_counter()
                 for batch_results, batch_decisions in self.parse_batches(
                     parser,
                     documents,

@@ -9,24 +9,37 @@ SIGKILLed process.
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import socket
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.cache import ParseCache
+from repro.cache import ParseCache, document_content_hash
 from repro.cluster.backend import RemoteBackend, worker_spec_for
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.protocol import PROTOCOL_VERSION, MessageChannel, WorkerSpec
 from repro.cluster.worker import WorkerDaemon
 from repro.documents.corpus import CorpusConfig, build_corpus
+from repro.documents.simpdf import SimPdfWriter, document_to_dict
+from repro.documents.sources import (
+    ExplicitSource,
+    HtmlDirSource,
+    SourceSpec,
+    create_source,
+)
 from repro.parsers.base import Parser, ParserCost
 from repro.parsers.registry import default_registry
-from repro.pipeline import ParsePipeline, request_for_documents
+from repro.pipeline import ParsePipeline, ParseRequest, request_for_documents
 from repro.pipeline.backends import BackendError, create_backend, normalize_backend_spec
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "ingest"
 
 
 class TortoiseParser(Parser):
@@ -919,3 +932,394 @@ class TestServiceAndCli:
                     "4",
                 ]
             )
+
+
+# ---------------------------------------------------------------------- #
+# By-reference execution: the worker reads its own documents
+# ---------------------------------------------------------------------- #
+def write_pool(directory, documents) -> str:
+    """``documents`` as a SimPDF directory; returns its ``--source`` string."""
+    writer = SimPdfWriter(directory)
+    for document in documents:
+        writer.write(document)
+    return f"simpdf-dir:{directory}"
+
+
+def record_frames(monkeypatch) -> list[dict]:
+    """Every message any in-process channel sends from here on, in order."""
+    frames: list[dict] = []
+    send = MessageChannel.send
+
+    def recording(self, message):
+        frames.append(dict(message))
+        return send(self, message)
+
+    monkeypatch.setattr(MessageChannel, "send", recording)
+    return frames
+
+
+def of_type(frames: list[dict], kind: str) -> list[dict]:
+    return [frame for frame in frames if frame.get("type") == kind]
+
+
+def run_remote(registry, workers, pipeline=None, **request):
+    request.setdefault("parser", "pymupdf")
+    request.setdefault("batch_size", 5)
+    options = {"workers": addresses_of(workers), **request.pop("backend_options", {})}
+    return (pipeline or ParsePipeline(registry)).run(
+        ParseRequest(backend="remote", backend_options=options, **request)
+    )
+
+
+def result_dicts(report) -> list[dict]:
+    return [result.to_json_dict() for result in report.results]
+
+
+class TestByReference:
+    def test_reference_frames_carry_no_document(self, registry, monkeypatch):
+        source = "synthetic:10?seed=3&min_pages=1&max_pages=1"
+        frames = record_frames(monkeypatch)
+        workers = start_workers(2, pipeline=ParsePipeline(registry))
+        try:
+            report = run_remote(registry, workers, source=source)
+        finally:
+            for worker in workers:
+                worker.stop()
+        refs = list(ParseRequest(source=source).resolve_source().refs())
+        descriptors = [
+            descriptor
+            for frame in of_type(frames, "submit_shard")
+            for descriptor in frame["docs"]
+        ]
+        assert sorted(descriptors, key=lambda d: int(d["ref"]["locator"])) == [
+            {"content_hash": ref.key(), "ref": ref.to_json_dict()} for ref in refs
+        ]
+        assert not of_type(frames, "shard_need") and not of_type(frames, "doc_data")
+        assert report.n_succeeded == 10
+
+    def test_worker_without_the_flag_gets_todays_frames(self, registry, monkeypatch):
+        """An old worker's ``hello_ack`` has no ``source_refs``: the new
+        coordinator reads the documents itself and sends what it always
+        sent.  (The old coordinator → new worker direction is every inline
+        test in this file: a frame without ``ref`` takes the old path.)"""
+        from repro.cluster.worker import _ConnectionHandler
+
+        on_hello = _ConnectionHandler.on_hello
+
+        def old_hello(self, hello):
+            ack = on_hello(self, hello)
+            del ack["capabilities"]["source_refs"]
+            return ack
+
+        monkeypatch.setattr(_ConnectionHandler, "on_hello", old_hello)
+        source = "synthetic:10?seed=3&min_pages=1&max_pages=1"
+        frames = record_frames(monkeypatch)
+        workers = start_workers(2, pipeline=ParsePipeline(registry))
+        try:
+            report = run_remote(registry, workers, source=source)
+        finally:
+            for worker in workers:
+                worker.stop()
+        documents = {
+            d.doc_id: d for d in ParseRequest(source=source).resolve_source().iter_documents()
+        }
+        shipped = [d for frame in of_type(frames, "submit_shard") for d in frame["docs"]]
+        assert len(shipped) == 10
+        for descriptor in shipped:
+            document = documents[descriptor["doc_id"]]
+            assert descriptor == {
+                "doc_id": document.doc_id,
+                "content_hash": document_content_hash(document),
+                "payload": document_to_dict(document),
+            }
+        extra = report.execution.extra
+        assert (extra["cluster_doc_refs_sent"], extra["cluster_doc_payloads_sent"]) == (0, 10)
+        assert sum(w.counters["docs_received"] for w in workers) == 10
+        assert sum(w.counters["docs_loaded"] for w in workers) == 0
+        serial = ParsePipeline(registry).run(ParseRequest(source=source, batch_size=5))
+        assert result_dicts(report) == result_dicts(serial)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"cache": "readwrite"},
+            {"source": f"crawl-dump:{FIXTURES / 'crawl'}"},
+            {"source": "explicit"},
+        ],
+        ids=["parent-cache", "crawl-dump", "explicit"],
+    )
+    def test_requests_that_are_not_referenceable_get_todays_frames(
+        self, registry, corpus_30, monkeypatch, fields
+    ):
+        fields = {"source": "synthetic:6?seed=3&min_pages=1&max_pages=1", **fields}
+        if fields["source"] == "explicit":
+            fields["source"] = ExplicitSource(list(corpus_30)[:6])
+        frames = record_frames(monkeypatch)
+        workers = start_workers(1, pipeline=ParsePipeline(registry))
+        try:
+            report = run_remote(
+                registry, workers, pipeline=ParsePipeline(registry, cache=ParseCache()),
+                **fields,
+            )
+        finally:
+            workers[0].stop()
+        descriptors = [d for frame in of_type(frames, "submit_shard") for d in frame["docs"]]
+        assert len(descriptors) == report.n_documents > 0
+        assert all(set(d) == {"doc_id", "content_hash", "payload"} for d in descriptors)
+        extra = report.execution.extra
+        assert extra["cluster_doc_refs_sent"] == 0
+        assert extra["cluster_doc_payloads_sent"] == report.n_documents
+        assert "source.load" not in report.phases
+
+    def test_worker_that_cannot_see_the_directory_falls_back_once(
+        self, registry, corpus_30, tmp_path, monkeypatch
+    ):
+        """The daemon's host has no such directory: its first shard costs one
+        ``shard_need`` → ``doc_data`` round trip, and from then on the link
+        is sent documents — no probe, no second bounce."""
+        import repro.cluster.worker as worker_module
+
+        def not_mounted_here(spec):
+            return create_source(
+                SourceSpec(spec.kind, {**spec.options, "path": str(tmp_path / "not-mounted")})
+            )
+
+        monkeypatch.setattr(worker_module, "create_source", not_mounted_here)
+        source = write_pool(tmp_path / "pool", list(corpus_30)[:15])
+        frames = record_frames(monkeypatch)
+        workers = start_workers(1, pipeline=ParsePipeline(registry))
+        try:
+            report = run_remote(
+                registry, workers, source=source, backend_options={"window": 1}
+            )
+        finally:
+            workers[0].stop()
+        serial = ParsePipeline(registry).run(ParseRequest(source=source, batch_size=5))
+        assert result_dicts(report) == result_dicts(serial)
+        first, *later = of_type(frames, "submit_shard")
+        assert all("ref" in d and "payload" not in d for d in first["docs"])
+        (need,) = of_type(frames, "shard_need")
+        assert need["need"] == [d["content_hash"] for d in first["docs"]]
+        (data,) = of_type(frames, "doc_data")
+        assert [d["content_hash"] for d in data["docs"]] == need["need"]
+        assert len(later) == 2
+        assert all("payload" in d and "ref" not in d for s in later for d in s["docs"])
+        # The five bounced references became five payloads; ten more went inline.
+        extra = report.execution.extra
+        assert (extra["cluster_doc_refs_sent"], extra["cluster_doc_payloads_sent"]) == (0, 15)
+        assert extra["cluster_doc_payloads_skipped"] == 0
+        assert workers[0].counters["docs_loaded"] == 0
+        assert workers[0].counters["docs_received"] == 15
+
+    def test_file_rewritten_after_planning_takes_the_same_fallback(
+        self, registry, corpus_30, tmp_path
+    ):
+        documents = list(corpus_30)[:4]
+        source = ParseRequest(source=write_pool(tmp_path / "pool", documents)).source
+        refs = list(source.refs())
+        # Between planning and loading, one file is replaced by another document.
+        replacement = dataclasses.replace(corpus_30.documents[20], doc_id=documents[2].doc_id)
+        SimPdfWriter(tmp_path / "pool").write(replacement)
+        current = list(source.iter_documents())
+        assert current[2] == replacement and current != documents
+
+        parser = registry.get("pymupdf")
+        workers = start_workers(1, pipeline=ParsePipeline(registry))
+        coordinator = ClusterCoordinator([workers[0].address]).connect()
+        try:
+            spec = worker_spec_for(parser.parse_with_telemetry)
+            results, _ = coordinator.submit(spec, refs).result(timeout=60)
+            counters = dict(coordinator.counters)
+            (link,) = coordinator._links
+            assert link.takes_refs is False
+        finally:
+            coordinator.close()
+            workers[0].stop()
+        # The stale reference was served with what the file holds now; the
+        # other three were read by the worker.
+        assert [r.to_json_dict() for r in results] == [
+            r.to_json_dict() for r in parser.parse_many(current)
+        ]
+        assert (counters["doc_refs_sent"], counters["doc_payloads_sent"]) == (3, 1)
+        assert workers[0].counters["docs_received"] == 1
+
+    @pytest.mark.parametrize(
+        "broken,message",
+        [
+            ({"locator": "../outside.simpdf"}, "does not name a file under"),
+            ({"locator": "/etc/hostname"}, "does not name a file under"),
+            ({"source": {"kind": "pickle-file", "options": {}}}, "unknown document source"),
+            (
+                {"source": {"kind": "simpdf-dir", "options": {"path": ".", "follow": True}}},
+                "unknown option 'follow'",
+            ),
+        ],
+    )
+    def test_bad_reference_is_a_shard_error_not_a_read(
+        self, registry, corpus_30, tmp_path, broken, message
+    ):
+        source = ParseRequest(
+            source=write_pool(tmp_path / "root" / "pool", list(corpus_30)[:1])
+        ).source
+        write_pool(tmp_path / "root", [corpus_30.documents[1]])  # readable, and outside
+        (tmp_path / "root" / f"{corpus_30.documents[1].doc_id}.simpdf").rename(
+            tmp_path / "root" / "outside.simpdf"
+        )
+        (ref,) = source.refs()
+        parser = registry.get("pymupdf")
+        with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
+            channel = dial(daemon)
+            handshake(channel)
+            channel.send(
+                {
+                    "type": "submit_shard",
+                    "shard_id": "s0",
+                    "spec": WorkerSpec("pymupdf", parser.config_fingerprint()).to_json_dict(),
+                    "docs": [{"content_hash": "k", "ref": {**ref.to_json_dict(), **broken}}],
+                }
+            )
+            reply = recv_skipping_heartbeats(channel)
+            channel.close()
+            assert daemon.counters["docs_loaded"] == 0
+        assert (reply["type"], reply["code"]) == ("shard_error", "bad_reference")
+        assert message in reply["error"]
+
+    def test_worker_checks_the_type_the_file_actually_holds(
+        self, registry, tmp_path
+    ):
+        """``simpdf-dir`` declares PDF and the parent-side guard believes it;
+        the worker is the first to see that a file holds something else."""
+        html = list(HtmlDirSource(FIXTURES / "html", glob="*.html").iter_documents())
+        source = write_pool(tmp_path / "pool", html)
+        workers = start_workers(1, pipeline=ParsePipeline(registry))
+        try:
+            with pytest.raises(BackendError, match="does not support document type 'html'"):
+                run_remote(registry, workers, parser="nougat", source=source)
+            report = run_remote(registry, workers, parser="pymupdf", source=source)
+        finally:
+            workers[0].stop()
+        assert report.n_succeeded == len(html)
+
+    def test_cache_carrying_worker_reads_then_looks_up_by_content(
+        self, registry, corpus_30, tmp_path
+    ):
+        documents = list(corpus_30)[:10]
+        source = write_pool(tmp_path / "pool", documents)
+        workers = start_workers(1, pipeline=ParsePipeline(registry), cache=ParseCache())
+        try:
+            cold = run_remote(registry, workers, source=source)
+            warm = run_remote(registry, workers, source=source)
+            inline = run_remote(registry, workers, source=ExplicitSource(documents))
+        finally:
+            workers[0].stop()
+        assert cold.execution.extra["cluster_remote_cache_misses"] == 10
+        assert warm.execution.extra["cluster_remote_cache_hits"] == 10
+        # The cache saved the parses, not the reads ...
+        assert workers[0].counters["docs_parsed"] == 10
+        assert workers[0].counters["docs_loaded"] == 20
+        # ... and it is keyed by content, not by reference: the same documents
+        # sent hash-only by an inline request hit the entries the references made.
+        assert inline.execution.extra["cluster_remote_cache_hits"] == 10
+        assert inline.execution.extra["cluster_doc_payloads_sent"] == 0
+        assert result_dicts(inline) == result_dicts(cold) == result_dicts(warm)
+
+    def test_killed_worker_mid_run_replaces_reference_shards_exactly_once(
+        self, registry
+    ):
+        source = "synthetic:30?seed=11&min_pages=1&max_pages=2"
+        workers = start_workers(2, pipeline=tortoise_pipeline(registry))
+        outcome: dict = {}
+
+        def run():
+            outcome["report"] = run_remote(
+                registry, workers, pipeline=tortoise_pipeline(registry),
+                parser="tortoise", source=source, batch_size=3,
+            )
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        victim = workers[1]
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline:
+            if victim.counters["docs_loaded"]:
+                break
+            time.sleep(0.005)
+        else:
+            pytest.fail("the victim worker never loaded a referenced document")
+        victim.kill()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "run hung after the worker was killed"
+        workers[0].stop()
+        report = outcome["report"]
+        serial = tortoise_pipeline(registry, 0.0).run(
+            ParseRequest(parser="tortoise", source=source, batch_size=3)
+        )
+        assert [r.page_texts for r in report.results] == [
+            r.page_texts for r in serial.results
+        ]
+        execution = report.execution
+        assert (
+            execution.batches_completed + execution.batches_cancelled
+            == execution.batches_dispatched
+        )
+        extra = execution.extra
+        assert extra["cluster_workers_lost"] == 1
+        assert extra["cluster_shards_reassigned"] >= 1
+        assert extra["cluster_shards_completed"] == execution.batches_dispatched
+        # Re-placed shards went out as references again, never as payloads.
+        assert extra["cluster_doc_payloads_sent"] == 0
+        assert extra["cluster_doc_refs_sent"] >= 30 + 3 * extra["cluster_shards_reassigned"]
+
+    def test_ledger_resume_replays_reference_shards_and_redispatches_a_changed_one(
+        self, registry, corpus_30, tmp_path
+    ):
+        source = write_pool(tmp_path / "pool", list(corpus_30)[:12])
+        options = {"ledger_dir": str(tmp_path / "ledger")}
+        workers = start_workers(2, pipeline=ParsePipeline(registry))
+        try:
+            def run():
+                report = run_remote(
+                    registry, workers, source=source, batch_size=4, backend_options=options
+                )
+                extra = report.execution.extra
+                return report, extra["cluster_shards_replayed"], extra["cluster_doc_refs_sent"]
+
+            first, replayed, refs_sent = run()
+            assert (replayed, refs_sent) == (0, 12)
+            resumed, replayed, refs_sent = run()
+            assert (replayed, refs_sent) == (3, 0)
+            # Touch one file: same bytes, new stamp — its shard (and only its
+            # shard) is no longer the shard the ledger recorded.
+            path = sorted((tmp_path / "pool").glob("*.simpdf"))[5]
+            stat = path.stat()
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+            touched, replayed, refs_sent = run()
+            assert (replayed, refs_sent) == (2, 4)
+        finally:
+            for worker in workers:
+                worker.stop()
+        assert result_dicts(first) == result_dicts(resumed) == result_dicts(touched)
+
+    def test_submit_hashes_outside_the_coordinator_lock(
+        self, registry, corpus_30, monkeypatch
+    ):
+        """Every reader thread's result handling takes the lock; building a
+        shard hashes each inline document and must not hold it meanwhile."""
+        import repro.cluster.coordinator as coordinator_module
+
+        workers = start_workers(1, pipeline=ParsePipeline(registry))
+        coordinator = ClusterCoordinator([workers[0].address]).connect()
+        held = []
+
+        def watched_hash(document):
+            held.append(coordinator._lock.locked())
+            return document_content_hash(document)
+
+        monkeypatch.setattr(coordinator_module, "document_content_hash", watched_hash)
+        try:
+            spec = worker_spec_for(registry.get("pymupdf").parse_with_telemetry)
+            coordinator.submit(spec, list(corpus_30)[:3]).result(timeout=60)
+        finally:
+            coordinator.close()
+            workers[0].stop()
+        assert held == [False, False, False]

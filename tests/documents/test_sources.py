@@ -2,20 +2,29 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.documents.corpus import CorpusConfig
 from repro.documents.document import DocumentType
+from repro.documents.simpdf import SimPdfWriter, serialize_document
 from repro.documents.sources import (
     CrawlDumpSource,
+    DocumentRef,
     DocumentSource,
     ExplicitSource,
     HtmlDirSource,
     MarkdownDirSource,
+    SimPdfDirSource,
     SourceSpec,
+    StaleReference,
     SyntheticSource,
     create_source,
     parse_source_arg,
@@ -235,3 +244,187 @@ class TestValueSemantics:
     def test_abstract_base_is_not_instantiable(self):
         with pytest.raises(TypeError):
             DocumentSource()  # iter_documents/fingerprint are abstract
+
+
+# ---------------------------------------------------------------------- #
+# Document references: enumerate without reading, load one by one
+# ---------------------------------------------------------------------- #
+def _simpdf_dir(directory: Path, n_documents: int = 3, seed: int = 5) -> SimPdfDirSource:
+    writer = SimPdfWriter(directory)
+    for document in SyntheticSource(
+        CorpusConfig(n_documents=n_documents, seed=seed, min_pages=1, max_pages=2)
+    ).iter_documents():
+        writer.write(document)
+    return SimPdfDirSource(directory)
+
+
+def _referenceable_sources(tmp_path: Path) -> list[DocumentSource]:
+    return [
+        SyntheticSource(
+            CorpusConfig(
+                n_documents=3,
+                seed=4,
+                min_pages=1,
+                max_pages=2,
+                textgen=TextGenConfig(min_words_per_sentence=4),  # a nested option
+            )
+        ),
+        _simpdf_dir(tmp_path / "simpdf"),
+        HtmlDirSource(FIXTURES / "html"),
+        MarkdownDirSource(FIXTURES / "markdown"),
+    ]
+
+
+_NAMES = st.text(alphabet="abcdefghij", min_size=1, max_size=6)
+
+
+class TestDocumentRefs:
+    def test_refs_then_load_is_iter_documents_for_every_referenceable_kind(
+        self, tmp_path
+    ):
+        for source in _referenceable_sources(tmp_path):
+            refs = list(source.refs())
+            assert [source.load(ref) for ref in refs] == list(source.iter_documents())
+            # A reference is self-contained: the spec it carries rebuilds a
+            # source that loads the same document.
+            assert [create_source(ref.source).load(ref) for ref in refs] == list(
+                source.iter_documents()
+            )
+            assert {ref.doc_type for ref in refs} == {source.doc_type.value}
+            assert len({ref.key() for ref in refs}) == len(set(refs)) == len(refs)
+
+    def test_sources_that_must_read_to_enumerate_offer_no_refs(self):
+        documents = list(SyntheticSource(CorpusConfig(n_documents=2)).iter_documents())
+        assert ExplicitSource(documents).refs() is None
+        # Mirror dedup compares content across files: which paths are
+        # documents is not knowable from a listing.
+        assert CrawlDumpSource(FIXTURES / "crawl").refs() is None
+        with pytest.raises(ValueError, match="cannot load documents by reference"):
+            CrawlDumpSource(FIXTURES / "crawl").load(
+                next(HtmlDirSource(FIXTURES / "html").refs())
+            )
+
+    def test_file_stamp_is_size_and_mtime(self, tmp_path):
+        shutil.copytree(FIXTURES / "html", tmp_path / "html")
+        source = HtmlDirSource(tmp_path / "html")
+        (ref, _) = source.refs()
+        stat = (tmp_path / "html" / "alpha.html").stat()
+        assert (ref.locator, ref.stamp) == (
+            "alpha.html",
+            f"{stat.st_size}:{stat.st_mtime_ns}",
+        )
+        assert next(SyntheticSource(CorpusConfig(n_documents=1)).refs()).stamp == (
+            SyntheticSource(CorpusConfig(n_documents=1)).fingerprint()
+        )
+
+    def test_rewritten_file_is_stale_unless_the_stamp_is_waived(self, tmp_path):
+        shutil.copytree(FIXTURES / "html", tmp_path / "html")
+        source = HtmlDirSource(tmp_path / "html")
+        (ref, other) = source.refs()
+        page = tmp_path / "html" / "alpha.html"
+        page.write_text(page.read_text() + "<p>appended paragraph</p>\n")
+        with pytest.raises(StaleReference, match="changed since"):
+            source.load(ref)
+        assert "appended paragraph" in source.load(ref, check_stamp=False).text_layer.text()
+        assert source.load(other).doc_id == "sub/beta"  # untouched files still load
+        (fresh, _) = source.refs()
+        assert fresh.key() != ref.key()  # placement and ledger keys move with it
+
+    def test_missing_file_or_directory_is_stale(self, tmp_path):
+        shutil.copytree(FIXTURES / "html", tmp_path / "html")
+        (ref, _) = HtmlDirSource(tmp_path / "html").refs()
+        (tmp_path / "html" / "alpha.html").unlink()
+        with pytest.raises(StaleReference, match="not readable here"):
+            HtmlDirSource(tmp_path / "html").load(ref)
+        with pytest.raises(StaleReference, match="not readable here"):
+            HtmlDirSource(tmp_path / "nowhere").load(ref, check_stamp=False)
+
+    @pytest.mark.parametrize(
+        "locator", ["../outside.html", "sub/../../outside.html", "/etc/passwd", ""]
+    )
+    def test_locator_outside_the_root_is_refused_not_read(self, tmp_path, locator):
+        shutil.copytree(FIXTURES / "html", tmp_path / "root" / "html")
+        (tmp_path / "root" / "outside.html").write_text("<p>secret</p>")
+        source = HtmlDirSource(tmp_path / "root" / "html")
+        ref = dataclasses.replace(next(source.refs()), locator=locator)
+        with pytest.raises(ValueError, match="does not name a file under"):
+            source.load(ref, check_stamp=False)
+
+    @pytest.mark.parametrize("locator", ["3", "-1", "1.0", "one", ""])
+    def test_synthetic_locator_must_be_an_index_in_range(self, locator):
+        source = SyntheticSource(CorpusConfig(n_documents=3, seed=1))
+        ref = dataclasses.replace(next(source.refs()), locator=locator)
+        with pytest.raises(ValueError, match="not an index below 3"):
+            source.load(ref)
+
+    def test_synthetic_stamp_is_the_configuration(self):
+        ref = next(SyntheticSource(CorpusConfig(n_documents=3, seed=1)).refs())
+        other = SyntheticSource(CorpusConfig(n_documents=3, seed=2))
+        with pytest.raises(StaleReference, match="configuration differs"):
+            other.load(ref)
+
+    def test_ref_json_is_strict_about_what_it_needs(self):
+        ref = next(HtmlDirSource(FIXTURES / "html").refs())
+        payload = ref.to_json_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        del payload["stamp"]
+        with pytest.raises(ValueError, match=r"missing \['stamp'\]"):
+            DocumentRef.from_json_dict(payload)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        kind=st.sampled_from(["synthetic", "simpdf-dir", "html-dir", "markdown-dir"]),
+        options=st.dictionaries(
+            _NAMES, st.one_of(st.integers(), st.booleans(), st.text(max_size=8)), max_size=3
+        ),
+        locator=st.text(max_size=20),
+        stamp=st.text(max_size=20),
+        doc_type=st.sampled_from([None, "pdf", "html", "markdown"]),
+    )
+    def test_ref_round_trips_through_json(self, kind, options, locator, stamp, doc_type):
+        ref = DocumentRef(SourceSpec(kind, options), locator, stamp, doc_type)
+        wire = json.loads(json.dumps(ref.to_json_dict()))
+        assert DocumentRef.from_json_dict(wire) == ref
+        assert DocumentRef.from_json_dict(wire).key() == ref.key()
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        n_documents=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_synthetic_refs_load_what_iteration_yields(self, n_documents, seed):
+        source = SyntheticSource(
+            CorpusConfig(n_documents=n_documents, seed=seed, min_pages=1, max_pages=1)
+        )
+        assert [source.load(ref) for ref in source.refs()] == list(
+            source.iter_documents()
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        kind=st.sampled_from(["simpdf-dir", "html-dir", "markdown-dir"]),
+        files=st.dictionaries(
+            st.lists(_NAMES, min_size=1, max_size=3).map("/".join),
+            st.text(alphabet="abc <>#*\n", max_size=40),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_directory_refs_load_what_iteration_yields(self, kind, files):
+        suffix = {"simpdf-dir": ".simpdf", "html-dir": ".html", "markdown-dir": ".md"}[kind]
+        document = next(SyntheticSource(CorpusConfig(n_documents=1)).iter_documents())
+        with tempfile.TemporaryDirectory() as root:
+            for name, text in files.items():
+                path = Path(root) / (name + suffix)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                if kind == "simpdf-dir":
+                    named = dataclasses.replace(document, doc_id=name + text)
+                    path.write_bytes(serialize_document(named))
+                else:
+                    path.write_text(text, encoding="utf-8")
+            source = create_source(SourceSpec(kind, {"path": root, "glob": "**/*" + suffix}))
+            refs = list(source.refs())
+            assert [ref.locator for ref in refs] == [
+                path.relative_to(root).as_posix() for path in source.paths()
+            ]
+            assert [source.load(ref) for ref in refs] == list(source.iter_documents())

@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from repro.pipeline.backends.thread import THREAD_NAME_PREFIX
 from repro.serve import ParseService, ServiceConfig
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "ingest"
 
 #: Options that make the process backend deterministic in tests: fork keeps
 #: this module's ScriptedEngine picklable by reference.
@@ -942,6 +944,114 @@ class TestOneRequestThreeRoutes:
         assert warm.execution.extra["cluster_doc_payloads_sent"] == 0
         assert warm.execution.extra["cluster_remote_cache_hits"] == len(documents)
         assert worker.counters["docs_parsed"] == len(documents)
+
+
+class TestRemoteByReferenceParity:
+    """The parity guarantee where the remote backend ships no documents.
+
+    An uncached request over a source that can list its documents without
+    reading them reaches the workers as ``source + locator`` references:
+    each worker rebuilds the source and reads its own share.  The report
+    must not be able to tell — byte-identical to the serial backend, α
+    applied per batch as ever — while the wire counters can.
+    """
+
+    @pytest.fixture()
+    def cluster(self, registry, default_ft_engine):
+        from repro.cluster.worker import WorkerDaemon
+
+        workers = [
+            WorkerDaemon(
+                name=f"by-ref-{i}",
+                pipeline=ParsePipeline(
+                    registry, engines={default_ft_engine.name: default_ft_engine}
+                ),
+            ).start()
+            for i in range(2)
+        ]
+        yield workers
+        for worker in workers:
+            worker.stop()
+
+    @staticmethod
+    def _source(kind: str, tmp_path) -> tuple[str, int]:
+        if kind == "synthetic":
+            return "synthetic:24?seed=23&min_pages=1&max_pages=2", 24
+        if kind == "html-dir":
+            return f"html-dir:{FIXTURES / 'html'}", 2
+        from repro.documents.simpdf import SimPdfWriter
+
+        writer = SimPdfWriter(tmp_path / "pool")
+        corpus = build_corpus(CorpusConfig(n_documents=24, seed=29, min_pages=1, max_pages=2))
+        for document in corpus:
+            writer.write(document)
+        return f"simpdf-dir:{tmp_path / 'pool'}", 24
+
+    def _pair(self, registry, engine, parser, source, cluster, **overrides):
+        """The serial report, the remote one, and the remote backend (closed)."""
+        request = dict(parser=parser, source=source, batch_size=5, **overrides)
+        engines = {engine.name: engine}
+        serial = ParsePipeline(registry, engines=engines).run(ParseRequest(**request))
+        backend = create_backend(
+            "remote", {"workers": ",".join(worker.address for worker in cluster)}
+        )
+        try:
+            remote = ParsePipeline(registry, engines=engines).execute(
+                ParseRequest(**request), backend=backend
+            )
+        finally:
+            backend.close()
+        assert _normalized_bytes(remote.to_json_dict(include_text=True)) == (
+            _normalized_bytes(serial.to_json_dict(include_text=True))
+        )
+        return serial, remote, backend
+
+    @pytest.mark.parametrize("kind", ["simpdf-dir", "synthetic", "html-dir"])
+    def test_base_parser_report_matches_serial_and_nothing_is_shipped(
+        self, registry, default_ft_engine, cluster, tmp_path, kind
+    ):
+        source, n_documents = self._source(kind, tmp_path)
+        _, remote, backend = self._pair(
+            registry, default_ft_engine, "pymupdf", source, cluster
+        )
+        assert remote.n_succeeded == n_documents
+        extra = remote.execution.extra
+        assert extra["cluster_doc_refs_sent"] == n_documents
+        assert extra["cluster_doc_payloads_sent"] == 0
+        assert extra["cluster_doc_payloads_skipped"] == 0
+        # Nothing was remembered on either side: references are not content.
+        assert all(not link.sent_hashes for link in backend._coordinator._links)
+        inventory = [worker.describe() for worker in cluster]
+        assert [w["doc_store_entries"] for w in inventory] == [0, 0]
+        assert sum(w["docs_loaded"] for w in inventory) == n_documents
+        assert sum(w["docs_received"] + w["docs_reused"] for w in inventory) == 0
+        # Reading moved to the workers and is attributed there.
+        assert set(remote.phases) == BASE_PHASE_KEYS | {"source.load"}
+        _assert_phase_rows_well_formed(remote)
+        assert remote.phases["source.load"]["calls"] == remote.execution.batches_completed
+        assert remote.phases["source.load"]["total_s"] > 0
+
+    def test_adaparse_ft_routes_per_batch_exactly_as_serial(
+        self, registry, default_ft_engine, cluster, tmp_path
+    ):
+        source, n_documents = self._source("synthetic", tmp_path)
+        serial, remote, _ = self._pair(
+            registry, default_ft_engine, default_ft_engine.name, source, cluster,
+            alpha=0.2,
+        )
+        assert remote.execution.extra["cluster_doc_refs_sent"] == n_documents
+        assert remote.execution.extra["cluster_doc_payloads_sent"] == 0
+        def routed(report):
+            return [
+                d.stage in ("routed_high_quality", "cls1_invalid")
+                for d in report.decisions
+            ]
+
+        assert routed(remote) == routed(serial)
+        # batch_size 5 at alpha 0.2: the budget is one document per batch.
+        assert 0 < sum(routed(remote)) <= remote.execution.batches_completed
+        for start in range(0, n_documents, 5):
+            assert sum(routed(remote)[start : start + 5]) <= 1
 
 
 # ---------------------------------------------------------------------- #

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import threading
 import warnings
 from pathlib import Path
 
@@ -24,14 +25,17 @@ from repro.core.config import AdaParseConfig
 from repro.core.engine import AdaParseEngine
 from repro.documents.corpus import CorpusConfig
 from repro.documents.sources import (
+    DocumentRef,
     ExplicitSource,
     HtmlDirSource,
     MarkdownDirSource,
     SourceSpec,
     SyntheticSource,
+    create_source,
 )
 from repro.parsers.registry import default_registry
 from repro.pipeline import ParsePipeline, ParseRequest
+from repro.pipeline.backends import SerialBackend
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "ingest"
 
@@ -338,3 +342,127 @@ class TestFormatAwareRouting:
             "appendix",
             "notes",
         ]
+
+
+# ---------------------------------------------------------------------- #
+# References instead of documents, for backends that read sources themselves
+# ---------------------------------------------------------------------- #
+class ReadsItsOwnSources(SerialBackend):
+    """The contract's other side without a cluster: a backend that declares
+    it resolves sources, loads what it is handed and records what that was."""
+
+    resolves_sources = True
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.batches: list[list] = []
+
+    def wrap_inner(self, inner):
+        def stub(batch):
+            self.batches.append(list(batch))
+            return inner(
+                [
+                    create_source(item.source).load(item)
+                    if isinstance(item, DocumentRef)
+                    else item
+                    for item in batch
+                ]
+            )
+
+        return stub
+
+
+class TestReferenceExecution:
+    def _execute(self, registry, backend, **request):
+        request.setdefault("parser", "pymupdf")
+        return ParsePipeline(registry, cache=ParseCache()).execute(
+            ParseRequest(batch_size=2, **request), backend=backend
+        )
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "synthetic:5?seed=3&min_pages=1&max_pages=1",
+            f"markdown-dir:{FIXTURES / 'markdown'}",
+        ],
+    )
+    def test_a_source_resolving_backend_is_handed_references(self, registry, source):
+        backend = ReadsItsOwnSources()
+        report = self._execute(registry, backend, source=source)
+        expected = list(ParseRequest(source=source).resolve_source().refs())
+        assert [ref for batch in backend.batches for ref in batch] == expected
+        assert report.n_documents == len(expected)
+        serial = ParsePipeline(registry).run(ParseRequest(source=source, batch_size=2))
+        assert _normalized_bytes(report.to_json_dict(include_text=True)) == (
+            _normalized_bytes(serial.to_json_dict(include_text=True))
+        )
+
+    @pytest.mark.parametrize(
+        "why,request_fields",
+        [
+            ("content-addressed lookups need the content", {"cache": "read"}),
+            ("writes are keyed by content too", {"cache": "write"}),
+            ("a crawl dump dedups by content", {"source": f"crawl-dump:{FIXTURES / 'crawl'}"}),
+            (
+                "an in-memory collection has no spec to rebuild",
+                {"source": ExplicitSource(HtmlDirSource(FIXTURES / "html").iter_documents())},
+            ),
+        ],
+    )
+    def test_documents_are_materialised_when_the_parent_needs_them(
+        self, registry, why, request_fields
+    ):
+        backend = ReadsItsOwnSources()
+        request_fields.setdefault("source", f"html-dir:{FIXTURES / 'html'}")
+        self._execute(registry, backend, **request_fields)
+        handed = [item for batch in backend.batches for item in batch]
+        assert handed and not any(isinstance(item, DocumentRef) for item in handed), why
+
+    def test_other_backends_never_see_a_reference(self, registry):
+        seen = []
+
+        class Watching(SerialBackend):
+            def wrap_inner(self, inner):
+                return lambda batch: (seen.extend(batch), inner(batch))[1]
+
+        self._execute(registry, Watching(), source="synthetic:3?seed=3")
+        assert len(seen) == 3 and not any(isinstance(d, DocumentRef) for d in seen)
+
+    def test_type_guard_reads_the_declared_type_of_a_reference(self, registry):
+        backend = ReadsItsOwnSources()
+        with pytest.raises(
+            ValueError,
+            match=r"does not support document type 'html' \(document 'alpha.html'\)",
+        ):
+            self._execute(
+                registry, backend, parser="nougat", source=f"html-dir:{FIXTURES / 'html'}"
+            )
+        assert backend.batches == []  # refused before anything was dispatched
+
+    def test_concurrent_requests_read_their_sources_side_by_side(self, registry):
+        """Only parser resolution is serialised.  Each source here waits for
+        the other to be mid-read too, which the old lock — held across
+        document resolution — made impossible."""
+        both_reading = threading.Barrier(2, timeout=10)
+        documents = list(HtmlDirSource(FIXTURES / "html").iter_documents())
+
+        class MeetsItsPeer(ExplicitSource):
+            def iter_documents(self):
+                both_reading.wait()
+                return super().iter_documents()
+
+        pipeline = ParsePipeline(registry)
+        reports = []
+
+        def run():
+            reports.append(
+                pipeline.run(ParseRequest(parser="pymupdf", source=MeetsItsPeer(documents)))
+            )
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [report.n_succeeded for report in reports] == [2, 2]
