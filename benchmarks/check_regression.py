@@ -9,10 +9,10 @@ across runner hardware.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_cache_hit_throughput.py --json BENCH_cache.json
+    PYTHONPATH=src python benchmarks/bench_cluster_scaling.py --json BENCH_cluster.json
     python benchmarks/check_regression.py \
-        --baseline benchmarks/baselines/BENCH_cache.json \
-        --current BENCH_cache.json --tolerance 0.30
+        --baseline benchmarks/baselines/BENCH_cluster.json \
+        --current BENCH_cluster.json --tolerance 0.30
 
 Exit status 0 when every metric clears ``baseline * (1 - tolerance)``,
 1 otherwise (the failing metrics are listed).  Baselines are committed

@@ -133,10 +133,6 @@ class CacheEntry:
         )
 
 
-#: What a compute callable returns: the parse result and (for engines) the
-#: routing decision that produced it.
-ComputeOutput = tuple[ParseResult, RoutingDecision | None]
-
 _NULL_RECORDER = CacheStatsRecorder()
 
 
@@ -226,65 +222,6 @@ class ParseCache:
             bytes_written = self.disk.put(raw, entry.to_json_dict())
         recorder.record_store(bytes_written=bytes_written)
         return entry
-
-    # ------------------------------------------------------------------ #
-    # Single-flight compute
-    # ------------------------------------------------------------------ #
-    def get_or_compute(
-        self,
-        key: CacheKey | str,
-        compute: Callable[[], ComputeOutput],
-        policy: CachePolicy | str = CachePolicy.READWRITE,
-        recorder: CacheStatsRecorder | None = None,
-    ) -> CacheEntry:
-        """Serve ``key`` from the cache or compute it exactly once.
-
-        Concurrent callers for the same key coalesce onto one computation
-        regardless of policy; the policy only controls whether the cache is
-        consulted before computing (``reads``) and whether the fresh entry
-        is persisted (``writes``).
-        """
-        policy = CachePolicy.coerce(policy)
-        recorder = recorder or _NULL_RECORDER
-        if policy.reads:
-            entry = self.lookup(key, recorder)
-            if entry is not None:
-                return entry
-        raw = str(key)
-        owner, flight = self.flights.begin(raw)
-        if not owner:
-            entry = flight.wait()
-            recorder.record_coalesced(time_saved_seconds=entry.compute_seconds)
-            return entry
-        try:
-            if policy.reads:
-                # Double-check: a previous owner may have completed (and
-                # stored) between our miss and our taking ownership.
-                entry = self.lookup(key, recorder)
-                if entry is not None:
-                    self.flights.complete(raw, flight, entry)
-                    return entry
-            recorder.record_miss()
-            started = perf_counter()
-            result, decision = compute()
-            elapsed = perf_counter() - started
-            if policy.writes:
-                entry = self.store(
-                    raw, result, decision, compute_seconds=elapsed, recorder=recorder
-                )
-            else:
-                entry = CacheEntry(
-                    key=raw,
-                    result=result,
-                    decision=decision,
-                    compute_seconds=elapsed,
-                    stored_at=time.time(),
-                )
-            self.flights.complete(raw, flight, entry)
-            return entry
-        except BaseException as exc:
-            self.flights.fail(raw, flight, exc)
-            raise
 
     # ------------------------------------------------------------------ #
     # Maintenance

@@ -143,19 +143,7 @@ def _validate_backend_spec_or_exit(backend: str, options: dict) -> None:
 
 
 def _backend_options_or_exit(args: argparse.Namespace) -> dict:
-    """Backend options from the CLI flags, rejecting the removed ``--jobs``.
-
-    ``--jobs`` finished its deprecation cycle: it now fails fast with the
-    exact replacement spelling instead of folding into the options.
-    """
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        backend = getattr(args, "backend", "auto")
-        target = "thread" if backend in ("auto", "serial") else backend
-        raise SystemExit(
-            f"error: --jobs was removed; use --backend {target} "
-            f"--backend-opt n_jobs={jobs}"
-        )
+    """Backend options from the CLI flags, validated against ``--backend``."""
     options = _parse_backend_opts(getattr(args, "backend_opt", None))
     _validate_backend_spec_or_exit(getattr(args, "backend", "auto"), options)
     return options
@@ -932,10 +920,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     a ``ParseReport`` whose ``execution.extra`` block carries the
     wire/dedup/fault/elastic telemetry this command summarises.
     """
-    import os
-    import signal
-    import subprocess
-
+    from repro.elastic.autoscaler import (
+        ready_address,
+        reap_local_workers,
+        spawn_local_worker,
+    )
     from repro.pipeline import ENGINE_VARIANTS, ParsePipeline, ParseRequest
 
     _setup_logging(args)
@@ -943,53 +932,27 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         return _cmd_cluster_status(args)
     if args.resume and not args.ledger_dir:
         raise SystemExit("error: --resume needs --ledger-dir (the campaign ledger)")
-    procs: list[subprocess.Popen] = []
+    procs: list = []
     addresses: list[str] = []
     try:
         if args.workers_at:
             addresses = [a.strip() for a in args.workers_at.split(",") if a.strip()]
         else:
-            import repro
-
-            env = dict(os.environ)
-            src_root = str(Path(repro.__file__).resolve().parent.parent)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-            )
-            for i in range(args.workers):
-                command = [
-                    sys.executable,
-                    "-m",
-                    "repro.cli",
-                    "worker",
-                    "--port",
-                    "0",
-                    "--name",
-                    f"cluster-worker-{i}",
-                    "--backend",
-                    args.worker_backend,
-                ]
-                if args.worker_jobs > 1:
-                    command += ["--backend-opt", f"n_jobs={args.worker_jobs}"]
-                if args.cache_dir:
-                    command += ["--cache-dir", str(Path(args.cache_dir) / f"worker-{i}")]
-                if args.profile:
-                    command += ["--profile"]
-                proc = subprocess.Popen(
-                    command, env=env, stdout=subprocess.PIPE, text=True
+            for i in range(args.workers):  # start them all, then collect
+                procs.append(
+                    spawn_local_worker(
+                        f"cluster-worker-{i}",
+                        backend=args.worker_backend,
+                        jobs=args.worker_jobs,
+                        cache_dir=Path(args.cache_dir) / f"worker-{i}" if args.cache_dir else None,
+                        profile=args.profile,
+                    )
                 )
-                procs.append(proc)
             for i, proc in enumerate(procs):
-                assert proc.stdout is not None
-                line = proc.stdout.readline()
                 try:
-                    ready = json.loads(line)
-                    addresses.append(str(ready["address"]))
-                except (json.JSONDecodeError, KeyError) as exc:
-                    raise SystemExit(
-                        f"error: worker {i} did not report a listening address "
-                        f"(got {line!r}): {exc}"
-                    ) from exc
+                    addresses.append(ready_address(proc))
+                except ValueError as exc:
+                    raise SystemExit(f"error: worker {i} {exc}") from exc
             print(f"spawned {len(procs)} worker(s): {', '.join(addresses)}", flush=True)
         options: dict[str, object] = {
             "workers": ",".join(addresses),
@@ -1076,15 +1039,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print("interrupted: stopping workers...", file=sys.stderr, flush=True)
         return 130
     finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGTERM)
-        for proc in procs:
-            try:
-                proc.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5)
+        reap_local_workers(procs)
 
 
 def _cmd_obs_metrics(args: argparse.Namespace) -> int:
@@ -1536,12 +1491,6 @@ def build_parser() -> argparse.ArgumentParser:
     dataset.add_argument("--min-tokens", type=int, default=50)
     _add_source_argument(dataset)
     _add_backend_arguments(dataset)
-    dataset.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="removed; use --backend thread --backend-opt n_jobs=N",
-    )
     _add_cache_arguments(dataset)
     _add_profile_argument(dataset)
     dataset.set_defaults(func=_cmd_dataset)
@@ -1563,12 +1512,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--alpha", type=float, default=None, help="engine α-budget override")
     _add_source_argument(pipe)
     _add_backend_arguments(pipe)
-    pipe.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="removed; use --backend thread --backend-opt n_jobs=N",
-    )
     pipe.add_argument("--include-text", action="store_true", help="embed page texts in the JSON")
     pipe.add_argument("--output", type=str, default="", help="write the report JSON here")
     _add_cache_arguments(pipe)
@@ -1609,12 +1552,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_source_argument(cache_warm)
     _add_backend_arguments(cache_warm)
-    cache_warm.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="removed; use --backend thread --backend-opt n_jobs=N",
-    )
     cache_warm.set_defaults(func=_cmd_cache_warm)
 
     serve = sub.add_parser(

@@ -35,7 +35,6 @@ _LAZY_EXPORTS: dict[str, str] = {
     "WorkerSpec": "repro.cluster.protocol:WorkerSpec",
     "rank_workers": "repro.cluster.protocol:rank_workers",
     "shard_placement_key": "repro.cluster.protocol:shard_placement_key",
-    "worker_spec_for": "repro.cluster.backend:worker_spec_for",
 }
 
 __all__ = sorted(_LAZY_EXPORTS)

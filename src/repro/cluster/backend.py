@@ -3,18 +3,19 @@
 :class:`RemoteBackend` makes a worker cluster look like any other
 :class:`~repro.pipeline.backends.ExecutionBackend`: the pipeline (and
 :class:`~repro.serve.ParseService`) compose the parent-side cache layer
-around :meth:`wrap_inner` exactly as they do for the process backend, and
-``map_ordered`` keeps its bounded-window, input-ordered contract.
+around :meth:`RemoteBackend.site` exactly as they do for the process
+backend, and ``map_ordered`` keeps its bounded-window, input-ordered
+contract.
 
 The split of responsibilities mirrors the process backend, one network
 hop further out:
 
-* **wrap_inner** distils the inner worker into a
-  :class:`~repro.cluster.protocol.WorkerSpec` — the parser/engine's
-  *registry name*, α override, and ``config_fingerprint()`` — instead of
-  pickling it.  Workers rebuild the engine from the spec on their side
-  and refuse shards whose fingerprint they cannot reproduce, so nothing
-  executable ever crosses the wire.
+* **site** names the parser in a
+  :class:`~repro.cluster.protocol.WorkerSpec` — its *registry name*, α
+  override, and ``config_fingerprint()`` — instead of pickling it.
+  Workers rebuild the engine from the spec on their side and refuse
+  shards whose fingerprint they cannot reproduce, so nothing executable
+  ever crosses the wire.
 * The returned stub submits each batch — documents, or (``resolves_sources``)
   the :class:`~repro.documents.sources.DocumentRef` values the pipeline
   cuts from a reference-able source — to the
@@ -33,7 +34,7 @@ bytes/payload counts on the wire.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.cluster.coordinator import ClusterCoordinator, ClusterError
 from repro.cluster.protocol import WorkerSpec
@@ -48,37 +49,9 @@ from repro.pipeline.backends.base import (
 from repro.pipeline.backends.thread import ThreadBackend
 from repro.utils.rpc import parse_address
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-def worker_spec_for(inner: Callable, cache: str = "readwrite") -> WorkerSpec:
-    """Distil a pipeline inner worker into a wire-shippable spec.
-
-    Accepts the two shapes the pipeline produces — an AdaParse engine's
-    bound ``route_batch`` and a base parser's batch worker (or bound
-    ``parse_with_telemetry``) — and rejects anything else: a remote
-    worker can only rebuild parsers that resolve by name through its own
-    pipeline.
-    """
-    from repro.core.engine import AdaParseEngine
+if TYPE_CHECKING:
+    from repro.cache.cache import BatchWorker
     from repro.parsers.base import Parser
-
-    owner = getattr(inner, "__self__", None)
-    parser = owner if isinstance(owner, Parser) else getattr(inner, "parser", None)
-    if not isinstance(parser, Parser):
-        raise BackendError(
-            f"remote backend requires a parser/engine work unit that workers "
-            f"can rebuild by name; got {inner!r}. Run registry parsers or "
-            f"engines (or pre-install the parser on the workers' pipelines)."
-        )
-    alpha = parser.config.alpha if isinstance(parser, AdaParseEngine) else None
-    return WorkerSpec(
-        parser=parser.name,
-        fingerprint=parser.config_fingerprint(),
-        alpha=alpha,
-        cache=cache,
-    )
 
 
 def _parse_addresses(workers: "str | Sequence[str] | None") -> list[str]:
@@ -267,21 +240,21 @@ class RemoteBackend(ThreadBackend):
         """The live membership listener endpoint (``None`` until dialled)."""
         return self._listener.address if self._listener is not None else None
 
-    def wrap_inner(self, inner: Callable[[_T], _R]) -> Callable[[_T], _R]:
+    def site(self, parser: "Parser") -> "BatchWorker":
         from repro.elastic.policy import constraints_for_parser
 
-        spec = worker_spec_for(inner, cache=self.worker_cache)
+        spec = WorkerSpec.for_parser(parser, cache=self.worker_cache)
         constraints = constraints_for_parser(spec.parser)
         coordinator = self._ensure_coordinator()
 
-        def remote(batch: _T) -> _R:
+        def remote(batch: list):
             # submit() adopts the calling thread's active trace, so the
             # shard frame carries it to the worker; the span here times the
             # full round trip (queueing, transfer, remote parse, reply).
             with _tracing.span("cluster.shard", attributes={"backend": self.name}):
                 future = coordinator.submit(
                     spec,
-                    batch,  # type: ignore[arg-type]
+                    batch,
                     constraints=constraints,
                 )
                 try:
@@ -295,7 +268,7 @@ class RemoteBackend(ThreadBackend):
                 timer = _profiling.current_timer()
                 if timer is not None and future.phases:
                     timer.merge_table(future.phases)
-                return output  # type: ignore[return-value]
+                return output
 
         return remote
 

@@ -75,8 +75,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from repro.core.engine import RoutingDecision
-from repro.parsers.base import ParseResult
+from repro.core.engine import AdaParseEngine, RoutingDecision
+from repro.parsers.base import Parser, ParseResult
 
 # The lifecycle's message types and the framing machinery are shared with
 # the gateway wire; the names are re-exported unchanged so every
@@ -137,6 +137,16 @@ class WorkerSpec:
     #: Worker-side cache policy for this shard ("off"/"read"/"write"/
     #: "readwrite"); applied only when the worker runs a local cache.
     cache: str = "readwrite"
+
+    @classmethod
+    def for_parser(cls, parser: Parser, cache: str = "readwrite") -> "WorkerSpec":
+        """What a worker needs to rebuild ``parser`` by name and prove it did.
+
+        Nothing executable crosses the wire: a parser the worker's pipeline
+        cannot resolve by this name fails there with ``unknown_parser``.
+        """
+        alpha = parser.config.alpha if isinstance(parser, AdaParseEngine) else None
+        return cls(parser.name, parser.config_fingerprint(), alpha, cache)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

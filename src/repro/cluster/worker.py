@@ -43,7 +43,7 @@ import queue
 import threading
 from contextlib import ExitStack
 from time import perf_counter
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.cache import (
     CacheKey,
@@ -69,6 +69,10 @@ from repro.obs.logging import get_logger, log_event
 from repro.obs.tracing import SpanRecorder, TraceContext
 from repro.parsers.base import ParseResult
 from repro.utils import rpc
+
+if TYPE_CHECKING:
+    from repro.cache.cache import BatchWorker
+    from repro.parsers.base import Parser
 
 #: Thread-name prefix of daemon-owned threads (accept/reader/slots/heartbeat).
 WORKER_THREAD_PREFIX = "repro-cluster-worker"
@@ -192,8 +196,9 @@ class WorkerDaemon(rpc.Server):
         #: connections so a reconnecting coordinator skips re-transfer too.
         self._doc_store: dict[str, SciDocument] = {}
         self._doc_store_lock = threading.Lock()
-        #: Resolved specs: config fingerprint → (parser, batch callable).
-        self._workers_by_fingerprint: dict[str, Callable] = {}
+        #: Resolved specs: config fingerprint → (parser, its site on the
+        #: local backend).
+        self._resolved: "dict[str, tuple[Parser, BatchWorker]]" = {}
         self._resolve_lock = threading.Lock()
         #: Counters exposed in ``describe()`` and CLI logging.  Updated
         #: from concurrent slot threads, so bumps go through ``_bump``.
@@ -391,14 +396,16 @@ class WorkerDaemon(rpc.Server):
     # ------------------------------------------------------------------ #
     # Shard execution (called from connection slot threads)
     # ------------------------------------------------------------------ #
-    def _resolve_spec(self, spec: WorkerSpec) -> Callable:
-        """The batch callable for one spec, fingerprint-checked and memoised."""
-        with self._resolve_lock:
-            worker = self._workers_by_fingerprint.get(spec.fingerprint)
-            if worker is not None:
-                return worker
-            from repro.core.engine import AdaParseEngine
+    def _resolve_spec(self, spec: WorkerSpec) -> "tuple[Parser, BatchWorker]":
+        """The parser for one spec and its site on the local backend.
 
+        Fingerprint-checked and memoised, so a local backend that ships the
+        parser across a boundary of its own does so once per spec.
+        """
+        with self._resolve_lock:
+            resolved = self._resolved.get(spec.fingerprint)
+            if resolved is not None:
+                return resolved
             try:
                 parser = self.pipeline.resolve_parser(spec.parser, alpha=spec.alpha)
             except KeyError as exc:
@@ -411,12 +418,9 @@ class WorkerDaemon(rpc.Server):
                     f"but the coordinator expects {spec.fingerprint}; parser "
                     f"versions or trained weights differ between the hosts",
                 )
-            if isinstance(parser, AdaParseEngine):
-                worker = parser.route_batch
-            else:
-                worker = parser.parse_with_telemetry
-            self._workers_by_fingerprint[spec.fingerprint] = worker
-            return worker
+            resolved = (parser, self._backend.site(parser))
+            self._resolved[spec.fingerprint] = resolved
+            return resolved
 
     def _store_documents(self, docs: list[dict[str, Any]]) -> int:
         """Install payload-bearing descriptors into the session doc store."""
@@ -455,7 +459,7 @@ class WorkerDaemon(rpc.Server):
         return missing
 
     def _load_references(
-        self, batch_worker: Callable, descriptors: list[dict[str, Any]]
+        self, parser: "Parser", descriptors: list[dict[str, Any]]
     ) -> dict[int, SciDocument]:
         """Read the shard's by-reference documents from this worker's sources.
 
@@ -469,7 +473,6 @@ class WorkerDaemon(rpc.Server):
         loaded: dict[int, SciDocument] = {}
         if not any("ref" in descriptor for descriptor in descriptors):
             return loaded
-        parser = batch_worker.__self__  # both shapes are bound parser methods
         unresolved: list[str] = []
         with _profiling.phase("source.load"):
             for slot, descriptor in enumerate(descriptors):
@@ -517,10 +520,16 @@ class WorkerDaemon(rpc.Server):
         A by-reference document is read (and, for the cache, hashed) here
         first: the cache saves its parse, not its read.
         """
-        batch_worker = self._resolve_spec(spec)
-        inner = self._on_local_backend(batch_worker)
+        parser, site = self._resolve_spec(spec)
         policy = CachePolicy.coerce(spec.cache) if self.cache is not None else CachePolicy.OFF
-        loaded = self._load_references(batch_worker, descriptors)
+        loaded = self._load_references(parser, descriptors)
+
+        def inner(sub_batch: list[SciDocument]):
+            """The misses as one sub-batch through the local backend."""
+            assert self._backend is not None
+            for output in self._backend.map_ordered(site, [sub_batch]):
+                return output
+            raise SpecError("backend_closed", "local execution backend yielded nothing")
 
         def load(slot: int) -> SciDocument:
             document = loaded.get(slot)
@@ -566,27 +575,6 @@ class WorkerDaemon(rpc.Server):
         self._bump("docs_parsed", misses)
         self._bump("docs_from_cache", hits)
         return results, decisions, hits, misses
-
-    def _on_local_backend(self, worker: Callable) -> Callable:
-        """``worker`` as one sub-batch through the local execution backend.
-
-        With a shard timer active the parse's phase table is captured
-        exactly as the pipeline does for its own pools — a fresh child
-        timer whose table merges back — so the shipped table carries the
-        same engine-internal keys on every worker backend (pool threads
-        do not inherit contextvars).
-        """
-        capture = _profiling.phases_enabled() and _profiling.current_timer() is not None
-        if capture:
-            worker = _profiling.PhaseCapture(worker)
-
-        def run(sub_batch: list[SciDocument]):
-            assert self._backend is not None
-            for output in self._backend.map_ordered(worker, [sub_batch]):
-                return output
-            raise SpecError("backend_closed", "local execution backend yielded nothing")
-
-        return _profiling.merge_captured(run) if capture else run
 
 
 class _ConnectionHandler(rpc.Session):

@@ -30,8 +30,7 @@ streams ``(results, decisions)`` per α-budgeted batch and
 no mutable routing state on the hot path and are safe to share between
 concurrent callers.  Consume telemetry through
 :class:`repro.pipeline.ParsePipeline`, whose ``ParseReport`` carries the
-decisions, aggregate resource usage, and throughput (the pre-PR-1
-``last_summary`` attribute was removed after its deprecation cycle).
+decisions, aggregate resource usage, and throughput.
 """
 
 from __future__ import annotations
@@ -353,26 +352,14 @@ class AdaParseEngine(Parser):
         )
 
     # ------------------------------------------------------------------ #
-    # Telemetry: a return value of the parse APIs (the old shim is gone)
-    # ------------------------------------------------------------------ #
-    @property
-    def last_summary(self) -> "RoutingSummary":
-        raise AttributeError(
-            "AdaParseEngine.last_summary was removed after its deprecation cycle; "
-            "routing telemetry is returned by parse_with_telemetry()/parse_batches() "
-            "and carried in ParseReport.decisions (repro.pipeline.ParsePipeline.run)"
-        )
-
-    @last_summary.setter
-    def last_summary(self, summary: "RoutingSummary") -> None:
-        raise AttributeError(
-            "AdaParseEngine.last_summary was removed after its deprecation cycle; "
-            "routing telemetry is a return value of the parse APIs and cannot be assigned"
-        )
-
-    # ------------------------------------------------------------------ #
     # Batch parsing
     # ------------------------------------------------------------------ #
+    def parse_batch(
+        self, batch: list[SciDocument]
+    ) -> tuple[list[ParseResult], list[RoutingDecision]]:
+        """One pipeline batch is one α-budgeted :meth:`route_batch`."""
+        return self.route_batch(batch)
+
     def parse_batches(
         self, documents: Iterable[SciDocument], batch_size: int | None = None
     ) -> Iterator[tuple[list[ParseResult], list[RoutingDecision]]]:

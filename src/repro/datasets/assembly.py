@@ -16,7 +16,7 @@ simulated-HPC adapter).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -83,16 +83,8 @@ class DatasetBuildConfig:
     backend: str = "auto"
     backend_options: dict[str, Any] = field(default_factory=dict)
     cache: str = "off"
-    #: Removed field (hard error): parallelism now lives in
-    #: ``backend_options={"n_jobs": N}``.
-    n_jobs: InitVar[Any] = None
 
-    def __post_init__(self, n_jobs: Any) -> None:
-        if n_jobs is not None:
-            raise TypeError(
-                "DatasetBuildConfig.n_jobs was removed; request parallelism with "
-                "backend='thread' (or 'process') and backend_options={'n_jobs': N}"
-            )
+    def __post_init__(self) -> None:
         if not 0.0 <= self.quality_threshold <= 1.0:
             raise ValueError("quality_threshold must lie in [0, 1]")
         if self.min_tokens < 0:

@@ -10,6 +10,7 @@ on a record-count or byte-size limit, whichever is hit first.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -177,6 +178,11 @@ class ShardedJsonlWriter:
         if self._handle is None:
             return
         name = Path(self._handle.name).name
+        # Once per finished shard, not per record: the manifest that names
+        # this shard is replaced atomically, so the shard's tail must be on
+        # disk before it is listed.
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
         self._handle.close()
         self.manifest.shards.append(
             ShardInfo(path=name, n_records=self._current_records, n_bytes=self._current_bytes)

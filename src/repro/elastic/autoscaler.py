@@ -9,7 +9,7 @@ min/max bounds, cooldowns), and acts on the decision through a
 *launcher*:
 
 * :class:`SubprocessLauncher` spawns real ``adaparse-repro worker``
-  processes (the same ready-line handshake ``cluster`` uses) and
+  processes (:func:`spawn_local_worker`, which ``cluster`` uses too) and
   registers them on the running coordinator via
   :meth:`~repro.cluster.coordinator.ClusterCoordinator.add_worker`; a
   drain goes through the coordinator's graceful ``remove_worker`` path
@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
 from pathlib import Path
 from time import monotonic
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.elastic.policy import AutoscalerPolicy, ScalingSignals
 from repro.obs import metrics as _metrics
@@ -75,13 +76,72 @@ def signals_from_coordinator(coordinator: "ClusterCoordinator") -> ScalingSignal
     )
 
 
+def spawn_local_worker(
+    name: str,
+    *,
+    backend: str = "serial",
+    jobs: int = 1,
+    cache_dir: "str | Path | None" = None,
+    profile: bool = False,
+) -> subprocess.Popen:
+    """Start one ``adaparse-repro worker --port 0`` process from this checkout.
+
+    The one local spawn path (the ``cluster`` command and
+    :class:`SubprocessLauncher` both use it): ``PYTHONPATH`` carries this
+    checkout, and stdout is a pipe whose first line is the JSON ready
+    line :func:`ready_address` reads.  Returning before that line lets a
+    caller start several workers and then collect their addresses.
+    """
+    import repro
+
+    command = [
+        sys.executable, "-m", "repro.cli", "worker",
+        "--port", "0", "--name", name, "--backend", backend,
+    ]
+    if jobs > 1:
+        command += ["--backend-opt", f"n_jobs={jobs}"]
+    if cache_dir:
+        command += ["--cache-dir", str(cache_dir)]
+    if profile:
+        command += ["--profile"]
+    env = dict(os.environ)
+    src_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.Popen(command, env=env, stdout=subprocess.PIPE, text=True)
+
+
+def ready_address(proc: subprocess.Popen) -> str:
+    """The bound ``host:port`` from a spawned worker's ready line."""
+    assert proc.stdout is not None
+    line = proc.stdout.readline()
+    try:
+        return str(json.loads(line)["address"])
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"did not report a listening address (got {line!r}): {exc}"
+        ) from exc
+
+
+def reap_local_workers(procs: "Iterable[subprocess.Popen]") -> None:
+    """Stop spawned workers: SIGTERM all, wait 15 s each, kill stragglers."""
+    procs = [proc for proc in procs if proc.poll() is None]
+    for proc in procs:
+        proc.send_signal(signal.SIGTERM)
+    for proc in procs:
+        try:
+            proc.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=5)
+
+
 class SubprocessLauncher:
     """Spawn/drain local ``adaparse-repro worker`` processes for a coordinator.
 
-    Mirrors the ``cluster`` command's spawn path: ``--port 0``, the JSON
-    ready line for the bound address, and ``PYTHONPATH`` carrying this
-    checkout.  Each spawned worker is registered on the coordinator
-    (source ``"autoscaler"``) before :meth:`spawn` returns.
+    Each worker started with :func:`spawn_local_worker` is registered on
+    the coordinator (source ``"autoscaler"``) before :meth:`spawn` returns.
     """
 
     def __init__(
@@ -92,57 +152,34 @@ class SubprocessLauncher:
         worker_jobs: int = 1,
         cache_dir: "str | None" = None,
         name_prefix: str = "autoscale-worker",
-        spawn_timeout: float = 30.0,
     ) -> None:
         self.coordinator = coordinator
         self.worker_backend = worker_backend
         self.worker_jobs = worker_jobs
         self.cache_dir = cache_dir
         self.name_prefix = name_prefix
-        self.spawn_timeout = spawn_timeout
         self._procs: dict[str, subprocess.Popen] = {}
         self._spawned = 0
         self._lock = threading.Lock()
 
-    def _worker_command(self, name: str) -> list[str]:
-        command = [
-            sys.executable, "-m", "repro.cli", "worker",
-            "--port", "0", "--name", name, "--backend", self.worker_backend,
-        ]
-        if self.worker_jobs > 1:
-            command += ["--backend-opt", f"n_jobs={self.worker_jobs}"]
-        if self.cache_dir:
-            # One shared directory on purpose: the disk store is
-            # merge-on-flush additive, so concurrent workers are safe.
-            command += ["--cache-dir", str(self.cache_dir)]
-        return command
-
     def spawn(self) -> str:
-        import repro
-
         with self._lock:
             name = f"{self.name_prefix}-{self._spawned}"
             self._spawned += 1
-        env = dict(os.environ)
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        proc = subprocess.Popen(
-            self._worker_command(name), env=env, stdout=subprocess.PIPE, text=True
+        # One shared cache directory on purpose: the disk store is
+        # merge-on-flush additive, so concurrent workers are safe.
+        proc = spawn_local_worker(
+            name,
+            backend=self.worker_backend,
+            jobs=self.worker_jobs,
+            cache_dir=self.cache_dir,
         )
         try:
-            assert proc.stdout is not None
-            line = proc.stdout.readline()
-            ready = json.loads(line)
-            address = str(ready["address"])
-            worker_id = self.coordinator.add_worker(address, source="autoscaler")
+            worker_id = self.coordinator.add_worker(
+                ready_address(proc), source="autoscaler"
+            )
         except Exception:
-            proc.terminate()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+            reap_local_workers([proc])
             raise
         with self._lock:
             self._procs[worker_id] = proc
@@ -155,27 +192,16 @@ class SubprocessLauncher:
             self.coordinator.remove_worker(worker_id)
         except ClusterError:
             pass  # already dead/unknown; reap the process regardless
-        self._reap(worker_id)
-
-    def _reap(self, worker_id: str) -> None:
-        import signal as _signal
-
         with self._lock:
             proc = self._procs.pop(worker_id, None)
-        if proc is None or proc.poll() is not None:
-            return
-        proc.send_signal(_signal.SIGTERM)
-        try:
-            proc.wait(timeout=15)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(timeout=5)
+        if proc is not None:
+            reap_local_workers([proc])
 
     def close(self) -> None:
         with self._lock:
-            worker_ids = list(self._procs)
-        for worker_id in worker_ids:
-            self._reap(worker_id)
+            procs = list(self._procs.values())
+            self._procs.clear()
+        reap_local_workers(procs)
 
 
 class Autoscaler:

@@ -12,7 +12,7 @@ engine) instead of being read back off mutable engine attributes.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -63,16 +63,8 @@ class HarnessConfig:
     seed: int = 1234
     backend: str = "auto"
     backend_options: dict[str, Any] = field(default_factory=dict)
-    #: Removed field (hard error): parallelism now lives in
-    #: ``backend_options={"n_jobs": N}``.
-    n_jobs: InitVar[Any] = None
 
-    def __post_init__(self, n_jobs: Any) -> None:
-        if n_jobs is not None:
-            raise TypeError(
-                "HarnessConfig.n_jobs was removed; request parallelism with "
-                "backend='thread' (or 'process') and backend_options={'n_jobs': N}"
-            )
+    def __post_init__(self) -> None:
         from repro.pipeline.backends.base import validate_backend_spec
 
         validate_backend_spec(self.backend, self.backend_options)

@@ -4,14 +4,14 @@ Two instruments, both zero-dependency:
 
 * :class:`PhaseTimer` — named, nestable wall+CPU phase accounting for the
   pipeline hot path.  A timer is made ambient with :func:`use_timer`
-  (contextvar, so it survives ``await`` and can be re-bound into pool
-  threads); instrumented code brackets work with the module-level
+  (contextvar, so it survives ``await`` and rides a copied context into
+  pool threads); instrumented code brackets work with the module-level
   :func:`phase` helper, which is a near no-op when no timer is active or
   phases are disabled (``REPRO_OBS_PHASES=0``).  Self time is computed
   per thread via a frame stack: a nested phase charges its wall time to
   the parent frame's ``child_wall``, so the parent's *self* seconds
-  exclude it.  Tables from child workers (threads, processes, remote
-  shards) fold back with :meth:`PhaseTimer.merge_table`, which also
+  exclude it.  Tables from child workers (processes, remote shards)
+  fold back with :meth:`PhaseTimer.merge_table`, which also
   credits the merged work to the currently open phase — the pipeline's
   ``parse`` phase therefore reports orchestration overhead as self time
   and delegated work under the child phase names, on every backend.
@@ -48,7 +48,6 @@ __all__ = [
     "StackSampler",
     "current_timer",
     "default_store",
-    "merge_captured",
     "phase",
     "phase_seconds_histogram",
     "phases_enabled",
@@ -303,13 +302,10 @@ def record(
 class PhaseCapture:
     """Run ``inner`` under a fresh :class:`PhaseTimer`; return its table too.
 
-    Returns ``(output, phase_table)`` so :func:`merge_captured` can fold
-    the child's attribution into the caller's timer.  A module-level
-    class so the process backend can pickle it into worker processes —
-    the fresh-timer-per-call design is what makes phase capture work
-    identically in a pool thread, a child process and a cluster worker:
-    the child never needs the parent's timer object, only its table
-    crosses back.
+    Returns ``(output, phase_table)`` for a caller on the far side of a
+    process boundary to fold into its own timer with
+    :meth:`PhaseTimer.merge_table`: the child never needs the parent's
+    timer object, only its table crosses back.
     """
 
     __slots__ = ("inner",)
@@ -322,19 +318,6 @@ class PhaseCapture:
         with use_timer(timer):
             output = self.inner(item)
         return output, timer.snapshot()
-
-
-def merge_captured(site: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """Unwrap a :class:`PhaseCapture` result, merging its phase table."""
-
-    def merged(item: Any) -> Any:
-        output, table = site(item)
-        timer = current_timer()
-        if timer is not None:
-            timer.merge_table(table)
-        return output
-
-    return merged
 
 
 # ---------------------------------------------------------------------- #

@@ -276,6 +276,18 @@ class Parser(abc.ABC):
         """
         return self.parse_many(list(documents)), []
 
+    def parse_batch(
+        self, batch: list[SciDocument]
+    ) -> tuple[list[ParseResult], list["RoutingDecision"]]:
+        """Parse one pipeline batch: what an execution backend's site calls.
+
+        The one polymorphic per-batch entry — a base parser parses the
+        batch with :meth:`parse_with_telemetry`, an AdaParse engine routes
+        it under its α budget — so whatever runs a batch holds the parser
+        and calls this, never a closure built from it.
+        """
+        return self.parse_with_telemetry(batch)
+
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #

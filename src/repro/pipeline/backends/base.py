@@ -7,19 +7,29 @@ shipped to worker processes, or replayed through the simulated HPC
 cluster — the parsing algorithm (routing, α budgets, caching) is
 identical in every case, only the execution policy varies.
 
-The contract every backend implements:
+The contract, in one paragraph: a backend is handed the **parser** —
+:meth:`ExecutionBackend.site` takes a resolved
+:class:`~repro.parsers.base.Parser` and returns the callable that parses
+one batch where this backend executes it; the default is the parser's own
+:meth:`~repro.parsers.base.Parser.parse_batch`.  A backend that puts a
+boundary between the caller and that call owns every crossing of it: the
+parser going out (the process backend pickles it once per child, the
+remote backend names it in a ``WorkerSpec``), the caller's ambient
+``contextvars`` going out (trace context and
+:class:`~repro.obs.profiling.PhaseTimer`; the thread backend submits each
+task under a copy of the submitting thread's context), and the site's
+phase table coming back (merged into the caller's timer).  The pipeline
+wraps the site in the ``parse`` phase and, when the request carries a
+cache policy, in the cache layer — lookups, single-flight leases and
+write-backs therefore run on the caller's side of every boundary — and
+passes the result to :meth:`ExecutionBackend.map_ordered`.  A third-party
+backend that runs batches inline need implement only ``map_ordered``.
 
 * :meth:`ExecutionBackend.map_ordered` — apply a worker over a stream of
   work items with a **bounded in-flight window**, yielding results in
   input order.  Streaming callers keep O(window) memory over arbitrarily
   long inputs, and abandoning the returned iterator cancels work that
   has not started.
-* :meth:`ExecutionBackend.wrap_inner` — adapt a *picklable* inner worker
-  for the backend's execution site.  In-process backends return it
-  unchanged; the process backend returns a parent-side stub that ships
-  the call to a worker process.  The pipeline composes its cache layer
-  *around* the wrapped worker, so cache lookups, single-flight leases,
-  and write-backs always run in the parent process.
 * :meth:`ExecutionBackend.stats` — an :class:`ExecutionStats` snapshot:
   batches dispatched/completed/cancelled, the in-flight and queue-wait
   high-water marks, and per-batch latency percentiles.  The pipeline
@@ -40,9 +50,13 @@ import abc
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from repro.obs import metrics as _metrics
+
+if TYPE_CHECKING:
+    from repro.cache.cache import BatchWorker
+    from repro.parsers.base import Parser
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -249,10 +263,10 @@ class ExecutionBackend(abc.ABC):
     """How the pipeline's batches actually run.
 
     Subclasses set :attr:`name` (the registry name), create
-    :attr:`_recorder` and implement :meth:`map_ordered`; :meth:`wrap_inner`
-    defaults to identity and is overridden by backends whose workers
-    execute outside the parent process.  Backends are context managers
-    (``close()`` on exit).
+    :attr:`_recorder` and implement :meth:`map_ordered`; :meth:`site`
+    defaults to the parser's own ``parse_batch`` and is overridden by
+    backends whose batches execute outside the parent process.  Backends
+    are context managers (``close()`` on exit).
     """
 
     #: Registry name of the backend.
@@ -260,7 +274,7 @@ class ExecutionBackend(abc.ABC):
     #: What :meth:`map_ordered` records into and :meth:`stats` snapshots.
     _recorder: ExecutionRecorder
     #: Whether batches run somewhere that can rebuild a document source from
-    #: its spec.  The pipeline then hands :meth:`wrap_inner`'s stub batches of
+    #: its spec.  The pipeline then hands :meth:`site`'s stub batches of
     #: :class:`~repro.documents.sources.DocumentRef` instead of documents
     #: (for reference-able sources under cache policy ``off``), so documents
     #: are read where they are parsed and never cross the process boundary.
@@ -271,16 +285,17 @@ class ExecutionBackend(abc.ABC):
         """Parallel worker count reported in :class:`ExecutionStats`."""
         return 1
 
-    def wrap_inner(self, inner: Callable[[_T], _R]) -> Callable[[_T], _R]:
-        """Adapt a picklable inner worker for this backend's execution site.
+    def site(self, parser: "Parser") -> "BatchWorker":
+        """The callable that parses one batch where this backend executes it.
 
-        In-process backends run the worker where the orchestration runs and
-        return it unchanged.  Out-of-process backends return a parent-side
-        stub that ships the call to a worker; anything the pipeline wraps
-        *around* the returned callable (cache lookups, single-flight
-        leases, write-backs) therefore stays in the parent.
+        In-process backends run the parser where the orchestration runs:
+        the site is ``parser.parse_batch``.  Out-of-process backends return
+        a caller-side stub that carries the parser (and the ambient phase
+        attribution) across their boundary; anything wrapped *around* the
+        returned callable (cache lookups, single-flight leases,
+        write-backs) therefore stays with the caller.
         """
-        return inner
+        return parser.parse_batch
 
     @abc.abstractmethod
     def map_ordered(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> Iterator[_R]:

@@ -5,13 +5,15 @@ it past the GIL; the process backend ships each batch to a worker
 process instead.  The split of responsibilities keeps the cache layer
 correct without any cross-process locking:
 
-* **Children** run only the picklable inner worker (a bound
-  ``route_batch``/``parse_with_telemetry`` method over a list of
-  documents) and return plain ``(results, decisions)`` tuples.
+* **Children** hold the pickled parser and run only its ``parse_batch``
+  over a list of documents, under a fresh phase timer when the parent is
+  attributing phases; they return plain ``(results, decisions)`` tuples
+  plus that timer's table.
 * **The parent** keeps everything stateful: orchestration threads (one
   per process-pool slot, inherited from :class:`ThreadBackend`) drive the
-  bounded in-flight window, and because :meth:`ProcessBackend.wrap_inner`
-  is composed *inside* the pipeline's cache wrapper, cache lookups,
+  bounded in-flight window, merge each child's phase table into the
+  run's timer, and because :meth:`ProcessBackend.site` is composed
+  *inside* the pipeline's cache wrapper, cache lookups,
   single-flight leases, and write-backs all execute in these parent
   threads.  Single-flight therefore degrades gracefully under processes —
   it simply keeps working at parent scope, deduplicating what this
@@ -26,29 +28,38 @@ import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, TypeVar
+from typing import TYPE_CHECKING
 
+from repro.obs import profiling as _profiling
 from repro.pipeline.backends.base import BackendError, BackendSpec, register_backend
 from repro.pipeline.backends.thread import ThreadBackend
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
+if TYPE_CHECKING:
+    from repro.cache.cache import BatchWorker
+    from repro.parsers.base import Parser
 
-#: Per-child-process registry of unpickled workers (filled by the pool
+#: Per-child-process registry of unpickled parsers (filled by the pool
 #: initializer so a trained engine crosses the IPC pipe once per worker
 #: process, not once per batch).
-_WORKER_REGISTRY: dict[str, Callable[..., object]] = {}
+_PARSER_REGISTRY: "dict[str, Parser]" = {}
 
 
-def _register_worker(token: str, payload: bytes) -> None:
-    """Pool initializer: install the run's worker in this child process."""
-    _WORKER_REGISTRY[token] = pickle.loads(payload)
+def _register_parser(token: str, payload: bytes) -> None:
+    """Pool initializer: install the run's parser in this child process."""
+    _PARSER_REGISTRY[token] = pickle.loads(payload)
 
 
-def _call_registered(token: str, item):
-    """Invoke the pre-registered worker (the per-batch task payload is
-    just the token and the batch)."""
-    return _WORKER_REGISTRY[token](item)
+def _parse_in_child(token: str, parser: "Parser | None", batch: list, capture: bool):
+    """Child-side task: ``(output, phase table or None)`` for one batch.
+
+    ``parser`` is ``None`` for the parser the pool was initialised with
+    (the task payload is then just the token and the batch).
+    """
+    if parser is None:
+        parser = _PARSER_REGISTRY[token]
+    if capture:
+        return _profiling.PhaseCapture(parser.parse_batch)(batch)
+    return parser.parse_batch(batch), None
 
 
 def _warmup() -> bool:
@@ -73,12 +84,12 @@ def _preferred_context(name: str | None) -> multiprocessing.context.BaseContext 
 class ProcessBackend(ThreadBackend):
     """Execute batches in worker processes behind a thread-orchestrated window.
 
-    ``n_jobs`` worker processes execute the inner worker; the inherited
-    thread pool (same size) only orchestrates — each orchestration thread
-    blocks on its child future, runs the parent-side cache layer, and
-    yields results in order.  Work units must be picklable: documents,
-    base parsers, and trained engines all are; ad-hoc closures are not and
-    raise a :class:`BackendError` explaining the contract.
+    ``n_jobs`` worker processes execute the parser; the inherited thread
+    pool (same size) only orchestrates — each orchestration thread blocks
+    on its child future, runs the parent-side cache layer, and yields
+    results in order.  The contract is a picklable parser: base parsers
+    and trained engines are; one holding a lambda or a lock is not and
+    raises a :class:`BackendError` explaining the contract.
     """
 
     name = "process"
@@ -110,10 +121,10 @@ class ProcessBackend(ThreadBackend):
                 initargs = ()
                 initializer = None
                 if token is not None and payload is not None:
-                    # Ship the worker once per child via the initializer (it
+                    # Ship the parser once per child via the initializer (it
                     # also re-runs when a crashed worker is replaced); batch
                     # submissions then carry only the token and the documents.
-                    initializer = _register_worker
+                    initializer = _register_parser
                     initargs = (token, payload)
                     self._registered_token = token
                 self._executor = ProcessPoolExecutor(
@@ -124,16 +135,16 @@ class ProcessBackend(ThreadBackend):
                 )
             return self._executor
 
-    def wrap_inner(self, inner: Callable[[_T], _R]) -> Callable[[_T], _R]:
-        # Serialise the worker up front: the pool would otherwise pickle it
+    def site(self, parser: "Parser") -> "BatchWorker":
+        # Serialise the parser up front: the pool would otherwise pickle it
         # on a feeder thread, surfacing a failure per batch as an opaque
         # exception instead of once with a diagnosis.
         try:
-            payload = pickle.dumps(inner)
+            payload = pickle.dumps(parser)
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             raise BackendError(
-                f"process backend requires picklable work units; "
-                f"{inner!r} could not be serialised ({exc}). Pass a "
+                f"process backend requires a picklable parser; "
+                f"{parser!r} could not be serialised ({exc}). Pass a "
                 f"module-level parser/engine, or use the thread backend."
             ) from exc
         token = hashlib.sha256(payload).hexdigest()[:16]
@@ -147,20 +158,24 @@ class ProcessBackend(ThreadBackend):
             # also moves pool startup out of the per-batch latency stats.
             for future in [executor.submit(_warmup) for _ in range(self.n_jobs)]:
                 future.result()
+        # A second, different parser on a pool initialised for the first
+        # one: correctness over IPC economy — ship it per call.
+        shipped = None if token == self._registered_token else parser
 
-        def remote(item: _T) -> _R:
-            if token == self._registered_token:
-                future = executor.submit(_call_registered, token, item)
-            else:
-                # A second, different worker on a pool initialised for the
-                # first one: correctness over IPC economy — ship it per call.
-                future = executor.submit(inner, item)
+        def parse_in_child(batch: list):
+            # The child cannot see the run's timer: it records under one of
+            # its own and the table merges here, inside the orchestration
+            # thread's open `parse` phase.
+            timer = _profiling.current_timer() if _profiling.phases_enabled() else None
+            future = executor.submit(
+                _parse_in_child, token, shipped, batch, timer is not None
+            )
             try:
-                return future.result()
+                output, phases = future.result()
             except pickle.PicklingError as exc:
                 raise BackendError(
                     f"process backend requires picklable work units; "
-                    f"{inner!r} or its arguments could not be serialised "
+                    f"{parser!r} or its batch could not be serialised "
                     f"({exc}). Pass a module-level parser/engine, or use "
                     f"the thread backend."
                 ) from exc
@@ -170,8 +185,11 @@ class ProcessBackend(ThreadBackend):
                     "(commonly: unpicklable work units under the spawn start "
                     "method, or the child was OOM-killed)"
                 ) from exc
+            if timer is not None:
+                timer.merge_table(phases)
+            return output
 
-        return remote
+        return parse_in_child
 
     def close(self) -> None:
         # The inherited close marks the backend closed (no executor can be

@@ -3,8 +3,14 @@
 :meth:`ThreadBackend.map_ordered` is the only place batches are submitted
 to a pool, held in a pending ``deque`` and cancelled on teardown; the
 ``process`` and ``remote`` backends inherit it and vary only what a batch
-*does* (``wrap_inner``).  The in-flight window is one integer,
+*does* (``site``).  The in-flight window is one integer,
 ``ThreadBackend.window``; ``async`` is an accepted name for this backend.
+
+The pool is this backend's boundary, and ``contextvars`` do not cross it
+on their own: every task is submitted under a copy of the submitting
+thread's context, so a pool thread sees the run's trace context and
+records phases straight into the run's
+:class:`~repro.obs.profiling.PhaseTimer` — nothing is captured and merged.
 
 Teardown is explicit: abandoning the streaming iterator cancels every
 batch that has not started, and :meth:`ThreadBackend.close` joins the
@@ -14,6 +20,7 @@ the regression tests assert both.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import threading
 from collections import deque
@@ -108,7 +115,10 @@ class ThreadBackend(ExecutionBackend):
         def refill() -> None:
             for item in itertools.islice(iterator, self.window - len(pending)):
                 recorder.record_dispatch()
-                pending.append(pool.submit(task, item, perf_counter()))
+                # One context copy per task: a Context cannot be entered by
+                # two threads at once.
+                context = contextvars.copy_context()
+                pending.append(pool.submit(context.run, task, item, perf_counter()))
                 recorder.record_in_flight(len(pending))
 
         try:

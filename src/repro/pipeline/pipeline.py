@@ -20,15 +20,15 @@ facade: a frozen :class:`~repro.pipeline.request.ParseRequest` goes in, a
   request carries a cache policy: hits are replayed, misses are parsed
   once (single-flighted across workers) and optionally stored, and the
   report's :class:`~repro.cache.CacheStats` block records what happened.
-  The cache layer always runs in the parent process (backends adapt the
-  *inner* worker via :meth:`~repro.pipeline.backends.ExecutionBackend.
-  wrap_inner`), so policies behave identically on every backend.
+  The cache layer always runs in the parent process (it wraps the
+  backend's :meth:`~repro.pipeline.backends.ExecutionBackend.site`, which
+  is what crosses the execution boundary), so policies behave identically
+  on every backend.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import ExitStack
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -38,6 +38,7 @@ from repro.cache import (
     ParseCache,
     cached_batch_worker,
 )
+from repro.cache.cache import BatchWorker
 from repro.core.engine import AdaParseEngine, RoutingDecision, build_default_engine
 from repro.documents.document import SciDocument
 from repro.documents.sources import DocumentRef
@@ -66,65 +67,26 @@ ENGINE_VARIANTS = {"adaparse_ft": "ft", "adaparse_llm": "llm"}
 BatchOutput = tuple[list[ParseResult], list[RoutingDecision]]
 
 
-class _ParserBatchWorker:
-    """Picklable per-batch worker for base (non-engine) parsers.
+def _traced_batch_worker(worker: BatchWorker, backend_name: str) -> BatchWorker:
+    """Open a ``backend.batch`` span around every batch of a traced run.
 
-    A module-level class instead of a closure so the process backend can
-    ship it to worker processes; state is just the parser, which all base
-    parsers (and trained engines) serialise cleanly.
+    Everything the worker does — cache lookups, remote shard round trips —
+    nests under it; the trace itself reaches the batch through the
+    backend, which carries the caller's context across its boundary.
+    With no active trace the worker is returned unwrapped.
     """
-
-    __slots__ = ("parser",)
-
-    def __init__(self, parser: Parser) -> None:
-        self.parser = parser
-
-    def __call__(self, batch: list[SciDocument]) -> BatchOutput:
-        return self.parser.parse_with_telemetry(batch)
-
-
-def _traced_batch_worker(
-    worker: Callable[[list[SciDocument]], BatchOutput], backend_name: str
-) -> Callable[[list[SciDocument]], BatchOutput]:
-    """Wrap a composed batch worker with the caller's ambient observability.
-
-    The active :class:`~repro.obs.tracing.TraceContext` *and* the ambient
-    :class:`~repro.obs.profiling.PhaseTimer` are captured *here* (in the
-    thread that set them — the service ticket thread or the caller) and
-    re-activated around every batch invocation, because backend thread
-    pools do not inherit contextvars.  Everything the worker does — cache
-    lookups, phase brackets, remote shard round trips — then nests under
-    the batch span and accumulates into the run's timer.  With no active
-    trace and no timer the worker is returned unwrapped: zero overhead.
-    """
-    context = _tracing.current_trace()
-    if context is None or not _tracing.enabled():
-        context = None
-    timer = _profiling.current_timer() if _profiling.phases_enabled() else None
-    if context is None and timer is None:
+    if _tracing.current_trace() is None or not _tracing.enabled():
         return worker
 
     def traced(batch: list[SciDocument]) -> BatchOutput:
-        with ExitStack() as stack:
-            if timer is not None:
-                stack.enter_context(_profiling.use_timer(timer))
-            if context is not None:
-                stack.enter_context(_tracing.activate(context))
-                stack.enter_context(
-                    _tracing.span(
-                        "backend.batch",
-                        attributes={
-                            "backend": backend_name,
-                            "n_documents": len(batch),
-                        },
-                    )
-                )
+        attributes = {"backend": backend_name, "n_documents": len(batch)}
+        with _tracing.span("backend.batch", attributes=attributes):
             return worker(batch)
 
     return traced
 
 
-def _parse_phased_worker(site: Callable) -> Callable[[list[SciDocument]], BatchOutput]:
+def _parse_phased_worker(site: BatchWorker) -> BatchWorker:
     """Bracket the execution site in the ``parse`` phase.
 
     Child phase tables merge *inside* the bracket, so ``parse`` self time
@@ -280,35 +242,15 @@ class ParsePipeline:
         backend: ExecutionBackend,
         cache_policy: CachePolicy,
         cache_recorder: CacheStatsRecorder | None,
-    ) -> Callable[[list[SciDocument]], BatchOutput]:
-        """Compose the per-batch worker: inner parse → backend site → cache.
+    ) -> BatchWorker:
+        """Compose the per-batch worker: cache ∘ ``parse`` phase ∘ backend site.
 
-        The *inner* worker (a picklable bound method or
-        :class:`_ParserBatchWorker`) is adapted to the backend's execution
-        site first; the cache wrapper goes around the adapted worker, so
-        lookups, single-flight leases, and write-backs always run in the
-        parent process regardless of where parsing happens.
+        The backend is handed the parser and returns the callable that
+        parses a batch at its execution site; the cache wrapper goes around
+        it, so lookups, single-flight leases, and write-backs always run in
+        the parent process regardless of where parsing happens.
         """
-        if isinstance(resolved, AdaParseEngine):
-            inner: Callable[[list[SciDocument]], BatchOutput] = resolved.route_batch
-        else:
-            inner = _ParserBatchWorker(resolved)
-        # Phase capture wraps the *inner* worker so the child's attribution
-        # crosses thread/process boundaries as a plain table.  The remote
-        # backend is the exception: its wrap_inner introspects the inner
-        # callable to build a WorkerSpec, and its workers capture and ship
-        # their own tables inside batch_result frames instead.
-        capture = (
-            _profiling.phases_enabled()
-            and _profiling.current_timer() is not None
-            and backend.name != "remote"
-        )
-        if capture:
-            inner = _profiling.PhaseCapture(inner)
-        worker = backend.wrap_inner(inner)
-        if capture:
-            worker = _profiling.merge_captured(worker)
-        worker = _parse_phased_worker(worker)
+        worker = _parse_phased_worker(backend.site(resolved))
         if cache_policy is CachePolicy.OFF:
             return worker
         return cached_batch_worker(

@@ -22,7 +22,7 @@ out the ``source=`` replacement.
 from __future__ import annotations
 
 import difflib
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.documents.corpus import CorpusConfig
@@ -105,30 +105,8 @@ class ParseRequest:
     #: replay (the documents themselves were not serialised).  An *empty*
     #: tuple marks a custom source that could not be serialised at all.
     doc_ids: tuple[str, ...] | None = None
-    #: Removed inputs (hard errors): parallelism lives in
-    #: ``backend_options={"n_jobs": N}``, the documents in ``source``.
-    n_jobs: InitVar[Any] = None
-    documents: InitVar[Any] = None
-    corpus: InitVar[Any] = None
-    n_documents: InitVar[Any] = None
-    seed: InitVar[Any] = None
 
-    def __post_init__(
-        self, n_jobs: Any, documents: Any, corpus: Any, n_documents: Any, seed: Any
-    ) -> None:
-        if n_jobs is not None:
-            raise TypeError(
-                "ParseRequest.n_jobs was removed; request parallelism with "
-                "backend='thread' (or 'process') and backend_options={'n_jobs': N}"
-            )
-        for name, value in (
-            ("documents", documents),
-            ("corpus", corpus),
-            ("n_documents", n_documents),
-            ("seed", seed),
-        ):
-            if value is not None:
-                raise TypeError(f"ParseRequest.{name} was removed; {_SOURCE_HINT}")
+    def __post_init__(self) -> None:
         if self.doc_ids is not None and not isinstance(self.doc_ids, tuple):
             object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
 
@@ -264,8 +242,7 @@ class ParseRequest:
 
     #: JSON keys :meth:`from_json_dict` understands.  ``n_documents`` and
     #: ``seed`` are derived provenance (read back only to reject a payload
-    #: that has them *instead of* a source); ``corpus`` and ``n_jobs`` are
-    #: removed keys, named here so they get their own error.
+    #: that has them *instead of* a source).
     _JSON_KEYS = frozenset(
         {
             "parser",
@@ -278,8 +255,6 @@ class ParseRequest:
             "backend_options",
             "cache",
             "doc_ids",
-            "corpus",
-            "n_jobs",
         }
     )
 
@@ -297,7 +272,7 @@ class ParseRequest:
         """
         unknown = sorted(set(payload) - cls._JSON_KEYS)
         if unknown:
-            known = sorted(cls._JSON_KEYS - {"n_jobs", "corpus"})
+            known = sorted(cls._JSON_KEYS)
             hints = []
             for name in unknown:
                 match = difflib.get_close_matches(name, known, n=1, cutoff=0.6)
@@ -305,17 +280,12 @@ class ParseRequest:
             raise ValueError(
                 f"unknown ParseRequest field(s) {', '.join(hints)}; known: {known}"
             )
-        if payload.get("n_jobs") not in (None, 1):
-            raise ValueError(
-                "request field 'n_jobs' was removed; use backend_options="
-                "{'n_jobs': N} with backend 'thread' or 'process'"
-            )
         source = payload.get("source")
         doc_ids = payload.get("doc_ids")
         # Beside a source (or doc_ids) the counts are derived provenance and
         # ignored; on their own they used to *pick* the documents.
         counts = () if source is not None or doc_ids is not None else ("n_documents", "seed")
-        for name in ("corpus", *counts):
+        for name in counts:
             if payload.get(name) is not None:
                 raise ValueError(
                     f"request field {name!r} no longer says which documents to "

@@ -14,6 +14,7 @@ from repro.cache import (
     LruTier,
     ParseCache,
     SingleFlight,
+    run_cached_batch,
 )
 from repro.parsers.base import ParseResult, ResourceUsage
 
@@ -29,6 +30,20 @@ def _result(doc_id: str = "d1") -> ParseResult:
 
 def _key(i: int = 0) -> str:
     return f"{i:032x}:deadbeef"
+
+
+def _run_one(cache, key, compute, policy="readwrite", recorder=None) -> ParseResult:
+    """``key`` as a one-slot batch through ``run_cached_batch``: served from
+    the cache, coalesced onto another caller, or computed by ``compute``."""
+    results, _ = run_cached_batch(
+        cache,
+        CachePolicy.coerce(policy),
+        [key],
+        load=lambda slot: None,  # the computes below need no document
+        inner=lambda batch: ([compute()], []),
+        recorder=recorder,
+    )
+    return results[0]
 
 
 class TestPolicies:
@@ -100,21 +115,11 @@ class TestTiering:
         assert cache.lookup(_key(1)) is None  # dropped, not raised
 
 
-class TestGetOrCompute:
-    def test_second_call_hits(self):
-        cache = ParseCache()
-        calls = []
-        recorder = CacheStatsRecorder()
-
-        def compute():
-            calls.append(1)
-            return _result(), None
-
-        cache.get_or_compute(_key(1), compute, recorder=recorder)
-        cache.get_or_compute(_key(1), compute, recorder=recorder)
-        assert len(calls) == 1
-        stats = recorder.snapshot()
-        assert stats.misses == 1 and stats.hits == 1 and stats.stores == 1
+class TestSingleKeyBatch:
+    """Policy and failure behaviour of the one single-flight sequence
+    (``run_cached_batch``), observed one key at a time.  That a second
+    readwrite call hits is ``test_pipeline_cache.py::TestPipelineCaching::
+    test_warm_run_all_hits_and_identical``."""
 
     def test_read_policy_never_stores(self):
         cache = ParseCache()
@@ -122,11 +127,12 @@ class TestGetOrCompute:
 
         def compute():
             calls.append(1)
-            return _result(), None
+            return _result()
 
-        cache.get_or_compute(_key(1), compute, policy="read")
-        cache.get_or_compute(_key(1), compute, policy="read")
+        _run_one(cache, _key(1), compute, policy="read")
+        _run_one(cache, _key(1), compute, policy="read")
         assert len(calls) == 2  # nothing was stored to hit on
+        assert cache.lookup(_key(1)) is None
 
     def test_write_policy_ignores_existing_entry(self):
         cache = ParseCache()
@@ -134,24 +140,50 @@ class TestGetOrCompute:
 
         def compute():
             calls.append(1)
-            return _result(), None
+            return _result()
 
-        cache.get_or_compute(_key(1), compute, policy="readwrite")
-        cache.get_or_compute(_key(1), compute, policy="write")
+        _run_one(cache, _key(1), compute, policy="readwrite")
+        _run_one(cache, _key(1), compute, policy="write")
         assert len(calls) == 2  # write-only refreshes instead of reading
 
-    def test_compute_failure_propagates_and_clears_flight(self):
+    def test_compute_failure_fails_waiters_and_clears_flight(self):
         cache = ParseCache()
+        waiting = threading.Event()
+        begin = cache.flights.begin
+
+        def begin_and_tell(key):
+            owner, flight = begin(key)
+            if not owner:
+                waiting.set()
+            return owner, flight
+
+        cache.flights.begin = begin_and_tell
 
         def explode():
+            assert waiting.wait(timeout=5)  # fail only once somebody coalesced
             raise RuntimeError("parse failed")
 
-        with pytest.raises(RuntimeError):
-            cache.get_or_compute(_key(1), explode)
+        outcomes = []
+
+        def call(compute):
+            try:
+                outcomes.append(_run_one(cache, _key(1), compute))
+            except RuntimeError as exc:
+                outcomes.append(exc)
+
+        owner = threading.Thread(target=call, args=(explode,))
+        owner.start()
+        while cache.flights.in_flight() == 0:
+            time.sleep(0.001)
+        waiter = threading.Thread(target=call, args=(lambda: pytest.fail("coalesced"),))
+        waiter.start()
+        owner.join(timeout=5)
+        waiter.join(timeout=5)
+        assert not owner.is_alive() and not waiter.is_alive()
+        assert [str(outcome) for outcome in outcomes] == ["parse failed"] * 2
         assert cache.flights.in_flight() == 0
         # The key is computable again afterwards.
-        entry = cache.get_or_compute(_key(1), lambda: (_result(), None))
-        assert entry.result.doc_id == "d1"
+        assert _run_one(cache, _key(1), _result).doc_id == "d1"
 
 
 class TestSingleFlightConcurrency:
@@ -171,10 +203,10 @@ class TestSingleFlightConcurrency:
                         with count_lock:
                             compute_counts[i] += 1
                         time.sleep(0.002)  # widen the race window
-                        return _result(f"d{i}"), None
+                        return _result(f"d{i}")
 
-                    entry = cache.get_or_compute(_key(i), compute, recorder=recorder)
-                    assert entry.result.doc_id == f"d{i}"
+                    result = _run_one(cache, _key(i), compute, recorder=recorder)
+                    assert result.doc_id == f"d{i}"
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(hammer, range(n_workers)))
@@ -222,7 +254,7 @@ class TestCrashMidWrite:
         assert reopened.disk.corrupt_lines_skipped >= 1
         # The torn entries are recomputable and the shard heals on flush.
         for i in range(5):
-            reopened.get_or_compute(_key(i), lambda i=i: (_result(f"d{i}"), None))
+            _run_one(reopened, _key(i), lambda i=i: _result(f"d{i}"))
         reopened.flush()
         healed = ParseCache(tmp_path, n_shards=1)
         assert all(healed.lookup(_key(i)) is not None for i in range(5))

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.cache import ParseCache, document_content_hash
-from repro.cluster.backend import RemoteBackend, worker_spec_for
+from repro.cluster.backend import RemoteBackend
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.protocol import PROTOCOL_VERSION, MessageChannel, WorkerSpec
 from repro.cluster.worker import WorkerDaemon
@@ -135,10 +135,6 @@ class TestRemoteRegistration:
         subprocess.run(
             [sys.executable, "-c", code], check=True, env=_subprocess_env()
         )
-
-    def test_closure_work_unit_rejected_with_guidance(self):
-        with pytest.raises(BackendError, match="rebuild by name"):
-            worker_spec_for(lambda batch: batch)
 
     def test_racing_first_requests_dial_one_coordinator(self, monkeypatch):
         """Concurrent first requests share one coordinator; the unlocked dial
@@ -583,7 +579,7 @@ class TestRemoteExecution:
         workers = start_workers(2, pipeline=ParsePipeline(registry))
         backend = create_backend("remote", {"workers": addresses_of(workers)})
         try:
-            stub = backend.wrap_inner(registry.get("pymupdf").parse_with_telemetry)
+            stub = backend.site(registry.get("pymupdf"))
             with pytest.raises(BackendError, match="protocol limit"):
                 stub(list(corpus_30)[:20])  # one shard too fat for the wire
             # The refusal happened before any bytes were written: the
@@ -708,7 +704,7 @@ class TestFaultTolerance:
         """
         pipeline = tortoise_pipeline(registry, 0.05)
         workers = start_workers(2, pipeline=tortoise_pipeline(registry, 0.05))
-        spec = worker_spec_for(pipeline.engines["tortoise"].parse_with_telemetry)
+        spec = WorkerSpec.for_parser(pipeline.engines["tortoise"])
         coordinator = ClusterCoordinator(
             [w.address for w in workers], window=1
         ).connect()
@@ -975,6 +971,57 @@ def result_dicts(report) -> list[dict]:
     return [result.to_json_dict() for result in report.results]
 
 
+class TestWorkerSpecFromParser:
+    """The remote site is handed the parser and names it; nothing about the
+    spec is recovered from a callable."""
+
+    @pytest.mark.parametrize(
+        "name,alpha", [("pymupdf", None), ("adaparse_ft", None), ("adaparse_ft", 0.2)]
+    )
+    def test_spec_from_a_parser_is_the_spec_the_parent_ships(
+        self, registry, default_ft_engine, monkeypatch, name, alpha
+    ):
+        engines = {"adaparse_ft": default_ft_engine}
+        pipeline = ParsePipeline(registry, engines=dict(engines))
+        parser = pipeline.resolve_parser(name, alpha=alpha)
+        spec = WorkerSpec.for_parser(parser, cache="read")
+        assert spec == WorkerSpec(
+            parser=name,
+            fingerprint=parser.config_fingerprint(),
+            alpha=None if name == "pymupdf" else (alpha or default_ft_engine.config.alpha),
+            cache="read",
+        )
+        frames = record_frames(monkeypatch)
+        workers = start_workers(1, pipeline=ParsePipeline(registry, engines=dict(engines)))
+        try:
+            report = run_remote(
+                registry, workers, pipeline=pipeline, parser=name, alpha=alpha,
+                source="synthetic:6?seed=3&min_pages=1&max_pages=1",
+                backend_options={"worker_cache": "read"},
+            )
+        finally:
+            for worker in workers:
+                worker.stop()
+        assert report.n_succeeded == 6
+        shipped = [frame["spec"] for frame in of_type(frames, "submit_shard")]
+        assert len(shipped) == 2 and all(s == spec.to_json_dict() for s in shipped)
+
+    def test_parser_the_worker_cannot_name_fails_there_with_unknown_parser(
+        self, registry, corpus_30
+    ):
+        workers = start_workers(1, pipeline=ParsePipeline(registry))
+        backend = create_backend("remote", {"workers": addresses_of(workers)})
+        try:
+            stub = backend.site(TortoiseParser(0.0))  # on nobody's registry
+            with pytest.raises(BackendError, match=r"\[unknown_parser\]"):
+                stub(list(corpus_30)[:1])
+            assert backend.stats().extra["cluster_shards_failed"] == 1
+        finally:
+            backend.close()
+            for worker in workers:
+                worker.stop()
+
+
 class TestByReference:
     def test_reference_frames_carry_no_document(self, registry, monkeypatch):
         source = "synthetic:10?seed=3&min_pages=1&max_pages=1"
@@ -1127,7 +1174,7 @@ class TestByReference:
         workers = start_workers(1, pipeline=ParsePipeline(registry))
         coordinator = ClusterCoordinator([workers[0].address]).connect()
         try:
-            spec = worker_spec_for(parser.parse_with_telemetry)
+            spec = WorkerSpec.for_parser(parser)
             results, _ = coordinator.submit(spec, refs).result(timeout=60)
             counters = dict(coordinator.counters)
             (link,) = coordinator._links
@@ -1317,7 +1364,7 @@ class TestByReference:
 
         monkeypatch.setattr(coordinator_module, "document_content_hash", watched_hash)
         try:
-            spec = worker_spec_for(registry.get("pymupdf").parse_with_telemetry)
+            spec = WorkerSpec.for_parser(registry.get("pymupdf"))
             coordinator.submit(spec, list(corpus_30)[:3]).result(timeout=60)
         finally:
             coordinator.close()

@@ -168,6 +168,39 @@ class TestWritesAreAtomic:
         assert (tmp_path / "manifest.json").read_bytes() == before
         assert JsonlShardManifest.load(tmp_path).n_records == 3
 
+    def test_every_listed_shard_is_synced_before_the_manifest_names_it(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        from repro.datasets import jsonl
+
+        synced: list[str] = []  # shard files fsynced so far, by name
+        fsync = os.fsync
+
+        def recording_fsync(fd):
+            # A finished shard's handle is flushed first: its whole content
+            # is in the file by the time it is synced.
+            for path in tmp_path.glob("*.jsonl"):
+                if os.path.samestat(os.fstat(fd), path.stat()):
+                    synced.append(path.name)
+                    assert len(path.read_bytes().splitlines()) in (1, 2)
+            fsync(fd)
+
+        def checking_replace_lines(path, lines):
+            manifest = json.loads(b"".join(lines))
+            listed = [shard["path"] for shard in manifest["shards"]]
+            assert len(listed) == 3 and sorted(synced) == sorted(listed)
+            return replace_lines(path, lines)
+
+        replace_lines = jsonl.replace_lines
+        monkeypatch.setattr(jsonl.os, "fsync", recording_fsync)
+        monkeypatch.setattr(jsonl, "replace_lines", checking_replace_lines)
+        with ShardedJsonlWriter(tmp_path, max_records_per_shard=2) as writer:
+            writer.write_many({"i": i} for i in range(5))
+        assert len(synced) == 3  # once per shard, not once per record
+        assert JsonlShardManifest.load(tmp_path).n_records == 5
+
     def test_interrupted_write_jsonl_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "data.jsonl"
         write_jsonl(path, [{"i": 1}])

@@ -104,7 +104,7 @@ class TestRendezvousChurnProperties:
 class TestCoordinatorChurn:
     def test_mid_run_join_rebalances_only_queued_shards(self, registry):
         """A join re-places ≤ the queued set and never a completed shard."""
-        from repro.cluster.backend import worker_spec_for
+        from repro.cluster.protocol import WorkerSpec
 
         first = WorkerDaemon(
             name="churn-0", pipeline=tortoise_pipeline(registry)
@@ -118,7 +118,7 @@ class TestCoordinatorChurn:
             build_corpus(CorpusConfig(n_documents=24, seed=3, min_pages=1, max_pages=1))
         )
         pipeline = tortoise_pipeline(registry)
-        spec = worker_spec_for(pipeline.engines["tortoise"].parse_with_telemetry)
+        spec = WorkerSpec.for_parser(pipeline.engines["tortoise"])
         coordinator = ClusterCoordinator([first.address], window=1).connect()
         try:
             futures = [
@@ -154,7 +154,7 @@ class TestCoordinatorChurn:
             second.stop()
 
     def test_graceful_leave_requeues_and_completes_everything(self, registry):
-        from repro.cluster.backend import worker_spec_for
+        from repro.cluster.protocol import WorkerSpec
         from repro.documents.corpus import CorpusConfig, build_corpus
 
         workers = [
@@ -167,7 +167,7 @@ class TestCoordinatorChurn:
             build_corpus(CorpusConfig(n_documents=16, seed=5, min_pages=1, max_pages=1))
         )
         pipeline = tortoise_pipeline(registry)
-        spec = worker_spec_for(pipeline.engines["tortoise"].parse_with_telemetry)
+        spec = WorkerSpec.for_parser(pipeline.engines["tortoise"])
         coordinator = ClusterCoordinator(
             [w.address for w in workers], window=1
         ).connect()

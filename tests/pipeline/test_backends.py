@@ -35,6 +35,8 @@ from repro.pipeline import (
 )
 from repro.pipeline.backends import (
     BackendError,
+    ExecutionBackend,
+    ExecutionRecorder,
     HPCBackend,
     SerialBackend,
     normalize_backend_spec,
@@ -80,14 +82,6 @@ def engine(registry):
     # batch_size=40 over 100 documents puts the α budget on 40/40/20 batch
     # boundaries, the regression surface of the per-batch cap.
     return ScriptedEngine(registry, AdaParseConfig(alpha=0.05, batch_size=40))
-
-
-def _double(x: int) -> int:
-    return 2 * x
-
-
-def _triple(x: int) -> int:
-    return 3 * x
 
 
 def _create(kind: str, options: dict | None = None):
@@ -191,7 +185,7 @@ class TestRegistry:
 # ---------------------------------------------------------------------- #
 #: The backends that run the one ordered-window loop in-process.  ``process``
 #: inherits it too and is cheap here: ``map_ordered`` alone (no
-#: ``wrap_inner``) never spawns a child.  ``async`` is the alias row: the
+#: ``site``) never spawns a child.  ``async`` is the alias row: the
 #: name resolves to ``thread``.
 WINDOW_LOOP_BACKENDS = ["thread", "async", "process"]
 
@@ -412,7 +406,7 @@ class TestRequestBackendFields:
             ParseRequest(backend="thread", backend_options={"bogus": 1})
 
     def test_removed_n_jobs_raises_pointing_at_backend_options(self):
-        with pytest.raises(TypeError, match="backend_options"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'n_jobs'"):
             ParseRequest(parser="pymupdf", n_jobs=4)
         request = ParseRequest(parser="pymupdf", backend_options={"n_jobs": 4})
         assert request.resolved_backend() == ("thread", {"n_jobs": 4})
@@ -821,21 +815,129 @@ class TestPhaseAttributionParity:
         assert set(rebuilt.summary()["phases"]) == ENGINE_PHASE_KEYS
 
 
+class _CountingTimers:
+    """Stand-in for ``profiling.PhaseTimer`` that logs every construction
+    and which thread opened each phase."""
+
+    def __init__(self, monkeypatch):
+        from repro.obs import profiling
+
+        log = self
+        self.constructed = 0
+        self.opened: list[tuple[str, str]] = []
+
+        class CountingTimer(profiling.PhaseTimer):
+            def __init__(self):
+                log.constructed += 1
+                super().__init__()
+
+            def phase(self, name, n_bytes=0):
+                log.opened.append((name, threading.current_thread().name))
+                return super().phase(name, n_bytes=n_bytes)
+
+        monkeypatch.setattr(profiling, "PhaseTimer", CountingTimer)
+
+
+class MapOrderedOnly(ExecutionBackend):
+    """A third-party backend: a name, a recorder, and ``map_ordered``."""
+
+    name = "third-party"
+
+    def __init__(self) -> None:
+        self._recorder = ExecutionRecorder(self.name)
+
+    def map_ordered(self, fn, items):
+        return map(fn, items)
+
+
+class TestExecutionSiteContract:
+    """A backend is handed the parser and owns its own boundary: phases and
+    trace context reach the site without the pipeline capturing, merging or
+    re-activating anything around it."""
+
+    def test_serial_run_constructs_one_phase_timer(
+        self, registry, small_corpus, monkeypatch
+    ):
+        timers = _CountingTimers(monkeypatch)
+        report = ParsePipeline(registry).run(
+            request_for_documents("pymupdf", list(small_corpus), batch_size=4)
+        )
+        assert report.execution.batches_completed == 4
+        assert timers.constructed == 1  # the run's own; none per batch
+        assert report.phases["parse"]["calls"] == 4
+
+    def test_thread_pool_records_into_the_run_timer_without_capture(
+        self, registry, engine, corpus_100, monkeypatch
+    ):
+        from repro.obs import profiling
+
+        timers = _CountingTimers(monkeypatch)
+        monkeypatch.setattr(
+            profiling.PhaseCapture, "__call__",
+            lambda self, item: pytest.fail("a pool thread needs no phase capture"),
+        )
+        pipeline = ParsePipeline(registry, engines={engine.name: engine})
+        report = pipeline.run(
+            request_for_documents(
+                engine.name, list(corpus_100), batch_size=20,
+                backend="thread", backend_options={"n_jobs": 2},
+            )
+        )
+        assert timers.constructed == 1
+        assert set(report.phases) == ENGINE_PHASE_KEYS
+        nested = {name for name in ENGINE_PHASE_KEYS if name.startswith(("parse.", "route."))}
+        assert report.phases["parse"]["calls"] == 5
+        assert all(report.phases[name]["calls"] >= 5 for name in nested)  # one per batch
+        opened_by = {thread for name, thread in timers.opened if name in nested | {"parse"}}
+        assert opened_by and all(t.startswith(THREAD_NAME_PREFIX) for t in opened_by)
+        # Nested under the pool thread's own open `parse` frame, not beside it.
+        children = sum(report.phases[name]["total_s"] for name in nested)
+        assert report.phases["parse"]["self_s"] <= report.phases["parse"]["total_s"]
+        assert report.phases["parse"]["total_s"] >= 0.9 * children
+
+    @pytest.mark.parametrize("parser", ["pymupdf", "engine"])
+    def test_backend_implementing_only_map_ordered_matches_serial(
+        self, registry, engine, corpus_100, parser
+    ):
+        name = engine.name if parser == "engine" else parser
+        reports = {}
+        for label, backend in (("serial", SerialBackend()), ("third-party", MapOrderedOnly())):
+            pipeline = ParsePipeline(
+                registry, engines={engine.name: engine}, cache=ParseCache()
+            )
+            request = request_for_documents(
+                name, list(corpus_100), batch_size=40, cache="readwrite"
+            )
+            reports[label] = pipeline.execute(request, backend=backend)
+        serial, third = reports["serial"], reports["third-party"]
+        assert set(third.phases) == set(serial.phases)
+        assert third.execution.backend == "third-party"
+        assert [r.to_json_dict() for r in third.results] == [
+            r.to_json_dict() for r in serial.results
+        ]
+        assert third.decisions == serial.decisions
+
+
 class TestRemotePhaseAttributionParity:
     """The phase-key contract extends to a real 2-worker cluster: worker
     tables ship back over the wire and merge into the coordinator's
     timer, so the merged report pins the exact same key sets."""
 
-    @pytest.fixture()
-    def cluster(self, registry, engine):
+    #: The worker composes the same site on *its* backend, so its shipped
+    #: table has the same keys whichever local backend parses the shard.
+    @pytest.fixture(params=[case[0] for case in _backend_cases() if case[0] != "async"])
+    def cluster(self, request, registry, engine):
         from repro.cluster.worker import WorkerDaemon
 
+        options = dict(_backend_cases())[request.param]
         workers = [
             WorkerDaemon(
                 name=f"phase-parity-{i}",
                 pipeline=ParsePipeline(
                     registry, engines={engine.name: engine}, cache=ParseCache()
                 ),
+                backend=request.param,
+                backend_options=options,
             ).start()
             for i in range(2)
         ]
@@ -1080,37 +1182,39 @@ class TestProcessBackend:
         assert second.cache.misses == 0
         assert [r.text for r in second.results] == [r.text for r in first.results]
 
-    def test_worker_registered_once_then_fallback_for_second_worker(self):
-        # The first worker rides the pool initializer (shipped once per
-        # child); a different second worker on the same pool still runs
+    def test_worker_registered_once_then_fallback_for_second_worker(
+        self, registry, small_corpus
+    ):
+        # The first parser rides the pool initializer (shipped once per
+        # child); a different second parser on the same pool still parses
         # correctly via the per-call fallback.
         from repro.pipeline.backends import ProcessBackend
 
+        batch = list(small_corpus)[:4]
+        pymupdf, pypdf = registry.get("pymupdf"), registry.get("pypdf")
         backend = ProcessBackend(**PROCESS_OPTIONS)
         try:
-            first = backend.wrap_inner(_double)
-            assert [first(i) for i in range(4)] == [0, 2, 4, 6]
-            second = backend.wrap_inner(_triple)
-            assert [second(i) for i in range(4)] == [0, 3, 6, 9]
-            # And the registered worker keeps working alongside it.
-            assert first(5) == 10
+            first = backend.site(pymupdf)
+            assert first(batch) == pymupdf.parse_batch(batch)
+            second = backend.site(pypdf)
+            assert second(batch) == pypdf.parse_batch(batch)
+            assert second(batch) != first(batch)
+            # And the registered parser keeps working alongside it.
+            assert first(batch[:1]) == pymupdf.parse_batch(batch[:1])
         finally:
             backend.close()
 
-    def test_unpicklable_worker_raises_backend_error(self):
-        class UnpicklableWorker:
-            def __call__(self, batch):  # pragma: no cover - never runs
-                return [], []
-
+    def test_unpicklable_worker_raises_backend_error(self, registry):
+        class UnpicklableParser(type(registry.get("pymupdf"))):
             def __reduce__(self):
-                raise TypeError("cannot pickle this worker")
+                raise TypeError("cannot pickle this parser")
 
         from repro.pipeline.backends import ProcessBackend
 
         backend = ProcessBackend(**PROCESS_OPTIONS)
         try:
             with pytest.raises(BackendError, match="picklable"):
-                backend.wrap_inner(UnpicklableWorker())
+                backend.site(UnpicklableParser())
         finally:
             backend.close()
 
@@ -1294,9 +1398,9 @@ class TestConsumers:
         from repro.datasets.assembly import DatasetBuildConfig
         from repro.evaluation.harness import HarnessConfig
 
-        with pytest.raises(TypeError, match="backend_options"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'n_jobs'"):
             DatasetBuildConfig(n_jobs=2)
-        with pytest.raises(TypeError, match="backend_options"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'n_jobs'"):
             HarnessConfig(n_jobs=2)
 
     def test_serial_request_never_imports_hpc_stack(self):
@@ -1353,17 +1457,21 @@ class TestCli:
         assert payload["request"]["backend"] == "thread"
         assert payload["request"]["backend_options"] == {"n_jobs": 2, "window": 4}
 
-    def test_pipeline_jobs_flag_is_a_hard_error_with_the_fix(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", "--documents", "4"],
+            ["dataset", "--documents", "4", "--min-tokens", "5"],
+            ["cache", "warm", "--documents", "4"],
+        ],
+    )
+    def test_jobs_flag_is_an_unrecognized_argument(self, argv, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="--backend thread --backend-opt n_jobs=2"):
-            main(["pipeline", "--documents", "4", "--jobs", "2"])
-
-    def test_dataset_jobs_flag_is_a_hard_error(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="--jobs was removed"):
-            main(["dataset", "--documents", "4", "--min-tokens", "5", "--jobs", "2"])
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_dataset_backend_flags(self, capsys):
         from repro.cli import main

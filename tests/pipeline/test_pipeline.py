@@ -56,7 +56,7 @@ class TestParseRequest:
     def test_validation(self):
         with pytest.raises(ValueError):
             ParseRequest(source="synthetic:0")
-        with pytest.raises(TypeError, match="n_jobs was removed"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'n_jobs'"):
             ParseRequest(n_jobs=4)
         with pytest.raises(ValueError):
             ParseRequest(batch_size=0)
@@ -174,7 +174,7 @@ class TestPipelineRun:
         self, registry, engine, small_corpus
     ):
         documents = list(small_corpus)
-        with pytest.raises(TypeError, match="backend_options"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'n_jobs'"):
             request_for_documents(engine.name, documents, n_jobs=4)
         # The replacement spelling reaches the thread backend.
         report = ParsePipeline(registry, engines={engine.name: engine}).run(
@@ -306,16 +306,12 @@ class TestStreaming:
 
 
 class TestTelemetryRemoval:
-    """``last_summary`` finished its deprecation cycle: access now fails."""
+    """``last_summary`` is gone: telemetry is a return value only."""
 
-    def test_last_summary_reads_raise_with_pointer(self, engine, small_corpus):
+    def test_last_summary_is_a_plain_missing_attribute(self, engine, small_corpus):
         engine.parse_many(list(small_corpus))
-        with pytest.raises(AttributeError, match="parse_with_telemetry"):
+        with pytest.raises(AttributeError):
             engine.last_summary
-
-    def test_last_summary_writes_raise(self, engine):
-        with pytest.raises(AttributeError, match="removed"):
-            engine.last_summary = None
 
     def test_no_hidden_telemetry_state_accumulates(
         self, registry, engine, small_corpus
