@@ -10,6 +10,9 @@ provides the cache the :class:`repro.pipeline.ParsePipeline` consults when a
 * :mod:`repro.cache.memory` — the bounded in-memory LRU tier.
 * :mod:`repro.cache.disk` — the sharded JSONL disk backend: hash-prefix
   shards, atomic write-then-rename, corruption-tolerant reads.
+* :mod:`repro.cache.refindex` — the reference index in front of it all:
+  ``ref.key()`` → content hash, so a referenced document that was read once
+  is keyed by a ``stat`` instead of a read and a hash.
 * :mod:`repro.cache.singleflight` — the guard that collapses concurrent
   parses of one key into a single computation.
 * :mod:`repro.cache.stats` — the ``CacheStats`` telemetry block carried by
@@ -33,7 +36,9 @@ from repro.cache.cache import (
     CacheEntry,
     CachePolicy,
     ParseCache,
+    StaleReferences,
     cached_batch_worker,
+    load_references,
     run_cached_batch,
 )
 from repro.cache.disk import ShardedDiskStore
@@ -53,8 +58,10 @@ __all__ = [
     "ParseCache",
     "ShardedDiskStore",
     "SingleFlight",
+    "StaleReferences",
     "cached_batch_worker",
     "document_content_hash",
+    "load_references",
     "parse_cache_key",
     "run_cached_batch",
 ]

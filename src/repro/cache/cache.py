@@ -1,6 +1,6 @@
 """The content-addressed parse-result cache.
 
-:class:`ParseCache` combines three mechanisms:
+:class:`ParseCache` combines four mechanisms:
 
 1. a bounded in-memory LRU tier (:class:`repro.cache.memory.LruTier`) for
    the hot working set,
@@ -10,7 +10,11 @@
    corruption-tolerant reads, and
 3. a single-flight guard (:class:`repro.cache.singleflight.SingleFlight`)
    so concurrent workers that miss on the same key do the parse exactly
-   once.
+   once, and
+4. a reference index (:class:`repro.cache.refindex.ReferenceIndex`) that
+   remembers the content hash of every document reference it has keyed, so
+   a batch that arrives as references reads only the documents whose parse
+   is not cached.
 
 Entries are addressed by :class:`repro.cache.keys.CacheKey` — the
 document's content hash plus the parser's configuration fingerprint — so a
@@ -31,15 +35,17 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.cache.disk import ShardedDiskStore
-from repro.cache.keys import CacheKey, parse_cache_key
+from repro.cache.keys import CacheKey, document_content_hash, parse_cache_key
 from repro.cache.memory import LruTier
+from repro.cache.refindex import ReferenceIndex
 from repro.cache.singleflight import Flight, SingleFlight
 from repro.cache.stats import CacheStatsRecorder
 from repro.core.engine import RoutingDecision
 from repro.documents.document import SciDocument
+from repro.documents.sources import DocumentRef, StaleReference
 from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
 from repro.parsers.base import ParseResult, ResourceUsage
@@ -166,6 +172,9 @@ class ParseCache:
             else None
         )
         self.flights = SingleFlight()
+        #: ``ref.key()`` → content hash, so a referenced document that was
+        #: read once is keyed without being read again.
+        self.refs = ReferenceIndex(None if self.disk is None else self.disk.directory)
 
     # ------------------------------------------------------------------ #
     # Tiered lookup / store
@@ -223,6 +232,48 @@ class ParseCache:
         recorder.record_store(bytes_written=bytes_written)
         return entry
 
+    def resolve_references(
+        self,
+        refs: Mapping[int, DocumentRef],
+        load: Callable[[DocumentRef], SciDocument],
+        config_fingerprint: str,
+    ) -> tuple[dict[int, str], Callable[[int], SciDocument]]:
+        """Cache keys of ``slot → reference``, reading as few documents as possible.
+
+        A reference the index knows is keyed from it; the others are read
+        with ``load`` (:func:`load_references`), hashed, and remembered.
+        Returns ``slot → cache key`` plus ``fetch(slot)``, which hands back
+        a document read here and reads any other on demand — a known
+        reference whose cache entry turns out to be gone.  Everything but
+        the reads is attributed to ``cache.key``.
+        """
+        started = perf_counter()
+        hashes = dict(zip(refs, self.refs.lookup(refs.values())))
+        unknown = {slot: refs[slot] for slot, known in hashes.items() if known is None}
+        key_seconds = perf_counter() - started
+        loaded = load_references(load, unknown)
+        started = perf_counter()
+        for slot, document in loaded.items():
+            hashes[slot] = document_content_hash(document)
+        self.refs.remember((refs[slot], hashes[slot]) for slot in loaded)
+        keys = {
+            slot: str(CacheKey(content_hash, config_fingerprint))
+            for slot, content_hash in hashes.items()
+        }
+        key_seconds += perf_counter() - started
+        if refs:
+            _profiling.record(
+                "cache.key", key_seconds, cpu_seconds=key_seconds, calls=len(refs)
+            )
+
+        def fetch(slot: int) -> SciDocument:
+            document = loaded.get(slot)
+            if document is None:
+                document = load_references(load, {slot: refs[slot]})[slot]
+            return document
+
+        return keys, fetch
+
     # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
@@ -230,13 +281,18 @@ class ParseCache:
         """Persist buffered disk writes; returns bytes written."""
         if self.disk is None:
             return 0
-        return self.disk.flush()
+        return self.disk.flush() + self.refs.flush()
 
     def purge(self, config_fingerprint: str | None = None) -> int:
-        """Drop entries (all, or only one parser configuration's); returns count."""
+        """Drop entries (all, or only one parser configuration's); returns count.
+
+        Dropping everything drops the reference index too; one parser's
+        entries leave it alone, because it is parser-independent.
+        """
         if config_fingerprint is None:
             removed = len(self.memory)
             self.memory.clear()
+            self.refs.clear()
             if self.disk is not None:
                 removed = max(removed, self.disk.purge())
             return removed
@@ -268,6 +324,8 @@ class ParseCache:
             "superseded_lines": 0,
             "corrupt_lines_skipped": 0,
             "parsers": {},
+            "ref_index_entries": len(self.refs),
+            "ref_index_bytes": self.refs.bytes_on_disk(),
         }
         if self.disk is None:
             return description
@@ -300,32 +358,74 @@ BatchWorker = Callable[
 ]
 
 
+class StaleReferences(StaleReference):
+    """The references of one batch that did not load; ``slots`` says which."""
+
+    def __init__(self, failures: Mapping[int, StaleReference]) -> None:
+        super().__init__("; ".join(str(exc) for exc in failures.values()))
+        self.slots = list(failures)
+
+
+def load_references(
+    load: Callable[[DocumentRef], SciDocument], refs: Mapping[int, DocumentRef]
+) -> dict[int, SciDocument]:
+    """Read ``slot → reference`` into ``slot → document`` under ``source.load``.
+
+    Every reference is tried, so a caller that can fetch stale ones another
+    way learns all of them from one :class:`StaleReferences`.  Nothing to
+    read is no phase row.
+    """
+    loaded: dict[int, SciDocument] = {}
+    if not refs:
+        return loaded
+    failures: dict[int, StaleReference] = {}
+    with _profiling.phase("source.load"):
+        for slot, ref in refs.items():
+            try:
+                loaded[slot] = load(ref)
+            except StaleReference as exc:
+                failures[slot] = exc
+    if failures:
+        raise StaleReferences(failures)
+    return loaded
+
+
 def cached_batch_worker(
     cache: ParseCache,
     policy: CachePolicy | str,
     config_fingerprint: str,
     inner: BatchWorker,
     recorder: CacheStatsRecorder | None = None,
+    load: Callable[[DocumentRef], SciDocument] | None = None,
 ) -> BatchWorker:
     """Wrap a batch worker with :func:`run_cached_batch`, keyed per document.
 
-    The keys are ``parse_cache_key(document, config_fingerprint)``, hashed
-    up front and attributed to the ``cache.key`` phase.
+    A batch of documents is hashed up front (the ``cache.key`` phase).  A
+    batch of references — ``load`` reads one — is keyed through the cache's
+    reference index (:meth:`ParseCache.resolve_references`), so a reference
+    that was read before is neither read nor hashed again.
     """
     policy = CachePolicy.coerce(policy)
 
     def run_batch(
-        documents: list[SciDocument],
+        batch: "list[SciDocument] | list[DocumentRef]",
     ) -> tuple[list[ParseResult], list[RoutingDecision]]:
-        tick = perf_counter()
-        keys = [str(parse_cache_key(d, config_fingerprint)) for d in documents]
-        key_seconds = perf_counter() - tick
-        _profiling.record(
-            "cache.key", key_seconds, cpu_seconds=key_seconds, calls=len(keys)
-        )
-        return run_cached_batch(
-            cache, policy, keys, documents.__getitem__, inner, recorder
-        )
+        if isinstance(batch[0], DocumentRef):
+            if load is None:
+                raise TypeError("a batch of references needs the `load` of its source")
+            by_slot, fetch = cache.resolve_references(
+                dict(enumerate(batch)), load, config_fingerprint
+            )
+            keys = list(by_slot.values())
+        else:
+            tick = perf_counter()
+            keys = [str(parse_cache_key(d, config_fingerprint)) for d in batch]
+            key_seconds = perf_counter() - tick
+            _profiling.record(
+                "cache.key", key_seconds, cpu_seconds=key_seconds, calls=len(keys)
+            )
+            fetch = batch.__getitem__
+        return run_cached_batch(cache, policy, keys, fetch, inner, recorder)
 
     return run_batch
 

@@ -60,6 +60,13 @@ def document_content_hash(document: SciDocument) -> str:
     return value
 
 
+#: Version of what :func:`_compute_content_hash` hashes.  The reference index
+#: (:mod:`repro.cache.refindex`) stores content hashes under a file named
+#: after it, so bump it with any change to the fields below and the old index
+#: is orphaned instead of answering with hashes this function no longer makes.
+CONTENT_HASH_SCHEME = 1
+
+
 def _compute_content_hash(document: SciDocument) -> str:
     # Imported lazily: repro.datasets pulls in the assembly module (which
     # builds on the pipeline, which builds on this cache); deferring the

@@ -15,9 +15,11 @@ A :class:`WorkerDaemon` listens on a TCP port and speaks the
    only for hashes it cannot serve — a warm worker re-parses nothing and
    re-transfers nothing; a descriptor that carries a
    :class:`~repro.documents.sources.DocumentRef` instead is read from the
-   worker's own copy of the source, inside the shard's slot thread, and
-   only a reference that cannot be resolved here (no such directory, a
-   changed stamp) is asked for with the same ``shard_need``;
+   worker's own copy of the source, inside the shard's slot thread — with
+   a local cache only when the cache's reference index has not seen the
+   reference or its parse is not cached — and only a reference that
+   cannot be resolved here (no such directory, a changed stamp) is asked
+   for with the same ``shard_need``;
 3. runs the shard through :func:`repro.cache.run_cached_batch` — the
    loop the parent-side cache wrapper runs — so the cache misses go as
    **one sub-batch** through a local
@@ -50,7 +52,9 @@ from repro.cache import (
     CachePolicy,
     CacheStatsRecorder,
     ParseCache,
+    StaleReferences,
     document_content_hash,
+    load_references,
     run_cached_batch,
 )
 from repro.cluster import protocol
@@ -62,7 +66,7 @@ from repro.cluster.protocol import (
 )
 from repro.documents.document import SciDocument
 from repro.documents.simpdf import document_from_dict
-from repro.documents.sources import DocumentRef, StaleReference, create_source
+from repro.documents.sources import DocumentRef, create_source
 from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
@@ -458,53 +462,6 @@ class WorkerDaemon(rpc.Server):
             missing.append(content_hash)
         return missing
 
-    def _load_references(
-        self, parser: "Parser", descriptors: list[dict[str, Any]]
-    ) -> dict[int, SciDocument]:
-        """Read the shard's by-reference documents from this worker's sources.
-
-        Returns ``slot → document`` for every descriptor carrying a ``ref``;
-        the documents live for the shard only and never enter the session
-        document store.  A reference the coordinator topped up with
-        ``doc_data`` (after a ``shard_need``) is served from that store.
-        Raises :class:`UnresolvedReferences` for the ones that do not
-        resolve here, and :class:`SpecError` for one that never could.
-        """
-        loaded: dict[int, SciDocument] = {}
-        if not any("ref" in descriptor for descriptor in descriptors):
-            return loaded
-        unresolved: list[str] = []
-        with _profiling.phase("source.load"):
-            for slot, descriptor in enumerate(descriptors):
-                if "ref" not in descriptor:
-                    continue
-                key = str(descriptor["content_hash"])
-                with self._doc_store_lock:
-                    document = self._doc_store.get(key)
-                if document is None:
-                    try:
-                        ref = DocumentRef.from_json_dict(descriptor["ref"])
-                        # Registered kinds only, options validated.
-                        document = create_source(ref.source).load(ref)
-                    except StaleReference:
-                        unresolved.append(key)
-                        continue
-                    except ValueError as exc:
-                        raise SpecError("bad_reference", str(exc)) from exc
-                    self._bump("docs_loaded")
-                # The coordinator checked the type the source *declares*;
-                # this is the type the file actually holds.
-                if not parser.supports_doc_type(document.doc_type):
-                    raise SpecError(
-                        "unsupported_doc_type",
-                        f"parser {parser.name!r} does not support document type "
-                        f"{document.doc_type!r} (document {document.doc_id!r})",
-                    )
-                loaded[slot] = document
-        if unresolved:
-            raise UnresolvedReferences(unresolved)
-        return loaded
-
     def run_shard(
         self, spec: WorkerSpec, descriptors: list[dict[str, Any]]
     ) -> tuple[list[ParseResult], list, int, int]:
@@ -517,12 +474,58 @@ class WorkerDaemon(rpc.Server):
         content hashes, so a hit never needs the document and overlapping
         shards parse a shared document once (the later one counts it as a
         hit).  Without one, every document goes straight to the parser.
-        A by-reference document is read (and, for the cache, hashed) here
-        first: the cache saves its parse, not its read.
+
+        A by-reference descriptor's hash is ``ref.key()``, which names a
+        location; its content hash comes from the cache's reference index
+        (:meth:`~repro.cache.ParseCache.resolve_references`, the resolver
+        the pipeline's cached batches use), so a reference this worker has
+        read before is read again only if its parse is not cached either.
+        References that do not resolve here raise
+        :class:`UnresolvedReferences`, and one that never could a
+        :class:`SpecError`.
         """
         parser, site = self._resolve_spec(spec)
         policy = CachePolicy.coerce(spec.cache) if self.cache is not None else CachePolicy.OFF
-        loaded = self._load_references(parser, descriptors)
+
+        def checked(document: SciDocument) -> SciDocument:
+            # The coordinator checked the type the source *declares*; this
+            # is the type the file actually holds.
+            if not parser.supports_doc_type(document.doc_type):
+                raise SpecError(
+                    "unsupported_doc_type",
+                    f"parser {parser.name!r} does not support document type "
+                    f"{document.doc_type!r} (document {document.doc_id!r})",
+                )
+            return document
+
+        def read(ref: DocumentRef) -> SciDocument:
+            """One referenced document from this worker's own copy of its source."""
+            try:
+                # Registered kinds only, options validated.
+                document = create_source(ref.source).load(ref)
+            except ValueError as exc:
+                raise SpecError("bad_reference", str(exc)) from exc
+            self._bump("docs_loaded")
+            return checked(document)
+
+        hashes = [str(descriptor["content_hash"]) for descriptor in descriptors]
+        #: References the coordinator topped up with ``doc_data`` (after a
+        #: ``shard_need``): keyed by the content that was sent, and never
+        #: remembered against the stamp of a file this worker did not read.
+        topped_up: dict[int, SciDocument] = {}
+        refs: dict[int, DocumentRef] = {}
+        for slot, descriptor in enumerate(descriptors):
+            if "ref" not in descriptor:
+                continue
+            with self._doc_store_lock:
+                document = self._doc_store.get(hashes[slot])
+            if document is not None:
+                topped_up[slot] = checked(document)
+                continue
+            try:
+                refs[slot] = DocumentRef.from_json_dict(descriptor["ref"])
+            except ValueError as exc:
+                raise SpecError("bad_reference", str(exc)) from exc
 
         def inner(sub_batch: list[SciDocument]):
             """The misses as one sub-batch through the local backend."""
@@ -532,46 +535,51 @@ class WorkerDaemon(rpc.Server):
             raise SpecError("backend_closed", "local execution backend yielded nothing")
 
         def load(slot: int) -> SciDocument:
-            document = loaded.get(slot)
+            if slot in refs:
+                return fetch(slot)
+            document = topped_up.get(slot)
             if document is not None:
                 return document
             descriptor = descriptors[slot]
-            content_hash = str(descriptor["content_hash"])
             with self._doc_store_lock:
-                document = self._doc_store.get(content_hash)
+                document = self._doc_store.get(hashes[slot])
             if document is None:
                 raise SpecError(
                     "missing_document",
-                    f"document {content_hash} is neither stored nor cached on "
+                    f"document {hashes[slot]} is neither stored nor cached on "
                     f"this worker (protocol error: submit before doc_data?)",
                 )
             if descriptor.get("payload") is None:
                 self._bump("docs_reused")
             return document
 
-        if policy is CachePolicy.OFF:
-            results, decisions = inner([load(i) for i in range(len(descriptors))])
-            if len(results) != len(descriptors):
-                raise SpecError(
-                    "bad_worker_output",
-                    f"worker returned {len(results)} results for "
-                    f"{len(descriptors)} documents",
+        try:
+            if policy is CachePolicy.OFF:
+                fetch = load_references(read, refs).__getitem__
+                results, decisions = inner([load(i) for i in range(len(descriptors))])
+                if len(results) != len(descriptors):
+                    raise SpecError(
+                        "bad_worker_output",
+                        f"worker returned {len(results)} results for "
+                        f"{len(descriptors)} documents",
+                    )
+                hits, misses = 0, len(descriptors)
+            else:
+                recorder = CacheStatsRecorder()
+                content_hashes = list(hashes)
+                for slot, document in topped_up.items():
+                    content_hashes[slot] = document_content_hash(document)
+                keys = [str(CacheKey(h, spec.fingerprint)) for h in content_hashes]
+                resolved, fetch = self.cache.resolve_references(refs, read, spec.fingerprint)
+                for slot, key in resolved.items():
+                    keys[slot] = key
+                results, decisions = run_cached_batch(
+                    self.cache, policy, keys, load, inner, recorder
                 )
-            hits, misses = 0, len(descriptors)
-        else:
-            recorder = CacheStatsRecorder()
-            # A referenced document is keyed by its content like any other:
-            # its descriptor's hash is ``ref.key()``, which names a location.
-            content_hashes = [
-                document_content_hash(loaded[slot]) if slot in loaded else str(d["content_hash"])
-                for slot, d in enumerate(descriptors)
-            ]
-            keys = [str(CacheKey(h, spec.fingerprint)) for h in content_hashes]
-            results, decisions = run_cached_batch(
-                self.cache, policy, keys, load, inner, recorder
-            )
-            stats = recorder.snapshot()
-            hits, misses = stats.hits + stats.coalesced, stats.misses
+                stats = recorder.snapshot()
+                hits, misses = stats.hits + stats.coalesced, stats.misses
+        except StaleReferences as exc:
+            raise UnresolvedReferences([hashes[slot] for slot in exc.slots]) from exc
         self._bump("docs_parsed", misses)
         self._bump("docs_from_cache", hits)
         return results, decisions, hits, misses

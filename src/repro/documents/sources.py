@@ -37,7 +37,10 @@ import difflib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path, PurePosixPath
+from stat import S_ISREG
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.documents.corpus import CorpusConfig, build_document
@@ -256,21 +259,32 @@ class _FileSource(DocumentSource):
         self.directory = Path(directory)
         self.glob = glob
 
-    def paths(self) -> list[Path]:
+    def _listing(self) -> list[tuple[Path, os.stat_result]]:
+        """The matching regular files in path order, each with the one ``stat`` taken of it."""
         if not self.directory.is_dir():
             raise FileNotFoundError(
                 f"{self.kind} source directory {str(self.directory)!r} does not "
                 f"exist (or is not a directory)"
             )
-        return sorted(p for p in self.directory.glob(self.glob) if p.is_file())
+        listing = []
+        for path in self.directory.glob(self.glob):
+            try:
+                stat = path.stat()
+            except (FileNotFoundError, NotADirectoryError):
+                continue  # a dangling link, or gone since the glob saw it
+            if S_ISREG(stat.st_mode):
+                listing.append((path, stat))
+        listing.sort(key=itemgetter(0))
+        return listing
+
+    def paths(self) -> list[Path]:
+        return [path for path, _ in self._listing()]
 
     def fingerprint(self) -> str:
-        entries = []
-        for path in self.paths():
-            stat = path.stat()
-            entries.append(
-                f"{path.relative_to(self.directory)}:{stat.st_size}:{stat.st_mtime_ns}"
-            )
+        entries = [
+            f"{path.relative_to(self.directory)}:{_file_stamp(stat)}"
+            for path, stat in self._listing()
+        ]
         return stable_hash_hex("source-files", self.kind, self.glob, *entries)
 
     def count_hint(self) -> int | None:
@@ -304,11 +318,11 @@ class _PerFileSource(_FileSource):
 
     def refs(self) -> "Iterator[DocumentRef]":
         spec, doc_type = self.spec(), self.doc_type.value
-        for path in self.paths():
+        for path, stat in self._listing():
             yield DocumentRef(
                 spec,
                 path.relative_to(self.directory).as_posix(),
-                _file_stamp(path.stat()),
+                _file_stamp(stat),
                 doc_type,
             )
 
@@ -427,11 +441,11 @@ class CrawlDumpSource(_FileSource):
     def doc_type(self) -> DocumentType | None:
         return None  # mixed per-file types
 
-    def paths(self) -> list[Path]:
+    def _listing(self) -> list[tuple[Path, os.stat_result]]:
         return [
-            p
-            for p in super().paths()
-            if p.suffix.lower() in (".html", ".htm", ".md", ".markdown")
+            (path, stat)
+            for path, stat in super()._listing()
+            if path.suffix.lower() in (".html", ".htm", ".md", ".markdown")
         ]
 
     def spec(self) -> "SourceSpec":
@@ -493,6 +507,15 @@ class SourceSpec:
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "options": dict(self.options)}
+
+    @cached_property
+    def options_json(self) -> str:
+        """The options in canonical JSON — what :meth:`DocumentRef.key` hashes.
+
+        Computed once per spec: every reference of one listing shares its
+        spec, and a frozen spec's options do not change.
+        """
+        return json.dumps(self.options, sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "SourceSpec":
@@ -559,16 +582,27 @@ class DocumentRef:
     def key(self) -> str:
         """Stable hex identity of (spec, locator, stamp).
 
-        Stands where a content hash would for placement and checkpoints:
-        it moves whenever the referenced bytes can have moved.
+        Stands where a content hash would for placement, checkpoints and the
+        parse cache's reference index: it moves whenever the referenced
+        bytes can have moved.
         """
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
         return stable_hash_hex(
             "document-ref",
             self.source.kind,
-            json.dumps(self.source.options, sort_keys=True),
+            self.source.options_json,
             self.locator,
             self.stamp,
         )
+
+    @property
+    def modified_ns(self) -> int | None:
+        """The ``mtime_ns`` of a file stamp; ``None`` when the stamp is not a file's."""
+        _, colon, modified = self.stamp.partition(":")
+        return int(modified) if colon and modified.isdecimal() else None
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

@@ -23,7 +23,10 @@ facade: a frozen :class:`~repro.pipeline.request.ParseRequest` goes in, a
   The cache layer always runs in the parent process (it wraps the
   backend's :meth:`~repro.pipeline.backends.ExecutionBackend.site`, which
   is what crosses the execution boundary), so policies behave identically
-  on every backend.
+  on every backend.  A cached request over a reference-able source is
+  chunked as :class:`~repro.documents.sources.DocumentRef` values, which the
+  cache layer keys through its reference index: a document is read only
+  when its parse is not already cached.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.cache import (
 from repro.cache.cache import BatchWorker
 from repro.core.engine import AdaParseEngine, RoutingDecision, build_default_engine
 from repro.documents.document import SciDocument
-from repro.documents.sources import DocumentRef
+from repro.documents.sources import DocumentRef, DocumentSource
 from repro.obs import metrics as _metrics
 from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
@@ -99,6 +102,22 @@ def _parse_phased_worker(site: BatchWorker) -> BatchWorker:
             return site(batch)
 
     return phased
+
+
+def _require_doc_type(
+    parser: Parser, document: "SciDocument | DocumentRef"
+) -> "SciDocument | DocumentRef":
+    """``document``, or a ``ValueError`` when the parser cannot take its type."""
+    if not parser.supports_doc_type(document.doc_type):
+        supported = sorted(parser.supported_doc_types)
+        name = document.locator if isinstance(document, DocumentRef) else document.doc_id
+        raise ValueError(
+            f"parser {parser.name!r} does not support document type "
+            f"{document.doc_type!r} (document {name!r}); "
+            f"supported types: {supported}. Pick an extraction parser "
+            f"or an AdaParse engine for this source"
+        )
+    return document
 
 
 class ParsePipeline:
@@ -189,20 +208,7 @@ class ParsePipeline:
         type its source declares.
         """
         for document in documents:
-            if not parser.supports_doc_type(document.doc_type):
-                supported = sorted(parser.supported_doc_types)
-                name = (
-                    document.locator
-                    if isinstance(document, DocumentRef)
-                    else document.doc_id
-                )
-                raise ValueError(
-                    f"parser {parser.name!r} does not support document type "
-                    f"{document.doc_type!r} (document {name!r}); "
-                    f"supported types: {supported}. Pick an extraction parser "
-                    f"or an AdaParse engine for this source"
-                )
-            yield document
+            yield _require_doc_type(parser, document)
 
     def _timed_type_check(
         self, resolved: Parser, documents: Iterable[SciDocument]
@@ -242,13 +248,17 @@ class ParsePipeline:
         backend: ExecutionBackend,
         cache_policy: CachePolicy,
         cache_recorder: CacheStatsRecorder | None,
+        source: DocumentSource | None = None,
     ) -> BatchWorker:
         """Compose the per-batch worker: cache ∘ ``parse`` phase ∘ backend site.
 
         The backend is handed the parser and returns the callable that
         parses a batch at its execution site; the cache wrapper goes around
         it, so lookups, single-flight leases, and write-backs always run in
-        the parent process regardless of where parsing happens.
+        the parent process regardless of where parsing happens.  ``source``
+        is what a cached batch of references is read from — only the ones
+        the cache cannot answer, each re-checked on the type it really holds
+        (the stream guard saw the type the source declares).
         """
         worker = _parse_phased_worker(backend.site(resolved))
         if cache_policy is CachePolicy.OFF:
@@ -259,6 +269,9 @@ class ParsePipeline:
             resolved.config_fingerprint(),
             worker,
             recorder=cache_recorder,
+            load=None
+            if source is None
+            else lambda ref: _require_doc_type(resolved, source.load(ref)),
         )
 
     def _execute_batches(
@@ -269,6 +282,7 @@ class ParsePipeline:
         backend: ExecutionBackend,
         cache_policy: CachePolicy = CachePolicy.OFF,
         cache_recorder: CacheStatsRecorder | None = None,
+        source: DocumentSource | None = None,
     ) -> Iterator[BatchOutput]:
         """Run an already-resolved parser over batched documents on a backend."""
         if isinstance(resolved, AdaParseEngine):
@@ -276,7 +290,9 @@ class ParsePipeline:
         else:
             size = batch_size or DEFAULT_BATCH_SIZE
         documents = self._timed_type_check(resolved, documents)
-        worker = self._batch_worker(resolved, backend, cache_policy, cache_recorder)
+        worker = self._batch_worker(
+            resolved, backend, cache_policy, cache_recorder, source
+        )
         worker = _traced_batch_worker(worker, backend.name)
         yield from backend.map_ordered(worker, chunked(documents, size))
 
@@ -422,25 +438,28 @@ class ParsePipeline:
             try:
                 source = request.resolve_source()
                 with _profiling.phase("source.iter"):
-                    # A backend that reads sources where it parses gets
-                    # references; a parent-side cache lookup is keyed by
-                    # content, so a cached request needs the documents here.
+                    # References travel wherever something downstream can
+                    # turn them into documents: the cache wrapper (which
+                    # reads only what its reference index and entries
+                    # cannot answer) or a backend that reads sources where
+                    # it parses.
                     refs = (
                         source.refs()
-                        if backend.resolves_sources and cache_policy is CachePolicy.OFF
+                        if cache_policy is not CachePolicy.OFF or backend.resolves_sources
                         else None
                     )
                     documents: "list[SciDocument] | list[DocumentRef]" = list(
                         source.iter_documents() if refs is None else refs
                     )
                 started = perf_counter()
-                for batch_results, batch_decisions in self.parse_batches(
+                for batch_results, batch_decisions in self._execute_batches(
                     parser,
                     documents,
-                    batch_size=request.batch_size,
+                    request.batch_size,
+                    backend,
                     cache_policy=cache_policy,
                     cache_recorder=cache_recorder,
-                    backend=backend,
+                    source=source,
                 ):
                     results.extend(batch_results)
                     decisions.extend(batch_decisions)

@@ -250,10 +250,17 @@ class TestCacheCli:
         assert stats["entries"] == 6
         assert stats["parsers"] == {"pymupdf": 6}
         assert stats["superseded_lines"] == 0
+        assert stats["ref_index_entries"] == 6 and stats["ref_index_bytes"] > 0
+        # Warming again over the same source: every reference is known.
+        assert main(["cache", "warm", "--dir", cache_dir, "--documents", "6", "--seed", "3"]) == 0
+        rewarmed = capsys.readouterr().out
+        assert '"hits": 6' in rewarmed and '"misses": 0' in rewarmed
+        assert "source.load" not in rewarmed
         assert main(["cache", "purge", "--dir", cache_dir]) == 0
         assert "purged 6" in capsys.readouterr().out
         assert main(["cache", "stats", "--dir", cache_dir]) == 0
-        assert json.loads(capsys.readouterr().out)["entries"] == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert (stats["entries"], stats["ref_index_entries"], stats["ref_index_bytes"]) == (0, 0, 0)
 
     def test_pipeline_command_with_cache(self, tmp_path, capsys):
         from repro.cli import main

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cache import ParseCache, document_content_hash
+from repro.cache import ParseCache, document_content_hash, parse_cache_key
 from repro.cluster.backend import RemoteBackend
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.protocol import PROTOCOL_VERSION, MessageChannel, WorkerSpec
@@ -941,6 +941,13 @@ def write_pool(directory, documents) -> str:
     return f"simpdf-dir:{directory}"
 
 
+def age_files(directory, seconds: float = 60.0) -> None:
+    """Backdate every file: the reference index trusts no stamp younger than 2 s."""
+    then = time.time_ns() - int(seconds * 1e9)
+    for path in Path(directory).iterdir():
+        os.utime(path, ns=(then, then))
+
+
 def record_frames(monkeypatch) -> list[dict]:
     """Every message any in-process channel sends from here on, in order."""
     frames: list[dict] = []
@@ -1116,7 +1123,9 @@ class TestByReference:
         extra = report.execution.extra
         assert extra["cluster_doc_refs_sent"] == 0
         assert extra["cluster_doc_payloads_sent"] == report.n_documents
-        assert "source.load" not in report.phases
+        # A cached request over a reference-able source reads its misses in
+        # the parent (and ships them inline); nothing else loads by reference.
+        assert ("source.load" in report.phases) == (report.request.cache == "readwrite")
 
     def test_worker_that_cannot_see_the_directory_falls_back_once(
         self, registry, corpus_30, tmp_path, monkeypatch
@@ -1247,11 +1256,12 @@ class TestByReference:
             workers[0].stop()
         assert report.n_succeeded == len(html)
 
-    def test_cache_carrying_worker_reads_then_looks_up_by_content(
+    def test_cache_carrying_worker_reads_a_reference_once(
         self, registry, corpus_30, tmp_path
     ):
         documents = list(corpus_30)[:10]
         source = write_pool(tmp_path / "pool", documents)
+        age_files(tmp_path / "pool")
         workers = start_workers(1, pipeline=ParsePipeline(registry), cache=ParseCache())
         try:
             cold = run_remote(registry, workers, source=source)
@@ -1261,14 +1271,61 @@ class TestByReference:
             workers[0].stop()
         assert cold.execution.extra["cluster_remote_cache_misses"] == 10
         assert warm.execution.extra["cluster_remote_cache_hits"] == 10
-        # The cache saved the parses, not the reads ...
+        # The cache saved the parses and, through its reference index, the
+        # reads: the warm shards resolved every reference without its file ...
         assert workers[0].counters["docs_parsed"] == 10
-        assert workers[0].counters["docs_loaded"] == 20
+        assert workers[0].counters["docs_loaded"] == 10
+        assert "source.load" in cold.phases and "source.load" not in warm.phases
         # ... and it is keyed by content, not by reference: the same documents
         # sent hash-only by an inline request hit the entries the references made.
         assert inline.execution.extra["cluster_remote_cache_hits"] == 10
         assert inline.execution.extra["cluster_doc_payloads_sent"] == 0
         assert result_dicts(inline) == result_dicts(cold) == result_dicts(warm)
+
+    def test_cache_carrying_worker_rereads_a_file_too_young_to_trust(
+        self, registry, corpus_30, tmp_path
+    ):
+        """Files written a moment ago are racily clean: the worker's index
+        does not remember them, so the warm run reads (and hits) again."""
+        source = write_pool(tmp_path / "pool", list(corpus_30)[:6])
+        workers = start_workers(1, pipeline=ParsePipeline(registry), cache=ParseCache())
+        try:
+            run_remote(registry, workers, source=source)
+            warm = run_remote(registry, workers, source=source)
+        finally:
+            workers[0].stop()
+        assert warm.execution.extra["cluster_remote_cache_hits"] == 6
+        assert workers[0].counters["docs_loaded"] == 12
+        assert len(workers[0].cache.refs) == 0
+
+    def test_known_reference_whose_entry_is_gone_is_read_on_demand_or_asked_for(
+        self, registry, corpus_30, tmp_path
+    ):
+        """The index answers, the entry is gone: the worker reads just that
+        file again — and when the file is gone too, asks for it by key."""
+        from repro.cluster.worker import UnresolvedReferences
+
+        source = write_pool(tmp_path / "pool", list(corpus_30)[:5])
+        age_files(tmp_path / "pool")
+        refs = list(ParseRequest(source=source).resolve_source().refs())
+        descriptors = [{"content_hash": ref.key(), "ref": ref.to_json_dict()} for ref in refs]
+        spec = WorkerSpec.for_parser(registry.get("pymupdf"))
+        cache = ParseCache()
+        with WorkerDaemon(pipeline=ParsePipeline(registry), cache=cache) as daemon:
+            cold, _, hits, misses = daemon.run_shard(spec, descriptors)
+            assert (hits, misses, daemon.counters["docs_loaded"]) == (0, 5, 5)
+            cache.memory.discard(str(parse_cache_key(list(corpus_30)[2], spec.fingerprint)))
+            again, _, hits, misses = daemon.run_shard(spec, descriptors)
+            assert (hits, misses, daemon.counters["docs_loaded"]) == (4, 1, 6)
+            cache.memory.clear()
+            (tmp_path / "pool" / refs[3].locator).unlink()
+            with pytest.raises(UnresolvedReferences) as caught:
+                daemon.run_shard(spec, descriptors)
+            assert caught.value.keys == [refs[3].key()]
+            # Nothing is left half-done: the next shard does not wait on a
+            # flight the failed one opened.
+            assert cache.flights.in_flight() == 0
+        assert [r.to_json_dict() for r in again] == [r.to_json_dict() for r in cold]
 
     def test_killed_worker_mid_run_replaces_reference_shards_exactly_once(
         self, registry

@@ -317,6 +317,53 @@ class TestDocumentRefs:
             SyntheticSource(CorpusConfig(n_documents=1)).fingerprint()
         )
 
+    def test_ref_key_is_pinned(self):
+        """Placement, the ledger and the cache's reference index all hold
+        ``key()`` values across processes; these were cut from the code that
+        re-serialised the options per reference."""
+        spec = SourceSpec("simpdf-dir", {"path": "/x/y"})
+        assert DocumentRef(spec, "a.simpdf", "123:456789", "pdf").key() == (
+            "05f8ca1ba065cee7cd54eea0d1b8ae00"
+        )
+        nested = SourceSpec(
+            "synthetic", {"n_documents": 4, "seed": 9, "textgen": {"b": 1, "a": [1, 2]}}
+        )
+        assert DocumentRef(nested, "3", "abcdef", "pdf").key() == (
+            "fb938478b89b6a104a6501b6cd0074d6"
+        )
+        # The same spec rebuilt from JSON (a worker's view) keys alike.
+        rebuilt = SourceSpec.from_json_dict(json.loads(json.dumps(nested.to_json_dict())))
+        assert DocumentRef(rebuilt, "3", "abcdef", "pdf").key() == (
+            "fb938478b89b6a104a6501b6cd0074d6"
+        )
+
+    def test_stamp_says_when_a_file_was_modified_and_nothing_for_other_stamps(self):
+        spec = SourceSpec("html-dir", {"path": "/x"})
+        assert DocumentRef(spec, "a.html", "120:1700000000123456789").modified_ns == (
+            1700000000123456789
+        )
+        for stamp in ("6f1e9ab2", "", "12:", "12:abc", ":"):
+            assert DocumentRef(spec, "a.html", stamp).modified_ns is None
+
+    def test_listing_stats_each_file_once(self, tmp_path, monkeypatch):
+        shutil.copytree(FIXTURES / "html", tmp_path / "html")
+        (tmp_path / "html" / "dangling.html").symlink_to(tmp_path / "nowhere.html")
+        (tmp_path / "html" / "dir.html").mkdir()
+        source = HtmlDirSource(tmp_path / "html")
+        expected = [(ref.locator, ref.stamp) for ref in source.refs()]
+        assert [locator for locator, _ in expected] == ["alpha.html", "sub/beta.html"]
+        stats: list[str] = []
+        stat = Path.stat
+
+        def counting_stat(self, **kwargs):
+            stats.append(self.name)
+            return stat(self, **kwargs)
+
+        monkeypatch.setattr(Path, "stat", counting_stat)
+        assert [(ref.locator, ref.stamp) for ref in source.refs()] == expected
+        files = [name for name in stats if name in ("alpha.html", "beta.html")]
+        assert sorted(files) == ["alpha.html", "beta.html"]
+
     def test_rewritten_file_is_stale_unless_the_stamp_is_waived(self, tmp_path):
         shutil.copytree(FIXTURES / "html", tmp_path / "html")
         source = HtmlDirSource(tmp_path / "html")

@@ -398,8 +398,8 @@ class TestReferenceExecution:
     @pytest.mark.parametrize(
         "why,request_fields",
         [
-            ("content-addressed lookups need the content", {"cache": "read"}),
-            ("writes are keyed by content too", {"cache": "write"}),
+            ("the cache wrapper reads its misses in the parent", {"cache": "read"}),
+            ("a write-only policy parses, so reads, everything", {"cache": "write"}),
             ("a crawl dump dedups by content", {"source": f"crawl-dump:{FIXTURES / 'crawl'}"}),
             (
                 "an in-memory collection has no spec to rebuild",
