@@ -36,9 +36,7 @@ from repro.cache.cache import (
     CacheEntry,
     CachePolicy,
     ParseCache,
-    StaleReferences,
     cached_batch_worker,
-    load_references,
     run_cached_batch,
 )
 from repro.cache.disk import ShardedDiskStore
@@ -58,10 +56,8 @@ __all__ = [
     "ParseCache",
     "ShardedDiskStore",
     "SingleFlight",
-    "StaleReferences",
     "cached_batch_worker",
     "document_content_hash",
-    "load_references",
     "parse_cache_key",
     "run_cached_batch",
 ]

@@ -12,9 +12,13 @@
    so concurrent workers that miss on the same key do the parse exactly
    once, and
 4. a reference index (:class:`repro.cache.refindex.ReferenceIndex`) that
-   remembers the content hash of every document reference it has keyed, so
-   a batch that arrives as references reads only the documents whose parse
-   is not cached.
+   remembers the content hash of every document reference it has keyed.  A
+   batch is a list of items — documents and references, freely mixed — and
+   :meth:`ParseCache.key_items` keys it slot by slot: a document is hashed,
+   a reference the index knows stays a reference, and only an unknown one
+   is read here (it has to be hashed).  A miss the index knew therefore
+   reaches the execution site — a child process, a remote worker — still a
+   reference, and a hit is never read at all.
 
 Entries are addressed by :class:`repro.cache.keys.CacheKey` — the
 document's content hash plus the parser's configuration fingerprint — so a
@@ -35,17 +39,16 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.cache.disk import ShardedDiskStore
-from repro.cache.keys import CacheKey, document_content_hash, parse_cache_key
+from repro.cache.keys import CacheKey, document_content_hash
 from repro.cache.memory import LruTier
 from repro.cache.refindex import ReferenceIndex
 from repro.cache.singleflight import Flight, SingleFlight
 from repro.cache.stats import CacheStatsRecorder
 from repro.core.engine import RoutingDecision
-from repro.documents.document import SciDocument
-from repro.documents.sources import DocumentRef, StaleReference
+from repro.documents.sources import DocumentRef, Item, load_items
 from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
 from repro.parsers.base import ParseResult, ResourceUsage
@@ -232,47 +235,51 @@ class ParseCache:
         recorder.record_store(bytes_written=bytes_written)
         return entry
 
-    def resolve_references(
+    def key_items(
         self,
-        refs: Mapping[int, DocumentRef],
-        load: Callable[[DocumentRef], SciDocument],
+        items: "Sequence[Item | None]",
         config_fingerprint: str,
-    ) -> tuple[dict[int, str], Callable[[int], SciDocument]]:
-        """Cache keys of ``slot → reference``, reading as few documents as possible.
+        hashes: "Sequence[str | None] | None" = None,
+    ) -> "tuple[list[str], list[Item | None]]":
+        """Cache keys of one batch of items, reading as few documents as possible.
 
-        A reference the index knows is keyed from it; the others are read
-        with ``load`` (:func:`load_references`), hashed, and remembered.
-        Returns ``slot → cache key`` plus ``fetch(slot)``, which hands back
-        a document read here and reads any other on demand — a known
-        reference whose cache entry turns out to be gone.  Everything but
+        Slot by slot: a document is hashed; a reference the index knows is
+        keyed from it and stays a reference; an unknown reference is read
+        (:func:`~repro.documents.sources.load_items`), hashed, remembered
+        and replaced by its document.  ``hashes`` gives the content hashes
+        a caller already holds (a worker's inline descriptors carry them);
+        such a slot is keyed as told and its item is not looked at.
+        Returns the keys and the items as they now stand.  Everything but
         the reads is attributed to ``cache.key``.
         """
         started = perf_counter()
-        hashes = dict(zip(refs, self.refs.lookup(refs.values())))
-        unknown = {slot: refs[slot] for slot, known in hashes.items() if known is None}
+        items = list(items)
+        hashes = list(hashes) if hashes is not None else [None] * len(items)
+        asked = [slot for slot, known in enumerate(hashes) if known is None]
+        refs = [slot for slot in asked if isinstance(items[slot], DocumentRef)]
+        for slot, known in zip(refs, self.refs.lookup(items[slot] for slot in refs)):
+            hashes[slot] = known
+        unknown = [slot for slot in refs if hashes[slot] is None]
         key_seconds = perf_counter() - started
-        loaded = load_references(load, unknown)
+        loaded = load_items([items[slot] for slot in unknown])
         started = perf_counter()
-        for slot, document in loaded.items():
-            hashes[slot] = document_content_hash(document)
-        self.refs.remember((refs[slot], hashes[slot]) for slot in loaded)
-        keys = {
-            slot: str(CacheKey(content_hash, config_fingerprint))
-            for slot, content_hash in hashes.items()
-        }
+        learned = []
+        for slot, document in zip(unknown, loaded):
+            learned.append((items[slot], document_content_hash(document)))
+            items[slot] = document
+        self.refs.remember(learned)
+        for slot in asked:
+            if hashes[slot] is None:
+                hashes[slot] = document_content_hash(items[slot])
+        keys = [
+            str(CacheKey(content_hash, config_fingerprint)) for content_hash in hashes
+        ]
         key_seconds += perf_counter() - started
-        if refs:
+        if asked:
             _profiling.record(
-                "cache.key", key_seconds, cpu_seconds=key_seconds, calls=len(refs)
+                "cache.key", key_seconds, cpu_seconds=key_seconds, calls=len(asked)
             )
-
-        def fetch(slot: int) -> SciDocument:
-            document = loaded.get(slot)
-            if document is None:
-                document = load_references(load, {slot: refs[slot]})[slot]
-            return document
-
-        return keys, fetch
+        return keys, items
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -352,42 +359,9 @@ class ParseCache:
 # ---------------------------------------------------------------------- #
 # Pipeline adapter
 # ---------------------------------------------------------------------- #
-#: A pipeline batch worker: documents in, (results, decisions) out.
-BatchWorker = Callable[
-    [list[SciDocument]], tuple[list[ParseResult], list[RoutingDecision]]
-]
-
-
-class StaleReferences(StaleReference):
-    """The references of one batch that did not load; ``slots`` says which."""
-
-    def __init__(self, failures: Mapping[int, StaleReference]) -> None:
-        super().__init__("; ".join(str(exc) for exc in failures.values()))
-        self.slots = list(failures)
-
-
-def load_references(
-    load: Callable[[DocumentRef], SciDocument], refs: Mapping[int, DocumentRef]
-) -> dict[int, SciDocument]:
-    """Read ``slot → reference`` into ``slot → document`` under ``source.load``.
-
-    Every reference is tried, so a caller that can fetch stale ones another
-    way learns all of them from one :class:`StaleReferences`.  Nothing to
-    read is no phase row.
-    """
-    loaded: dict[int, SciDocument] = {}
-    if not refs:
-        return loaded
-    failures: dict[int, StaleReference] = {}
-    with _profiling.phase("source.load"):
-        for slot, ref in refs.items():
-            try:
-                loaded[slot] = load(ref)
-            except StaleReference as exc:
-                failures[slot] = exc
-    if failures:
-        raise StaleReferences(failures)
-    return loaded
+#: A pipeline batch worker: items (documents and references) in,
+#: (results, decisions) out.
+BatchWorker = Callable[[list[Item]], tuple[list[ParseResult], list[RoutingDecision]]]
 
 
 def cached_batch_worker(
@@ -396,36 +370,21 @@ def cached_batch_worker(
     config_fingerprint: str,
     inner: BatchWorker,
     recorder: CacheStatsRecorder | None = None,
-    load: Callable[[DocumentRef], SciDocument] | None = None,
 ) -> BatchWorker:
-    """Wrap a batch worker with :func:`run_cached_batch`, keyed per document.
+    """Wrap a batch worker with :func:`run_cached_batch`, keyed per item.
 
-    A batch of documents is hashed up front (the ``cache.key`` phase).  A
-    batch of references — ``load`` reads one — is keyed through the cache's
-    reference index (:meth:`ParseCache.resolve_references`), so a reference
-    that was read before is neither read nor hashed again.
+    The batch is keyed by :meth:`ParseCache.key_items`: documents are
+    hashed, references go through the reference index, and ``inner`` gets
+    the misses as they then stand — a reference the index knew is still a
+    reference when it reaches the execution site.
     """
     policy = CachePolicy.coerce(policy)
 
     def run_batch(
-        batch: "list[SciDocument] | list[DocumentRef]",
+        batch: list[Item],
     ) -> tuple[list[ParseResult], list[RoutingDecision]]:
-        if isinstance(batch[0], DocumentRef):
-            if load is None:
-                raise TypeError("a batch of references needs the `load` of its source")
-            by_slot, fetch = cache.resolve_references(
-                dict(enumerate(batch)), load, config_fingerprint
-            )
-            keys = list(by_slot.values())
-        else:
-            tick = perf_counter()
-            keys = [str(parse_cache_key(d, config_fingerprint)) for d in batch]
-            key_seconds = perf_counter() - tick
-            _profiling.record(
-                "cache.key", key_seconds, cpu_seconds=key_seconds, calls=len(keys)
-            )
-            fetch = batch.__getitem__
-        return run_cached_batch(cache, policy, keys, fetch, inner, recorder)
+        keys, items = cache.key_items(batch, config_fingerprint)
+        return run_cached_batch(cache, policy, keys, items.__getitem__, inner, recorder)
 
     return run_batch
 
@@ -434,7 +393,7 @@ def run_cached_batch(
     cache: ParseCache,
     policy: CachePolicy,
     keys: Sequence[str],
-    load: Callable[[int], SciDocument],
+    load: Callable[[int], Item],
     inner: BatchWorker,
     recorder: CacheStatsRecorder | None = None,
 ) -> tuple[list[ParseResult], list[RoutingDecision]]:
@@ -446,8 +405,9 @@ def run_cached_batch(
     engine's per-batch α budget applies to the documents that actually
     run) and, policy permitting, stored.  Results are merged back in slot
     order, with per-document routing decisions replayed from the cache
-    for hits.  ``load(slot)`` fetches a document and is called only for
-    the slots that parse — a batch of hits needs no documents at all.
+    for hits.  ``load(slot)`` fetches the slot's item — a document, or a
+    reference ``inner`` reads where it parses — and is called only for the
+    slots that parse: a batch of hits needs no documents at all.
     """
     recorder = recorder or _NULL_RECORDER
     n = len(keys)

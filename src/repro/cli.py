@@ -883,8 +883,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     if args.join:
         daemon.leave(args.join)
     daemon.stop(drain=True)
-    if cache is not None:
-        cache.flush()
     log_event(get_logger("cli.worker"), "info", "stopped", **daemon.describe())
     return 0
 

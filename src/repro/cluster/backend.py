@@ -16,9 +16,9 @@ hop further out:
   Workers rebuild the engine from the spec on their side and refuse
   shards whose fingerprint they cannot reproduce, so nothing executable
   ever crosses the wire.
-* The returned stub submits each batch — documents, or (``resolves_sources``)
-  the :class:`~repro.documents.sources.DocumentRef` values the pipeline
-  cuts from a reference-able source — to the
+* The returned stub submits each batch of items as it is — a
+  :class:`~repro.documents.sources.DocumentRef` crosses as a reference and
+  is read by the worker that parses it — to the
   :class:`~repro.cluster.coordinator.ClusterCoordinator` (rendezvous
   placement, per-worker windows, heartbeat fault detection, re-queue on
   worker loss) and blocks for the shard future.
@@ -118,9 +118,6 @@ class RemoteBackend(ThreadBackend):
     """
 
     name = "remote"
-    #: Worker daemons rebuild a source from its spec and read their own
-    #: documents, so the pipeline may hand the stub document references.
-    resolves_sources = True
 
     def __init__(
         self,

@@ -3,30 +3,31 @@
 The coordinator owns the client side of every worker connection.  Its
 contract with the :class:`~repro.cluster.backend.RemoteBackend` is small:
 :meth:`ClusterCoordinator.submit` takes one shard (a
-:class:`~repro.cluster.protocol.WorkerSpec` plus a batch of documents)
-and returns a future; the coordinator guarantees every future eventually
-resolves — with the shard's ordered results, or with a
+:class:`~repro.cluster.protocol.WorkerSpec` plus a batch of items —
+documents and :class:`~repro.documents.sources.DocumentRef` values, freely
+mixed) and returns a future; the coordinator guarantees every future
+eventually resolves — with the shard's ordered results, or with a
 :class:`ClusterError`.
 
 Behind that contract it implements the distribution policy:
 
 * **Placement** — shards are placed by rendezvous hashing over the
-  shard's document content hashes (:func:`~repro.cluster.protocol.
-  rank_workers`), so repeated runs over the same corpus land each shard
-  on the same worker — whose document store and parse cache are then
-  warm.  ``placement="balanced"`` trades that affinity for load
+  shard's per-slot hashes — a document's content hash, a reference's
+  ``ref.key()`` — (:func:`~repro.cluster.protocol.rank_workers`), so
+  repeated runs over the same corpus land each shard on the same worker
+  — whose document store and parse cache are then warm.  ``placement="balanced"`` trades that affinity for load
   balancing (least-backlogged worker, rendezvous rank as the tie-break).
 * **Windowing** — at most ``window`` shards are in flight per worker;
   excess placements wait in that worker's queue, so a slow worker
   backpressures its own shards without stalling the others.
-* **Transfer economy** — a shard of
-  :class:`~repro.documents.sources.DocumentRef` goes to a worker that
-  advertises ``source_refs`` as references: the worker reads its own
-  documents and nothing is read, hashed or serialised here.  A worker
-  that cannot resolve one answers ``shard_need``, is served the
-  documents inline, and gets inline payloads from then on.  Inline
-  payloads ship at most once per worker and session; descriptors for
-  previously shipped (or worker-cached) content go hash-only, and
+* **Transfer economy** — decided slot by slot.  A reference goes to a
+  worker that advertises ``source_refs`` as a reference: the worker
+  reads its own document and nothing is read, hashed or serialised here.
+  A worker that cannot resolve one answers ``shard_need``, is served that
+  document inline, and gets inline payloads from then on (for such a
+  link a reference is read here — the only place the coordinator reads).
+  Inline payloads ship at most once per worker and session; descriptors
+  for previously shipped (or worker-cached) content go hash-only, and
   ``shard_need`` pulls any payloads the worker genuinely lacks.
 * **Fault tolerance** — a worker is dead on socket EOF/reset or after
   ``heartbeat_timeout`` without a beacon.  Both detection paths converge
@@ -72,7 +73,7 @@ from repro.cluster.protocol import (
 from repro.core.engine import RoutingDecision
 from repro.documents.document import SciDocument
 from repro.documents.simpdf import document_to_dict
-from repro.documents.sources import DocumentRef, create_source
+from repro.documents.sources import DocumentRef, Item, create_source
 from repro.elastic.membership import MembershipRegistry
 from repro.elastic.policy import satisfies, tags_from_capabilities
 from repro.obs import metrics as _metrics
@@ -150,18 +151,17 @@ class ShardFuture:
 
 
 class _Shard:
-    """Coordinator-side state of one dispatched batch.
+    """Coordinator-side state of one dispatched batch of items.
 
-    A batch of :class:`DocumentRef` is held as ``refs`` and addressed by
-    ``ref.key()``; a batch of documents is held as ``documents`` and
-    addressed by content hash.  Exactly one of the two is set.
+    ``content_hashes[slot]`` is how the slot is addressed on the wire:
+    ``ref.key()`` while ``items[slot]`` is a :class:`DocumentRef`, the
+    content hash once it is a document.
     """
 
     __slots__ = (
         "shard_id",
         "spec",
-        "documents",
-        "refs",
+        "items",
         "content_hashes",
         "placement_key",
         "future",
@@ -176,22 +176,19 @@ class _Shard:
         self,
         shard_id: str,
         spec: WorkerSpec,
-        documents: "list[SciDocument] | list[DocumentRef]",
+        items: list[Item],
         trace: TraceContext | None = None,
         constraints: Mapping[str, Any] | None = None,
     ) -> None:
         self.shard_id = shard_id
         self.spec = spec
-        self.documents: list[SciDocument] | None = None
-        self.refs: list[DocumentRef] | None = None
-        if documents and isinstance(documents[0], DocumentRef):
-            self.refs = documents
-            self.content_hashes = [ref.key() for ref in documents]
-        else:
-            self.documents = documents
-            self.content_hashes = [document_content_hash(doc) for doc in documents]
+        self.items = items
+        self.content_hashes = [
+            item.key() if isinstance(item, DocumentRef) else document_content_hash(item)
+            for item in items
+        ]
         #: Fixed at construction: placement affinity and the ledger key must
-        #: not move when a by-reference shard is later sent inline.
+        #: not move when a referenced slot is later sent inline.
         self.placement_key = shard_placement_key(self.content_hashes)
         self.future = ShardFuture(shard_id)
         self.attempts = 0
@@ -203,19 +200,11 @@ class _Shard:
         #: worker satisfies them.
         self.constraints = dict(constraints or {})
 
-    def materialise(self) -> None:
-        """Read a by-reference shard's documents here, for an inline send."""
-        refs = self.refs
-        if refs is None:
-            return
-        documents = [_load_here(ref) for ref in refs]
-        self.content_hashes = [document_content_hash(doc) for doc in documents]
-        self.documents, self.refs = documents, None
 
-
-def _load_here(ref: DocumentRef) -> SciDocument:
-    """What ``ref`` names *now*: this process is where the request was planned,
-    so a moved stamp is not a disagreement with anyone."""
+def _read_here(ref: DocumentRef) -> SciDocument:
+    """What ``ref`` names *now*, for a link that cannot take the reference:
+    this process is where the request was planned, so a moved stamp is not a
+    disagreement with anyone."""
     return create_source(ref.source).load(ref, check_stamp=False)
 
 
@@ -528,14 +517,14 @@ class ClusterCoordinator:
     def submit(
         self,
         spec: WorkerSpec,
-        documents: "Iterable[SciDocument] | Iterable[DocumentRef]",
+        items: Iterable[Item],
         trace: TraceContext | None = None,
         constraints: Mapping[str, Any] | None = None,
     ) -> ShardFuture:
         """Plan one shard onto the cluster; returns its future immediately.
 
-        The batch is either documents or
-        :class:`~repro.documents.sources.DocumentRef` values (never mixed).
+        The batch is any mix of documents and
+        :class:`~repro.documents.sources.DocumentRef` values.
 
         ``trace`` (default: the caller's active trace) rides the
         ``submit_shard`` frame so worker-side spans join the submitting
@@ -545,7 +534,7 @@ class ClusterCoordinator:
         ledger already holds resolves immediately from the checkpoint —
         the resume path — and is never dispatched.
         """
-        batch = list(documents)
+        batch = list(items)
         if trace is None:
             trace = _tracing.current_trace()
         with self._lock:
@@ -645,11 +634,12 @@ class ClusterCoordinator:
         return sends
 
     def _send_planned(self, sends: list[tuple[_WorkerLink, _Shard]]) -> None:
-        """Transmit planned submissions outside the lock.
+        """Transmit planned submissions outside the lock, slot by slot.
 
-        A by-reference shard goes to a link that takes references as
-        ``{"content_hash": ref.key(), "ref": {...}}`` descriptors; for any
-        other link it is read here first and sent like an inline shard.
+        A reference goes to a link that takes references as a
+        ``{"content_hash": ref.key(), "ref": {...}}`` descriptor; for any
+        other link it is read here first — the slot holds the document
+        from then on — and sent like an inline document.
 
         Inline hashes already shipped this session always go hash-only.
         For the rest the worker's capabilities decide: a worker *with* a
@@ -659,33 +649,38 @@ class ClusterCoordinator:
         payloads inline, saving the guaranteed round trip.
         """
         for link, shard in sends:
-            refs = shard.refs if link.takes_refs else None
+            hash_first = bool(link.capabilities.get("cache"))
             descriptors: list[dict[str, Any]] = []
             shipped: list[str] = []
-            skipped = 0
-            if refs is not None:
-                descriptors = [
-                    {"content_hash": key, "ref": ref.to_json_dict()}
-                    for ref, key in zip(refs, shard.content_hashes)
-                ]
-            else:
-                try:
-                    shard.materialise()
-                except Exception as exc:  # noqa: BLE001 - fails the shard, not this thread
-                    self._fail_unsendable(link, shard, exc)
-                    continue
-                hash_first = bool(link.capabilities.get("cache"))
-                for document, content_hash in zip(shard.documents, shard.content_hashes):
+            skipped = refs_sent = 0
+            try:
+                for slot, item in enumerate(shard.items):
+                    if isinstance(item, DocumentRef):
+                        if link.takes_refs:
+                            descriptors.append(
+                                {
+                                    "content_hash": shard.content_hashes[slot],
+                                    "ref": item.to_json_dict(),
+                                }
+                            )
+                            refs_sent += 1
+                            continue
+                        item = shard.items[slot] = _read_here(item)
+                        shard.content_hashes[slot] = document_content_hash(item)
+                    content_hash = shard.content_hashes[slot]
                     descriptor: dict[str, Any] = {
-                        "doc_id": document.doc_id,
+                        "doc_id": item.doc_id,
                         "content_hash": content_hash,
                     }
                     if content_hash in link.sent_hashes or hash_first:
                         skipped += 1
                     else:
-                        descriptor["payload"] = document_to_dict(document)
+                        descriptor["payload"] = document_to_dict(item)
                         shipped.append(content_hash)
                     descriptors.append(descriptor)
+            except Exception as exc:  # noqa: BLE001 - fails the shard, not this thread
+                self._fail_unsendable(link, shard, exc)
+                continue
             message = {
                 "type": protocol.SUBMIT_SHARD,
                 "shard_id": shard.shard_id,
@@ -707,8 +702,7 @@ class ClusterCoordinator:
                 self._on_worker_death(link, f"send failed: {exc}")
                 continue
             with self._lock:
-                if refs is not None:
-                    self.counters["doc_refs_sent"] += len(refs)
+                self.counters["doc_refs_sent"] += refs_sent
                 self.counters["doc_payloads_sent"] += len(shipped)
                 self.counters["doc_payloads_skipped"] += skipped
                 link.sent_hashes.update(shipped)
@@ -764,9 +758,12 @@ class ClusterCoordinator:
                     message.get("cache_misses", 0)
                 )
                 self.last_batch_seconds = float(message.get("elapsed_seconds", 0.0))
-                if shard.refs is None:
-                    # Every inline document is now in the worker's store.
-                    link.sent_hashes.update(shard.content_hashes)
+                # Every inline document is now in the worker's store.
+                link.sent_hashes.update(
+                    content_hash
+                    for item, content_hash in zip(shard.items, shard.content_hashes)
+                    if not isinstance(item, DocumentRef)
+                )
                 sends = self._pump_locked()
         self._send_planned(sends)
         if shard is None:
@@ -837,21 +834,23 @@ class ClusterCoordinator:
             shard = link.in_flight.get(shard_id)
         if shard is None:
             return  # re-placed meanwhile; the new worker owns it now
-        refs = shard.refs
-        if refs is not None:
-            # The worker cannot resolve these references (no such directory
-            # on its host, or a file changed under it): read them here, and
-            # stop sending this link references it would bounce again.
-            link.takes_refs = False
         docs = []
+        inline: list[str] = []  # the needed hashes that name documents, not references
         try:
             for slot, content_hash in enumerate(shard.content_hashes):
                 if content_hash not in needed:
                     continue
                 needed.discard(content_hash)
-                document = (
-                    shard.documents[slot] if refs is None else _load_here(refs[slot])
-                )
+                document = shard.items[slot]
+                if isinstance(document, DocumentRef):
+                    # The worker cannot resolve this reference (no such
+                    # directory on its host, or the file changed under it):
+                    # read it here, and stop sending this link references it
+                    # would bounce again.
+                    link.takes_refs = False
+                    document = _read_here(document)
+                else:
+                    inline.append(content_hash)
                 docs.append(
                     {
                         "doc_id": document.doc_id,
@@ -874,11 +873,9 @@ class ClusterCoordinator:
             return
         with self._lock:
             self.counters["doc_payloads_sent"] += len(docs)
-            if refs is not None:
-                self.counters["doc_refs_sent"] -= len(docs)
-            else:
-                self.counters["doc_payloads_skipped"] -= len(docs)
-                link.sent_hashes.update(doc["content_hash"] for doc in docs)
+            self.counters["doc_refs_sent"] -= len(docs) - len(inline)
+            self.counters["doc_payloads_skipped"] -= len(inline)
+            link.sent_hashes.update(inline)
 
     def _on_shard_error(self, link: _WorkerLink, message: Mapping[str, Any]) -> None:
         shard_id = str(message.get("shard_id"))

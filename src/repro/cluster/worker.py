@@ -9,24 +9,26 @@ A :class:`WorkerDaemon` listens on a TCP port and speaks the
    use), or engines pre-installed on the pipeline — and refuses the shard
    unless the locally built parser reproduces the coordinator's
    ``config_fingerprint()`` exactly;
-2. resolves the shard's content-hash-addressed document descriptors
-   against its session document store and (when configured) its local
-   :class:`~repro.cache.ParseCache`, asking the coordinator for payloads
-   only for hashes it cannot serve — a warm worker re-parses nothing and
-   re-transfers nothing; a descriptor that carries a
-   :class:`~repro.documents.sources.DocumentRef` instead is read from the
-   worker's own copy of the source, inside the shard's slot thread — with
-   a local cache only when the cache's reference index has not seen the
-   reference or its parse is not cached — and only a reference that
-   cannot be resolved here (no such directory, a changed stamp) is asked
-   for with the same ``shard_need``;
-3. runs the shard through :func:`repro.cache.run_cached_batch` — the
-   loop the parent-side cache wrapper runs — so the cache misses go as
-   **one sub-batch** through a local
+2. resolves the shard's descriptors to *items* as soon as they arrive: an
+   inline payload is decoded (and kept in a bounded session document
+   store), a hash-only descriptor is served from that store or — when the
+   local :class:`~repro.cache.ParseCache` already holds its parse — needs
+   no document at all, and a descriptor that carries a
+   :class:`~repro.documents.sources.DocumentRef` becomes that reference.
+   The coordinator is asked (``shard_need``) only for hashes the worker
+   can serve neither way — a warm worker re-parses nothing and
+   re-transfers nothing — and for references that turn out not to resolve
+   here (no such directory, a changed stamp);
+3. runs the items through :func:`repro.cache.run_cached_batch` — the loop
+   the parent-side cache wrapper runs, keyed by the same
+   :meth:`~repro.cache.ParseCache.key_items` — so the cache misses go as
+   **one sub-batch** to the site of a local
    :class:`~repro.pipeline.backends.ExecutionBackend` (preserving the
-   engine's per-batch α semantics), fresh parses are stored
-   policy-permitting, and a document two overlapping shards share is
-   parsed once, and
+   engine's per-batch α semantics), which is where references are read —
+   by this daemon's thread or by its ``process`` backend's child; fresh
+   parses are stored policy-permitting and made durable before the shard
+   is acknowledged, and a document two overlapping shards share is parsed
+   once, and
 4. streams an ordered ``batch_result`` back.
 
 Shards execute on a small slot pool (default: the local backend's worker
@@ -51,10 +53,8 @@ from repro.cache import (
     CacheKey,
     CachePolicy,
     CacheStatsRecorder,
+    LruTier,
     ParseCache,
-    StaleReferences,
-    document_content_hash,
-    load_references,
     run_cached_batch,
 )
 from repro.cluster import protocol
@@ -66,7 +66,7 @@ from repro.cluster.protocol import (
 )
 from repro.documents.document import SciDocument
 from repro.documents.simpdf import document_from_dict
-from repro.documents.sources import DocumentRef, create_source
+from repro.documents.sources import BadReference, DocumentRef, Item, StaleReferences
 from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
@@ -82,6 +82,10 @@ if TYPE_CHECKING:
 WORKER_THREAD_PREFIX = "repro-cluster-worker"
 
 _LOG = get_logger("cluster.worker")
+
+#: Inline documents a daemon keeps for hash-only re-use (the ``ParseCache``
+#: memory tier's default); an evicted one is asked for again.
+DOC_STORE_CAPACITY = 4096
 
 
 class SpecError(RuntimeError):
@@ -103,7 +107,7 @@ class UnresolvedReferences(Exception):
 class _ShardJob:
     """One shard queued for execution on the slot pool."""
 
-    __slots__ = ("shard_id", "spec", "descriptors", "trace", "asked")
+    __slots__ = ("shard_id", "spec", "descriptors", "items", "trace", "asked")
 
     def __init__(
         self,
@@ -115,6 +119,9 @@ class _ShardJob:
         self.shard_id = shard_id
         self.spec = spec
         self.descriptors = descriptors
+        #: The descriptors as resolved when the job was enqueued: the job,
+        #: not the session store, keeps its documents alive.
+        self.items: "list[Item | None]" = []
         self.trace = trace
         #: Set once ``shard_need`` went out for references: the coordinator's
         #: ``doc_data`` gets one chance to resolve them.
@@ -198,8 +205,7 @@ class WorkerDaemon(rpc.Server):
 
         #: Session document store: content hash → document.  Shared across
         #: connections so a reconnecting coordinator skips re-transfer too.
-        self._doc_store: dict[str, SciDocument] = {}
-        self._doc_store_lock = threading.Lock()
+        self._doc_store: LruTier[SciDocument] = LruTier(DOC_STORE_CAPACITY)
         #: Resolved specs: config fingerprint → (parser, its site on the
         #: local backend).
         self._resolved: "dict[str, tuple[Parser, BatchWorker]]" = {}
@@ -258,6 +264,8 @@ class WorkerDaemon(rpc.Server):
         super().stop(drain)
         if self._backend is not None:
             self._backend.close()
+        if self.cache is not None:
+            self.cache.flush()
 
     def drain(self, timeout: float | None) -> None:
         for handler in self.sessions():
@@ -426,136 +434,112 @@ class WorkerDaemon(rpc.Server):
             self._resolved[spec.fingerprint] = resolved
             return resolved
 
-    def _store_documents(self, docs: list[dict[str, Any]]) -> int:
+    def _store_documents(self, docs: list[dict[str, Any]]) -> None:
         """Install payload-bearing descriptors into the session doc store."""
         received = 0
-        with self._doc_store_lock:
-            for descriptor in docs:
-                payload = descriptor.get("payload")
-                if payload is None:
-                    continue
-                content_hash = str(descriptor["content_hash"])
-                if content_hash not in self._doc_store:
-                    self._doc_store[content_hash] = document_from_dict(payload)
-                    received += 1
-        self._bump("docs_received", received)
-        return received
-
-    def missing_hashes(self, spec: WorkerSpec, docs: list[dict[str, Any]]) -> list[str]:
-        """Content hashes this worker can serve neither from store nor cache."""
-        policy = CachePolicy.coerce(spec.cache)
-        missing: list[str] = []
         for descriptor in docs:
-            if descriptor.get("payload") is not None or "ref" in descriptor:
-                continue  # shipped inline / read from the source when the shard runs
+            payload = descriptor.get("payload")
+            if payload is None:
+                continue
             content_hash = str(descriptor["content_hash"])
-            with self._doc_store_lock:
-                if content_hash in self._doc_store:
-                    continue
-            if (
+            if content_hash not in self._doc_store:
+                self._doc_store.put(content_hash, document_from_dict(payload))
+                received += 1
+        self._bump("docs_received", received)
+
+    def resolve_items(
+        self, spec: WorkerSpec, descriptors: list[dict[str, Any]]
+    ) -> "tuple[list[Item | None], list[str]]":
+        """``(items, missing)`` of a shard's descriptors, as of now.
+
+        A descriptor's item is the stored document under its hash (shipped
+        inline, or topped up for a reference that did not resolve here),
+        else its reference, else ``None``.  ``None`` is fine when the local
+        cache holds the parse — a hit never needs the document; the hashes
+        this worker can serve neither way are ``missing``.
+        """
+        policy = CachePolicy.coerce(spec.cache)
+        items: "list[Item | None]" = []
+        missing: list[str] = []
+        for descriptor in descriptors:
+            content_hash = str(descriptor["content_hash"])
+            item = self._doc_store.get(content_hash)
+            if item is None and "ref" in descriptor:
+                try:
+                    item = DocumentRef.from_json_dict(descriptor["ref"])
+                except ValueError as exc:
+                    raise SpecError("bad_reference", str(exc)) from exc
+            if item is None and not (
                 self.cache is not None
                 and policy.reads
                 and self.cache.lookup(CacheKey(content_hash, spec.fingerprint))
                 is not None
             ):
-                continue
-            missing.append(content_hash)
-        return missing
+                missing.append(content_hash)
+            items.append(item)
+        return items, missing
 
     def run_shard(
-        self, spec: WorkerSpec, descriptors: list[dict[str, Any]]
+        self,
+        spec: WorkerSpec,
+        descriptors: list[dict[str, Any]],
+        items: "list[Item | None] | None" = None,
     ) -> tuple[list[ParseResult], list, int, int]:
-        """Execute one fully resolvable shard.
+        """Execute one shard whose ``items`` are its resolved descriptors
+        (:meth:`resolve_items`; resolved now when omitted).
 
         Returns ``(results, decisions, cache_hits, cache_misses)`` with
         results in descriptor order.  With a local cache the shard runs
         through :func:`repro.cache.run_cached_batch` — the loop the
-        pipeline's own batches run through — keyed by the descriptors'
-        content hashes, so a hit never needs the document and overlapping
-        shards parse a shared document once (the later one counts it as a
-        hit).  Without one, every document goes straight to the parser.
+        pipeline's own batches run through — so a hit never needs the
+        document and overlapping shards parse a shared document once (the
+        later one counts it as a hit); a writing shard is flushed before
+        it returns, so what is acknowledged is durable.  Without a cache,
+        every item goes straight to the local backend's site.
 
-        A by-reference descriptor's hash is ``ref.key()``, which names a
-        location; its content hash comes from the cache's reference index
-        (:meth:`~repro.cache.ParseCache.resolve_references`, the resolver
-        the pipeline's cached batches use), so a reference this worker has
-        read before is read again only if its parse is not cached either.
+        An inline descriptor is keyed by the content hash it carries.  A
+        by-reference descriptor's hash is ``ref.key()``, which names a
+        location: its content hash comes from the cache's reference index
+        (:meth:`~repro.cache.ParseCache.key_items`, what the pipeline's
+        cached batches use), so a reference this worker has read before is
+        read again — at the site — only if its parse is not cached either.
         References that do not resolve here raise
         :class:`UnresolvedReferences`, and one that never could a
         :class:`SpecError`.
         """
-        parser, site = self._resolve_spec(spec)
+        _, site = self._resolve_spec(spec)
         policy = CachePolicy.coerce(spec.cache) if self.cache is not None else CachePolicy.OFF
-
-        def checked(document: SciDocument) -> SciDocument:
-            # The coordinator checked the type the source *declares*; this
-            # is the type the file actually holds.
-            if not parser.supports_doc_type(document.doc_type):
-                raise SpecError(
-                    "unsupported_doc_type",
-                    f"parser {parser.name!r} does not support document type "
-                    f"{document.doc_type!r} (document {document.doc_id!r})",
-                )
-            return document
-
-        def read(ref: DocumentRef) -> SciDocument:
-            """One referenced document from this worker's own copy of its source."""
-            try:
-                # Registered kinds only, options validated.
-                document = create_source(ref.source).load(ref)
-            except ValueError as exc:
-                raise SpecError("bad_reference", str(exc)) from exc
-            self._bump("docs_loaded")
-            return checked(document)
-
+        if items is None:
+            items, _ = self.resolve_items(spec, descriptors)
         hashes = [str(descriptor["content_hash"]) for descriptor in descriptors]
-        #: References the coordinator topped up with ``doc_data`` (after a
-        #: ``shard_need``): keyed by the content that was sent, and never
-        #: remembered against the stamp of a file this worker did not read.
-        topped_up: dict[int, SciDocument] = {}
-        refs: dict[int, DocumentRef] = {}
-        for slot, descriptor in enumerate(descriptors):
-            if "ref" not in descriptor:
-                continue
-            with self._doc_store_lock:
-                document = self._doc_store.get(hashes[slot])
-            if document is not None:
-                topped_up[slot] = checked(document)
-                continue
-            try:
-                refs[slot] = DocumentRef.from_json_dict(descriptor["ref"])
-            except ValueError as exc:
-                raise SpecError("bad_reference", str(exc)) from exc
+        asked_for = {
+            item: key for item, key in zip(items, hashes) if isinstance(item, DocumentRef)
+        }
 
-        def inner(sub_batch: list[SciDocument]):
+        def inner(sub_batch: "list[Item]"):
             """The misses as one sub-batch through the local backend."""
             assert self._backend is not None
             for output in self._backend.map_ordered(site, [sub_batch]):
+                self._bump(
+                    "docs_loaded", sum(isinstance(item, DocumentRef) for item in sub_batch)
+                )
                 return output
             raise SpecError("backend_closed", "local execution backend yielded nothing")
 
-        def load(slot: int) -> SciDocument:
-            if slot in refs:
-                return fetch(slot)
-            document = topped_up.get(slot)
-            if document is not None:
-                return document
-            descriptor = descriptors[slot]
-            with self._doc_store_lock:
-                document = self._doc_store.get(hashes[slot])
-            if document is None:
+        def load(slot: int) -> Item:
+            item = items[slot]
+            if item is None:
                 raise SpecError(
                     "missing_document",
                     f"document {hashes[slot]} is neither stored nor cached on "
                     f"this worker (protocol error: submit before doc_data?)",
                 )
-            if descriptor.get("payload") is None:
+            if descriptors[slot].get("payload") is None and "ref" not in descriptors[slot]:
                 self._bump("docs_reused")
-            return document
+            return item
 
         try:
             if policy is CachePolicy.OFF:
-                fetch = load_references(read, refs).__getitem__
                 results, decisions = inner([load(i) for i in range(len(descriptors))])
                 if len(results) != len(descriptors):
                     raise SpecError(
@@ -566,20 +550,28 @@ class WorkerDaemon(rpc.Server):
                 hits, misses = 0, len(descriptors)
             else:
                 recorder = CacheStatsRecorder()
-                content_hashes = list(hashes)
-                for slot, document in topped_up.items():
-                    content_hashes[slot] = document_content_hash(document)
-                keys = [str(CacheKey(h, spec.fingerprint)) for h in content_hashes]
-                resolved, fetch = self.cache.resolve_references(refs, read, spec.fingerprint)
-                for slot, key in resolved.items():
-                    keys[slot] = key
+                # A topped-up reference (its descriptor's hash is a
+                # ``ref.key()``) is keyed by the content that was sent, and
+                # never remembered against the stamp of a file not read here.
+                keys, keyed = self.cache.key_items(
+                    items,
+                    spec.fingerprint,
+                    [None if "ref" in d else h for d, h in zip(descriptors, hashes)],
+                )
+                self._bump("docs_loaded", sum(a is not b for a, b in zip(items, keyed)))
+                items = keyed
                 results, decisions = run_cached_batch(
                     self.cache, policy, keys, load, inner, recorder
                 )
                 stats = recorder.snapshot()
                 hits, misses = stats.hits + stats.coalesced, stats.misses
+                if policy.writes:
+                    with _profiling.phase("cache.flush"):
+                        self.cache.flush()
         except StaleReferences as exc:
-            raise UnresolvedReferences([hashes[slot] for slot in exc.slots]) from exc
+            raise UnresolvedReferences([asked_for[ref] for ref in exc.refs]) from exc
+        except BadReference as exc:
+            raise SpecError("bad_reference", str(exc)) from exc
         self._bump("docs_parsed", misses)
         self._bump("docs_from_cache", hits)
         return results, decisions, hits, misses
@@ -655,10 +647,14 @@ class _ConnectionHandler(rpc.Session):
         spec = WorkerSpec.from_json_dict(message["spec"])
         docs = list(message.get("docs", []))
         self.daemon._store_documents(docs)
-        missing = self.daemon.missing_hashes(spec, docs)
         job = _ShardJob(
             shard_id, spec, docs, trace=TraceContext.from_wire(message.get("trace"))
         )
+        try:
+            job.items, missing = self.daemon.resolve_items(spec, docs)
+        except SpecError as exc:
+            self._shard_error(shard_id, exc.code, str(exc))
+            return
         if missing:
             with self._pending_lock:
                 self._pending[shard_id] = job
@@ -675,7 +671,7 @@ class _ConnectionHandler(rpc.Session):
             job = self._pending.pop(shard_id, None)
         if job is None:
             raise ProtocolError(f"doc_data for unknown shard {shard_id!r}")
-        still_missing = self.daemon.missing_hashes(job.spec, job.descriptors)
+        job.items, still_missing = self.daemon.resolve_items(job.spec, job.descriptors)
         if still_missing:
             self._shard_error(
                 shard_id,
@@ -761,7 +757,7 @@ class _ConnectionHandler(rpc.Session):
                         )
                     )
                 results, decisions, hits, misses = self.daemon.run_shard(
-                    job.spec, job.descriptors
+                    job.spec, job.descriptors, job.items
                 )
         except UnresolvedReferences as exc:
             if not job.asked:

@@ -18,8 +18,10 @@ Sources that can enumerate their documents *without reading them*
 by relative path) also offer :meth:`~DocumentSource.refs` — a stream of
 small JSON-round-trippable :class:`DocumentRef` values — and
 :meth:`~DocumentSource.load`, which turns one reference back into its
-document.  An execution backend whose workers can rebuild the source
-themselves ships the references and lets each worker read its own share.
+document.  A reference-able source is read where it is parsed, on every
+execution backend: a run holds references, and :func:`load_items` — the one
+place a reference becomes its document — is called at the execution site, by
+whichever thread, child process or worker daemon parses the batch.
 
 Sources are constructed either directly (``HtmlDirSource("corpus/html")``)
 or declaratively through a :class:`SourceSpec` — a JSON-round-trippable
@@ -36,12 +38,12 @@ import abc
 import difflib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path, PurePosixPath
 from stat import S_ISREG
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.documents.corpus import CorpusConfig, build_document
 from repro.documents.document import DocumentType, SciDocument
@@ -52,6 +54,7 @@ from repro.documents.webtext import (
     markdown_to_blocks,
     record_to_document,
 )
+from repro.obs import profiling as _profiling
 from repro.utils.hashing import stable_hash_hex
 
 
@@ -172,17 +175,23 @@ class SyntheticSource(DocumentSource):
         for index in range(self.config.n_documents):
             yield build_document(index, self.config)
 
+    # ``CorpusConfig`` is frozen, so the fingerprint and the spec are computed
+    # once per instance: ``load`` compares the fingerprint per document.
     def fingerprint(self) -> str:
-        from dataclasses import asdict
+        return self._fingerprint
 
+    @cached_property
+    def _fingerprint(self) -> str:
         cfg = asdict(self.config)
         return stable_hash_hex(
             "source-synthetic", *(f"{k}={cfg[k]}" for k in sorted(cfg))
         )
 
     def spec(self) -> "SourceSpec":
-        from dataclasses import asdict
+        return self._spec
 
+    @cached_property
+    def _spec(self) -> "SourceSpec":
         cfg = self.config
         options: dict[str, Any] = {"n_documents": cfg.n_documents, "seed": cfg.seed}
         defaults = CorpusConfig(n_documents=cfg.n_documents, seed=cfg.seed)
@@ -624,6 +633,61 @@ class DocumentRef:
             stamp=str(payload["stamp"]),
             doc_type=None if doc_type is None else str(doc_type),
         )
+
+
+#: What a batch is made of: a document, or a reference to be read where the
+#: batch is parsed.
+Item = SciDocument | DocumentRef
+
+
+class StaleReferences(StaleReference):
+    """Every reference of one batch that did not load; ``refs`` says which."""
+
+    def __init__(self, message: str, refs: "Sequence[DocumentRef]" = ()) -> None:
+        # ``(message,)`` plus ``__dict__`` is what an exception pickles as: a
+        # process-backend child raises this and the parent re-raises it whole.
+        super().__init__(message)
+        self.refs = list(refs)
+
+
+class BadReference(ValueError):
+    """A reference no source here could have issued: an unknown kind or
+    option, or a locator outside the source.  Fetching the document another
+    way will not help — the reference itself is wrong."""
+
+
+def load_items(items: Sequence[Item]) -> list[SciDocument]:
+    """One batch of items as documents: the one place a reference is read.
+
+    Documents pass through; each :class:`DocumentRef` is read from its
+    source — built once per spec per call — under one ``source.load`` phase
+    (no phase row when there is nothing to read).  Every reference is
+    tried, so a caller that can fetch stale ones another way learns all of
+    them from one :class:`StaleReferences`.
+    """
+    documents = list(items)
+    slots = [slot for slot, item in enumerate(documents) if isinstance(item, DocumentRef)]
+    if not slots:
+        return documents
+    sources: dict[tuple[str, str], DocumentSource] = {}
+    failures: dict[DocumentRef, StaleReference] = {}
+    with _profiling.phase("source.load"):
+        for slot in slots:
+            ref = documents[slot]
+            built = (ref.source.kind, ref.source.options_json)
+            try:
+                source = sources.get(built)
+                if source is None:
+                    # Registered kinds only, options validated.
+                    source = sources[built] = create_source(ref.source)
+                documents[slot] = source.load(ref)
+            except StaleReference as exc:
+                failures[ref] = exc
+            except ValueError as exc:
+                raise BadReference(str(exc)) from exc
+    if failures:
+        raise StaleReferences("; ".join(map(str, failures.values())), failures)
+    return documents
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.documents.document import SciDocument
+from repro.documents.sources import DocumentRef, Item
 from repro.utils.rng import rng_from
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports base)
@@ -200,6 +201,23 @@ class Parser(abc.ABC):
     def supports_doc_type(self, doc_type: str) -> bool:
         """Whether this parser can process documents of ``doc_type``."""
         return doc_type in self.supported_doc_types
+
+    def require_doc_type(self, item: Item) -> Item:
+        """``item``, or a ``ValueError`` when this parser cannot take its type.
+
+        A :class:`~repro.documents.sources.DocumentRef` is checked on the
+        type its source declares (before anything is read), a document on
+        the type it really holds (where it is parsed).
+        """
+        if not self.supports_doc_type(item.doc_type):
+            name = item.locator if isinstance(item, DocumentRef) else item.doc_id
+            raise ValueError(
+                f"parser {self.name!r} does not support document type "
+                f"{item.doc_type!r} (document {name!r}); "
+                f"supported types: {sorted(self.supported_doc_types)}. Pick an "
+                f"extraction parser or an AdaParse engine for this source"
+            )
+        return item
 
     def document_rng(self, document: SciDocument, salt: str = "") -> np.random.Generator:
         """Deterministic random stream for (parser, document)."""

@@ -10,11 +10,16 @@ identical in every case, only the execution policy varies.
 The contract, in one paragraph: a backend is handed the **parser** —
 :meth:`ExecutionBackend.site` takes a resolved
 :class:`~repro.parsers.base.Parser` and returns the callable that parses
-one batch where this backend executes it; the default is the parser's own
-:meth:`~repro.parsers.base.Parser.parse_batch`.  A backend that puts a
-boundary between the caller and that call owns every crossing of it: the
-parser going out (the process backend pickles it once per child, the
-remote backend names it in a ``WorkerSpec``), the caller's ambient
+one batch where this backend executes it.  A batch is a list of *items* —
+documents and :class:`~repro.documents.sources.DocumentRef` values, freely
+mixed — and the site is where a reference becomes its document: the
+default site is :func:`parse_items` (load the items, check each document's
+real type, ``parser.parse_batch``), so a reference-able source is read by
+the thread, child process or worker daemon that parses it.  A backend
+that puts a boundary between the caller and that call owns every crossing
+of it: the parser going out (the process backend pickles it once per
+child, the remote backend names it in a ``WorkerSpec``), the items going
+out as they are (a reference crosses as a reference), the caller's ambient
 ``contextvars`` going out (trace context and
 :class:`~repro.obs.profiling.PhaseTimer`; the thread backend submits each
 task under a copy of the submitting thread's context), and the site's
@@ -23,7 +28,9 @@ wraps the site in the ``parse`` phase and, when the request carries a
 cache policy, in the cache layer — lookups, single-flight leases and
 write-backs therefore run on the caller's side of every boundary — and
 passes the result to :meth:`ExecutionBackend.map_ordered`.  A third-party
-backend that runs batches inline need implement only ``map_ordered``.
+backend that runs batches inline need implement only ``map_ordered``; one
+that overrides ``site`` receives the items and calls :func:`parse_items`
+(or :func:`~repro.documents.sources.load_items`) wherever it parses.
 
 * :meth:`ExecutionBackend.map_ordered` — apply a worker over a stream of
   work items with a **bounded in-flight window**, yielding results in
@@ -50,13 +57,17 @@ import abc
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
+from repro.documents.sources import load_items
 from repro.obs import metrics as _metrics
 
 if TYPE_CHECKING:
     from repro.cache.cache import BatchWorker
-    from repro.parsers.base import Parser
+    from repro.core.engine import RoutingDecision
+    from repro.documents.sources import Item
+    from repro.parsers.base import Parser, ParseResult
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -259,26 +270,36 @@ class ExecutionRecorder:
 # ---------------------------------------------------------------------- #
 # The protocol
 # ---------------------------------------------------------------------- #
+def parse_items(
+    parser: "Parser", batch: "list[Item]"
+) -> "tuple[list[ParseResult], list[RoutingDecision]]":
+    """Parse one batch of items where they are: what every site comes down to.
+
+    References are read here (:func:`~repro.documents.sources.load_items`),
+    each document is checked on the type it really holds — the stream guard
+    upstream saw only the type a reference's source declares — and the
+    documents go to ``parser.parse_batch``.
+    """
+    documents = load_items(batch)
+    for document in documents:
+        parser.require_doc_type(document)
+    return parser.parse_batch(documents)
+
+
 class ExecutionBackend(abc.ABC):
     """How the pipeline's batches actually run.
 
     Subclasses set :attr:`name` (the registry name), create
     :attr:`_recorder` and implement :meth:`map_ordered`; :meth:`site`
-    defaults to the parser's own ``parse_batch`` and is overridden by
-    backends whose batches execute outside the parent process.  Backends
-    are context managers (``close()`` on exit).
+    defaults to :func:`parse_items` in the executing thread and is
+    overridden by backends whose batches execute outside the parent
+    process.  Backends are context managers (``close()`` on exit).
     """
 
     #: Registry name of the backend.
     name: str = "abstract"
     #: What :meth:`map_ordered` records into and :meth:`stats` snapshots.
     _recorder: ExecutionRecorder
-    #: Whether batches run somewhere that can rebuild a document source from
-    #: its spec.  The pipeline then hands :meth:`site`'s stub batches of
-    #: :class:`~repro.documents.sources.DocumentRef` instead of documents
-    #: (for reference-able sources under cache policy ``off``), so documents
-    #: are read where they are parsed and never cross the process boundary.
-    resolves_sources: bool = False
 
     @property
     def workers(self) -> int:
@@ -289,13 +310,15 @@ class ExecutionBackend(abc.ABC):
         """The callable that parses one batch where this backend executes it.
 
         In-process backends run the parser where the orchestration runs:
-        the site is ``parser.parse_batch``.  Out-of-process backends return
-        a caller-side stub that carries the parser (and the ambient phase
-        attribution) across their boundary; anything wrapped *around* the
-        returned callable (cache lookups, single-flight leases,
-        write-backs) therefore stays with the caller.
+        the site is :func:`parse_items` over ``parser``.  Out-of-process
+        backends return a caller-side stub that carries the parser, the
+        items (references stay references) and the ambient phase
+        attribution across their boundary and runs :func:`parse_items` on
+        the far side; anything wrapped *around* the returned callable
+        (cache lookups, single-flight leases, write-backs) therefore stays
+        with the caller.
         """
-        return parser.parse_batch
+        return partial(parse_items, parser)
 
     @abc.abstractmethod
     def map_ordered(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> Iterator[_R]:

@@ -5,10 +5,11 @@ it past the GIL; the process backend ships each batch to a worker
 process instead.  The split of responsibilities keeps the cache layer
 correct without any cross-process locking:
 
-* **Children** hold the pickled parser and run only its ``parse_batch``
-  over a list of documents, under a fresh phase timer when the parent is
-  attributing phases; they return plain ``(results, decisions)`` tuples
-  plus that timer's table.
+* **Children** hold the pickled parser and run
+  :func:`~repro.pipeline.backends.base.parse_items` over a batch of items
+  — a child reads the documents its references name — under a fresh phase
+  timer when the parent is attributing phases; they return plain
+  ``(results, decisions)`` tuples plus that timer's table.
 * **The parent** keeps everything stateful: orchestration threads (one
   per process-pool slot, inherited from :class:`ThreadBackend`) drive the
   bounded in-flight window, merge each child's phase table into the
@@ -28,10 +29,16 @@ import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.obs import profiling as _profiling
-from repro.pipeline.backends.base import BackendError, BackendSpec, register_backend
+from repro.pipeline.backends.base import (
+    BackendError,
+    BackendSpec,
+    parse_items,
+    register_backend,
+)
 from repro.pipeline.backends.thread import ThreadBackend
 
 if TYPE_CHECKING:
@@ -58,8 +65,8 @@ def _parse_in_child(token: str, parser: "Parser | None", batch: list, capture: b
     if parser is None:
         parser = _PARSER_REGISTRY[token]
     if capture:
-        return _profiling.PhaseCapture(parser.parse_batch)(batch)
-    return parser.parse_batch(batch), None
+        return _profiling.PhaseCapture(partial(parse_items, parser))(batch)
+    return parse_items(parser, batch), None
 
 
 def _warmup() -> bool:

@@ -9,13 +9,17 @@ facade: a frozen :class:`~repro.pipeline.request.ParseRequest` goes in, a
   engine on demand for ``adaparse_ft``/``adaparse_llm``),
 * applies per-request α/batch-size overrides without mutating shared
   engines,
-* streams documents through the parser in α-budgeted batches with a
-  bounded in-flight window (``iter_parse`` keeps memory O(batch)),
+* streams *items* — documents, or the
+  :class:`~repro.documents.sources.DocumentRef` values a reference-able
+  source lists without reading anything — through the parser in α-budgeted
+  batches with a bounded in-flight window (``iter_parse`` keeps memory
+  O(batch)); a reference is read where its batch is parsed (the backend's
+  execution site), so the run itself only ever holds names,
 * dispatches batches through a pluggable
   :class:`~repro.pipeline.backends.ExecutionBackend` — serial, thread
-  pool, process pool, or the simulated-HPC adapter — while preserving
-  document order, which is safe because routing telemetry is a return
-  value and engines hold no mutable routing state, and
+  pool, process pool, the simulated-HPC adapter, or a worker cluster —
+  while preserving document order, which is safe because routing telemetry
+  is a return value and engines hold no mutable routing state, and
 * consults the content-addressed :class:`repro.cache.ParseCache` when the
   request carries a cache policy: hits are replayed, misses are parsed
   once (single-flighted across workers) and optionally stored, and the
@@ -23,10 +27,9 @@ facade: a frozen :class:`~repro.pipeline.request.ParseRequest` goes in, a
   The cache layer always runs in the parent process (it wraps the
   backend's :meth:`~repro.pipeline.backends.ExecutionBackend.site`, which
   is what crosses the execution boundary), so policies behave identically
-  on every backend.  A cached request over a reference-able source is
-  chunked as :class:`~repro.documents.sources.DocumentRef` values, which the
-  cache layer keys through its reference index: a document is read only
-  when its parse is not already cached.
+  on every backend.  It keys references through its reference index: only
+  a reference it has never seen is read in the parent (to be hashed); a
+  hit is not read at all and a known miss is read at the site.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from repro.cache import (
 )
 from repro.cache.cache import BatchWorker
 from repro.core.engine import AdaParseEngine, RoutingDecision, build_default_engine
-from repro.documents.document import SciDocument
-from repro.documents.sources import DocumentRef, DocumentSource
+from repro.documents.sources import Item
 from repro.obs import metrics as _metrics
 from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
@@ -81,7 +83,7 @@ def _traced_batch_worker(worker: BatchWorker, backend_name: str) -> BatchWorker:
     if _tracing.current_trace() is None or not _tracing.enabled():
         return worker
 
-    def traced(batch: list[SciDocument]) -> BatchOutput:
+    def traced(batch: list[Item]) -> BatchOutput:
         attributes = {"backend": backend_name, "n_documents": len(batch)}
         with _tracing.span("backend.batch", attributes=attributes):
             return worker(batch)
@@ -97,27 +99,11 @@ def _parse_phased_worker(site: BatchWorker) -> BatchWorker:
     transfer, queueing — on every backend.
     """
 
-    def phased(batch: list[SciDocument]) -> BatchOutput:
+    def phased(batch: list[Item]) -> BatchOutput:
         with _profiling.phase("parse"):
             return site(batch)
 
     return phased
-
-
-def _require_doc_type(
-    parser: Parser, document: "SciDocument | DocumentRef"
-) -> "SciDocument | DocumentRef":
-    """``document``, or a ``ValueError`` when the parser cannot take its type."""
-    if not parser.supports_doc_type(document.doc_type):
-        supported = sorted(parser.supported_doc_types)
-        name = document.locator if isinstance(document, DocumentRef) else document.doc_id
-        raise ValueError(
-            f"parser {parser.name!r} does not support document type "
-            f"{document.doc_type!r} (document {name!r}); "
-            f"supported types: {supported}. Pick an extraction parser "
-            f"or an AdaParse engine for this source"
-        )
-    return document
 
 
 class ParsePipeline:
@@ -196,8 +182,8 @@ class ParsePipeline:
 
     @staticmethod
     def check_doc_type_eligibility(
-        parser: Parser, documents: "Iterable[SciDocument | DocumentRef]"
-    ) -> "Iterator[SciDocument | DocumentRef]":
+        parser: Parser, documents: Iterable[Item]
+    ) -> Iterator[Item]:
         """Stream ``documents``, failing fast on a type the parser can't take.
 
         Engines route around ineligible formats internally (their default
@@ -208,11 +194,11 @@ class ParsePipeline:
         type its source declares.
         """
         for document in documents:
-            yield _require_doc_type(parser, document)
+            yield parser.require_doc_type(document)
 
     def _timed_type_check(
-        self, resolved: Parser, documents: Iterable[SciDocument]
-    ) -> Iterator[SciDocument]:
+        self, resolved: Parser, documents: Iterable[Item]
+    ) -> Iterator[Item]:
         """:meth:`check_doc_type_eligibility` with ``validate.type`` attribution.
 
         The check streams interleaved with batch dispatch, so per-item
@@ -248,17 +234,14 @@ class ParsePipeline:
         backend: ExecutionBackend,
         cache_policy: CachePolicy,
         cache_recorder: CacheStatsRecorder | None,
-        source: DocumentSource | None = None,
     ) -> BatchWorker:
         """Compose the per-batch worker: cache ∘ ``parse`` phase ∘ backend site.
 
         The backend is handed the parser and returns the callable that
-        parses a batch at its execution site; the cache wrapper goes around
-        it, so lookups, single-flight leases, and write-backs always run in
-        the parent process regardless of where parsing happens.  ``source``
-        is what a cached batch of references is read from — only the ones
-        the cache cannot answer, each re-checked on the type it really holds
-        (the stream guard saw the type the source declares).
+        parses a batch of items at its execution site — where references
+        are read; the cache wrapper goes around it, so lookups,
+        single-flight leases, and write-backs always run in the parent
+        process regardless of where parsing happens.
         """
         worker = _parse_phased_worker(backend.site(resolved))
         if cache_policy is CachePolicy.OFF:
@@ -269,37 +252,31 @@ class ParsePipeline:
             resolved.config_fingerprint(),
             worker,
             recorder=cache_recorder,
-            load=None
-            if source is None
-            else lambda ref: _require_doc_type(resolved, source.load(ref)),
         )
 
     def _execute_batches(
         self,
         resolved: Parser,
-        documents: Iterable[SciDocument],
+        documents: Iterable[Item],
         batch_size: int | None,
         backend: ExecutionBackend,
         cache_policy: CachePolicy = CachePolicy.OFF,
         cache_recorder: CacheStatsRecorder | None = None,
-        source: DocumentSource | None = None,
     ) -> Iterator[BatchOutput]:
-        """Run an already-resolved parser over batched documents on a backend."""
+        """Run an already-resolved parser over batched items on a backend."""
         if isinstance(resolved, AdaParseEngine):
             size = batch_size or resolved.config.batch_size
         else:
             size = batch_size or DEFAULT_BATCH_SIZE
         documents = self._timed_type_check(resolved, documents)
-        worker = self._batch_worker(
-            resolved, backend, cache_policy, cache_recorder, source
-        )
+        worker = self._batch_worker(resolved, backend, cache_policy, cache_recorder)
         worker = _traced_batch_worker(worker, backend.name)
         yield from backend.map_ordered(worker, chunked(documents, size))
 
     def parse_batches(
         self,
         parser: str | Parser,
-        documents: Iterable[SciDocument],
+        documents: Iterable[Item],
         batch_size: int | None = None,
         cache_policy: CachePolicy | str = CachePolicy.OFF,
         cache_recorder: CacheStatsRecorder | None = None,
@@ -308,10 +285,12 @@ class ParsePipeline:
     ) -> Iterator[BatchOutput]:
         """Stream ``(results, decisions)`` per batch on an execution backend.
 
-        Batches are routed independently (the α cap applies within each) and
-        yielded in document order; parallel backends keep a bounded window
-        of batches in flight.  ``backend`` is a registry name (``serial``,
-        ``thread``, ``process``, ``hpc``, or ``auto``) configured through
+        ``documents`` are items — documents, and references the execution
+        site reads, freely mixed.  Batches are routed independently (the α
+        cap applies within each) and yielded in document order; parallel
+        backends keep a bounded window of batches in flight.  ``backend``
+        is a registry name (``serial``, ``thread``, ``process``, ``hpc``,
+        ``remote``, or ``auto``) configured through
         ``backend_options`` (``{"n_jobs": N}`` makes ``auto`` pick the
         thread backend), or an :class:`~repro.pipeline.backends.
         ExecutionBackend` instance whose lifecycle the caller manages.
@@ -338,7 +317,7 @@ class ParsePipeline:
     def iter_parse(
         self,
         parser: str | Parser,
-        documents: Iterable[SciDocument],
+        documents: Iterable[Item],
         batch_size: int | None = None,
         cache_policy: CachePolicy | str = CachePolicy.OFF,
         cache_recorder: CacheStatsRecorder | None = None,
@@ -360,7 +339,7 @@ class ParsePipeline:
     def parse_with_telemetry(
         self,
         parser: str | Parser,
-        documents: Sequence[SciDocument],
+        documents: Sequence[Item],
         batch_size: int | None = None,
         cache_policy: CachePolicy | str = CachePolicy.OFF,
         cache_recorder: CacheStatsRecorder | None = None,
@@ -438,17 +417,11 @@ class ParsePipeline:
             try:
                 source = request.resolve_source()
                 with _profiling.phase("source.iter"):
-                    # References travel wherever something downstream can
-                    # turn them into documents: the cache wrapper (which
-                    # reads only what its reference index and entries
-                    # cannot answer) or a backend that reads sources where
-                    # it parses.
-                    refs = (
-                        source.refs()
-                        if cache_policy is not CachePolicy.OFF or backend.resolves_sources
-                        else None
-                    )
-                    documents: "list[SciDocument] | list[DocumentRef]" = list(
+                    # A source that can list its documents without reading
+                    # them is only listed here: each reference is read where
+                    # its batch is parsed (or not at all, on a cache hit).
+                    refs = source.refs()
+                    documents: list[Item] = list(
                         source.iter_documents() if refs is None else refs
                     )
                 started = perf_counter()
@@ -459,7 +432,6 @@ class ParsePipeline:
                     backend,
                     cache_policy=cache_policy,
                     cache_recorder=cache_recorder,
-                    source=source,
                 ):
                     results.extend(batch_results)
                     decisions.extend(batch_decisions)

@@ -431,7 +431,7 @@ def _submit_message(shard, with_payloads: bool) -> dict:
     from repro.documents.simpdf import document_to_dict
 
     docs = []
-    for document, content_hash in zip(shard.documents, shard.content_hashes):
+    for document, content_hash in zip(shard.items, shard.content_hashes):
         descriptor = {"doc_id": document.doc_id, "content_hash": content_hash}
         if with_payloads:
             descriptor["payload"] = document_to_dict(document)
@@ -840,6 +840,74 @@ class TestSharedCacheDir:
         ]
 
 
+class TestWorkerState:
+    """What a daemon keeps, and what of it survives the daemon."""
+
+    def test_document_store_is_bounded_and_an_evicted_document_is_asked_for_again(
+        self, registry, corpus_30, monkeypatch
+    ):
+        import repro.cluster.worker as worker_module
+
+        capacity = 8  # the real one is 4096: a constant, not an option
+        monkeypatch.setattr(worker_module, "DOC_STORE_CAPACITY", capacity)
+        documents = list(corpus_30)[: 3 * capacity]
+        request = request_for_documents("pymupdf", documents, batch_size=4)
+        frames = record_frames(monkeypatch)
+        workers = start_workers(1, pipeline=ParsePipeline(registry))
+        backend = create_backend("remote", {"workers": addresses_of(workers)})
+        try:
+            first = ParsePipeline(registry).execute(request, backend=backend)
+            assert first.n_succeeded == 3 * capacity
+            assert workers[0].describe()["doc_store_entries"] == capacity
+            assert not of_type(frames, "shard_need")
+            # The coordinator shipped every payload once and remembers that;
+            # the worker no longer holds the early ones and says so.
+            again = ParsePipeline(registry).execute(request, backend=backend)
+        finally:
+            backend.close()
+            workers[0].stop()
+        assert result_dicts(again) == result_dicts(first)
+        needed = [h for frame in of_type(frames, "shard_need") for h in frame["need"]]
+        assert 0 < len(needed) <= 3 * capacity and len(set(needed)) == len(needed)
+        assert workers[0].describe()["doc_store_entries"] == capacity
+        assert workers[0].counters["shards_failed"] == 0
+
+    def test_acknowledged_writing_shard_is_durable_before_the_worker_dies(
+        self, registry, corpus_30, tmp_path
+    ):
+        source = write_pool(tmp_path / "pool", list(corpus_30)[:5])
+        age_files(tmp_path / "pool")
+        workers = start_workers(
+            1, pipeline=ParsePipeline(registry), cache=ParseCache(tmp_path / "cache")
+        )
+        try:
+            report = run_remote(registry, workers, source=source)
+            assert report.n_succeeded == 5
+            assert report.phases["cache.flush"]["calls"] == 1  # one shard, flushed there
+        finally:
+            workers[0].kill()  # no drain, no goodbye, no shutdown flush
+        reopened = ParseCache(tmp_path / "cache")
+        assert reopened.describe()["entries"] == 5
+        assert len(reopened.refs) == 5
+        assert len((tmp_path / "cache" / "refs-v1.jsonl").read_bytes().splitlines()) == 5
+
+    def test_stop_flushes_what_a_reading_shard_learned(self, registry, corpus_30, tmp_path):
+        """An embedded daemon owes its cache directory what the CLI's
+        shutdown used to: index lines staged under a policy that writes no
+        entries reach disk when the daemon stops."""
+        source = write_pool(tmp_path / "pool", list(corpus_30)[:5])
+        age_files(tmp_path / "pool")
+        workers = start_workers(
+            1, pipeline=ParsePipeline(registry), cache=ParseCache(tmp_path / "cache")
+        )
+        try:
+            run_remote(registry, workers, source=source, backend_options={"worker_cache": "read"})
+            assert not (tmp_path / "cache" / "refs-v1.jsonl").exists()
+        finally:
+            workers[0].stop()
+        assert len(ParseCache(tmp_path / "cache").refs) == 5
+
+
 # ---------------------------------------------------------------------- #
 # The service and the CLI on top of the cluster
 # ---------------------------------------------------------------------- #
@@ -1133,15 +1201,18 @@ class TestByReference:
         """The daemon's host has no such directory: its first shard costs one
         ``shard_need`` → ``doc_data`` round trip, and from then on the link
         is sent documents — no probe, no second bounce."""
-        import repro.cluster.worker as worker_module
+        import repro.documents.sources as sources_module
 
         def not_mounted_here(spec):
             return create_source(
                 SourceSpec(spec.kind, {**spec.options, "path": str(tmp_path / "not-mounted")})
             )
 
-        monkeypatch.setattr(worker_module, "create_source", not_mounted_here)
+        # Where a worker reads (`load_items`); the coordinator's fallback
+        # read holds its own name for `create_source` and still sees the pool.
         source = write_pool(tmp_path / "pool", list(corpus_30)[:15])
+        serial = ParsePipeline(registry).run(ParseRequest(source=source, batch_size=5))
+        monkeypatch.setattr(sources_module, "create_source", not_mounted_here)
         frames = record_frames(monkeypatch)
         workers = start_workers(1, pipeline=ParsePipeline(registry))
         try:
@@ -1150,7 +1221,6 @@ class TestByReference:
             )
         finally:
             workers[0].stop()
-        serial = ParsePipeline(registry).run(ParseRequest(source=source, batch_size=5))
         assert result_dicts(report) == result_dicts(serial)
         first, *later = of_type(frames, "submit_shard")
         assert all("ref" in d and "payload" not in d for d in first["docs"])
@@ -1345,11 +1415,16 @@ class TestByReference:
         victim = workers[1]
         deadline = time.monotonic() + 20
         while time.monotonic() < deadline:
-            if victim.counters["docs_loaded"]:
+            # `docs_loaded` moves when a shard's reads are known to have
+            # succeeded; mid-shard is when the local backend has dispatched.
+            if victim.describe()["backend"]["batches_dispatched"]:
                 break
             time.sleep(0.005)
         else:
-            pytest.fail("the victim worker never loaded a referenced document")
+            pytest.fail("the victim worker never started a by-reference shard")
+        # A shard takes 90 ms: let the first window's sends (≈1 ms) all land,
+        # as they had by the time the old signal — a document loaded — fired.
+        time.sleep(0.02)
         victim.kill()
         thread.join(timeout=60)
         assert not thread.is_alive(), "run hung after the worker was killed"

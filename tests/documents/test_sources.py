@@ -410,6 +410,58 @@ class TestDocumentRefs:
         with pytest.raises(StaleReference, match="configuration differs"):
             other.load(ref)
 
+    def test_synthetic_identity_is_computed_once_per_instance(self, monkeypatch):
+        """``load`` compares the stamp per document, and every synthetic
+        request goes through ``load``: the (frozen) configuration is hashed
+        and turned into a spec once, not once per document."""
+        import repro.documents.sources as sources_module
+
+        hashed = []
+        stable_hash_hex = sources_module.stable_hash_hex
+        monkeypatch.setattr(
+            sources_module,
+            "stable_hash_hex",
+            lambda *parts: hashed.append(parts[0]) or stable_hash_hex(*parts),
+        )
+        config = CorpusConfig(n_documents=4, seed=1, min_pages=1, max_pages=1)
+        source = SyntheticSource(config)
+        refs = list(source.refs())
+        assert [source.load(ref).doc_id for ref in refs] == [
+            d.doc_id for d in source.iter_documents()
+        ]
+        assert hashed.count("source-synthetic") == 1
+        assert source.spec() is source.spec() == SyntheticSource(config).spec()
+        assert source.fingerprint() == SyntheticSource(config).fingerprint() == refs[0].stamp
+
+    def test_load_items_reads_each_reference_and_reports_the_stale_ones_together(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.documents.sources as sources_module
+        from repro.documents.sources import BadReference, StaleReferences, load_items
+
+        documents = list(SyntheticSource(CorpusConfig(n_documents=4, seed=9)).iter_documents())
+        writer = SimPdfWriter(tmp_path)
+        for document in documents:
+            writer.write(document)
+        refs = list(SimPdfDirSource(tmp_path).refs())
+        built = []
+        create = sources_module.create_source
+        monkeypatch.setattr(
+            sources_module, "create_source", lambda spec: built.append(spec) or create(spec)
+        )
+        # Documents pass through, references are read: one source per spec per call.
+        assert load_items([documents[0], refs[1], documents[2], refs[3]]) == documents
+        assert len(built) == 1
+        assert load_items(documents) == documents and len(built) == 1
+        (tmp_path / refs[1].locator).unlink()
+        (tmp_path / refs[3].locator).write_bytes(serialize_document(documents[0]))
+        with pytest.raises(StaleReferences) as caught:
+            load_items(refs)
+        assert caught.value.refs == [refs[1], refs[3]]
+        assert refs[1].locator in str(caught.value) and refs[3].locator in str(caught.value)
+        with pytest.raises(BadReference, match="does not name a file under"):
+            load_items([dataclasses.replace(refs[0], locator="../escape.simpdf")])
+
     def test_ref_json_is_strict_about_what_it_needs(self):
         ref = next(HtmlDirSource(FIXTURES / "html").refs())
         payload = ref.to_json_dict()

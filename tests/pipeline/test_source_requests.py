@@ -343,13 +343,11 @@ class TestFormatAwareRouting:
 
 
 # ---------------------------------------------------------------------- #
-# References instead of documents, for backends that read sources themselves
+# References instead of documents: a source is read where it is parsed
 # ---------------------------------------------------------------------- #
 class ReadsItsOwnSources(SerialBackend):
-    """The contract's other side without a cluster: a backend that declares
-    it resolves sources, loads what it is handed and records what that was."""
-
-    resolves_sources = True
+    """The contract's other side without a cluster: a backend with a site of
+    its own, which loads what it is handed and records what that was."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -384,7 +382,7 @@ class TestReferenceExecution:
             f"markdown-dir:{FIXTURES / 'markdown'}",
         ],
     )
-    def test_a_source_resolving_backend_is_handed_references(self, registry, source):
+    def test_a_backend_is_handed_references(self, registry, source):
         backend = ReadsItsOwnSources()
         report = self._execute(registry, backend, source=source)
         expected = list(ParseRequest(source=source).resolve_source().refs())
@@ -416,15 +414,22 @@ class TestReferenceExecution:
         handed = [item for batch in backend.batches for item in batch]
         assert handed and not any(isinstance(item, DocumentRef) for item in handed), why
 
-    def test_other_backends_never_see_a_reference(self, registry):
+    def test_a_backend_overriding_site_receives_the_references(self, registry):
+        """No backend is special: whoever overrides ``site`` gets the items
+        the pipeline cut — references — and ``parse_items`` is all it needs
+        to honour them."""
+        from repro.pipeline.backends.base import parse_items
+
         seen = []
 
         class Watching(SerialBackend):
             def site(self, parser):
-                return lambda batch: (seen.extend(batch), parser.parse_batch(batch))[1]
+                return lambda batch: (seen.extend(batch), parse_items(parser, batch))[1]
 
-        self._execute(registry, Watching(), source="synthetic:3?seed=3")
-        assert len(seen) == 3 and not any(isinstance(d, DocumentRef) for d in seen)
+        source = "synthetic:3?seed=3"
+        report = self._execute(registry, Watching(), source=source)
+        assert seen == list(ParseRequest(source=source).resolve_source().refs())
+        assert report.n_succeeded == 3
 
     def test_type_guard_reads_the_declared_type_of_a_reference(self, registry):
         backend = ReadsItsOwnSources()
