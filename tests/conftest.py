@@ -40,12 +40,38 @@ def sample_document() -> SciDocument:
 
 
 @pytest.fixture(scope="session")
-def default_ft_engine():
-    """``build_default_engine(variant="ft")``: the engine every on-demand
-    ``adaparse_ft`` run trains (~11 s, once per session)."""
+def _default_ft_training():
+    """``build_default_engine(variant="ft")`` and the dataset it labelled on
+    the way: one training run per session (~11 s), observed rather than
+    re-done — the labelling call is wrapped so its result can be pinned."""
+    from repro.core import training
     from repro.core.engine import build_default_engine
 
-    return build_default_engine(variant="ft")
+    build_quality_dataset = training.build_quality_dataset
+    labelled = []
+
+    def labelling(*args, **kwargs):
+        labelled.append(build_quality_dataset(*args, **kwargs))
+        return labelled[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "build_quality_dataset", labelling)
+        engine = build_default_engine(variant="ft")
+    (dataset,) = labelled
+    return engine, dataset
+
+
+@pytest.fixture(scope="session")
+def default_ft_engine(_default_ft_training):
+    """``build_default_engine(variant="ft")``: the engine every on-demand
+    ``adaparse_ft`` run trains."""
+    return _default_ft_training[0]
+
+
+@pytest.fixture(scope="session")
+def default_ft_dataset(_default_ft_training):
+    """The labelled 80-document corpus ``default_ft_engine`` was trained on."""
+    return _default_ft_training[1]
 
 
 @pytest.fixture()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,17 @@ class TestDefaultEngineFingerprints:
         predictor = default_ft_engine.selector.predictor
         assert predictor.weights_fingerprint() == "2df019a3435dc2ac065e4fd618c33ced"
         assert default_ft_engine.config_fingerprint() == "2c8b41446a60da3988515b84c2170089"
+
+    def test_training_targets_are_unchanged(self, default_ft_dataset):
+        """The per-parser BLEU labels of the default 80-document training
+        corpus, bit for bit: what the weights above were fitted to, so a
+        change to labelling (parsers, BLEU, the corpus) shows here first and
+        a change to training alone shows only above."""
+        targets = default_ft_dataset.targets
+        assert targets.shape == (80, 6) and targets.dtype == np.float64
+        assert hashlib.sha256(targets.tobytes()).hexdigest() == (
+            "eec9514f403b6ec7102d46e5fc4301b397f7beeecd696d9e3c91cc61d69ee680"
+        )
 
 
 class TestTrainerLLM:
