@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.metrics.tokenize import clipped_ngram_matches, word_tokenize
+from repro.metrics.tokenize import clipped_matches, ngrams, word_tokenize
 
 
 @dataclass(frozen=True)
@@ -76,22 +76,40 @@ def _score_from_counts(
     return float(brevity_penalty * geometric_mean)
 
 
+class BleuReference:
+    """A reference text, tokenised and counted once, to score candidates against.
+
+    Labelling scores every parser's output against the same ground truth;
+    the reference's n-gram multisets are the half of that work that does not
+    depend on the candidate.
+    """
+
+    def __init__(self, reference: str, max_n: int = 4) -> None:
+        tokens = word_tokenize(reference)
+        self.length = len(tokens)
+        self.counts = [ngrams(tokens, n) for n in range(1, max_n + 1)]
+
+    def statistics(self, candidate: str) -> BleuStatistics:
+        """Per-segment BLEU sufficient statistics of ``candidate``."""
+        tokens = word_tokenize(candidate)
+        return BleuStatistics(
+            matches=tuple(
+                clipped_matches(ngrams(tokens, n), reference)
+                for n, reference in enumerate(self.counts, start=1)
+            ),
+            totals=tuple(max(0, len(tokens) - n + 1) for n in range(1, len(self.counts) + 1)),
+            candidate_length=len(tokens),
+            reference_length=self.length,
+        )
+
+    def score(self, candidate: str, smooth: bool = True) -> float:
+        """BLEU of ``candidate`` against this reference, in ``[0, 1]``."""
+        return self.statistics(candidate).score(smooth=smooth)
+
+
 def bleu_statistics(candidate: str, reference: str, max_n: int = 4) -> BleuStatistics:
     """Per-segment BLEU sufficient statistics."""
-    cand_tokens = word_tokenize(candidate)
-    ref_tokens = word_tokenize(reference)
-    matches: list[int] = []
-    totals: list[int] = []
-    for n in range(1, max_n + 1):
-        m, t = clipped_ngram_matches(cand_tokens, ref_tokens, n)
-        matches.append(m)
-        totals.append(t)
-    return BleuStatistics(
-        matches=tuple(matches),
-        totals=tuple(totals),
-        candidate_length=len(cand_tokens),
-        reference_length=len(ref_tokens),
-    )
+    return BleuReference(reference, max_n=max_n).statistics(candidate)
 
 
 def bleu_score(candidate: str, reference: str, max_n: int = 4, smooth: bool = True) -> float:

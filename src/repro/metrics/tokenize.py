@@ -37,18 +37,12 @@ def ngrams(tokens: Sequence[str], n: int) -> Counter:
     """Multiset of n-grams of a token sequence."""
     if n <= 0:
         raise ValueError("n must be positive")
-    if len(tokens) < n:
-        return Counter()
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def clipped_ngram_matches(candidate: Sequence[str], reference: Sequence[str], n: int) -> tuple[int, int]:
-    """Clipped n-gram matches and total candidate n-grams (BLEU's core count)."""
-    cand = ngrams(candidate, n)
-    ref = ngrams(reference, n)
-    matches = sum(min(count, ref[gram]) for gram, count in cand.items())
-    total = max(0, len(candidate) - n + 1)
-    return matches, total
+def clipped_matches(candidate: Counter, reference: Counter) -> int:
+    """Candidate n-grams found in the reference, each at most as often as it has them."""
+    return sum(min(count, reference[gram]) for gram, count in candidate.items())
 
 
 def character_tokens(text: str, lowercase: bool = False) -> str:

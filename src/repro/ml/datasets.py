@@ -17,7 +17,7 @@ import numpy as np
 from repro.documents.corpus import Corpus
 from repro.documents.document import SciDocument
 from repro.documents.metadata import DocumentMetadata
-from repro.metrics.bleu import bleu_score
+from repro.metrics.bleu import BleuReference
 from repro.metrics.tokenize import word_tokenize
 from repro.parsers.base import ParseResult
 from repro.parsers.registry import ParserRegistry
@@ -85,6 +85,11 @@ def default_parser_first_page_text(
     return result.page_texts[0] if result.page_texts else ""
 
 
+def _label_text(pages: Sequence[str], label_pages: int | None) -> str:
+    """The first ``label_pages`` pages (``None`` = all) as one text to score."""
+    return "\n".join(pages[:label_pages])
+
+
 def document_parser_bleu(
     document: SciDocument,
     result: ParseResult,
@@ -96,12 +101,8 @@ def document_parser_bleu(
     paper's stage-1 regression targets (page-wise accuracy) are built; ``None``
     scores the whole document.
     """
-    gt_pages = document.ground_truth_pages()
-    parsed_pages = result.page_texts
-    if label_pages is not None:
-        gt_pages = gt_pages[:label_pages]
-        parsed_pages = parsed_pages[:label_pages]
-    return bleu_score("\n".join(parsed_pages), "\n".join(gt_pages))
+    reference = BleuReference(_label_text(document.ground_truth_pages(), label_pages))
+    return reference.score(_label_text(result.page_texts, label_pages))
 
 
 def build_quality_dataset(
@@ -131,9 +132,11 @@ def build_quality_dataset(
     for document in corpus:
         targets = np.zeros(len(parser_names), dtype=np.float64)
         default_text = ""
+        # One reference per document: every parser is scored against it.
+        reference = BleuReference(_label_text(document.ground_truth_pages(), label_pages))
         for j, name in enumerate(parser_names):
             result = registry.get(name).parse(document)
-            targets[j] = document_parser_bleu(document, result, label_pages=label_pages)
+            targets[j] = reference.score(_label_text(result.page_texts, label_pages))
             if name == default_parser:
                 default_text = result.page_texts[0] if result.page_texts else ""
         n_tokens = len(word_tokenize(document.ground_truth_text()))

@@ -17,7 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.ml.tokenizer import HashingTokenizer
-from repro.ml.trainer import AdamOptimizer, TrainingHistory, minibatch_indices
+from repro.ml.trainer import (
+    AdamOptimizer,
+    TrainingHistory,
+    minibatch_indices,
+    require_training_rows,
+)
 from repro.utils.hashing import stable_hash
 from repro.utils.rng import rng_from
 
@@ -44,6 +49,27 @@ class FastTextConfig:
     batch_size: int = 32
     l2: float = 1e-5
     seed: int = 17
+
+
+def _scatter_plan(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """How to add one row to ``table[i]`` once per occurrence of ``i`` in ``ids``.
+
+    Returns the distinct ids ordered by falling occurrence count, and for
+    k = 1, 2, ... the number of ids that occur at least k times.  Level k is
+    then the first ``level_sizes[k - 1]`` of the gathered rows
+    ``table[by_count]``; adding the row to each level in turn gives an id that
+    occurs c times c successive additions — the sequential accumulation of
+    ``ufunc.at`` (add, over ``ids``), bit for bit, at one gather, one scatter
+    and a slice addition per level instead of a dispatch per occurrence.  One
+    array and a few integers per text: see ``_recent_word_ids`` for why not a
+    list of arrays per text.
+    """
+    distinct, counts = np.unique(ids, return_counts=True)
+    by_count = distinct[np.argsort(-counts, kind="stable")]
+    ascending = np.sort(counts)
+    levels = np.arange(1, ascending[-1] + 1)
+    level_sizes = len(ascending) - np.searchsorted(ascending, levels, side="left")
+    return by_count, level_sizes.tolist()
 
 
 class FastTextModel:
@@ -179,6 +205,7 @@ class FastTextModel:
         """Train the embedding table and head on (text, target) pairs."""
         cfg = self.config
         targets = np.asarray(targets, dtype=np.float64)
+        require_training_rows(len(texts), targets)
         if self.task == "regression" and targets.ndim == 1:
             targets = targets[:, None]
         if self.task == "regression" and not np.any(self.head_bias):
@@ -186,12 +213,14 @@ class FastTextModel:
             # residuals rather than the global offset.
             self.head_bias = targets.mean(axis=0).astype(np.float64)
         cached_ids = [self.bucket_ids(t) for t in texts]
+        scatter_plans = [_scatter_plan(ids) for ids in cached_ids]
         optimizer = AdamOptimizer(learning_rate=cfg.learning_rate, weight_decay=cfg.l2)
         params = {
             "embeddings": self.embeddings,
             "head_weight": self.head_weight,
             "head_bias": self.head_bias,
         }
+        grad_emb = np.empty_like(self.embeddings)
         for epoch in range(cfg.n_epochs):
             epoch_loss = 0.0
             n_batches = 0
@@ -205,9 +234,14 @@ class FastTextModel:
                 grad_head_w = hidden.T @ grad_logits
                 grad_head_b = grad_logits.sum(axis=0)
                 grad_hidden = grad_logits @ self.head_weight.T
-                grad_emb = np.zeros_like(self.embeddings)
-                for row, ids in enumerate(ids_batch):
-                    np.add.at(grad_emb, ids, grad_hidden[row] / len(ids))
+                grad_emb.fill(0.0)
+                for row, i in enumerate(batch):
+                    by_count, level_sizes = scatter_plans[i]
+                    share = grad_hidden[row] / len(cached_ids[i])
+                    touched = grad_emb[by_count]
+                    for size in level_sizes:
+                        touched[:size] += share
+                    grad_emb[by_count] = touched
                 grads = {
                     "embeddings": grad_emb,
                     "head_weight": grad_head_w,

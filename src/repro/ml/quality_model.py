@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.fasttext import FastTextConfig, FastTextModel
-from repro.ml.trainer import AdamOptimizer, TrainingHistory, clip_gradients, minibatch_indices
+from repro.ml.trainer import (
+    AdamOptimizer,
+    TrainingHistory,
+    clip_gradients,
+    minibatch_indices,
+    require_training_rows,
+)
 from repro.ml.transformer import TransformerConfig, TransformerEncoder
 from repro.utils.rng import rng_from
 
@@ -159,6 +165,7 @@ class ParserQualityPredictor:
             raise ValueError(
                 f"targets must have shape [n, {len(self.parser_names)}], got {targets.shape}"
             )
+        require_training_rows(len(texts), targets)
         if self.backend == "fasttext":
             assert self.fasttext is not None
             self.history = self.fasttext.fit(texts, targets, validation=validation)

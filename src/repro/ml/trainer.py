@@ -19,9 +19,23 @@ from repro.utils.rng import rng_from
 ParamDict = dict[str, np.ndarray]
 
 
+#: Elements of a parameter that one pass of :meth:`AdamOptimizer.step` walks
+#: at a time (512 rows of a 64-wide table): a block of the parameter, its
+#: gradient, both moments and both scratch buffers stays in cache across the
+#: step's sixteen elementwise passes instead of streaming the whole table
+#: through memory sixteen times.
+_ADAM_BLOCK_ELEMENTS = 512 * 64
+
+
 @dataclass
 class AdamOptimizer:
-    """Adam optimiser over a named parameter dictionary."""
+    """Adam optimiser over a named parameter dictionary.
+
+    A step updates the parameter and both moment tables in place, block by
+    block through two block-sized scratch buffers per parameter shape, and
+    never writes to the caller's gradient arrays: after the first step (which
+    creates the moments) it allocates nothing the size of a parameter.
+    """
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -31,33 +45,70 @@ class AdamOptimizer:
     _m: ParamDict = field(default_factory=dict, init=False, repr=False)
     _v: ParamDict = field(default_factory=dict, init=False, repr=False)
     _t: int = field(default=0, init=False, repr=False)
+    _scratch: dict[tuple, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def step(self, params: ParamDict, grads: ParamDict) -> None:
         """Update ``params`` in place given ``grads`` (missing keys are skipped)."""
         self._t += 1
-        t = self._t
+        m_correction = 1.0 - self.beta1**self._t
+        v_correction = 1.0 - self.beta2**self._t
         for name, grad in grads.items():
             if name not in params:
                 continue
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * params[name]
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(grad)
-                v = np.zeros_like(grad)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * (grad * grad)
-            self._m[name] = m
-            self._v[name] = v
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            param = params[name]
+            if grad.shape != param.shape or grad.ndim == 0:
+                raise ValueError(
+                    f"gradient {name!r} has shape {grad.shape}, its parameter {param.shape}: "
+                    "both must be one array shape with a leading axis"
+                )
+            if name not in self._m:
+                self._m[name] = np.zeros_like(param)
+                self._v[name] = np.zeros_like(param)
+            row_elements = int(np.prod(param.shape[1:]))
+            rows = max(1, _ADAM_BLOCK_ELEMENTS // max(1, row_elements))
+            block_shape = (min(rows, len(param)), *param.shape[1:])
+            scratch = self._scratch.get((block_shape, param.dtype))
+            if scratch is None:
+                scratch = self._scratch[block_shape, param.dtype] = (
+                    np.empty(block_shape, param.dtype),
+                    np.empty(block_shape, param.dtype),
+                )
+            for start in range(0, len(param), rows):
+                block = slice(start, start + rows)
+                p, g = param[block], grad[block]
+                m, v = self._m[name][block], self._v[name][block]
+                a, b = scratch[0][: len(p)], scratch[1][: len(p)]
+                # Each line is one operation of the textbook update, on the
+                # same operands in the same order, so every element is
+                # rounded exactly as the allocating form rounds it.
+                if self.weight_decay > 0.0:
+                    np.multiply(p, self.weight_decay, out=a)
+                    g = np.add(g, a, out=a)
+                # m = beta1 * m + (1 - beta1) * g
+                np.multiply(m, self.beta1, out=m)
+                np.multiply(g, 1.0 - self.beta1, out=b)
+                np.add(m, b, out=m)
+                # v = beta2 * v + (1 - beta2) * (g * g)
+                np.multiply(v, self.beta2, out=v)
+                np.multiply(g, g, out=b)
+                np.multiply(b, 1.0 - self.beta2, out=b)
+                np.add(v, b, out=v)
+                # p -= learning_rate * m_hat / (sqrt(v_hat) + epsilon)
+                np.divide(m, m_correction, out=a)
+                np.multiply(a, self.learning_rate, out=a)
+                np.divide(v, v_correction, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, self.epsilon, out=b)
+                np.divide(a, b, out=a)
+                np.subtract(p, a, out=p)
 
     def reset(self) -> None:
         """Clear optimiser state (moments and step counter)."""
         self._m.clear()
         self._v.clear()
+        self._scratch.clear()
         self._t = 0
 
 
@@ -100,6 +151,14 @@ class TrainingHistory:
     @property
     def best_validation_loss(self) -> float | None:
         return min(self.validation_loss) if self.validation_loss else None
+
+
+def require_training_rows(n_examples: int, targets: np.ndarray) -> None:
+    """Refuse an empty training set, or one whose targets are not one row per example."""
+    if n_examples == 0:
+        raise ValueError("cannot fit on an empty training set")
+    if len(targets) != n_examples:
+        raise ValueError(f"{n_examples} texts but {len(targets)} target rows")
 
 
 def minibatch_indices(

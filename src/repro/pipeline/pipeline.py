@@ -169,9 +169,10 @@ class ParsePipeline:
         elif parser in self.registry:
             resolved = self.registry.get(parser)
         elif parser in ENGINE_VARIANTS:
-            resolved = build_default_engine(
-                variant=ENGINE_VARIANTS[parser], registry=self.registry
-            )
+            with _profiling.phase("engine.train"):
+                resolved = build_default_engine(
+                    variant=ENGINE_VARIANTS[parser], registry=self.registry
+                )
             self.engines[parser] = resolved
         else:
             known = sorted(set(self.registry.names) | set(self.engines) | set(ENGINE_VARIANTS))

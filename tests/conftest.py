@@ -42,7 +42,7 @@ def sample_document() -> SciDocument:
 @pytest.fixture(scope="session")
 def _default_ft_training():
     """``build_default_engine(variant="ft")`` and the dataset it labelled on
-    the way: one training run per session (~11 s), observed rather than
+    the way: one training run per session (~6 s), observed rather than
     re-done — the labelling call is wrapped so its result can be pinned."""
     from repro.core import training
     from repro.core.engine import build_default_engine

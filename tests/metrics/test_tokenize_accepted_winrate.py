@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.metrics.accepted_tokens import accepted_token_rate, accepted_tokens
 from repro.metrics.bundle import evaluate_parse
-from repro.metrics.tokenize import clipped_ngram_matches, ngrams, normalize_text, word_tokenize
+from repro.metrics.tokenize import clipped_matches, ngrams, normalize_text, word_tokenize
 from repro.metrics.winrate import (
     PairwiseOutcome,
     WinRateTally,
@@ -39,8 +39,7 @@ class TestTokenize:
             ngrams(["a"], 0)
 
     def test_clipping(self):
-        matches, total = clipped_ngram_matches(["a", "a", "a"], ["a"], 1)
-        assert matches == 1 and total == 3
+        assert clipped_matches(ngrams(["a", "a", "a"], 1), ngrams(["a"], 1)) == 1
 
 
 class TestAcceptedTokens:

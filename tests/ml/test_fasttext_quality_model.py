@@ -65,6 +65,23 @@ class TestFastTextModel:
         model = FastTextModel(FAST_CONFIG, n_outputs=2)
         assert model.predict([""]).shape == (1, 2)
 
+    def test_an_empty_training_set_is_refused(self):
+        # It used to set the bias to the mean of no rows: NaN, under a
+        # swallowed warning, and every later prediction NaN with it.
+        model = FastTextModel(FAST_CONFIG, n_outputs=2)
+        with pytest.raises(ValueError, match="empty"):
+            model.fit([], np.zeros((0, 2)))
+        assert not np.isnan(model.predict(["text"])).any()
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_texts_and_targets_of_different_lengths_are_refused(self, task):
+        # It used to start the bias from all five rows and train on two.
+        model = FastTextModel(FAST_CONFIG, n_outputs=2, task=task)
+        targets = np.zeros((5, 2)) if task == "regression" else np.zeros(5)
+        with pytest.raises(ValueError, match="2 texts but 5 target rows"):
+            model.fit(TEXTS[:2], targets)
+        assert not np.any(model.head_bias) and not model.history.train_loss
+
 
 class TestParserQualityPredictor:
     def test_fasttext_backend_end_to_end(self):
@@ -91,6 +108,17 @@ class TestParserQualityPredictor:
         predictor = ParserQualityPredictor(PARSERS, backend="fasttext", fasttext_config=FAST_CONFIG)
         with pytest.raises(ValueError):
             predictor.fit(TEXTS, np.zeros((len(TEXTS), 3)))
+
+    @pytest.mark.parametrize("backend", ["fasttext", "transformer"])
+    def test_target_rows_validated(self, backend):
+        predictor = ParserQualityPredictor(
+            PARSERS, backend=backend, fasttext_config=FAST_CONFIG, transformer_config=TINY_TRANSFORMER
+        )
+        with pytest.raises(ValueError, match="empty"):
+            predictor.fit([], np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="2 texts but 5 target rows"):
+            predictor.fit(TEXTS[:2], TARGETS[:5])
+        assert not predictor.history.train_loss
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):

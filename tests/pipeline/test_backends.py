@@ -808,6 +808,25 @@ class TestPhaseAttributionParity:
         assert spans["pipeline.run"]["parent_id"] == spans["service.ticket"]["span_id"]
         assert spans["backend.batch"]["parent_id"] == spans["pipeline.run"]["span_id"]
 
+    def test_on_demand_training_is_the_engine_train_phase(
+        self, registry, default_ft_engine, small_corpus, monkeypatch
+    ):
+        # The one report that waited for training says so; nobody else does.
+        trained = []
+
+        def train(variant, registry):
+            trained.append(variant)
+            return default_ft_engine
+
+        monkeypatch.setattr("repro.pipeline.pipeline.build_default_engine", train)
+        request = request_for_documents("adaparse_ft", list(small_corpus), batch_size=4)
+        fresh = ParsePipeline(registry)
+        first, second = fresh.run(request), fresh.run(request)
+        assert set(first.phases) - set(second.phases) == {"engine.train"}
+        assert first.phases["engine.train"]["calls"] == 1 and trained == ["ft"]
+        given = ParsePipeline(registry, engines={"adaparse_ft": default_ft_engine})
+        assert "engine.train" not in given.run(request).phases and trained == ["ft"]
+
     def test_phases_survive_json_round_trip(self, registry, engine, corpus_100):
         report = self._report(registry, engine, list(corpus_100), "serial", {})
         rebuilt = ParseReport.from_json_dict(report.to_json_dict())
