@@ -333,6 +333,7 @@ class ParseCache:
             "parsers": {},
             "ref_index_entries": len(self.refs),
             "ref_index_bytes": self.refs.bytes_on_disk(),
+            "ref_index_stale_bytes": self.refs.stale_bytes_on_disk(),
         }
         if self.disk is None:
             return description

@@ -14,11 +14,9 @@ deterministic function of
   and for AdaParse engines the α budget, batch size, and trained model
   weights (see :meth:`repro.parsers.base.Parser.config_fingerprint`).
 
-The content hash reuses the dataset-dedup hashing scheme
-(:func:`repro.datasets.dedup.content_fingerprint` over the normalised text,
-:func:`repro.utils.hashing.stable_hash` for the exact channels) rather than
-introducing a second one, so a document hashes consistently whether it is
-being deduplicated or cached.
+The content hash is one :func:`repro.utils.hashing.stable_hash_hex` over
+those fields, each channel hashed exactly (case, whitespace and all).  Which
+fields, in which order, is versioned by :data:`CONTENT_HASH_SCHEME`.
 """
 
 from __future__ import annotations
@@ -39,10 +37,9 @@ _MEMO_ATTR = "_repro_cache_content_hash"
 def document_content_hash(document: SciDocument) -> str:
     """Stable hex hash of everything a parse of ``document`` depends on.
 
-    Combines the dedup-normalised content fingerprint (so the cache and the
-    near-duplicate detector agree on what "same content" means) with the
-    exact per-page texts, layer qualities, image-layer degradations, and the
-    identity fields that seed the simulated parsers' noise channels.
+    Combines the exact per-page texts, layer qualities, image-layer
+    degradations, and the identity fields that seed the simulated parsers'
+    noise channels.
 
     The hash is memoised on the document instance; callers that mutate a
     document's layers in place (rather than using ``with_text_layer`` /
@@ -64,15 +61,12 @@ def document_content_hash(document: SciDocument) -> str:
 #: (:mod:`repro.cache.refindex`) stores content hashes under a file named
 #: after it, so bump it with any change to the fields below and the old index
 #: is orphaned instead of answering with hashes this function no longer makes.
-CONTENT_HASH_SCHEME = 1
+#: Scheme 2 dropped scheme 1's dedup fingerprint of the normalised text: it is
+#: a function of the page texts, which are hashed exactly below.
+CONTENT_HASH_SCHEME = 2
 
 
 def _compute_content_hash(document: SciDocument) -> str:
-    # Imported lazily: repro.datasets pulls in the assembly module (which
-    # builds on the pipeline, which builds on this cache); deferring the
-    # import keeps the module graph acyclic.
-    from repro.datasets.dedup import content_fingerprint
-
     text = document.text_layer
     image = document.image_layer
     return stable_hash_hex(
@@ -82,9 +76,6 @@ def _compute_content_hash(document: SciDocument) -> str:
         # Format family: routing eligibility (and thus engine output) depends
         # on it, so the same bytes under a different type must key apart.
         document.doc_type,
-        # Normalised fingerprint: ties the cache to the dedup hashing scheme.
-        content_fingerprint(text.text()),
-        # Exact channels: two texts that normalise alike still key apart.
         stable_hash(*text.page_texts),
         stable_hash(*(page.ground_truth_text() for page in document.pages)),
         text.quality.value,

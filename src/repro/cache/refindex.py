@@ -29,6 +29,7 @@ a dict and stages nothing.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
@@ -122,3 +123,18 @@ class ReferenceIndex:
             return 0 if self.path is None else self.path.stat().st_size
         except FileNotFoundError:
             return 0
+
+    def stale_bytes_on_disk(self) -> int:
+        """Bytes of the index files other hash schemes left beside this one.
+
+        They are never read (their hashes are not this scheme's); ``clear``
+        — ``cache purge`` of everything — removes them.
+        """
+        if self.path is None:
+            return 0
+        total = 0
+        for path in self.path.parent.glob(_INDEX_GLOB):
+            if path != self.path:
+                with contextlib.suppress(FileNotFoundError):
+                    total += path.stat().st_size
+        return total

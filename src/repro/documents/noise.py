@@ -10,11 +10,19 @@ pipelines introduce (Figure 1 of the paper).  They are used in two places:
   corruption, ...).
 
 All functions are pure given the supplied :class:`numpy.random.Generator`.
+
+The word-level channels draw one uniform per ``" "``-separated word (or per
+space) exactly as a split-and-join loop would, but cost their hits rather
+than their words: the word count is the space count plus one, a hit word's
+span comes from the space positions (:func:`_word_spans`), and the output is
+stitched from slices of the input around the words that changed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.utils.rng import replayed
 
 #: Common OCR confusion pairs (symmetrised at call time where appropriate).
 OCR_CONFUSIONS: dict[str, str] = {
@@ -51,9 +59,39 @@ LIGATURE_BREAKS: dict[str, str] = {
 }
 
 
-def _split_preserving(text: str) -> list[str]:
-    """Split into whitespace-delimited tokens (words), dropping empty tokens."""
-    return [w for w in text.split(" ") if w != ""]
+def _word_spans(text: str, words: list[int]) -> list[tuple[int, int]]:
+    """``(start, end)`` offsets of the listed words of ``text.split(" ")``.
+
+    Word ``k`` runs from just past the ``k``-th space to the next one (or the
+    ends of the text); offsets are code points, as ``str`` indexing counts.
+    """
+    if not words:
+        return []
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    spaces = (codes == 32).nonzero()[0]
+    if len(words) > 16:  # past a few words, one list beats indexing the array per word
+        spaces = spaces.tolist()
+    n_spaces = len(spaces)
+    return [
+        (int(spaces[k - 1]) + 1 if k else 0, int(spaces[k]) if k < n_spaces else len(text))
+        for k in words
+    ]
+
+
+def _hit_words(text: str, rate: float, rng: np.random.Generator) -> list[int]:
+    """One draw per word of ``text.split(" ")``; the indices of the words under ``rate``."""
+    return (rng.random(text.count(" ") + 1) < rate).nonzero()[0].tolist()
+
+
+def _stitch(text: str, edits: list[tuple[int, int, str]]) -> str:
+    """``text`` with each ``(start, end, replacement)`` slice replaced (in order, disjoint)."""
+    pieces: list[str] = []
+    cursor = 0
+    for start, end, replacement in edits:
+        pieces += (text[cursor:start], replacement)
+        cursor = end
+    pieces.append(text[cursor:])
+    return "".join(pieces)
 
 
 def inject_whitespace(text: str, rate: float, rng: np.random.Generator) -> str:
@@ -64,15 +102,12 @@ def inject_whitespace(text: str, rate: float, rng: np.random.Generator) -> str:
     """
     if rate <= 0 or not text:
         return text
-    words = text.split(" ")
-    mask = rng.random(len(words)) < rate
-    out: list[str] = []
-    for word, hit in zip(words, mask):
-        if hit and len(word) >= 4:
-            pos = int(rng.integers(1, len(word)))
-            word = word[:pos] + " " + word[pos:]
-        out.append(word)
-    return " ".join(out)
+    edits = []
+    for start, end in _word_spans(text, _hit_words(text, rate, rng)):
+        if end - start >= 4:
+            cut = start + int(rng.integers(1, end - start))
+            edits.append((cut, cut, " "))
+    return _stitch(text, edits)
 
 
 def substitute_words(
@@ -84,14 +119,21 @@ def substitute_words(
     """Replace words with unrelated vocabulary words (failure mode (b))."""
     if rate <= 0 or not text:
         return text
-    words = text.split(" ")
     vocab = vocabulary if vocabulary else ("data", "value", "figure", "item", "entry")
-    mask = rng.random(len(words)) < rate
-    if mask.any():
-        replacements = rng.choice(vocab, size=int(mask.sum()))
-        it = iter(replacements)
-        words = [str(next(it)) if hit and w else w for w, hit in zip(words, mask)]
-    return " ".join(words)
+    hits = _hit_words(text, rate, rng)
+    if not hits:
+        return text
+    # One replacement per hit is drawn; an empty word is hit but not replaced,
+    # and the next non-empty hit takes the replacement it did not use.
+    replacements = iter(rng.choice(vocab, size=len(hits)).tolist())
+    return _stitch(
+        text,
+        [
+            (start, end, next(replacements))
+            for start, end in _word_spans(text, hits)
+            if end > start
+        ],
+    )
 
 
 def scramble_characters(text: str, rate: float, rng: np.random.Generator) -> str:
@@ -102,16 +144,13 @@ def scramble_characters(text: str, rate: float, rng: np.random.Generator) -> str
     """
     if rate <= 0 or not text:
         return text
-    words = text.split(" ")
-    mask = rng.random(len(words)) < rate
-    out: list[str] = []
-    for word, hit in zip(words, mask):
-        if hit and len(word) > 3:
-            interior = list(word[1:-1])
+    edits = []
+    for start, end in _word_spans(text, _hit_words(text, rate, rng)):
+        if end - start > 3:
+            interior = list(text[start + 1 : end - 1])
             rng.shuffle(interior)
-            word = word[0] + "".join(interior) + word[-1]
-        out.append(word)
-    return " ".join(out)
+            edits.append((start + 1, end - 1, "".join(interior)))
+    return _stitch(text, edits)
 
 
 def substitute_characters(
@@ -127,18 +166,18 @@ def substitute_characters(
     if rate <= 0 or not text:
         return text
     table = confusions if confusions is not None else OCR_CONFUSIONS
-    chars = list(text)
-    mask = rng.random(len(chars)) < rate
-    for i in np.flatnonzero(mask):
-        c = chars[i]
+    edits = []
+    for i in (rng.random(len(text)) < rate).nonzero()[0].tolist():
+        c = text[i]
         if c in table:
-            chars[i] = table[c]
+            edits.append((i, i + 1, table[c]))
         elif c.isalpha():
             # Fall back to a nearby letter swap to keep the channel active on
-            # characters without a canonical confusion.
+            # characters without a canonical confusion.  A lowercase form can
+            # be two code points ('İ' -> 'i̇'); its first one is the letter.
             offset = 1 if rng.random() < 0.5 else -1
-            chars[i] = chr(max(97, min(122, ord(c.lower()) + offset)))
-    return "".join(chars)
+            edits.append((i, i + 1, chr(max(97, min(122, ord(c.lower()[0]) + offset)))))
+    return _stitch(text, edits)
 
 
 def corrupt_case(text: str, rate: float, rng: np.random.Generator) -> str:
@@ -147,7 +186,7 @@ def corrupt_case(text: str, rate: float, rng: np.random.Generator) -> str:
         return text
     chars = list(text)
     mask = rng.random(len(chars)) < rate
-    for i in np.flatnonzero(mask):
+    for i in np.flatnonzero(mask).tolist():
         c = chars[i]
         if c.isalpha():
             chars[i] = c.lower() if c.isupper() else c.upper()
@@ -158,44 +197,56 @@ def drop_words(text: str, rate: float, rng: np.random.Generator) -> str:
     """Silently drop words with probability ``rate``."""
     if rate <= 0 or not text:
         return text
-    words = text.split(" ")
-    keep = rng.random(len(words)) >= rate
-    kept = [w for w, k in zip(words, keep) if k]
-    if not kept and words:
-        kept = [words[0]]
-    return " ".join(kept)
+    n_words = text.count(" ") + 1
+    drops = (~(rng.random(n_words) >= rate)).nonzero()[0].tolist()
+    if len(drops) == n_words:
+        return text.partition(" ")[0]  # never empty the text: the first word stays
+    # A dropped word leaves with the space before it, or — while every word
+    # before it is dropped too (``word == j``) — with the space after it.
+    return _stitch(
+        text,
+        [
+            (start - 1, end, "") if word > j else (start, end + 1, "")
+            for j, (word, (start, end)) in enumerate(zip(drops, _word_spans(text, drops)))
+        ],
+    )
 
 
 def merge_words(text: str, rate: float, rng: np.random.Generator) -> str:
     """Delete inter-word spaces with probability ``rate`` (lost whitespace)."""
     if rate <= 0 or not text:
         return text
-    words = text.split(" ")
-    if len(words) < 2:
+    n_spaces = text.count(" ")
+    if n_spaces == 0:
         return text
-    out: list[str] = [words[0]]
-    merges = rng.random(len(words) - 1) < rate
-    for word, merge in zip(words[1:], merges):
-        if merge:
-            out[-1] = out[-1] + word
-        else:
-            out.append(word)
-    return " ".join(out)
+    hits = (rng.random(n_spaces) < rate).nonzero()[0].tolist()
+    # Space ``i`` is where word ``i`` ends.
+    return _stitch(text, [(end, end + 1, "") for _, end in _word_spans(text, hits)])
 
 
 def swap_adjacent_words(text: str, rate: float, rng: np.random.Generator) -> str:
     """Swap adjacent words with probability ``rate`` (reading-order errors)."""
     if rate <= 0 or not text:
         return text
-    words = text.split(" ")
-    i = 0
-    while i < len(words) - 1:
-        if rng.random() < rate:
-            words[i], words[i + 1] = words[i + 1], words[i]
-            i += 2
-        else:
-            i += 1
-    return " ".join(words)
+    last = text.count(" ")  # index of the last word
+    swapped: list[int] = []
+    with replayed(rng) as draws:
+        random = draws.random
+        i = 0
+        while i < last:
+            if random() < rate:
+                swapped += (i, i + 1)
+                i += 2
+            else:
+                i += 1
+    spans = _word_spans(text, swapped)
+    return _stitch(
+        text,
+        [
+            (start, next_end, text[next_start:next_end] + " " + text[start:end])
+            for (start, end), (next_start, next_end) in zip(spans[::2], spans[1::2])
+        ],
+    )
 
 
 def break_ligatures(text: str, rate: float, rng: np.random.Generator) -> str:

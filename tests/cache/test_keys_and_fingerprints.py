@@ -7,7 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cache.keys import CacheKey, document_content_hash, parse_cache_key
+from repro.cache.keys import (
+    CONTENT_HASH_SCHEME,
+    CacheKey,
+    document_content_hash,
+    parse_cache_key,
+)
 from repro.core.config import AdaParseConfig
 from repro.core.engine import AdaParseEngine
 from repro.documents.corpus import CorpusConfig, build_corpus
@@ -56,7 +61,7 @@ class TestContentHash:
 
     def test_exact_case_difference_changes_hash(self, corpus):
         # The dedup fingerprint folds case, but the cache must not: the
-        # exact channel hash keeps case-variant layers apart.
+        # page texts are hashed exactly, so case-variant layers key apart.
         doc = corpus.documents[0]
         upper = doc.with_text_layer(
             TextLayer(
@@ -69,7 +74,16 @@ class TestContentHash:
 
 
 class TestGoldenContentHashes:
-    """Pinned keys: a change here invalidates every on-disk cache and ledger."""
+    """Pinned keys: a change here invalidates every on-disk cache and ledger.
+
+    The hashes are those of :data:`CONTENT_HASH_SCHEME` 2 (scheme 1 also
+    hashed the dedup fingerprint of the normalised text, a function of the
+    page texts hashed exactly beside it).  They move only with a new scheme
+    number, which renames the reference index and so orphans the old one.
+    """
+
+    def test_the_pins_are_those_of_the_current_scheme(self):
+        assert CONTENT_HASH_SCHEME == 2
 
     def test_born_digital_and_scanned(self):
         documents = build_corpus(
@@ -78,14 +92,14 @@ class TestGoldenContentHashes:
         born_digital, scanned = documents[0], documents[6]
         assert not born_digital.image_layer.is_scanned
         assert scanned.image_layer.is_scanned
-        assert document_content_hash(born_digital) == "566623453de940473f499178f2aef0fe"
-        assert document_content_hash(scanned) == "1e3652fa41eb4f6c1cfb901176731789"
+        assert document_content_hash(born_digital) == "f2b6c0e62644f60caa8e512865b2f4c0"
+        assert document_content_hash(scanned) == "0d3edeb20ff3d799969e8046444509fb"
 
     def test_html_doc_type(self):
         fixtures = Path(__file__).resolve().parents[1] / "fixtures" / "ingest" / "html"
         document = next(iter(HtmlDirSource(fixtures).iter_documents()))
         assert (document.doc_id, document.doc_type) == ("alpha", "html")
-        assert document_content_hash(document) == "93848a992bd09000188939769f7a966f"
+        assert document_content_hash(document) == "9387d650641332dc27da465df59119b0"
 
 
 class TestCacheKey:

@@ -25,6 +25,7 @@ import repro.cache.keys as keys_module
 import repro.cache.refindex as refindex_module
 import repro.documents.sources as sources_module
 from repro.cache import ParseCache, document_content_hash
+from repro.cache.keys import CONTENT_HASH_SCHEME
 from repro.cache.refindex import ReferenceIndex
 from repro.documents.corpus import CorpusConfig, build_corpus
 from repro.documents.simpdf import SimPdfWriter
@@ -41,6 +42,8 @@ from repro.parsers.registry import ParserRegistry
 from repro.pipeline import ParsePipeline, ParseRequest, request_for_documents
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "ingest"
+#: The index file of the current content-hash scheme.
+INDEX = f"refs-v{CONTENT_HASH_SCHEME}.jsonl"
 POLICIES = ("off", "read", "write", "readwrite")
 
 #: Timing telemetry, and the request block (the two sides name their
@@ -264,7 +267,7 @@ class TestWarmRunCountGates:
         assert not list(cache_dir.glob("refs-*"))
         first = run(ParseCache(cache_dir), source)
         assert (first.cache.hits, first.cache.stores) == (8, 0)
-        assert [p.name for p in cache_dir.glob("refs-*")] == ["refs-v1.jsonl"]
+        assert [p.name for p in cache_dir.glob("refs-*")] == [INDEX]
         reads = counts["read"]
         assert run(ParseCache(cache_dir), source).cache.hits == 8
         assert counts["read"] == reads
@@ -392,7 +395,7 @@ class TestStaleness:
     def test_torn_index_tail_costs_the_torn_line_only(self, tmp_path, counts):
         source = write_pool(tmp_path / "pool")
         run(ParseCache(tmp_path / "cache"), source)
-        index = tmp_path / "cache" / "refs-v1.jsonl"
+        index = tmp_path / "cache" / INDEX
         whole = index.read_bytes()
         assert whole.count(b"\n") == 8
         index.write_bytes(whole[:-20])  # a kill mid-append
@@ -407,7 +410,7 @@ class TestStaleness:
     def test_deleted_index_costs_one_rehash(self, tmp_path, counts):
         source = write_pool(tmp_path / "pool")
         run(ParseCache(tmp_path / "cache"), source)
-        (tmp_path / "cache" / "refs-v1.jsonl").unlink()
+        (tmp_path / "cache" / INDEX).unlink()
         assert run(ParseCache(tmp_path / "cache"), source).cache.hits == 8
         assert counts["hash"] == 16
         assert run(ParseCache(tmp_path / "cache"), source).cache.hits == 8
@@ -418,16 +421,22 @@ class TestStaleness:
     ):
         source = write_pool(tmp_path / "pool")
         run(ParseCache(tmp_path / "cache"), source)
-        monkeypatch.setattr(refindex_module, "CONTENT_HASH_SCHEME", 2)
+        orphan = tmp_path / "cache" / INDEX
+        monkeypatch.setattr(refindex_module, "CONTENT_HASH_SCHEME", CONTENT_HASH_SCHEME + 1)
         cache = ParseCache(tmp_path / "cache")
         assert len(cache.refs) == 0
         assert run(cache, source).cache.hits == 8
         assert counts["hash"] == 16
-        names = sorted(p.name for p in (tmp_path / "cache").glob("refs-*"))
-        assert names == ["refs-v1.jsonl", "refs-v2.jsonl"]
-        # Dropping everything drops the orphan too.
+        names = {p.name for p in (tmp_path / "cache").glob("refs-*")}
+        assert names == {INDEX, f"refs-v{CONTENT_HASH_SCHEME + 1}.jsonl"}
+        # The orphan is reported as what a purge would reclaim ...
+        described = cache.describe()
+        assert described["ref_index_stale_bytes"] == orphan.stat().st_size > 0
+        assert described["ref_index_bytes"] == cache.refs.path.stat().st_size
+        # ... and dropping everything drops it too.
         cache.purge()
         assert not list((tmp_path / "cache").glob("refs-*"))
+        assert cache.describe()["ref_index_stale_bytes"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -557,9 +566,10 @@ class TestMaintenance:
         assert (cache.describe()["ref_index_entries"], cache.describe()["ref_index_bytes"]) == (0, 0)
         run(cache, source)
         described = ParseCache(tmp_path / "cache").describe()
-        index = tmp_path / "cache" / "refs-v1.jsonl"
+        index = tmp_path / "cache" / INDEX
         assert described["ref_index_entries"] == described["entries"] == 8
         assert described["ref_index_bytes"] == index.stat().st_size > 0
+        assert described["ref_index_stale_bytes"] == 0
         # The index file is not a shard.
         assert described["shards"] == len(list((tmp_path / "cache").glob("shard-*.jsonl")))
 
@@ -578,6 +588,7 @@ class TestMaintenance:
         run(cache, "synthetic:4?seed=2&min_pages=1&max_pages=1")
         described = cache.describe()
         assert (described["ref_index_entries"], described["ref_index_bytes"]) == (4, 0)
+        assert described["ref_index_stale_bytes"] == 0
         cache.purge()
         assert cache.describe()["ref_index_entries"] == 0
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.cache import ParseCache, document_content_hash, parse_cache_key
+from repro.cache.keys import CONTENT_HASH_SCHEME
 from repro.cluster.backend import RemoteBackend
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.protocol import PROTOCOL_VERSION, MessageChannel, WorkerSpec
@@ -889,7 +890,7 @@ class TestWorkerState:
         reopened = ParseCache(tmp_path / "cache")
         assert reopened.describe()["entries"] == 5
         assert len(reopened.refs) == 5
-        assert len((tmp_path / "cache" / "refs-v1.jsonl").read_bytes().splitlines()) == 5
+        assert len((tmp_path / "cache" / f"refs-v{CONTENT_HASH_SCHEME}.jsonl").read_bytes().splitlines()) == 5
 
     def test_stop_flushes_what_a_reading_shard_learned(self, registry, corpus_30, tmp_path):
         """An embedded daemon owes its cache directory what the CLI's
@@ -902,7 +903,7 @@ class TestWorkerState:
         )
         try:
             run_remote(registry, workers, source=source, backend_options={"worker_cache": "read"})
-            assert not (tmp_path / "cache" / "refs-v1.jsonl").exists()
+            assert not (tmp_path / "cache" / f"refs-v{CONTENT_HASH_SCHEME}.jsonl").exists()
         finally:
             workers[0].stop()
         assert len(ParseCache(tmp_path / "cache").refs) == 5
