@@ -176,7 +176,9 @@ CHANNELS = {
 _ANY_CHAR = st.characters(blacklist_categories=())
 #: Characters that have broken text code before: two-code-point case maps,
 #: ligatures, an astral letter, both surrogate halves, OCR confusion sources.
-_TRICKY = st.sampled_from(["İ", "ß", "ŉ", "ﬁ", "𝔸", "𝟘", "\ud800", "\udfff", "m", "w", "l", "Ä"])
+_TRICKY = st.sampled_from(
+    ["İ", "ß", "ŉ", "ﬁ", "𝔸", "𝟘", "\ud800", "\udfff", "m", "w", "l", "Ä"]
+)
 _WORD = st.text(st.one_of(_ANY_CHAR, _TRICKY), max_size=9)
 #: Spaces are the word separator, so they get their own weight: runs, edges, ``""`` words.
 _SPACED = st.lists(st.one_of(_WORD, st.just(""), st.just(" ")), max_size=40).map(" ".join)
@@ -273,7 +275,8 @@ def test_pypdf_parses_a_turkish_html_document():
     """pypdf accepts HTML; a Turkish page used to make its parse fail."""
     paragraph = " ".join(["İstanbul ile İzmir arasında İlk İş İyi İnce bir yol."] * 40)
     blocks, title = html_to_blocks(
-        f"<html><head><title>İller</title></head><body><h1>İller</h1><p>{paragraph}</p></body></html>"
+        "<html><head><title>İller</title></head>"
+        f"<body><h1>İller</h1><p>{paragraph}</p></body></html>"
     )
     document = record_to_document(
         WebTextRecord(doc_id="iller", doc_type=DocumentType.HTML, blocks=tuple(blocks), title=title)
