@@ -237,10 +237,10 @@ class ParseCache:
 
     def key_items(
         self,
-        items: "Sequence[Item | None]",
+        items: "Sequence[Item]",
         config_fingerprint: str,
         hashes: "Sequence[str | None] | None" = None,
-    ) -> "tuple[list[str], list[Item | None]]":
+    ) -> "tuple[list[str], list[Item]]":
         """Cache keys of one batch of items, reading as few documents as possible.
 
         Slot by slot: a document is hashed; a reference the index knows is

@@ -1747,7 +1747,7 @@ def build_parser() -> argparse.ArgumentParser:
         worker,
         policy_default=None,
         dir_help="local parse-cache directory (a warm cache answers shards "
-        "without re-parsing or re-transfer); several workers may share "
+        "without re-parsing); several workers may share "
         "one directory — the disk store appends on flush, so "
         "concurrent writers are safe",
     )

@@ -14,21 +14,21 @@ Behind that contract it implements the distribution policy:
 * **Placement** — shards are placed by rendezvous hashing over the
   shard's per-slot hashes — a document's content hash, a reference's
   ``ref.key()`` — (:func:`~repro.cluster.protocol.rank_workers`), so
-  repeated runs over the same corpus land each shard on the same worker
-  — whose document store and parse cache are then warm.  ``placement="balanced"`` trades that affinity for load
-  balancing (least-backlogged worker, rendezvous rank as the tie-break).
+  repeated runs over the same corpus land each shard on the same worker,
+  whose parse cache is then warm.  ``placement="balanced"`` trades that
+  affinity for load balancing (least-backlogged worker, rendezvous rank as
+  the tie-break).
 * **Windowing** — at most ``window`` shards are in flight per worker;
   excess placements wait in that worker's queue, so a slow worker
   backpressures its own shards without stalling the others.
-* **Transfer economy** — decided slot by slot.  A reference goes to a
-  worker that advertises ``source_refs`` as a reference: the worker
-  reads its own document and nothing is read, hashed or serialised here.
-  A worker that cannot resolve one answers ``shard_need``, is served that
-  document inline, and gets inline payloads from then on (for such a
-  link a reference is read here — the only place the coordinator reads).
-  Inline payloads ship at most once per worker and session; descriptors
-  for previously shipped (or worker-cached) content go hash-only, and
-  ``shard_need`` pulls any payloads the worker genuinely lacks.
+* **Transfer** — a slot crosses as what it is.  A reference goes as a
+  reference: the worker reads its own document and nothing is read, hashed
+  or serialised here.  A document goes with its payload.  A worker that
+  cannot load a reference answers ``shard_error`` with the code
+  ``unresolved_reference``; the shard goes back on that worker's queue,
+  neither failed nor reassigned, and from then on the link is sent
+  payloads (a reference is read here for it — the only place the
+  coordinator reads).
 * **Fault tolerance** — a worker is dead on socket EOF/reset or after
   ``heartbeat_timeout`` without a beacon.  Both detection paths converge
   on one reap-and-requeue code path (:meth:`ClusterCoordinator.
@@ -230,13 +230,9 @@ class _WorkerLink:
         self.last_seen = monotonic()
         self.in_flight: dict[str, _Shard] = {}
         self.queued: deque[_Shard] = deque()
-        #: Content hashes already shipped to (or confirmed held by) this
-        #: worker this session — their payloads are skipped on later sends.
-        self.sent_hashes: set[str] = set()
-        #: Whether by-reference shards go to this worker as references: it
-        #: advertised ``source_refs`` and has not yet answered one with
-        #: ``shard_need``.
-        self.takes_refs = False
+        #: Whether by-reference shards go to this worker as references:
+        #: until it answers one with ``unresolved_reference``.
+        self.takes_refs = True
         self.reader: threading.Thread | None = None
 
     @property
@@ -322,7 +318,6 @@ class ClusterCoordinator:
             "shards_replayed": 0,
             "duplicate_results_ignored": 0,
             "doc_payloads_sent": 0,
-            "doc_payloads_skipped": 0,
             "doc_refs_sent": 0,
             "remote_cache_hits": 0,
             "remote_cache_misses": 0,
@@ -361,9 +356,6 @@ class ClusterCoordinator:
                     "type": protocol.HELLO,
                     "protocol": protocol.PROTOCOL_VERSION,
                     "heartbeat_interval": self.heartbeat_interval,
-                    # Capability flag, not a version bump: v1 workers
-                    # ignore it and keep working as fixed-list members.
-                    "capabilities": {"membership": True},
                 },
                 protocol.PROTOCOL_VERSION,
             )
@@ -374,7 +366,6 @@ class ClusterCoordinator:
         link.worker_id = str(ack.get("worker_id", address))
         link.capabilities = dict(ack.get("capabilities", {}))
         link.tags = tags_from_capabilities(link.capabilities)
-        link.takes_refs = bool(link.capabilities.get("source_refs"))
         with self._lock:
             if any(peer.worker_id == link.worker_id for peer in self._links):
                 channel.close()
@@ -639,20 +630,12 @@ class ClusterCoordinator:
         A reference goes to a link that takes references as a
         ``{"content_hash": ref.key(), "ref": {...}}`` descriptor; for any
         other link it is read here first — the slot holds the document
-        from then on — and sent like an inline document.
-
-        Inline hashes already shipped this session always go hash-only.
-        For the rest the worker's capabilities decide: a worker *with* a
-        local cache gets hash-only descriptors (it may hold the parse from
-        an earlier run and then needs nothing at all; ``shard_need`` pulls
-        any payloads it genuinely lacks), while a cache-less worker gets
-        payloads inline, saving the guaranteed round trip.
+        from then on.  A document goes as ``{doc_id, content_hash,
+        payload}``.
         """
         for link, shard in sends:
-            hash_first = bool(link.capabilities.get("cache"))
             descriptors: list[dict[str, Any]] = []
-            shipped: list[str] = []
-            skipped = refs_sent = 0
+            refs_sent = 0
             try:
                 for slot, item in enumerate(shard.items):
                     if isinstance(item, DocumentRef):
@@ -667,17 +650,13 @@ class ClusterCoordinator:
                             continue
                         item = shard.items[slot] = _read_here(item)
                         shard.content_hashes[slot] = document_content_hash(item)
-                    content_hash = shard.content_hashes[slot]
-                    descriptor: dict[str, Any] = {
-                        "doc_id": item.doc_id,
-                        "content_hash": content_hash,
-                    }
-                    if content_hash in link.sent_hashes or hash_first:
-                        skipped += 1
-                    else:
-                        descriptor["payload"] = document_to_dict(item)
-                        shipped.append(content_hash)
-                    descriptors.append(descriptor)
+                    descriptors.append(
+                        {
+                            "doc_id": item.doc_id,
+                            "content_hash": shard.content_hashes[slot],
+                            "payload": document_to_dict(item),
+                        }
+                    )
             except Exception as exc:  # noqa: BLE001 - fails the shard, not this thread
                 self._fail_unsendable(link, shard, exc)
                 continue
@@ -703,9 +682,7 @@ class ClusterCoordinator:
                 continue
             with self._lock:
                 self.counters["doc_refs_sent"] += refs_sent
-                self.counters["doc_payloads_sent"] += len(shipped)
-                self.counters["doc_payloads_skipped"] += skipped
-                link.sent_hashes.update(shipped)
+                self.counters["doc_payloads_sent"] += len(descriptors) - refs_sent
 
     # ------------------------------------------------------------------ #
     # Reader / message handling
@@ -721,8 +698,6 @@ class ClusterCoordinator:
                 kind = message.get("type")
                 if kind == protocol.BATCH_RESULT:
                     self._on_batch_result(link, message)
-                elif kind == protocol.SHARD_NEED:
-                    self._on_shard_need(link, message)
                 elif kind == protocol.SHARD_ERROR:
                     self._on_shard_error(link, message)
                 elif kind == protocol.HEARTBEAT:
@@ -758,12 +733,6 @@ class ClusterCoordinator:
                     message.get("cache_misses", 0)
                 )
                 self.last_batch_seconds = float(message.get("elapsed_seconds", 0.0))
-                # Every inline document is now in the worker's store.
-                link.sent_hashes.update(
-                    content_hash
-                    for item, content_hash in zip(shard.items, shard.content_hashes)
-                    if not isinstance(item, DocumentRef)
-                )
                 sends = self._pump_locked()
         self._send_planned(sends)
         if shard is None:
@@ -827,63 +796,24 @@ class ClusterCoordinator:
                 )
         shard.future.set_result(output)
 
-    def _on_shard_need(self, link: _WorkerLink, message: Mapping[str, Any]) -> None:
-        shard_id = str(message.get("shard_id"))
-        needed = {str(item) for item in message.get("need", [])}
-        with self._lock:
-            shard = link.in_flight.get(shard_id)
-        if shard is None:
-            return  # re-placed meanwhile; the new worker owns it now
-        docs = []
-        inline: list[str] = []  # the needed hashes that name documents, not references
-        try:
-            for slot, content_hash in enumerate(shard.content_hashes):
-                if content_hash not in needed:
-                    continue
-                needed.discard(content_hash)
-                document = shard.items[slot]
-                if isinstance(document, DocumentRef):
-                    # The worker cannot resolve this reference (no such
-                    # directory on its host, or the file changed under it):
-                    # read it here, and stop sending this link references it
-                    # would bounce again.
-                    link.takes_refs = False
-                    document = _read_here(document)
-                else:
-                    inline.append(content_hash)
-                docs.append(
-                    {
-                        "doc_id": document.doc_id,
-                        "content_hash": content_hash,
-                        "payload": document_to_dict(document),
-                    }
-                )
-        except Exception as exc:  # noqa: BLE001 - fails the shard, not the reader
-            self._fail_unsendable(link, shard, exc)
-            return
-        try:
-            link.channel.send(
-                {"type": protocol.DOC_DATA, "shard_id": shard_id, "docs": docs}
-            )
-        except MessageTooLarge as exc:
-            self._fail_unsendable(link, shard, exc)
-            return
-        except (OSError, ProtocolError) as exc:
-            self._on_worker_death(link, f"send failed: {exc}")
-            return
-        with self._lock:
-            self.counters["doc_payloads_sent"] += len(docs)
-            self.counters["doc_refs_sent"] -= len(docs) - len(inline)
-            self.counters["doc_payloads_skipped"] -= len(inline)
-            link.sent_hashes.update(inline)
-
     def _on_shard_error(self, link: _WorkerLink, message: Mapping[str, Any]) -> None:
         shard_id = str(message.get("shard_id"))
         with self._lock:
-            shard = self._shards.pop(shard_id, None)
-            link.in_flight.pop(shard_id, None)
-            if shard is not None:
-                self.counters["shards_failed"] += 1
+            shard = link.in_flight.pop(shard_id, None)
+            if (
+                shard is not None
+                and message.get("code") == protocol.UNRESOLVED_REFERENCE
+                and any(isinstance(item, DocumentRef) for item in shard.items)
+            ):
+                # The worker cannot load what this link's references name:
+                # the link is sent payloads from now on, this shard first.
+                link.takes_refs = False
+                link.queued.appendleft(shard)
+                shard = None
+            else:
+                shard = self._shards.pop(shard_id, None)
+                if shard is not None:
+                    self.counters["shards_failed"] += 1
             sends = self._pump_locked()
         self._send_planned(sends)
         if shard is None:

@@ -9,39 +9,28 @@ Message types
 ``hello`` / ``hello_ack``
     The :mod:`repro.utils.rpc` handshake.  The coordinator's ``hello``
     adds its heartbeat interval; the worker's ack adds its identity,
-    parallel slot count, and whether it runs a local parse cache.
+    backend, parallel slot count, capability tags, and whether it runs a
+    local parse cache.
 ``submit_shard``
     One shard of work: a :class:`WorkerSpec` (parser name, α override,
     and the coordinator-side ``config_fingerprint()`` the worker must
-    reproduce) plus the documents as **content-hash-addressed
-    descriptors**.  Payloads are only attached for hashes the coordinator
-    has not shipped to this worker before; a cache- or store-warm worker
-    resolves the rest locally and skips the re-transfer entirely.  A
-    descriptor may instead carry a ``ref`` — a
-    :class:`~repro.documents.sources.DocumentRef` as JSON, its
-    ``content_hash`` being ``ref.key()`` — which the worker loads from its
-    own copy of the source; only workers whose ``hello_ack`` advertises
-    ``capabilities: {"source_refs": true}`` are sent one, so this needs no
-    version bump either.  An optional ``trace`` field carries the
-    submitting request's
-    :class:`~repro.obs.tracing.TraceContext` as JSON so worker-side spans
-    join the same distributed trace; workers that predate tracing ignore
-    it (and coordinators tolerate replies without ``spans``), which is
-    why this needs no protocol version bump.
-``shard_need``
-    The worker's response when descriptors arrived hash-only and it holds
-    neither the document nor a cached parse — or arrived as references it
-    cannot resolve (no such directory on its host, a changed stamp): the
-    list of content hashes it needs payloads for.
-``doc_data``
-    The coordinator's payload top-up answering ``shard_need``.
+    reproduce) plus one descriptor per slot, each what the slot is.  A
+    document crosses as ``{doc_id, content_hash, payload}``; a
+    :class:`~repro.documents.sources.DocumentRef` crosses as
+    ``{content_hash: ref.key(), ref}`` and the worker loads it from its own
+    copy of the source.  A worker that cannot load a reference (no such
+    directory on its host, a changed stamp) answers ``shard_error`` with the
+    code ``unresolved_reference``, and the coordinator re-sends that shard
+    with payloads.  An optional ``trace`` field carries the submitting
+    request's :class:`~repro.obs.tracing.TraceContext` as JSON so
+    worker-side spans join the same distributed trace.
 ``batch_result``
     One shard's ordered results and routing decisions, plus worker-side
     cache counters and timing.
 ``shard_error``
-    A shard failed on the worker (bad spec fingerprint, unknown parser,
-    worker-side crash); carries the error text and a machine-checkable
-    ``code``.
+    A shard did not run on the worker (bad spec fingerprint, unknown
+    parser, an unresolved reference, worker-side crash); carries the error
+    text and a machine-checkable ``code``.
 ``heartbeat``
     Worker liveness beacon, sent every ``heartbeat_interval`` seconds.
     The coordinator declares a silent worker dead after its timeout and
@@ -54,10 +43,7 @@ Message types
     sends ``join`` (identity, listen address, capability tags) to a
     coordinator's membership listener, which dials the worker back over
     the ordinary ``hello`` path and answers ``join_ack``; ``leave`` asks
-    the coordinator to drain one worker gracefully.  Membership support
-    is advertised as a ``capabilities: {"membership": true}`` flag in
-    ``hello``/``hello_ack`` — v1 peers ignore the unknown key and keep
-    working as a fixed-list cluster, so no version bump.
+    the coordinator to drain one worker gracefully.
 ``status`` / ``status_result``
     Membership-listener introspection: current workers, their states and
     tags, and the coordinator counters (``cluster status``).
@@ -90,29 +76,32 @@ from repro.utils.wire import (  # noqa: F401  (re-exports)
     encode_message,
 )
 
-#: Wire protocol version.  Bump on any incompatible message change; both
-#: sides refuse to talk across versions (the handshake checks it).
-PROTOCOL_VERSION = 1
+#: Wire protocol version.  Additions ride capability flags; removing a
+#: message kind bumps it, and both sides refuse to talk across versions (the
+#: handshake checks it).  Version 2 removed hash-only descriptors and the
+#: payload top-up round trip they needed.
+PROTOCOL_VERSION = 2
 
 
 # ---------------------------------------------------------------------- #
 # Message type names (hello / hello_ack / error / bye come from rpc)
 # ---------------------------------------------------------------------- #
 SUBMIT_SHARD = "submit_shard"
-SHARD_NEED = "shard_need"
-DOC_DATA = "doc_data"
 BATCH_RESULT = "batch_result"
 SHARD_ERROR = "shard_error"
 HEARTBEAT = "heartbeat"
 DRAIN = "drain"
-# Live-membership messages (repro.elastic); capability-flagged, so the
-# protocol version stays 1 — v1 peers never see or send these.
+# Live-membership messages (repro.elastic).
 JOIN = "join"
 JOIN_ACK = "join_ack"
 LEAVE = "leave"
 LEAVE_ACK = "leave_ack"
 STATUS = "status"
 STATUS_RESULT = "status_result"
+
+#: The ``shard_error`` code of a shard holding a reference its worker cannot
+#: load; the coordinator re-sends the shard with payloads.
+UNRESOLVED_REFERENCE = "unresolved_reference"
 
 
 # ---------------------------------------------------------------------- #
@@ -230,7 +219,7 @@ def shard_placement_key(content_hashes: Iterable[str]) -> str:
     Repeated runs over the same corpus chunk into the same batches, so the
     same key — and therefore, under rendezvous hashing against a stable
     worker set, the same worker — which is what keeps that worker's local
-    parse cache and document store warm across runs.
+    parse cache warm across runs.
     """
     from repro.utils.hashing import stable_hash_hex
 

@@ -9,16 +9,12 @@ A :class:`WorkerDaemon` listens on a TCP port and speaks the
    use), or engines pre-installed on the pipeline — and refuses the shard
    unless the locally built parser reproduces the coordinator's
    ``config_fingerprint()`` exactly;
-2. resolves the shard's descriptors to *items* as soon as they arrive: an
-   inline payload is decoded (and kept in a bounded session document
-   store), a hash-only descriptor is served from that store or — when the
-   local :class:`~repro.cache.ParseCache` already holds its parse — needs
-   no document at all, and a descriptor that carries a
+2. decodes the shard's descriptors to *items*: an inline payload becomes
+   its document, and a descriptor that carries a
    :class:`~repro.documents.sources.DocumentRef` becomes that reference.
-   The coordinator is asked (``shard_need``) only for hashes the worker
-   can serve neither way — a warm worker re-parses nothing and
-   re-transfers nothing — and for references that turn out not to resolve
-   here (no such directory, a changed stamp);
+   A shard holding a reference that does not load here (no such
+   directory, a changed stamp) is answered with a ``shard_error`` coded
+   ``unresolved_reference``, and the coordinator re-sends it with payloads;
 3. runs the items through :func:`repro.cache.run_cached_batch` — the loop
    the parent-side cache wrapper runs, keyed by the same
    :meth:`~repro.cache.ParseCache.key_items` — so the cache misses go as
@@ -49,14 +45,7 @@ from contextlib import ExitStack
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.cache import (
-    CacheKey,
-    CachePolicy,
-    CacheStatsRecorder,
-    LruTier,
-    ParseCache,
-    run_cached_batch,
-)
+from repro.cache import CachePolicy, CacheStatsRecorder, ParseCache, run_cached_batch
 from repro.cluster import protocol
 from repro.cluster.protocol import (
     MessageChannel,
@@ -64,7 +53,6 @@ from repro.cluster.protocol import (
     ProtocolError,
     WorkerSpec,
 )
-from repro.documents.document import SciDocument
 from repro.documents.simpdf import document_from_dict
 from repro.documents.sources import BadReference, DocumentRef, Item, StaleReferences
 from repro.obs import profiling as _profiling
@@ -83,10 +71,6 @@ WORKER_THREAD_PREFIX = "repro-cluster-worker"
 
 _LOG = get_logger("cluster.worker")
 
-#: Inline documents a daemon keeps for hash-only re-use (the ``ParseCache``
-#: memory tier's default); an evicted one is asked for again.
-DOC_STORE_CAPACITY = 4096
-
 
 class SpecError(RuntimeError):
     """A shard's worker spec could not be satisfied on this daemon."""
@@ -96,18 +80,10 @@ class SpecError(RuntimeError):
         self.code = code
 
 
-class UnresolvedReferences(Exception):
-    """Document references of a shard that this worker cannot load."""
-
-    def __init__(self, keys: list[str]) -> None:
-        super().__init__(f"{len(keys)} document reference(s) do not resolve here")
-        self.keys = keys
-
-
 class _ShardJob:
     """One shard queued for execution on the slot pool."""
 
-    __slots__ = ("shard_id", "spec", "descriptors", "items", "trace", "asked")
+    __slots__ = ("shard_id", "spec", "descriptors", "trace")
 
     def __init__(
         self,
@@ -119,13 +95,7 @@ class _ShardJob:
         self.shard_id = shard_id
         self.spec = spec
         self.descriptors = descriptors
-        #: The descriptors as resolved when the job was enqueued: the job,
-        #: not the session store, keeps its documents alive.
-        self.items: "list[Item | None]" = []
         self.trace = trace
-        #: Set once ``shard_need`` went out for references: the coordinator's
-        #: ``doc_data`` gets one chance to resolve them.
-        self.asked = False
 
 
 class WorkerDaemon(rpc.Server):
@@ -149,7 +119,7 @@ class WorkerDaemon(rpc.Server):
     cache:
         Optional local :class:`~repro.cache.ParseCache` (or a directory
         path for a persistent one).  A warm cache lets the worker answer
-        shards without ever receiving the documents.
+        shards without parsing their documents, or reading its references.
     slots:
         Shards executing concurrently (default: the local backend's
         worker count).
@@ -203,9 +173,6 @@ class WorkerDaemon(rpc.Server):
 
         self._backend = None
 
-        #: Session document store: content hash → document.  Shared across
-        #: connections so a reconnecting coordinator skips re-transfer too.
-        self._doc_store: LruTier[SciDocument] = LruTier(DOC_STORE_CAPACITY)
         #: Resolved specs: config fingerprint → (parser, its site on the
         #: local backend).
         self._resolved: "dict[str, tuple[Parser, BatchWorker]]" = {}
@@ -218,7 +185,6 @@ class WorkerDaemon(rpc.Server):
             "docs_parsed": 0,
             "docs_from_cache": 0,
             "docs_received": 0,
-            "docs_reused": 0,
             "docs_loaded": 0,
         }
         self._counters_lock = threading.Lock()
@@ -385,7 +351,7 @@ class WorkerDaemon(rpc.Server):
             self.counters[counter] += n
 
     def describe(self) -> dict[str, Any]:
-        """Inventory of this worker (counters, store sizes, backend stats)."""
+        """Inventory of this worker (counters, identity, backend stats)."""
         with self._counters_lock:
             description: dict[str, Any] = dict(self.counters)
         description.update(
@@ -394,7 +360,6 @@ class WorkerDaemon(rpc.Server):
                 "address": self.address if self._listener is not None else None,
                 "slots": self._slots,
                 "tags": dict(self.tags),
-                "doc_store_entries": len(self._doc_store),
                 "cache": self.cache is not None,
                 "backend": (
                     self._backend.stats().to_json_dict()
@@ -434,68 +399,35 @@ class WorkerDaemon(rpc.Server):
             self._resolved[spec.fingerprint] = resolved
             return resolved
 
-    def _store_documents(self, docs: list[dict[str, Any]]) -> None:
-        """Install payload-bearing descriptors into the session doc store."""
-        received = 0
-        for descriptor in docs:
-            payload = descriptor.get("payload")
-            if payload is None:
-                continue
-            content_hash = str(descriptor["content_hash"])
-            if content_hash not in self._doc_store:
-                self._doc_store.put(content_hash, document_from_dict(payload))
-                received += 1
-        self._bump("docs_received", received)
-
-    def resolve_items(
-        self, spec: WorkerSpec, descriptors: list[dict[str, Any]]
-    ) -> "tuple[list[Item | None], list[str]]":
-        """``(items, missing)`` of a shard's descriptors, as of now.
-
-        A descriptor's item is the stored document under its hash (shipped
-        inline, or topped up for a reference that did not resolve here),
-        else its reference, else ``None``.  ``None`` is fine when the local
-        cache holds the parse — a hit never needs the document; the hashes
-        this worker can serve neither way are ``missing``.
-        """
-        policy = CachePolicy.coerce(spec.cache)
-        items: "list[Item | None]" = []
-        missing: list[str] = []
-        for descriptor in descriptors:
-            content_hash = str(descriptor["content_hash"])
-            item = self._doc_store.get(content_hash)
-            if item is None and "ref" in descriptor:
-                try:
-                    item = DocumentRef.from_json_dict(descriptor["ref"])
-                except ValueError as exc:
-                    raise SpecError("bad_reference", str(exc)) from exc
-            if item is None and not (
-                self.cache is not None
-                and policy.reads
-                and self.cache.lookup(CacheKey(content_hash, spec.fingerprint))
-                is not None
-            ):
-                missing.append(content_hash)
-            items.append(item)
-        return items, missing
+    def _item(self, descriptor: Mapping[str, Any]) -> Item:
+        """What one descriptor carries: a document, or a reference."""
+        if "payload" in descriptor:
+            self._bump("docs_received")
+            return document_from_dict(descriptor["payload"])
+        if "ref" not in descriptor:
+            raise SpecError(
+                "bad_descriptor",
+                f"descriptor {descriptor.get('content_hash')!r} carries "
+                f"neither a payload nor a reference",
+            )
+        try:
+            return DocumentRef.from_json_dict(descriptor["ref"])
+        except ValueError as exc:
+            raise SpecError("bad_reference", str(exc)) from exc
 
     def run_shard(
-        self,
-        spec: WorkerSpec,
-        descriptors: list[dict[str, Any]],
-        items: "list[Item | None] | None" = None,
+        self, spec: WorkerSpec, descriptors: list[dict[str, Any]]
     ) -> tuple[list[ParseResult], list, int, int]:
-        """Execute one shard whose ``items`` are its resolved descriptors
-        (:meth:`resolve_items`; resolved now when omitted).
+        """Execute one shard of descriptors (each a document or a reference).
 
         Returns ``(results, decisions, cache_hits, cache_misses)`` with
         results in descriptor order.  With a local cache the shard runs
         through :func:`repro.cache.run_cached_batch` — the loop the
-        pipeline's own batches run through — so a hit never needs the
-        document and overlapping shards parse a shared document once (the
-        later one counts it as a hit); a writing shard is flushed before
-        it returns, so what is acknowledged is durable.  Without a cache,
-        every item goes straight to the local backend's site.
+        pipeline's own batches run through — so a hit is never parsed and
+        overlapping shards parse a shared document once (the later one
+        counts it as a hit); a writing shard is flushed before it returns,
+        so what is acknowledged is durable.  Without a cache, every item
+        goes straight to the local backend's site.
 
         An inline descriptor is keyed by the content hash it carries.  A
         by-reference descriptor's hash is ``ref.key()``, which names a
@@ -503,18 +435,12 @@ class WorkerDaemon(rpc.Server):
         (:meth:`~repro.cache.ParseCache.key_items`, what the pipeline's
         cached batches use), so a reference this worker has read before is
         read again — at the site — only if its parse is not cached either.
-        References that do not resolve here raise
-        :class:`UnresolvedReferences`, and one that never could a
-        :class:`SpecError`.
+        A reference that does not load here raises a :class:`SpecError`
+        coded ``unresolved_reference``; one that never could, ``bad_reference``.
         """
         _, site = self._resolve_spec(spec)
         policy = CachePolicy.coerce(spec.cache) if self.cache is not None else CachePolicy.OFF
-        if items is None:
-            items, _ = self.resolve_items(spec, descriptors)
-        hashes = [str(descriptor["content_hash"]) for descriptor in descriptors]
-        asked_for = {
-            item: key for item, key in zip(items, hashes) if isinstance(item, DocumentRef)
-        }
+        items = [self._item(descriptor) for descriptor in descriptors]
 
         def inner(sub_batch: "list[Item]"):
             """The misses as one sub-batch through the local backend."""
@@ -526,21 +452,9 @@ class WorkerDaemon(rpc.Server):
                 return output
             raise SpecError("backend_closed", "local execution backend yielded nothing")
 
-        def load(slot: int) -> Item:
-            item = items[slot]
-            if item is None:
-                raise SpecError(
-                    "missing_document",
-                    f"document {hashes[slot]} is neither stored nor cached on "
-                    f"this worker (protocol error: submit before doc_data?)",
-                )
-            if descriptors[slot].get("payload") is None and "ref" not in descriptors[slot]:
-                self._bump("docs_reused")
-            return item
-
         try:
             if policy is CachePolicy.OFF:
-                results, decisions = inner([load(i) for i in range(len(descriptors))])
+                results, decisions = inner(items)
                 if len(results) != len(descriptors):
                     raise SpecError(
                         "bad_worker_output",
@@ -550,18 +464,14 @@ class WorkerDaemon(rpc.Server):
                 hits, misses = 0, len(descriptors)
             else:
                 recorder = CacheStatsRecorder()
-                # A topped-up reference (its descriptor's hash is a
-                # ``ref.key()``) is keyed by the content that was sent, and
-                # never remembered against the stamp of a file not read here.
                 keys, keyed = self.cache.key_items(
                     items,
                     spec.fingerprint,
-                    [None if "ref" in d else h for d, h in zip(descriptors, hashes)],
+                    [None if "ref" in d else str(d["content_hash"]) for d in descriptors],
                 )
                 self._bump("docs_loaded", sum(a is not b for a, b in zip(items, keyed)))
-                items = keyed
                 results, decisions = run_cached_batch(
-                    self.cache, policy, keys, load, inner, recorder
+                    self.cache, policy, keys, keyed.__getitem__, inner, recorder
                 )
                 stats = recorder.snapshot()
                 hits, misses = stats.hits + stats.coalesced, stats.misses
@@ -569,7 +479,7 @@ class WorkerDaemon(rpc.Server):
                     with _profiling.phase("cache.flush"):
                         self.cache.flush()
         except StaleReferences as exc:
-            raise UnresolvedReferences([asked_for[ref] for ref in exc.refs]) from exc
+            raise SpecError(protocol.UNRESOLVED_REFERENCE, str(exc)) from exc
         except BadReference as exc:
             raise SpecError("bad_reference", str(exc)) from exc
         self._bump("docs_parsed", misses)
@@ -584,8 +494,6 @@ class _ConnectionHandler(rpc.Session):
         super().__init__(daemon, channel)
         self.daemon = daemon
         self._queue: "queue.Queue[_ShardJob | None]" = queue.Queue()
-        self._pending: dict[str, _ShardJob] = {}  # awaiting doc_data
-        self._pending_lock = threading.Lock()
         self._in_flight = 0
         self._in_flight_lock = threading.Lock()
         self._idle = threading.Condition(self._in_flight_lock)
@@ -603,13 +511,7 @@ class _ConnectionHandler(rpc.Session):
                 "backend": self.daemon._backend_name,
                 "slots": self.daemon._slots,
                 "cache": self.daemon.cache is not None,
-                # Elastic-era capability flags: v1 coordinators
-                # ignore unknown keys, so no protocol version bump.
-                "membership": True,
                 "tags": dict(self.daemon.tags),
-                # This worker resolves `ref` descriptors against its own
-                # copy of the source; without the flag it is sent documents.
-                "source_refs": True,
             },
         }
 
@@ -643,46 +545,12 @@ class _ConnectionHandler(rpc.Session):
         if self._draining.is_set():
             self._shard_error(message.get("shard_id"), "draining", "worker is draining")
             return
-        shard_id = str(message["shard_id"])
-        spec = WorkerSpec.from_json_dict(message["spec"])
-        docs = list(message.get("docs", []))
-        self.daemon._store_documents(docs)
         job = _ShardJob(
-            shard_id, spec, docs, trace=TraceContext.from_wire(message.get("trace"))
+            str(message["shard_id"]),
+            WorkerSpec.from_json_dict(message["spec"]),
+            list(message.get("docs", [])),
+            trace=TraceContext.from_wire(message.get("trace")),
         )
-        try:
-            job.items, missing = self.daemon.resolve_items(spec, docs)
-        except SpecError as exc:
-            self._shard_error(shard_id, exc.code, str(exc))
-            return
-        if missing:
-            with self._pending_lock:
-                self._pending[shard_id] = job
-            self.channel.send(
-                {"type": protocol.SHARD_NEED, "shard_id": shard_id, "need": missing}
-            )
-            return
-        self._enqueue(job)
-
-    def _on_doc_data(self, message: dict[str, Any]) -> None:
-        shard_id = str(message["shard_id"])
-        self.daemon._store_documents(list(message.get("docs", [])))
-        with self._pending_lock:
-            job = self._pending.pop(shard_id, None)
-        if job is None:
-            raise ProtocolError(f"doc_data for unknown shard {shard_id!r}")
-        job.items, still_missing = self.daemon.resolve_items(job.spec, job.descriptors)
-        if still_missing:
-            self._shard_error(
-                shard_id,
-                "missing_document",
-                f"doc_data left {len(still_missing)} hash(es) unresolved: "
-                f"{still_missing[:3]}",
-            )
-            return
-        self._enqueue(job)
-
-    def _enqueue(self, job: _ShardJob) -> None:
         with self._in_flight_lock:
             self._in_flight += 1
         self._queue.put(job)
@@ -698,8 +566,10 @@ class _ConnectionHandler(rpc.Session):
         )
 
     def _fail(self, job: _ShardJob, code: str, error: str) -> None:
-        """Count one executed shard as failed and tell the coordinator why."""
-        self.daemon._bump("shards_failed")
+        """Tell the coordinator why a shard did not run; it counts as failed
+        here unless it only goes back for payloads."""
+        if code != protocol.UNRESOLVED_REFERENCE:
+            self.daemon._bump("shards_failed")
         self._shard_error(job.shard_id, code, error)
 
     # ------------------------------------------------------------------ #
@@ -757,29 +627,8 @@ class _ConnectionHandler(rpc.Session):
                         )
                     )
                 results, decisions, hits, misses = self.daemon.run_shard(
-                    job.spec, job.descriptors, job.items
+                    job.spec, job.descriptors
                 )
-        except UnresolvedReferences as exc:
-            if not job.asked:
-                # Park before asking: the doc_data answer may beat this
-                # thread back to the pending table.
-                job.asked = True
-                with self._pending_lock:
-                    self._pending[job.shard_id] = job
-                self.send_safely(
-                    {
-                        "type": protocol.SHARD_NEED,
-                        "shard_id": job.shard_id,
-                        "need": exc.keys,
-                    }
-                )
-                return
-            self._fail(
-                job,
-                "missing_document",
-                f"doc_data left {len(exc.keys)} reference(s) unresolved: {exc.keys[:3]}",
-            )
-            return
         except SpecError as exc:
             self._fail(job, exc.code, str(exc))
             return
@@ -844,7 +693,6 @@ class _ConnectionHandler(rpc.Session):
 
     handlers = {
         protocol.SUBMIT_SHARD: _on_submit,
-        protocol.DOC_DATA: _on_doc_data,
         protocol.DRAIN: _on_drain,
         # Coordinators may echo beacons; nothing to do.
         protocol.HEARTBEAT: lambda self, message: None,

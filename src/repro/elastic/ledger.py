@@ -203,11 +203,3 @@ class ShardLedger:
                 (json.dumps(record, sort_keys=True).encode("utf-8") for record in entries),
             )
         return len(entries)
-
-    def stats(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "path": str(self.path),
-                "entries": len(self._entries),
-                "loaded_entries": self._loaded_entries,
-            }

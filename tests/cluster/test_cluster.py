@@ -313,47 +313,35 @@ class TestWorkerDaemon:
             assert reply["code"] == "fingerprint_mismatch"
             channel.close()
 
-    def test_hash_only_shard_triggers_need_then_runs(self, registry, corpus_30):
+    def test_version_1_hello_is_refused(self, registry):
+        """Version 2 removed message kinds a version-1 coordinator relies on,
+        so the handshake refuses one."""
+        assert PROTOCOL_VERSION == 2
+        with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
+            channel = dial(daemon)
+            channel.send({"type": "hello", "protocol": 1})
+            reply = channel.recv()
+            channel.close()
+        assert reply["type"] == "error"
+        assert "version mismatch" in reply["message"]
+
+    def test_descriptor_without_payload_or_ref_is_a_shard_error(self, registry, corpus_30):
+        """A hash-only descriptor names content the worker was never sent."""
         from repro.cluster.coordinator import _Shard
-        from repro.documents.simpdf import document_to_dict
 
         parser = registry.get("pymupdf")
         spec = WorkerSpec(parser="pymupdf", fingerprint=parser.config_fingerprint())
-        documents = list(corpus_30.documents[:3])
-        with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
+        with WorkerDaemon(pipeline=ParsePipeline(registry), cache=ParseCache()) as daemon:
             channel = dial(daemon)
             handshake(channel)
-            shard = _Shard("s7", spec, documents)
+            shard = _Shard("s7", spec, list(corpus_30.documents[:3]))
             channel.send(_submit_message(shard, with_payloads=False))
-            need = recv_skipping_heartbeats(channel)
-            assert need["type"] == "shard_need"
-            assert sorted(need["need"]) == sorted(shard.content_hashes)
-            channel.send(
-                {
-                    "type": "doc_data",
-                    "shard_id": "s7",
-                    "docs": [
-                        {
-                            "doc_id": document.doc_id,
-                            "content_hash": content_hash,
-                            "payload": document_to_dict(document),
-                        }
-                        for document, content_hash in zip(
-                            documents, shard.content_hashes
-                        )
-                    ],
-                }
-            )
-            result = recv_skipping_heartbeats(channel)
-            assert result["type"] == "batch_result"
-            assert [r["doc_id"] for r in result["results"]] == [
-                document.doc_id for document in documents
-            ]
-            expected = parser.parse_many(documents)
-            assert [r["page_texts"] for r in result["results"]] == [
-                r.page_texts for r in expected
-            ]
+            reply = recv_skipping_heartbeats(channel)
             channel.close()
+            assert daemon.counters["shards_failed"] == 1
+        assert (reply["type"], reply["shard_id"], reply["code"]) == (
+            "shard_error", "s7", "bad_descriptor",
+        )
 
 
 class CountingTortoise(TortoiseParser):
@@ -399,7 +387,6 @@ class TestWorkerExactlyOnce:
         parser, daemon, spec, descriptor = self._setup(registry, document, 0.3)
         outcomes = []
         with daemon:
-            daemon._store_documents([descriptor])
             first = threading.Thread(
                 target=lambda: outcomes.append(daemon.run_shard(spec, [descriptor]))
             )
@@ -420,7 +407,6 @@ class TestWorkerExactlyOnce:
         document = corpus_30.documents[1]
         parser, daemon, spec, descriptor = self._setup(registry, document, 0.0)
         with daemon:
-            daemon._store_documents([descriptor])
             results, _, hits, misses = daemon.run_shard(spec, [descriptor, descriptor])
         assert parser.parsed == [document.doc_id]
         assert (hits, misses) == (1, 1)
@@ -482,9 +468,7 @@ class TestRemoteExecution:
         assert extra["cluster_bytes_sent"] > 0
         assert extra["cluster_bytes_received"] > 0
 
-    def test_warm_worker_caches_skip_retransfer_and_reparse(
-        self, registry, corpus_30
-    ):
+    def test_warm_worker_caches_skip_reparse(self, registry, corpus_30):
         documents = list(corpus_30)
         workers = start_workers(
             2, pipeline=ParsePipeline(registry), cache=ParseCache()
@@ -508,14 +492,15 @@ class TestRemoteExecution:
                 worker.stop()
         cold_extra, warm_extra = cold.execution.extra, warm.execution.extra
         assert cold_extra["cluster_remote_cache_misses"] == len(documents)
-        # Second run: every document is served from the workers' caches and
-        # no payload crosses the wire again.
+        # Second run: the payloads cross again, and every document is
+        # served from the workers' caches, by content hash.
         assert warm_extra["cluster_remote_cache_hits"] == len(documents)
-        assert warm_extra["cluster_doc_payloads_sent"] == 0
-        assert warm_extra["cluster_bytes_sent"] < cold_extra["cluster_bytes_sent"] / 10
-        assert [r.to_json_dict() for r in warm.results] == [
-            r.to_json_dict() for r in cold.results
-        ]
+        assert warm_extra["cluster_doc_payloads_sent"] == len(documents)
+        assert sum(worker.counters["docs_parsed"] for worker in workers) == len(documents)
+        serial = ParsePipeline(registry).run(
+            request_for_documents("pymupdf", documents, batch_size=5)
+        )
+        assert result_dicts(cold) == result_dicts(warm) == result_dicts(serial)
 
     def test_rendezvous_placement_is_stable_across_runs(self, registry, corpus_30):
         documents = list(corpus_30)
@@ -844,35 +829,6 @@ class TestSharedCacheDir:
 class TestWorkerState:
     """What a daemon keeps, and what of it survives the daemon."""
 
-    def test_document_store_is_bounded_and_an_evicted_document_is_asked_for_again(
-        self, registry, corpus_30, monkeypatch
-    ):
-        import repro.cluster.worker as worker_module
-
-        capacity = 8  # the real one is 4096: a constant, not an option
-        monkeypatch.setattr(worker_module, "DOC_STORE_CAPACITY", capacity)
-        documents = list(corpus_30)[: 3 * capacity]
-        request = request_for_documents("pymupdf", documents, batch_size=4)
-        frames = record_frames(monkeypatch)
-        workers = start_workers(1, pipeline=ParsePipeline(registry))
-        backend = create_backend("remote", {"workers": addresses_of(workers)})
-        try:
-            first = ParsePipeline(registry).execute(request, backend=backend)
-            assert first.n_succeeded == 3 * capacity
-            assert workers[0].describe()["doc_store_entries"] == capacity
-            assert not of_type(frames, "shard_need")
-            # The coordinator shipped every payload once and remembers that;
-            # the worker no longer holds the early ones and says so.
-            again = ParsePipeline(registry).execute(request, backend=backend)
-        finally:
-            backend.close()
-            workers[0].stop()
-        assert result_dicts(again) == result_dicts(first)
-        needed = [h for frame in of_type(frames, "shard_need") for h in frame["need"]]
-        assert 0 < len(needed) <= 3 * capacity and len(set(needed)) == len(needed)
-        assert workers[0].describe()["doc_store_entries"] == capacity
-        assert workers[0].counters["shards_failed"] == 0
-
     def test_acknowledged_writing_shard_is_durable_before_the_worker_dies(
         self, registry, corpus_30, tmp_path
     ):
@@ -1117,50 +1073,8 @@ class TestByReference:
         assert sorted(descriptors, key=lambda d: int(d["ref"]["locator"])) == [
             {"content_hash": ref.key(), "ref": ref.to_json_dict()} for ref in refs
         ]
-        assert not of_type(frames, "shard_need") and not of_type(frames, "doc_data")
+        assert not of_type(frames, "shard_error")
         assert report.n_succeeded == 10
-
-    def test_worker_without_the_flag_gets_todays_frames(self, registry, monkeypatch):
-        """An old worker's ``hello_ack`` has no ``source_refs``: the new
-        coordinator reads the documents itself and sends what it always
-        sent.  (The old coordinator → new worker direction is every inline
-        test in this file: a frame without ``ref`` takes the old path.)"""
-        from repro.cluster.worker import _ConnectionHandler
-
-        on_hello = _ConnectionHandler.on_hello
-
-        def old_hello(self, hello):
-            ack = on_hello(self, hello)
-            del ack["capabilities"]["source_refs"]
-            return ack
-
-        monkeypatch.setattr(_ConnectionHandler, "on_hello", old_hello)
-        source = "synthetic:10?seed=3&min_pages=1&max_pages=1"
-        frames = record_frames(monkeypatch)
-        workers = start_workers(2, pipeline=ParsePipeline(registry))
-        try:
-            report = run_remote(registry, workers, source=source)
-        finally:
-            for worker in workers:
-                worker.stop()
-        documents = {
-            d.doc_id: d for d in ParseRequest(source=source).resolve_source().iter_documents()
-        }
-        shipped = [d for frame in of_type(frames, "submit_shard") for d in frame["docs"]]
-        assert len(shipped) == 10
-        for descriptor in shipped:
-            document = documents[descriptor["doc_id"]]
-            assert descriptor == {
-                "doc_id": document.doc_id,
-                "content_hash": document_content_hash(document),
-                "payload": document_to_dict(document),
-            }
-        extra = report.execution.extra
-        assert (extra["cluster_doc_refs_sent"], extra["cluster_doc_payloads_sent"]) == (0, 10)
-        assert sum(w.counters["docs_received"] for w in workers) == 10
-        assert sum(w.counters["docs_loaded"] for w in workers) == 0
-        serial = ParsePipeline(registry).run(ParseRequest(source=source, batch_size=5))
-        assert result_dicts(report) == result_dicts(serial)
 
     @pytest.mark.parametrize(
         "fields",
@@ -1199,9 +1113,9 @@ class TestByReference:
     def test_worker_that_cannot_see_the_directory_falls_back_once(
         self, registry, corpus_30, tmp_path, monkeypatch
     ):
-        """The daemon's host has no such directory: its first shard costs one
-        ``shard_need`` → ``doc_data`` round trip, and from then on the link
-        is sent documents — no probe, no second bounce."""
+        """The daemon's host has no such directory: its first shard bounces
+        once (``unresolved_reference``) and is re-sent with payloads, and from
+        then on the link is sent documents — no probe, no second bounce."""
         import repro.documents.sources as sources_module
 
         def not_mounted_here(spec):
@@ -1225,18 +1139,19 @@ class TestByReference:
         assert result_dicts(report) == result_dicts(serial)
         first, *later = of_type(frames, "submit_shard")
         assert all("ref" in d and "payload" not in d for d in first["docs"])
-        (need,) = of_type(frames, "shard_need")
-        assert need["need"] == [d["content_hash"] for d in first["docs"]]
-        (data,) = of_type(frames, "doc_data")
-        assert [d["content_hash"] for d in data["docs"]] == need["need"]
-        assert len(later) == 2
+        (bounce,) = of_type(frames, "shard_error")
+        assert bounce["shard_id"] == first["shard_id"]
+        assert bounce["code"] == "unresolved_reference"
+        assert later[0]["shard_id"] == first["shard_id"]
+        assert len(later) == 3
         assert all("payload" in d and "ref" not in d for s in later for d in s["docs"])
-        # The five bounced references became five payloads; ten more went inline.
+        # Five references crossed once; all fifteen documents then went inline.
         extra = report.execution.extra
-        assert (extra["cluster_doc_refs_sent"], extra["cluster_doc_payloads_sent"]) == (0, 15)
-        assert extra["cluster_doc_payloads_skipped"] == 0
+        assert (extra["cluster_doc_refs_sent"], extra["cluster_doc_payloads_sent"]) == (5, 15)
+        assert (extra["cluster_shards_failed"], extra["cluster_shards_reassigned"]) == (0, 0)
         assert workers[0].counters["docs_loaded"] == 0
         assert workers[0].counters["docs_received"] == 15
+        assert workers[0].counters["shards_failed"] == 0
 
     def test_file_rewritten_after_planning_takes_the_same_fallback(
         self, registry, corpus_30, tmp_path
@@ -1262,13 +1177,39 @@ class TestByReference:
         finally:
             coordinator.close()
             workers[0].stop()
-        # The stale reference was served with what the file holds now; the
-        # other three were read by the worker.
+        # The shard bounced and was re-sent with what the files hold now.
         assert [r.to_json_dict() for r in results] == [
             r.to_json_dict() for r in parser.parse_many(current)
         ]
-        assert (counters["doc_refs_sent"], counters["doc_payloads_sent"]) == (3, 1)
-        assert workers[0].counters["docs_received"] == 1
+        assert (counters["doc_refs_sent"], counters["doc_payloads_sent"]) == (4, 4)
+        assert (counters["shards_failed"], counters["shards_reassigned"]) == (0, 0)
+        assert workers[0].counters["docs_received"] == 4
+
+    def test_a_second_bounce_fails_the_shard(self, registry, corpus_30, monkeypatch):
+        """A shard the link already re-sent with payloads cannot go back for
+        payloads again: a second ``unresolved_reference`` fails it."""
+        from repro.cluster.coordinator import ClusterError
+        from repro.cluster.worker import SpecError
+
+        def never_resolves(self, spec, descriptors):
+            raise SpecError("unresolved_reference", "nothing resolves here")
+
+        monkeypatch.setattr(WorkerDaemon, "run_shard", never_resolves)
+        frames = record_frames(monkeypatch)
+        refs = list(ParseRequest(source="synthetic:2?seed=3").resolve_source().refs())
+        workers = start_workers(1, pipeline=ParsePipeline(registry))
+        coordinator = ClusterCoordinator([workers[0].address]).connect()
+        try:
+            future = coordinator.submit(WorkerSpec.for_parser(registry.get("pymupdf")), refs)
+            with pytest.raises(ClusterError, match=r"\[unresolved_reference\]"):
+                future.result(timeout=60)
+            counters = dict(coordinator.counters)
+        finally:
+            coordinator.close()
+            workers[0].stop()
+        assert len(of_type(frames, "submit_shard")) == len(of_type(frames, "shard_error")) == 2
+        assert (counters["doc_refs_sent"], counters["doc_payloads_sent"]) == (2, 2)
+        assert (counters["shards_failed"], counters["shards_reassigned"]) == (1, 0)
 
     @pytest.mark.parametrize(
         "broken,message",
@@ -1348,9 +1289,9 @@ class TestByReference:
         assert workers[0].counters["docs_loaded"] == 10
         assert "source.load" in cold.phases and "source.load" not in warm.phases
         # ... and it is keyed by content, not by reference: the same documents
-        # sent hash-only by an inline request hit the entries the references made.
+        # sent inline hit the entries the references made.
         assert inline.execution.extra["cluster_remote_cache_hits"] == 10
-        assert inline.execution.extra["cluster_doc_payloads_sent"] == 0
+        assert workers[0].counters["docs_parsed"] == 10
         assert result_dicts(inline) == result_dicts(cold) == result_dicts(warm)
 
     def test_cache_carrying_worker_rereads_a_file_too_young_to_trust(
@@ -1373,8 +1314,8 @@ class TestByReference:
         self, registry, corpus_30, tmp_path
     ):
         """The index answers, the entry is gone: the worker reads just that
-        file again — and when the file is gone too, asks for it by key."""
-        from repro.cluster.worker import UnresolvedReferences
+        file again — and when the file is gone too, bounces the shard."""
+        from repro.cluster.worker import SpecError
 
         source = write_pool(tmp_path / "pool", list(corpus_30)[:5])
         age_files(tmp_path / "pool")
@@ -1390,9 +1331,9 @@ class TestByReference:
             assert (hits, misses, daemon.counters["docs_loaded"]) == (4, 1, 6)
             cache.memory.clear()
             (tmp_path / "pool" / refs[3].locator).unlink()
-            with pytest.raises(UnresolvedReferences) as caught:
+            with pytest.raises(SpecError, match=refs[3].locator) as caught:
                 daemon.run_shard(spec, descriptors)
-            assert caught.value.keys == [refs[3].key()]
+            assert caught.value.code == "unresolved_reference"
             # Nothing is left half-done: the next shard does not wait on a
             # flight the failed one opened.
             assert cache.flights.in_flight() == 0

@@ -147,12 +147,3 @@ class TestCompaction:
         ledger.compact()
         strays = [p for p in tmp_path.iterdir() if ".tmp-" in p.name]
         assert strays == []
-
-    def test_stats_shape(self, tmp_path, shard_output):
-        placement_key, fingerprint, results, decisions = shard_output
-        ledger = ShardLedger(tmp_path)
-        ledger.record(placement_key, fingerprint, results, decisions)
-        stats = ledger.stats()
-        assert stats["entries"] == 1
-        assert stats["loaded_entries"] == 0  # recorded this session, not loaded
-        assert stats["path"].endswith("ledger.jsonl")

@@ -111,12 +111,14 @@ class TestMembershipListener:
         listener = MembershipListener(coordinator).start()
         try:
             assert workers[1].leave(listener.address)
+            # The membership record lands after the counter, outside the
+            # coordinator lock: wait for the later of the two.
             _wait_for(
-                lambda: coordinator.counters["workers_left"] == 1,
+                lambda: coordinator.membership.get("m-1").state == "left",
                 message="graceful leave to be recorded",
             )
+            assert coordinator.counters["workers_left"] == 1
             assert coordinator.counters["workers_lost"] == 0
-            assert coordinator.membership.get("m-1").state == "left"
             assert coordinator.stats()["workers_alive"] == 1
         finally:
             listener.stop()

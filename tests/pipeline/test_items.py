@@ -295,10 +295,11 @@ class TestRewrittenFile:
                 backend="remote", backend_options={"workers": worker.address},
             )
         )
-        needs = [f for f in frames if f.get("type") == "shard_need"]
-        assert len(needs) == 1 and len(needs[0]["need"]) == 1
+        bounces = [f for f in frames if f.get("type") == "shard_error"]
+        assert [f["code"] for f in bounces] == ["unresolved_reference"]
         now = list(SimPdfDirSource(tmp_path / "pool").iter_documents())
         assert [r.to_json_dict() for r in report.results] == [
             r.to_json_dict() for r in registry.get("pymupdf").parse_many(now)
         ]
-        assert worker.counters["docs_received"] == 1
+        # The last shard of four went back for payloads, and only it.
+        assert worker.counters["docs_received"] == 4

@@ -362,6 +362,7 @@ def _stop(daemon):
 
 
 HELLO_V1 = {"type": "hello", "protocol": 1}
+HELLO_WORKER = {"type": "hello", "protocol": 2}
 
 
 class TestDaemonsShareTheLifecycle:
@@ -371,8 +372,8 @@ class TestDaemonsShareTheLifecycle:
             (_gateway, [{"type": "hello", "protocol": None}]),
             (_gateway, [HELLO_V1, {"type": "submit", "request": {}, "priority": None}]),
             (_worker, [{"type": "hello", "protocol": None}]),
-            (_worker, [HELLO_V1, {"type": "submit_shard"}]),
-            (_worker, [HELLO_V1, {"type": "doc_data", "docs": []}]),
+            (_worker, [HELLO_WORKER, {"type": "submit_shard"}]),
+            (_worker, [HELLO_WORKER, {"type": "doc_data", "docs": []}]),
             (_membership, [{"type": "join", "protocol": None, "address": "127.0.0.1:1"}]),
         ],
     )
@@ -427,7 +428,7 @@ class TestDaemonsShareTheLifecycle:
                 "repro-gateway",
                 [HELLO_V1, {"type": "submit", "request": {"source": "synthetic:4"}}],
             ),
-            (_worker, "repro-cluster-worker", [HELLO_V1]),
+            (_worker, "repro-cluster-worker", [HELLO_WORKER]),
             (_membership, "repro-elastic-membership", []),
         ],
     )
