@@ -662,8 +662,7 @@ def load_items(items: Sequence[Item]) -> list[SciDocument]:
     Documents pass through; each :class:`DocumentRef` is read from its
     source — built once per spec per call — under one ``source.load`` phase
     (no phase row when there is nothing to read).  Every reference is
-    tried, so a caller that can fetch stale ones another way learns all of
-    them from one :class:`StaleReferences`.
+    tried, and one :class:`StaleReferences` names all that did not load.
     """
     documents = list(items)
     slots = [slot for slot, item in enumerate(documents) if isinstance(item, DocumentRef)]

@@ -269,9 +269,12 @@ class TestWorkerDaemon:
             channel.close()
 
     def test_protocol_version_mismatch_refused(self, registry):
+        """Version 2 removed message kinds a version-1 coordinator relies on,
+        so the handshake refuses one."""
+        assert PROTOCOL_VERSION == 2
         with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
             channel = dial(daemon)
-            channel.send({"type": "hello", "protocol": 999})
+            channel.send({"type": "hello", "protocol": 1})
             reply = channel.recv()
             assert reply["type"] == "error"
             assert "version mismatch" in reply["message"]
@@ -312,18 +315,6 @@ class TestWorkerDaemon:
             assert reply["type"] == "shard_error"
             assert reply["code"] == "fingerprint_mismatch"
             channel.close()
-
-    def test_version_1_hello_is_refused(self, registry):
-        """Version 2 removed message kinds a version-1 coordinator relies on,
-        so the handshake refuses one."""
-        assert PROTOCOL_VERSION == 2
-        with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
-            channel = dial(daemon)
-            channel.send({"type": "hello", "protocol": 1})
-            reply = channel.recv()
-            channel.close()
-        assert reply["type"] == "error"
-        assert "version mismatch" in reply["message"]
 
     def test_descriptor_without_payload_or_ref_is_a_shard_error(self, registry, corpus_30):
         """A hash-only descriptor names content the worker was never sent."""
@@ -1185,7 +1176,7 @@ class TestByReference:
         assert (counters["shards_failed"], counters["shards_reassigned"]) == (0, 0)
         assert workers[0].counters["docs_received"] == 4
 
-    def test_a_second_bounce_fails_the_shard(self, registry, corpus_30, monkeypatch):
+    def test_a_second_bounce_fails_the_shard(self, registry, monkeypatch):
         """A shard the link already re-sent with payloads cannot go back for
         payloads again: a second ``unresolved_reference`` fails it."""
         from repro.cluster.coordinator import ClusterError
