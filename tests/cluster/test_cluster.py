@@ -269,6 +269,15 @@ class TestWorkerDaemon:
             channel.close()
 
     def test_protocol_version_mismatch_refused(self, registry):
+        with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
+            channel = dial(daemon)
+            channel.send({"type": "hello", "protocol": 999})
+            reply = channel.recv()
+            assert reply["type"] == "error"
+            assert "version mismatch" in reply["message"]
+            channel.close()
+
+    def test_version_1_hello_is_refused(self, registry):
         """Version 2 removed message kinds a version-1 coordinator relies on,
         so the handshake refuses one."""
         assert PROTOCOL_VERSION == 2
@@ -276,9 +285,9 @@ class TestWorkerDaemon:
             channel = dial(daemon)
             channel.send({"type": "hello", "protocol": 1})
             reply = channel.recv()
-            assert reply["type"] == "error"
-            assert "version mismatch" in reply["message"]
             channel.close()
+        assert reply["type"] == "error"
+        assert "version mismatch" in reply["message"]
 
     def test_non_hello_first_message_refused(self, registry):
         with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
@@ -1329,6 +1338,38 @@ class TestByReference:
             # flight the failed one opened.
             assert cache.flights.in_flight() == 0
         assert [r.to_json_dict() for r in again] == [r.to_json_dict() for r in cold]
+
+    @pytest.mark.parametrize("with_cache", [False, True])
+    def test_a_shard_may_mix_payloads_and_references(
+        self, registry, corpus_30, tmp_path, with_cache
+    ):
+        """Each descriptor is decoded on its own: a shard holding both kinds
+        loads only the references and answers in descriptor order."""
+        documents = list(corpus_30)[:4]
+        source = write_pool(tmp_path / "pool", documents)
+        refs = list(ParseRequest(source=source).resolve_source().refs())
+        descriptors = [
+            {"content_hash": ref.key(), "ref": ref.to_json_dict()}
+            if i % 2
+            else {
+                "doc_id": document.doc_id,
+                "content_hash": document_content_hash(document),
+                "payload": document_to_dict(document),
+            }
+            for i, (document, ref) in enumerate(zip(documents, refs))
+        ]
+        parser = registry.get("pymupdf")
+        cache = ParseCache() if with_cache else None
+        with WorkerDaemon(pipeline=ParsePipeline(registry), cache=cache) as daemon:
+            results, _, hits, misses = daemon.run_shard(
+                WorkerSpec.for_parser(parser), descriptors
+            )
+            counters = dict(daemon.counters)
+        assert [r.to_json_dict() for r in results] == [
+            r.to_json_dict() for r in parser.parse_many(documents)
+        ]
+        assert (hits, misses) == (0, 4)
+        assert (counters["docs_received"], counters["docs_loaded"]) == (2, 2)
 
     def test_killed_worker_mid_run_replaces_reference_shards_exactly_once(
         self, registry
