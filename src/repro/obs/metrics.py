@@ -15,7 +15,8 @@ Two properties matter more than features:
 * **A near-zero disabled path** — every mutator checks the registry's
   ``enabled`` flag before taking its lock, so
   ``set_enabled(False)`` reduces instrumentation to one attribute load
-  and a branch (``bench_obs_overhead.py`` gates the difference).
+  and a branch (``benchmarks/e2e`` reports the difference per request as
+  ``obs.overhead_share``).
 
 Metric names follow Prometheus conventions (``repro_<area>_<what>`` with
 ``_total`` on counters and base-unit suffixes like ``_seconds``).

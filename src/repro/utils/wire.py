@@ -120,21 +120,28 @@ class MessageChannel:
     def recv(self) -> dict[str, Any] | None:
         """Read one message; ``None`` on a clean EOF.
 
+        A channel this side has closed reads as a clean EOF too, also when
+        :meth:`close` races a reader between the prefix and the body.
         Raises :class:`ProtocolError` on a malformed frame (bad length
         prefix, truncated body, invalid JSON, or a non-object payload).
         """
-        prefix = self._reader.readline(32)
-        if not prefix:
-            return None
-        if not prefix.endswith(b"\n"):
-            raise ProtocolError(f"unterminated length prefix {prefix!r}")
         try:
-            length = int(prefix.strip())
-        except ValueError as exc:
-            raise ProtocolError(f"bad length prefix {prefix!r}") from exc
-        if not 0 < length <= self.max_message_bytes:
-            raise ProtocolError(f"message length {length} out of bounds")
-        body = self._reader.read(length)
+            prefix = self._reader.readline(32)
+            if not prefix:
+                return None
+            if not prefix.endswith(b"\n"):
+                raise ProtocolError(f"unterminated length prefix {prefix!r}")
+            try:
+                length = int(prefix.strip())
+            except ValueError as exc:
+                raise ProtocolError(f"bad length prefix {prefix!r}") from exc
+            if not 0 < length <= self.max_message_bytes:
+                raise ProtocolError(f"message length {length} out of bounds")
+            body = self._reader.read(length)
+        except ValueError:  # I/O on the buffer close() released
+            if not self._closed:
+                raise
+            return None
         if len(body) != length:
             raise ProtocolError(f"truncated message: expected {length} bytes, got {len(body)}")
         self.last_frame_bytes = len(prefix) + len(body)

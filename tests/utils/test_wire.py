@@ -76,6 +76,32 @@ class TestSharedFraming:
         finally:
             right.close()
 
+    def test_recv_after_local_close_is_a_clean_eof(self):
+        # A reader thread that races its own side's close() must see EOF,
+        # not the ValueError of a readline on the released buffer.
+        left_sock, right_sock = socket.socketpair()
+        left = MessageChannel(left_sock)
+        right = MessageChannel(right_sock)
+        try:
+            right.send({"type": "a"})
+            left.close()
+            assert left.recv() is None
+            assert left.recv() is None
+        finally:
+            right.close()
+
+    def test_value_error_on_an_open_channel_still_propagates(self):
+        left_sock, right_sock = socket.socketpair()
+        left = MessageChannel(left_sock)
+        right = MessageChannel(right_sock)
+        try:
+            left._reader.close()  # the buffer is gone, the channel is not closed
+            with pytest.raises(ValueError):
+                left.recv()
+        finally:
+            left.close()
+            right.close()
+
 
 def _accept_threads(port: int) -> list[str]:
     suffix = f"-accept-{port}"
