@@ -17,7 +17,7 @@
    :meth:`ParseCache.key_items` keys it slot by slot: a document is hashed,
    a reference the index knows stays a reference, and only an unknown one
    is read here (it has to be hashed).  A miss the index knew therefore
-   reaches the execution site — a child process, a remote worker — still a
+   reaches the execution site — a pool thread, a remote worker — still a
    reference, and a hit is never read at all.
 
 Entries are addressed by :class:`repro.cache.keys.CacheKey` — the

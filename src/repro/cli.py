@@ -33,9 +33,9 @@ registered document source works (``--source KIND:VALUE``)::
     adaparse-repro pipeline --source html-dir:docs/site --parser pymupdf
     adaparse-repro dataset --source crawl-dump:/data/crawl --output /tmp/webset
 
-Run the same corpus through worker processes or the simulated cluster::
+Run the same corpus through worker daemons or the simulated cluster::
 
-    adaparse-repro pipeline --documents 100 --backend process --backend-opt n_jobs=4
+    adaparse-repro cluster --workers 4 --documents 100
     adaparse-repro pipeline --documents 100 --backend hpc --backend-opt n_nodes=16
 
 Warm the persistent parse cache, inspect it, and run against it::
@@ -231,8 +231,9 @@ def _add_backend_arguments(
         "--backend",
         type=str,
         default=default,
-        help=f"execution backend: auto, serial, thread, process, hpc, remote; "
-        f"async is accepted as a name for thread (default: {default})",
+        help=f"execution backend: auto, serial, thread, hpc, remote; async "
+        f"and process are accepted names for thread; for CPU-bound work past "
+        f"one core, use remote (default: {default})",
     )
     parser.add_argument(
         "--backend-opt",
@@ -240,7 +241,7 @@ def _add_backend_arguments(
         default=None,
         metavar="KEY=VALUE",
         help="backend option (repeatable), e.g. n_jobs=4, n_nodes=16, "
-        "mp_context=fork, workers=127.0.0.1:9101,127.0.0.1:9102",
+        "workers=127.0.0.1:9101,127.0.0.1:9102",
     )
 
 

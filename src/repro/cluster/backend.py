@@ -3,12 +3,12 @@
 :class:`RemoteBackend` makes a worker cluster look like any other
 :class:`~repro.pipeline.backends.ExecutionBackend`: the pipeline (and
 :class:`~repro.serve.ParseService`) compose the parent-side cache layer
-around :meth:`RemoteBackend.site` exactly as they do for the process
-backend, and ``map_ordered`` keeps its bounded-window, input-ordered
-contract.
+around :meth:`RemoteBackend.site` exactly as they do for every backend,
+and ``map_ordered`` keeps its bounded-window, input-ordered contract.
+This is the repo's one out-of-process path: CPU-bound parsing past one
+core runs here.
 
-The split of responsibilities mirrors the process backend, one network
-hop further out:
+The split of responsibilities:
 
 * **site** names the parser in a
   :class:`~repro.cluster.protocol.WorkerSpec` — its *registry name*, α

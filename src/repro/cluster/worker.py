@@ -21,8 +21,7 @@ A :class:`WorkerDaemon` listens on a TCP port and speaks the
    **one sub-batch** to the site of a local
    :class:`~repro.pipeline.backends.ExecutionBackend` (preserving the
    engine's per-batch α semantics), which is where references are read —
-   by this daemon's thread or by its ``process`` backend's child; fresh
-   parses are stored policy-permitting and made durable before the shard
+   by this daemon's own threads; fresh parses are stored policy-permitting and made durable before the shard
    is acknowledged, and a document two overlapping shards share is parsed
    once, and
 4. streams an ordered ``batch_result`` back.
@@ -376,8 +375,7 @@ class WorkerDaemon(rpc.Server):
     def _resolve_spec(self, spec: WorkerSpec) -> "tuple[Parser, BatchWorker]":
         """The parser for one spec and its site on the local backend.
 
-        Fingerprint-checked and memoised, so a local backend that ships the
-        parser across a boundary of its own does so once per spec.
+        Fingerprint-checked and memoised per spec.
         """
         with self._resolve_lock:
             resolved = self._resolved.get(spec.fingerprint)

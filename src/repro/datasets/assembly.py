@@ -61,7 +61,7 @@ class DatasetBuildConfig:
         estimate unless the caller provides predictions.
     backend:
         Execution backend of the parse stage by registry name (``serial``,
-        ``thread``, ``process``, ``hpc``), or ``"auto"``.
+        ``thread``, ``hpc``), or ``"auto"``.
     backend_options:
         Backend construction options (e.g. ``{"n_jobs": 8}``; with
         ``backend="auto"`` that option resolves to the thread backend).

@@ -21,7 +21,7 @@ small JSON-round-trippable :class:`DocumentRef` values — and
 document.  A reference-able source is read where it is parsed, on every
 execution backend: a run holds references, and :func:`load_items` — the one
 place a reference becomes its document — is called at the execution site, by
-whichever thread, child process or worker daemon parses the batch.
+whichever thread or worker daemon parses the batch.
 
 Sources are constructed either directly (``HtmlDirSource("corpus/html")``)
 or declaratively through a :class:`SourceSpec` — a JSON-round-trippable
@@ -644,8 +644,6 @@ class StaleReferences(StaleReference):
     """Every reference of one batch that did not load; ``refs`` says which."""
 
     def __init__(self, message: str, refs: "Sequence[DocumentRef]" = ()) -> None:
-        # ``(message,)`` plus ``__dict__`` is what an exception pickles as: a
-        # process-backend child raises this and the parent re-raises it whole.
         super().__init__(message)
         self.refs = list(refs)
 

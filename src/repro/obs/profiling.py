@@ -10,9 +10,9 @@ Two instruments, both zero-dependency:
   phases are disabled (``REPRO_OBS_PHASES=0``).  Self time is computed
   per thread via a frame stack: a nested phase charges its wall time to
   the parent frame's ``child_wall``, so the parent's *self* seconds
-  exclude it.  Tables from child workers (processes, remote shards)
-  fold back with :meth:`PhaseTimer.merge_table`, which also
-  credits the merged work to the currently open phase — the pipeline's
+  exclude it.  Tables from remote shards fold back with
+  :meth:`PhaseTimer.merge_table`, which also credits the merged work to
+  the currently open phase — the pipeline's
   ``parse`` phase therefore reports orchestration overhead as self time
   and delegated work under the child phase names, on every backend.
 * :class:`StackSampler` — an opt-in (``REPRO_OBS_PROFILING=1`` or
@@ -37,11 +37,10 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 __all__ = [
     "PHASE_SECONDS_BUCKETS",
-    "PhaseCapture",
     "PhaseTimer",
     "Profile",
     "ProfileStore",
@@ -297,27 +296,6 @@ def record(
         timer.record(
             name, seconds, cpu_seconds=cpu_seconds, calls=calls, n_bytes=n_bytes
         )
-
-
-class PhaseCapture:
-    """Run ``inner`` under a fresh :class:`PhaseTimer`; return its table too.
-
-    Returns ``(output, phase_table)`` for a caller on the far side of a
-    process boundary to fold into its own timer with
-    :meth:`PhaseTimer.merge_table`: the child never needs the parent's
-    timer object, only its table crosses back.
-    """
-
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: Callable[[Any], Any]) -> None:
-        self.inner = inner
-
-    def __call__(self, item: Any) -> "tuple[Any, dict[str, dict[str, float]]]":
-        timer = PhaseTimer()
-        with use_timer(timer):
-            output = self.inner(item)
-        return output, timer.snapshot()
 
 
 # ---------------------------------------------------------------------- #

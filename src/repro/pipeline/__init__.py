@@ -18,8 +18,8 @@ Example
 
 Execution is pluggable: ``ParseRequest.backend`` selects an
 :class:`~repro.pipeline.backends.ExecutionBackend` by name (``serial``,
-``thread``, ``process``, ``hpc``, ``remote``, or ``auto``; ``async`` is
-accepted as a name for ``thread``) and ``ParseRequest.backend_options``
+``thread``, ``hpc``, ``remote``, or ``auto``; ``async`` and ``process``
+are accepted names for ``thread``) and ``ParseRequest.backend_options``
 configures it; the report's
 ``execution`` block (:class:`~repro.pipeline.backends.ExecutionStats`)
 records what the backend did.
@@ -49,7 +49,6 @@ _LAZY_EXPORTS: dict[str, str] = {
     "ParsePipeline": "repro.pipeline.pipeline:ParsePipeline",
     "ParseReport": "repro.pipeline.report:ParseReport",
     "ParseRequest": "repro.pipeline.request:ParseRequest",
-    "ProcessBackend": "repro.pipeline.backends.process:ProcessBackend",
     "SerialBackend": "repro.pipeline.backends.serial:SerialBackend",
     "ThreadBackend": "repro.pipeline.backends.thread:ThreadBackend",
     "backend_names": "repro.pipeline.backends.base:backend_names",

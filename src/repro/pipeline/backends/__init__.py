@@ -1,23 +1,23 @@
 """Pluggable execution backends of the parsing pipeline.
 
-One :class:`ExecutionBackend` protocol, five implementations:
+One :class:`ExecutionBackend` protocol, four implementations:
 
 ========= ==================================================================
 name      execution
 ========= ==================================================================
 serial    inline in the calling thread (reference; parity baseline)
 thread    bounded thread-pool window sharing parent memory
-process   worker processes for GIL-free parsing; cache stays parent-side
 hpc       inline parse + measured-usage replay on the simulated cluster
 remote    repro.cluster worker daemons over TCP (multi-process/multi-host)
 ========= ==================================================================
 
 Backends are selected by name through :class:`~repro.pipeline.ParseRequest`
-(``backend="process"``, ``backend_options={"n_jobs": 8}``), resolved via
+(``backend="thread"``, ``backend_options={"n_jobs": 8}``), resolved via
 the registry (:func:`create_backend`), or passed as instances to the
 pipeline's methods.  ``"auto"`` picks serial, or thread when an
-``{"n_jobs": N}`` option asks for parallelism; ``"async"`` is accepted as
-a name for ``thread``.
+``{"n_jobs": N}`` option asks for parallelism; ``"async"`` and
+``"process"`` are accepted names for ``thread``.  For CPU-bound work past
+one core, use ``remote``.
 
 Public names resolve lazily (PEP 562) so that importing this package — or
 :mod:`repro.pipeline.backends.base` beneath it — does not pull in the
@@ -35,7 +35,6 @@ _LAZY_EXPORTS: dict[str, str] = {
     "ExecutionRecorder": "repro.pipeline.backends.base:ExecutionRecorder",
     "ExecutionStats": "repro.pipeline.backends.base:ExecutionStats",
     "HPCBackend": "repro.pipeline.backends.hpc:HPCBackend",
-    "ProcessBackend": "repro.pipeline.backends.process:ProcessBackend",
     "RemoteBackend": "repro.cluster.backend:RemoteBackend",
     "SerialBackend": "repro.pipeline.backends.serial:SerialBackend",
     "ThreadBackend": "repro.pipeline.backends.thread:ThreadBackend",

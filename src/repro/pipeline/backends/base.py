@@ -3,7 +3,7 @@
 An execution backend answers one question for the pipeline: *given a
 per-batch worker and a stream of batches, how do the batches actually
 run?*  Serial in the calling thread, fanned out over a thread pool,
-shipped to worker processes, or replayed through the simulated HPC
+shipped to worker daemons, or replayed through the simulated HPC
 cluster — the parsing algorithm (routing, α budgets, caching) is
 identical in every case, only the execution policy varies.
 
@@ -15,12 +15,11 @@ documents and :class:`~repro.documents.sources.DocumentRef` values, freely
 mixed — and the site is where a reference becomes its document: the
 default site is :func:`parse_items` (load the items, check each document's
 real type, ``parser.parse_batch``), so a reference-able source is read by
-the thread, child process or worker daemon that parses it.  A backend
-that puts a boundary between the caller and that call owns every crossing
-of it: the parser going out (the process backend pickles it once per
-child, the remote backend names it in a ``WorkerSpec``), the items going
-out as they are (a reference crosses as a reference), the caller's ambient
-``contextvars`` going out (trace context and
+the thread or worker daemon that parses it.  A backend that puts a
+boundary between the caller and that call owns every crossing of it: the
+parser going out (the remote backend names it in a ``WorkerSpec``), the
+items going out as they are (a reference crosses as a reference), the
+caller's ambient ``contextvars`` going out (trace context and
 :class:`~repro.obs.profiling.PhaseTimer`; the thread backend submits each
 task under a copy of the submitting thread's context), and the site's
 phase table coming back (merged into the caller's timer).  The pipeline
@@ -48,7 +47,8 @@ Backends are constructed by name through the registry
 (:func:`create_backend`), with option dictionaries validated against the
 backend's :class:`BackendSpec`; :func:`normalize_backend_spec` resolves
 the ``"auto"`` name (an ``{"n_jobs": N}`` option steers it to the thread
-backend) and ``"async"``, which is an accepted name for ``thread``.
+backend) and ``"async"`` and ``"process"``, which are accepted names for
+``thread``.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ class ExecutionStats:
     backend:
         Registry name of the backend that executed the run.
     workers:
-        Parallel worker count (1 for serial, ``n_jobs`` for thread/process,
-        node count for the HPC adapter).
+        Parallel worker count (1 for serial, ``n_jobs`` for thread, worker
+        daemons for remote, node count for the HPC adapter).
     batches_dispatched / batches_completed / batches_cancelled:
         Batches submitted, finished, and cancelled before starting (an
         abandoned streaming iterator cancels its queued batches).
@@ -310,13 +310,13 @@ class ExecutionBackend(abc.ABC):
         """The callable that parses one batch where this backend executes it.
 
         In-process backends run the parser where the orchestration runs:
-        the site is :func:`parse_items` over ``parser``.  Out-of-process
-        backends return a caller-side stub that carries the parser, the
-        items (references stay references) and the ambient phase
-        attribution across their boundary and runs :func:`parse_items` on
-        the far side; anything wrapped *around* the returned callable
-        (cache lookups, single-flight leases, write-backs) therefore stays
-        with the caller.
+        the site is :func:`parse_items` over ``parser``.  The one
+        out-of-process backend, ``remote``, returns a caller-side stub that
+        names the parser, ships the items (references stay references) and
+        the trace context to a worker daemon, which runs :func:`parse_items`
+        there, and merges the shard's phase table back; anything wrapped
+        *around* the returned callable (cache lookups, single-flight
+        leases, write-backs) therefore stays with the caller.
         """
         return partial(parse_items, parser)
 
@@ -367,10 +367,14 @@ _REGISTRY: dict[str, BackendSpec] = {}
 _BUILTIN_BACKEND_MODULES: dict[str, str] = {
     "serial": "repro.pipeline.backends.serial",
     "thread": "repro.pipeline.backends.thread",
-    "process": "repro.pipeline.backends.process",
     "hpc": "repro.pipeline.backends.hpc",
     "remote": "repro.cluster.backend",
 }
+
+#: Accepted names → the backend each resolves to.  ``process`` is kept for
+#: stored requests and ``worker --backend process`` daemons; CPU-bound
+#: work past one core runs on ``remote``.
+_ACCEPTED_NAMES: dict[str, str] = {"async": "thread", "process": "thread"}
 
 
 def register_backend(spec: BackendSpec) -> None:
@@ -436,20 +440,21 @@ def backend_accepts_option(backend: str, option: str) -> bool:
     return spec is not None and option in spec.options
 
 
-def _validated_n_jobs(value: Any) -> int:
-    """``n_jobs`` as a positive int, rejecting bools and non-integral values.
+def _positive_int(option: str, value: Any) -> int:
+    """``value`` as a positive int, rejecting bools and non-integral values.
 
     A silently dropped ``n_jobs=4.0`` (or ``true``, or ``0``) would run
-    serial while the caller believes they requested workers.
+    serial while the caller believes they requested workers; a ``window``
+    of ``2.5`` would fail mid-stream, and ``true`` would run a window of 1.
     """
     if isinstance(value, bool):
-        raise ValueError(f"n_jobs must be an integer, got {value!r}")
+        raise ValueError(f"{option} must be an integer, got {value!r}")
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if not isinstance(value, int):
-        raise ValueError(f"n_jobs must be an integer, got {value!r}")
+        raise ValueError(f"{option} must be an integer, got {value!r}")
     if value < 1:
-        raise ValueError(f"n_jobs must be positive, got {value}")
+        raise ValueError(f"{option} must be positive, got {value}")
     return value
 
 
@@ -457,16 +462,30 @@ def normalize_backend_spec(
     backend: str,
     backend_options: Mapping[str, Any] | None = None,
 ) -> tuple[str, dict[str, Any]]:
-    """Resolve ``"auto"`` and ``"async"`` to a concrete backend spec.
+    """Resolve ``"auto"`` and the accepted names to a concrete backend spec.
 
     An ``{"n_jobs": N}`` option with N > 1 selects the thread backend
     under ``"auto"``; ``"auto"`` without parallelism resolves to the
-    serial backend.  ``"async"`` is an accepted name for ``"thread"``.
+    serial backend.  ``"async"`` and ``"process"`` are accepted names for
+    ``"thread"``.  ``n_jobs`` and ``window`` must be positive integers
+    wherever the resolved backend takes them.
     """
     options = dict(backend_options or {})
-    name = "thread" if backend == "async" else backend
-    if "n_jobs" in options and backend_accepts_option(name, "n_jobs"):
-        options["n_jobs"] = _validated_n_jobs(options["n_jobs"])
+    name = _ACCEPTED_NAMES.get(backend, backend)
+    if name != backend:
+        _ensure_registered(name)
+        known = _REGISTRY[name].options
+        unknown = sorted(set(options) - known)
+        if unknown:
+            # Failing them as the resolved backend's would blame a name
+            # the caller never used.
+            raise ValueError(
+                f"unknown option(s) {unknown} for backend {backend!r}, an "
+                f"accepted name for {name!r}; known: {sorted(known)}"
+            )
+    for option in ("n_jobs", "window"):
+        if option in options and backend_accepts_option(name, option):
+            options[option] = _positive_int(option, options[option])
     if name == "auto":
         name = "thread" if options.get("n_jobs", 1) > 1 else "serial"
         if name == "serial":

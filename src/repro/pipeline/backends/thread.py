@@ -2,9 +2,9 @@
 
 :meth:`ThreadBackend.map_ordered` is the only place batches are submitted
 to a pool, held in a pending ``deque`` and cancelled on teardown; the
-``process`` and ``remote`` backends inherit it and vary only what a batch
-*does* (``site``).  The in-flight window is one integer,
-``ThreadBackend.window``; ``async`` is an accepted name for this backend.
+``remote`` backend inherits it and varies only what a batch *does*
+(``site``).  The in-flight window is one integer, ``ThreadBackend.window``;
+``async`` and ``process`` are accepted names for this backend.
 
 The pool is this backend's boundary, and ``contextvars`` do not cross it
 on their own: every task is submitted under a copy of the submitting
@@ -51,7 +51,8 @@ class ThreadBackend(ExecutionBackend):
     threads share the parent's memory: caches, single-flight guards, and
     engines need no adaptation (routing is stateless and telemetry is a
     return value).  Best suited to workloads that release the GIL (I/O,
-    numpy) — for pure-Python CPU-bound parsing see the process backend.
+    numpy) — for pure-Python CPU-bound parsing past one core use the
+    ``remote`` backend.
 
     One instance may serve concurrent ``map_ordered`` calls (the
     :class:`repro.serve.ParseService` shape): per-call state lives in the

@@ -17,7 +17,7 @@ facade: a frozen :class:`~repro.pipeline.request.ParseRequest` goes in, a
   execution site), so the run itself only ever holds names,
 * dispatches batches through a pluggable
   :class:`~repro.pipeline.backends.ExecutionBackend` — serial, thread
-  pool, process pool, the simulated-HPC adapter, or a worker cluster —
+  pool, the simulated-HPC adapter, or a worker cluster —
   while preserving document order, which is safe because routing telemetry
   is a return value and engines hold no mutable routing state, and
 * consults the content-addressed :class:`repro.cache.ParseCache` when the
@@ -290,8 +290,8 @@ class ParsePipeline:
         site reads, freely mixed.  Batches are routed independently (the α
         cap applies within each) and yielded in document order; parallel
         backends keep a bounded window of batches in flight.  ``backend``
-        is a registry name (``serial``, ``thread``, ``process``, ``hpc``,
-        ``remote``, or ``auto``) configured through
+        is a registry name (``serial``, ``thread``, ``hpc``, ``remote``,
+        or ``auto``) configured through
         ``backend_options`` (``{"n_jobs": N}`` makes ``auto`` pick the
         thread backend), or an :class:`~repro.pipeline.backends.
         ExecutionBackend` instance whose lifecycle the caller manages.

@@ -62,9 +62,9 @@ class ParseReport:
     execution: ExecutionStats = field(default_factory=ExecutionStats)
     #: Where the time went: phase name → ``{total_s, self_s, cpu_s,
     #: calls, bytes}`` from the run's :class:`~repro.obs.PhaseTimer`
-    #: (empty when phase attribution is disabled).  Child-worker tables
-    #: — thread/process pools and remote shards alike — are merged
-    #: in, so the same phase keys appear on every backend.
+    #: (empty when phase attribution is disabled).  Pool threads record
+    #: into it directly and remote shards' tables are merged in, so the
+    #: same phase keys appear on every backend.
     phases: dict[str, dict[str, float]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #

@@ -1,7 +1,7 @@
 """Tests of the pluggable execution-backend API.
 
 Covers the backend registry, the ordered-window execution contract (and
-the thread backend's teardown regression), the serial/thread/process
+the thread backend's teardown regression), the serial/thread/remote
 parity guarantee (byte-identical reports modulo timings, including
 α-budget boundaries and cache ``readwrite``), the HPC adapter, the
 ``n_jobs`` deprecation path, and the execution telemetry round trip.
@@ -10,7 +10,6 @@ parity guarantee (byte-identical reports modulo timings, including
 from __future__ import annotations
 
 import json
-import multiprocessing
 import threading
 import time
 from pathlib import Path
@@ -45,12 +44,11 @@ from repro.pipeline.backends import (
 from repro.pipeline.backends.thread import THREAD_NAME_PREFIX
 from repro.serve import ParseService, ServiceConfig
 
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "ingest"
 
-#: Options that make the process backend deterministic in tests: fork keeps
-#: this module's ScriptedEngine picklable by reference.
-PROCESS_OPTIONS = {"n_jobs": 2, "mp_context": "fork"}
+#: A backend that takes each positive-integer option: ``auto`` takes only
+#: ``n_jobs``, so ``window`` is checked on ``thread``.
+PARALLEL_BACKEND_OF = {"n_jobs": "auto", "window": "thread"}
 
 
 class ScriptedEngine(AdaParseEngine):
@@ -85,7 +83,8 @@ def engine(registry):
 
 
 def _create(kind: str, options: dict | None = None):
-    """Build a backend the way a request does (``async`` names ``thread``)."""
+    """Build a backend the way a request does (``async`` and ``process``
+    name ``thread``)."""
     return create_backend(*normalize_backend_spec(kind, options))
 
 
@@ -100,7 +99,10 @@ def _backend_threads() -> list[threading.Thread]:
 # ---------------------------------------------------------------------- #
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"serial", "thread", "process", "hpc"} <= set(backend_names())
+        names = set(backend_names())
+        assert {"serial", "thread", "hpc", "remote"} <= names
+        # Accepted names resolve to ``thread``; they are not backends.
+        assert "process" not in names and "async" not in names
 
     def test_create_by_name(self):
         backend = create_backend("thread", {"n_jobs": 2})
@@ -127,7 +129,7 @@ class TestRegistry:
             ("auto", {"n_jobs": 1}, ("serial", {})),
             ("auto", {"n_jobs": 4}, ("thread", {"n_jobs": 4})),
             ("thread", {"n_jobs": 4}, ("thread", {"n_jobs": 4})),
-            ("process", {"n_jobs": 2}, ("process", {"n_jobs": 2})),
+            ("process", {"n_jobs": 2}, ("thread", {"n_jobs": 2})),
             ("serial", None, ("serial", {})),
             ("hpc", {"n_nodes": 2}, ("hpc", {"n_nodes": 2})),
             ("async", {"n_jobs": 4}, ("thread", {"n_jobs": 4})),
@@ -149,18 +151,23 @@ class TestRegistry:
             {"n_jobs": 4},
         )
 
+    @pytest.mark.parametrize("option", ["n_jobs", "window"])
     @pytest.mark.parametrize("bad", ["four", 2.5, True])
-    def test_non_integral_n_jobs_rejected(self, bad):
-        with pytest.raises(ValueError, match="integer"):
-            normalize_backend_spec("auto", {"n_jobs": bad})
+    def test_non_integral_n_jobs_rejected(self, bad, option):
+        # Regression (window): 2.5 used to construct and then fail mid-stream
+        # inside islice, and True silently ran a window of 1.
+        with pytest.raises(ValueError, match=f"{option} must be an integer"):
+            normalize_backend_spec(PARALLEL_BACKEND_OF[option], {option: bad})
 
+    @pytest.mark.parametrize("option", ["n_jobs", "window"])
     @pytest.mark.parametrize("bad", [0, -3])
-    def test_non_positive_n_jobs_rejected_not_silently_serial(self, bad):
+    def test_non_positive_n_jobs_rejected_not_silently_serial(self, bad, option):
         # Regression: n_jobs=0 under auto used to degrade to serial quietly.
+        backend = PARALLEL_BACKEND_OF[option]
+        with pytest.raises(ValueError, match=f"{option} must be positive"):
+            normalize_backend_spec(backend, {option: bad})
         with pytest.raises(ValueError, match="positive"):
-            normalize_backend_spec("auto", {"n_jobs": bad})
-        with pytest.raises(ValueError, match="positive"):
-            ParseRequest(parser="pymupdf", backend_options={"n_jobs": bad})
+            ParseRequest(parser="pymupdf", backend=backend, backend_options={option: bad})
 
     def test_auto_with_thread_options_but_no_parallelism_names_auto(self):
         # window is a thread option; failing it against serial would blame a
@@ -168,9 +175,18 @@ class TestRegistry:
         with pytest.raises(ValueError, match="auto.*explicitly"):
             normalize_backend_spec("auto", {"window": 8})
 
-    def test_bogus_mp_context_fails_at_request_construction(self):
-        with pytest.raises(ValueError, match="mp_context"):
-            ParseRequest(backend="process", backend_options={"mp_context": "bogus"})
+    @pytest.mark.parametrize(
+        "backend,options",
+        [("process", {"mp_context": "fork"}), ("async", {"max_window": 3})],
+    )
+    def test_bogus_mp_context_fails_at_request_construction(self, backend, options):
+        # The refusal names the caller's name, not the ``thread`` it resolves to.
+        (option,) = options
+        with pytest.raises(
+            ValueError,
+            match=rf"\['{option}'\] for backend '{backend}', an accepted name for 'thread'",
+        ):
+            ParseRequest(backend=backend, backend_options=options)
 
     def test_instance_passthrough_is_not_owned(self):
         backend = SerialBackend()
@@ -183,10 +199,8 @@ class TestRegistry:
 # ---------------------------------------------------------------------- #
 # map_ordered contract
 # ---------------------------------------------------------------------- #
-#: The backends that run the one ordered-window loop in-process.  ``process``
-#: inherits it too and is cheap here: ``map_ordered`` alone (no
-#: ``site``) never spawns a child.  ``async`` is the alias row: the
-#: name resolves to ``thread``.
+#: The backends that run the one ordered-window loop in-process.  ``async``
+#: and ``process`` are the alias rows: both names resolve to ``thread``.
 WINDOW_LOOP_BACKENDS = ["thread", "async", "process"]
 
 
@@ -477,11 +491,7 @@ def _normalized_bytes(payload: dict) -> bytes:
     return json.dumps(scrub(payload), sort_keys=True).encode("utf-8")
 
 
-def _backend_cases() -> list[tuple[str, dict]]:
-    cases = [("serial", {}), ("thread", {"n_jobs": 3}), ("async", {"n_jobs": 3})]
-    if HAVE_FORK:
-        cases.append(("process", dict(PROCESS_OPTIONS)))
-    return cases
+BACKEND_CASES = [("serial", {}), ("thread", {"n_jobs": 3}), ("async", {"n_jobs": 3})]
 
 
 class TestBackendParity:
@@ -500,7 +510,7 @@ class TestBackendParity:
         )
         return pipeline.run(request)
 
-    @pytest.mark.parametrize("backend,options", _backend_cases())
+    @pytest.mark.parametrize("backend,options", BACKEND_CASES)
     def test_engine_reports_byte_identical_modulo_timings(
         self, registry, engine, corpus_100, backend, options
     ):
@@ -515,7 +525,7 @@ class TestBackendParity:
         assert len(candidate.decisions) == len(documents)
         assert candidate.execution.backend == normalize_backend_spec(backend)[0]
 
-    @pytest.mark.parametrize("backend,options", _backend_cases())
+    @pytest.mark.parametrize("backend,options", BACKEND_CASES)
     def test_cache_readwrite_parity(
         self, registry, engine, small_corpus, backend, options
     ):
@@ -532,7 +542,7 @@ class TestBackendParity:
         assert candidate.cache.misses == len(documents)
         assert candidate.cache.stores == len(documents)
 
-    @pytest.mark.parametrize("backend,options", _backend_cases())
+    @pytest.mark.parametrize("backend,options", BACKEND_CASES)
     def test_base_parser_parity(self, registry, corpus_100, backend, options):
         documents = list(corpus_100)
         baseline = ParsePipeline(registry).run(
@@ -646,8 +656,7 @@ class TestRemoteBackendParity:
 
 class TestFastTextEngineParity:
     """The parity contract with the real ``adaparse_ft`` engine: its fastText
-    model keeps a word-id table that every thread of the pool shares (and
-    that a process pool's pickled copy starts without)."""
+    model keeps a word-id table that every thread of the pool shares."""
 
     def _report(self, registry, engine, documents, backend, options):
         pipeline = ParsePipeline(registry, engines={engine.name: engine})
@@ -662,16 +671,14 @@ class TestFastTextEngineParity:
         self, registry, default_ft_engine, corpus_100
     ):
         documents = list(corpus_100)
-        cases = [("thread", {"n_jobs": 8})]
-        if HAVE_FORK:
-            cases.append(("process", dict(PROCESS_OPTIONS)))
         baseline = self._report(registry, default_ft_engine, documents, "serial", {})
         assert 0 < baseline.fraction_routed() <= 0.1
-        for backend, options in cases:
-            candidate = self._report(registry, default_ft_engine, documents, backend, options)
-            assert _normalized_bytes(candidate.to_json_dict(include_text=True)) == (
-                _normalized_bytes(baseline.to_json_dict(include_text=True))
-            ), backend
+        candidate = self._report(
+            registry, default_ft_engine, documents, "thread", {"n_jobs": 8}
+        )
+        assert _normalized_bytes(candidate.to_json_dict(include_text=True)) == (
+            _normalized_bytes(baseline.to_json_dict(include_text=True))
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -712,7 +719,7 @@ class TestPhaseAttributionParity:
     The timings differ (that's the point of the attribution), but the
     *shape* of the table is part of the backend contract: a dashboard
     built against the serial backend must read identically against a
-    process pool or a remote cluster.
+    thread pool or a remote cluster.
     """
 
     def _report(self, registry, engine, documents, backend, options, cache=""):
@@ -730,7 +737,7 @@ class TestPhaseAttributionParity:
         )
         return pipeline.run(request)
 
-    @pytest.mark.parametrize("backend,options", _backend_cases())
+    @pytest.mark.parametrize("backend,options", BACKEND_CASES)
     def test_base_parser_phase_keys(self, registry, small_corpus, backend, options):
         report = ParsePipeline(registry).run(
             request_for_documents(
@@ -741,7 +748,7 @@ class TestPhaseAttributionParity:
         assert set(report.phases) == BASE_PHASE_KEYS
         _assert_phase_rows_well_formed(report)
 
-    @pytest.mark.parametrize("backend,options", _backend_cases())
+    @pytest.mark.parametrize("backend,options", BACKEND_CASES)
     def test_engine_phase_keys(
         self, registry, engine, corpus_100, backend, options
     ):
@@ -753,7 +760,7 @@ class TestPhaseAttributionParity:
         # attribution is meaningful, not just present
         assert report.phases["parse"]["total_s"] > 0
 
-    @pytest.mark.parametrize("backend,options", _backend_cases())
+    @pytest.mark.parametrize("backend,options", BACKEND_CASES)
     def test_engine_cache_phase_keys(
         self, registry, engine, corpus_100, backend, options
     ):
@@ -765,7 +772,7 @@ class TestPhaseAttributionParity:
 
     @pytest.mark.parametrize("policy", sorted(CACHE_PHASE_KEYS_BY_POLICY))
     @pytest.mark.parametrize(
-        "backend,options", _backend_cases() + [("served", {"n_jobs": 2})]
+        "backend,options", BACKEND_CASES + [("served", {"n_jobs": 2})]
     )
     def test_cache_phase_keys_follow_the_policy(
         self, registry, small_corpus, backend, options, policy
@@ -888,13 +895,7 @@ class TestExecutionSiteContract:
     def test_thread_pool_records_into_the_run_timer_without_capture(
         self, registry, engine, corpus_100, monkeypatch
     ):
-        from repro.obs import profiling
-
         timers = _CountingTimers(monkeypatch)
-        monkeypatch.setattr(
-            profiling.PhaseCapture, "__call__",
-            lambda self, item: pytest.fail("a pool thread needs no phase capture"),
-        )
         pipeline = ParsePipeline(registry, engines={engine.name: engine})
         report = pipeline.run(
             request_for_documents(
@@ -944,11 +945,11 @@ class TestRemotePhaseAttributionParity:
 
     #: The worker composes the same site on *its* backend, so its shipped
     #: table has the same keys whichever local backend parses the shard.
-    @pytest.fixture(params=[case[0] for case in _backend_cases() if case[0] != "async"])
+    @pytest.fixture(params=[case[0] for case in BACKEND_CASES if case[0] != "async"])
     def cluster(self, request, registry, engine):
         from repro.cluster.worker import WorkerDaemon
 
-        options = dict(_backend_cases())[request.param]
+        options = dict(BACKEND_CASES)[request.param]
         workers = [
             WorkerDaemon(
                 name=f"phase-parity-{i}",
@@ -1170,95 +1171,36 @@ class TestRemoteByReferenceParity:
 
 
 # ---------------------------------------------------------------------- #
-# Process backend specifics
-# ---------------------------------------------------------------------- #
-@pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-class TestProcessBackend:
-    def test_cache_write_back_merges_into_parent(self, registry, small_corpus):
-        documents = list(small_corpus)
-        pipeline = ParsePipeline(registry, cache=ParseCache())
-        first = pipeline.run(
-            request_for_documents(
-                "pymupdf", documents, cache="readwrite",
-                backend="process", backend_options=dict(PROCESS_OPTIONS),
-            )
-        )
-        # Children parsed everything; the parent merged the results back.
-        assert first.cache.misses == len(documents)
-        assert first.cache.stores == len(documents)
-        # A serial follow-up on the same pipeline is served entirely from
-        # the parent's cache — proof the write-back landed parent-side.
-        second = pipeline.run(
-            request_for_documents("pymupdf", documents, cache="readwrite")
-        )
-        assert second.cache.hits == len(documents)
-        assert second.cache.misses == 0
-        assert [r.text for r in second.results] == [r.text for r in first.results]
-
-    def test_worker_registered_once_then_fallback_for_second_worker(
-        self, registry, small_corpus
-    ):
-        # The first parser rides the pool initializer (shipped once per
-        # child); a different second parser on the same pool still parses
-        # correctly via the per-call fallback.
-        from repro.pipeline.backends import ProcessBackend
-
-        batch = list(small_corpus)[:4]
-        pymupdf, pypdf = registry.get("pymupdf"), registry.get("pypdf")
-        backend = ProcessBackend(**PROCESS_OPTIONS)
-        try:
-            first = backend.site(pymupdf)
-            assert first(batch) == pymupdf.parse_batch(batch)
-            second = backend.site(pypdf)
-            assert second(batch) == pypdf.parse_batch(batch)
-            assert second(batch) != first(batch)
-            # And the registered parser keeps working alongside it.
-            assert first(batch[:1]) == pymupdf.parse_batch(batch[:1])
-        finally:
-            backend.close()
-
-    def test_unpicklable_worker_raises_backend_error(self, registry):
-        class UnpicklableParser(type(registry.get("pymupdf"))):
-            def __reduce__(self):
-                raise TypeError("cannot pickle this parser")
-
-        from repro.pipeline.backends import ProcessBackend
-
-        backend = ProcessBackend(**PROCESS_OPTIONS)
-        try:
-            with pytest.raises(BackendError, match="picklable"):
-                backend.site(UnpicklableParser())
-        finally:
-            backend.close()
-
-
-# ---------------------------------------------------------------------- #
-# ``async``: an accepted name for the thread backend
+# ``async`` and ``process``: accepted names for the thread backend
 # ---------------------------------------------------------------------- #
 class TestAsyncBackend:
-    """``async`` no longer names a backend of its own; the ``map_ordered``
-    contract is covered, for the alias too, by ``TestMapOrdered``."""
+    """Neither ``async`` nor ``process`` names a backend of its own; the
+    ``map_ordered`` contract is covered, for the aliases too, by
+    ``TestMapOrdered``."""
 
-    def test_async_report_is_the_thread_report(self, registry, small_corpus):
+    @pytest.mark.parametrize("alias", ["async", "process"])
+    def test_async_report_is_the_thread_report(self, registry, small_corpus, alias):
         reports = {
             name: ParsePipeline(registry).run(
                 request_for_documents(
                     "pymupdf", list(small_corpus), batch_size=4,
-                    backend=name, backend_options={"n_jobs": 2},
+                    backend=name, backend_options={} if name == "serial" else {"n_jobs": 2},
                 )
             )
-            for name in ("thread", "async")
+            for name in ("serial", "thread", alias)
         }
-        as_thread, as_async = (
-            reports[name].to_json_dict(include_text=True) for name in ("thread", "async")
+        as_serial, as_thread, as_alias = (
+            reports[name].to_json_dict(include_text=True)
+            for name in ("serial", "thread", alias)
         )
-        assert _normalized_bytes(as_async) == _normalized_bytes(as_thread)
-        assert as_async["execution"]["backend"] == "thread"
-        assert as_async["execution"]["extra"] == as_thread["execution"]["extra"] == {}
-        assert {k: v for k, v in as_async["execution"].items() if isinstance(v, int)} == {
+        assert _normalized_bytes(as_alias) == _normalized_bytes(as_thread)
+        assert _normalized_bytes(as_alias) == _normalized_bytes(as_serial)
+        assert as_alias["execution"]["backend"] == "thread"
+        assert as_alias["execution"]["extra"] == as_thread["execution"]["extra"] == {}
+        assert {k: v for k, v in as_alias["execution"].items() if isinstance(v, int)} == {
             k: v for k, v in as_thread["execution"].items() if isinstance(v, int)
         }
-        assert reports["async"].request.resolved_backend() == ("thread", {"n_jobs": 2})
+        assert reports[alias].request.resolved_backend() == ("thread", {"n_jobs": 2})
 
     @pytest.mark.parametrize(
         "options", [{"max_window": 5}, {"min_window": 1}, {"adaptive": False}]

@@ -12,7 +12,6 @@ fetched another way (remote), never parsed as something it is not.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import time
 import weakref
@@ -34,8 +33,7 @@ from repro.documents.sources import (
 )
 from repro.pipeline import ParsePipeline, ParseRequest
 
-HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
-BACKENDS = ["serial", "thread", "remote"] + (["process"] if HAVE_FORK else [])
+BACKENDS = ["serial", "thread", "remote"]
 
 
 def write_pool(directory: Path, n_documents: int = 12, seed: int = 41) -> list:
@@ -69,9 +67,7 @@ def worker(registry, default_ft_engine):
 def options_for(backend: str, worker: "WorkerDaemon | None" = None) -> dict:
     if backend == "remote":
         return {"workers": worker.address}
-    return {"serial": {}, "thread": {"n_jobs": 2}, "process": {"n_jobs": 2, "mp_context": "fork"}}[
-        backend
-    ]
+    return {"serial": {}, "thread": {"n_jobs": 2}}[backend]
 
 
 def record_frames(monkeypatch) -> list[dict]:
@@ -169,33 +165,6 @@ class TestMixedBatches:
 # (b) count gates
 # ---------------------------------------------------------------------- #
 class TestCountGates:
-    @pytest.mark.skipif(not HAVE_FORK, reason="the counter rides a forked child")
-    def test_uncached_process_run_reads_nothing_in_the_parent(
-        self, registry, tmp_path, monkeypatch
-    ):
-        write_pool(tmp_path / "pool")
-        reads_here = []
-        read = SimPdfDirSource._read
-
-        def counted(self, path):
-            # A forked child appends to its own copy of the list.
-            reads_here.append(path.name)
-            return read(self, path)
-
-        monkeypatch.setattr(SimPdfDirSource, "_read", counted)
-        request = dict(parser="pymupdf", source=f"simpdf-dir:{tmp_path / 'pool'}", batch_size=4)
-        report = ParsePipeline(registry).run(
-            ParseRequest(backend="process", backend_options=options_for("process"), **request)
-        )
-        assert report.n_succeeded == 12 and reads_here == []
-        # The children's reads are attributed all the same: their tables merge.
-        assert report.phases["source.load"]["calls"] == 3
-        serial = ParsePipeline(registry).run(ParseRequest(**request))
-        assert len(reads_here) == 12  # the same counter does count
-        assert [r.to_json_dict() for r in report.results] == [
-            r.to_json_dict() for r in serial.results
-        ]
-
     def test_cached_remote_run_ships_the_misses_its_index_knows_as_references(
         self, registry, worker, tmp_path
     ):
@@ -281,7 +250,6 @@ class TestRewrittenFile:
         )
         with pytest.raises(StaleReferences, match=stale.locator) as caught:
             ParsePipeline(registry).run(request)
-        # Whole, also from a process-backend child.
         assert caught.value.refs == [stale]
 
     def test_remote_asks_for_it_once_and_parses_what_the_file_holds_now(
