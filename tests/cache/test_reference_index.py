@@ -149,7 +149,8 @@ def counts(monkeypatch):
 # (a) parity with the same request over explicit documents
 # ---------------------------------------------------------------------- #
 class TestParityWithExplicitDocuments:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    # ``process`` is an accepted name for ``thread``.
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("kind", ["simpdf-dir", "html-dir", "markdown-dir", "synthetic"])
     def test_every_policy_gives_the_report_of_the_same_documents(
         self, tmp_path, kind, backend

@@ -491,7 +491,14 @@ def _normalized_bytes(payload: dict) -> bytes:
     return json.dumps(scrub(payload), sort_keys=True).encode("utf-8")
 
 
-BACKEND_CASES = [("serial", {}), ("thread", {"n_jobs": 3}), ("async", {"n_jobs": 3})]
+#: ``async`` and ``process`` are the alias rows: both names resolve to
+#: ``thread``, and the parity contract holds under either name.
+BACKEND_CASES = [
+    ("serial", {}),
+    ("thread", {"n_jobs": 3}),
+    ("async", {"n_jobs": 3}),
+    ("process", {"n_jobs": 2}),
+]
 
 
 class TestBackendParity:
@@ -945,6 +952,7 @@ class TestRemotePhaseAttributionParity:
 
     #: The worker composes the same site on *its* backend, so its shipped
     #: table has the same keys whichever local backend parses the shard.
+    #: The ``process`` row is a ``worker --backend process`` daemon.
     @pytest.fixture(params=[case[0] for case in BACKEND_CASES if case[0] != "async"])
     def cluster(self, request, registry, engine):
         from repro.cluster.worker import WorkerDaemon

@@ -33,7 +33,8 @@ from repro.documents.sources import (
 )
 from repro.pipeline import ParsePipeline, ParseRequest
 
-BACKENDS = ["serial", "thread", "remote"]
+#: ``process`` is an accepted name for ``thread``.
+BACKENDS = ["serial", "thread", "remote", "process"]
 
 
 def write_pool(directory: Path, n_documents: int = 12, seed: int = 41) -> list:
@@ -67,7 +68,7 @@ def worker(registry, default_ft_engine):
 def options_for(backend: str, worker: "WorkerDaemon | None" = None) -> dict:
     if backend == "remote":
         return {"workers": worker.address}
-    return {"serial": {}, "thread": {"n_jobs": 2}}[backend]
+    return {"serial": {}, "thread": {"n_jobs": 2}, "process": {"n_jobs": 2}}[backend]
 
 
 def record_frames(monkeypatch) -> list[dict]:
