@@ -20,10 +20,10 @@ membership *live* on a running coordinator:
   ``status`` answers with the coordinator's membership/counters snapshot
   (what ``adaparse-repro cluster status`` prints).
 
-Backward compatibility is capability-flagged, not version-bumped: the
-coordinator's ``hello`` advertises ``capabilities: {"membership": true}``
-and workers advertise the same in ``hello_ack``; v1 peers ignore the
-unknown key and keep working as a fixed-list cluster.
+Membership needs nothing from the handshake: no capability flag says a
+peer takes part, because every worker that passes the cluster wire's
+version check (protocol 2; version-1 peers are refused) can be joined,
+drained and dialled back like any other.
 """
 
 from __future__ import annotations

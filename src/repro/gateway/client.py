@@ -3,12 +3,14 @@
 :class:`GatewayClient` is the programmatic mirror of the in-process
 :class:`~repro.serve.ParseService` surface, spoken over the gateway
 wire: ``submit()`` returns a :class:`RemoteTicket`, ``ticket.events()``
-iterates the live progress stream, ``result()`` fetches the finished
-:class:`~repro.pipeline.report.ParseReport` JSON.  One background reader
-thread demultiplexes the connection: ``event`` frames fan out to their
-ticket's local buffer, everything else answers the single in-flight
-request (requests/replies are strictly ordered per connection, so no
-correlation ids are needed).
+iterates the live progress stream, ``result()`` returns the finished
+:class:`~repro.pipeline.report.ParseReport` JSON, which arrives on the
+frame of the ``completed`` event (gateway protocol 2), so it sends
+nothing.  One background reader thread demultiplexes the connection:
+``event`` frames fan out to their ticket's local buffer, everything else
+answers the single in-flight request (requests/replies are strictly
+ordered per connection, so no correlation ids are needed).  A ticket is
+routed from its ``submitted`` reply to its terminal frame, no longer.
 
 Failure semantics are explicit:
 
@@ -79,16 +81,20 @@ class RemoteTicket:
         self.trace_id = trace_id
         self._cond = threading.Condition()
         self._events: list[ProgressEvent] = []
+        #: The report that came with the ``completed`` frame, until
+        #: :meth:`GatewayClient.result` takes it.
+        self._report: dict[str, Any] | None = None
         self._lost = False
 
     # -- reader-thread side -------------------------------------------- #
-    def _deliver(self, event: ProgressEvent) -> None:
+    def _deliver(self, event: ProgressEvent, report: dict[str, Any] | None) -> None:
         with self._cond:
             # Resume replays may overlap events already buffered locally;
             # seq makes the dedup exact.
             if self._events and event.seq <= self._events[-1].seq:
                 return
             self._events.append(event)
+            self._report = report
             self._cond.notify_all()
 
     def _mark_lost(self) -> None:
@@ -148,6 +154,11 @@ class RemoteTicket:
                 return event
         raise GatewayError(f"ticket {self.id} stream ended without a terminal event")
 
+    def _take_report(self) -> dict[str, Any] | None:
+        with self._cond:
+            report, self._report = self._report, None
+            return report
+
 
 class GatewayClient:
     """One connection to a :class:`~repro.gateway.server.GatewayServer`.
@@ -192,8 +203,8 @@ class GatewayClient:
         self._rpc_pending = False
         self._pending_lock = threading.Lock()
         self._route_lock = threading.Lock()
+        #: Tickets whose stream is open on this connection, by id.
         self._tickets: dict[str, RemoteTicket] = {}
-        self._orphan_events: dict[str, list[ProgressEvent]] = {}
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -258,6 +269,10 @@ class GatewayClient:
                     with self._pending_lock:
                         pending = self._rpc_pending
                     if pending:
+                        if kind == protocol.SUBMITTED:
+                            # Route the ticket before the next frame, its
+                            # first event, is read.
+                            message["handle"] = self._register(message)
                         self._replies.put(message)
                     # else: an unsolicited frame (connection-level error)
                     # with no request awaiting it — drop rather than hand
@@ -270,24 +285,24 @@ class GatewayClient:
     def _route_event(self, message: dict[str, Any]) -> None:
         event = ProgressEvent.from_json_dict(dict(message.get("event") or {}))
         with self._route_lock:
-            ticket = self._tickets.get(event.ticket_id)
-            if ticket is None:
-                # The streamer can outrun submit()'s bookkeeping: hold
-                # events until the ticket handle registers.
-                self._orphan_events.setdefault(event.ticket_id, []).append(event)
-                return
-        ticket._deliver(event)
+            if event.terminal:
+                # The stream ends here; the caller's handle keeps its buffer.
+                ticket = self._tickets.pop(event.ticket_id, None)
+            else:
+                ticket = self._tickets.get(event.ticket_id)
+        if ticket is not None:  # else a second stream's copy of an ended one
+            ticket._deliver(event, message.get("report"))
 
-    def _register(self, ticket: RemoteTicket) -> RemoteTicket:
+    def _register(self, reply: dict[str, Any]) -> RemoteTicket:
+        ticket_id = str(reply["ticket_id"])
         with self._route_lock:
-            existing = self._tickets.get(ticket.id)
-            if existing is not None:
-                return existing
-            self._tickets[ticket.id] = ticket
-            orphans = self._orphan_events.pop(ticket.id, [])
-        for event in orphans:
-            ticket._deliver(event)
-        return ticket
+            ticket = self._tickets.get(ticket_id)
+            if ticket is None:
+                trace_id = reply.get("trace_id")
+                ticket = self._tickets[ticket_id] = RemoteTicket(
+                    ticket_id, trace_id=str(trace_id) if trace_id is not None else None
+                )
+            return ticket
 
     def _on_connection_end(self) -> None:
         with self._route_lock:
@@ -355,13 +370,7 @@ class GatewayClient:
     def _accept_ticket(self, reply: dict[str, Any]) -> RemoteTicket:
         kind = reply.get("type")
         if kind == protocol.SUBMITTED:
-            trace_id = reply.get("trace_id")
-            return self._register(
-                RemoteTicket(
-                    str(reply["ticket_id"]),
-                    trace_id=str(trace_id) if trace_id is not None else None,
-                )
-            )
+            return reply["handle"]
         if kind == protocol.REJECTED:
             raise GatewayRejected(
                 str(reply.get("reason", "unknown")),
@@ -376,33 +385,38 @@ class GatewayClient:
         timeout: float | None = None,
         include_text: bool = False,
     ) -> dict[str, Any]:
-        """Wait for a ticket to finish and fetch its report JSON.
+        """Wait for a ticket to finish and return its report JSON.
+
+        The report arrives on the ``completed`` event's frame, so a handle
+        that streamed to the end sends nothing.  A ticket id is resumed
+        first (a finished ticket re-sends its terminal frame).  A handle
+        gives its report up once; a second call on it resumes by id.
+        ``include_text=False`` drops the page texts.
 
         Raises :class:`GatewayError` when the ticket failed or was
-        cancelled (the terminal event's payload is in the message).
+        cancelled (the terminal event's payload is in the message), or
+        is unknown or another client's.
         """
-        if isinstance(ticket, RemoteTicket):
-            terminal = ticket.wait(timeout=timeout if timeout is not None else None)
-            if terminal.kind != "completed":
-                raise GatewayError(
-                    f"ticket {ticket.id} ended {terminal.kind}: "
-                    f"{terminal.payload.get('error', '')}"
-                )
-            ticket_id = ticket.id
-        else:
-            ticket_id = ticket
-        reply = self._rpc(
-            {
-                "type": protocol.FETCH_RESULT,
-                "ticket_id": ticket_id,
-                "include_text": include_text,
-            }
-        )
-        if reply.get("type") != protocol.RESULT:
+        handle = ticket if isinstance(ticket, RemoteTicket) else self.resume(ticket)
+        terminal = handle.wait(timeout=timeout)
+        if terminal.kind != "completed":
             raise GatewayError(
-                str(reply.get("message", f"unexpected reply: {reply!r}"))
+                f"ticket {handle.id} ended {terminal.kind}: "
+                f"{terminal.payload.get('error', '')}"
             )
-        return dict(reply["report"])
+        report = handle._take_report()
+        if report is None:
+            if handle is not ticket:
+                raise GatewayError(f"ticket {handle.id} completed without a report")
+            return self.result(handle.id, timeout, include_text)
+        if not include_text:
+            for entry in report["results"]:
+                entry.pop("page_texts", None)
+        elif any("page_texts" not in entry for entry in report["results"]):
+            raise GatewayError(
+                f"ticket {handle.id}'s page texts are over the gateway's frame limit"
+            )
+        return report
 
     def stats(self) -> dict[str, Any]:
         """Fetch the gateway's metrics snapshot (``stats`` round trip)."""

@@ -28,14 +28,18 @@ Message types
     One ticket lifecycle event (``queued`` → ``started`` → ``batch``* →
     terminal), exactly the :meth:`ProgressEvent.to_json_dict` schema the
     in-process service emits — per-ticket ``seq`` is gapless, so clients
-    detect missed events and resume without duplicates.
+    detect missed events and resume without duplicates.  The frame of a
+    ``completed`` event also carries ``report``, the ticket's full
+    :class:`ParseReport` JSON with page texts, next to ``event``: a result
+    crosses the wire once, with no request for it.  A report whose page
+    texts would put the frame over the size limit comes without them.
 ``resume``
     Reconnect-and-resume: re-attach to a ticket by id after a dropped
     connection, replaying events after ``after_seq``.  Tickets belong to
     the client id that submitted them; the gateway refuses to resume
-    someone else's ticket.
-``fetch_result`` / ``result``
-    Retrieve a completed ticket's full :class:`ParseReport` JSON.
+    someone else's ticket.  A finished ticket always re-sends its terminal
+    frame, whatever ``after_seq`` says, so a resume is also how a new
+    connection gets a finished ticket's report.
 ``stats``
     Gateway-level metrics: active/queued/rejected per client, bytes
     in/out, and the event-backlog high-water mark.  Sent as a request
@@ -59,7 +63,7 @@ Message types
     live gateway.
 ``error``
     A failed request/reply exchange (unknown ticket, unauthorized
-    resume, unfinished result) or a fatal connection-level failure.
+    resume) or a fatal connection-level failure.
 ``bye``
     Clean goodbye in either direction.  Closing the connection does
     **not** cancel the client's running tickets — that is what makes
@@ -82,8 +86,10 @@ from repro.utils.wire import (  # noqa: F401  (re-exports)
 )
 
 #: Gateway wire version.  Bump on any incompatible message change; both
-#: sides refuse to talk across versions (the handshake checks it).
-GATEWAY_PROTOCOL_VERSION = 1
+#: sides refuse to talk across versions (the handshake checks it).  Version
+#: 2 removed the result request and its reply: the report rides the frame
+#: of the ``completed`` event.
+GATEWAY_PROTOCOL_VERSION = 2
 
 # ---------------------------------------------------------------------- #
 # Message type names (hello / hello_ack / error / bye come from rpc)
@@ -93,8 +99,6 @@ SUBMITTED = "submitted"
 REJECTED = "rejected"
 EVENT = "event"
 RESUME = "resume"
-FETCH_RESULT = "fetch_result"
-RESULT = "result"
 STATS = "stats"
 TRACE = "trace"
 TRACE_RESULT = "trace_result"
@@ -175,12 +179,18 @@ def rejected_message(
     return message
 
 
-def event_message(event_payload: Mapping[str, Any]) -> dict[str, Any]:
-    return {
+def event_message(
+    event_payload: Mapping[str, Any], report: Mapping[str, Any] | None = None
+) -> dict[str, Any]:
+    """``report`` is the ticket's report JSON, sent with a ``completed`` event."""
+    message: dict[str, Any] = {
         "type": EVENT,
         "ticket_id": event_payload.get("ticket_id"),
         "event": dict(event_payload),
     }
+    if report is not None:
+        message["report"] = report
+    return message
 
 
 def resume_message(ticket_id: str, after_seq: int = -1) -> dict[str, Any]:

@@ -41,12 +41,13 @@ from typing import Any
 
 from repro.gateway import protocol
 from repro.gateway.auth import AuthError, AuthRegistry, ClientQuota, TokenBucket
-from repro.gateway.protocol import MessageChannel, ProtocolError
+from repro.gateway.protocol import MessageChannel, MessageTooLarge, ProtocolError
 from repro.obs import metrics as _metrics
 from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
 from repro.obs.tracing import TraceContext
+from repro.serve.events import EventKind
 from repro.serve.service import ParseService, ParseTicket, ServiceError
 from repro.utils.rpc import HandshakeRefused, Server, Session
 
@@ -535,6 +536,11 @@ class _ClientConnection(Session):
         if record is None:
             return
         after_seq = int(message.get("after_seq", -1))
+        terminal = record.ticket.terminal_event
+        if terminal is not None:
+            # A finished ticket always re-sends its terminal frame: the
+            # report rides on it, and the client drops the duplicate seq.
+            after_seq = min(after_seq, terminal.seq - 1)
         self.channel.send(
             {
                 "type": protocol.SUBMITTED,
@@ -544,45 +550,6 @@ class _ClientConnection(Session):
             }
         )
         self._start_streamer(record, after_seq=after_seq)
-
-    def _on_fetch_result(self, message: dict[str, Any]) -> None:
-        from repro.serve.service import TicketState
-
-        record = self._owned_record(message)
-        if record is None:
-            return
-        ticket = record.ticket
-        ticket_id = ticket.id
-        if not ticket.state.terminal:
-            self.channel.send(
-                {
-                    "type": protocol.ERROR,
-                    "code": "not_finished",
-                    "ticket_id": ticket_id,
-                    "message": f"ticket {ticket_id!r} is {ticket.state.value}",
-                }
-            )
-            return
-        if ticket.state is not TicketState.COMPLETED:
-            self.channel.send(
-                {
-                    "type": protocol.ERROR,
-                    "code": ticket.state.value,
-                    "ticket_id": ticket_id,
-                    "message": f"ticket {ticket_id!r} ended {ticket.state.value}",
-                }
-            )
-            return
-        report = ticket.result(timeout=0.001)
-        self.channel.send(
-            {
-                "type": protocol.RESULT,
-                "ticket_id": ticket_id,
-                "report": report.to_json_dict(
-                    include_text=bool(message.get("include_text", False))
-                ),
-            }
-        )
 
     # ------------------------------------------------------------------ #
     # Event streaming
@@ -601,7 +568,22 @@ class _ClientConnection(Session):
                 # is the STATS signal that a slow client (or a flooded
                 # event stream) is falling behind live progress.
                 self.server._note_backlog(ticket.n_events - (event.seq + 1))
-                self.channel.send(protocol.event_message(event.to_json_dict()))
+                if event.kind != EventKind.COMPLETED.value:
+                    self.channel.send(protocol.event_message(event.to_json_dict()))
+                    continue
+                report = ticket.result()
+                try:
+                    self.channel.send(
+                        protocol.event_message(
+                            event.to_json_dict(), report.to_json_dict(include_text=True)
+                        )
+                    )
+                except MessageTooLarge:
+                    # Page texts over the frame limit: the stream still ends,
+                    # and result(include_text=True) says why it has no texts.
+                    self.channel.send(
+                        protocol.event_message(event.to_json_dict(), report.to_json_dict())
+                    )
         except (ProtocolError, OSError):
             # Connection died mid-stream.  The ticket keeps running; the
             # client reconnects and resumes from its last seen seq.
@@ -610,7 +592,6 @@ class _ClientConnection(Session):
     handlers = {
         protocol.SUBMIT: _on_submit,
         protocol.RESUME: _on_resume,
-        protocol.FETCH_RESULT: _on_fetch_result,
         protocol.STATS: _on_stats,
         protocol.TRACE: _on_trace,
         protocol.PROFILE: _on_profile,

@@ -211,6 +211,14 @@ class ParseTicket:
         with self._cond:
             return len(self._events)
 
+    @property
+    def terminal_event(self) -> ProgressEvent | None:
+        """The terminal event once it is emitted, else ``None``."""
+        with self._cond:
+            if self._events and self._events[-1].terminal:
+                return self._events[-1]
+            return None
+
     def events(
         self, timeout: float | None = None, after_seq: int = -1
     ) -> Iterator[ProgressEvent]:
@@ -219,13 +227,16 @@ class ParseTicket:
         Events already emitted are replayed first, so subscribing after
         completion still sees the full stream.  ``after_seq`` skips the
         replay up to and including that sequence number (reconnecting
-        consumers resume without duplicates).  ``timeout`` bounds each
-        wait for the *next* event, not the whole stream.
+        consumers resume without duplicates); at or past the terminal
+        event's seq the stream is empty.  ``timeout`` bounds each wait for
+        the *next* event, not the whole stream.
         """
         index = max(0, after_seq + 1)
         while True:
             with self._cond:
                 while index >= len(self._events):
+                    if self.terminal_event is not None:
+                        return
                     if not self._cond.wait(timeout):
                         raise TimeoutError(
                             f"no event within {timeout}s for ticket {self.id}"

@@ -90,10 +90,11 @@ class TestHandshake:
             assert client.quota["max_active"] >= 1
             assert client.quota["max_request_bytes"] > 0
 
-    def test_version_mismatch_is_refused(self, gateway):
+    @pytest.mark.parametrize("version", [999, 1])
+    def test_version_mismatch_is_refused(self, gateway, version):
         channel = self.raw_channel(gateway)
         try:
-            channel.send({"type": protocol.HELLO, "protocol": 999})
+            channel.send({"type": protocol.HELLO, "protocol": version})
             reply = channel.recv()
             assert reply["type"] == protocol.ERROR
             assert "version" in reply["message"]
@@ -165,9 +166,12 @@ class TestSubmitAndStream:
             assert [e.kind for e in events[:2]] == ["queued", "started"]
             assert events[-1].kind == "completed"
             assert [e.seq for e in events] == list(range(len(events)))
+            sent = client._channel.bytes_sent
             report = client.result(ticket, timeout=30)
+            assert client._channel.bytes_sent == sent  # it came with `completed`
             assert report["n_documents"] == 8
             assert report["summary"]["n_succeeded"] == 8
+            assert all("page_texts" not in r for r in report["results"])
 
     def test_remote_report_matches_the_in_process_run(self, gateway):
         request = snail_request(cache="off")
@@ -180,6 +184,31 @@ class TestSubmitAndStream:
         assert [r["page_texts"] for r in remote["results"]] == [
             r["page_texts"] for r in local_payload["results"]
         ]
+
+    def test_report_over_the_frame_limit_comes_without_page_texts(
+        self, gateway, monkeypatch
+    ):
+        # The terminal frame must still go out, or the stream never ends.
+        from repro.utils import wire
+
+        request = snail_request(n_documents=16, cache="off")
+        with connect(gateway) as client:
+            first = client.submit(request)
+            full = client.result(first, timeout=30, include_text=True)
+            lean = dict(full, results=[
+                {k: v for k, v in r.items() if k != "page_texts"} for r in full["results"]
+            ])
+            terminal = first.terminal_event.to_json_dict()
+            sizes = [
+                len(wire.encode_message(protocol.event_message(terminal, report)))
+                for report in (lean, full)
+            ]
+            assert sizes[1] - sizes[0] > 1000  # room for other digits to differ
+            monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", sum(sizes) // 2)
+            ticket = client.submit(request)
+            assert client.result(ticket, timeout=30)["n_documents"] == 16
+            with pytest.raises(GatewayError, match="frame limit"):
+                client.result(ticket.id, timeout=30, include_text=True)
 
     def test_invalid_request_is_rejected_bad_request(self, gateway):
         with connect(gateway) as client:
@@ -373,7 +402,32 @@ class TestReconnectResume:
             full = list(ticket.events(timeout=30))
         with connect(gateway, client="replayer") as later:
             replay = list(later.resume(ticket.id).events(timeout=30))
+            report = later.result(ticket.id, timeout=30)
         assert [e.to_json_dict() for e in replay] == [e.to_json_dict() for e in full]
+        assert report["n_documents"] == 4
+        assert report["summary"]["n_succeeded"] == 4
+
+    def test_resume_at_the_terminal_seq_resends_the_terminal_frame(self):
+        # A stream resumed at its terminal seq still ends, with the report,
+        # and frees its streamer thread: stop() spends no join timeout.
+        with make_service() as service:
+            with GatewayServer(service, port=0) as server:
+                with connect(server, client="late") as client:
+                    ticket = client.submit(snail_request(n_documents=2))
+                    client.result(ticket, timeout=30)
+                with connect(server, client="late") as later:
+                    resumed = later.resume(ticket.id, after_seq=ticket.last_seq)
+                    replay = list(resumed.events(timeout=5))
+                    report = later.result(resumed, timeout=5)
+                started = time.monotonic()
+                server.stop()
+                stop_seconds = time.monotonic() - started
+        assert [(e.seq, e.kind) for e in replay] == [(ticket.last_seq, "completed")]
+        assert report["n_documents"] == 2
+        assert stop_seconds < 2.0
+        assert not [
+            t.name for t in threading.enumerate() if t.name.startswith("repro-gateway-stream")
+        ]
 
     def test_resume_unknown_ticket_errors(self, gateway):
         with connect(gateway) as client:
@@ -551,7 +605,7 @@ class TestImportHygiene:
             "import sys, repro.gateway\n"
             "assert 'repro.serve.service' not in sys.modules\n"
             "from repro.gateway import GATEWAY_PROTOCOL_VERSION\n"
-            "assert GATEWAY_PROTOCOL_VERSION == 1\n"
+            "assert GATEWAY_PROTOCOL_VERSION == 2\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True, env=_subprocess_env())
 

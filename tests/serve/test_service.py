@@ -148,6 +148,18 @@ class TestTicketLifecycle:
             )
             assert rebuilt == event
 
+    def test_events_after_the_terminal_seq_end_at_once(self, snail_pipeline, corpus_16):
+        with ParseService(pipeline=snail_pipeline) as service:
+            ticket = service.submit(request_for_documents("snail", list(corpus_16)[:2]))
+            ticket.result(timeout=60)
+        last = ticket.n_events - 1
+        assert [e.kind for e in ticket.events(timeout=5, after_seq=last - 1)] == ["completed"]
+        # A consumer already at (or past) the terminal event gets an empty
+        # stream, not a wait that no event will ever end.
+        assert list(ticket.events(timeout=5, after_seq=last)) == []
+        assert list(ticket.events(timeout=5, after_seq=last + 3)) == []
+        assert ticket.terminal_event.seq == last
+
     def test_failure_is_reported_not_swallowed(self, snail_pipeline, corpus_16):
         # A request rehydrated from JSON that referenced explicit documents
         # refuses to replay (the documents were not serialised): the service

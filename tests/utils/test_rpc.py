@@ -361,7 +361,7 @@ def _stop(daemon):
         service.close()
 
 
-HELLO_V1 = {"type": "hello", "protocol": 1}
+HELLO_GATEWAY = {"type": "hello", "protocol": 2}
 HELLO_WORKER = {"type": "hello", "protocol": 2}
 
 
@@ -370,7 +370,7 @@ class TestDaemonsShareTheLifecycle:
         "make,frames",
         [
             (_gateway, [{"type": "hello", "protocol": None}]),
-            (_gateway, [HELLO_V1, {"type": "submit", "request": {}, "priority": None}]),
+            (_gateway, [HELLO_GATEWAY, {"type": "submit", "request": {}, "priority": None}]),
             (_worker, [{"type": "hello", "protocol": None}]),
             (_worker, [HELLO_WORKER, {"type": "submit_shard"}]),
             (_worker, [HELLO_WORKER, {"type": "doc_data", "docs": []}]),
@@ -413,6 +413,7 @@ class TestDaemonsShareTheLifecycle:
                         {"parser": "pymupdf", "source": f"synthetic:1?seed={seed}"}
                     )
                     client.result(ticket, timeout=30)
+                assert client._tickets == {}  # no finished ticket is still routed
                 (session,) = gateway.sessions()
                 assert wait_until(lambda: len(session._threads) == 1)
                 assert [t.name for t in session._threads] == ["repro-gateway-reader"]
@@ -426,7 +427,7 @@ class TestDaemonsShareTheLifecycle:
             (
                 _gateway,
                 "repro-gateway",
-                [HELLO_V1, {"type": "submit", "request": {"source": "synthetic:4"}}],
+                [HELLO_GATEWAY, {"type": "submit", "request": {"source": "synthetic:4"}}],
             ),
             (_worker, "repro-cluster-worker", [HELLO_WORKER]),
             (_membership, "repro-elastic-membership", []),
