@@ -13,9 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
-from repro.metrics.tokenize import clipped_matches, ngrams, word_tokenize
+import numpy as np
+
+from repro.metrics.tokenize import word_tokenize
+
+#: Closes each order's sorted code array: above every n-gram code.
+_NO_CODE = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -81,23 +87,54 @@ class BleuReference:
 
     Labelling scores every parser's output against the same ground truth;
     the reference's n-gram multisets are the half of that work that does not
-    depend on the candidate.
+    depend on the candidate.  They are held as integers: each distinct
+    reference token gets a dense id, and an n-gram's code is the index of its
+    leading (n-1)-gram among that order's distinct codes, times the
+    vocabulary size, plus its last token's id.  Equal n-grams get equal codes
+    and different ones different codes, so a sorted array of each order's
+    distinct codes and their counts is the multiset, and clipped matches are
+    exact integer sums.  Codes stay below (reference tokens)², far from the
+    int64 limit.
     """
 
     def __init__(self, reference: str, max_n: int = 4) -> None:
+        if max_n <= 0:
+            raise ValueError(f"max_n must be positive, got {max_n}")
         tokens = word_tokenize(reference)
         self.length = len(tokens)
-        self.counts = [ngrams(tokens, n) for n in range(1, max_n + 1)]
+        self._token_ids = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
+        ids = np.fromiter(map(self._token_ids.__getitem__, tokens), np.int64, len(tokens))
+        # Per order: the distinct codes, ascending and closed by a sentinel
+        # no code reaches (so a lookup never runs off the end), and how often
+        # each occurs (the sentinel zero times).
+        self._grams: list[tuple[np.ndarray, np.ndarray]] = []
+        index = ids
+        for n in range(1, max_n + 1):
+            codes = ids if n == 1 else index[:-1] * len(self._token_ids) + ids[n - 1 :]
+            distinct, index, counts = np.unique(codes, return_inverse=True, return_counts=True)
+            self._grams.append((np.append(distinct, _NO_CODE), np.append(counts, 0)))
 
     def statistics(self, candidate: str) -> BleuStatistics:
         """Per-segment BLEU sufficient statistics of ``candidate``."""
         tokens = word_tokenize(candidate)
+        ids = np.fromiter(map(self._token_ids.get, tokens, repeat(-1)), np.int64, len(tokens))
+        known = ids >= 0
+        matches = []
+        index = ids
+        for n, (distinct, counts) in enumerate(self._grams, start=1):
+            if n == 1:
+                codes, valid = ids, known
+            else:
+                codes = index[:-1] * len(self._token_ids) + ids[n - 1 :]
+                valid = (index[:-1] >= 0) & known[n - 1 :]
+            at = np.searchsorted(distinct, codes)
+            found = valid & (distinct[at] == codes)
+            index = np.where(found, at, -1)
+            seen = np.bincount(at[found], minlength=len(counts))
+            matches.append(int(np.minimum(seen, counts).sum()))
         return BleuStatistics(
-            matches=tuple(
-                clipped_matches(ngrams(tokens, n), reference)
-                for n, reference in enumerate(self.counts, start=1)
-            ),
-            totals=tuple(max(0, len(tokens) - n + 1) for n in range(1, len(self.counts) + 1)),
+            matches=tuple(matches),
+            totals=tuple(max(0, len(tokens) - n + 1) for n in range(1, len(self._grams) + 1)),
             candidate_length=len(tokens),
             reference_length=self.length,
         )

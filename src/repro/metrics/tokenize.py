@@ -6,7 +6,6 @@ import re
 from collections import Counter
 from typing import Iterable, Sequence
 
-_WORD_RE = re.compile(r"[^\s]+")
 _WHITESPACE_RE = re.compile(r"\s+")
 
 
@@ -26,11 +25,13 @@ def normalize_text(text: str, lowercase: bool = True, collapse_whitespace: bool 
 
 
 def word_tokenize(text: str, lowercase: bool = True) -> list[str]:
-    """Split text into word tokens (whitespace-delimited, optional lowercase)."""
-    if not text:
-        return []
-    norm = normalize_text(text, lowercase=lowercase)
-    return _WORD_RE.findall(norm)
+    """Split text into word tokens (whitespace-delimited, optional lowercase).
+
+    ``str.split`` and ``re``'s ``\\s`` test whitespace with the same
+    predicate, and lowercasing never makes or removes whitespace, so this is
+    the runs of non-whitespace of :func:`normalize_text`'s output.
+    """
+    return (text.lower() if lowercase else text).split()
 
 
 def ngrams(tokens: Sequence[str], n: int) -> Counter:
@@ -38,11 +39,6 @@ def ngrams(tokens: Sequence[str], n: int) -> Counter:
     if n <= 0:
         raise ValueError("n must be positive")
     return Counter(zip(*(tokens[i:] for i in range(n))))
-
-
-def clipped_matches(candidate: Counter, reference: Counter) -> int:
-    """Candidate n-grams found in the reference, each at most as often as it has them."""
-    return sum(min(count, reference[gram]) for gram, count in candidate.items())
 
 
 def character_tokens(text: str, lowercase: bool = False) -> str:

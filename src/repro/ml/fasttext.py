@@ -11,8 +11,11 @@ or as a classifier.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +37,13 @@ from repro.utils.rng import rng_from
 _ID_TABLE_GENERATION_WORDS = 4096
 _ID_TABLE_MAX_WORD_CHARS = 24
 
+#: Most row shards one training step is split into (one thread each).
+_FIT_MAX_SHARDS = 4
+
+#: Name prefix of the threads a multi-shard :meth:`FastTextModel.fit` runs
+#: its shards on; they live for that one call.
+FIT_THREAD_PREFIX = "repro-fit"
+
 
 @dataclass(frozen=True)
 class FastTextConfig:
@@ -51,25 +61,63 @@ class FastTextConfig:
     seed: int = 17
 
 
-def _scatter_plan(ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _fit_shards() -> int:
+    """How many row shards :meth:`FastTextModel.fit` splits a step into.
+
+    One per core this process may run on, up to ``_FIT_MAX_SHARDS``.  No
+    count changes a result (see ``fit``), so none is configurable.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, _FIT_MAX_SHARDS))
+
+
+@contextmanager
+def _shard_pool(n_shards: int) -> Iterator[Callable[[Callable[[int], None]], None]]:
+    """A runner that calls ``work(shard)`` for every shard and returns when all have.
+
+    More than one shard run on a pool of that many threads that lives as
+    long as the ``with`` block; one shard runs inline and builds no pool.
+    """
+    if n_shards == 1:
+        yield lambda work: work(0)
+        return
+    with ThreadPoolExecutor(n_shards, thread_name_prefix=f"{FIT_THREAD_PREFIX}-shard") as pool:
+        yield lambda work: list(pool.map(work, range(n_shards)))
+
+
+def _scatter_plans(ids: np.ndarray, bounds: Sequence[int]) -> list[tuple[np.ndarray, list[int]]]:
     """How to add one row to ``table[i]`` once per occurrence of ``i`` in ``ids``.
 
-    Returns the distinct ids ordered by falling occurrence count, and for
-    k = 1, 2, ... the number of ids that occur at least k times.  Level k is
-    then the first ``level_sizes[k - 1]`` of the gathered rows
-    ``table[by_count]``; adding the row to each level in turn gives an id that
-    occurs c times c successive additions — the sequential accumulation of
-    ``ufunc.at`` (add, over ``ids``), bit for bit, at one gather, one scatter
-    and a slice addition per level instead of a dispatch per occurrence.  One
-    array and a few integers per text: see ``_recent_word_ids`` for why not a
+    One plan per row shard ``bounds[s]:bounds[s + 1]``, for the ids in it.  A
+    plan is the shard's distinct ids ordered by falling occurrence count,
+    and for k = 1, 2, ... the number of them that occur at least k times.
+    Level k is then the first ``level_sizes[k - 1]`` of the gathered rows
+    ``table[by_count]``; adding the row to each level in turn gives an id
+    that occurs c times c successive additions — the sequential accumulation
+    of ``ufunc.at`` (add, over ``ids``), bit for bit, at one gather, one
+    scatter and a slice addition per level instead of a dispatch per
+    occurrence.  An id's additions all happen in its own shard's plan, so
+    the shards can be applied in any order, or at once.  One array and a
+    few integers per text and shard: see ``_recent_word_ids`` for why not a
     list of arrays per text.
     """
     distinct, counts = np.unique(ids, return_counts=True)
-    by_count = distinct[np.argsort(-counts, kind="stable")]
-    ascending = np.sort(counts)
-    levels = np.arange(1, ascending[-1] + 1)
-    level_sizes = len(ascending) - np.searchsorted(ascending, levels, side="left")
-    return by_count, level_sizes.tolist()
+    cuts = np.searchsorted(distinct, bounds)
+    plans = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        shard_ids, shard_counts = distinct[lo:hi], counts[lo:hi]
+        if not len(shard_ids):
+            plans.append((shard_ids, []))
+            continue
+        by_count = shard_ids[np.argsort(-shard_counts, kind="stable")]
+        ascending = np.sort(shard_counts)
+        levels = np.arange(1, ascending[-1] + 1)
+        level_sizes = len(ascending) - np.searchsorted(ascending, levels, side="left")
+        plans.append((by_count, level_sizes.tolist()))
+    return plans
 
 
 class FastTextModel:
@@ -213,7 +261,10 @@ class FastTextModel:
             # residuals rather than the global offset.
             self.head_bias = targets.mean(axis=0).astype(np.float64)
         cached_ids = [self.bucket_ids(t) for t in texts]
-        scatter_plans = [_scatter_plan(ids) for ids in cached_ids]
+        lengths = np.asarray([len(ids) for ids in cached_ids], dtype=np.float64)
+        n_shards = min(_fit_shards(), len(self.embeddings))
+        bounds = [len(self.embeddings) * s // n_shards for s in range(n_shards + 1)]
+        scatter_plans = [_scatter_plans(ids, bounds) for ids in cached_ids]
         optimizer = AdamOptimizer(learning_rate=cfg.learning_rate, weight_decay=cfg.l2)
         params = {
             "embeddings": self.embeddings,
@@ -221,39 +272,60 @@ class FastTextModel:
             "head_bias": self.head_bias,
         }
         grad_emb = np.empty_like(self.embeddings)
-        for epoch in range(cfg.n_epochs):
-            epoch_loss = 0.0
-            n_batches = 0
-            for batch in minibatch_indices(len(texts), cfg.batch_size, cfg.seed, epoch):
-                ids_batch = [cached_ids[i] for i in batch]
-                hidden = np.stack([self.embeddings[ids].mean(axis=0) for ids in ids_batch], axis=0)
-                logits = hidden @ self.head_weight + self.head_bias
-                loss, grad_logits = self._loss_and_grad_logits(logits, targets[batch])
-                epoch_loss += loss
-                n_batches += 1
-                grad_head_w = hidden.T @ grad_logits
-                grad_head_b = grad_logits.sum(axis=0)
-                grad_hidden = grad_logits @ self.head_weight.T
-                grad_emb.fill(0.0)
-                for row, i in enumerate(batch):
-                    by_count, level_sizes = scatter_plans[i]
-                    share = grad_hidden[row] / len(cached_ids[i])
-                    touched = grad_emb[by_count]
-                    for size in level_sizes:
-                        touched[:size] += share
-                    grad_emb[by_count] = touched
-                grads = {
-                    "embeddings": grad_emb,
-                    "head_weight": grad_head_w,
-                    "head_bias": grad_head_b,
-                }
-                optimizer.step(params, grads)
-            train_loss = epoch_loss / max(1, n_batches)
-            val_loss = None
-            if validation is not None:
-                val_texts, val_targets = validation
-                val_loss = self.evaluate_loss(val_texts, np.asarray(val_targets, dtype=np.float64))
-            self.history.record(train_loss, val_loss)
+        hidden = np.empty((cfg.batch_size, cfg.embedding_dim))
+        batch: np.ndarray
+        shares: np.ndarray
+
+        def forward(shard: int) -> None:
+            # Rows shard, shard + n_shards, ... of the batch's mean embeddings.
+            for row in range(shard, len(batch), n_shards):
+                hidden[row] = self.embeddings.take(cached_ids[batch[row]], axis=0).mean(axis=0)
+
+        def backward(shard: int) -> None:
+            # The shard's rows of the embedding gradient, then of the step.
+            lo, hi = bounds[shard], bounds[shard + 1]
+            grad_emb[lo:hi].fill(0.0)
+            for row, i in enumerate(batch):
+                by_count, level_sizes = scatter_plans[i][shard]
+                if not level_sizes:
+                    continue
+                touched = grad_emb[by_count]
+                for size in level_sizes:
+                    touched[:size] += shares[row]
+                grad_emb[by_count] = touched
+            optimizer.update("embeddings", self.embeddings, grad_emb, lo, hi)
+
+        # Every element of the tables sees the same operations in the same
+        # order whatever the shard count: a text's mean embedding is one
+        # reduction whichever thread runs it, an id's gradient additions all
+        # happen in its own shard in batch order, and Adam is elementwise.
+        # What crosses rows (the loss, the head and its step, the step
+        # count) runs once per step, here.
+        with _shard_pool(n_shards) as run_shards:
+            for epoch in range(cfg.n_epochs):
+                epoch_loss = 0.0
+                n_batches = 0
+                for batch in minibatch_indices(len(texts), cfg.batch_size, cfg.seed, epoch):
+                    run_shards(forward)
+                    batch_hidden = hidden[: len(batch)]
+                    logits = batch_hidden @ self.head_weight + self.head_bias
+                    loss, grad_logits = self._loss_and_grad_logits(logits, targets[batch])
+                    epoch_loss += loss
+                    n_batches += 1
+                    grad_head_w = batch_hidden.T @ grad_logits
+                    grad_head_b = grad_logits.sum(axis=0)
+                    shares = (grad_logits @ self.head_weight.T) / lengths[batch, None]
+                    optimizer.begin_step(params)
+                    run_shards(backward)
+                    optimizer.update("head_weight", self.head_weight, grad_head_w)
+                    optimizer.update("head_bias", self.head_bias, grad_head_b)
+                train_loss = epoch_loss / max(1, n_batches)
+                val_loss = None
+                if validation is not None:
+                    val_texts, val_targets = validation
+                    val_targets = np.asarray(val_targets, dtype=np.float64)
+                    val_loss = self.evaluate_loss(val_texts, val_targets)
+                self.history.record(train_loss, val_loss)
         return self.history
 
     def evaluate_loss(self, texts: Sequence[str], targets: np.ndarray) -> float:

@@ -159,7 +159,17 @@ class ParserQualityPredictor:
         learning_rate: float | None = None,
         n_epochs: int | None = None,
     ) -> TrainingHistory:
-        """Fit the predictor on (text, per-parser accuracy) pairs."""
+        """Fit the predictor on (text, per-parser accuracy) pairs.
+
+        ``learning_rate`` and ``n_epochs`` override the transformer backend's
+        :class:`FineTuneConfig`.  The fasttext backend refuses them: its
+        :class:`FastTextConfig` fixes both.
+        """
+        if self.backend == "fasttext" and (learning_rate is not None or n_epochs is not None):
+            raise ValueError(
+                "the fasttext backend takes its learning rate and epochs from its "
+                "FastTextConfig, not from fit()"
+            )
         targets = np.asarray(targets, dtype=np.float64)
         if targets.ndim != 2 or targets.shape[1] != len(self.parser_names):
             raise ValueError(

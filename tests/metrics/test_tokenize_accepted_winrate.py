@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.metrics.accepted_tokens import accepted_token_rate, accepted_tokens
 from repro.metrics.bundle import evaluate_parse
-from repro.metrics.tokenize import clipped_matches, ngrams, normalize_text, word_tokenize
+from repro.metrics.bleu import BleuReference
+from repro.metrics.tokenize import ngrams, normalize_text, word_tokenize
 from repro.metrics.winrate import (
     PairwiseOutcome,
     WinRateTally,
     consensus_rate,
     normalized_win_rates,
 )
+
+
+def regex_word_tokenize(text: str, lowercase: bool = True) -> list[str]:
+    """``word_tokenize`` as it was: collapse, strip, lowercase, then find the runs."""
+    if not text:
+        return []
+    return re.findall(r"[^\s]+", normalize_text(text, lowercase=lowercase))
 
 
 class TestTokenize:
@@ -29,6 +39,15 @@ class TestTokenize:
     def test_empty(self):
         assert word_tokenize("") == []
 
+    @pytest.mark.parametrize("lowercase", [True, False])
+    def test_equals_the_regex_form_at_every_code_point(self, lowercase):
+        # Each code point sits between two capitals, so one that either form
+        # took for whitespace, or that lowercased to whitespace, splits a word
+        # in one form and not in the other.  Final sigma lowercases by context.
+        for plane in range(0x11):
+            text = "".join(f"Q{chr(c)}\u03a3" for c in range(plane << 16, (plane + 1) << 16))
+            assert word_tokenize(text, lowercase) == regex_word_tokenize(text, lowercase), plane
+
     def test_ngrams_counts(self):
         grams = ngrams(["a", "b", "a", "b"], 2)
         assert grams[("a", "b")] == 2
@@ -39,7 +58,7 @@ class TestTokenize:
             ngrams(["a"], 0)
 
     def test_clipping(self):
-        assert clipped_matches(ngrams(["a", "a", "a"], 1), ngrams(["a"], 1)) == 1
+        assert BleuReference("a", max_n=1).statistics("a a a").matches == (1,)
 
 
 class TestAcceptedTokens:

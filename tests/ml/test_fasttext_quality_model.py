@@ -120,6 +120,15 @@ class TestParserQualityPredictor:
             predictor.fit(TEXTS[:2], TARGETS[:5])
         assert not predictor.history.train_loss
 
+    @pytest.mark.parametrize("override", [{"learning_rate": 1e-4}, {"n_epochs": 1}])
+    def test_fasttext_backend_refuses_transformer_overrides(self, override):
+        # They used to be dropped: the fit ran at FastTextConfig's values.
+        predictor = ParserQualityPredictor(PARSERS, backend="fasttext", fasttext_config=FAST_CONFIG)
+        before = predictor.weights_fingerprint()
+        with pytest.raises(ValueError, match="FastTextConfig"):
+            predictor.fit(TEXTS, TARGETS, **override)
+        assert predictor.weights_fingerprint() == before and not predictor.history.train_loss
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             ParserQualityPredictor(PARSERS, backend="xgboost")

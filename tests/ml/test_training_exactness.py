@@ -1,17 +1,20 @@
 """Training's fast paths are exact: same weights, same moments, same losses.
 
 ``FastTextModel.fit`` accumulates each text's embedding gradient through a
-per-text plan instead of ``np.add.at`` and reuses one gradient table;
+per-text plan instead of ``np.add.at``, reuses one gradient table, and splits
+each step by embedding row over up to ``_FIT_MAX_SHARDS`` threads;
 ``AdamOptimizer.step`` updates parameter and moments in place, block by
 block.  The ``ufunc.at`` loop and the allocating step they replaced live on
 here as the references, and every comparison is ``np.array_equal`` — the
-operations and their order per element are unchanged, so there is no
-tolerance to set.  Two gates pin the saving itself: what ``fit`` holds at its
-peak, and what a ``step`` allocates.
+operations and their order per element are unchanged, at any shard count, so
+there is no tolerance to set.  Two gates pin the saving itself: what ``fit``
+holds at its peak, and what a ``step`` allocates.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -114,6 +117,14 @@ def fit_keeping_the_optimizer(model: FastTextModel, texts, targets) -> AdamOptim
     return optimizer
 
 
+def shards(n_shards: int):
+    """Make ``fit`` split its steps into ``n_shards`` row shards."""
+    return mock.patch.object(fasttext_module, "_fit_shards", lambda: n_shards)
+
+
+SHARD_COUNTS = pytest.mark.parametrize("n_shards", [1, 2, 3])
+
+
 def assert_same_training(ours, our_optimizer, reference, reference_optimizer):
     for name in ("embeddings", "head_weight", "head_bias"):
         assert np.array_equal(getattr(ours, name), getattr(reference, name)), name
@@ -164,6 +175,7 @@ def training_sets(draw):
 # ---------------------------------------------------------------------- #
 # Exactness
 # ---------------------------------------------------------------------- #
+@SHARD_COUNTS
 class TestFitEqualsTheUfuncAtLoop:
     @settings(max_examples=150, deadline=None)
     @given(training_sets(), st.sampled_from([24, 100, trainer_module._ADAM_BLOCK_ELEMENTS]))
@@ -173,37 +185,129 @@ class TestFitEqualsTheUfuncAtLoop:
          FastTextConfig(7, 61, n_epochs=3, batch_size=2, l2=0.01)),
         24,
     )
-    def test_weights_moments_and_losses_are_equal(self, training_set, block_elements):
+    def test_weights_moments_and_losses_are_equal(self, n_shards, training_set, block_elements):
         task, texts, targets, n_outputs, config = training_set
         ours = FastTextModel(config, n_outputs, task)
         reference = FastTextModel(config, n_outputs, task)
         # Blocks of 24 or 100 elements cut these small tables into many
         # pieces, with a ragged last one; the real constant leaves one block.
-        with mock.patch.object(trainer_module, "_ADAM_BLOCK_ELEMENTS", block_elements):
+        blocks = mock.patch.object(trainer_module, "_ADAM_BLOCK_ELEMENTS", block_elements)
+        with blocks, shards(n_shards):
             our_optimizer = fit_keeping_the_optimizer(ours, texts, targets)
         reference_optimizer = reference_fit(reference, texts, targets)
         assert_same_training(ours, our_optimizer, reference, reference_optimizer)
 
-    def test_a_word_repeated_past_66_levels(self):
+    def test_a_word_repeated_past_66_levels(self, n_shards):
         texts = ["of " * 300 + "catalyst", "of the catalyst", ""]
         config = FastTextConfig(8, 128, max_tokens=400, n_epochs=2, batch_size=3)
-        _, level_sizes = fasttext_module._scatter_plan(
-            FastTextModel(config, 2).bucket_ids(texts[0])
+        ((_, level_sizes),) = fasttext_module._scatter_plans(
+            FastTextModel(config, 2).bucket_ids(texts[0]), [0, 128]
         )
         assert len(level_sizes) >= 300
         ours, reference = FastTextModel(config, 2), FastTextModel(config, 2)
         targets = np.asarray([[0.1, 0.9], [0.5, 0.5], [1.0, 0.0]])
-        our_optimizer = fit_keeping_the_optimizer(ours, texts, targets)
+        with shards(n_shards):
+            our_optimizer = fit_keeping_the_optimizer(ours, texts, targets)
         assert_same_training(ours, our_optimizer, reference, reference_fit(reference, texts, targets))
 
-    def test_a_second_fit_continues_exactly(self):
+    def test_a_text_whose_ids_all_fall_in_one_shard(self, n_shards):
+        # An empty text is the single id 0: every other shard's plan for it
+        # is empty, and a text of one repeated word touches few rows.
+        texts, targets = ["", "of of of", "the catalyst of"], np.asarray([[0.2], [0.4], [0.9]])
+        config = FastTextConfig(4, 61, n_epochs=2, batch_size=3)
+        bounds = [61 * s // n_shards for s in range(n_shards + 1)]
+        plans = fasttext_module._scatter_plans(FastTextModel(config, 1).bucket_ids(""), bounds)
+        assert [len(by_count) for by_count, _ in plans] == [1] + [0] * (n_shards - 1)
+        ours, reference = FastTextModel(config, 1), FastTextModel(config, 1)
+        with shards(n_shards):
+            our_optimizer = fit_keeping_the_optimizer(ours, texts, targets)
+        assert_same_training(ours, our_optimizer, reference, reference_fit(reference, texts, targets))
+
+    def test_a_second_fit_continues_exactly(self, n_shards):
         texts, targets = ["the catalyst of", "rbsout x1"], np.asarray([[0.9], [0.1]])
         ours, reference = (FastTextModel(FastTextConfig(4, 61, n_epochs=2), 1) for _ in range(2))
         for _ in range(2):
-            ours.fit(texts, targets)
+            with shards(n_shards):
+                ours.fit(texts, targets)
             reference_fit(reference, texts, targets)
         assert np.array_equal(ours.embeddings, reference.embeddings)
         assert ours.history.train_loss == reference.history.train_loss
+
+
+FIT_TEXTS = [f"the catalyst of sample {i} rbsout aaaa " * (1 + i % 3) for i in range(10)]
+FIT_TARGETS = np.linspace(0.0, 1.0, 20).reshape(10, 2)
+FIT_CONFIG = FastTextConfig(embedding_dim=8, n_buckets=4096, n_epochs=3, batch_size=4)
+
+
+def fit_threads() -> list[threading.Thread]:
+    prefix = fasttext_module.FIT_THREAD_PREFIX
+    return [thread for thread in threading.enumerate() if thread.name.startswith(prefix)]
+
+
+class TestFitShards:
+    def test_shards_follow_the_cores_up_to_the_cap(self):
+        with mock.patch.object(fasttext_module.os, "sched_getaffinity", lambda pid: {0}, create=True):
+            assert fasttext_module._fit_shards() == 1
+        with mock.patch.object(
+            fasttext_module.os, "sched_getaffinity", lambda pid: set(range(64)), create=True
+        ):
+            assert fasttext_module._fit_shards() == fasttext_module._FIT_MAX_SHARDS
+
+    def test_one_shard_builds_no_pool(self):
+        model = FastTextModel(FIT_CONFIG, 2)
+        with shards(1), mock.patch.object(
+            fasttext_module, "ThreadPoolExecutor", side_effect=AssertionError("pool built")
+        ):
+            model.fit(FIT_TEXTS, FIT_TARGETS)
+
+    def test_shards_run_on_named_threads_that_do_not_survive_fit(self):
+        ran_on: set[str] = set()
+        update = AdamOptimizer.update
+
+        def recording(optimizer, name, *args, **kwargs):
+            ran_on.add(threading.current_thread().name)
+            return update(optimizer, name, *args, **kwargs)
+
+        with shards(3), mock.patch.object(AdamOptimizer, "update", recording):
+            FastTextModel(FIT_CONFIG, 2).fit(FIT_TEXTS, FIT_TARGETS)
+        # The head's step runs on the caller's thread, the embedding rows'
+        # on the pool's.
+        prefix = f"{fasttext_module.FIT_THREAD_PREFIX}-"
+        on_pool = {name for name in ran_on if name.startswith(prefix)}
+        assert 1 <= len(on_pool) <= 3
+        assert ran_on - on_pool == {threading.current_thread().name}
+        assert fit_threads() == []
+
+    def test_two_models_fitted_at_once_equal_their_solo_fits(self):
+        # Six shard threads on two cores, switching as often as the
+        # interpreter allows: a row written by the wrong shard, or scratch
+        # shared between shards or optimizers, shows as a different weight.
+        solo = [FastTextModel(FIT_CONFIG, 2, task) for task in ("regression", "classification")]
+        together = [FastTextModel(FIT_CONFIG, 2, task) for task in ("regression", "classification")]
+        targets = [FIT_TARGETS, (FIT_TARGETS[:, 0] > 0.5).astype(np.int64)]
+        for model, target in zip(solo, targets):
+            with shards(1):
+                model.fit(FIT_TEXTS, target)
+        threads = [
+            threading.Thread(target=model.fit, args=(FIT_TEXTS, target))
+            for model, target in zip(together, targets)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with shards(3):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for ours, alone in zip(together, solo):
+            for name in ("embeddings", "head_weight", "head_bias"):
+                assert np.array_equal(getattr(ours, name), getattr(alone, name)), name
+            assert ours.history.train_loss == alone.history.train_loss
+        assert fit_threads() == []
 
 
 SHAPES = st.sampled_from([(1,), (5,), (3, 4), (1030, 64), (70001,), (2, 3, 5), (0, 4)])
@@ -269,15 +373,18 @@ def traced_peak(run) -> int:
 
 
 class TestTrainingHoldsThreeTables:
-    def test_fit_peaks_at_the_gradient_and_the_two_moments(self):
+    @SHARD_COUNTS
+    def test_fit_peaks_at_the_gradient_and_the_two_moments(self, n_shards):
         config = FastTextConfig(embedding_dim=32, n_buckets=16384, n_epochs=2, batch_size=4)
         model = FastTextModel(config, 3)
         texts = [f"the catalyst of sample {i} rbsout aaaa " * 6 for i in range(8)]
         targets = np.linspace(0.0, 1.0, 24).reshape(8, 3)
-        peak = traced_peak(lambda: model.fit(texts, targets))
+        with shards(n_shards):
+            peak = traced_peak(lambda: model.fit(texts, targets))
         # One gradient table, two moment tables, two block-sized scratch
-        # buffers and the per-text gathers.  The allocating loop peaked at 8
-        # tables: a fresh gradient per batch and five live temporaries per step.
+        # buffers per shard and the per-text gathers.  The allocating loop
+        # peaked at 8 tables: a fresh gradient per batch and five live
+        # temporaries per step.
         assert peak <= 3.5 * model.embeddings.nbytes
 
     def test_a_step_after_the_first_allocates_nothing_table_sized(self):
