@@ -98,6 +98,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import subprocess
 
 
 def _coerce_opt_value(raw: str):
@@ -909,21 +913,82 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
     return 0
 
 
+def spawn_local_worker(
+    name: str,
+    *,
+    backend: str = "serial",
+    jobs: int = 1,
+    cache_dir: "str | Path | None" = None,
+    profile: bool = False,
+) -> "subprocess.Popen":
+    """Start one ``adaparse-repro worker --port 0`` process from this checkout.
+
+    ``PYTHONPATH`` carries this checkout, and stdout is a pipe whose first
+    line is the JSON ready line :func:`ready_address` reads.  Returning
+    before that line lets a caller start several workers and then collect
+    their addresses.
+    """
+    import os
+    import subprocess
+
+    import repro
+
+    command = [
+        sys.executable, "-m", "repro.cli", "worker",
+        "--port", "0", "--name", name, "--backend", backend,
+    ]
+    if jobs > 1:
+        command += ["--backend-opt", f"n_jobs={jobs}"]
+    if cache_dir:
+        command += ["--cache-dir", str(cache_dir)]
+    if profile:
+        command += ["--profile"]
+    env = dict(os.environ)
+    src_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.Popen(command, env=env, stdout=subprocess.PIPE, text=True)
+
+
+def ready_address(proc: "subprocess.Popen") -> str:
+    """The bound ``host:port`` from a spawned worker's ready line."""
+    assert proc.stdout is not None
+    line = proc.stdout.readline()
+    try:
+        return str(json.loads(line)["address"])
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"did not report a listening address (got {line!r}): {exc}"
+        ) from exc
+
+
+def reap_local_workers(procs: "list[subprocess.Popen]") -> None:
+    """Stop spawned workers: SIGTERM all, wait 15 s each, kill stragglers."""
+    import signal
+    import subprocess
+
+    procs = [proc for proc in procs if proc.poll() is None]
+    for proc in procs:
+        proc.send_signal(signal.SIGTERM)
+    for proc in procs:
+        try:
+            proc.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=5)
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    """Spawn local workers (or join existing ones) and run one request.
+    """Spawn local workers (or use running ones) and run one request.
 
     The end-to-end demonstration of ``repro.cluster`` and
     ``repro.elastic``: N worker processes, rendezvous shard placement,
-    optional live membership (``--listen``), autoscaling
-    (``--autoscale``), and a checkpoint ledger (``--ledger-dir``) — with
-    a ``ParseReport`` whose ``execution.extra`` block carries the
+    optional live membership (``--listen``, for ``worker --join``
+    daemons), and a checkpoint ledger (``--ledger-dir``) — with a
+    ``ParseReport`` whose ``execution.extra`` block carries the
     wire/dedup/fault/elastic telemetry this command summarises.
     """
-    from repro.elastic.autoscaler import (
-        ready_address,
-        reap_local_workers,
-        spawn_local_worker,
-    )
     from repro.pipeline import ENGINE_VARIANTS, ParsePipeline, ParseRequest
 
     _setup_logging(args)
@@ -977,14 +1042,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                     f"running the campaign from the start",
                     flush=True,
                 )
-        if args.autoscale:
-            options["autoscale"] = {
-                "min_workers": args.min_workers,
-                "max_workers": args.max_workers,
-                "worker_backend": args.worker_backend,
-                "worker_jobs": args.worker_jobs,
-                "cache_dir": args.cache_dir or None,
-            }
         _validate_backend_spec_or_exit("remote", options)
         cache_policy, cache = resolve_cache_config(args)
         try:
@@ -1813,9 +1870,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_argument(cluster)
     _add_cache_arguments(
         cluster,
-        dir_help="cache root: coordinator cache plus per-worker subdirectories "
-        "(autoscaled workers share one directory — safe, since the disk "
-        "store appends on flush)",
+        dir_help="cache root: coordinator cache plus one subdirectory per "
+        "spawned worker (worker-0, worker-1, ...)",
     )
     cluster.add_argument(
         "--at",
@@ -1829,27 +1885,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="PORT",
-        help="start a membership listener so `worker --join` daemons can "
-        "join mid-campaign (pass an explicit port to share with joiners; "
-        "0 picks a free one, useful only with --autoscale)",
-    )
-    cluster.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="run the elastic autoscaler: spawn/drain local workers from "
-        "queue-depth and batch-latency telemetry (implies --listen 0)",
-    )
-    cluster.add_argument(
-        "--min-workers",
-        type=int,
-        default=1,
-        help="autoscaler floor (workers kept alive even when idle)",
-    )
-    cluster.add_argument(
-        "--max-workers",
-        type=int,
-        default=4,
-        help="autoscaler ceiling (scale-up stops here)",
+        help="start a membership listener on PORT so `worker --join` "
+        "daemons can join mid-campaign and `cluster status --at` can query it",
     )
     cluster.add_argument(
         "--ledger-dir",

@@ -95,26 +95,17 @@ class RemoteBackend(ThreadBackend):
     listen:
         Membership listener port (0 picks a free one; ``None`` disables).
         When set, ``worker --join`` daemons can join the running
-        campaign and ``cluster status`` can query it.
+        campaign — the one way to add capacity mid-campaign — and
+        ``cluster status`` can query it.
     ledger_dir:
         Campaign checkpoint directory.  Completed shards are durably
         recorded to a :class:`~repro.elastic.ledger.ShardLedger` there;
         re-running with the same directory resumes, replaying completed
         shards instead of dispatching them.
-    autoscale:
-        Autoscaler configuration dict (``None`` disables).  Policy knobs
-        (``min_workers``, ``max_workers``, ``scale_up_backlog``,
-        ``backlog_sustain_seconds``, ``idle_sustain_seconds``,
-        ``cooldown_seconds``) go to
-        :class:`~repro.elastic.policy.AutoscalerPolicy`; launcher knobs
-        (``worker_backend``, ``worker_jobs``, ``cache_dir``) to
-        :class:`~repro.elastic.autoscaler.SubprocessLauncher`.  Implies
-        a membership listener.
 
     Construction is lazy: addresses are validated eagerly (so queued
     :class:`~repro.pipeline.request.ParseRequest` objects fail fast) but
-    the cluster is dialled — and any listener/autoscaler started — on
-    first use.
+    the cluster is dialled — and any listener started — on first use.
     """
 
     name = "remote"
@@ -130,7 +121,6 @@ class RemoteBackend(ThreadBackend):
         heartbeat_timeout: float = 15.0,
         listen: "int | None" = None,
         ledger_dir: "str | None" = None,
-        autoscale: "dict[str, Any] | None" = None,
     ) -> None:
         self.addresses = _parse_addresses(workers)
         if window < 1:
@@ -154,16 +144,10 @@ class RemoteBackend(ThreadBackend):
         self.heartbeat_timeout = heartbeat_timeout
         if listen is not None and (not isinstance(listen, int) or listen < 0):
             raise ValueError("listen must be a port number (0 picks a free one)")
-        if autoscale is not None and not isinstance(autoscale, dict):
-            raise ValueError("autoscale must be a dict of policy/launcher options")
         self.listen = listen
         self.ledger_dir = ledger_dir
-        self.autoscale = dict(autoscale) if autoscale else None
-        if self.autoscale is not None and self.listen is None:
-            self.listen = 0  # autoscaled campaigns accept joins by default
         self._coordinator: ClusterCoordinator | None = None
         self._listener = None
-        self._autoscaler = None
 
     @property
     def workers(self) -> int:
@@ -182,7 +166,11 @@ class RemoteBackend(ThreadBackend):
             return self._coordinator
 
     def _dial(self) -> None:
-        """Connect the cluster, then start its listener and autoscaler."""
+        """Connect the cluster, then start its listener.
+
+        The coordinator is published only once both are up: a listener
+        that cannot bind closes it, so the next request dials again.
+        """
         ledger = None
         if self.ledger_dir:
             from repro.elastic.ledger import ShardLedger
@@ -201,41 +189,19 @@ class RemoteBackend(ThreadBackend):
             coordinator.connect()
         except ClusterError as exc:
             raise BackendError(str(exc)) from exc
-        self._coordinator = coordinator
         if self.listen is not None:
             from repro.elastic.membership import MembershipListener
 
-            self._listener = MembershipListener(coordinator, port=self.listen).start()
-        if self.autoscale is not None:
-            self._start_autoscaler(coordinator)
-
-    def _start_autoscaler(self, coordinator: ClusterCoordinator) -> None:
-        from repro.elastic.autoscaler import (
-            Autoscaler,
-            SubprocessLauncher,
-            signals_from_coordinator,
-        )
-        from repro.elastic.policy import AutoscalerPolicy
-
-        options = dict(self.autoscale or {})
-        launcher = SubprocessLauncher(
-            coordinator,
-            worker_backend=str(options.pop("worker_backend", "serial")),
-            worker_jobs=int(options.pop("worker_jobs", 1)),
-            cache_dir=options.pop("cache_dir", None) or None,
-        )
-        try:
-            policy = AutoscalerPolicy(**options)
-        except TypeError as exc:
-            raise BackendError(f"bad autoscale options: {exc}") from exc
-        self._autoscaler = Autoscaler(
-            policy, lambda: signals_from_coordinator(coordinator), launcher
-        ).start()
-
-    @property
-    def membership_address(self) -> "str | None":
-        """The live membership listener endpoint (``None`` until dialled)."""
-        return self._listener.address if self._listener is not None else None
+            try:
+                self._listener = MembershipListener(
+                    coordinator, port=self.listen
+                ).start()
+            except OSError as exc:
+                coordinator.close()
+                raise BackendError(
+                    f"membership listener on port {self.listen}: {exc}"
+                ) from exc
+        self._coordinator = coordinator
 
     def site(self, parser: "Parser") -> "BatchWorker":
         from repro.elastic.policy import constraints_for_parser
@@ -282,27 +248,18 @@ class RemoteBackend(ThreadBackend):
                     for key, value in self._coordinator.stats().items()
                 }
             )
-        if self._autoscaler is not None:
-            autoscaler_stats = self._autoscaler.stats()
-            autoscaler_stats.pop("events", None)  # counters only in extra
-            extra.update(
-                {f"cluster_autoscaler_{k}": v for k, v in autoscaler_stats.items()}
-            )
         stats.extra.update(extra)
         return stats
 
     def close(self) -> None:
-        # The autoscaler goes first (it spawns/drains workers and must
-        # stop mutating the membership), then the listener (no more
-        # joins), then the coordinator: it fails any still-pending shard
-        # futures, which unblocks orchestration threads so the inherited
-        # close() can join the pool without deadlocking on them.
+        # The listener goes first (no more joins), then the coordinator:
+        # it fails any still-pending shard futures, which unblocks
+        # orchestration threads so the inherited close() can join the
+        # pool without deadlocking on them.
         with self._lifecycle_lock:
             self._closed = True
-            autoscaler, listener = self._autoscaler, self._listener
+            listener = self._listener
             coordinator = self._coordinator  # stays readable for stats()
-        if autoscaler is not None:
-            autoscaler.stop()
         if listener is not None:
             listener.stop()
         if coordinator is not None:
@@ -325,7 +282,6 @@ register_backend(
                 "heartbeat_timeout",
                 "listen",
                 "ledger_dir",
-                "autoscale",
             }
         ),
         description="distributed execution on repro.cluster worker daemons",

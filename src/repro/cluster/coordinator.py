@@ -220,12 +220,11 @@ class _WorkerLink:
         #: Effective capability tags (explicit ``tags`` plus the implicit
         #: cache/slots capabilities) used for constrained placement.
         self.tags: dict[str, Any] = {}
-        #: How the worker arrived: "fixed" list, mid-run "join", or
-        #: "autoscaler".
+        #: How the worker arrived: "fixed" list or mid-run "join".
         self.source = "fixed"
         self.alive = True
         #: Draining workers finish their in-flight shards but receive no
-        #: new placements; set by graceful removal (leave/scale-down).
+        #: new placements; set by graceful removal (leave).
         self.draining = False
         self.last_seen = monotonic()
         self.in_flight: dict[str, _Shard] = {}
@@ -303,9 +302,6 @@ class ClusterCoordinator:
         #: Membership history: every admission/departure this coordinator
         #: ever saw, including workers that joined and left mid-campaign.
         self.membership = MembershipRegistry()
-        #: Seconds the most recent completed shard spent on its worker —
-        #: the per-batch latency signal the autoscaler samples.
-        self.last_batch_seconds = 0.0
         self.counters: dict[str, int] = {
             "workers_seen": 0,
             "workers_lost": 0,
@@ -366,7 +362,19 @@ class ClusterCoordinator:
         link.worker_id = str(ack.get("worker_id", address))
         link.capabilities = dict(ack.get("capabilities", {}))
         link.tags = tags_from_capabilities(link.capabilities)
+        link.reader = threading.Thread(
+            target=self._read_loop,
+            args=(link,),
+            name=f"{COORDINATOR_THREAD_PREFIX}-reader-{link.worker_id}",
+            daemon=True,
+        )
+        # The dial ran outside the lock, so a close() may have run since:
+        # the link is admitted (and its reader started) only while the
+        # coordinator is open, or close() would never see it.
         with self._lock:
+            if self._closed:
+                channel.close()
+                raise ClusterError("coordinator is closed")
             if any(peer.worker_id == link.worker_id for peer in self._links):
                 channel.close()
                 raise ClusterError(
@@ -375,22 +383,16 @@ class ClusterCoordinator:
                 )
             self._links.append(link)
             self.counters["workers_seen"] += 1
-        self.membership.record_join(
-            link.worker_id, address, source=source, tags=link.tags
-        )
-        link.reader = threading.Thread(
-            target=self._read_loop,
-            args=(link,),
-            name=f"{COORDINATOR_THREAD_PREFIX}-reader-{link.worker_id}",
-            daemon=True,
-        )
-        link.reader.start()
+            self.membership.record_join(
+                link.worker_id, address, source=source, tags=link.tags
+            )
+            link.reader.start()
         return link
 
     # ------------------------------------------------------------------ #
     # Live membership (repro.elastic)
     # ------------------------------------------------------------------ #
-    def add_worker(self, address: str, *, source: str = "join") -> str:
+    def add_worker(self, address: str) -> str:
         """Admit a worker to a *running* coordinator; returns its id.
 
         The new worker goes through the ordinary handshake and then only
@@ -402,11 +404,11 @@ class ClusterCoordinator:
         with self._lock:
             if self._closed:
                 raise ClusterError("coordinator is closed")
-        link = self._connect_one(address, source=source)
+        link = self._connect_one(address, source="join")
         self._rebalance_after_join(link)
         log_event(
             _LOG, "info", "worker_added",
-            worker=link.worker_id, address=address, source=source,
+            worker=link.worker_id, address=address, source="join",
         )
         return link.worker_id
 
@@ -732,7 +734,6 @@ class ClusterCoordinator:
                 self.counters["remote_cache_misses"] += int(
                     message.get("cache_misses", 0)
                 )
-                self.last_batch_seconds = float(message.get("elapsed_seconds", 0.0))
                 sends = self._pump_locked()
         self._send_planned(sends)
         if shard is None:

@@ -1,7 +1,7 @@
-"""Elastic cluster operations: live membership, autoscaling, checkpoint/resume.
+"""Elastic cluster operations: live membership and checkpoint/resume.
 
-:mod:`repro.cluster` (PR 5) runs a campaign over a **fixed** worker list;
-this package makes that membership *live*:
+:mod:`repro.cluster` runs a campaign over a **fixed** worker list; this
+package makes that membership *live* and the campaign restartable:
 
 * :mod:`repro.elastic.membership` — the
   :class:`~repro.elastic.membership.MembershipRegistry` a
@@ -9,14 +9,9 @@ this package makes that membership *live*:
   worker it has ever talked to (joins, graceful leaves, deaths), and the
   :class:`~repro.elastic.membership.MembershipListener` that lets
   ``worker --join`` daemons announce themselves to a *running*
-  coordinator mid-campaign.
-* :mod:`repro.elastic.autoscaler` — the
-  :class:`~repro.elastic.autoscaler.Autoscaler` policy loop that spawns
-  and drains local worker processes from the queue-depth and batch-
-  latency telemetry the coordinator already publishes.
-* :mod:`repro.elastic.policy` — pure decision functions: capability-tag
-  matching for heterogeneous placement and the deterministic-clock
-  :class:`~repro.elastic.policy.AutoscalerPolicy`.
+  coordinator mid-campaign — the one way to add capacity mid-campaign.
+* :mod:`repro.elastic.policy` — pure placement functions: capability-tag
+  matching for heterogeneous placement.
 * :mod:`repro.elastic.ledger` — the persisted
   :class:`~repro.elastic.ledger.ShardLedger` that makes campaigns
   restartable: completed shards are skipped exactly-once on ``--resume``.
@@ -34,10 +29,6 @@ _LAZY_EXPORTS = {
     "MembershipRegistry": "repro.elastic.membership:MembershipRegistry",
     "MembershipListener": "repro.elastic.membership:MembershipListener",
     "WorkerRecord": "repro.elastic.membership:WorkerRecord",
-    "Autoscaler": "repro.elastic.autoscaler:Autoscaler",
-    "SubprocessLauncher": "repro.elastic.autoscaler:SubprocessLauncher",
-    "AutoscalerPolicy": "repro.elastic.policy:AutoscalerPolicy",
-    "ScalingSignals": "repro.elastic.policy:ScalingSignals",
     "ShardLedger": "repro.elastic.ledger:ShardLedger",
 }
 

@@ -5,8 +5,8 @@ shrinks it (deaths).  This module adds the two pieces that make
 membership *live* on a running coordinator:
 
 * :class:`MembershipRegistry` — the coordinator's authoritative record
-  of every worker it has ever talked to: how it arrived (``fixed`` list,
-  mid-run ``join``, or ``autoscaler``), its advertised capability tags,
+  of every worker it has ever talked to: how it arrived (``fixed`` list
+  or mid-run ``join``), its advertised capability tags,
   and its current state (``alive`` → ``draining`` → ``left``, or
   ``dead``).  The registry is bookkeeping only — shard placement still
   lives in the coordinator — which keeps it trivially thread-safe.
@@ -68,7 +68,7 @@ class WorkerRecord:
 
     worker_id: str
     address: str
-    source: str = "fixed"  # fixed | join | autoscaler
+    source: str = "fixed"  # fixed | join
     tags: dict[str, Any] = field(default_factory=dict)
     state: str = "alive"
     joined_at: float = field(default_factory=monotonic)
@@ -215,7 +215,7 @@ class _Announcement(rpc.Session):
         address = str(message.get("address", ""))
         try:
             rpc.check_version(message, protocol.PROTOCOL_VERSION, "coordinator")
-            worker_id = self.server.coordinator.add_worker(address, source="join")
+            worker_id = self.server.coordinator.add_worker(address)
         except (ClusterError, OSError, ProtocolError) as exc:
             log_event(
                 _LOG, "warning", "join_refused", address=address, reason=str(exc)

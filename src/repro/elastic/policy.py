@@ -1,23 +1,15 @@
-"""Pure elastic-cluster decision functions: tags, constraints, scaling.
+"""Pure placement decision functions: capability tags and constraints.
 
 Everything here is deliberately free of sockets, threads, and clocks so
-it can be tested exhaustively with plain values:
-
-* **capability tags** — workers advertise ``tags`` in their ``hello_ack``
-  capabilities (``--tag gpu=true --tag cpu_class=large``); the
-  coordinator matches shard *constraints* against them and routes
-  heavyweight-parser shards to capable nodes
-  (:func:`satisfies`, :func:`constraints_for_parser`);
-* **scaling** — :class:`AutoscalerPolicy` turns one
-  :class:`ScalingSignals` snapshot plus a caller-supplied ``now`` into
-  ``"up"`` / ``"down"`` / ``"hold"``.  The clock is always an argument,
-  never read — which is what makes the autoscaler testable with a
-  deterministic fake clock.
+it can be tested exhaustively with plain values.  Workers advertise
+``tags`` in their ``hello_ack`` capabilities (``--tag gpu=true --tag
+cpu_class=large``); the coordinator matches shard *constraints* against
+them and routes heavyweight-parser shards to capable nodes
+(:func:`satisfies`, :func:`constraints_for_parser`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 #: Parsers the paper runs on accelerator-class nodes.  Shards carrying
@@ -87,116 +79,3 @@ def constraints_for_parser(parser_name: str) -> dict[str, Any]:
     if parser_name in HEAVYWEIGHT_PARSERS:
         return {"gpu": True}
     return {}
-
-
-# ---------------------------------------------------------------------- #
-# Autoscaling
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ScalingSignals:
-    """One telemetry snapshot the policy decides on.
-
-    ``queue_depth`` is the coordinator's total queued-not-dispatched
-    backlog, ``in_flight`` the shards currently on workers, and
-    ``batch_latency_seconds`` the latest per-batch latency observation
-    (0.0 when none yet) — all three already flow through
-    ``ExecutionStats.extra`` and the coordinator's counters.
-    """
-
-    queue_depth: int
-    in_flight: int
-    workers_alive: int
-    batch_latency_seconds: float = 0.0
-
-
-@dataclass
-class PolicyState:
-    """The policy's memory between ticks (sustain windows + cooldown)."""
-
-    backlog_since: float | None = None
-    idle_since: float | None = None
-    last_scale_at: float | None = None
-
-
-@dataclass(frozen=True)
-class AutoscalerPolicy:
-    """Scale-up on sustained backlog, scale-down on sustained idleness.
-
-    Parameters
-    ----------
-    min_workers / max_workers:
-        Hard bounds on the alive-worker count.  Below the floor the
-        policy scales up immediately (no sustain, no cooldown); above
-        the ceiling it never scales up.
-    scale_up_backlog:
-        Queued shards **per alive worker** that count as backlog.
-    backlog_sustain_seconds / idle_sustain_seconds:
-        How long the respective condition must hold before acting —
-        a single slow batch should not buy a machine.
-    cooldown_seconds:
-        Minimum spacing between scale actions, so a fresh worker gets a
-        chance to drain the queue before the policy piles on another.
-    """
-
-    min_workers: int = 1
-    max_workers: int = 4
-    scale_up_backlog: float = 2.0
-    backlog_sustain_seconds: float = 2.0
-    idle_sustain_seconds: float = 10.0
-    cooldown_seconds: float = 5.0
-    state: PolicyState = field(default_factory=PolicyState, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.min_workers < 0:
-            raise ValueError("min_workers must be >= 0")
-        if self.max_workers < max(1, self.min_workers):
-            raise ValueError("max_workers must be >= max(1, min_workers)")
-
-    def _cooled_down(self, now: float) -> bool:
-        last = self.state.last_scale_at
-        return last is None or now - last >= self.cooldown_seconds
-
-    def decide(self, signals: ScalingSignals, now: float) -> str:
-        """``"up"``, ``"down"``, or ``"hold"`` for one telemetry snapshot."""
-        state = self.state
-        alive = signals.workers_alive
-        if alive < self.min_workers:
-            state.backlog_since = None
-            state.idle_since = None
-            state.last_scale_at = now
-            return "up"
-        backlog_per_worker = signals.queue_depth / max(1, alive)
-        backlogged = backlog_per_worker >= self.scale_up_backlog
-        idle = signals.queue_depth == 0 and signals.in_flight == 0
-        if backlogged:
-            state.idle_since = None
-            if state.backlog_since is None:
-                state.backlog_since = now
-            sustained = now - state.backlog_since >= self.backlog_sustain_seconds
-            if sustained and alive < self.max_workers and self._cooled_down(now):
-                state.backlog_since = None
-                state.last_scale_at = now
-                return "up"
-            return "hold"
-        state.backlog_since = None
-        if idle:
-            if state.idle_since is None:
-                state.idle_since = now
-            sustained = now - state.idle_since >= self.idle_sustain_seconds
-            if sustained and alive > self.min_workers and self._cooled_down(now):
-                state.idle_since = None
-                state.last_scale_at = now
-                return "down"
-            return "hold"
-        state.idle_since = None
-        return "hold"
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "min_workers": self.min_workers,
-            "max_workers": self.max_workers,
-            "scale_up_backlog": self.scale_up_backlog,
-            "backlog_sustain_seconds": self.backlog_sustain_seconds,
-            "idle_sustain_seconds": self.idle_sustain_seconds,
-            "cooldown_seconds": self.cooldown_seconds,
-        }

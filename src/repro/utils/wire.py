@@ -192,9 +192,13 @@ class Listener:
         thread_prefix: str,
     ) -> None:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(128)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((host, port))
+            sock.listen(128)
+        except OSError:
+            sock.close()  # a busy port must not leak the socket
+            raise
         self._sock = sock
         self.port: int = sock.getsockname()[1]
         self._on_connection = on_connection

@@ -599,6 +599,49 @@ class TestRemoteExecution:
                 )
             )
 
+    def test_listen_on_a_busy_port_raises_backend_error_and_dials_again(
+        self, registry, corpus_30
+    ):
+        from repro.cluster.coordinator import COORDINATOR_THREAD_PREFIX
+
+        def coordinator_threads():
+            return [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith(COORDINATOR_THREAD_PREFIX)
+            ]
+
+        busy = socket.socket()
+        busy.bind(("127.0.0.1", 0))
+        busy.listen(1)
+        port = busy.getsockname()[1]
+        workers = start_workers(1, pipeline=ParsePipeline(registry))
+        backend = create_backend(
+            "remote", {"workers": addresses_of(workers), "listen": port}
+        )
+        try:
+            with pytest.raises(BackendError, match=f"port {port}"):
+                ParsePipeline(registry).execute(
+                    request_for_documents("pymupdf", list(corpus_30)[:4]),
+                    backend=backend,
+                )
+            assert coordinator_threads() == []
+            # Nothing half-dialled was kept: once the port is free, the
+            # next request dials again and its listener binds it.
+            busy.close()
+            report = ParsePipeline(registry).execute(
+                request_for_documents("pymupdf", list(corpus_30)[:4]),
+                backend=backend,
+            )
+            assert report.n_succeeded == 4
+            assert backend._listener.port == port
+        finally:
+            busy.close()
+            backend.close()
+            for worker in workers:
+                worker.stop()
+        assert coordinator_threads() == []
+
     def test_duplicate_worker_names_rejected(self, registry, corpus_30):
         workers = [
             WorkerDaemon(name="twin", pipeline=ParsePipeline(registry)).start()

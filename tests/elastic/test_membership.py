@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import socket
+import threading
 import time
 
 import pytest
@@ -47,10 +48,10 @@ class TestMembershipRegistry:
     def test_snapshot_and_states(self):
         members = MembershipRegistry()
         members.record_join("w0", "a:1", source="fixed")
-        members.record_join("w1", "a:2", source="autoscaler", tags={"slots": 2})
+        members.record_join("w1", "a:2", source="join", tags={"slots": 2})
         members.record_death("w1")
         snapshot = {record["worker_id"]: record for record in members.snapshot()}
-        assert snapshot["w1"]["source"] == "autoscaler"
+        assert snapshot["w1"]["source"] == "join"
         assert snapshot["w1"]["tags"] == {"slots": 2}
         assert members.states() == {"alive": 1, "draining": 0, "left": 0, "dead": 1}
 
@@ -168,6 +169,41 @@ class TestMembershipListener:
             listener.stop()
             coordinator.close()
             fixed.stop()
+
+    def test_join_that_races_close_is_refused_and_leaks_no_link(
+        self, registry, monkeypatch
+    ):
+        # add_worker dials outside the coordinator lock; a close() that
+        # lands during the handshake must not let the link in afterwards.
+        from repro.cluster.coordinator import COORDINATOR_THREAD_PREFIX, ClusterError
+        from repro.utils import rpc
+
+        fixed = WorkerDaemon(name="w0", pipeline=ParsePipeline(registry)).start()
+        joiner = WorkerDaemon(name="w1", pipeline=ParsePipeline(registry)).start()
+        coordinator = ClusterCoordinator([fixed.address]).connect()
+        handshake = rpc.handshake
+        channels = []
+
+        def handshake_then_close(channel, *args, **kwargs):
+            ack = handshake(channel, *args, **kwargs)
+            channels.append(channel)
+            coordinator.close()
+            return ack
+
+        monkeypatch.setattr(rpc, "handshake", handshake_then_close)
+        try:
+            with pytest.raises(ClusterError, match="coordinator is closed"):
+                coordinator.add_worker(joiner.address)
+            (channel,) = channels
+            assert channel.closed
+            assert [link.worker_id for link in coordinator._links] == ["w0"]
+            assert coordinator.membership.get("w1") is None
+            reader = f"{COORDINATOR_THREAD_PREFIX}-reader-w1"
+            assert reader not in {thread.name for thread in threading.enumerate()}
+        finally:
+            coordinator.close()
+            fixed.stop()
+            joiner.stop()
 
     def test_leave_of_unknown_worker_refused(self, registry):
         fixed = WorkerDaemon(pipeline=ParsePipeline(registry)).start()

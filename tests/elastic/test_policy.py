@@ -1,4 +1,4 @@
-"""Unit tests of the pure elastic decision functions (no sockets, no clocks)."""
+"""Unit tests of the pure placement functions (no sockets, no clocks)."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro.elastic.policy import (
     HEAVYWEIGHT_PARSERS,
-    AutoscalerPolicy,
-    ScalingSignals,
     coerce_tag,
     coerce_tags,
     constraints_for_parser,
@@ -81,96 +79,3 @@ class TestConstraintsForParser:
     def test_lightweight_parsers_run_anywhere(self):
         assert constraints_for_parser("pymupdf") == {}
         assert constraints_for_parser("pypdf") == {}
-
-
-def signals(queue=0, in_flight=0, alive=1):
-    return ScalingSignals(
-        queue_depth=queue, in_flight=in_flight, workers_alive=alive
-    )
-
-
-def policy(**kwargs):
-    defaults = dict(
-        min_workers=1,
-        max_workers=4,
-        scale_up_backlog=2.0,
-        backlog_sustain_seconds=2.0,
-        idle_sustain_seconds=10.0,
-        cooldown_seconds=5.0,
-    )
-    defaults.update(kwargs)
-    return AutoscalerPolicy(**defaults)
-
-
-class TestAutoscalerPolicy:
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError, match="min_workers"):
-            policy(min_workers=-1)
-        with pytest.raises(ValueError, match="max_workers"):
-            policy(min_workers=3, max_workers=2)
-
-    def test_below_floor_scales_up_immediately(self):
-        # No sustain window, no cooldown: capacity below the floor is an
-        # emergency, not a trend.
-        assert policy().decide(signals(alive=0), now=0.0) == "up"
-
-    def test_backlog_must_sustain_before_scale_up(self):
-        p = policy()
-        assert p.decide(signals(queue=10, alive=1), now=0.0) == "hold"
-        assert p.decide(signals(queue=10, alive=1), now=1.0) == "hold"
-        assert p.decide(signals(queue=10, alive=1), now=2.5) == "up"
-
-    def test_backlog_window_resets_when_backlog_clears(self):
-        p = policy()
-        assert p.decide(signals(queue=10, alive=1), now=0.0) == "hold"
-        assert p.decide(signals(queue=0, in_flight=1, alive=1), now=1.0) == "hold"
-        # Backlog returns: the sustain window starts over.
-        assert p.decide(signals(queue=10, alive=1), now=1.5) == "hold"
-        assert p.decide(signals(queue=10, alive=1), now=3.0) == "hold"
-        assert p.decide(signals(queue=10, alive=1), now=4.0) == "up"
-
-    def test_backlog_is_per_worker(self):
-        p = policy(scale_up_backlog=2.0)
-        # 6 queued over 4 alive = 1.5/worker: below threshold.
-        assert p.decide(signals(queue=6, alive=4), now=0.0) == "hold"
-        assert p.decide(signals(queue=6, alive=4), now=10.0) == "hold"
-
-    def test_max_workers_caps_scale_up(self):
-        p = policy(max_workers=2)
-        assert p.decide(signals(queue=50, alive=2), now=0.0) == "hold"
-        assert p.decide(signals(queue=50, alive=2), now=60.0) == "hold"
-
-    def test_cooldown_spaces_scale_ups(self):
-        p = policy()
-        assert p.decide(signals(queue=10, alive=1), now=0.0) == "hold"
-        assert p.decide(signals(queue=10, alive=1), now=2.5) == "up"
-        # Still backlogged, sustain satisfied again — but inside cooldown.
-        assert p.decide(signals(queue=10, alive=2), now=5.0) == "hold"
-        assert p.decide(signals(queue=10, alive=2), now=7.0) == "hold"
-        assert p.decide(signals(queue=10, alive=2), now=10.0) == "up"
-
-    def test_idle_must_sustain_before_scale_down(self):
-        p = policy(idle_sustain_seconds=10.0, cooldown_seconds=0.0)
-        assert p.decide(signals(alive=2), now=0.0) == "hold"
-        assert p.decide(signals(alive=2), now=5.0) == "hold"
-        assert p.decide(signals(alive=2), now=10.0) == "down"
-
-    def test_idle_window_resets_on_work(self):
-        p = policy(idle_sustain_seconds=10.0, cooldown_seconds=0.0)
-        assert p.decide(signals(alive=2), now=0.0) == "hold"
-        assert p.decide(signals(in_flight=1, alive=2), now=5.0) == "hold"
-        assert p.decide(signals(alive=2), now=6.0) == "hold"
-        assert p.decide(signals(alive=2), now=15.0) == "hold"
-        assert p.decide(signals(alive=2), now=16.5) == "down"
-
-    def test_never_scales_below_floor(self):
-        p = policy(min_workers=1, idle_sustain_seconds=1.0, cooldown_seconds=0.0)
-        assert p.decide(signals(alive=1), now=0.0) == "hold"
-        assert p.decide(signals(alive=1), now=100.0) == "hold"
-
-    def test_to_json_dict_roundtrips_knobs(self):
-        p = policy(min_workers=2, max_workers=8)
-        payload = p.to_json_dict()
-        assert payload["min_workers"] == 2
-        assert payload["max_workers"] == 8
-        assert AutoscalerPolicy(**payload).to_json_dict() == payload

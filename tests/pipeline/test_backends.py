@@ -419,6 +419,18 @@ class TestRequestBackendFields:
         with pytest.raises(ValueError, match="n_jobs"):
             ParseRequest(backend="thread", backend_options={"bogus": 1})
 
+    def test_removed_autoscale_option_fails_as_unknown_remote_option(self):
+        with pytest.raises(
+            ValueError, match=r"unknown option\(s\) \['autoscale'\] for backend 'remote'"
+        ):
+            ParseRequest(
+                backend="remote",
+                backend_options={
+                    "workers": "127.0.0.1:9",
+                    "autoscale": {"min_workers": 1, "max_workers": 4},
+                },
+            )
+
     def test_removed_n_jobs_raises_pointing_at_backend_options(self):
         with pytest.raises(TypeError, match="unexpected keyword argument 'n_jobs'"):
             ParseRequest(parser="pymupdf", n_jobs=4)
@@ -1435,6 +1447,14 @@ class TestCli:
             main([*argv, "--jobs", "2"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_autoscale_flag_is_an_unrecognized_argument(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", "--workers", "1", "--autoscale"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --autoscale" in capsys.readouterr().err
 
     def test_dataset_backend_flags(self, capsys):
         from repro.cli import main
