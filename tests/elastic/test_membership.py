@@ -205,6 +205,52 @@ class TestMembershipListener:
             fixed.stop()
             joiner.stop()
 
+    def test_join_after_close_is_refused_without_dialling(
+        self, registry, monkeypatch
+    ):
+        from repro.cluster.coordinator import ClusterError
+        from repro.utils import rpc
+
+        fixed = WorkerDaemon(name="w0", pipeline=ParsePipeline(registry)).start()
+        joiner = WorkerDaemon(name="w1", pipeline=ParsePipeline(registry)).start()
+        coordinator = ClusterCoordinator([fixed.address]).connect()
+        coordinator.close()
+        dialled = []
+        monkeypatch.setattr(rpc, "dial", lambda *args: dialled.append(args))
+        try:
+            with pytest.raises(ClusterError, match="coordinator is closed"):
+                coordinator.add_worker(joiner.address)
+            assert dialled == []
+            assert coordinator.membership.get("w1") is None
+        finally:
+            fixed.stop()
+            joiner.stop()
+
+    def test_join_announced_after_close_is_answered_not_accepted(self, registry):
+        fixed = WorkerDaemon(name="w0", pipeline=ParsePipeline(registry)).start()
+        joiner = WorkerDaemon(name="w1", pipeline=ParsePipeline(registry)).start()
+        coordinator = ClusterCoordinator([fixed.address]).connect()
+        listener = MembershipListener(coordinator).start()
+        try:
+            coordinator.close()
+            reply = _announce(
+                listener.address,
+                {
+                    "type": protocol.JOIN,
+                    "protocol": protocol.PROTOCOL_VERSION,
+                    "address": joiner.address,
+                },
+            )
+            assert reply["type"] == protocol.JOIN_ACK
+            assert reply["accepted"] is False
+            assert "coordinator is closed" in reply["message"]
+            assert coordinator.counters["workers_seen"] == 1
+        finally:
+            listener.stop()
+            coordinator.close()
+            fixed.stop()
+            joiner.stop()
+
     def test_leave_of_unknown_worker_refused(self, registry):
         fixed = WorkerDaemon(pipeline=ParsePipeline(registry)).start()
         coordinator = ClusterCoordinator([fixed.address]).connect()

@@ -61,6 +61,14 @@ class TestSatisfies:
         assert not satisfies({"slots": 2}, {"slots": 4})
         assert not satisfies({}, {"slots": 1})
 
+    def test_numeric_constraint_refuses_a_string_tag(self):
+        assert not satisfies({"slots": "many"}, {"slots": 1})
+        assert not satisfies({"cpu_class": "large"}, {"cpu_class": 2})
+
+    def test_fractional_minimum_compares_numerically(self):
+        assert satisfies({"mem_gb": 16}, {"mem_gb": 7.5})
+        assert not satisfies({"mem_gb": 4}, {"mem_gb": 7.5})
+
     def test_string_constraint_is_equality(self):
         assert satisfies({"cpu_class": "large"}, {"cpu_class": "large"})
         assert not satisfies({"cpu_class": "small"}, {"cpu_class": "large"})

@@ -431,6 +431,22 @@ class TestRequestBackendFields:
                 },
             )
 
+    def test_remote_backend_declares_nine_options(self):
+        from repro.pipeline.backends.base import backend_specs
+
+        (spec,) = [spec for spec in backend_specs() if spec.name == "remote"]
+        assert sorted(spec.options) == [
+            "connect_timeout",
+            "heartbeat_interval",
+            "heartbeat_timeout",
+            "ledger_dir",
+            "listen",
+            "placement",
+            "window",
+            "worker_cache",
+            "workers",
+        ]
+
     def test_removed_n_jobs_raises_pointing_at_backend_options(self):
         with pytest.raises(TypeError, match="unexpected keyword argument 'n_jobs'"):
             ParseRequest(parser="pymupdf", n_jobs=4)
@@ -1455,6 +1471,15 @@ class TestCli:
             main(["cluster", "--workers", "1", "--autoscale"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --autoscale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--min-workers", "--max-workers"])
+    def test_worker_bound_flags_are_unrecognized_arguments(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", "--workers", "1", f"{flag}=2"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}=2" in capsys.readouterr().err
 
     def test_dataset_backend_flags(self, capsys):
         from repro.cli import main

@@ -221,3 +221,162 @@ class TestCommands:
         )
         assert exit_code == 1
         assert "no measured fragments" in capsys.readouterr().out
+
+
+class _FakeProc:
+    """A ``subprocess.Popen`` stand-in for the local worker helpers."""
+
+    def __init__(self, stdout: str = "", returncode=None, ignores_sigterm=False):
+        import io
+
+        self.stdout = io.StringIO(stdout)
+        self.returncode = returncode
+        self.ignores_sigterm = ignores_sigterm
+        self.signals: list[int] = []
+        self.killed = False
+
+    def poll(self):
+        return self.returncode
+
+    def send_signal(self, signum):
+        self.signals.append(signum)
+
+    def wait(self, timeout=None):
+        import subprocess
+
+        if self.ignores_sigterm and not self.killed:
+            raise subprocess.TimeoutExpired("worker", timeout)
+        self.returncode = -9 if self.killed else 0
+        return self.returncode
+
+    def kill(self):
+        self.killed = True
+
+
+class TestLocalWorkerHelpers:
+    """`cluster`'s worker spawn/collect/reap helpers."""
+
+    @pytest.fixture
+    def popen_calls(self, monkeypatch):
+        import subprocess
+
+        calls: list[dict] = []
+
+        def record(command, **kwargs):
+            calls.append({"command": command, **kwargs})
+            return _FakeProc()
+
+        monkeypatch.setattr(subprocess, "Popen", record)
+        return calls
+
+    def test_ready_address_reads_the_listening_line(self):
+        from repro.cli import ready_address
+
+        line = '{"event": "listening", "address": "127.0.0.1:4242", "pid": 7}\n'
+        assert ready_address(_FakeProc(line + "later output\n")) == "127.0.0.1:4242"
+
+    @pytest.mark.parametrize(
+        "line",
+        ["", "Traceback (most recent call last):\n", '{"event": "listening"}\n', "null\n"],
+        ids=["eof", "not-json", "no-address", "not-an-object"],
+    )
+    def test_ready_address_refuses_a_line_without_an_address(self, line):
+        from repro.cli import ready_address
+
+        with pytest.raises(ValueError, match="did not report a listening address"):
+            ready_address(_FakeProc(line))
+
+    def test_spawn_runs_a_port_zero_worker_with_piped_stdout(self, popen_calls):
+        import subprocess
+        import sys
+
+        from repro.cli import spawn_local_worker
+
+        spawn_local_worker("w-0")
+        (call,) = popen_calls
+        assert call["command"] == [
+            sys.executable, "-m", "repro.cli", "worker",
+            "--port", "0", "--name", "w-0", "--backend", "serial",
+        ]
+        assert call["stdout"] is subprocess.PIPE
+        assert call["text"] is True
+
+    def test_spawn_passes_jobs_cache_dir_and_profile(self, popen_calls, tmp_path):
+        from repro.cli import spawn_local_worker
+
+        spawn_local_worker(
+            "w-1", backend="thread", jobs=3, cache_dir=tmp_path / "c", profile=True
+        )
+        (call,) = popen_calls
+        assert call["command"][-7:] == [
+            "--backend", "thread",
+            "--backend-opt", "n_jobs=3",
+            "--cache-dir", str(tmp_path / "c"),
+            "--profile",
+        ]
+
+    @pytest.mark.parametrize("inherited", [None, "/elsewhere"])
+    def test_spawn_puts_this_checkout_first_on_pythonpath(
+        self, popen_calls, monkeypatch, inherited
+    ):
+        import os
+        from pathlib import Path
+
+        import repro
+        from repro.cli import spawn_local_worker
+
+        if inherited is None:
+            monkeypatch.delenv("PYTHONPATH", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONPATH", inherited)
+        spawn_local_worker("w-2")
+        (call,) = popen_calls
+        src_root = str(Path(repro.__file__).resolve().parent.parent)
+        expected = [src_root] + ([inherited] if inherited else [])
+        assert call["env"]["PYTHONPATH"].split(os.pathsep) == expected
+
+    def test_reap_skips_workers_that_already_exited(self):
+        from repro.cli import reap_local_workers
+
+        exited, live = _FakeProc(returncode=1), _FakeProc()
+        reap_local_workers([exited, live])
+        assert exited.signals == []
+        assert len(live.signals) == 1
+        assert live.returncode == 0
+
+    def test_reap_kills_a_worker_that_ignores_sigterm(self):
+        import signal
+
+        from repro.cli import reap_local_workers
+
+        stubborn, polite = _FakeProc(ignores_sigterm=True), _FakeProc()
+        reap_local_workers([stubborn, polite])
+        assert stubborn.signals == polite.signals == [signal.SIGTERM]
+        assert stubborn.killed and stubborn.returncode == -9
+        assert not polite.killed and polite.returncode == 0
+
+    def test_reap_terminates_a_live_process(self):
+        import signal
+        import subprocess
+        import sys
+
+        from repro.cli import reap_local_workers
+
+        proc = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        reap_local_workers([proc])
+        assert proc.returncode == -signal.SIGTERM
+
+    def test_spawned_worker_reports_its_address_and_exits_cleanly_on_reap(self):
+        from repro.cli import ready_address, reap_local_workers, spawn_local_worker
+        from repro.utils import rpc
+
+        proc = spawn_local_worker("helpers-w0")
+        try:
+            address = ready_address(proc)
+            host, _, port = address.rpartition(":")
+            assert host == "127.0.0.1" and int(port) > 0
+            rpc.dial(address, 5.0).close()  # it is listening there
+        finally:
+            reap_local_workers([proc])
+            proc.stdout.close()
+        assert proc.returncode == 0  # SIGTERM is a graceful stop

@@ -151,6 +151,26 @@ class TestListener:
         with pytest.raises(OSError):
             socket.create_connection(("127.0.0.1", listener.port), timeout=1)
 
+    def test_a_busy_port_raises_and_closes_its_socket(self, monkeypatch):
+        busy = wire.Listener("127.0.0.1", 0, lambda sock: sock.close(), "repro-test")
+        busy.start()
+        created: list[socket.socket] = []
+        real_socket = socket.socket
+
+        def recording_socket(*args, **kwargs):
+            created.append(real_socket(*args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr(wire.socket, "socket", recording_socket)
+        try:
+            with pytest.raises(OSError):
+                wire.Listener("127.0.0.1", busy.port, lambda sock: None, "repro-test")
+            (sock,) = created
+            assert sock.fileno() == -1
+            assert len(_accept_threads(busy.port)) == 1  # only the first one's
+        finally:
+            busy.stop()
+
     @pytest.mark.parametrize("make", [_gateway, _worker, _membership])
     def test_no_accept_thread_survives_stop(self, make):
         """close() alone does not wake a thread blocked in accept(); only
