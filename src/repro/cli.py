@@ -63,21 +63,13 @@ placement/dedup summary; ``worker`` is the long-running daemon mode)::
         --backend-opt workers=127.0.0.1:9101,127.0.0.1:9102
 
 Observability: scrape a live gateway's metrics (Prometheus text or JSON,
-one-shot or watched), pretty-print one ticket's distributed span tree or
-sampled stack profile, and keep a live top view of the whole service::
+one-shot or watched), pretty-print one ticket's distributed span tree,
+and keep a live top view of the whole service::
 
     adaparse-repro obs metrics --host 127.0.0.1 --port 9900
     adaparse-repro obs metrics --host 127.0.0.1 --port 9900 --watch
     adaparse-repro obs trace TICKET-ID --port 9900
-    adaparse-repro obs profile TICKET-ID --port 9900 --top 10
     adaparse-repro obs top --port 9900
-
-Profile any run directly with ``--profile`` (collapsed stacks on
-stderr; on ``serve``/``gateway``/``worker`` it samples per ticket/shard
-instead, feeding the PROFILE RPC)::
-
-    adaparse-repro pipeline --documents 100 --profile
-    adaparse-repro cluster --workers 2 --documents 100 --profile
 
 The daemon subcommands (``serve``/``gateway``/``worker``/``cluster``)
 accept ``--log-level`` and ``--log-json``; structured logs go to stderr,
@@ -176,56 +168,6 @@ def _setup_logging(args: argparse.Namespace) -> None:
         level=getattr(args, "log_level", "info"),
         json_mode=bool(getattr(args, "log_json", False)),
     )
-
-
-def _add_profile_argument(
-    parser: argparse.ArgumentParser, help: str | None = None
-) -> None:
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=help
-        or "run the sampling profiler and print collapsed stacks to stderr",
-    )
-
-
-def _start_profile_sampler(args: argparse.Namespace):
-    """``--profile`` on a one-shot command: sample this process for the
-    whole run.  Returns the running sampler, or ``None`` without the flag."""
-    if not getattr(args, "profile", False):
-        return None
-    from repro.obs import profiling as _profiling
-
-    _profiling.set_profiling_enabled(True)
-    return _profiling.StackSampler().start()
-
-
-def _print_profile(profile, key: str = "") -> None:
-    """One collapsed-stack profile to stderr (stdout stays machine-readable)."""
-    label = f" {key}" if key else ""
-    print(
-        f"# profile{label}: {profile.n_samples} sample(s) at "
-        f"{profile.interval * 1000:.0f}ms",
-        file=sys.stderr,
-    )
-    collapsed = profile.collapsed()
-    if collapsed:
-        print(collapsed, file=sys.stderr)
-    sys.stderr.flush()
-
-
-def _finish_profile_sampler(sampler) -> None:
-    if sampler is not None:
-        _print_profile(sampler.stop())
-
-
-def _enable_service_profiling(args: argparse.Namespace) -> None:
-    """``--profile`` on a daemon/service command: sample per ticket into the
-    process :class:`~repro.obs.profiling.ProfileStore` (the PROFILE RPC)."""
-    if getattr(args, "profile", False):
-        from repro.obs import profiling as _profiling
-
-        _profiling.set_profiling_enabled(True)
 
 
 def _add_backend_arguments(
@@ -417,11 +359,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         f" with {parser.name}...",
         flush=True,
     )
-    sampler = _start_profile_sampler(args)
-    try:
-        report = builder.build(source)
-    finally:
-        _finish_profile_sampler(sampler)
+    report = builder.build(source)
     print(json.dumps(report.summary(), indent=2, default=str))
     return 0
 
@@ -444,11 +382,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: {exc}") from exc
     if args.parser in ENGINE_VARIANTS:
         print("training the AdaParse engine on a small corpus...", flush=True)
-    sampler = _start_profile_sampler(args)
-    try:
-        report = ParsePipeline(cache=cache).run(request)
-    finally:
-        _finish_profile_sampler(sampler)
+    report = ParsePipeline(cache=cache).run(request)
     payload = report.to_json_dict(include_text=args.include_text)
     if args.output:
         path = Path(args.output)
@@ -569,7 +503,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ParseService, ServiceConfig
 
     _setup_logging(args)
-    _enable_service_profiling(args)
     options = _parse_backend_opts(args.backend_opt)
     _validate_backend_spec_or_exit(args.backend, options)
     if args.parser in ENGINE_VARIANTS:
@@ -625,16 +558,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # result()), which must still release the backend and flush
             # the shared cache.
             service.close()
-    if args.profile:
-        # One profile per ticket, keyed the same way the gateway PROFILE
-        # RPC keys them — collapsed stacks go to stderr, summary to stdout.
-        from repro.obs import profiling as _profiling
-
-        store = _profiling.default_store()
-        for client, ticket in tickets.items():
-            profile = store.get(ticket.id)
-            if profile is not None:
-                _print_profile(profile, key=f"{client}/{ticket.id}")
     print(json.dumps(summary, indent=2, default=str))
     return 0
 
@@ -745,7 +668,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     from repro.serve import ParseService, ServiceConfig
 
     _setup_logging(args)
-    _enable_service_profiling(args)
     options = _parse_backend_opts(args.backend_opt)
     _validate_backend_spec_or_exit(args.backend, options)
     quota = ClientQuota(
@@ -796,7 +718,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                         "max_queue_depth": args.max_queue_depth,
                         "tokens": auth.n_tokens,
                         "anonymous": auth.allow_anonymous,
-                        "profiling": bool(args.profile),
                     }
                 ),
                 flush=True,
@@ -832,7 +753,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.obs.logging import get_logger, log_event
 
     _setup_logging(args)
-    _enable_service_profiling(args)
     options = _parse_backend_opts(args.backend_opt)
     _validate_backend_spec_or_exit(args.backend, options)
     _, cache = resolve_cache_config(args)
@@ -919,7 +839,6 @@ def spawn_local_worker(
     backend: str = "serial",
     jobs: int = 1,
     cache_dir: "str | Path | None" = None,
-    profile: bool = False,
 ) -> "subprocess.Popen":
     """Start one ``adaparse-repro worker --port 0`` process from this checkout.
 
@@ -941,8 +860,6 @@ def spawn_local_worker(
         command += ["--backend-opt", f"n_jobs={jobs}"]
     if cache_dir:
         command += ["--cache-dir", str(cache_dir)]
-    if profile:
-        command += ["--profile"]
     env = dict(os.environ)
     src_root = str(Path(repro.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -1009,7 +926,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                         backend=args.worker_backend,
                         jobs=args.worker_jobs,
                         cache_dir=Path(args.cache_dir) / f"worker-{i}" if args.cache_dir else None,
-                        profile=args.profile,
                     )
                 )
             for i, proc in enumerate(procs):
@@ -1059,24 +975,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             print("training the AdaParse engine on a small corpus...", flush=True)
         from repro.pipeline.backends import BackendError
 
-        sampler = _start_profile_sampler(args)
         with _GracefulShutdown():
             try:
                 report = ParsePipeline(cache=cache).run(request)
             except BackendError as exc:
                 raise SystemExit(f"error: {exc}") from exc
-            finally:
-                _finish_profile_sampler(sampler)
-        if args.profile:
-            # Workers ship their sampled profiles inside batch_result
-            # frames; the coordinator merged them per shard.
-            from repro.obs import profiling as _profiling
-
-            store = _profiling.default_store()
-            for key in sorted(store.keys()):
-                shard_profile = store.get(key)
-                if shard_profile is not None:
-                    _print_profile(shard_profile, key=key)
         extra = report.execution.to_json_dict()["extra"]
         cluster = {
             key.removeprefix("cluster_"): value
@@ -1259,51 +1162,6 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
     )
     for line in _format_span_tree(build_tree(spans)):
         print(line)
-    return 0
-
-
-def _cmd_obs_profile(args: argparse.Namespace) -> int:
-    """Fetch and render one gateway ticket's sampled stack profile."""
-    from repro.gateway import GatewayClient, GatewayError
-    from repro.obs.profiling import Profile
-
-    try:
-        with GatewayClient(
-            args.host, args.port, token=args.token or None, client=args.client
-        ) as client:
-            payload = client.profile(args.ticket_id)
-    except (GatewayError, OSError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    raw = payload.get("profile")
-    if raw is None:
-        # Same contract as `obs trace`: an owned ticket with nothing
-        # recorded is a failure, not a silent empty success.
-        print(
-            f"error: no profile recorded for ticket {args.ticket_id} "
-            f"(state {payload.get('state')}; was the gateway started "
-            f"with --profile?)",
-            file=sys.stderr,
-        )
-        return 1
-    profile = Profile.from_dict(raw)
-    # A stored profile without samples is a fast ticket, not a missing one.
-    note = "" if profile.counts else " — the ticket finished inside one sampler tick"
-    print(
-        f"ticket {payload.get('ticket_id')}  state {payload.get('state')}  "
-        f"({profile.n_samples} sample(s) at {profile.interval * 1000:.0f}ms{note})"
-    )
-    if not profile.counts:
-        return 0
-    if args.top:
-        width = max(len(frame) for frame, _ in profile.top(args.top))
-        for frame, count in profile.top(args.top):
-            share = 100.0 * count / max(1, profile.n_samples)
-            print(f"  {frame:<{width}}  {count:>7}  {share:5.1f}%")
-    else:
-        print(profile.collapsed())
     return 0
 
 
@@ -1548,7 +1406,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_argument(dataset)
     _add_backend_arguments(dataset)
     _add_cache_arguments(dataset)
-    _add_profile_argument(dataset)
     dataset.set_defaults(func=_cmd_dataset)
 
     pipe = sub.add_parser(
@@ -1571,7 +1428,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--include-text", action="store_true", help="embed page texts in the JSON")
     pipe.add_argument("--output", type=str, default="", help="write the report JSON here")
     _add_cache_arguments(pipe)
-    _add_profile_argument(pipe)
     pipe.set_defaults(func=_cmd_pipeline)
 
     cache = sub.add_parser(
@@ -1638,11 +1494,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_logging_arguments(serve)
     _add_backend_arguments(serve, default="thread")
     _add_cache_arguments(serve, policy_default="readwrite")
-    _add_profile_argument(
-        serve,
-        help="sample each ticket's execution and print per-ticket collapsed "
-        "stacks to stderr",
-    )
     serve.set_defaults(func=_cmd_serve)
 
     submit = sub.add_parser(
@@ -1752,11 +1603,6 @@ def build_parser() -> argparse.ArgumentParser:
         policy_default=None,
         dir_help="persistent cache directory shared by every client's requests",
     )
-    _add_profile_argument(
-        gateway,
-        help="sample each ticket's execution; profiles are served back over "
-        "the PROFILE RPC (`repro obs profile TICKET-ID`)",
-    )
     gateway.set_defaults(func=_cmd_gateway)
 
     worker = sub.add_parser(
@@ -1808,11 +1654,6 @@ def build_parser() -> argparse.ArgumentParser:
         "without re-parsing); several workers may share "
         "one directory — the disk store appends on flush, so "
         "concurrent writers are safe",
-    )
-    _add_profile_argument(
-        worker,
-        help="sample each shard's execution and ship the profile back to the "
-        "coordinator inside batch_result",
     )
     worker.set_defaults(func=_cmd_worker)
 
@@ -1904,17 +1745,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument("--output", type=str, default="", help="write the summary JSON here")
     _add_logging_arguments(cluster)
-    _add_profile_argument(
-        cluster,
-        help="sample the coordinator and every spawned worker; collapsed "
-        "stacks (local run + per-shard worker profiles) go to stderr",
-    )
     cluster.set_defaults(func=_cmd_cluster)
 
     obs = sub.add_parser(
         "obs",
-        help="observability tools: metrics exposition, trace trees, stack "
-        "profiles, and a live top view",
+        help="observability tools: metrics exposition, trace trees, and a "
+        "live top view",
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_metrics = obs_sub.add_parser(
@@ -1966,34 +1802,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_trace.add_argument("--json", action="store_true", help="raw JSON instead of the tree")
     obs_trace.set_defaults(func=_cmd_obs_trace)
-    obs_profile = obs_sub.add_parser(
-        "profile",
-        help="fetch one gateway ticket's sampled stack profile "
-        "(collapsed flamegraph lines, or --top N hottest frames)",
-    )
-    obs_profile.add_argument(
-        "ticket_id", type=str, help="ticket id (from SUBMITTED/submit output)"
-    )
-    obs_profile.add_argument("--host", type=str, default="127.0.0.1", help="gateway address")
-    obs_profile.add_argument("--port", type=int, required=True, help="gateway port")
-    obs_profile.add_argument("--token", type=str, default="", help="gateway auth token")
-    obs_profile.add_argument(
-        "--client",
-        type=str,
-        default="cli",
-        help="client identity (must own the ticket; default matches `repro submit`)",
-    )
-    obs_profile.add_argument(
-        "--top",
-        type=int,
-        default=0,
-        metavar="N",
-        help="print the N hottest leaf frames instead of collapsed stacks",
-    )
-    obs_profile.add_argument(
-        "--json", action="store_true", help="raw JSON instead of text"
-    )
-    obs_profile.set_defaults(func=_cmd_obs_profile)
     obs_top = obs_sub.add_parser(
         "top",
         help="live service/cluster view of a running gateway (workers, "

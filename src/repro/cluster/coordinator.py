@@ -77,7 +77,6 @@ from repro.documents.sources import DocumentRef, Item, create_source
 from repro.elastic.membership import MembershipRegistry
 from repro.elastic.policy import satisfies, tags_from_capabilities
 from repro.obs import metrics as _metrics
-from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
 from repro.obs.tracing import TraceContext
@@ -719,65 +718,54 @@ class ClusterCoordinator:
 
     def _on_batch_result(self, link: _WorkerLink, message: Mapping[str, Any]) -> None:
         shard_id = str(message.get("shard_id"))
+        # The whole frame is read before the shard leaves the books: a frame
+        # that cannot be read fails its shard, where an error raised after
+        # the pop would kill this reader with nothing left to re-dispatch.
+        error: "str | None" = None
+        try:
+            batch = protocol.parse_batch_result(message)
+        except (KeyError, TypeError, ValueError) as exc:
+            batch, error = None, f"malformed batch_result for {shard_id}: {exc}"
         with self._lock:
             shard = self._shards.pop(shard_id, None)
             link.in_flight.pop(shard_id, None)
+            if batch is not None and shard is not None and (
+                len(batch.results) != len(shard.content_hashes)
+            ):
+                error = (
+                    f"worker {link.worker_id} returned {len(batch.results)} results "
+                    f"for shard {shard_id} of {len(shard.content_hashes)} documents"
+                )
             if shard is None:
                 # A worker we gave up on still answered after the shard was
                 # re-run elsewhere: at-least-once dispatch, exactly-once
                 # results — first writer won, this copy is dropped.
                 self.counters["duplicate_results_ignored"] += 1
-                sends = self._pump_locked()
+            elif error is not None:
+                self.counters["shards_failed"] += 1
             else:
                 self.counters["shards_completed"] += 1
-                self.counters["remote_cache_hits"] += int(message.get("cache_hits", 0))
-                self.counters["remote_cache_misses"] += int(
-                    message.get("cache_misses", 0)
-                )
-                sends = self._pump_locked()
+                self.counters["remote_cache_hits"] += batch.cache_hits
+                self.counters["remote_cache_misses"] += batch.cache_misses
+            sends = self._pump_locked()
         self._send_planned(sends)
         if shard is None:
             _CLUSTER_SHARDS.inc(outcome="duplicate")
+            return
+        if error is not None:
+            _CLUSTER_SHARDS.inc(outcome="failed")
+            shard.future.set_exception(ClusterError(error))
             return
         _CLUSTER_SHARDS.inc(outcome="completed")
         # Worker-side spans ride the result frame; ingesting them into the
         # coordinator process's recorder is what joins worker execution
         # into the submitting request's trace tree.
-        worker_spans = message.get("spans")
-        if isinstance(worker_spans, list) and worker_spans:
-            _tracing.default_recorder().ingest(worker_spans)
-        # Worker-side phase tables and profiles ride the same frame.  The
-        # table is stashed on the future (the submitting thread merges it
-        # into its run's timer when the result resolves); the profile is
-        # filed in the process profile store under the shard id, where
-        # ``obs profile`` / the gateway PROFILE RPC can find it.
-        worker_phases = message.get("phases")
-        if isinstance(worker_phases, Mapping) and worker_phases:
-            shard.future.phases = dict(worker_phases)
-        worker_profile = message.get("profile")
-        if isinstance(worker_profile, Mapping) and worker_profile:
-            try:
-                _profiling.default_store().merge_into(
-                    f"shard:{shard_id}",
-                    _profiling.Profile.from_dict(worker_profile),
-                )
-            except (TypeError, ValueError):
-                pass  # malformed profile payloads must not fail the shard
-        try:
-            output = protocol.parse_batch_result(message)
-        except (KeyError, TypeError, ValueError) as exc:
-            shard.future.set_exception(
-                ClusterError(f"malformed batch_result for {shard_id}: {exc}")
-            )
-            return
-        if len(output[0]) != len(shard.content_hashes):
-            shard.future.set_exception(
-                ClusterError(
-                    f"worker {link.worker_id} returned {len(output[0])} results "
-                    f"for shard {shard_id} of {len(shard.content_hashes)} documents"
-                )
-            )
-            return
+        if batch.spans:
+            _tracing.default_recorder().ingest(batch.spans)
+        # The worker's phase table rides the same frame; it is stashed on
+        # the future, and the submitting thread merges it into its run's
+        # timer when the result resolves.
+        shard.future.phases = batch.phases
         if self.ledger is not None:
             # Checkpoint *before* resolving the future: once the caller
             # observes the shard complete, a coordinator kill cannot
@@ -795,7 +783,7 @@ class ClusterCoordinator:
                     _LOG, "warning", "ledger_record_failed",
                     shard_id=shard_id, reason=str(exc),
                 )
-        shard.future.set_result(output)
+        shard.future.set_result((batch.results, batch.decisions))
 
     def _on_shard_error(self, link: _WorkerLink, message: Mapping[str, Any]) -> None:
         shard_id = str(message.get("shard_id"))

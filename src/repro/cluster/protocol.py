@@ -58,6 +58,7 @@ the cluster introduces no second serialisation format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -168,19 +169,16 @@ def batch_result_message(
     cache_misses: int = 0,
     spans: "list[dict[str, Any]] | None" = None,
     phases: "Mapping[str, Any] | None" = None,
-    profile: "Mapping[str, Any] | None" = None,
 ) -> dict[str, Any]:
     """Build a ``batch_result`` message from worker-side objects.
 
     ``spans`` optionally ships the worker-side span records of this
     shard's trace (the :class:`~repro.obs.SpanRecorder` schema) back to
     the coordinator, which ingests them into its own recorder — that is
-    how one ``obs trace`` tree shows worker execution.  ``phases``
-    (a :meth:`~repro.obs.PhaseTimer.snapshot` table) and ``profile``
-    (a :meth:`~repro.obs.Profile.to_dict` payload) ride the same way:
-    the coordinator merges the phase table into the submitting request's
-    timer and files the profile under the shard id.  All three fields
-    are version-tolerant: old coordinators ignore them.
+    how one ``obs trace`` tree shows worker execution.  ``phases`` (a
+    :meth:`~repro.obs.PhaseTimer.snapshot` table) rides the same way: the
+    coordinator merges it into the submitting request's timer.  Both
+    fields are version-tolerant: old coordinators ignore them.
     """
     message = {
         "type": BATCH_RESULT,
@@ -196,18 +194,74 @@ def batch_result_message(
         message["spans"] = list(spans)
     if phases:
         message["phases"] = dict(phases)
-    if profile:
-        message["profile"] = dict(profile)
     return message
 
 
-def parse_batch_result(
-    message: Mapping[str, Any],
-) -> tuple[list[ParseResult], list[RoutingDecision]]:
-    """Rehydrate a ``batch_result`` message's payload."""
-    results = [ParseResult.from_json_dict(item) for item in message.get("results", [])]
-    decisions = [RoutingDecision.from_json_dict(item) for item in message.get("decisions", [])]
-    return results, decisions
+@dataclass(frozen=True)
+class BatchResult:
+    """The payload of one ``batch_result`` frame, every field checked."""
+
+    results: list[ParseResult]
+    decisions: list[RoutingDecision]
+    cache_hits: int
+    cache_misses: int
+    spans: list[Any]
+    phases: "dict[str, dict[str, float]] | None"
+
+
+def _is_amount(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value >= 0
+    )
+
+
+def _counter(message: Mapping[str, Any], key: str) -> int:
+    value = message.get(key, 0)
+    if not (_is_amount(value) and isinstance(value, int)):
+        raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _phase_table(raw: Any) -> "dict[str, dict[str, float]] | None":
+    """A worker's phase table, or ``None`` without one: every row a
+    mapping of finite, non-negative numbers (what
+    :meth:`~repro.obs.PhaseTimer.merge_table` can fold)."""
+    if raw is None:
+        return None
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"phases must be a table, got {raw!r}")
+    for name, row in raw.items():
+        if not (isinstance(row, Mapping) and all(map(_is_amount, row.values()))):
+            raise ValueError(
+                f"phases row {name!r} must map to finite non-negative numbers, "
+                f"got {row!r}"
+            )
+    return {str(name): dict(row) for name, row in raw.items()} or None
+
+
+def parse_batch_result(message: Mapping[str, Any]) -> BatchResult:
+    """Rehydrate and check a whole ``batch_result`` message.
+
+    Raises ``KeyError``, ``TypeError`` or ``ValueError`` on any field the
+    coordinator could not use, so a malformed frame fails its shard
+    before any bookkeeping moves.
+    """
+    spans = message.get("spans") or []
+    if not isinstance(spans, list):
+        raise ValueError(f"spans must be a list, got {spans!r}")
+    return BatchResult(
+        results=[ParseResult.from_json_dict(item) for item in message.get("results", [])],
+        decisions=[
+            RoutingDecision.from_json_dict(item) for item in message.get("decisions", [])
+        ],
+        cache_hits=_counter(message, "cache_hits"),
+        cache_misses=_counter(message, "cache_misses"),
+        spans=spans,
+        phases=_phase_table(message.get("phases")),
+    )
 
 
 # ---------------------------------------------------------------------- #

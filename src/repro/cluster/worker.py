@@ -596,20 +596,14 @@ class _ConnectionHandler(rpc.Session):
             recorder = SpanRecorder()
         # Phase attribution mirrors the span pattern: a private per-shard
         # timer (never the daemon's ambient state) whose table rides the
-        # batch_result frame back to the coordinator.  The sampler is the
-        # same shape again, for the collapsed-stack profile.
+        # batch_result frame back to the coordinator.
         timer: "_profiling.PhaseTimer | None" = (
             _profiling.PhaseTimer() if _profiling.phases_enabled() else None
-        )
-        sampler: "_profiling.StackSampler | None" = (
-            _profiling.StackSampler() if _profiling.profiling_enabled() else None
         )
         try:
             with ExitStack() as stack:
                 if timer is not None:
                     stack.enter_context(_profiling.use_timer(timer))
-                if sampler is not None:
-                    stack.enter_context(sampler)
                 if recorder is not None:
                     assert job.trace is not None
                     stack.enter_context(_tracing.use_recorder(recorder))
@@ -654,7 +648,6 @@ class _ConnectionHandler(rpc.Session):
                 else None
             ),
             phases=timer.snapshot() if timer is not None else None,
-            profile=sampler.profile.to_dict() if sampler is not None else None,
         )
         if timer is not None:
             # Result serialization is a wire-path cost, not a parse phase:

@@ -7,7 +7,7 @@ cross-client cache dedup, fair-share admission, and progress streaming
 all hold *across processes and machines*.  :class:`GatewayClient` is the
 SDK side: ``submit()``, live ``events()``, ``result()``, and
 reconnect-and-resume by ticket id.  A result crosses the wire once: the
-report rides the frame of the ``completed`` event (gateway protocol 2),
+report rides the frame of the ``completed`` event (since gateway protocol 2),
 so ``result()`` sends nothing.
 
 Example (server)

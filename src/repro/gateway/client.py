@@ -5,7 +5,7 @@
 wire: ``submit()`` returns a :class:`RemoteTicket`, ``ticket.events()``
 iterates the live progress stream, ``result()`` returns the finished
 :class:`~repro.pipeline.report.ParseReport` JSON, which arrives on the
-frame of the ``completed`` event (gateway protocol 2), so it sends
+frame of the ``completed`` event (since gateway protocol 2), so it sends
 nothing.  One background reader thread demultiplexes the connection:
 ``event`` frames fan out to their ticket's local buffer, everything else
 answers the single in-flight request (requests/replies are strictly
@@ -439,26 +439,6 @@ class GatewayClient:
         ticket_id = ticket.id if isinstance(ticket, RemoteTicket) else ticket
         reply = self._rpc(protocol.trace_message(ticket_id))
         if reply.get("type") != protocol.TRACE_RESULT:
-            raise GatewayError(
-                str(reply.get("message", f"unexpected reply: {reply!r}"))
-            )
-        reply.pop("type", None)
-        return reply
-
-    def profile(self, ticket: RemoteTicket | str) -> dict[str, Any]:
-        """Fetch the sampled collapsed-stack profile of one of this
-        client's tickets.
-
-        Returns ``{"ticket_id", "state", "profile"}`` where ``profile``
-        is the :meth:`repro.obs.Profile.to_dict` payload, or ``None``
-        when the gateway ran without profiling enabled.  Raises
-        :class:`GatewayError` for an unknown or foreign ticket — and for
-        gateways predating the PROFILE RPC, which answer with a protocol
-        error (capability tolerance, like :meth:`trace`).
-        """
-        ticket_id = ticket.id if isinstance(ticket, RemoteTicket) else ticket
-        reply = self._rpc(protocol.profile_message(ticket_id))
-        if reply.get("type") != protocol.PROFILE_RESULT:
             raise GatewayError(
                 str(reply.get("message", f"unexpected reply: {reply!r}"))
             )

@@ -49,13 +49,6 @@ Message types
     the gateway answers with that ticket's recorded span list (the
     :class:`repro.obs.SpanRecorder` schema) plus its trace id.  ``repro
     obs trace`` renders the reply as a span tree.
-``profile`` / ``profile_result``
-    Sampling-profiler lookup: the client names a ticket id it owns and
-    the gateway answers with the collapsed-stack profile captured while
-    that ticket ran (the :meth:`repro.obs.Profile.to_dict` schema) —
-    empty when the gateway was not started with profiling enabled.
-    ``repro obs profile`` renders the reply.  Like ``trace``, the RPC is
-    capability-tolerant: older gateways answer with a protocol error.
 ``metrics`` / ``metrics_result``
     Dump the gateway process's metrics registry — ``format`` selects
     Prometheus text exposition (``"text"``) or the JSON snapshot
@@ -88,8 +81,9 @@ from repro.utils.wire import (  # noqa: F401  (re-exports)
 #: Gateway wire version.  Bump on any incompatible message change; both
 #: sides refuse to talk across versions (the handshake checks it).  Version
 #: 2 removed the result request and its reply: the report rides the frame
-#: of the ``completed`` event.
-GATEWAY_PROTOCOL_VERSION = 2
+#: of the ``completed`` event.  Version 3 removed the ``profile`` request and
+#: its reply.
+GATEWAY_PROTOCOL_VERSION = 3
 
 # ---------------------------------------------------------------------- #
 # Message type names (hello / hello_ack / error / bye come from rpc)
@@ -102,8 +96,6 @@ RESUME = "resume"
 STATS = "stats"
 TRACE = "trace"
 TRACE_RESULT = "trace_result"
-PROFILE = "profile"
-PROFILE_RESULT = "profile_result"
 METRICS = "metrics"
 METRICS_RESULT = "metrics_result"
 
@@ -155,13 +147,6 @@ def submit_message(
 
 def trace_message(ticket_id: str) -> dict[str, Any]:
     return {"type": TRACE, "ticket_id": ticket_id}
-
-
-def profile_message(ticket_id: str) -> dict[str, Any]:
-    """Fetch a ticket's collapsed-stack profile (capability-tolerant:
-    servers predating the PROFILE RPC answer with a protocol error the
-    client surfaces as a :class:`GatewayError`, like TRACE)."""
-    return {"type": PROFILE, "ticket_id": ticket_id}
 
 
 def metrics_message(format: str = "json") -> dict[str, Any]:

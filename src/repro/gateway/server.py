@@ -43,7 +43,6 @@ from repro.gateway import protocol
 from repro.gateway.auth import AuthError, AuthRegistry, ClientQuota, TokenBucket
 from repro.gateway.protocol import MessageChannel, MessageTooLarge, ProtocolError
 from repro.obs import metrics as _metrics
-from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
 from repro.obs.tracing import TraceContext
@@ -479,21 +478,6 @@ class _ClientConnection(Session):
             }
         )
 
-    def _on_profile(self, message: dict[str, Any]) -> None:
-        """Reply with the sampled profile captured for a ticket this client owns."""
-        record = self._owned_record(message)
-        if record is None:
-            return
-        profile = _profiling.default_store().get(record.ticket.id)
-        self.channel.send(
-            {
-                "type": protocol.PROFILE_RESULT,
-                "ticket_id": record.ticket.id,
-                "state": record.ticket.state.value,
-                "profile": profile.to_dict() if profile is not None else None,
-            }
-        )
-
     def _on_metrics(self, message: dict[str, Any]) -> None:
         """Dump the gateway process's metrics registry (text or JSON)."""
         format = str(message.get("format", "json"))
@@ -594,6 +578,5 @@ class _ClientConnection(Session):
         protocol.RESUME: _on_resume,
         protocol.STATS: _on_stats,
         protocol.TRACE: _on_trace,
-        protocol.PROFILE: _on_profile,
         protocol.METRICS: _on_metrics,
     }

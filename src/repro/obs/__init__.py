@@ -1,6 +1,6 @@
-"""repro.obs — observability: metrics, tracing, logging, profiling, history.
+"""repro.obs — observability: metrics, tracing, phases, history, logging.
 
-Five pillars, one import:
+Four pillars, one import:
 
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
   labeled counters / gauges / histograms with a process-wide default
@@ -13,16 +13,16 @@ Five pillars, one import:
   fields on the gateway and cluster wire frames; :func:`span` records
   timed spans into a bounded :class:`SpanRecorder` so one request can be
   followed gateway → service → backend → worker shard.
-* :mod:`repro.obs.logging` — stdlib-``logging`` setup for the daemons:
-  NDJSON or text to stderr, trace ids injected from the active context.
 * :mod:`repro.obs.profiling` — :class:`PhaseTimer` phase attribution for
   the pipeline hot path (``ParseReport.phases``, merged across all
-  backends including remote shards) and an opt-in :class:`StackSampler`
-  whose collapsed-stack :class:`Profile` output backs ``obs profile``
-  and the gateway ``PROFILE`` RPC.
+  backends including remote shards).
 * :mod:`repro.obs.history` — a bounded :class:`MetricsHistory` ring
   buffer over the default registry: timestamped flattened samples with
   delta/rate readouts, behind ``obs metrics --watch`` and ``obs top``.
+
+Next to them, :mod:`repro.obs.logging` sets up stdlib ``logging`` for the
+daemons: NDJSON or text to stderr, trace ids injected from the active
+context.
 
 Everything here is stdlib-only and cheap to import, but the package is
 still *lazily* reached: ``import repro`` does not import ``repro.obs``
@@ -37,16 +37,14 @@ from repro.obs import history, logging, metrics, profiling, tracing
 from repro.obs.history import MetricsHistory
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.obs.profiling import PhaseTimer, Profile, StackSampler
+from repro.obs.profiling import PhaseTimer
 from repro.obs.tracing import SpanRecorder, TraceContext, current_trace, span
 
 __all__ = [
     "MetricsHistory",
     "MetricsRegistry",
     "PhaseTimer",
-    "Profile",
     "SpanRecorder",
-    "StackSampler",
     "TraceContext",
     "current_trace",
     "default_registry",

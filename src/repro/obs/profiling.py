@@ -1,28 +1,18 @@
-"""Phase attribution and sampling profiler: *where did the time go?*
+"""Phase attribution: *where did the time go?*
 
-Two instruments, both zero-dependency:
-
-* :class:`PhaseTimer` — named, nestable wall+CPU phase accounting for the
-  pipeline hot path.  A timer is made ambient with :func:`use_timer`
-  (contextvar, so it survives ``await`` and rides a copied context into
-  pool threads); instrumented code brackets work with the module-level
-  :func:`phase` helper, which is a near no-op when no timer is active or
-  phases are disabled (``REPRO_OBS_PHASES=0``).  Self time is computed
-  per thread via a frame stack: a nested phase charges its wall time to
-  the parent frame's ``child_wall``, so the parent's *self* seconds
-  exclude it.  Tables from remote shards fold back with
-  :meth:`PhaseTimer.merge_table`, which also credits the merged work to
-  the currently open phase — the pipeline's
-  ``parse`` phase therefore reports orchestration overhead as self time
-  and delegated work under the child phase names, on every backend.
-* :class:`StackSampler` — an opt-in (``REPRO_OBS_PROFILING=1`` or
-  ``--profile``) sampling profiler over :func:`sys._current_frames`,
-  aggregating periodic stack snapshots of every thread in the process
-  into a :class:`Profile` whose :meth:`~Profile.collapsed` output is
-  flamegraph-compatible (``frame;frame;frame count`` lines).  Profiles
-  are retained in a bounded process-wide :class:`ProfileStore` keyed by
-  ticket/shard id, which backs the gateway ``PROFILE`` RPC and
-  ``obs profile TICKET-ID``.
+:class:`PhaseTimer` is named, nestable wall+CPU phase accounting for the
+pipeline hot path, with no dependencies.  A timer is made ambient with
+:func:`use_timer` (contextvar, so it survives ``await`` and rides a copied
+context into pool threads); instrumented code brackets work with the
+module-level :func:`phase` helper, which is a near no-op when no timer is
+active or phases are disabled (``REPRO_OBS_PHASES=0``).  Self time is
+computed per thread via a frame stack: a nested phase charges its wall
+time to the parent frame's ``child_wall``, so the parent's *self* seconds
+exclude it.  Tables from remote shards fold back with
+:meth:`PhaseTimer.merge_table`, which also credits the merged work to the
+currently open phase — the pipeline's ``parse`` phase therefore reports
+orchestration overhead as self time and delegated work under the child
+phase names, on every backend.
 
 Phase tables are plain dicts of plain floats — JSON-trivial, mergeable
 by key, and shippable inside cluster ``batch_result`` frames exactly
@@ -32,28 +22,21 @@ like trace spans.
 from __future__ import annotations
 
 import os
-import sys
 import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Iterator, Mapping
+from typing import Iterator, Mapping
 
 __all__ = [
     "PHASE_SECONDS_BUCKETS",
     "PhaseTimer",
-    "Profile",
-    "ProfileStore",
-    "StackSampler",
     "current_timer",
-    "default_store",
     "phase",
     "phase_seconds_histogram",
     "phases_enabled",
-    "profiling_enabled",
     "record",
     "set_phases_enabled",
-    "set_profiling_enabled",
     "use_timer",
 ]
 
@@ -82,7 +65,6 @@ PHASE_SECONDS_BUCKETS: tuple[float, ...] = (
 _ROW_KEYS = ("total_s", "self_s", "cpu_s", "calls", "bytes")
 
 _PHASES_ENABLED = os.environ.get("REPRO_OBS_PHASES", "1") not in ("0", "false", "off")
-_PROFILING_ENABLED = os.environ.get("REPRO_OBS_PROFILING", "0") in ("1", "true", "on")
 
 
 def phases_enabled() -> bool:
@@ -93,16 +75,6 @@ def phases_enabled() -> bool:
 def set_phases_enabled(enabled: bool) -> None:
     global _PHASES_ENABLED
     _PHASES_ENABLED = bool(enabled)
-
-
-def profiling_enabled() -> bool:
-    """Whether the sampling profiler is globally enabled (default: no)."""
-    return _PROFILING_ENABLED
-
-
-def set_profiling_enabled(enabled: bool) -> None:
-    global _PROFILING_ENABLED
-    _PROFILING_ENABLED = bool(enabled)
 
 
 def phase_seconds_histogram():
@@ -296,179 +268,3 @@ def record(
         timer.record(
             name, seconds, cpu_seconds=cpu_seconds, calls=calls, n_bytes=n_bytes
         )
-
-
-# ---------------------------------------------------------------------- #
-# Sampling profiler
-# ---------------------------------------------------------------------- #
-def _format_frame(frame: Any) -> str:
-    code = frame.f_code
-    filename = code.co_filename.rsplit("/", 1)[-1]
-    return f"{filename}:{code.co_name}"
-
-
-class Profile:
-    """An aggregated set of sampled stacks (collapsed-stack counts)."""
-
-    __slots__ = ("counts", "interval")
-
-    def __init__(
-        self,
-        counts: "Mapping[str, int] | None" = None,
-        interval: float = 0.01,
-    ) -> None:
-        #: ``"root;mid;leaf" -> sample count``
-        self.counts: dict[str, int] = dict(counts or {})
-        self.interval = float(interval)
-
-    @property
-    def n_samples(self) -> int:
-        return sum(self.counts.values())
-
-    def add_stack(self, stack: str, count: int = 1) -> None:
-        self.counts[stack] = self.counts.get(stack, 0) + count
-
-    def merge(self, other: "Profile") -> None:
-        for stack, count in other.counts.items():
-            self.add_stack(stack, count)
-
-    def collapsed(self) -> str:
-        """Flamegraph-compatible collapsed-stack lines, busiest first."""
-        ordered = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return "\n".join(f"{stack} {count}" for stack, count in ordered)
-
-    def top(self, n: int = 10) -> list[tuple[str, int]]:
-        """The ``n`` hottest leaf frames by inclusive-of-leaf sample count."""
-        leaves: dict[str, int] = {}
-        for stack, count in self.counts.items():
-            leaf = stack.rsplit(";", 1)[-1]
-            leaves[leaf] = leaves.get(leaf, 0) + count
-        ordered = sorted(leaves.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ordered[: max(0, n)]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "interval": self.interval,
-            "n_samples": self.n_samples,
-            "counts": dict(self.counts),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Profile":
-        counts = payload.get("counts") or {}
-        return cls(
-            counts={str(k): int(v) for k, v in counts.items()},
-            interval=float(payload.get("interval", 0.01)),
-        )
-
-
-class StackSampler:
-    """Periodic whole-process stack sampler (``sys._current_frames``).
-
-    Samples *every* thread except its own at ``interval`` seconds and
-    aggregates into a :class:`Profile`.  Overhead scales with thread
-    count and stack depth, not with work done — a 10ms interval costs a
-    few percent on a parse-dominated run (about 4% at the default interval:
-    PyMuPDF over 600 synthetic documents, 2 vCPUs).  ``max_samples``
-    bounds memory for long-lived runs.
-    """
-
-    def __init__(self, interval: float = 0.01, max_samples: int = 200_000) -> None:
-        if interval <= 0:
-            raise ValueError("sampling interval must be positive")
-        self.interval = float(interval)
-        self.max_samples = int(max_samples)
-        self.profile = Profile(interval=self.interval)
-        self._stop = threading.Event()
-        self._thread: "threading.Thread | None" = None
-        self._taken = 0
-
-    def _sample_once(self, own_ident: "int | None") -> None:
-        for ident, frame in sys._current_frames().items():
-            if ident == own_ident:
-                continue
-            parts: list[str] = []
-            depth = 0
-            while frame is not None and depth < 128:
-                parts.append(_format_frame(frame))
-                frame = frame.f_back
-                depth += 1
-            if parts:
-                self.profile.add_stack(";".join(reversed(parts)))
-                self._taken += 1
-
-    def _loop(self) -> None:
-        own = threading.get_ident()
-        while not self._stop.wait(self.interval):
-            if self._taken >= self.max_samples:
-                break
-            self._sample_once(own)
-
-    def start(self) -> "StackSampler":
-        if self._thread is not None:
-            raise RuntimeError("sampler already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-obs-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> Profile:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        return self.profile
-
-    def __enter__(self) -> "StackSampler":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
-
-class ProfileStore:
-    """A bounded, process-wide id → :class:`Profile` map (oldest evicted)."""
-
-    def __init__(self, max_profiles: int = 64) -> None:
-        self.max_profiles = int(max_profiles)
-        self._lock = threading.Lock()
-        self._profiles: dict[str, Profile] = {}
-
-    def put(self, key: str, profile: Profile) -> None:
-        with self._lock:
-            self._profiles.pop(key, None)
-            self._profiles[key] = profile
-            while len(self._profiles) > self.max_profiles:
-                self._profiles.pop(next(iter(self._profiles)))
-
-    def get(self, key: str) -> "Profile | None":
-        with self._lock:
-            return self._profiles.get(key)
-
-    def merge_into(self, key: str, profile: Profile) -> None:
-        """Merge ``profile`` into the stored entry (creating it if absent)."""
-        with self._lock:
-            existing = self._profiles.pop(key, None)
-            if existing is None:
-                existing = Profile(interval=profile.interval)
-            existing.merge(profile)
-            self._profiles[key] = existing
-            while len(self._profiles) > self.max_profiles:
-                self._profiles.pop(next(iter(self._profiles)))
-
-    def keys(self) -> list[str]:
-        with self._lock:
-            return list(self._profiles)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._profiles.clear()
-
-
-_DEFAULT_STORE = ProfileStore()
-
-
-def default_store() -> ProfileStore:
-    return _DEFAULT_STORE

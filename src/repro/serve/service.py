@@ -35,7 +35,6 @@ from time import perf_counter
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.obs import metrics as _metrics
-from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
 from repro.obs.tracing import TraceContext
 from repro.pipeline.backends.base import ExecutionBackend, resolve_execution
@@ -480,12 +479,6 @@ class ParseService:
             {"backend": self._backend.name, "workers": self._backend.workers},
         )
         failed = True
-        # Opt-in per-ticket sampling: the profile is filed under the
-        # ticket id as soon as sampling stops, so `obs profile TICKET-ID`
-        # (via the gateway PROFILE RPC) can fetch it after completion.
-        sampler = (
-            _profiling.StackSampler() if _profiling.profiling_enabled() else None
-        )
         try:
             with ExitStack() as stack:
                 if ticket.trace is not None:
@@ -500,19 +493,7 @@ class ParseService:
                         )
                     )
                 try:
-                    with ExitStack() as sampling:
-                        if sampler is not None:
-                            # The profile must land in the store *before*
-                            # the terminal event is emitted — a client that
-                            # reacts to "completed" with a PROFILE RPC must
-                            # never race the store write.
-                            sampling.callback(
-                                lambda: _profiling.default_store().put(
-                                    ticket.id, sampler.profile
-                                )
-                            )
-                            sampling.enter_context(sampler)
-                        report = self._execute(ticket)
+                    report = self._execute(ticket)
                 except BaseException as exc:  # report *any* failure to the waiters
                     ticket._set_state(TicketState.FAILED, error=exc)
                     ticket._emit(

@@ -134,11 +134,13 @@ class TestSpecAndResults:
         message = protocol.batch_result_message(
             "s000001", results, decisions, worker_id="w", elapsed_seconds=0.5
         )
-        rebuilt_results, rebuilt_decisions = protocol.parse_batch_result(message)
-        assert [r.to_json_dict() for r in rebuilt_results] == [
+        batch = protocol.parse_batch_result(message)
+        assert [r.to_json_dict() for r in batch.results] == [
             r.to_json_dict() for r in results
         ]
-        assert rebuilt_decisions == decisions
+        assert batch.decisions == decisions
+        assert (batch.cache_hits, batch.cache_misses) == (0, 0)
+        assert (batch.spans, batch.phases) == ([], None)
 
 
 class TestPlacement:

@@ -90,7 +90,7 @@ class TestHandshake:
             assert client.quota["max_active"] >= 1
             assert client.quota["max_request_bytes"] > 0
 
-    @pytest.mark.parametrize("version", [999, 1])
+    @pytest.mark.parametrize("version", [999, 1, 2])
     def test_version_mismatch_is_refused(self, gateway, version):
         channel = self.raw_channel(gateway)
         try:
@@ -98,6 +98,21 @@ class TestHandshake:
             reply = channel.recv()
             assert reply["type"] == protocol.ERROR
             assert "version" in reply["message"]
+            assert channel.recv() is None  # gateway hung up
+        finally:
+            channel.close()
+
+    def test_profile_request_is_an_unexpected_message_type(self, gateway):
+        channel = self.raw_channel(gateway)
+        try:
+            channel.send(
+                {"type": protocol.HELLO, "protocol": protocol.GATEWAY_PROTOCOL_VERSION}
+            )
+            assert channel.recv()["type"] == protocol.HELLO_ACK
+            channel.send({"type": "profile", "ticket_id": "t0001"})
+            reply = channel.recv()
+            assert reply["type"] == protocol.ERROR
+            assert reply["message"] == "unexpected message type 'profile'"
             assert channel.recv() is None  # gateway hung up
         finally:
             channel.close()
@@ -605,7 +620,7 @@ class TestImportHygiene:
             "import sys, repro.gateway\n"
             "assert 'repro.serve.service' not in sys.modules\n"
             "from repro.gateway import GATEWAY_PROTOCOL_VERSION\n"
-            "assert GATEWAY_PROTOCOL_VERSION == 2\n"
+            "assert GATEWAY_PROTOCOL_VERSION == 3\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True, env=_subprocess_env())
 

@@ -1,4 +1,4 @@
-"""Unit tests of phase attribution and the sampling profiler."""
+"""Unit tests of phase attribution."""
 
 from __future__ import annotations
 
@@ -9,13 +9,7 @@ import time
 import pytest
 
 from repro.obs import profiling
-from repro.obs.profiling import (
-    PHASE_SECONDS_BUCKETS,
-    PhaseTimer,
-    Profile,
-    ProfileStore,
-    StackSampler,
-)
+from repro.obs.profiling import PHASE_SECONDS_BUCKETS, PhaseTimer
 
 
 class TestPhaseTimer:
@@ -165,127 +159,3 @@ class TestAmbientTimer:
 
     def test_phase_buckets_are_sorted(self):
         assert list(PHASE_SECONDS_BUCKETS) == sorted(PHASE_SECONDS_BUCKETS)
-
-
-class TestProfile:
-    def test_add_merge_and_counts(self):
-        p = Profile()
-        p.add_stack("a;b;c")
-        p.add_stack("a;b;c", 2)
-        other = Profile(counts={"a;b;c": 1, "x;y": 4})
-        p.merge(other)
-        assert p.counts == {"a;b;c": 4, "x;y": 4}
-        assert p.n_samples == 8
-
-    def test_collapsed_output_busiest_first(self):
-        p = Profile(counts={"cold;path": 1, "hot;path": 9})
-        assert p.collapsed().splitlines() == ["hot;path 9", "cold;path 1"]
-
-    def test_top_aggregates_by_leaf_frame(self):
-        p = Profile(counts={"a;leaf": 3, "b;c;leaf": 2, "d;other": 4})
-        assert p.top(2) == [("leaf", 5), ("other", 4)]
-
-    def test_round_trips_through_dict(self):
-        p = Profile(counts={"a;b": 2}, interval=0.005)
-        clone = Profile.from_dict(json.loads(json.dumps(p.to_dict())))
-        assert clone.counts == p.counts
-        assert clone.interval == p.interval
-        assert clone.n_samples == 2
-
-
-class TestStackSampler:
-    def test_captures_stacks_of_other_threads(self):
-        stop = threading.Event()
-
-        def busy_wait_for_sampler() -> None:
-            stop.wait(2.0)
-
-        worker = threading.Thread(target=busy_wait_for_sampler)
-        worker.start()
-        try:
-            with StackSampler(interval=0.002) as sampler:
-                time.sleep(0.05)
-        finally:
-            stop.set()
-            worker.join()
-        profile = sampler.profile
-        assert profile.n_samples > 0
-        # our worker's distinctive frame was sampled
-        assert any("busy_wait_for_sampler" in stack for stack in profile.counts)
-        # the sampler never samples its own loop
-        assert not any("_sample_once" in stack for stack in profile.counts)
-
-    def test_stop_returns_profile_and_is_restartable(self):
-        sampler = StackSampler(interval=0.005)
-        sampler.start()
-        profile = sampler.stop()
-        assert profile is sampler.profile
-        sampler.start()  # a stopped sampler may start again
-        sampler.stop()
-
-    def test_double_start_raises(self):
-        sampler = StackSampler(interval=0.005).start()
-        try:
-            with pytest.raises(RuntimeError):
-                sampler.start()
-        finally:
-            sampler.stop()
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            StackSampler(interval=0.0)
-
-    def test_max_samples_bounds_collection(self):
-        stop = threading.Event()
-        worker = threading.Thread(target=lambda: stop.wait(2.0))
-        worker.start()
-        try:
-            sampler = StackSampler(interval=0.001, max_samples=3).start()
-            time.sleep(0.1)
-            profile = sampler.stop()
-        finally:
-            stop.set()
-            worker.join()
-        # one _sample_once pass may record several threads, so allow the
-        # final pass to overshoot by the thread count, not run unbounded
-        assert profile.n_samples <= 3 + threading.active_count() + 1
-
-
-class TestProfileStore:
-    def test_put_get_and_keys(self):
-        store = ProfileStore()
-        p = Profile(counts={"a": 1})
-        store.put("t1", p)
-        assert store.get("t1") is p
-        assert store.get("absent") is None
-        assert store.keys() == ["t1"]
-
-    def test_eviction_drops_oldest(self):
-        store = ProfileStore(max_profiles=2)
-        store.put("a", Profile())
-        store.put("b", Profile())
-        store.put("c", Profile())
-        assert store.get("a") is None
-        assert store.keys() == ["b", "c"]
-
-    def test_reput_refreshes_recency(self):
-        store = ProfileStore(max_profiles=2)
-        store.put("a", Profile())
-        store.put("b", Profile())
-        store.put("a", Profile())  # a is now newest
-        store.put("c", Profile())
-        assert store.get("b") is None
-        assert store.get("a") is not None
-
-    def test_merge_into_accumulates(self):
-        store = ProfileStore()
-        store.merge_into("shard:0", Profile(counts={"x": 1}))
-        store.merge_into("shard:0", Profile(counts={"x": 2, "y": 1}))
-        merged = store.get("shard:0")
-        assert merged.counts == {"x": 3, "y": 1}
-
-    def test_clear(self):
-        store = ProfileStore()
-        store.put("a", Profile())
-        store.clear()
-        assert store.keys() == []

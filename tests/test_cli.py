@@ -28,6 +28,24 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "command", ["dataset", "pipeline", "serve", "gateway", "worker", "cluster"]
+    )
+    def test_profile_flag_is_an_unrecognized_argument(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--profile"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --profile" in capsys.readouterr().err
+
+    def test_obs_profile_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["obs", "profile", "t0001", "--port", "1"])
+        assert exit_info.value.code == 2
+        assert (
+            "invalid choice: 'profile' (choose from 'metrics', 'trace', 'top')"
+            in capsys.readouterr().err
+        )
+
 
 class TestBackendOptionHandling:
     """`--backend-opt` value coercion and clear unknown-option failures."""
@@ -301,18 +319,15 @@ class TestLocalWorkerHelpers:
         assert call["stdout"] is subprocess.PIPE
         assert call["text"] is True
 
-    def test_spawn_passes_jobs_cache_dir_and_profile(self, popen_calls, tmp_path):
+    def test_spawn_passes_jobs_and_cache_dir(self, popen_calls, tmp_path):
         from repro.cli import spawn_local_worker
 
-        spawn_local_worker(
-            "w-1", backend="thread", jobs=3, cache_dir=tmp_path / "c", profile=True
-        )
+        spawn_local_worker("w-1", backend="thread", jobs=3, cache_dir=tmp_path / "c")
         (call,) = popen_calls
-        assert call["command"][-7:] == [
+        assert call["command"][-6:] == [
             "--backend", "thread",
             "--backend-opt", "n_jobs=3",
             "--cache-dir", str(tmp_path / "c"),
-            "--profile",
         ]
 
     @pytest.mark.parametrize("inherited", [None, "/elsewhere"])

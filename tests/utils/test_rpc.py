@@ -15,6 +15,8 @@ import time
 
 import pytest
 
+from repro.cluster.protocol import PROTOCOL_VERSION
+from repro.gateway.protocol import GATEWAY_PROTOCOL_VERSION
 from repro.utils import rpc
 from repro.utils.wire import MessageChannel, ProtocolError
 from tests.utils.test_wire import _gateway, _membership, _worker
@@ -361,8 +363,8 @@ def _stop(daemon):
         service.close()
 
 
-HELLO_GATEWAY = {"type": "hello", "protocol": 2}
-HELLO_WORKER = {"type": "hello", "protocol": 2}
+HELLO_GATEWAY = {"type": "hello", "protocol": GATEWAY_PROTOCOL_VERSION}
+HELLO_WORKER = {"type": "hello", "protocol": PROTOCOL_VERSION}
 
 
 class TestDaemonsShareTheLifecycle:
