@@ -16,6 +16,7 @@ from repro.cluster.protocol import (
     shard_placement_key,
 )
 from repro.core.engine import RoutingDecision
+from repro.obs.profiling import PhaseTimer
 from repro.parsers.base import ParseResult
 
 
@@ -141,6 +142,88 @@ class TestSpecAndResults:
         assert batch.decisions == decisions
         assert (batch.cache_hits, batch.cache_misses) == (0, 0)
         assert (batch.spans, batch.phases) == ([], None)
+
+
+def _batch_frame(**fields):
+    message = protocol.batch_result_message(
+        "s000001",
+        [ParseResult(parser_name="pymupdf", doc_id="d1", page_texts=["a"])],
+        [],
+        worker_id="w",
+        elapsed_seconds=0.5,
+    )
+    message.update(fields)
+    return message
+
+
+class TestBatchResultValidation:
+    def test_telemetry_fields_survive_the_round_trip(self):
+        timer = PhaseTimer()
+        timer.record("parse.default", 0.25, cpu_seconds=0.2, calls=2, n_bytes=64)
+        spans = [{"name": "worker.batch", "trace_id": "t" * 32}]
+        message = protocol.batch_result_message(
+            "s000001",
+            [],
+            [],
+            worker_id="w",
+            elapsed_seconds=0.5,
+            cache_hits=3,
+            cache_misses=4,
+            spans=spans,
+            phases=timer.snapshot(),
+        )
+        batch = protocol.parse_batch_result(message)
+        assert (batch.cache_hits, batch.cache_misses) == (3, 4)
+        assert batch.spans == spans
+        assert batch.phases == timer.snapshot()
+
+    def test_frame_without_telemetry_reads_as_zero_counters(self):
+        message = _batch_frame()
+        del message["cache_hits"], message["cache_misses"]
+        batch = protocol.parse_batch_result(message)
+        assert (batch.cache_hits, batch.cache_misses) == (0, 0)
+        assert (batch.spans, batch.phases) == ([], None)
+
+    def test_empty_phase_table_reads_as_none(self):
+        assert protocol.parse_batch_result(_batch_frame(phases={})).phases is None
+
+    def test_accepted_phase_table_merges_into_a_timer(self):
+        row = {"total_s": 2.0, "self_s": 1.5, "cpu_s": 1.0, "calls": 3, "bytes": 7}
+        batch = protocol.parse_batch_result(_batch_frame(phases={"parse.default": row}))
+        timer = PhaseTimer()
+        timer.merge_table(batch.phases)
+        assert timer.snapshot() == {"parse.default": row}
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"cache_hits": -1},
+            {"cache_misses": True},
+            {"cache_hits": 1.5},
+            {"cache_misses": "3"},
+            {"spans": {"name": "worker.batch"}},
+            {"phases": [["parse", 1.0]]},
+            {"phases": {"parse": "fast"}},
+            {"phases": {"parse": {"self_s": -0.1}}},
+            {"phases": {"parse": {"total_s": float("inf")}}},
+            {"phases": {"parse": {"calls": False}}},
+        ],
+        ids=[
+            "counter-negative",
+            "counter-bool",
+            "counter-float",
+            "counter-string",
+            "spans-not-a-list",
+            "phases-not-a-table",
+            "row-a-string",
+            "row-negative",
+            "row-inf",
+            "row-bool",
+        ],
+    )
+    def test_malformed_field_is_refused(self, fields):
+        with pytest.raises(ValueError):
+            protocol.parse_batch_result(_batch_frame(**fields))
 
 
 class TestPlacement:
