@@ -1,4 +1,4 @@
-"""Regression tests: `obs trace` exit codes and rendering.
+"""Regression tests: `obs metrics` readouts, `obs trace` exit codes and rendering.
 
 An owned ticket with *nothing recorded* used to print an empty tree and
 exit 0 — indistinguishable from success in scripts.  Now human mode
@@ -72,3 +72,44 @@ class TestObsTraceExitCode:
     def test_unknown_ticket_is_a_hard_error(self, gateway):
         with pytest.raises(SystemExit, match="error"):
             main(["obs", "trace", "TICKET-missing", "--port", str(gateway.port)])
+
+
+class TestObsMetrics:
+    """One-shot `obs metrics`: the local registry, or a live gateway's."""
+
+    FAMILY = "repro_gateway_submitted_total"
+
+    def test_local_text_mode(self, gateway, capsys):
+        # The gateway runs in this process, so its counters are in the
+        # local default registry too.
+        submit_and_finish(gateway)
+        assert main(["obs", "metrics"]) == 0
+        assert f"# TYPE {self.FAMILY} counter" in capsys.readouterr().out
+
+    def test_local_json_mode_parses(self, gateway, capsys):
+        submit_and_finish(gateway)
+        assert main(["obs", "metrics", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert isinstance(payload, dict)
+        assert self.FAMILY in payload
+
+    def test_live_gateway_text_scrape(self, gateway, capsys):
+        submit_and_finish(gateway)
+        code = main(
+            ["obs", "metrics", "--host", "127.0.0.1", "--port", str(gateway.port)]
+        )
+        assert code == 0
+        assert self.FAMILY in capsys.readouterr().out
+
+    def test_live_gateway_json_scrape(self, gateway, capsys):
+        submit_and_finish(gateway)
+        code = main(
+            [
+                "obs", "metrics", "--host", "127.0.0.1",
+                "--port", str(gateway.port), "--json",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert isinstance(payload, dict)
+        assert self.FAMILY in payload
