@@ -10,8 +10,7 @@ goodput).
 Parsing runs through :class:`repro.pipeline.ParsePipeline`: results stream
 in α-budgeted batches (records are built incrementally rather than from a
 fully materialised result list) on a configurable execution backend
-(``DatasetBuildConfig.backend``: serial, thread, process, or the
-simulated-HPC adapter).
+(``DatasetBuildConfig.backend``: serial, thread, or remote).
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class DatasetBuildConfig:
         estimate unless the caller provides predictions.
     backend:
         Execution backend of the parse stage by registry name (``serial``,
-        ``thread``, ``hpc``), or ``"auto"``.
+        ``thread``, ``remote``), or ``"auto"``.
     backend_options:
         Backend construction options (e.g. ``{"n_jobs": 8}``; with
         ``backend="auto"`` that option resolves to the thread backend).

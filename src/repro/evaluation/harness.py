@@ -49,7 +49,7 @@ class HarnessConfig:
         Seed of the tournament sampling.
     backend:
         Execution backend the parse stage dispatches batches on, by
-        registry name (``serial``, ``thread``, ``hpc``) or ``"auto"``.
+        registry name (``serial``, ``thread``, ``remote``) or ``"auto"``.
     backend_options:
         Backend construction options (e.g. ``{"n_jobs": 8}``; with
         ``backend="auto"`` that option resolves to the thread backend).

@@ -18,7 +18,7 @@ Example
 
 Execution is pluggable: ``ParseRequest.backend`` selects an
 :class:`~repro.pipeline.backends.ExecutionBackend` by name (``serial``,
-``thread``, ``hpc``, ``remote``, or ``auto``; ``async`` and ``process``
+``thread``, ``remote``, or ``auto``; ``async`` and ``process``
 are accepted names for ``thread``) and ``ParseRequest.backend_options``
 configures it; the report's
 ``execution`` block (:class:`~repro.pipeline.backends.ExecutionStats`)
@@ -30,7 +30,7 @@ facade, so improvements to the pipeline (sharding, caching, alternative
 backends) reach every consumer at once.
 
 Public names resolve lazily (PEP 562): importing this package does not pull
-in the backend implementations (notably the HPC adapter's simulator stack)
+in the backend implementations (notably the remote backend's cluster stack)
 until one is actually used.
 """
 
@@ -44,7 +44,6 @@ _LAZY_EXPORTS: dict[str, str] = {
     "ENGINE_VARIANTS": "repro.pipeline.pipeline:ENGINE_VARIANTS",
     "ExecutionBackend": "repro.pipeline.backends.base:ExecutionBackend",
     "ExecutionStats": "repro.pipeline.backends.base:ExecutionStats",
-    "HPCBackend": "repro.pipeline.backends.hpc:HPCBackend",
     "ParseCache": "repro.cache:ParseCache",
     "ParsePipeline": "repro.pipeline.pipeline:ParsePipeline",
     "ParseReport": "repro.pipeline.report:ParseReport",

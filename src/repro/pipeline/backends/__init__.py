@@ -1,13 +1,12 @@
 """Pluggable execution backends of the parsing pipeline.
 
-One :class:`ExecutionBackend` protocol, four implementations:
+One :class:`ExecutionBackend` protocol, three implementations:
 
 ========= ==================================================================
 name      execution
 ========= ==================================================================
 serial    inline in the calling thread (reference; parity baseline)
 thread    bounded thread-pool window sharing parent memory
-hpc       inline parse + measured-usage replay on the simulated cluster
 remote    repro.cluster worker daemons over TCP (multi-process/multi-host)
 ========= ==================================================================
 
@@ -21,7 +20,7 @@ one core, use ``remote``.
 
 Public names resolve lazily (PEP 562) so that importing this package — or
 :mod:`repro.pipeline.backends.base` beneath it — does not pull in the
-concrete backends (notably the HPC adapter's simulator stack) until a
+concrete backends (notably the remote backend's cluster stack) until a
 backend is actually named or constructed.
 """
 
@@ -34,7 +33,6 @@ _LAZY_EXPORTS: dict[str, str] = {
     "ExecutionBackend": "repro.pipeline.backends.base:ExecutionBackend",
     "ExecutionRecorder": "repro.pipeline.backends.base:ExecutionRecorder",
     "ExecutionStats": "repro.pipeline.backends.base:ExecutionStats",
-    "HPCBackend": "repro.pipeline.backends.hpc:HPCBackend",
     "RemoteBackend": "repro.cluster.backend:RemoteBackend",
     "SerialBackend": "repro.pipeline.backends.serial:SerialBackend",
     "ThreadBackend": "repro.pipeline.backends.thread:ThreadBackend",

@@ -3,8 +3,7 @@
 An execution backend answers one question for the pipeline: *given a
 per-batch worker and a stream of batches, how do the batches actually
 run?*  Serial in the calling thread, fanned out over a thread pool,
-shipped to worker daemons, or replayed through the simulated HPC
-cluster — the parsing algorithm (routing, α budgets, caching) is
+or shipped to worker daemons — the parsing algorithm (routing, α budgets, caching) is
 identical in every case, only the execution policy varies.
 
 The contract, in one paragraph: a backend is handed the **parser** —
@@ -125,7 +124,7 @@ class ExecutionStats:
         Registry name of the backend that executed the run.
     workers:
         Parallel worker count (1 for serial, ``n_jobs`` for thread, worker
-        daemons for remote, node count for the HPC adapter).
+        daemons for remote).
     batches_dispatched / batches_completed / batches_cancelled:
         Batches submitted, finished, and cancelled before starting (an
         abandoned streaming iterator cancels its queued batches).
@@ -141,8 +140,8 @@ class ExecutionStats:
         ``LATENCY_SAMPLE_SIZE`` (1024) batches, so a long-lived shared
         backend holds a bounded sample.
     extra:
-        Backend-specific numbers (e.g. the HPC adapter's simulated
-        cluster time and utilisation).
+        Backend-specific numbers (e.g. the remote backend's ``cluster_*``
+        shard and placement counters).
     """
 
     backend: str = "serial"
@@ -363,11 +362,10 @@ _REGISTRY: dict[str, BackendSpec] = {}
 #: Built-in backend name → defining module.  Names are knowable without
 #: importing any implementation; a module is imported (running its
 #: ``register_backend`` call) only when its backend is actually named, so
-#: e.g. validating a serial request never loads the HPC simulator stack.
+#: e.g. validating a serial request never loads the cluster stack.
 _BUILTIN_BACKEND_MODULES: dict[str, str] = {
     "serial": "repro.pipeline.backends.serial",
     "thread": "repro.pipeline.backends.thread",
-    "hpc": "repro.pipeline.backends.hpc",
     "remote": "repro.cluster.backend",
 }
 
@@ -375,6 +373,13 @@ _BUILTIN_BACKEND_MODULES: dict[str, str] = {
 #: stored requests and ``worker --backend process`` daemons; CPU-bound
 #: work past one core runs on ``remote``.
 _ACCEPTED_NAMES: dict[str, str] = {"async": "thread", "process": "thread"}
+
+#: Deleted backend names → what replaces them.  A stored request naming
+#: one is refused with the replacement, not run on something else.
+_REMOVED_NAMES: dict[str, str] = {
+    "hpc": "project a run onto N cluster nodes with `python -m repro.cli "
+    "scaling` (Figure 5)",
+}
 
 
 def register_backend(spec: BackendSpec) -> None:
@@ -467,9 +472,15 @@ def normalize_backend_spec(
     An ``{"n_jobs": N}`` option with N > 1 selects the thread backend
     under ``"auto"``; ``"auto"`` without parallelism resolves to the
     serial backend.  ``"async"`` and ``"process"`` are accepted names for
-    ``"thread"``.  ``n_jobs`` and ``window`` must be positive integers
-    wherever the resolved backend takes them.
+    ``"thread"``; a removed name (``"hpc"``) is refused with what replaces
+    it.  ``n_jobs`` and ``window`` must be positive integers wherever the
+    resolved backend takes them.
     """
+    if backend in _REMOVED_NAMES:
+        raise ValueError(
+            f"execution backend {backend!r} was removed; "
+            f"{_REMOVED_NAMES[backend]}"
+        )
     options = dict(backend_options or {})
     name = _ACCEPTED_NAMES.get(backend, backend)
     if name != backend:

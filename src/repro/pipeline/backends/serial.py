@@ -32,9 +32,6 @@ class SerialBackend(ExecutionBackend):
         self._recorder = ExecutionRecorder(self.name)
         self._closed = False
 
-    def _observe(self, output: object) -> None:
-        """Hook for subclasses watching completed batches (the HPC adapter)."""
-
     def map_ordered(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> Iterator[_R]:
         if self._closed:
             raise BackendError(f"{self.name} backend is closed")
@@ -45,7 +42,6 @@ class SerialBackend(ExecutionBackend):
             started = perf_counter()
             result = fn(item)
             recorder.record_batch(0.0, perf_counter() - started)
-            self._observe(result)
             yield result
 
     def close(self) -> None:

@@ -77,12 +77,12 @@ class ParseRequest:
         base parsers.
     backend:
         Execution backend by registry name (``serial``, ``thread``,
-        ``hpc``, ``remote``) or ``"auto"``, which picks serial — or thread
+        ``remote``) or ``"auto"``, which picks serial — or thread
         when parallelism is requested via ``backend_options``.  ``"async"``
         and ``"process"`` are accepted names for ``thread``.
     backend_options:
         Backend construction options (e.g. ``{"n_jobs": 8}`` for the
-        thread backend, ``{"n_nodes": 16}`` for ``hpc``,
+        thread backend,
         ``{"workers": "host:port,host:port"}`` for ``remote``); see
         :func:`repro.pipeline.backends.backend_specs`.
     cache:

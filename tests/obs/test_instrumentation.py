@@ -256,11 +256,6 @@ class TestBackendExtraParity:
         report = ParsePipeline(registry).run(request)
         return report.execution.to_json_dict()["extra"]
 
-    def test_hpc_publishes_sim_family(self, registry):
-        extra = self.extra_for("hpc", registry, n_nodes=2)
-        for key in ("sim_nodes", "sim_time_s", "sim_docs_per_s"):
-            assert key in extra, f"hpc extra missing {key}"
-
     def test_remote_publishes_cluster_family(self, registry):
         worker = WorkerDaemon(
             name="parity-worker", pipeline=ParsePipeline(registry)

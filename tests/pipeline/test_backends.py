@@ -3,8 +3,8 @@
 Covers the backend registry, the ordered-window execution contract (and
 the thread backend's teardown regression), the serial/thread/remote
 parity guarantee (byte-identical reports modulo timings, including
-α-budget boundaries and cache ``readwrite``), the HPC adapter, the
-``n_jobs`` deprecation path, and the execution telemetry round trip.
+α-budget boundaries and cache ``readwrite``), the refused ``hpc`` name,
+the ``n_jobs`` deprecation path, and the execution telemetry round trip.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from repro.pipeline.backends import (
     BackendError,
     ExecutionBackend,
     ExecutionRecorder,
-    HPCBackend,
     SerialBackend,
     normalize_backend_spec,
     resolve_execution,
+    validate_backend_spec,
 )
 from repro.pipeline.backends.thread import THREAD_NAME_PREFIX
 from repro.serve import ParseService, ServiceConfig
@@ -100,9 +100,11 @@ def _backend_threads() -> list[threading.Thread]:
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = set(backend_names())
-        assert {"serial", "thread", "hpc", "remote"} <= names
+        assert {"serial", "thread", "remote"} <= names
         # Accepted names resolve to ``thread``; they are not backends.
         assert "process" not in names and "async" not in names
+        # A removed backend is not a name either: it is refused.
+        assert "hpc" not in names
 
     def test_create_by_name(self):
         backend = create_backend("thread", {"n_jobs": 2})
@@ -131,7 +133,6 @@ class TestRegistry:
             ("thread", {"n_jobs": 4}, ("thread", {"n_jobs": 4})),
             ("process", {"n_jobs": 2}, ("thread", {"n_jobs": 2})),
             ("serial", None, ("serial", {})),
-            ("hpc", {"n_nodes": 2}, ("hpc", {"n_nodes": 2})),
             ("async", {"n_jobs": 4}, ("thread", {"n_jobs": 4})),
             ("async", None, ("thread", {})),
         ],
@@ -142,6 +143,21 @@ class TestRegistry:
     def test_normalize_spec_n_jobs_kwarg_removed(self):
         with pytest.raises(TypeError):
             normalize_backend_spec("auto", None, n_jobs=4)
+
+    @pytest.mark.parametrize(
+        "refuse",
+        [
+            lambda: ParseRequest(
+                parser="pymupdf", source="synthetic:2", backend="hpc"
+            ),
+            lambda: validate_backend_spec("hpc"),
+            lambda: resolve_execution("hpc"),
+        ],
+        ids=["ParseRequest", "validate_backend_spec", "resolve_execution"],
+    )
+    def test_removed_hpc_name_is_refused_naming_scaling(self, refuse):
+        with pytest.raises(ValueError, match=r"'hpc' was removed.*repro\.cli scaling"):
+            refuse()
 
     def test_auto_coerces_integral_float_n_jobs(self):
         # A CLI-coerced `--backend-opt n_jobs=4.0` must not silently run
@@ -1289,52 +1305,6 @@ class TestAsyncBackend:
 
 
 # ---------------------------------------------------------------------- #
-# HPC adapter
-# ---------------------------------------------------------------------- #
-class TestHPCBackend:
-    def test_results_match_serial_and_extra_has_simulation(self, registry, small_corpus):
-        documents = list(small_corpus)
-        baseline = ParsePipeline(registry).run(
-            request_for_documents("pymupdf", documents, batch_size=4)
-        )
-        report = ParsePipeline(registry).run(
-            request_for_documents(
-                "pymupdf", documents, batch_size=4,
-                backend="hpc",
-                backend_options={"n_nodes": 2, "docs_per_archive": 8},
-            )
-        )
-        assert [r.text for r in report.results] == [r.text for r in baseline.results]
-        assert report.execution.backend == "hpc"
-        assert report.execution.workers == 2
-        extra = report.execution.extra
-        assert extra["sim_nodes"] == 2
-        assert extra["sim_time_s"] > 0
-        assert extra["sim_docs_per_s"] > 0
-        assert extra["sim_documents_completed"] == len(documents)
-
-    def test_direct_adapter_replay_is_cached_until_new_work(self):
-        backend = HPCBackend(n_nodes=1, docs_per_archive=4)
-        assert backend.stats().extra == {}  # nothing ran, nothing simulated
-        backend.close()
-
-    def test_reused_instance_labels_mixed_parsers(self):
-        from repro.parsers.base import ParseResult
-
-        backend = HPCBackend(n_nodes=1, docs_per_archive=4)
-        batches = [
-            ([ParseResult(parser_name="pymupdf", doc_id="a", page_texts=["x"])], []),
-            ([ParseResult(parser_name="nougat", doc_id="b", page_texts=["y"])], []),
-        ]
-        list(backend.map_ordered(lambda batch: batch, batches))
-        # The aggregated replay is honestly labelled rather than attributed
-        # to whichever parser happened to run first.
-        assert backend._parser_name == "mixed"
-        assert backend.stats().extra["sim_documents_completed"] == 2
-        backend.close()
-
-
-# ---------------------------------------------------------------------- #
 # Consumers accept backend specs
 # ---------------------------------------------------------------------- #
 class TestConsumers:
@@ -1471,6 +1441,29 @@ class TestCli:
             main(["cluster", "--workers", "1", "--autoscale"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --autoscale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["pipeline", "--documents", "2"], ["worker", "--port", "0"]]
+    )
+    def test_hpc_backend_exits_1_naming_scaling(self, argv):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        # A subprocess, so a worker that wrongly accepted the name cannot
+        # keep serving inside the test run.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv, "--backend", "hpc"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 1
+        assert "repro.cli scaling" in proc.stderr
 
     @pytest.mark.parametrize("flag", ["--min-workers", "--max-workers"])
     def test_worker_bound_flags_are_unrecognized_arguments(self, flag, capsys):
