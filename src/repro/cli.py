@@ -61,14 +61,11 @@ placement/dedup summary; ``worker`` is the long-running daemon mode)::
     adaparse-repro pipeline --documents 100 --backend remote \
         --backend-opt workers=127.0.0.1:9101,127.0.0.1:9102
 
-Observability: scrape a live gateway's metrics (Prometheus text or JSON,
-one-shot or watched), pretty-print one ticket's distributed span tree,
-and keep a live top view of the whole service::
+Observability: scrape a live gateway's metrics (Prometheus text or JSON)
+and pretty-print one ticket's distributed span tree::
 
     adaparse-repro obs metrics --host 127.0.0.1 --port 9900
-    adaparse-repro obs metrics --host 127.0.0.1 --port 9900 --watch
     adaparse-repro obs trace TICKET-ID --port 9900
-    adaparse-repro obs top --port 9900
 
 The daemon subcommands (``serve``/``gateway``/``worker``/``cluster``)
 accept ``--log-level`` and ``--log-json``; structured logs go to stderr,
@@ -1006,11 +1003,8 @@ def _cmd_obs_metrics(args: argparse.Namespace) -> int:
     Without ``--host`` the local process-default registry is rendered —
     mostly useful from tests and embedding code; the interesting mode is
     ``--host/--port``, which scrapes a running ``repro gateway`` daemon
-    over the METRICS protocol message.  ``--watch`` polls instead of
-    dumping once and prints per-interval deltas.
+    over the METRICS protocol message.
     """
-    if args.watch:
-        return _watch_metrics(args)
     if args.host:
         from repro.gateway import GatewayClient, GatewayError
 
@@ -1035,79 +1029,6 @@ def _cmd_obs_metrics(args: argparse.Namespace) -> int:
         sys.stdout.write(obs_metrics.render_text())
         sys.stdout.flush()
     return 0
-
-
-def _format_number(value: float) -> str:
-    """Compact numeric rendering for delta/rate tables (ints stay ints)."""
-    if float(value) == int(value):
-        return str(int(value))
-    return f"{value:.4g}"
-
-
-def _watch_loop(history, args: argparse.Namespace) -> int:
-    """The ``obs metrics --watch`` poll-and-print loop.
-
-    Each tick samples the registry into the :class:`MetricsHistory` ring
-    buffer and prints the non-zero per-interval deltas (with per-second
-    rates).  Runs until ``--count`` ticks, or forever until Ctrl-C.
-    """
-    import time as _time
-
-    history.sample()
-    ticks = 0
-    try:
-        while args.count <= 0 or ticks < args.count:
-            _time.sleep(args.interval)
-            history.sample()
-            ticks += 1
-            delta = {k: v for k, v in history.delta().items() if v}
-            rate = history.rate()
-            if args.json:
-                print(
-                    json.dumps(
-                        {"tick": ticks, "delta": delta}, sort_keys=True
-                    ),
-                    flush=True,
-                )
-                continue
-            stamp = _time.strftime("%H:%M:%S")
-            print(f"-- {stamp}  ({len(delta)} changed series)")
-            for key in sorted(delta):
-                print(
-                    f"  {key}  +{_format_number(delta[key])}"
-                    f"  ({_format_number(rate.get(key, 0.0))}/s)"
-                )
-            sys.stdout.flush()
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _watch_metrics(args: argparse.Namespace) -> int:
-    """``obs metrics --watch``: per-interval deltas of a live registry."""
-    from repro.obs.history import MetricsHistory
-
-    if args.host:
-        from repro.gateway import GatewayClient, GatewayError
-
-        try:
-            with GatewayClient(
-                args.host, args.port, token=args.token or None, client=args.client
-            ) as client:
-
-                class _RemoteRegistry:
-                    """Duck-typed registry: snapshot() scrapes the gateway."""
-
-                    def snapshot(self) -> dict:
-                        payload = client.metrics(format="json")
-                        return payload if isinstance(payload, dict) else {}
-
-                return _watch_loop(
-                    MetricsHistory(registry=_RemoteRegistry()), args
-                )
-        except (GatewayError, OSError) as exc:
-            raise SystemExit(f"error: {exc}") from exc
-    return _watch_loop(MetricsHistory(), args)
 
 
 def _format_span_tree(roots: list, indent: str = "") -> list[str]:
@@ -1161,180 +1082,6 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
     )
     for line in _format_span_tree(build_tree(spans)):
         print(line)
-    return 0
-
-
-def _gauge_total(snapshot: dict, name: str) -> "float | None":
-    """Sum a counter/gauge over all its label sets; None when absent."""
-    body = snapshot.get(name)
-    if not body:
-        return None
-    return sum(float(s.get("value", 0.0)) for s in body.get("values", ()))
-
-
-def _histogram_quantile(snapshot: dict, name: str, q: float) -> "float | None":
-    """A quantile upper bound from a snapshot histogram's buckets.
-
-    Aggregates cumulative bucket counts across label sets and returns
-    the smallest bucket boundary covering quantile ``q`` — the standard
-    Prometheus-style estimate (an upper bound, not an interpolation).
-    """
-    body = snapshot.get(name)
-    if not body:
-        return None
-    merged: dict[float, float] = {}
-    total = 0.0
-    for series in body.get("values", ()):
-        total += float(series.get("count", 0))
-        for le, cumulative in (series.get("buckets") or {}).items():
-            bound = float("inf") if le == "+Inf" else float(le)
-            merged[bound] = merged.get(bound, 0.0) + float(cumulative)
-    if total <= 0:
-        return None
-    target = q * total
-    for bound in sorted(merged):
-        if merged[bound] >= target:
-            return bound
-    return None
-
-
-def _phase_shares(snapshot: dict) -> list[tuple[str, float, float]]:
-    """``(phase, share, seconds)`` rows from the phase-duration histogram."""
-    body = snapshot.get("repro_phase_duration_seconds")
-    if not body:
-        return []
-    sums: dict[str, float] = {}
-    for series in body.get("values", ()):
-        phase_name = str((series.get("labels") or {}).get("phase", "?"))
-        sums[phase_name] = sums.get(phase_name, 0.0) + float(
-            series.get("sum", 0.0)
-        )
-    total = sum(sums.values())
-    if total <= 0:
-        return []
-    rows = [(name, seconds / total, seconds) for name, seconds in sums.items()]
-    rows.sort(key=lambda row: (-row[2], row[0]))
-    return rows
-
-
-def _render_top(
-    address: str,
-    snapshot: dict,
-    flat: dict,
-    previous: "dict | None",
-    elapsed: float,
-) -> str:
-    """One ``obs top`` frame as plain text (the caller adds ANSI)."""
-    import time as _time
-
-    def _rate(series: str) -> "float | None":
-        if previous is None:
-            return None
-        # Sum across label sets: flattened keys are `name` or `name{...}`.
-        keys = [k for k in flat if k == series or k.startswith(series + "{")]
-        if not keys:
-            return None
-        delta = sum(max(0.0, flat[k] - previous.get(k, 0.0)) for k in keys)
-        return delta / max(1e-9, elapsed)
-
-    def _cell(value: "float | None", fmt: str = "{:.1f}") -> str:
-        return "-" if value is None else fmt.format(value)
-
-    lines = [
-        f"repro obs top — {address} — {_time.strftime('%H:%M:%S')}"
-        f"  (interval {elapsed:.1f}s)",
-        "",
-    ]
-    workers = _gauge_total(snapshot, "repro_elastic_workers")
-    queue = _gauge_total(snapshot, "repro_service_queue_depth")
-    active = _gauge_total(snapshot, "repro_service_active")
-    in_flight = _gauge_total(snapshot, "repro_backend_in_flight")
-    lines.append(
-        f"  workers alive  {_cell(workers, '{:.0f}'):>8}"
-        f"   queue depth  {_cell(queue, '{:.0f}'):>6}"
-        f"   active  {_cell(active, '{:.0f}'):>4}"
-        f"   batches in flight  {_cell(in_flight, '{:.0f}'):>4}"
-    )
-    docs_rate = _rate("repro_pipeline_documents_total")
-    docs_total = _gauge_total(snapshot, "repro_pipeline_documents_total")
-    lines.append(
-        f"  docs/sec       {_cell(docs_rate):>8}"
-        f"   docs total   {_cell(docs_total, '{:.0f}'):>6}"
-    )
-    hits = _gauge_total(snapshot, "repro_cache_hits_total")
-    misses = _gauge_total(snapshot, "repro_cache_misses_total")
-    if hits is not None or misses is not None:
-        lookups = (hits or 0.0) + (misses or 0.0)
-        ratio = 100.0 * (hits or 0.0) / lookups if lookups else None
-        lines.append(
-            f"  cache hit rate {_cell(ratio):>7}%"
-            f"   (hits {_cell(hits, '{:.0f}')} / lookups"
-            f" {_cell(lookups, '{:.0f}')})"
-        )
-    p95 = _histogram_quantile(
-        snapshot, "repro_backend_batch_latency_seconds", 0.95
-    )
-    batch_rate = _rate("repro_backend_batches_completed_total")
-    lines.append(
-        f"  batch p95      {_cell(p95, '≤{:.3g}s'):>8}"
-        f"   batches/sec  {_cell(batch_rate):>6}"
-    )
-    shares = _phase_shares(snapshot)
-    if shares:
-        lines.append("")
-        lines.append(f"  {'phase':<20} {'share':>7} {'time(s)':>9}")
-        for phase_name, share, seconds in shares:
-            lines.append(
-                f"  {phase_name:<20} {100.0 * share:>6.1f}% {seconds:>9.2f}"
-            )
-    return "\n".join(lines)
-
-
-def _cmd_obs_top(args: argparse.Namespace) -> int:
-    """A live text view of a gateway's service/cluster health (obs top).
-
-    Curses-free: each frame repaints with ANSI clear-screen when stdout
-    is a terminal, and appends frames sequentially when piped — so the
-    output stays greppable from scripts and CI.
-    """
-    import time as _time
-
-    from repro.gateway import GatewayClient, GatewayError
-    from repro.obs.history import flatten_snapshot
-
-    address = f"{args.host}:{args.port}"
-    is_tty = sys.stdout.isatty()
-    previous: "dict | None" = None
-    previous_ts: "float | None" = None
-    frames = 0
-    try:
-        with GatewayClient(
-            args.host, args.port, token=args.token or None, client=args.client
-        ) as client:
-            while args.count <= 0 or frames < args.count:
-                if frames:
-                    _time.sleep(args.interval)
-                snapshot = client.metrics(format="json")
-                if not isinstance(snapshot, dict):
-                    snapshot = {}
-                flat = flatten_snapshot(snapshot)
-                now = _time.time()
-                elapsed = (
-                    now - previous_ts if previous_ts is not None else args.interval
-                )
-                frame = _render_top(address, snapshot, flat, previous, elapsed)
-                if is_tty:
-                    sys.stdout.write("\x1b[2J\x1b[H" + frame + "\n")
-                else:
-                    print(frame)
-                    print()
-                sys.stdout.flush()
-                previous, previous_ts = flat, now
-                frames += 1
-    except KeyboardInterrupt:
-        return 0
-    except (GatewayError, OSError) as exc:
-        raise SystemExit(f"error: gateway {address}: {exc}") from exc
     return 0
 
 
@@ -1748,14 +1495,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = sub.add_parser(
         "obs",
-        help="observability tools: metrics exposition, trace trees, and a "
-        "live top view",
+        help="observability tools: metrics exposition and trace trees",
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_metrics = obs_sub.add_parser(
         "metrics",
         help="dump a metrics registry (local process, or a live gateway "
-        "with --host/--port); --watch polls and prints deltas",
+        "with --host/--port)",
     )
     obs_metrics.add_argument(
         "--host", type=str, default="", help="scrape a running gateway at this address"
@@ -1766,23 +1512,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_metrics.add_argument(
         "--json",
         action="store_true",
-        help="JSON snapshot instead of Prometheus text exposition "
-        "(with --watch: one JSON delta object per tick)",
-    )
-    obs_metrics.add_argument(
-        "--watch",
-        action="store_true",
-        help="poll the registry and print per-interval deltas instead of "
-        "dumping once",
-    )
-    obs_metrics.add_argument(
-        "--interval", type=float, default=2.0, help="--watch poll period (s)"
-    )
-    obs_metrics.add_argument(
-        "--count",
-        type=int,
-        default=0,
-        help="--watch ticks before exiting (0 = until Ctrl-C)",
+        help="JSON snapshot instead of Prometheus text exposition",
     )
     obs_metrics.set_defaults(func=_cmd_obs_metrics)
     obs_trace = obs_sub.add_parser(
@@ -1801,25 +1531,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_trace.add_argument("--json", action="store_true", help="raw JSON instead of the tree")
     obs_trace.set_defaults(func=_cmd_obs_trace)
-    obs_top = obs_sub.add_parser(
-        "top",
-        help="live service/cluster view of a running gateway (workers, "
-        "queue depth, docs/sec, cache hit rate, p95 latency, phase shares)",
-    )
-    obs_top.add_argument("--host", type=str, default="127.0.0.1", help="gateway address")
-    obs_top.add_argument("--port", type=int, required=True, help="gateway port")
-    obs_top.add_argument("--token", type=str, default="", help="gateway auth token")
-    obs_top.add_argument("--client", type=str, default="obs-cli", help="client identity")
-    obs_top.add_argument(
-        "--interval", type=float, default=2.0, help="refresh period (s)"
-    )
-    obs_top.add_argument(
-        "--count",
-        type=int,
-        default=0,
-        help="frames before exiting (0 = until Ctrl-C)",
-    )
-    obs_top.set_defaults(func=_cmd_obs_top)
 
     fill = sub.add_parser(
         "fill-experiments",

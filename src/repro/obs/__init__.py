@@ -1,6 +1,6 @@
-"""repro.obs — observability: metrics, tracing, phases, history, logging.
+"""repro.obs — observability: metrics, tracing, phases, logging.
 
-Four pillars, one import:
+Three pillars, one import:
 
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
   labeled counters / gauges / histograms with a process-wide default
@@ -16,9 +16,6 @@ Four pillars, one import:
 * :mod:`repro.obs.profiling` — :class:`PhaseTimer` phase attribution for
   the pipeline hot path (``ParseReport.phases``, merged across all
   backends including remote shards).
-* :mod:`repro.obs.history` — a bounded :class:`MetricsHistory` ring
-  buffer over the default registry: timestamped flattened samples with
-  delta/rate readouts, behind ``obs metrics --watch`` and ``obs top``.
 
 Next to them, :mod:`repro.obs.logging` sets up stdlib ``logging`` for the
 daemons: NDJSON or text to stderr, trace ids injected from the active
@@ -33,15 +30,13 @@ a request is the ``obs.overhead_share`` row of ``benchmarks/e2e``.
 
 from __future__ import annotations
 
-from repro.obs import history, logging, metrics, profiling, tracing
-from repro.obs.history import MetricsHistory
+from repro.obs import logging, metrics, profiling, tracing
 from repro.obs.logging import get_logger, log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.profiling import PhaseTimer
 from repro.obs.tracing import SpanRecorder, TraceContext, current_trace, span
 
 __all__ = [
-    "MetricsHistory",
     "MetricsRegistry",
     "PhaseTimer",
     "SpanRecorder",
@@ -49,7 +44,6 @@ __all__ = [
     "current_trace",
     "default_registry",
     "get_logger",
-    "history",
     "log_event",
     "logging",
     "metrics",

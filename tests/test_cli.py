@@ -42,9 +42,21 @@ class TestArgumentParsing:
             build_parser().parse_args(["obs", "profile", "t0001", "--port", "1"])
         assert exit_info.value.code == 2
         assert (
-            "invalid choice: 'profile' (choose from 'metrics', 'trace', 'top')"
+            "invalid choice: 'profile' (choose from 'metrics', 'trace')"
             in capsys.readouterr().err
         )
+
+    def test_obs_top_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["obs", "top", "--port", "1"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'top'" in capsys.readouterr().err
+
+    def test_obs_metrics_watch_is_an_unrecognized_argument(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["obs", "metrics", "--watch"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --watch" in capsys.readouterr().err
 
 
 class TestBackendOptionHandling:
