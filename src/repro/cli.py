@@ -92,6 +92,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import subprocess
 
 
+def _positive_int(raw: str) -> int:
+    """An argparse ``type``: a positive integer, else a usage error (exit 2)."""
+    try:
+        value = int(raw)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+
+
 def _coerce_opt_value(raw: str):
     """Coerce a ``--backend-opt`` value: bool (``true``/``false``), int,
     float, then string."""
@@ -243,7 +254,10 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         registry, node_counts=args.nodes, docs_per_node=args.docs_per_node
     )
     print_table(series.to_table(), precision=2)
-    print("single-node throughput relative to Nougat:", throughput_ratio_summary(series))
+    print(
+        f"{series.node_counts[0]}-node throughput relative to Nougat:",
+        throughput_ratio_summary(series),
+    )
     return 0
 
 
@@ -1003,8 +1017,12 @@ def _cmd_obs_metrics(args: argparse.Namespace) -> int:
     Without ``--host`` the local process-default registry is rendered —
     mostly useful from tests and embedding code; the interesting mode is
     ``--host/--port``, which scrapes a running ``repro gateway`` daemon
-    over the METRICS protocol message.
+    over the METRICS protocol message.  A half-given address is refused:
+    dumping the local registry instead would pass for a successful scrape.
     """
+    if bool(args.host) != bool(args.port):
+        given, missing = ("--host", "--port") if args.host else ("--port", "--host")
+        raise SystemExit(f"error: {given} without {missing}: a gateway scrape needs both")
     if args.host:
         from repro.gateway import GatewayClient, GatewayError
 
@@ -1124,8 +1142,10 @@ def build_parser() -> argparse.ArgumentParser:
     tables.set_defaults(func=_cmd_tables)
 
     scaling = sub.add_parser("scaling", help="run the Figure 5 scalability sweep")
-    scaling.add_argument("--nodes", type=int, nargs="+", default=[1, 2, 4, 8, 16, 32, 64, 128])
-    scaling.add_argument("--docs-per-node", type=int, default=100)
+    scaling.add_argument(
+        "--nodes", type=_positive_int, nargs="+", default=[1, 2, 4, 8, 16, 32, 64, 128]
+    )
+    scaling.add_argument("--docs-per-node", type=_positive_int, default=100)
     scaling.set_defaults(func=_cmd_scaling)
 
     alignment = sub.add_parser("alignment", help="preference-alignment statistics (Section 7.1)")

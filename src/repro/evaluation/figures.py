@@ -206,7 +206,8 @@ def figure5_scalability(
 
 
 def throughput_ratio_summary(series: Figure5Series, reference: str = "nougat") -> dict[str, float]:
-    """Single-node throughput of every parser relative to a reference parser."""
+    """Every parser's throughput relative to a reference parser, at the
+    sweep's first node count (``series.node_counts[0]``)."""
     if reference not in series.results:
         raise KeyError(f"{reference!r} not in the sweep")
     base = series.results[reference][0].throughput_docs_per_s

@@ -93,6 +93,18 @@ class TestObsMetrics:
         assert isinstance(payload, dict)
         assert self.FAMILY in payload
 
+    @pytest.mark.parametrize(
+        "address", [["--port", "9"], ["--host", "127.0.0.1"]], ids=["port-only", "host-only"]
+    )
+    def test_half_given_address_is_an_error(self, address, capsys):
+        # Without the check, --port alone dumped the local registry and
+        # exited 0, as if a gateway had been scraped.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs", "metrics", *address])
+        assert str(exit_info.value.code).startswith("error: ")
+        assert "a gateway scrape needs both" in str(exit_info.value.code)
+        assert capsys.readouterr().out == ""
+
     def test_live_gateway_text_scrape(self, gateway, capsys):
         submit_and_finish(gateway)
         code = main(

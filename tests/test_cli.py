@@ -148,6 +148,27 @@ class TestCommands:
         assert "Figure 5" in out
         assert "adaparse_ft" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--nodes", "0"],
+            ["--nodes", "-2"],
+            ["--docs-per-node", "0"],
+            ["--docs-per-node", "-5"],
+        ],
+    )
+    def test_scaling_refuses_non_positive_sizes(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scaling", *argv])
+        assert exit_info.value.code == 2
+        assert f"argument {argv[0]}: must be a positive integer" in capsys.readouterr().err
+
+    def test_scaling_ratio_line_names_its_node_count(self, capsys):
+        assert main(["scaling", "--nodes", "4", "8", "--docs-per-node", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "4-node throughput relative to Nougat:" in out
+        assert "single-node" not in out
+
     def test_alignment_command(self, capsys):
         exit_code = main(["alignment", "--documents", "4", "--pages", "6", "--seed", "2"])
         assert exit_code == 0
