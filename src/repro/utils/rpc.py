@@ -341,10 +341,16 @@ class Server:
             return list(self._sessions)
 
     def serve_forever(self) -> None:
-        """Block until :meth:`stop` (the CLI daemon mode)."""
+        """Block until :meth:`stop` (the CLI daemon mode).
+
+        Waits in short slices: a SIGTERM the kernel hands to another thread
+        runs its Python handler only once the main thread wakes, so one
+        unbounded wait could sleep through it.
+        """
         if self._listener is None:
             self.start()
-        self._stopped.wait()
+        while not self._stopped.wait(0.5):
+            pass
 
     def stop(self, drain: bool = True, timeout: float | None = 30.0) -> None:
         """Stop accepting, drain if asked, say goodbye, join every thread.

@@ -150,10 +150,23 @@ class TestRegistry:
             lambda: ParseRequest(
                 parser="pymupdf", source="synthetic:2", backend="hpc"
             ),
+            lambda: ParseRequest.from_json_dict(
+                {"parser": "pymupdf", "source": "synthetic:2", "backend": "hpc"}
+            ),
+            lambda: ParseService(config=ServiceConfig(backend="hpc")),
             lambda: validate_backend_spec("hpc"),
             lambda: resolve_execution("hpc"),
+            # The spec the removed test_normalize_spec row accepted.
+            lambda: normalize_backend_spec("hpc", {"n_nodes": 2}),
         ],
-        ids=["ParseRequest", "validate_backend_spec", "resolve_execution"],
+        ids=[
+            "ParseRequest",
+            "request-json",
+            "ServiceConfig",
+            "validate_backend_spec",
+            "resolve_execution",
+            "normalize_backend_spec",
+        ],
     )
     def test_removed_hpc_name_is_refused_naming_scaling(self, refuse):
         with pytest.raises(ValueError, match=r"'hpc' was removed.*repro\.cli scaling"):

@@ -155,6 +155,7 @@ class TestCommands:
             ["--nodes", "-2"],
             ["--docs-per-node", "0"],
             ["--docs-per-node", "-5"],
+            ["--docs-per-node", "ten"],
         ],
     )
     def test_scaling_refuses_non_positive_sizes(self, argv, capsys):
