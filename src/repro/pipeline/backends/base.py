@@ -2,9 +2,9 @@
 
 An execution backend answers one question for the pipeline: *given a
 per-batch worker and a stream of batches, how do the batches actually
-run?*  Serial in the calling thread, fanned out over a thread pool,
-or shipped to worker daemons — the parsing algorithm (routing, α budgets, caching) is
-identical in every case, only the execution policy varies.
+run?*  Serial in the calling thread, fanned out over a thread pool, or
+shipped to worker daemons — the parsing algorithm (routing, α budgets,
+caching) is identical in every case, only the execution policy varies.
 
 The contract, in one paragraph: a backend is handed the **parser** —
 :meth:`ExecutionBackend.site` takes a resolved

@@ -82,8 +82,8 @@ class ParseRequest:
         and ``"process"`` are accepted names for ``thread``.
     backend_options:
         Backend construction options (e.g. ``{"n_jobs": 8}`` for the
-        thread backend,
-        ``{"workers": "host:port,host:port"}`` for ``remote``); see
+        thread backend, ``{"workers": "host:port,host:port"}`` for
+        ``remote``); see
         :func:`repro.pipeline.backends.backend_specs`.
     cache:
         Cache policy for this run: ``"off"`` (default), ``"read"``,

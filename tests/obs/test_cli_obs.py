@@ -97,8 +97,7 @@ class TestObsMetrics:
         "address", [["--port", "9"], ["--host", "127.0.0.1"]], ids=["port-only", "host-only"]
     )
     def test_half_given_address_is_an_error(self, address, capsys):
-        # Without the check, --port alone dumped the local registry and
-        # exited 0, as if a gateway had been scraped.
+        # A local dump here would pass for a successful gateway scrape.
         with pytest.raises(SystemExit) as exit_info:
             main(["obs", "metrics", *address])
         assert str(exit_info.value.code).startswith("error: ")

@@ -156,7 +156,6 @@ class TestRegistry:
             lambda: ParseService(config=ServiceConfig(backend="hpc")),
             lambda: validate_backend_spec("hpc"),
             lambda: resolve_execution("hpc"),
-            # The spec the removed test_normalize_spec row accepted.
             lambda: normalize_backend_spec("hpc", {"n_nodes": 2}),
         ],
         ids=[
