@@ -17,7 +17,8 @@ from repro.core.config import AdaParseConfig
 from repro.core.engine import AdaParseEngine
 from repro.documents.corpus import CorpusConfig, build_corpus
 from repro.documents.document import TextLayer, TextLayerQuality
-from repro.documents.sources import HtmlDirSource
+from repro.documents.simpdf import SimPdfWriter
+from repro.documents.sources import HtmlDirSource, SimPdfDirSource
 from repro.parsers.registry import default_registry
 
 
@@ -95,6 +96,17 @@ class TestGoldenContentHashes:
         assert document_content_hash(born_digital) == "f2b6c0e62644f60caa8e512865b2f4c0"
         assert document_content_hash(scanned) == "0d3edeb20ff3d799969e8046444509fb"
 
+    def test_simpdf_round_trip(self, tmp_path):
+        # What a directory run keys on: the document as written to disk and
+        # read back, not the in-memory original.
+        document = build_corpus(
+            CorpusConfig(n_documents=12, seed=11, min_pages=1, max_pages=3)
+        ).documents[0]
+        SimPdfWriter(tmp_path).write(document)
+        (loaded,) = SimPdfDirSource(tmp_path).iter_documents()
+        assert loaded.doc_id == document.doc_id
+        assert document_content_hash(loaded) == "f2b6c0e62644f60caa8e512865b2f4c0"
+
     def test_html_doc_type(self):
         fixtures = Path(__file__).resolve().parents[1] / "fixtures" / "ingest" / "html"
         document = next(iter(HtmlDirSource(fixtures).iter_documents()))
@@ -122,7 +134,25 @@ class TestCacheKey:
         assert store.shard_index_for(raw) == store.shard_index_for(raw)
 
 
+#: ``config_fingerprint()`` of every parser in ``default_registry()``.  A
+#: change here re-keys every cached parse of that parser.
+PINNED_PARSER_FINGERPRINTS = {
+    "marker": "ccef00e1cb6ca3d1bf724536d6cd5c67",
+    "nougat": "ce4f80263539eeacdf05e6051f922a85",
+    "pymupdf": "6933b1d519e5617280be9e0bcd0b2c91",
+    "pypdf": "6066db2f16f1fb3e65e555d5273c5dd7",
+    "grobid": "4f7a3e40d0841056f23f6c1505a48675",
+    "tesseract": "c4543d446ace7343a60e545f7e1e0dc1",
+}
+
+
 class TestConfigFingerprints:
+    def test_every_default_parser_fingerprint_is_pinned(self):
+        registry = default_registry()
+        assert {
+            name: registry.get(name).config_fingerprint() for name in registry.names
+        } == PINNED_PARSER_FINGERPRINTS
+
     def test_base_parser_fingerprint_stable_across_instances(self):
         a = default_registry().get("pymupdf").config_fingerprint()
         b = default_registry().get("pymupdf").config_fingerprint()
