@@ -73,9 +73,9 @@ def _compute_content_hash(document: SciDocument) -> str:
         "parse-content",
         document.doc_id,
         document.seed,
-        # Format family: routing eligibility (and thus engine output) depends
-        # on it, so the same bytes under a different type must key apart.
-        document.doc_type,
+        # Scheme 2 hashed the document's format family here; every document
+        # is a PDF, so the literal keeps the hashes where they were.
+        "pdf",
         stable_hash(*text.page_texts),
         stable_hash(*(page.ground_truth_text() for page in document.pages)),
         text.quality.value,

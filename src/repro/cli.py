@@ -27,11 +27,11 @@ Run the unified parsing pipeline and dump the ``ParseReport`` as JSON::
     adaparse-repro pipeline --documents 100 --parser pymupdf \
         --backend thread --backend-opt n_jobs=4
 
-Parse a real document tree instead of the synthetic corpus — any
+Parse a directory of SimPDF files instead of the synthetic corpus — any
 registered document source works (``--source KIND:VALUE``)::
 
-    adaparse-repro pipeline --source html-dir:docs/site --parser pymupdf
-    adaparse-repro dataset --source crawl-dump:/data/crawl --output /tmp/webset
+    adaparse-repro pipeline --source simpdf-dir:corpus --parser pymupdf
+    adaparse-repro dataset --source simpdf-dir:corpus --output /tmp/dataset
 
 Run the same corpus through worker daemons::
 
@@ -321,8 +321,7 @@ def _add_source_argument(parser: argparse.ArgumentParser) -> None:
         type=str,
         default="",
         metavar="KIND:VALUE",
-        help="document source, e.g. synthetic:200?seed=7, html-dir:docs/, "
-        "markdown-dir:notes/, simpdf-dir:corpus/, crawl-dump:dump/ "
+        help="document source, e.g. synthetic:200?seed=7 or simpdf-dir:corpus/ "
         "(overrides --documents/--seed)",
     )
 

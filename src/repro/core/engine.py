@@ -17,13 +17,6 @@ the fine-tuned (and DPO post-trained) Transformer selector.  Both expose the
 standard :class:`repro.parsers.base.Parser` interface so the evaluation
 harness and the HPC simulator treat them like any other parser.
 
-Routing is **format-aware**: a document whose
-:attr:`~repro.documents.document.SciDocument.doc_type` the high-quality
-parser does not support (HTML/Markdown against an image-bound ViT parser,
-for example) is never a candidate for the budgeted slots — it keeps the
-default extraction and its decision records the ``type_ineligible`` stage
-when routing would otherwise have been warranted.
-
 Routing telemetry is a *return value*: :meth:`AdaParseEngine.parse_batches`
 streams ``(results, decisions)`` per α-budgeted batch and
 :meth:`AdaParseEngine.parse_with_telemetry` aggregates them, so engines hold
@@ -52,15 +45,12 @@ from repro.parsers.registry import ParserRegistry
 from repro.utils.batching import chunked
 
 
-#: Stages a routing decision can record.  ``type_ineligible`` marks a
-#: document that *wanted* the high-quality parser (invalid extraction or a
-#: score above the margin) but whose type that parser does not support.
+#: Stages a routing decision can record.
 ROUTING_STAGES: tuple[str, ...] = (
     "cls1_invalid",
     "accepted_default",
     "routed_high_quality",
     "budget_exhausted",
-    "type_ineligible",
 )
 
 
@@ -72,8 +62,6 @@ class RoutingDecision:
     chosen_parser: str
     stage: str  # one of ROUTING_STAGES
     predicted_improvement: float = 0.0
-    #: Format family of the document (drives per-type eligibility).
-    doc_type: str = "pdf"
 
     def to_json_dict(self) -> dict[str, Any]:
         """JSON view; the one serialisation shared by reports, the cache,
@@ -83,7 +71,6 @@ class RoutingDecision:
             "chosen_parser": self.chosen_parser,
             "stage": self.stage,
             "predicted_improvement": self.predicted_improvement,
-            "doc_type": self.doc_type,
         }
 
     @classmethod
@@ -93,7 +80,6 @@ class RoutingDecision:
             chosen_parser=str(payload["chosen_parser"]),
             stage=str(payload["stage"]),
             predicted_improvement=float(payload.get("predicted_improvement", 0.0)),
-            doc_type=str(payload.get("doc_type", "pdf")),
         )
 
 
@@ -116,29 +102,6 @@ class RoutingSummary:
         for decision in self.decisions:
             counts[decision.stage] = counts.get(decision.stage, 0) + 1
         return counts
-
-    def counts_by_doc_type(self) -> dict[str, dict[str, int]]:
-        """Routing-stage counts split by document type.
-
-        The per-type view is what format-aware routing is judged on: e.g.
-        an HTML corpus must show zero ``routed_high_quality``/
-        ``cls1_invalid`` entries when the high-quality parser is PDF-only.
-        """
-        by_type: dict[str, dict[str, int]] = {}
-        for decision in self.decisions:
-            stage_counts = by_type.setdefault(decision.doc_type, {})
-            stage_counts[decision.stage] = stage_counts.get(decision.stage, 0) + 1
-        return by_type
-
-    def fraction_routed_by_doc_type(self) -> dict[str, float]:
-        """Per-type fraction of documents sent to the high-quality parser."""
-        totals: dict[str, int] = {}
-        routed: dict[str, int] = {}
-        for decision in self.decisions:
-            totals[decision.doc_type] = totals.get(decision.doc_type, 0) + 1
-            if decision.stage in ("cls1_invalid", "routed_high_quality"):
-                routed[decision.doc_type] = routed.get(decision.doc_type, 0) + 1
-        return {t: routed.get(t, 0) / n for t, n in totals.items() if n}
 
 
 class AdaParseEngine(Parser):
@@ -230,15 +193,7 @@ class AdaParseEngine(Parser):
                 scores = scores * likely
             # Invalid extractions take priority for the budgeted slots...
             forced = np.asarray([not v.is_valid for v in verdicts], dtype=bool)
-            # ...but only documents whose type the high-quality parser
-            # supports are candidates at all: format eligibility masks the
-            # predictor's scores before the budget optimiser sees them.
-            eligible = np.asarray(
-                [expensive_parser.supports_doc_type(doc.doc_type) for doc in documents],
-                dtype=bool,
-            )
             effective = np.where(forced, np.inf, scores)
-            effective = np.where(eligible, effective, -np.inf)
             plan: BudgetPlan = select_within_budget(
                 effective, cfg.alpha, batch_size=None, margin=cfg.improvement_margin
             )
@@ -268,17 +223,10 @@ class AdaParseEngine(Parser):
                         chosen_parser=cfg.high_quality_parser,
                         stage=stage,
                         predicted_improvement=float(scores[i]),
-                        doc_type=doc.doc_type,
                     )
                 )
             else:
-                wanted_routing = forced[i] or float(scores[i]) > cfg.improvement_margin
-                if not eligible[i] and wanted_routing:
-                    stage = "type_ineligible"
-                elif forced[i]:
-                    stage = "budget_exhausted"
-                else:
-                    stage = "accepted_default"
+                stage = "budget_exhausted" if forced[i] else "accepted_default"
                 results.append(
                     ParseResult(
                         parser_name=self.name,
@@ -295,7 +243,6 @@ class AdaParseEngine(Parser):
                         chosen_parser=cfg.default_parser,
                         stage=stage,
                         predicted_improvement=float(scores[i]),
-                        doc_type=doc.doc_type,
                     )
                 )
         return results, decisions
@@ -448,11 +395,7 @@ class AdaParseEngine(Parser):
         first_page = default_result.page_texts[0] if default_result.page_texts else ""
         verdict = self.validator.validate(text, n_pages=document.n_pages)
         score = float(self.improvement_scores([document], [first_page])[0])
-        wanted_routing = (not verdict.is_valid) or score > cfg.improvement_margin
-        eligible = self.registry.get(cfg.high_quality_parser).supports_doc_type(
-            document.doc_type
-        )
-        route = wanted_routing and eligible
+        route = (not verdict.is_valid) or score > cfg.improvement_margin
         selection_usage = default_result.usage + self._selection_usage()
         if route:
             expensive = self.registry.get(cfg.high_quality_parser).parse(document)
@@ -475,14 +418,13 @@ class AdaParseEngine(Parser):
                 succeeded=default_result.succeeded,
                 error=default_result.error,
             )
-            stage = "type_ineligible" if wanted_routing else "accepted_default"
+            stage = "accepted_default"
             chosen = cfg.default_parser
         decision = RoutingDecision(
             doc_id=document.doc_id,
             chosen_parser=chosen,
             stage=stage,
             predicted_improvement=score,
-            doc_type=document.doc_type,
         )
         return result, [decision]
 

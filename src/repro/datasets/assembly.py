@@ -220,8 +220,8 @@ class DatasetBuilder:
         """Parse the documents and assemble the dataset.
 
         Accepts a :class:`~repro.documents.corpus.Corpus`, any
-        :class:`~repro.documents.sources.DocumentSource` (an HTML
-        directory, a crawl dump, …), or a plain document iterable.  With
+        :class:`~repro.documents.sources.DocumentSource` (a SimPDF
+        directory, …), or a plain document iterable.  With
         ``config.cache != "off"`` the parse stage runs through the
         pipeline's content-addressed cache, so rebuilding over an unchanged
         corpus (tweaked filters, different shard sizes, …) skips parsing

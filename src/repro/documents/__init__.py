@@ -18,7 +18,6 @@ problem actually depends on:
 from __future__ import annotations
 
 from repro.documents.document import (
-    DocumentType,
     ImageLayer,
     PageContent,
     PageElement,
@@ -35,12 +34,9 @@ from repro.documents.augment import (
 )
 from repro.documents.simpdf import SimPdfReader, SimPdfWriter
 from repro.documents.sources import (
-    CrawlDumpSource,
     DocumentRef,
     DocumentSource,
     ExplicitSource,
-    HtmlDirSource,
-    MarkdownDirSource,
     SimPdfDirSource,
     SourceKind,
     SourceSpec,
@@ -55,7 +51,6 @@ from repro.documents.sources import (
 )
 
 __all__ = [
-    "DocumentType",
     "ImageLayer",
     "PageContent",
     "PageElement",
@@ -79,9 +74,6 @@ __all__ = [
     "SyntheticSource",
     "ExplicitSource",
     "SimPdfDirSource",
-    "HtmlDirSource",
-    "MarkdownDirSource",
-    "CrawlDumpSource",
     "create_source",
     "parse_source_arg",
     "register_source",

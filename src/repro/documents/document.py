@@ -22,33 +22,6 @@ from typing import Iterable, Iterator
 from repro.documents.metadata import DocumentMetadata
 
 
-class DocumentType(str, enum.Enum):
-    """Format family a document was ingested from.
-
-    Routing is format-aware: recognition parsers (Nougat, Marker, Tesseract,
-    GROBID) transcribe rendered page images, which only PDF-family documents
-    have, so HTML/Markdown documents are never eligible for them.  Extraction
-    parsers read the text layer and accept every type.
-    """
-
-    PDF = "pdf"
-    HTML = "html"
-    MARKDOWN = "markdown"
-
-    @classmethod
-    def coerce(cls, value: "DocumentType | str") -> "DocumentType":
-        """Validate a member or its string value into a member."""
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            known = [m.value for m in cls]
-            raise ValueError(
-                f"unknown document type {value!r}; known: {known}"
-            ) from None
-
-
 class TextLayerQuality(str, enum.Enum):
     """Fidelity class of the text embedded in a document.
 
@@ -234,11 +207,6 @@ class SciDocument:
         Rendering quality read by recognition parsers.
     seed:
         Root seed the document was generated from (kept for provenance).
-    doc_type:
-        Format family (:class:`DocumentType` value) the document was ingested
-        from — ``"pdf"`` for synthetic/SimPDF documents, ``"html"``/
-        ``"markdown"`` for web-text sources.  Drives per-type parser
-        eligibility in the routing layer.
     """
 
     doc_id: str
@@ -247,10 +215,8 @@ class SciDocument:
     text_layer: TextLayer
     image_layer: ImageLayer
     seed: int = 0
-    doc_type: str = DocumentType.PDF.value
 
     def __post_init__(self) -> None:
-        self.doc_type = DocumentType.coerce(self.doc_type).value
         if not self.pages:
             raise ValueError("a document must have at least one page")
         if self.text_layer.n_pages != len(self.pages):

@@ -37,7 +37,6 @@ def document_to_dict(doc: SciDocument) -> dict[str, object]:
     return {
         "doc_id": doc.doc_id,
         "seed": doc.seed,
-        "doc_type": doc.doc_type,
         "metadata": doc.metadata.to_dict(),
         "pages": [
             {
@@ -83,7 +82,6 @@ def document_from_dict(data: dict[str, object]) -> SciDocument:
     return SciDocument(
         doc_id=str(data["doc_id"]),
         seed=int(data.get("seed", 0)),  # type: ignore[arg-type]
-        doc_type=str(data.get("doc_type", "pdf")),
         metadata=DocumentMetadata.from_dict(dict(data["metadata"])),  # type: ignore[arg-type]
         pages=pages,
         text_layer=TextLayer(

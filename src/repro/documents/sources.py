@@ -1,29 +1,25 @@
 """Pluggable document sources: where a parsing run's documents come from.
 
-A :class:`DocumentSource` answers three questions for the pipeline:
+A :class:`DocumentSource` answers two questions for the pipeline:
 
 * :meth:`~DocumentSource.iter_documents` — stream the documents (O(1)
   memory for directory-backed sources);
 * :meth:`~DocumentSource.fingerprint` — a stable identity of the backing
   content, recorded in reports for provenance (per-document parse caching
   keys on *content*, so two sources yielding byte-identical documents
-  share cache entries regardless of their fingerprints);
-* :attr:`~DocumentSource.doc_type` — the declared
-  :class:`~repro.documents.document.DocumentType` its documents carry
-  (``None`` for mixed-format sources such as crawl dumps), which feeds
-  format-aware routing.
+  share cache entries regardless of their fingerprints).
 
 Sources that can enumerate their documents *without reading them*
-(``synthetic`` by index; ``simpdf-dir``, ``html-dir`` and ``markdown-dir``
-by relative path) also offer :meth:`~DocumentSource.refs` — a stream of
-small JSON-round-trippable :class:`DocumentRef` values — and
+(``synthetic`` by index, ``simpdf-dir`` by relative path) also offer
+:meth:`~DocumentSource.refs` — a stream of small JSON-round-trippable
+:class:`DocumentRef` values — and
 :meth:`~DocumentSource.load`, which turns one reference back into its
 document.  A reference-able source is read where it is parsed, on every
 execution backend: a run holds references, and :func:`load_items` — the one
 place a reference becomes its document — is called at the execution site, by
 whichever thread or worker daemon parses the batch.
 
-Sources are constructed either directly (``HtmlDirSource("corpus/html")``)
+Sources are constructed either directly (``SimPdfDirSource("corpus")``)
 or declaratively through a :class:`SourceSpec` — a JSON-round-trippable
 ``(kind, options)`` pair resolved against a registry, mirroring how
 execution backends are named (:mod:`repro.pipeline.backends.base`).  The
@@ -46,14 +42,8 @@ from stat import S_ISREG
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.documents.corpus import CorpusConfig, build_document
-from repro.documents.document import DocumentType, SciDocument
+from repro.documents.document import SciDocument
 from repro.documents.simpdf import deserialize_document
-from repro.documents.webtext import (
-    WebTextRecord,
-    html_to_blocks,
-    markdown_to_blocks,
-    record_to_document,
-)
 from repro.obs import profiling as _profiling
 from repro.utils.hashing import stable_hash_hex
 
@@ -76,13 +66,8 @@ class DocumentSource(abc.ABC):
     executing service's.
     """
 
-    #: Registry kind of the source (``"synthetic"``, ``"html-dir"``, …).
+    #: Registry kind of the source (``"synthetic"``, ``"simpdf-dir"``, …).
     kind: str = "abstract"
-
-    @property
-    def doc_type(self) -> DocumentType | None:
-        """Declared type of every yielded document; ``None`` when mixed."""
-        return None
 
     @abc.abstractmethod
     def iter_documents(self) -> Iterator[SciDocument]:
@@ -113,8 +98,7 @@ class DocumentSource(abc.ABC):
         """References to the documents, in :meth:`iter_documents` order.
 
         ``None`` (the default) means the source cannot enumerate its
-        documents without reading them — an in-memory collection, or a
-        crawl dump whose mirror dedup compares content across files — and
+        documents without reading them — an in-memory collection — and
         must be materialised with :meth:`iter_documents`.
         """
         return None
@@ -132,8 +116,6 @@ class DocumentSource(abc.ABC):
     def describe(self) -> dict[str, Any]:
         """Human-oriented summary (CLI listings, service logs)."""
         payload: dict[str, Any] = {"kind": self.kind}
-        if self.doc_type is not None:
-            payload["doc_type"] = self.doc_type.value
         hint = self.count_hint()
         if hint is not None:
             payload["n_documents"] = hint
@@ -166,10 +148,6 @@ class SyntheticSource(DocumentSource):
 
     def __init__(self, config: CorpusConfig | None = None) -> None:
         self.config = config or CorpusConfig()
-
-    @property
-    def doc_type(self) -> DocumentType:
-        return DocumentType.PDF
 
     def iter_documents(self) -> Iterator[SciDocument]:
         for index in range(self.config.n_documents):
@@ -210,7 +188,7 @@ class SyntheticSource(DocumentSource):
     def refs(self) -> "Iterator[DocumentRef]":
         spec, stamp = self.spec(), self.fingerprint()
         for index in range(self.config.n_documents):
-            yield DocumentRef(spec, str(index), stamp, self.doc_type.value)
+            yield DocumentRef(spec, str(index), stamp)
 
     def load(self, ref: "DocumentRef", *, check_stamp: bool = True) -> SciDocument:
         index = int(ref.locator) if ref.locator.isdecimal() else -1
@@ -242,11 +220,6 @@ class ExplicitSource(DocumentSource):
         if not self.documents:
             raise ValueError("documents must not be empty")
 
-    @property
-    def doc_type(self) -> DocumentType | None:
-        types = {doc.doc_type for doc in self.documents}
-        return DocumentType(next(iter(types))) if len(types) == 1 else None
-
     def iter_documents(self) -> Iterator[SciDocument]:
         return iter(self.documents)
 
@@ -261,10 +234,17 @@ class ExplicitSource(DocumentSource):
         return len(self.documents)
 
 
-class _FileSource(DocumentSource):
-    """Shared machinery of directory-backed sources."""
+class SimPdfDirSource(DocumentSource):
+    """A directory of ``*.simpdf`` files, one document per file.
 
-    def __init__(self, directory: str | Path, glob: str) -> None:
+    That is what makes it reference-able: the files can be listed (and
+    stamped with ``size:mtime_ns``) without opening any of them.
+    """
+
+    kind = "simpdf-dir"
+    default_glob = "*.simpdf"
+
+    def __init__(self, directory: str | Path, glob: str = default_glob) -> None:
         self.directory = Path(directory)
         self.glob = glob
 
@@ -304,35 +284,22 @@ class _FileSource(DocumentSource):
 
     def spec(self) -> "SourceSpec":
         options: dict[str, Any] = {"path": str(self.directory)}
-        default_glob = _SOURCE_REGISTRY[self.kind].defaults.get("glob")
-        if self.glob != default_glob:
+        if self.glob != self.default_glob:
             options["glob"] = self.glob
         return SourceSpec(kind=self.kind, options=options)
 
-
-class _PerFileSource(_FileSource):
-    """Directory sources where one file is one document.
-
-    That is what makes them reference-able: the files can be listed (and
-    stamped with ``size:mtime_ns``) without opening any of them.
-    """
-
-    @abc.abstractmethod
     def _read(self, path: Path) -> SciDocument:
-        """Read and extract the document stored at ``path``."""
+        return deserialize_document(path.read_bytes())
 
     def iter_documents(self) -> Iterator[SciDocument]:
         for path in self.paths():
             yield self._read(path)
 
     def refs(self) -> "Iterator[DocumentRef]":
-        spec, doc_type = self.spec(), self.doc_type.value
+        spec = self.spec()
         for path, stat in self._listing():
             yield DocumentRef(
-                spec,
-                path.relative_to(self.directory).as_posix(),
-                _file_stamp(stat),
-                doc_type,
+                spec, path.relative_to(self.directory).as_posix(), _file_stamp(stat)
             )
 
     def load(self, ref: "DocumentRef", *, check_stamp: bool = True) -> SciDocument:
@@ -357,148 +324,6 @@ class _PerFileSource(_FileSource):
 
 def _file_stamp(stat: os.stat_result) -> str:
     return f"{stat.st_size}:{stat.st_mtime_ns}"
-
-
-class SimPdfDirSource(_PerFileSource):
-    """A directory of ``*.simpdf`` files (the existing on-disk format)."""
-
-    kind = "simpdf-dir"
-
-    def __init__(self, directory: str | Path, glob: str = "*.simpdf") -> None:
-        super().__init__(directory, glob)
-
-    @property
-    def doc_type(self) -> DocumentType:
-        return DocumentType.PDF
-
-    def _read(self, path: Path) -> SciDocument:
-        return deserialize_document(path.read_bytes())
-
-
-class HtmlDirSource(_PerFileSource):
-    """A directory of HTML files, extracted to structured text."""
-
-    kind = "html-dir"
-
-    def __init__(self, directory: str | Path, glob: str = "**/*.html") -> None:
-        super().__init__(directory, glob)
-
-    @property
-    def doc_type(self) -> DocumentType:
-        return DocumentType.HTML
-
-    def _read(self, path: Path) -> SciDocument:
-        blocks, title = html_to_blocks(path.read_text(encoding="utf-8", errors="replace"))
-        return record_to_document(
-            WebTextRecord(
-                doc_id=_doc_id_for(path, self.directory),
-                doc_type=DocumentType.HTML,
-                blocks=tuple(blocks),
-                title=title,
-                origin=self.directory.name or "html",
-            )
-        )
-
-
-class MarkdownDirSource(_PerFileSource):
-    """A directory of Markdown files, extracted to structured text."""
-
-    kind = "markdown-dir"
-
-    def __init__(self, directory: str | Path, glob: str = "**/*.md") -> None:
-        super().__init__(directory, glob)
-
-    @property
-    def doc_type(self) -> DocumentType:
-        return DocumentType.MARKDOWN
-
-    def _read(self, path: Path) -> SciDocument:
-        blocks, title = markdown_to_blocks(
-            path.read_text(encoding="utf-8", errors="replace")
-        )
-        return record_to_document(
-            WebTextRecord(
-                doc_id=_doc_id_for(path, self.directory),
-                doc_type=DocumentType.MARKDOWN,
-                blocks=tuple(blocks),
-                title=title,
-                origin=self.directory.name or "markdown",
-            )
-        )
-
-
-class CrawlDumpSource(_FileSource):
-    """A per-domain crawl dump: ``root/<domain>/*.{html,md}``.
-
-    The layout produced by site crawlers — one subdirectory per crawled
-    domain holding that domain's pages.  Mixed HTML/Markdown content is
-    routed to the right extractor per file, the domain becomes the
-    document's publisher, and exact near-duplicate mirrors (the same page
-    crawled under several domains) are dropped via the dataset layer's
-    :func:`~repro.datasets.dedup.content_fingerprint`.
-    """
-
-    kind = "crawl-dump"
-
-    def __init__(
-        self, directory: str | Path, glob: str = "**/*", dedup: bool = True
-    ) -> None:
-        super().__init__(directory, glob)
-        self.dedup = bool(dedup)
-
-    @property
-    def doc_type(self) -> DocumentType | None:
-        return None  # mixed per-file types
-
-    def _listing(self) -> list[tuple[Path, os.stat_result]]:
-        return [
-            (path, stat)
-            for path, stat in super()._listing()
-            if path.suffix.lower() in (".html", ".htm", ".md", ".markdown")
-        ]
-
-    def spec(self) -> "SourceSpec":
-        base = super().spec()
-        options = dict(base.options)
-        if not self.dedup:
-            options["dedup"] = False
-        return SourceSpec(kind=self.kind, options=options)
-
-    def iter_documents(self) -> Iterator[SciDocument]:
-        # Imported lazily: repro.datasets builds on the pipeline, which
-        # builds on this module; deferring keeps the graph acyclic.
-        from repro.datasets.dedup import content_fingerprint
-
-        seen: set[int] = set()
-        for path in self.paths():
-            relative = path.relative_to(self.directory)
-            domain = relative.parts[0] if len(relative.parts) > 1 else self.directory.name
-            raw = path.read_text(encoding="utf-8", errors="replace")
-            if path.suffix.lower() in (".md", ".markdown"):
-                blocks, title = markdown_to_blocks(raw)
-                doc_type = DocumentType.MARKDOWN
-            else:
-                blocks, title = html_to_blocks(raw)
-                doc_type = DocumentType.HTML
-            text = "\n".join(text for _, text in blocks)
-            if self.dedup:
-                fp = content_fingerprint(text)
-                if fp in seen:
-                    continue
-                seen.add(fp)
-            yield record_to_document(
-                WebTextRecord(
-                    doc_id=str(relative.with_suffix("")).replace("\\", "/"),
-                    doc_type=doc_type,
-                    blocks=tuple(blocks),
-                    title=title,
-                    origin=domain,
-                )
-            )
-
-
-def _doc_id_for(path: Path, root: Path) -> str:
-    return str(path.relative_to(root).with_suffix("")).replace("\\", "/")
 
 
 # ---------------------------------------------------------------------- #
@@ -574,14 +399,11 @@ class DocumentRef:
         ``size:mtime_ns`` for a file, the configuration fingerprint for
         ``synthetic``.  :meth:`DocumentSource.load` compares it, so a
         reader that sees a different document finds out.
-    doc_type:
-        The source's declared :class:`DocumentType` value.
     """
 
     source: SourceSpec
     locator: str
     stamp: str
-    doc_type: str | None = None
 
     def __hash__(self) -> int:
         # Not the generated field hash: a spec's options may nest a mapping
@@ -618,7 +440,6 @@ class DocumentRef:
             "source": self.source.to_json_dict(),
             "locator": self.locator,
             "stamp": self.stamp,
-            "doc_type": self.doc_type,
         }
 
     @classmethod
@@ -626,12 +447,10 @@ class DocumentRef:
         missing = sorted({"source", "locator", "stamp"} - set(payload))
         if missing:
             raise ValueError(f"document reference is missing {missing}")
-        doc_type = payload.get("doc_type")
         return cls(
             source=SourceSpec.from_json_dict(payload["source"]),
             locator=str(payload["locator"]),
             stamp=str(payload["stamp"]),
-            doc_type=None if doc_type is None else str(doc_type),
         )
 
 
@@ -692,7 +511,7 @@ class SourceKind:
     """Name-based construction recipe of one source kind.
 
     ``path_option`` names the option the CLI's ``kind:value`` shorthand
-    binds to; ``defaults`` records option defaults so specs stay minimal.
+    binds to.
     """
 
     name: str
@@ -700,7 +519,6 @@ class SourceKind:
     options: frozenset[str]
     description: str
     path_option: str | None = None
-    defaults: Mapping[str, Any] = field(default_factory=dict)
 
 
 def _make_synthetic(**options: Any) -> SyntheticSource:
@@ -754,31 +572,6 @@ for _kind in (
         options=frozenset({"directory", "path", "glob"}),
         description="directory of *.simpdf files",
         path_option="path",
-        defaults={"glob": "*.simpdf"},
-    ),
-    SourceKind(
-        name="html-dir",
-        factory=HtmlDirSource,
-        options=frozenset({"directory", "path", "glob"}),
-        description="directory of HTML files (structure-preserving extraction)",
-        path_option="path",
-        defaults={"glob": "**/*.html"},
-    ),
-    SourceKind(
-        name="markdown-dir",
-        factory=MarkdownDirSource,
-        options=frozenset({"directory", "path", "glob"}),
-        description="directory of Markdown files",
-        path_option="path",
-        defaults={"glob": "**/*.md"},
-    ),
-    SourceKind(
-        name="crawl-dump",
-        factory=CrawlDumpSource,
-        options=frozenset({"directory", "path", "glob", "dedup"}),
-        description="per-domain crawl dump (mixed HTML/Markdown, deduplicated)",
-        path_option="path",
-        defaults={"glob": "**/*", "dedup": True},
     ),
 ):
     register_source(_kind)
@@ -830,9 +623,6 @@ def create_source(spec: SourceSpec | DocumentSource) -> DocumentSource:
 
 
 def _coerce_option_value(value: str) -> Any:
-    lowered = value.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
     try:
         return int(value)
     except ValueError:
@@ -850,8 +640,8 @@ def parse_source_arg(raw: str) -> SourceSpec:
     directory for file sources, the document count for ``synthetic``);
     further options ride as ``?key=value&key=value``::
 
-        html-dir:corpus/html
-        crawl-dump:dumps/2024-07?dedup=false
+        simpdf-dir:corpus
+        simpdf-dir:corpus?glob=**/*.simpdf
         synthetic:500?seed=7
     """
     raw = raw.strip()

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.documents.document import SciDocument
-from repro.documents.sources import DocumentRef, Item
 from repro.utils.rng import rng_from
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports base)
@@ -190,34 +189,10 @@ class Parser(abc.ABC):
     version: str = "1.0"
     #: Static cost profile.
     cost: ParserCost = ParserCost()
-    #: Document types (:class:`~repro.documents.document.DocumentType`
-    #: values) this parser can process.  Extraction parsers read the text
-    #: layer and accept every type; recognition parsers (OCR/ViT) transcribe
-    #: rendered page images, which only PDF-family documents have, and
-    #: restrict this to ``{"pdf"}``.  The routing layer never sends a
-    #: document to a parser that does not support its type.
-    supported_doc_types: frozenset[str] = frozenset({"pdf", "html", "markdown"})
-
-    def supports_doc_type(self, doc_type: str) -> bool:
-        """Whether this parser can process documents of ``doc_type``."""
-        return doc_type in self.supported_doc_types
-
-    def require_doc_type(self, item: Item) -> Item:
-        """``item``, or a ``ValueError`` when this parser cannot take its type.
-
-        A :class:`~repro.documents.sources.DocumentRef` is checked on the
-        type its source declares (before anything is read), a document on
-        the type it really holds (where it is parsed).
-        """
-        if not self.supports_doc_type(item.doc_type):
-            name = item.locator if isinstance(item, DocumentRef) else item.doc_id
-            raise ValueError(
-                f"parser {self.name!r} does not support document type "
-                f"{item.doc_type!r} (document {name!r}); "
-                f"supported types: {sorted(self.supported_doc_types)}. Pick an "
-                f"extraction parser or an AdaParse engine for this source"
-            )
-        return item
+    #: Frozen input of :meth:`config_fingerprint` and nothing else: the
+    #: document formats this class accepted when formats were routed, kept
+    #: as literals so fingerprints and cache keys do not move.
+    _fingerprint_formats: tuple[str, ...] = ("html", "markdown", "pdf")
 
     def document_rng(self, document: SciDocument, salt: str = "") -> np.random.Generator:
         """Deterministic random stream for (parser, document)."""
@@ -329,7 +304,7 @@ class Parser(abc.ABC):
             self.name,
             self.version,
             *astuple(self.cost),
-            *sorted(self.supported_doc_types),
+            *self._fingerprint_formats,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -39,8 +39,7 @@ class TesseractSim(Parser):
 
     name = "tesseract"
     version = "5.3"
-    #: OCR transcribes rendered page images — PDF-family only.
-    supported_doc_types = frozenset({"pdf"})
+    _fingerprint_formats = ("pdf",)
     cost = ParserCost(
         cpu_seconds_per_page=1.35,
         cpu_memory_mb=650.0,
@@ -76,8 +75,7 @@ class GrobidSim(Parser):
 
     name = "grobid"
     version = "0.8"
-    #: GROBID segments PDF page structure (with an OCR fallback) — PDF only.
-    supported_doc_types = frozenset({"pdf"})
+    _fingerprint_formats = ("pdf",)
     cost = ParserCost(
         cpu_seconds_per_page=0.55,
         cpu_memory_mb=2200.0,

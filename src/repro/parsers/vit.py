@@ -65,8 +65,7 @@ class NougatSim(Parser):
 
     name = "nougat"
     version = "0.1.17"
-    #: ViT decoding starts from rendered page images — PDF-family only.
-    supported_doc_types = frozenset({"pdf"})
+    _fingerprint_formats = ("pdf",)
     cost = ParserCost(
         cpu_seconds_per_page=0.04,
         gpu_seconds_per_page=0.45,
@@ -115,8 +114,7 @@ class MarkerSim(Parser):
 
     name = "marker"
     version = "0.2"
-    #: Layout detection + per-element OCR over page images — PDF-family only.
-    supported_doc_types = frozenset({"pdf"})
+    _fingerprint_formats = ("pdf",)
     cost = ParserCost(
         cpu_seconds_per_page=0.35,
         gpu_seconds_per_page=0.85,

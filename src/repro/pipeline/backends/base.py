@@ -274,15 +274,10 @@ def parse_items(
 ) -> "tuple[list[ParseResult], list[RoutingDecision]]":
     """Parse one batch of items where they are: what every site comes down to.
 
-    References are read here (:func:`~repro.documents.sources.load_items`),
-    each document is checked on the type it really holds — the stream guard
-    upstream saw only the type a reference's source declares — and the
-    documents go to ``parser.parse_batch``.
+    References are read here (:func:`~repro.documents.sources.load_items`)
+    and the documents go to ``parser.parse_batch``.
     """
-    documents = load_items(batch)
-    for document in documents:
-        parser.require_doc_type(document)
-    return parser.parse_batch(documents)
+    return parser.parse_batch(load_items(batch))
 
 
 class ExecutionBackend(abc.ABC):

@@ -181,51 +181,6 @@ class ParsePipeline:
             resolved = resolved.with_overrides(alpha=alpha)
         return resolved
 
-    @staticmethod
-    def check_doc_type_eligibility(
-        parser: Parser, documents: Iterable[Item]
-    ) -> Iterator[Item]:
-        """Stream ``documents``, failing fast on a type the parser can't take.
-
-        Engines route around ineligible formats internally (their default
-        extractor accepts every type), so this guard matters for *base*
-        parser requests: sending an HTML corpus straight to a PDF-only
-        recognition parser is a configuration error, not a degraded run.
-        A :class:`~repro.documents.sources.DocumentRef` is checked on the
-        type its source declares.
-        """
-        for document in documents:
-            yield parser.require_doc_type(document)
-
-    def _timed_type_check(
-        self, resolved: Parser, documents: Iterable[Item]
-    ) -> Iterator[Item]:
-        """:meth:`check_doc_type_eligibility` with ``validate.type`` attribution.
-
-        The check streams interleaved with batch dispatch, so per-item
-        time is accumulated across ``__next__`` calls and recorded once
-        at exhaustion as a leaf phase — one record per run, not per
-        document.
-        """
-        source = self.check_doc_type_eligibility(resolved, documents)
-        timer = _profiling.current_timer() if _profiling.phases_enabled() else None
-        if timer is None:
-            yield from source
-            return
-        total = 0.0
-        count = 0
-        while True:
-            started = perf_counter()
-            try:
-                document = next(source)
-            except StopIteration:
-                total += perf_counter() - started
-                break
-            total += perf_counter() - started
-            count += 1
-            yield document
-        timer.record("validate.type", total, cpu_seconds=total, calls=max(count, 1))
-
     # ------------------------------------------------------------------ #
     # Streaming execution
     # ------------------------------------------------------------------ #
@@ -269,7 +224,6 @@ class ParsePipeline:
             size = batch_size or resolved.config.batch_size
         else:
             size = batch_size or DEFAULT_BATCH_SIZE
-        documents = self._timed_type_check(resolved, documents)
         worker = self._batch_worker(resolved, backend, cache_policy, cache_recorder)
         worker = _traced_batch_worker(worker, backend.name)
         yield from backend.map_ordered(worker, chunked(documents, size))

@@ -94,10 +94,6 @@ class ParseReport:
         """Documents per routing stage (empty for base parsers)."""
         return self.routing_summary().counts_by_stage()
 
-    def counts_by_doc_type(self) -> dict[str, dict[str, int]]:
-        """Routing-stage counts split by document type (empty for base parsers)."""
-        return self.routing_summary().counts_by_doc_type()
-
     def phase_summary(self) -> dict[str, dict[str, float]]:
         """The phase table rounded for display, sorted by total seconds."""
         ordered = sorted(
@@ -126,7 +122,6 @@ class ParseReport:
             "gpu_seconds": round(self.usage.gpu_seconds, 4),
             "fraction_routed": round(self.fraction_routed(), 4),
             "routing_stages": self.counts_by_stage(),
-            "routing_by_doc_type": self.counts_by_doc_type(),
             "cache": self.cache.to_json_dict() if self.cache.any_activity else None,
             "phases": self.phase_summary(),
             "execution": {

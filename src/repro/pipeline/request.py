@@ -10,8 +10,8 @@ parsing *service* schedules on.
 
 The canonical way to say "which documents" is the ``source`` field::
 
-    ParseRequest(parser="pymupdf", source=HtmlDirSource("corpus/html"))
-    ParseRequest(parser="pymupdf", source="html-dir:corpus/html")
+    ParseRequest(parser="pymupdf", source=SimPdfDirSource("corpus"))
+    ParseRequest(parser="pymupdf", source="simpdf-dir:corpus")
     ParseRequest(parser="pymupdf", source=SourceSpec("synthetic", {"n_documents": 50}))
 
 The pre-source inputs (``documents=``, ``corpus=``, ``n_documents=``,

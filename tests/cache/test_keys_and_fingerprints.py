@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,7 @@ from repro.core.engine import AdaParseEngine
 from repro.documents.corpus import CorpusConfig, build_corpus
 from repro.documents.document import TextLayer, TextLayerQuality
 from repro.documents.simpdf import SimPdfWriter
-from repro.documents.sources import HtmlDirSource, SimPdfDirSource
+from repro.documents.sources import SimPdfDirSource
 from repro.parsers.registry import default_registry
 
 
@@ -106,12 +104,6 @@ class TestGoldenContentHashes:
         (loaded,) = SimPdfDirSource(tmp_path).iter_documents()
         assert loaded.doc_id == document.doc_id
         assert document_content_hash(loaded) == "f2b6c0e62644f60caa8e512865b2f4c0"
-
-    def test_html_doc_type(self):
-        fixtures = Path(__file__).resolve().parents[1] / "fixtures" / "ingest" / "html"
-        document = next(iter(HtmlDirSource(fixtures).iter_documents()))
-        assert (document.doc_id, document.doc_type) == ("alpha", "html")
-        assert document_content_hash(document) == "9387d650641332dc27da465df59119b0"
 
 
 class TestCacheKey:

@@ -10,6 +10,7 @@ batch of documents at a time.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -28,7 +29,8 @@ from repro.cache import ParseCache, document_content_hash
 from repro.cache.keys import CONTENT_HASH_SCHEME
 from repro.cache.refindex import ReferenceIndex
 from repro.documents.corpus import CorpusConfig, build_corpus
-from repro.documents.simpdf import SimPdfWriter
+from repro.documents.document import TextLayer, TextLayerQuality
+from repro.documents.simpdf import SimPdfWriter, serialize_document
 from repro.documents.sources import (
     DocumentRef,
     SimPdfDirSource,
@@ -41,7 +43,6 @@ from repro.parsers.extraction import PyMuPDFSim
 from repro.parsers.registry import ParserRegistry
 from repro.pipeline import ParsePipeline, ParseRequest, request_for_documents
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "ingest"
 #: The index file of the current content-hash scheme.
 INDEX = f"refs-v{CONTENT_HASH_SCHEME}.jsonl"
 POLICIES = ("off", "read", "write", "readwrite")
@@ -105,12 +106,7 @@ def source_of(kind: str, tmp_path: Path) -> str:
     """A settled (aged) reference-able source of ``kind``, as a ``--source`` string."""
     if kind == "synthetic":
         return "synthetic:8?seed=31&min_pages=1&max_pages=2"
-    if kind == "simpdf-dir":
-        return write_pool(tmp_path / "pool")
-    name = kind.split("-")[0]
-    shutil.copytree(FIXTURES / name, tmp_path / name)
-    age(tmp_path / name)
-    return f"{kind}:{tmp_path / name}"
+    return write_pool(tmp_path / "pool")
 
 
 def run(cache: ParseCache, source, policy="readwrite", parser=None, **fields) -> object:
@@ -151,7 +147,7 @@ def counts(monkeypatch):
 class TestParityWithExplicitDocuments:
     # ``process`` is an accepted name for ``thread``.
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("kind", ["simpdf-dir", "html-dir", "markdown-dir", "synthetic"])
+    @pytest.mark.parametrize("kind", ["simpdf-dir", "synthetic"])
     def test_every_policy_gives_the_report_of_the_same_documents(
         self, tmp_path, kind, backend
     ):
@@ -278,38 +274,43 @@ class TestWarmRunCountGates:
 # (c) staleness
 # ---------------------------------------------------------------------- #
 class TestStaleness:
-    def _html_pool(self, tmp_path: Path, young: bool = False) -> tuple[Path, str]:
-        pool = tmp_path / "html"
+    def _write(self, path: Path, text: str) -> None:
+        """One one-page document at ``path``, named after it, whose text is ``text``."""
+        (document,) = build_corpus(
+            CorpusConfig(n_documents=1, seed=31, min_pages=1, max_pages=1)
+        )
+        layer = TextLayer(TextLayerQuality.CLEAN, [text], producer="test")
+        named = dataclasses.replace(document.with_text_layer(layer), doc_id=path.stem)
+        path.write_bytes(serialize_document(named))
+
+    def _pool(self, tmp_path: Path, young: bool = False) -> tuple[Path, str]:
+        pool = tmp_path / "pool"
         pool.mkdir()
         for name in ("a", "b", "c"):
-            (pool / f"{name}.html").write_text(
-                f"<html><body><h1>Title {name}</h1><p>Body of {name}.</p></body></html>"
-            )
+            self._write(pool / f"{name}.simpdf", f"Title {name}. Body of {name}.")
         if not young:
             age(pool)
-        return pool, f"html-dir:{pool}"
+        return pool, f"simpdf-dir:{pool}"
 
     def _texts(self, report) -> dict[str, str]:
         return {r.doc_id: r.text for r in report.results}
 
     def test_grown_file_is_read_again_and_parsed_as_it_is_now(self, tmp_path):
-        pool, source = self._html_pool(tmp_path)
+        pool, source = self._pool(tmp_path)
         cache = ParseCache(tmp_path / "cache")
         run(cache, source)
-        (pool / "b.html").write_text(
-            "<html><body><h1>Title b</h1><p>A longer body of b.</p></body></html>"
-        )
+        self._write(pool / "b.simpdf", "Title b. A longer body of b.")
         age(pool, seconds=30)
         after = run(cache, source)
         assert (after.cache.hits, after.cache.misses) == (2, 1)
         assert "A longer body of b." in self._texts(after)["b"]
 
     def test_touched_file_is_an_index_miss_and_a_cache_hit(self, tmp_path, counts):
-        pool, source = self._html_pool(tmp_path)
+        pool, source = self._pool(tmp_path)
         cache = ParseCache(tmp_path / "cache")
         run(cache, source)
-        stat = (pool / "c.html").stat()
-        os.utime(pool / "c.html", ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+        stat = (pool / "c.simpdf").stat()
+        os.utime(pool / "c.simpdf", ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
         hashed = counts["hash"]
         after = run(cache, source)
         assert counts["hash"] == hashed + 1  # same bytes, new stamp: re-hashed
@@ -320,20 +321,20 @@ class TestStaleness:
     ):
         """Git's racily-clean case: the rewrite lands in the timestamp tick of
         the first write, so size and mtime — the whole stamp — stay put."""
-        pool, source = self._html_pool(tmp_path, young=True)
+        pool, source = self._pool(tmp_path, young=True)
         cache = ParseCache(tmp_path / "cache")
         before = run(cache, source)
         assert len(cache.refs) == 0 and not list((tmp_path / "cache").glob("refs-*"))
-        path = pool / "a.html"
-        stat, old = path.stat(), path.read_text()
-        path.write_text(old.replace("Body of a.", "Tome of a."))
+        path = pool / "a.simpdf"
+        stat = path.stat()
+        self._write(path, "Title a. Bony of a.")  # compresses to the same size
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         (ref, *_) = create_source(parse_source_arg(source)).refs()
-        assert (ref.locator, ref.stamp) == ("a.html", f"{stat.st_size}:{stat.st_mtime_ns}")
+        assert (ref.locator, ref.stamp) == ("a.simpdf", f"{stat.st_size}:{stat.st_mtime_ns}")
         after = run(cache, source)
         assert counts["hash"] == 6  # nothing was remembered: all three read again
         assert (after.cache.hits, after.cache.misses) == (2, 1)
-        assert "Tome of a." in self._texts(after)["a"]
+        assert "Bony of a." in self._texts(after)["a"]
         assert "Body of a." in self._texts(before)["a"]
         # Once the files have been left alone for the margin, they are remembered.
         age(pool, seconds=refindex_module.RACY_MARGIN_NS / 1e9 + 1)
@@ -377,21 +378,6 @@ class TestStaleness:
         with pytest.raises(StaleReference, match=victim.name):
             run(cache, Vanishing(tmp_path / "pool"))
         assert cache.flights.in_flight() == 0
-
-    def test_file_that_holds_another_type_than_its_source_declares(self, tmp_path):
-        """The listing believes the declared type; the read is the first to see
-        the real one, and refuses it for the parser like the stream guard does."""
-        from repro.documents.sources import HtmlDirSource
-
-        writer = SimPdfWriter(tmp_path / "pool")
-        for document in HtmlDirSource(FIXTURES / "html", glob="*.html").iter_documents():
-            writer.write(document)
-
-        class PdfOnly(CountingParser):
-            supported_doc_types = frozenset({"pdf"})
-
-        with pytest.raises(ValueError, match="does not support document type 'html'"):
-            run(ParseCache(), f"simpdf-dir:{tmp_path / 'pool'}", parser=PdfOnly())
 
     def test_torn_index_tail_costs_the_torn_line_only(self, tmp_path, counts):
         source = write_pool(tmp_path / "pool")
@@ -475,7 +461,7 @@ class TestMemory:
 # The index itself, and the maintenance surface
 # ---------------------------------------------------------------------- #
 def _ref(locator: str, stamp: str = "10:1000") -> DocumentRef:
-    return DocumentRef(SourceSpec("simpdf-dir", {"path": "/pool"}), locator, stamp, "pdf")
+    return DocumentRef(SourceSpec("simpdf-dir", {"path": "/pool"}), locator, stamp)
 
 
 class TestReferenceIndex:

@@ -28,19 +28,11 @@ from repro.cluster.protocol import PROTOCOL_VERSION, MessageChannel, WorkerSpec
 from repro.cluster.worker import WorkerDaemon
 from repro.documents.corpus import CorpusConfig, build_corpus
 from repro.documents.simpdf import SimPdfWriter, document_to_dict
-from repro.documents.sources import (
-    ExplicitSource,
-    HtmlDirSource,
-    SourceSpec,
-    create_source,
-)
+from repro.documents.sources import ExplicitSource, SourceSpec, create_source
 from repro.parsers.base import Parser, ParserCost
 from repro.parsers.registry import default_registry
 from repro.pipeline import ParsePipeline, ParseRequest, request_for_documents
 from repro.pipeline.backends import BackendError, create_backend, normalize_backend_spec
-
-
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "ingest"
 
 
 class TortoiseParser(Parser):
@@ -1123,10 +1115,9 @@ class TestByReference:
         "fields",
         [
             {"cache": "readwrite"},
-            {"source": f"crawl-dump:{FIXTURES / 'crawl'}"},
             {"source": "explicit"},
         ],
-        ids=["parent-cache", "crawl-dump", "explicit"],
+        ids=["parent-cache", "explicit"],
     )
     def test_requests_that_are_not_referenceable_get_todays_frames(
         self, registry, corpus_30, monkeypatch, fields
@@ -1294,22 +1285,6 @@ class TestByReference:
             assert daemon.counters["docs_loaded"] == 0
         assert (reply["type"], reply["code"]) == ("shard_error", "bad_reference")
         assert message in reply["error"]
-
-    def test_worker_checks_the_type_the_file_actually_holds(
-        self, registry, tmp_path
-    ):
-        """``simpdf-dir`` declares PDF and the parent-side guard believes it;
-        the worker is the first to see that a file holds something else."""
-        html = list(HtmlDirSource(FIXTURES / "html", glob="*.html").iter_documents())
-        source = write_pool(tmp_path / "pool", html)
-        workers = start_workers(1, pipeline=ParsePipeline(registry))
-        try:
-            with pytest.raises(BackendError, match="does not support document type 'html'"):
-                run_remote(registry, workers, parser="nougat", source=source)
-            report = run_remote(registry, workers, parser="pymupdf", source=source)
-        finally:
-            workers[0].stop()
-        assert report.n_succeeded == len(html)
 
     def test_cache_carrying_worker_reads_a_reference_once(
         self, registry, corpus_30, tmp_path

@@ -14,8 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.documents import noise
-from repro.documents.document import DocumentType
-from repro.documents.webtext import WebTextRecord, html_to_blocks, record_to_document
+from repro.documents.document import (
+    ImageLayer,
+    PageContent,
+    PageElement,
+    SciDocument,
+    TextLayer,
+    TextLayerQuality,
+)
+from repro.documents.metadata import DocumentMetadata
 from repro.parsers.registry import default_registry
 from repro.pipeline import ParsePipeline, request_for_documents
 
@@ -271,15 +278,28 @@ def test_letter_with_a_two_code_point_lowercase_is_substituted():
     assert out in ("h", "j")
 
 
-def test_pypdf_parses_a_turkish_html_document():
-    """pypdf accepts HTML; a Turkish page used to make its parse fail."""
+def test_pypdf_parses_a_turkish_document():
+    """A Turkish page used to make pypdf's parse fail."""
     paragraph = " ".join(["İstanbul ile İzmir arasında İlk İş İyi İnce bir yol."] * 40)
-    blocks, title = html_to_blocks(
-        "<html><head><title>İller</title></head>"
-        f"<body><h1>İller</h1><p>{paragraph}</p></body></html>"
+    page = PageContent(
+        index=0,
+        elements=(PageElement("heading", "İller"), PageElement("paragraph", paragraph)),
     )
-    document = record_to_document(
-        WebTextRecord(doc_id="iller", doc_type=DocumentType.HTML, blocks=tuple(blocks), title=title)
+    document = SciDocument(
+        doc_id="iller",
+        metadata=DocumentMetadata(
+            title="İller",
+            publisher="acme",
+            domain="geography",
+            subcategory="places",
+            year=2024,
+            pdf_format="1.7",
+            producer="latex",
+            n_pages=1,
+        ),
+        pages=[page],
+        text_layer=TextLayer(TextLayerQuality.CLEAN, [page.ground_truth_text()], "latex"),
+        image_layer=ImageLayer(),
     )
     report = ParsePipeline(default_registry()).run(request_for_documents("pypdf", [document]))
     (result,) = report.results

@@ -30,6 +30,27 @@ class TestRoundTrip:
         restored = deserialize_document(blob)
         assert restored.text_layer.page_texts == sample_document.text_layer.page_texts
 
+    def test_a_legacy_doc_type_key_still_loads(self, sample_document):
+        """Files and frames written before the format field was dropped carry
+        ``"doc_type": "pdf"``; the readers ignore it."""
+        from repro.core.engine import RoutingDecision
+        from repro.documents.sources import DocumentRef
+
+        legacy = {**document_to_dict(sample_document), "doc_type": "pdf"}
+        restored = document_from_dict(legacy)
+        assert document_to_dict(restored) == document_to_dict(sample_document)
+        assert "doc_type" not in document_to_dict(restored)
+        ref = {"source": {"kind": "simpdf-dir", "options": {"path": "x"}}, "locator": "a",
+               "stamp": "1:2", "doc_type": "pdf"}  # fmt: skip
+        assert DocumentRef.from_json_dict(ref).to_json_dict() == {
+            key: value for key, value in ref.items() if key != "doc_type"
+        }
+        decision = {"doc_id": "a", "chosen_parser": "pymupdf", "stage": "accepted_default",
+                    "predicted_improvement": 0.25, "doc_type": "pdf"}  # fmt: skip
+        assert RoutingDecision.from_json_dict(decision).to_json_dict() == {
+            key: value for key, value in decision.items() if key != "doc_type"
+        }
+
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             deserialize_document(b"NOTAPDF" + b"x" * 10)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -13,15 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.documents.corpus import CorpusConfig
-from repro.documents.document import DocumentType
 from repro.documents.simpdf import SimPdfWriter, serialize_document
 from repro.documents.sources import (
-    CrawlDumpSource,
     DocumentRef,
     DocumentSource,
     ExplicitSource,
-    HtmlDirSource,
-    MarkdownDirSource,
     SimPdfDirSource,
     SourceSpec,
     StaleReference,
@@ -34,113 +29,66 @@ from repro.documents.sources import (
 )
 from repro.documents.textgen import TextGenConfig
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "ingest"
+#: Reaches ``sub/beta.simpdf`` as well as the top-level files.
+RECURSIVE = "**/*.simpdf"
 
 
-class TestHtmlDirSource:
-    def test_streams_in_stable_order_with_relative_doc_ids(self):
-        source = HtmlDirSource(FIXTURES / "html")
+def _write(path: Path, doc_id: str, seed: int = 5) -> None:
+    """One one-page SimPDF document named ``doc_id`` at ``path``."""
+    (document,) = SyntheticSource(
+        CorpusConfig(n_documents=1, seed=seed, min_pages=1, max_pages=1)
+    ).iter_documents()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(serialize_document(dataclasses.replace(document, doc_id=doc_id)))
+
+
+@pytest.fixture
+def tree(tmp_path) -> Path:
+    """``alpha.simpdf`` at the top and ``sub/beta.simpdf`` one level down."""
+    root = tmp_path / "tree"
+    _write(root / "alpha.simpdf", "alpha")
+    _write(root / "sub" / "beta.simpdf", "sub/beta")
+    return root
+
+
+class TestSimPdfDirSource:
+    def test_streams_in_stable_path_order(self, tree):
+        source = SimPdfDirSource(tree, glob=RECURSIVE)
         docs = list(source.iter_documents())
         assert [d.doc_id for d in docs] == ["alpha", "sub/beta"]
         assert [d.doc_id for d in source.iter_documents()] == [d.doc_id for d in docs]
-        assert all(d.doc_type == DocumentType.HTML.value for d in docs)
-        assert source.doc_type is DocumentType.HTML
         assert source.count_hint() == 2
 
-    def test_extraction_keeps_structure_and_drops_script_style(self):
-        (doc,) = [
-            d
-            for d in HtmlDirSource(FIXTURES / "html").iter_documents()
-            if d.doc_id == "alpha"
-        ]
-        text = doc.text_layer.text()
-        assert "Adaptive Parsing of Web Corpora" in text
-        assert "Headings become section markers." in text
-        assert "should never appear" not in text
-        assert "font-family" not in text
-        assert doc.metadata.title == "Adaptive Parsing of Web Corpora"
-
     def test_missing_directory_fails_at_iteration_not_construction(self, tmp_path):
-        source = HtmlDirSource(tmp_path / "nowhere")
+        source = SimPdfDirSource(tmp_path / "nowhere")
         assert source.count_hint() is None
         with pytest.raises(FileNotFoundError, match="does not exist"):
             list(source.iter_documents())
 
-    def test_fingerprint_tracks_file_edits(self, tmp_path):
-        shutil.copytree(FIXTURES / "html", tmp_path / "html")
-        source = HtmlDirSource(tmp_path / "html")
+    def test_fingerprint_tracks_file_edits(self, tree):
+        source = SimPdfDirSource(tree)
         before = source.fingerprint()
         assert before == source.fingerprint()  # stable while untouched
-        page = tmp_path / "html" / "alpha.html"
-        page.write_text(page.read_text() + "<p>appended paragraph</p>\n")
+        _write(tree / "alpha.simpdf", "alpha", seed=6)
         assert source.fingerprint() != before
 
-    def test_spec_round_trip_rebuilds_an_equal_source(self):
-        source = HtmlDirSource(FIXTURES / "html")
+    def test_spec_round_trip_rebuilds_an_equal_source(self, tree):
+        source = SimPdfDirSource(tree)
         spec = source.spec()
-        assert spec.kind == "html-dir"
-        assert spec.options == {"path": str(FIXTURES / "html")}  # default glob elided
+        assert spec.kind == "simpdf-dir"
+        assert spec.options == {"path": str(tree)}  # default glob elided
         rebuilt = create_source(SourceSpec.from_json_dict(spec.to_json_dict()))
         assert rebuilt == source
         assert hash(rebuilt) == hash(source)
 
-    def test_non_default_glob_survives_the_spec(self):
-        source = HtmlDirSource(FIXTURES / "html", glob="*.html")
+    def test_non_default_glob_survives_the_spec(self, tree):
+        source = SimPdfDirSource(tree, glob=RECURSIVE)
         spec = source.spec()
-        assert spec.options["glob"] == "*.html"
+        assert spec.options["glob"] == RECURSIVE
         rebuilt = create_source(spec)
-        assert [d.doc_id for d in rebuilt.iter_documents()] == ["alpha"]
-
-
-class TestMarkdownDirSource:
-    def test_streams_markdown_documents(self):
-        source = MarkdownDirSource(FIXTURES / "markdown")
-        docs = list(source.iter_documents())
-        assert [d.doc_id for d in docs] == ["appendix", "notes"]
-        assert all(d.doc_type == DocumentType.MARKDOWN.value for d in docs)
-        assert source.doc_type is DocumentType.MARKDOWN
-        (notes,) = [d for d in docs if d.doc_id == "notes"]
-        assert notes.metadata.title == "Ingestion Notes"
-        assert "one list item" in notes.text_layer.text()
-
-
-class TestCrawlDumpSource:
-    def test_mirrored_page_deduplicated_across_domains(self):
-        source = CrawlDumpSource(FIXTURES / "crawl")
-        docs = list(source.iter_documents())
-        # Three files on disk, but the site-b mirror of site-a's page drops.
-        assert len(source.paths()) == 3
-        assert [d.doc_id for d in docs] == [
-            "site-a.example/page1",
-            "site-b.example/unique",
-        ]
-
-    def test_dedup_false_keeps_the_mirror(self):
-        source = CrawlDumpSource(FIXTURES / "crawl", dedup=False)
-        assert [d.doc_id for d in source.iter_documents()] == [
-            "site-a.example/page1",
-            "site-b.example/mirror",
-            "site-b.example/unique",
-        ]
-
-    def test_domain_becomes_publisher_and_types_are_per_file(self):
-        docs = {
-            d.doc_id: d
-            for d in CrawlDumpSource(FIXTURES / "crawl", dedup=False).iter_documents()
-        }
-        assert docs["site-a.example/page1"].metadata.publisher == "site-a.example"
-        assert docs["site-b.example/unique"].metadata.publisher == "site-b.example"
-        assert docs["site-a.example/page1"].doc_type == DocumentType.HTML.value
-        assert docs["site-b.example/unique"].doc_type == DocumentType.MARKDOWN.value
-        # Mixed formats: the source declares no single doc_type.
-        assert CrawlDumpSource(FIXTURES / "crawl").doc_type is None
-
-    def test_spec_records_only_non_default_options(self):
-        assert "dedup" not in CrawlDumpSource(FIXTURES / "crawl").spec().options
-        spec = CrawlDumpSource(FIXTURES / "crawl", dedup=False).spec()
-        assert spec.options["dedup"] is False
-        rebuilt = create_source(spec)
-        assert isinstance(rebuilt, CrawlDumpSource) and rebuilt.dedup is False
+        assert [d.doc_id for d in rebuilt.iter_documents()] == ["alpha", "sub/beta"]
+        # The default glob stays at the top level.
+        assert [d.doc_id for d in SimPdfDirSource(tree).iter_documents()] == ["alpha"]
 
 
 class TestSyntheticAndExplicit:
@@ -158,19 +106,14 @@ class TestSyntheticAndExplicit:
         assert isinstance(rebuilt, SyntheticSource)
         assert rebuilt.config == config
         assert rebuilt == source
-        assert source.doc_type is DocumentType.PDF
         assert source.count_hint() == 6
 
     def test_synthetic_defaults_keep_the_spec_minimal(self):
         spec = SyntheticSource(CorpusConfig(n_documents=5, seed=3)).spec()
         assert spec.options == {"n_documents": 5, "seed": 3}
 
-    def test_explicit_source_has_no_spec_and_infers_doc_type(self):
+    def test_explicit_source_has_no_spec(self):
         pdfs = list(SyntheticSource(CorpusConfig(n_documents=2)).iter_documents())
-        html = list(HtmlDirSource(FIXTURES / "html").iter_documents())
-        assert ExplicitSource(pdfs).doc_type is DocumentType.PDF
-        assert ExplicitSource(html).doc_type is DocumentType.HTML
-        assert ExplicitSource(pdfs + html).doc_type is None  # mixed
         assert ExplicitSource(pdfs).spec() is None
         assert ExplicitSource(pdfs).count_hint() == 2
         with pytest.raises(ValueError, match="must not be empty"):
@@ -179,13 +122,7 @@ class TestSyntheticAndExplicit:
 
 class TestRegistryAndShorthand:
     def test_registry_lists_the_builtin_kinds(self):
-        assert source_names() == [
-            "crawl-dump",
-            "html-dir",
-            "markdown-dir",
-            "simpdf-dir",
-            "synthetic",
-        ]
+        assert source_names() == ["simpdf-dir", "synthetic"]
         assert [k.name for k in source_kinds()] == source_names()
 
     def test_shorthand_binds_the_primary_option(self):
@@ -195,24 +132,28 @@ class TestRegistryAndShorthand:
         assert isinstance(source, SyntheticSource)
         assert (source.config.n_documents, source.config.seed) == (8, 3)
 
-    def test_shorthand_coerces_booleans_but_keeps_paths_verbatim(self):
-        spec = parse_source_arg("crawl-dump:dumps/2024?dedup=false")
-        assert spec.options == {"path": "dumps/2024", "dedup": False}
+    def test_shorthand_keeps_paths_verbatim(self):
+        spec = parse_source_arg("simpdf-dir:2024?glob=**/*.simpdf")
+        assert spec.options == {"path": "2024", "glob": "**/*.simpdf"}
         source = create_source(spec)
-        assert isinstance(source, CrawlDumpSource) and source.dedup is False
-        assert str(source.directory) == "dumps/2024"
+        assert isinstance(source, SimPdfDirSource) and source.glob == "**/*.simpdf"
+        assert str(source.directory) == "2024"
 
-    def test_shorthand_errors(self):
-        with pytest.raises(ValueError, match="empty --source"):
-            parse_source_arg("  ")
-        with pytest.raises(ValueError, match="expected key=value"):
-            parse_source_arg("html-dir:x?glob")
-        with pytest.raises(ValueError, match="did you mean 'html-dir'"):
-            parse_source_arg("html-dri:x")
+    @pytest.mark.parametrize(
+        ("raw", "match"),
+        [
+            ("  ", "empty --source"),
+            ("simpdf-dir:x?glob", "expected key=value"),
+            ("simpdf-dri:x", "did you mean 'simpdf-dir'"),
+        ],
+    )
+    def test_shorthand_errors(self, raw, match):
+        with pytest.raises(ValueError, match=match):
+            create_source(parse_source_arg(raw))
 
     def test_validate_suggests_close_option_names(self):
         with pytest.raises(ValueError, match="did you mean 'glob'"):
-            validate_source_spec(SourceSpec("html-dir", {"glbo": "*.html"}))
+            validate_source_spec(SourceSpec("simpdf-dir", {"glbo": "*.simpdf"}))
         with pytest.raises(ValueError, match="known:"):
             validate_source_spec(SourceSpec("no-such-kind", {}))
 
@@ -222,24 +163,27 @@ class TestRegistryAndShorthand:
         with pytest.raises(ValueError, match="missing its 'kind'"):
             SourceSpec.from_json_dict({"options": {}})
 
-    def test_create_source_passes_instances_through(self):
-        source = HtmlDirSource(FIXTURES / "html")
+    def test_create_source_passes_instances_through(self, tree):
+        source = SimPdfDirSource(tree)
         assert create_source(source) is source
 
 
 class TestValueSemantics:
-    def test_equality_is_kind_plus_fingerprint(self):
-        a = HtmlDirSource(FIXTURES / "html")
-        b = HtmlDirSource(FIXTURES / "html")
+    def test_equality_is_kind_plus_fingerprint(self, tree):
+        a = SimPdfDirSource(tree)
+        b = SimPdfDirSource(tree)
         assert a == b and hash(a) == hash(b)
-        assert a != MarkdownDirSource(FIXTURES / "markdown")
+        assert a != SimPdfDirSource(tree, glob=RECURSIVE)
+        assert a != SyntheticSource(CorpusConfig(n_documents=1))
         assert a.__eq__(object()) is NotImplemented
 
-    def test_describe_reports_kind_type_and_count(self):
-        info = HtmlDirSource(FIXTURES / "html").describe()
-        assert info == {"kind": "html-dir", "doc_type": "html", "n_documents": 2}
-        mixed = CrawlDumpSource(FIXTURES / "crawl").describe()
-        assert "doc_type" not in mixed  # mixed-format source declares none
+    def test_describe_reports_kind_and_count(self, tree):
+        info = SimPdfDirSource(tree, glob=RECURSIVE).describe()
+        assert info == {"kind": "simpdf-dir", "n_documents": 2}
+        assert SyntheticSource(CorpusConfig(n_documents=3)).describe() == {
+            "kind": "synthetic",
+            "n_documents": 3,
+        }
 
     def test_abstract_base_is_not_instantiable(self):
         with pytest.raises(TypeError):
@@ -270,8 +214,6 @@ def _referenceable_sources(tmp_path: Path) -> list[DocumentSource]:
             )
         ),
         _simpdf_dir(tmp_path / "simpdf"),
-        HtmlDirSource(FIXTURES / "html"),
-        MarkdownDirSource(FIXTURES / "markdown"),
     ]
 
 
@@ -290,27 +232,22 @@ class TestDocumentRefs:
             assert [create_source(ref.source).load(ref) for ref in refs] == list(
                 source.iter_documents()
             )
-            assert {ref.doc_type for ref in refs} == {source.doc_type.value}
             assert len({ref.key() for ref in refs}) == len(set(refs)) == len(refs)
 
     def test_sources_that_must_read_to_enumerate_offer_no_refs(self):
         documents = list(SyntheticSource(CorpusConfig(n_documents=2)).iter_documents())
         assert ExplicitSource(documents).refs() is None
-        # Mirror dedup compares content across files: which paths are
-        # documents is not knowable from a listing.
-        assert CrawlDumpSource(FIXTURES / "crawl").refs() is None
         with pytest.raises(ValueError, match="cannot load documents by reference"):
-            CrawlDumpSource(FIXTURES / "crawl").load(
-                next(HtmlDirSource(FIXTURES / "html").refs())
+            ExplicitSource(documents).load(
+                next(SyntheticSource(CorpusConfig(n_documents=2)).refs())
             )
 
-    def test_file_stamp_is_size_and_mtime(self, tmp_path):
-        shutil.copytree(FIXTURES / "html", tmp_path / "html")
-        source = HtmlDirSource(tmp_path / "html")
+    def test_file_stamp_is_size_and_mtime(self, tree):
+        source = SimPdfDirSource(tree, glob=RECURSIVE)
         (ref, _) = source.refs()
-        stat = (tmp_path / "html" / "alpha.html").stat()
+        stat = (tree / "alpha.simpdf").stat()
         assert (ref.locator, ref.stamp) == (
-            "alpha.html",
+            "alpha.simpdf",
             f"{stat.st_size}:{stat.st_mtime_ns}",
         )
         assert next(SyntheticSource(CorpusConfig(n_documents=1)).refs()).stamp == (
@@ -322,36 +259,35 @@ class TestDocumentRefs:
         ``key()`` values across processes; these were cut from the code that
         re-serialised the options per reference."""
         spec = SourceSpec("simpdf-dir", {"path": "/x/y"})
-        assert DocumentRef(spec, "a.simpdf", "123:456789", "pdf").key() == (
+        assert DocumentRef(spec, "a.simpdf", "123:456789").key() == (
             "05f8ca1ba065cee7cd54eea0d1b8ae00"
         )
         nested = SourceSpec(
             "synthetic", {"n_documents": 4, "seed": 9, "textgen": {"b": 1, "a": [1, 2]}}
         )
-        assert DocumentRef(nested, "3", "abcdef", "pdf").key() == (
+        assert DocumentRef(nested, "3", "abcdef").key() == (
             "fb938478b89b6a104a6501b6cd0074d6"
         )
         # The same spec rebuilt from JSON (a worker's view) keys alike.
         rebuilt = SourceSpec.from_json_dict(json.loads(json.dumps(nested.to_json_dict())))
-        assert DocumentRef(rebuilt, "3", "abcdef", "pdf").key() == (
+        assert DocumentRef(rebuilt, "3", "abcdef").key() == (
             "fb938478b89b6a104a6501b6cd0074d6"
         )
 
     def test_stamp_says_when_a_file_was_modified_and_nothing_for_other_stamps(self):
-        spec = SourceSpec("html-dir", {"path": "/x"})
-        assert DocumentRef(spec, "a.html", "120:1700000000123456789").modified_ns == (
+        spec = SourceSpec("simpdf-dir", {"path": "/x"})
+        assert DocumentRef(spec, "a.simpdf", "120:1700000000123456789").modified_ns == (
             1700000000123456789
         )
         for stamp in ("6f1e9ab2", "", "12:", "12:abc", ":"):
-            assert DocumentRef(spec, "a.html", stamp).modified_ns is None
+            assert DocumentRef(spec, "a.simpdf", stamp).modified_ns is None
 
-    def test_listing_stats_each_file_once(self, tmp_path, monkeypatch):
-        shutil.copytree(FIXTURES / "html", tmp_path / "html")
-        (tmp_path / "html" / "dangling.html").symlink_to(tmp_path / "nowhere.html")
-        (tmp_path / "html" / "dir.html").mkdir()
-        source = HtmlDirSource(tmp_path / "html")
+    def test_listing_stats_each_file_once(self, tree, monkeypatch):
+        (tree / "dangling.simpdf").symlink_to(tree / "nowhere.simpdf")
+        (tree / "dir.simpdf").mkdir()
+        source = SimPdfDirSource(tree, glob=RECURSIVE)
         expected = [(ref.locator, ref.stamp) for ref in source.refs()]
-        assert [locator for locator, _ in expected] == ["alpha.html", "sub/beta.html"]
+        assert [locator for locator, _ in expected] == ["alpha.simpdf", "sub/beta.simpdf"]
         stats: list[str] = []
         stat = Path.stat
 
@@ -361,38 +297,34 @@ class TestDocumentRefs:
 
         monkeypatch.setattr(Path, "stat", counting_stat)
         assert [(ref.locator, ref.stamp) for ref in source.refs()] == expected
-        files = [name for name in stats if name in ("alpha.html", "beta.html")]
-        assert sorted(files) == ["alpha.html", "beta.html"]
+        files = [name for name in stats if name in ("alpha.simpdf", "beta.simpdf")]
+        assert sorted(files) == ["alpha.simpdf", "beta.simpdf"]
 
-    def test_rewritten_file_is_stale_unless_the_stamp_is_waived(self, tmp_path):
-        shutil.copytree(FIXTURES / "html", tmp_path / "html")
-        source = HtmlDirSource(tmp_path / "html")
+    def test_rewritten_file_is_stale_unless_the_stamp_is_waived(self, tree):
+        source = SimPdfDirSource(tree, glob=RECURSIVE)
         (ref, other) = source.refs()
-        page = tmp_path / "html" / "alpha.html"
-        page.write_text(page.read_text() + "<p>appended paragraph</p>\n")
+        _write(tree / "alpha.simpdf", "alpha rewritten")
         with pytest.raises(StaleReference, match="changed since"):
             source.load(ref)
-        assert "appended paragraph" in source.load(ref, check_stamp=False).text_layer.text()
+        assert source.load(ref, check_stamp=False).doc_id == "alpha rewritten"
         assert source.load(other).doc_id == "sub/beta"  # untouched files still load
         (fresh, _) = source.refs()
         assert fresh.key() != ref.key()  # placement and ledger keys move with it
 
-    def test_missing_file_or_directory_is_stale(self, tmp_path):
-        shutil.copytree(FIXTURES / "html", tmp_path / "html")
-        (ref, _) = HtmlDirSource(tmp_path / "html").refs()
-        (tmp_path / "html" / "alpha.html").unlink()
+    def test_missing_file_or_directory_is_stale(self, tree):
+        (ref, _) = SimPdfDirSource(tree, glob=RECURSIVE).refs()
+        (tree / "alpha.simpdf").unlink()
         with pytest.raises(StaleReference, match="not readable here"):
-            HtmlDirSource(tmp_path / "html").load(ref)
+            SimPdfDirSource(tree, glob=RECURSIVE).load(ref)
         with pytest.raises(StaleReference, match="not readable here"):
-            HtmlDirSource(tmp_path / "nowhere").load(ref, check_stamp=False)
+            SimPdfDirSource(tree / "nowhere").load(ref, check_stamp=False)
 
     @pytest.mark.parametrize(
-        "locator", ["../outside.html", "sub/../../outside.html", "/etc/passwd", ""]
+        "locator", ["../outside.simpdf", "sub/../../outside.simpdf", "/etc/passwd", ""]
     )
-    def test_locator_outside_the_root_is_refused_not_read(self, tmp_path, locator):
-        shutil.copytree(FIXTURES / "html", tmp_path / "root" / "html")
-        (tmp_path / "root" / "outside.html").write_text("<p>secret</p>")
-        source = HtmlDirSource(tmp_path / "root" / "html")
+    def test_locator_outside_the_root_is_refused_not_read(self, tree, locator):
+        _write(tree.parent / "outside.simpdf", "secret")
+        source = SimPdfDirSource(tree)
         ref = dataclasses.replace(next(source.refs()), locator=locator)
         with pytest.raises(ValueError, match="does not name a file under"):
             source.load(ref, check_stamp=False)
@@ -462,8 +394,8 @@ class TestDocumentRefs:
         with pytest.raises(BadReference, match="does not name a file under"):
             load_items([dataclasses.replace(refs[0], locator="../escape.simpdf")])
 
-    def test_ref_json_is_strict_about_what_it_needs(self):
-        ref = next(HtmlDirSource(FIXTURES / "html").refs())
+    def test_ref_json_is_strict_about_what_it_needs(self, tree):
+        ref = next(SimPdfDirSource(tree).refs())
         payload = ref.to_json_dict()
         assert json.loads(json.dumps(payload)) == payload
         del payload["stamp"]
@@ -472,16 +404,15 @@ class TestDocumentRefs:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        kind=st.sampled_from(["synthetic", "simpdf-dir", "html-dir", "markdown-dir"]),
+        kind=st.sampled_from(["synthetic", "simpdf-dir"]),
         options=st.dictionaries(
             _NAMES, st.one_of(st.integers(), st.booleans(), st.text(max_size=8)), max_size=3
         ),
         locator=st.text(max_size=20),
         stamp=st.text(max_size=20),
-        doc_type=st.sampled_from([None, "pdf", "html", "markdown"]),
     )
-    def test_ref_round_trips_through_json(self, kind, options, locator, stamp, doc_type):
-        ref = DocumentRef(SourceSpec(kind, options), locator, stamp, doc_type)
+    def test_ref_round_trips_through_json(self, kind, options, locator, stamp):
+        ref = DocumentRef(SourceSpec(kind, options), locator, stamp)
         wire = json.loads(json.dumps(ref.to_json_dict()))
         assert DocumentRef.from_json_dict(wire) == ref
         assert DocumentRef.from_json_dict(wire).key() == ref.key()
@@ -501,7 +432,6 @@ class TestDocumentRefs:
 
     @settings(max_examples=15, deadline=None)
     @given(
-        kind=st.sampled_from(["simpdf-dir", "html-dir", "markdown-dir"]),
         files=st.dictionaries(
             st.lists(_NAMES, min_size=1, max_size=3).map("/".join),
             st.text(alphabet="abc <>#*\n", max_size=40),
@@ -509,19 +439,15 @@ class TestDocumentRefs:
             max_size=5,
         ),
     )
-    def test_directory_refs_load_what_iteration_yields(self, kind, files):
-        suffix = {"simpdf-dir": ".simpdf", "html-dir": ".html", "markdown-dir": ".md"}[kind]
+    def test_directory_refs_load_what_iteration_yields(self, files):
         document = next(SyntheticSource(CorpusConfig(n_documents=1)).iter_documents())
         with tempfile.TemporaryDirectory() as root:
             for name, text in files.items():
-                path = Path(root) / (name + suffix)
+                path = Path(root) / (name + ".simpdf")
                 path.parent.mkdir(parents=True, exist_ok=True)
-                if kind == "simpdf-dir":
-                    named = dataclasses.replace(document, doc_id=name + text)
-                    path.write_bytes(serialize_document(named))
-                else:
-                    path.write_text(text, encoding="utf-8")
-            source = create_source(SourceSpec(kind, {"path": root, "glob": "**/*" + suffix}))
+                named = dataclasses.replace(document, doc_id=name + text)
+                path.write_bytes(serialize_document(named))
+            source = create_source(SourceSpec("simpdf-dir", {"path": root, "glob": RECURSIVE}))
             refs = list(source.refs())
             assert [ref.locator for ref in refs] == [
                 path.relative_to(root).as_posix() for path in source.paths()

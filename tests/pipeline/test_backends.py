@@ -44,8 +44,6 @@ from repro.pipeline.backends import (
 from repro.pipeline.backends.thread import THREAD_NAME_PREFIX
 from repro.serve import ParseService, ServiceConfig
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "ingest"
-
 #: A backend that takes each positive-integer option: ``auto`` takes only
 #: ``n_jobs``, so ``window`` is checked on ``thread``.
 PARALLEL_BACKEND_OF = {"n_jobs": "auto", "window": "thread"}
@@ -751,7 +749,7 @@ class TestFastTextEngineParity:
 #: exactly these keys for a given pipeline shape — a new phase (or a phase
 #: that only shows up on some backends) is an API change and must be
 #: pinned here deliberately.
-BASE_PHASE_KEYS = {"source.iter", "validate.type", "parse"}
+BASE_PHASE_KEYS = {"source.iter", "parse"}
 ENGINE_PHASE_KEYS = BASE_PHASE_KEYS | {
     "parse.default",
     "route.validate",
@@ -1161,8 +1159,6 @@ class TestRemoteByReferenceParity:
     def _source(kind: str, tmp_path) -> tuple[str, int]:
         if kind == "synthetic":
             return "synthetic:24?seed=23&min_pages=1&max_pages=2", 24
-        if kind == "html-dir":
-            return f"html-dir:{FIXTURES / 'html'}", 2
         from repro.documents.simpdf import SimPdfWriter
 
         writer = SimPdfWriter(tmp_path / "pool")
@@ -1190,7 +1186,7 @@ class TestRemoteByReferenceParity:
         )
         return serial, remote, backend
 
-    @pytest.mark.parametrize("kind", ["simpdf-dir", "synthetic", "html-dir"])
+    @pytest.mark.parametrize("kind", ["simpdf-dir", "synthetic"])
     def test_base_parser_report_matches_serial_and_nothing_is_shipped(
         self, registry, default_ft_engine, cluster, tmp_path, kind
     ):

@@ -5,11 +5,12 @@ Covers the redesign's acceptance criteria: a request built from a source
 byte-identical reports; request JSON is strict about unknown keys; the
 removed pre-source inputs fail with the replacement spelled out; source fingerprints
 and cache keys interact correctly (content-addressed sharing, edit → miss);
-and HTML documents never route to PDF-only recognition parsers.
+and a request reads its source where it is parsed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -24,11 +25,11 @@ from repro.cache import ParseCache
 from repro.core.config import AdaParseConfig
 from repro.core.engine import AdaParseEngine
 from repro.documents.corpus import CorpusConfig
+from repro.documents.simpdf import SimPdfWriter
 from repro.documents.sources import (
     DocumentRef,
     ExplicitSource,
-    HtmlDirSource,
-    MarkdownDirSource,
+    SimPdfDirSource,
     SourceSpec,
     SyntheticSource,
     create_source,
@@ -37,7 +38,22 @@ from repro.parsers.registry import default_registry
 from repro.pipeline import ParsePipeline, ParseRequest
 from repro.pipeline.backends import SerialBackend
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "ingest"
+#: Two small documents; every directory source here holds copies of them.
+DOCUMENTS = list(
+    SyntheticSource(
+        CorpusConfig(n_documents=2, seed=8, min_pages=1, max_pages=2)
+    ).iter_documents()
+)
+
+
+def _write_dir(directory: Path) -> Path:
+    SimPdfWriter(directory).write_all(DOCUMENTS)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def pool(tmp_path_factory) -> Path:
+    return _write_dir(tmp_path_factory.mktemp("pool"))
 
 #: Timing-dependent payload fields (zeroed before byte comparison).
 _TIMING_KEYS = {
@@ -93,16 +109,16 @@ def _run(registry, request: ParseRequest, cache: ParseCache | None = None):
 # Spec ↔ instance parity
 # ---------------------------------------------------------------------- #
 class TestSourceParity:
-    def test_instance_spec_mapping_and_shorthand_agree(self, registry):
-        path = str(FIXTURES / "html")
+    def test_instance_spec_mapping_and_shorthand_agree(self, registry, pool):
+        path = str(pool)
         requests = [
-            ParseRequest(parser="pymupdf", source=HtmlDirSource(path)),
-            ParseRequest(parser="pymupdf", source=SourceSpec("html-dir", {"path": path})),
+            ParseRequest(parser="pymupdf", source=SimPdfDirSource(path)),
+            ParseRequest(parser="pymupdf", source=SourceSpec("simpdf-dir", {"path": path})),
             ParseRequest(
                 parser="pymupdf",
-                source={"kind": "html-dir", "options": {"path": path}},
+                source={"kind": "simpdf-dir", "options": {"path": path}},
             ),
-            ParseRequest(parser="pymupdf", source=f"html-dir:{path}"),
+            ParseRequest(parser="pymupdf", source=f"simpdf-dir:{path}"),
         ]
         assert all(r == requests[0] for r in requests)
         reports = [
@@ -111,14 +127,13 @@ class TestSourceParity:
         ]
         assert all(blob == reports[0] for blob in reports)
 
-    def test_parity_holds_on_the_thread_backend(self, registry):
-        path = str(FIXTURES / "html")
-        serial = _run(registry, ParseRequest(parser="pymupdf", source=HtmlDirSource(path)))
+    def test_parity_holds_on_the_thread_backend(self, registry, pool):
+        serial = _run(registry, ParseRequest(parser="pymupdf", source=SimPdfDirSource(pool)))
         threaded = _run(
             registry,
             ParseRequest(
                 parser="pymupdf",
-                source=f"html-dir:{path}",
+                source=f"simpdf-dir:{pool}",
                 backend="thread",
                 backend_options={"n_jobs": 2},
             ),
@@ -127,10 +142,10 @@ class TestSourceParity:
             _normalized_bytes(serial.to_json_dict(include_text=True))
         )
 
-    def test_json_round_trip_replays_identically(self, registry):
+    def test_json_round_trip_replays_identically(self, registry, pool):
         request = ParseRequest(
             parser="scripted",
-            source=MarkdownDirSource(FIXTURES / "markdown"),
+            source=SimPdfDirSource(pool),
             batch_size=10,
         )
         wire = json.dumps(request.to_json_dict(), sort_keys=True)
@@ -170,10 +185,19 @@ class TestStrictJson:
     def test_misspelled_source_option_fails_at_submit_time(self):
         payload = {
             "parser": "pymupdf",
-            "source": {"kind": "html-dir", "options": {"glbo": "*.html"}},
+            "source": {"kind": "simpdf-dir", "options": {"glbo": "*.simpdf"}},
         }
         with pytest.raises(ValueError, match="did you mean 'glob'"):
             ParseRequest.from_json_dict(payload)
+
+    @pytest.mark.parametrize("kind", ["html-dir", "markdown-dir", "crawl-dump"])
+    @pytest.mark.parametrize("form", ["shorthand", "stored"])
+    def test_removed_web_text_kinds_are_refused(self, kind, form):
+        """Every document is a PDF: a stored request or a ``--source`` naming
+        a removed kind meets the one unknown-kind error, naming what is left."""
+        source = f"{kind}:x" if form == "shorthand" else {"kind": kind, "options": {"path": "x"}}
+        with pytest.raises(ValueError, match=r"known: \['simpdf-dir', 'synthetic'\]"):
+            ParseRequest.from_json_dict({"parser": "pymupdf", "source": source})
 
 
 class TestRemovedInputs:
@@ -225,14 +249,14 @@ class TestRemovedInputs:
 # Source fingerprints × cache keys (satellite: content-addressed sharing)
 # ---------------------------------------------------------------------- #
 class TestFingerprintCacheInteraction:
-    def test_byte_identical_sources_share_cache_entries(self, registry, tmp_path):
-        shutil.copytree(FIXTURES / "html", tmp_path / "a")
-        shutil.copytree(FIXTURES / "html", tmp_path / "b")
+    def test_byte_identical_sources_share_cache_entries(self, registry, pool, tmp_path):
+        shutil.copytree(pool, tmp_path / "a")
+        shutil.copytree(pool, tmp_path / "b")
         # Freshen one copy's mtime: the *sources* now fingerprint apart even
         # though every document is byte-identical, so cache keys coincide.
-        os.utime(tmp_path / "b" / "alpha.html")
-        source_a = HtmlDirSource(tmp_path / "a")
-        source_b = HtmlDirSource(tmp_path / "b")
+        os.utime(next((tmp_path / "b").iterdir()))
+        source_a = SimPdfDirSource(tmp_path / "a")
+        source_b = SimPdfDirSource(tmp_path / "b")
         assert source_a.fingerprint() != source_b.fingerprint()
 
         cache = ParseCache()
@@ -260,15 +284,17 @@ class TestFingerprintCacheInteraction:
     def test_file_edit_changes_fingerprint_and_misses_the_cache(
         self, registry, tmp_path
     ):
-        shutil.copytree(FIXTURES / "html", tmp_path / "html")
-        source = HtmlDirSource(tmp_path / "html")
+        source = SimPdfDirSource(_write_dir(tmp_path / "pool"))
         cache = ParseCache()
         request = ParseRequest(parser="pymupdf", source=source, cache="readwrite")
         _run(registry, request, cache=cache)
 
         fingerprint_before = source.fingerprint()
-        page = tmp_path / "html" / "alpha.html"
-        page.write_text(page.read_text().replace("</body>", "<p>edited</p></body>"))
+        layer = DOCUMENTS[0].text_layer
+        edited = DOCUMENTS[0].with_text_layer(
+            dataclasses.replace(layer, page_texts=[t + " edited" for t in layer.page_texts])
+        )
+        SimPdfWriter(tmp_path / "pool").write(edited)
         assert source.fingerprint() != fingerprint_before
 
         rerun = _run(
@@ -278,68 +304,6 @@ class TestFingerprintCacheInteraction:
         )
         # The edited page re-parses; the untouched one still hits.
         assert (rerun.cache.hits, rerun.cache.misses) == (1, 1)
-
-
-# ---------------------------------------------------------------------- #
-# Format-aware routing
-# ---------------------------------------------------------------------- #
-class TestFormatAwareRouting:
-    def test_html_never_routes_to_pdf_only_parsers(self, registry):
-        report = _run(
-            registry,
-            ParseRequest(parser="scripted", source=HtmlDirSource(FIXTURES / "html")),
-        )
-        pdf_only = {
-            parser.name
-            for parser in registry
-            if not parser.supports_doc_type("html")
-        }
-        assert "nougat" in pdf_only
-        assert report.decisions and all(
-            decision.chosen_parser not in pdf_only for decision in report.decisions
-        )
-        # Every document *wanted* routing (scripted scores beat the margin)
-        # but the advanced parser is PDF-only, so the decision records why.
-        assert all(d.stage == "type_ineligible" for d in report.decisions)
-        assert all(d.doc_type == "html" for d in report.decisions)
-
-    def test_per_type_telemetry_in_the_summary(self, registry):
-        report = _run(
-            registry,
-            ParseRequest(parser="scripted", source=HtmlDirSource(FIXTURES / "html")),
-        )
-        by_type = report.summary()["routing_by_doc_type"]
-        assert set(by_type) == {"html"}
-        assert by_type["html"]["type_ineligible"] == 2
-
-    def test_base_parser_eligibility_guard(self, registry):
-        documents = list(HtmlDirSource(FIXTURES / "html").iter_documents())
-        nougat = registry.get("nougat")
-        with pytest.raises(ValueError, match="does not support document type 'html'"):
-            list(ParsePipeline.check_doc_type_eligibility(nougat, documents))
-        pymupdf = registry.get("pymupdf")
-        assert list(ParsePipeline.check_doc_type_eligibility(pymupdf, documents)) == documents
-
-    def test_pdf_only_parser_over_html_source_fails_the_run(self, registry):
-        request = ParseRequest(
-            parser="nougat", source=HtmlDirSource(FIXTURES / "html")
-        )
-        with pytest.raises(ValueError, match="does not support document type"):
-            _run(registry, request)
-
-    def test_markdown_source_parses_end_to_end(self, registry):
-        report = _run(
-            registry,
-            ParseRequest(
-                parser="pymupdf", source=MarkdownDirSource(FIXTURES / "markdown")
-            ),
-        )
-        assert report.n_documents == 2
-        assert all(result.succeeded for result in report.results)
-        assert sorted(result.doc_id for result in report.results) == [
-            "appendix",
-            "notes",
-        ]
 
 
 # ---------------------------------------------------------------------- #
@@ -379,10 +343,11 @@ class TestReferenceExecution:
         "source",
         [
             "synthetic:5?seed=3&min_pages=1&max_pages=1",
-            f"markdown-dir:{FIXTURES / 'markdown'}",
+            "simpdf-dir:{pool}",
         ],
     )
-    def test_a_backend_is_handed_references(self, registry, source):
+    def test_a_backend_is_handed_references(self, registry, pool, source):
+        source = source.format(pool=pool)
         backend = ReadsItsOwnSources()
         report = self._execute(registry, backend, source=source)
         expected = list(ParseRequest(source=source).resolve_source().refs())
@@ -398,18 +363,17 @@ class TestReferenceExecution:
         [
             ("the cache wrapper reads its misses in the parent", {"cache": "read"}),
             ("a write-only policy parses, so reads, everything", {"cache": "write"}),
-            ("a crawl dump dedups by content", {"source": f"crawl-dump:{FIXTURES / 'crawl'}"}),
             (
                 "an in-memory collection has no spec to rebuild",
-                {"source": ExplicitSource(HtmlDirSource(FIXTURES / "html").iter_documents())},
+                {"source": ExplicitSource(DOCUMENTS)},
             ),
         ],
     )
     def test_documents_are_materialised_when_the_parent_needs_them(
-        self, registry, why, request_fields
+        self, registry, pool, why, request_fields
     ):
         backend = ReadsItsOwnSources()
-        request_fields.setdefault("source", f"html-dir:{FIXTURES / 'html'}")
+        request_fields.setdefault("source", f"simpdf-dir:{pool}")
         self._execute(registry, backend, **request_fields)
         handed = [item for batch in backend.batches for item in batch]
         assert handed and not any(isinstance(item, DocumentRef) for item in handed), why
@@ -431,23 +395,12 @@ class TestReferenceExecution:
         assert seen == list(ParseRequest(source=source).resolve_source().refs())
         assert report.n_succeeded == 3
 
-    def test_type_guard_reads_the_declared_type_of_a_reference(self, registry):
-        backend = ReadsItsOwnSources()
-        with pytest.raises(
-            ValueError,
-            match=r"does not support document type 'html' \(document 'alpha.html'\)",
-        ):
-            self._execute(
-                registry, backend, parser="nougat", source=f"html-dir:{FIXTURES / 'html'}"
-            )
-        assert backend.batches == []  # refused before anything was dispatched
-
     def test_concurrent_requests_read_their_sources_side_by_side(self, registry):
         """Only parser resolution is serialised.  Each source here waits for
         the other to be mid-read too, which the old lock — held across
         document resolution — made impossible."""
         both_reading = threading.Barrier(2, timeout=10)
-        documents = list(HtmlDirSource(FIXTURES / "html").iter_documents())
+        documents = DOCUMENTS
 
         class MeetsItsPeer(ExplicitSource):
             def iter_documents(self):
