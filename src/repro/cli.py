@@ -1565,7 +1565,11 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return int(args.func(args))
+    try:
+        return int(args.func(args))
+    except FileNotFoundError as exc:
+        # A source directory is checked where it is read, deep inside a run.
+        raise SystemExit(f"error: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -170,6 +170,18 @@ class TestCommands:
         assert "4-node throughput relative to Nougat:" in out
         assert "single-node" not in out
 
+    @pytest.mark.parametrize(
+        "argv", [["pipeline"], ["dataset"], ["cluster", "--workers", "1"]]
+    )
+    def test_missing_source_directory_is_an_error_not_a_traceback(self, argv, tmp_path):
+        missing = tmp_path / "nowhere"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--source", f"simpdf-dir:{missing}"])
+        assert exit_info.value.code == (
+            f"error: simpdf-dir source directory {str(missing)!r} does not exist "
+            f"(or is not a directory)"
+        )
+
     def test_alignment_command(self, capsys):
         exit_code = main(["alignment", "--documents", "4", "--pages", "6", "--seed", "2"])
         assert exit_code == 0
