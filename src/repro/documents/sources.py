@@ -526,7 +526,12 @@ def _make_synthetic(**options: Any) -> SyntheticSource:
     config_kwargs = {k: v for k, v in options.items() if k in known}
     for name in ("n_documents", "seed", "min_pages", "max_pages"):
         if name in config_kwargs:
-            config_kwargs[name] = int(config_kwargs[name])
+            value = config_kwargs[name]
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError(
+                    f"synthetic option {name!r} must be an integer, not {value!r}"
+                )
+            config_kwargs[name] = int(value)
     textgen = options.get("textgen")
     if textgen is not None:
         from dataclasses import fields as dc_fields
@@ -619,6 +624,10 @@ def create_source(spec: SourceSpec | DocumentSource) -> DocumentSource:
     # ``path`` is the spec-facing spelling of the factories' ``directory``.
     if "path" in options:
         options.setdefault("directory", options.pop("path"))
+    if kind.path_option == "path" and not options.get("directory"):
+        raise ValueError(f"source {spec.kind!r} needs a 'path', e.g. {spec.kind}:corpus")
+    if not isinstance(options.get("glob", ""), str):
+        raise ValueError(f"source {spec.kind!r} option 'glob' must be a string")
     return kind.factory(**options)
 
 

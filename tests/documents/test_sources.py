@@ -145,6 +145,10 @@ class TestRegistryAndShorthand:
             ("  ", "empty --source"),
             ("simpdf-dir:x?glob", "expected key=value"),
             ("simpdf-dri:x", "did you mean 'simpdf-dir'"),
+            ("simpdf-dir:", "needs a 'path'"),
+            ("simpdf-dir:x?glob=1", "'glob' must be a string"),
+            ("synthetic:5?n_documents=2.5", "'n_documents' must be an integer"),
+            ("synthetic:5?seed=1.5", "'seed' must be an integer"),
         ],
     )
     def test_shorthand_errors(self, raw, match):

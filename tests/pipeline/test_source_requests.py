@@ -199,6 +199,19 @@ class TestStrictJson:
         with pytest.raises(ValueError, match=r"known: \['simpdf-dir', 'synthetic'\]"):
             ParseRequest.from_json_dict({"parser": "pymupdf", "source": source})
 
+    @pytest.mark.parametrize(
+        ("source", "match"),
+        [
+            ({"kind": "simpdf-dir", "options": {}}, "needs a 'path'"),
+            ({"kind": "simpdf-dir", "options": {"path": "x", "glob": 1}}, "must be a string"),
+            ({"kind": "synthetic", "options": {"n_documents": 2.5}}, "must be an integer"),
+            ({"kind": "synthetic", "options": {"seed": 1.5}}, "must be an integer"),
+        ],
+    )
+    def test_malformed_source_options_fail_at_submit_time(self, source, match):
+        with pytest.raises(ValueError, match=match):
+            ParseRequest.from_json_dict({"parser": "pymupdf", "source": source})
+
 
 class TestRemovedInputs:
     def test_default_request_is_warning_free(self):
