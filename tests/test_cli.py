@@ -171,9 +171,20 @@ class TestCommands:
         assert "single-node" not in out
 
     @pytest.mark.parametrize(
-        "argv", [["pipeline"], ["dataset"], ["cluster", "--workers", "1"]]
+        "argv",
+        [
+            ["pipeline"],
+            ["dataset"],
+            ["cluster", "--workers", "1"],
+            ["cache", "warm", "--dir", "{tmp}/cache"],
+            ["serve", "--requests", "1", "--quiet"],
+            ["submit", "--quiet"],
+        ],
+        ids=["pipeline", "dataset", "cluster", "cache-warm", "serve", "submit"],
     )
     def test_missing_source_directory_is_an_error_not_a_traceback(self, argv, tmp_path):
+        """Every command that takes ``--source`` meets the one check in ``main``."""
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         missing = tmp_path / "nowhere"
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, "--source", f"simpdf-dir:{missing}"])
