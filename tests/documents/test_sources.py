@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import os
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -457,3 +460,122 @@ class TestDocumentRefs:
                 path.relative_to(root).as_posix() for path in source.paths()
             ]
             assert [source.load(ref) for ref in refs] == list(source.iter_documents())
+
+
+# ---------------------------------------------------------------------- #
+# The listing, pinned: what each glob lists, with what stamp and key
+# ---------------------------------------------------------------------- #
+#: ``size:mtime_ns`` of each regular file below is fixed, so stamps and keys are.
+_PINNED_FILES = {
+    "top.simpdf": 1,
+    "a/b/z.simpdf": 2,
+    "a/y.simpdf": 3,
+    "a-b/w.simpdf": 4,
+    ".hidden.simpdf": 5,
+    ".hid/h.simpdf": 6,
+    "real/r.simpdf": 7,
+    "X.SIMPDF": 8,
+    "axis.txt": 9,
+}
+
+
+@pytest.fixture
+def pinned_tree(tmp_path, monkeypatch) -> Path:
+    """Every case the listing has to get right, under the relative root ``pins``.
+
+    Hidden names, a directory symlink (``linkdir``), a file symlink
+    (``link.simpdf``), a dangling link, a directory that matches ``*.simpdf``
+    and an upper-case suffix.  The root is relative so that keys, which hash
+    the spec's path, are the same wherever the test runs.
+    """
+    monkeypatch.chdir(tmp_path)
+    root = Path("pins")
+    for name, size in _PINNED_FILES.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"x" * size)
+        os.utime(path, ns=(1_700_000_000_000_000_000 + size * 10**9,) * 2)
+    (root / "linkdir").symlink_to("real", target_is_directory=True)
+    (root / "link.simpdf").symlink_to(Path("a") / "y.simpdf")
+    (root / "dangling.simpdf").symlink_to("nowhere.simpdf")
+    (root / "dir.simpdf").mkdir()
+    return root
+
+
+_ALL_SIMPDF = [
+    ".hid/h.simpdf",
+    ".hidden.simpdf",
+    "a/b/z.simpdf",
+    "a/y.simpdf",
+    "a-b/w.simpdf",
+    "link.simpdf",
+    "real/r.simpdf",
+    "top.simpdf",
+]
+
+
+class TestListingPins:
+    @pytest.mark.parametrize(
+        ("glob", "locators"),
+        [
+            ("*.simpdf", [".hidden.simpdf", "link.simpdf", "top.simpdf"]),
+            # ``**`` does not descend into ``linkdir``; ``a/b/z`` sorts before ``a-b/w``.
+            ("**/*.simpdf", _ALL_SIMPDF),
+            # A wildcard middle component does follow ``linkdir``.
+            (
+                "*/*.simpdf",
+                [
+                    ".hid/h.simpdf",
+                    "a/y.simpdf",
+                    "a-b/w.simpdf",
+                    "linkdir/r.simpdf",
+                    "real/r.simpdf",
+                ],
+            ),
+            # Reached twice, listed once.
+            ("**/**/*.simpdf", _ALL_SIMPDF),
+            ("a*/*.simpdf", ["a/y.simpdf", "a-b/w.simpdf"]),
+            # Directories are dropped; matching is case-sensitive.
+            ("[ax]*", ["axis.txt"]),
+        ],
+    )
+    def test_locators_stamps_and_count_per_glob(self, pinned_tree, glob, locators):
+        source = SimPdfDirSource(pinned_tree, glob=glob)
+        refs = list(source.refs())
+        assert [ref.locator for ref in refs] == locators
+        for ref in refs:
+            stat = os.stat(pinned_tree / ref.locator)
+            assert ref.stamp == f"{stat.st_size}:{stat.st_mtime_ns}"
+        assert source.paths() == [pinned_tree / locator for locator in locators]
+        assert source.count_hint() == len(locators)
+
+    def test_stamps_follow_links(self, pinned_tree):
+        stamps = {
+            ref.locator: ref.stamp
+            for ref in SimPdfDirSource(pinned_tree, glob="*/*.simpdf").refs()
+        }
+        assert stamps["linkdir/r.simpdf"] == stamps["real/r.simpdf"] == (
+            "7:1700000007000000000"
+        )
+        (link,) = (
+            ref for ref in SimPdfDirSource(pinned_tree).refs() if ref.locator == "link.simpdf"
+        )
+        assert link.stamp == "3:1700000003000000000"
+
+    def test_keys_and_fingerprint_are_pinned(self, pinned_tree):
+        source = SimPdfDirSource(pinned_tree, glob="**/*.simpdf")
+        keys = {ref.locator: ref.key() for ref in source.refs()}
+        assert [keys["a/b/z.simpdf"], keys["a-b/w.simpdf"], keys["top.simpdf"]] == [
+            "a1993ceb401d0e6c78539a33cf6a33cb",
+            "387fb7c16d2b2320312941005dd779d8",
+            "484c4a5dace38573c6d7293950a6ed09",
+        ]
+        assert source.fingerprint() == "497582176665ef3e88e082afd4c1edfc"
+
+    def test_a_keyed_ref_survives_pickle_and_deepcopy(self, pinned_tree):
+        ref = next(SimPdfDirSource(pinned_tree, glob="**/*.simpdf").refs())
+        key = ref.key()
+        for copied in (pickle.loads(pickle.dumps(ref)), copy.deepcopy(ref)):
+            assert copied == ref
+            assert copied.key() == key
+            assert copied.source.options_json == ref.source.options_json
