@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import abc
 import difflib
+import fnmatch
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path, PurePosixPath
 from stat import S_ISREG
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -45,7 +46,7 @@ from repro.documents.corpus import CorpusConfig, build_document
 from repro.documents.document import SciDocument
 from repro.documents.simpdf import deserialize_document
 from repro.obs import profiling as _profiling
-from repro.utils.hashing import stable_hash_hex
+from repro.utils.hashing import frame_text, framed_hash_hex, stable_hash_hex
 
 
 def _suggest(name: str, known: list[str]) -> str:
@@ -239,6 +240,14 @@ class SimPdfDirSource(DocumentSource):
 
     That is what makes it reference-able: the files can be listed (and
     stamped with ``size:mtime_ns``) without opening any of them.
+
+    ``glob`` is matched the way ``Path.glob`` matches on POSIX, one
+    ``/``-separated component at a time and case-sensitively: ``*`` matches
+    hidden names, a non-``**`` component follows directory symlinks, and
+    ``**`` matches zero or more directories without descending into
+    symlinked ones.  It must name files under the root: an empty or
+    absolute pattern, one ending in ``/`` (directories only) or one with a
+    ``..`` component is refused here.
     """
 
     kind = "simpdf-dir"
@@ -247,38 +256,35 @@ class SimPdfDirSource(DocumentSource):
     def __init__(self, directory: str | Path, glob: str = default_glob) -> None:
         self.directory = Path(directory)
         self.glob = glob
+        self._pattern = _compile_glob(glob)
 
-    def _listing(self) -> list[tuple[Path, os.stat_result]]:
-        """The matching regular files in path order, each with the one ``stat`` taken of it."""
-        if not self.directory.is_dir():
+    def _listing(self) -> list[tuple[str, os.stat_result]]:
+        """The matching regular files as ``(locator, stat)``, in path order.
+
+        A locator is the ``/``-separated path under the root; each file is
+        stat'ed once, following links (a dangling link is skipped).
+        """
+        root = os.fspath(self.directory)
+        if not os.path.isdir(root):
             raise FileNotFoundError(
-                f"{self.kind} source directory {str(self.directory)!r} does not "
+                f"{self.kind} source directory {root!r} does not "
                 f"exist (or is not a directory)"
             )
-        listing = []
-        for path in self.directory.glob(self.glob):
-            try:
-                stat = path.stat()
-            except (FileNotFoundError, NotADirectoryError):
-                continue  # a dangling link, or gone since the glob saw it
-            if S_ISREG(stat.st_mode):
-                listing.append((path, stat))
-        listing.sort(key=itemgetter(0))
-        return listing
+        found: dict[str, os.stat_result] = {}
+        _select(root, "", self._pattern, found)
+        # ``Path`` order: component by component, so ``a/b/z`` precedes ``a-b/w``.
+        return sorted(found.items(), key=lambda item: item[0].split("/"))
 
     def paths(self) -> list[Path]:
-        return [path for path, _ in self._listing()]
+        return [self.directory / locator for locator, _ in self._listing()]
 
     def fingerprint(self) -> str:
-        entries = [
-            f"{path.relative_to(self.directory)}:{_file_stamp(stat)}"
-            for path, stat in self._listing()
-        ]
+        entries = [f"{locator}:{_file_stamp(stat)}" for locator, stat in self._listing()]
         return stable_hash_hex("source-files", self.kind, self.glob, *entries)
 
     def count_hint(self) -> int | None:
         try:
-            return len(self.paths())
+            return len(self._listing())
         except FileNotFoundError:
             return None
 
@@ -297,10 +303,8 @@ class SimPdfDirSource(DocumentSource):
 
     def refs(self) -> "Iterator[DocumentRef]":
         spec = self.spec()
-        for path, stat in self._listing():
-            yield DocumentRef(
-                spec, path.relative_to(self.directory).as_posix(), _file_stamp(stat)
-            )
+        for locator, stat in self._listing():
+            yield DocumentRef(spec, locator, _file_stamp(stat))
 
     def load(self, ref: "DocumentRef", *, check_stamp: bool = True) -> SciDocument:
         relative = PurePosixPath(ref.locator)
@@ -320,6 +324,76 @@ class SimPdfDirSource(DocumentSource):
             return self._read(path)
         except (FileNotFoundError, NotADirectoryError) as exc:
             raise StaleReference(f"{path} is not readable here: {exc}") from exc
+
+
+#: A compiled glob: one matcher per ``/``-separated component, ``None`` for ``**``.
+_Pattern = tuple["re.Pattern[str] | None", ...]
+
+
+def _compile_glob(glob: object) -> _Pattern:
+    """Compile a ``simpdf-dir`` glob, refusing one that does not stay under the root."""
+    if not isinstance(glob, str):
+        raise ValueError(f"source 'simpdf-dir' option 'glob' must be a string, not {glob!r}")
+    components = [part for part in glob.split("/") if part not in ("", ".")]
+    if glob.startswith("/") or glob.endswith("/") or not components or ".." in components:
+        raise ValueError(
+            f"source 'simpdf-dir' option 'glob' must name files under the source "
+            f"root: {glob!r} is empty, absolute, ends in '/' or has a '..' component"
+        )
+    if any("**" in part and part != "**" for part in components):
+        raise ValueError(f"invalid glob {glob!r}: '**' can only be an entire component")
+    return tuple(
+        None if part == "**" else re.compile(fnmatch.translate(part))
+        for part in components
+    )
+
+
+def _scandir(directory: str) -> list[os.DirEntry[str]]:
+    try:
+        with os.scandir(directory) as entries:
+            return list(entries)
+    except OSError:  # unreadable, or gone since its parent was listed
+        return []
+
+
+def _directories(directory: str, prefix: str) -> Iterator[tuple[str, str]]:
+    """``directory`` and every directory below it, not entering symlinks (``**``)."""
+    yield directory, prefix
+    for entry in _scandir(directory):
+        if entry.is_dir(follow_symlinks=False):
+            yield from _directories(entry.path, f"{prefix}{entry.name}/")
+
+
+def _select(
+    directory: str, prefix: str, pattern: _Pattern, found: dict[str, os.stat_result]
+) -> None:
+    """Add to ``found`` each regular file under ``directory`` that ``pattern`` matches.
+
+    ``prefix`` is ``directory``'s locator plus ``/`` (``""`` at the root).  A
+    file reached twice (``**/**``) is stat'ed and listed once.
+    """
+    head, rest = pattern[0], pattern[1:]
+    if head is None:
+        if rest:  # a trailing ``**`` names directories only
+            for below, below_prefix in _directories(directory, prefix):
+                _select(below, below_prefix, rest, found)
+        return
+    for entry in _scandir(directory):
+        if not head.match(entry.name):
+            continue
+        locator = prefix + entry.name
+        if rest:
+            if entry.is_dir():
+                _select(entry.path, locator + "/", rest, found)
+            continue
+        if locator in found:
+            continue
+        try:
+            stat = os.stat(entry.path)
+        except (FileNotFoundError, NotADirectoryError):
+            continue  # a dangling link, or gone since it was listed
+        if S_ISREG(stat.st_mode):
+            found[locator] = stat
 
 
 def _file_stamp(stat: os.stat_result) -> str:
@@ -344,12 +418,21 @@ class SourceSpec:
 
     @cached_property
     def options_json(self) -> str:
-        """The options in canonical JSON — what :meth:`DocumentRef.key` hashes.
+        """The options in canonical JSON, as :meth:`DocumentRef.key` hashes them.
 
         Computed once per spec: every reference of one listing shares its
         spec, and a frozen spec's options do not change.
         """
         return json.dumps(self.options, sort_keys=True)
+
+    @cached_property
+    def key_prefix(self) -> bytes:
+        """The framed head every :meth:`DocumentRef.key` of this spec hashes.
+
+        Bytes, not a started ``blake2b``: a hash object cannot be pickled or
+        deep-copied, and references travel both ways.
+        """
+        return frame_text("document-ref", self.kind, self.options_json)
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "SourceSpec":
@@ -421,13 +504,7 @@ class DocumentRef:
 
     @cached_property
     def _key(self) -> str:
-        return stable_hash_hex(
-            "document-ref",
-            self.source.kind,
-            self.source.options_json,
-            self.locator,
-            self.stamp,
-        )
+        return framed_hash_hex(self.source.key_prefix + frame_text(self.locator, self.stamp))
 
     @property
     def modified_ns(self) -> int | None:
@@ -626,8 +703,6 @@ def create_source(spec: SourceSpec | DocumentSource) -> DocumentSource:
         options.setdefault("directory", options.pop("path"))
     if kind.path_option == "path" and not options.get("directory"):
         raise ValueError(f"source {spec.kind!r} needs a 'path', e.g. {spec.kind}:corpus")
-    if not isinstance(options.get("glob", ""), str):
-        raise ValueError(f"source {spec.kind!r} option 'glob' must be a string")
     return kind.factory(**options)
 
 

@@ -12,6 +12,38 @@ import hashlib
 from typing import Iterable
 
 
+def frame(*parts: bytes) -> bytes:
+    """The parts, each preceded by its 8-byte length: what every hash here hashes.
+
+    Length-prefixing makes ``("ab", "c")`` and ``("a", "bc")`` differ, and
+    ``frame(a, b) + frame(c) == frame(a, b, c)``, so a shared head can be
+    framed once and extended per hash (see :func:`framed_hash_hex`).
+    """
+    framed: list[bytes] = []
+    for part in parts:
+        framed.append(len(part).to_bytes(8, "little"))
+        framed.append(part)
+    return b"".join(framed)
+
+
+def _encode(part: object) -> bytes:
+    return str(part).encode("utf-8")
+
+
+def frame_text(*parts: object) -> bytes:
+    """:func:`frame` of each part's ``str()`` as UTF-8: what :func:`stable_hash_hex` hashes."""
+    return frame(*map(_encode, parts))
+
+
+def _digest(framed: bytes, digest_size: int) -> bytes:
+    return hashlib.blake2b(framed, digest_size=digest_size).digest()
+
+
+def framed_hash_hex(framed: bytes, digest_size: int = 16) -> str:
+    """The fixed-width hex hash of already framed bytes (:func:`frame`)."""
+    return _digest(framed, digest_size)[::-1].hex()
+
+
 def stable_hash_bytes(*parts: bytes, digest_size: int = 8) -> int:
     """Hash byte strings into a non-negative integer.
 
@@ -22,12 +54,7 @@ def stable_hash_bytes(*parts: bytes, digest_size: int = 8) -> int:
     digest_size:
         Number of digest bytes (8 gives a 64-bit value).
     """
-    h = hashlib.blake2b(digest_size=digest_size)
-    for part in parts:
-        # Length-prefix each part so ("ab","c") and ("a","bc") differ.
-        h.update(len(part).to_bytes(8, "little"))
-        h.update(part)
-    return int.from_bytes(h.digest(), "little")
+    return int.from_bytes(_digest(frame(*parts), digest_size), "little")
 
 
 def stable_hash(*parts: object, digest_size: int = 8) -> int:
@@ -36,8 +63,7 @@ def stable_hash(*parts: object, digest_size: int = 8) -> int:
     Each part is converted with ``str()`` and encoded as UTF-8.  Intended for
     seeds and bucketing, not cryptography.
     """
-    encoded = [str(p).encode("utf-8") for p in parts]
-    return stable_hash_bytes(*encoded, digest_size=digest_size)
+    return int.from_bytes(_digest(frame_text(*parts), digest_size), "little")
 
 
 def stable_hash_hex(*parts: object, digest_size: int = 16) -> str:
@@ -46,7 +72,7 @@ def stable_hash_hex(*parts: object, digest_size: int = 16) -> str:
     The hex form is what cache keys and config fingerprints are built from:
     it is filesystem- and JSON-friendly and sorts lexicographically.
     """
-    return format(stable_hash(*parts, digest_size=digest_size), f"0{digest_size * 2}x")
+    return framed_hash_hex(frame_text(*parts), digest_size)
 
 
 def hash_buffers(*buffers: bytes, digest_size: int = 16) -> str:
@@ -55,7 +81,7 @@ def hash_buffers(*buffers: bytes, digest_size: int = 16) -> str:
     Used to fingerprint trained model weights: pass each array's dtype/shape
     as part of the surrounding context and its contiguous bytes here.
     """
-    return format(stable_hash_bytes(*buffers, digest_size=digest_size), f"0{digest_size * 2}x")
+    return framed_hash_hex(frame(*buffers), digest_size)
 
 
 def bucket(key: object, n_buckets: int, salt: str = "") -> int:

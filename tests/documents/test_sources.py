@@ -150,6 +150,14 @@ class TestRegistryAndShorthand:
             ("simpdf-dri:x", "did you mean 'simpdf-dir'"),
             ("simpdf-dir:", "needs a 'path'"),
             ("simpdf-dir:x?glob=1", "'glob' must be a string"),
+            # A glob names files under the root, or the run would fail midway.
+            ("simpdf-dir:x?glob=../req-001/*.simpdf", "under the source root"),
+            ("simpdf-dir:x?glob=sub/../../*.simpdf", "under the source root"),
+            ("simpdf-dir:x?glob=/tmp/*.simpdf", "under the source root"),
+            ("simpdf-dir:x?glob=", "under the source root"),
+            ("simpdf-dir:x?glob=./", "under the source root"),
+            ("simpdf-dir:x?glob=*/", "under the source root"),
+            ("simpdf-dir:x?glob=a**/*.simpdf", "'\\*\\*' can only be an entire component"),
             ("synthetic:5?n_documents=2.5", "'n_documents' must be an integer"),
             ("synthetic:5?seed=1.5", "'seed' must be an integer"),
         ],
@@ -289,20 +297,21 @@ class TestDocumentRefs:
         for stamp in ("6f1e9ab2", "", "12:", "12:abc", ":"):
             assert DocumentRef(spec, "a.simpdf", stamp).modified_ns is None
 
-    def test_listing_stats_each_file_once(self, tree, monkeypatch):
+    @pytest.mark.parametrize("glob", [RECURSIVE, "**/**/*.simpdf"])
+    def test_listing_stats_each_file_once(self, tree, monkeypatch, glob):
         (tree / "dangling.simpdf").symlink_to(tree / "nowhere.simpdf")
         (tree / "dir.simpdf").mkdir()
-        source = SimPdfDirSource(tree, glob=RECURSIVE)
+        source = SimPdfDirSource(tree, glob=glob)
         expected = [(ref.locator, ref.stamp) for ref in source.refs()]
         assert [locator for locator, _ in expected] == ["alpha.simpdf", "sub/beta.simpdf"]
         stats: list[str] = []
-        stat = Path.stat
+        stat = os.stat
 
-        def counting_stat(self, **kwargs):
-            stats.append(self.name)
-            return stat(self, **kwargs)
+        def counting_stat(path, *args, **kwargs):
+            stats.append(os.path.basename(path))
+            return stat(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "stat", counting_stat)
+        monkeypatch.setattr(os, "stat", counting_stat)
         assert [(ref.locator, ref.stamp) for ref in source.refs()] == expected
         files = [name for name in stats if name in ("alpha.simpdf", "beta.simpdf")]
         assert sorted(files) == ["alpha.simpdf", "beta.simpdf"]
