@@ -198,7 +198,9 @@ class ShardedDiskStore:
         Returns the entry's serialised size in bytes (the line is encoded
         exactly once, here).
         """
-        line = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        # ASCII with escapes: any text a document holds, a lone surrogate too,
+        # round-trips (strict UTF-8 cannot encode one).
+        line = json.dumps(payload, separators=(",", ":")).encode("ascii")
         index = self.shard_index_for(key)
         with self._locks[index]:
             self._load_shard(index)[key] = line

@@ -27,7 +27,9 @@ def frame(*parts: bytes) -> bytes:
 
 
 def _encode(part: object) -> bytes:
-    return str(part).encode("utf-8")
+    # ``surrogatepass`` lets a lone surrogate (legal in JSON, so a document
+    # can carry one) be hashed; every other string encodes to the same bytes.
+    return str(part).encode("utf-8", "surrogatepass")
 
 
 def frame_text(*parts: object) -> bytes:

@@ -1,8 +1,8 @@
 """Length-prefixed NDJSON framing shared by the cluster and gateway wires.
 
 Every message on a repro network connection is one JSON object, encoded
-as a single UTF-8 line and framed by an ASCII decimal byte-length
-prefix::
+as a single ASCII line (``\\u`` escapes for everything else) and framed
+by an ASCII decimal byte-length prefix::
 
     <decimal length of body>\\n
     {"type": "...", ...}\\n
@@ -51,9 +51,14 @@ class MessageTooLarge(ProtocolError):
 
 
 def encode_message(message: Mapping[str, Any]) -> bytes:
-    """Frame one message: decimal length prefix + NDJSON body."""
-    text = json.dumps(message, ensure_ascii=False, separators=(",", ":"))
-    body = text.encode("utf-8") + b"\n"
+    """Frame one message: decimal length prefix + NDJSON body.
+
+    The body is ASCII, every other character ``\\u``-escaped: that encodes
+    faster than UTF-8 output, and the peer decodes any string back exactly,
+    a lone surrogate (which strict UTF-8 cannot encode) included.
+    """
+    text = json.dumps(message, separators=(",", ":"))
+    body = text.encode("ascii") + b"\n"
     return str(len(body)).encode("ascii") + b"\n" + body
 
 

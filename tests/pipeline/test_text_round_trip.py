@@ -1,0 +1,114 @@
+"""Page texts come back bit-exact on every path a report can take.
+
+A SimPDF file is JSON, so its text layer can hold any string JSON can: a
+non-ASCII character, and also a lone surrogate (``"\\ud800"``), which strict
+UTF-8 cannot encode.  The serial, uncached run returns such a text as it
+is; so must the disk-backed parse cache, a ``remote`` worker and the
+gateway.  Each run here is bounded, because the failure mode on a wire is a
+worker or streamer thread that dies and leaves its peer waiting.
+"""
+
+from __future__ import annotations
+
+import json
+import threading
+import zlib
+from pathlib import Path
+
+import pytest
+
+from repro.cache import ParseCache
+from repro.cluster.worker import WorkerDaemon
+from repro.documents.corpus import CorpusConfig
+from repro.documents.simpdf import MAGIC, document_to_dict
+from repro.documents.sources import SyntheticSource
+from repro.gateway import GatewayClient, GatewayServer
+from repro.pipeline import ParsePipeline, ParseRequest
+from repro.serve import ParseService
+
+#: What the first page of each document is made to start with.
+ODD_TEXTS = ["naïve — 東京 ﬁle ", "lone \ud800 surrogate "]
+#: Seconds any one run may take; they take well under one.
+BOUND_S = 30
+
+
+@pytest.fixture(scope="module")
+def pool(tmp_path_factory) -> Path:
+    """Two SimPDF files whose text layers hold :data:`ODD_TEXTS`.
+
+    Written with ASCII escapes, as any JSON writer may: the library's own
+    writer cannot encode a lone surrogate.
+    """
+    root = tmp_path_factory.mktemp("odd-text")
+    documents = SyntheticSource(
+        CorpusConfig(n_documents=len(ODD_TEXTS), seed=3, min_pages=1, max_pages=2)
+    ).iter_documents()
+    for odd, document in zip(ODD_TEXTS, documents):
+        payload = document_to_dict(document)
+        texts = payload["text_layer"]["page_texts"]
+        texts[0] = odd + texts[0]
+        body = json.dumps(payload).encode("ascii")
+        (root / f"{document.doc_id}.simpdf").write_bytes(MAGIC + zlib.compress(body))
+    return root
+
+
+def _request(pool: Path, **options) -> ParseRequest:
+    return ParseRequest(parser="pymupdf", source=f"simpdf-dir:{pool}", **options)
+
+
+def _texts(report) -> list[list[str]]:
+    return [list(result.page_texts) for result in report.results]
+
+
+def _bounded(run):
+    """``run()``'s value, or a test failure once :data:`BOUND_S` has passed."""
+    outcome: dict[str, object] = {}
+
+    def target() -> None:
+        try:
+            outcome["value"] = run()
+        except BaseException as exc:  # re-raised in the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, name="bounded-run", daemon=True)
+    thread.start()
+    thread.join(BOUND_S)
+    assert not thread.is_alive(), f"no result within {BOUND_S} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.fixture(scope="module")
+def expected(pool) -> list[list[str]]:
+    texts = _texts(ParsePipeline().run(_request(pool)))
+    # The odd characters survive the parser, so every case below checks them.
+    assert "\ud800" in texts[1][0] and "東京" in texts[0][0]
+    return texts
+
+
+def test_the_disk_cache_stores_and_returns_the_texts(pool, expected, tmp_path):
+    request = _request(pool, cache="readwrite")
+    written = _bounded(lambda: ParsePipeline(cache=ParseCache(tmp_path)).run(request))
+    assert _texts(written) == expected
+    # A fresh cache over the same directory: every text comes off disk.
+    read = _bounded(lambda: ParsePipeline(cache=ParseCache(tmp_path)).run(request))
+    assert (read.cache.hits, read.cache.misses) == (len(expected), 0)
+    assert _texts(read) == expected
+
+
+def test_a_remote_worker_returns_the_texts(pool, expected):
+    worker = WorkerDaemon(name="text-worker").start()
+    try:
+        request = _request(pool, backend="remote", backend_options={"workers": worker.address})
+        assert _texts(_bounded(lambda: ParsePipeline().run(request))) == expected
+    finally:
+        worker.stop()
+
+
+def test_the_gateway_returns_the_texts(pool, expected):
+    with ParseService() as service, GatewayServer(service, port=0) as server:
+        with GatewayClient("127.0.0.1", server.port).connect() as client:
+            ticket = client.submit(_request(pool))
+            report = client.result(ticket, timeout=BOUND_S, include_text=True)
+    assert [entry["page_texts"] for entry in report["results"]] == expected
