@@ -500,11 +500,13 @@ class DocumentRef:
         parse cache's reference index: it moves whenever the referenced
         bytes can have moved.
         """
-        return self._key
-
-    @cached_property
-    def _key(self) -> str:
-        return framed_hash_hex(self.source.key_prefix + frame_text(self.locator, self.stamp))
+        # Memoised by hand: ``cached_property`` takes a lock per first access
+        # on Python 3.11, and every reference of a listing is keyed once.
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = framed_hash_hex(self.source.key_prefix + frame_text(self.locator, self.stamp))
+            self.__dict__["_key"] = key
+        return key
 
     @property
     def modified_ns(self) -> int | None:

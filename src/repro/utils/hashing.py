@@ -26,15 +26,11 @@ def frame(*parts: bytes) -> bytes:
     return b"".join(framed)
 
 
-def _encode(part: object) -> bytes:
-    # ``surrogatepass`` lets a lone surrogate (legal in JSON, so a document
-    # can carry one) be hashed; every other string encodes to the same bytes.
-    return str(part).encode("utf-8", "surrogatepass")
-
-
 def frame_text(*parts: object) -> bytes:
     """:func:`frame` of each part's ``str()`` as UTF-8: what :func:`stable_hash_hex` hashes."""
-    return frame(*map(_encode, parts))
+    # ``surrogatepass`` lets a lone surrogate (legal in JSON, so a document
+    # can carry one) be hashed; every other string encodes to the same bytes.
+    return frame(*[str(part).encode("utf-8", "surrogatepass") for part in parts])
 
 
 def _digest(framed: bytes, digest_size: int) -> bytes:
