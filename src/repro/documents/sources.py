@@ -352,8 +352,8 @@ def _scandir(directory: str) -> list[os.DirEntry[str]]:
     try:
         with os.scandir(directory) as entries:
             return list(entries)
-    except OSError:  # unreadable, or gone since its parent was listed
-        return []
+    except (PermissionError, FileNotFoundError, NotADirectoryError):
+        return []  # unreadable, or gone since its parent was listed
 
 
 def _directories(directory: str, prefix: str) -> Iterator[tuple[str, str]]:
