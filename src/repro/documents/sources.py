@@ -241,7 +241,7 @@ class SimPdfDirSource(DocumentSource):
     That is what makes it reference-able: the files can be listed (and
     stamped with ``size:mtime_ns``) without opening any of them.
 
-    ``glob`` is matched the way ``Path.glob`` matches on POSIX, one
+    ``glob`` is matched the way pathlib's ``glob`` matches on POSIX, one
     ``/``-separated component at a time and case-sensitively: ``*`` matches
     hidden names, a non-``**`` component follows directory symlinks, and
     ``**`` matches zero or more directories without descending into
@@ -504,8 +504,8 @@ class DocumentRef:
         # on Python 3.11, and every reference of a listing is keyed once.
         key = self.__dict__.get("_key")
         if key is None:
-            key = framed_hash_hex(self.source.key_prefix + frame_text(self.locator, self.stamp))
-            self.__dict__["_key"] = key
+            framed = self.source.key_prefix + frame_text(self.locator, self.stamp)
+            key = self.__dict__["_key"] = framed_hash_hex(framed)
         return key
 
     @property
