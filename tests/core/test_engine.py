@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -38,6 +39,11 @@ def fast_settings() -> TrainerSettings:
             embedding_dim=24, n_buckets=1 << 11, n_epochs=8
         ),
     )
+
+
+@pytest.fixture(scope="module")
+def seed11_corpus():
+    return list(build_corpus(CorpusConfig(n_documents=200, seed=11)))
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +150,33 @@ class TestDefaultEngineFingerprints:
         )
 
 
+class TestDefaultEngineDecisionPins:
+    """The default FT engine's routing decisions over a 200-document corpus,
+    bit for bit: per-stage counts plus a sha256 of every decision's JSON
+    view, for the rule itself (one ``route_batch``) and for the batched
+    telemetry path.  Refactors of the engine must leave both alone."""
+
+    COUNTS = {"accepted_default": 173, "budget_exhausted": 17, "cls1_invalid": 10}
+    DIGEST = "e655ebe8f852b8d95b1db0d67cf8083bd35920d6f1f55473d8ff91d9e7678531"
+
+    @staticmethod
+    def digest(decisions) -> str:
+        payload = json.dumps([d.to_json_dict() for d in decisions])
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    def test_route_batch_decisions_are_unchanged(self, default_ft_engine, seed11_corpus):
+        _, decisions = default_ft_engine.route_batch(seed11_corpus)
+        assert RoutingSummary(decisions=decisions).counts_by_stage() == self.COUNTS
+        assert self.digest(decisions) == self.DIGEST
+
+    def test_parse_with_telemetry_decisions_are_unchanged(
+        self, default_ft_engine, seed11_corpus
+    ):
+        _, decisions = default_ft_engine.parse_with_telemetry(seed11_corpus)
+        assert RoutingSummary(decisions=decisions).counts_by_stage() == self.COUNTS
+        assert self.digest(decisions) == self.DIGEST
+
+
 class TestTrainerLLM:
     def test_train_llm_with_dpo(self, training_corpus, fast_settings):
         from repro.ml.dpo import PreferencePair
@@ -156,6 +189,7 @@ class TestTrainerLLM:
         engine = trainer.train_llm(training_corpus, preference_pairs=pairs)
         assert trainer.artifacts is not None
         assert trainer.artifacts.dpo_trainer is not None
+        assert engine.config_fingerprint() == "8e6c46b20f38c65ef8e64bc3d3a1efdc"
         results, decisions = engine.parse_with_telemetry(list(training_corpus)[:6])
         assert len(results) == 6
         summary = RoutingSummary(decisions=decisions)
