@@ -11,17 +11,22 @@ Both engine variants follow the architecture of Figure 2:
    high-quality parser, capped at an α fraction per batch; everyone else keeps
    the extracted text.
 
-``AdaParseFT`` scores improvements with the fastText model (and optionally a
-metadata classifier), skipping LLM inference entirely; ``AdaParseLLM`` uses
-the fine-tuned (and DPO post-trained) Transformer selector.  Both expose the
-standard :class:`repro.parsers.base.Parser` interface so the evaluation
-harness and the HPC simulator treat them like any other parser.
+:meth:`AdaParseEngine.route_batch` is the rule, and the only code that
+applies it.  ``AdaParseFT`` and ``AdaParseLLM`` are the same engine under
+two names: one is built around the fastText selector (skipping LLM inference
+entirely), the other around the fine-tuned (and DPO post-trained)
+Transformer selector.  Both expose the standard
+:class:`repro.parsers.base.Parser` interface, so the evaluation harness and
+the pipeline treat them like any other parser: one
+:meth:`~repro.parsers.base.Parser.parse_batch` is one α-budgeted
+``route_batch``, and the base class's batching methods
+(``parse_with_telemetry``, ``parse_many``, ``iter_parse``) chunk documents
+by the configured batch size.  ``parse(doc)`` is ``route_batch`` over a
+batch of one at α = 1.
 
-Routing telemetry is a *return value*: :meth:`AdaParseEngine.parse_batches`
-streams ``(results, decisions)`` per α-budgeted batch and
-:meth:`AdaParseEngine.parse_with_telemetry` aggregates them, so engines hold
-no mutable routing state on the hot path and are safe to share between
-concurrent callers.  Consume telemetry through
+Routing telemetry is a *return value* — the decisions ``route_batch``
+returns beside its results — so engines hold no mutable routing state and
+are safe to share between concurrent callers.  Consume telemetry through
 :class:`repro.pipeline.ParsePipeline`, whose ``ParseReport`` carries the
 decisions, aggregate resource usage, and throughput.
 """
@@ -29,7 +34,7 @@ decisions, aggregate resource usage, and throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -42,7 +47,6 @@ from repro.documents.document import SciDocument
 from repro.obs import profiling as _profiling
 from repro.parsers.base import Parser, ParseResult, ParserCost, ResourceUsage
 from repro.parsers.registry import ParserRegistry
-from repro.utils.batching import chunked
 
 
 #: Stages a routing decision can record.
@@ -105,7 +109,8 @@ class RoutingSummary:
 
 
 class AdaParseEngine(Parser):
-    """Shared routing logic of the two AdaParse variants."""
+    """The AdaParse routing engine; the two variants differ only in name and
+    in the selector they are trained with."""
 
     name = "adaparse"
 
@@ -115,11 +120,17 @@ class AdaParseEngine(Parser):
         config: AdaParseConfig | None = None,
         validator: ValidationClassifier | None = None,
         improvement_classifier: ImprovementClassifier | None = None,
+        *,
+        selector: ParserSelector | None = None,
     ) -> None:
+        # Only an engine that scores documents itself can go without one.
+        if selector is None and type(self).improvement_scores is AdaParseEngine.improvement_scores:
+            raise TypeError(f"{type(self).__name__}() needs a selector")
         self.registry = registry
         self.config = config or AdaParseConfig()
         self.validator = validator or ValidationClassifier()
         self.improvement_classifier = improvement_classifier
+        self.selector = selector
         if self.config.default_parser not in registry:
             raise KeyError(f"default parser {self.config.default_parser!r} not registered")
         if self.config.high_quality_parser not in registry:
@@ -144,17 +155,15 @@ class AdaParseEngine(Parser):
         )
 
     # ------------------------------------------------------------------ #
-    # Hooks implemented by the variants
+    # Routing
     # ------------------------------------------------------------------ #
     def improvement_scores(
         self, documents: list[SciDocument], extracted_texts: list[str]
     ) -> np.ndarray:
-        """Predicted accuracy gain of the high-quality parser per document."""
-        raise NotImplementedError
+        """Predicted accuracy gain of the high-quality parser per document
+        (CLS III: the selector scores the default parser's first pages)."""
+        return self.selector.improvement_scores(extracted_texts, self.config.high_quality_parser)
 
-    # ------------------------------------------------------------------ #
-    # Routing
-    # ------------------------------------------------------------------ #
     def _selection_usage(self) -> ResourceUsage:
         return ResourceUsage(
             cpu_seconds=self.config.selection_cpu_seconds,
@@ -265,12 +274,10 @@ class AdaParseEngine(Parser):
         from repro.utils.hashing import stable_hash_hex
 
         cfg = self.config
-        selector = getattr(self, "selector", None)
-        selector_fp = (
-            selector.config_fingerprint()
-            if selector is not None and hasattr(selector, "config_fingerprint")
-            else type(self).__name__
-        )
+        if self.selector is None:  # doubles that score documents themselves
+            selector_fp = type(self).__name__
+        else:
+            selector_fp = self.selector.config_fingerprint()
         improvement = self.improvement_classifier
         if improvement is None:
             improvement_fp = "none"
@@ -299,53 +306,28 @@ class AdaParseEngine(Parser):
         )
 
     # ------------------------------------------------------------------ #
-    # Batch parsing
+    # The Parser interface
     # ------------------------------------------------------------------ #
+    @property
+    def batch_size(self) -> int:  # type: ignore[override]
+        """The α budget's batch: the base batching methods chunk by it."""
+        return self.config.batch_size
+
     def parse_batch(
         self, batch: list[SciDocument]
     ) -> tuple[list[ParseResult], list[RoutingDecision]]:
-        """One pipeline batch is one α-budgeted :meth:`route_batch`."""
+        """One batch is one α-budgeted :meth:`route_batch`."""
         return self.route_batch(batch)
 
-    def parse_batches(
-        self, documents: Iterable[SciDocument], batch_size: int | None = None
-    ) -> Iterator[tuple[list[ParseResult], list[RoutingDecision]]]:
-        """Stream ``(results, decisions)`` per α-budgeted batch.
+    def parse(self, document: SciDocument) -> ParseResult:
+        """Parse one document: :meth:`route_batch` over a batch of one at α = 1.
 
-        This is the stateless core of the engine: it touches no instance
-        state, so concurrent callers (and the thread-pooled
-        :class:`repro.pipeline.ParsePipeline`) can share one engine.  The α
-        cap is enforced independently within every batch, exactly as in the
-        deployed system; memory stays O(batch).
+        One document has one budget slot, so the document is routed to the
+        high-quality parser when its extraction is invalid or its predicted
+        improvement clears the margin.  Batches — :meth:`parse_with_telemetry`
+        or the pipeline — enforce the configured α.
         """
-        size = batch_size or self.config.batch_size
-        for batch in chunked(documents, size):
-            yield self.route_batch(batch)
-
-    def iter_parse(self, documents: Iterable[SciDocument]) -> Iterator[ParseResult]:
-        """Stream parse results with per-batch α budgeting, O(batch) memory."""
-        for batch_results, _ in self.parse_batches(documents):
-            yield from batch_results
-
-    def parse_with_telemetry(
-        self, documents: Sequence[SciDocument], batch_size: int | None = None
-    ) -> tuple[list[ParseResult], list[RoutingDecision]]:
-        """Parse a collection, returning results *and* routing decisions.
-
-        Telemetry is a return value rather than instance state: the engine
-        holds no mutable routing state, so concurrent callers can share it.
-        """
-        results: list[ParseResult] = []
-        decisions: list[RoutingDecision] = []
-        for batch_results, batch_decisions in self.parse_batches(documents, batch_size):
-            results.extend(batch_results)
-            decisions.extend(batch_decisions)
-        return results, decisions
-
-    def parse_many(self, documents: list[SciDocument]) -> list[ParseResult]:
-        """Parse a document collection, enforcing the α budget per batch."""
-        results, _ = self.parse_with_telemetry(documents)
-        return results
+        return self.with_overrides(alpha=1.0).route_batch([document])[0][0]
 
     def with_overrides(
         self, alpha: float | None = None, batch_size: int | None = None
@@ -362,71 +344,17 @@ class AdaParseEngine(Parser):
             alpha=self.config.alpha if alpha is None else alpha,
             batch_size=self.config.batch_size if batch_size is None else batch_size,
         )
-        kwargs: dict[str, object] = {
-            "registry": self.registry,
-            "config": config,
-            "validator": self.validator,
-            "improvement_classifier": self.improvement_classifier,
-        }
-        if hasattr(self, "selector"):
-            kwargs["selector"] = self.selector
-        return type(self)(**kwargs)
+        return type(self)(
+            registry=self.registry,
+            config=config,
+            validator=self.validator,
+            improvement_classifier=self.improvement_classifier,
+            selector=self.selector,
+        )
 
     def _parse_pages(self, document: SciDocument, rng: np.random.Generator) -> list[str]:
-        # Unused: the engine overrides parse()/parse_many() directly.
+        # Unused: the engine parses through route_batch(), never page by page.
         raise NotImplementedError
-
-    def parse(self, document: SciDocument) -> ParseResult:
-        """Parse a single document.
-
-        Without a batch there is no meaningful α constraint; the document is
-        routed to the high-quality parser when its extraction is invalid or
-        the predicted improvement clears the margin.  Large campaigns should
-        use :meth:`parse_with_telemetry` (or the pipeline), which enforces
-        the budget.
-        """
-        result, _ = self._route_single(document)
-        return result
-
-    def _route_single(self, document: SciDocument) -> tuple[ParseResult, list[RoutingDecision]]:
-        cfg = self.config
-        default_result = self.registry.get(cfg.default_parser).parse(document)
-        text = default_result.text
-        first_page = default_result.page_texts[0] if default_result.page_texts else ""
-        verdict = self.validator.validate(text, n_pages=document.n_pages)
-        score = float(self.improvement_scores([document], [first_page])[0])
-        route = (not verdict.is_valid) or score > cfg.improvement_margin
-        selection_usage = default_result.usage + self._selection_usage()
-        if route:
-            expensive = self.registry.get(cfg.high_quality_parser).parse(document)
-            result = ParseResult(
-                parser_name=self.name,
-                doc_id=document.doc_id,
-                page_texts=expensive.page_texts,
-                usage=selection_usage + expensive.usage,
-                succeeded=expensive.succeeded,
-                error=expensive.error,
-            )
-            stage = "cls1_invalid" if not verdict.is_valid else "routed_high_quality"
-            chosen = cfg.high_quality_parser
-        else:
-            result = ParseResult(
-                parser_name=self.name,
-                doc_id=document.doc_id,
-                page_texts=default_result.page_texts,
-                usage=selection_usage,
-                succeeded=default_result.succeeded,
-                error=default_result.error,
-            )
-            stage = "accepted_default"
-            chosen = cfg.default_parser
-        decision = RoutingDecision(
-            doc_id=document.doc_id,
-            chosen_parser=chosen,
-            stage=stage,
-            predicted_improvement=score,
-        )
-        return result, [decision]
 
 
 class AdaParseFT(AdaParseEngine):
@@ -439,47 +367,11 @@ class AdaParseFT(AdaParseEngine):
 
     name = "adaparse_ft"
 
-    def __init__(
-        self,
-        registry: ParserRegistry,
-        selector: ParserSelector,
-        config: AdaParseConfig | None = None,
-        validator: ValidationClassifier | None = None,
-        improvement_classifier: ImprovementClassifier | None = None,
-    ) -> None:
-        super().__init__(registry, config, validator, improvement_classifier)
-        self.selector = selector
-
-    def improvement_scores(
-        self, documents: list[SciDocument], extracted_texts: list[str]
-    ) -> np.ndarray:
-        return self.selector.improvement_scores(
-            extracted_texts, self.config.high_quality_parser
-        )
-
 
 class AdaParseLLM(AdaParseEngine):
     """AdaParse (LLM): Transformer-scored routing (SciBERT stand-in + DPO)."""
 
     name = "adaparse_llm"
-
-    def __init__(
-        self,
-        registry: ParserRegistry,
-        selector: ParserSelector,
-        config: AdaParseConfig | None = None,
-        validator: ValidationClassifier | None = None,
-        improvement_classifier: ImprovementClassifier | None = None,
-    ) -> None:
-        super().__init__(registry, config, validator, improvement_classifier)
-        self.selector = selector
-
-    def improvement_scores(
-        self, documents: list[SciDocument], extracted_texts: list[str]
-    ) -> np.ndarray:
-        return self.selector.improvement_scores(
-            extracted_texts, self.config.high_quality_parser
-        )
 
 
 def build_default_engine(

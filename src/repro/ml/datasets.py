@@ -76,15 +76,6 @@ class QualityDataset:
         )
 
 
-def default_parser_first_page_text(
-    document: SciDocument, registry: ParserRegistry, default_parser: str = "pymupdf"
-) -> str:
-    """The text CLS I–III operate on: the default parser's first-page output."""
-    parser = registry.get(default_parser)
-    result: ParseResult = parser.parse(document)
-    return result.page_texts[0] if result.page_texts else ""
-
-
 def _label_text(pages: Sequence[str], label_pages: int | None) -> str:
     """The first ``label_pages`` pages (``None`` = all) as one text to score."""
     return "\n".join(pages[:label_pages])

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from repro.documents.document import SciDocument
+from repro.utils.batching import chunked
 from repro.utils.rng import rng_from
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports base)
@@ -189,6 +190,9 @@ class Parser(abc.ABC):
     version: str = "1.0"
     #: Static cost profile.
     cost: ParserCost = ParserCost()
+    #: Documents per batch when the caller names no size (engines use their
+    #: configured α-budget batch).
+    batch_size: int = 64
     #: Frozen input of :meth:`config_fingerprint` and nothing else: the
     #: document formats this class accepted when formats were routed, kept
     #: as literals so fingerprints and cache keys do not move.
@@ -240,46 +244,48 @@ class Parser(abc.ABC):
             succeeded=True,
         )
 
-    def parse_many(self, documents: list[SciDocument]) -> list[ParseResult]:
-        """Parse a batch of documents sequentially (library-level convenience)."""
-        return [self.parse(doc) for doc in documents]
-
-    def iter_parse(self, documents: Iterable[SciDocument]) -> Iterator[ParseResult]:
-        """Stream parse results one document at a time.
-
-        Unlike :meth:`parse_many` this never materialises the full result
-        list: memory stays bounded by one document (engines override this
-        with a bounded per-batch window).  Results are yielded in document
-        order.
-        """
-        for document in documents:
-            yield self.parse(document)
-
-    def parse_with_telemetry(
-        self, documents: Sequence[SciDocument]
-    ) -> tuple[list[ParseResult], list["RoutingDecision"]]:
-        """Parse a batch, returning results plus routing telemetry.
-
-        Base parsers make no routing decisions, so the telemetry list is
-        empty; AdaParse engines return one
-        :class:`~repro.core.engine.RoutingDecision` per document.
-        :class:`repro.pipeline.ParsePipeline` calls it per batch for
-        non-engine parsers, so subclasses that override ``parse_many``
-        (or this method) keep their behaviour under the pipeline.
-        """
-        return self.parse_many(list(documents)), []
-
     def parse_batch(
         self, batch: list[SciDocument]
     ) -> tuple[list[ParseResult], list["RoutingDecision"]]:
-        """Parse one pipeline batch: what an execution backend's site calls.
+        """Parse one batch: the one polymorphic per-batch entry.
 
-        The one polymorphic per-batch entry — a base parser parses the
-        batch with :meth:`parse_with_telemetry`, an AdaParse engine routes
-        it under its α budget — so whatever runs a batch holds the parser
-        and calls this, never a closure built from it.
+        A base parser parses the batch document by document and makes no
+        routing decisions; an AdaParse engine routes it under its α budget.
+        Whatever runs a batch (an execution backend's site, the methods
+        below) holds the parser and calls this, never a closure built from it.
         """
-        return self.parse_with_telemetry(batch)
+        return [self.parse(document) for document in batch], []
+
+    def parse_with_telemetry(
+        self, documents: Iterable[SciDocument], batch_size: int | None = None
+    ) -> tuple[list[ParseResult], list["RoutingDecision"]]:
+        """Parse a collection batch by batch (``batch_size`` or
+        :attr:`batch_size`), returning results plus routing telemetry.
+
+        Telemetry is a return value, not instance state: empty for base
+        parsers, one :class:`~repro.core.engine.RoutingDecision` per document
+        for AdaParse engines.
+        """
+        results: list[ParseResult] = []
+        decisions: list["RoutingDecision"] = []
+        for batch in chunked(documents, batch_size or self.batch_size):
+            batch_results, batch_decisions = self.parse_batch(batch)
+            results.extend(batch_results)
+            decisions.extend(batch_decisions)
+        return results, decisions
+
+    def parse_many(self, documents: Iterable[SciDocument]) -> list[ParseResult]:
+        """Parse a collection batch by batch (library-level convenience)."""
+        return self.parse_with_telemetry(documents)[0]
+
+    def iter_parse(self, documents: Iterable[SciDocument]) -> Iterator[ParseResult]:
+        """Stream parse results in document order, one batch at a time.
+
+        Unlike :meth:`parse_many` this never materialises the full result
+        list: memory stays bounded by one batch of :attr:`batch_size`.
+        """
+        for batch in chunked(documents, self.batch_size):
+            yield from self.parse_batch(batch)[0]
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -61,9 +61,10 @@ from repro.pipeline.report import ParseReport
 from repro.pipeline.request import ParseRequest
 from repro.utils.batching import chunked
 
-#: Batch size used for base parsers when neither the request nor the parser
-#: specifies one (engines default to their configured batch size).
-DEFAULT_BATCH_SIZE = 64
+#: Batch size of a base parser when the request names none: its
+#: :attr:`~repro.parsers.base.Parser.batch_size` (engines use their
+#: configured batch size).
+DEFAULT_BATCH_SIZE = Parser.batch_size
 
 #: Names the pipeline will train an engine for on first use.
 ENGINE_VARIANTS = {"adaparse_ft": "ft", "adaparse_llm": "llm"}
@@ -220,10 +221,7 @@ class ParsePipeline:
         cache_recorder: CacheStatsRecorder | None = None,
     ) -> Iterator[BatchOutput]:
         """Run an already-resolved parser over batched items on a backend."""
-        if isinstance(resolved, AdaParseEngine):
-            size = batch_size or resolved.config.batch_size
-        else:
-            size = batch_size or DEFAULT_BATCH_SIZE
+        size = batch_size or resolved.batch_size
         worker = self._batch_worker(resolved, backend, cache_policy, cache_recorder)
         worker = _traced_batch_worker(worker, backend.name)
         yield from backend.map_ordered(worker, chunked(documents, size))

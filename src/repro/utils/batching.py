@@ -1,4 +1,4 @@
-"""Batching helpers shared by the engine and the pipeline."""
+"""Batching helpers shared by the parsers and the pipeline."""
 
 from __future__ import annotations
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import typing
 
 import numpy as np
 import pytest
 
 from repro.core.config import AdaParseConfig
-from repro.core.engine import RoutingSummary
+from repro.core.engine import AdaParseEngine, AdaParseFT, AdaParseLLM, RoutingSummary
 from repro.core.training import AdaParseTrainer, TrainerSettings
 from repro.documents.augment import strip_text_layers
 from repro.documents.corpus import CorpusConfig, build_corpus
@@ -17,6 +18,7 @@ from repro.metrics.bleu import bleu_score
 from repro.ml.pretrain import PretrainConfig
 from repro.ml.quality_model import FineTuneConfig
 from repro.ml.transformer import TransformerConfig
+from repro.parsers.base import Parser
 from repro.parsers.registry import default_registry
 
 
@@ -93,13 +95,12 @@ class TestEngineRouting:
         assert all(r.parser_name == trained_ft.name for r in results)
 
     def test_missing_text_layer_routes_to_nougat(self, trained_ft, training_corpus):
-        # Single-document parse() routes without a batch α constraint, unlike
-        # parse_with_telemetry, whose per-batch cap floor(α·1) would be 0.
+        # parse(doc) is route_batch over a batch of one at α = 1, which has
+        # one budget slot; at the trained α the cap floor(α·1) would be 0.
         stripped = strip_text_layers(training_corpus, fraction=1.0)
         doc = stripped[0]
-        # parse() returns no telemetry since last_summary's removal; the
-        # single-document routing path is asserted through _route_single.
-        result, (decision,) = trained_ft._route_single(doc)
+        (result,), (decision,) = trained_ft.with_overrides(alpha=1.0).route_batch([doc])
+        assert trained_ft.parse(doc) == result
         assert decision.stage == "cls1_invalid"
         assert decision.chosen_parser == "nougat"
         assert result.text.strip()  # Nougat recovers text despite the missing layer
@@ -125,6 +126,34 @@ class TestEngineRouting:
         _, decisions = trained_ft.parse_with_telemetry(list(training_corpus))
         counts = RoutingSummary(decisions=decisions).counts_by_stage()
         assert sum(counts.values()) == len(training_corpus)
+
+
+class TestOneRoutingRule:
+    """``parse(doc)`` is :meth:`route_batch` over a batch of one at α = 1:
+    the same rule, CLS III scores gated by CLS II's probabilities included."""
+
+    def test_parse_decides_as_route_batch_at_alpha_one(
+        self, default_ft_engine, seed11_corpus
+    ):
+        one_slot = default_ft_engine.with_overrides(alpha=1.0)
+        for doc in seed11_corpus:
+            (expected,), _ = one_slot.route_batch([doc])
+            assert default_ft_engine.parse(doc).to_json_dict() == expected.to_json_dict()
+
+    def test_variants_need_a_selector(self, trained_ft):
+        for variant in (AdaParseFT, AdaParseLLM):
+            with pytest.raises(TypeError, match="selector"):
+                variant(registry=trained_ft.registry)
+
+
+class TestTypeHints:
+    def test_public_methods_resolve(self):
+        import repro.core.engine as engine_module
+
+        for cls in (AdaParseEngine, Parser):
+            for name, member in vars(cls).items():
+                if callable(member) and not name.startswith("_"):
+                    typing.get_type_hints(member, localns=vars(engine_module))
 
 
 class TestDefaultEngineFingerprints:

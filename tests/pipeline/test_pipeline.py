@@ -264,21 +264,22 @@ class TestStreaming:
         assert consumed == len(corpus_250)
         assert len(rest) == len(corpus_250) - 1
 
-    def test_base_parser_iter_parse_streams(self, registry, small_corpus):
+    def test_base_parser_iter_parse_streams(self, registry, corpus_250):
         parser = registry.get("pymupdf")
         consumed = 0
 
         def feed():
             nonlocal consumed
-            for document in small_corpus:
+            for document in corpus_250:
                 consumed += 1
                 yield document
 
         stream = parser.iter_parse(feed())
         first = next(stream)
-        assert first.doc_id == small_corpus[0].doc_id
-        assert consumed == 1  # one document parsed per pull, nothing buffered
-        assert len(list(stream)) == len(small_corpus) - 1
+        assert first.doc_id == corpus_250[0].doc_id
+        # One batch parsed per pull, as for engines; nothing beyond it buffered.
+        assert consumed == parser.batch_size == DEFAULT_BATCH_SIZE
+        assert len(list(stream)) == len(corpus_250) - 1
 
     def test_engine_iter_parse_streams_batches(self, registry, engine, corpus_250):
         stream = engine.iter_parse(iter(corpus_250))
@@ -322,7 +323,6 @@ class TestTelemetryRemoval:
         assert len(decisions) == len(documents)
         engine.parse(documents[0])
         list(engine.iter_parse(documents))
-        list(engine.parse_batches(documents))
         assert not hasattr(engine, "_last_summary")
 
 
