@@ -124,7 +124,8 @@ class AdaParseEngine(Parser):
         selector: ParserSelector | None = None,
     ) -> None:
         # Only an engine that scores documents itself can go without one.
-        if selector is None and type(self).improvement_scores is AdaParseEngine.improvement_scores:
+        scores_itself = type(self).improvement_scores is not AdaParseEngine.improvement_scores
+        if selector is None and not scores_itself:
             raise TypeError(f"{type(self).__name__}() needs a selector")
         self.registry = registry
         self.config = config or AdaParseConfig()
@@ -162,7 +163,9 @@ class AdaParseEngine(Parser):
     ) -> np.ndarray:
         """Predicted accuracy gain of the high-quality parser per document
         (CLS III: the selector scores the default parser's first pages)."""
-        return self.selector.improvement_scores(extracted_texts, self.config.high_quality_parser)
+        return self.selector.improvement_scores(
+            extracted_texts, self.config.high_quality_parser
+        )
 
     def _selection_usage(self) -> ResourceUsage:
         return ResourceUsage(
