@@ -123,7 +123,6 @@ class AdaParseEngine(Parser):
         *,
         selector: ParserSelector | None = None,
     ) -> None:
-        # Only an engine that scores documents itself can go without one.
         scores_itself = type(self).improvement_scores is not AdaParseEngine.improvement_scores
         if selector is None and not scores_itself:
             raise TypeError(f"{type(self).__name__}() needs a selector")

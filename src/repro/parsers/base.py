@@ -257,10 +257,10 @@ class Parser(abc.ABC):
         return [self.parse(document) for document in batch], []
 
     def parse_with_telemetry(
-        self, documents: Iterable[SciDocument], batch_size: int | None = None
+        self, documents: Iterable[SciDocument]
     ) -> tuple[list[ParseResult], list["RoutingDecision"]]:
-        """Parse a collection batch by batch (``batch_size`` or
-        :attr:`batch_size`), returning results plus routing telemetry.
+        """Parse a collection in batches of :attr:`batch_size`, returning
+        results plus routing telemetry.
 
         Telemetry is a return value, not instance state: empty for base
         parsers, one :class:`~repro.core.engine.RoutingDecision` per document
@@ -268,7 +268,7 @@ class Parser(abc.ABC):
         """
         results: list[ParseResult] = []
         decisions: list["RoutingDecision"] = []
-        for batch in chunked(documents, batch_size or self.batch_size):
+        for batch in chunked(documents, self.batch_size):
             batch_results, batch_decisions = self.parse_batch(batch)
             results.extend(batch_results)
             decisions.extend(batch_decisions)
@@ -282,7 +282,9 @@ class Parser(abc.ABC):
         """Stream parse results in document order, one batch at a time.
 
         Unlike :meth:`parse_many` this never materialises the full result
-        list: memory stays bounded by one batch of :attr:`batch_size`.
+        list: memory stays bounded by one batch of :attr:`batch_size`.  Every
+        parser, base parsers included, parses a whole batch before yielding
+        its first result.
         """
         for batch in chunked(documents, self.batch_size):
             yield from self.parse_batch(batch)[0]
