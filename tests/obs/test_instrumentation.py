@@ -9,6 +9,7 @@ gateway → service → backend → worker-shard spans.
 
 from __future__ import annotations
 
+import logging
 import sys
 import subprocess
 import textwrap
@@ -156,7 +157,13 @@ class TestGatewayInstrumentation:
 # ---------------------------------------------------------------------- #
 # The acceptance criterion: one trace across gateway + 2-worker cluster
 # ---------------------------------------------------------------------- #
-def test_one_trace_id_across_gateway_service_and_cluster_workers(registry):
+def test_one_trace_id_across_gateway_service_and_cluster_workers(
+    registry, caplog, monkeypatch
+):
+    # A daemon command run in-process earlier may have detached the
+    # ``repro`` logger tree from the root, where caplog listens.
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    caplog.set_level(logging.DEBUG, logger="repro.cluster.worker")
     workers = [
         WorkerDaemon(name=f"obs-worker-{i}", pipeline=ParsePipeline(registry)).start()
         for i in range(2)
@@ -182,6 +189,17 @@ def test_one_trace_id_across_gateway_service_and_cluster_workers(registry):
     assert ticket.trace_id
     assert {e.payload.get("trace_id") for e in events} == {ticket.trace_id}
     assert payload["trace_id"] == ticket.trace_id
+
+    # Both workers logged every shard they ran under the ticket's trace id.
+    completed = [
+        record
+        for record in caplog.records
+        if record.name == "repro.cluster.worker"
+        and record.getMessage() == "shard_completed"
+    ]
+    assert all(worker.counters["shards_completed"] > 0 for worker in workers)
+    assert len(completed) == sum(w.counters["shards_completed"] for w in workers)
+    assert {r.repro_fields["trace_id"] for r in completed} == {ticket.trace_id}
 
     # The span tree nests gateway -> service -> backend -> worker shards.
     (root,) = build_tree(payload["spans"])
