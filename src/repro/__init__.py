@@ -36,9 +36,9 @@ PDF Parsing and Resource Scaling Engine* (MLSys 2025).  It provides:
   clients submit requests over TCP (auth tokens, quotas, backpressure)
   onto one shared parse service, streaming progress events back live.
 * :mod:`repro.obs` — the observability layer: a process-wide metrics
-  registry (Prometheus-style exposition), distributed tracing with span
-  trees across gateway/service/backend/worker, and structured logging
-  for the daemons.
+  registry (Prometheus-style exposition), per-request phase attribution
+  (``ParseReport.phases``), one trace id per request across
+  gateway/service/backend/worker, and structured logging for the daemons.
 
 The two-line tour::
 

@@ -50,7 +50,6 @@ from repro.cache.stats import CacheStatsRecorder
 from repro.core.engine import RoutingDecision
 from repro.documents.sources import DocumentRef, Item, load_items
 from repro.obs import profiling as _profiling
-from repro.obs import tracing as _tracing
 from repro.parsers.base import ParseResult, ResourceUsage
 
 
@@ -428,47 +427,39 @@ def run_cached_batch(
     # Any exception while we hold unsettled flights must fail them, or
     # every other worker coalescing on those keys blocks forever.
     try:
-        # The span's attributes mapping is snapshotted when the span
-        # closes, so the hit/owned/wait tallies filled in after the
-        # loop land on the recorded span.
-        lookup_attrs: dict[str, int] = {"n_documents": n}
-        with _tracing.span("cache.lookup", attributes=lookup_attrs):
-            for i, raw in enumerate(keys):
-                if policy.reads:
-                    tick = perf_counter()
-                    entry = cache.lookup(raw, recorder)
-                    lookup_seconds += perf_counter() - tick
-                    lookup_calls += 1
-                    if entry is not None:
-                        entries[i] = entry
-                        continue
-                if raw in owned_by_key:
-                    # Same key twice in one batch: the first occurrence
-                    # parses, this one reuses its entry (waiting on our own
-                    # flight would deadlock).
-                    duplicates.append((i, owned_by_key[raw]))
+        for i, raw in enumerate(keys):
+            if policy.reads:
+                tick = perf_counter()
+                entry = cache.lookup(raw, recorder)
+                lookup_seconds += perf_counter() - tick
+                lookup_calls += 1
+                if entry is not None:
+                    entries[i] = entry
                     continue
-                owner, flight = cache.flights.begin(raw)
-                if not owner:
-                    waits.append((i, flight))
-                    continue
-                owned.append((i, raw, flight))
-                owned_by_key[raw] = i
-                if policy.reads:
-                    # Double-check: a previous owner may have completed (and
-                    # stored) between our miss and our taking ownership.
-                    tick = perf_counter()
-                    entry = cache.lookup(raw, recorder)
-                    lookup_seconds += perf_counter() - tick
-                    lookup_calls += 1
-                    if entry is not None:
-                        owned.pop()
-                        del owned_by_key[raw]
-                        cache.flights.complete(raw, flight, entry)
-                        entries[i] = entry
-            lookup_attrs["hits"] = sum(1 for e in entries if e is not None)
-            lookup_attrs["parsing"] = len(owned)
-            lookup_attrs["coalescing"] = len(waits) + len(duplicates)
+            if raw in owned_by_key:
+                # Same key twice in one batch: the first occurrence
+                # parses, this one reuses its entry (waiting on our own
+                # flight would deadlock).
+                duplicates.append((i, owned_by_key[raw]))
+                continue
+            owner, flight = cache.flights.begin(raw)
+            if not owner:
+                waits.append((i, flight))
+                continue
+            owned.append((i, raw, flight))
+            owned_by_key[raw] = i
+            if policy.reads:
+                # Double-check: a previous owner may have completed (and
+                # stored) between our miss and our taking ownership.
+                tick = perf_counter()
+                entry = cache.lookup(raw, recorder)
+                lookup_seconds += perf_counter() - tick
+                lookup_calls += 1
+                if entry is not None:
+                    owned.pop()
+                    del owned_by_key[raw]
+                    cache.flights.complete(raw, flight, entry)
+                    entries[i] = entry
 
         # Parse everything this worker owns as a single sub-batch.
         if owned:

@@ -61,11 +61,9 @@ placement/dedup summary; ``worker`` is the long-running daemon mode)::
     adaparse-repro pipeline --documents 100 --backend remote \
         --backend-opt workers=127.0.0.1:9101,127.0.0.1:9102
 
-Observability: scrape a live gateway's metrics (Prometheus text or JSON)
-and pretty-print one ticket's distributed span tree::
+Observability: scrape a live gateway's metrics (Prometheus text or JSON)::
 
     adaparse-repro obs metrics --host 127.0.0.1 --port 9900
-    adaparse-repro obs trace TICKET-ID --port 9900
 
 The daemon subcommands (``serve``/``gateway``/``worker``/``cluster``)
 accept ``--log-level`` and ``--log-json``; structured logs go to stderr,
@@ -1048,60 +1046,6 @@ def _cmd_obs_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_span_tree(roots: list, indent: str = "") -> list[str]:
-    """Render ``build_tree`` output as an indented duration-annotated tree."""
-    lines: list[str] = []
-    for node in roots:
-        duration_ms = float(node.get("duration_s") or 0.0) * 1000.0
-        attributes = node.get("attributes") or {}
-        attr_text = (
-            " " + " ".join(f"{k}={v}" for k, v in sorted(attributes.items()))
-            if attributes
-            else ""
-        )
-        status = node.get("status", "ok")
-        flag = "" if status == "ok" else f" [{status}]"
-        lines.append(
-            f"{indent}{node.get('name', '?')}  {duration_ms:.1f}ms{flag}{attr_text}"
-        )
-        lines.extend(_format_span_tree(node.get("children") or [], indent + "  "))
-    return lines
-
-
-def _cmd_obs_trace(args: argparse.Namespace) -> int:
-    """Fetch and pretty-print one ticket's distributed span tree."""
-    from repro.gateway import GatewayClient, GatewayError
-    from repro.obs.tracing import build_tree
-
-    try:
-        with GatewayClient(
-            args.host, args.port, token=args.token or None, client=args.client
-        ) as client:
-            payload = client.trace(args.ticket_id)
-    except (GatewayError, OSError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    spans = payload.get("spans") or []
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    if not spans:
-        # An owned-but-untraced ticket used to print a bare header and
-        # exit 0, indistinguishable from success in scripts.
-        print(
-            f"error: no spans recorded for ticket {args.ticket_id} "
-            f"(state {payload.get('state')})",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"ticket {payload.get('ticket_id')}  trace {payload.get('trace_id')}  "
-        f"state {payload.get('state')}  ({len(spans)} span(s))"
-    )
-    for line in _format_span_tree(build_tree(spans)):
-        print(line)
-    return 0
-
-
 def _cmd_fill_experiments(args: argparse.Namespace) -> int:
     from repro.evaluation.measured import MeasuredStore, fill_experiments_file
 
@@ -1514,7 +1458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = sub.add_parser(
         "obs",
-        help="observability tools: metrics exposition and trace trees",
+        help="observability tools: metrics exposition",
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_metrics = obs_sub.add_parser(
@@ -1534,22 +1478,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON snapshot instead of Prometheus text exposition",
     )
     obs_metrics.set_defaults(func=_cmd_obs_metrics)
-    obs_trace = obs_sub.add_parser(
-        "trace",
-        help="pretty-print the recorded span tree of one gateway ticket",
-    )
-    obs_trace.add_argument("ticket_id", type=str, help="ticket id (from SUBMITTED/submit output)")
-    obs_trace.add_argument("--host", type=str, default="127.0.0.1", help="gateway address")
-    obs_trace.add_argument("--port", type=int, required=True, help="gateway port")
-    obs_trace.add_argument("--token", type=str, default="", help="gateway auth token")
-    obs_trace.add_argument(
-        "--client",
-        type=str,
-        default="cli",
-        help="client identity (must own the ticket; default matches `repro submit`)",
-    )
-    obs_trace.add_argument("--json", action="store_true", help="raw JSON instead of the tree")
-    obs_trace.set_defaults(func=_cmd_obs_trace)
 
     fill = sub.add_parser(
         "fill-experiments",

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro.cluster.coordinator import ClusterCoordinator, ClusterError
 from repro.cluster.protocol import WorkerSpec
 from repro.obs import profiling as _profiling
-from repro.obs import tracing as _tracing
 from repro.pipeline.backends.base import (
     BackendError,
     BackendSpec,
@@ -212,26 +211,24 @@ class RemoteBackend(ThreadBackend):
 
         def remote(batch: list):
             # submit() adopts the calling thread's active trace, so the
-            # shard frame carries it to the worker; the span here times the
-            # full round trip (queueing, transfer, remote parse, reply).
-            with _tracing.span("cluster.shard", attributes={"backend": self.name}):
-                future = coordinator.submit(
-                    spec,
-                    batch,
-                    constraints=constraints,
-                )
-                try:
-                    output = future.result()
-                except ClusterError as exc:
-                    raise BackendError(str(exc)) from exc
-                # The worker's phase table rode the result frame; merging
-                # it here — inside the orchestration thread's open `parse`
-                # phase — attributes remote work under its own phase keys
-                # while the round-trip overhead stays in `parse` self time.
-                timer = _profiling.current_timer()
-                if timer is not None and future.phases:
-                    timer.merge_table(future.phases)
-                return output
+            # shard frame carries it to the worker.
+            future = coordinator.submit(
+                spec,
+                batch,
+                constraints=constraints,
+            )
+            try:
+                output = future.result()
+            except ClusterError as exc:
+                raise BackendError(str(exc)) from exc
+            # The worker's phase table rode the result frame; merging
+            # it here — inside the orchestration thread's open `parse`
+            # phase — attributes remote work under its own phase keys
+            # while the round-trip overhead stays in `parse` self time.
+            timer = _profiling.current_timer()
+            if timer is not None and future.phases:
+                timer.merge_table(future.phases)
+            return output
 
         return remote
 

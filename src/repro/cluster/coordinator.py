@@ -519,8 +519,8 @@ class ClusterCoordinator:
         :class:`~repro.documents.sources.DocumentRef` values.
 
         ``trace`` (default: the caller's active trace) rides the
-        ``submit_shard`` frame so worker-side spans join the submitting
-        request's distributed trace.  ``constraints`` are capability
+        ``submit_shard`` frame so the worker's logs for the shard carry the
+        submitting request's trace id.  ``constraints`` are capability
         requirements matched against worker tags (relaxed when no alive
         worker satisfies them).  With a ledger attached, a shard the
         ledger already holds resolves immediately from the checkpoint —
@@ -554,9 +554,6 @@ class ClusterCoordinator:
             sends = self._pump_locked()
         self._send_planned(sends)
         return shard.future
-
-    def _alive_links(self) -> list[_WorkerLink]:
-        return [link for link in self._links if link.alive]
 
     def _fail_shard_locked(self, shard: _Shard, error: BaseException) -> None:
         """Settle a shard that can no longer run anywhere (lock held)."""
@@ -757,12 +754,7 @@ class ClusterCoordinator:
             shard.future.set_exception(ClusterError(error))
             return
         _CLUSTER_SHARDS.inc(outcome="completed")
-        # Worker-side spans ride the result frame; ingesting them into the
-        # coordinator process's recorder is what joins worker execution
-        # into the submitting request's trace tree.
-        if batch.spans:
-            _tracing.default_recorder().ingest(batch.spans)
-        # The worker's phase table rides the same frame; it is stashed on
+        # The worker's phase table rides the result frame; it is stashed on
         # the future, and the submitting thread merges it into its run's
         # timer when the result resolves.
         shard.future.phases = batch.phases

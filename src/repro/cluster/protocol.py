@@ -22,11 +22,11 @@ Message types
     directory on its host, a changed stamp) answers ``shard_error`` with the
     code ``unresolved_reference``, and the coordinator re-sends that shard
     with payloads.  An optional ``trace`` field carries the submitting
-    request's :class:`~repro.obs.tracing.TraceContext` as JSON so
-    worker-side spans join the same distributed trace.
+    request's :class:`~repro.obs.tracing.TraceContext` as JSON so the
+    worker's logs for the shard carry the same trace id.
 ``batch_result``
     One shard's ordered results and routing decisions, plus worker-side
-    cache counters and timing.
+    cache counters, timing and the shard's phase table.
 ``shard_error``
     A shard did not run on the worker (bad spec fingerprint, unknown
     parser, an unresolved reference, worker-side crash); carries the error
@@ -167,18 +167,14 @@ def batch_result_message(
     elapsed_seconds: float,
     cache_hits: int = 0,
     cache_misses: int = 0,
-    spans: "list[dict[str, Any]] | None" = None,
     phases: "Mapping[str, Any] | None" = None,
 ) -> dict[str, Any]:
     """Build a ``batch_result`` message from worker-side objects.
 
-    ``spans`` optionally ships the worker-side span records of this
-    shard's trace (the :class:`~repro.obs.SpanRecorder` schema) back to
-    the coordinator, which ingests them into its own recorder — that is
-    how one ``obs trace`` tree shows worker execution.  ``phases`` (a
-    :meth:`~repro.obs.PhaseTimer.snapshot` table) rides the same way: the
-    coordinator merges it into the submitting request's timer.  Both
-    fields are version-tolerant: old coordinators ignore them.
+    ``phases`` optionally ships the shard's
+    :meth:`~repro.obs.PhaseTimer.snapshot` table back to the coordinator,
+    which merges it into the submitting request's timer.  The field is
+    version-tolerant: old coordinators ignore it.
     """
     message = {
         "type": BATCH_RESULT,
@@ -190,8 +186,6 @@ def batch_result_message(
         "cache_hits": cache_hits,
         "cache_misses": cache_misses,
     }
-    if spans:
-        message["spans"] = list(spans)
     if phases:
         message["phases"] = dict(phases)
     return message
@@ -205,7 +199,6 @@ class BatchResult:
     decisions: list[RoutingDecision]
     cache_hits: int
     cache_misses: int
-    spans: list[Any]
     phases: "dict[str, dict[str, float]] | None"
 
 
@@ -249,9 +242,6 @@ def parse_batch_result(message: Mapping[str, Any]) -> BatchResult:
     coordinator could not use, so a malformed frame fails its shard
     before any bookkeeping moves.
     """
-    spans = message.get("spans") or []
-    if not isinstance(spans, list):
-        raise ValueError(f"spans must be a list, got {spans!r}")
     return BatchResult(
         results=[ParseResult.from_json_dict(item) for item in message.get("results", [])],
         decisions=[
@@ -259,7 +249,6 @@ def parse_batch_result(message: Mapping[str, Any]) -> BatchResult:
         ],
         cache_hits=_counter(message, "cache_hits"),
         cache_misses=_counter(message, "cache_misses"),
-        spans=spans,
         phases=_phase_table(message.get("phases")),
     )
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from contextlib import ExitStack
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -57,7 +56,7 @@ from repro.documents.sources import BadReference, DocumentRef, Item, StaleRefere
 from repro.obs import profiling as _profiling
 from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
-from repro.obs.tracing import SpanRecorder, TraceContext
+from repro.obs.tracing import TraceContext
 from repro.parsers.base import ParseResult
 from repro.utils import rpc
 
@@ -588,36 +587,15 @@ class _ConnectionHandler(rpc.Session):
 
     def _run_job(self, job: _ShardJob) -> None:
         started = perf_counter()
-        # When the shard carries a trace, record worker-side spans into a
-        # private recorder (not the process default — shards from many
-        # coordinators share this daemon) and ship them with the result.
-        recorder: SpanRecorder | None = None
-        if job.trace is not None and _tracing.enabled():
-            recorder = SpanRecorder()
-        # Phase attribution mirrors the span pattern: a private per-shard
-        # timer (never the daemon's ambient state) whose table rides the
-        # batch_result frame back to the coordinator.
+        # A private per-shard timer (never the daemon's ambient state —
+        # shards from many coordinators share this daemon) whose table
+        # rides the batch_result frame back to the coordinator.
         timer: "_profiling.PhaseTimer | None" = (
             _profiling.PhaseTimer() if _profiling.phases_enabled() else None
         )
+        trace = job.trace if _tracing.enabled() else None
         try:
-            with ExitStack() as stack:
-                if timer is not None:
-                    stack.enter_context(_profiling.use_timer(timer))
-                if recorder is not None:
-                    assert job.trace is not None
-                    stack.enter_context(_tracing.use_recorder(recorder))
-                    stack.enter_context(_tracing.activate(job.trace))
-                    stack.enter_context(
-                        _tracing.span(
-                            "worker.shard",
-                            attributes={
-                                "shard_id": job.shard_id,
-                                "worker": self.daemon.name,
-                                "n_documents": len(job.descriptors),
-                            },
-                        )
-                    )
+            with _profiling.use_timer(timer), _tracing.activate(trace):
                 results, decisions, hits, misses = self.daemon.run_shard(
                     job.spec, job.descriptors
                 )
@@ -642,11 +620,6 @@ class _ConnectionHandler(rpc.Session):
             elapsed_seconds=perf_counter() - started,
             cache_hits=hits,
             cache_misses=misses,
-            spans=(
-                recorder.spans(job.trace.trace_id)
-                if recorder is not None and job.trace is not None
-                else None
-            ),
             phases=timer.snapshot() if timer is not None else None,
         )
         if timer is not None:

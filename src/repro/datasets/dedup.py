@@ -170,9 +170,6 @@ class LshIndex:
                     pairs.add((ordered[i], ordered[j]))
         return pairs
 
-    def signature_of(self, key: str) -> np.ndarray:
-        return self._signatures[key]
-
 
 @dataclass
 class DedupReport:

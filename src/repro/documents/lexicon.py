@@ -315,13 +315,6 @@ FIRST_PAGE_BOILERPLATE: tuple[str, ...] = (
 )
 
 
-def domain_vocabulary(domain: str) -> tuple[str, ...]:
-    """Full word list for a domain: technical terms plus shared academic words."""
-    if domain not in DOMAIN_TERMS:
-        raise KeyError(f"unknown domain: {domain!r}")
-    return DOMAIN_TERMS[domain] + ACADEMIC_NOUNS + ACADEMIC_VERBS + ACADEMIC_ADJECTIVES
-
-
 def all_scientific_terms() -> tuple[str, ...]:
     """Union of every domain's technical terms (used for encoder pre-training)."""
     terms: list[str] = []

@@ -428,23 +428,6 @@ class GatewayClient:
         reply.pop("type", None)
         return reply
 
-    def trace(self, ticket: RemoteTicket | str) -> dict[str, Any]:
-        """Fetch the recorded span list of one of this client's tickets.
-
-        Returns ``{"ticket_id", "trace_id", "state", "spans"}`` — render
-        the spans with :func:`repro.obs.tracing.build_tree` or ``repro
-        obs trace``.  Raises :class:`GatewayError` for an unknown or
-        foreign ticket.
-        """
-        ticket_id = ticket.id if isinstance(ticket, RemoteTicket) else ticket
-        reply = self._rpc(protocol.trace_message(ticket_id))
-        if reply.get("type") != protocol.TRACE_RESULT:
-            raise GatewayError(
-                str(reply.get("message", f"unexpected reply: {reply!r}"))
-            )
-        reply.pop("type", None)
-        return reply
-
     def metrics(self, format: str = "json") -> dict[str, Any] | str:
         """Scrape the gateway's metrics registry.
 

@@ -17,8 +17,10 @@ Message types
     is refused with ``error`` (``code: "unauthorized"``).
 ``submit``
     One :class:`ParseRequest` as JSON plus an admission priority.  The
-    gateway answers ``submitted`` (ticket id, queue position) and starts
-    streaming the ticket's events on this connection — or ``rejected``.
+    gateway answers ``submitted`` (ticket id, queue position, trace id) and
+    starts streaming the ticket's events on this connection — or
+    ``rejected``.  The ticket's trace id is on every event too; where its
+    time went is the report's ``phases`` table.
 ``rejected``
     The 429 of this wire: admission refused *without* queueing.  Carries
     a machine-checkable ``reason`` (``saturated``, ``rate_limited``,
@@ -44,11 +46,6 @@ Message types
     Gateway-level metrics: active/queued/rejected per client, bytes
     in/out, and the event-backlog high-water mark.  Sent as a request
     (no extra fields) and answered with the counters filled in.
-``trace`` / ``trace_result``
-    Distributed-tracing lookup: the client names a ticket id it owns and
-    the gateway answers with that ticket's recorded span list (the
-    :class:`repro.obs.SpanRecorder` schema) plus its trace id.  ``repro
-    obs trace`` renders the reply as a span tree.
 ``metrics`` / ``metrics_result``
     Dump the gateway process's metrics registry — ``format`` selects
     Prometheus text exposition (``"text"``) or the JSON snapshot
@@ -82,8 +79,8 @@ from repro.utils.wire import (  # noqa: F401  (re-exports)
 #: sides refuse to talk across versions (the handshake checks it).  Version
 #: 2 removed the result request and its reply: the report rides the frame
 #: of the ``completed`` event.  Version 3 removed the ``profile`` request and
-#: its reply.
-GATEWAY_PROTOCOL_VERSION = 3
+#: its reply; version 4 removed the ``trace`` request and its reply.
+GATEWAY_PROTOCOL_VERSION = 4
 
 # ---------------------------------------------------------------------- #
 # Message type names (hello / hello_ack / error / bye come from rpc)
@@ -94,8 +91,6 @@ REJECTED = "rejected"
 EVENT = "event"
 RESUME = "resume"
 STATS = "stats"
-TRACE = "trace"
-TRACE_RESULT = "trace_result"
 METRICS = "metrics"
 METRICS_RESULT = "metrics_result"
 
@@ -132,8 +127,8 @@ def submit_message(
     trace: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """``trace`` optionally carries the submitter's :class:`TraceContext`
-    as JSON (``trace_id``/``span_id``) so the gateway continues the
-    caller's trace instead of starting its own.  The field is
+    as JSON (``trace_id``) so the gateway continues the caller's trace
+    instead of starting its own.  The field is
     version-tolerant: old gateways simply ignore it."""
     message: dict[str, Any] = {
         "type": SUBMIT,
@@ -143,10 +138,6 @@ def submit_message(
     if trace is not None:
         message["trace"] = dict(trace)
     return message
-
-
-def trace_message(ticket_id: str) -> dict[str, Any]:
-    return {"type": TRACE, "ticket_id": ticket_id}
 
 
 def metrics_message(format: str = "json") -> dict[str, Any]:

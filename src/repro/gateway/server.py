@@ -53,6 +53,10 @@ from repro.utils.rpc import HandshakeRefused, Server, Session
 #: Thread-name prefix of gateway-owned threads (accept/reader/streamers).
 GATEWAY_THREAD_PREFIX = "repro-gateway"
 
+#: Terminal tickets kept resumable/fetchable before the oldest are evicted
+#: (bounds gateway memory under sustained traffic).
+FINISHED_RETENTION = 256
+
 _LOG = get_logger("gateway")
 
 _GW_SUBMITTED = _metrics.counter(
@@ -100,9 +104,6 @@ class GatewayServer(Server):
     retry_after:
         The backoff hint (seconds) attached to ``saturated`` and
         ``quota_exceeded`` rejections.
-    finished_retention:
-        Terminal tickets kept resumable/fetchable before the oldest are
-        evicted (bounds gateway memory under sustained traffic).
     """
 
     role = "gateway"
@@ -118,7 +119,6 @@ class GatewayServer(Server):
         auth: AuthRegistry | None = None,
         max_queue_depth: int = 16,
         retry_after: float = 1.0,
-        finished_retention: int = 256,
     ) -> None:
         if max_queue_depth < 0:
             raise ValueError("max_queue_depth must be >= 0")
@@ -127,7 +127,6 @@ class GatewayServer(Server):
         self.auth = auth or AuthRegistry()
         self.max_queue_depth = max_queue_depth
         self.retry_after = retry_after
-        self.finished_retention = finished_retention
         #: Serializes the admission decision (quota/capacity checks →
         #: submit → record insertion) so concurrent submits on separate
         #: connections cannot all pass the same snapshot and over-admit.
@@ -216,19 +215,15 @@ class GatewayServer(Server):
         """Decide one ``submit``: a reply message plus the record if admitted.
 
         The whole decision runs under the submission's trace: the client's
-        ``trace`` field (when sent) is adopted as the root, otherwise a
-        fresh trace starts here — either way ``service.submit`` inherits
-        it, so the gateway span is the parent of everything downstream.
+        ``trace`` field (when sent) is adopted, otherwise a fresh trace
+        starts here — either way ``service.submit`` inherits it, so the
+        ticket's events, logs and shard frames carry one trace id.
         """
         if not _tracing.enabled():
             return self._admit_inner(connection, message, frame_bytes)
         root = TraceContext.from_wire(message.get("trace")) or TraceContext.new()
         with _tracing.activate(root):
-            with _tracing.span(
-                "gateway.submit",
-                attributes={"client": connection.client_id},
-            ):
-                return self._admit_inner(connection, message, frame_bytes)
+            return self._admit_inner(connection, message, frame_bytes)
 
     def _admit_inner(
         self,
@@ -345,7 +340,7 @@ class GatewayServer(Server):
                 for ticket_id, record in self._records.items()
                 if record.ticket.state.terminal
             ]
-            for ticket_id in terminal[: max(0, len(terminal) - self.finished_retention)]:
+            for ticket_id in terminal[: max(0, len(terminal) - FINISHED_RETENTION)]:
                 del self._records[ticket_id]
 
     def lookup(self, ticket_id: str) -> _TicketRecord | None:
@@ -457,27 +452,6 @@ class _ClientConnection(Session):
     def _on_stats(self, message: dict[str, Any]) -> None:
         self.channel.send({"type": protocol.STATS, **self.server.stats()})
 
-    def _on_trace(self, message: dict[str, Any]) -> None:
-        """Reply with the span list recorded for a ticket this client owns."""
-        record = self._owned_record(message)
-        if record is None:
-            return
-        trace_id = record.trace_id
-        spans = (
-            _tracing.default_recorder().spans(trace_id)
-            if trace_id is not None
-            else []
-        )
-        self.channel.send(
-            {
-                "type": protocol.TRACE_RESULT,
-                "ticket_id": record.ticket.id,
-                "trace_id": trace_id,
-                "state": record.ticket.state.value,
-                "spans": spans,
-            }
-        )
-
     def _on_metrics(self, message: dict[str, Any]) -> None:
         """Dump the gateway process's metrics registry (text or JSON)."""
         format = str(message.get("format", "json"))
@@ -577,6 +551,5 @@ class _ClientConnection(Session):
         protocol.SUBMIT: _on_submit,
         protocol.RESUME: _on_resume,
         protocol.STATS: _on_stats,
-        protocol.TRACE: _on_trace,
         protocol.METRICS: _on_metrics,
     }

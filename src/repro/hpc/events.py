@@ -65,8 +65,3 @@ class DiscreteEventSimulator:
     def pending_events(self) -> int:
         """Number of events still queued."""
         return len(self._queue)
-
-    @property
-    def processed_events(self) -> int:
-        """Number of events processed so far."""
-        return self._processed

@@ -68,11 +68,6 @@ class CapacityResource:
 
     # ------------------------------------------------------------------ #
     @property
-    def in_use(self) -> int:
-        """Currently occupied slots."""
-        return self._in_use
-
-    @property
     def queue_length(self) -> int:
         """Number of waiting requests."""
         return len(self._waiting)
@@ -114,11 +109,6 @@ class GpuDevice:
         #: comfortably coexist within 40 GB), so each distinct model pays its
         #: load time at most once per device.
         self.loaded_models: set[str] = set()
-
-    @property
-    def loaded_model(self) -> str | None:
-        """Most convenient single-model view (any resident model, or ``None``)."""
-        return next(iter(self.loaded_models)) if self.loaded_models else None
 
     def acquire(self, callback: Callable[[], None]) -> None:
         self.resource.acquire(callback)

@@ -87,12 +87,6 @@ class SharedFilesystem:
 
         self.streams.acquire(start)
 
-    def delivered_read_bandwidth(self) -> float:
-        """Mean delivered read bandwidth (MB/s) over the simulation so far."""
-        if self.sim.now <= 0:
-            return 0.0
-        return self.bytes_read / self.sim.now
-
 
 #: Accounting slack (MB) below which an eviction overshoot is treated as
 #: floating-point drift from accumulated stage/evict arithmetic, not a bug.

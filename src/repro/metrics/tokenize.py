@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 _WHITESPACE_RE = re.compile(r"\s+")
 
@@ -44,11 +44,3 @@ def ngrams(tokens: Sequence[str], n: int) -> Counter:
 def character_tokens(text: str, lowercase: bool = False) -> str:
     """Normalise text for character-level metrics (collapse whitespace runs)."""
     return normalize_text(text, lowercase=lowercase, collapse_whitespace=True)
-
-
-def unique_tokens(texts: Iterable[str]) -> list[str]:
-    """Sorted vocabulary of all word tokens appearing in ``texts``."""
-    vocab: set[str] = set()
-    for text in texts:
-        vocab.update(word_tokenize(text))
-    return sorted(vocab)

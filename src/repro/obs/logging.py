@@ -13,7 +13,7 @@ installs a single stderr handler:
 
 Either way the active :class:`~repro.obs.tracing.TraceContext`'s trace
 id is injected automatically, which is what lets a gateway operator grep
-one trace id across client events, gateway logs and span trees.
+one trace id across client events, gateway logs and worker logs.
 
 Keeping diagnostics on **stderr** is load-bearing: the daemon commands
 promise that their machine-readable ready line is the only stdout

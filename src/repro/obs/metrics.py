@@ -24,7 +24,6 @@ Metric names follow Prometheus conventions (``repro_<area>_<what>`` with
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -202,6 +201,10 @@ class Histogram(_Metric):
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise MetricError(f"histogram {self.name!r} needs at least one bucket")
+        if len(set(bounds)) != len(bounds):
+            raise MetricError(
+                f"histogram {self.name!r} lists a bucket bound twice: {bounds}"
+            )
         self.buckets = bounds
 
     def observe(self, value: float, **labels: Any) -> None:
@@ -374,9 +377,6 @@ class MetricsRegistry:
             }
             for metric in metrics
         }
-
-    def snapshot_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True)
 
 
 #: The process-wide registry every built-in instrument publishes into.

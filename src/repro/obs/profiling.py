@@ -15,8 +15,7 @@ orchestration overhead as self time and delegated work under the child
 phase names, on every backend.
 
 Phase tables are plain dicts of plain floats — JSON-trivial, mergeable
-by key, and shippable inside cluster ``batch_result`` frames exactly
-like trace spans.
+by key, and shippable inside cluster ``batch_result`` frames.
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ PHASE_SECONDS_BUCKETS: tuple[float, ...] = (
     0.5,
     1.0,
     2.5,
+    5.0,
     10.0,
 )
 

@@ -1,85 +1,66 @@
-"""Distributed tracing: trace contexts, spans, and a bounded recorder.
+"""Trace ids: one per request, on its events, logs and wire frames.
 
-A :class:`TraceContext` is two hex ids — the trace (one per request) and
-the *active span* within it.  It travels three ways:
+A :class:`TraceContext` is one hex trace id.  It travels two ways:
 
 * **locally** via a contextvar: :func:`activate` installs a context for
-  a code region, :func:`span` opens a timed child span and makes it the
-  active context for its body;
-* **across threads** via :func:`bind`: thread pools do not inherit
-  contextvars, so the pipeline captures the active context once when it
-  composes a batch worker and re-activates it inside whichever pool
-  thread runs the batch;
-* **across processes** as plain dicts (:meth:`TraceContext.to_json_dict`
+  a code region, and :func:`ensure_trace` starts a fresh one where none
+  is active.  Thread pools do not inherit contextvars, so the parse
+  service re-activates a ticket's context on its runner thread and the
+  thread backend copies the caller's context into each batch;
+* **across processes** as a plain dict (:meth:`TraceContext.to_json_dict`
   / :meth:`TraceContext.from_wire`) on optional, version-tolerant wire
   fields — old peers simply ignore them.
 
-Finished spans land in a :class:`SpanRecorder` — bounded FIFO per trace
-and across traces, so a long-lived daemon cannot leak.  Workers record
-into a per-job recorder (:func:`use_recorder`), ship the span dicts back
-inside ``batch_result`` frames, and the coordinator ingests them into
-the process default — which is how ``obs trace`` on the gateway shows
-gateway → service → backend → worker-shard in one tree.
+:mod:`repro.obs.logging` stamps the active trace id on every record,
+which is what lets an operator grep one ticket's id across client
+events, gateway logs and worker logs.  Where a request's time went is
+its :class:`~repro.obs.profiling.PhaseTimer` table, not this module.
 
-Everything is a near no-op when no trace is active or tracing is
-disabled (:func:`set_enabled`): :func:`span` then yields ``None``
-without touching a lock or the clock.
+Stamping is on by default; :func:`set_enabled` (or
+``REPRO_OBS_TRACING=0``) turns it off, and then no new trace ids are
+minted.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from secrets import token_hex
-from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 __all__ = [
-    "SpanRecorder",
     "TraceContext",
     "activate",
-    "bind",
-    "build_tree",
     "current_trace",
     "current_trace_id",
-    "default_recorder",
     "enabled",
     "ensure_trace",
-    "record_span",
     "set_enabled",
-    "span",
-    "use_recorder",
 ]
 
 
 @dataclass(frozen=True)
 class TraceContext:
-    """One trace id plus the currently active span id within it."""
+    """One request's trace id."""
 
     trace_id: str
-    span_id: str
 
     @classmethod
     def new(cls) -> "TraceContext":
-        return cls(trace_id=token_hex(8), span_id=token_hex(4))
-
-    def child(self) -> "TraceContext":
-        """Same trace, fresh span id (the active-span handoff)."""
-        return TraceContext(self.trace_id, token_hex(4))
+        return cls(trace_id=token_hex(8))
 
     def to_json_dict(self) -> dict[str, str]:
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
+        return {"trace_id": self.trace_id}
 
     @classmethod
     def from_wire(cls, payload: Any) -> "TraceContext | None":
         """Parse an optional wire field; anything malformed is ``None``.
 
         Version tolerance in one place: peers that predate tracing send
-        nothing, and garbage from any peer degrades to "no trace" rather
+        nothing, keys other than ``trace_id`` (older peers sent more) are
+        ignored, and garbage from any peer degrades to "no trace" rather
         than a protocol error.
         """
         if not isinstance(payload, Mapping):
@@ -87,114 +68,12 @@ class TraceContext:
         trace_id = str(payload.get("trace_id") or "")
         if not trace_id:
             return None
-        return cls(trace_id=trace_id, span_id=str(payload.get("span_id") or ""))
+        return cls(trace_id=trace_id)
 
 
-class SpanRecorder:
-    """Thread-safe, bounded storage of finished spans, grouped by trace.
-
-    Traces evict oldest-first once ``max_traces`` is reached; within a
-    trace, spans beyond ``max_spans_per_trace`` are counted as dropped
-    rather than stored.  Span records are plain dicts (the wire schema)::
-
-        {"name": ..., "trace_id": ..., "span_id": ..., "parent_id": ...,
-         "start_ts": <wall clock>, "duration_s": ..., "status": "ok"|"error",
-         "attributes": {...}}
-    """
-
-    def __init__(self, max_traces: int = 256, max_spans_per_trace: int = 2048) -> None:
-        if max_traces < 1 or max_spans_per_trace < 1:
-            raise ValueError("recorder bounds must be positive")
-        self.max_traces = max_traces
-        self.max_spans_per_trace = max_spans_per_trace
-        self._lock = threading.Lock()
-        #: trace id → spans, insertion-ordered for FIFO trace eviction.
-        self._traces: dict[str, list[dict[str, Any]]] = {}
-        self.dropped_spans = 0
-
-    def record(self, span_record: Mapping[str, Any]) -> None:
-        trace_id = str(span_record.get("trace_id") or "")
-        if not trace_id:
-            return
-        with self._lock:
-            spans = self._traces.get(trace_id)
-            if spans is None:
-                while len(self._traces) >= self.max_traces:
-                    self._traces.pop(next(iter(self._traces)))
-                spans = self._traces[trace_id] = []
-            if len(spans) >= self.max_spans_per_trace:
-                self.dropped_spans += 1
-                return
-            spans.append(dict(span_record))
-
-    def ingest(self, span_records: Iterable[Mapping[str, Any]]) -> int:
-        """Record span dicts that arrived over the wire; returns the count."""
-        count = 0
-        for span_record in span_records or ():
-            if isinstance(span_record, Mapping):
-                self.record(span_record)
-                count += 1
-        return count
-
-    def spans(self, trace_id: str) -> list[dict[str, Any]]:
-        with self._lock:
-            return [dict(s) for s in self._traces.get(trace_id, ())]
-
-    def trace_ids(self) -> list[str]:
-        with self._lock:
-            return list(self._traces)
-
-    def tree(self, trace_id: str) -> list[dict[str, Any]]:
-        """The trace as nested root nodes (see :func:`build_tree`)."""
-        return build_tree(self.spans(trace_id))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._traces.clear()
-            self.dropped_spans = 0
-
-
-def build_tree(spans: Iterable[Mapping[str, Any]]) -> list[dict[str, Any]]:
-    """Nest flat span records by ``parent_id``; orphans become roots.
-
-    Children are ordered by wall-clock start so the tree reads as a
-    timeline even when spans arrived out of order (worker spans are
-    ingested after the coordinator's own).
-    """
-    nodes: dict[str, dict[str, Any]] = {}
-    ordered: list[dict[str, Any]] = []
-    for record in spans:
-        node = dict(record)
-        node["children"] = []
-        span_id = str(node.get("span_id") or "")
-        if span_id:
-            nodes[span_id] = node
-        ordered.append(node)
-    roots: list[dict[str, Any]] = []
-    for node in ordered:
-        parent = nodes.get(str(node.get("parent_id") or ""))
-        if parent is not None and parent is not node:
-            parent["children"].append(node)
-        else:
-            roots.append(node)
-    def start(node: dict[str, Any]) -> float:
-        return float(node.get("start_ts") or 0.0)
-    for node in ordered:
-        node["children"].sort(key=start)
-    roots.sort(key=start)
-    return roots
-
-
-# ---------------------------------------------------------------------- #
-# Ambient state: the active trace, the active recorder, the enable flag
-# ---------------------------------------------------------------------- #
 _CURRENT_TRACE: ContextVar[TraceContext | None] = ContextVar(
     "repro_obs_trace", default=None
 )
-_CURRENT_RECORDER: ContextVar[SpanRecorder | None] = ContextVar(
-    "repro_obs_recorder", default=None
-)
-_DEFAULT_RECORDER = SpanRecorder()
 _ENABLED = os.environ.get("REPRO_OBS_TRACING", "1") not in ("0", "false", "off")
 
 
@@ -205,14 +84,6 @@ def enabled() -> bool:
 def set_enabled(flag: bool) -> None:
     global _ENABLED
     _ENABLED = bool(flag)
-
-
-def default_recorder() -> SpanRecorder:
-    return _DEFAULT_RECORDER
-
-
-def active_recorder() -> SpanRecorder:
-    return _CURRENT_RECORDER.get() or _DEFAULT_RECORDER
 
 
 def current_trace() -> TraceContext | None:
@@ -235,16 +106,6 @@ def activate(context: TraceContext | None) -> Iterator[TraceContext | None]:
 
 
 @contextmanager
-def use_recorder(recorder: SpanRecorder) -> Iterator[SpanRecorder]:
-    """Route spans in the ``with`` body to ``recorder`` (worker jobs)."""
-    token = _CURRENT_RECORDER.set(recorder)
-    try:
-        yield recorder
-    finally:
-        _CURRENT_RECORDER.reset(token)
-
-
-@contextmanager
 def ensure_trace() -> Iterator[TraceContext | None]:
     """Yield the active trace, starting a fresh root one if none exists."""
     existing = _CURRENT_TRACE.get()
@@ -253,97 +114,3 @@ def ensure_trace() -> Iterator[TraceContext | None]:
         return
     with activate(TraceContext.new()) as context:
         yield context
-
-
-@contextmanager
-def span(
-    name: str, attributes: Mapping[str, Any] | None = None
-) -> Iterator[TraceContext | None]:
-    """Open a timed child span of the active trace for the ``with`` body.
-
-    With no active trace (or tracing disabled) this yields ``None`` and
-    records nothing — library code can instrument unconditionally.  The
-    body runs with the new span as the active context, so nested spans
-    and :func:`repro.obs.logging` records parent/correlate correctly.
-    An escaping exception marks the span ``status="error"``.
-    """
-    parent = _CURRENT_TRACE.get()
-    if parent is None or not _ENABLED:
-        yield None
-        return
-    context = parent.child()
-    token = _CURRENT_TRACE.set(context)
-    recorder = _CURRENT_RECORDER.get() or _DEFAULT_RECORDER
-    start_ts = time.time()
-    started = perf_counter()
-    status = "ok"
-    try:
-        yield context
-    except BaseException:
-        status = "error"
-        raise
-    finally:
-        _CURRENT_TRACE.reset(token)
-        recorder.record(
-            {
-                "name": name,
-                "trace_id": context.trace_id,
-                "span_id": context.span_id,
-                "parent_id": parent.span_id,
-                "start_ts": round(start_ts, 6),
-                "duration_s": round(perf_counter() - started, 6),
-                "status": status,
-                "attributes": dict(attributes or {}),
-            }
-        )
-
-
-def record_span(
-    name: str,
-    *,
-    parent: TraceContext,
-    duration_s: float,
-    attributes: Mapping[str, Any] | None = None,
-    status: str = "ok",
-    recorder: SpanRecorder | None = None,
-) -> str | None:
-    """Record an externally timed span (e.g. queue wait measured after the
-    fact); returns the new span id, or ``None`` when tracing is disabled."""
-    if not _ENABLED:
-        return None
-    context = parent.child()
-    (recorder or active_recorder()).record(
-        {
-            "name": name,
-            "trace_id": parent.trace_id,
-            "span_id": context.span_id,
-            "parent_id": parent.span_id,
-            "start_ts": round(time.time() - duration_s, 6),
-            "duration_s": round(duration_s, 6),
-            "status": status,
-            "attributes": dict(attributes or {}),
-        }
-    )
-    return context.span_id
-
-
-def bind(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Capture the active trace/recorder and re-activate them around every
-    call to ``fn`` — the bridge into thread pools, which do not inherit
-    contextvars.  With nothing to capture, ``fn`` is returned unwrapped."""
-    context = _CURRENT_TRACE.get()
-    if context is None or not _ENABLED:
-        return fn
-    recorder = _CURRENT_RECORDER.get()
-
-    def bound(*args: Any, **kwargs: Any) -> Any:
-        trace_token = _CURRENT_TRACE.set(context)
-        recorder_token = _CURRENT_RECORDER.set(recorder) if recorder else None
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _CURRENT_TRACE.reset(trace_token)
-            if recorder_token is not None:
-                _CURRENT_RECORDER.reset(recorder_token)
-
-    return bound

@@ -73,25 +73,6 @@ ENGINE_VARIANTS = {"adaparse_ft": "ft", "adaparse_llm": "llm"}
 BatchOutput = tuple[list[ParseResult], list[RoutingDecision]]
 
 
-def _traced_batch_worker(worker: BatchWorker, backend_name: str) -> BatchWorker:
-    """Open a ``backend.batch`` span around every batch of a traced run.
-
-    Everything the worker does — cache lookups, remote shard round trips —
-    nests under it; the trace itself reaches the batch through the
-    backend, which carries the caller's context across its boundary.
-    With no active trace the worker is returned unwrapped.
-    """
-    if _tracing.current_trace() is None or not _tracing.enabled():
-        return worker
-
-    def traced(batch: list[Item]) -> BatchOutput:
-        attributes = {"backend": backend_name, "n_documents": len(batch)}
-        with _tracing.span("backend.batch", attributes=attributes):
-            return worker(batch)
-
-    return traced
-
-
 def _parse_phased_worker(site: BatchWorker) -> BatchWorker:
     """Bracket the execution site in the ``parse`` phase.
 
@@ -223,7 +204,6 @@ class ParsePipeline:
         """Run an already-resolved parser over batched items on a backend."""
         size = batch_size or resolved.batch_size
         worker = self._batch_worker(resolved, backend, cache_policy, cache_recorder)
-        worker = _traced_batch_worker(worker, backend.name)
         yield from backend.map_ordered(worker, chunked(documents, size))
 
     def parse_batches(
@@ -346,14 +326,13 @@ class ParsePipeline:
 
         Each run executes under a :class:`~repro.obs.tracing.TraceContext`
         — the caller's, when one is active (the parse service propagates
-        its ticket's), or a fresh root trace otherwise — so per-batch and
-        cache spans always have somewhere to hang, and under its own
+        its ticket's), or a fresh root trace otherwise — so its logs and
+        remote shard frames carry one trace id, and under its own
         :class:`~repro.obs.profiling.PhaseTimer`, ambient before document
         resolution so source iteration is attributed too.
         """
         timer = _profiling.PhaseTimer() if _profiling.phases_enabled() else None
-        span = _tracing.span("pipeline.run", attributes={"parser": str(request.parser)})
-        with _tracing.ensure_trace(), span, _profiling.use_timer(timer):
+        with _tracing.ensure_trace(), _profiling.use_timer(timer):
             with self._resolve_lock:
                 # Engine training mutates pipeline-level state; serialising
                 # it keeps concurrent runs from double-training one engine.

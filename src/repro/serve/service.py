@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Iterator, Mapping
@@ -336,10 +335,10 @@ class ParseService:
         ``backend`` spec is superseded by the service's shared backend
         (that is the point of a service); its cache policy is honoured.
 
-        ``trace`` carries an upstream :class:`TraceContext` (the gateway
-        passes its submit span); by default the caller's active trace is
-        adopted, or a fresh root trace is started, so every ticket's
-        events and spans share one trace id end to end.
+        ``trace`` carries an upstream :class:`TraceContext`; by default the
+        caller's active trace is adopted (the gateway activates its
+        client's), or a fresh root trace is started, so every ticket's
+        events, logs and shard frames share one trace id end to end.
         """
         if trace is None and _tracing.enabled():
             trace = _tracing.current_trace() or TraceContext.new()
@@ -462,17 +461,7 @@ class ParseService:
     # ------------------------------------------------------------------ #
     def _run_ticket(self, ticket: ParseTicket) -> None:
         ticket._started_at = perf_counter()
-        admission_wait = ticket._started_at - ticket.queued_at
-        _ADMISSION_WAIT.observe(admission_wait)
-        if ticket.trace is not None:
-            # The wait already happened — record it as an externally-timed
-            # span rather than wrapping code that has finished running.
-            _tracing.record_span(
-                "service.admission",
-                parent=ticket.trace,
-                duration_s=admission_wait,
-                attributes={"ticket_id": ticket.id, "client": ticket.client},
-            )
+        _ADMISSION_WAIT.observe(ticket._started_at - ticket.queued_at)
         ticket._set_state(TicketState.RUNNING)
         ticket._emit(
             EventKind.STARTED,
@@ -480,18 +469,10 @@ class ParseService:
         )
         failed = True
         try:
-            with ExitStack() as stack:
-                if ticket.trace is not None:
-                    # Runner threads have no inherited contextvars: re-activate
-                    # the submission's trace so pipeline/cache/backend spans
-                    # and cluster shards all attach to this ticket's trace id.
-                    stack.enter_context(_tracing.activate(ticket.trace))
-                    stack.enter_context(
-                        _tracing.span(
-                            "service.ticket",
-                            attributes={"ticket_id": ticket.id, "client": ticket.client},
-                        )
-                    )
+            # Runner threads have no inherited contextvars: re-activate the
+            # submission's trace so logs and cluster shards carry this
+            # ticket's trace id.
+            with _tracing.activate(ticket.trace):
                 try:
                     report = self._execute(ticket)
                 except BaseException as exc:  # report *any* failure to the waiters

@@ -141,7 +141,7 @@ class TestSpecAndResults:
         ]
         assert batch.decisions == decisions
         assert (batch.cache_hits, batch.cache_misses) == (0, 0)
-        assert (batch.spans, batch.phases) == ([], None)
+        assert batch.phases is None
 
 
 def _batch_frame(**fields):
@@ -160,7 +160,6 @@ class TestBatchResultValidation:
     def test_telemetry_fields_survive_the_round_trip(self):
         timer = PhaseTimer()
         timer.record("parse.default", 0.25, cpu_seconds=0.2, calls=2, n_bytes=64)
-        spans = [{"name": "worker.batch", "trace_id": "t" * 32}]
         message = protocol.batch_result_message(
             "s000001",
             [],
@@ -169,12 +168,10 @@ class TestBatchResultValidation:
             elapsed_seconds=0.5,
             cache_hits=3,
             cache_misses=4,
-            spans=spans,
             phases=timer.snapshot(),
         )
         batch = protocol.parse_batch_result(message)
         assert (batch.cache_hits, batch.cache_misses) == (3, 4)
-        assert batch.spans == spans
         assert batch.phases == timer.snapshot()
 
     def test_frame_without_telemetry_reads_as_zero_counters(self):
@@ -182,7 +179,15 @@ class TestBatchResultValidation:
         del message["cache_hits"], message["cache_misses"]
         batch = protocol.parse_batch_result(message)
         assert (batch.cache_hits, batch.cache_misses) == (0, 0)
-        assert (batch.spans, batch.phases) == ([], None)
+        assert batch.phases is None
+
+    def test_an_older_workers_spans_field_is_ignored(self):
+        # A worker from before spans were deleted (protocol 2 as well) still
+        # sends them; like any field the coordinator does not read, it is
+        # neither checked nor kept.
+        batch = protocol.parse_batch_result(_batch_frame(spans={"name": "worker.batch"}))
+        assert not hasattr(batch, "spans")
+        assert [r.doc_id for r in batch.results] == ["d1"]
 
     def test_empty_phase_table_reads_as_none(self):
         assert protocol.parse_batch_result(_batch_frame(phases={})).phases is None
@@ -201,7 +206,6 @@ class TestBatchResultValidation:
             {"cache_misses": True},
             {"cache_hits": 1.5},
             {"cache_misses": "3"},
-            {"spans": {"name": "worker.batch"}},
             {"phases": [["parse", 1.0]]},
             {"phases": {"parse": "fast"}},
             {"phases": {"parse": {"self_s": -0.1}}},
@@ -213,7 +217,6 @@ class TestBatchResultValidation:
             "counter-bool",
             "counter-float",
             "counter-string",
-            "spans-not-a-list",
             "phases-not-a-table",
             "row-a-string",
             "row-negative",

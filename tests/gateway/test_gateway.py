@@ -90,7 +90,7 @@ class TestHandshake:
             assert client.quota["max_active"] >= 1
             assert client.quota["max_request_bytes"] > 0
 
-    @pytest.mark.parametrize("version", [999, 1, 2])
+    @pytest.mark.parametrize("version", [999, 1, 2, 3])
     def test_version_mismatch_is_refused(self, gateway, version):
         channel = self.raw_channel(gateway)
         try:
@@ -102,17 +102,18 @@ class TestHandshake:
         finally:
             channel.close()
 
-    def test_profile_request_is_an_unexpected_message_type(self, gateway):
+    @pytest.mark.parametrize("kind", ["profile", "trace"])
+    def test_removed_request_is_an_unexpected_message_type(self, gateway, kind):
         channel = self.raw_channel(gateway)
         try:
             channel.send(
                 {"type": protocol.HELLO, "protocol": protocol.GATEWAY_PROTOCOL_VERSION}
             )
             assert channel.recv()["type"] == protocol.HELLO_ACK
-            channel.send({"type": "profile", "ticket_id": "t0001"})
+            channel.send({"type": kind, "ticket_id": "t0001"})
             reply = channel.recv()
             assert reply["type"] == protocol.ERROR
-            assert reply["message"] == "unexpected message type 'profile'"
+            assert reply["message"] == f"unexpected message type '{kind}'"
             assert channel.recv() is None  # gateway hung up
         finally:
             channel.close()
@@ -620,7 +621,7 @@ class TestImportHygiene:
             "import sys, repro.gateway\n"
             "assert 'repro.serve.service' not in sys.modules\n"
             "from repro.gateway import GATEWAY_PROTOCOL_VERSION\n"
-            "assert GATEWAY_PROTOCOL_VERSION == 3\n"
+            "assert GATEWAY_PROTOCOL_VERSION == 4\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True, env=_subprocess_env())
 

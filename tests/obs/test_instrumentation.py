@@ -3,8 +3,7 @@
 The acceptance centrepiece mirrors the README's observability story: one
 request submitted through a :class:`GatewayClient` over a 2-worker
 cluster must yield a *single* trace id visible in the client's streamed
-event payloads, and an ``obs trace``-shaped span tree that nests
-gateway → service → backend → worker-shard spans.
+event payloads and in both workers' shard logs.
 """
 
 from __future__ import annotations
@@ -19,20 +18,17 @@ import pytest
 from repro.cache import ParseCache
 from repro.cluster.worker import WorkerDaemon
 from repro.gateway import GatewayClient, GatewayServer
-from repro.obs import metrics, tracing
-from repro.obs.tracing import build_tree
+from repro.obs import metrics
 from repro.pipeline import ParsePipeline, ParseRequest
 from repro.serve import ParseService, ServiceConfig
 
 
 @pytest.fixture(autouse=True)
 def clean_obs_state():
-    """Fresh metric series and span storage around every test."""
+    """Fresh metric series around every test."""
     metrics.reset()
-    tracing.default_recorder().clear()
     yield
     metrics.reset()
-    tracing.default_recorder().clear()
 
 
 def request_for(n_documents: int = 8, seed: int = 11, **overrides) -> ParseRequest:
@@ -71,9 +67,13 @@ class TestServiceInstrumentation:
         for event in events:
             if event.kind in ("batch", "completed", "failed", "cancelled"):
                 assert event.payload["elapsed_s"] >= 0.0
-        (trace_id,) = trace_ids
-        names = {s["name"] for s in tracing.default_recorder().spans(trace_id)}
-        assert {"service.admission", "service.ticket", "backend.batch"} <= names
+
+    def test_admission_wait_is_the_queued_to_started_gap(self):
+        with ParseService(pipeline=ParsePipeline()) as service:
+            ticket = service.submit(request_for())
+            ticket.result(timeout=60)
+            events = {e.kind: e for e in ticket.events(timeout=1)}
+        assert events["started"].timestamp >= events["queued"].timestamp > 0
 
     def test_ticket_lifecycle_counters(self):
         with ParseService(pipeline=ParsePipeline()) as service:
@@ -122,16 +122,12 @@ class TestGatewayInstrumentation:
     def connect(self, server: GatewayServer) -> GatewayClient:
         return GatewayClient("127.0.0.1", server.port, client="obs-test").connect()
 
-    def test_trace_id_on_ticket_events_and_trace_rpc(self, gateway):
+    def test_trace_id_on_submitted_reply_and_ticket_events(self, gateway):
         with self.connect(gateway) as client:
             ticket = client.submit(request_for())
             assert ticket.trace_id
             events = list(ticket.events())
             assert {e.payload.get("trace_id") for e in events} == {ticket.trace_id}
-            payload = client.trace(ticket)
-        assert payload["trace_id"] == ticket.trace_id
-        names = {s["name"] for s in payload["spans"]}
-        assert "gateway.submit" in names and "service.ticket" in names
 
     def test_metrics_rpc_text_and_json(self, gateway):
         with self.connect(gateway) as client:
@@ -180,7 +176,6 @@ def test_one_trace_id_across_gateway_service_and_cluster_workers(
                         request_for(8, batch_size=2, cache="off")
                     )
                     events = list(ticket.events())
-                    payload = client.trace(ticket)
     finally:
         for worker in workers:
             worker.stop()
@@ -188,7 +183,6 @@ def test_one_trace_id_across_gateway_service_and_cluster_workers(
     # One trace id, everywhere.
     assert ticket.trace_id
     assert {e.payload.get("trace_id") for e in events} == {ticket.trace_id}
-    assert payload["trace_id"] == ticket.trace_id
 
     # Both workers logged every shard they ran under the ticket's trace id.
     completed = [
@@ -200,34 +194,6 @@ def test_one_trace_id_across_gateway_service_and_cluster_workers(
     assert all(worker.counters["shards_completed"] > 0 for worker in workers)
     assert len(completed) == sum(w.counters["shards_completed"] for w in workers)
     assert {r.repro_fields["trace_id"] for r in completed} == {ticket.trace_id}
-
-    # The span tree nests gateway -> service -> backend -> worker shards.
-    (root,) = build_tree(payload["spans"])
-    assert root["name"] == "gateway.submit"
-
-    def walk(node, depth=0):
-        yield node, depth
-        for child in node["children"]:
-            yield from walk(child, depth + 1)
-
-    nodes = list(walk(root))
-    names = {node["name"] for node, _ in nodes}
-    assert {"service.ticket", "backend.batch", "cluster.shard", "worker.shard"} <= names
-    shard_workers = {
-        node["attributes"]["worker"]
-        for node, _ in nodes
-        if node["name"] == "worker.shard"
-    }
-    assert shard_workers == {"obs-worker-0", "obs-worker-1"}
-    # worker.shard spans hang below the cluster.shard round-trip spans.
-    parent_of = {
-        child["span_id"]: parent["name"]
-        for parent, _ in nodes
-        for child in parent["children"]
-    }
-    for node, _ in nodes:
-        if node["name"] == "worker.shard":
-            assert parent_of[node["span_id"]] == "cluster.shard"
 
     # Cluster metrics counted the shards.
     shards = metrics.default_registry().get("repro_cluster_shards_total")

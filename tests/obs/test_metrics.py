@@ -153,6 +153,19 @@ class TestCustomBuckets:
         assert h.buckets == tuple(sorted(PHASE_SECONDS_BUCKETS))
         assert phase_seconds_histogram() is h  # re-fetch, not redeclare
 
+    def test_duplicate_bounds_are_refused(self, registry):
+        with pytest.raises(MetricError, match="twice"):
+            registry.histogram("repro_twice_seconds", buckets=(0.5, 1.0, 1.0))
+
+    def test_phase_buckets_step_through_the_default_seconds_bounds(self):
+        from repro.obs.profiling import PHASE_SECONDS_BUCKETS, phase_seconds_histogram
+
+        h = phase_seconds_histogram()
+        assert len(set(PHASE_SECONDS_BUCKETS)) == len(PHASE_SECONDS_BUCKETS)
+        # Every default bound from 1 ms up is a phase bound too: nothing
+        # between 2.5 s and 10 s falls into one wide bucket.
+        assert {b for b in DEFAULT_BUCKETS if b <= 10.0} <= set(h.buckets)
+
 
 class TestRegistry:
     def test_get_or_create_returns_same_metric(self, registry):

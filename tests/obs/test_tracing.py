@@ -1,34 +1,17 @@
-"""Unit tests of tracing: contexts, spans, the recorder, tree building."""
+"""Unit tests of trace ids: contexts, the wire form, the ambient trace."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
 from repro.obs import tracing
-from repro.obs.tracing import SpanRecorder, TraceContext, build_tree
-
-
-@pytest.fixture()
-def recorder():
-    """Route spans to a private recorder and restore ambient state after."""
-    private = SpanRecorder()
-    with tracing.use_recorder(private):
-        yield private
+from repro.obs.tracing import TraceContext
 
 
 class TestTraceContext:
     def test_new_contexts_are_unique(self):
         a, b = TraceContext.new(), TraceContext.new()
         assert a.trace_id != b.trace_id
-        assert a.span_id != b.span_id
-
-    def test_child_keeps_trace_id(self):
-        parent = TraceContext.new()
-        child = parent.child()
-        assert child.trace_id == parent.trace_id
-        assert child.span_id != parent.span_id
 
     def test_wire_round_trip(self):
         context = TraceContext.new()
@@ -41,145 +24,37 @@ class TestTraceContext:
     def test_from_wire_tolerates_garbage(self, payload):
         assert TraceContext.from_wire(payload) is None
 
+    def test_from_wire_ignores_an_older_peers_span_id(self):
+        assert TraceContext.from_wire({"trace_id": "t1", "span_id": "s1"}) == (
+            TraceContext("t1")
+        )
 
-class TestSpans:
-    def test_span_without_active_trace_is_noop(self, recorder):
-        with tracing.span("orphan") as ctx:
-            assert ctx is None
-        assert recorder.trace_ids() == []
 
-    def test_nested_spans_parent_correctly(self, recorder):
-        root = TraceContext.new()
-        with tracing.activate(root):
-            with tracing.span("outer", attributes={"k": "v"}) as outer:
-                with tracing.span("inner"):
-                    pass
-        spans = recorder.spans(root.trace_id)
-        by_name = {s["name"]: s for s in spans}
-        assert by_name["outer"]["parent_id"] == root.span_id
-        assert by_name["inner"]["parent_id"] == outer.span_id
-        assert by_name["outer"]["attributes"] == {"k": "v"}
-        assert all(s["status"] == "ok" for s in spans)
+class TestAmbientTrace:
+    def test_activate_installs_and_restores(self):
+        context = TraceContext.new()
+        assert tracing.current_trace() is None
+        with tracing.activate(context):
+            assert tracing.current_trace_id() == context.trace_id
+        assert tracing.current_trace() is None
 
-    def test_escaping_exception_marks_error(self, recorder):
-        root = TraceContext.new()
-        with tracing.activate(root):
-            with pytest.raises(RuntimeError):
-                with tracing.span("boom"):
-                    raise RuntimeError("nope")
-        (span_record,) = recorder.spans(root.trace_id)
-        assert span_record["status"] == "error"
+    def test_ensure_trace_adopts_the_active_trace(self):
+        context = TraceContext.new()
+        with tracing.activate(context):
+            with tracing.ensure_trace() as ensured:
+                assert ensured is context
 
-    def test_disabled_tracing_records_nothing(self, recorder):
-        root = TraceContext.new()
+    def test_ensure_trace_starts_a_root_trace(self):
+        with tracing.ensure_trace() as ensured:
+            assert ensured is not None
+            assert tracing.current_trace() is ensured
+        assert tracing.current_trace() is None
+
+    def test_disabled_tracing_mints_no_trace_id(self):
         tracing.set_enabled(False)
         try:
-            with tracing.activate(root):
-                with tracing.span("off") as ctx:
-                    assert ctx is None
+            with tracing.ensure_trace() as ensured:
+                assert ensured is None
+                assert tracing.current_trace_id() is None
         finally:
             tracing.set_enabled(True)
-        assert recorder.spans(root.trace_id) == []
-
-    def test_record_span_external_timing(self, recorder):
-        root = TraceContext.new()
-        span_id = tracing.record_span(
-            "queue.wait", parent=root, duration_s=1.5, recorder=recorder
-        )
-        (record,) = recorder.spans(root.trace_id)
-        assert record["span_id"] == span_id
-        assert record["parent_id"] == root.span_id
-        assert record["duration_s"] == pytest.approx(1.5)
-
-    def test_bind_carries_trace_into_thread(self, recorder):
-        root = TraceContext.new()
-        with tracing.activate(root):
-            def work() -> None:
-                with tracing.span("threaded"):
-                    pass
-            bound = tracing.bind(work)
-        thread = threading.Thread(target=bound)
-        thread.start()
-        thread.join()
-        assert [s["name"] for s in recorder.spans(root.trace_id)] == ["threaded"]
-
-
-class TestSpanRecorder:
-    def _record(self, recorder, trace_id, span_id="s", parent_id=""):
-        recorder.record(
-            {
-                "name": "n",
-                "trace_id": trace_id,
-                "span_id": span_id,
-                "parent_id": parent_id,
-                "start_ts": 0.0,
-                "duration_s": 0.0,
-                "status": "ok",
-                "attributes": {},
-            }
-        )
-
-    def test_trace_eviction_is_fifo(self):
-        recorder = SpanRecorder(max_traces=2)
-        for trace_id in ("t1", "t2", "t3"):
-            self._record(recorder, trace_id)
-        assert recorder.trace_ids() == ["t2", "t3"]
-        assert recorder.spans("t1") == []
-
-    def test_spans_per_trace_bounded(self):
-        recorder = SpanRecorder(max_spans_per_trace=2)
-        for i in range(5):
-            self._record(recorder, "t", span_id=f"s{i}")
-        assert len(recorder.spans("t")) == 2
-        assert recorder.dropped_spans == 3
-
-    def test_missing_trace_id_ignored(self):
-        recorder = SpanRecorder()
-        recorder.record({"name": "x"})
-        assert recorder.trace_ids() == []
-
-    def test_ingest_skips_non_mappings(self):
-        recorder = SpanRecorder()
-        count = recorder.ingest(
-            [{"trace_id": "t", "span_id": "a"}, "junk", None, 7]
-        )
-        assert count == 1
-        assert len(recorder.spans("t")) == 1
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            SpanRecorder(max_traces=0)
-
-
-class TestBuildTree:
-    def test_nesting_and_orphans(self):
-        spans = [
-            {"span_id": "child", "parent_id": "root", "start_ts": 2.0},
-            {"span_id": "root", "parent_id": "", "start_ts": 1.0},
-            {"span_id": "orphan", "parent_id": "missing", "start_ts": 0.5},
-        ]
-        roots = build_tree(spans)
-        assert [n["span_id"] for n in roots] == ["orphan", "root"]
-        (child,) = next(n for n in roots if n["span_id"] == "root")["children"]
-        assert child["span_id"] == "child"
-
-    def test_children_sorted_by_start(self):
-        spans = [
-            {"span_id": "r", "parent_id": "", "start_ts": 0.0},
-            {"span_id": "b", "parent_id": "r", "start_ts": 2.0},
-            {"span_id": "a", "parent_id": "r", "start_ts": 1.0},
-        ]
-        (root,) = build_tree(spans)
-        assert [n["span_id"] for n in root["children"]] == ["a", "b"]
-
-    def test_recorder_tree_helper(self):
-        recorder = SpanRecorder()
-        recorder.record(
-            {"trace_id": "t", "span_id": "a", "parent_id": "", "start_ts": 1.0}
-        )
-        recorder.record(
-            {"trace_id": "t", "span_id": "b", "parent_id": "a", "start_ts": 2.0}
-        )
-        (root,) = recorder.tree("t")
-        assert root["span_id"] == "a"
-        assert root["children"][0]["span_id"] == "b"

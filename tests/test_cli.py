@@ -37,12 +37,13 @@ class TestArgumentParsing:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
-    def test_obs_profile_is_an_invalid_choice(self, capsys):
+    @pytest.mark.parametrize("command", ["profile", "trace"])
+    def test_removed_obs_command_is_an_invalid_choice(self, command, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["obs", "profile", "t0001", "--port", "1"])
+            build_parser().parse_args(["obs", command, "t0001", "--port", "1"])
         assert exit_info.value.code == 2
         assert (
-            "invalid choice: 'profile' (choose from 'metrics', 'trace')"
+            f"invalid choice: '{command}' (choose from 'metrics')"
             in capsys.readouterr().err
         )
 
