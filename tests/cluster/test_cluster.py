@@ -1494,3 +1494,52 @@ class TestByReference:
             coordinator.close()
             workers[0].stop()
         assert held == [False, False, False]
+
+
+# ---------------------------------------------------------------------- #
+# Trace ids on the wire: the run's id out, nothing span-shaped back
+# ---------------------------------------------------------------------- #
+class TestTraceIdOnFrames:
+    def test_shard_frames_carry_the_callers_trace_id_alone(
+        self, registry, monkeypatch
+    ):
+        from repro.obs import tracing
+        from repro.obs.tracing import TraceContext
+
+        frames = record_frames(monkeypatch)
+        workers = start_workers(2, pipeline=ParsePipeline(registry))
+        context = TraceContext.new()
+        try:
+            with tracing.activate(context):
+                report = run_remote(
+                    registry,
+                    workers,
+                    source="synthetic:10?seed=3&min_pages=1&max_pages=1",
+                )
+        finally:
+            for worker in workers:
+                worker.stop()
+        assert report.n_succeeded == 10
+        shards = of_type(frames, "submit_shard")
+        assert len(shards) == 2
+        assert all(frame["trace"] == context.to_json_dict() for frame in shards)
+        results = of_type(frames, "batch_result")
+        assert len(results) == 2 and not any("spans" in frame for frame in results)
+
+    def test_disabled_stamping_sends_no_trace_field(self, registry, monkeypatch):
+        from repro.obs import tracing
+
+        frames = record_frames(monkeypatch)
+        workers = start_workers(1, pipeline=ParsePipeline(registry))
+        tracing.set_enabled(False)
+        try:
+            report = run_remote(
+                registry, workers, source="synthetic:5?seed=3&min_pages=1&max_pages=1"
+            )
+        finally:
+            tracing.set_enabled(True)
+            for worker in workers:
+                worker.stop()
+        assert report.n_succeeded == 5
+        (shard,) = of_type(frames, "submit_shard")
+        assert "trace" not in shard

@@ -67,6 +67,31 @@ def test_json_mode_injects_active_trace_id(root):
     assert payload["trace_id"] == context.trace_id
 
 
+def test_text_mode_appends_active_trace_id(root):
+    stream = io.StringIO()
+    setup(stream=stream)
+    context = TraceContext.new()
+    with tracing.activate(context):
+        log_event(get_logger("test"), "info", "traced", ticket="t1")
+    (line,) = stream.getvalue().splitlines()
+    assert line.endswith(f"ticket=t1 trace={context.trace_id}")
+
+
+def test_no_trace_id_without_an_active_trace(root):
+    stream = io.StringIO()
+    setup(json_mode=True, stream=stream)
+    log_event(get_logger("test"), "info", "untraced")
+    assert "trace_id" not in json.loads(stream.getvalue())
+
+
+def test_record_trace_id_wins_over_the_active_trace(root):
+    stream = io.StringIO()
+    setup(json_mode=True, stream=stream)
+    with tracing.activate(TraceContext.new()):
+        get_logger("test").info("explicit", extra={"trace_id": "t-explicit"})
+    assert json.loads(stream.getvalue())["trace_id"] == "t-explicit"
+
+
 def test_text_mode_single_line_with_kv_pairs(root):
     stream = io.StringIO()
     setup(stream=stream)

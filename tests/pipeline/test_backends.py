@@ -887,6 +887,55 @@ class TestPhaseAttributionParity:
         assert len(seen) == -(-len(small_corpus) // 4)
         assert set(seen) == {ticket.trace_id}
 
+    def test_a_direct_run_adopts_the_callers_trace_id(
+        self, registry, small_corpus, monkeypatch
+    ):
+        from repro.obs import tracing
+        from repro.obs.tracing import TraceContext
+
+        parser_type = type(registry.get("pymupdf"))
+        parse_batch = parser_type.parse_batch
+        seen = []
+
+        def recording(self, batch):
+            seen.append(tracing.current_trace_id())
+            return parse_batch(self, batch)
+
+        monkeypatch.setattr(parser_type, "parse_batch", recording)
+        request = request_for_documents(
+            "pymupdf",
+            list(small_corpus),
+            batch_size=4,
+            backend="thread",
+            backend_options={"n_jobs": 2},
+        )
+        context = TraceContext.new()
+        with tracing.activate(context):
+            ParsePipeline(registry).run(request)
+        assert len(seen) == -(-len(small_corpus) // 4)
+        assert set(seen) == {context.trace_id}
+
+    def test_each_untraced_run_mints_its_own_trace_id(
+        self, registry, small_corpus, monkeypatch
+    ):
+        from repro.obs import tracing
+
+        parser_type = type(registry.get("pymupdf"))
+        parse_batch = parser_type.parse_batch
+        seen = []
+
+        def recording(self, batch):
+            seen.append(tracing.current_trace_id())
+            return parse_batch(self, batch)
+
+        monkeypatch.setattr(parser_type, "parse_batch", recording)
+        request = request_for_documents("pymupdf", list(small_corpus)[:4], batch_size=4)
+        pipeline = ParsePipeline(registry)
+        pipeline.run(request)
+        pipeline.run(request)
+        assert len(seen) == 2 and None not in seen and seen[0] != seen[1]
+        assert tracing.current_trace() is None
+
     def test_on_demand_training_is_the_engine_train_phase(
         self, registry, default_ft_engine, small_corpus, monkeypatch
     ):
