@@ -12,6 +12,7 @@ from repro.cache import CachePolicy, ParseCache
 from repro.core.config import AdaParseConfig
 from repro.core.engine import AdaParseEngine
 from repro.documents.corpus import CorpusConfig, build_corpus
+from repro.obs import metrics
 from repro.parsers.extraction import PyMuPDFSim
 from repro.parsers.registry import ParserRegistry, default_registry
 from repro.pipeline import ParsePipeline, ParseRequest, request_for_documents
@@ -211,6 +212,67 @@ class TestPipelineCaching:
         assert rebuilt.cache.misses == report.cache.misses
         assert rebuilt.cache.stores == report.cache.stores
         assert rebuilt.request.cache == "readwrite"
+
+
+def _registry_totals() -> dict[str, float]:
+    """The ``repro_cache_*`` series, named like the report's cache fields."""
+    registry = metrics.default_registry()
+    moved = registry.get("repro_cache_bytes_total")
+    totals = {
+        field: registry.get(f"repro_cache_{field}_total").value()
+        for field in ("hits", "misses", "coalesced", "stores")
+    }
+    totals["bytes_read"] = moved.value(direction="read")
+    totals["bytes_written"] = moved.value(direction="written")
+    return totals
+
+
+class TestRegistryTotals:
+    """The ``repro_cache_*`` series count what the reports count."""
+
+    @pytest.fixture(autouse=True)
+    def cleared_registry(self):
+        metrics.reset()
+        yield
+        metrics.reset()
+
+    @pytest.mark.parametrize(
+        "backend, options", [("serial", {}), ("thread", {"n_jobs": 2})]
+    )
+    def test_counters_equal_the_summed_report_blocks(
+        self, corpus, tmp_path, backend, options
+    ):
+        # Three documents twice: later batches hit (or coalesce on) them.
+        documents = list(corpus) + list(corpus)[:3]
+        reports = []
+        for _ in ("cold", "warm"):
+            # A fresh cache over one directory each time, so the warm run is
+            # served by the disk tier and bytes move both ways.
+            pipeline = ParsePipeline(
+                ParserRegistry([CountingParser()]), cache=ParseCache(tmp_path / "pc")
+            )
+            reports.append(
+                pipeline.run(
+                    request_for_documents(
+                        "counting", documents, batch_size=5, cache="readwrite",
+                        backend=backend, backend_options=options,
+                    )
+                )
+            )
+        summed = reports[0].cache + reports[1].cache
+        assert summed.misses == summed.stores == len(corpus)
+        assert summed.hits + summed.coalesced == 2 * len(documents) - len(corpus)
+        assert summed.bytes_read > 0 and summed.bytes_written > 0
+        assert _registry_totals() == {
+            "hits": summed.hits,
+            "misses": summed.misses,
+            "coalesced": summed.coalesced,
+            "stores": summed.stores,
+            "bytes_read": summed.bytes_read,
+            "bytes_written": summed.bytes_written,
+        }
+        saved = metrics.default_registry().get("repro_cache_time_saved_seconds_total")
+        assert saved.value() == pytest.approx(summed.time_saved_seconds)
 
 
 class TestDatasetBuilderReuse:

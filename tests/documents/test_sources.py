@@ -327,6 +327,20 @@ class TestDocumentRefs:
         (fresh, _) = source.refs()
         assert fresh.key() != ref.key()  # placement and ledger keys move with it
 
+    def test_relisted_file_keys_alike_until_its_stamp_moves(self, tree):
+        def keys() -> dict[str, str]:
+            refs = SimPdfDirSource(tree, glob=RECURSIVE).refs()
+            return {ref.locator: ref.key() for ref in refs}
+
+        first = keys()
+        assert keys() == first  # a new listing of unchanged files
+        path = tree / "alpha.simpdf"
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+        moved = keys()
+        assert moved["alpha.simpdf"] != first["alpha.simpdf"]
+        assert moved["sub/beta.simpdf"] == first["sub/beta.simpdf"]
+
     def test_missing_file_or_directory_is_stale(self, tree):
         (ref, _) = SimPdfDirSource(tree, glob=RECURSIVE).refs()
         (tree / "alpha.simpdf").unlink()
