@@ -184,9 +184,17 @@ class ParseCache:
     def lookup(
         self, key: CacheKey | str, recorder: CacheStatsRecorder | None = None
     ) -> CacheEntry | None:
-        """Check memory then disk; promote disk hits into the memory tier."""
+        """Check memory then disk; promote disk hits into the memory tier.
+
+        Without a ``recorder`` the hit is published to the registry at once;
+        with one, whoever owns it publishes (:func:`run_cached_batch` does,
+        once per batch).
+        """
+        if recorder is None:
+            entry = self.lookup(key, _NULL_RECORDER)
+            _NULL_RECORDER.publish()
+            return entry
         raw = str(key)
-        recorder = recorder or _NULL_RECORDER
         entry = self.memory.get(raw)
         if entry is not None:
             recorder.record_hit(time_saved_seconds=entry.compute_seconds)
@@ -217,9 +225,15 @@ class ParseCache:
         compute_seconds: float = 0.0,
         recorder: CacheStatsRecorder | None = None,
     ) -> CacheEntry:
-        """Insert a parse into both tiers (disk durable after ``flush``)."""
+        """Insert a parse into both tiers (disk durable after ``flush``).
+
+        The ``recorder`` is published like :meth:`lookup`'s.
+        """
+        if recorder is None:
+            entry = self.store(key, result, decision, compute_seconds, _NULL_RECORDER)
+            _NULL_RECORDER.publish()
+            return entry
         raw = str(key)
-        recorder = recorder or _NULL_RECORDER
         entry = CacheEntry(
             key=raw,
             result=result,
@@ -408,8 +422,24 @@ def run_cached_batch(
     for hits.  ``load(slot)`` fetches the slot's item — a document, or a
     reference ``inner`` reads where it parses — and is called only for the
     slots that parse: a batch of hits needs no documents at all.
+    The recorder's counts reach the ``repro_cache_*`` series once, when the
+    batch returns or raises.
     """
     recorder = recorder or _NULL_RECORDER
+    try:
+        return _run_cached_batch(cache, policy, keys, load, inner, recorder)
+    finally:
+        recorder.publish()
+
+
+def _run_cached_batch(
+    cache: ParseCache,
+    policy: CachePolicy,
+    keys: Sequence[str],
+    load: Callable[[int], Item],
+    inner: BatchWorker,
+    recorder: CacheStatsRecorder,
+) -> tuple[list[ParseResult], list[RoutingDecision]]:
     n = len(keys)
     entries: list[CacheEntry | None] = [None] * n
     waits: list[tuple[int, Flight]] = []

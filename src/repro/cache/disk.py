@@ -223,12 +223,19 @@ class ShardedDiskStore:
         return removed
 
     def flush(self) -> int:
-        """Persist every shard with staged puts or deletes; returns bytes written."""
+        """Persist every shard with staged puts or deletes; returns bytes written.
+
+        A flush with nothing staged touches no file: it does not even list
+        the directory for temporaries, which only a shard write can leave.
+        """
         written = 0
+        touched = False
         for index in range(self.n_shards):
             with self._locks[index]:
+                touched = touched or bool(self._staged[index] or self._deleted[index])
                 written += self._flush_shard(index)
-        self._sweep_temporaries()
+        if touched:
+            self._sweep_temporaries()
         return written
 
     def purge(self, predicate: Callable[[dict[str, Any]], bool] | None = None) -> int:

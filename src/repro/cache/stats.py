@@ -3,9 +3,11 @@
 Counters are accumulated through a thread-safe :class:`CacheStatsRecorder`
 (the pipeline's worker threads all report into one recorder per run) and
 snapshotted into an immutable-ish :class:`CacheStats` value for the report.
-The same record calls also feed the process-wide :mod:`repro.obs.metrics`
-registry, so per-run report stats and the global ``repro_cache_*`` series
-can never drift apart.
+The same counters feed the process-wide :mod:`repro.obs.metrics` registry,
+so per-run report stats and the global ``repro_cache_*`` series can never
+drift apart: :meth:`CacheStatsRecorder.publish` adds what was recorded since
+its last call, once per batch (:func:`repro.cache.run_cached_batch` calls it
+when the batch returns or raises), not once per document.
 """
 
 from __future__ import annotations
@@ -124,45 +126,67 @@ class CacheStats:
 
 
 class CacheStatsRecorder:
-    """Thread-safe accumulator the cache reports into during a run."""
+    """Thread-safe accumulator the cache reports into during a run.
+
+    The ``record_*`` calls only count; :meth:`publish` hands the registry
+    what they counted since the last publish.  Whoever drives
+    :meth:`~repro.cache.ParseCache.lookup` / ``store`` with a recorder of its
+    own outside :func:`~repro.cache.run_cached_batch` publishes it too, or
+    its counts stay out of the ``repro_cache_*`` series.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._stats = CacheStats()
+        self._published = CacheStats()
 
     def record_hit(self, time_saved_seconds: float = 0.0, bytes_read: int = 0) -> None:
         with self._lock:
             self._stats.hits += 1
             self._stats.time_saved_seconds += time_saved_seconds
             self._stats.bytes_read += bytes_read
-        _CACHE_HITS.inc()
-        if time_saved_seconds:
-            _CACHE_TIME_SAVED.inc(time_saved_seconds)
-        if bytes_read:
-            _CACHE_BYTES.inc(bytes_read, direction="read")
 
     def record_miss(self) -> None:
         with self._lock:
             self._stats.misses += 1
-        _CACHE_MISSES.inc()
 
     def record_coalesced(self, time_saved_seconds: float = 0.0) -> None:
         with self._lock:
             self._stats.coalesced += 1
             self._stats.time_saved_seconds += time_saved_seconds
-        _CACHE_COALESCED.inc()
-        if time_saved_seconds:
-            _CACHE_TIME_SAVED.inc(time_saved_seconds)
 
     def record_store(self, bytes_written: int = 0) -> None:
         with self._lock:
             self._stats.stores += 1
             self._stats.bytes_written += bytes_written
-        _CACHE_STORES.inc()
-        if bytes_written:
-            _CACHE_BYTES.inc(bytes_written, direction="written")
 
     def snapshot(self) -> CacheStats:
         """An independent copy of the counters so far."""
         with self._lock:
             return CacheStats(**vars(self._stats))
+
+    def publish(self) -> None:
+        """Add the counts recorded since the last publish to the registry.
+
+        Safe from several threads at once: each call takes the delta since
+        the one before it, so every count is published exactly once.  The
+        integer series end up equal to per-event increments; the time-saved
+        series may differ in its last float bits (a difference of running
+        sums is not the sum of the terms).
+        """
+        with self._lock:
+            now = CacheStats(**vars(self._stats))
+            before, self._published = self._published, now
+        for counter, delta in (
+            (_CACHE_HITS, now.hits - before.hits),
+            (_CACHE_MISSES, now.misses - before.misses),
+            (_CACHE_COALESCED, now.coalesced - before.coalesced),
+            (_CACHE_STORES, now.stores - before.stores),
+            (_CACHE_TIME_SAVED, now.time_saved_seconds - before.time_saved_seconds),
+        ):
+            if delta:
+                counter.inc(delta)
+        if now.bytes_read != before.bytes_read:
+            _CACHE_BYTES.inc(now.bytes_read - before.bytes_read, direction="read")
+        if now.bytes_written != before.bytes_written:
+            _CACHE_BYTES.inc(now.bytes_written - before.bytes_written, direction="written")

@@ -466,6 +466,15 @@ class StaleReference(LookupError):
     """
 
 
+#: Bound of the process-wide memo behind :meth:`DocumentRef.key`.  Every
+#: listing makes new references, so a re-run over the same files keys them
+#: by lookup instead of by hashing; the memo is cleared when full, which
+#: keeps it under ~6 MB (entries of ~0.4 KB: the tuple, the two strings it
+#: holds and the hex key).
+_REF_KEY_MEMO_ENTRIES = 16384
+_REF_KEYS: dict[tuple[bytes, str, str], str] = {}
+
+
 @dataclass(frozen=True)
 class DocumentRef:
     """One document of a source, named without reading it.
@@ -504,8 +513,15 @@ class DocumentRef:
         # on Python 3.11, and every reference of a listing is keyed once.
         key = self.__dict__.get("_key")
         if key is None:
-            framed = self.source.key_prefix + frame_text(self.locator, self.stamp)
-            key = self.__dict__["_key"] = framed_hash_hex(framed)
+            prefix = self.source.key_prefix
+            identity = (prefix, self.locator, self.stamp)
+            key = _REF_KEYS.get(identity)
+            if key is None:
+                key = framed_hash_hex(prefix + frame_text(self.locator, self.stamp))
+                if len(_REF_KEYS) >= _REF_KEY_MEMO_ENTRIES:
+                    _REF_KEYS.clear()
+                _REF_KEYS[identity] = key
+            self.__dict__["_key"] = key
         return key
 
     @property

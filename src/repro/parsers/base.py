@@ -301,12 +301,19 @@ class Parser(abc.ABC):
         name, :attr:`version`, and the cost model (whose variability drives
         the simulated usage sampling).  Engines extend this with α, batch
         size, and trained model weights.
+
+        Computed once per instance, and again only when one of those inputs
+        is rebound (a bumped class :attr:`version`, a replaced :attr:`cost`).
         """
+        inputs = (self.name, self.version, self.cost, self._fingerprint_formats)
+        memo = self.__dict__.get("_config_fingerprint")
+        if memo is not None and memo[0] == inputs:
+            return memo[1]
         from dataclasses import astuple
 
         from repro.utils.hashing import stable_hash_hex
 
-        return stable_hash_hex(
+        fingerprint = stable_hash_hex(
             "parser-config",
             type(self).__name__,
             self.name,
@@ -314,6 +321,8 @@ class Parser(abc.ABC):
             *astuple(self.cost),
             *self._fingerprint_formats,
         )
+        self.__dict__["_config_fingerprint"] = (inputs, fingerprint)
+        return fingerprint
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

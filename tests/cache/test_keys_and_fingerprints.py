@@ -165,6 +165,28 @@ class TestConfigFingerprints:
         finally:
             type(parser).version = original
 
+    def test_repeated_calls_hold_the_pin_and_an_engine_tracks_its_embeddings(self):
+        """A base parser's fingerprint is computed once per instance; an
+        engine's hashes its weights on every call, because they can change
+        in place."""
+        from repro.core.cls3 import ParserSelector
+        from repro.ml.quality_model import ParserQualityPredictor
+
+        registry = default_registry()
+        parser = registry.get("pymupdf")
+        pinned = PINNED_PARSER_FINGERPRINTS["pymupdf"]
+        assert [parser.config_fingerprint() for _ in range(3)] == [pinned] * 3
+        selector = ParserSelector(
+            ParserQualityPredictor(registry.names, backend="fasttext"),
+            default_parser="pymupdf",
+        )
+        engine = AdaParseEngine(registry, selector=selector)
+        before = engine.config_fingerprint()
+        assert engine.config_fingerprint() == before
+        selector.predictor.fasttext.embeddings[0, 0] += 0.5
+        assert engine.config_fingerprint() != before
+        assert parser.config_fingerprint() == pinned
+
     def test_engine_fingerprint_sensitive_to_alpha(self):
         registry = default_registry()
         engine = _ScriptedEngine(registry, AdaParseConfig(alpha=0.05, batch_size=16))

@@ -252,6 +252,33 @@ class TestWarmRunCountGates:
         assert counts["hash"] == 8  # ... but keyed from the index
         assert list((tmp_path / "cache").iterdir()) == []
 
+    def test_warm_run_that_writes_nothing_lists_nothing_in_the_cache_directory(
+        self, tmp_path, monkeypatch
+    ):
+        source = write_pool(tmp_path / "pool")
+        cache_dir = tmp_path / "cache"
+        run(ParseCache(cache_dir), source)
+        listed: list[Path] = []
+        glob, scandir = Path.glob, os.scandir
+
+        def counting_glob(self, pattern, *args, **kwargs):
+            listed.append(Path(self))
+            return glob(self, pattern, *args, **kwargs)
+
+        def counting_scandir(path=".", *args, **kwargs):
+            listed.append(Path(path))
+            return scandir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "glob", counting_glob)
+        monkeypatch.setattr(os, "scandir", counting_scandir)
+        # The disk tier, then the memory tier: readwrite, and every slot a hit.
+        cache = ParseCache(cache_dir)
+        reports = [run(cache, source), run(cache, source)]
+        assert [(r.cache.hits, r.cache.stores) for r in reports] == [(8, 0), (8, 0)]
+        assert "cache.flush" in reports[1].phases
+        assert tmp_path / "pool" in listed  # the source's own listing is counted
+        assert [p for p in listed if p == cache_dir or cache_dir in p.parents] == []
+
     def test_an_existing_cache_directory_gains_an_index_on_its_next_writing_run(
         self, tmp_path, counts
     ):

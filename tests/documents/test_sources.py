@@ -341,6 +341,20 @@ class TestDocumentRefs:
         assert moved["alpha.simpdf"] != first["alpha.simpdf"]
         assert moved["sub/beta.simpdf"] == first["sub/beta.simpdf"]
 
+    def test_key_memo_is_bounded_and_answers_what_hashing_would(self, monkeypatch):
+        import repro.documents.sources as sources_module
+
+        monkeypatch.setattr(sources_module, "_REF_KEY_MEMO_ENTRIES", 2)
+        monkeypatch.setattr(sources_module, "_REF_KEYS", {})
+        spec = SourceSpec("simpdf-dir", {"path": "/x/y"})
+        stamps = ["123:456789", "123:456790", "124:456789"]
+        first = [DocumentRef(spec, "a.simpdf", stamp).key() for stamp in stamps]
+        assert len(sources_module._REF_KEYS) <= 2
+        assert first[0] == "05f8ca1ba065cee7cd54eea0d1b8ae00"  # test_ref_key_is_pinned
+        assert len(set(first)) == 3
+        assert [DocumentRef(spec, "a.simpdf", stamp).key() for stamp in stamps] == first
+        assert len(sources_module._REF_KEYS) <= 2
+
     def test_missing_file_or_directory_is_stale(self, tree):
         (ref, _) = SimPdfDirSource(tree, glob=RECURSIVE).refs()
         (tree / "alpha.simpdf").unlink()
