@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -273,6 +274,42 @@ class TestRegistryTotals:
         }
         saved = metrics.default_registry().get("repro_cache_time_saved_seconds_total")
         assert saved.value() == pytest.approx(summed.time_saved_seconds)
+
+
+    def test_concurrent_publishes_lose_and_repeat_no_count(self):
+        from repro.cache import CacheStatsRecorder
+
+        recorder = CacheStatsRecorder()
+        n_threads, per_thread = 8, 1000
+
+        def work() -> None:
+            for _ in range(per_thread):
+                recorder.record_hit(bytes_read=3)
+                recorder.record_miss()
+                recorder.record_store(bytes_written=5)
+                recorder.publish()
+            recorder.publish()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = n_threads * per_thread
+        assert _registry_totals() == {
+            "hits": total,
+            "misses": total,
+            "coalesced": 0,
+            "stores": total,
+            "bytes_read": 3 * total,
+            "bytes_written": 5 * total,
+        }
 
 
 class TestDatasetBuilderReuse:
