@@ -177,16 +177,14 @@ class CacheStatsRecorder:
         with self._lock:
             now = CacheStats(**vars(self._stats))
             before, self._published = self._published, now
-        for counter, delta in (
-            (_CACHE_HITS, now.hits - before.hits),
-            (_CACHE_MISSES, now.misses - before.misses),
-            (_CACHE_COALESCED, now.coalesced - before.coalesced),
-            (_CACHE_STORES, now.stores - before.stores),
-            (_CACHE_TIME_SAVED, now.time_saved_seconds - before.time_saved_seconds),
+        for counter, delta, labels in (
+            (_CACHE_HITS, now.hits - before.hits, {}),
+            (_CACHE_MISSES, now.misses - before.misses, {}),
+            (_CACHE_COALESCED, now.coalesced - before.coalesced, {}),
+            (_CACHE_STORES, now.stores - before.stores, {}),
+            (_CACHE_TIME_SAVED, now.time_saved_seconds - before.time_saved_seconds, {}),
+            (_CACHE_BYTES, now.bytes_read - before.bytes_read, {"direction": "read"}),
+            (_CACHE_BYTES, now.bytes_written - before.bytes_written, {"direction": "written"}),
         ):
             if delta:
-                counter.inc(delta)
-        if now.bytes_read != before.bytes_read:
-            _CACHE_BYTES.inc(now.bytes_read - before.bytes_read, direction="read")
-        if now.bytes_written != before.bytes_written:
-            _CACHE_BYTES.inc(now.bytes_written - before.bytes_written, direction="written")
+                counter.inc(delta, **labels)

@@ -468,9 +468,10 @@ class StaleReference(LookupError):
 
 #: Bound of the process-wide memo behind :meth:`DocumentRef.key`.  Every
 #: listing makes new references, so a re-run over the same files keys them
-#: by lookup instead of by hashing; the memo is cleared when full, which
-#: keeps it under ~6 MB (entries of ~0.4 KB: the tuple, the two strings it
-#: holds and the hex key).
+#: by lookup instead of by hashing; a key is a pure function of its entry's
+#: tuple, so sharing the memo changes no answer.  It is cleared when full,
+#: which keeps it under ~6 MB (entries of at most ~0.4 KB: the tuple, the
+#: two strings it holds and the hex key).
 _REF_KEY_MEMO_ENTRIES = 16384
 _REF_KEYS: dict[tuple[bytes, str, str], str] = {}
 
