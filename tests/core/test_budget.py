@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,10 @@ from repro.core.budget import (
 
 improvement_lists = st.lists(
     st.floats(min_value=-0.5, max_value=0.8, allow_nan=False), min_size=0, max_size=200
+)
+# Finite and short enough (n <= 10) to enumerate every subset.
+small_improvement_lists = st.lists(
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=0, max_size=10
 )
 
 
@@ -96,6 +102,21 @@ class TestSelectWithinBudget:
         for start in range(0, len(improvements), batch_size):
             chunk = routed[start : start + batch_size]
             assert chunk.sum() <= int(np.floor(alpha * len(chunk)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_improvement_lists, st.floats(min_value=0, max_value=1))
+    def test_global_plan_reaches_the_brute_force_optimum(self, improvements, alpha):
+        # The deployed two-parser problem: no subset of at most floor(α·n)
+        # documents has a larger summed improvement than the plan's.  Gains,
+        # not masks, are compared, because ties make the optimal mask ambiguous.
+        plan = select_within_budget(improvements, alpha, batch_size=None, margin=0.0)
+        k = int(np.floor(alpha * len(improvements)))
+        optimum = max(
+            sum(subset)
+            for size in range(k + 1)
+            for subset in combinations(improvements, size)
+        )
+        assert plan.expected_gain() == pytest.approx(optimum, rel=1e-12, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(improvement_lists, st.floats(min_value=0, max_value=1))
