@@ -3,9 +3,7 @@
 Large campaigns hit corrupted PDFs, transient worker failures, and stragglers
 (Section 2.4 of the paper).  This example runs the cluster simulator with and
 without fault injection and shows how the executor's retry/quarantine policy
-keeps completion high at a modest throughput cost, and how the budget-aware
-assignment planner (the multi-parser extension of Appendix C) would distribute
-the same documents across the full parser set.
+keeps completion high at a modest throughput cost.
 
 Run with::
 
@@ -14,10 +12,6 @@ Run with::
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.assignment import cost_matrix_for_documents, plan_campaign_assignment
-from repro.documents.corpus import CorpusConfig, build_corpus
 from repro.hpc.campaign import CampaignConfig, ParsingCampaign
 from repro.hpc.faults import FaultModel, RetryPolicy
 from repro.parsers.registry import default_registry
@@ -57,38 +51,8 @@ def run_campaigns() -> Table:
     return table
 
 
-def plan_assignment() -> None:
-    """Plan a budgeted multi-parser assignment for a small document batch."""
-    registry = default_registry()
-    corpus = build_corpus(CorpusConfig(n_documents=60, seed=23))
-    documents = list(corpus)
-    costs, names = cost_matrix_for_documents(documents, registry)
-
-    # Stand-in for CLS III predictions: recognition parsers are predicted to do
-    # better on scanned/degraded documents, extraction on clean born-digital ones.
-    rng = np.random.default_rng(11)
-    predicted = rng.uniform(0.35, 0.55, size=costs.shape)
-    for i, document in enumerate(documents):
-        clean_text_layer = document.text_layer.quality.value in ("clean", "noisy")
-        for j, name in enumerate(names):
-            if name in ("pymupdf", "pypdf") and clean_text_layer:
-                predicted[i, j] += 0.3
-            if name in ("nougat", "marker", "tesseract") and not clean_text_layer:
-                predicted[i, j] += 0.25
-
-    budget = 1.5 * costs[:, names.index("pymupdf")].sum()
-    plan = plan_campaign_assignment(documents, predicted, registry, budget_seconds=budget)
-    print(f"assignment plan under a budget of {budget:.1f} compute-seconds:")
-    for parser, fraction in plan.fraction_by_parser().items():
-        print(f"  {parser:>10}: {fraction:6.1%} of documents")
-    print(f"  total predicted accuracy: {plan.total_accuracy:.1f}, "
-          f"cost {plan.total_cost:.1f}s (feasible: {plan.feasible})")
-
-
 def main() -> None:
     print(run_campaigns().to_text())
-    print()
-    plan_assignment()
 
 
 if __name__ == "__main__":

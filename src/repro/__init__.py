@@ -18,8 +18,8 @@ PDF Parsing and Resource Scaling Engine* (MLSys 2025).  It provides:
 * :mod:`repro.preferences` — a simulated human-preference study and the DPO
   preference dataset.
 * :mod:`repro.hpc` — a discrete-event simulator of a Polaris-like cluster with
-  a Parsl-like executor (plus fault injection and resource-scaling policies),
-  used for the throughput and scalability experiments.
+  a Parsl-like executor (plus fault injection), used for the throughput and
+  scalability experiments.
 * :mod:`repro.datasets` — dataset assembly from parsed documents: quality
   filtering, deduplication, sharded JSONL output, and goodput accounting.
 * :mod:`repro.evaluation` — the experiment harness that regenerates every

@@ -82,12 +82,6 @@ class ValidationClassifier:
         """Boolean shortcut for :meth:`validate`."""
         return self.validate(text, n_pages=n_pages).is_valid
 
-    def validate_batch(self, texts: list[str], n_pages: list[int] | None = None) -> list[ValidationVerdict]:
-        """Validate a batch of extracted texts."""
-        if n_pages is None:
-            n_pages = [1] * len(texts)
-        return [self.validate(t, n) for t, n in zip(texts, n_pages)]
-
 
 def calibrate_validation_threshold(
     texts: list[str],

@@ -94,12 +94,6 @@ class ImprovementClassifier:
         features = self.featurizer.extract_batch(metadatas)
         return self.model.predict_proba(features)[:, 1]
 
-    def improvement_likely(
-        self, metadatas: list[DocumentMetadata], threshold: float = 0.5
-    ) -> np.ndarray:
-        """Boolean mask of documents deemed likely to improve."""
-        return self.improvement_probability(metadatas) >= threshold
-
     def accuracy(
         self,
         metadatas: list[DocumentMetadata],

@@ -31,7 +31,7 @@ from repro.documents.document import SciDocument
 from repro.documents.sources import DocumentSource
 from repro.metrics.accepted_tokens import DEFAULT_BLEU_THRESHOLD
 from repro.metrics.bundle import evaluate_parse
-from repro.parsers.base import Parser, ParseResult
+from repro.parsers.base import Parser
 from repro.pipeline.pipeline import ParsePipeline
 
 
@@ -196,21 +196,6 @@ class DatasetBuilder:
             records.append(record_from_parse(document, result, bundle=bundle))
         return records
 
-    def build_from_results(
-        self, corpus: Corpus, results: list[ParseResult]
-    ) -> DatasetReport:
-        """Assemble from pre-computed parse results (e.g. a campaign replay)."""
-        documents = list(corpus)
-        if len(documents) != len(results):
-            raise ValueError("corpus and results must have equal length")
-        records = []
-        for document, result in zip(documents, results):
-            bundle = None
-            if self.config.evaluate_against_ground_truth:
-                bundle = evaluate_parse(document.ground_truth_pages(), result.page_texts)
-            records.append(record_from_parse(document, result, bundle=bundle))
-        return self._assemble(records)
-
     # ------------------------------------------------------------------ #
     # Assembly
     # ------------------------------------------------------------------ #
@@ -271,9 +256,3 @@ class DatasetBuilder:
         )
         writer.manifest.save()
         return writer.manifest
-
-
-def load_dataset(directory: str | Path) -> list[ParsedRecord]:
-    """Load an assembled dataset back into records (via its manifest)."""
-    manifest = JsonlShardManifest.load(directory)
-    return [ParsedRecord.from_json_dict(payload) for payload in manifest.iter_records()]

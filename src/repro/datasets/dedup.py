@@ -115,15 +115,6 @@ class MinHasher:
         ) % _MERSENNE_61
         return permuted.min(axis=1).astype(np.int64)
 
-    @staticmethod
-    def estimate_similarity(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-        """Estimated Jaccard similarity from two signatures."""
-        if sig_a.shape != sig_b.shape:
-            raise ValueError("signatures must have equal length")
-        if sig_a.size == 0:
-            return 0.0
-        return float(np.mean(sig_a == sig_b))
-
 
 class LshIndex:
     """Banded LSH index over MinHash signatures.

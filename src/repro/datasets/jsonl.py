@@ -123,12 +123,6 @@ class JsonlShardManifest:
             )
         return manifest
 
-    def iter_records(self) -> Iterator[dict[str, object]]:
-        """Stream every record of the dataset, shard by shard."""
-        base = Path(self.directory)
-        for shard in self.shards:
-            yield from iter_jsonl(base / shard.path)
-
 
 class ShardedJsonlWriter:
     """Writes records into rolling JSONL shards under one directory.
@@ -207,14 +201,6 @@ class ShardedJsonlWriter:
         self._handle.write(line)
         self._current_records += 1
         self._current_bytes += len(encoded)
-
-    def write_many(self, records: Iterable[Mapping[str, object]]) -> int:
-        """Append many records; returns how many were written."""
-        count = 0
-        for record in records:
-            self.write(record)
-            count += 1
-        return count
 
     def close(self, extra: Mapping[str, object] | None = None) -> JsonlShardManifest:
         """Finish the open shard and write the manifest."""

@@ -163,10 +163,6 @@ class FilterReport:
             return 0.0
         return self.n_accepted / self.n_input
 
-    def rejection_reasons(self, filter_name: str) -> list[str]:
-        """Reasons recorded for one filter's rejections."""
-        return [reason for _, name, reason in self.rejected if name == filter_name]
-
     def summary(self) -> dict[str, object]:
         """Headline numbers for logs and reports."""
         return {

@@ -115,11 +115,6 @@ class ParsedRecord:
         """CPU plus GPU seconds charged to this record."""
         return self.cpu_seconds + self.gpu_seconds
 
-    @property
-    def has_known_quality(self) -> bool:
-        """Whether any quality estimate (reference or predicted) is attached."""
-        return self.quality is not None
-
 
 def record_from_parse(
     document: SciDocument,

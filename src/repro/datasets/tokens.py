@@ -3,14 +3,13 @@
 The introduction of the paper argues that the right figure of merit for a
 parsing campaign is *goodput*: accepted textual tokens produced per resource
 unit, not raw documents per second.  This module aggregates token counts and
-compute charges over parsed records and reports goodput per CPU-hour,
-GPU-hour, and node-hour.
+compute charges over parsed records and reports goodput per node-hour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.datasets.records import ParsedRecord
 from repro.metrics.accepted_tokens import DEFAULT_BLEU_THRESHOLD
@@ -59,18 +58,6 @@ class TokenAccount:
     def compute_seconds(self) -> float:
         """CPU plus GPU seconds."""
         return self.cpu_seconds + self.gpu_seconds
-
-    def goodput_per_cpu_hour(self) -> float:
-        """Accepted tokens per CPU-core-hour."""
-        if self.cpu_seconds <= 0:
-            return 0.0
-        return self.n_accepted_tokens / (self.cpu_seconds / 3600.0)
-
-    def goodput_per_gpu_hour(self) -> float:
-        """Accepted tokens per GPU-hour (0 when no GPU time was charged)."""
-        if self.gpu_seconds <= 0:
-            return 0.0
-        return self.n_accepted_tokens / (self.gpu_seconds / 3600.0)
 
     def goodput_per_node_hour(
         self,
@@ -174,24 +161,3 @@ def goodput_table(
             }
         )
     return table
-
-
-def accepted_token_counts(
-    qualities: Sequence[float | None],
-    token_counts: Sequence[int],
-    threshold: float = DEFAULT_BLEU_THRESHOLD,
-) -> int:
-    """Accepted-token count over parallel quality/token sequences.
-
-    Convenience for callers that have not built records; ``None`` qualities
-    never count as accepted.
-    """
-    if len(qualities) != len(token_counts):
-        raise ValueError("qualities and token_counts must have equal length")
-    return int(
-        sum(
-            count
-            for quality, count in zip(qualities, token_counts)
-            if quality is not None and quality >= threshold
-        )
-    )

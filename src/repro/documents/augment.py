@@ -156,25 +156,3 @@ def replace_text_layers_with_ocr(
         )
         documents.append(doc.with_text_layer(layer))
     return Corpus(documents=documents, config=corpus.config)
-
-
-def strip_text_layers(corpus: Corpus, fraction: float, seed: int = 31) -> Corpus:
-    """Remove the text layer from a fraction of documents entirely.
-
-    Not used by a numbered table in the paper, but useful for stress-testing
-    CLS I (the validity check) and for the failure-injection tests.
-    """
-    rng = rng_from(seed, "strip-text", len(corpus))
-    mask = _affected_mask(len(corpus), fraction, rng)
-    documents = []
-    for doc, hit in zip(corpus.documents, mask):
-        if not hit:
-            documents.append(doc)
-            continue
-        layer = TextLayer(
-            quality=TextLayerQuality.MISSING,
-            page_texts=["" for _ in range(doc.n_pages)],
-            producer=doc.text_layer.producer,
-        )
-        documents.append(doc.with_text_layer(layer))
-    return Corpus(documents=documents, config=corpus.config)

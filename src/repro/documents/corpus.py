@@ -246,10 +246,6 @@ class Corpus:
         docs = [self.documents[i] for i in indices]
         return Corpus(documents=docs, config=self.config)
 
-    def map_documents(self, fn: Callable[[SciDocument], SciDocument]) -> "Corpus":
-        """Corpus with ``fn`` applied to every document (e.g. augmentation)."""
-        return Corpus(documents=[fn(d) for d in self.documents], config=self.config)
-
     @property
     def total_pages(self) -> int:
         """Total number of pages across all documents."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.documents.metadata import DocumentMetadata
 
@@ -142,10 +142,6 @@ class TextLayer:
         """Concatenated embedded text of the whole document."""
         return "\n".join(self.page_texts)
 
-    def first_page_text(self) -> str:
-        """Embedded text of the first page (the signal CLS I–III operate on)."""
-        return self.page_texts[0] if self.page_texts else ""
-
 
 @dataclass
 class ImageLayer:
@@ -245,11 +241,6 @@ class SciDocument:
         """Per-page ground-truth plain text."""
         return [page.ground_truth_text() for page in self.pages]
 
-    def iter_elements(self) -> Iterator[PageElement]:
-        """Iterate over all elements across pages in reading order."""
-        for page in self.pages:
-            yield from page.elements
-
     # ------------------------------------------------------------------ #
     # Difficulty proxies
     # ------------------------------------------------------------------ #
@@ -261,11 +252,6 @@ class SciDocument:
             return 0.0
         n_eq = sum(len(p.elements_of_kind("equation")) for p in self.pages)
         return n_eq / n_elements
-
-    @property
-    def is_born_digital(self) -> bool:
-        """True when the document was not produced by a scanning pipeline."""
-        return not self.image_layer.is_scanned
 
     def with_text_layer(self, text_layer: TextLayer) -> "SciDocument":
         """Return a copy of the document with a replaced text layer."""

@@ -128,10 +128,6 @@ class SimPdfWriter:
         path.write_bytes(serialize_document(doc))
         return path
 
-    def write_all(self, documents: Iterable[SciDocument]) -> list[Path]:
-        """Write many documents; returns the file paths."""
-        return [self.write(doc) for doc in documents]
-
 
 class SimPdfReader:
     """Read SimPDF files from a directory."""
@@ -146,10 +142,6 @@ class SimPdfReader:
     def read(self, path: str | Path) -> SciDocument:
         """Read one document from a path."""
         return deserialize_document(Path(path).read_bytes())
-
-    def read_all(self) -> list[SciDocument]:
-        """Read every document in the directory."""
-        return [self.read(p) for p in self.paths()]
 
 
 @dataclass
@@ -227,8 +219,3 @@ class SimPdfArchive:
             for entry in self.entries:
                 fh.seek(self._body_offset + entry.offset)
                 yield deserialize_document(fh.read(entry.length))
-
-    @property
-    def size_bytes(self) -> int:
-        """Total archive size on disk."""
-        return self.path.stat().st_size

@@ -93,7 +93,6 @@ class ShardLedger:
         self.path = self.directory / _LEDGER_FILENAME
         self._lock = threading.Lock()
         self._entries: dict[str, dict[str, Any]] = {}
-        self._loaded_entries = 0
         self._load()
 
     # ------------------------------------------------------------------ #
@@ -112,7 +111,6 @@ class ShardLedger:
         except OSError:
             return
         skipped += reader.skipped
-        self._loaded_entries = len(self._entries)
         if skipped:
             log_event(
                 _LOG,
@@ -125,11 +123,6 @@ class ShardLedger:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    @property
-    def loaded_entries(self) -> int:
-        """Entries found on disk at open time (what a resume can skip)."""
-        return self._loaded_entries
 
     def __contains__(self, key: str) -> bool:
         with self._lock:

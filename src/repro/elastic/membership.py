@@ -142,11 +142,6 @@ class MembershipRegistry:
         with self._lock:
             return self._records.get(worker_id)
 
-    def tags_of(self, worker_id: str) -> dict[str, Any]:
-        with self._lock:
-            record = self._records.get(worker_id)
-            return dict(record.tags) if record is not None else {}
-
     def snapshot(self) -> list[dict[str, Any]]:
         with self._lock:
             return [record.to_json_dict() for record in self._records.values()]

@@ -23,7 +23,7 @@ from repro.hpc.campaign import (
 )
 from repro.hpc.profiler import UtilizationProfile
 from repro.hpc.workload import WorkloadModel
-from repro.parsers.base import Parser, single_node_throughput
+from repro.parsers.base import Parser
 from repro.parsers.registry import ParserRegistry
 from repro.utils.tables import Table
 
@@ -216,11 +216,4 @@ def throughput_ratio_summary(series: Figure5Series, reference: str = "nougat") -
     return {
         parser: round(runs[0].throughput_docs_per_s / base, 2)
         for parser, runs in series.results.items()
-    }
-
-
-def ideal_single_node_legend(registry: ParserRegistry) -> dict[str, float]:
-    """Analytic (no-overhead) single-node throughputs implied by the cost models."""
-    return {
-        parser.name: round(single_node_throughput(parser.cost), 3) for parser in registry
     }

@@ -8,7 +8,6 @@ to the code that produced them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,16 +27,6 @@ class ExperimentRecord:
         if note:
             body = body + "\n\n" + note
         self.sections.append((experiment_id, body))
-
-    def add_text(self, experiment_id: str, text: str) -> None:
-        """Record free-form text (e.g. headline statistics)."""
-        self.sections.append((experiment_id, text))
-
-    def add_json(self, experiment_id: str, payload: dict) -> None:
-        """Record a JSON-serialisable payload as a fenced block."""
-        self.sections.append(
-            (experiment_id, "```json\n" + json.dumps(payload, indent=2, default=str) + "\n```")
-        )
 
     def to_markdown(self) -> str:
         """Render all recorded sections."""

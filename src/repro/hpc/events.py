@@ -60,8 +60,3 @@ class DiscreteEventSimulator:
             if max_events is not None and processed >= max_events:
                 break
         return self.now
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events still queued."""
-        return len(self._queue)

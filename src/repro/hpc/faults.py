@@ -63,15 +63,6 @@ class FaultModel:
         if self.straggler_multiplier < 1.0:
             raise ValueError("straggler_multiplier must be at least 1")
 
-    @property
-    def injects_anything(self) -> bool:
-        """Whether any fault can actually occur under this model."""
-        return (
-            self.corrupted_document_rate > 0
-            or self.transient_failure_rate > 0
-            or self.straggler_rate > 0
-        )
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -137,10 +128,3 @@ class FaultInjector:
         if self.model.transient_failure_rate > 0 and rng.random() < self.model.transient_failure_rate:
             return AttemptOutcome(outcome="transient_failure", runtime_multiplier=multiplier)
         return AttemptOutcome(outcome="success", runtime_multiplier=multiplier)
-
-    def expected_attempts(self) -> float:
-        """Expected attempts per healthy document under unlimited retries."""
-        p = self.model.transient_failure_rate
-        if p >= 1.0:
-            return float("inf")
-        return 1.0 / (1.0 - p)

@@ -28,8 +28,6 @@ class CapacityResource:
         self._waiting: deque[Callable[[], None]] = deque()
         self._busy_time = 0.0
         self._last_change = 0.0
-        self._waited_total = 0.0
-        self._grants = 0
 
     # ------------------------------------------------------------------ #
     def _account(self) -> None:
@@ -42,16 +40,9 @@ class CapacityResource:
         if self._in_use < self.capacity:
             self._account()
             self._in_use += 1
-            self._grants += 1
             self.sim.schedule(0.0, callback)
         else:
-            request_time = self.sim.now
-
-            def granted() -> None:
-                self._waited_total += self.sim.now - request_time
-                callback()
-
-            self._waiting.append(granted)
+            self._waiting.append(callback)
 
     def release(self) -> None:
         """Return a slot; the next waiter (if any) is granted immediately."""
@@ -62,16 +53,10 @@ class CapacityResource:
         if self._waiting:
             self._account()
             self._in_use += 1
-            self._grants += 1
             waiter = self._waiting.popleft()
             self.sim.schedule(0.0, waiter)
 
     # ------------------------------------------------------------------ #
-    @property
-    def queue_length(self) -> int:
-        """Number of waiting requests."""
-        return len(self._waiting)
-
     def utilization(self, over_time: float | None = None) -> float:
         """Mean busy fraction of the resource over the simulation so far."""
         self._account()
@@ -79,12 +64,6 @@ class CapacityResource:
         if horizon <= 0:
             return 0.0
         return min(1.0, self._busy_time / (horizon * self.capacity))
-
-    def mean_wait(self) -> float:
-        """Mean queueing delay over all grants."""
-        if self._grants == 0:
-            return 0.0
-        return self._waited_total / self._grants
 
 
 @dataclass
@@ -153,7 +132,3 @@ class NodeResources:
         gpu = self.gpus[self._next_gpu % len(self.gpus)]
         self._next_gpu += 1
         return gpu
-
-    def gpu_utilizations(self, over_time: float | None = None) -> list[float]:
-        """Per-GPU busy fractions."""
-        return [gpu.utilization(over_time) for gpu in self.gpus]

@@ -25,18 +25,3 @@ def page_coverage_rate(
         if len(parsed.strip()) >= required:
             covered += 1
     return covered / len(ground_truth_pages)
-
-
-def dropped_pages(
-    ground_truth_pages: Sequence[str],
-    parsed_pages: Sequence[str],
-    min_fraction: float = 0.2,
-) -> list[int]:
-    """Indices of pages considered dropped by the parse."""
-    missing: list[int] = []
-    for i, gt_page in enumerate(ground_truth_pages):
-        parsed = parsed_pages[i] if i < len(parsed_pages) else ""
-        required = max(1, int(min_fraction * len(gt_page.strip())))
-        if len(parsed.strip()) < required:
-            missing.append(i)
-    return missing

@@ -14,8 +14,8 @@ available offline, so the whole stack is reimplemented here:
 * :mod:`repro.ml.fasttext` — hashed bag-of-n-gram embedding model
   (AdaParse (FT)).
 * :mod:`repro.ml.transformer` — a trainable Transformer encoder with manual
-  backprop (the SciBERT/BERT/MiniLM/SPECTER stand-ins).
-* :mod:`repro.ml.lora` — low-rank adaptation of attention projections.
+  backprop and optional low-rank (LoRA) adapters on the attention projections
+  (the SciBERT/BERT/MiniLM/SPECTER stand-ins).
 * :mod:`repro.ml.pretrain` — masked-token pre-training that differentiates
   "scientific" from "web-scale" encoders.
 * :mod:`repro.ml.dpo` — direct preference optimisation post-training.

@@ -15,11 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.documents.corpus import Corpus
-from repro.documents.document import SciDocument
 from repro.documents.metadata import DocumentMetadata
 from repro.metrics.bleu import BleuReference
 from repro.metrics.tokenize import word_tokenize
-from repro.parsers.base import ParseResult
 from repro.parsers.registry import ParserRegistry
 
 
@@ -79,21 +77,6 @@ class QualityDataset:
 def _label_text(pages: Sequence[str], label_pages: int | None) -> str:
     """The first ``label_pages`` pages (``None`` = all) as one text to score."""
     return "\n".join(pages[:label_pages])
-
-
-def document_parser_bleu(
-    document: SciDocument,
-    result: ParseResult,
-    label_pages: int | None = None,
-) -> float:
-    """BLEU of one parse against the document's ground truth.
-
-    ``label_pages`` restricts scoring to the first *k* pages, which is how the
-    paper's stage-1 regression targets (page-wise accuracy) are built; ``None``
-    scores the whole document.
-    """
-    reference = BleuReference(_label_text(document.ground_truth_pages(), label_pages))
-    return reference.score(_label_text(result.page_texts, label_pages))
 
 
 def build_quality_dataset(

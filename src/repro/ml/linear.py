@@ -52,17 +52,6 @@ class RidgeRegression:
         X = np.asarray(features, dtype=np.float64)
         return X @ self.weights + self.bias
 
-    def r2_score(self, features: np.ndarray, targets: np.ndarray) -> float:
-        """Coefficient of determination averaged over outputs."""
-        Y = np.asarray(targets, dtype=np.float64)
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        pred = self.predict(features)
-        ss_res = np.sum((Y - pred) ** 2, axis=0)
-        ss_tot = np.sum((Y - Y.mean(axis=0)) ** 2, axis=0)
-        ss_tot = np.where(ss_tot == 0, 1.0, ss_tot)
-        return float(np.mean(1.0 - ss_res / ss_tot))
-
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax."""

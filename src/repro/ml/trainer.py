@@ -136,30 +136,6 @@ class AdamOptimizer:
 
 
 @dataclass
-class SGDOptimizer:
-    """Plain SGD with optional momentum (used by the smaller models)."""
-
-    learning_rate: float = 0.05
-    momentum: float = 0.0
-    _velocity: ParamDict = field(default_factory=dict, init=False, repr=False)
-
-    def step(self, params: ParamDict, grads: ParamDict) -> None:
-        """Update ``params`` in place given ``grads``."""
-        for name, grad in grads.items():
-            if name not in params:
-                continue
-            if self.momentum > 0.0:
-                velocity = self._velocity.get(name)
-                if velocity is None:
-                    velocity = np.zeros_like(grad)
-                velocity = self.momentum * velocity - self.learning_rate * grad
-                self._velocity[name] = velocity
-                params[name] += velocity
-            else:
-                params[name] -= self.learning_rate * grad
-
-
-@dataclass
 class TrainingHistory:
     """Per-epoch loss record (train and optional validation)."""
 
@@ -170,10 +146,6 @@ class TrainingHistory:
         self.train_loss.append(float(train))
         if validation is not None:
             self.validation_loss.append(float(validation))
-
-    @property
-    def best_validation_loss(self) -> float | None:
-        return min(self.validation_loss) if self.validation_loss else None
 
 
 def require_training_rows(n_examples: int, targets: np.ndarray) -> None:

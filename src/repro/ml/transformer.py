@@ -122,10 +122,6 @@ class TransformerEncoder:
         """Names of the LoRA adapter parameters (empty when rank is 0)."""
         return [n for n in self.params if ".lora_" in n]
 
-    def n_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return int(sum(p.size for p in self.params.values()))
-
     def clone_parameters(self) -> ParamDict:
         """Deep copy of all parameters (used for DPO reference models)."""
         return {name: value.copy() for name, value in self.params.items()}

@@ -63,11 +63,6 @@ class ResourceUsage:
             gpu_memory_mb=float(payload.get("gpu_memory_mb", 0.0)),
         )
 
-    @property
-    def total_compute_seconds(self) -> float:
-        """CPU plus GPU seconds (the scalar the budget constraint uses)."""
-        return self.cpu_seconds + self.gpu_seconds
-
 
 @dataclass(frozen=True)
 class ParserCost:
@@ -95,11 +90,6 @@ class ParserCost:
     model_load_seconds: float = 0.0
     per_document_overhead_seconds: float = 0.0
     variability: float = 0.15
-
-    @property
-    def uses_gpu(self) -> bool:
-        """Whether the parser needs a GPU worker."""
-        return self.gpu_seconds_per_page > 0.0 or self.gpu_memory_mb > 0.0
 
     def expected_document_usage(self, n_pages: int) -> ResourceUsage:
         """Expected resource usage for a document of ``n_pages`` pages."""
@@ -215,10 +205,6 @@ class Parser(abc.ABC):
         difficulty += 0.5 * document.image_layer.degradation_score()
         return float(min(1.0, difficulty))
 
-    def estimate_usage(self, document: SciDocument) -> ResourceUsage:
-        """Expected resource usage (used by the budget optimiser and scheduler)."""
-        return self.cost.expected_document_usage(document.n_pages)
-
     def parse(self, document: SciDocument) -> ParseResult:
         """Parse a document, returning text output and simulated resource usage."""
         rng = self.document_rng(document)
@@ -326,26 +312,3 @@ class Parser(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def single_node_throughput(
-    cost: ParserCost,
-    pages_per_document: float = 10.0,
-    cpu_cores: int = 32,
-    gpus: int = 4,
-) -> float:
-    """Ideal single-node throughput (documents/second) implied by a cost model.
-
-    This mirrors the legend of Figure 3: it ignores I/O and scheduling overhead
-    and assumes perfect intra-node parallelism over CPU cores or GPUs.
-    """
-    per_doc_cpu = cost.per_document_overhead_seconds + cost.cpu_seconds_per_page * pages_per_document
-    per_doc_gpu = cost.gpu_seconds_per_page * pages_per_document
-    rates = []
-    if per_doc_cpu > 0:
-        rates.append(cpu_cores / per_doc_cpu)
-    if per_doc_gpu > 0:
-        rates.append(gpus / per_doc_gpu)
-    if not rates:
-        return float("inf")
-    return min(rates)

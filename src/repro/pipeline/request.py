@@ -192,18 +192,6 @@ class ParseRequest:
         """The declarative spec of the source, when it has one."""
         return self.source.spec() if self.source is not None else None
 
-    def corpus_config(self) -> CorpusConfig | None:
-        """The synthetic corpus configuration, or ``None`` for other sources.
-
-        Raises for a provenance-only rehydrated request, exactly like
-        :meth:`resolve_source`.
-        """
-        if self.source is None:
-            self.resolve_source()  # raises the refuse-replay error
-        if isinstance(self.source, SyntheticSource):
-            return self.source.config
-        return None
-
     # ------------------------------------------------------------------ #
     # Serialisation
     # ------------------------------------------------------------------ #

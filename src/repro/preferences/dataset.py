@@ -32,10 +32,6 @@ class PreferenceDataset:
     test: list[PreferencePair] = field(default_factory=list)
     study_result: StudyResult | None = None
 
-    @property
-    def n_total(self) -> int:
-        return len(self.train) + len(self.validation) + len(self.test)
-
     def split_sizes(self) -> dict[str, int]:
         """Number of pairs per split."""
         return {

@@ -9,7 +9,6 @@ and Python versions.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 
 def frame(*parts: bytes) -> bytes:
@@ -87,25 +86,3 @@ def bucket(key: object, n_buckets: int, salt: str = "") -> int:
     if n_buckets <= 0:
         raise ValueError(f"n_buckets must be positive, got {n_buckets}")
     return stable_hash(salt, key) % n_buckets
-
-
-def stable_choice_index(key: object, weights: Iterable[float], salt: str = "") -> int:
-    """Pick an index proportionally to ``weights`` using a stable hash of ``key``.
-
-    The same key and salt always select the same index; different salts act as
-    independent draws.
-    """
-    ws = list(weights)
-    if not ws:
-        raise ValueError("weights must be non-empty")
-    total = float(sum(ws))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    # 53 bits of hash → uniform float in [0, 1).
-    u = (stable_hash(salt, key) % (1 << 53)) / float(1 << 53)
-    acc = 0.0
-    for i, w in enumerate(ws):
-        acc += w / total
-        if u < acc:
-            return i
-    return len(ws) - 1

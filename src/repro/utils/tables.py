@@ -8,7 +8,7 @@ benchmark harness output, and ``EXPERIMENTS.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def _format_cell(value: object, precision: int) -> str:
@@ -48,15 +48,6 @@ class Table:
         """Return the values of one column across all rows."""
         return [row.get(name) for row in self.rows]
 
-    def sort_by(self, name: str, reverse: bool = False) -> "Table":
-        """Return a copy of the table sorted by a column."""
-        sortable = sorted(
-            self.rows,
-            key=lambda r: (r.get(name) is None, r.get(name)),
-            reverse=reverse,
-        )
-        return Table(title=self.title, columns=list(self.columns), rows=list(sortable))
-
     def to_markdown(self, precision: int = 1) -> str:
         """Render the table as GitHub-flavoured markdown."""
         return format_table(self, precision=precision, markdown=True)
@@ -64,10 +55,6 @@ class Table:
     def to_text(self, precision: int = 1) -> str:
         """Render the table as aligned plain text."""
         return format_table(self, precision=precision, markdown=False)
-
-    def as_dicts(self) -> list[dict[str, object]]:
-        """Return rows as plain dictionaries (deep-copied)."""
-        return [dict(r) for r in self.rows]
 
 
 def format_table(table: Table, precision: int = 1, markdown: bool = False) -> str:
@@ -103,8 +90,3 @@ def format_table(table: Table, precision: int = 1, markdown: bool = False) -> st
         for r in body:
             lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
     return "\n".join(lines)
-
-
-def tables_to_markdown(tables: Iterable[Table], precision: int = 1) -> str:
-    """Render several tables separated by blank lines."""
-    return "\n\n".join(t.to_markdown(precision=precision) for t in tables)

@@ -49,10 +49,6 @@ class TestValidationClassifier:
         verdict = ValidationClassifier().validate(VALID_TEXT, n_pages=100)
         assert not verdict.is_valid
 
-    def test_batch_interface(self):
-        verdicts = ValidationClassifier().validate_batch([VALID_TEXT, ""])
-        assert verdicts[0].is_valid and not verdicts[1].is_valid
-
     def test_custom_thresholds(self):
         lenient = ValidationClassifier(ValidationConfig(min_characters=1, min_words_per_page=0,
                                                         min_alpha_ratio=0.0, max_whitespace_ratio=1.0,
@@ -101,12 +97,6 @@ class TestImprovementClassifier:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             ImprovementClassifier().improvement_probability([])
-
-    def test_likely_mask(self):
-        metadatas, accuracies = self._dataset()
-        clf = ImprovementClassifier().fit(metadatas, ["pymupdf", "nougat"], accuracies)
-        mask = clf.improvement_likely(metadatas, threshold=0.5)
-        assert mask.dtype == bool
 
 
 class TestParserSelector:

@@ -12,8 +12,8 @@ import pytest
 from repro.core.config import AdaParseConfig
 from repro.core.engine import AdaParseEngine, AdaParseFT, AdaParseLLM, RoutingSummary
 from repro.core.training import AdaParseTrainer, TrainerSettings
-from repro.documents.augment import strip_text_layers
 from repro.documents.corpus import CorpusConfig, build_corpus
+from repro.documents.document import TextLayer, TextLayerQuality
 from repro.metrics.bleu import bleu_score
 from repro.ml.pretrain import PretrainConfig
 from repro.ml.quality_model import FineTuneConfig
@@ -97,8 +97,9 @@ class TestEngineRouting:
     def test_missing_text_layer_routes_to_nougat(self, trained_ft, training_corpus):
         # parse(doc) is route_batch over a batch of one at α = 1, which has
         # one budget slot; at the trained α the cap floor(α·1) would be 0.
-        stripped = strip_text_layers(training_corpus, fraction=1.0)
-        doc = stripped[0]
+        doc = training_corpus[0]
+        missing = TextLayer(TextLayerQuality.MISSING, [""] * doc.n_pages, doc.text_layer.producer)
+        doc = doc.with_text_layer(missing)
         (result,), (decision,) = trained_ft.with_overrides(alpha=1.0).route_batch([doc])
         assert trained_ft.parse(doc) == result
         assert decision.stage == "cls1_invalid"

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets.assembly import DatasetBuildConfig, DatasetBuilder, load_dataset
+from repro.datasets.assembly import DatasetBuildConfig, DatasetBuilder
+from repro.datasets.jsonl import JsonlShardManifest, iter_jsonl
 from repro.datasets.quality import FilterPipeline, LengthFilter
 from repro.parsers.registry import default_registry
 
@@ -24,8 +25,9 @@ class TestDatasetBuilder:
         assert report.n_documents == len(small_corpus)
         assert report.manifest is not None
         assert report.manifest.n_records == report.n_final
-        loaded = load_dataset(tmp_path)
-        assert {r.doc_id for r in loaded} == {r.doc_id for r in report.final_records}
+        manifest = JsonlShardManifest.load(tmp_path)
+        loaded = [r for shard in manifest.shards for r in iter_jsonl(tmp_path / shard.path)]
+        assert {r["doc_id"] for r in loaded} == {r.doc_id for r in report.final_records}
 
     def test_records_have_reference_quality(self, registry, small_corpus):
         builder = DatasetBuilder(registry.get("pymupdf"), DatasetBuildConfig(min_tokens=10))
@@ -80,22 +82,6 @@ class TestDatasetBuilder:
         report = builder.build(small_corpus)
         assert report.n_final == report.filter_report.n_accepted
         assert report.dedup_report.dropped == []
-
-    def test_build_from_results_matches_build(self, registry, small_corpus):
-        parser = registry.get("pymupdf")
-        results = parser.parse_many(list(small_corpus))
-        config = DatasetBuildConfig(min_tokens=10)
-        from_results = DatasetBuilder(parser, config).build_from_results(small_corpus, results)
-        direct = DatasetBuilder(parser, config).build(small_corpus)
-        assert {r.doc_id for r in from_results.final_records} == {
-            r.doc_id for r in direct.final_records
-        }
-
-    def test_build_from_results_length_mismatch(self, registry, small_corpus):
-        parser = registry.get("pymupdf")
-        results = parser.parse_many(list(small_corpus))[:-1]
-        with pytest.raises(ValueError, match="equal length"):
-            DatasetBuilder(parser).build_from_results(small_corpus, results)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -41,8 +41,8 @@ class TestWriteReadJsonl:
         path.write_text('{"a": 1}\nnot-json\n', encoding="utf-8")
         with pytest.raises(ValueError, match="bad.jsonl:2"):
             read_jsonl(path)
-        # The streaming reader (and so a manifest's iter_records) names
-        # the file too, after yielding the good lines before it.
+        # The streaming reader names the file too, after yielding the good
+        # lines before it.
         stream = iter_jsonl(path)
         assert next(stream) == {"a": 1}
         with pytest.raises(ValueError, match="bad.jsonl:2"):
@@ -95,10 +95,12 @@ class TestShardedWriter:
 
     def test_manifest_written_and_loadable(self, tmp_path):
         with ShardedJsonlWriter(tmp_path, max_records_per_shard=5) as writer:
-            writer.write_many({"i": i} for i in range(7))
+            for i in range(7):
+                writer.write({"i": i})
         loaded = JsonlShardManifest.load(tmp_path)
         assert loaded.n_records == 7
-        assert [r["i"] for r in loaded.iter_records()] == list(range(7))
+        records = [r for shard in loaded.shards for r in iter_jsonl(tmp_path / shard.path)]
+        assert [r["i"] for r in records] == list(range(7))
 
     def test_close_is_idempotent(self, tmp_path):
         writer = ShardedJsonlWriter(tmp_path)
@@ -137,7 +139,8 @@ class TestShardedWriter:
 
     def test_manifest_json_structure(self, tmp_path):
         with ShardedJsonlWriter(tmp_path, max_records_per_shard=2) as writer:
-            writer.write_many({"i": i} for i in range(3))
+            for i in range(3):
+                writer.write({"i": i})
         payload = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert payload["n_records"] == 3
         assert len(payload["shards"]) == 2
@@ -159,7 +162,8 @@ class TestWritesAreAtomic:
         self, tmp_path, monkeypatch
     ):
         with ShardedJsonlWriter(tmp_path, max_records_per_shard=2) as writer:
-            writer.write_many({"i": i} for i in range(3))
+            for i in range(3):
+                writer.write({"i": i})
         before = (tmp_path / "manifest.json").read_bytes()
         writer.manifest.extra["campaign"] = "second-save"
         self._kill_before_rename(monkeypatch)
@@ -197,7 +201,8 @@ class TestWritesAreAtomic:
         monkeypatch.setattr(jsonl.os, "fsync", recording_fsync)
         monkeypatch.setattr(jsonl, "replace_lines", checking_replace_lines)
         with ShardedJsonlWriter(tmp_path, max_records_per_shard=2) as writer:
-            writer.write_many({"i": i} for i in range(5))
+            for i in range(5):
+                writer.write({"i": i})
         assert len(synced) == 3  # once per shard, not once per record
         assert JsonlShardManifest.load(tmp_path).n_records == 5
 

@@ -136,13 +136,6 @@ class TestFilterPipeline:
         assert report.rejections_by_filter["parse_succeeded"] == 1
         assert report.acceptance_rate == pytest.approx(0.25)
 
-    def test_rejection_reasons_lookup(self):
-        pipeline = FilterPipeline([LengthFilter(min_tokens=50)])
-        report = pipeline.apply([make_record(doc_id="short", text="too short")])
-        reasons = report.rejection_reasons("length")
-        assert len(reasons) == 1
-        assert "too short" in reasons[0]
-
     def test_empty_input(self):
         report = FilterPipeline.default().apply([])
         assert report.n_input == 0

@@ -43,10 +43,6 @@ class TestParsedRecord:
         record = make_record(cpu_seconds=1.5, gpu_seconds=2.5)
         assert record.compute_seconds == pytest.approx(4.0)
 
-    def test_has_known_quality(self):
-        assert make_record(quality=0.5).has_known_quality
-        assert not make_record(quality=None).has_known_quality
-
     def test_from_json_dict_defaults_missing_optionals(self):
         minimal = {
             "doc_id": "d",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.datasets.tokens import (
     TokenAccount,
-    accepted_token_counts,
     account_records,
     goodput_table,
 )
@@ -42,21 +41,13 @@ class TestAccountRecords:
         account = account_records([])
         assert account.n_documents == 0
         assert account.acceptance_rate == 0.0
-        assert account.goodput_per_cpu_hour() == 0.0
+        assert account.goodput_per_node_hour() == 0.0
 
 
 class TestTokenAccount:
     def test_acceptance_rate(self):
         account = TokenAccount(n_documents=2, n_tokens=200, n_accepted_tokens=150)
         assert account.acceptance_rate == pytest.approx(0.75)
-
-    def test_goodput_per_cpu_hour(self):
-        account = TokenAccount(n_tokens=100, n_accepted_tokens=100, cpu_seconds=3600.0)
-        assert account.goodput_per_cpu_hour() == pytest.approx(100.0)
-
-    def test_goodput_per_gpu_hour_zero_without_gpu_time(self):
-        account = TokenAccount(n_accepted_tokens=100, cpu_seconds=10.0)
-        assert account.goodput_per_gpu_hour() == 0.0
 
     def test_goodput_per_node_hour_uses_bottleneck_resource(self):
         # 32 CPU-core-hours of work == 1 node-hour; 8 GPU-hours == 2 node-hours.
@@ -128,13 +119,6 @@ class TestMergeAssociativity:
 
 
 class TestHelpers:
-    def test_accepted_token_counts(self):
-        assert accepted_token_counts([0.9, 0.1, None], [10, 20, 30], threshold=0.5) == 10
-
-    def test_accepted_token_counts_length_mismatch(self):
-        with pytest.raises(ValueError):
-            accepted_token_counts([0.9], [10, 20])
-
     def test_goodput_table_rows(self):
         accounts = {
             "pymupdf": TokenAccount(n_documents=3, n_tokens=300, n_accepted_tokens=200, cpu_seconds=10),

@@ -8,7 +8,6 @@ from repro.documents.augment import (
     AugmentationConfig,
     degrade_image_layers,
     replace_text_layers_with_ocr,
-    strip_text_layers,
 )
 from repro.documents.document import TextLayerQuality
 
@@ -80,17 +79,3 @@ class TestTextLayerReplacement:
         )
         for doc in augmented:
             assert doc.text_layer.n_pages == doc.n_pages
-
-
-class TestStripTextLayers:
-    def test_stripped_layers_empty(self, small_corpus):
-        stripped = strip_text_layers(small_corpus, fraction=1.0)
-        assert all(d.text_layer.quality is TextLayerQuality.MISSING for d in stripped)
-        assert all(d.text_layer.n_characters == 0 for d in stripped)
-
-    def test_fraction_zero_identity(self, small_corpus):
-        stripped = strip_text_layers(small_corpus, fraction=0.0)
-        assert all(
-            a.text_layer.quality == b.text_layer.quality
-            for a, b in zip(small_corpus, stripped)
-        )

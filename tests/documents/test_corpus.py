@@ -103,8 +103,8 @@ class TestCorpusOperations:
             small_corpus.by_id("missing")
 
     def test_filter_and_subset(self, small_corpus):
-        born_digital = small_corpus.filter(lambda d: d.is_born_digital)
-        assert all(d.is_born_digital for d in born_digital)
+        born_digital = small_corpus.filter(lambda d: not d.image_layer.is_scanned)
+        assert all(not d.image_layer.is_scanned for d in born_digital)
         subset = small_corpus.subset([0, 2])
         assert len(subset) == 2
 
@@ -127,8 +127,3 @@ class TestCorpusOperations:
         summary = small_corpus.described()
         assert summary["n_documents"] == 12
         assert sum(summary["domains"].values()) == 12
-
-    def test_map_documents(self, small_corpus):
-        mapped = small_corpus.map_documents(lambda d: d.with_image_layer(ImageLayer(is_scanned=True)))
-        assert all(d.image_layer.is_scanned for d in mapped)
-        assert not all(d.image_layer.is_scanned for d in small_corpus)

@@ -92,7 +92,7 @@ class TestTextLayer:
 
     def test_first_page_and_character_count(self):
         doc = make_document()
-        assert doc.text_layer.first_page_text().startswith("Section 0")
+        assert doc.text_layer.page_texts[0].startswith("Section 0")
         assert doc.text_layer.n_characters > 0
 
 
@@ -156,9 +156,3 @@ class TestSciDocument:
     def test_total_pages_helper(self):
         docs = [make_document(2), make_document(3)]
         assert total_pages(docs) == 5
-
-    def test_iter_elements_order(self):
-        doc = make_document(2)
-        kinds = [el.kind for el in doc.iter_elements()]
-        assert kinds[:3] == ["heading", "paragraph", "equation"]
-        assert len(kinds) == 6

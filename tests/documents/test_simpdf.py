@@ -66,10 +66,10 @@ class TestRoundTrip:
 class TestReaderWriter:
     def test_write_and_read_directory(self, tmp_path, small_corpus):
         writer = SimPdfWriter(tmp_path / "docs")
-        paths = writer.write_all(list(small_corpus)[:4])
-        assert len(paths) == 4
+        paths = [writer.write(doc) for doc in list(small_corpus)[:4]]
         reader = SimPdfReader(tmp_path / "docs")
-        docs = reader.read_all()
+        assert sorted(reader.paths()) == sorted(paths)
+        docs = [reader.read(path) for path in reader.paths()]
         assert {d.doc_id for d in docs} == {d.doc_id for d in list(small_corpus)[:4]}
 
 
@@ -98,7 +98,3 @@ class TestArchive:
         path.write_bytes(b"garbage")
         with pytest.raises(ValueError):
             SimPdfArchive(path)
-
-    def test_archive_size_reported(self, tmp_path, small_corpus):
-        archive = SimPdfArchive.write(tmp_path / "a.arch", list(small_corpus)[:2])
-        assert archive.size_bytes == (tmp_path / "a.arch").stat().st_size

@@ -59,7 +59,6 @@ class TestRecordAndReplay:
         placement_key, fingerprint, results, decisions = shard_output
         ShardLedger(tmp_path).record(placement_key, fingerprint, results, decisions)
         reopened = ShardLedger(tmp_path)
-        assert reopened.loaded_entries == 1
         assert len(reopened) == 1
         assert ledger_key(placement_key, fingerprint) in reopened
         assert reopened.completed_output(placement_key, fingerprint) is not None
@@ -75,7 +74,6 @@ class TestRecordAndReplay:
     def test_empty_directory_is_empty_ledger(self, tmp_path):
         ledger = ShardLedger(tmp_path / "never-created")
         assert len(ledger) == 0
-        assert ledger.loaded_entries == 0
         assert ledger.keys() == []
 
 

@@ -55,9 +55,6 @@ class TestMembershipRegistry:
         assert snapshot["w1"]["tags"] == {"slots": 2}
         assert members.states() == {"alive": 1, "draining": 0, "left": 0, "dead": 1}
 
-    def test_tags_of_unknown_worker_is_empty(self):
-        assert MembershipRegistry().tags_of("nobody") == {}
-
 
 def _announce(address: str, message: dict) -> dict:
     host, _, port = address.rpartition(":")

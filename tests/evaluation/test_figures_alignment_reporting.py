@@ -11,7 +11,6 @@ from repro.evaluation.figures import (
     figure3_parser_performance,
     figure4_gpu_utilization,
     figure5_scalability,
-    ideal_single_node_legend,
     throughput_ratio_summary,
 )
 from repro.evaluation.harness import HarnessConfig
@@ -98,10 +97,6 @@ class TestFigure5:
         with pytest.raises(KeyError):
             throughput_ratio_summary(series, reference="acrobat")
 
-    def test_ideal_legend(self, registry):
-        legend = ideal_single_node_legend(registry)
-        assert legend["pymupdf"] > legend["pypdf"] > legend["nougat"]
-
 
 class TestAlignment:
     def test_statistics_ranges(self, registry):
@@ -132,13 +127,11 @@ class TestReporting:
         table = Table(title="T", columns=["a"])
         table.add_row({"a": 1.0})
         record.add_table("table1", table, note="note text")
-        record.add_text("figure5", "headline")
-        record.add_json("stats", {"x": 1})
         markdown = record.to_markdown()
         assert "# Demo" in markdown and "## table1" in markdown and "note text" in markdown
         path = record.save(tmp_path / "sub" / "report.md")
         assert path.exists()
-        assert "headline" in path.read_text()
+        assert "note text" in path.read_text()
 
     def test_print_table(self, capsys):
         table = Table(title="T", columns=["a"])

@@ -44,7 +44,7 @@ class TestExperimentContext:
         assert context.engine_ft.selector is not None
         assert context.engine_llm.selector is not None
         assert len(context.quality_dataset) == len(context.splits["train"])
-        assert context.preference_dataset.n_total > 0
+        assert sum(context.preference_dataset.split_sizes().values()) > 0
 
 
 class TestTable1(object):

@@ -50,7 +50,8 @@ class TestSimulator:
         sim.schedule(10.0, lambda: fired.append(2))
         sim.run(until=5.0)
         assert fired == [1]
-        assert sim.pending_events == 1
+        sim.run()
+        assert fired == [1, 2]
 
     def test_cannot_schedule_in_past(self):
         sim = DiscreteEventSimulator()
@@ -68,10 +69,12 @@ class TestCapacityResource:
             resource.acquire(lambda i=i: granted.append(i))
         sim.run()
         assert granted == [0, 1]
-        assert resource.queue_length == 2
         resource.release()
         sim.run()
         assert granted == [0, 1, 2]
+        resource.release()
+        sim.run()
+        assert granted == [0, 1, 2, 3]
 
     def test_release_without_acquire_rejected(self):
         sim = DiscreteEventSimulator()
@@ -90,17 +93,19 @@ class TestCapacityResource:
         sim.run()
         assert resource.utilization(over_time=10.0) == pytest.approx(1.0, abs=1e-6)
 
-    def test_mean_wait_positive_under_contention(self):
+    def test_second_request_waits_for_the_release(self):
         sim = DiscreteEventSimulator()
         resource = CapacityResource(sim, capacity=1)
+        started = []
 
         def task():
+            started.append(sim.now)
             sim.schedule(5.0, resource.release)
 
         resource.acquire(task)
         resource.acquire(task)
         sim.run()
-        assert resource.mean_wait() > 0.0
+        assert started == [0.0, 5.0]
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -127,4 +132,4 @@ class TestNodeAndGpu:
         node = NodeResources(sim, "node0", cpu_cores=4, n_gpus=0)
         with pytest.raises(RuntimeError):
             node.any_gpu()
-        assert node.gpu_utilizations() == []
+        assert node.gpus == []

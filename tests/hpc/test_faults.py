@@ -32,12 +32,6 @@ class TestFaultModel:
         with pytest.raises(ValueError):
             FaultModel(straggler_multiplier=0.5)
 
-    def test_injects_anything(self):
-        assert not FaultModel().injects_anything
-        assert FaultModel(transient_failure_rate=0.1).injects_anything
-        assert FaultModel(corrupted_document_rate=0.1).injects_anything
-        assert FaultModel(straggler_rate=0.1).injects_anything
-
 
 class TestRetryPolicy:
     def test_min_attempts(self):
@@ -98,10 +92,6 @@ class TestFaultInjector:
     def test_attempt_must_be_positive(self):
         with pytest.raises(ValueError):
             FaultInjector(FaultModel()).attempt_outcome(make_task(), 0)
-
-    def test_expected_attempts(self):
-        assert FaultInjector(FaultModel(transient_failure_rate=0.5)).expected_attempts() == pytest.approx(2.0)
-        assert FaultInjector(FaultModel()).expected_attempts() == pytest.approx(1.0)
 
     @given(rate=st.floats(min_value=0.0, max_value=0.9))
     @settings(max_examples=20, deadline=None)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.metrics.car import character_accuracy_rate, page_character_accuracy
-from repro.metrics.coverage import dropped_pages, page_coverage_rate
+from repro.metrics.coverage import page_coverage_rate
 
 
 class TestPageCharacterAccuracy:
@@ -60,7 +60,6 @@ class TestCoverage:
         gt = ["content " * 10, "more content " * 10]
         parsed = ["content " * 10, ""]
         assert page_coverage_rate(gt, parsed) == pytest.approx(0.5)
-        assert dropped_pages(gt, parsed) == [1]
 
     def test_short_fragment_counts_as_dropped(self):
         gt = ["a rather long ground truth page with many words"]

@@ -29,7 +29,8 @@ class TestRidge:
     def test_recovers_linear_relationship(self):
         X, Y = make_linear_data()
         model = RidgeRegression(l2=1e-6).fit(X, Y)
-        assert model.r2_score(X, Y) > 0.99
+        # Noise is 0.01 per target: the fit recovers W and the 3.0 intercept.
+        assert np.abs(model.predict(X) - Y).max() < 0.05
 
     def test_single_output_vector_targets(self):
         X, Y = make_linear_data(m=1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ml.datasets import build_quality_dataset, document_parser_bleu
+from repro.ml.datasets import build_quality_dataset
 from repro.ml.dpo import DPOConfig, DPOTrainer, PreferencePair
 from repro.ml.pretrain import (
     PretrainConfig,
@@ -123,10 +123,3 @@ class TestQualityDataset:
     def test_unknown_default_parser(self, tiny_corpus, registry):
         with pytest.raises(KeyError):
             build_quality_dataset(tiny_corpus, registry, default_parser="acrobat")
-
-    def test_document_parser_bleu_page_limit(self, tiny_corpus, registry):
-        doc = tiny_corpus[0]
-        result = registry.get("pymupdf").parse(doc)
-        full = document_parser_bleu(doc, result, label_pages=None)
-        first = document_parser_bleu(doc, result, label_pages=1)
-        assert 0.0 <= full <= 1.0 and 0.0 <= first <= 1.0

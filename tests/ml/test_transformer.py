@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ml.lora import LoraConfig, merge_lora, n_trainable_parameters, with_lora
 from repro.ml.trainer import numerical_gradient
 from repro.ml.transformer import TransformerConfig, TransformerEncoder, gelu, gelu_grad
 
@@ -86,7 +85,6 @@ class TestForward:
 
     def test_parameter_count_and_names(self):
         encoder = TransformerEncoder(TINY)
-        assert encoder.n_parameters() > 0
         assert len(encoder.lora_parameter_names()) == TINY.n_layers * 4
         assert all(".lora_" in n for n in encoder.lora_parameter_names())
 
@@ -154,29 +152,8 @@ class TestBackward:
 class TestLoRA:
     def test_lora_parameters_fewer_than_full(self):
         encoder = TransformerEncoder(TINY)
-        assert n_trainable_parameters(encoder, lora_only=True) < n_trainable_parameters(
-            encoder, lora_only=False
-        )
-
-    def test_with_lora_config(self):
-        base = TransformerConfig(vocab_size=32, max_length=8, d_model=8, n_heads=2, n_layers=1, d_ff=8)
-        adapted = with_lora(base, LoraConfig(rank=3, alpha=6.0))
-        assert adapted.lora_rank == 3
-        assert adapted.lora_alpha == 6.0
-
-    def test_merge_lora_preserves_outputs(self):
-        encoder = TransformerEncoder(TINY)
-        rng = np.random.default_rng(0)
-        # Give the adapters non-trivial values so merging actually moves weights.
-        for name in encoder.lora_parameter_names():
-            encoder.params[name] = rng.normal(0, 0.05, size=encoder.params[name].shape)
-        ids, mask = make_batch(TINY)
-        before, _ = encoder.forward(ids, mask)
-        merge_lora(encoder)
-        after, _ = encoder.forward(ids, mask)
-        np.testing.assert_allclose(before, after, atol=1e-10)
-        for name in encoder.lora_parameter_names():
-            assert not encoder.params[name].any()
+        sizes = {name: param.size for name, param in encoder.params.items()}
+        assert 0 < sum(sizes[name] for name in encoder.lora_parameter_names()) < sum(sizes.values())
 
     def test_clone_and_load_parameters(self):
         encoder = TransformerEncoder(TINY)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.documents.augment import AugmentationConfig, degrade_image_layers, strip_text_layers
+from repro.documents.augment import AugmentationConfig, degrade_image_layers
 from repro.documents.corpus import Corpus
+from repro.documents.document import SciDocument, TextLayer, TextLayerQuality
 from repro.metrics.bleu import bleu_score
 from repro.metrics.coverage import page_coverage_rate
 from repro.parsers.extraction import PyMuPDFSim, PyPDFSim
@@ -21,6 +22,11 @@ def mean_bleu(parser, corpus: Corpus) -> float:
         result = parser.parse(doc)
         scores.append(bleu_score(result.text, doc.ground_truth_text()))
     return float(np.mean(scores))
+
+
+def without_text_layer(doc: SciDocument) -> SciDocument:
+    missing = TextLayer(TextLayerQuality.MISSING, [""] * doc.n_pages, doc.text_layer.producer)
+    return doc.with_text_layer(missing)
 
 
 class TestDeterminism:
@@ -42,8 +48,7 @@ class TestExtractionParsers:
         assert mean_bleu(PyMuPDFSim(), clean) > 0.6
 
     def test_extraction_fails_without_text_layer(self, small_corpus):
-        stripped = strip_text_layers(small_corpus, fraction=1.0)
-        doc = stripped[0]
+        doc = without_text_layer(small_corpus[0])
         assert PyMuPDFSim().parse(doc).text.strip() == ""
         assert PyPDFSim().parse(doc).text.strip() == ""
 
@@ -64,7 +69,7 @@ class TestExtractionParsers:
 class TestRecognitionParsers:
     def test_ocr_independent_of_text_layer(self, small_corpus):
         doc = small_corpus[0]
-        stripped = strip_text_layers(small_corpus, fraction=1.0)[0]
+        stripped = without_text_layer(doc)
         assert TesseractSim().parse(doc).text == TesseractSim().parse(stripped).text
         assert NougatSim().parse(doc).text == NougatSim().parse(stripped).text
 
@@ -133,5 +138,5 @@ class TestRegistry:
         assert subset.names == ["pymupdf", "nougat"]
 
     def test_cost_profiles_distinct(self, registry):
-        gpu_parsers = {p.name for p in registry if p.cost.uses_gpu}
+        gpu_parsers = {p.name for p in registry if p.cost.gpu_seconds_per_page > 0}
         assert gpu_parsers == {"nougat", "marker"}

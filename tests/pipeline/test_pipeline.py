@@ -66,7 +66,6 @@ class TestParseRequest:
     def test_documents_coerced_to_tuple(self, small_corpus):
         request = ParseRequest(source=ExplicitSource(list(small_corpus)))
         assert isinstance(request.source.documents, tuple)
-        assert request.corpus_config() is None
         # Provenance count follows the explicit collection, not the default.
         assert request.to_json_dict()["n_documents"] == len(small_corpus)
 
@@ -76,8 +75,8 @@ class TestParseRequest:
 
     def test_corpus_shortcut(self):
         request = ParseRequest(source="synthetic:7?seed=3")
-        config = request.corpus_config()
-        assert config is not None
+        assert isinstance(request.source, SyntheticSource)
+        config = request.source.config
         assert (config.n_documents, config.seed) == (7, 3)
 
     def test_json_round_trip(self):
@@ -109,7 +108,7 @@ class TestParseRequest:
         assert rebuilt.backend_options == {"n_jobs": 2}
         # The full corpus spec (including nested textgen knobs) is lossless,
         # so a rehydrated request replays over identical documents.
-        assert rebuilt.corpus_config() == request.corpus_config()
+        assert rebuilt.source.config == request.source.config
         # Headline provenance mirrors the corpus spec.
         payload = rebuilt.to_json_dict()
         assert (payload["n_documents"], payload["seed"]) == (9, 4)
@@ -124,7 +123,7 @@ class TestParseRequest:
         assert rebuilt.to_json_dict()["n_documents"] == len(small_corpus)
         # ...but replaying against a freshly generated corpus is refused.
         with pytest.raises(ValueError, match="not serialised"):
-            rebuilt.corpus_config()
+            rebuilt.resolve_source()
         with pytest.raises(ValueError, match="not serialised"):
             ParsePipeline(registry).run(rebuilt)
 
@@ -367,10 +366,8 @@ class TestConsumers:
             min_tokens=10, backend="thread", backend_options={"n_jobs": 2}
         )
         built = DatasetBuilder(parser, config).build(small_corpus)
-        legacy = DatasetBuilder(parser, config).build_from_results(
-            small_corpus, parser.parse_many(list(small_corpus))
-        )
-        assert built.summary() == legacy.summary()
+        serial = DatasetBuilder(parser, DatasetBuildConfig(min_tokens=10)).build(small_corpus)
+        assert built.summary() == serial.summary()
 
     def test_harness_collects_routing_telemetry(self, registry, engine, small_corpus):
         from repro.evaluation.harness import EvaluationHarness, HarnessConfig

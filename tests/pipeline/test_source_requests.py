@@ -47,7 +47,9 @@ DOCUMENTS = list(
 
 
 def _write_dir(directory: Path) -> Path:
-    SimPdfWriter(directory).write_all(DOCUMENTS)
+    writer = SimPdfWriter(directory)
+    for document in DOCUMENTS:
+        writer.write(document)
     return directory
 
 

@@ -128,7 +128,7 @@ class TestPreferenceDataset:
         dataset = build_preference_dataset(
             tiny_corpus, registry, StudyConfig(n_pages=10, comparisons_per_page=2, seed=5)
         )
-        assert dataset.n_total > 0
+        assert sum(dataset.split_sizes().values()) > 0
         assert dataset.study_result is not None
         sizes = dataset.split_sizes()
         assert set(sizes) == {"train", "validation", "test"}

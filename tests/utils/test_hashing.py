@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.hashing import bucket, stable_choice_index, stable_hash, stable_hash_bytes
+from repro.utils.hashing import bucket, stable_hash, stable_hash_bytes
 
 
 class TestStableHash:
@@ -44,31 +44,3 @@ class TestBucket:
     @given(st.integers(), st.integers(min_value=1, max_value=50))
     def test_bucket_always_in_range(self, key, n):
         assert 0 <= bucket(key, n) < n
-
-
-class TestStableChoiceIndex:
-    def test_respects_zero_weight(self):
-        # With all the mass on index 1, index 1 must always be chosen.
-        for key in range(50):
-            assert stable_choice_index(key, [0.0, 1.0, 0.0]) == 1
-
-    def test_deterministic(self):
-        assert stable_choice_index("k", [0.3, 0.7]) == stable_choice_index("k", [0.3, 0.7])
-
-    def test_salt_changes_draws(self):
-        draws_a = [stable_choice_index(i, [0.5, 0.5], salt="a") for i in range(200)]
-        draws_b = [stable_choice_index(i, [0.5, 0.5], salt="b") for i in range(200)]
-        assert draws_a != draws_b
-
-    def test_empty_weights_rejected(self):
-        with pytest.raises(ValueError):
-            stable_choice_index("k", [])
-
-    def test_nonpositive_weights_rejected(self):
-        with pytest.raises(ValueError):
-            stable_choice_index("k", [0.0, 0.0])
-
-    def test_rough_proportionality(self):
-        draws = [stable_choice_index(i, [0.2, 0.8]) for i in range(2000)]
-        fraction_of_ones = sum(draws) / len(draws)
-        assert 0.7 < fraction_of_ones < 0.9

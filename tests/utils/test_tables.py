@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.utils.tables import Table, format_table, tables_to_markdown
+from repro.utils.tables import Table, format_table
 
 
 def make_table() -> Table:
@@ -17,12 +17,6 @@ class TestTable:
         table = make_table()
         assert table.column("Parser") == ["pymupdf", "nougat"]
         assert table.column("Note") == ["fast", None]
-
-    def test_sort_by(self):
-        table = make_table().sort_by("BLEU", reverse=True)
-        assert table.column("Parser") == ["pymupdf", "nougat"]
-        table = make_table().sort_by("BLEU")
-        assert table.column("Parser") == ["nougat", "pymupdf"]
 
     def test_markdown_rendering(self):
         text = make_table().to_markdown(precision=1)
@@ -40,22 +34,12 @@ class TestTable:
         text = make_table().to_text()
         assert "–" in text
 
-    def test_as_dicts_copies(self):
-        table = make_table()
-        rows = table.as_dicts()
-        rows[0]["Parser"] = "changed"
-        assert table.rows[0]["Parser"] == "pymupdf"
-
 
 class TestFormatting:
     def test_precision_applied(self):
         table = make_table()
         assert "51.94" in format_table(table, precision=2)
         assert "51.9" in format_table(table, precision=1)
-
-    def test_multi_table_rendering(self):
-        combined = tables_to_markdown([make_table(), make_table()])
-        assert combined.count("Demo") == 2
 
     def test_boolean_rendering(self):
         table = Table(title="", columns=["flag"])
