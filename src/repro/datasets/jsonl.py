@@ -21,13 +21,13 @@ MANIFEST_FILENAME = "manifest.json"
 
 
 def write_jsonl(path: str | Path, records: Iterable[Mapping[str, object]]) -> int:
-    """Atomically write records as one JSONL file, returning the number written."""
+    """Atomically write records as one JSONL file, returning the number written.
+
+    Lines are ASCII JSON, so any text survives, a lone surrogate included.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        json.dumps(dict(record), ensure_ascii=False).encode("utf-8")
-        for record in records
-    ]
+    lines = [json.dumps(dict(record)).encode("ascii") for record in records]
     replace_lines(path, lines)
     return len(lines)
 
@@ -188,8 +188,10 @@ class ShardedJsonlWriter:
         """Append one record, rolling over to a new shard when limits are hit."""
         if self._closed:
             raise RuntimeError("writer is closed")
-        line = json.dumps(dict(record), ensure_ascii=False) + "\n"
-        encoded = line.encode("utf-8")
+        # ASCII JSON, like write_jsonl: any text survives, and the line's
+        # length is its byte count on disk.
+        line = json.dumps(dict(record)) + "\n"
+        encoded = line.encode("ascii")
         needs_new = (
             self._handle is None
             or self._current_records >= self.max_records_per_shard

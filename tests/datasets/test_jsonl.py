@@ -147,6 +147,35 @@ class TestShardedWriter:
         assert all({"path", "n_records", "n_bytes"} <= set(s) for s in payload["shards"])
 
 
+
+# Page text may hold any code point, a lone surrogate included: the cache,
+# the cluster wire and the gateway carry such text, so both dataset writers
+# must store it and both readers must give it back unchanged.
+LONE_SURROGATE_RECORDS = [
+    {"doc_id": "d\udfff", "text": "a\ud800b"},
+    {"doc_id": "plain", "text": "schrödinger ∂ψ/∂t"},
+]
+
+
+class TestLoneSurrogate:
+    def test_write_jsonl_round_trips_a_lone_surrogate(self, tmp_path):
+        path = tmp_path / "surrogate.jsonl"
+        assert write_jsonl(path, LONE_SURROGATE_RECORDS) == 2
+        assert read_jsonl(path) == LONE_SURROGATE_RECORDS
+        assert list(iter_jsonl(path)) == LONE_SURROGATE_RECORDS
+
+    def test_sharded_writer_round_trips_a_lone_surrogate(self, tmp_path):
+        with ShardedJsonlWriter(tmp_path, max_records_per_shard=1) as writer:
+            for record in LONE_SURROGATE_RECORDS:
+                writer.write(record)
+        manifest = JsonlShardManifest.load(tmp_path)
+        assert len(manifest.shards) == 2
+        records = [r for shard in manifest.shards for r in iter_jsonl(tmp_path / shard.path)]
+        assert records == LONE_SURROGATE_RECORDS
+        for shard in manifest.shards:
+            assert shard.n_bytes == (tmp_path / shard.path).stat().st_size
+
+
 class TestWritesAreAtomic:
     """Both writers go through ``repro.utils.durable.replace_lines``: the
     new content becomes visible in one rename, after it is on disk."""
