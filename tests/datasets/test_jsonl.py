@@ -147,7 +147,6 @@ class TestShardedWriter:
         assert all({"path", "n_records", "n_bytes"} <= set(s) for s in payload["shards"])
 
 
-
 # Page text may hold any code point, a lone surrogate included: the cache,
 # the cluster wire and the gateway carry such text, so both dataset writers
 # must store it and both readers must give it back unchanged.
