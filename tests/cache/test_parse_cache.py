@@ -10,6 +10,7 @@ import pytest
 
 from repro.cache import (
     CachePolicy,
+    CacheStats,
     CacheStatsRecorder,
     LruTier,
     ParseCache,
@@ -44,6 +45,34 @@ def _run_one(cache, key, compute, policy="readwrite", recorder=None) -> ParseRes
         recorder=recorder,
     )
     return results[0]
+
+
+class TestCacheStats:
+    def test_hit_rate_counts_coalesced_lookups_as_served(self):
+        stats = CacheStats(hits=2, misses=1, coalesced=1)
+        assert stats.requests == 4
+        assert stats.hit_rate == pytest.approx(0.75)
+
+    def test_no_lookups_is_a_zero_hit_rate(self):
+        assert CacheStats().hit_rate == 0.0
+        assert not CacheStats().any_activity
+        assert CacheStats(stores=1).any_activity
+
+    def test_sum_pools_every_field(self):
+        total = CacheStats(hits=1, misses=3, bytes_read=10, time_saved_seconds=0.5) + CacheStats(
+            hits=2, coalesced=2, stores=3, bytes_written=7, time_saved_seconds=0.25
+        )
+        assert total == CacheStats(
+            hits=3, misses=3, coalesced=2, stores=3, bytes_read=10, bytes_written=7, time_saved_seconds=0.75
+        )
+        assert total.hit_rate == pytest.approx(5 / 8)
+
+    def test_json_round_trip_with_a_rounded_hit_rate(self):
+        stats = CacheStats(hits=1, misses=2, stores=2, bytes_read=5, bytes_written=9, time_saved_seconds=1.5)
+        payload = stats.to_json_dict()
+        assert payload["hit_rate"] == 0.3333
+        assert CacheStats.from_json_dict(payload) == stats
+        assert CacheStats.from_json_dict({}) == CacheStats()
 
 
 class TestPolicies:

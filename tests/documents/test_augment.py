@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.documents.augment import (
     AugmentationConfig,
     degrade_image_layers,
+    degraded_scan_layer,
     replace_text_layers_with_ocr,
 )
 from repro.documents.document import TextLayerQuality
@@ -51,6 +53,40 @@ class TestImageDegradation:
     def test_zero_fraction_is_identity(self, small_corpus):
         augmented = degrade_image_layers(small_corpus, AugmentationConfig(affected_fraction=0.0))
         assert [d.image_layer for d in augmented] == [d.image_layer for d in small_corpus]
+
+
+class TestDegradedScanLayer:
+    @pytest.mark.parametrize("severity", [0.0, 0.5, 1.0])
+    def test_fields_stay_in_the_recipe_ranges(self, severity):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            layer = degraded_scan_layer(severity, rng)
+            assert layer.is_scanned
+            assert layer.dpi in (110, 150, 200)
+            assert 0.3 <= layer.contrast <= 1.4
+            assert 30 <= layer.jpeg_quality < 70
+            assert layer.blur_sigma >= 0.0 and layer.noise_level >= 0.0
+            assert 0.0 <= layer.degradation_score() <= 1.0
+
+    def test_severity_is_clipped_to_the_unit_interval(self):
+        assert degraded_scan_layer(3.0, np.random.default_rng(4)) == degraded_scan_layer(
+            1.0, np.random.default_rng(4)
+        )
+        assert degraded_scan_layer(-2.0, np.random.default_rng(4)) == degraded_scan_layer(
+            0.0, np.random.default_rng(4)
+        )
+
+    def test_harsher_scans_score_worse_on_average(self):
+        def mean_score(severity: float) -> float:
+            rng = np.random.default_rng(8)
+            return float(np.mean([degraded_scan_layer(severity, rng).degradation_score() for _ in range(200)]))
+
+        assert mean_score(0.0) < mean_score(0.5) < mean_score(1.0)
+
+    def test_every_scan_is_worse_than_a_born_digital_render(self, small_corpus):
+        rng = np.random.default_rng(3)
+        pristine = max(doc.image_layer.degradation_score() for doc in small_corpus if not doc.image_layer.is_scanned)
+        assert all(degraded_scan_layer(0.0, rng).degradation_score() > pristine for _ in range(50))
 
 
 class TestTextLayerReplacement:

@@ -12,9 +12,11 @@ from repro.documents.corpus import (
     build_corpus,
     build_document,
     build_text_layer,
+    embedded_page_text,
     sample_text_layer_quality,
 )
-from repro.documents.document import ImageLayer, TextLayerQuality
+from repro.documents.document import ImageLayer, PageContent, PageElement, TextLayerQuality
+from repro.utils.rng import DrawStream
 
 
 class TestCorpusConfig:
@@ -89,6 +91,39 @@ class TestTextLayerConstruction:
         latex = [sample_text_layer_quality("pdftex", rng) for _ in range(200)]
         assert sum(q is TextLayerQuality.CLEAN for q in latex) > 150
         assert sum(q is TextLayerQuality.OCR_DERIVED for q in scanner) > 80
+
+
+class TestEmbeddedPageText:
+    def test_generator_and_draw_stream_render_alike(self, sample_document):
+        for page in sample_document.pages:
+            from_generator = embedded_page_text(page, np.random.default_rng(21))
+            from_stream = embedded_page_text(page, DrawStream(np.random.default_rng(21)))
+            assert from_stream == from_generator
+
+    def test_verbatim_blocks_and_equation_glyphs(self):
+        page = PageContent(
+            index=0,
+            elements=(
+                PageElement(kind="heading", text="Results"),
+                PageElement(kind="equation", text="x = \\frac{a}{b}", latex="x = \\frac{a}{b}"),
+                PageElement(kind="boilerplate", text="Preprint. Under review."),
+            ),
+        )
+        heading, equation, boilerplate = embedded_page_text(page, np.random.default_rng(0)).split("\n")
+        assert heading == "Results"
+        assert boilerplate == "Preprint. Under review."
+        assert not any(c in equation for c in "\\{}")
+        assert "a" in equation and "b" in equation
+
+    def test_paragraphs_are_wrapped_at_ninety_columns(self):
+        words = " ".join(f"word{i:03d}" for i in range(60))
+        page = PageContent(index=0, elements=(PageElement(kind="paragraph", text=words),))
+        lines = embedded_page_text(page, np.random.default_rng(0)).split("\n")
+        assert len(lines) > 1
+        # A hyphenated line may run past the column by the word half it keeps.
+        assert all(len(line) <= 90 for line in lines if not line.endswith("-"))
+        assert all(len(line) <= 90 + len(" wor-") for line in lines)
+        assert " ".join(lines).replace("- ", "") == words
 
 
 class TestCorpusOperations:

@@ -10,6 +10,7 @@ Saturation must answer ``rejected`` immediately — never hang.
 
 from __future__ import annotations
 
+import json
 import socket
 import subprocess
 import sys
@@ -598,6 +599,57 @@ class TestClientRobustness:
         finally:
             listener.close()
             server_thread.join(timeout=5)
+
+
+# ---------------------------------------------------------------------- #
+# Message builders
+# ---------------------------------------------------------------------- #
+class TestMessageBuilders:
+    def test_hello_names_the_version_and_omits_absent_credentials(self):
+        assert protocol.hello_message() == {"type": protocol.HELLO, "protocol": protocol.GATEWAY_PROTOCOL_VERSION}
+        assert protocol.hello_message(token="t", client="c")["token"] == "t"
+        assert protocol.hello_message(token="t", client="c")["client"] == "c"
+
+    def test_submit_copies_the_request_and_sends_a_trace_only_when_given(self):
+        request = {"parser": "pymupdf"}
+        message = protocol.submit_message(request, priority=2)
+        request["parser"] = "nougat"
+        assert message == {"type": protocol.SUBMIT, "request": {"parser": "pymupdf"}, "priority": 2}
+        traced = protocol.submit_message({}, trace={"trace_id": "abc"})
+        assert traced["trace"] == {"trace_id": "abc"}
+
+    def test_rejection_rounds_retry_after_and_omits_empty_fields(self):
+        assert protocol.rejected_message(protocol.REJECT_SATURATED) == {
+            "type": protocol.REJECTED,
+            "reason": protocol.REJECT_SATURATED,
+        }
+        message = protocol.rejected_message(protocol.REJECT_RATE_LIMITED, retry_after=0.123456, detail="slow down")
+        assert message["retry_after"] == 0.1235
+        assert message["detail"] == "slow down"
+
+    def test_event_takes_the_ticket_from_the_payload_and_a_report_only_when_given(self):
+        payload = {"ticket_id": "t1", "seq": 3, "state": "running"}
+        message = protocol.event_message(payload)
+        assert message == {"type": protocol.EVENT, "ticket_id": "t1", "event": payload}
+        assert protocol.event_message(payload, report={"n": 1})["report"] == {"n": 1}
+
+    def test_resume_defaults_to_the_whole_stream(self):
+        assert protocol.resume_message("t1") == {"type": protocol.RESUME, "ticket_id": "t1", "after_seq": -1}
+        assert protocol.resume_message("t1", after_seq=4)["after_seq"] == 4
+
+    def test_every_builder_round_trips_through_one_frame(self):
+        messages = [
+            protocol.hello_message(token="t"),
+            protocol.submit_message({"parser": "pymupdf"}),
+            protocol.metrics_message("prometheus"),
+            protocol.rejected_message(protocol.REJECT_TOO_LARGE, detail="big"),
+            protocol.event_message({"ticket_id": "t1"}),
+            protocol.resume_message("t1", 2),
+        ]
+        for message in messages:
+            length, body = protocol.encode_message(message).split(b"\n", 1)
+            assert int(length) == len(body)
+            assert json.loads(body) == message
 
 
 # ---------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.metrics.accepted_tokens import accepted_token_rate, accepted_tokens
 from repro.metrics.bundle import evaluate_parse
 from repro.metrics.bleu import BleuReference
-from repro.metrics.tokenize import ngrams, normalize_text, word_tokenize
+from repro.metrics.tokenize import character_tokens, ngrams, normalize_text, word_tokenize
 from repro.metrics.winrate import (
     PairwiseOutcome,
     WinRateTally,
@@ -59,6 +59,15 @@ class TestTokenize:
 
     def test_clipping(self):
         assert BleuReference("a", max_n=1).statistics("a a a").matches == (1,)
+
+    def test_character_tokens_keep_case_by_default(self):
+        assert character_tokens("  Nougat\tOCR\n\nText ") == "Nougat OCR Text"
+        assert character_tokens("Nougat OCR", lowercase=True) == "nougat ocr"
+
+    @given(st.text())
+    def test_character_tokens_join_the_whitespace_split_words(self, text):
+        assert character_tokens(text) == " ".join(text.split())
+        assert character_tokens(text).split() == word_tokenize(text, lowercase=False)
 
 
 class TestAcceptedTokens:

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.documents.document import ImageLayer
 from repro.parsers.base import Parser, ParserCost, ResourceUsage
+
+#: A hard scan: every term of :meth:`ImageLayer.degradation_score` saturates.
+_WORST_SCAN = ImageLayer(
+    dpi=50, rotation_deg=10.0, blur_sigma=3.0, contrast=0.2, noise_level=0.5, jpeg_quality=15, is_scanned=True
+)
 
 
 class FailingParser(Parser):
@@ -86,3 +92,32 @@ class TestParserBehaviour:
         a = parser.document_rng(sample_document).random(3)
         b = parser.document_rng(sample_document).random(3)
         np.testing.assert_array_equal(a, b)
+
+
+class TestContentDifficulty:
+    def test_is_half_equations_half_scan_degradation(self, sample_document):
+        expected = 0.5 * sample_document.equation_fraction + 0.5 * sample_document.image_layer.degradation_score()
+        assert EchoParser().content_difficulty(sample_document) == pytest.approx(expected)
+
+    def test_a_degraded_scan_is_harder_than_its_clean_render(self, sample_document):
+        parser = EchoParser()
+        clean = sample_document.with_image_layer(ImageLayer())
+        scanned = sample_document.with_image_layer(_WORST_SCAN)
+        assert parser.content_difficulty(clean) == pytest.approx(0.5 * sample_document.equation_fraction)
+        assert parser.content_difficulty(scanned) == pytest.approx(parser.content_difficulty(clean) + 0.5)
+
+    def test_stays_in_the_unit_interval(self, small_corpus):
+        parser = EchoParser()
+        for document in small_corpus:
+            assert 0.0 <= parser.content_difficulty(document) <= 1.0
+            assert 0.0 <= parser.content_difficulty(document.with_image_layer(_WORST_SCAN)) <= 1.0
+
+    def test_parse_cost_scales_with_difficulty(self, sample_document):
+        # The cost draw comes from the (parser, document) stream, which the
+        # image layer does not enter, so only the difficulty factor differs.
+        parser = EchoParser()
+        clean = sample_document.with_image_layer(ImageLayer())
+        scanned = sample_document.with_image_layer(_WORST_SCAN)
+        ratio = parser.parse(scanned).usage.cpu_seconds / parser.parse(clean).usage.cpu_seconds
+        expected = (1.0 + 0.5 * parser.content_difficulty(scanned)) / (1.0 + 0.5 * parser.content_difficulty(clean))
+        assert ratio == pytest.approx(expected)

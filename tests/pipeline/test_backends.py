@@ -37,6 +37,8 @@ from repro.pipeline.backends import (
     ExecutionBackend,
     ExecutionRecorder,
     SerialBackend,
+    backend_accepts_option,
+    backend_specs,
     normalize_backend_spec,
     resolve_execution,
     validate_backend_spec,
@@ -103,6 +105,28 @@ class TestRegistry:
         assert "process" not in names and "async" not in names
         # A removed backend is not a name either: it is refused.
         assert "hpc" not in names
+
+    def test_auto_accepts_only_n_jobs(self):
+        assert backend_accepts_option("auto", "n_jobs")
+        assert not backend_accepts_option("auto", "window")
+
+    def test_accepted_options_are_the_spec_declarations(self):
+        for spec in backend_specs():
+            for option in spec.options:
+                assert backend_accepts_option(spec.name, option), (spec.name, option)
+            assert not backend_accepts_option(spec.name, "bogus")
+
+    def test_thread_takes_n_jobs_and_window_and_serial_neither(self):
+        assert backend_accepts_option("thread", "n_jobs")
+        assert backend_accepts_option("thread", "window")
+        assert not backend_accepts_option("serial", "n_jobs")
+        assert not backend_accepts_option("serial", "window")
+
+    @pytest.mark.parametrize("name", ["quantum", "process", "hpc"])
+    def test_a_name_without_a_spec_accepts_nothing(self, name):
+        # Accepted aliases and removed names are resolved or refused before
+        # options are checked; they have no spec of their own.
+        assert not backend_accepts_option(name, "n_jobs")
 
     def test_create_by_name(self):
         backend = create_backend("thread", {"n_jobs": 2})
