@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import LLM_VARIANT_CONFIG
 from repro.documents.document import ImageLayer
 from repro.parsers.base import Parser, ParserCost, ResourceUsage
 
@@ -121,3 +122,39 @@ class TestContentDifficulty:
         ratio = parser.parse(scanned).usage.cpu_seconds / parser.parse(clean).usage.cpu_seconds
         expected = (1.0 + 0.5 * parser.content_difficulty(scanned)) / (1.0 + 0.5 * parser.content_difficulty(clean))
         assert ratio == pytest.approx(expected)
+
+
+def _ideal_node_rate(cpu_seconds_per_doc, gpu_seconds_per_doc, cpu_cores=32, gpus=4):
+    """Documents/second of one node with perfect parallelism over its cores
+    and GPUs (the legend of Figure 3): the slower pool is the bottleneck."""
+    rates = [cpu_cores / cpu_seconds_per_doc] if cpu_seconds_per_doc > 0 else []
+    rates += [gpus / gpu_seconds_per_doc] if gpu_seconds_per_doc > 0 else []
+    return min(rates)
+
+
+def _cpu_gpu_per_doc(cost, pages=10.0):
+    return cost.per_document_overhead_seconds + cost.cpu_seconds_per_page * pages, cost.gpu_seconds_per_page * pages
+
+
+class TestSingleNodeThroughput:
+    """The registry's cost models against the paper's single-node ratios."""
+
+    def test_ratio_calibration_pymupdf_vs_nougat(self, registry):
+        pymupdf, nougat, pypdf = (
+            _ideal_node_rate(*_cpu_gpu_per_doc(registry.get(name).cost)) for name in ("pymupdf", "nougat", "pypdf")
+        )
+        assert 80 <= pymupdf / nougat <= 220      # paper: ≈135×
+        assert 8 <= pymupdf / pypdf <= 20         # paper: ≈13×
+
+    def test_adaparse_llm_mix_close_to_paper_ratio(self, registry):
+        """Every document pays PyMuPDF plus selection; an α share also pays
+        Nougat.  At the LLM variant's α = 5 % the mix sits an order of
+        magnitude above Nougat alone (the paper reports ≈17×)."""
+        config = LLM_VARIANT_CONFIG
+        cheap_cpu, _ = _cpu_gpu_per_doc(registry.get("pymupdf").cost)
+        vit_cpu, vit_gpu = _cpu_gpu_per_doc(registry.get("nougat").cost)
+        mix = _ideal_node_rate(
+            cheap_cpu + config.selection_cpu_seconds + config.alpha * vit_cpu,
+            config.selection_gpu_seconds + config.alpha * vit_gpu,
+        )
+        assert 5 < mix / _ideal_node_rate(vit_cpu, vit_gpu) < 60
