@@ -57,6 +57,20 @@ class TestFastTextModel:
         probs = model.predict([CLEAN_TEXTS[1], JUNK_TEXTS[1]])
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
 
+    def test_text_vectors_stack_one_text_vector_per_text(self):
+        model = FastTextModel(FAST_CONFIG, n_outputs=2)
+        vectors = model.text_vectors(TEXTS[:3])
+        assert vectors.shape == (3, FAST_CONFIG.embedding_dim)
+        for row, text in zip(vectors, TEXTS[:3]):
+            np.testing.assert_array_equal(row, model.text_vector(text))
+
+    def test_fit_records_the_validation_loss_of_the_trained_model(self):
+        model = FastTextModel(FAST_CONFIG, n_outputs=2)
+        validation = (TEXTS[::3], TARGETS[::3])
+        history = model.fit(TEXTS, TARGETS, validation=validation)
+        assert len(history.validation_loss) == FAST_CONFIG.n_epochs
+        assert history.validation_loss[-1] == model.evaluate_loss(*validation)
+
     def test_invalid_task_rejected(self):
         with pytest.raises(ValueError):
             FastTextModel(FAST_CONFIG, n_outputs=2, task="ranking")

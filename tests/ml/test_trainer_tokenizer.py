@@ -30,6 +30,18 @@ class TestOptimizers:
         AdamOptimizer().step(params, {"y": np.ones(2)})
         np.testing.assert_array_equal(params["x"], np.zeros(2))
 
+    def test_adam_begin_step_counts_and_creates_missing_moments(self):
+        optimizer = AdamOptimizer(beta1=0.9, beta2=0.999)
+        optimizer.begin_step({"x": np.ones(2)})
+        optimizer._m["x"] += 1.0
+        optimizer.begin_step({"x": np.ones(2), "y": np.ones(3)})
+        assert optimizer._t == 2
+        assert optimizer._corrections == pytest.approx((1.0 - 0.9**2, 1.0 - 0.999**2))
+        # An existing moment is kept; a new parameter starts from zeros.
+        np.testing.assert_array_equal(optimizer._m["x"], np.ones(2))
+        np.testing.assert_array_equal(optimizer._m["y"], np.zeros(3))
+        np.testing.assert_array_equal(optimizer._v["y"], np.zeros(3))
+
     def test_adam_reset(self):
         optimizer = AdamOptimizer()
         params = {"x": np.ones(1)}

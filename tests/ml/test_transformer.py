@@ -88,6 +88,22 @@ class TestForward:
         assert len(encoder.lora_parameter_names()) == TINY.n_layers * 4
         assert all(".lora_" in n for n in encoder.lora_parameter_names())
 
+    def test_parameter_names_list_every_parameter_once(self):
+        encoder = TransformerEncoder(TINY)
+        names = encoder.parameter_names()
+        assert names == list(encoder.clone_parameters())
+        assert len(set(names)) == len(names)
+        assert set(encoder.lora_parameter_names()) < set(names)
+
+    def test_encode_texts_is_the_tokenizer_batch(self):
+        encoder = TransformerEncoder(TINY)
+        texts = ["a parsed page", "", "another page of text with more words than fit"]
+        ids, mask = encoder.encode_texts(text for text in texts)
+        expected_ids, expected_mask = encoder.tokenizer.encode_batch(texts)
+        np.testing.assert_array_equal(ids, expected_ids)
+        np.testing.assert_array_equal(mask, expected_mask)
+        assert ids.shape == (3, TINY.max_length)
+
 
 class TestBackward:
     @pytest.mark.parametrize(

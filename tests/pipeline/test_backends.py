@@ -444,6 +444,14 @@ class TestExecutionRecorder:
         # ... percentiles over the most recent LATENCY_SAMPLE_SIZE only.
         assert latency["p50"] == latency["p99"] == 1.0
 
+    def test_in_flight_high_water_keeps_the_peak(self):
+        from repro.pipeline.backends.base import ExecutionRecorder
+
+        recorder = ExecutionRecorder("test")
+        for n in (1, 3, 2, 0):
+            recorder.record_in_flight(n)
+        assert recorder.snapshot("test", 2).in_flight_high_water == 3
+
 
 # ---------------------------------------------------------------------- #
 # Request / report plumbing

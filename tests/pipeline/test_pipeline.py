@@ -73,6 +73,11 @@ class TestParseRequest:
         with pytest.raises(ValueError):
             ParseRequest(source=ExplicitSource(()))
 
+    def test_source_spec_is_the_declarative_form_of_the_source(self, small_corpus):
+        spec = ParseRequest(source="synthetic:7?seed=3").source_spec()
+        assert (spec.kind, spec.options) == ("synthetic", {"n_documents": 7, "seed": 3})
+        assert ParseRequest(source=ExplicitSource(list(small_corpus))).source_spec() is None
+
     def test_corpus_shortcut(self):
         request = ParseRequest(source="synthetic:7?seed=3")
         assert isinstance(request.source, SyntheticSource)
@@ -303,6 +308,41 @@ class TestStreaming:
         pipeline = ParsePipeline(registry)
         batches = list(pipeline.parse_batches("pymupdf", list(small_corpus)))
         assert len(batches) == math.ceil(len(small_corpus) / DEFAULT_BATCH_SIZE)
+
+
+class TestPhaseTable:
+    def test_phase_summary_sorts_by_total_then_name(self):
+        report = ParseReport(
+            request=ParseRequest(source="synthetic:2"),
+            parser_name="pymupdf",
+            n_documents=2,
+            phases={"b": {"total_s": 1.0}, "a": {"total_s": 1.0}, "c": {"total_s": 3.0}},
+        )
+        assert list(report.phase_summary()) == ["c", "a", "b"]
+
+    def test_phase_summary_rounds_and_fills_every_column(self):
+        report = ParseReport(
+            request=ParseRequest(source="synthetic:2"),
+            parser_name="pymupdf",
+            n_documents=2,
+            phases={"parse": {"total_s": 0.123456, "cpu_s": 0.1, "calls": 3.0}},
+        )
+        assert report.phase_summary() == {
+            "parse": {"total_s": 0.1235, "self_s": 0.0, "cpu_s": 0.1, "calls": 3, "bytes": 0}
+        }
+        assert report.summary()["phases"] == report.phase_summary()
+
+    def test_disabled_phase_attribution_leaves_the_table_empty(self, registry, monkeypatch):
+        from repro.obs import profiling
+
+        request = ParseRequest(parser="pymupdf", source="synthetic:3?seed=1")
+        assert "parse" in ParsePipeline(registry).run(request).phases
+        monkeypatch.setattr(profiling, "_PHASES_ENABLED", profiling.phases_enabled())
+        profiling.set_phases_enabled(False)
+        assert not profiling.phases_enabled()
+        report = ParsePipeline(registry).run(request)
+        assert report.phases == {}
+        assert report.n_succeeded == 3
 
 
 class TestTelemetryRemoval:

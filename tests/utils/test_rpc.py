@@ -189,6 +189,26 @@ class TestHandshake:
             rpc.handshake(channel, hello(), VERSION)
 
 
+class TestHelpers:
+    def test_check_version_accepts_its_own_version(self):
+        rpc.check_version({"protocol": VERSION}, VERSION, "the toy server")
+
+    @pytest.mark.parametrize("message,sent", [({"protocol": VERSION + 1}, VERSION + 1), ({}, -1)])
+    def test_check_version_names_both_versions(self, message, sent):
+        expected = f"the toy server speaks {VERSION}, the peer sent {sent}"
+        with pytest.raises(rpc.HandshakeRefused, match=expected):
+            rpc.check_version(message, VERSION, "the toy server")
+
+    def test_send_safely_reports_a_dead_peer_instead_of_raising(self):
+        ours, theirs = socket.socketpair()
+        channel, peer = MessageChannel(ours), MessageChannel(theirs)
+        assert rpc.send_safely(channel, {"type": "ping"}) is True
+        assert peer.recv() == {"type": "ping"}
+        channel.close()
+        peer.close()
+        assert rpc.send_safely(channel, {"type": "ping"}) is False
+
+
 class TestSession:
     def established(self, server):
         channel = accepted_pair(server)
