@@ -26,7 +26,7 @@ from repro.datasets.dedup import (
     exact_duplicate_groups,
     normalize_for_dedup,
 )
-from repro.datasets.jsonl import JsonlShardManifest, ShardedJsonlWriter, read_jsonl, write_jsonl
+from repro.datasets.jsonl import JsonlShardManifest, ShardedJsonlWriter, write_jsonl
 from repro.datasets.quality import (
     FilterDecision,
     FilterPipeline,
@@ -61,7 +61,6 @@ __all__ = [
     "exact_duplicate_groups",
     "goodput_table",
     "normalize_for_dedup",
-    "read_jsonl",
     "record_from_parse",
     "write_jsonl",
 ]

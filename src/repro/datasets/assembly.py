@@ -22,7 +22,7 @@ from typing import Any, Iterable
 from repro.cache import CachePolicy
 from repro.cache.stats import CacheStats, CacheStatsRecorder
 from repro.datasets.dedup import DedupReport, NearDuplicateDetector
-from repro.datasets.jsonl import JsonlShardManifest, ShardedJsonlWriter
+from repro.datasets.jsonl import JsonlShardManifest, ShardedJsonlWriter, iter_jsonl
 from repro.datasets.quality import FilterPipeline, FilterReport
 from repro.datasets.records import ParsedRecord, record_from_parse
 from repro.datasets.tokens import TokenAccount, account_records
@@ -256,3 +256,13 @@ class DatasetBuilder:
         )
         writer.manifest.save()
         return writer.manifest
+
+
+def load_dataset(directory: str | Path) -> list[ParsedRecord]:
+    """Load an assembled dataset back into records (via its manifest)."""
+    manifest = JsonlShardManifest.load(directory)
+    return [
+        ParsedRecord.from_json_dict(payload)
+        for shard in manifest.shards
+        for payload in iter_jsonl(Path(directory) / shard.path)
+    ]

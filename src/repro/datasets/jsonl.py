@@ -32,11 +32,6 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping[str, object]]) -> in
     return len(lines)
 
 
-def read_jsonl(path: str | Path) -> list[dict[str, object]]:
-    """Read every record of a JSONL file."""
-    return list(iter_jsonl(path))
-
-
 def iter_jsonl(path: str | Path) -> Iterator[dict[str, object]]:
     """Stream records of a JSONL file without loading it entirely.
 

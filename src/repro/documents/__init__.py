@@ -32,7 +32,7 @@ from repro.documents.augment import (
     degrade_image_layers,
     replace_text_layers_with_ocr,
 )
-from repro.documents.simpdf import SimPdfReader, SimPdfWriter
+from repro.documents.simpdf import SimPdfWriter
 from repro.documents.sources import (
     DocumentRef,
     DocumentSource,
@@ -45,7 +45,6 @@ from repro.documents.sources import (
     create_source,
     parse_source_arg,
     register_source,
-    source_kinds,
     source_names,
     validate_source_spec,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "AugmentationConfig",
     "degrade_image_layers",
     "replace_text_layers_with_ocr",
-    "SimPdfReader",
     "SimPdfWriter",
     "DocumentRef",
     "DocumentSource",
@@ -77,7 +75,6 @@ __all__ = [
     "create_source",
     "parse_source_arg",
     "register_source",
-    "source_kinds",
     "source_names",
     "validate_source_spec",
 ]

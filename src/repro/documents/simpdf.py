@@ -129,21 +129,6 @@ class SimPdfWriter:
         return path
 
 
-class SimPdfReader:
-    """Read SimPDF files from a directory."""
-
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-
-    def paths(self) -> list[Path]:
-        """All SimPDF file paths in the directory (sorted)."""
-        return sorted(self.directory.glob("*.simpdf"))
-
-    def read(self, path: str | Path) -> SciDocument:
-        """Read one document from a path."""
-        return deserialize_document(Path(path).read_bytes())
-
-
 @dataclass
 class ArchiveEntry:
     """Directory entry of a :class:`SimPdfArchive`: id, offset, length."""

@@ -683,11 +683,6 @@ def source_names() -> list[str]:
     return sorted(_SOURCE_REGISTRY)
 
 
-def source_kinds() -> list[SourceKind]:
-    """Registered source kinds (sorted by name; for docs and CLI help)."""
-    return [_SOURCE_REGISTRY[name] for name in source_names()]
-
-
 def validate_source_spec(spec: SourceSpec) -> None:
     """Fail fast on an unknown kind or misspelled options.
 

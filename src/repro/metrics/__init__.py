@@ -9,13 +9,12 @@ scratch; see the individual modules for definitions and caveats.
 from __future__ import annotations
 
 from repro.metrics.tokenize import normalize_text, word_tokenize, ngrams
-from repro.metrics.levenshtein import levenshtein_distance, normalized_similarity
-from repro.metrics.bleu import bleu_score, corpus_bleu
-from repro.metrics.rouge import rouge_l, rouge_n
+from repro.metrics.levenshtein import levenshtein_distance
+from repro.metrics.bleu import bleu_score
+from repro.metrics.rouge import rouge_n
 from repro.metrics.car import character_accuracy_rate
 from repro.metrics.coverage import page_coverage_rate
 from repro.metrics.accepted_tokens import accepted_token_rate
-from repro.metrics.winrate import normalized_win_rates
 from repro.metrics.bundle import MetricBundle, evaluate_parse
 
 __all__ = [
@@ -23,15 +22,11 @@ __all__ = [
     "word_tokenize",
     "ngrams",
     "levenshtein_distance",
-    "normalized_similarity",
     "bleu_score",
-    "corpus_bleu",
-    "rouge_l",
     "rouge_n",
     "character_accuracy_rate",
     "page_coverage_rate",
     "accepted_token_rate",
-    "normalized_win_rates",
     "MetricBundle",
     "evaluate_parse",
 ]

@@ -26,22 +26,12 @@ _NO_CODE = np.iinfo(np.int64).max
 
 @dataclass(frozen=True)
 class BleuStatistics:
-    """Sufficient statistics of a BLEU computation (summable across segments)."""
+    """Sufficient statistics of a BLEU computation."""
 
     matches: tuple[int, ...]
     totals: tuple[int, ...]
     candidate_length: int
     reference_length: int
-
-    def __add__(self, other: "BleuStatistics") -> "BleuStatistics":
-        if len(self.matches) != len(other.matches):
-            raise ValueError("cannot add BLEU statistics of different orders")
-        return BleuStatistics(
-            matches=tuple(a + b for a, b in zip(self.matches, other.matches)),
-            totals=tuple(a + b for a, b in zip(self.totals, other.totals)),
-            candidate_length=self.candidate_length + other.candidate_length,
-            reference_length=self.reference_length + other.reference_length,
-        )
 
     def score(self, smooth: bool = True) -> float:
         """Compute BLEU from the accumulated statistics."""
@@ -152,19 +142,3 @@ def bleu_statistics(candidate: str, reference: str, max_n: int = 4) -> BleuStati
 def bleu_score(candidate: str, reference: str, max_n: int = 4, smooth: bool = True) -> float:
     """BLEU of a candidate text against a single reference, in ``[0, 1]``."""
     return bleu_statistics(candidate, reference, max_n=max_n).score(smooth=smooth)
-
-
-def corpus_bleu(
-    candidates: Sequence[str], references: Sequence[str], max_n: int = 4, smooth: bool = True
-) -> float:
-    """Corpus-level BLEU: statistics pooled over segments before scoring."""
-    if len(candidates) != len(references):
-        raise ValueError("candidates and references must have equal length")
-    if not candidates:
-        return 0.0
-    pooled: BleuStatistics | None = None
-    for cand, ref in zip(candidates, references):
-        stats = bleu_statistics(cand, ref, max_n=max_n)
-        pooled = stats if pooled is None else pooled + stats
-    assert pooled is not None
-    return pooled.score(smooth=smooth)

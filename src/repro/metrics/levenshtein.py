@@ -116,16 +116,6 @@ def _banded_distance(a: str, b: str, band: int) -> int:
     return int(previous[m])
 
 
-def normalized_similarity(a: str, b: str, band: int | None = None) -> float:
-    """Normalised similarity ``1 - distance / max(len(a), len(b))`` in [0, 1]."""
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    distance = levenshtein_distance(a, b, band=band)
-    return max(0.0, 1.0 - distance / max(len(a), len(b)))
-
-
 def levenshtein_distance_reference(a: str, b: str) -> int:
     """Plain-Python reference implementation (used by tests as ground truth)."""
     n, m = len(a), len(b)

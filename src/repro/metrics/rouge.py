@@ -1,14 +1,10 @@
-"""ROUGE metrics (Lin, 2004): n-gram recall/F1 and longest-common-subsequence.
+"""ROUGE-N (Lin, 2004): n-gram precision, recall and F1.
 
 The paper reports a single "ROUGE" column; we follow the common convention of
-reporting the ROUGE-1 F1 score there (the harness exposes ROUGE-2 and ROUGE-L
-as well).  ROUGE-L uses a memory-light LCS dynamic program vectorised with
-numpy over one dimension.
+reporting the ROUGE-1 F1 score there.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.metrics.tokenize import ngrams, word_tokenize
 
@@ -30,50 +26,4 @@ def rouge_n(candidate: str, reference: str, n: int = 1) -> dict[str, float]:
     overlap = sum(min(count, ref_grams[gram]) for gram, count in cand_grams.items())
     precision = overlap / sum(cand_grams.values())
     recall = overlap / sum(ref_grams.values())
-    return {"precision": precision, "recall": recall, "f1": _f1(precision, recall)}
-
-
-def _lcs_length(a: list[str], b: list[str]) -> int:
-    """Length of the longest common subsequence of two token lists."""
-    if not a or not b:
-        return 0
-    # Keep the vectorised dimension (b) as the shorter sequence.
-    if len(b) > len(a):
-        a, b = b, a
-    b_arr = np.asarray(b, dtype=object)
-    previous = np.zeros(len(b) + 1, dtype=np.int64)
-    for token in a:
-        match = (b_arr == token)
-        diagonal = previous[:-1] + match.astype(np.int64)
-        current = np.empty_like(previous)
-        current[0] = 0
-        # current[j] = max(diagonal[j-1], previous[j], current[j-1]); the last
-        # term is a running maximum, resolved with maximum.accumulate.
-        current[1:] = np.maximum(diagonal, previous[1:])
-        current = np.maximum.accumulate(current)
-        previous = current
-    return int(previous[-1])
-
-
-def rouge_l(candidate: str, reference: str, max_tokens: int | None = 4000) -> dict[str, float]:
-    """ROUGE-L precision/recall/F1 (LCS-based).
-
-    Parameters
-    ----------
-    candidate, reference:
-        Texts to compare.
-    max_tokens:
-        Optional truncation applied to both token sequences to bound the DP
-        cost on very long documents; ``None`` disables truncation.
-    """
-    cand_tokens = word_tokenize(candidate)
-    ref_tokens = word_tokenize(reference)
-    if max_tokens is not None:
-        cand_tokens = cand_tokens[:max_tokens]
-        ref_tokens = ref_tokens[:max_tokens]
-    if not cand_tokens or not ref_tokens:
-        return {"precision": 0.0, "recall": 0.0, "f1": 0.0}
-    lcs = _lcs_length(cand_tokens, ref_tokens)
-    precision = lcs / len(cand_tokens)
-    recall = lcs / len(ref_tokens)
     return {"precision": precision, "recall": recall, "f1": _f1(precision, recall)}

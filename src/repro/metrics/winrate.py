@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 @dataclass
@@ -61,15 +61,6 @@ class WinRateTally:
         if self.total == 0:
             return 0.0
         return 1.0 - self.indifferent / self.total
-
-
-def normalized_win_rates(outcomes: Iterable[PairwiseOutcome]) -> dict[str, float]:
-    """Normalised win rate per parser over a set of comparisons."""
-    tally = WinRateTally()
-    for outcome in outcomes:
-        tally.add(outcome)
-    parsers = set(tally.appearances.keys())
-    return {p: tally.win_rate(p) for p in sorted(parsers)}
 
 
 def consensus_rate(outcomes_by_triplet: Mapping[tuple[str, str, str], list[str | None]]) -> float:

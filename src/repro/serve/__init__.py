@@ -37,7 +37,6 @@ _LAZY_EXPORTS: dict[str, str] = {
     "ServiceConfig": "repro.serve.service:ServiceConfig",
     "ServiceError": "repro.serve.service:ServiceError",
     "TicketState": "repro.serve.service:TicketState",
-    "serve_requests": "repro.serve.service:serve_requests",
 }
 
 __all__ = sorted(_LAZY_EXPORTS)

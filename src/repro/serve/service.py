@@ -31,7 +31,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -595,33 +595,3 @@ class ParseService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def serve_requests(
-    requests: "Mapping[str, ParseRequest] | list[ParseRequest]",
-    pipeline: ParsePipeline | None = None,
-    config: ServiceConfig | None = None,
-    event_sink: Callable[[ProgressEvent], None] | None = None,
-    priorities: Mapping[str, int] | None = None,
-) -> dict[str, ParseReport]:
-    """Convenience: run a batch of requests through a service, return reports.
-
-    ``requests`` maps client names to requests (a plain list gets
-    ``client-N`` names); the optional ``priorities`` map ranks clients.
-    This is the one-call path the ``repro submit`` smoke test uses.
-    """
-    if isinstance(requests, list):
-        requests = {f"client-{i}": request for i, request in enumerate(requests)}
-    reports: dict[str, ParseReport] = {}
-    with ParseService(pipeline=pipeline, config=config, event_sink=event_sink) as service:
-        tickets = {
-            name: service.submit(
-                request,
-                client=name,
-                priority=(priorities or {}).get(name, 0),
-            )
-            for name, request in requests.items()
-        }
-        for name, ticket in tickets.items():
-            reports[name] = ticket.result()
-    return reports

@@ -41,19 +41,6 @@ def framed_hash_hex(framed: bytes, digest_size: int = 16) -> str:
     return _digest(framed, digest_size)[::-1].hex()
 
 
-def stable_hash_bytes(*parts: bytes, digest_size: int = 8) -> int:
-    """Hash byte strings into a non-negative integer.
-
-    Parameters
-    ----------
-    parts:
-        Byte strings combined (order-sensitive) into a single digest.
-    digest_size:
-        Number of digest bytes (8 gives a 64-bit value).
-    """
-    return int.from_bytes(_digest(frame(*parts), digest_size), "little")
-
-
 def stable_hash(*parts: object, digest_size: int = 8) -> int:
     """Hash arbitrary (stringifiable) objects into a non-negative integer.
 

@@ -33,16 +33,6 @@ def rng_from(root_seed: int, *qualifiers: object) -> np.random.Generator:
     return np.random.default_rng(derive_seed(root_seed, *qualifiers))
 
 
-def spawn_rng(rng: np.random.Generator, *qualifiers: object) -> np.random.Generator:
-    """Spawn an independent child generator from an existing generator.
-
-    The child depends on the parent's current state *and* the qualifiers, so
-    repeated spawns with different qualifiers are independent streams.
-    """
-    base = int(rng.integers(0, 2**62))
-    return np.random.default_rng(derive_seed(base, *qualifiers))
-
-
 T = TypeVar("T")
 
 _UINT32_MASK = 0xFFFFFFFF

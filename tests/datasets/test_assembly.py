@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets.assembly import DatasetBuildConfig, DatasetBuilder
-from repro.datasets.jsonl import JsonlShardManifest, iter_jsonl
+from repro.datasets.assembly import DatasetBuildConfig, DatasetBuilder, load_dataset
 from repro.datasets.quality import FilterPipeline, LengthFilter
 from repro.parsers.registry import default_registry
 
@@ -25,9 +24,8 @@ class TestDatasetBuilder:
         assert report.n_documents == len(small_corpus)
         assert report.manifest is not None
         assert report.manifest.n_records == report.n_final
-        manifest = JsonlShardManifest.load(tmp_path)
-        loaded = [r for shard in manifest.shards for r in iter_jsonl(tmp_path / shard.path)]
-        assert {r["doc_id"] for r in loaded} == {r.doc_id for r in report.final_records}
+        loaded = load_dataset(tmp_path)
+        assert loaded == report.final_records
 
     def test_records_have_reference_quality(self, registry, small_corpus):
         builder = DatasetBuilder(registry.get("pymupdf"), DatasetBuildConfig(min_tokens=10))

@@ -12,9 +12,14 @@ from repro.datasets.jsonl import (
     JsonlShardManifest,
     ShardedJsonlWriter,
     iter_jsonl,
-    read_jsonl,
     write_jsonl,
 )
+
+
+def _read_shards(directory):
+    """Every record of a sharded directory, in manifest order."""
+    manifest = JsonlShardManifest.load(directory)
+    return [record for shard in manifest.shards for record in iter_jsonl(directory / shard.path)]
 
 
 class TestWriteReadJsonl:
@@ -23,26 +28,25 @@ class TestWriteReadJsonl:
         path = tmp_path / "data.jsonl"
         written = write_jsonl(path, records)
         assert written == 2
-        assert read_jsonl(path) == records
+        assert list(iter_jsonl(path)) == records
 
     def test_unicode_preserved(self, tmp_path):
         records = [{"text": "schrödinger ∂ψ/∂t — ±0.5 µm"}]
         path = tmp_path / "unicode.jsonl"
         write_jsonl(path, records)
-        assert read_jsonl(path) == records
+        assert list(iter_jsonl(path)) == records
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.jsonl"
         path.write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
-        assert read_jsonl(path) == [{"a": 1}, {"a": 2}]
+        assert list(iter_jsonl(path)) == [{"a": 1}, {"a": 2}]
 
     def test_invalid_line_raises_with_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"a": 1}\nnot-json\n', encoding="utf-8")
         with pytest.raises(ValueError, match="bad.jsonl:2"):
-            read_jsonl(path)
-        # The streaming reader names the file too, after yielding the good
-        # lines before it.
+            list(iter_jsonl(path))
+        # The good lines before it are yielded first.
         stream = iter_jsonl(path)
         assert next(stream) == {"a": 1}
         with pytest.raises(ValueError, match="bad.jsonl:2"):
@@ -67,7 +71,7 @@ class TestWriteReadJsonl:
     def test_roundtrip_property(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("jsonl") / "prop.jsonl"
         write_jsonl(path, records)
-        assert read_jsonl(path) == records
+        assert list(iter_jsonl(path)) == records
 
 
 class TestShardedWriter:
@@ -99,8 +103,7 @@ class TestShardedWriter:
                 writer.write({"i": i})
         loaded = JsonlShardManifest.load(tmp_path)
         assert loaded.n_records == 7
-        records = [r for shard in loaded.shards for r in iter_jsonl(tmp_path / shard.path)]
-        assert [r["i"] for r in records] == list(range(7))
+        assert [r["i"] for r in _read_shards(tmp_path)] == list(range(7))
 
     def test_close_is_idempotent(self, tmp_path):
         writer = ShardedJsonlWriter(tmp_path)
@@ -160,7 +163,6 @@ class TestLoneSurrogate:
     def test_write_jsonl_round_trips_a_lone_surrogate(self, tmp_path):
         path = tmp_path / "surrogate.jsonl"
         assert write_jsonl(path, LONE_SURROGATE_RECORDS) == 2
-        assert read_jsonl(path) == LONE_SURROGATE_RECORDS
         assert list(iter_jsonl(path)) == LONE_SURROGATE_RECORDS
 
     def test_sharded_writer_round_trips_a_lone_surrogate(self, tmp_path):
@@ -169,8 +171,7 @@ class TestLoneSurrogate:
                 writer.write(record)
         manifest = JsonlShardManifest.load(tmp_path)
         assert len(manifest.shards) == 2
-        records = [r for shard in manifest.shards for r in iter_jsonl(tmp_path / shard.path)]
-        assert records == LONE_SURROGATE_RECORDS
+        assert _read_shards(tmp_path) == LONE_SURROGATE_RECORDS
         for shard in manifest.shards:
             assert shard.n_bytes == (tmp_path / shard.path).stat().st_size
 
@@ -240,4 +241,4 @@ class TestWritesAreAtomic:
         self._kill_before_rename(monkeypatch)
         with pytest.raises(OSError, match="killed"):
             write_jsonl(path, [{"i": 2}, {"i": 3}])
-        assert read_jsonl(path) == [{"i": 1}]
+        assert list(iter_jsonl(path)) == [{"i": 1}]

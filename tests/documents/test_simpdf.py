@@ -6,7 +6,6 @@ import pytest
 
 from repro.documents.simpdf import (
     SimPdfArchive,
-    SimPdfReader,
     SimPdfWriter,
     deserialize_document,
     document_from_dict,
@@ -67,9 +66,8 @@ class TestReaderWriter:
     def test_write_and_read_directory(self, tmp_path, small_corpus):
         writer = SimPdfWriter(tmp_path / "docs")
         paths = [writer.write(doc) for doc in list(small_corpus)[:4]]
-        reader = SimPdfReader(tmp_path / "docs")
-        assert sorted(reader.paths()) == sorted(paths)
-        docs = [reader.read(path) for path in reader.paths()]
+        assert sorted((tmp_path / "docs").glob("*.simpdf")) == sorted(paths)
+        docs = [deserialize_document(path.read_bytes()) for path in paths]
         assert {d.doc_id for d in docs} == {d.doc_id for d in list(small_corpus)[:4]}
 
 

@@ -26,7 +26,6 @@ from repro.documents.sources import (
     SyntheticSource,
     create_source,
     parse_source_arg,
-    source_kinds,
     source_names,
     validate_source_spec,
 )
@@ -126,7 +125,6 @@ class TestSyntheticAndExplicit:
 class TestRegistryAndShorthand:
     def test_registry_lists_the_builtin_kinds(self):
         assert source_names() == ["simpdf-dir", "synthetic"]
-        assert [k.name for k in source_kinds()] == source_names()
 
     def test_shorthand_binds_the_primary_option(self):
         spec = parse_source_arg("synthetic:8?seed=3")

@@ -11,8 +11,6 @@ from repro.metrics.bleu import (
     BleuReference,
     BleuStatistics,
     bleu_score,
-    bleu_statistics,
-    corpus_bleu,
 )
 from repro.metrics.tokenize import ngrams, word_tokenize
 
@@ -66,19 +64,6 @@ class TestBasicProperties:
 
 
 class TestStatistics:
-    def test_statistics_addition(self):
-        s1 = bleu_statistics("a b c", "a b c")
-        s2 = bleu_statistics("d e f", "d e f g")
-        combined = s1 + s2
-        assert combined.candidate_length == s1.candidate_length + s2.candidate_length
-        assert combined.matches[0] == s1.matches[0] + s2.matches[0]
-
-    def test_mismatched_orders_rejected(self):
-        s1 = bleu_statistics("a b", "a b", max_n=2)
-        s2 = bleu_statistics("a b", "a b", max_n=4)
-        with pytest.raises(ValueError):
-            _ = s1 + s2
-
     def test_brevity_penalty_applied(self):
         stats = BleuStatistics(matches=(5, 4, 3, 2), totals=(5, 4, 3, 2), candidate_length=5, reference_length=10)
         assert stats.score() < 1.0
@@ -88,10 +73,9 @@ class TestStatistics:
         [
             lambda: bleu_score("a b c", "a b c", max_n=0),
             lambda: bleu_score("a b c", "a b c", max_n=-1),
-            lambda: corpus_bleu(["a b c"], ["a b c"], max_n=0),
             lambda: BleuReference("a b c", max_n=0),
         ],
-        ids=["bleu_score-0", "bleu_score-negative", "corpus_bleu-0", "reference-0"],
+        ids=["bleu_score-0", "bleu_score-negative", "reference-0"],
     )
     def test_an_order_below_one_is_refused(self, score):
         # It used to divide by zero when scoring.
@@ -154,23 +138,3 @@ class TestStatisticsEqualTheCounterForm:
         reference = BleuReference(REFERENCE)
         for candidate in (SCRAMBLED, REFERENCE, "", REFERENCE.upper(), "the the the the"):
             assert reference.statistics(candidate) == reference_statistics(candidate, REFERENCE, 4)
-
-
-class TestCorpusBleu:
-    def test_matches_single_segment(self):
-        single = bleu_score(SCRAMBLED, REFERENCE)
-        corpus = corpus_bleu([SCRAMBLED], [REFERENCE])
-        assert corpus == pytest.approx(single)
-
-    def test_pooling_differs_from_mean(self):
-        candidates = [REFERENCE, "completely unrelated words here"]
-        references = [REFERENCE, REFERENCE]
-        pooled = corpus_bleu(candidates, references)
-        assert 0.0 < pooled < 1.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            corpus_bleu(["a"], ["a", "b"])
-
-    def test_empty_corpus(self):
-        assert corpus_bleu([], []) == 0.0

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.metrics.levenshtein import (
     levenshtein_distance,
     levenshtein_distance_reference,
-    normalized_similarity,
 )
 
 short_text = st.text(alphabet="abcde ", max_size=30)
@@ -67,23 +66,3 @@ class TestProperties:
     @given(short_text, short_text, short_text)
     def test_triangle_inequality(self, a, b, c):
         assert levenshtein_distance(a, c) <= levenshtein_distance(a, b) + levenshtein_distance(b, c)
-
-
-class TestNormalizedSimilarity:
-    def test_identical(self):
-        assert normalized_similarity("abc", "abc") == 1.0
-
-    def test_empty_pair(self):
-        assert normalized_similarity("", "") == 1.0
-
-    def test_one_empty(self):
-        assert normalized_similarity("abc", "") == 0.0
-
-    def test_range(self):
-        value = normalized_similarity("hyperthyroidism", "hypothyroidism")
-        assert 0.8 < value < 0.95
-
-    def test_long_strings_fast(self):
-        a = "the quick brown fox jumps over the lazy dog " * 50
-        b = a.replace("quick", "qvick")
-        assert normalized_similarity(a, b) > 0.97

@@ -15,7 +15,6 @@ from repro.metrics.winrate import (
     PairwiseOutcome,
     WinRateTally,
     consensus_rate,
-    normalized_win_rates,
 )
 
 
@@ -108,15 +107,6 @@ class TestWinRate:
         assert tally.win_rate("a") == pytest.approx(0.5)
         assert tally.win_rate("b") == pytest.approx(0.5)
         assert tally.decisiveness() == pytest.approx(2 / 3)
-
-    def test_normalized_win_rates_cover_all_parsers(self):
-        outcomes = [
-            PairwiseOutcome("d1", "a", "b", "a"),
-            PairwiseOutcome("d2", "b", "c", "c"),
-        ]
-        rates = normalized_win_rates(outcomes)
-        assert set(rates) == {"a", "b", "c"}
-        assert rates["b"] == 0.0
 
     def test_unseen_parser_zero(self):
         tally = WinRateTally()

@@ -334,25 +334,9 @@ class TestConcurrencyHammer:
 
 
 # ---------------------------------------------------------------------- #
-# serve_requests convenience + CLI smoke
+# CLI smoke
 # ---------------------------------------------------------------------- #
 class TestServeFrontends:
-    def test_serve_requests_returns_reports_by_client(self, snail_pipeline, corpus_16):
-        from repro.serve import serve_requests
-
-        documents = list(corpus_16)[:8]
-        reports = serve_requests(
-            {
-                "alpha": request_for_documents("snail", documents, cache="readwrite"),
-                "beta": request_for_documents("snail", documents, cache="readwrite"),
-            },
-            pipeline=snail_pipeline,
-            priorities={"beta": 2},
-        )
-        assert set(reports) == {"alpha", "beta"}
-        assert all(r.n_documents == len(documents) for r in reports.values())
-        assert sum(r.cache.misses for r in reports.values()) == len(documents)
-
     def test_cli_serve_streams_events_and_dedups(self, capsys):
         from repro.cli import main
 

@@ -12,7 +12,6 @@ from repro.utils.hashing import (
     framed_hash_hex,
     hash_buffers,
     stable_hash,
-    stable_hash_bytes,
     stable_hash_hex,
 )
 
@@ -34,7 +33,7 @@ class TestStableHash:
         assert isinstance(stable_hash("adaparse"), int)
 
     def test_concatenation_ambiguity_avoided(self):
-        assert stable_hash_bytes(b"ab", b"c") != stable_hash_bytes(b"a", b"bc")
+        assert stable_hash("ab", "c") != stable_hash("a", "bc")
 
     @given(st.text(), st.text())
     def test_non_negative(self, a, b):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.rng import derive_seed, rng_from, spawn_rng
+from repro.utils.rng import derive_seed, rng_from
 
 
 class TestDeriveSeed:
@@ -32,19 +32,3 @@ class TestRngFrom:
         a = rng_from(3, "doc", 5).random(10)
         b = rng_from(3, "doc", 6).random(10)
         assert not np.array_equal(a, b)
-
-
-class TestSpawnRng:
-    def test_spawn_depends_on_qualifier(self):
-        parent = rng_from(1, "parent")
-        child_a = spawn_rng(parent, "a")
-        parent2 = rng_from(1, "parent")
-        child_b = spawn_rng(parent2, "b")
-        assert not np.array_equal(child_a.random(5), child_b.random(5))
-
-    def test_spawn_reproducible_from_same_parent_state(self):
-        parent1 = rng_from(1, "parent")
-        parent2 = rng_from(1, "parent")
-        np.testing.assert_array_equal(
-            spawn_rng(parent1, "x").random(5), spawn_rng(parent2, "x").random(5)
-        )
