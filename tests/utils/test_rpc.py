@@ -190,14 +190,10 @@ class TestHandshake:
 
 
 class TestHelpers:
-    def test_check_version_accepts_its_own_version(self):
-        rpc.check_version({"protocol": VERSION}, VERSION, "the toy server")
-
-    @pytest.mark.parametrize("message,sent", [({"protocol": VERSION + 1}, VERSION + 1), ({}, -1)])
-    def test_check_version_names_both_versions(self, message, sent):
-        expected = f"the toy server speaks {VERSION}, the peer sent {sent}"
+    def test_a_message_without_a_protocol_field_is_refused_as_version_minus_one(self):
+        expected = f"the toy server speaks {VERSION}, the peer sent -1"
         with pytest.raises(rpc.HandshakeRefused, match=expected):
-            rpc.check_version(message, VERSION, "the toy server")
+            rpc.check_version({"type": rpc.HELLO}, VERSION, "the toy server")
 
     def test_send_safely_reports_a_dead_peer_instead_of_raising(self):
         ours, theirs = socket.socketpair()
