@@ -342,7 +342,11 @@ class TestCacheCli:
         from repro.cli import main
 
         cache_dir = str(tmp_path / "cli-cache")
-        assert main(["cache", "warm", "--dir", cache_dir, "--documents", "6", "--seed", "3"]) == 0
+        warm = [
+            "pipeline", "--documents", "6", "--seed", "3",
+            "--cache", "readwrite", "--cache-dir", cache_dir,
+        ]
+        assert main(warm) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--dir", cache_dir]) == 0
         stats = json.loads(capsys.readouterr().out)
@@ -350,11 +354,11 @@ class TestCacheCli:
         assert stats["parsers"] == {"pymupdf": 6}
         assert stats["superseded_lines"] == 0
         assert stats["ref_index_entries"] == 6 and stats["ref_index_bytes"] > 0
-        # Warming again over the same source: every reference is known.
-        assert main(["cache", "warm", "--dir", cache_dir, "--documents", "6", "--seed", "3"]) == 0
-        rewarmed = capsys.readouterr().out
-        assert '"hits": 6' in rewarmed and '"misses": 0' in rewarmed
-        assert "source.load" not in rewarmed
+        # Running again over the same source: every reference is known.
+        assert main(warm) == 0
+        rewarmed = json.loads(capsys.readouterr().out)
+        assert (rewarmed["cache"]["hits"], rewarmed["cache"]["misses"]) == (6, 0)
+        assert "source.load" not in rewarmed["phases"]
         assert main(["cache", "purge", "--dir", cache_dir]) == 0
         assert "purged 6" in capsys.readouterr().out
         assert main(["cache", "stats", "--dir", cache_dir]) == 0

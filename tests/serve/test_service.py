@@ -333,6 +333,62 @@ class TestConcurrencyHammer:
         assert order == [head.id, high.id, low.id]
 
 
+class TestServedRunOverADiskCache:
+    """Identical requests through one service over one on-disk cache."""
+
+    def test_identical_requests_parse_once_and_every_ticket_flushes(self, tmp_path):
+        """A served request runs the pipeline's one run path: with a writing
+        policy every ticket's phases have ``cache.flush``, and the three
+        requests parse each document once between them."""
+        n_documents, n_requests = 8, 3
+        events: list = []
+        lock = threading.Lock()
+
+        def sink(event) -> None:
+            with lock:
+                events.append(event)
+
+        pipeline = ParsePipeline(cache=ParseCache(tmp_path / "cache"))
+        config = ServiceConfig(backend_options={"n_jobs": 2})
+        with ParseService(pipeline=pipeline, config=config, event_sink=sink) as service:
+            tickets = [
+                service.submit(
+                    ParseRequest(
+                        parser="pymupdf",
+                        source=f"synthetic:{n_documents}?seed=3",
+                        batch_size=4,
+                        cache="readwrite",
+                    ),
+                    client=f"client-{i}",
+                )
+                for i in range(n_requests)
+            ]
+            reports = [ticket.result(timeout=120) for ticket in tickets]
+            described = service.describe()
+        for ticket, report in zip(tickets, reports):
+            assert "cache.flush" in report.phases, (ticket.id, sorted(report.phases))
+        assert sum(r.cache.misses for r in reports) == n_documents
+        assert sum(r.cache.hits + r.cache.coalesced for r in reports) == (
+            (n_requests - 1) * n_documents
+        )
+        assert described["completed"] == n_requests
+        assert described["backend"]["backend"] == "thread"
+        assert {event.kind for event in events} >= {"queued", "started", "completed"}
+
+
+@pytest.fixture()
+def gateway():
+    from repro.gateway import GatewayServer
+
+    with ParseService(pipeline=ParsePipeline()) as service:
+        with GatewayServer(service, port=0) as server:
+            yield server
+
+
+def gateway_address(server) -> list[str]:
+    return ["--host", "127.0.0.1", "--port", str(server.port)]
+
+
 # ---------------------------------------------------------------------- #
 # CLI smoke
 # ---------------------------------------------------------------------- #
@@ -372,18 +428,27 @@ class TestServeFrontends:
         assert '{"kind"' not in out
         assert '"cache_totals"' in out
 
-    def test_cli_submit_smoke(self, capsys):
+    def test_cli_submit_smoke(self, gateway, capsys):
         from repro.cli import main
 
         exit_code = main(
-            ["submit", "--documents", "5", "--seed", "3", "--priority", "2"]
+            [
+                "submit", *gateway_address(gateway),
+                "--documents", "5", "--seed", "3", "--priority", "2",
+            ]
         )
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert '{"kind": "queued"' in out
-        assert '"throughput_docs_per_second"' in out
+        kinds = [
+            json.loads(line)["kind"] for line in out.splitlines() if line.startswith('{"kind"')
+        ]
+        assert kinds[0] == "queued" and kinds[-1] == "completed"
+        assert "started" in kinds
+        summary = json.loads(out[out.index('{\n  "parser"'):])
+        assert summary["n_documents"] == summary["n_succeeded"] == 5
+        assert "throughput_docs_per_second" in summary
 
-    def test_cli_submit_request_file(self, tmp_path, capsys):
+    def test_cli_submit_request_file(self, gateway, tmp_path, capsys):
         from repro.cli import main
 
         request_path = tmp_path / "request.json"
@@ -394,7 +459,7 @@ class TestServeFrontends:
         output = tmp_path / "report.json"
         exit_code = main(
             [
-                "submit",
+                "submit", *gateway_address(gateway),
                 "--request-file", str(request_path),
                 "--quiet",
                 "--output", str(output),
@@ -404,7 +469,9 @@ class TestServeFrontends:
         payload = json.loads(output.read_text(encoding="utf-8"))
         assert payload["parser"] == "pypdf"
         assert payload["n_documents"] == 4
-        assert "wrote ParseReport" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "wrote ParseReport" in out
+        assert '{"kind"' not in out
 
     def test_cli_submit_bad_request_file_exits_cleanly(self, tmp_path):
         from repro.cli import main
@@ -412,7 +479,7 @@ class TestServeFrontends:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         with pytest.raises(SystemExit, match="invalid request"):
-            main(["submit", "--request-file", str(bad)])
+            main(["submit", "--host", "127.0.0.1", "--port", "9", "--request-file", str(bad)])
 
 
 # ---------------------------------------------------------------------- #
