@@ -37,20 +37,21 @@ Run the same corpus through worker daemons::
 
     adaparse-repro cluster --workers 4 --documents 100
 
-Warm the persistent parse cache, inspect it, and run against it::
+Run against the persistent parse cache (the first run fills it, a second
+one is all hits), inspect it, and empty it::
 
-    adaparse-repro cache warm --dir /tmp/parse-cache --documents 200
-    adaparse-repro cache stats --dir /tmp/parse-cache
     adaparse-repro pipeline --documents 200 --cache readwrite --cache-dir /tmp/parse-cache
+    adaparse-repro cache stats --dir /tmp/parse-cache
     adaparse-repro cache purge --dir /tmp/parse-cache
 
-Serve many concurrent requests from one backend + one cache (streams
-NDJSON progress events; identical corpora dedup via cross-request
-single-flight), or submit a single request the client-side way::
+Serve requests from other processes: a gateway daemon runs one parse
+service (one backend, one cache, cross-request single-flight), and
+``submit`` sends it a request and streams its NDJSON progress events::
 
-    adaparse-repro serve --documents 100 --requests 4 --backend thread \
-        --backend-opt n_jobs=8 --cache readwrite
-    adaparse-repro submit --documents 50 --parser pymupdf --priority 5
+    adaparse-repro gateway --port 9100 --backend thread --backend-opt n_jobs=8 \
+        --cache-dir /tmp/parse-cache
+    adaparse-repro submit --host 127.0.0.1 --port 9100 --documents 50 \
+        --cache readwrite --priority 5
 
 Run a distributed cluster: worker daemons plus a coordinated request
 (``cluster`` spawns local workers, runs end to end, and prints the
@@ -65,7 +66,7 @@ Observability: scrape a live gateway's metrics (Prometheus text or JSON)::
 
     adaparse-repro obs metrics --host 127.0.0.1 --port 9900
 
-The daemon subcommands (``serve``/``gateway``/``worker``/``cluster``)
+The daemon subcommands (``gateway``/``worker``/``cluster``)
 accept ``--log-level`` and ``--log-json``; structured logs go to stderr,
 leaving stdout for machine-readable output (the ready line, reports).
 
@@ -277,13 +278,14 @@ def _cmd_alignment(args: argparse.Namespace) -> int:
 def _add_cache_arguments(
     parser: argparse.ArgumentParser,
     policy_default: str | None = "off",
-    dir_help: str = "persistent cache directory",
+    dir_help: str | None = "persistent cache directory",
 ) -> None:
     """The shared cache flags: ``--cache`` (policy) and ``--cache-dir``.
 
     ``policy_default=None`` omits the policy flag for commands whose policy
-    is fixed (``cache warm``) or carried by each submitted request
-    (``gateway``, ``worker``).
+    is carried by each submitted request (``gateway``, ``worker``);
+    ``dir_help=None`` omits the directory flag for ``submit``, whose
+    request runs over the gateway's cache.
     """
     if policy_default is not None:
         parser.add_argument(
@@ -293,23 +295,21 @@ def _add_cache_arguments(
             choices=["off", "read", "write", "readwrite"],
             help=f"parse-result cache policy (default: {policy_default})",
         )
-    parser.add_argument("--cache-dir", type=str, default="", help=dir_help)
+    if dir_help is not None:
+        parser.add_argument("--cache-dir", type=str, default="", help=dir_help)
 
 
 def resolve_cache_config(args: argparse.Namespace):
     """``(policy, cache)`` from the shared cache flags.
 
-    ``cache`` is a :class:`~repro.cache.ParseCache` over the directory flag,
-    or ``None`` for the pipeline's in-memory default.  Accepts both
-    directory spellings (``--cache-dir``, and the ``cache`` subcommands'
-    ``--dir``) so every subcommand resolves through this one helper.
+    ``cache`` is a :class:`~repro.cache.ParseCache` over ``--cache-dir``,
+    or ``None`` for the pipeline's in-memory default.
     """
     policy = getattr(args, "cache", "off")
-    directory = getattr(args, "cache_dir", "") or getattr(args, "dir", "")
-    if directory:
+    if args.cache_dir:
         from repro.cache import ParseCache
 
-        return policy, ParseCache(directory)
+        return policy, ParseCache(args.cache_dir)
     return policy, None
 
 
@@ -321,6 +321,29 @@ def _add_source_argument(parser: argparse.ArgumentParser) -> None:
         metavar="KIND:VALUE",
         help="document source, e.g. synthetic:200?seed=7 or simpdf-dir:corpus/ "
         "(overrides --documents/--seed)",
+    )
+
+
+#: ``--parser`` names: the default registry's base parsers and the engines.
+_PARSER_CHOICES = (
+    "adaparse_ft",
+    "adaparse_llm",
+    "grobid",
+    "marker",
+    "nougat",
+    "pymupdf",
+    "pypdf",
+    "tesseract",
+)
+
+
+def _add_parser_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--parser",
+        type=str,
+        default="pymupdf",
+        choices=_PARSER_CHOICES,
+        help="parser or engine (default: pymupdf)",
     )
 
 
@@ -420,50 +443,6 @@ def _cmd_cache_purge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache_warm(args: argparse.Namespace) -> int:
-    from repro.cache import ParseCache
-    from repro.pipeline import ENGINE_VARIANTS, ParsePipeline, ParseRequest
-
-    if args.parser in ENGINE_VARIANTS:
-        print("training the AdaParse engine on a small corpus...", flush=True)
-    pipeline = ParsePipeline(cache=ParseCache(args.dir))
-    try:
-        report = pipeline.run(
-            ParseRequest(
-                parser=args.parser,
-                source=_cli_source(args),
-                backend=args.backend,
-                backend_options=_backend_options_or_exit(args),
-                cache="readwrite",
-            )
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    print(json.dumps(report.summary(), indent=2))
-    print(json.dumps(pipeline.cache.describe(), indent=2))
-    return 0
-
-
-def _ndjson_event_sink(quiet: bool = False):
-    """A ProgressEvent sink that prints one NDJSON line per event, live.
-
-    Each line is flushed as it is emitted: a piped consumer (``| jq``,
-    a log shipper) sees events while the run is in progress, not in one
-    burst when the process exits and stdio's block buffering drains.
-    """
-    import threading
-
-    print_lock = threading.Lock()
-
-    def sink(event) -> None:
-        if quiet:
-            return
-        with print_lock:
-            print(json.dumps(event.to_json_dict()), flush=True)
-
-    return sink
-
-
 class _GracefulShutdown:
     """Route SIGTERM (and keep SIGINT) onto the KeyboardInterrupt path.
 
@@ -495,90 +474,16 @@ class _GracefulShutdown:
                 pass
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the parse service over N concurrent requests, streaming events.
-
-    The in-process demonstration of :class:`repro.serve.ParseService`:
-    submissions share one backend and one cache, so identical corpora
-    (the default; ``--distinct`` varies the seeds) are parsed exactly
-    once with cross-request single-flight — the summary's
-    ``cache_totals`` block shows the dedup.  SIGINT/SIGTERM drain
-    gracefully: queued tickets are cancelled (their terminal events
-    still stream), running requests finish, workers are joined.
-    """
-    from repro.pipeline import ENGINE_VARIANTS, ParsePipeline, ParseRequest
-    from repro.serve import ParseService, ServiceConfig
-
-    _setup_logging(args)
-    options = _parse_backend_opts(args.backend_opt)
-    _validate_backend_spec_or_exit(args.backend, options)
-    if args.parser in ENGINE_VARIANTS:
-        print("training the AdaParse engine on a small corpus...", flush=True)
-    cache_policy, cache = resolve_cache_config(args)
-    pipeline = ParsePipeline(cache=cache)
-    config = ServiceConfig(
-        backend=args.backend, backend_options=options, max_active=args.max_active
-    )
-    service = ParseService(
-        pipeline=pipeline, config=config, event_sink=_ndjson_event_sink(args.quiet)
-    )
-    reports = {}
-    with _GracefulShutdown():
-        try:
-            tickets = {}
-            for i in range(args.requests):
-                client = f"client-{i}"
-                seed = args.seed + (i if args.distinct else 0)
-                request = ParseRequest(
-                    parser=args.parser,
-                    source=args.source or f"synthetic:{args.documents}?seed={seed}",
-                    batch_size=args.batch_size,
-                    cache=cache_policy,
-                )
-                tickets[client] = service.submit(request, client=client)
-            for client, ticket in tickets.items():
-                reports[client] = ticket.result()
-            summary = {
-                "service": service.describe(),
-                "tickets": {
-                    client: {"ticket": tickets[client].id, **report.summary()}
-                    for client, report in reports.items()
-                },
-                "cache_totals": {
-                    "misses": sum(r.cache.misses for r in reports.values()),
-                    "hits": sum(r.cache.hits for r in reports.values()),
-                    "coalesced": sum(r.cache.coalesced for r in reports.values()),
-                    "stores": sum(r.cache.stores for r in reports.values()),
-                },
-            }
-        except KeyboardInterrupt:
-            print(
-                "interrupted: cancelling queued requests, draining running ones...",
-                file=sys.stderr,
-                flush=True,
-            )
-            service.close(drain=False)
-            return 130
-        finally:
-            # Idempotent: a no-op after the interrupt path's close.  Also
-            # covers failure exits (a request error re-raised by
-            # result()), which must still release the backend and flush
-            # the shared cache.
-            service.close()
-    print(json.dumps(summary, indent=2, default=str))
-    return 0
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
-    """Submit one request to a fresh service (the client-side smoke path).
+    """Submit one request to a running gateway daemon and stream its events.
 
-    Progress events stream live (one flushed NDJSON line each, as they
-    are emitted) rather than being replayed after the report lands.
+    Progress events print live, one flushed NDJSON line each, as the
+    gateway streams them.
     """
-    from repro.pipeline import ENGINE_VARIANTS, ParsePipeline, ParseRequest
-    from repro.serve import ParseService, ServiceConfig
+    from repro.gateway import GatewayClient, GatewayError, GatewayRejected
+    from repro.pipeline import ParseRequest
+    from repro.pipeline.report import ParseReport
 
-    cache_policy, cache = resolve_cache_config(args)
     try:
         if args.request_file:
             payload = json.loads(Path(args.request_file).read_text(encoding="utf-8"))
@@ -589,53 +494,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 source=_cli_source(args),
                 batch_size=args.batch_size,
                 alpha=args.alpha,
-                cache=cache_policy,
+                cache=args.cache,
             )
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise SystemExit(f"error: invalid request: {exc}") from exc
-    if args.host:
-        # Remote mode: the request runs on a `repro gateway` daemon's
-        # shared service; backend/cache flags describe *that* service and
-        # are ignored here.
-        return _submit_remote(args, request)
-    options = _parse_backend_opts(args.backend_opt)
-    _validate_backend_spec_or_exit(args.backend, options)
-    if request.parser in ENGINE_VARIANTS:
-        print("training the AdaParse engine on a small corpus...", flush=True)
-    pipeline = ParsePipeline(cache=cache)
-    config = ServiceConfig(backend=args.backend, backend_options=options, max_active=1)
-    service = ParseService(
-        pipeline=pipeline, config=config, event_sink=_ndjson_event_sink(args.quiet)
-    )
-    with _GracefulShutdown():
-        try:
-            ticket = service.submit(request, priority=args.priority, client=args.client)
-            report = ticket.result()
-        except KeyboardInterrupt:
-            print(
-                "interrupted: draining the parse service...", file=sys.stderr, flush=True
-            )
-            service.close(drain=False)
-            return 130
-        finally:
-            service.close()  # idempotent; also runs on failure exits
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(report.to_json_dict(include_text=args.include_text), indent=2),
-            encoding="utf-8",
-        )
-        print(f"wrote ParseReport to {path}")
-    print(json.dumps(report.summary(), indent=2, default=str))
-    return 0
-
-
-def _submit_remote(args: argparse.Namespace, request) -> int:
-    """Submit one request to a running gateway daemon and stream its events."""
-    from repro.gateway import GatewayClient, GatewayError, GatewayRejected
-    from repro.pipeline.report import ParseReport
-
     try:
         with GatewayClient(
             args.host, args.port, token=args.token or None, client=args.client
@@ -1072,13 +934,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     corpus = sub.add_parser("corpus", help="build a synthetic corpus (optionally write SimPDF archive)")
-    corpus.add_argument("--documents", type=int, default=200)
+    corpus.add_argument("--documents", type=_positive_int, default=200)
     corpus.add_argument("--seed", type=int, default=2025)
     corpus.add_argument("--output", type=str, default="")
     corpus.set_defaults(func=_cmd_corpus)
 
     tables = sub.add_parser("tables", help="regenerate Tables 1-4")
-    tables.add_argument("--documents", type=int, default=240)
+    tables.add_argument("--documents", type=_positive_int, default=240)
     tables.add_argument("--seed", type=int, default=2025)
     tables.add_argument("--output", type=str, default="")
     tables.add_argument("--skip-table4", action="store_true")
@@ -1092,7 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
     scaling.set_defaults(func=_cmd_scaling)
 
     alignment = sub.add_parser("alignment", help="preference-alignment statistics (Section 7.1)")
-    alignment.add_argument("--documents", type=int, default=120)
+    alignment.add_argument("--documents", type=_positive_int, default=120)
     alignment.add_argument("--pages", type=int, default=80)
     alignment.add_argument("--seed", type=int, default=2025)
     alignment.set_defaults(func=_cmd_alignment)
@@ -1100,15 +962,9 @@ def build_parser() -> argparse.ArgumentParser:
     dataset = sub.add_parser(
         "dataset", help="assemble an LLM-training dataset (parse, filter, dedup, shard)"
     )
-    dataset.add_argument("--documents", type=int, default=200)
+    dataset.add_argument("--documents", type=_positive_int, default=200)
     dataset.add_argument("--seed", type=int, default=2025)
-    dataset.add_argument(
-        "--parser",
-        type=str,
-        default="pymupdf",
-        help="parser or engine: pymupdf, pypdf, tesseract, grobid, nougat, marker, "
-        "adaparse_ft, adaparse_llm",
-    )
+    _add_parser_argument(dataset)
     dataset.add_argument("--output", type=str, default="", help="shard output directory")
     dataset.add_argument("--quality-threshold", type=float, default=0.35)
     dataset.add_argument("--min-tokens", type=int, default=50)
@@ -1121,15 +977,9 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline",
         help="run the unified parsing pipeline and dump the ParseReport as JSON",
     )
-    pipe.add_argument("--documents", type=int, default=100)
+    pipe.add_argument("--documents", type=_positive_int, default=100)
     pipe.add_argument("--seed", type=int, default=2025)
-    pipe.add_argument(
-        "--parser",
-        type=str,
-        default="pymupdf",
-        help="parser or engine: pymupdf, pypdf, tesseract, grobid, nougat, marker, "
-        "adaparse_ft, adaparse_llm",
-    )
+    _add_parser_argument(pipe)
     pipe.add_argument("--batch-size", type=int, default=None)
     pipe.add_argument("--alpha", type=float, default=None, help="engine α-budget override")
     _add_source_argument(pipe)
@@ -1140,7 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.set_defaults(func=_cmd_pipeline)
 
     cache = sub.add_parser(
-        "cache", help="inspect, purge, or warm the content-addressed parse cache"
+        "cache", help="inspect or purge the content-addressed parse cache"
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
 
@@ -1158,67 +1008,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_purge.set_defaults(func=_cmd_cache_purge)
 
-    cache_warm = cache_sub.add_parser(
-        "warm", help="pre-populate a cache directory by parsing a corpus"
-    )
-    cache_warm.add_argument("--dir", type=str, default=".parse-cache", help="cache directory")
-    cache_warm.add_argument("--documents", type=int, default=100)
-    cache_warm.add_argument("--seed", type=int, default=2025)
-    cache_warm.add_argument(
-        "--parser",
-        type=str,
-        default="pymupdf",
-        help="parser or engine: pymupdf, pypdf, tesseract, grobid, nougat, marker, "
-        "adaparse_ft, adaparse_llm",
-    )
-    _add_source_argument(cache_warm)
-    _add_backend_arguments(cache_warm)
-    cache_warm.set_defaults(func=_cmd_cache_warm)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the parse service: N concurrent requests, one shared "
-        "backend and cache, streamed NDJSON progress events",
-    )
-    serve.add_argument("--documents", type=int, default=50, help="documents per request")
-    serve.add_argument("--seed", type=int, default=2025)
-    serve.add_argument("--requests", type=int, default=4, help="concurrent requests to submit")
-    serve.add_argument(
-        "--parser",
-        type=str,
-        default="pymupdf",
-        help="parser or engine: pymupdf, pypdf, tesseract, grobid, nougat, marker, "
-        "adaparse_ft, adaparse_llm",
-    )
-    serve.add_argument("--batch-size", type=int, default=None)
-    serve.add_argument("--max-active", type=int, default=4, help="requests executing at once")
-    serve.add_argument(
-        "--distinct",
-        action="store_true",
-        help="give each request its own corpus seed (default: identical corpora, "
-        "showcasing cross-request single-flight)",
-    )
-    serve.add_argument("--quiet", action="store_true", help="suppress the NDJSON event stream")
-    _add_source_argument(serve)
-    _add_logging_arguments(serve)
-    _add_backend_arguments(serve, default="thread")
-    _add_cache_arguments(serve, policy_default="readwrite")
-    serve.set_defaults(func=_cmd_serve)
-
     submit = sub.add_parser(
         "submit",
-        help="submit one request to a parse service and print its report "
-        "(client-side smoke path)",
+        help="submit one request to a running gateway daemon, stream its "
+        "progress events and print its report",
     )
-    submit.add_argument("--documents", type=int, default=20)
-    submit.add_argument("--seed", type=int, default=2025)
     submit.add_argument(
-        "--parser",
-        type=str,
-        default="pymupdf",
-        help="parser or engine: pymupdf, pypdf, tesseract, grobid, nougat, marker, "
-        "adaparse_ft, adaparse_llm",
+        "--host", type=str, required=True, help="address of the gateway daemon"
     )
+    submit.add_argument("--port", type=int, required=True, help="gateway port")
+    submit.add_argument("--token", type=str, default="", help="gateway auth token")
+    submit.add_argument("--documents", type=_positive_int, default=20)
+    submit.add_argument("--seed", type=int, default=2025)
+    _add_parser_argument(submit)
     submit.add_argument("--batch-size", type=int, default=None)
     submit.add_argument("--alpha", type=float, default=None, help="engine α-budget override")
     submit.add_argument(
@@ -1233,19 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--include-text", action="store_true", help="embed page texts in --output")
     submit.add_argument("--output", type=str, default="", help="write the full report JSON here")
     _add_source_argument(submit)
-    _add_backend_arguments(submit, default="thread")
-    _add_cache_arguments(submit)
-    submit.add_argument(
-        "--host",
-        type=str,
-        default="",
-        help="submit to a running `repro gateway` daemon at this address "
-        "instead of a fresh local service",
-    )
-    submit.add_argument("--port", type=int, default=0, help="gateway port (with --host)")
-    submit.add_argument(
-        "--token", type=str, default="", help="gateway auth token (with --host)"
-    )
+    _add_cache_arguments(submit, dir_help=None)
     submit.set_defaults(func=_cmd_submit)
 
     gateway = sub.add_parser(
@@ -1387,15 +1177,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="join existing workers at host:port,host:port instead of spawning",
     )
-    cluster.add_argument("--documents", type=int, default=50)
+    cluster.add_argument("--documents", type=_positive_int, default=50)
     cluster.add_argument("--seed", type=int, default=2025)
-    cluster.add_argument(
-        "--parser",
-        type=str,
-        default="pymupdf",
-        help="parser or engine: pymupdf, pypdf, tesseract, grobid, nougat, marker, "
-        "adaparse_ft, adaparse_llm",
-    )
+    _add_parser_argument(cluster)
     cluster.add_argument("--batch-size", type=int, default=None)
     cluster.add_argument(
         "--window", type=int, default=2, help="in-flight shards per worker"

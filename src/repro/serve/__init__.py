@@ -18,8 +18,8 @@ Example
 >>> report.n_documents
 8
 
-The CLI front ends are ``repro serve`` (demo service loop streaming
-NDJSON events) and ``repro submit`` (single-request client smoke path).
+On the CLI a service runs inside ``repro gateway``, and ``repro submit``
+sends it one request and streams its NDJSON events.
 
 Public names resolve lazily (PEP 562) so importing :mod:`repro.serve`
 stays cheap until a service is actually constructed.

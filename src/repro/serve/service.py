@@ -536,7 +536,7 @@ class ParseService:
     # Introspection and lifecycle
     # ------------------------------------------------------------------ #
     def describe(self) -> dict[str, Any]:
-        """Live counters of the service (the ``repro serve`` summary block)."""
+        """Live counters of the service."""
         with self._lock:
             description: dict[str, Any] = dict(self._counters)
             description.update(

@@ -54,8 +54,11 @@ def encode_message(message: Mapping[str, Any]) -> bytes:
     """Frame one message: decimal length prefix + NDJSON body.
 
     The body is ASCII, every other character ``\\u``-escaped: that encodes
-    faster than UTF-8 output, and the peer decodes any string back exactly,
-    a lone surrogate (which strict UTF-8 cannot encode) included.
+    faster than UTF-8 output, and the peer decodes a string back exactly,
+    a lone surrogate (which strict UTF-8 cannot encode) included.  One
+    exception: a high surrogate followed by a low one, sent as two code
+    points, escapes like the astral character they pair into, so
+    ``chr(0xD800) + chr(0xDC00)`` decodes as the one character U+10000.
     """
     text = json.dumps(message, separators=(",", ":"))
     body = text.encode("ascii") + b"\n"

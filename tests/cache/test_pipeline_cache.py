@@ -397,6 +397,6 @@ class TestCacheCli:
         from repro.cli import build_parser
 
         parser = build_parser()
-        for sub in ("stats", "purge", "warm"):
+        for sub in ("stats", "purge"):
             args = parser.parse_args(["cache", sub])
             assert args.command == "cache" and args.cache_command == sub

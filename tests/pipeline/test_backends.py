@@ -1523,7 +1523,6 @@ class TestCli:
         [
             ["pipeline", "--documents", "4"],
             ["dataset", "--documents", "4", "--min-tokens", "5"],
-            ["cache", "warm", "--documents", "4"],
         ],
     )
     def test_jobs_flag_is_an_unrecognized_argument(self, argv, capsys):

@@ -4,7 +4,7 @@ Covers the fair-share admission policy (pure-function unit tests), the
 ticket lifecycle and event-stream contract, the concurrency hammer (N
 concurrent requests sharing one cache, with single-flight asserted via
 the coalesced/miss counters), priorities, cancellation, failure
-reporting, and the serve/submit CLI smoke paths.
+reporting, and ``submit`` against an in-process gateway.
 """
 
 from __future__ import annotations
@@ -393,41 +393,6 @@ def gateway_address(server) -> list[str]:
 # CLI smoke
 # ---------------------------------------------------------------------- #
 class TestServeFrontends:
-    def test_cli_serve_streams_events_and_dedups(self, capsys):
-        from repro.cli import main
-
-        exit_code = main(
-            [
-                "serve",
-                "--documents", "6",
-                "--seed", "3",
-                "--requests", "3",
-                "--batch-size", "3",
-                "--backend-opt", "n_jobs=2",
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        lines = out.strip().splitlines()
-        ndjson = [json.loads(line) for line in lines if line.startswith('{"kind"')]
-        assert {event["kind"] for event in ndjson} >= {"queued", "started", "completed"}
-        summary = json.loads(out[out.index('{\n  "service"'):])
-        assert summary["service"]["completed"] == 3
-        assert summary["cache_totals"]["misses"] == 6  # identical corpora dedup
-        assert summary["cache_totals"]["hits"] + summary["cache_totals"]["coalesced"] == 12
-        assert summary["service"]["backend"]["backend"] == "thread"
-
-    def test_cli_serve_quiet_suppresses_events(self, capsys):
-        from repro.cli import main
-
-        exit_code = main(
-            ["serve", "--documents", "4", "--requests", "2", "--quiet"]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert '{"kind"' not in out
-        assert '"cache_totals"' in out
-
     def test_cli_submit_smoke(self, gateway, capsys):
         from repro.cli import main
 

@@ -17,8 +17,9 @@ class TestArgumentParsing:
             "alignment",
             "dataset",
             "pipeline",
-            "serve",
-            "submit",
+            "gateway",
+            "worker",
+            "cluster",
             "fill-experiments",
         ):
             args = parser.parse_args([command])
@@ -29,7 +30,7 @@ class TestArgumentParsing:
             build_parser().parse_args([])
 
     @pytest.mark.parametrize(
-        "command", ["dataset", "pipeline", "serve", "gateway", "worker", "cluster"]
+        "command", ["dataset", "pipeline", "gateway", "worker", "cluster"]
     )
     def test_profile_flag_is_an_unrecognized_argument(self, command, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -46,6 +47,60 @@ class TestArgumentParsing:
             f"invalid choice: '{command}' (choose from 'metrics')"
             in capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["serve", "--requests", "3"], "invalid choice: 'serve'"),
+            (["cache", "warm", "--dir", "c"], "invalid choice: 'warm'"),
+            (["submit"], "the following arguments are required: --host, --port"),
+            (["submit", "--port", "9100"], "the following arguments are required: --host"),
+            (["submit", "--host", "127.0.0.1"], "the following arguments are required: --port"),
+        ],
+        ids=["serve", "cache-warm", "submit", "submit-port-only", "submit-host-only"],
+    )
+    def test_removed_in_process_run_is_a_usage_error(self, argv, message, capsys):
+        """``pipeline`` is the one in-process run; ``submit`` needs a gateway."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--backend", "thread"], ["--backend-opt", "n_jobs=2"], ["--cache-dir", "c"]],
+        ids=["backend", "backend-opt", "cache-dir"],
+    )
+    def test_submit_has_no_local_service_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["submit", "--host", "127.0.0.1", "--port", "9", *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_parser_choices_are_the_registry_and_the_engines(self):
+        from repro.cli import _PARSER_CHOICES
+        from repro.parsers.registry import default_registry
+        from repro.pipeline import ENGINE_VARIANTS
+
+        assert _PARSER_CHOICES == tuple(
+            sorted(set(default_registry().names) | set(ENGINE_VARIANTS))
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dataset"],
+            ["pipeline"],
+            ["submit", "--host", "127.0.0.1", "--port", "9"],
+            ["cluster", "--workers", "1"],
+        ],
+        ids=["dataset", "pipeline", "submit", "cluster"],
+    )
+    def test_unknown_parser_is_an_invalid_choice(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--parser", "nosuch"])
+        assert exit_info.value.code == 2
+        assert "argument --parser: invalid choice: 'nosuch'" in capsys.readouterr().err
 
     def test_obs_top_is_an_invalid_choice(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -165,6 +220,26 @@ class TestCommands:
         assert exit_info.value.code == 2
         assert f"argument {argv[0]}: must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corpus"],
+            ["tables"],
+            ["alignment"],
+            ["dataset"],
+            ["pipeline"],
+            ["submit", "--host", "127.0.0.1", "--port", "9"],
+            ["cluster", "--workers", "1"],
+        ],
+        ids=["corpus", "tables", "alignment", "dataset", "pipeline", "submit", "cluster"],
+    )
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_documents_must_be_positive(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--documents", value])
+        assert exit_info.value.code == 2
+        assert "argument --documents: must be a positive integer" in capsys.readouterr().err
+
     def test_scaling_ratio_line_names_its_node_count(self, capsys):
         assert main(["scaling", "--nodes", "4", "8", "--docs-per-node", "5"]) == 0
         out = capsys.readouterr().out
@@ -177,15 +252,11 @@ class TestCommands:
             ["pipeline"],
             ["dataset"],
             ["cluster", "--workers", "1"],
-            ["cache", "warm", "--dir", "{tmp}/cache"],
-            ["serve", "--requests", "1", "--quiet"],
-            ["submit", "--quiet"],
         ],
-        ids=["pipeline", "dataset", "cluster", "cache-warm", "serve", "submit"],
+        ids=["pipeline", "dataset", "cluster"],
     )
     def test_missing_source_directory_is_an_error_not_a_traceback(self, argv, tmp_path):
         """Every command that takes ``--source`` meets the one check in ``main``."""
-        argv = [arg.format(tmp=tmp_path) for arg in argv]
         missing = tmp_path / "nowhere"
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, "--source", f"simpdf-dir:{missing}"])
