@@ -1027,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--request-file",
         type=str,
         default="",
-        help="JSON file with a serialised ParseRequest (overrides the flags above)",
+        help="JSON file with a serialised ParseRequest (replaces the request flags)",
     )
     submit.add_argument("--priority", type=int, default=0, help="admission priority (higher first)")
     submit.add_argument("--client", type=str, default="cli", help="fair-share client identity")

@@ -55,7 +55,10 @@ class TestArgumentParsing:
             (["cache", "warm", "--dir", "c"], "invalid choice: 'warm'"),
             (["submit"], "the following arguments are required: --host, --port"),
             (["submit", "--port", "9100"], "the following arguments are required: --host"),
-            (["submit", "--host", "127.0.0.1"], "the following arguments are required: --port"),
+            (
+                ["submit", "--host", "127.0.0.1"],
+                "the following arguments are required: --port",
+            ),
         ],
         ids=["serve", "cache-warm", "submit", "submit-port-only", "submit-host-only"],
     )
