@@ -26,7 +26,7 @@ from repro.ml.trainer import (
     minibatch_indices,
     require_training_rows,
 )
-from repro.utils.hashing import stable_hash
+from repro.utils.hashing import stable_hash, stable_hashes
 from repro.utils.rng import rng_from
 
 #: Bounds of a model's sub-word id table.  Each of its two generations holds
@@ -36,6 +36,10 @@ from repro.utils.rng import rng_from
 #: the ``bytes``/``str``/``dict`` overheads, ~0.8 KB each).
 _ID_TABLE_GENERATION_WORDS = 4096
 _ID_TABLE_MAX_WORD_CHARS = 24
+
+#: Embedding rows :meth:`FastTextModel._mean_embedding` gathers at once
+#: (256 KB at the default 64 dimensions).
+_MEAN_BLOCK_ROWS = 512
 
 #: Most row shards one training step is split into (one thread each).
 _FIT_MAX_SHARDS = 4
@@ -172,12 +176,14 @@ class FastTextModel:
     def _hash_word(self, word: str) -> bytes:
         """Bucket ids of one word followed by its character n-grams (packed int64)."""
         cfg = self.config
-        ids = [stable_hash("ft-word", word) % cfg.n_buckets]
         padded = f"<{word}>"
-        for n in range(cfg.char_ngram_min, cfg.char_ngram_max + 1):
-            for i in range(len(padded) - n + 1):
-                ids.append(stable_hash("ft-char", padded[i : i + n]) % cfg.n_buckets)
-        return np.asarray(ids, dtype=np.int64).tobytes()
+        ngrams = [
+            padded[i : i + n]
+            for n in range(cfg.char_ngram_min, cfg.char_ngram_max + 1)
+            for i in range(len(padded) - n + 1)
+        ]
+        ids = [stable_hash("ft-word", word)] + stable_hashes("ft-char", ngrams)
+        return np.asarray([h % cfg.n_buckets for h in ids], dtype=np.int64).tobytes()
 
     def _word_ids(self, word: str) -> bytes:
         """:meth:`_hash_word`, hashing each distinct word once while it is kept."""
@@ -201,10 +207,27 @@ class FastTextModel:
             return np.zeros(1, dtype=np.int64)
         return np.frombuffer(bytearray().join(map(self._word_ids, words)), dtype=np.int64)
 
+    def _mean_embedding(self, ids: np.ndarray) -> np.ndarray:
+        """``self.embeddings[ids].mean(axis=0)``, bit for bit, gathered in blocks.
+
+        numpy sums axis 0 of a gathered C-ordered block row by row, left to
+        right; adding the running sum into each next block's first row
+        continues that one sum, so the blocks add up in the order the whole
+        gather would.  A block of ``_MEAN_BLOCK_ROWS`` rows stays in cache
+        between its gather and its sum; a whole text's gather (~3300 ids of
+        64 floats, ~1.7 MB) does not.
+        """
+        total = None
+        for lo in range(0, len(ids), _MEAN_BLOCK_ROWS):
+            block = self.embeddings.take(ids[lo : lo + _MEAN_BLOCK_ROWS], axis=0)
+            if total is not None:
+                block[0] += total
+            total = np.add.reduce(block, axis=0)
+        return total / len(ids)
+
     def text_vector(self, text: str) -> np.ndarray:
         """Mean embedding of a text's hashed features."""
-        ids = self.bucket_ids(text)
-        return self.embeddings[ids].mean(axis=0)
+        return self._mean_embedding(self.bucket_ids(text))
 
     def text_vectors(self, texts: Sequence[str]) -> np.ndarray:
         """Matrix of text vectors ``[n_texts, embedding_dim]``."""
@@ -279,7 +302,7 @@ class FastTextModel:
         def forward(shard: int) -> None:
             # Rows shard, shard + n_shards, ... of the batch's mean embeddings.
             for row in range(shard, len(batch), n_shards):
-                hidden[row] = self.embeddings.take(cached_ids[batch[row]], axis=0).mean(axis=0)
+                hidden[row] = self._mean_embedding(cached_ids[batch[row]])
 
         def backward(shard: int) -> None:
             # The shard's rows of the embedding gradient, then of the step.

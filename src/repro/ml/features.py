@@ -13,9 +13,9 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -60,9 +60,16 @@ def _known_terms() -> frozenset[str]:
     return frozenset(lexicon.all_scientific_terms()) | frozenset(lexicon.ACADEMIC_NOUNS)
 
 
-@functools.cache
-def _repeated_run_re() -> re.Pattern[str]:
-    return re.compile(r"(.)\1{3,}")
+def _repeated_runs(code_points: np.ndarray) -> int:
+    r"""Maximal runs of at least 4 equal code points other than ``"\n"``.
+
+    Exactly what ``re.findall(r"(.)\1{3,}", text)`` finds: ``.`` is anything
+    but a newline, and the greedy repeat takes a run whole.  ``code_points``
+    is not empty.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], code_points[1:] != code_points[:-1])))
+    run_lengths = np.diff(starts, append=len(code_points))
+    return np.count_nonzero((run_lengths >= 4) & (code_points[starts] != ord("\n")))
 
 
 def _char_classes(code_points: np.ndarray) -> np.ndarray:
@@ -119,34 +126,37 @@ class TextStatisticsExtractor:
         n_chars = len(text)
         if n_chars == 0:
             return np.zeros(self.n_features, dtype=np.float64)
-        chars = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+        # ``surrogatepass``: a lone surrogate is one code point, classed like any other.
+        chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
         classes = _char_classes(chars)
 
         def count(flags: int) -> int:
             return np.count_nonzero(classes & flags)
 
+        # Word statistics once per distinct word, weighted by its count.
         words = text.split()
+        counts = collections.Counter(words)
         n_words = max(1, len(words))
-        word_lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+        lengths = np.fromiter(map(len, counts), dtype=np.int64, count=len(counts))
+        weights = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
         # Scrambled-word indicator: [A-Za-z]{4,} words without a vowel.
         vowel_free = sum(
-            1
-            for w in words
+            c
+            for w, c in counts.items()
             if len(w) >= 4 and w.isascii() and w.isalpha() and _VOWELS.isdisjoint(w.lower())
         )
-        repeated_runs = len(_repeated_run_re().findall(text))
         lines = [ln for ln in text.split("\n") if ln.strip()]
         line_length_mean = float(np.mean([len(ln) for ln in lines])) if lines else 0.0
         hyphen_breaks = text.count("-\n")
 
-        lowercase_words = {w.lower().strip(".,;:()") for w in words}
+        lowercase_words = {w.lower().strip(".,;:()") for w in counts}
         lexicon_hits = len(lowercase_words & _known_terms())
 
         features = np.asarray(
             [
                 math.log1p(n_chars),
                 math.log1p(len(words)),
-                word_lengths.sum() / n_words,
+                int(lengths @ weights) / n_words,
                 count(_SPACE) / n_chars,
                 count(_ALPHA) / n_chars,
                 count(_DIGIT) / n_chars,
@@ -155,9 +165,9 @@ class TextStatisticsExtractor:
                 np.count_nonzero(chars > 127) / n_chars,
                 count(_MATH) / n_chars,
                 vowel_free / n_words,
-                np.count_nonzero(word_lengths > 18) / n_words,
-                np.count_nonzero(word_lengths == 1) / n_words,
-                repeated_runs / max(1, len(lines)),
+                int(weights[lengths > 18].sum()) / n_words,
+                int(weights[lengths == 1].sum()) / n_words,
+                _repeated_runs(chars) / max(1, len(lines)),
                 line_length_mean / 100.0,
                 lexicon_hits / n_words,
                 len(lowercase_words) / n_words,
@@ -235,10 +245,10 @@ class MetadataFeaturizer:
     def extract(self, metadata: DocumentMetadata) -> np.ndarray:
         """Feature vector of one metadata record."""
         parts: list[np.ndarray] = []
-        data = metadata.to_dict()
         for field_name in self.fields:
+            value = getattr(metadata, field_name)
             if field_name == "year":
-                year = float(data["year"])
+                year = float(value)
                 parts.append(
                     np.asarray(
                         [(year - 2010.0) / 15.0, float(year < 2005), float(year < 2015)],
@@ -246,17 +256,17 @@ class MetadataFeaturizer:
                     )
                 )
             elif field_name == "n_pages":
-                parts.append(np.asarray([math.log1p(float(data["n_pages"]))], dtype=np.float64))
+                parts.append(np.asarray([math.log1p(float(value))], dtype=np.float64))
             elif field_name == "title":
                 buckets = np.zeros(self.hash_buckets, dtype=np.float64)
-                for word in str(data["title"]).lower().split():
+                for word in str(value).lower().split():
                     buckets[stable_hash("title", word) % self.hash_buckets] += 1.0
                 total = buckets.sum()
                 parts.append(buckets / total if total > 0 else buckets)
             else:
                 vocab = self._vocab[field_name]
                 onehot = np.zeros(len(vocab) + 1, dtype=np.float64)
-                value = str(data[field_name])
+                value = str(value)
                 if value in vocab:
                     onehot[vocab.index(value)] = 1.0
                 else:

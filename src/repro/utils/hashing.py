@@ -9,6 +9,7 @@ and Python versions.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
 
 def frame(*parts: bytes) -> bytes:
@@ -48,6 +49,27 @@ def stable_hash(*parts: object, digest_size: int = 8) -> int:
     seeds and bucketing, not cryptography.
     """
     return int.from_bytes(_digest(frame_text(*parts), digest_size), "little")
+
+
+def stable_hashes(head: object, parts: Iterable[str], digest_size: int = 8) -> list[int]:
+    """``[stable_hash(head, part) for part in parts]``, framing ``head`` once.
+
+    Each digest is over the very bytes :func:`stable_hash` hashes (the framed
+    head, then the part's 8-byte length and UTF-8 bytes, ``surrogatepass``
+    included), so the values are equal; only the per-part calls are saved.
+    """
+    framed_head = frame_text(head)
+    blake2b = hashlib.blake2b
+    from_bytes = int.from_bytes
+    return [
+        from_bytes(
+            blake2b(
+                framed_head + len(data).to_bytes(8, "little") + data, digest_size=digest_size
+            ).digest(),
+            "little",
+        )
+        for data in [part.encode("utf-8", "surrogatepass") for part in parts]
+    ]
 
 
 def stable_hash_hex(*parts: object, digest_size: int = 16) -> str:

@@ -1,10 +1,13 @@
 """The selector's fast paths are exact: same ids, same features, same scores.
 
-``FastTextModel.bucket_ids`` reuses each distinct word's sub-word ids and
-``TextStatisticsExtractor.extract`` reads character classes from a table.
-The per-occurrence / per-character versions they replaced live on here as
-the references, and every comparison is ``np.array_equal`` — the arithmetic
-is unchanged, so there is no tolerance to set.
+``FastTextModel.bucket_ids`` reuses each distinct word's sub-word ids, hashes
+a new word's n-grams under one framed head (``stable_hashes``) and averages
+embeddings in blocks; ``TextStatisticsExtractor.extract`` reads character
+classes from a table, counts repeated runs on the code points and computes
+word statistics once per distinct word.  The per-occurrence / per-character
+versions they replaced live on here as the references, and every comparison
+is ``np.array_equal`` or ``==`` — the arithmetic is unchanged, so there is
+no tolerance to set.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from hypothesis import strategies as st
 
 from repro.documents import lexicon
 from repro.ml import fasttext as fasttext_module
+from repro.ml import features as features_module
 from repro.ml import tokenizer as tokenizer_module
 from repro.ml.fasttext import FastTextConfig, FastTextModel
 from repro.ml.features import TEXT_FEATURE_NAMES, TextStatisticsExtractor
 from repro.ml.tokenizer import FIRST_HASH_ID, HashingTokenizer
-from repro.utils.hashing import stable_hash
+from repro.utils.hashing import stable_hash, stable_hashes
 
 CONFIG = FastTextConfig(embedding_dim=8, n_buckets=512, max_tokens=40, n_epochs=1)
 MATH_GLYPHS = set("∂∇Σ∫∞αβγλμσθφωε·×√^_{}\\=+")
@@ -34,8 +38,12 @@ MATH_GLYPHS = set("∂∇Σ∫∞αβγλμσθφωε·×√^_{}\\=+")
 # Characters the character-class table must get right: the four counted
 # whitespace characters and others that are not; cased, titlecase and
 # caseless letters; digits that are not decimal; combining marks; math
-# glyphs; astral letters, digits and symbols.
-_TRICKY = " \t\n\r\x0b\x0c\x1f  AzÉßǅⅧ²½٣́⃗∂Σ∫·×√^_{}\\=+-.,;:()𝔸𝕫𝟘😀\U0001e900\U0010ffff"
+# glyphs; astral letters, digits and symbols; lone surrogates, which a JSON
+# text layer can hold.
+_TRICKY = (
+    " \t\n\r\x0b\x0c\x1f  AzÉßǅⅧ²½٣́⃗∂Σ∫·×√^_{}\\=+-.,;:()𝔸𝕫𝟘😀\U0001e900\U0010ffff"
+    "\ud800\udbff\udc00\udfff"
+)
 TEXTS = st.one_of(
     st.text(max_size=200),
     st.text(alphabet=st.sampled_from(_TRICKY), max_size=200),
@@ -121,16 +129,31 @@ def naive_predict(model: FastTextModel, texts: list[str]) -> np.ndarray:
 
 @pytest.fixture()
 def hash_calls(monkeypatch):
-    """Counts ``stable_hash`` calls made by the fastText model and the tokenizer."""
+    """Records every hash the fastText model and the tokenizer compute.
+
+    One entry per hashed value, as ``stable_hash``'s parts: a
+    ``stable_hashes(head, parts)`` call adds ``(head, part)`` per part.
+    """
     calls = []
 
     def counting(*parts):
         calls.append(parts)
         return stable_hash(*parts)
 
+    def counting_many(head, parts):
+        parts = list(parts)
+        calls.extend((head, part) for part in parts)
+        return stable_hashes(head, parts)
+
     monkeypatch.setattr(fasttext_module, "stable_hash", counting)
+    monkeypatch.setattr(fasttext_module, "stable_hashes", counting_many)
     monkeypatch.setattr(tokenizer_module, "stable_hash", counting)
     return calls
+
+
+def n_char_ngrams(word: str, cfg: FastTextConfig) -> int:
+    padded = len(word) + 2
+    return sum(max(0, padded - n + 1) for n in range(cfg.char_ngram_min, cfg.char_ngram_max + 1))
 
 
 def _page(seed: int, n_words: int = 60) -> str:
@@ -153,6 +176,7 @@ class TestExactOnAnyText:
     @example("∂u/∂t = ∇·(κ∇u) + Σ λ_i {x^2} \\ 1+1=2")
     @example("𝔸𝕫 𝟘𝟙 😀 \U0010ffff")
     @example("aaaa bbbbb-\ncccc\n\n  \nrhythm RHYTHMS Ǆ ǅ ǆ")
+    @example("lone \ud800 surrogates \udfff\udfff\udfff\udfff \udc00x")
     def test_features_equal_the_per_character_reference(self, text):
         assert np.array_equal(TextStatisticsExtractor().extract(text), naive_features(text))
 
@@ -206,6 +230,69 @@ class TestExactOnAnyText:
             assert tokenizer.token_id(token) == expected
 
 
+class TestExactAtTheEdges:
+    """Where each new path could part from its reference: block and run edges."""
+
+    @pytest.mark.parametrize("n_ids", [1, 511, 512, 513, 1024, 1025, 3001])
+    def test_blocked_mean_equals_the_whole_gather(self, n_ids):
+        model = FastTextModel(FastTextConfig(n_buckets=4096), n_outputs=1)
+        ids = np.random.default_rng(n_ids).integers(0, 4096, n_ids)
+        mean = model._mean_embedding(ids)
+        assert np.array_equal(mean, model.embeddings[ids].mean(axis=0))
+
+    def test_text_vector_is_the_blocked_mean_past_five_blocks(self):
+        config = FastTextConfig(max_tokens=300)
+        model = FastTextModel(config, n_outputs=1)
+        text = _page(5, n_words=300)
+        ids = naive_bucket_ids(text, config)
+        assert len(ids) > 5 * fasttext_module._MEAN_BLOCK_ROWS
+        assert np.array_equal(model.text_vector(text), model.embeddings[ids].mean(axis=0))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["bcdfghjklmnpqrstvwxz", "bcdfghjklmnpqrstvwxz a bcdfghjklmnpqrstvwxz rhythm", "xkcd " * 30],
+    )
+    def test_a_long_vowel_free_word_counts_as_both(self, text):
+        features = TextStatisticsExtractor().extract(text)
+        assert np.array_equal(features, naive_features(text))
+        ratio = dict(zip(TEXT_FEATURE_NAMES, features.tolist()))
+        words = text.split()
+        assert ratio["vowel_free_word_ratio"] == sum(
+            len(w) >= 4 and not set(w) & set("aeiou") for w in words
+        ) / len(words)
+        assert ratio["long_word_ratio"] == sum(len(w) > 18 for w in words) / len(words)
+
+    @pytest.mark.parametrize(
+        "text, runs",
+        [
+            ("\n" * 6, 0),
+            ("ab\n\n\n\n\ncd", 0),
+            ("aaaa\naaaa", 2),
+            ("a" * 9, 1),
+            ("aaa", 0),
+            ("aaaabbbb aaaa", 3),
+            ("x" + "𝔸" * 4 + "x", 1),
+            ("\ud800" * 5, 1),
+        ],
+    )
+    def test_repeated_runs_are_what_the_regex_finds(self, text, runs):
+        code_points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        assert features_module._repeated_runs(code_points) == runs
+        assert len(re.findall(r"(.)\1{3,}", text)) == runs
+        assert np.array_equal(TextStatisticsExtractor().extract(text), naive_features(text))
+
+    @pytest.mark.parametrize(
+        "ngrams",
+        [["<th", "the", "he>"], ["<né", "ça>", "東京"], ["<𝔸𝔹", "😀>"], ["<\ud800", "\udfff>", "a\udc00b"], []],
+        ids=["ascii", "non-ascii", "astral", "lone-surrogate", "none"],
+    )
+    def test_framed_hashes_equal_one_stable_hash_each(self, ngrams):
+        assert stable_hashes("ft-char", ngrams) == [stable_hash("ft-char", g) for g in ngrams]
+        assert stable_hashes("ft-char", ngrams, digest_size=16) == [
+            stable_hash("ft-char", g, digest_size=16) for g in ngrams
+        ]
+
+
 # ---------------------------------------------------------------------- #
 # (b) The deterministic gate: a repeated batch hashes nothing
 # ---------------------------------------------------------------------- #
@@ -217,6 +304,9 @@ class TestRepeatedTextHashesNothing:
         distinct = {w for text in batch for w in model._tokenizer.words(text)[: CONFIG.max_tokens]}
         assert {parts[1] for parts in hash_calls if parts[0] == "ft-word"} == distinct
         assert sum(parts[0] == "ft-word" for parts in hash_calls) == len(distinct)
+        assert sum(parts[0] == "ft-char" for parts in hash_calls) == sum(
+            n_char_ngrams(word, CONFIG) for word in distinct
+        )
         del hash_calls[:]
         assert np.array_equal(model.predict(batch), first)
         assert hash_calls == []

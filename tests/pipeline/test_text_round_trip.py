@@ -3,8 +3,9 @@
 A SimPDF file is JSON, so its text layer can hold any string JSON can: a
 non-ASCII character, and also a lone surrogate (``"\\ud800"``), which strict
 UTF-8 cannot encode.  The serial, uncached run returns such a text as it
-is; so must the disk-backed parse cache, a ``remote`` worker and the
-gateway.  Each run here is bounded, because the failure mode on a wire is a
+is; so must the disk-backed parse cache, a ``remote`` worker, the
+gateway and the ``adaparse_ft`` engine, whose selector reads every
+character.  Each run here is bounded, because the failure mode on a wire is a
 worker or streamer thread that dies and leaves its peer waiting.
 """
 
@@ -112,3 +113,15 @@ def test_the_gateway_returns_the_texts(pool, expected):
             ticket = client.submit(_request(pool))
             report = client.result(ticket, timeout=BOUND_S, include_text=True)
     assert [entry["page_texts"] for entry in report["results"]] == expected
+
+
+def test_the_ft_engine_routes_the_texts(pool, expected, default_ft_engine):
+    # CLS I and CLS III read every code point of the text: a lone surrogate
+    # is classed and hashed like any other character, not refused.  At the
+    # default alpha a two-document batch has no slot to route, so each text
+    # is the default parser's.
+    pipeline = ParsePipeline(engines={"adaparse_ft": default_ft_engine})
+    request = ParseRequest(parser="adaparse_ft", source=f"simpdf-dir:{pool}")
+    report = _bounded(lambda: pipeline.run(request))
+    assert report.n_succeeded == report.n_documents == len(expected)
+    assert _texts(report) == expected
