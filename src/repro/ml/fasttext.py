@@ -320,8 +320,9 @@ class FastTextModel:
 
         # Every element of the tables sees the same operations in the same
         # order whatever the shard count: a text's mean embedding is one
-        # reduction whichever thread runs it, an id's gradient additions all
-        # happen in its own shard in batch order, and Adam is elementwise.
+        # left-to-right sum whichever thread runs it, an id's gradient
+        # additions all happen in its own shard in batch order, and Adam is
+        # elementwise.
         # What crosses rows (the loss, the head and its step, the step
         # count) runs once per step, here.
         with _shard_pool(n_shards) as run_shards:

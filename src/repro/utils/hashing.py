@@ -55,20 +55,16 @@ def stable_hashes(head: object, parts: Iterable[str], digest_size: int = 8) -> l
     """``[stable_hash(head, part) for part in parts]``, framing ``head`` once.
 
     Each digest is over the very bytes :func:`stable_hash` hashes (the framed
-    head, then the part's 8-byte length and UTF-8 bytes, ``surrogatepass``
-    included), so the values are equal; only the per-part calls are saved.
+    head extended by the framed part, ``surrogatepass`` included), so the
+    values are equal; only the per-part calls are saved.
     """
     framed_head = frame_text(head)
-    blake2b = hashlib.blake2b
-    from_bytes = int.from_bytes
     return [
-        from_bytes(
-            blake2b(
-                framed_head + len(data).to_bytes(8, "little") + data, digest_size=digest_size
-            ).digest(),
+        int.from_bytes(
+            _digest(framed_head + frame(part.encode("utf-8", "surrogatepass")), digest_size),
             "little",
         )
-        for data in [part.encode("utf-8", "surrogatepass") for part in parts]
+        for part in parts
     ]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,16 @@ class TestMetadataFeaturizer:
         features = featurizer.extract(meta)
         assert features.shape == (8,)
         assert features.sum() == pytest.approx(1.0)
+
+    def test_every_field_is_pinned(self):
+        # A literal pin of all eight fields over 20 records: reading a
+        # record's fields must give the bytes its dictionary form gave.
+        featurizer = MetadataFeaturizer(
+            fields=("publisher", "domain", "subcategory", "year", "pdf_format", "producer",
+                    "n_pages", "title")
+        )
+        metas = [sample_metadata(np.random.default_rng(i), n_pages=3 + i) for i in range(20)]
+        matrix = featurizer.extract_batch(metas)
+        assert matrix.shape == (20, 121)
+        digest = hashlib.sha256(matrix.tobytes()).hexdigest()
+        assert digest == "9893d70de42d2bb69e25bc14aba9370a9d27c42bb9a2d4d3f7cc82a1f6c4a87d"

@@ -13,6 +13,7 @@ from repro.utils.hashing import (
     hash_buffers,
     stable_hash,
     stable_hash_hex,
+    stable_hashes,
 )
 
 
@@ -71,6 +72,23 @@ class TestFraming:
     def test_frame_text_hashes_a_lone_surrogate_apart_from_its_replacement(self):
         assert frame_text("a\ud800b") != frame_text("a\ufffdb")
         assert stable_hash_hex("a\ud800b") != stable_hash_hex("a\ufffdb")
+
+    @pytest.mark.parametrize(
+        "ngrams",
+        [
+            ["<th", "the", "he>"],
+            ["<né", "ça>", "東京"],
+            ["<𝔸𝔹", "😀>"],
+            ["<\ud800", "\udfff>", "a\udc00b"],
+            [],
+        ],
+        ids=["ascii", "non-ascii", "astral", "lone-surrogate", "none"],
+    )
+    def test_stable_hashes_equal_one_stable_hash_each(self, ngrams):
+        assert stable_hashes("ft-char", ngrams) == [stable_hash("ft-char", g) for g in ngrams]
+        assert stable_hashes("ft-char", ngrams, digest_size=16) == [
+            stable_hash("ft-char", g, digest_size=16) for g in ngrams
+        ]
 
     def test_stable_hash_hex_is_framed_hash_hex_of_frame_text(self):
         assert stable_hash_hex("doc", 3, 0.5) == framed_hash_hex(frame_text("doc", 3, 0.5))
