@@ -682,7 +682,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    """Query a running campaign's membership listener and print the JSON."""
+    """Query a running campaign's membership listener and print the JSON:
+    its ``counters`` and its ``workers``, each with a ``state``."""
     from repro.cluster import protocol as _protocol
     from repro.utils import rpc
 
@@ -768,10 +769,10 @@ def reap_local_workers(procs: "list[subprocess.Popen]") -> None:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """Spawn local workers (or use running ones) and run one request.
 
-    The end-to-end demonstration of ``repro.cluster`` and
-    ``repro.elastic``: N worker processes, rendezvous shard placement,
-    optional live membership (``--listen``, for ``worker --join``
-    daemons), and a checkpoint ledger (``--ledger-dir``) — with a
+    The end-to-end demonstration of ``repro.cluster``: N worker
+    processes, rendezvous shard placement, optional live membership
+    (``--listen``, for ``worker --join`` daemons), and a checkpoint ledger
+    (``--ledger-dir``) — with a
     ``ParseReport`` whose ``execution.extra`` block carries the
     wire/dedup/fault/elastic telemetry this command summarises.
     """
@@ -812,7 +813,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             options["listen"] = args.listen
         if args.ledger_dir:
             options["ledger_dir"] = args.ledger_dir
-            from repro.elastic.ledger import ShardLedger
+            from repro.cluster.ledger import ShardLedger
 
             completed = len(ShardLedger(args.ledger_dir))
             if completed:

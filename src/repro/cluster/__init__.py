@@ -13,7 +13,11 @@ can actually run across processes and hosts:
 * :mod:`repro.cluster.backend` — :class:`RemoteBackend`, registered as
   ``"remote"`` in the execution-backend registry, so
   ``ParseRequest(backend="remote", backend_options={"workers": ...})``
-  and :class:`repro.serve.ParseService` run on a cluster unchanged.
+  and :class:`repro.serve.ParseService` run on a cluster unchanged;
+* :mod:`repro.cluster.membership`, :mod:`repro.cluster.policy` and
+  :mod:`repro.cluster.ledger` — the elastic side: the listener through
+  which workers join and leave a running campaign, capability-tag
+  placement rules, and the shard ledger a killed campaign resumes from.
 
 Public names resolve lazily (PEP 562): importing :mod:`repro` — or even
 this package — does not pull in sockets, the pipeline, or any backend

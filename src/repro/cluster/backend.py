@@ -98,7 +98,7 @@ class RemoteBackend(ThreadBackend):
         ``cluster status`` can query it.
     ledger_dir:
         Campaign checkpoint directory.  Completed shards are durably
-        recorded to a :class:`~repro.elastic.ledger.ShardLedger` there;
+        recorded to a :class:`~repro.cluster.ledger.ShardLedger` there;
         re-running with the same directory resumes, replaying completed
         shards instead of dispatching them.
 
@@ -172,7 +172,7 @@ class RemoteBackend(ThreadBackend):
         """
         ledger = None
         if self.ledger_dir:
-            from repro.elastic.ledger import ShardLedger
+            from repro.cluster.ledger import ShardLedger
 
             ledger = ShardLedger(self.ledger_dir)
         coordinator = ClusterCoordinator(
@@ -189,7 +189,7 @@ class RemoteBackend(ThreadBackend):
         except ClusterError as exc:
             raise BackendError(str(exc)) from exc
         if self.listen is not None:
-            from repro.elastic.membership import MembershipListener
+            from repro.cluster.membership import MembershipListener
 
             try:
                 self._listener = MembershipListener(
@@ -203,7 +203,7 @@ class RemoteBackend(ThreadBackend):
         self._coordinator = coordinator
 
     def site(self, parser: "Parser") -> "BatchWorker":
-        from repro.elastic.policy import constraints_for_parser
+        from repro.cluster.policy import constraints_for_parser
 
         spec = WorkerSpec.for_parser(parser, cache=self.worker_cache)
         constraints = constraints_for_parser(spec.parser)

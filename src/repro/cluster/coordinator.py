@@ -41,16 +41,18 @@ Behind that contract it implements the distribution policy:
   worker dies, every outstanding future fails with a
   :class:`ClusterError` rather than hanging.
 
-Elastic extensions (:mod:`repro.elastic`) build on the same machinery:
-a :class:`~repro.elastic.membership.MembershipRegistry` records every
-admission and departure, :meth:`ClusterCoordinator.add_worker` admits a
-worker to a *running* coordinator (re-placing only the queued shards
-whose rendezvous preference moved — in-flight and completed shards never
-move), :meth:`ClusterCoordinator.remove_worker` drains one gracefully,
-capability tags route constrained shards to capable nodes, and an
-optional :class:`~repro.elastic.ledger.ShardLedger` checkpoints every
-completed shard so a killed campaign resumes with completed work
-replayed, not re-parsed.
+The elastic operations build on the same machinery:
+:meth:`ClusterCoordinator.add_worker` admits a worker to a *running*
+coordinator (re-placing only the queued shards whose rendezvous preference
+moved — in-flight and completed shards never move),
+:meth:`ClusterCoordinator.remove_worker` drains one gracefully, capability
+tags route constrained shards to capable nodes
+(:mod:`repro.cluster.policy`), and an optional
+:class:`~repro.cluster.ledger.ShardLedger` checkpoints every completed
+shard so a killed campaign resumes with completed work replayed, not
+re-parsed.  The links are the one membership record: a link is never
+dropped from :meth:`ClusterCoordinator.workers`, and its ``alive`` and
+``draining`` flags give its ``state``.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.cache.keys import document_content_hash
 from repro.cluster import protocol
+from repro.cluster.policy import satisfies, tags_from_capabilities
 from repro.cluster.protocol import (
     MessageChannel,
     MessageTooLarge,
@@ -74,8 +77,6 @@ from repro.core.engine import RoutingDecision
 from repro.documents.document import SciDocument
 from repro.documents.simpdf import document_to_dict
 from repro.documents.sources import DocumentRef, Item, create_source
-from repro.elastic.membership import MembershipRegistry
-from repro.elastic.policy import satisfies, tags_from_capabilities
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
@@ -84,7 +85,7 @@ from repro.parsers.base import ParseResult
 from repro.utils import rpc
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.elastic.ledger import ShardLedger
+    from repro.cluster.ledger import ShardLedger
 
 #: Thread-name prefix of coordinator-owned threads (readers + monitor).
 COORDINATOR_THREAD_PREFIX = "repro-cluster-coord"
@@ -258,7 +259,7 @@ class ClusterCoordinator:
         Beacon period requested from workers, and the silence after
         which a worker is declared dead and its shards re-queued.
     ledger:
-        Optional :class:`~repro.elastic.ledger.ShardLedger`.  Completed
+        Optional :class:`~repro.cluster.ledger.ShardLedger`.  Completed
         shards are durably recorded before their futures resolve, and
         submissions whose (placement key × fingerprint) the ledger
         already holds are replayed without dispatch — the
@@ -298,9 +299,6 @@ class ClusterCoordinator:
         self._closed = False
         self._monitor: threading.Thread | None = None
         self._monitor_stop = threading.Event()
-        #: Membership history: every admission/departure this coordinator
-        #: ever saw, including workers that joined and left mid-campaign.
-        self.membership = MembershipRegistry()
         self.counters: dict[str, int] = {
             "workers_seen": 0,
             "workers_lost": 0,
@@ -382,14 +380,11 @@ class ClusterCoordinator:
                 )
             self._links.append(link)
             self.counters["workers_seen"] += 1
-            self.membership.record_join(
-                link.worker_id, address, source=source, tags=link.tags
-            )
             link.reader.start()
         return link
 
     # ------------------------------------------------------------------ #
-    # Live membership (repro.elastic)
+    # Live membership
     # ------------------------------------------------------------------ #
     def add_worker(self, address: str) -> str:
         """Admit a worker to a *running* coordinator; returns its id.
@@ -438,7 +433,6 @@ class ClusterCoordinator:
             for shard in requeued:
                 self._place_locked(shard)
             sends = self._pump_locked()
-        self.membership.mark_draining(worker_id)
         self._send_planned(sends)
         try:
             link.channel.send({"type": protocol.DRAIN})
@@ -460,28 +454,13 @@ class ClusterCoordinator:
         with self._lock:
             if not link.alive or self._closed:
                 return
-            alive_ids = [
-                peer.worker_id
-                for peer in self._links
-                if peer.alive and not peer.draining
-            ]
             for peer in self._links:
                 if peer is link or not peer.alive:
                     continue
                 kept: deque[_Shard] = deque()
                 for shard in peer.queued:
-                    candidates = [
-                        wid for wid in alive_ids if wid not in shard.excluded_workers
-                    ] or alive_ids
-                    if shard.constraints:
-                        tagged = [
-                            wid
-                            for wid in candidates
-                            if satisfies(self._tags_of_locked(wid), shard.constraints)
-                        ]
-                        candidates = tagged or candidates
-                    ranked = rank_workers(shard.placement_key, candidates)
-                    if ranked and ranked[0] == link.worker_id:
+                    ranked, _ = self._rank_locked(shard)
+                    if ranked and ranked[0] is link:
                         shard.assigned_worker = link.worker_id
                         link.queued.append(shard)
                         moved += 1
@@ -496,12 +475,6 @@ class ClusterCoordinator:
                 _LOG, "info", "shards_rebalanced",
                 worker=link.worker_id, moved=moved,
             )
-
-    def _tags_of_locked(self, worker_id: str) -> dict[str, Any]:
-        for peer in self._links:
-            if peer.worker_id == worker_id:
-                return peer.tags
-        return {}
 
     # ------------------------------------------------------------------ #
     # Submission and placement
@@ -572,40 +545,40 @@ class ClusterCoordinator:
             sends = self._pump_locked()
         self._send_planned(sends)
 
-    def _placeable_links(self) -> list[_WorkerLink]:
-        """Links that may receive *new* shards (alive and not draining)."""
-        return [link for link in self._links if link.alive and not link.draining]
+    def _rank_locked(self, shard: _Shard) -> tuple[list[_WorkerLink], bool]:
+        """A shard's candidate links in rendezvous order (lock held).
+
+        Candidates are the links that may take new shards (alive, not
+        draining), minus the workers the shard already failed on unless that
+        is every one of them.  Constraints keep the workers whose tags
+        satisfy them; when none do they relax — any worker *can* run a
+        heavyweight parser, just more slowly — and the second value says so.
+        """
+        survivors = [link for link in self._links if link.alive and not link.draining]
+        candidates = [
+            link for link in survivors if link.worker_id not in shard.excluded_workers
+        ] or survivors
+        relaxed = False
+        if shard.constraints:
+            tagged = [link for link in candidates if satisfies(link.tags, shard.constraints)]
+            relaxed = not tagged
+            candidates = tagged or candidates
+        by_id = {link.worker_id: link for link in candidates}
+        return [by_id[wid] for wid in rank_workers(shard.placement_key, by_id)], relaxed
 
     def _place_locked(self, shard: _Shard) -> None:
         """Pick a worker for a shard and queue it there (lock held)."""
-        alive = self._placeable_links()
-        if not alive:
+        ranked, relaxed = self._rank_locked(shard)
+        if not ranked:
             self._fail_shard_locked(
                 shard, ClusterError("no alive cluster workers to place shards on")
             )
             return
-        by_id = {link.worker_id: link for link in alive}
-        candidates = [wid for wid in by_id if wid not in shard.excluded_workers]
-        if not candidates:
-            candidates = list(by_id)  # every survivor already tried: retry anyway
-        if shard.constraints:
-            # Capability-tagged placement: prefer workers whose tags
-            # satisfy the shard's constraints; when none do, relax — any
-            # worker *can* run a heavyweight parser, just more slowly.
-            tagged = [
-                wid
-                for wid in candidates
-                if satisfies(by_id[wid].tags, shard.constraints)
-            ]
-            if tagged:
-                candidates = tagged
-            else:
-                self.counters["placement_relaxed"] += 1
-        ranked = rank_workers(shard.placement_key, candidates)
+        if relaxed:
+            self.counters["placement_relaxed"] += 1
         if self.placement == "balanced":
-            rank_index = {wid: i for i, wid in enumerate(ranked)}
-            ranked = sorted(ranked, key=lambda wid: (by_id[wid].backlog, rank_index[wid]))
-        target = by_id[ranked[0]]
+            ranked.sort(key=lambda link: link.backlog)  # stable: rank breaks ties
+        target = ranked[0]
         shard.assigned_worker = target.worker_id
         shard.attempts += 1
         target.queued.append(shard)
@@ -868,18 +841,15 @@ class ClusterCoordinator:
         if reaped is None:
             return  # another detection path won the race; nothing to redo
         reassigned, sends, closing = reaped
-        graceful = link.draining
         link.channel.close()
         if not closing:
-            if graceful:
-                self.membership.record_leave(link.worker_id)
+            if link.draining:
                 log_event(
                     _LOG, "info", "worker_left",
                     worker=link.worker_id, reason=reason,
                     shards_reassigned=reassigned,
                 )
             else:
-                self.membership.record_death(link.worker_id)
                 _CLUSTER_WORKERS_LOST.inc()
                 log_event(
                     _LOG, "warning", "worker_lost",
@@ -923,12 +893,21 @@ class ClusterCoordinator:
         return stats
 
     def workers(self) -> list[dict[str, Any]]:
-        """Connected workers and their live backlog (CLI summary block)."""
+        """Every worker ever admitted, its state and live backlog.
+
+        ``state`` is ``alive`` or ``draining`` while the link is up, then
+        ``left`` (it was draining) or ``dead``.
+        """
         with self._lock:
             return [
                 {
                     "worker_id": link.worker_id,
                     "address": link.address,
+                    "state": (
+                        ("draining" if link.draining else "alive")
+                        if link.alive
+                        else ("left" if link.draining else "dead")
+                    ),
                     "alive": link.alive,
                     "draining": link.draining,
                     "source": link.source,
@@ -941,13 +920,8 @@ class ClusterCoordinator:
             ]
 
     def status(self) -> dict[str, Any]:
-        """The full membership/counters snapshot (``cluster status``)."""
-        return {
-            "counters": self.stats(),
-            "workers": self.workers(),
-            "membership": self.membership.snapshot(),
-            "membership_counters": dict(self.membership.counters),
-        }
+        """The counters and the workers (what ``cluster status`` prints)."""
+        return {"counters": self.stats(), "workers": self.workers()}
 
     def close(self) -> None:
         """Fail outstanding shards, say goodbye, and join the threads."""

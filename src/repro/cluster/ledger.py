@@ -13,8 +13,7 @@ all.  Results are **exactly-once across restarts**: a shard is either
 replayed (it completed before the kill) or dispatched (it did not), never
 both.
 
-Durability comes from :mod:`repro.utils.durable`, the two write primitives
-the disk cache also uses:
+Durability comes from :mod:`repro.utils.durable`:
 
 * every completed shard is *appended* to ``ledger.jsonl`` and fsynced
   before the coordinator considers it recorded.  An append is not atomic —
@@ -22,11 +21,9 @@ the disk cache also uses:
   fresh line, so a kill at any instant loses at most the shard being
   written: never a previously recorded one, and never the first shard the
   resumed run records after the torn tail;
-* full rewrites (:meth:`ShardLedger.compact`) are atomic
-  (write-to-``*.tmp-{pid}-{tid}`` / fsync / :func:`os.replace`), so readers
-  never observe a half-written file;
 * reads are corruption-tolerant line by line: a torn line (the kill landed
-  mid-append) is skipped, not fatal.
+  mid-append) is skipped, not fatal.  A key recorded twice (two runs over
+  the same campaign) reads back as its last line.
 
 The ledger is deliberately *not* the cache: it keys whole shards, lives
 with the campaign (one directory per campaign), and records routing
@@ -44,7 +41,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger, log_event
-from repro.utils.durable import JsonLines, append_lines, replace_lines
+from repro.utils.durable import JsonLines, append_lines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import RoutingDecision
@@ -179,20 +176,3 @@ class ShardLedger:
             append_lines(self.path, [line])
             self._entries[record["key"]] = record
         _LEDGER_SHARDS.inc(outcome="recorded")
-
-    def compact(self) -> int:
-        """Rewrite the ledger atomically, dropping superseded duplicates.
-
-        Appends may record the same key more than once across runs (the
-        in-memory map keeps the latest); compaction writes one line per
-        key through the atomic replace.  Returns the number of entries
-        written.
-        """
-        with self._lock:
-            entries = list(self._entries.values())
-            self.directory.mkdir(parents=True, exist_ok=True)
-            replace_lines(
-                self.path,
-                (json.dumps(record, sort_keys=True).encode("utf-8") for record in entries),
-            )
-        return len(entries)

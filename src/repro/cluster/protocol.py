@@ -39,14 +39,15 @@ Message types
     Graceful shutdown: ``drain`` asks the peer to finish in-flight work
     and reply ``bye``; ``bye`` ends the conversation in either direction.
 ``join`` / ``join_ack`` / ``leave`` / ``leave_ack``
-    Live-membership announcements (``repro.elastic``): a starting worker
-    sends ``join`` (identity, listen address, capability tags) to a
-    coordinator's membership listener, which dials the worker back over
-    the ordinary ``hello`` path and answers ``join_ack``; ``leave`` asks
-    the coordinator to drain one worker gracefully.
+    Live-membership announcements (:mod:`repro.cluster.membership`): a
+    starting worker sends ``join`` (its listen address) to a coordinator's
+    membership listener, which dials the worker back over the ordinary
+    ``hello`` path — identity and tags come from that ``hello_ack`` — and
+    answers ``join_ack``; ``leave`` asks the coordinator to drain one
+    worker gracefully.
 ``status`` / ``status_result``
-    Membership-listener introspection: current workers, their states and
-    tags, and the coordinator counters (``cluster status``).
+    Membership-listener introspection: the coordinator ``counters`` and its
+    ``workers``, each with its ``state`` and tags (``cluster status``).
 ``error``
     Fatal connection-level failure (before/outside any shard); see
     :mod:`repro.utils.rpc` for what produces one.
@@ -92,7 +93,7 @@ BATCH_RESULT = "batch_result"
 SHARD_ERROR = "shard_error"
 HEARTBEAT = "heartbeat"
 DRAIN = "drain"
-# Live-membership messages (repro.elastic).
+# Live-membership messages (repro.cluster.membership).
 JOIN = "join"
 JOIN_ACK = "join_ack"
 LEAVE = "leave"

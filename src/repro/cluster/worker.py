@@ -165,7 +165,7 @@ class WorkerDaemon(rpc.Server):
         self._slots = slots
         self._name = name
         self.heartbeat_interval = heartbeat_interval
-        from repro.elastic.policy import coerce_tags
+        from repro.cluster.policy import coerce_tags
 
         self.tags = coerce_tags(tags)
 
@@ -249,7 +249,7 @@ class WorkerDaemon(rpc.Server):
             self._backend.close()
 
     # ------------------------------------------------------------------ #
-    # Live membership (repro.elastic)
+    # Live membership
     # ------------------------------------------------------------------ #
     def _announce(
         self,
@@ -300,9 +300,7 @@ class WorkerDaemon(rpc.Server):
             {
                 "type": protocol.JOIN,
                 "protocol": protocol.PROTOCOL_VERSION,
-                "worker_id": self.name,
                 "address": self.address,
-                "tags": dict(self.tags),
             },
             timeout=timeout,
             retries=retries,

@@ -9,7 +9,7 @@ uninterrupted serial run:
 * the coordinator killed and the campaign resumed from the shard ledger.
 
 Plus the import-hygiene contract: ``import repro`` must not import
-``repro.elastic`` (or ``repro.cluster``) on the serial path.
+``repro.cluster`` on the serial path.
 """
 
 from __future__ import annotations
@@ -81,18 +81,10 @@ class TestImportHygiene:
             "from repro.pipeline.backends import backend_names\n"
             "assert 'remote' in backend_names()\n"
             "bad = [m for m in sys.modules\n"
-            "       if m.startswith(('repro.elastic', 'repro.cluster'))]\n"
-            "assert not bad, f'elastic imported on the serial path: {bad}'\n"
+            "       if m.startswith('repro.cluster')]\n"
+            "assert not bad, f'cluster imported on the serial path: {bad}'\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True, env=_subprocess_env())
-
-    def test_elastic_lazy_exports_resolve(self):
-        import repro.elastic as elastic
-
-        for name in elastic.__all__:
-            assert getattr(elastic, name) is not None
-        with pytest.raises(AttributeError):
-            elastic.NoSuchThing
 
 
 def _subprocess_env():
@@ -227,7 +219,7 @@ class TestLedgerResume:
         finally:
             for worker in workers:
                 worker.stop()
-        from repro.elastic.ledger import ShardLedger
+        from repro.cluster.ledger import ShardLedger
 
         assert len(ShardLedger(ledger_dir)) == 3
 

@@ -9,7 +9,7 @@ import pytest
 from repro.cluster.protocol import shard_placement_key
 from repro.core.engine import RoutingDecision
 from repro.documents.corpus import CorpusConfig, build_corpus
-from repro.elastic.ledger import ShardLedger, ledger_key
+from repro.cluster.ledger import ShardLedger, ledger_key
 from repro.parsers.registry import default_registry
 
 
@@ -120,28 +120,3 @@ class TestCorruptionTolerance:
         ledger.record(placement_key, fingerprint, results, decisions)
         assert len(ShardLedger(tmp_path)) == 1
 
-
-class TestCompaction:
-    def test_compact_drops_superseded_duplicates(self, tmp_path, shard_output):
-        placement_key, fingerprint, results, decisions = shard_output
-        ledger = ShardLedger(tmp_path)
-        ledger.record(placement_key, fingerprint, results, decisions, worker_id="w0")
-        ledger.record(placement_key, fingerprint, results, decisions, worker_id="w1")
-        assert len(ledger.path.read_bytes().splitlines()) == 2
-        written = ledger.compact()
-        assert written == 1
-        lines = ledger.path.read_bytes().splitlines()
-        assert len(lines) == 1
-        # Last writer won.
-        assert json.loads(lines[0])["worker_id"] == "w1"
-        assert ShardLedger(tmp_path).completed_output(
-            placement_key, fingerprint
-        ) is not None
-
-    def test_compact_leaves_no_temporaries(self, tmp_path, shard_output):
-        placement_key, fingerprint, results, decisions = shard_output
-        ledger = ShardLedger(tmp_path)
-        ledger.record(placement_key, fingerprint, results, decisions)
-        ledger.compact()
-        strays = [p for p in tmp_path.iterdir() if ".tmp-" in p.name]
-        assert strays == []

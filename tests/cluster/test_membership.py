@@ -1,4 +1,4 @@
-"""Membership tests: the registry, and live join/leave on a real coordinator."""
+"""Membership tests: worker states, and live join/leave on a real coordinator."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from repro.cluster import protocol
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.protocol import MessageChannel
 from repro.cluster.worker import WorkerDaemon
-from repro.elastic.membership import MembershipListener, MembershipRegistry
+from repro.cluster.membership import MembershipListener
+from repro.parsers.base import Parser, ParserCost
 from repro.parsers.registry import default_registry
 from repro.pipeline import ParsePipeline
 
@@ -20,40 +21,6 @@ from repro.pipeline import ParsePipeline
 @pytest.fixture(scope="module")
 def registry():
     return default_registry()
-
-
-class TestMembershipRegistry:
-    def test_join_then_leave_lifecycle(self):
-        members = MembershipRegistry()
-        record = members.record_join(
-            "w0", "127.0.0.1:9101", source="join", tags={"gpu": True}
-        )
-        assert record.state == "alive"
-        members.mark_draining("w0")
-        assert members.get("w0").state == "draining"
-        members.record_leave("w0")
-        assert members.get("w0").state == "left"
-        assert members.get("w0").ended_at is not None
-        assert members.counters == {"joined": 1, "left": 1, "died": 0}
-
-    def test_death_recorded_once(self):
-        members = MembershipRegistry()
-        members.record_join("w0", "a:1")
-        members.record_death("w0")
-        members.record_death("w0")  # second detection path: no double count
-        members.record_leave("w0")  # a dead worker cannot also leave
-        assert members.counters == {"joined": 1, "left": 0, "died": 1}
-        assert members.get("w0").state == "dead"
-
-    def test_snapshot_and_states(self):
-        members = MembershipRegistry()
-        members.record_join("w0", "a:1", source="fixed")
-        members.record_join("w1", "a:2", source="join", tags={"slots": 2})
-        members.record_death("w1")
-        snapshot = {record["worker_id"]: record for record in members.snapshot()}
-        assert snapshot["w1"]["source"] == "join"
-        assert snapshot["w1"]["tags"] == {"slots": 2}
-        assert members.states() == {"alive": 1, "draining": 0, "left": 0, "dead": 1}
 
 
 def _announce(address: str, message: dict) -> dict:
@@ -78,21 +45,128 @@ def _wait_for(predicate, timeout=10.0, message="condition"):
     pytest.fail(f"timed out waiting for {message}")
 
 
+def _states(coordinator) -> dict[str, str]:
+    return {w["worker_id"]: w["state"] for w in coordinator.workers()}
+
+
+class GateParser(Parser):
+    """Parser double that holds every shard until its gate opens."""
+
+    name = "gate"
+    version = "1.0"
+    cost = ParserCost(cpu_seconds_per_page=0.001)
+
+    def __init__(self, gate: threading.Event) -> None:
+        self.gate = gate
+
+    def _parse_pages(self, document, rng):
+        self.gate.wait(30)
+        return [f"{document.doc_id}:p{i}" for i in range(document.n_pages)]
+
+
+class TestWorkerStates:
+    """``workers()[].state`` follows each link: alive, draining, left, dead."""
+
+    def test_drain_then_leave(self, registry):
+        from repro.cluster.protocol import WorkerSpec
+        from repro.documents.corpus import CorpusConfig, build_corpus
+
+        gate = threading.Event()
+        pipeline = ParsePipeline(registry)
+        pipeline.engines["gate"] = GateParser(gate)
+        workers = [
+            WorkerDaemon(name=f"s-{i}", pipeline=pipeline).start() for i in range(2)
+        ]
+        documents = list(build_corpus(CorpusConfig(n_documents=1, seed=2, min_pages=1, max_pages=1)))
+        spec = WorkerSpec.for_parser(pipeline.engines["gate"])
+        coordinator = ClusterCoordinator([w.address for w in workers]).connect()
+        try:
+            future = coordinator.submit(spec, documents)
+            busy = next(w["worker_id"] for w in coordinator.workers() if w["in_flight"])
+            idle = "s-1" if busy == "s-0" else "s-0"
+            assert _states(coordinator) == {"s-0": "alive", "s-1": "alive"}
+            coordinator.remove_worker(busy)
+            # Its in-flight shard holds the goodbye back: still draining.
+            assert _states(coordinator) == {busy: "draining", idle: "alive"}
+            gate.set()
+            future.result(timeout=30)
+            _wait_for(lambda: _states(coordinator)[busy] == "left", message="leave")
+            assert _states(coordinator) == {busy: "left", idle: "alive"}
+            assert coordinator.counters["workers_left"] == 1
+            assert coordinator.counters["workers_lost"] == 0
+        finally:
+            gate.set()
+            coordinator.close()
+            for worker in workers:
+                worker.stop()
+
+    def test_death_is_recorded_once(self, registry):
+        from repro.cluster.coordinator import ClusterError
+
+        workers = [
+            WorkerDaemon(name=f"d-{i}", pipeline=ParsePipeline(registry)).start()
+            for i in range(2)
+        ]
+        coordinator = ClusterCoordinator([w.address for w in workers]).connect()
+        try:
+            workers[1].kill()
+            _wait_for(lambda: _states(coordinator)["d-1"] == "dead", message="death")
+            link = next(link for link in coordinator._links if link.worker_id == "d-1")
+            coordinator._on_worker_death(link, "second detection path")
+            with pytest.raises(ClusterError, match="no alive worker"):
+                coordinator.remove_worker("d-1")  # a dead worker cannot also leave
+            assert _states(coordinator) == {"d-0": "alive", "d-1": "dead"}
+            assert coordinator.counters["workers_lost"] == 1
+            assert coordinator.counters["workers_left"] == 0
+        finally:
+            coordinator.close()
+            for worker in workers:
+                worker.stop()
+
+    def test_every_admitted_worker_stays_listed(self, registry):
+        fixed = WorkerDaemon(name="l-0", pipeline=ParsePipeline(registry)).start()
+        joiner = WorkerDaemon(name="l-1", pipeline=ParsePipeline(registry),
+                              tags={"slots": "2"}).start()
+        coordinator = ClusterCoordinator([fixed.address]).connect()
+        try:
+            coordinator.add_worker(joiner.address)
+            joiner.kill()
+            _wait_for(lambda: _states(coordinator)["l-1"] == "dead", message="death")
+            workers = {w["worker_id"]: w for w in coordinator.workers()}
+            assert workers["l-0"]["source"] == "fixed"
+            assert workers["l-1"]["source"] == "join"
+            assert workers["l-1"]["tags"]["slots"] == 2
+            assert workers["l-1"]["address"] == joiner.address
+            assert _states(coordinator) == {"l-0": "alive", "l-1": "dead"}
+        finally:
+            coordinator.close()
+            fixed.stop()
+            joiner.stop()
+
+
 class TestMembershipListener:
-    def test_worker_joins_a_running_coordinator(self, registry):
+    def test_worker_joins_a_running_coordinator(self, registry, monkeypatch):
+        from repro.utils import rpc
+
         fixed = WorkerDaemon(name="fixed-0", pipeline=ParsePipeline(registry)).start()
         joiner = WorkerDaemon(name="joiner-0", pipeline=ParsePipeline(registry),
                               tags={"gpu": "true"}).start()
         coordinator = ClusterCoordinator([fixed.address]).connect()
         listener = MembershipListener(coordinator).start()
+        call, sent = rpc.call, []
+        monkeypatch.setattr(rpc, "call", lambda address, message, timeout: (
+            sent.append(message) or call(address, message, timeout)
+        ))
         try:
             worker_id = joiner.join(listener.address, retries=3)
             assert worker_id == "joiner-0"
             workers = {w["worker_id"]: w for w in coordinator.workers()}
             assert workers["joiner-0"]["alive"]
+            assert workers["joiner-0"]["state"] == "alive"
             assert workers["joiner-0"]["source"] == "join"
+            # Identity and tags arrive by the dial-back hello_ack, not the join.
             assert workers["joiner-0"]["tags"]["gpu"] is True
-            assert coordinator.membership.get("joiner-0").source == "join"
+            assert [sorted(message) for message in sent] == [["address", "protocol", "type"]]
             assert coordinator.counters["workers_seen"] == 2
         finally:
             listener.stop()
@@ -109,10 +183,9 @@ class TestMembershipListener:
         listener = MembershipListener(coordinator).start()
         try:
             assert workers[1].leave(listener.address)
-            # The membership record lands after the counter, outside the
-            # coordinator lock: wait for the later of the two.
+            # The leave lands when the drained worker's goodbye is read.
             _wait_for(
-                lambda: coordinator.membership.get("m-1").state == "left",
+                lambda: _states(coordinator)["m-1"] == "left",
                 message="graceful leave to be recorded",
             )
             assert coordinator.counters["workers_left"] == 1
@@ -194,7 +267,7 @@ class TestMembershipListener:
             (channel,) = channels
             assert channel.closed
             assert [link.worker_id for link in coordinator._links] == ["w0"]
-            assert coordinator.membership.get("w1") is None
+            assert list(_states(coordinator)) == ["w0"]
             reader = f"{COORDINATOR_THREAD_PREFIX}-reader-w1"
             assert reader not in {thread.name for thread in threading.enumerate()}
         finally:
@@ -218,7 +291,7 @@ class TestMembershipListener:
             with pytest.raises(ClusterError, match="coordinator is closed"):
                 coordinator.add_worker(joiner.address)
             assert dialled == []
-            assert coordinator.membership.get("w1") is None
+            assert list(_states(coordinator)) == ["w0"]
         finally:
             fixed.stop()
             joiner.stop()
@@ -263,7 +336,7 @@ class TestMembershipListener:
             coordinator.close()
             fixed.stop()
 
-    def test_status_reports_counters_workers_membership(self, registry):
+    def test_status_reports_counters_and_worker_states(self, registry):
         fixed = WorkerDaemon(name="st-0", pipeline=ParsePipeline(registry)).start()
         coordinator = ClusterCoordinator([fixed.address]).connect()
         listener = MembershipListener(coordinator).start()
@@ -272,8 +345,8 @@ class TestMembershipListener:
             assert reply["type"] == protocol.STATUS_RESULT
             assert reply["counters"]["workers_seen"] == 1
             assert reply["workers"][0]["worker_id"] == "st-0"
-            assert reply["membership"][0]["state"] == "alive"
-            assert reply["membership_counters"]["joined"] == 1
+            assert reply["workers"][0]["state"] == "alive"
+            assert sorted(reply) == ["counters", "type", "workers"]
         finally:
             listener.stop()
             coordinator.close()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.elastic.policy import (
+from repro.cluster.policy import (
     HEAVYWEIGHT_PARSERS,
     coerce_tag,
     coerce_tags,

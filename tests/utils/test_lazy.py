@@ -16,7 +16,6 @@ _LAZY_PACKAGES = [
     "repro.serve",
     "repro.gateway",
     "repro.cluster",
-    "repro.elastic",
 ]
 
 

@@ -122,7 +122,7 @@ def _worker():
 
 
 def _membership():
-    from repro.elastic.membership import MembershipListener
+    from repro.cluster.membership import MembershipListener
 
     # Announcements are the only thing that touches the coordinator.
     return MembershipListener(coordinator=None, port=0)
