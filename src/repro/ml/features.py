@@ -31,6 +31,11 @@ _WHITESPACE = set(" \t\n\r")  # what ``whitespace_ratio`` counts, not ``str.issp
 
 # Character classes of a code point, as bit flags in one ``uint8``.
 _ALPHA, _DIGIT, _UPPER, _MATH, _SPACE = 1, 2, 4, 8, 16
+#: The class counts ``extract`` reads: characters with any of these flags set.
+_COUNTED = (_SPACE, _ALPHA, _DIGIT, _ALPHA | _DIGIT | _SPACE, _UPPER, _MATH)
+#: Row ``i`` picks the bins of a histogram over the 32 flag combinations
+#: that ``_COUNTED[i]`` sums.
+_COUNT_BINS = ((np.arange(32) & np.array(_COUNTED)[:, None]) != 0).astype(np.int64)
 _BMP = 0x10000
 
 
@@ -73,10 +78,15 @@ def _repeated_runs(code_points: np.ndarray) -> int:
 
 
 def _char_classes(code_points: np.ndarray) -> np.ndarray:
-    """Class flags of each code point: one table look-up, exact for all of Unicode."""
-    classes = _bmp_class_table()[np.minimum(code_points, _BMP - 1)]
-    for astral in np.unique(code_points[code_points >= _BMP]):
-        classes[code_points == astral] = _char_class(chr(astral))
+    """Class flags of each code point: one table look-up, exact for all of Unicode.
+
+    ``code_points`` is not empty.  Astral code points are rare, so they are
+    looked for only when the largest code point is one.
+    """
+    classes = _bmp_class_table().take(np.minimum(code_points, _BMP - 1))
+    if code_points.max() >= _BMP:
+        for astral in np.unique(code_points[code_points >= _BMP]):
+            classes[code_points == astral] = _char_class(chr(astral))
     return classes
 
 
@@ -128,10 +138,9 @@ class TextStatisticsExtractor:
             return np.zeros(self.n_features, dtype=np.float64)
         # ``surrogatepass``: a lone surrogate is one code point, classed like any other.
         chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        classes = _char_classes(chars)
-
-        def count(flags: int) -> int:
-            return np.count_nonzero(classes & flags)
+        n_space, n_alpha, n_digit, n_alnum_space, n_upper, n_math = (
+            _COUNT_BINS @ np.bincount(_char_classes(chars), minlength=32)
+        ).tolist()
 
         # Word statistics once per distinct word, weighted by its count.
         words = text.split()
@@ -157,13 +166,13 @@ class TextStatisticsExtractor:
                 math.log1p(n_chars),
                 math.log1p(len(words)),
                 int(lengths @ weights) / n_words,
-                count(_SPACE) / n_chars,
-                count(_ALPHA) / n_chars,
-                count(_DIGIT) / n_chars,
-                (n_chars - count(_ALPHA | _DIGIT | _SPACE)) / n_chars,
-                count(_UPPER) / n_chars,
+                n_space / n_chars,
+                n_alpha / n_chars,
+                n_digit / n_chars,
+                (n_chars - n_alnum_space) / n_chars,
+                n_upper / n_chars,
                 np.count_nonzero(chars > 127) / n_chars,
-                count(_MATH) / n_chars,
+                n_math / n_chars,
                 vowel_free / n_words,
                 int(weights[lengths > 18].sum()) / n_words,
                 int(weights[lengths == 1].sum()) / n_words,

@@ -286,6 +286,29 @@ class TestExactAtTheEdges:
         assert len(re.findall(r"(.)\1{3,}", text)) == runs
         assert np.array_equal(TextStatisticsExtractor().extract(text), naive_features(text))
 
+    @pytest.mark.parametrize(
+        "text, astral",
+        [
+            ("Plain BMP text ∂Σ 42 \ud800", 0),
+            ("\U0010ffff", 1),
+            ("𝔸b𝔸 𝟘\U0001e900", 3),
+        ],
+    )
+    def test_class_counts_take_the_astral_pass_only_when_needed(
+        self, text, astral, monkeypatch
+    ):
+        features_module._bmp_class_table()  # built before the calls are counted
+        classed = []
+        char_class = features_module._char_class
+        monkeypatch.setattr(
+            features_module, "_char_class", lambda char: classed.append(char) or char_class(char)
+        )
+        code_points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        classes = features_module._char_classes(code_points)
+        assert len(classed) == astral  # once per distinct astral code point
+        assert classes.tolist() == [char_class(char) for char in text]
+        assert np.array_equal(TextStatisticsExtractor().extract(text), naive_features(text))
+
 
 # ---------------------------------------------------------------------- #
 # (b) The deterministic gate: a repeated batch hashes nothing
