@@ -76,6 +76,19 @@ class TestRecordAndReplay:
         assert len(ledger) == 0
         assert ledger.keys() == []
 
+    def test_a_key_recorded_twice_reads_back_as_its_last_record(
+        self, tmp_path, shard_output
+    ):
+        placement_key, fingerprint, results, decisions = shard_output
+        ledger = ShardLedger(tmp_path)
+        ledger.record(placement_key, fingerprint, results[:1], decisions[:1], worker_id="w0")
+        ledger.record(placement_key, fingerprint, results, decisions, worker_id="w1")
+        assert len(ledger.path.read_bytes().splitlines()) == 2
+        reopened = ShardLedger(tmp_path)
+        assert len(reopened) == 1
+        replayed_results, _ = reopened.completed_output(placement_key, fingerprint)
+        assert [r.to_json_dict() for r in replayed_results] == results
+
 
 class TestCorruptionTolerance:
     def test_torn_final_line_is_skipped_not_fatal(self, tmp_path, shard_output):

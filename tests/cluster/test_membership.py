@@ -10,12 +10,12 @@ import pytest
 
 from repro.cluster import protocol
 from repro.cluster.coordinator import ClusterCoordinator
+from repro.cluster.membership import MembershipListener
 from repro.cluster.protocol import MessageChannel
 from repro.cluster.worker import WorkerDaemon
-from repro.cluster.membership import MembershipListener
-from repro.parsers.base import Parser, ParserCost
 from repro.parsers.registry import default_registry
 from repro.pipeline import ParsePipeline
+from tests.cluster.test_constrained_placement import GateParser
 
 
 @pytest.fixture(scope="module")
@@ -47,21 +47,6 @@ def _wait_for(predicate, timeout=10.0, message="condition"):
 
 def _states(coordinator) -> dict[str, str]:
     return {w["worker_id"]: w["state"] for w in coordinator.workers()}
-
-
-class GateParser(Parser):
-    """Parser double that holds every shard until its gate opens."""
-
-    name = "gate"
-    version = "1.0"
-    cost = ParserCost(cpu_seconds_per_page=0.001)
-
-    def __init__(self, gate: threading.Event) -> None:
-        self.gate = gate
-
-    def _parse_pages(self, document, rng):
-        self.gate.wait(30)
-        return [f"{document.doc_id}:p{i}" for i in range(document.n_pages)]
 
 
 class TestWorkerStates:
