@@ -207,6 +207,44 @@ class TestDefaultEngineDecisionPins:
         assert self.digest(decisions) == self.DIGEST
 
 
+class TestRejectOrderPins:
+    """Where CLS I's rejects outnumber the α slots, the slots go to the
+    *last* k rejects by position.  Rejects outrank every score, so the order
+    among them is the routing rule's tie-break, and no score decides a slot
+    in such a batch."""
+
+    ROUTED_200 = [121, 123, 136, 142, 167, 172, 176, 178, 188, 192]
+
+    @staticmethod
+    def routed_and_rejects(decisions) -> tuple[list[int], list[int]]:
+        routed = [i for i, d in enumerate(decisions) if d.chosen_parser == "nougat"]
+        rejects = [
+            i for i, d in enumerate(decisions) if d.stage in ("cls1_invalid", "budget_exhausted")
+        ]
+        return routed, rejects
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_forty_document_batches_route_the_last_rejects(self, default_ft_engine, seed):
+        documents = list(build_corpus(CorpusConfig(n_documents=200, seed=seed)))
+        crowded = 0
+        for start in range(0, len(documents), 40):
+            _, decisions = default_ft_engine.route_batch(documents[start : start + 40])
+            routed, rejects = self.routed_and_rejects(decisions)
+            slots = int(np.floor(default_ft_engine.config.alpha * 40))
+            if len(rejects) > slots:
+                crowded += 1
+                assert routed == rejects[-slots:], (seed, start)
+        assert crowded >= 3  # the case is exercised, not vacuous
+
+    def test_the_two_hundred_document_batch_routes_its_last_ten_rejects(
+        self, default_ft_engine, seed11_corpus
+    ):
+        _, decisions = default_ft_engine.route_batch(seed11_corpus)
+        routed, rejects = self.routed_and_rejects(decisions)
+        assert routed == self.ROUTED_200
+        assert len(rejects) == 27 and routed == rejects[-10:]
+
+
 class TestTrainerLLM:
     def test_train_llm_with_dpo(self, training_corpus, fast_settings):
         from repro.ml.dpo import PreferencePair
