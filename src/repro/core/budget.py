@@ -90,15 +90,31 @@ class BudgetPlan:
         return float(self.improvements[self.route_expensive].sum())
 
 
+def budget_slots(alpha: float, n_documents: int) -> int:
+    """The α cap of one batch: at most ⌊α·n⌋ documents go to the expensive
+    parser."""
+    return int(np.floor(alpha * n_documents))
+
+
 def _select_top_k(improvements: np.ndarray, k: int, margin: float) -> np.ndarray:
-    """Boolean mask of the top-``k`` positive-improvement documents."""
+    """Boolean mask of the top-``k`` documents whose improvement exceeds
+    ``margin``.
+
+    The order is written down rather than left to a sort kind: higher
+    improvement first, and among equal improvements the *later* position
+    first — a stable sort on (−improvement, −position).  So when more
+    documents tie (``inf`` for CLS I rejects) than there are slots, the last
+    ``k`` of them by position are chosen.
+    """
     mask = np.zeros(improvements.shape[0], dtype=bool)
     if k <= 0 or improvements.size == 0:
         return mask
     eligible = np.flatnonzero(improvements > margin)
     if eligible.size == 0:
         return mask
-    order = eligible[np.argsort(improvements[eligible])[::-1]]
+    # lexsort sorts by its last key first; positions are distinct, so the
+    # order is total and no sort kind can change it.
+    order = eligible[np.lexsort((-eligible, -improvements[eligible]))]
     mask[order[:k]] = True
     return mask
 
@@ -135,17 +151,15 @@ def select_within_budget(
     if n == 0:
         return BudgetPlan(route_expensive=mask, improvements=scores, alpha=alpha, batch_size=batch_size)
     if batch_size is None:
-        k = int(np.floor(alpha * n))
-        mask = _select_top_k(scores, k, margin)
+        mask = _select_top_k(scores, budget_slots(alpha, n), margin)
     else:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         for start in range(0, n, batch_size):
             stop = min(n, start + batch_size)
             batch_scores = scores[start:stop]
-            k = int(np.floor(alpha * (stop - start)))
-            batch_mask = _select_top_k(batch_scores, k, margin)
-            mask[start:stop] = batch_mask
+            k = budget_slots(alpha, stop - start)
+            mask[start:stop] = _select_top_k(batch_scores, k, margin)
     return BudgetPlan(route_expensive=mask, improvements=scores, alpha=alpha, batch_size=batch_size)
 
 

@@ -6,7 +6,9 @@ Both engine variants follow the architecture of Figure 2:
 2. **CLS I** checks the extracted text's validity from aggregate statistics —
    invalid documents are (budget permitting) sent to the high-quality parser;
 3. **CLS II / CLS III** estimate, for valid documents, how much a re-parse
-   with the high-quality parser would improve the text;
+   with the high-quality parser would improve the text — only in a batch
+   where a score can decide a slot, i.e. whose CLS I rejects leave some of
+   the α budget free;
 4. the **budget optimiser** routes the top-improvement documents to the
    high-quality parser, capped at an α fraction per batch; everyone else keeps
    the extracted text.
@@ -38,7 +40,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.budget import BudgetPlan, select_within_budget
+from repro.core.budget import BudgetPlan, budget_slots, select_within_budget
 from repro.core.cls1 import ValidationClassifier
 from repro.core.cls2 import ImprovementClassifier
 from repro.core.cls3 import ParserSelector
@@ -60,12 +62,17 @@ ROUTING_STAGES: tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class RoutingDecision:
-    """Why one document was routed the way it was."""
+    """Why one document was routed the way it was.
+
+    ``predicted_improvement`` is CLS II × CLS III's score, or ``None`` (JSON
+    ``null``) where the batch was never scored: its CLS I rejects already
+    filled the α budget.
+    """
 
     doc_id: str
     chosen_parser: str
     stage: str  # one of ROUTING_STAGES
-    predicted_improvement: float = 0.0
+    predicted_improvement: float | None = None
 
     def to_json_dict(self) -> dict[str, Any]:
         """JSON view; the one serialisation shared by reports, the cache,
@@ -79,11 +86,12 @@ class RoutingDecision:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "RoutingDecision":
+        score = payload.get("predicted_improvement")
         return cls(
             doc_id=str(payload["doc_id"]),
             chosen_parser=str(payload["chosen_parser"]),
             stage=str(payload["stage"]),
-            predicted_improvement=float(payload.get("predicted_improvement", 0.0)),
+            predicted_improvement=None if score is None else float(score),
         )
 
 
@@ -113,6 +121,9 @@ class AdaParseEngine(Parser):
     in the selector they are trained with."""
 
     name = "adaparse"
+    #: 1.1: the order among CLS I rejects is written down (the later
+    #: position first), which moves a few picks in 256-document batches.
+    version = "1.1"
 
     def __init__(
         self,
@@ -196,15 +207,23 @@ class AdaParseEngine(Parser):
                 for text, doc in zip(extracted_texts, documents)
             ]
         with _profiling.phase("route.score"):
-            scores = self.improvement_scores(documents, first_pages)
-            if self.improvement_classifier is not None:
-                likely = self.improvement_classifier.improvement_probability(
-                    [doc.metadata for doc in documents]
-                )
-                scores = scores * likely
             # Invalid extractions take priority for the budgeted slots...
             forced = np.asarray([not v.is_valid for v in verdicts], dtype=bool)
-            effective = np.where(forced, np.inf, scores)
+            if forced.sum() >= budget_slots(cfg.alpha, len(documents)):
+                # ...so when they fill the budget no score can decide a slot:
+                # CLS II and CLS III do not run, and the budget's tie-break
+                # (the later position first) picks among the rejects.
+                predicted: list[float | None] = [None] * len(documents)
+                effective = np.where(forced, np.inf, -np.inf)
+            else:
+                scores = self.improvement_scores(documents, first_pages)
+                if self.improvement_classifier is not None:
+                    likely = self.improvement_classifier.improvement_probability(
+                        [doc.metadata for doc in documents]
+                    )
+                    scores = scores * likely
+                predicted = [float(score) for score in scores]
+                effective = np.where(forced, np.inf, scores)
             plan: BudgetPlan = select_within_budget(
                 effective, cfg.alpha, batch_size=None, margin=cfg.improvement_margin
             )
@@ -233,7 +252,7 @@ class AdaParseEngine(Parser):
                         doc_id=doc.doc_id,
                         chosen_parser=cfg.high_quality_parser,
                         stage=stage,
-                        predicted_improvement=float(scores[i]),
+                        predicted_improvement=predicted[i],
                     )
                 )
             else:
@@ -253,7 +272,7 @@ class AdaParseEngine(Parser):
                         doc_id=doc.doc_id,
                         chosen_parser=cfg.default_parser,
                         stage=stage,
-                        predicted_improvement=float(scores[i]),
+                        predicted_improvement=predicted[i],
                     )
                 )
         return results, decisions

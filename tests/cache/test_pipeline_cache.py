@@ -188,6 +188,25 @@ class TestPipelineCaching:
         ]
         assert warm.fraction_routed() == cold.fraction_routed()
 
+    def test_absent_scores_replayed_as_absent(self, corpus, tmp_path):
+        # floor(0.05 · 6) = 0 slots: no batch is scored, so every decision
+        # carries no score, and a warm run off disk replays exactly that.
+        documents = list(corpus)
+        registry = default_registry()
+        engine = _ScriptedEngine(registry, AdaParseConfig(alpha=0.05, batch_size=6))
+
+        def run():
+            pipeline = ParsePipeline(
+                registry, engines={engine.name: engine}, cache=ParseCache(tmp_path / "pc")
+            )
+            request = request_for_documents(engine.name, documents, cache="readwrite")
+            return pipeline.run(request)
+
+        cold, warm = run(), run()
+        assert warm.cache.hits == len(documents)
+        assert [d.predicted_improvement for d in warm.decisions] == [None] * len(documents)
+        assert warm.decisions == cold.decisions
+
     def test_alpha_override_keys_separately(self, corpus):
         documents = list(corpus)
         registry = default_registry()

@@ -55,6 +55,22 @@ class TestRecordAndReplay:
         assert [r.to_json_dict() for r in replayed_results] == results
         assert [d.to_json_dict() for d in replayed_decisions] == decisions
 
+    def test_absent_and_legacy_scores_replay_after_a_reopen(self, tmp_path, shard_output):
+        placement_key, fingerprint, results, _ = shard_output
+        scores = [None, 0.25, 0.0]  # unscored batch, scored, an older tree's 0.0
+        decisions = [
+            RoutingDecision(
+                doc_id=r["doc_id"], chosen_parser="pymupdf", stage="accepted_default",
+                predicted_improvement=score,
+            ).to_json_dict()
+            for r, score in zip(results, scores)
+        ]  # fmt: skip
+        ShardLedger(tmp_path).record(placement_key, fingerprint, results, decisions)
+        assert '"predicted_improvement": null' in (tmp_path / "ledger.jsonl").read_text()
+        replay = ShardLedger(tmp_path).completed_output(placement_key, fingerprint)
+        assert replay is not None
+        assert [d.predicted_improvement for d in replay[1]] == scores
+
     def test_persists_across_instances(self, tmp_path, shard_output):
         placement_key, fingerprint, results, decisions = shard_output
         ShardLedger(tmp_path).record(placement_key, fingerprint, results, decisions)

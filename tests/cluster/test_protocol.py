@@ -144,6 +144,31 @@ class TestSpecAndResults:
         assert batch.phases is None
 
 
+    def test_absent_and_legacy_scores_cross_the_wire(self, channel_pair):
+        # A batch whose CLS I rejects fill the budget is never scored: its
+        # decisions carry no score, sent as JSON null.  Floats, as every
+        # older worker sent them, still read as floats.
+        left, right = channel_pair
+        decisions = [
+            RoutingDecision("d1", "nougat", "cls1_invalid"),
+            RoutingDecision("d2", "pymupdf", "accepted_default", predicted_improvement=0.25),
+        ]
+        message = protocol.batch_result_message(
+            "s000001", [], decisions, worker_id="w", elapsed_seconds=0.5
+        )
+        message["decisions"].append(
+            {"doc_id": "d3", "chosen_parser": "pymupdf", "stage": "accepted_default",
+             "predicted_improvement": 0}  # fmt: skip
+        )
+        left.send(message)
+        received = right.recv()
+        assert received["decisions"][0]["predicted_improvement"] is None
+        batch = protocol.parse_batch_result(received)
+        assert [d.predicted_improvement for d in batch.decisions] == [None, 0.25, 0.0]
+        assert isinstance(batch.decisions[2].predicted_improvement, float)
+        assert batch.decisions[:2] == decisions
+
+
 def _batch_frame(**fields):
     message = protocol.batch_result_message(
         "s000001",

@@ -127,6 +127,88 @@ class TestSelectWithinBudget:
             assert scores[plan.route_expensive].min() > 0
 
 
+def brute_force_mask(scores: list[float], k: int, margin: float) -> np.ndarray:
+    """The written order, by Python's sort: eligible documents by
+    (−score, −position), the first ``k`` of them routed."""
+    eligible = [i for i, score in enumerate(scores) if score > margin]
+    mask = np.zeros(len(scores), dtype=bool)
+    mask[sorted(eligible, key=lambda i: (-scores[i], -i))[: max(k, 0)]] = True
+    return mask
+
+
+# Few distinct values, so lists are full of ties: rejects (inf), scores at
+# and around the default margin, and non-positive ones.
+tied_score_lists = st.lists(
+    st.sampled_from([np.inf, 0.9, 0.5, 0.03, 0.02, 0.01, 0.0, -0.2, -np.inf]),
+    min_size=0,
+    max_size=300,
+)
+
+
+class TestWrittenTieBreak:
+    """Equal improvements go to the *later* position first.  The rule is
+    the budget's own, not numpy's: every case runs with ``np.argsort``
+    forced to each sort kind, unstable ones included."""
+
+    @pytest.fixture(autouse=True, params=["quicksort", "heapsort", "stable"])
+    def sort_kind(self, request, monkeypatch):
+        argsort = np.argsort
+        monkeypatch.setattr(
+            np, "argsort", lambda a, *args, **kwargs: argsort(a, kind=request.param)
+        )
+
+    def test_three_hundred_tied_rejects_route_the_last_k(self):
+        # Past every small-array path of a sort (insertion sort below 16).
+        plan = select_within_budget(np.full(300, np.inf), alpha=0.05)
+        assert np.flatnonzero(plan.route_expensive).tolist() == list(range(285, 300))
+
+    def test_rejects_among_unscored_documents_route_the_last_k(self):
+        # The engine's skipped batch: rejects at inf, everyone else at -inf.
+        effective = np.full(256, -np.inf)
+        rejects = [3, 17, 40, 41, 99, 128, 130, 200, 201, 202, 230, 231, 250, 251, 254]
+        effective[rejects] = np.inf
+        plan = select_within_budget(effective, alpha=0.05, margin=0.02)
+        assert np.flatnonzero(plan.route_expensive).tolist() == rejects[-12:]
+
+    def test_mixed_finite_ties(self):
+        scores = [0.5, 0.9, 0.5, 0.1, 0.9, 0.5, 0.5, 0.1]
+        plan = select_within_budget(scores, alpha=0.5)  # four slots
+        # Both 0.9s, then the two latest of the four 0.5s.
+        assert np.flatnonzero(plan.route_expensive).tolist() == [1, 4, 5, 6]
+
+    def test_rejects_come_before_every_score_then_ties_by_position(self):
+        scores = [np.inf, 0.4, 0.4, np.inf, 0.4, 0.3]
+        plan = select_within_budget(scores, alpha=0.5)  # three slots
+        assert np.flatnonzero(plan.route_expensive).tolist() == [0, 3, 4]
+
+    def test_a_score_at_the_margin_is_not_eligible(self):
+        scores = [0.02, 0.02 + 1e-12, 0.02, np.nextafter(0.02, 1.0)]
+        plan = select_within_budget(scores, alpha=1.0, margin=0.02)
+        assert np.flatnonzero(plan.route_expensive).tolist() == [1, 3]
+        tied = select_within_budget([0.02] * 40, alpha=1.0, margin=0.02)
+        assert tied.n_expensive == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tied_score_lists,
+        st.floats(min_value=0, max_value=1),
+        st.sampled_from([0.0, 0.02]),
+    )
+    def test_matches_the_brute_force_order(self, scores, alpha, margin):
+        plan = select_within_budget(scores, alpha, batch_size=None, margin=margin)
+        k = int(np.floor(alpha * len(scores)))
+        assert np.array_equal(plan.route_expensive, brute_force_mask(scores, k, margin))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_score_lists, st.floats(min_value=0, max_value=1), st.integers(1, 64))
+    def test_every_batch_follows_the_brute_force_order(self, scores, alpha, batch_size):
+        plan = select_within_budget(scores, alpha, batch_size=batch_size, margin=0.02)
+        for start in range(0, len(scores), batch_size):
+            chunk = scores[start : start + batch_size]
+            expected = brute_force_mask(chunk, int(np.floor(alpha * len(chunk))), 0.02)
+            assert np.array_equal(plan.route_expensive[start : start + batch_size], expected)
+
+
 class TestOptimalityGap:
     def test_gap_zero_for_global_batch(self):
         improvements = np.linspace(0, 1, 100)

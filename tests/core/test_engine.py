@@ -166,7 +166,7 @@ class TestDefaultEngineFingerprints:
     def test_weights_and_config_fingerprints_are_unchanged(self, default_ft_engine):
         predictor = default_ft_engine.selector.predictor
         assert predictor.weights_fingerprint() == "2df019a3435dc2ac065e4fd618c33ced"
-        assert default_ft_engine.config_fingerprint() == "2c8b41446a60da3988515b84c2170089"
+        assert default_ft_engine.config_fingerprint() == "ac6379a3e210848ad5eb9bc8a611042b"
 
     def test_training_targets_are_unchanged(self, default_ft_dataset):
         """The per-parser BLEU labels of the default 80-document training
@@ -187,7 +187,7 @@ class TestDefaultEngineDecisionPins:
     telemetry path.  Refactors of the engine must leave both alone."""
 
     COUNTS = {"accepted_default": 173, "budget_exhausted": 17, "cls1_invalid": 10}
-    DIGEST = "e655ebe8f852b8d95b1db0d67cf8083bd35920d6f1f55473d8ff91d9e7678531"
+    DIGEST = "aed78fb6ed0fb53c7ee78ff19c747ff4a54ef4795e16f399db492b5ff6914b61"
 
     @staticmethod
     def digest(decisions) -> str:
@@ -245,6 +245,106 @@ class TestRejectOrderPins:
         assert len(rejects) == 27 and routed == rejects[-10:]
 
 
+class CountingSelector:
+    """CLS III double: a fixed score per document, every call recorded."""
+
+    def __init__(self) -> None:
+        self.calls: list[int] = []
+
+    def improvement_scores(self, texts, target_parser) -> np.ndarray:
+        self.calls.append(len(texts))
+        return np.full(len(texts), 0.5)
+
+    def config_fingerprint(self) -> str:
+        return "counting-selector"
+
+
+class CountingImprovementClassifier:
+    """CLS II double: probability one, every call recorded."""
+
+    def __init__(self) -> None:
+        self.calls: list[int] = []
+
+    def improvement_probability(self, metadatas) -> np.ndarray:
+        self.calls.append(len(metadatas))
+        return np.ones(len(metadatas))
+
+
+class TestScoresOnlyWhereTheyDecide:
+    """CLS II and CLS III run once over the whole batch where a score can
+    decide a slot, and not at all where CLS I's rejects fill floor(α·n):
+    those decisions carry no score (``None``)."""
+
+    @pytest.fixture(scope="class")
+    def valid_and_invalid(self):
+        default = default_registry().get("pymupdf")
+        validator = AdaParseEngine(default_registry(), selector=CountingSelector()).validator
+        corpus = build_corpus(CorpusConfig(n_documents=60, seed=7, min_pages=1, max_pages=2))
+        valid = [
+            doc
+            for doc in corpus
+            if validator.validate(default.parse(doc).text, n_pages=doc.n_pages).is_valid
+        ]
+        invalid = []
+        for doc in valid[:5]:
+            missing = TextLayer(
+                TextLayerQuality.MISSING, [""] * doc.n_pages, doc.text_layer.producer
+            )
+            invalid.append(doc.with_text_layer(missing))
+        assert len(valid) >= 40
+        return valid, invalid
+
+    @staticmethod
+    def engine(alpha: float = 0.05):
+        selector, classifier = CountingSelector(), CountingImprovementClassifier()
+        engine = AdaParseEngine(
+            default_registry(),
+            AdaParseConfig(alpha=alpha),
+            improvement_classifier=classifier,
+            selector=selector,
+        )
+        return engine, selector, classifier
+
+    @pytest.mark.parametrize("n_invalid", [2, 3, 5])
+    def test_rejects_filling_the_budget_skip_both_stages(self, valid_and_invalid, n_invalid):
+        valid, invalid = valid_and_invalid
+        batch = invalid[:n_invalid] + valid[: 40 - n_invalid]
+        engine, selector, classifier = self.engine()
+        _, decisions = engine.route_batch(batch)
+        assert selector.calls == [] and classifier.calls == []
+        assert [d.predicted_improvement for d in decisions] == [None] * 40
+        routed = [i for i, d in enumerate(decisions) if d.stage == "cls1_invalid"]
+        assert routed == list(range(n_invalid))[-2:]
+
+    @pytest.mark.parametrize("n_invalid", [0, 1])
+    def test_a_free_slot_scores_the_whole_batch_once(self, valid_and_invalid, n_invalid):
+        valid, invalid = valid_and_invalid
+        batch = invalid[:n_invalid] + valid[: 40 - n_invalid]
+        engine, selector, classifier = self.engine()
+        _, decisions = engine.route_batch(batch)
+        assert selector.calls == [40] and classifier.calls == [40]
+        assert [d.predicted_improvement for d in decisions] == [0.5] * 40
+
+    def test_no_slot_at_all_skips_both_stages(self, valid_and_invalid):
+        # floor(0.05 · 19) = 0: nothing can be routed, so nothing is scored.
+        engine, selector, classifier = self.engine()
+        _, decisions = engine.route_batch(valid_and_invalid[0][:19])
+        assert selector.calls == [] and classifier.calls == []
+        assert {d.stage for d in decisions} == {"accepted_default"}
+        assert engine.route_batch([]) == ([], [])
+        assert selector.calls == [] and classifier.calls == []
+
+    def test_parse_scores_a_valid_document_only(self, valid_and_invalid):
+        valid, invalid = valid_and_invalid
+        engine, selector, classifier = self.engine()
+        assert engine.parse(invalid[0]).page_texts == (
+            engine.registry.get("nougat").parse(invalid[0]).page_texts
+        )
+        assert selector.calls == [] and classifier.calls == []
+        engine.parse(valid[0])
+        assert selector.calls == [1] and classifier.calls == [1]
+
+
 class TestTrainerLLM:
     def test_train_llm_with_dpo(self, training_corpus, fast_settings):
         from repro.ml.dpo import PreferencePair
@@ -257,7 +357,7 @@ class TestTrainerLLM:
         engine = trainer.train_llm(training_corpus, preference_pairs=pairs)
         assert trainer.artifacts is not None
         assert trainer.artifacts.dpo_trainer is not None
-        assert engine.config_fingerprint() == "8e6c46b20f38c65ef8e64bc3d3a1efdc"
+        assert engine.config_fingerprint() == "aff3639822988293ce80b6cbede35e01"
         results, decisions = engine.parse_with_telemetry(list(training_corpus)[:6])
         assert len(results) == 6
         summary = RoutingSummary(decisions=decisions)

@@ -710,6 +710,11 @@ class TestRemoteBackendParity:
         assert candidate.fraction_routed() <= engine.config.alpha + 1e-9
         assert len(candidate.decisions) == len(documents)
         assert candidate.execution.backend == "remote"
+        # The first two batches' rejects fill their slots and are never
+        # scored; the last is: absent and present scores both cross.
+        scores = [d.predicted_improvement for d in candidate.decisions]
+        assert scores[:80] == [None] * 80
+        assert all(isinstance(score, float) for score in scores[80:])
 
     def test_cache_readwrite_parity_with_thread(
         self, registry, engine, small_corpus, cluster
