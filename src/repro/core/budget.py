@@ -100,11 +100,11 @@ def _select_top_k(improvements: np.ndarray, k: int, margin: float) -> np.ndarray
     """Boolean mask of the top-``k`` documents whose improvement exceeds
     ``margin``.
 
-    The order is written down rather than left to a sort kind: higher
-    improvement first, and among equal improvements the *later* position
-    first — a stable sort on (−improvement, −position).  So when more
-    documents tie (``inf`` for CLS I rejects) than there are slots, the last
-    ``k`` of them by position are chosen.
+    The order is this function's own, not a sort kind's: higher improvement
+    first, and among equal improvements the *later* position first, i.e. a
+    sort on (−improvement, −position).  So when more documents tie (``inf``
+    for CLS I rejects) than there are slots, the last ``k`` of them by
+    position are chosen.
     """
     mask = np.zeros(improvements.shape[0], dtype=bool)
     if k <= 0 or improvements.size == 0:
@@ -113,7 +113,7 @@ def _select_top_k(improvements: np.ndarray, k: int, margin: float) -> np.ndarray
     if eligible.size == 0:
         return mask
     # lexsort sorts by its last key first; positions are distinct, so the
-    # order is total and no sort kind can change it.
+    # order is total.
     order = eligible[np.lexsort((-eligible, -improvements[eligible]))]
     mask[order[:k]] = True
     return mask
