@@ -3,9 +3,11 @@
 A :class:`SciDocument` carries three views of the same content:
 
 * ``pages`` — the *ground-truth* structured content (what the paper obtains
-  from publisher HTML): a list of :class:`PageContent`, each a sequence of
-  typed :class:`PageElement` blocks (paragraphs, equations, tables, SMILES,
-  captions, references).
+  from publisher HTML): a sequence of :class:`PageContent`, each a sequence
+  of typed :class:`PageElement` blocks (paragraphs, equations, tables,
+  SMILES, captions, references).  A generated document holds a list; one
+  read from a SimPDF file holds :class:`LazyPages`, which decodes on first
+  use.
 * ``text_layer`` — the text *embedded in the PDF*, which is what extraction
   parsers (PyMuPDF, pypdf) read.  Its fidelity ranges from clean born-digital
   text to OCR-derived, scrambled, or entirely missing layers.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence, overload
 
 from repro.documents.metadata import DocumentMetadata
 
@@ -116,6 +118,70 @@ class PageContent:
         return len(self.elements_of_kind("equation")) / len(self.elements)
 
 
+class LazyPages(Sequence[PageContent]):
+    """Ground-truth pages that are decoded on first item access.
+
+    The sequence knows its length and each page's element kinds without
+    decoding, which is all a page count and
+    :attr:`SciDocument.equation_fraction` read; indexing or iterating calls
+    ``load`` once and keeps its pages.  It compares equal to a list of the
+    same pages, pickles (still undecoded if it was), and two threads that
+    touch it first at once both get equal pages: each may decode, neither
+    sees a half-built list.
+    """
+
+    def __init__(
+        self, kinds: tuple[tuple[str, ...], ...], load: Callable[[], list[PageContent]]
+    ) -> None:
+        self.kinds = kinds
+        self._load: Callable[[], list[PageContent]] | None = load
+        self._pages: list[PageContent] | None = None
+
+    def _decoded(self) -> list[PageContent]:
+        pages = self._pages
+        if pages is None:
+            load = self._load
+            if load is None:  # another thread stored its pages in between
+                return self._pages  # type: ignore[return-value]
+            pages = load()
+            self._pages = pages  # before ``_load`` is cleared: see above
+            self._load = None
+        return pages
+
+    @property
+    def is_decoded(self) -> bool:
+        return self._pages is not None
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    @overload
+    def __getitem__(self, index: int) -> PageContent: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[PageContent]: ...
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self) -> Iterator[PageContent]:
+        return iter(self._decoded())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LazyPages):
+            other = other._decoded()
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._decoded() == other
+
+    __hash__ = None  # type: ignore[assignment]  # unhashable, like a list
+
+    def __repr__(self) -> str:
+        if self._pages is not None:
+            return repr(self._pages)
+        return f"LazyPages({len(self)} pages, not decoded)"
+
+
 @dataclass
 class TextLayer:
     """The text embedded in the document, page by page.
@@ -196,7 +262,7 @@ class SciDocument:
     metadata:
         Publisher/producer/year/category metadata (CLS II features).
     pages:
-        Ground-truth page contents.
+        Ground-truth page contents (a list, or :class:`LazyPages`).
     text_layer:
         Embedded text layer read by extraction parsers.
     image_layer:
@@ -207,7 +273,7 @@ class SciDocument:
 
     doc_id: str
     metadata: DocumentMetadata
-    pages: list[PageContent]
+    pages: Sequence[PageContent]
     text_layer: TextLayer
     image_layer: ImageLayer
     seed: int = 0
@@ -246,11 +312,20 @@ class SciDocument:
     # ------------------------------------------------------------------ #
     @property
     def equation_fraction(self) -> float:
-        """Document-level fraction of equation blocks."""
-        n_elements = sum(len(p.elements) for p in self.pages)
+        """Document-level fraction of equation blocks.
+
+        Read from element kinds alone, so it never decodes :class:`LazyPages`.
+        """
+        if isinstance(self.pages, LazyPages):
+            kinds: Iterable[Sequence[str]] = self.pages.kinds
+        else:
+            kinds = [[el.kind for el in page.elements] for page in self.pages]
+        n_elements = n_eq = 0
+        for page_kinds in kinds:
+            n_elements += len(page_kinds)
+            n_eq += page_kinds.count("equation")
         if n_elements == 0:
             return 0.0
-        n_eq = sum(len(p.elements_of_kind("equation")) for p in self.pages)
         return n_eq / n_elements
 
     def with_text_layer(self, text_layer: TextLayer) -> "SciDocument":

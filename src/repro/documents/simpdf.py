@@ -7,6 +7,35 @@ holding a document's ground truth, text layer, image layer and metadata.  The
 archive variant packs many documents into one file so the HPC simulator and
 the examples exercise the same aggregation/staging pattern with realistic
 byte sizes.
+
+Two layouts are read, told apart by their magic prefix; the one writer
+(:func:`serialize_document`, behind :class:`SimPdfWriter` and
+:class:`SimPdfArchive`) writes the second.
+
+``SIMPDF1\\n`` + one zlib stream
+    The UTF-8 JSON of :func:`document_to_dict`, everything in one stream.
+
+``SIMPDF2\\n`` + header length (4 bytes, little-endian) + header + pages
+    *header* is one zlib stream of the JSON of everything but the page
+    content: ``doc_id``, ``seed``, metadata, the image layer, the text layer
+    and each page's element ``kinds``.  *pages* is one zlib stream of the
+    JSON list of ``[index, [[text, latex], ...]]``, one per page, compressed
+    with the last 32 KB of the UTF-8 text layer (pages joined by ``\\n``)
+    as zlib preset dictionary: the text layer is a near-copy of the ground
+    truth, so the page content costs a few percent of the file, not a
+    third.  Both streams are UTF-8 with ``surrogatepass``, so every string a
+    document can hold round-trips, a lone surrogate included.
+
+Reading a second-layout file decodes the header only.  The document's
+``pages`` is a :class:`~repro.documents.document.LazyPages` that knows its
+length and its element kinds, and decodes the pages stream the first time a
+page is touched.  What reads only the layers, the metadata, the page count
+or :attr:`~repro.documents.document.SciDocument.equation_fraction` never
+decodes it: extraction parsers (PyMuPDF, pypdf), CLS I, CLS II and every
+parser's cost model.  What reads the ground truth decodes it, once per
+document object: recognition parsers (Nougat and the others an engine routes
+to), the parse cache's content hash, :func:`document_to_dict` (the
+cluster's inline payloads) and evaluation.
 """
 
 from __future__ import annotations
@@ -15,11 +44,14 @@ import io
 import json
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.documents.document import (
+    ELEMENT_KINDS,
     ImageLayer,
+    LazyPages,
     PageContent,
     PageElement,
     SciDocument,
@@ -28,8 +60,34 @@ from repro.documents.document import (
 )
 from repro.documents.metadata import DocumentMetadata
 
-#: Magic prefix identifying a SimPDF payload.
+#: Magic prefix of the first SimPDF layout (one stream); still read.
 MAGIC = b"SIMPDF1\n"
+#: Magic prefix of the layout the writer writes (header, then pages).
+MAGIC_V2 = b"SIMPDF2\n"
+#: Bytes of the text layer zlib keeps as the pages stream's dictionary: its
+#: whole window, so a longer dictionary would be cut to this anyway.
+_DICTIONARY_BYTES = 32 * 1024
+
+
+def _layers_to_dict(doc: SciDocument) -> dict[str, object]:
+    """Everything of :func:`document_to_dict` but ``doc_id``, ``seed``,
+    ``metadata`` and ``pages``."""
+    return {
+        "text_layer": {
+            "quality": doc.text_layer.quality.value,
+            "producer": doc.text_layer.producer,
+            "page_texts": list(doc.text_layer.page_texts),
+        },
+        "image_layer": {
+            "dpi": doc.image_layer.dpi,
+            "rotation_deg": doc.image_layer.rotation_deg,
+            "blur_sigma": doc.image_layer.blur_sigma,
+            "contrast": doc.image_layer.contrast,
+            "noise_level": doc.image_layer.noise_level,
+            "jpeg_quality": doc.image_layer.jpeg_quality,
+            "is_scanned": doc.image_layer.is_scanned,
+        },
+    }
 
 
 def document_to_dict(doc: SciDocument) -> dict[str, object]:
@@ -48,35 +106,12 @@ def document_to_dict(doc: SciDocument) -> dict[str, object]:
             }
             for page in doc.pages
         ],
-        "text_layer": {
-            "quality": doc.text_layer.quality.value,
-            "producer": doc.text_layer.producer,
-            "page_texts": list(doc.text_layer.page_texts),
-        },
-        "image_layer": {
-            "dpi": doc.image_layer.dpi,
-            "rotation_deg": doc.image_layer.rotation_deg,
-            "blur_sigma": doc.image_layer.blur_sigma,
-            "contrast": doc.image_layer.contrast,
-            "noise_level": doc.image_layer.noise_level,
-            "jpeg_quality": doc.image_layer.jpeg_quality,
-            "is_scanned": doc.image_layer.is_scanned,
-        },
+        **_layers_to_dict(doc),
     }
 
 
-def document_from_dict(data: dict[str, object]) -> SciDocument:
-    """Inverse of :func:`document_to_dict`."""
-    pages = [
-        PageContent(
-            index=int(p["index"]),  # type: ignore[index,arg-type]
-            elements=tuple(
-                PageElement(kind=e["kind"], text=e["text"], latex=e.get("latex"))
-                for e in p["elements"]  # type: ignore[index]
-            ),
-        )
-        for p in data["pages"]  # type: ignore[union-attr]
-    ]
+def _assemble(data: dict[str, object], pages: Sequence[PageContent]) -> SciDocument:
+    """A document from :func:`document_to_dict`'s fields and its pages."""
     tl = data["text_layer"]  # type: ignore[index]
     il = data["image_layer"]  # type: ignore[index]
     return SciDocument(
@@ -101,18 +136,92 @@ def document_from_dict(data: dict[str, object]) -> SciDocument:
     )
 
 
+def document_from_dict(data: dict[str, object]) -> SciDocument:
+    """Inverse of :func:`document_to_dict`."""
+    pages = [
+        PageContent(
+            index=int(p["index"]),  # type: ignore[index,arg-type]
+            elements=tuple(
+                PageElement(kind=e["kind"], text=e["text"], latex=e.get("latex"))
+                for e in p["elements"]  # type: ignore[index]
+            ),
+        )
+        for p in data["pages"]  # type: ignore[union-attr]
+    ]
+    return _assemble(data, pages)
+
+
+def _utf8(value: object) -> bytes:
+    return json.dumps(value, ensure_ascii=False).encode("utf-8", "surrogatepass")
+
+
+def _from_utf8(payload: bytes) -> object:
+    return json.loads(payload.decode("utf-8", "surrogatepass"))
+
+
+def _pages_dictionary(page_texts: Sequence[str]) -> bytes:
+    """The pages stream's zlib preset dictionary: the text layer's tail."""
+    return "\n".join(page_texts).encode("utf-8", "surrogatepass")[-_DICTIONARY_BYTES:]
+
+
+def _decode_pages(
+    kinds: tuple[tuple[str, ...], ...], stream: bytes, page_texts: tuple[str, ...]
+) -> list[PageContent]:
+    """Decode a second-layout pages stream (what :class:`LazyPages` calls)."""
+    inflater = zlib.decompressobj(zdict=_pages_dictionary(page_texts))
+    pages = _from_utf8(inflater.decompress(stream) + inflater.flush())
+    return [
+        PageContent(
+            index=int(index),
+            elements=tuple(
+                PageElement(kind=kind, text=text, latex=latex)
+                for kind, (text, latex) in zip(page_kinds, elements, strict=True)
+            ),
+        )
+        for page_kinds, (index, elements) in zip(kinds, pages, strict=True)  # type: ignore[arg-type]
+    ]
+
+
 def serialize_document(doc: SciDocument, compress_level: int = 6) -> bytes:
-    """Serialise one document to SimPDF bytes."""
-    payload = json.dumps(document_to_dict(doc), ensure_ascii=False).encode("utf-8")
-    return MAGIC + zlib.compress(payload, compress_level)
+    """Serialise one document to SimPDF bytes (the second layout)."""
+    header = {
+        "doc_id": doc.doc_id,
+        "seed": doc.seed,
+        "metadata": doc.metadata.to_dict(),
+        **_layers_to_dict(doc),
+        "kinds": [[el.kind for el in page.elements] for page in doc.pages],
+    }
+    pages = [
+        [page.index, [[el.text, el.latex] for el in page.elements]] for page in doc.pages
+    ]
+    head = zlib.compress(_utf8(header), compress_level)
+    deflater = zlib.compressobj(
+        compress_level, zdict=_pages_dictionary(doc.text_layer.page_texts)
+    )
+    body = deflater.compress(_utf8(pages)) + deflater.flush()
+    return MAGIC_V2 + len(head).to_bytes(4, "little") + head + body
 
 
 def deserialize_document(blob: bytes) -> SciDocument:
-    """Parse SimPDF bytes back into a document."""
-    if not blob.startswith(MAGIC):
+    """Parse SimPDF bytes (either layout) back into a document.
+
+    A second-layout document's pages decode on first use (module docstring).
+    """
+    if blob.startswith(MAGIC):
+        payload = zlib.decompress(blob[len(MAGIC):])
+        return document_from_dict(json.loads(payload.decode("utf-8")))
+    if not blob.startswith(MAGIC_V2):
         raise ValueError("not a SimPDF payload (bad magic)")
-    payload = zlib.decompress(blob[len(MAGIC):])
-    return document_from_dict(json.loads(payload.decode("utf-8")))
+    start = len(MAGIC_V2) + 4
+    end = start + int.from_bytes(blob[len(MAGIC_V2):start], "little")
+    header = _from_utf8(zlib.decompress(blob[start:end]))
+    kinds = tuple(tuple(page_kinds) for page_kinds in header["kinds"])  # type: ignore[index]
+    unknown = {kind for page_kinds in kinds for kind in page_kinds} - set(ELEMENT_KINDS)
+    if unknown:
+        raise ValueError(f"unknown element kind: {sorted(unknown)[0]!r}")
+    page_texts = tuple(header["text_layer"]["page_texts"])  # type: ignore[index]
+    pages = LazyPages(kinds, partial(_decode_pages, kinds, blob[end:], page_texts))
+    return _assemble(header, pages)  # type: ignore[arg-type]
 
 
 class SimPdfWriter:

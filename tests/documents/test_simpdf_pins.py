@@ -6,6 +6,9 @@ UTF-8 JSON of :func:`document_to_dict`), the bytes pools already on disk
 hold.  Read back through ``simpdf-dir``, both must give the same documents,
 the same content hashes and cache keys, the same difficulty proxy and the
 same parse reports, down to the digests below.
+
+The writer's own layout decodes page content only where a run reads it, and
+:class:`TestPageDecodeCounts` counts the decodes per run.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.cache import ParseCache
 from repro.cache.keys import document_content_hash, parse_cache_key
 from repro.documents.corpus import CorpusConfig, build_corpus
+from repro.documents import simpdf
 from repro.documents.simpdf import SimPdfWriter, document_to_dict
 from repro.documents.sources import SimPdfDirSource
 from repro.pipeline import ParsePipeline, ParseRequest
@@ -114,3 +119,55 @@ class TestPoolPins:
         pipeline = ParsePipeline(registry, engines={"adaparse_ft": default_ft_engine})
         report = pipeline.run(ParseRequest(parser=parser, source=f"simpdf-dir:{pool}"))
         assert report_digest(report) == REPORT_PINS[parser]
+
+
+class TestPageDecodeCounts:
+    """How many documents' page content one 40-document run decodes."""
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch) -> list[tuple]:
+        calls: list[tuple] = []
+        decode = simpdf._decode_pages
+
+        def counting(*args):
+            calls.append(args)
+            return decode(*args)
+
+        monkeypatch.setattr(simpdf, "_decode_pages", counting)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def written_pool(self, tmp_path_factory, pool_documents) -> Path:
+        directory = tmp_path_factory.mktemp("written-pool")
+        write_with_writer(directory, pool_documents)
+        return directory
+
+    def _run(self, registry, engine, pool, parser, **options):
+        pipeline = ParsePipeline(
+            registry, engines={"adaparse_ft": engine}, cache=ParseCache()
+        )
+        return pipeline.run(
+            ParseRequest(parser=parser, source=f"simpdf-dir:{pool}", **options)
+        )
+
+    def test_pymupdf_decodes_none(self, registry, default_ft_engine, written_pool, decodes):
+        report = self._run(registry, default_ft_engine, written_pool, "pymupdf")
+        assert report.summary()["n_succeeded"] == 40
+        assert decodes == []
+
+    def test_adaparse_ft_decodes_its_routed_documents(
+        self, registry, default_ft_engine, written_pool, decodes
+    ):
+        report = self._run(registry, default_ft_engine, written_pool, "adaparse_ft")
+        routed = [d.doc_id for d in report.decisions if d.chosen_parser == "nougat"]
+        assert routed
+        assert len(decodes) == len(routed)
+
+    def test_a_cache_miss_run_decodes_every_document(
+        self, registry, default_ft_engine, written_pool, decodes
+    ):
+        report = self._run(
+            registry, default_ft_engine, written_pool, "pymupdf", cache="readwrite"
+        )
+        assert report.cache.misses == 40
+        assert len(decodes) == 40

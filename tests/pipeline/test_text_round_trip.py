@@ -2,10 +2,12 @@
 
 A SimPDF file is JSON, so its text layer can hold any string JSON can: a
 non-ASCII character, and also a lone surrogate (``"\\ud800"``), which strict
-UTF-8 cannot encode.  The serial, uncached run returns such a text as it
-is; so must the disk-backed parse cache, a ``remote`` worker, the
-gateway and the ``adaparse_ft`` engine, whose selector reads every
-character.  Each run here is bounded, because the failure mode on a wire is a
+UTF-8 cannot encode (the writer's UTF-8 passes surrogates through).  The
+pool is written both ways a file can be: in the first layout with ASCII
+escapes, and by :class:`SimPdfWriter`.  The serial, uncached run returns
+such a text as it is; so must the disk-backed parse cache, a ``remote``
+worker, the gateway and the ``adaparse_ft`` engine, whose selector reads
+every character.  Each run here is bounded, because the failure mode on a wire is a
 worker or streamer thread that dies and leaves its peer waiting.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import threading
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,7 @@ import pytest
 from repro.cache import ParseCache
 from repro.cluster.worker import WorkerDaemon
 from repro.documents.corpus import CorpusConfig
-from repro.documents.simpdf import MAGIC, document_to_dict
+from repro.documents.simpdf import MAGIC, SimPdfWriter, document_to_dict
 from repro.documents.sources import SyntheticSource
 from repro.gateway import GatewayClient, GatewayServer
 from repro.pipeline import ParsePipeline, ParseRequest
@@ -33,23 +36,32 @@ ODD_TEXTS = ["naïve — 東京 ﬁle ", "lone \ud800 surrogate "]
 BOUND_S = 30
 
 
-@pytest.fixture(scope="module")
-def pool(tmp_path_factory) -> Path:
-    """Two SimPDF files whose text layers hold :data:`ODD_TEXTS`.
+def _write_escaped_first_layout(root: Path, document) -> None:
+    """A first-layout file written with ASCII escapes, as any JSON writer may."""
+    body = json.dumps(document_to_dict(document)).encode("ascii")
+    (root / f"{document.doc_id}.simpdf").write_bytes(MAGIC + zlib.compress(body))
 
-    Written with ASCII escapes, as any JSON writer may: the library's own
-    writer cannot encode a lone surrogate.
-    """
+
+def _write_with_writer(root: Path, document) -> None:
+    SimPdfWriter(root).write(document)
+
+
+@pytest.fixture(scope="module", params=["escaped-first-layout", "writer"])
+def pool(request, tmp_path_factory) -> Path:
+    """Two SimPDF files whose text layers hold :data:`ODD_TEXTS`, written in
+    the first layout by hand or by the library's own writer."""
+    write = {
+        "escaped-first-layout": _write_escaped_first_layout,
+        "writer": _write_with_writer,
+    }[request.param]
     root = tmp_path_factory.mktemp("odd-text")
     documents = SyntheticSource(
         CorpusConfig(n_documents=len(ODD_TEXTS), seed=3, min_pages=1, max_pages=2)
     ).iter_documents()
     for odd, document in zip(ODD_TEXTS, documents):
-        payload = document_to_dict(document)
-        texts = payload["text_layer"]["page_texts"]
+        texts = list(document.text_layer.page_texts)
         texts[0] = odd + texts[0]
-        body = json.dumps(payload).encode("ascii")
-        (root / f"{document.doc_id}.simpdf").write_bytes(MAGIC + zlib.compress(body))
+        write(root, document.with_text_layer(replace(document.text_layer, page_texts=texts)))
     return root
 
 
