@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence, overload
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.documents.metadata import DocumentMetadata
 
@@ -155,13 +155,7 @@ class LazyPages(Sequence[PageContent]):
     def __len__(self) -> int:
         return len(self.kinds)
 
-    @overload
-    def __getitem__(self, index: int) -> PageContent: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> list[PageContent]: ...
-
-    def __getitem__(self, index):
+    def __getitem__(self, index):  # type: ignore[override]
         return self._decoded()[index]
 
     def __iter__(self) -> Iterator[PageContent]:
@@ -173,13 +167,6 @@ class LazyPages(Sequence[PageContent]):
         if not isinstance(other, list):
             return NotImplemented
         return self._decoded() == other
-
-    __hash__ = None  # type: ignore[assignment]  # unhashable, like a list
-
-    def __repr__(self) -> str:
-        if self._pages is not None:
-            return repr(self._pages)
-        return f"LazyPages({len(self)} pages, not decoded)"
 
 
 @dataclass

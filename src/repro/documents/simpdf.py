@@ -67,27 +67,7 @@ MAGIC_V2 = b"SIMPDF2\n"
 #: Bytes of the text layer zlib keeps as the pages stream's dictionary: its
 #: whole window, so a longer dictionary would be cut to this anyway.
 _DICTIONARY_BYTES = 32 * 1024
-
-
-def _layers_to_dict(doc: SciDocument) -> dict[str, object]:
-    """Everything of :func:`document_to_dict` but ``doc_id``, ``seed``,
-    ``metadata`` and ``pages``."""
-    return {
-        "text_layer": {
-            "quality": doc.text_layer.quality.value,
-            "producer": doc.text_layer.producer,
-            "page_texts": list(doc.text_layer.page_texts),
-        },
-        "image_layer": {
-            "dpi": doc.image_layer.dpi,
-            "rotation_deg": doc.image_layer.rotation_deg,
-            "blur_sigma": doc.image_layer.blur_sigma,
-            "contrast": doc.image_layer.contrast,
-            "noise_level": doc.image_layer.noise_level,
-            "jpeg_quality": doc.image_layer.jpeg_quality,
-            "is_scanned": doc.image_layer.is_scanned,
-        },
-    }
+_KINDS = {kind: kind for kind in ELEMENT_KINDS}
 
 
 def document_to_dict(doc: SciDocument) -> dict[str, object]:
@@ -106,7 +86,20 @@ def document_to_dict(doc: SciDocument) -> dict[str, object]:
             }
             for page in doc.pages
         ],
-        **_layers_to_dict(doc),
+        "text_layer": {
+            "quality": doc.text_layer.quality.value,
+            "producer": doc.text_layer.producer,
+            "page_texts": list(doc.text_layer.page_texts),
+        },
+        "image_layer": {
+            "dpi": doc.image_layer.dpi,
+            "rotation_deg": doc.image_layer.rotation_deg,
+            "blur_sigma": doc.image_layer.blur_sigma,
+            "contrast": doc.image_layer.contrast,
+            "noise_level": doc.image_layer.noise_level,
+            "jpeg_quality": doc.image_layer.jpeg_quality,
+            "is_scanned": doc.image_layer.is_scanned,
+        },
     }
 
 
@@ -184,16 +177,12 @@ def _decode_pages(
 
 def serialize_document(doc: SciDocument, compress_level: int = 6) -> bytes:
     """Serialise one document to SimPDF bytes (the second layout)."""
-    header = {
-        "doc_id": doc.doc_id,
-        "seed": doc.seed,
-        "metadata": doc.metadata.to_dict(),
-        **_layers_to_dict(doc),
-        "kinds": [[el.kind for el in page.elements] for page in doc.pages],
-    }
+    header = document_to_dict(doc)
     pages = [
-        [page.index, [[el.text, el.latex] for el in page.elements]] for page in doc.pages
+        [page["index"], [[el["text"], el["latex"]] for el in page["elements"]]]
+        for page in header.pop("pages")  # type: ignore[attr-defined]
     ]
+    header["kinds"] = [[el.kind for el in page.elements] for page in doc.pages]
     head = zlib.compress(_utf8(header), compress_level)
     deflater = zlib.compressobj(
         compress_level, zdict=_pages_dictionary(doc.text_layer.page_texts)
@@ -215,10 +204,13 @@ def deserialize_document(blob: bytes) -> SciDocument:
     start = len(MAGIC_V2) + 4
     end = start + int.from_bytes(blob[len(MAGIC_V2):start], "little")
     header = _from_utf8(zlib.decompress(blob[start:end]))
-    kinds = tuple(tuple(page_kinds) for page_kinds in header["kinds"])  # type: ignore[index]
-    unknown = {kind for page_kinds in kinds for kind in page_kinds} - set(ELEMENT_KINDS)
-    if unknown:
-        raise ValueError(f"unknown element kind: {sorted(unknown)[0]!r}")
+    try:  # one shared string per kind, not one per element and document
+        kinds = tuple(
+            tuple(_KINDS[kind] for kind in page_kinds)
+            for page_kinds in header["kinds"]  # type: ignore[index]
+        )
+    except KeyError as exc:
+        raise ValueError(f"unknown element kind: {exc.args[0]!r}") from None
     page_texts = tuple(header["text_layer"]["page_texts"])  # type: ignore[index]
     pages = LazyPages(kinds, partial(_decode_pages, kinds, blob[end:], page_texts))
     return _assemble(header, pages)  # type: ignore[arg-type]
