@@ -12,7 +12,6 @@ import pytest
 
 from repro.documents.document import LazyPages, PageContent, PageElement
 from repro.documents.simpdf import (
-    MAGIC,
     MAGIC_V2,
     SimPdfArchive,
     SimPdfWriter,
@@ -22,12 +21,7 @@ from repro.documents.simpdf import (
     serialize_document,
 )
 from repro.documents.sources import SimPdfDirSource
-
-
-def first_layout_bytes(document) -> bytes:
-    """What the first layout's writer made of ``document``."""
-    payload = json.dumps(document_to_dict(document), ensure_ascii=False).encode("utf-8")
-    return MAGIC + zlib.compress(payload, 6)
+from tests.documents.test_simpdf_pins import first_layout_bytes
 
 
 class TestRoundTrip:
@@ -133,7 +127,7 @@ class TestLazyPages:
         copy = pickle.loads(pickle.dumps(read))
         assert not copy.pages.is_decoded
         assert copy == read == sample_document
-        decoded = pickle.loads(pickle.dumps(read))
+        decoded = pickle.loads(pickle.dumps(read))  # ``==`` above decoded ``read``
         assert decoded.pages.is_decoded and decoded == sample_document
 
     def test_replace_is_equal_to_itself(self, sample_document):
@@ -161,15 +155,11 @@ class TestLazyPages:
             assert seen[0] == seen[1] == sample_document.pages
 
     def test_kinds_the_model_does_not_know_are_refused_on_read(self, sample_document):
-        bad = dataclasses.replace(
-            sample_document,
-            pages=[PageContent(index=p.index, elements=()) for p in sample_document.pages],
-        )
-        blob = serialize_document(bad)
+        blob = serialize_document(sample_document)
         start = len(MAGIC_V2) + 4
         end = start + int.from_bytes(blob[len(MAGIC_V2):start], "little")
         header = json.loads(zlib.decompress(blob[start:end]))
-        header["kinds"][0] = ["sonnet"]
+        header["kinds"][0][0] = "sonnet"
         head = zlib.compress(json.dumps(header).encode("utf-8"))
         forged = MAGIC_V2 + len(head).to_bytes(4, "little") + head + blob[end:]
         with pytest.raises(ValueError, match="sonnet"):

@@ -31,14 +31,16 @@ from repro.pipeline import ParsePipeline, ParseRequest
 POOL_CONFIG = CorpusConfig(n_documents=40, seed=47)
 
 
+def first_layout_bytes(document) -> bytes:
+    """A ``SIMPDF1`` file, byte for byte as that layout's writer made it."""
+    payload = json.dumps(document_to_dict(document), ensure_ascii=False).encode("utf-8")
+    return b"SIMPDF1\n" + zlib.compress(payload, 6)
+
+
 def write_first_layout(directory: Path, documents) -> None:
-    """``SIMPDF1`` files, byte for byte as its writer made them."""
     directory.mkdir(parents=True, exist_ok=True)
     for document in documents:
-        payload = json.dumps(document_to_dict(document), ensure_ascii=False).encode("utf-8")
-        (directory / f"{document.doc_id}.simpdf").write_bytes(
-            b"SIMPDF1\n" + zlib.compress(payload, 6)
-        )
+        (directory / f"{document.doc_id}.simpdf").write_bytes(first_layout_bytes(document))
 
 
 def write_with_writer(directory: Path, documents) -> None:
