@@ -4,8 +4,9 @@ A 40-document pool is written two ways: by :class:`SimPdfWriter` and by a
 hand-written copy of the first layout (``SIMPDF1``: one zlib stream of the
 UTF-8 JSON of :func:`document_to_dict`), the bytes pools already on disk
 hold.  Read back through ``simpdf-dir``, both must give the same documents,
-the same content hashes and cache keys, the same difficulty proxy and the
-same parse reports, down to the digests below.
+the same difficulty proxy and the same parse reports, cached or not, down to
+the digests below.  The content hashes and cache keys are pinned apart from
+the rest (:data:`KEY_PINS`): they are what a content-hash scheme re-cuts.
 
 The writer's own layout decodes page content only where a run reads it, and
 :class:`TestPageDecodeCounts` counts the decodes per run.
@@ -64,16 +65,25 @@ def pool(request, tmp_path_factory, pool_documents) -> Path:
     return directory
 
 
-def document_digest(document, fingerprint: str) -> str:
-    """16 hex digits over everything a read document is pinned by."""
-    fields = [
+def _digest(fields) -> str:
+    return hashlib.sha256("\x00".join(fields).encode("utf-8")).hexdigest()[:16]
+
+
+def document_digest(document) -> str:
+    """16 hex digits over what a read document holds and derives."""
+    return _digest([
         json.dumps(document_to_dict(document), sort_keys=True),
-        document_content_hash(document),
-        str(parse_cache_key(document, fingerprint)),
         repr(document.equation_fraction),
         str(document.n_pages),
-    ]
-    return hashlib.sha256("\x00".join(fields).encode("utf-8")).hexdigest()[:16]
+    ])
+
+
+def key_digest(document, fingerprint: str) -> str:
+    """16 hex digits over a read document's content hash and cache key."""
+    return _digest([
+        document_content_hash(document),
+        str(parse_cache_key(document, fingerprint)),
+    ])
 
 
 def report_digest(report) -> str:
@@ -83,19 +93,32 @@ def report_digest(report) -> str:
     return hashlib.sha256(json.dumps(kept, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
-#: ``document_digest`` of each pool document, in path order, with the
-#: ``pymupdf`` fingerprint in its cache key.
+#: ``document_digest`` of each pool document, in path order.
 DOCUMENT_PINS = (
-    "54a62016a7f1db14", "ac44c8d1f03d9049", "0dadda6ceda5899b", "71d30499eef98026",
-    "17c15eebc6c01938", "6c38d1fc547a4722", "f6baf2b0f9cf37e0", "9d70134ec39e9ec0",
-    "98a6d583d20af420", "95bda95b264dcb81", "2f0343a4f2739b32", "24fb2cf2b2043d81",
-    "49f3609be95515c8", "ed7a74677fe2cb0c", "c6d04e123e944f15", "b750aeddb0f64678",
-    "fbe5135d4302ea28", "ee1ed62e973c1553", "096b282bc329b50c", "a92cb9ab955cb26d",
-    "a1032005e2d42a72", "db1a5d674d8e7892", "6f58a89cb459d212", "e604e5fbdf94380f",
-    "8ffa074d505f3783", "942890f72ce3f118", "c2d13cace5b8ec6f", "176212188891e7d0",
-    "36e6b9d057385615", "881ff789e753b12c", "1d5f649b446c48d2", "ee36e933676f07ce",
-    "2322bdac74ecfb03", "6d0819613432cad4", "e7703620f03b67b3", "50628a56cb8d6f6c",
-    "5cb9dc08ada7a737", "35f2111a66393ff0", "9e012eb15f06c91c", "54765c862d86f1ba",
+    "60c9f75a07c51984", "129232b29528492b", "4fd3b6ea884ccd69", "106ed0db32c865d9",
+    "1a66fabaa9b46946", "8ecef5dc4e9d9786", "20109a8847d176e7", "838b696e463e1119",
+    "8f48ca888ddb2699", "ccc5e1c2b435b51e", "81fcf266d5de04ae", "088ab8e350b3cd1a",
+    "f0bf2805817c1d53", "7a2cf9a7c825f25b", "ea229a653feb750a", "4d4ac7c94292b116",
+    "262ce465b35293c8", "f53da70c10bac7c4", "5be9f8a24e2f6d43", "bccbd489b4ae02ea",
+    "2fc7bc45e1fcd77c", "4d121e298d9415d7", "f2e2776af48c392f", "60aaf1da183a2d1d",
+    "64d461205de93169", "af182bef19933417", "21ed681139466b39", "000e764103a19936",
+    "9533e1e5d63e51da", "e382894d884a8b19", "30bec525f77203e6", "4fba2e67ecb75f0c",
+    "6611556b9ce94a6e", "e2eed28c553e2058", "43fb2124198848ed", "0c20a43e2ff80c16",
+    "e0d9607c25dad6aa", "1caeb842f29792c9", "c30f7b82f89b4441", "41565a0d4adcb89d",
+)
+#: ``key_digest`` of each pool document, in path order, with the ``pymupdf``
+#: fingerprint in its cache key.
+KEY_PINS = (
+    "3a22415d7ac34ed4", "5bde7356ed858541", "0dd6a9a442c77140", "27a7e8d7e3c667c5",
+    "dfcfdae22f341ab7", "c9b121c359fb167b", "123d46f7a93b3f17", "5d67257945948d1d",
+    "d605570ebd8fa39d", "e5c495657095ba1b", "be9c4a6757d776e3", "d861320d8548dff5",
+    "1a344590b877ffb8", "10022140511f3de5", "993b05fefcc1d04e", "ede8bd3b44d43bd2",
+    "ac54e57982897086", "4534fd484b3cd3f3", "bc45c145364e53df", "69be4f0c0ef02e9d",
+    "fb50e23219d2fd79", "293f2017fba7366b", "f079b6d908d3659d", "45a9a49a4a1e1d60",
+    "fff3508e391b979a", "29b865793493d945", "c0035e511474f44a", "2e2c12165a22aef2",
+    "622ce13cc6beebe5", "4c7b779959b1029e", "bd8c31d7f43086e7", "b4bc4e55d94812e6",
+    "f9f7edc5b12e5c25", "0467f7033a39cef8", "79dec25b1df27f12", "bd358ced0e7fca93",
+    "882a726f8d311a76", "31eda2cf82f3f8e2", "d9c98b5baef8e3b1", "461312f17a19b3e2",
 )
 #: ``report_digest`` of one run over the pool per parser.
 REPORT_PINS = {
@@ -109,7 +132,8 @@ class TestPoolPins:
         fingerprint = registry.get("pymupdf").config_fingerprint()
         read = list(SimPdfDirSource(pool).iter_documents())
         assert [d.doc_id for d in read] == sorted(d.doc_id for d in pool_documents)
-        assert tuple(document_digest(d, fingerprint) for d in read) == DOCUMENT_PINS
+        assert tuple(document_digest(d) for d in read) == DOCUMENT_PINS
+        assert tuple(key_digest(d, fingerprint) for d in read) == KEY_PINS
 
     def test_documents_read_back_equal_to_those_written(self, pool, pool_documents):
         written = {d.doc_id: d for d in pool_documents}
@@ -121,6 +145,28 @@ class TestPoolPins:
         pipeline = ParsePipeline(registry, engines={"adaparse_ft": default_ft_engine})
         report = pipeline.run(ParseRequest(parser=parser, source=f"simpdf-dir:{pool}"))
         assert report_digest(report) == REPORT_PINS[parser]
+
+
+#: ``report_digest`` and ``(hits, misses)`` of a cold and then a warm
+#: ``cache="readwrite"`` run over the pool, each through its own
+#: :class:`ParseCache` over one directory, so the warm run reads the entries
+#: the cold run wrote.
+CACHED_RUN_PINS = {
+    "nougat": [("5cdab4cead1b6513", 0, 40), ("5cdab4cead1b6513", 40, 0)],
+    "pymupdf": [("0a37c7b5d78025de", 0, 40), ("0a37c7b5d78025de", 40, 0)],
+}
+
+
+class TestCachedRunPins:
+    @pytest.mark.parametrize("parser", sorted(CACHED_RUN_PINS))
+    def test_cold_then_warm(self, pool, parser, registry, tmp_path):
+        request = ParseRequest(parser=parser, source=f"simpdf-dir:{pool}", cache="readwrite")
+        runs = []
+        for _ in range(2):
+            pipeline = ParsePipeline(registry, cache=ParseCache(tmp_path / "cache"))
+            report = pipeline.run(request)
+            runs.append((report_digest(report), report.cache.hits, report.cache.misses))
+        assert runs == CACHED_RUN_PINS[parser]
 
 
 class TestPageDecodeCounts:
