@@ -6,7 +6,8 @@ deterministic function of
 
 * the document's **content channels** — the embedded text layer (what
   extraction parsers read), the image-layer degradations (what recognition
-  parsers read), and the ground-truth pages they are derived from;
+  parsers read), and the ground-truth pages they are derived from, whose
+  element kinds and LaTeX recognition parsers read too;
 * the document's **identity** — ``doc_id`` and generation ``seed``, because
   the simulated parsers draw their per-document noise from
   ``rng_from(seed, "parser", name, doc_id)``; and
@@ -16,7 +17,17 @@ deterministic function of
 
 The content hash is one :func:`repro.utils.hashing.stable_hash_hex` over
 those fields, each channel hashed exactly (case, whitespace and all).  Which
-fields, in which order, is versioned by :data:`CONTENT_HASH_SCHEME`.
+fields, in which order, is versioned by :data:`CONTENT_HASH_SCHEME`.  Scheme
+3 hashes, in order: ``doc_id``, ``seed``, the literal ``"pdf"``, the page
+texts of the text layer, one digest over the ground truth
+(:func:`~repro.documents.simpdf.page_content_bytes`, every element's text
+and LaTeX, then each page's element kinds), the text layer's quality and
+producer, and the seven image-layer fields.
+
+The ground-truth digest hashes the bytes a SimPDF 2 pages stream inflates
+to, so a document read from such a file is hashed without building its
+pages.  Those bytes are the writer's encoding: a change to how the writer
+encodes the pages stream is a change of scheme.
 """
 
 from __future__ import annotations
@@ -24,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.documents.document import SciDocument
-from repro.utils.hashing import stable_hash, stable_hash_hex
+from repro.documents.simpdf import page_content_bytes
+from repro.utils.hashing import hash_buffers, stable_hash, stable_hash_hex
 
 
 #: Attribute the computed hash is memoised under on the document object.
@@ -37,9 +49,9 @@ _MEMO_ATTR = "_repro_cache_content_hash"
 def document_content_hash(document: SciDocument) -> str:
     """Stable hex hash of everything a parse of ``document`` depends on.
 
-    Combines the exact per-page texts, layer qualities, image-layer
-    degradations, and the identity fields that seed the simulated parsers'
-    noise channels.
+    Combines the exact text layer, the ground-truth pages (kinds, texts and
+    LaTeX), layer qualities, image-layer degradations, and the identity
+    fields that seed the simulated parsers' noise channels.
 
     The hash is memoised on the document instance; callers that mutate a
     document's layers in place (rather than using ``with_text_layer`` /
@@ -62,8 +74,14 @@ def document_content_hash(document: SciDocument) -> str:
 #: after it, so bump it with any change to the fields below and the old index
 #: is orphaned instead of answering with hashes this function no longer makes.
 #: Scheme 2 dropped scheme 1's dedup fingerprint of the normalised text: it is
-#: a function of the page texts, which are hashed exactly below.
-CONTENT_HASH_SCHEME = 2
+#: a function of the page texts, which are hashed exactly below.  Scheme 3
+#: replaced scheme 2's ground-truth term, a hash of each page's plain text,
+#: with one digest over :func:`~repro.documents.simpdf.page_content_bytes`
+#: and each page's element kinds: scheme 2 keyed a LaTeX- or kind-only edit
+#: to the same slot, though recognition parsers read both.
+#: Those bytes are the SimPDF 2 writer's pages stream, so a writer change to
+#: that stream's bytes is a scheme change too.
+CONTENT_HASH_SCHEME = 3
 
 
 def _compute_content_hash(document: SciDocument) -> str:
@@ -77,7 +95,10 @@ def _compute_content_hash(document: SciDocument) -> str:
         # is a PDF, so the literal keeps the hashes where they were.
         "pdf",
         stable_hash(*text.page_texts),
-        stable_hash(*(page.ground_truth_text() for page in document.pages)),
+        hash_buffers(
+            page_content_bytes(document.pages),
+            *(" ".join(kinds).encode("ascii") for kinds in document.element_kinds),
+        ),
         text.quality.value,
         text.producer,
         image.dpi,

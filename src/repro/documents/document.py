@@ -124,29 +124,40 @@ class LazyPages(Sequence[PageContent]):
     The sequence knows its length and each page's element kinds without
     decoding, which is all a page count and
     :attr:`SciDocument.equation_fraction` read; indexing or iterating calls
-    ``load`` once and keeps its pages.  It compares equal to a list of the
-    same pages, pickles (still undecoded if it was), and two threads that
-    touch it first at once both get equal pages: each may decode, neither
-    sees a half-built list.
+    ``decode(kinds, content())`` once and keeps its pages.  Until then,
+    :meth:`encoded` hands out ``content()``, the page content's bytes, so a
+    reader that wants only those bytes builds no page.  It compares equal to
+    a list of the same pages, pickles (still undecoded if it was), and two
+    threads that touch it first at once both get equal pages: each may
+    decode, neither sees a half-built list.
     """
 
     def __init__(
-        self, kinds: tuple[tuple[str, ...], ...], load: Callable[[], list[PageContent]]
+        self,
+        kinds: tuple[tuple[str, ...], ...],
+        content: Callable[[], bytes],
+        decode: Callable[[tuple[tuple[str, ...], ...], bytes], list[PageContent]],
     ) -> None:
         self.kinds = kinds
-        self._load: Callable[[], list[PageContent]] | None = load
+        self._content: Callable[[], bytes] | None = content
+        self._decode = decode
         self._pages: list[PageContent] | None = None
 
     def _decoded(self) -> list[PageContent]:
         pages = self._pages
         if pages is None:
-            load = self._load
-            if load is None:  # another thread stored its pages in between
+            content = self._content
+            if content is None:  # another thread stored its pages in between
                 return self._pages  # type: ignore[return-value]
-            pages = load()
-            self._pages = pages  # before ``_load`` is cleared: see above
-            self._load = None
+            pages = self._decode(self.kinds, content())
+            self._pages = pages  # before ``_content`` is cleared: see above
+            self._content = None
         return pages
+
+    def encoded(self) -> bytes | None:
+        """``content()`` while the pages are undecoded, ``None`` after."""
+        content = self._content
+        return None if content is None else content()
 
     @property
     def is_decoded(self) -> bool:
@@ -298,17 +309,20 @@ class SciDocument:
     # Difficulty proxies
     # ------------------------------------------------------------------ #
     @property
+    def element_kinds(self) -> Sequence[Sequence[str]]:
+        """Each page's element kinds, read without decoding :class:`LazyPages`."""
+        if isinstance(self.pages, LazyPages):
+            return self.pages.kinds
+        return [[el.kind for el in page.elements] for page in self.pages]
+
+    @property
     def equation_fraction(self) -> float:
         """Document-level fraction of equation blocks.
 
         Read from element kinds alone, so it never decodes :class:`LazyPages`.
         """
-        if isinstance(self.pages, LazyPages):
-            kinds: Iterable[Sequence[str]] = self.pages.kinds
-        else:
-            kinds = [[el.kind for el in page.elements] for page in self.pages]
         n_elements = n_eq = 0
-        for page_kinds in kinds:
+        for page_kinds in self.element_kinds:
             n_elements += len(page_kinds)
             n_eq += page_kinds.count("equation")
         if n_elements == 0:

@@ -32,9 +32,10 @@ length and its element kinds, and decodes the pages stream the first time a
 page is touched.  What reads only the layers, the metadata, the page count
 or :attr:`~repro.documents.document.SciDocument.equation_fraction` never
 decodes it: extraction parsers (PyMuPDF, pypdf), CLS I, CLS II and every
-parser's cost model.  What reads the ground truth decodes it, once per
-document object: recognition parsers (Nougat and the others an engine routes
-to), the parse cache's content hash, :func:`document_to_dict` (the
+parser's cost model.  Nor does the parse cache's content hash, which hashes
+the inflated stream (:func:`page_content_bytes`), or the writer.  What reads
+the ground truth decodes it, once per document object: recognition parsers
+(Nougat and the others an engine routes to), :func:`document_to_dict` (the
 cluster's inline payloads) and evaluation.
 """
 
@@ -70,22 +71,13 @@ _DICTIONARY_BYTES = 32 * 1024
 _KINDS = {kind: kind for kind in ELEMENT_KINDS}
 
 
-def document_to_dict(doc: SciDocument) -> dict[str, object]:
-    """Convert a document to a JSON-serialisable dictionary."""
+def _fields(doc: SciDocument, **pages: object) -> dict[str, object]:
+    """:func:`document_to_dict`'s fields, with ``pages`` (if given) in its place."""
     return {
         "doc_id": doc.doc_id,
         "seed": doc.seed,
         "metadata": doc.metadata.to_dict(),
-        "pages": [
-            {
-                "index": page.index,
-                "elements": [
-                    {"kind": el.kind, "text": el.text, "latex": el.latex}
-                    for el in page.elements
-                ],
-            }
-            for page in doc.pages
-        ],
+        **pages,
         "text_layer": {
             "quality": doc.text_layer.quality.value,
             "producer": doc.text_layer.producer,
@@ -101,6 +93,23 @@ def document_to_dict(doc: SciDocument) -> dict[str, object]:
             "is_scanned": doc.image_layer.is_scanned,
         },
     }
+
+
+def document_to_dict(doc: SciDocument) -> dict[str, object]:
+    """Convert a document to a JSON-serialisable dictionary."""
+    return _fields(
+        doc,
+        pages=[
+            {
+                "index": page.index,
+                "elements": [
+                    {"kind": el.kind, "text": el.text, "latex": el.latex}
+                    for el in page.elements
+                ],
+            }
+            for page in doc.pages
+        ],
+    )
 
 
 def _assemble(data: dict[str, object], pages: Sequence[PageContent]) -> SciDocument:
@@ -157,12 +166,14 @@ def _pages_dictionary(page_texts: Sequence[str]) -> bytes:
     return "\n".join(page_texts).encode("utf-8", "surrogatepass")[-_DICTIONARY_BYTES:]
 
 
-def _decode_pages(
-    kinds: tuple[tuple[str, ...], ...], stream: bytes, page_texts: tuple[str, ...]
-) -> list[PageContent]:
-    """Decode a second-layout pages stream (what :class:`LazyPages` calls)."""
+def _inflate_pages(stream: bytes, page_texts: tuple[str, ...]) -> bytes:
+    """A second-layout pages stream, inflated: :func:`page_content_bytes`."""
     inflater = zlib.decompressobj(zdict=_pages_dictionary(page_texts))
-    pages = _from_utf8(inflater.decompress(stream) + inflater.flush())
+    return inflater.decompress(stream) + inflater.flush()
+
+
+def _decode_pages(kinds: tuple[tuple[str, ...], ...], content: bytes) -> list[PageContent]:
+    """Build the pages of an inflated pages stream (what :class:`LazyPages` calls)."""
     return [
         PageContent(
             index=int(index),
@@ -171,23 +182,37 @@ def _decode_pages(
                 for kind, (text, latex) in zip(page_kinds, elements, strict=True)
             ),
         )
-        for page_kinds, (index, elements) in zip(kinds, pages, strict=True)  # type: ignore[arg-type]
+        for page_kinds, (index, elements) in zip(kinds, _from_utf8(content), strict=True)  # type: ignore[arg-type]
     ]
+
+
+def page_content_bytes(pages: Sequence[PageContent]) -> bytes:
+    """The pages' content as the second layout's pages stream holds it.
+
+    The UTF-8 (``surrogatepass``) JSON of ``[[index, [[text, latex], ...]],
+    ...]``: every page's text and LaTeX, not its element kinds.  The writer
+    compresses exactly these bytes and the parse cache's content hash hashes
+    them, so the two cannot drift.  An undecoded :class:`LazyPages` returns
+    its inflated stream, parsing no JSON and building no page.
+    """
+    if isinstance(pages, LazyPages):
+        encoded = pages.encoded()
+        if encoded is not None:
+            return encoded
+    return _utf8(
+        [[page.index, [[el.text, el.latex] for el in page.elements]] for page in pages]
+    )
 
 
 def serialize_document(doc: SciDocument, compress_level: int = 6) -> bytes:
     """Serialise one document to SimPDF bytes (the second layout)."""
-    header = document_to_dict(doc)
-    pages = [
-        [page["index"], [[el["text"], el["latex"]] for el in page["elements"]]]
-        for page in header.pop("pages")  # type: ignore[attr-defined]
-    ]
-    header["kinds"] = [[el.kind for el in page.elements] for page in doc.pages]
+    header = _fields(doc)
+    header["kinds"] = doc.element_kinds
     head = zlib.compress(_utf8(header), compress_level)
     deflater = zlib.compressobj(
         compress_level, zdict=_pages_dictionary(doc.text_layer.page_texts)
     )
-    body = deflater.compress(_utf8(pages)) + deflater.flush()
+    body = deflater.compress(page_content_bytes(doc.pages)) + deflater.flush()
     return MAGIC_V2 + len(head).to_bytes(4, "little") + head + body
 
 
@@ -212,7 +237,7 @@ def deserialize_document(blob: bytes) -> SciDocument:
     except KeyError as exc:
         raise ValueError(f"unknown element kind: {exc.args[0]!r}") from None
     page_texts = tuple(header["text_layer"]["page_texts"])  # type: ignore[index]
-    pages = LazyPages(kinds, partial(_decode_pages, kinds, blob[end:], page_texts))
+    pages = LazyPages(kinds, partial(_inflate_pages, blob[end:], page_texts), _decode_pages)
     return _assemble(header, pages)  # type: ignore[arg-type]
 
 

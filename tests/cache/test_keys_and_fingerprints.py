@@ -75,14 +75,16 @@ class TestContentHash:
 class TestGoldenContentHashes:
     """Pinned keys: a change here invalidates every on-disk cache and ledger.
 
-    The hashes are those of :data:`CONTENT_HASH_SCHEME` 2 (scheme 1 also
-    hashed the dedup fingerprint of the normalised text, a function of the
-    page texts hashed exactly beside it).  They move only with a new scheme
-    number, which renames the reference index and so orphans the old one.
+    The hashes are those of :data:`CONTENT_HASH_SCHEME` 3 (scheme 2 hashed
+    each page's plain text where scheme 3 hashes its kinds, texts and LaTeX;
+    scheme 1 also hashed the dedup fingerprint of the normalised text, a
+    function of the page texts hashed exactly beside it).  They move only
+    with a new scheme number, which renames the reference index and so
+    orphans the old one.
     """
 
     def test_the_pins_are_those_of_the_current_scheme(self):
-        assert CONTENT_HASH_SCHEME == 2
+        assert CONTENT_HASH_SCHEME == 3
 
     def test_born_digital_and_scanned(self):
         documents = build_corpus(
@@ -91,8 +93,8 @@ class TestGoldenContentHashes:
         born_digital, scanned = documents[0], documents[6]
         assert not born_digital.image_layer.is_scanned
         assert scanned.image_layer.is_scanned
-        assert document_content_hash(born_digital) == "f2b6c0e62644f60caa8e512865b2f4c0"
-        assert document_content_hash(scanned) == "0d3edeb20ff3d799969e8046444509fb"
+        assert document_content_hash(born_digital) == "ff0c42a8710d760c5358fd12509fb24c"
+        assert document_content_hash(scanned) == "ea13647a39d4e072e7cf7655a376931a"
 
     def test_simpdf_round_trip(self, tmp_path):
         # What a directory run keys on: the document as written to disk and
@@ -103,7 +105,7 @@ class TestGoldenContentHashes:
         SimPdfWriter(tmp_path).write(document)
         (loaded,) = SimPdfDirSource(tmp_path).iter_documents()
         assert loaded.doc_id == document.doc_id
-        assert document_content_hash(loaded) == "f2b6c0e62644f60caa8e512865b2f4c0"
+        assert document_content_hash(loaded) == "ff0c42a8710d760c5358fd12509fb24c"
 
 
 class TestCacheKey:

@@ -23,7 +23,7 @@ from repro.documents.corpus import CorpusConfig, build_corpus
 from repro.pipeline import ParsePipeline, ParseRequest, request_for_documents
 from repro.utils.durable import JsonLines
 
-PLACEMENT_DIGEST = "de59f304c624cd994822b316842efdfa68e7486367f94aacd89c6ecee072b0d4"
+PLACEMENT_DIGEST = "9ff2d03bf917ae13ad05f6f6709aeb5cbb8ba8770d47c643d309dd7b900d4c88"
 
 
 def _requests() -> list[ParseRequest]:

@@ -8,7 +8,8 @@ the same difficulty proxy and the same parse reports, cached or not, down to
 the digests below.  The content hashes and cache keys are pinned apart from
 the rest (:data:`KEY_PINS`): they are what a content-hash scheme re-cuts.
 
-The writer's own layout decodes page content only where a run reads it, and
+The writer's own layout decodes page content only where a run reads it (the
+content hash reads the inflated pages stream instead), and
 :class:`TestPageDecodeCounts` counts the decodes per run.
 """
 
@@ -109,16 +110,16 @@ DOCUMENT_PINS = (
 #: ``key_digest`` of each pool document, in path order, with the ``pymupdf``
 #: fingerprint in its cache key.
 KEY_PINS = (
-    "3a22415d7ac34ed4", "5bde7356ed858541", "0dd6a9a442c77140", "27a7e8d7e3c667c5",
-    "dfcfdae22f341ab7", "c9b121c359fb167b", "123d46f7a93b3f17", "5d67257945948d1d",
-    "d605570ebd8fa39d", "e5c495657095ba1b", "be9c4a6757d776e3", "d861320d8548dff5",
-    "1a344590b877ffb8", "10022140511f3de5", "993b05fefcc1d04e", "ede8bd3b44d43bd2",
-    "ac54e57982897086", "4534fd484b3cd3f3", "bc45c145364e53df", "69be4f0c0ef02e9d",
-    "fb50e23219d2fd79", "293f2017fba7366b", "f079b6d908d3659d", "45a9a49a4a1e1d60",
-    "fff3508e391b979a", "29b865793493d945", "c0035e511474f44a", "2e2c12165a22aef2",
-    "622ce13cc6beebe5", "4c7b779959b1029e", "bd8c31d7f43086e7", "b4bc4e55d94812e6",
-    "f9f7edc5b12e5c25", "0467f7033a39cef8", "79dec25b1df27f12", "bd358ced0e7fca93",
-    "882a726f8d311a76", "31eda2cf82f3f8e2", "d9c98b5baef8e3b1", "461312f17a19b3e2",
+    "00a3257d59aa6201", "b42a2ebc6b6b33f6", "b1a916316af4749c", "ede25b8caa66abab",
+    "9f8f3af829e44eb4", "7136b15e4f8d919b", "ddc3b2a83143f59e", "e4c6922e8ccc38c2",
+    "75e70f81de578aea", "2a0567ca24fa4165", "39a89b0bbfed4958", "fcb6185d67b2aeb5",
+    "a9ceffcee4f3c6b8", "af999311737196a7", "fc3e40b11bf3fc97", "bb72f86d2f0b5f7d",
+    "ddafe7a569a47290", "8c800ca894776146", "2ecfdb9b81bab725", "ef94468fb561c483",
+    "15679a9834aedbba", "0cf4798bceb8760e", "0ef0128906a68fd1", "82b4ea28a0579a83",
+    "7535b5d49f77ddd2", "dad2b2170c140cb7", "ac96e7c8afb73905", "72a04ecd63f0c59d",
+    "0eb444ede6bb25c9", "4d3fa3db6cbab017", "1a490dfb768dbcf6", "cd9163a1815de740",
+    "5302d2d174d94277", "b5bc23a321c24272", "27f99c99ff30cdf1", "3cd3c85566226b19",
+    "5b2a9b6690f890ea", "a0ad1dc47a77b4e9", "2a2ae854bafd2bea", "be8f54a1ad57eeb7",
 )
 #: ``report_digest`` of one run over the pool per parser.
 REPORT_PINS = {
@@ -211,11 +212,21 @@ class TestPageDecodeCounts:
         assert routed
         assert len(decodes) == len(routed)
 
-    def test_a_cache_miss_run_decodes_every_document(
+    def test_a_pymupdf_cache_miss_run_decodes_none(
         self, registry, default_ft_engine, written_pool, decodes
     ):
+        # The content hash reads the inflated pages stream, not the pages.
         report = self._run(
             registry, default_ft_engine, written_pool, "pymupdf", cache="readwrite"
         )
         assert report.cache.misses == 40
-        assert len(decodes) == 40
+        assert decodes == []
+
+    def test_a_nougat_cache_miss_run_decodes_each_document_once(
+        self, registry, default_ft_engine, written_pool, decodes
+    ):
+        report = self._run(
+            registry, default_ft_engine, written_pool, "nougat", cache="readwrite"
+        )
+        assert report.cache.misses == 40
+        assert len(decodes) == len({content for _, content in decodes}) == 40
