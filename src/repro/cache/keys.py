@@ -78,9 +78,9 @@ def document_content_hash(document: SciDocument) -> str:
 #: replaced scheme 2's ground-truth term, a hash of each page's plain text,
 #: with one digest over :func:`~repro.documents.simpdf.page_content_bytes`
 #: and each page's element kinds: scheme 2 keyed a LaTeX- or kind-only edit
-#: to the same slot, though recognition parsers read both.
-#: Those bytes are the SimPDF 2 writer's pages stream, so a writer change to
-#: that stream's bytes is a scheme change too.
+#: to the same slot, though recognition parsers read both.  Those bytes are
+#: the SimPDF 2 writer's pages stream, so a writer change to that stream's
+#: bytes is a scheme change too.
 CONTENT_HASH_SCHEME = 3
 
 

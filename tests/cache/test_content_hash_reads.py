@@ -181,6 +181,7 @@ def pool() -> list[SciDocument]:
 
 
 def _assert_reads_key_alike(document: SciDocument, reads=READS) -> None:
+    # A fresh object: the hash is memoised on the one it was computed for.
     expected = document_content_hash(dataclasses.replace(document))
     for name, read in reads.items():
         copy = read(document)
