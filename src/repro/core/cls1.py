@@ -11,7 +11,8 @@ optional calibration helper that tunes the thresholds from labelled data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +39,6 @@ class ValidationVerdict:
 
     is_valid: bool
     reasons: tuple[str, ...] = ()
-    features: np.ndarray | None = None
 
 
 class ValidationClassifier:
@@ -47,36 +47,35 @@ class ValidationClassifier:
     def __init__(self, config: ValidationConfig | None = None) -> None:
         self.config = config or ValidationConfig()
         self.extractor = TextStatisticsExtractor()
-        self._index = {name: i for i, name in enumerate(TEXT_FEATURE_NAMES)}
-
-    def _feature(self, features: np.ndarray, name: str) -> float:
-        return float(features[self._index[name]])
 
     def validate(self, text: str, n_pages: int = 1) -> ValidationVerdict:
         """Judge one extracted text (optionally normalised per page)."""
         cfg = self.config
-        reasons: list[str] = []
-        if len(text.strip()) < cfg.min_characters:
-            reasons.append(f"text too short ({len(text.strip())} chars)")
-            return ValidationVerdict(is_valid=False, reasons=tuple(reasons))
-        features = self.extractor.extract(text)
-        n_words = float(np.expm1(self._feature(features, "n_words_log")))
+        n_characters = len(text.strip())
+        if n_characters < cfg.min_characters:
+            reason = f"text too short ({n_characters} chars)"
+            return ValidationVerdict(is_valid=False, reasons=(reason,))
+        stats = self.extractor.validity_statistics(text)
+        # Through log1p and back, as the feature vector holds the word count:
+        # a text at exactly the words-per-page threshold keeps its verdict.
+        n_words = float(np.expm1(math.log1p(stats.n_words)))
         words_per_page = n_words / max(1, n_pages)
+        reasons: list[str] = []
         if words_per_page < cfg.min_words_per_page:
             reasons.append(f"too few words per page ({words_per_page:.0f})")
-        if self._feature(features, "alpha_ratio") < cfg.min_alpha_ratio:
+        if stats.alpha_ratio < cfg.min_alpha_ratio:
             reasons.append("low alphabetic ratio")
-        if self._feature(features, "whitespace_ratio") > cfg.max_whitespace_ratio:
+        if stats.whitespace_ratio > cfg.max_whitespace_ratio:
             reasons.append("excessive whitespace")
-        if self._feature(features, "vowel_free_word_ratio") > cfg.max_vowel_free_word_ratio:
+        if stats.vowel_free_word_ratio > cfg.max_vowel_free_word_ratio:
             reasons.append("many unpronounceable (scrambled) words")
-        if self._feature(features, "single_char_word_ratio") > cfg.max_single_char_word_ratio:
+        if stats.single_char_word_ratio > cfg.max_single_char_word_ratio:
             reasons.append("many single-character words (whitespace injection)")
-        if self._feature(features, "non_ascii_ratio") > cfg.max_non_ascii_ratio:
+        if stats.non_ascii_ratio > cfg.max_non_ascii_ratio:
             reasons.append("high non-ASCII ratio")
-        if self._feature(features, "lexicon_hit_ratio") < cfg.min_lexicon_hit_ratio:
+        if stats.lexicon_hit_ratio < cfg.min_lexicon_hit_ratio:
             reasons.append("no recognisable vocabulary")
-        return ValidationVerdict(is_valid=not reasons, reasons=tuple(reasons), features=features)
+        return ValidationVerdict(is_valid=not reasons, reasons=tuple(reasons))
 
     def is_valid(self, text: str, n_pages: int = 1) -> bool:
         """Boolean shortcut for :meth:`validate`."""

@@ -1,10 +1,12 @@
 """Feature extraction for the CLS I / CLS II stages and the SVC baselines.
 
-* :class:`TextStatisticsExtractor` computes the cheap aggregate statistics of
-  the PyMuPDF-extracted text that CLS I uses to judge validity (character
-  counts, whitespace ratios, non-alphabetic ratios, scrambled-word indicators,
-  math-glyph density, ...).  The features are deliberately interpretable and
-  fast to compute, as the paper stresses.
+* :class:`TextStatisticsExtractor` computes cheap aggregate statistics of the
+  PyMuPDF-extracted text (character counts, whitespace ratios, non-alphabetic
+  ratios, scrambled-word indicators, math-glyph density, ...): the 18-feature
+  vector the annotators and CLS I's calibration read, and the seven of them
+  that CLS I's rules read (:class:`ValidityStatistics`), from the same pass.
+  The features are deliberately interpretable and fast to compute, as the
+  paper stresses.
 * :class:`MetadataFeaturizer` turns document metadata (publisher, category,
   year, PDF format, producer) into a fixed-width vector via one-hot encoding
   of known categories plus hashing for unseen values — the input of CLS II and
@@ -30,12 +32,12 @@ _MATH_GLYPHS = set("∂∇Σ∫∞αβγλμσθφωε·×√^_{}\\=+")
 _WHITESPACE = set(" \t\n\r")  # what ``whitespace_ratio`` counts, not ``str.isspace``
 
 # Character classes of a code point, as bit flags in one ``uint8``.
-_ALPHA, _DIGIT, _UPPER, _MATH, _SPACE = 1, 2, 4, 8, 16
-#: The class counts ``extract`` reads: characters with any of these flags set.
-_COUNTED = (_SPACE, _ALPHA, _DIGIT, _ALPHA | _DIGIT | _SPACE, _UPPER, _MATH)
-#: Row ``i`` picks the bins of a histogram over the 32 flag combinations
+_ALPHA, _DIGIT, _UPPER, _MATH, _SPACE, _NON_ASCII = 1, 2, 4, 8, 16, 32
+#: The class counts the statistics read: characters with any of these flags set.
+_COUNTED = (_SPACE, _ALPHA, _NON_ASCII, _DIGIT, _ALPHA | _DIGIT | _SPACE, _UPPER, _MATH)
+#: Row ``i`` picks the bins of a histogram over the 64 flag combinations
 #: that ``_COUNTED[i]`` sums.
-_COUNT_BINS = ((np.arange(32) & np.array(_COUNTED)[:, None]) != 0).astype(np.int64)
+_COUNT_BINS = ((np.arange(64) & np.array(_COUNTED)[:, None]) != 0).astype(np.int64)
 _BMP = 0x10000
 
 
@@ -47,6 +49,7 @@ def _char_class(char: str) -> int:
         | (_UPPER if char.isupper() else 0)
         | (_MATH if char in _MATH_GLYPHS else 0)
         | (_SPACE if char in _WHITESPACE else 0)
+        | (_NON_ASCII if ord(char) > 127 else 0)
     )
 
 
@@ -114,77 +117,113 @@ TEXT_FEATURE_NAMES: tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
+class ValidityStatistics:
+    """The seven statistics CLS I's rules read, of one text window.
+
+    Each is the same number as the :data:`TEXT_FEATURE_NAMES` entry of that
+    name (``n_words`` is the count whose ``log1p`` is ``n_words_log``).
+    """
+
+    n_words: int
+    alpha_ratio: float
+    whitespace_ratio: float
+    non_ascii_ratio: float
+    vowel_free_word_ratio: float
+    single_char_word_ratio: float
+    lexicon_hit_ratio: float
+
+
+def _one_pass(
+    text: str,
+) -> tuple[ValidityStatistics, np.ndarray, list[int], collections.Counter, set[str]]:
+    """Character classes in one histogram, each distinct word once.
+
+    ``text`` is not empty.  A distinct word of ``Counter(text.split())`` is
+    lowered once, and its count weighs it in every word statistic.  Returns
+    the :class:`ValidityStatistics` and what ``extract`` reads besides: the
+    code points, the class counts, the word counts and the lowered forms.
+    """
+    # ``surrogatepass``: a lone surrogate is one code point, classed like any other.
+    code_points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    class_counts = (_COUNT_BINS @ np.bincount(_char_classes(code_points), minlength=64)).tolist()
+    words = text.split()
+    word_counts = collections.Counter(words)
+    vowel_free = single_char = 0
+    forms = set()  # what the lexicon is matched against
+    for word, count in word_counts.items():
+        lowered = word.lower()
+        forms.add(lowered.strip(".,;:()"))
+        if len(word) == 1:
+            single_char += count
+        # Scrambled-word indicator: [A-Za-z]{4,} words without a vowel.
+        elif len(word) >= 4 and word.isascii() and word.isalpha() and _VOWELS.isdisjoint(lowered):
+            vowel_free += count
+    n_chars, n_words = len(text), max(1, len(words))
+    n_space, n_alpha, n_non_ascii = class_counts[:3]
+    statistics = ValidityStatistics(
+        n_words=len(words),
+        alpha_ratio=n_alpha / n_chars,
+        whitespace_ratio=n_space / n_chars,
+        non_ascii_ratio=n_non_ascii / n_chars,
+        vowel_free_word_ratio=vowel_free / n_words,
+        single_char_word_ratio=single_char / n_words,
+        lexicon_hit_ratio=len(forms & _known_terms()) / n_words,
+    )
+    return statistics, code_points, class_counts, word_counts, forms
+
+
+@dataclass(frozen=True)
 class TextStatisticsExtractor:
     """Aggregate statistics of extracted text (the CLS I feature map)."""
 
     max_chars: int = 6000
 
     @property
-    def feature_names(self) -> tuple[str, ...]:
-        return TEXT_FEATURE_NAMES
-
-    @property
     def n_features(self) -> int:
         return len(TEXT_FEATURE_NAMES)
 
-    def __call__(self, text: str) -> np.ndarray:
-        return self.extract(text)
+    def validity_statistics(self, text: str) -> ValidityStatistics:
+        """What CLS I's rules read of the first ``max_chars`` characters."""
+        text = text[: self.max_chars]
+        if not text:
+            return ValidityStatistics(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return _one_pass(text)[0]
 
     def extract(self, text: str) -> np.ndarray:
         """Feature vector of one text (all features finite, roughly unit scale)."""
         text = text[: self.max_chars]
-        n_chars = len(text)
-        if n_chars == 0:
+        if not text:
             return np.zeros(self.n_features, dtype=np.float64)
-        # ``surrogatepass``: a lone surrogate is one code point, classed like any other.
-        chars = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        n_space, n_alpha, n_digit, n_alnum_space, n_upper, n_math = (
-            _COUNT_BINS @ np.bincount(_char_classes(chars), minlength=32)
-        ).tolist()
-
-        # Word statistics once per distinct word, weighted by its count.
-        words = text.split()
-        counts = collections.Counter(words)
-        n_words = max(1, len(words))
-        lengths = np.fromiter(map(len, counts), dtype=np.int64, count=len(counts))
-        weights = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        # Scrambled-word indicator: [A-Za-z]{4,} words without a vowel.
-        vowel_free = sum(
-            c
-            for w, c in counts.items()
-            if len(w) >= 4 and w.isascii() and w.isalpha() and _VOWELS.isdisjoint(w.lower())
-        )
+        statistics, code_points, class_counts, word_counts, forms = _one_pass(text)
+        n_digit, n_alnum_space, n_upper, n_math = class_counts[3:]
+        n_chars, n_words = len(text), max(1, statistics.n_words)
+        lengths = np.fromiter(map(len, word_counts), dtype=np.int64, count=len(word_counts))
+        weights = np.fromiter(word_counts.values(), dtype=np.int64, count=len(word_counts))
         lines = [ln for ln in text.split("\n") if ln.strip()]
         line_length_mean = float(np.mean([len(ln) for ln in lines])) if lines else 0.0
-        hyphen_breaks = text.count("-\n")
-
-        lowercase_words = {w.lower().strip(".,;:()") for w in counts}
-        lexicon_hits = len(lowercase_words & _known_terms())
-
-        features = np.asarray(
+        return np.asarray(
             [
                 math.log1p(n_chars),
-                math.log1p(len(words)),
+                math.log1p(statistics.n_words),
                 int(lengths @ weights) / n_words,
-                n_space / n_chars,
-                n_alpha / n_chars,
+                statistics.whitespace_ratio,
+                statistics.alpha_ratio,
                 n_digit / n_chars,
                 (n_chars - n_alnum_space) / n_chars,
                 n_upper / n_chars,
-                np.count_nonzero(chars > 127) / n_chars,
+                statistics.non_ascii_ratio,
                 n_math / n_chars,
-                vowel_free / n_words,
+                statistics.vowel_free_word_ratio,
                 int(weights[lengths > 18].sum()) / n_words,
-                int(weights[lengths == 1].sum()) / n_words,
-                _repeated_runs(chars) / max(1, len(lines)),
+                statistics.single_char_word_ratio,
+                _repeated_runs(code_points) / max(1, len(lines)),
                 line_length_mean / 100.0,
-                lexicon_hits / n_words,
-                len(lowercase_words) / n_words,
-                hyphen_breaks / max(1, len(lines)),
+                statistics.lexicon_hit_ratio,
+                len(forms) / n_words,
+                text.count("-\n") / max(1, len(lines)),
             ],
             dtype=np.float64,
         )
-        return features
 
     def extract_batch(self, texts: Sequence[str]) -> np.ndarray:
         """Feature matrix ``[n_texts, n_features]``."""

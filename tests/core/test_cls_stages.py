@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.cls1 import (
     ValidationClassifier,
@@ -12,8 +16,10 @@ from repro.core.cls1 import (
 )
 from repro.core.cls2 import ImprovementClassifier, ImprovementLabeling
 from repro.core.cls3 import ParserSelector
+from repro.documents import lexicon
 from repro.documents.metadata import sample_metadata
 from repro.ml.fasttext import FastTextConfig
+from repro.ml.features import TEXT_FEATURE_NAMES, TextStatisticsExtractor
 from repro.ml.quality_model import ParserQualityPredictor
 
 VALID_TEXT = (
@@ -64,6 +70,128 @@ class TestValidationClassifier:
         config = calibrate_validation_threshold(texts, accuracies)
         assert isinstance(config, ValidationConfig)
         assert ValidationClassifier(config).is_valid(VALID_TEXT)
+
+
+def rules_over_features(text: str, n_pages: int) -> tuple[bool, tuple[str, ...]]:
+    """CLS I's rules, read from the whole 18-feature vector: the reference
+    that ``validate`` (which computes only the seven statistics it reads)
+    must match verdict for verdict and reason for reason."""
+    cfg = ValidationConfig()
+    if len(text.strip()) < cfg.min_characters:
+        return False, (f"text too short ({len(text.strip())} chars)",)
+    feature = dict(zip(TEXT_FEATURE_NAMES, TextStatisticsExtractor().extract(text).tolist()))
+    words_per_page = float(np.expm1(feature["n_words_log"])) / max(1, n_pages)
+    reasons = []
+    if words_per_page < cfg.min_words_per_page:
+        reasons.append(f"too few words per page ({words_per_page:.0f})")
+    if feature["alpha_ratio"] < cfg.min_alpha_ratio:
+        reasons.append("low alphabetic ratio")
+    if feature["whitespace_ratio"] > cfg.max_whitespace_ratio:
+        reasons.append("excessive whitespace")
+    if feature["vowel_free_word_ratio"] > cfg.max_vowel_free_word_ratio:
+        reasons.append("many unpronounceable (scrambled) words")
+    if feature["single_char_word_ratio"] > cfg.max_single_char_word_ratio:
+        reasons.append("many single-character words (whitespace injection)")
+    if feature["non_ascii_ratio"] > cfg.max_non_ascii_ratio:
+        reasons.append("high non-ASCII ratio")
+    if feature["lexicon_hit_ratio"] < cfg.min_lexicon_hit_ratio:
+        reasons.append("no recognisable vocabulary")
+    return not reasons, tuple(reasons)
+
+
+# Words that reach each rule: lexicon terms (bare and wrapped in the
+# punctuation the lexicon match strips), words of length 1, 4, 18 and 19 with
+# and without vowels, "İ" (whose lower() is two code points), astral
+# characters and lone surrogates.
+_SHORT_WORDS = ("analysis", "model", "lemma", "theorem", "the", "of", "a", "I", "x", "yield")
+_WORDS = _SHORT_WORDS + (
+    "(analysis),", "framework.", "xkcd", "rhythm", "ab-\ncd", "42", "Σ∫", "=",
+    "abcdefghijklmnopqr", "abcdefghijklmnopqrs", "bcdfghjklmnpqrstvw", "bcdfghjklmnpqrstvwx",
+    "İ", "İİİİ", "İstanbul", "𝔸𝔹", "\U0001e900", "\ud800", "x\udfffy", "\U0010ffff",
+)
+_SEPARATORS = st.sampled_from([" ", " ", "\n", "  ", "\t", " \n\n"])
+
+
+@st.composite
+def _texts(draw) -> tuple[str, int]:
+    """Words from a few of those above (so that each rule is reached), inside
+    the 6000-character window or past it, over 1 to 64 pages."""
+    vocabulary = draw(
+        st.lists(st.one_of(st.sampled_from(_WORDS), st.text(max_size=6)), min_size=1, max_size=8)
+    )
+    words = draw(st.lists(st.sampled_from(vocabulary), max_size=60))
+    separator = draw(_SEPARATORS)
+    unit = separator.join(words)
+    n_copies = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        n_copies += 6000 // (len(unit) + 1) + 1
+    return draw(_SEPARATORS) + separator.join([unit] * n_copies), draw(st.integers(1, 64))
+
+
+_TERMS = tuple(t for t in lexicon.all_scientific_terms() if len(t) <= 10)
+
+
+@st.composite
+def _forty_words_per_page(draw) -> tuple[str, int]:
+    """Exactly 40 words per page, inside the window."""
+    n_pages = draw(st.integers(1, 12))
+    pattern = draw(st.lists(st.sampled_from(_TERMS + _SHORT_WORDS), min_size=1, max_size=40))
+    words = (pattern * (40 * n_pages))[: 40 * n_pages]
+    return draw(_SEPARATORS).join(words), n_pages
+
+
+# 240 words read back from log1p as just under 240: over 6 pages the round
+# trip, not the exact count, is what decides.
+_240_WORDS = " ".join((list(lexicon.ACADEMIC_NOUNS[:12]) * 20)[:240])
+
+
+def _stripped_length(n_characters: int) -> str:
+    return " \n" + ("analysis " * 30)[:n_characters] + "\n "
+
+
+class TestVerdictExactness:
+    """``validate`` reads the seven statistics of
+    :meth:`TextStatisticsExtractor.validity_statistics`, not the 18-feature
+    vector; both come out of one pass, so the verdict is what the same rules
+    give over the vector, and each statistic is that vector's entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.one_of(_texts(), _forty_words_per_page()))
+    @example(case=(_stripped_length(199), 1))
+    @example(case=(_stripped_length(200), 1))
+    @example(case=(_stripped_length(201), 1))
+    @example(case=(_240_WORDS, 6))
+    @example(case=(" ".join(["analysis"] * 1000), 25))
+    @example(case=("İstanbul analysis 𝔸 \ud800 " * 400, 30))
+    @example(case=(" ".join(lexicon.all_scientific_terms() * 10), 30))
+    def test_verdict_is_the_rules_over_the_feature_vector(self, case):
+        text, n_pages = case
+        verdict = ValidationClassifier().validate(text, n_pages=n_pages)
+        assert (verdict.is_valid, verdict.reasons) == rules_over_features(text, n_pages)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.one_of(_texts(), _forty_words_per_page()))
+    @example(case=("", 1))
+    def test_each_statistic_is_its_feature(self, case):
+        text, _ = case
+        extractor = TextStatisticsExtractor()
+        statistics = extractor.validity_statistics(text)
+        feature = dict(zip(TEXT_FEATURE_NAMES, extractor.extract(text).tolist()))
+        assert math.log1p(statistics.n_words) == feature["n_words_log"]
+        for name in (
+            "alpha_ratio",
+            "whitespace_ratio",
+            "non_ascii_ratio",
+            "vowel_free_word_ratio",
+            "single_char_word_ratio",
+            "lexicon_hit_ratio",
+        ):
+            assert getattr(statistics, name) == feature[name], name
+
+    def test_the_log1p_round_trip_decides_at_the_boundary(self):
+        assert float(np.expm1(math.log1p(240))) < 240
+        verdict = ValidationClassifier().validate(_240_WORDS, n_pages=6)
+        assert verdict.reasons == ("too few words per page (40)",)
 
 
 class TestImprovementClassifier:
