@@ -59,6 +59,10 @@ class ValidationClassifier:
         # Through log1p and back, as the feature vector holds the word count:
         # a text at exactly the words-per-page threshold keeps its verdict.
         n_words = float(np.expm1(math.log1p(stats.n_words)))
+        if len(text) > self.extractor.max_chars:
+            # The statistics see the first max_chars characters only: scale
+            # that window's words to the whole text before dividing by every page.
+            n_words *= len(text) / self.extractor.max_chars
         words_per_page = n_words / max(1, n_pages)
         reasons: list[str] = []
         if words_per_page < cfg.min_words_per_page:

@@ -123,7 +123,10 @@ class AdaParseEngine(Parser):
     name = "adaparse"
     #: 1.1: the order among CLS I rejects is written down (the later
     #: position first), which moves a few picks in 256-document batches.
-    version = "1.1"
+    #: 1.2: CLS I scales the words of its 6000-character window to the whole
+    #: text before dividing by the page count, so a long clean document is
+    #: no longer rejected for "too few words per page".
+    version = "1.2"
 
     def __init__(
         self,

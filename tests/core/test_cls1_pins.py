@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.cls1 import ValidationClassifier
 from repro.documents.corpus import CorpusConfig, build_corpus
+from repro.documents.document import TextLayerQuality
 from repro.parsers.registry import default_registry
 from tests.documents.test_simpdf_pins import POOL_CONFIG
 
@@ -29,7 +30,7 @@ CORPORA = {
 VERDICT_PINS = {
     "seed7": (27, "c2342c94a9f5d530db7842fa248e6c7597798d1a1cef35ba8ffaff55aaa1e270"),
     "simpdf_pool": (3, "77464d96fb17cc548e3f23f78805d75459aee451ef1cb59703125b8052a444e2"),
-    "pages24": (40, "679a3040b57be80e01f46b9daf8e83368722e89f57319d19b33b780782ef3cee"),
+    "pages24": (3, "01fa9e70a38f3568b47f7d26258f0d6db9d3a53976561c2e37007a7ecfb8ee44"),
 }
 
 
@@ -49,3 +50,22 @@ def test_verdicts_are_unchanged(name):
     rejected = sum(not is_valid for _, is_valid, _ in rows)
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert (rejected, digest) == VERDICT_PINS[name]
+
+
+def test_no_clean_long_layer_has_too_few_words_per_page():
+    """CLS I reads a 6000-character window, and a 24-page document holds
+    more: its words per page count the whole text, not the window's words
+    spread over every page."""
+    parser = default_registry().get("pymupdf")
+    validator = ValidationClassifier()
+    clean = [
+        doc
+        for doc in build_corpus(CORPORA["pages24"])
+        if doc.text_layer.quality is TextLayerQuality.CLEAN
+    ]
+    assert len(clean) == 26
+    for doc in clean:
+        text = parser.parse(doc).text
+        assert len(text) > validator.extractor.max_chars
+        verdict = validator.validate(text, n_pages=doc.n_pages)
+        assert not any(r.startswith("too few words per page") for r in verdict.reasons), doc.doc_id

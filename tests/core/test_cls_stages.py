@@ -76,11 +76,14 @@ def rules_over_features(text: str, n_pages: int) -> tuple[bool, tuple[str, ...]]
     """CLS I's rules, read from the whole 18-feature vector: the reference
     that ``validate`` (which computes only the seven statistics it reads)
     must match verdict for verdict and reason for reason."""
-    cfg = ValidationConfig()
+    cfg, extractor = ValidationConfig(), TextStatisticsExtractor()
     if len(text.strip()) < cfg.min_characters:
         return False, (f"text too short ({len(text.strip())} chars)",)
-    feature = dict(zip(TEXT_FEATURE_NAMES, TextStatisticsExtractor().extract(text).tolist()))
-    words_per_page = float(np.expm1(feature["n_words_log"])) / max(1, n_pages)
+    feature = dict(zip(TEXT_FEATURE_NAMES, extractor.extract(text).tolist()))
+    n_words = float(np.expm1(feature["n_words_log"]))
+    if len(text) > extractor.max_chars:
+        n_words *= len(text) / extractor.max_chars
+    words_per_page = n_words / max(1, n_pages)
     reasons = []
     if words_per_page < cfg.min_words_per_page:
         reasons.append(f"too few words per page ({words_per_page:.0f})")

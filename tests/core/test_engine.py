@@ -166,7 +166,7 @@ class TestDefaultEngineFingerprints:
     def test_weights_and_config_fingerprints_are_unchanged(self, default_ft_engine):
         predictor = default_ft_engine.selector.predictor
         assert predictor.weights_fingerprint() == "2df019a3435dc2ac065e4fd618c33ced"
-        assert default_ft_engine.config_fingerprint() == "ac6379a3e210848ad5eb9bc8a611042b"
+        assert default_ft_engine.config_fingerprint() == "e5138d06b9921cfb5c91434dd54dc1f1"
 
     def test_training_targets_are_unchanged(self, default_ft_dataset):
         """The per-parser BLEU labels of the default 80-document training
@@ -357,7 +357,7 @@ class TestTrainerLLM:
         engine = trainer.train_llm(training_corpus, preference_pairs=pairs)
         assert trainer.artifacts is not None
         assert trainer.artifacts.dpo_trainer is not None
-        assert engine.config_fingerprint() == "aff3639822988293ce80b6cbede35e01"
+        assert engine.config_fingerprint() == "9e30a606ba49b96e9735793fd07beb9f"
         results, decisions = engine.parse_with_telemetry(list(training_corpus)[:6])
         assert len(results) == 6
         summary = RoutingSummary(decisions=decisions)
