@@ -155,9 +155,8 @@ def _one_pass(
         forms.add(lowered.strip(".,;:()"))
         if len(word) == 1:
             single_char += count
-        # Scrambled-word indicator: [A-Za-z]{4,} words without a vowel.
         elif len(word) >= 4 and word.isascii() and word.isalpha() and _VOWELS.isdisjoint(lowered):
-            vowel_free += count
+            vowel_free += count  # scrambled-word indicator: [A-Za-z]{4,} without a vowel
     n_chars, n_words = len(text), max(1, len(words))
     n_space, n_alpha, n_non_ascii = class_counts[:3]
     statistics = ValidityStatistics(
