@@ -26,7 +26,8 @@ Message types
     worker's logs for the shard carry the same trace id.
 ``batch_result``
     One shard's ordered results and routing decisions, plus worker-side
-    cache counters, timing and the shard's phase table.
+    cache counters, timing and the shard's phase table.  The results'
+    page texts ride the frame's text section (:class:`PageTexts`).
 ``shard_error``
     A shard did not run on the worker (bad spec fingerprint, unknown
     parser, an unresolved reference, worker-side crash); carries the error
@@ -72,8 +73,10 @@ from repro.parsers.base import Parser, ParseResult
 from repro.utils.rpc import BYE, ERROR, HELLO, HELLO_ACK  # noqa: F401
 from repro.utils.wire import (  # noqa: F401  (re-exports)
     MAX_MESSAGE_BYTES,
+    TEXTS_KEY,
     MessageChannel,
     MessageTooLarge,
+    PageTexts,
     ProtocolError,
     encode_message,
 )
@@ -81,8 +84,9 @@ from repro.utils.wire import (  # noqa: F401  (re-exports)
 #: Wire protocol version.  Additions ride capability flags; removing a
 #: message kind bumps it, and both sides refuse to talk across versions (the
 #: handshake checks it).  Version 2 removed hash-only descriptors and the
-#: payload top-up round trip they needed.
-PROTOCOL_VERSION = 2
+#: payload top-up round trip they needed.  Version 3 sends a
+#: ``batch_result``'s page texts in the frame's UTF-8 text section.
+PROTOCOL_VERSION = 3
 
 
 # ---------------------------------------------------------------------- #
@@ -182,7 +186,7 @@ def batch_result_message(
         "shard_id": shard_id,
         "worker_id": worker_id,
         "elapsed_seconds": elapsed_seconds,
-        "results": [result.to_json_dict() for result in results],
+        "results": [_result_payload(result) for result in results],
         "decisions": [decision.to_json_dict() for decision in decisions],
         "cache_hits": cache_hits,
         "cache_misses": cache_misses,
@@ -190,6 +194,12 @@ def batch_result_message(
     if phases:
         message["phases"] = dict(phases)
     return message
+
+
+def _result_payload(result: ParseResult) -> dict[str, Any]:
+    payload = result.to_json_dict()
+    payload[TEXTS_KEY] = PageTexts(payload[TEXTS_KEY])
+    return payload
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,10 @@ Message types
     detect missed events and resume without duplicates.  The frame of a
     ``completed`` event also carries ``report``, the ticket's full
     :class:`ParseReport` JSON with page texts, next to ``event``: a result
-    crosses the wire once, with no request for it.  A report whose page
-    texts would put the frame over the size limit comes without them.
+    crosses the wire once, with no request for it.  The page texts ride the
+    frame's UTF-8 text section (:class:`~repro.utils.wire.PageTexts`).  A
+    report whose page texts would put the frame over the size limit comes
+    without them.
 ``resume``
     Reconnect-and-resume: re-attach to a ticket by id after a dropped
     connection, replaying events after ``after_seq``.  Tickets belong to
@@ -69,8 +71,10 @@ from typing import Any, Mapping
 from repro.utils.rpc import BYE, ERROR, HELLO, HELLO_ACK  # noqa: F401
 from repro.utils.wire import (  # noqa: F401  (re-exports)
     MAX_MESSAGE_BYTES,
+    TEXTS_KEY,
     MessageChannel,
     MessageTooLarge,
+    PageTexts,
     ProtocolError,
     encode_message,
 )
@@ -80,7 +84,8 @@ from repro.utils.wire import (  # noqa: F401  (re-exports)
 #: 2 removed the result request and its reply: the report rides the frame
 #: of the ``completed`` event.  Version 3 removed the ``profile`` request and
 #: its reply; version 4 removed the ``trace`` request and its reply.
-GATEWAY_PROTOCOL_VERSION = 4
+#: Version 5 sends a report's page texts in the frame's UTF-8 text section.
+GATEWAY_PROTOCOL_VERSION = 5
 
 # ---------------------------------------------------------------------- #
 # Message type names (hello / hello_ack / error / bye come from rpc)
@@ -158,15 +163,25 @@ def rejected_message(
 def event_message(
     event_payload: Mapping[str, Any], report: Mapping[str, Any] | None = None
 ) -> dict[str, Any]:
-    """``report`` is the ticket's report JSON, sent with a ``completed`` event."""
+    """``report`` is the ticket's report JSON, sent with a ``completed`` event;
+    its results' page texts ride the frame's text section."""
     message: dict[str, Any] = {
         "type": EVENT,
         "ticket_id": event_payload.get("ticket_id"),
         "event": dict(event_payload),
     }
     if report is not None:
+        results = report.get("results")
+        if results:
+            report = {**report, "results": [_lift_texts(entry) for entry in results]}
         message["report"] = report
     return message
+
+
+def _lift_texts(entry: Mapping[str, Any]) -> Mapping[str, Any]:
+    if TEXTS_KEY not in entry:
+        return entry
+    return {**entry, TEXTS_KEY: PageTexts(entry[TEXTS_KEY])}
 
 
 def resume_message(ticket_id: str, after_seq: int = -1) -> dict[str, Any]:

@@ -7,6 +7,20 @@ by an ASCII decimal byte-length prefix::
     <decimal length of body>\\n
     {"type": "...", ...}\\n
 
+A message that carries page texts (a :class:`PageTexts` value) sends them
+after the JSON line instead of inside it, as one UTF-8 text section, and
+its prefix gives the section's length too::
+
+    <length of body> <length of text section>\\n
+    {"type": "...", ..., "page_texts": [12, 0, 7], ...}\\n
+    <the texts, concatenated, UTF-8 with surrogates passed through>
+
+Inside the JSON each text list is its texts' encoded lengths in bytes, in
+the order the texts follow; :meth:`MessageChannel.recv` puts the lists of
+``str`` back, so a reader sees the message it was sent.  Each text is
+encoded and decoded on its own: most pages are ASCII, which UTF-8 copies.  A frame without
+texts is the one-number form, byte for byte.
+
 The prefix makes framing robust (a reader never has to guess where a
 message ends, even mid-recovery), while the NDJSON body keeps the stream
 greppable — ``nc`` into a daemon and you can read the conversation.
@@ -30,7 +44,8 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from typing import Any, Callable, Mapping
+from itertools import chain
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 #: Upper bound on one message body (a guard against garbage prefixes, not
 #: a practical limit: a 64 MiB shard would be ~1000 dense documents).
@@ -50,19 +65,91 @@ class MessageTooLarge(ProtocolError):
     """
 
 
+#: The JSON member a :class:`PageTexts` value must be put under; in a
+#: frame with a text section, every such member holds text lengths.
+TEXTS_KEY = "page_texts"
+
+
+class PageTexts:
+    """Page texts that cross in the frame's text section, not its JSON.
+
+    Put one as the value of a :data:`TEXTS_KEY` member of a message; the
+    peer's :meth:`MessageChannel.recv` reads that member back as the list
+    of ``str``.  The receiver takes the texts in the order the objects
+    holding them close, so no object holding one may hold another.
+    Outside a frame it iterates as its texts.
+    """
+
+    __slots__ = ("texts",)
+
+    def __init__(self, texts: Sequence[str]) -> None:
+        self.texts = texts
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.texts)
+
+    def __repr__(self) -> str:
+        return f"PageTexts({self.texts!r})"
+
+
 def encode_message(message: Mapping[str, Any]) -> bytes:
-    """Frame one message: decimal length prefix + NDJSON body.
+    """Frame one message: length prefix + NDJSON body (+ text section).
 
     The body is ASCII, every other character ``\\u``-escaped: that encodes
     faster than UTF-8 output, and the peer decodes a string back exactly,
     a lone surrogate (which strict UTF-8 cannot encode) included.  One
-    exception: a high surrogate followed by a low one, sent as two code
-    points, escapes like the astral character they pair into, so
-    ``chr(0xD800) + chr(0xDC00)`` decodes as the one character U+10000.
+    exception, in JSON fields only: a high surrogate followed by a low one,
+    sent as two code points, escapes like the astral character they pair
+    into, so ``chr(0xD800) + chr(0xDC00)`` decodes as the one character
+    U+10000.  Page texts (:class:`PageTexts`) cross as UTF-8 with
+    surrogates passed through, so they come back code point for code point.
     """
-    text = json.dumps(message, separators=(",", ":"))
+    lifted: list[list[bytes]] = []
+
+    def lift(value: Any) -> list[int]:
+        if not isinstance(value, PageTexts):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        encoded = [text.encode("utf-8", "surrogatepass") for text in value.texts]
+        lifted.append(encoded)
+        return [len(text) for text in encoded]
+
+    text = json.dumps(message, separators=(",", ":"), default=lift)
     body = text.encode("ascii") + b"\n"
-    return str(len(body)).encode("ascii") + b"\n" + body
+    if not lifted:
+        return str(len(body)).encode("ascii") + b"\n" + body
+    section = b"".join(chain.from_iterable(lifted))
+    return b"%d %d\n" % (len(body), len(section)) + body + section
+
+
+def _decode_with_texts(body: bytes, section: bytes) -> Any:
+    """The message of a frame with a text section, its texts put back."""
+    end = 0
+
+    def restore(member: dict[str, Any]) -> dict[str, Any]:
+        nonlocal end
+        lengths = member.get(TEXTS_KEY)
+        if lengths is None:
+            return member
+        if not isinstance(lengths, list):
+            raise ProtocolError(f"{TEXTS_KEY} must be a list of text lengths")
+        pages = []
+        for length in lengths:
+            if type(length) is not int or length < 0:
+                raise ProtocolError(f"{TEXTS_KEY} must be a list of text lengths")
+            try:
+                pages.append(section[end : end + length].decode("utf-8", "surrogatepass"))
+            except UnicodeDecodeError as exc:
+                raise ProtocolError(f"text section is not valid UTF-8: {exc}") from exc
+            end += length
+        member[TEXTS_KEY] = pages
+        return member
+
+    message = json.loads(body.decode("utf-8"), object_hook=restore)
+    if end != len(section):
+        raise ProtocolError(
+            f"text lengths add up to {end} bytes, the text section holds {len(section)}"
+        )
+    return message
 
 
 class MessageChannel:
@@ -131,7 +218,8 @@ class MessageChannel:
         A channel this side has closed reads as a clean EOF too, also when
         :meth:`close` races a reader between the prefix and the body.
         Raises :class:`ProtocolError` on a malformed frame (bad length
-        prefix, truncated body, invalid JSON, or a non-object payload).
+        prefix, truncated body or text section, invalid JSON or UTF-8,
+        text lengths that do not match the section, or a non-object payload).
         """
         try:
             prefix = self._reader.readline(32)
@@ -139,23 +227,32 @@ class MessageChannel:
                 return None
             if not prefix.endswith(b"\n"):
                 raise ProtocolError(f"unterminated length prefix {prefix!r}")
-            try:
-                length = int(prefix.strip())
-            except ValueError as exc:
-                raise ProtocolError(f"bad length prefix {prefix!r}") from exc
-            if not 0 < length <= self.max_message_bytes:
-                raise ProtocolError(f"message length {length} out of bounds")
+            lengths = prefix[:-1].split(b" ")
+            if len(lengths) > 2 or not all(part.isdigit() for part in lengths):
+                raise ProtocolError(f"bad length prefix {prefix!r}")
+            length = int(lengths[0])
+            text_length = int(lengths[1]) if len(lengths) == 2 else 0
+            if not 0 < length <= self.max_message_bytes - text_length:
+                raise ProtocolError(f"message length {length} + {text_length} out of bounds")
             body = self._reader.read(length)
+            section = self._reader.read(text_length) if text_length else b""
         except ValueError:  # I/O on the buffer close() released
             if not self._closed:
                 raise
             return None
         if len(body) != length:
             raise ProtocolError(f"truncated message: expected {length} bytes, got {len(body)}")
-        self.last_frame_bytes = len(prefix) + len(body)
+        if len(section) != text_length:
+            raise ProtocolError(
+                f"truncated text section: expected {text_length} bytes, got {len(section)}"
+            )
+        self.last_frame_bytes = len(prefix) + length + text_length
         self.bytes_received += self.last_frame_bytes
         try:
-            message = json.loads(body.decode("utf-8"))
+            if len(lengths) == 1:
+                message = json.loads(body.decode("utf-8"))
+            else:
+                message = _decode_with_texts(body, section)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"message body is not valid JSON: {exc}") from exc
         if not isinstance(message, dict) or "type" not in message:

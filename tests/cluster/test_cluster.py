@@ -272,10 +272,21 @@ class TestWorkerDaemon:
     def test_version_1_hello_is_refused(self, registry):
         """Version 2 removed message kinds a version-1 coordinator relies on,
         so the handshake refuses one."""
-        assert PROTOCOL_VERSION == 2
+        assert PROTOCOL_VERSION == 3
         with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
             channel = dial(daemon)
             channel.send({"type": "hello", "protocol": 1})
+            reply = channel.recv()
+            channel.close()
+        assert reply["type"] == "error"
+        assert "version mismatch" in reply["message"]
+
+    def test_version_2_hello_is_refused(self, registry):
+        """Version 3 moved page texts out of the JSON, so a version-2
+        coordinator could not read a ``batch_result``; the worker refuses it."""
+        with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
+            channel = dial(daemon)
+            channel.send({"type": "hello", "protocol": 2})
             reply = channel.recv()
             channel.close()
         assert reply["type"] == "error"

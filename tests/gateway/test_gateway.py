@@ -91,7 +91,7 @@ class TestHandshake:
             assert client.quota["max_active"] >= 1
             assert client.quota["max_request_bytes"] > 0
 
-    @pytest.mark.parametrize("version", [999, 1, 2, 3])
+    @pytest.mark.parametrize("version", [999, 1, 2, 3, 4])
     def test_version_mismatch_is_refused(self, gateway, version):
         channel = self.raw_channel(gateway)
         try:
@@ -673,7 +673,7 @@ class TestImportHygiene:
             "import sys, repro.gateway\n"
             "assert 'repro.serve.service' not in sys.modules\n"
             "from repro.gateway import GATEWAY_PROTOCOL_VERSION\n"
-            "assert GATEWAY_PROTOCOL_VERSION == 4\n"
+            "assert GATEWAY_PROTOCOL_VERSION == 5\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True, env=_subprocess_env())
 

@@ -137,3 +137,57 @@ def test_the_ft_engine_routes_the_texts(pool, expected, default_ft_engine):
     report = _bounded(lambda: pipeline.run(request))
     assert report.n_succeeded == report.n_documents == len(expected)
     assert _texts(report) == expected
+
+
+#: A surrogate pair held as two code points, not as the astral character
+#: U+10000 they pair into.  An ASCII JSON string cannot tell the two apart.
+SPLIT_PAIR = "split \ud800\udc00 pair "
+
+
+@pytest.fixture(scope="module")
+def pair_pool(tmp_path_factory) -> Path:
+    """One SimPDF file, written by :class:`SimPdfWriter`, whose first page
+    starts with :data:`SPLIT_PAIR`."""
+    root = tmp_path_factory.mktemp("split-pair")
+    (document,) = SyntheticSource(
+        CorpusConfig(n_documents=1, seed=3, min_pages=1, max_pages=2)
+    ).iter_documents()
+    texts = list(document.text_layer.page_texts)
+    texts[0] = SPLIT_PAIR + texts[0]
+    _write_with_writer(
+        root, document.with_text_layer(replace(document.text_layer, page_texts=texts))
+    )
+    return root
+
+
+@pytest.fixture(scope="module")
+def pair_expected(pair_pool) -> list[list[str]]:
+    texts = _texts(ParsePipeline().run(_request(pair_pool)))
+    assert "\ud800\udc00" in texts[0][0] and "\U00010000" not in texts[0][0]
+    return texts
+
+
+class TestASplitSurrogatePair:
+    """Page texts cross both wires as UTF-8 bytes, so a pair written as two
+    code points comes back as two code points, as the serial run keeps it."""
+
+    def test_a_thread_run_keeps_it(self, pair_pool, pair_expected):
+        request = _request(pair_pool, backend="thread", backend_options={"n_jobs": 2})
+        assert _texts(ParsePipeline().run(request)) == pair_expected
+
+    def test_a_remote_worker_returns_it(self, pair_pool, pair_expected):
+        worker = WorkerDaemon(name="pair-worker").start()
+        try:
+            request = _request(
+                pair_pool, backend="remote", backend_options={"workers": worker.address}
+            )
+            assert _texts(_bounded(lambda: ParsePipeline().run(request))) == pair_expected
+        finally:
+            worker.stop()
+
+    def test_the_gateway_returns_it(self, pair_pool, pair_expected):
+        with ParseService() as service, GatewayServer(service, port=0) as server:
+            with GatewayClient("127.0.0.1", server.port).connect() as client:
+                ticket = client.submit(_request(pair_pool))
+                report = client.result(ticket, timeout=BOUND_S, include_text=True)
+        assert [entry["page_texts"] for entry in report["results"]] == pair_expected

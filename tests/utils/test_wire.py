@@ -14,6 +14,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils import wire
 from repro.utils.wire import MessageChannel, MessageTooLarge, ProtocolError
@@ -181,3 +183,135 @@ class TestListener:
         assert len(_accept_threads(port)) == 1
         server.stop()
         assert _accept_threads(port) == []
+
+
+# ---------------------------------------------------------------------- #
+# The text section
+# ---------------------------------------------------------------------- #
+@pytest.fixture()
+def channel_pair():
+    left_sock, right_sock = socket.socketpair()
+    left = MessageChannel(left_sock)
+    right = MessageChannel(right_sock)
+    yield left, right
+    left.close()
+    right.close()
+
+
+def _text_message(*lists):
+    return {
+        "type": "batch_result",
+        "results": [{"doc_id": f"d{i}", "page_texts": wire.PageTexts(texts)}
+                    for i, texts in enumerate(lists)],
+    }
+
+
+#: Any code point, lone surrogates included.
+_TEXTS = st.lists(st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x10FFFF)))
+
+
+class TestTextSection:
+    def test_the_frame_layout(self):
+        frame = wire.encode_message(_text_message(["ab", ""], ["é\n"]))
+        body = (
+            b'{"type":"batch_result","results":[{"doc_id":"d0","page_texts":[2,0]},'
+            b'{"doc_id":"d1","page_texts":[3]}]}\n'
+        )
+        section = "abé\n".encode("utf-8")
+        assert frame == b"%d %d\n" % (len(body), len(section)) + body + section
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TEXTS, max_size=4))
+    def test_texts_come_back_code_point_for_code_point(self, lists):
+        left_sock, right_sock = socket.socketpair()
+        left, right = MessageChannel(left_sock), MessageChannel(right_sock)
+        try:
+            sent = left.send(_text_message(*lists))
+            received = right.recv()
+        finally:
+            left.close()
+            right.close()
+        assert [r["page_texts"] for r in received["results"]] == lists
+        assert right.last_frame_bytes == right.bytes_received == sent
+
+    @pytest.mark.parametrize(
+        "texts",
+        [[], [""], ["\ud800"], ["\udc00\ud800"], ["\ud800\udc00"], ["a\ud800", "\udc00b"],
+         ["\U00010000", "\U0010ffff"]],
+        ids=["no-pages", "empty-page", "lone-high", "reversed-pair", "split-pair",
+             "pair-across-pages", "astral"],
+    )
+    def test_edge_texts_come_back_as_sent(self, channel_pair, texts):
+        left, right = channel_pair
+        left.send(_text_message(texts, ["tail"]))
+        received = right.recv()
+        assert [r["page_texts"] for r in received["results"]] == [texts, ["tail"]]
+
+    def test_text_free_frames_after_a_text_frame_read_as_before(self, channel_pair):
+        left, right = channel_pair
+        left.send(_text_message(["x" * 100]))
+        left.send({"type": "heartbeat"})
+        assert right.recv()["results"][0]["page_texts"] == ["x" * 100]
+        assert right.recv() == {"type": "heartbeat"}
+
+    def test_the_limit_counts_both_parts(self):
+        left_sock, right_sock = socket.socketpair()
+        left = MessageChannel(left_sock, max_message_bytes=200)
+        right = MessageChannel(right_sock, max_message_bytes=200)
+        try:
+            # The JSON alone is well under the limit; with its texts it is not.
+            assert len(wire.encode_message(_text_message([]))) < 100
+            with pytest.raises(MessageTooLarge):
+                left.send(_text_message(["y" * 150]))
+            # A frame whose JSON and text lengths add up past the limit is refused.
+            left_sock.sendall(b"100 101\n")
+            with pytest.raises(ProtocolError, match="out of bounds"):
+                right.recv()
+        finally:
+            left.close()
+            right.close()
+
+    def test_a_truncated_text_section_raises(self, channel_pair):
+        left, right = channel_pair
+        frame = wire.encode_message(_text_message(["z" * 50]))
+        left._sock.sendall(frame[:-10])
+        left.close()
+        with pytest.raises(ProtocolError, match="truncated text section"):
+            right.recv()
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [b"5 0 0\n", b"0x5\n", b"1_0\n", b"+5\n", b"5 -1\n", b" 5\n", b"5 \n", b"5\r\n"],
+        ids=["three-numbers", "hex", "underscore", "plus", "negative", "leading-space",
+             "trailing-space", "carriage-return"],
+    )
+    def test_a_prefix_that_is_not_one_or_two_decimals_raises(self, channel_pair, prefix):
+        left, right = channel_pair
+        left._sock.sendall(prefix + b'{"type":"a"}\n')
+        with pytest.raises(ProtocolError, match="bad length prefix"):
+            right.recv()
+
+    @pytest.mark.parametrize(
+        ("body", "section"),
+        [
+            (b'{"type":"a","page_texts":[1,1]}\n', b"abc"),
+            (b'{"type":"a","page_texts":[4]}\n', b"abc"),
+            (b'{"type":"a","page_texts":["abc"]}\n', b"abc"),
+            (b'{"type":"a","page_texts":[1.5]}\n', b"abc"),
+            (b'{"type":"a","page_texts":"abc"}\n', b"abc"),
+            (b'{"type":"a","page_texts":[3]}\n', b"\xff\xfe\xfd"),
+        ],
+        ids=["short", "over", "strings", "float", "not-a-list", "not-utf8"],
+    )
+    def test_lengths_that_do_not_fit_the_section_raise(self, channel_pair, body, section):
+        left, right = channel_pair
+        left._sock.sendall(b"%d %d\n" % (len(body), len(section)) + body + section)
+        with pytest.raises(ProtocolError):
+            right.recv()
+
+    def test_a_page_texts_value_outside_a_frame_iterates_as_its_texts(self):
+        assert list(wire.PageTexts(["a", "b"])) == ["a", "b"]
+
+    def test_other_unserialisable_values_still_raise_type_error(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            wire.encode_message({"type": "a", "value": object()})
