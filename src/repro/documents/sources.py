@@ -258,11 +258,12 @@ class SimPdfDirSource(DocumentSource):
         self.glob = glob
         self._pattern = _compile_glob(glob)
 
-    def _listing(self) -> list[tuple[str, os.stat_result]]:
-        """The matching regular files as ``(locator, stat)``, in path order.
+    def _select(self, probe: Callable[[os.DirEntry[str]], Any]) -> dict[str, Any]:
+        """``probe(entry)`` of each matching regular file, by locator.
 
-        A locator is the ``/``-separated path under the root; each file is
-        stat'ed once, following links (a dangling link is skipped).
+        A locator is the ``/``-separated path under the root.  ``probe``
+        returns ``None`` for an entry that is not a regular file once links
+        are followed (a dangling link included).
         """
         root = os.fspath(self.directory)
         if not os.path.isdir(root):
@@ -270,8 +271,16 @@ class SimPdfDirSource(DocumentSource):
                 f"{self.kind} source directory {root!r} does not "
                 f"exist (or is not a directory)"
             )
-        found: dict[str, os.stat_result] = {}
-        _select(root, "", self._pattern, found)
+        found: dict[str, Any] = {}
+        _select(root, "", self._pattern, found, probe)
+        return found
+
+    def _listing(self) -> list[tuple[str, os.stat_result]]:
+        """The matching regular files as ``(locator, stat)``, in path order.
+
+        Each file is stat'ed once, following links.
+        """
+        found = self._select(_regular_stat)
         # ``Path`` order: component by component, so ``a/b/z`` precedes ``a-b/w``.
         return sorted(found.items(), key=lambda item: item[0].split("/"))
 
@@ -283,8 +292,10 @@ class SimPdfDirSource(DocumentSource):
         return stable_hash_hex("source-files", self.kind, self.glob, *entries)
 
     def count_hint(self) -> int | None:
+        # The listing's count without its ``stat`` per file: ``is_file``
+        # reads the directory entry's type and stats links only.
         try:
-            return len(self._listing())
+            return len(self._select(lambda entry: entry.is_file() or None))
         except FileNotFoundError:
             return None
 
@@ -365,18 +376,23 @@ def _directories(directory: str, prefix: str) -> Iterator[tuple[str, str]]:
 
 
 def _select(
-    directory: str, prefix: str, pattern: _Pattern, found: dict[str, os.stat_result]
+    directory: str,
+    prefix: str,
+    pattern: _Pattern,
+    found: dict[str, Any],
+    probe: Callable[[os.DirEntry[str]], Any],
 ) -> None:
-    """Add to ``found`` each regular file under ``directory`` that ``pattern`` matches.
+    """Add to ``found`` each regular file under ``directory`` that ``pattern``
+    matches, as ``probe(entry)`` (``None`` from ``probe``: not a regular file).
 
     ``prefix`` is ``directory``'s locator plus ``/`` (``""`` at the root).  A
-    file reached twice (``**/**``) is stat'ed and listed once.
+    file reached twice (``**/**``) is probed and listed once.
     """
     head, rest = pattern[0], pattern[1:]
     if head is None:
         if rest:  # a trailing ``**`` names directories only
             for below, below_prefix in _directories(directory, prefix):
-                _select(below, below_prefix, rest, found)
+                _select(below, below_prefix, rest, found, probe)
         return
     for entry in _scandir(directory):
         if not head.match(entry.name):
@@ -384,16 +400,22 @@ def _select(
         locator = prefix + entry.name
         if rest:
             if entry.is_dir():
-                _select(entry.path, locator + "/", rest, found)
+                _select(entry.path, locator + "/", rest, found, probe)
             continue
         if locator in found:
             continue
-        try:
-            stat = os.stat(entry.path)
-        except (FileNotFoundError, NotADirectoryError):
-            continue  # a dangling link, or gone since it was listed
-        if S_ISREG(stat.st_mode):
-            found[locator] = stat
+        value = probe(entry)
+        if value is not None:
+            found[locator] = value
+
+
+def _regular_stat(entry: os.DirEntry[str]) -> os.stat_result | None:
+    """``entry``'s stat, following links, if it is a regular file."""
+    try:
+        stat = os.stat(entry.path)
+    except (FileNotFoundError, NotADirectoryError):
+        return None  # a dangling link, or gone since it was listed
+    return stat if S_ISREG(stat.st_mode) else None
 
 
 def _file_stamp(stat: os.stat_result) -> str:

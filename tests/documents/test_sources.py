@@ -584,6 +584,25 @@ class TestListingPins:
         assert source.paths() == [pinned_tree / locator for locator in locators]
         assert source.count_hint() == len(locators)
 
+    @pytest.mark.parametrize("glob", ["*.simpdf", "**/*.simpdf", "*/*.simpdf", "**/**/*.simpdf"])
+    def test_the_count_is_the_listings_without_a_stat_per_file(
+        self, pinned_tree, monkeypatch, glob
+    ):
+        # Regular files, a file link, a dangling link and a directory named
+        # ``*.simpdf`` are in the tree; only what the listing keeps counts.
+        source = SimPdfDirSource(pinned_tree, glob=glob)
+        listed = len(source._listing())
+        stats: list[str] = []
+        stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(os.fspath(path))
+            return stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        assert source.count_hint() == listed
+        assert stats == [os.fspath(pinned_tree)]  # the root's is-a-directory check
+
     def test_stamps_follow_links(self, pinned_tree):
         stamps = {
             ref.locator: ref.stamp
