@@ -88,9 +88,6 @@ class PageTexts:
     def __iter__(self) -> Iterator[str]:
         return iter(self.texts)
 
-    def __repr__(self) -> str:
-        return f"PageTexts({self.texts!r})"
-
 
 def encode_message(message: Mapping[str, Any]) -> bytes:
     """Frame one message: length prefix + NDJSON body (+ text section).
@@ -131,15 +128,12 @@ def _decode_with_texts(body: bytes, section: bytes) -> Any:
         if lengths is None:
             return member
         if not isinstance(lengths, list):
-            raise ProtocolError(f"{TEXTS_KEY} must be a list of text lengths")
+            raise ProtocolError(f"{TEXTS_KEY} must be a list of byte lengths")
         pages = []
         for length in lengths:
             if type(length) is not int or length < 0:
-                raise ProtocolError(f"{TEXTS_KEY} must be a list of text lengths")
-            try:
-                pages.append(section[end : end + length].decode("utf-8", "surrogatepass"))
-            except UnicodeDecodeError as exc:
-                raise ProtocolError(f"text section is not valid UTF-8: {exc}") from exc
+                raise ProtocolError(f"{TEXTS_KEY} must be a list of byte lengths")
+            pages.append(section[end : end + length].decode("utf-8", "surrogatepass"))
             end += length
         member[TEXTS_KEY] = pages
         return member
@@ -254,7 +248,7 @@ class MessageChannel:
             else:
                 message = _decode_with_texts(body, section)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"message body is not valid JSON: {exc}") from exc
+            raise ProtocolError(f"message is not valid JSON or UTF-8: {exc}") from exc
         if not isinstance(message, dict) or "type" not in message:
             raise ProtocolError("message must be a JSON object with a 'type'")
         return message
