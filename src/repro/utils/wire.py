@@ -114,8 +114,9 @@ def encode_message(message: Mapping[str, Any]) -> bytes:
     body = text.encode("ascii") + b"\n"
     if not lifted:
         return str(len(body)).encode("ascii") + b"\n" + body
-    section = b"".join(chain.from_iterable(lifted))
-    return b"%d %d\n" % (len(body), len(section)) + body + section
+    texts = list(chain.from_iterable(lifted))
+    prefix = b"%d %d\n" % (len(body), sum(map(len, texts)))
+    return b"".join([prefix, body, *texts])
 
 
 def _decode_with_texts(body: bytes, section: bytes) -> Any:
