@@ -258,7 +258,7 @@ class SimPdfDirSource(DocumentSource):
         self.glob = glob
         self._pattern = _compile_glob(glob)
 
-    def _select(self, probe: Callable[[os.DirEntry[str]], Any]) -> dict[str, Any]:
+    def _matching(self, probe: Callable[[os.DirEntry[str]], Any]) -> dict[str, Any]:
         """``probe(entry)`` of each matching regular file, by locator.
 
         A locator is the ``/``-separated path under the root.  ``probe``
@@ -280,7 +280,7 @@ class SimPdfDirSource(DocumentSource):
 
         Each file is stat'ed once, following links.
         """
-        found = self._select(_regular_stat)
+        found = self._matching(_regular_stat)
         # ``Path`` order: component by component, so ``a/b/z`` precedes ``a-b/w``.
         return sorted(found.items(), key=lambda item: item[0].split("/"))
 
@@ -295,7 +295,7 @@ class SimPdfDirSource(DocumentSource):
         # The listing's count without its ``stat`` per file: ``is_file``
         # reads the directory entry's type and stats links only.
         try:
-            return len(self._select(lambda entry: entry.is_file() or None))
+            return len(self._matching(lambda entry: entry.is_file() or None))
         except FileNotFoundError:
             return None
 

@@ -18,7 +18,8 @@ its prefix gives the section's length too::
 Inside the JSON each text list is its texts' encoded lengths in bytes, in
 the order the texts follow; :meth:`MessageChannel.recv` puts the lists of
 ``str`` back, so a reader sees the message it was sent.  Each text is
-encoded and decoded on its own: most pages are ASCII, which UTF-8 copies.  A frame without
+encoded and decoded on its own: most pages are ASCII, which UTF-8 copies,
+and one non-ASCII page then does not widen every other.  A frame without
 texts is the one-number form, byte for byte.
 
 The prefix makes framing robust (a reader never has to guess where a
