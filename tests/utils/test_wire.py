@@ -4,7 +4,8 @@ The framing behaviour itself is exhaustively covered through the cluster
 protocol suite (tests/cluster/test_protocol.py); this file pins the
 extraction contract: cluster.protocol re-exports the *same* objects, and
 per-channel frame limits work standalone.  It also covers the shared
-:class:`~repro.utils.wire.Listener` and its three users' ``stop()``.
+:class:`~repro.utils.wire.Listener` and its three users' ``stop()``, and
+the text section a frame carrying :class:`~repro.utils.wire.PageTexts` has.
 """
 
 from __future__ import annotations
@@ -206,8 +207,12 @@ def _text_message(*lists):
     }
 
 
-#: Any code point, lone surrogates included.
-_TEXTS = st.lists(st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x10FFFF)))
+#: Any code point, lone surrogates included; small enough that one frame
+#: fits a socket pair's buffer, since the test sends before it reads.
+_TEXTS = st.lists(
+    st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x10FFFF), max_size=64),
+    max_size=8,
+)
 
 
 class TestTextSection:
