@@ -381,14 +381,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         ),
         pipeline=pipeline,
     )
-    info = source.describe()
-    count = info.get("n_documents")
-    print(
-        f"assembling dataset from {info.get('kind')} source"
-        f"{f' ({count} documents)' if count is not None else ''}"
-        f" with {parser.name}...",
-        flush=True,
-    )
+    print(f"assembling dataset from {source.kind} source with {parser.name}...", flush=True)
     report = builder.build(source)
     print(json.dumps(report.summary(), indent=2, default=str))
     return 0

@@ -91,10 +91,6 @@ class DocumentSource(abc.ABC):
         """
         return None
 
-    def count_hint(self) -> int | None:
-        """Document count when knowable without reading content, else ``None``."""
-        return None
-
     def refs(self) -> "Iterator[DocumentRef] | None":
         """References to the documents, in :meth:`iter_documents` order.
 
@@ -113,14 +109,6 @@ class DocumentSource(abc.ABC):
         a locator this source could never have issued.
         """
         raise ValueError(f"{self.kind} source cannot load documents by reference")
-
-    def describe(self) -> dict[str, Any]:
-        """Human-oriented summary (CLI listings, service logs)."""
-        payload: dict[str, Any] = {"kind": self.kind}
-        hint = self.count_hint()
-        if hint is not None:
-            payload["n_documents"] = hint
-        return payload
 
     # Value semantics: sources with the same kind and fingerprint will
     # yield identical documents, which is what request comparison needs.
@@ -183,9 +171,6 @@ class SyntheticSource(DocumentSource):
             options["textgen"] = asdict(cfg.textgen)
         return SourceSpec(kind=self.kind, options=options)
 
-    def count_hint(self) -> int:
-        return self.config.n_documents
-
     def refs(self) -> "Iterator[DocumentRef]":
         spec, stamp = self.spec(), self.fingerprint()
         for index in range(self.config.n_documents):
@@ -231,9 +216,6 @@ class ExplicitSource(DocumentSource):
             "source-explicit", *(document_content_hash(d) for d in self.documents)
         )
 
-    def count_hint(self) -> int:
-        return len(self.documents)
-
 
 class SimPdfDirSource(DocumentSource):
     """A directory of ``*.simpdf`` files, one document per file.
@@ -258,12 +240,11 @@ class SimPdfDirSource(DocumentSource):
         self.glob = glob
         self._pattern = _compile_glob(glob)
 
-    def _matching(self, probe: Callable[[os.DirEntry[str]], Any]) -> dict[str, Any]:
-        """``probe(entry)`` of each matching regular file, by locator.
+    def _listing(self) -> list[tuple[str, os.stat_result]]:
+        """The matching regular files as ``(locator, stat)``, in path order.
 
-        A locator is the ``/``-separated path under the root.  ``probe``
-        returns ``None`` for an entry that is not a regular file once links
-        are followed (a dangling link included).
+        A locator is the ``/``-separated path under the root.  Each file is
+        stat'ed once, following links.
         """
         root = os.fspath(self.directory)
         if not os.path.isdir(root):
@@ -271,16 +252,8 @@ class SimPdfDirSource(DocumentSource):
                 f"{self.kind} source directory {root!r} does not "
                 f"exist (or is not a directory)"
             )
-        found: dict[str, Any] = {}
-        _select(root, "", self._pattern, found, probe)
-        return found
-
-    def _listing(self) -> list[tuple[str, os.stat_result]]:
-        """The matching regular files as ``(locator, stat)``, in path order.
-
-        Each file is stat'ed once, following links.
-        """
-        found = self._matching(_regular_stat)
+        found: dict[str, os.stat_result] = {}
+        _select(root, "", self._pattern, found)
         # ``Path`` order: component by component, so ``a/b/z`` precedes ``a-b/w``.
         return sorted(found.items(), key=lambda item: item[0].split("/"))
 
@@ -290,14 +263,6 @@ class SimPdfDirSource(DocumentSource):
     def fingerprint(self) -> str:
         entries = [f"{locator}:{_file_stamp(stat)}" for locator, stat in self._listing()]
         return stable_hash_hex("source-files", self.kind, self.glob, *entries)
-
-    def count_hint(self) -> int | None:
-        # The listing's count without its ``stat`` per file: ``is_file``
-        # reads the directory entry's type and stats links only.
-        try:
-            return len(self._matching(lambda entry: entry.is_file() or None))
-        except FileNotFoundError:
-            return None
 
     def spec(self) -> "SourceSpec":
         options: dict[str, Any] = {"path": str(self.directory)}
@@ -379,20 +344,19 @@ def _select(
     directory: str,
     prefix: str,
     pattern: _Pattern,
-    found: dict[str, Any],
-    probe: Callable[[os.DirEntry[str]], Any],
+    found: dict[str, os.stat_result],
 ) -> None:
     """Add to ``found`` each regular file under ``directory`` that ``pattern``
-    matches, as ``probe(entry)`` (``None`` from ``probe``: not a regular file).
+    matches, with its stat (:func:`_regular_stat`).
 
     ``prefix`` is ``directory``'s locator plus ``/`` (``""`` at the root).  A
-    file reached twice (``**/**``) is probed and listed once.
+    file reached twice (``**/**``) is stat'ed and listed once.
     """
     head, rest = pattern[0], pattern[1:]
     if head is None:
         if rest:  # a trailing ``**`` names directories only
             for below, below_prefix in _directories(directory, prefix):
-                _select(below, below_prefix, rest, found, probe)
+                _select(below, below_prefix, rest, found)
         return
     for entry in _scandir(directory):
         if not head.match(entry.name):
@@ -400,13 +364,13 @@ def _select(
         locator = prefix + entry.name
         if rest:
             if entry.is_dir():
-                _select(entry.path, locator + "/", rest, found, probe)
+                _select(entry.path, locator + "/", rest, found)
             continue
         if locator in found:
             continue
-        value = probe(entry)
-        if value is not None:
-            found[locator] = value
+        stat = _regular_stat(entry)
+        if stat is not None:
+            found[locator] = stat
 
 
 def _regular_stat(entry: os.DirEntry[str]) -> os.stat_result | None:

@@ -204,12 +204,10 @@ class ParseRequest:
         both rehydrate into requests that refuse replay.
         """
         spec = self.source_spec()
-        # Derived provenance: how many documents (when knowable without
-        # reading content) and, for a synthetic corpus, under which seed.
+        # Derived provenance: how many documents, where that is known without
+        # I/O (a synthetic config, doc_ids), and a synthetic corpus's seed.
         if isinstance(self.source, SyntheticSource):
             n_documents, seed = self.source.config.n_documents, self.source.config.seed
-        elif self.source is not None:
-            n_documents, seed = self.source.count_hint(), _DEFAULT_SEED
         else:
             n_documents, seed = len(self.doc_ids or ()) or None, _DEFAULT_SEED
         payload: dict[str, Any] = {

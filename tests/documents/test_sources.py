@@ -59,11 +59,9 @@ class TestSimPdfDirSource:
         docs = list(source.iter_documents())
         assert [d.doc_id for d in docs] == ["alpha", "sub/beta"]
         assert [d.doc_id for d in source.iter_documents()] == [d.doc_id for d in docs]
-        assert source.count_hint() == 2
 
     def test_missing_directory_fails_at_iteration_not_construction(self, tmp_path):
         source = SimPdfDirSource(tmp_path / "nowhere")
-        assert source.count_hint() is None
         with pytest.raises(FileNotFoundError, match="does not exist"):
             list(source.iter_documents())
 
@@ -108,7 +106,6 @@ class TestSyntheticAndExplicit:
         assert isinstance(rebuilt, SyntheticSource)
         assert rebuilt.config == config
         assert rebuilt == source
-        assert source.count_hint() == 6
 
     def test_synthetic_defaults_keep_the_spec_minimal(self):
         spec = SyntheticSource(CorpusConfig(n_documents=5, seed=3)).spec()
@@ -117,7 +114,6 @@ class TestSyntheticAndExplicit:
     def test_explicit_source_has_no_spec(self):
         pdfs = list(SyntheticSource(CorpusConfig(n_documents=2)).iter_documents())
         assert ExplicitSource(pdfs).spec() is None
-        assert ExplicitSource(pdfs).count_hint() == 2
         with pytest.raises(ValueError, match="must not be empty"):
             ExplicitSource(())
 
@@ -189,14 +185,6 @@ class TestValueSemantics:
         assert a != SimPdfDirSource(tree, glob=RECURSIVE)
         assert a != SyntheticSource(CorpusConfig(n_documents=1))
         assert a.__eq__(object()) is NotImplemented
-
-    def test_describe_reports_kind_and_count(self, tree):
-        info = SimPdfDirSource(tree, glob=RECURSIVE).describe()
-        assert info == {"kind": "simpdf-dir", "n_documents": 2}
-        assert SyntheticSource(CorpusConfig(n_documents=3)).describe() == {
-            "kind": "synthetic",
-            "n_documents": 3,
-        }
 
     def test_abstract_base_is_not_instantiable(self):
         with pytest.raises(TypeError):
@@ -582,26 +570,6 @@ class TestListingPins:
             stat = os.stat(pinned_tree / ref.locator)
             assert ref.stamp == f"{stat.st_size}:{stat.st_mtime_ns}"
         assert source.paths() == [pinned_tree / locator for locator in locators]
-        assert source.count_hint() == len(locators)
-
-    @pytest.mark.parametrize("glob", ["*.simpdf", "**/*.simpdf", "*/*.simpdf", "**/**/*.simpdf"])
-    def test_the_count_is_the_listings_without_a_stat_per_file(
-        self, pinned_tree, monkeypatch, glob
-    ):
-        # Regular files, a file link, a dangling link and a directory named
-        # ``*.simpdf`` are in the tree; only what the listing keeps counts.
-        source = SimPdfDirSource(pinned_tree, glob=glob)
-        listed = len(source._listing())
-        stats: list[str] = []
-        stat = os.stat
-
-        def counting_stat(path, *args, **kwargs):
-            stats.append(os.fspath(path))
-            return stat(path, *args, **kwargs)
-
-        monkeypatch.setattr(os, "stat", counting_stat)
-        assert source.count_hint() == listed
-        assert stats == [os.fspath(pinned_tree)]  # the root's is-a-directory check
 
     def test_stamps_follow_links(self, pinned_tree):
         stamps = {

@@ -165,6 +165,23 @@ class TestSourceParity:
         payload = modern.to_json_dict()
         assert (payload["n_documents"], payload["seed"]) == (7, 3)
 
+    def test_serialising_a_directory_request_does_not_walk_it(self, pool, monkeypatch):
+        """Request JSON rides every submit and every report: its
+        ``n_documents`` is what is known without I/O, ``null`` for a
+        directory, and writing it lists nothing."""
+        from repro.documents import sources
+
+        walks: list[str] = []
+        scandir = sources._scandir
+        monkeypatch.setattr(
+            sources, "_scandir", lambda directory: walks.append(directory) or scandir(directory)
+        )
+        request = ParseRequest(source=f"simpdf-dir:{pool}")
+        payload = request.to_json_dict()
+        assert walks == []
+        assert payload["n_documents"] is None
+        assert ParseRequest.from_json_dict(payload) == request
+
 
 # ---------------------------------------------------------------------- #
 # Strict JSON and legacy constructors
