@@ -15,7 +15,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.utils import wire
@@ -207,12 +207,8 @@ def _text_message(*lists):
     }
 
 
-#: Any code point, lone surrogates included; small enough that one frame
-#: fits a socket pair's buffer, since the test sends before it reads.
-_TEXTS = st.lists(
-    st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x10FFFF), max_size=64),
-    max_size=8,
-)
+#: Any code point, lone surrogates included.
+_TEXTS = st.lists(st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x10FFFF)))
 
 
 class TestTextSection:
@@ -227,16 +223,26 @@ class TestTextSection:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_TEXTS, max_size=4))
+    @example([["\U0010ffff" * 40_000, "\ud800"], ["é" * 70_000]])
     def test_texts_come_back_code_point_for_code_point(self, lists):
+        # The reader runs on its own thread, so a frame larger than the socket
+        # pair's buffers (shrunk to a few KB here) streams through.
         left_sock, right_sock = socket.socketpair()
+        for sock in (left_sock, right_sock):
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         left, right = MessageChannel(left_sock), MessageChannel(right_sock)
+        received: dict = {}
+        reader = threading.Thread(target=lambda: received.update(message=right.recv()))
+        reader.start()
         try:
             sent = left.send(_text_message(*lists))
-            received = right.recv()
+            reader.join(timeout=30)
         finally:
             left.close()
             right.close()
-        assert [r["page_texts"] for r in received["results"]] == lists
+            reader.join(timeout=30)
+        assert [r["page_texts"] for r in received["message"]["results"]] == lists
         assert right.last_frame_bytes == right.bytes_received == sent
 
     @pytest.mark.parametrize(
