@@ -57,7 +57,7 @@ Run a distributed cluster: worker daemons plus a coordinated request
 (``cluster`` spawns local workers, runs end to end, and prints the
 placement/dedup summary; ``worker`` is the long-running daemon mode)::
 
-    adaparse-repro worker --port 9101 --backend thread --backend-opt n_jobs=2
+    adaparse-repro worker --port 9101 --slots 2
     adaparse-repro cluster --workers 2 --documents 100 --parser pymupdf
     adaparse-repro pipeline --documents 100 --backend remote \
         --backend-opt workers=127.0.0.1:9101,127.0.0.1:9102
@@ -596,17 +596,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_worker_tags(pairs: list[str]) -> dict[str, str]:
-    """``--tag key=value`` pairs into a tag dict (values coerced later)."""
-    tags: dict[str, str] = {}
-    for pair in pairs or []:
-        key, sep, value = pair.partition("=")
-        if not sep or not key.strip():
-            raise SystemExit(f"error: --tag expects key=value, got {pair!r}")
-        tags[key.strip()] = value.strip()
-    return tags
-
-
 def _cmd_worker(args: argparse.Namespace) -> int:
     """Run one cluster worker daemon until SIGINT/SIGTERM (then drain)."""
     import os
@@ -614,20 +603,23 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.cluster.worker import WorkerDaemon
     from repro.obs.logging import get_logger, log_event
 
+    if args.backend != "serial":
+        print(
+            f"error: worker --backend {args.backend!r}: a worker parses each shard "
+            f"on its own slot thread; for concurrent shards pass --slots N",
+            file=sys.stderr,
+        )
+        return 2
     _setup_logging(args)
-    options = _parse_backend_opts(args.backend_opt)
-    _validate_backend_spec_or_exit(args.backend, options)
     _, cache = resolve_cache_config(args)
     daemon = WorkerDaemon(
         host=args.host,
         port=args.port,
-        backend=args.backend,
-        backend_options=options,
         cache=cache,
         name=args.name or None,
         slots=args.slots,
         heartbeat_interval=args.heartbeat_interval,
-        tags=_parse_worker_tags(args.tag),
+        gpu=args.gpu,
     )
     daemon.start()
     with _GracefulShutdown():
@@ -646,7 +638,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
                         "address": daemon.address,
                         "worker_id": daemon.name,
                         "pid": os.getpid(),
-                        "backend": args.backend,
                         "cache": bool(cache),
                     }
                 ),
@@ -666,7 +657,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             pass
     # Graceful exit for both signals: announce the departure (so the
     # coordinator records a leave, not a death), finish in-flight
-    # shards, send BYE, join slot/reader threads, release the backend.
+    # shards, send BYE, join slot/reader threads, flush the cache.
     if args.join:
         daemon.leave(args.join)
     daemon.stop(drain=True)
@@ -697,11 +688,7 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
 
 
 def spawn_local_worker(
-    name: str,
-    *,
-    backend: str = "serial",
-    jobs: int = 1,
-    cache_dir: "str | Path | None" = None,
+    name: str, *, cache_dir: "str | Path | None" = None
 ) -> "subprocess.Popen":
     """Start one ``adaparse-repro worker --port 0`` process from this checkout.
 
@@ -715,12 +702,7 @@ def spawn_local_worker(
 
     import repro
 
-    command = [
-        sys.executable, "-m", "repro.cli", "worker",
-        "--port", "0", "--name", name, "--backend", backend,
-    ]
-    if jobs > 1:
-        command += ["--backend-opt", f"n_jobs={jobs}"]
+    command = [sys.executable, "-m", "repro.cli", "worker", "--port", "0", "--name", name]
     if cache_dir:
         command += ["--cache-dir", str(cache_dir)]
     env = dict(os.environ)
@@ -786,8 +768,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 procs.append(
                     spawn_local_worker(
                         f"cluster-worker-{i}",
-                        backend=args.worker_backend,
-                        jobs=args.worker_jobs,
                         cache_dir=Path(args.cache_dir) / f"worker-{i}" if args.cache_dir else None,
                     )
                 )
@@ -1115,7 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
         "derived from the bound address)",
     )
     worker.add_argument(
-        "--slots", type=int, default=None, help="concurrent shards (default: backend workers)"
+        "--slots", type=int, default=1, help="concurrent shards, one slot thread each"
     )
     worker.add_argument(
         "--heartbeat-interval", type=float, default=1.0, help="liveness beacon period (s)"
@@ -1130,16 +1110,19 @@ def build_parser() -> argparse.ArgumentParser:
         "mid-run and leaves gracefully on shutdown",
     )
     worker.add_argument(
-        "--tag",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="capability tag advertised to coordinators (repeatable), e.g. "
-        "--tag gpu=true --tag cpu_class=large; heavyweight-parser shards "
-        "prefer workers whose tags satisfy them",
+        "--gpu",
+        action="store_true",
+        help="advertise a GPU to coordinators: heavyweight-parser (nougat, "
+        "marker) shards go to GPU workers while any is alive",
+    )
+    worker.add_argument(
+        "--backend",
+        type=str,
+        default="serial",
+        help="accepted only as serial, the one way a worker runs shards; "
+        "for concurrent shards use --slots N",
     )
     _add_logging_arguments(worker)
-    _add_backend_arguments(worker, default="serial")
     _add_cache_arguments(
         worker,
         policy_default=None,
@@ -1185,15 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["rendezvous", "balanced"],
         help="shard placement: cache-affine rendezvous hashing, or least-"
         "backlog balancing",
-    )
-    cluster.add_argument(
-        "--worker-backend",
-        type=str,
-        default="serial",
-        help="execution backend of each spawned worker",
-    )
-    cluster.add_argument(
-        "--worker-jobs", type=int, default=1, help="n_jobs of each spawned worker"
     )
     _add_source_argument(cluster)
     _add_cache_arguments(

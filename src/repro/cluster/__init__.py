@@ -14,10 +14,9 @@ can actually run across processes and hosts:
   ``"remote"`` in the execution-backend registry, so
   ``ParseRequest(backend="remote", backend_options={"workers": ...})``
   and :class:`repro.serve.ParseService` run on a cluster unchanged;
-* :mod:`repro.cluster.membership`, :mod:`repro.cluster.policy` and
-  :mod:`repro.cluster.ledger` — the elastic side: the listener through
-  which workers join and leave a running campaign, capability-tag
-  placement rules, and the shard ledger a killed campaign resumes from.
+* :mod:`repro.cluster.membership` and :mod:`repro.cluster.ledger` — the
+  elastic side: the listener through which workers join and leave a
+  running campaign, and the shard ledger a killed campaign resumes from.
 
 Public names resolve lazily (PEP 562): importing :mod:`repro` — or even
 this package — does not pull in sockets, the pipeline, or any backend

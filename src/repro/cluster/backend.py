@@ -15,7 +15,8 @@ The split of responsibilities:
   override, and ``config_fingerprint()`` — instead of pickling it.
   Workers rebuild the engine from the spec on their side and refuse
   shards whose fingerprint they cannot reproduce, so nothing executable
-  ever crosses the wire.
+  ever crosses the wire.  A heavyweight parser's shards
+  (:data:`HEAVYWEIGHT_PARSERS`) ask for a worker that advertises a GPU.
 * The returned stub submits each batch of items as it is — a
   :class:`~repro.documents.sources.DocumentRef` crosses as a reference and
   is read by the worker that parses it — to the
@@ -51,6 +52,11 @@ from repro.utils.rpc import parse_address
 if TYPE_CHECKING:
     from repro.cache.cache import BatchWorker
     from repro.parsers.base import Parser
+
+#: Parsers the paper runs on accelerator-class nodes.  Their shards go to
+#: workers that advertise a GPU; when none is alive the placement relaxes
+#: (any worker *can* run them — slowly).
+HEAVYWEIGHT_PARSERS = frozenset({"nougat", "marker"})
 
 
 def _parse_addresses(workers: "str | Sequence[str] | None") -> list[str]:
@@ -203,20 +209,14 @@ class RemoteBackend(ThreadBackend):
         self._coordinator = coordinator
 
     def site(self, parser: "Parser") -> "BatchWorker":
-        from repro.cluster.policy import constraints_for_parser
-
         spec = WorkerSpec.for_parser(parser, cache=self.worker_cache)
-        constraints = constraints_for_parser(spec.parser)
+        gpu = spec.parser in HEAVYWEIGHT_PARSERS
         coordinator = self._ensure_coordinator()
 
         def remote(batch: list):
             # submit() adopts the calling thread's active trace, so the
             # shard frame carries it to the worker.
-            future = coordinator.submit(
-                spec,
-                batch,
-                constraints=constraints,
-            )
+            future = coordinator.submit(spec, batch, gpu=gpu)
             try:
                 output = future.result()
             except ClusterError as exc:

@@ -45,9 +45,9 @@ The elastic operations build on the same machinery:
 :meth:`ClusterCoordinator.add_worker` admits a worker to a *running*
 coordinator (re-placing only the queued shards whose rendezvous preference
 moved — in-flight and completed shards never move),
-:meth:`ClusterCoordinator.remove_worker` drains one gracefully, capability
-tags route constrained shards to capable nodes
-(:mod:`repro.cluster.policy`), and an optional
+:meth:`ClusterCoordinator.remove_worker` drains one gracefully, a
+heavyweight parser's shards go to the workers that advertise a GPU, and
+an optional
 :class:`~repro.cluster.ledger.ShardLedger` checkpoints every completed
 shard so a killed campaign resumes with completed work replayed, not
 re-parsed.  The links are the one membership record: a link is never
@@ -64,7 +64,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.cache.keys import document_content_hash
 from repro.cluster import protocol
-from repro.cluster.policy import satisfies, tags_from_capabilities
 from repro.cluster.protocol import (
     MessageChannel,
     MessageTooLarge,
@@ -169,7 +168,7 @@ class _Shard:
         "excluded_workers",
         "assigned_worker",
         "trace",
-        "constraints",
+        "gpu",
     )
 
     def __init__(
@@ -178,7 +177,7 @@ class _Shard:
         spec: WorkerSpec,
         items: list[Item],
         trace: TraceContext | None = None,
-        constraints: Mapping[str, Any] | None = None,
+        gpu: bool = False,
     ) -> None:
         self.shard_id = shard_id
         self.spec = spec
@@ -195,10 +194,9 @@ class _Shard:
         self.excluded_workers: set[str] = set()
         self.assigned_worker: str | None = None
         self.trace = trace
-        #: Capability constraints (e.g. ``{"gpu": True}`` for heavyweight
-        #: parsers); matched against worker tags, relaxed when no alive
-        #: worker satisfies them.
-        self.constraints = dict(constraints or {})
+        #: Whether the shard wants a GPU worker (a heavyweight parser's);
+        #: relaxed when no alive worker has one.
+        self.gpu = gpu
 
 
 def _read_here(ref: DocumentRef) -> SciDocument:
@@ -217,9 +215,8 @@ class _WorkerLink:
         self.window = window
         self.worker_id = address  # replaced by the hello_ack identity
         self.capabilities: dict[str, Any] = {}
-        #: Effective capability tags (explicit ``tags`` plus the implicit
-        #: cache/slots capabilities) used for constrained placement.
-        self.tags: dict[str, Any] = {}
+        #: Whether the worker advertises a GPU (``"tags": {"gpu": true}``).
+        self.gpu = False
         #: How the worker arrived: "fixed" list or mid-run "join".
         self.source = "fixed"
         self.alive = True
@@ -358,7 +355,7 @@ class ClusterCoordinator:
         link.source = source
         link.worker_id = str(ack.get("worker_id", address))
         link.capabilities = dict(ack.get("capabilities", {}))
-        link.tags = tags_from_capabilities(link.capabilities)
+        link.gpu = bool((link.capabilities.get("tags") or {}).get("gpu"))
         link.reader = threading.Thread(
             target=self._read_loop,
             args=(link,),
@@ -484,7 +481,7 @@ class ClusterCoordinator:
         spec: WorkerSpec,
         items: Iterable[Item],
         trace: TraceContext | None = None,
-        constraints: Mapping[str, Any] | None = None,
+        gpu: bool = False,
     ) -> ShardFuture:
         """Plan one shard onto the cluster; returns its future immediately.
 
@@ -493,9 +490,8 @@ class ClusterCoordinator:
 
         ``trace`` (default: the caller's active trace) rides the
         ``submit_shard`` frame so the worker's logs for the shard carry the
-        submitting request's trace id.  ``constraints`` are capability
-        requirements matched against worker tags (relaxed when no alive
-        worker satisfies them).  With a ledger attached, a shard the
+        submitting request's trace id.  A ``gpu`` shard goes to a worker
+        that advertises a GPU (relaxed when no alive worker does).  With a ledger attached, a shard the
         ledger already holds resolves immediately from the checkpoint —
         the resume path — and is never dispatched.
         """
@@ -510,7 +506,7 @@ class ClusterCoordinator:
             self.counters["shards_submitted"] += 1
         # Built outside the lock: hashing inline documents takes ~0.5 ms
         # each, and every reader thread's result handling waits on the lock.
-        shard = _Shard(shard_id, spec, batch, trace=trace, constraints=constraints)
+        shard = _Shard(shard_id, spec, batch, trace=trace, gpu=gpu)
         if self.ledger is not None:
             replay = self.ledger.completed_output(shard.placement_key, spec.fingerprint)
             if replay is not None:
@@ -550,8 +546,8 @@ class ClusterCoordinator:
 
         Candidates are the links that may take new shards (alive, not
         draining), minus the workers the shard already failed on unless that
-        is every one of them.  Constraints keep the workers whose tags
-        satisfy them; when none do they relax — any worker *can* run a
+        is every one of them.  A ``gpu`` shard keeps the workers that
+        advertise a GPU; when none do it relaxes — any worker *can* run a
         heavyweight parser, just more slowly — and the second value says so.
         """
         survivors = [link for link in self._links if link.alive and not link.draining]
@@ -559,10 +555,10 @@ class ClusterCoordinator:
             link for link in survivors if link.worker_id not in shard.excluded_workers
         ] or survivors
         relaxed = False
-        if shard.constraints:
-            tagged = [link for link in candidates if satisfies(link.tags, shard.constraints)]
-            relaxed = not tagged
-            candidates = tagged or candidates
+        if shard.gpu:
+            gpus = [link for link in candidates if link.gpu]
+            relaxed = not gpus
+            candidates = gpus or candidates
         by_id = {link.worker_id: link for link in candidates}
         return [by_id[wid] for wid in rank_workers(shard.placement_key, by_id)], relaxed
 
@@ -914,7 +910,6 @@ class ClusterCoordinator:
                     "in_flight": len(link.in_flight),
                     "queued": len(link.queued),
                     "capabilities": dict(link.capabilities),
-                    "tags": dict(link.tags),
                 }
                 for link in self._links
             ]

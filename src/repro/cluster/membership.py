@@ -6,7 +6,7 @@ length-prefixed NDJSON wire as the cluster protocol.  A starting
 its listen address; the listener dials the worker back through the
 coordinator's ordinary connect path (handshake, reader thread, rendezvous
 integration), so a joined worker is indistinguishable from a fixed-list one
-once admitted — its identity and tags come from the dial-back
+once admitted — its identity and capabilities come from the dial-back
 ``hello_ack``.  ``leave`` asks the coordinator to drain a worker, and
 ``status`` answers with :meth:`ClusterCoordinator.status` — the counters
 and every worker the coordinator has admitted, each with its ``state``
@@ -14,7 +14,7 @@ and every worker the coordinator has admitted, each with its ``state``
 
 Membership needs nothing from the handshake: no capability flag says a
 peer takes part, because every worker that passes the cluster wire's
-version check (protocol 2; version-1 peers are refused) can be joined,
+version check can be joined,
 drained and dialled back like any other.
 """
 

@@ -8,9 +8,10 @@ Message types
 -------------
 ``hello`` / ``hello_ack``
     The :mod:`repro.utils.rpc` handshake.  The coordinator's ``hello``
-    adds its heartbeat interval; the worker's ack adds its identity,
-    backend, parallel slot count, capability tags, and whether it runs a
-    local parse cache.
+    adds its heartbeat interval; the worker's ack adds its identity and
+    ``capabilities``: its slot count, whether it runs a local parse cache,
+    and ``tags``, which is ``{"gpu": true}`` on a worker that advertises a
+    GPU and ``{}`` otherwise.
 ``submit_shard``
     One shard of work: a :class:`WorkerSpec` (parser name, α override,
     and the coordinator-side ``config_fingerprint()`` the worker must
@@ -43,12 +44,12 @@ Message types
     Live-membership announcements (:mod:`repro.cluster.membership`): a
     starting worker sends ``join`` (its listen address) to a coordinator's
     membership listener, which dials the worker back over the ordinary
-    ``hello`` path — identity and tags come from that ``hello_ack`` — and
+    ``hello`` path — identity and capabilities come from that ``hello_ack`` — and
     answers ``join_ack``; ``leave`` asks the coordinator to drain one
     worker gracefully.
 ``status`` / ``status_result``
     Membership-listener introspection: the coordinator ``counters`` and its
-    ``workers``, each with its ``state`` and tags (``cluster status``).
+    ``workers``, each with its ``state`` and capabilities (``cluster status``).
 ``error``
     Fatal connection-level failure (before/outside any shard); see
     :mod:`repro.utils.rpc` for what produces one.

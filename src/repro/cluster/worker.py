@@ -17,18 +17,20 @@ A :class:`WorkerDaemon` listens on a TCP port and speaks the
    ``unresolved_reference``, and the coordinator re-sends it with payloads;
 3. runs the items through :func:`repro.cache.run_cached_batch` — the loop
    the parent-side cache wrapper runs, keyed by the same
-   :meth:`~repro.cache.ParseCache.key_items` — so the cache misses go as
-   **one sub-batch** to the site of a local
-   :class:`~repro.pipeline.backends.ExecutionBackend` (preserving the
-   engine's per-batch α semantics), which is where references are read —
-   by this daemon's own threads; fresh parses are stored policy-permitting and made durable before the shard
-   is acknowledged, and a document two overlapping shards share is parsed
+   :meth:`~repro.cache.ParseCache.key_items` — so the cache misses are
+   parsed as **one sub-batch** (preserving the engine's per-batch α
+   semantics) by :func:`~repro.pipeline.backends.parse_items` on the
+   shard's slot thread, which is where references are read; fresh parses
+   are stored policy-permitting and made durable before the shard is
+   acknowledged, and a document two overlapping shards share is parsed
    once, and
 4. streams an ordered ``batch_result`` back.
 
-Shards execute on a small slot pool (default: the local backend's worker
-count), so transfer and parse overlap; a heartbeat thread beacons
-liveness so the coordinator can distinguish *slow* from *dead*.
+Shards execute on a pool of slot threads (one by default), so transfer and
+parse overlap; a heartbeat thread beacons liveness so the coordinator can
+distinguish *slow* from *dead*.  Besides its name, cache and slot count, a
+worker advertises one placement capability: ``gpu``, which draws the
+heavyweight parsers' shards to it.
 
 The daemon is embeddable (tests and benchmarks run several in one
 process, each on its own port) and is what ``adaparse-repro worker``
@@ -58,10 +60,10 @@ from repro.obs import tracing as _tracing
 from repro.obs.logging import get_logger, log_event
 from repro.obs.tracing import TraceContext
 from repro.parsers.base import ParseResult
+from repro.pipeline.backends.base import parse_items
 from repro.utils import rpc
 
 if TYPE_CHECKING:
-    from repro.cache.cache import BatchWorker
     from repro.parsers.base import Parser
 
 #: Thread-name prefix of daemon-owned threads (accept/reader/slots/heartbeat).
@@ -111,16 +113,12 @@ class WorkerDaemon(rpc.Server):
         The pipeline shards resolve parsers through.  Pass one with
         pre-installed ``engines`` to serve custom parsers; by default a
         fresh pipeline over the default registry is built.
-    backend / backend_options:
-        The local :class:`~repro.pipeline.backends.ExecutionBackend`
-        parsing runs on (registry name; default ``serial``).
     cache:
         Optional local :class:`~repro.cache.ParseCache` (or a directory
         path for a persistent one).  A warm cache lets the worker answer
         shards without parsing their documents, or reading its references.
     slots:
-        Shards executing concurrently (default: the local backend's
-        worker count).
+        Shards executing concurrently, one per slot thread.
     name:
         Stable worker identity used for rendezvous placement.  Give
         long-lived workers stable names so repeated runs land shards on
@@ -129,12 +127,10 @@ class WorkerDaemon(rpc.Server):
     heartbeat_interval:
         Default liveness beacon period (the coordinator's ``hello`` may
         override it per connection).
-    tags:
-        Capability tags advertised in the ``hello_ack`` handshake
-        (``{"gpu": True, "cpu_class": "large"}``); coordinators route
-        constrained (heavyweight-parser) shards to workers whose tags
-        satisfy them.  Values are normalised from CLI strings
-        (``"true"`` → ``True``, ``"8"`` → ``8``).
+    gpu:
+        Advertise a GPU in the ``hello_ack`` handshake (``"tags":
+        {"gpu": true}``); coordinators place heavyweight-parser shards on
+        GPU workers while any is alive.
     """
 
     role = "worker"
@@ -147,33 +143,24 @@ class WorkerDaemon(rpc.Server):
         port: int = 0,
         *,
         pipeline: Any | None = None,
-        backend: str = "serial",
-        backend_options: Mapping[str, Any] | None = None,
         cache: "ParseCache | str | None" = None,
-        slots: int | None = None,
+        slots: int = 1,
         name: str | None = None,
         heartbeat_interval: float = 1.0,
-        tags: Mapping[str, Any] | None = None,
+        gpu: bool = False,
     ) -> None:
         super().__init__(host, port)
         self._pipeline = pipeline
-        self._backend_name = backend
-        self._backend_options = dict(backend_options or {})
         if isinstance(cache, (str, os.PathLike)):
             cache = ParseCache(cache)
         self.cache = cache
         self._slots = slots
         self._name = name
         self.heartbeat_interval = heartbeat_interval
-        from repro.cluster.policy import coerce_tags
+        self.gpu = gpu
 
-        self.tags = coerce_tags(tags)
-
-        self._backend = None
-
-        #: Resolved specs: config fingerprint → (parser, its site on the
-        #: local backend).
-        self._resolved: "dict[str, tuple[Parser, BatchWorker]]" = {}
+        #: Resolved specs: config fingerprint → parser.
+        self._resolved: "dict[str, Parser]" = {}
         self._resolve_lock = threading.Lock()
         #: Counters exposed in ``describe()`` and CLI logging.  Updated
         #: from concurrent slot threads, so bumps go through ``_bump``.
@@ -205,14 +192,7 @@ class WorkerDaemon(rpc.Server):
         return self._pipeline
 
     def start(self) -> "WorkerDaemon":
-        """Bind, spin up the local backend, and begin accepting coordinators."""
-        if self._listener is not None:
-            raise RuntimeError("worker already started")
-        from repro.pipeline.backends.base import resolve_execution
-
-        self._backend, _ = resolve_execution(self._backend_name, self._backend_options)
-        if self._slots is None:
-            self._slots = max(1, self._backend.workers)
+        """Bind and begin accepting coordinators."""
         super().start()
         log_event(
             _LOG, "info", "listening",
@@ -226,8 +206,6 @@ class WorkerDaemon(rpc.Server):
     def stop(self, drain: bool = True) -> None:
         """Stop accepting and shut down; ``drain`` finishes in-flight shards."""
         super().stop(drain)
-        if self._backend is not None:
-            self._backend.close()
         if self.cache is not None:
             self.cache.flush()
 
@@ -245,8 +223,6 @@ class WorkerDaemon(rpc.Server):
         """
         self._stop_accepting()
         self._end_sessions(bye_reason=None)
-        if self._backend is not None:
-            self._backend.close()
 
     # ------------------------------------------------------------------ #
     # Live membership
@@ -347,7 +323,7 @@ class WorkerDaemon(rpc.Server):
             self.counters[counter] += n
 
     def describe(self) -> dict[str, Any]:
-        """Inventory of this worker (counters, identity, backend stats)."""
+        """Inventory of this worker (counters, identity, capabilities)."""
         with self._counters_lock:
             description: dict[str, Any] = dict(self.counters)
         description.update(
@@ -355,13 +331,8 @@ class WorkerDaemon(rpc.Server):
                 "name": self.name,
                 "address": self.address if self._listener is not None else None,
                 "slots": self._slots,
-                "tags": dict(self.tags),
+                "gpu": self.gpu,
                 "cache": self.cache is not None,
-                "backend": (
-                    self._backend.stats().to_json_dict()
-                    if self._backend is not None
-                    else None
-                ),
             }
         )
         return description
@@ -369,11 +340,8 @@ class WorkerDaemon(rpc.Server):
     # ------------------------------------------------------------------ #
     # Shard execution (called from connection slot threads)
     # ------------------------------------------------------------------ #
-    def _resolve_spec(self, spec: WorkerSpec) -> "tuple[Parser, BatchWorker]":
-        """The parser for one spec and its site on the local backend.
-
-        Fingerprint-checked and memoised per spec.
-        """
+    def _resolve_spec(self, spec: WorkerSpec) -> "Parser":
+        """The parser for one spec, fingerprint-checked and memoised per spec."""
         with self._resolve_lock:
             resolved = self._resolved.get(spec.fingerprint)
             if resolved is not None:
@@ -390,9 +358,8 @@ class WorkerDaemon(rpc.Server):
                     f"but the coordinator expects {spec.fingerprint}; parser "
                     f"versions or trained weights differ between the hosts",
                 )
-            resolved = (parser, self._backend.site(parser))
-            self._resolved[spec.fingerprint] = resolved
-            return resolved
+            self._resolved[spec.fingerprint] = parser
+            return parser
 
     def _item(self, descriptor: Mapping[str, Any]) -> Item:
         """What one descriptor carries: a document, or a reference."""
@@ -422,30 +389,26 @@ class WorkerDaemon(rpc.Server):
         overlapping shards parse a shared document once (the later one
         counts it as a hit); a writing shard is flushed before it returns,
         so what is acknowledged is durable.  Without a cache, every item
-        goes straight to the local backend's site.
+        goes straight to :func:`~repro.pipeline.backends.parse_items`.
 
         An inline descriptor is keyed by the content hash it carries.  A
         by-reference descriptor's hash is ``ref.key()``, which names a
         location: its content hash comes from the cache's reference index
         (:meth:`~repro.cache.ParseCache.key_items`, what the pipeline's
         cached batches use), so a reference this worker has read before is
-        read again — at the site — only if its parse is not cached either.
+        read again — by the parse — only if its parse is not cached either.
         A reference that does not load here raises a :class:`SpecError`
         coded ``unresolved_reference``; one that never could, ``bad_reference``.
         """
-        _, site = self._resolve_spec(spec)
+        parser = self._resolve_spec(spec)
         policy = CachePolicy.coerce(spec.cache) if self.cache is not None else CachePolicy.OFF
         items = [self._item(descriptor) for descriptor in descriptors]
 
         def inner(sub_batch: "list[Item]"):
-            """The misses as one sub-batch through the local backend."""
-            assert self._backend is not None
-            for output in self._backend.map_ordered(site, [sub_batch]):
-                self._bump(
-                    "docs_loaded", sum(isinstance(item, DocumentRef) for item in sub_batch)
-                )
-                return output
-            raise SpecError("backend_closed", "local execution backend yielded nothing")
+            """The misses, parsed as one sub-batch on this slot thread."""
+            output = parse_items(parser, sub_batch)
+            self._bump("docs_loaded", sum(isinstance(item, DocumentRef) for item in sub_batch))
+            return output
 
         try:
             if policy is CachePolicy.OFF:
@@ -503,10 +466,9 @@ class _ConnectionHandler(rpc.Session):
             "worker_id": self.daemon.name,
             "pid": os.getpid(),
             "capabilities": {
-                "backend": self.daemon._backend_name,
                 "slots": self.daemon._slots,
                 "cache": self.daemon.cache is not None,
-                "tags": dict(self.daemon.tags),
+                "tags": {"gpu": True} if self.daemon.gpu else {},
             },
         }
 

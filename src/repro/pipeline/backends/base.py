@@ -365,8 +365,7 @@ _BUILTIN_BACKEND_MODULES: dict[str, str] = {
 }
 
 #: Accepted names → the backend each resolves to.  ``process`` is kept for
-#: stored requests and ``worker --backend process`` daemons; CPU-bound
-#: work past one core runs on ``remote``.
+#: stored requests; CPU-bound work past one core runs on ``remote``.
 _ACCEPTED_NAMES: dict[str, str] = {"async": "thread", "process": "thread"}
 
 #: Deleted backend names → what replaces them.  A stored request naming

@@ -42,10 +42,16 @@ class TortoiseParser(Parser):
     version = "1.0"
     cost = ParserCost(cpu_seconds_per_page=0.001)
 
-    def __init__(self, sleep_seconds: float = 0.03) -> None:
+    def __init__(
+        self, sleep_seconds: float = 0.03, started: threading.Event | None = None
+    ) -> None:
         self.sleep_seconds = sleep_seconds
+        #: Set when the first document starts parsing (mid-shard).
+        self.started = started
 
     def _parse_pages(self, document, rng):
+        if self.started is not None:
+            self.started.set()
         time.sleep(self.sleep_seconds)
         return [f"{document.doc_id}:p{i}" for i in range(document.n_pages)]
 
@@ -70,9 +76,11 @@ def addresses_of(workers: list[WorkerDaemon]) -> str:
     return ",".join(worker.address for worker in workers)
 
 
-def tortoise_pipeline(registry, sleep_seconds: float = 0.03) -> ParsePipeline:
+def tortoise_pipeline(
+    registry, sleep_seconds: float = 0.03, started: threading.Event | None = None
+) -> ParsePipeline:
     pipeline = ParsePipeline(registry)
-    pipeline.engines["tortoise"] = TortoiseParser(sleep_seconds)
+    pipeline.engines["tortoise"] = TortoiseParser(sleep_seconds, started)
     return pipeline
 
 
@@ -1404,7 +1412,13 @@ class TestByReference:
         self, registry
     ):
         source = "synthetic:30?seed=11&min_pages=1&max_pages=2"
-        workers = start_workers(2, pipeline=tortoise_pipeline(registry))
+        started = threading.Event()
+        workers = [
+            WorkerDaemon(name="test-worker-0", pipeline=tortoise_pipeline(registry)).start(),
+            WorkerDaemon(
+                name="test-worker-1", pipeline=tortoise_pipeline(registry, started=started)
+            ).start(),
+        ]
         outcome: dict = {}
 
         def run():
@@ -1416,14 +1430,9 @@ class TestByReference:
         thread = threading.Thread(target=run)
         thread.start()
         victim = workers[1]
-        deadline = time.monotonic() + 20
-        while time.monotonic() < deadline:
-            # `docs_loaded` moves when a shard's reads are known to have
-            # succeeded; mid-shard is when the local backend has dispatched.
-            if victim.describe()["backend"]["batches_dispatched"]:
-                break
-            time.sleep(0.005)
-        else:
+        # `docs_loaded` moves when a shard's reads are known to have
+        # succeeded; mid-shard is when the victim's parser has started.
+        if not started.wait(20):
             pytest.fail("the victim worker never started a by-reference shard")
         # A shard takes 90 ms: let the first window's sends (≈1 ms) all land,
         # as they had by the time the old signal — a document loaded — fired.

@@ -1,9 +1,9 @@
-"""Constrained and balanced placement on a live coordinator.
+"""GPU and balanced placement on a live coordinator.
 
-A shard may carry capability constraints (a heavyweight parser's shards ask
-for ``gpu=true``).  The coordinator keeps them to workers whose tags satisfy
-them, relaxes them when no alive worker does, and re-places queued shards
-toward a tagged joiner by the same rule.  ``balanced`` placement picks the
+A shard may ask for a GPU worker (a heavyweight parser's shards do).  The
+coordinator keeps it to workers that advertise a GPU, relaxes the ask when no
+alive worker does, and re-places queued shards toward a GPU joiner by the
+same rule.  ``balanced`` placement picks the
 least-backlogged worker, rendezvous rank breaking ties.  Each test checks
 where shards land against :func:`~repro.cluster.protocol.rank_workers`.
 """
@@ -22,9 +22,6 @@ from repro.documents.corpus import CorpusConfig, build_corpus
 from repro.parsers.base import Parser, ParserCost
 from repro.parsers.registry import default_registry
 from repro.pipeline import ParsePipeline, request_for_documents
-
-#: What a heavyweight parser's shards ask for.
-GPU = {"gpu": True}
 
 
 class GateParser(Parser):
@@ -53,10 +50,10 @@ def documents():
     return list(corpus)
 
 
-def gated_worker(registry, gate, name, tags=None) -> WorkerDaemon:
+def gated_worker(registry, gate, name, gpu=False) -> WorkerDaemon:
     pipeline = ParsePipeline(registry)
     pipeline.engines["gate"] = GateParser(gate)
-    return WorkerDaemon(name=name, pipeline=pipeline, tags=tags).start()
+    return WorkerDaemon(name=name, pipeline=pipeline, gpu=gpu).start()
 
 
 def placement_key(batch) -> str:
@@ -75,10 +72,9 @@ def queued_and_in_flight(coordinator) -> dict[str, list[str]]:
 
 
 class TestConstrainedPlacement:
-    def test_tagged_worker_takes_every_nougat_shard(self, registry, documents):
+    def test_gpu_worker_takes_every_nougat_shard(self, registry, documents):
         workers = [
-            WorkerDaemon(name="gpu-0", pipeline=ParsePipeline(registry),
-                         tags={"gpu": "true"}).start(),
+            WorkerDaemon(name="gpu-0", pipeline=ParsePipeline(registry), gpu=True).start(),
             WorkerDaemon(name="cpu-0", pipeline=ParsePipeline(registry)).start(),
             WorkerDaemon(name="cpu-1", pipeline=ParsePipeline(registry)).start(),
         ]
@@ -98,7 +94,7 @@ class TestConstrainedPlacement:
         assert parsed == {"gpu-0": len(batch), "cpu-0": 0, "cpu-1": 0}
         assert report.execution.extra["cluster_placement_relaxed"] == 0
 
-    def test_no_tagged_worker_relaxes_each_shard_once(self, registry, documents):
+    def test_no_gpu_worker_relaxes_each_shard_once(self, registry, documents):
         workers = [
             WorkerDaemon(name=f"plain-{i}", pipeline=ParsePipeline(registry)).start()
             for i in range(2)
@@ -107,7 +103,7 @@ class TestConstrainedPlacement:
         shards = pairs(documents[:16])
         coordinator = ClusterCoordinator([w.address for w in workers]).connect()
         try:
-            futures = [coordinator.submit(spec, batch, constraints=GPU) for batch in shards]
+            futures = [coordinator.submit(spec, batch, gpu=True) for batch in shards]
             outputs = [future.result(timeout=60) for future in futures]
             relaxed = coordinator.counters["placement_relaxed"]
             parsed = {w.name: w.counters["docs_parsed"] for w in workers}
@@ -117,22 +113,22 @@ class TestConstrainedPlacement:
                 worker.stop()
         assert [len(results) for results, _ in outputs] == [2] * len(shards)
         assert relaxed == len(shards)
-        # Relaxed shards rank over every worker, as unconstrained ones do.
+        # Relaxed shards rank over every worker, as CPU-only ones do.
         expected = {"plain-0": 0, "plain-1": 0}
         for batch in shards:
             expected[rank_workers(placement_key(batch), list(expected))[0]] += len(batch)
         assert parsed == expected
 
-    def test_tagged_joiner_takes_exactly_the_queued_shards_it_ranks_first(
+    def test_gpu_joiner_takes_exactly_the_queued_shards_it_ranks_first(
         self, registry, documents
     ):
         gate = threading.Event()
         fixed = [
-            gated_worker(registry, gate, "g0", tags={"gpu": "true"}),
+            gated_worker(registry, gate, "g0", gpu=True),
             gated_worker(registry, gate, "u0"),
             gated_worker(registry, gate, "u1"),
         ]
-        joiner = gated_worker(registry, gate, "j0", tags={"gpu": "true"})
+        joiner = gated_worker(registry, gate, "j0", gpu=True)
         pipeline = ParsePipeline(registry)
         pipeline.engines["gate"] = GateParser(gate)
         spec = WorkerSpec.for_parser(pipeline.engines["gate"])
@@ -140,7 +136,7 @@ class TestConstrainedPlacement:
         coordinator = ClusterCoordinator([w.address for w in fixed], window=1).connect()
         try:
             futures = [
-                coordinator.submit(spec, batch, constraints=GPU if i % 2 == 0 else None)
+                coordinator.submit(spec, batch, gpu=i % 2 == 0)
                 for i, batch in enumerate(shards)
             ]
             ids = {future.shard_id: i for i, future in enumerate(futures)}
@@ -156,7 +152,7 @@ class TestConstrainedPlacement:
             for worker in fixed + [joiner]:
                 worker.stop()
         assert all(len(results) == 2 for results, _ in outputs)
-        # Before the join every constrained shard sat on the one tagged worker.
+        # Before the join every GPU shard sat on the one GPU worker.
         assert {sid for sid in before["g0"] if ids[sid] % 2 == 0} == {
             sid for sid, i in ids.items() if i % 2 == 0
         }
@@ -172,8 +168,8 @@ class TestConstrainedPlacement:
         assert moved == expected
         moved_kinds = {ids[sid] % 2 == 0 for sid in moved}
         assert moved_kinds == {True, False}  # witnesses of both kinds moved
-        # A moved constrained shard that an untagged worker outranks j0 for:
-        # the tag filter, not the plain ranking, chose the joiner.
+        # A moved GPU shard that a CPU-only worker outranks j0 for: the GPU
+        # filter, not the plain ranking, chose the joiner.
         assert any(
             rank_workers(placement_key(shards[ids[sid]]), ["g0", "u0", "u1", "j0"])[0]
             != "j0"

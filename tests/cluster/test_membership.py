@@ -111,7 +111,7 @@ class TestWorkerStates:
     def test_every_admitted_worker_stays_listed(self, registry):
         fixed = WorkerDaemon(name="l-0", pipeline=ParsePipeline(registry)).start()
         joiner = WorkerDaemon(name="l-1", pipeline=ParsePipeline(registry),
-                              tags={"slots": "2"}).start()
+                              slots=2).start()
         coordinator = ClusterCoordinator([fixed.address]).connect()
         try:
             coordinator.add_worker(joiner.address)
@@ -120,7 +120,7 @@ class TestWorkerStates:
             workers = {w["worker_id"]: w for w in coordinator.workers()}
             assert workers["l-0"]["source"] == "fixed"
             assert workers["l-1"]["source"] == "join"
-            assert workers["l-1"]["tags"]["slots"] == 2
+            assert workers["l-1"]["capabilities"]["slots"] == 2
             assert workers["l-1"]["address"] == joiner.address
             assert _states(coordinator) == {"l-0": "alive", "l-1": "dead"}
         finally:
@@ -135,7 +135,7 @@ class TestMembershipListener:
 
         fixed = WorkerDaemon(name="fixed-0", pipeline=ParsePipeline(registry)).start()
         joiner = WorkerDaemon(name="joiner-0", pipeline=ParsePipeline(registry),
-                              tags={"gpu": "true"}).start()
+                              gpu=True).start()
         coordinator = ClusterCoordinator([fixed.address]).connect()
         listener = MembershipListener(coordinator).start()
         call, sent = rpc.call, []
@@ -149,8 +149,9 @@ class TestMembershipListener:
             assert workers["joiner-0"]["alive"]
             assert workers["joiner-0"]["state"] == "alive"
             assert workers["joiner-0"]["source"] == "join"
-            # Identity and tags arrive by the dial-back hello_ack, not the join.
-            assert workers["joiner-0"]["tags"]["gpu"] is True
+            # Identity and capabilities arrive by the dial-back hello_ack, not
+            # the join.
+            assert workers["joiner-0"]["capabilities"]["tags"] == {"gpu": True}
             assert [sorted(message) for message in sent] == [["address", "protocol", "type"]]
             assert coordinator.counters["workers_seen"] == 2
         finally:

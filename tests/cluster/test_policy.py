@@ -1,89 +1,54 @@
-"""Unit tests of the pure placement functions (no sockets, no clocks)."""
+"""Which parsers' shards ask for a GPU worker (no sockets, no clocks)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.policy import (
-    HEAVYWEIGHT_PARSERS,
-    coerce_tag,
-    coerce_tags,
-    constraints_for_parser,
-    satisfies,
-    tags_from_capabilities,
-)
+from repro.cluster.backend import HEAVYWEIGHT_PARSERS, RemoteBackend
+from repro.parsers.registry import default_registry
 
 
-class TestTags:
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            ("true", True),
-            ("YES", True),
-            ("off", False),
-            ("8", 8),
-            (" large ", "large"),
-            (True, True),
-            (3, 3),
-        ],
-    )
-    def test_coerce_tag(self, raw, expected):
-        assert coerce_tag(raw) == expected
+class _EmptyShard:
+    """A settled shard future with no results and no phase table."""
 
-    def test_coerce_tags_none(self):
-        assert coerce_tags(None) == {}
+    phases = None
 
-    def test_tags_from_capabilities_folds_in_implicit(self):
-        tags = tags_from_capabilities(
-            {"cache": True, "slots": 4, "tags": {"gpu": "true"}}
-        )
-        assert tags == {"gpu": True, "cache": True, "slots": 4}
-
-    def test_explicit_tags_win_over_implicit(self):
-        tags = tags_from_capabilities({"cache": True, "tags": {"cache": "false"}})
-        assert tags["cache"] is False
+    def result(self):
+        return [], []
 
 
-class TestSatisfies:
-    def test_empty_constraints_always_satisfied(self):
-        assert satisfies({}, None)
-        assert satisfies({}, {})
+class _RecordingCoordinator:
+    """Coordinator double: records each shard's ``gpu`` flag."""
 
-    def test_boolean_constraint_is_truthiness(self):
-        assert satisfies({"gpu": True}, {"gpu": True})
-        assert not satisfies({"gpu": False}, {"gpu": True})
-        assert not satisfies({}, {"gpu": True})
-        assert satisfies({}, {"gpu": False})
+    def __init__(self) -> None:
+        self.gpu_flags: list[bool] = []
 
-    def test_numeric_constraint_is_minimum(self):
-        assert satisfies({"slots": 8}, {"slots": 4})
-        assert satisfies({"slots": 4}, {"slots": 4})
-        assert not satisfies({"slots": 2}, {"slots": 4})
-        assert not satisfies({}, {"slots": 1})
-
-    def test_numeric_constraint_refuses_a_string_tag(self):
-        assert not satisfies({"slots": "many"}, {"slots": 1})
-        assert not satisfies({"cpu_class": "large"}, {"cpu_class": 2})
-
-    def test_fractional_minimum_compares_numerically(self):
-        assert satisfies({"mem_gb": 16}, {"mem_gb": 7.5})
-        assert not satisfies({"mem_gb": 4}, {"mem_gb": 7.5})
-
-    def test_string_constraint_is_equality(self):
-        assert satisfies({"cpu_class": "large"}, {"cpu_class": "large"})
-        assert not satisfies({"cpu_class": "small"}, {"cpu_class": "large"})
-
-    def test_wire_strings_normalise_before_comparison(self):
-        # Tags arrive as CLI/wire strings; "true" and True must match.
-        assert satisfies({"gpu": "true"}, {"gpu": True})
-        assert satisfies({"slots": "8"}, {"slots": 4})
+    def submit(self, spec, batch, gpu=False):
+        self.gpu_flags.append(gpu)
+        return _EmptyShard()
 
 
-class TestConstraintsForParser:
-    def test_heavyweight_parsers_want_gpu(self):
-        for name in HEAVYWEIGHT_PARSERS:
-            assert constraints_for_parser(name) == {"gpu": True}
+def submitted_gpu_flag(parser_name: str) -> bool:
+    backend = RemoteBackend(workers="127.0.0.1:9")
+    coordinator = _RecordingCoordinator()
+    backend._coordinator = coordinator  # never dialled
+    try:
+        backend.site(default_registry().get(parser_name))([])
+    finally:
+        backend._coordinator = None
+        backend.close()
+    (gpu,) = coordinator.gpu_flags
+    return gpu
 
-    def test_lightweight_parsers_run_anywhere(self):
-        assert constraints_for_parser("pymupdf") == {}
-        assert constraints_for_parser("pypdf") == {}
+
+class TestHeavyweightParsers:
+    def test_the_heavyweight_parsers_are_nougat_and_marker(self):
+        assert HEAVYWEIGHT_PARSERS == {"nougat", "marker"}
+
+    @pytest.mark.parametrize("name", sorted(HEAVYWEIGHT_PARSERS))
+    def test_heavyweight_parsers_want_gpu(self, name):
+        assert submitted_gpu_flag(name) is True
+
+    @pytest.mark.parametrize("name", ["pymupdf", "pypdf"])
+    def test_lightweight_parsers_run_anywhere(self, name):
+        assert submitted_gpu_flag(name) is False

@@ -5,7 +5,10 @@ run over the 40-document SimPDF pool of ``tests/documents/test_simpdf_pins.py``
 (results with page texts, decisions, usage, cache counters and the ``phases``
 keys; no timings, addresses or paths) digests to :data:`REPORT_DIGEST` for
 every worker build listed in :data:`WORKER_BUILDS`, so those builds differ in
-nothing a report shows.  Regenerate the digest with
+nothing a report shows.  The digest was recorded while workers still ran
+their shards on a nested execution backend, and a two-slot build and a
+``backend="thread", backend_options={"n_jobs": 2}`` build both read it: a
+worker that parses each shard on its own slot thread reports what those did.  Regenerate the digest with
 ``python tests/cluster/test_slot_pool_pin.py`` only for a deliberate change
 to what a report holds, and say so.
 """
@@ -28,7 +31,6 @@ POOL_CONFIG = CorpusConfig(n_documents=40, seed=47)
 
 #: Worker constructor options, by build name; every build pins to the digest.
 WORKER_BUILDS = {
-    "thread-n_jobs-2": {"backend": "thread", "backend_options": {"n_jobs": 2}},
     "slots-2": {"slots": 2},
 }
 

@@ -1101,22 +1101,19 @@ class TestRemotePhaseAttributionParity:
     tables ship back over the wire and merge into the coordinator's
     timer, so the merged report pins the exact same key sets."""
 
-    #: The worker composes the same site on *its* backend, so its shipped
-    #: table has the same keys whichever local backend parses the shard.
-    #: The ``process`` row is a ``worker --backend process`` daemon.
-    @pytest.fixture(params=[case[0] for case in BACKEND_CASES if case[0] != "async"])
+    #: A worker parses each shard on its own slot thread, so its shipped
+    #: table has the same keys however many shards it runs at once.
+    @pytest.fixture(params=[1, 2, 3], ids=lambda slots: f"slots-{slots}")
     def cluster(self, request, registry, engine):
         from repro.cluster.worker import WorkerDaemon
 
-        options = dict(BACKEND_CASES)[request.param]
         workers = [
             WorkerDaemon(
                 name=f"phase-parity-{i}",
                 pipeline=ParsePipeline(
                     registry, engines={engine.name: engine}, cache=ParseCache()
                 ),
-                backend=request.param,
-                backend_options=options,
+                slots=request.param,
             ).start()
             for i in range(2)
         ]
@@ -1546,9 +1543,10 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --autoscale" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv", [["pipeline", "--documents", "2"], ["worker", "--port", "0"]]
-    )
+    # A worker refuses every backend but serial, hpc included, with exit 2
+    # naming --slots: ``test_a_worker_takes_only_the_serial_backend`` in
+    # tests/test_cli.py.
+    @pytest.mark.parametrize("argv", [["pipeline", "--documents", "2"]])
     def test_hpc_backend_exits_1_naming_scaling(self, argv):
         import os
         import subprocess

@@ -162,6 +162,30 @@ class TestBackendOptionHandling:
             main(["pipeline", "--documents", "2", "--backend", "thread",
                   "--backend-opt", "n_jobs=0"])
 
+    @pytest.mark.parametrize("backend", ["thread", "process", "remote", "hpc"])
+    def test_a_worker_takes_only_the_serial_backend(self, capsys, backend):
+        """A worker runs each shard on a slot thread: ``--backend serial`` is
+        accepted (the benchmark passes it), anything else names ``--slots``."""
+        from repro.cli import main
+
+        assert main(["worker", "--port", "0", "--backend", backend]) == 2
+        assert "--slots N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["worker", "--tag", "gpu=true"], ["worker", "--backend-opt", "n_jobs=2"],
+         ["cluster", "run", "--worker-backend", "thread"],
+         ["cluster", "run", "--worker-jobs", "2"]],
+        ids=["tag", "backend-opt", "worker-backend", "worker-jobs"],
+    )
+    def test_removed_worker_flags_are_usage_errors(self, capsys, argv):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_async_backend_with_bool_option(self, capsys):
         """``async`` names the thread backend; its removed options fail like
         any unknown one, listing the options ``thread`` has."""
@@ -445,20 +469,18 @@ class TestLocalWorkerHelpers:
         spawn_local_worker("w-0")
         (call,) = popen_calls
         assert call["command"] == [
-            sys.executable, "-m", "repro.cli", "worker",
-            "--port", "0", "--name", "w-0", "--backend", "serial",
+            sys.executable, "-m", "repro.cli", "worker", "--port", "0", "--name", "w-0",
         ]
         assert call["stdout"] is subprocess.PIPE
         assert call["text"] is True
 
-    def test_spawn_passes_jobs_and_cache_dir(self, popen_calls, tmp_path):
+    def test_spawn_passes_the_cache_dir(self, popen_calls, tmp_path):
         from repro.cli import spawn_local_worker
 
-        spawn_local_worker("w-1", backend="thread", jobs=3, cache_dir=tmp_path / "c")
+        spawn_local_worker("w-1", cache_dir=tmp_path / "c")
         (call,) = popen_calls
-        assert call["command"][-6:] == [
-            "--backend", "thread",
-            "--backend-opt", "n_jobs=3",
+        assert call["command"][-4:] == [
+            "--name", "w-1",
             "--cache-dir", str(tmp_path / "c"),
         ]
 
