@@ -150,6 +150,8 @@ class WorkerDaemon(rpc.Server):
         gpu: bool = False,
     ) -> None:
         super().__init__(host, port)
+        if slots < 1:
+            raise ValueError(f"slots must be a positive integer, got {slots!r}")
         self._pipeline = pipeline
         if isinstance(cache, (str, os.PathLike)):
             cache = ParseCache(cache)
@@ -473,7 +475,7 @@ class _ConnectionHandler(rpc.Session):
         }
 
     def on_open(self) -> None:
-        for index in range(self.daemon._slots or 1):
+        for index in range(self.daemon._slots):
             self.spawn(f"slot-{index}", self._slot_loop)
         self.spawn("heartbeat", self._heartbeat_loop)
 

@@ -268,6 +268,21 @@ class TestWorkerDaemon:
             assert ack["capabilities"]["cache"] is False
             channel.close()
 
+    @pytest.mark.parametrize("gpu,tags", [(False, {}), (True, {"gpu": True})])
+    def test_capabilities_are_slots_cache_and_the_gpu_tag(self, registry, gpu, tags):
+        with WorkerDaemon(pipeline=ParsePipeline(registry), slots=2, gpu=gpu) as daemon:
+            channel = dial(daemon)
+            ack = handshake(channel)
+            channel.close()
+        assert ack["capabilities"] == {"slots": 2, "cache": False, "tags": tags}
+
+    @pytest.mark.parametrize("slots", [0, -1])
+    def test_a_worker_without_a_slot_is_refused(self, slots):
+        # A worker with no slot thread would take shards and heartbeat
+        # forever without running one.
+        with pytest.raises(ValueError, match="slots must be a positive integer"):
+            WorkerDaemon(slots=slots)
+
     def test_protocol_version_mismatch_refused(self, registry):
         with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
             channel = dial(daemon)

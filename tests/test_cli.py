@@ -171,6 +171,15 @@ class TestBackendOptionHandling:
         assert main(["worker", "--port", "0", "--backend", backend]) == 2
         assert "--slots N" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("slots", ["0", "-1"])
+    def test_a_worker_needs_a_slot(self, capsys, slots):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc_info:
+            main(["worker", "--slots", slots])
+        assert exc_info.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [["worker", "--tag", "gpu=true"], ["worker", "--backend-opt", "n_jobs=2"],
