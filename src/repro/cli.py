@@ -1095,7 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
         "derived from the bound address)",
     )
     worker.add_argument(
-        "--slots", type=_positive_int, default=1, help="concurrent shards, one slot thread each"
+        "--slots", type=_positive_int, default=1, help="concurrent shards, a thread each"
     )
     worker.add_argument(
         "--heartbeat-interval", type=float, default=1.0, help="liveness beacon period (s)"

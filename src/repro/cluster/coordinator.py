@@ -491,9 +491,10 @@ class ClusterCoordinator:
         ``trace`` (default: the caller's active trace) rides the
         ``submit_shard`` frame so the worker's logs for the shard carry the
         submitting request's trace id.  A ``gpu`` shard goes to a worker
-        that advertises a GPU (relaxed when no alive worker does).  With a ledger attached, a shard the
-        ledger already holds resolves immediately from the checkpoint —
-        the resume path — and is never dispatched.
+        that advertises a GPU (relaxed when no alive worker does).  With a
+        ledger attached, a shard the ledger already holds resolves
+        immediately from the checkpoint — the resume path — and is never
+        dispatched.
         """
         batch = list(items)
         if trace is None:

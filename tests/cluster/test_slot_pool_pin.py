@@ -8,9 +8,9 @@ every worker build listed in :data:`WORKER_BUILDS`, so those builds differ in
 nothing a report shows.  The digest was recorded while workers still ran
 their shards on a nested execution backend, and a two-slot build and a
 ``backend="thread", backend_options={"n_jobs": 2}`` build both read it: a
-worker that parses each shard on its own slot thread reports what those did.  Regenerate the digest with
-``python tests/cluster/test_slot_pool_pin.py`` only for a deliberate change
-to what a report holds, and say so.
+worker that parses each shard on its own slot thread reports what those
+did.  Regenerate the digest with ``python tests/cluster/test_slot_pool_pin.py``
+only for a deliberate change to what a report holds, and say so.
 """
 
 from __future__ import annotations

@@ -174,7 +174,7 @@ class TestSourceParity:
         walks: list[str] = []
         scandir = sources._scandir
         monkeypatch.setattr(
-            sources, "_scandir", lambda directory: walks.append(directory) or scandir(directory)
+            sources, "_scandir", lambda path: walks.append(path) or scandir(path)
         )
         request = ParseRequest(source=f"simpdf-dir:{pool}")
         payload = request.to_json_dict()
