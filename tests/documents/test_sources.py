@@ -571,6 +571,26 @@ class TestListingPins:
             assert ref.stamp == f"{stat.st_size}:{stat.st_mtime_ns}"
         assert source.paths() == [pinned_tree / locator for locator in locators]
 
+    @pytest.mark.parametrize("glob", ["*.simpdf", "**/*.simpdf", "*/*.simpdf", "**/**/*.simpdf"])
+    def test_the_listing_stats_each_candidate_once(self, pinned_tree, monkeypatch, glob):
+        # ``**/**`` reaches ``a/y.simpdf`` twice; the dangling link and the
+        # directory named ``dir.simpdf`` are stat'ed once and dropped.
+        source = SimPdfDirSource(pinned_tree, glob=glob)
+        stats: list[str] = []
+        stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(os.fspath(path))
+            return stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        listed = [locator for locator, _ in source._listing()]
+        dropped = [] if glob == "*/*.simpdf" else ["dangling.simpdf", "dir.simpdf"]
+        assert sorted(stats) == sorted(
+            [os.fspath(pinned_tree)]  # the root's is-a-directory check
+            + [os.fspath(pinned_tree / locator) for locator in listed + dropped]
+        )
+
     def test_stamps_follow_links(self, pinned_tree):
         stamps = {
             ref.locator: ref.stamp

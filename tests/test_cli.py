@@ -329,6 +329,45 @@ class TestCommands:
         assert '"retention_rate"' in out
         assert (tmp_path / "dataset" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("kind", ["synthetic", "simpdf-dir"])
+    def test_dataset_banner_names_the_source_kind_without_listing_it(
+        self, kind, tmp_path, monkeypatch, capsys
+    ):
+        from repro.datasets.assembly import DatasetBuilder
+        from repro.documents import sources
+        from repro.documents.corpus import CorpusConfig
+        from repro.documents.simpdf import SimPdfWriter
+
+        source = "synthetic:3?seed=5"
+        if kind == "simpdf-dir":
+            writer = SimPdfWriter(tmp_path / "pool")
+            config = CorpusConfig(n_documents=3, seed=5)
+            for document in sources.SyntheticSource(config).iter_documents():
+                writer.write(document)
+            source = f"simpdf-dir:{tmp_path / 'pool'}"
+        walks: list[str] = []
+        scandir = sources._scandir
+        monkeypatch.setattr(
+            sources, "_scandir", lambda path: walks.append(path) or scandir(path)
+        )
+        walks_at_build: list[int] = []
+        build = DatasetBuilder.build
+
+        def recording_build(self, source):
+            walks_at_build.append(len(walks))
+            return build(self, source)
+
+        monkeypatch.setattr(DatasetBuilder, "build", recording_build)
+        exit_code = main(
+            ["dataset", "--source", source, "--parser", "pymupdf", "--min-tokens", "10"]
+        )
+        assert exit_code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"assembling dataset from {kind} source with pymupdf..." in lines
+        # The banner reads no listing; the build's own walk is the first.
+        assert walks_at_build == [0]
+        assert (kind == "simpdf-dir") == bool(walks)
+
     def test_pipeline_command_prints_report(self, capsys):
         exit_code = main(
             [
