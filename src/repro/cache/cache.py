@@ -12,13 +12,14 @@
    so concurrent workers that miss on the same key do the parse exactly
    once, and
 4. a reference index (:class:`repro.cache.refindex.ReferenceIndex`) that
-   remembers the content hash of every document reference it has keyed.  A
-   batch is a list of items — documents and references, freely mixed — and
-   :meth:`ParseCache.key_items` keys it slot by slot: a document is hashed,
-   a reference the index knows stays a reference, and only an unknown one
-   is read here (it has to be hashed).  A miss the index knew therefore
-   reaches the execution site — a pool thread, a remote worker — still a
-   reference, and a hit is never read at all.
+   remembers the content hash of every document it has hashed that was read
+   through a reference.  A batch is a list of items — documents and
+   references, freely mixed — and :meth:`ParseCache.key_items` keys it slot
+   by slot: a document is hashed, a reference the index knows stays a
+   reference, and only an unknown one is read here (it has to be hashed).
+   A miss the index knew therefore reaches the execution site — a pool
+   thread, a remote worker — still a reference, and a hit is never read at
+   all.
 
 Entries are addressed by :class:`repro.cache.keys.CacheKey` — the
 document's content hash plus the parser's configuration fingerprint — so a
@@ -48,7 +49,7 @@ from repro.cache.refindex import ReferenceIndex
 from repro.cache.singleflight import Flight, SingleFlight
 from repro.cache.stats import CacheStatsRecorder
 from repro.core.engine import RoutingDecision
-from repro.documents.sources import DocumentRef, Item, load_items
+from repro.documents.sources import DocumentRef, Item, document_origin, load_items
 from repro.obs import profiling as _profiling
 from repro.parsers.base import ParseResult, ResourceUsage
 
@@ -258,8 +259,11 @@ class ParseCache:
 
         Slot by slot: a document is hashed; a reference the index knows is
         keyed from it and stays a reference; an unknown reference is read
-        (:func:`~repro.documents.sources.load_items`), hashed, remembered
-        and replaced by its document.  ``hashes`` gives the content hashes
+        (:func:`~repro.documents.sources.load_items`), hashed and replaced by
+        its document.  Every hashed document that was read through a
+        reference (:func:`~repro.documents.sources.document_origin`) — here,
+        or by whoever built the batch — is remembered under that reference.
+        ``hashes`` gives the content hashes
         a caller already holds (a worker's inline descriptors carry them);
         such a slot is keyed as told and its item is not looked at.
         Returns the keys and the items as they now stand.  Everything but
@@ -276,14 +280,15 @@ class ParseCache:
         key_seconds = perf_counter() - started
         loaded = load_items([items[slot] for slot in unknown])
         started = perf_counter()
-        learned = []
         for slot, document in zip(unknown, loaded):
-            learned.append((items[slot], document_content_hash(document)))
             items[slot] = document
-        self.refs.remember(learned)
+        learned = []
         for slot in asked:
             if hashes[slot] is None:
                 hashes[slot] = document_content_hash(items[slot])
+                if (origin := document_origin(items[slot])) is not None:
+                    learned.append((origin, hashes[slot]))
+        self.refs.remember(learned)
         keys = [
             str(CacheKey(content_hash, config_fingerprint)) for content_hash in hashes
         ]

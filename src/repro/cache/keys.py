@@ -43,6 +43,11 @@ from repro.utils.hashing import hash_buffers, stable_hash, stable_hash_hex
 #: Hashing a document's full text dominates a warm cache pass, and document
 #: copies go through ``dataclasses.replace`` (fresh objects without the
 #: attribute), so per-object memoisation is safe for the library's idioms.
+#: A source's ``load`` tags a document with the reference it was read through
+#: the same way (:func:`repro.documents.sources.document_origin`), and the
+#: parse cache's reference index learns ``(origin, hash)``.  Derived copies
+#: carry neither: ``with_text_layer``, ``with_image_layer`` and
+#: ``dataclasses.replace`` build new objects.
 _MEMO_ATTR = "_repro_cache_content_hash"
 
 
@@ -56,7 +61,8 @@ def document_content_hash(document: SciDocument) -> str:
     The hash is memoised on the document instance; callers that mutate a
     document's layers in place (rather than using ``with_text_layer`` /
     ``with_image_layer``) should delete the ``_repro_cache_content_hash``
-    attribute to force a re-hash.
+    attribute to force a re-hash, and the ``_repro_source_origin`` attribute
+    so the edit is not remembered as the file's content.
     """
     memoised = getattr(document, _MEMO_ATTR, None)
     if memoised is not None:

@@ -11,6 +11,13 @@ git's stat-cache rule: a changed stamp is a new key, hence a miss here,
 hence a re-read.  The index is independent of the parser: it says what a
 document *is*, the cache entries say what a parser made of it.
 
+The index learns from every document the cache hashes that a source read
+through a reference — one read by the cache itself, or one a caller
+materialised with ``iter_documents`` (both carry
+:func:`~repro.documents.sources.document_origin`).  So a cache warmed from a
+directory's documents (``dataset``, then ``pipeline`` over the same
+``simpdf-dir``) keys that directory by a stat: each file is read once.
+
 One fixed rule guards the stamp's resolution.  A file reference is
 remembered only if the file's mtime is at least :data:`RACY_MARGIN_NS`
 older than the moment it is remembered (git's "racily clean" rule): a

@@ -17,7 +17,11 @@ Sources that can enumerate their documents *without reading them*
 document.  A reference-able source is read where it is parsed, on every
 execution backend: a run holds references, and :func:`load_items` — the one
 place a reference becomes its document — is called at the execution site, by
-whichever thread or worker daemon parses the batch.
+whichever thread or worker daemon parses the batch.  Such a source's
+:meth:`~DocumentSource.iter_documents` is :meth:`~DocumentSource.load` over
+its references, and every loaded document remembers the reference it was
+read through (:func:`document_origin`), so the parse cache can key that
+reference by a stat the next time it is listed.
 
 Sources are constructed either directly (``SimPdfDirSource("corpus")``)
 or declaratively through a :class:`SourceSpec` — a JSON-round-trippable
@@ -31,6 +35,8 @@ at construction with a did-you-mean suggestion.
 from __future__ import annotations
 
 import abc
+import contextlib
+import dataclasses
 import difflib
 import fnmatch
 import json
@@ -70,9 +76,17 @@ class DocumentSource(abc.ABC):
     #: Registry kind of the source (``"synthetic"``, ``"simpdf-dir"``, …).
     kind: str = "abstract"
 
-    @abc.abstractmethod
     def iter_documents(self) -> Iterator[SciDocument]:
-        """Stream the documents in a stable, deterministic order."""
+        """Stream the documents in a stable, deterministic order.
+
+        For a source with :meth:`refs`: each reference loaded as it stands
+        now (``check_stamp=False``), so every document carries its origin.
+        """
+        refs = self.refs()
+        if refs is None:
+            raise NotImplementedError(f"{self.kind} source lists no references")
+        for ref in refs:
+            yield self.load(ref, check_stamp=False)
 
     @abc.abstractmethod
     def fingerprint(self) -> str:
@@ -106,7 +120,8 @@ class DocumentSource(abc.ABC):
         Raises :class:`StaleReference` when the document is not what the
         reference was cut from (gone, or its stamp moved; ``check_stamp=
         False`` reads whatever is there now), and :class:`ValueError` for
-        a locator this source could never have issued.
+        a locator this source could never have issued.  The document's
+        :func:`document_origin` is ``ref`` with the stamp that was read.
         """
         raise ValueError(f"{self.kind} source cannot load documents by reference")
 
@@ -137,10 +152,6 @@ class SyntheticSource(DocumentSource):
 
     def __init__(self, config: CorpusConfig | None = None) -> None:
         self.config = config or CorpusConfig()
-
-    def iter_documents(self) -> Iterator[SciDocument]:
-        for index in range(self.config.n_documents):
-            yield build_document(index, self.config)
 
     # ``CorpusConfig`` is frozen, so the fingerprint and the spec are computed
     # once per instance: ``load`` compares the fingerprint per document.
@@ -183,12 +194,13 @@ class SyntheticSource(DocumentSource):
                 f"synthetic locator {ref.locator!r} is not an index below "
                 f"{self.config.n_documents}"
             )
-        if check_stamp and ref.stamp != self.fingerprint():
+        stamp = self.fingerprint()
+        if check_stamp and ref.stamp != stamp:
             raise StaleReference(
                 f"synthetic corpus configuration differs from the referenced one "
                 f"(document {ref.locator})"
             )
-        return build_document(index, self.config)
+        return _with_origin(build_document(index, self.config), ref, stamp)
 
 
 class ExplicitSource(DocumentSource):
@@ -273,10 +285,6 @@ class SimPdfDirSource(DocumentSource):
     def _read(self, path: Path) -> SciDocument:
         return deserialize_document(path.read_bytes())
 
-    def iter_documents(self) -> Iterator[SciDocument]:
-        for path in self.paths():
-            yield self._read(path)
-
     def refs(self) -> "Iterator[DocumentRef]":
         spec = self.spec()
         for locator, stat in self._listing():
@@ -297,9 +305,10 @@ class SimPdfDirSource(DocumentSource):
                     f"{path} changed since it was referenced "
                     f"({ref.stamp} -> {stamp})"
                 )
-            return self._read(path)
+            document = self._read(path)
         except (FileNotFoundError, NotADirectoryError) as exc:
             raise StaleReference(f"{path} is not readable here: {exc}") from exc
+        return _with_origin(document, ref, stamp)
 
 
 #: A compiled glob: one matcher per ``/``-separated component, ``None`` for ``**``.
@@ -539,6 +548,28 @@ class DocumentRef:
 #: What a batch is made of: a document, or a reference to be read where the
 #: batch is parsed.
 Item = SciDocument | DocumentRef
+
+#: Attribute a loaded document carries its origin under, set like the
+#: content-hash memo (:mod:`repro.cache.keys`) and dropped like it by every
+#: derived copy.
+_ORIGIN_ATTR = "_repro_source_origin"
+
+
+def _with_origin(document: SciDocument, ref: DocumentRef, stamp: str) -> SciDocument:
+    """``document``, tagged with ``ref`` as it stood when read (``stamp``)."""
+    origin = ref if ref.stamp == stamp else dataclasses.replace(ref, stamp=stamp)
+    with contextlib.suppress(AttributeError, TypeError):  # slotted/frozen doubles
+        setattr(document, _ORIGIN_ATTR, origin)
+    return document
+
+
+def document_origin(document: SciDocument) -> DocumentRef | None:
+    """The reference a source's ``load`` read ``document`` through, if any.
+
+    Its stamp is the one ``load`` saw just before the read.  A copy made
+    from the document (``with_text_layer``, ``dataclasses.replace``) has none.
+    """
+    return getattr(document, _ORIGIN_ATTR, None)
 
 
 class StaleReferences(StaleReference):

@@ -30,13 +30,14 @@ from repro.cache.keys import CONTENT_HASH_SCHEME
 from repro.cache.refindex import ReferenceIndex
 from repro.documents.corpus import CorpusConfig, build_corpus
 from repro.documents.document import TextLayer, TextLayerQuality
-from repro.documents.simpdf import SimPdfWriter, serialize_document
+from repro.documents.simpdf import SimPdfWriter, deserialize_document, serialize_document
 from repro.documents.sources import (
     DocumentRef,
     SimPdfDirSource,
     SourceSpec,
     StaleReference,
     create_source,
+    document_origin,
     parse_source_arg,
 )
 from repro.parsers.extraction import PyMuPDFSim
@@ -283,7 +284,12 @@ class TestWarmRunCountGates:
         self, tmp_path, counts
     ):
         source = write_pool(tmp_path / "pool")
-        documents = list(create_source(parse_source_arg(source)).iter_documents())
+        # Read without a source: documents that carry no origin teach nothing.
+        documents = [
+            deserialize_document(path.read_bytes())
+            for path in sorted((tmp_path / "pool").glob("*.simpdf"))
+        ]
+        assert {document_origin(document) for document in documents} == {None}
         cache_dir = tmp_path / "cache"
         ParsePipeline(
             ParserRegistry([CountingParser()]), cache=ParseCache(cache_dir)
@@ -295,6 +301,28 @@ class TestWarmRunCountGates:
         reads = counts["read"]
         assert run(ParseCache(cache_dir), source).cache.hits == 8
         assert counts["read"] == reads
+
+    def test_documents_read_through_the_source_teach_the_index_as_they_warm_it(
+        self, tmp_path, monkeypatch
+    ):
+        source = write_pool(tmp_path / "pool")
+        documents = list(SimPdfDirSource(tmp_path / "pool").iter_documents())
+        cache_dir = tmp_path / "cache"
+        ParsePipeline(
+            ParserRegistry([CountingParser()]), cache=ParseCache(cache_dir)
+        ).run(request_for_documents("counting", documents, cache="write"))
+        assert [p.name for p in cache_dir.glob("refs-*")] == [INDEX]
+        decoded = []
+        decode = sources_module.deserialize_document
+        monkeypatch.setattr(
+            sources_module,
+            "deserialize_document",
+            lambda data: decoded.append(data) or decode(data),
+        )
+        warm = run(ParseCache(cache_dir), source)
+        assert (warm.cache.hits, warm.cache.misses, warm.cache.stores) == (8, 0, 0)
+        assert decoded == []
+        assert "source.load" not in warm.phases
 
 
 # ---------------------------------------------------------------------- #
@@ -367,6 +395,59 @@ class TestStaleness:
         age(pool, seconds=refindex_module.RACY_MARGIN_NS / 1e9 + 1)
         run(cache, source)
         assert len(cache.refs) == 3
+
+    def test_a_file_rewritten_between_listing_and_read_is_taught_under_the_stamp_read(
+        self, tmp_path
+    ):
+        pool, _ = self._pool(tmp_path)
+        listed = {ref.locator: ref for ref in SimPdfDirSource(pool).refs()}
+        rewrite = self._write
+
+        class Rewriting(SimPdfDirSource):
+            def refs(self):
+                refs = list(super().refs())
+                rewrite(pool / "b.simpdf", "Title b. A longer body of b.")
+                age(pool, seconds=30)
+                return iter(refs)
+
+        documents = list(Rewriting(pool).iter_documents())
+        assert "A longer body of b." in documents[1].text_layer.page_texts[0]
+        cache = ParseCache()
+        cache.key_items(documents, "fp")
+        read = {ref.locator: ref for ref in SimPdfDirSource(pool).refs()}
+        assert read["b.simpdf"] != listed["b.simpdf"]
+        assert cache.refs.lookup([read["b.simpdf"], listed["b.simpdf"]]) == [
+            document_content_hash(documents[1]),
+            None,
+        ]
+        assert cache.refs.lookup([read["a.simpdf"]]) == [document_content_hash(documents[0])]
+
+    def test_a_young_file_read_through_the_source_is_not_taught(self, tmp_path):
+        pool, _ = self._pool(tmp_path, young=True)
+        documents = list(SimPdfDirSource(pool).iter_documents())
+        assert None not in map(document_origin, documents)
+        cache = ParseCache(tmp_path / "cache")
+        cache.key_items(documents, "fp")
+        cache.flush()
+        assert len(cache.refs) == 0 and not list((tmp_path / "cache").glob("refs-*"))
+        # The same files, once left alone for the margin, are.
+        age(pool, seconds=refindex_module.RACY_MARGIN_NS / 1e9 + 1)
+        cache.key_items(list(SimPdfDirSource(pool).iter_documents()), "fp")
+        assert len(cache.refs) == 3
+
+    def test_a_derived_copy_teaches_nothing(self, tmp_path):
+        pool, _ = self._pool(tmp_path)
+        (document, *_) = SimPdfDirSource(pool).iter_documents()
+        layer = TextLayer(TextLayerQuality.CLEAN, ["Another text."], producer="test")
+        copied = document.with_text_layer(layer)
+        assert document_origin(copied) is None
+        cache = ParseCache()
+        cache.key_items([copied], "fp")
+        assert len(cache.refs) == 0
+        cache.key_items([document], "fp")
+        assert cache.refs.lookup([document_origin(document)]) == [
+            document_content_hash(document)
+        ]
 
     def test_file_deleted_after_the_listing_is_a_stale_reference(self, tmp_path):
         source = write_pool(tmp_path / "pool")

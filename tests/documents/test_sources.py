@@ -25,6 +25,7 @@ from repro.documents.sources import (
     StaleReference,
     SyntheticSource,
     create_source,
+    document_origin,
     parse_source_arg,
     source_names,
     validate_source_spec,
@@ -188,7 +189,7 @@ class TestValueSemantics:
 
     def test_abstract_base_is_not_instantiable(self):
         with pytest.raises(TypeError):
-            DocumentSource()  # iter_documents/fingerprint are abstract
+            DocumentSource()  # fingerprint is abstract
 
 
 # ---------------------------------------------------------------------- #
@@ -234,6 +235,32 @@ class TestDocumentRefs:
                 source.iter_documents()
             )
             assert len({ref.key() for ref in refs}) == len(set(refs)) == len(refs)
+
+    def test_a_loaded_document_carries_the_reference_it_was_read_through(
+        self, tmp_path
+    ):
+        for source in _referenceable_sources(tmp_path):
+            refs = list(source.refs())
+            assert [document_origin(d) for d in source.iter_documents()] == refs
+            assert [document_origin(source.load(ref)) for ref in refs] == refs
+            # A derived copy is another document: it carries no origin.
+            copied = dataclasses.replace(source.load(refs[0]))
+            assert copied == source.load(refs[0]) and document_origin(copied) is None
+
+    def test_the_origin_stamp_is_the_one_read_not_the_one_listed(self, tree):
+        source = SimPdfDirSource(tree, glob=RECURSIVE)
+        (ref, _) = source.refs()
+        _write(tree / "alpha.simpdf", "alpha rewritten")
+        (fresh, _) = source.refs()
+        document = source.load(ref, check_stamp=False)
+        assert document.doc_id == "alpha rewritten"
+        assert document_origin(document) == fresh != ref
+        config = CorpusConfig(n_documents=2, seed=3, min_pages=1, max_pages=1)
+        (other,) = [r for r in SyntheticSource(config).refs() if r.locator == "1"]
+        relabelled = SyntheticSource(dataclasses.replace(config, seed=4))
+        assert document_origin(relabelled.load(other, check_stamp=False)).stamp == (
+            relabelled.fingerprint()
+        )
 
     def test_sources_that_must_read_to_enumerate_offer_no_refs(self):
         documents = list(SyntheticSource(CorpusConfig(n_documents=2)).iter_documents())
