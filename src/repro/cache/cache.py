@@ -346,6 +346,7 @@ class ParseCache:
             "entries": len(self.memory),
             "shards": 0,
             "bytes_on_disk": 0,
+            "stale_shard_bytes": 0,
             "superseded_lines": 0,
             "corrupt_lines_skipped": 0,
             "parsers": {},
@@ -367,6 +368,7 @@ class ParseCache:
                 "entries": total,
                 "shards": len(self.disk.shard_paths()),
                 "bytes_on_disk": self.disk.bytes_on_disk(),
+                "stale_shard_bytes": self.disk.stale_bytes_on_disk(),
                 "superseded_lines": self.disk.superseded_lines(),
                 "corrupt_lines_skipped": self.disk.corrupt_lines_skipped,
                 "parsers": dict(sorted(parsers.items())),

@@ -1,9 +1,20 @@
 """The persistent tier: hash-prefix-sharded JSONL files.
 
-Layout: ``<directory>/shard-NNN.jsonl``, one JSON object per line, each
+Layout: ``<directory>/shard-v2-NNN.jsonl``, one JSON object per line, each
 carrying its full cache key; when a key appears more than once the last
 line wins.  Entries are distributed over ``n_shards`` files by the content
 hash's prefix, so concurrent writers contend on different files.
+
+A line is UTF-8 JSON, and any text a document holds reads back code point
+for code point.  Most lines are ASCII with ``\\uXXXX`` escapes, json's fast
+path.  Escapes cannot tell a pair of surrogates held as two code points from
+the astral character they pair into: both escape to the same two ``\\ud...``
+escapes, which read back as the character.  So a line whose ASCII form holds
+a surrogate escape is written unescaped instead, each surrogate as its own
+three bytes (``surrogatepass``, which ``json.loads`` of bytes decodes with).
+The first format (``shard-NNN.jsonl``) wrote every line in ASCII; its shards
+are never read (every key is a miss there), are counted by
+:meth:`ShardedDiskStore.stale_bytes_on_disk` and go with a full ``purge``.
 
 Puts are staged per shard and persisted by :meth:`ShardedDiskStore.flush`
 (the pipeline flushes once per run; the store flushes itself every
@@ -44,14 +55,21 @@ are promoted into the memory tier above.
 from __future__ import annotations
 
 import json
+import re
 import threading
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.utils.durable import JsonLines, append_lines, replace_lines, temporary_suffix
 
-_SHARD_PREFIX = "shard-"
+#: Version of the line encoding, in every shard file's name.
+_SHARD_FORMAT = 2
+_SHARD_PREFIX = f"shard-v{_SHARD_FORMAT}-"
 _SHARD_SUFFIX = ".jsonl"
+#: Shard files of every format (temporaries excluded).
+_ANY_SHARD = f"shard-*{_SHARD_SUFFIX}"
+#: A surrogate's escape in json's ASCII output (a false match only costs time).
+_SURROGATE_ESCAPE = re.compile(r"\\ud[89a-f]")
 
 
 class ShardedDiskStore:
@@ -91,6 +109,14 @@ class ShardedDiskStore:
         return sorted(
             p for p in self.directory.glob(f"{_SHARD_PREFIX}*{_SHARD_SUFFIX}") if p.is_file()
         )
+
+    def _stale_shard_paths(self) -> list[Path]:
+        """Shard files of other line formats, which this store never reads."""
+        return [
+            p
+            for p in self.directory.glob(_ANY_SHARD)
+            if not p.name.startswith(_SHARD_PREFIX) and p.is_file()
+        ]
 
     def _parse_shard_file(self, index: int) -> tuple[dict[str, bytes], int, int]:
         """Read one shard file, skipping torn or malformed lines.
@@ -158,12 +184,13 @@ class ShardedDiskStore:
         return written
 
     def _sweep_temporaries(self) -> None:
-        # Only this thread's own temporaries: another thread, or another
-        # process sharing the directory, may be between fsync and rename on
-        # its tmp file.  (A crashed writer's stragglers are harmless — never
-        # read as shards — and reclaimed when a writer with the same pid and
-        # thread id reuses the name or the operator purges.)
-        pattern = f"{_SHARD_PREFIX}*{_SHARD_SUFFIX}{temporary_suffix()}"
+        # Only this thread's own temporaries (of any shard format): another
+        # thread, or another process sharing the directory, may be between
+        # fsync and rename on its tmp file.  (A crashed writer's stragglers
+        # are harmless — never read as shards — and reclaimed when a writer
+        # with the same pid and thread id reuses the name or the operator
+        # purges.)
+        pattern = f"{_ANY_SHARD}{temporary_suffix()}"
         for stray in self.directory.glob(pattern):
             stray.unlink(missing_ok=True)
 
@@ -198,9 +225,10 @@ class ShardedDiskStore:
         Returns the entry's serialised size in bytes (the line is encoded
         exactly once, here).
         """
-        # ASCII with escapes: any text a document holds, a lone surrogate too,
-        # round-trips (strict UTF-8 cannot encode one).
-        line = json.dumps(payload, separators=(",", ":")).encode("ascii")
+        text = json.dumps(payload, separators=(",", ":"))
+        if _SURROGATE_ESCAPE.search(text):  # see the module docstring
+            text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+        line = text.encode("utf-8", "surrogatepass")
         index = self.shard_index_for(key)
         with self._locks[index]:
             self._load_shard(index)[key] = line
@@ -242,7 +270,7 @@ class ShardedDiskStore:
         """Drop entries matching ``predicate`` (all when ``None``); returns count.
 
         Only shards that actually change are rewritten; a full purge removes
-        the shard files outright.
+        the shard files outright, other formats' included.
         """
         removed = 0
         for index in range(self.n_shards):
@@ -264,6 +292,9 @@ class ShardedDiskStore:
                     self._deleted[index].add(key)
                 removed += len(doomed)
                 self._flush_shard(index)
+        if predicate is None:
+            for path in self._stale_shard_paths():
+                path.unlink(missing_ok=True)
         self._sweep_temporaries()
         return removed
 
@@ -284,6 +315,10 @@ class ShardedDiskStore:
 
     def bytes_on_disk(self) -> int:
         return sum(p.stat().st_size for p in self.shard_paths())
+
+    def stale_bytes_on_disk(self) -> int:
+        """Bytes of the shard files other line formats left here (never read)."""
+        return sum(p.stat().st_size for p in self._stale_shard_paths())
 
     def superseded_lines(self) -> int:
         """Lines on disk that are no key's live entry (exact when nothing is staged).

@@ -116,6 +116,35 @@ class TestShardedDiskStore:
         # Empty shards are removed from disk.
         assert store.shard_paths() == []
 
+    def test_lines_are_utf8_and_keep_surrogates_as_written(self, tmp_path):
+        texts = ["naïve 東京", "lone \ud800", "split \ud800\udc00 pair", "\U00010000"]
+        store = ShardedDiskStore(tmp_path, n_shards=1)
+        for i, text in enumerate(texts):
+            store.put(f"{i:08x}:fp", _payload(f"{i:08x}:fp", text))
+        store.flush()
+        lines = store.shard_paths()[0].read_bytes().splitlines()
+        # ASCII escapes where they are exact; a surrogate as its own bytes.
+        assert lines[0].isascii() and b"\\u6771\\u4eac" in lines[0]
+        assert b"split \xed\xa0\x80\xed\xb0\x80 pair" in lines[2]
+        reopened = ShardedDiskStore(tmp_path, n_shards=1)
+        assert [reopened.get(f"{i:08x}:fp")["value"] for i in range(4)] == texts
+
+    def test_shards_of_the_first_format_are_misses_counted_and_purged(self, tmp_path):
+        # The first format: ASCII JSON lines in ``shard-NNN.jsonl``.
+        old = tmp_path / "shard-000.jsonl"
+        old.write_bytes(json.dumps(_payload("00000001:fp", "old")).encode("ascii") + b"\n")
+        store = ShardedDiskStore(tmp_path, n_shards=1)
+        assert store.get("00000001:fp") is None and len(store) == 0
+        store.put("00000002:fp", _payload("00000002:fp"))
+        store.flush()
+        assert store.shard_paths() == [tmp_path / "shard-v2-000.jsonl"]
+        assert store.stale_bytes_on_disk() == old.stat().st_size > 0
+        assert store.bytes_on_disk() == store.shard_paths()[0].stat().st_size
+        store.purge(lambda payload: False)  # a partial purge leaves them
+        assert old.exists()
+        assert store.purge() == 1
+        assert not old.exists() and store.stale_bytes_on_disk() == 0
+
     def test_invalid_parameters(self, tmp_path):
         with pytest.raises(ValueError):
             ShardedDiskStore(tmp_path, n_shards=0)

@@ -168,8 +168,16 @@ def pair_expected(pair_pool) -> list[list[str]]:
 
 
 class TestASplitSurrogatePair:
-    """Page texts cross both wires as UTF-8 bytes, so a pair written as two
-    code points comes back as two code points, as the serial run keeps it."""
+    """Page texts cross both wires and the disk cache's lines as UTF-8 bytes,
+    so a pair written as two code points comes back as two code points, as
+    the serial run keeps it."""
+
+    def test_a_disk_cache_hit_returns_it(self, pair_pool, pair_expected, tmp_path):
+        request = _request(pair_pool, cache="readwrite")
+        ParsePipeline(cache=ParseCache(tmp_path)).run(request)
+        read = ParsePipeline(cache=ParseCache(tmp_path)).run(request)
+        assert (read.cache.hits, read.cache.misses) == (1, 0)
+        assert _texts(read) == pair_expected
 
     def test_a_thread_run_keeps_it(self, pair_pool, pair_expected):
         request = _request(pair_pool, backend="thread", backend_options={"n_jobs": 2})
