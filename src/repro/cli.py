@@ -1142,8 +1142,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "action",
         nargs="?",
-        choices=["run", "status"],
         default="run",
+        metavar="{run,status}",
         help="run a campaign (default), or query a live coordinator's "
         "membership listener with status --at HOST:PORT",
     )
@@ -1241,10 +1241,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: ``cluster``'s actions.  ``main`` checks them, not argparse's ``choices``:
+#: the optional positional also takes the value of an unknown flag
+#: (``cluster --worker-jobs 2``), and that error must name the flag.
+_CLUSTER_ACTIONS = ("run", "status")
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if args.command == "cluster" and args.action not in _CLUSTER_ACTIONS:
+        if not extras:
+            parser.error(
+                f"argument action: invalid choice: {args.action!r} "
+                f"(choose from {', '.join(map(repr, _CLUSTER_ACTIONS))})"
+            )
+        extras.append(args.action)  # the unknown flag's value
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return int(args.func(args))
     except FileNotFoundError as exc:

@@ -195,6 +195,31 @@ class TestBackendOptionHandling:
         assert exc_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["cluster", "--worker-jobs", "2"], ["cluster", "run", "--worker-jobs", "2"]],
+        ids=["default-action", "run"],
+    )
+    def test_an_unknown_cluster_flag_is_named_with_its_value(self, capsys, argv):
+        """The optional action does not swallow the flag's value."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --worker-jobs 2" in capsys.readouterr().err
+
+    def test_an_unknown_cluster_action_is_an_invalid_choice(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc_info:
+            main(["cluster", "stop"])
+        assert exc_info.value.code == 2
+        assert (
+            "argument action: invalid choice: 'stop' (choose from 'run', 'status')"
+            in capsys.readouterr().err
+        )
+
     def test_async_backend_with_bool_option(self, capsys):
         """``async`` names the thread backend; its removed options fail like
         any unknown one, listing the options ``thread`` has."""
