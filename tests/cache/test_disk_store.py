@@ -145,6 +145,18 @@ class TestShardedDiskStore:
         assert store.purge() == 1
         assert not old.exists() and store.stale_bytes_on_disk() == 0
 
+    def test_cache_stats_and_purge_cover_first_format_shards(self, tmp_path, capsys):
+        from repro.cli import main
+
+        old = tmp_path / "shard-003.jsonl"
+        old.write_bytes(json.dumps(_payload("00000003:fp")).encode("ascii") + b"\n")
+        main(["cache", "stats", "--dir", str(tmp_path)])
+        stats = json.loads(capsys.readouterr().out)
+        assert (stats["entries"], stats["shards"]) == (0, 0)
+        assert stats["stale_shard_bytes"] == old.stat().st_size
+        main(["cache", "purge", "--dir", str(tmp_path)])
+        assert not old.exists()
+
     def test_invalid_parameters(self, tmp_path):
         with pytest.raises(ValueError):
             ShardedDiskStore(tmp_path, n_shards=0)
