@@ -1260,10 +1260,13 @@ def main(argv: list[str] | None = None) -> int:
         extras.append(args.action)  # the unknown flag's value
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    from repro.documents.sources import StaleReference
+
     try:
         return int(args.func(args))
-    except FileNotFoundError as exc:
-        # A source directory is checked where it is read, deep inside a run.
+    except (FileNotFoundError, StaleReference) as exc:
+        # A source directory is checked where it is read, deep inside a run,
+        # and so is each file it listed.
         raise SystemExit(f"error: {exc}") from exc
 
 

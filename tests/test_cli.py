@@ -326,6 +326,30 @@ class TestCommands:
             f"(or is not a directory)"
         )
 
+    @pytest.mark.parametrize("command", ["pipeline", "dataset"])
+    def test_a_file_gone_after_the_listing_is_an_error_not_a_traceback(
+        self, command, tmp_path, monkeypatch
+    ):
+        from repro.documents import CorpusConfig, SimPdfWriter, build_corpus
+        from repro.documents.sources import SimPdfDirSource
+
+        writer = SimPdfWriter(tmp_path / "pool")
+        for document in build_corpus(CorpusConfig(n_documents=3, seed=1)):
+            writer.write(document)
+        listing = SimPdfDirSource.refs
+
+        def vanishing(self):
+            refs = list(listing(self))
+            (tmp_path / "pool" / refs[1].locator).unlink()
+            return iter(refs)
+
+        monkeypatch.setattr(SimPdfDirSource, "refs", vanishing)
+        argv = [command, "--source", f"simpdf-dir:{tmp_path / 'pool'}"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--output", str(tmp_path / "out")])
+        assert str(exit_info.value.code).startswith("error: ")
+        assert "is not readable here" in str(exit_info.value.code)
+
     def test_alignment_command(self, capsys):
         exit_code = main(["alignment", "--documents", "4", "--pages", "6", "--seed", "2"])
         assert exit_code == 0
