@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import abc
 import contextlib
-import dataclasses
 import difflib
 import fnmatch
 import json
@@ -557,7 +556,7 @@ _ORIGIN_ATTR = "_repro_source_origin"
 
 def _with_origin(document: SciDocument, ref: DocumentRef, stamp: str) -> SciDocument:
     """``document``, tagged with ``ref`` as it stood when read (``stamp``)."""
-    origin = ref if ref.stamp == stamp else dataclasses.replace(ref, stamp=stamp)
+    origin = ref if ref.stamp == stamp else DocumentRef(ref.source, ref.locator, stamp)
     with contextlib.suppress(AttributeError, TypeError):  # slotted/frozen doubles
         setattr(document, _ORIGIN_ATTR, origin)
     return document
