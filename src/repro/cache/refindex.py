@@ -19,11 +19,12 @@ directory's documents (``dataset``, then ``pipeline`` over the same
 ``simpdf-dir``) keys that directory by a stat: each file is read once.
 
 One fixed rule guards the stamp's resolution.  A file reference is
-remembered only if the file's mtime is at least :data:`RACY_MARGIN_NS`
-older than the moment it is remembered (git's "racily clean" rule): a
-same-size rewrite inside one timestamp tick leaves the stamp where it
-was, and must never be answered from the index.  A younger file is simply
-read and hashed again next time.
+remembered only if the file's mtime was at least :data:`RACY_MARGIN_NS`
+older than the moment the file was read (git's "racily clean" rule;
+:attr:`~repro.documents.sources.Origin.read_ns`), however long after the
+read the document is hashed: a same-size rewrite inside one timestamp tick
+leaves the stamp where it was, and must never be answered from the index.
+A younger file is simply read and hashed again next time.
 
 On disk the index is one JSONL file in the cache directory, named after
 :data:`~repro.cache.keys.CONTENT_HASH_SCHEME` — ``{"ref": ..., "hash":
@@ -39,12 +40,11 @@ from __future__ import annotations
 import contextlib
 import json
 import threading
-import time
 from pathlib import Path
 from typing import Iterable
 
 from repro.cache.keys import CONTENT_HASH_SCHEME
-from repro.documents.sources import DocumentRef
+from repro.documents.sources import DocumentRef, Origin
 from repro.utils.durable import JsonLines, append_lines
 
 #: A file must have been left alone this long before its stamp is trusted.
@@ -84,13 +84,12 @@ class ReferenceIndex:
         with self._lock:
             return list(map(self._load().get, keys))
 
-    def remember(self, learned: Iterable[tuple[DocumentRef, str]]) -> None:
-        """Record ``(reference, content hash)`` pairs just read; racy ones are dropped."""
-        horizon = time.time_ns() - RACY_MARGIN_NS
+    def remember(self, learned: Iterable[tuple[Origin, str]]) -> None:
+        """Record ``(origin, content hash)`` pairs; racy ones are dropped."""
         settled = [
             (ref.key(), content_hash)
-            for ref, content_hash in learned
-            if (modified := ref.modified_ns) is None or modified <= horizon
+            for (ref, read_ns), content_hash in learned
+            if (modified := ref.modified_ns) is None or modified <= read_ns - RACY_MARGIN_NS
         ]
         with self._lock:
             hashes = self._load()

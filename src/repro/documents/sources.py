@@ -41,11 +41,12 @@ import fnmatch
 import json
 import os
 import re
+import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path, PurePosixPath
 from stat import S_ISREG
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.documents.corpus import CorpusConfig, build_document
 from repro.documents.document import SciDocument
@@ -120,7 +121,8 @@ class DocumentSource(abc.ABC):
         reference was cut from (gone, or its stamp moved; ``check_stamp=
         False`` reads whatever is there now), and :class:`ValueError` for
         a locator this source could never have issued.  The document's
-        :func:`document_origin` is ``ref`` with the stamp that was read.
+        :func:`document_origin` is ``ref`` with the stamp that was read, and
+        the moment it was read.
         """
         raise ValueError(f"{self.kind} source cannot load documents by reference")
 
@@ -193,13 +195,13 @@ class SyntheticSource(DocumentSource):
                 f"synthetic locator {ref.locator!r} is not an index below "
                 f"{self.config.n_documents}"
             )
-        stamp = self.fingerprint()
+        read_ns, stamp = time.time_ns(), self.fingerprint()
         if check_stamp and ref.stamp != stamp:
             raise StaleReference(
                 f"synthetic corpus configuration differs from the referenced one "
                 f"(document {ref.locator})"
             )
-        return _with_origin(build_document(index, self.config), ref, stamp)
+        return _with_origin(build_document(index, self.config), ref, stamp, read_ns)
 
 
 class ExplicitSource(DocumentSource):
@@ -297,6 +299,7 @@ class SimPdfDirSource(DocumentSource):
                 f"{self.kind} source root"
             )
         path = self.directory / relative
+        read_ns = time.time_ns()
         try:
             stamp = _file_stamp(path.stat())
             if check_stamp and stamp != ref.stamp:
@@ -307,7 +310,7 @@ class SimPdfDirSource(DocumentSource):
             document = self._read(path)
         except (FileNotFoundError, NotADirectoryError) as exc:
             raise StaleReference(f"{path} is not readable here: {exc}") from exc
-        return _with_origin(document, ref, stamp)
+        return _with_origin(document, ref, stamp, read_ns)
 
 
 #: A compiled glob: one matcher per ``/``-separated component, ``None`` for ``**``.
@@ -554,19 +557,32 @@ Item = SciDocument | DocumentRef
 _ORIGIN_ATTR = "_repro_source_origin"
 
 
-def _with_origin(document: SciDocument, ref: DocumentRef, stamp: str) -> SciDocument:
-    """``document``, tagged with ``ref`` as it stood when read (``stamp``)."""
-    origin = ref if ref.stamp == stamp else DocumentRef(ref.source, ref.locator, stamp)
+class Origin(NamedTuple):
+    """The reference a document was read through, and when."""
+
+    #: The reference, with the stamp ``load`` saw just before the read.
+    ref: DocumentRef
+    #: ``time.time_ns()`` just before that stamp was taken: a file's stamp
+    #: is trusted only if its mtime was already old at this moment.
+    read_ns: int
+
+
+def _with_origin(
+    document: SciDocument, ref: DocumentRef, stamp: str, read_ns: int
+) -> SciDocument:
+    """``document``, tagged with ``ref`` as it stood (``stamp``) when read."""
+    if ref.stamp != stamp:
+        ref = DocumentRef(ref.source, ref.locator, stamp)
     with contextlib.suppress(AttributeError, TypeError):  # slotted/frozen doubles
-        setattr(document, _ORIGIN_ATTR, origin)
+        setattr(document, _ORIGIN_ATTR, Origin(ref, read_ns))
     return document
 
 
-def document_origin(document: SciDocument) -> DocumentRef | None:
+def document_origin(document: SciDocument) -> Origin | None:
     """The reference a source's ``load`` read ``document`` through, if any.
 
-    Its stamp is the one ``load`` saw just before the read.  A copy made
-    from the document (``with_text_layer``, ``dataclasses.replace``) has none.
+    A copy made from the document (``with_text_layer``,
+    ``dataclasses.replace``) has none.
     """
     return getattr(document, _ORIGIN_ATTR, None)
 

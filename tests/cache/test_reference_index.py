@@ -33,6 +33,7 @@ from repro.documents.document import TextLayer, TextLayerQuality
 from repro.documents.simpdf import SimPdfWriter, deserialize_document, serialize_document
 from repro.documents.sources import (
     DocumentRef,
+    Origin,
     SimPdfDirSource,
     SourceSpec,
     StaleReference,
@@ -435,6 +436,19 @@ class TestStaleness:
         cache.key_items(list(SimPdfDirSource(pool).iter_documents()), "fp")
         assert len(cache.refs) == 3
 
+    def test_a_file_young_when_read_is_not_taught_however_late_it_is_keyed(
+        self, tmp_path, monkeypatch
+    ):
+        pool, _ = self._pool(tmp_path, young=True)
+        documents = list(SimPdfDirSource(pool).iter_documents())
+        # Key the batch long after the read: the margin is judged at the read.
+        later = time.time_ns() + refindex_module.RACY_MARGIN_NS + 1_000_000_000
+        monkeypatch.setattr(time, "time_ns", lambda: later)
+        cache = ParseCache(tmp_path / "cache")
+        cache.key_items(documents, "fp")
+        cache.flush()
+        assert len(cache.refs) == 0 and not list((tmp_path / "cache").glob("refs-*"))
+
     def test_a_derived_copy_teaches_nothing(self, tmp_path):
         pool, _ = self._pool(tmp_path)
         (document, *_) = SimPdfDirSource(pool).iter_documents()
@@ -445,7 +459,7 @@ class TestStaleness:
         cache.key_items([copied], "fp")
         assert len(cache.refs) == 0
         cache.key_items([document], "fp")
-        assert cache.refs.lookup([document_origin(document)]) == [
+        assert cache.refs.lookup([document_origin(document).ref]) == [
             document_content_hash(document)
         ]
 
@@ -572,23 +586,28 @@ def _ref(locator: str, stamp: str = "10:1000") -> DocumentRef:
     return DocumentRef(SourceSpec("simpdf-dir", {"path": "/pool"}), locator, stamp)
 
 
+def _read(locator: str, stamp: str = "10:1000", read_ns: int | None = None) -> Origin:
+    """``_ref(locator, stamp)`` as read at ``read_ns`` (default: now)."""
+    return Origin(_ref(locator, stamp), time.time_ns() if read_ns is None else read_ns)
+
+
 class TestReferenceIndex:
     def test_memory_only_index_stages_nothing(self):
         index = ReferenceIndex()
-        index.remember([(_ref("a"), "h-a")])
+        index.remember([(_read("a"), "h-a")])
         assert index.lookup([_ref("a"), _ref("b")]) == ["h-a", None]
         assert (index.flush(), index.bytes_on_disk(), len(index)) == (0, 0, 1)
 
     def test_flush_appends_one_block_and_the_last_line_of_a_key_wins(self, tmp_path):
         index = ReferenceIndex(tmp_path)
-        index.remember([(_ref("a"), "h-a"), (_ref("b"), "h-b")])
-        index.remember([(_ref("a"), "h-a")])  # nothing new: nothing staged
+        index.remember([(_read("a"), "h-a"), (_read("b"), "h-b")])
+        index.remember([(_read("a"), "h-a")])  # nothing new: nothing staged
         assert not index.path.exists()
         written = index.flush()
         assert written == index.path.stat().st_size == index.bytes_on_disk()
         assert index.flush() == 0
         other = ReferenceIndex(tmp_path)  # a second process with another opinion
-        other.remember([(_ref("a"), "h-a2")])
+        other.remember([(_read("a"), "h-a2")])
         other.flush()
         assert index.path.read_bytes().count(b"\n") == 3
         assert ReferenceIndex(tmp_path).lookup([_ref("a"), _ref("b")]) == ["h-a2", "h-b"]
@@ -598,20 +617,26 @@ class TestReferenceIndex:
         index = ReferenceIndex(tmp_path)
         index.remember(
             [
-                (_ref("young", f"10:{now - 1_000_000_000}"), "h"),
-                (_ref("future", f"10:{now + 5_000_000_000}"), "h"),
-                (_ref("settled", f"10:{now - 3_000_000_000}"), "h"),
-                (_ref("not-a-file", "6f1e"), "h"),
+                (_read("young", f"10:{now - 1_000_000_000}", now), "h"),
+                (_read("future", f"10:{now + 5_000_000_000}", now), "h"),
+                (_read("settled", f"10:{now - 3_000_000_000}", now), "h"),
+                (_read("not-a-file", "6f1e", now), "h"),
+                # Young when read, however long ago that read was.
+                (_read("read-young", f"10:{now - 9_000_000_000}", now - 8_000_000_000), "h"),
             ]
         )
         assert index.lookup(
-            [_ref("young", f"10:{now - 1_000_000_000}"), _ref("future", f"10:{now + 5_000_000_000}")]
-        ) == [None, None]
+            [
+                _ref("young", f"10:{now - 1_000_000_000}"),
+                _ref("future", f"10:{now + 5_000_000_000}"),
+                _ref("read-young", f"10:{now - 9_000_000_000}"),
+            ]
+        ) == [None, None, None]
         assert len(index) == 2
 
     def test_lines_that_are_not_index_entries_are_skipped(self, tmp_path):
         index = ReferenceIndex(tmp_path)
-        index.remember([(_ref("a"), "h-a")])
+        index.remember([(_read("a"), "h-a")])
         index.flush()
         with index.path.open("ab") as handle:
             handle.write(b'[1,2]\n{"ref":7,"hash":"x"}\n{"ref":"only"}\n{"ref":"k","ha')
@@ -627,7 +652,7 @@ class TestReferenceIndex:
             try:
                 for i in range(per_thread):
                     ref = _ref(f"{worker}-{i}")
-                    index.remember([(ref, f"h-{worker}-{i}")])
+                    index.remember([(Origin(ref, time.time_ns()), f"h-{worker}-{i}")])
                     assert index.lookup([ref]) == [f"h-{worker}-{i}"]
                     if i % 25 == 0:
                         index.flush()

@@ -8,6 +8,7 @@ import json
 import os
 import pickle
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -241,8 +242,14 @@ class TestDocumentRefs:
     ):
         for source in _referenceable_sources(tmp_path):
             refs = list(source.refs())
-            assert [document_origin(d) for d in source.iter_documents()] == refs
-            assert [document_origin(source.load(ref)) for ref in refs] == refs
+            before = time.time_ns()
+            assert [document_origin(d).ref for d in source.iter_documents()] == refs
+            origins = [document_origin(source.load(ref)) for ref in refs]
+            assert [origin.ref for origin in origins] == refs
+            # Each is stamped with the moment it was read, in reading order.
+            read_at = [origin.read_ns for origin in origins]
+            assert before <= read_at[0] and read_at == sorted(read_at)
+            assert read_at[-1] <= time.time_ns()
             # A derived copy is another document: it carries no origin.
             copied = dataclasses.replace(source.load(refs[0]))
             assert copied == source.load(refs[0]) and document_origin(copied) is None
@@ -254,11 +261,11 @@ class TestDocumentRefs:
         (fresh, _) = source.refs()
         document = source.load(ref, check_stamp=False)
         assert document.doc_id == "alpha rewritten"
-        assert document_origin(document) == fresh != ref
+        assert document_origin(document).ref == fresh != ref
         config = CorpusConfig(n_documents=2, seed=3, min_pages=1, max_pages=1)
         (other,) = [r for r in SyntheticSource(config).refs() if r.locator == "1"]
         relabelled = SyntheticSource(dataclasses.replace(config, seed=4))
-        assert document_origin(relabelled.load(other, check_stamp=False)).stamp == (
+        assert document_origin(relabelled.load(other, check_stamp=False)).ref.stamp == (
             relabelled.fingerprint()
         )
 
