@@ -82,10 +82,11 @@ routing budget, and returns results plus routing telemetry.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import subprocess
@@ -899,13 +900,54 @@ def _cmd_fill_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``cluster``'s actions; the first is the default.
+_CLUSTER_ACTIONS = ("run", "status")
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser; ``actions`` lists its optional ``action`` positional's values.
+
+    argparse hands a bare token to that positional even when it follows an
+    unknown flag, so ``cluster --worker-jobs 2`` made ``2`` the action and
+    the error blamed the action.  Here such a token stays beside its flag
+    among the unrecognized arguments, the rest is parsed again, and only
+    then is the action checked.
+    """
+
+    def __init__(self, *args: Any, actions: tuple[str, ...] = (), **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.actions = actions
+
+    def parse_known_args(  # type: ignore[override]
+        self, args: list[str] | None = None, namespace: argparse.Namespace | None = None
+    ) -> tuple[argparse.Namespace, list[str]]:
+        if not self.actions:
+            return super().parse_known_args(args, namespace)
+        args = list(sys.argv[1:] if args is None else args)
+        parsed, extras = super().parse_known_args(args, copy.copy(namespace))
+        if parsed.action in self.actions:
+            return parsed, extras
+        for at in range(1, len(args)):
+            flag = args[at - 1]
+            if args[at] == parsed.action and flag.startswith("-") and flag in extras:
+                parsed, extras = self.parse_known_args(args[:at] + args[at + 1 :], namespace)
+                nth = args[:at].count(flag)  # the same unknown flag may recur
+                spot = [i for i, token in enumerate(extras) if token == flag][nth - 1]
+                extras.insert(spot + 1, args[at])
+                return parsed, extras
+        self.error(
+            f"argument action: invalid choice: {parsed.action!r} "
+            f"(choose from {', '.join(map(repr, self.actions))})"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
         prog="adaparse-repro",
         description="AdaParse (MLSys 2025) reproduction: corpora, tables, figures.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     corpus = sub.add_parser("corpus", help="build a synthetic corpus (optionally write SimPDF archive)")
     corpus.add_argument("--documents", type=_positive_int, default=200)
@@ -1135,6 +1177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster = sub.add_parser(
         "cluster",
+        actions=_CLUSTER_ACTIONS,
         help="spawn N local workers (or join --workers-at), run one request "
         "on the remote backend, and print the placement/dedup summary; "
         "`cluster status --at HOST:PORT` queries a live campaign",
@@ -1142,8 +1185,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "action",
         nargs="?",
-        default="run",
-        metavar="{run,status}",
+        default=_CLUSTER_ACTIONS[0],
+        metavar=f"{{{','.join(_CLUSTER_ACTIONS)}}}",
         help="run a campaign (default), or query a live coordinator's "
         "membership listener with status --at HOST:PORT",
     )
@@ -1241,25 +1284,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: ``cluster``'s actions.  ``main`` checks them, not argparse's ``choices``:
-#: the optional positional also takes the value of an unknown flag
-#: (``cluster --worker-jobs 2``), and that error must name the flag.
-_CLUSTER_ACTIONS = ("run", "status")
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
-    if args.command == "cluster" and args.action not in _CLUSTER_ACTIONS:
-        if not extras:
-            parser.error(
-                f"argument action: invalid choice: {args.action!r} "
-                f"(choose from {', '.join(map(repr, _CLUSTER_ACTIONS))})"
-            )
-        extras.append(args.action)  # the unknown flag's value
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = parser.parse_args(argv)
     from repro.documents.sources import StaleReference
 
     try:

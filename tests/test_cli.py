@@ -196,28 +196,37 @@ class TestBackendOptionHandling:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv",
-        [["cluster", "--worker-jobs", "2"], ["cluster", "run", "--worker-jobs", "2"]],
-        ids=["default-action", "run"],
+        "argv, unrecognized",
+        [
+            (["cluster", "--worker-jobs", "2"], "--worker-jobs 2"),
+            (["cluster", "run", "--worker-jobs", "2"], "--worker-jobs 2"),
+            (["cluster", "--worker-jobs", "2", "status"], "--worker-jobs 2"),
+            (["cluster", "--x", "1", "--y=3", "--x", "2", "run"], "--x 1 --y=3 --x 2"),
+        ],
+        ids=["default-action", "run", "before-the-action", "recurring-flag"],
     )
-    def test_an_unknown_cluster_flag_is_named_with_its_value(self, capsys, argv):
+    def test_an_unknown_cluster_flag_is_named_with_its_value(self, capsys, argv, unrecognized):
         """The optional action does not swallow the flag's value."""
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == 2
-        assert "unrecognized arguments: --worker-jobs 2" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"unrecognized arguments: {unrecognized}\n")
 
     def test_an_unknown_cluster_action_is_an_invalid_choice(self, capsys):
-        from repro.cli import main
+        """Refused by the parser itself, so no caller of it reaches a run."""
+        from repro.cli import build_parser
 
         with pytest.raises(SystemExit) as exc_info:
-            main(["cluster", "stop"])
+            build_parser().parse_args(["cluster", "stop"])
         assert exc_info.value.code == 2
         assert (
             "argument action: invalid choice: 'stop' (choose from 'run', 'status')"
             in capsys.readouterr().err
+        )
+        assert build_parser().parse_args(["cluster", "--workers", "3", "status"]).action == (
+            "status"
         )
 
     def test_async_backend_with_bool_option(self, capsys):
