@@ -40,12 +40,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro.cluster.coordinator import ClusterCoordinator, ClusterError
 from repro.cluster.protocol import WorkerSpec
 from repro.obs import profiling as _profiling
-from repro.pipeline.backends.base import (
-    BackendError,
-    BackendSpec,
-    ExecutionStats,
-    register_backend,
-)
+from repro.pipeline.backends.base import BackendError, ExecutionStats
 from repro.pipeline.backends.thread import ThreadBackend
 from repro.utils.rpc import parse_address
 
@@ -262,25 +257,3 @@ class RemoteBackend(ThreadBackend):
         if coordinator is not None:
             coordinator.close()
         super().close()
-
-
-register_backend(
-    BackendSpec(
-        name="remote",
-        factory=RemoteBackend,
-        options=frozenset(
-            {
-                "workers",
-                "window",
-                "placement",
-                "worker_cache",
-                "connect_timeout",
-                "heartbeat_interval",
-                "heartbeat_timeout",
-                "listen",
-                "ledger_dir",
-            }
-        ),
-        description="distributed execution on repro.cluster worker daemons",
-    )
-)

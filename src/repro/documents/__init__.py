@@ -13,6 +13,12 @@ problem actually depends on:
 * a rasterised **image layer** whose quality varies with scan degradation
   (rotation, blur, contrast, compression),
 * publisher/producer/year/category metadata used by the CLS II classifier.
+
+A run reads its documents from a source (:mod:`repro.documents.sources`).
+The kinds are a closed set of two, ``synthetic`` (this generator) and
+``simpdf-dir`` (a directory of SimPDF files); a kind's options are its
+constructor's parameters (for ``synthetic``, the fields of
+:class:`CorpusConfig`), and any other option is refused by name.
 """
 
 from __future__ import annotations
@@ -38,13 +44,11 @@ from repro.documents.sources import (
     DocumentSource,
     ExplicitSource,
     SimPdfDirSource,
-    SourceKind,
     SourceSpec,
     StaleReference,
     SyntheticSource,
     create_source,
     parse_source_arg,
-    register_source,
     source_names,
     validate_source_spec,
 )
@@ -66,7 +70,6 @@ __all__ = [
     "SimPdfWriter",
     "DocumentRef",
     "DocumentSource",
-    "SourceKind",
     "SourceSpec",
     "StaleReference",
     "SyntheticSource",
@@ -74,7 +77,6 @@ __all__ = [
     "SimPdfDirSource",
     "create_source",
     "parse_source_arg",
-    "register_source",
     "source_names",
     "validate_source_spec",
 ]

@@ -25,8 +25,10 @@ reference by a stat the next time it is listed.
 
 Sources are constructed either directly (``SimPdfDirSource("corpus")``)
 or declaratively through a :class:`SourceSpec` — a JSON-round-trippable
-``(kind, options)`` pair resolved against a registry, mirroring how
-execution backends are named (:mod:`repro.pipeline.backends.base`).  The
+``(kind, options)`` pair resolved against the closed table of two kinds,
+mirroring how execution backends are named
+(:mod:`repro.pipeline.backends.base`); a kind's options are read from its
+constructor.  The
 spec form is what travels in ``ParseRequest`` JSON, gateway request files,
 and the CLI's ``--source kind:path`` shorthand; option typos fail loudly
 at construction with a did-you-mean suggestion.
@@ -38,12 +40,13 @@ import abc
 import contextlib
 import difflib
 import fnmatch
+import inspect
 import json
 import os
 import re
 import time
-from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from dataclasses import asdict, dataclass, field, fields
+from functools import cache, cached_property
 from pathlib import Path, PurePosixPath
 from stat import S_ISREG
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -51,6 +54,7 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 from repro.documents.corpus import CorpusConfig, build_document
 from repro.documents.document import SciDocument
 from repro.documents.simpdf import deserialize_document
+from repro.documents.textgen import TextGenConfig
 from repro.obs import profiling as _profiling
 from repro.utils.hashing import frame_text, framed_hash_hex, stable_hash_hex
 
@@ -73,7 +77,7 @@ class DocumentSource(abc.ABC):
     executing service's.
     """
 
-    #: Registry kind of the source (``"synthetic"``, ``"simpdf-dir"``, …).
+    #: Kind of the source (``"synthetic"``, ``"simpdf-dir"``, …).
     kind: str = "abstract"
 
     def iter_documents(self) -> Iterator[SciDocument]:
@@ -398,7 +402,7 @@ def _file_stamp(stat: os.stat_result) -> str:
 
 
 # ---------------------------------------------------------------------- #
-# Declarative specs and the registry
+# Declarative specs and the table of kinds
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class SourceSpec:
@@ -622,7 +626,7 @@ def load_items(items: Sequence[Item]) -> list[SciDocument]:
             try:
                 source = sources.get(built)
                 if source is None:
-                    # Registered kinds only, options validated.
+                    # Known kinds only, options validated.
                     source = sources[built] = create_source(ref.source)
                 documents[slot] = source.load(ref)
             except StaleReference as exc:
@@ -634,85 +638,64 @@ def load_items(items: Sequence[Item]) -> list[SciDocument]:
     return documents
 
 
-@dataclass(frozen=True)
-class SourceKind:
-    """Name-based construction recipe of one source kind.
-
-    ``path_option`` names the option the CLI's ``kind:value`` shorthand
-    binds to.
-    """
-
-    name: str
-    factory: Callable[..., DocumentSource]
-    options: frozenset[str]
-    description: str
-    path_option: str | None = None
+def _check_options(options: Any, known: frozenset[str], owner: str) -> None:
+    """Refuse the first option of ``options`` that is not in ``known``."""
+    for option in options:
+        if option not in known:
+            raise ValueError(
+                f"unknown option {option!r} for {owner}"
+                f"{_suggest(option, sorted(known))}; known: {sorted(known)}"
+            )
 
 
 def _make_synthetic(**options: Any) -> SyntheticSource:
-    known = {"n_documents", "seed", "min_pages", "max_pages", "scanned_fraction", "name"}
-    config_kwargs = {k: v for k, v in options.items() if k in known}
     for name in ("n_documents", "seed", "min_pages", "max_pages"):
-        if name in config_kwargs:
-            value = config_kwargs[name]
+        if name in options:
+            value = options[name]
             if isinstance(value, float) and not value.is_integer():
                 raise ValueError(
                     f"synthetic option {name!r} must be an integer, not {value!r}"
                 )
-            config_kwargs[name] = int(value)
+            options[name] = int(value)
     textgen = options.get("textgen")
     if textgen is not None:
-        from dataclasses import fields as dc_fields
-
-        from repro.documents.textgen import TextGenConfig
-
-        tg_known = {f.name for f in dc_fields(TextGenConfig)}
-        config_kwargs["textgen"] = TextGenConfig(
-            **{k: v for k, v in dict(textgen).items() if k in tg_known}
-        )
-    return SyntheticSource(CorpusConfig(**config_kwargs))
+        textgen = dict(textgen)
+        known = frozenset(f.name for f in fields(TextGenConfig))
+        _check_options(textgen, known, "'textgen' of source 'synthetic'")
+        options["textgen"] = TextGenConfig(**textgen)
+    return SyntheticSource(CorpusConfig(**options))
 
 
-_SOURCE_REGISTRY: dict[str, SourceKind] = {}
+#: Source kind → its constructor and the option the CLI's ``kind:value``
+#: shorthand binds.  The set is closed; a kind's options are read from its
+#: constructor (:func:`_source_options`).
+_SOURCES: dict[str, tuple[Callable[..., DocumentSource], str]] = {
+    "synthetic": (_make_synthetic, "n_documents"),
+    "simpdf-dir": (SimPdfDirSource, "path"),
+}
 
 
-def register_source(spec: SourceKind) -> None:
-    """Register (or replace) a source kind under its name."""
-    _SOURCE_REGISTRY[spec.name] = spec
-
-
-for _kind in (
-    SourceKind(
-        name="synthetic",
-        factory=_make_synthetic,
-        options=frozenset(
-            {
-                "n_documents",
-                "seed",
-                "min_pages",
-                "max_pages",
-                "scanned_fraction",
-                "name",
-                "textgen",
-            }
-        ),
-        description="generated synthetic corpus (the existing corpus builder)",
-        path_option="n_documents",
-    ),
-    SourceKind(
-        name="simpdf-dir",
-        factory=SimPdfDirSource,
-        options=frozenset({"directory", "path", "glob"}),
-        description="directory of *.simpdf files",
-        path_option="path",
-    ),
-):
-    register_source(_kind)
+@cache
+def _source_options(kind: str) -> frozenset[str]:
+    """The options source ``kind`` takes: ``synthetic``'s are the fields of
+    :class:`CorpusConfig`, ``simpdf-dir``'s its constructor's parameters and
+    ``path``, the spec-facing spelling of ``directory``."""
+    if kind == "synthetic":
+        return frozenset(f.name for f in fields(CorpusConfig))
+    factory, primary_option = _SOURCES[kind]
+    return frozenset(inspect.signature(factory).parameters) | {primary_option}
 
 
 def source_names() -> list[str]:
     """Known source kinds (sorted)."""
-    return sorted(_SOURCE_REGISTRY)
+    return sorted(_SOURCES)
+
+
+def _unknown_kind(kind: str) -> ValueError:
+    return ValueError(
+        f"unknown document source {kind!r}"
+        f"{_suggest(kind, source_names())}; known: {source_names()}"
+    )
 
 
 def validate_source_spec(spec: SourceSpec) -> None:
@@ -722,19 +705,9 @@ def validate_source_spec(spec: SourceSpec) -> None:
     validated on a submitting client whose paths only exist on the
     executing service.
     """
-    kind = _SOURCE_REGISTRY.get(spec.kind)
-    if kind is None:
-        raise ValueError(
-            f"unknown document source {spec.kind!r}"
-            f"{_suggest(spec.kind, source_names())}; known: {source_names()}"
-        )
-    for option in spec.options:
-        if option not in kind.options:
-            raise ValueError(
-                f"unknown option {option!r} for source {spec.kind!r}"
-                f"{_suggest(option, sorted(kind.options))}; "
-                f"known: {sorted(kind.options)}"
-            )
+    if spec.kind not in _SOURCES:
+        raise _unknown_kind(spec.kind)
+    _check_options(spec.options, _source_options(spec.kind), f"source {spec.kind!r}")
 
 
 def create_source(spec: SourceSpec | DocumentSource) -> DocumentSource:
@@ -742,14 +715,14 @@ def create_source(spec: SourceSpec | DocumentSource) -> DocumentSource:
     if isinstance(spec, DocumentSource):
         return spec
     validate_source_spec(spec)
-    kind = _SOURCE_REGISTRY[spec.kind]
+    factory, primary_option = _SOURCES[spec.kind]
     options = dict(spec.options)
     # ``path`` is the spec-facing spelling of the factories' ``directory``.
     if "path" in options:
         options.setdefault("directory", options.pop("path"))
-    if kind.path_option == "path" and not options.get("directory"):
+    if primary_option == "path" and not options.get("directory"):
         raise ValueError(f"source {spec.kind!r} needs a 'path', e.g. {spec.kind}:corpus")
-    return kind.factory(**options)
+    return factory(**options)
 
 
 def _coerce_option_value(value: str) -> Any:
@@ -779,19 +752,12 @@ def parse_source_arg(raw: str) -> SourceSpec:
         raise ValueError("empty --source value")
     head, _, query = raw.partition("?")
     kind_name, _, primary = head.partition(":")
-    kind = _SOURCE_REGISTRY.get(kind_name)
-    if kind is None:
-        raise ValueError(
-            f"unknown document source {kind_name!r}"
-            f"{_suggest(kind_name, source_names())}; known: {source_names()}"
-        )
+    if kind_name not in _SOURCES:
+        raise _unknown_kind(kind_name)
+    option = _SOURCES[kind_name][1]
     options: dict[str, Any] = {}
     if primary:
-        if kind.path_option is None:
-            raise ValueError(f"source {kind_name!r} takes no positional value")
-        options[kind.path_option] = (
-            _coerce_option_value(primary) if kind.path_option != "path" else primary
-        )
+        options[option] = primary if option == "path" else _coerce_option_value(primary)
     for pair in filter(None, query.split("&")):
         key, sep, value = pair.partition("=")
         if not sep:

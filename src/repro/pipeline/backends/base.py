@@ -1,4 +1,4 @@
-"""The :class:`ExecutionBackend` protocol and the backend registry.
+"""The :class:`ExecutionBackend` protocol and the closed set of backends.
 
 An execution backend answers one question for the pipeline: *given a
 per-batch worker and a stream of batches, how do the batches actually
@@ -42,21 +42,22 @@ that overrides ``site`` receives the items and calls :func:`parse_items`
 * :meth:`ExecutionBackend.close` — release pools/processes.  Idempotent;
   ``stats()`` keeps working after close.
 
-Backends are constructed by name through the registry
-(:func:`create_backend`), with option dictionaries validated against the
-backend's :class:`BackendSpec`; :func:`normalize_backend_spec` resolves
-the ``"auto"`` name (an ``{"n_jobs": N}`` option steers it to the thread
-backend) and ``"async"`` and ``"process"``, which are accepted names for
-``thread``.
+Backends are constructed by name (:func:`create_backend`) from one
+literal table of three; a backend's options are its constructor's
+parameters, and an option dictionary naming any other is refused.
+:func:`normalize_backend_spec` resolves the ``"auto"`` name (an
+``{"n_jobs": N}`` option steers it to the thread backend) and ``"async"``
+and ``"process"``, which are accepted names for ``thread``.
 """
 
 from __future__ import annotations
 
 import abc
+import inspect
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from repro.documents.sources import load_items
@@ -121,7 +122,7 @@ class ExecutionStats:
     Attributes
     ----------
     backend:
-        Registry name of the backend that executed the run.
+        Name of the backend that executed the run.
     workers:
         Parallel worker count (1 for serial, ``n_jobs`` for thread, worker
         daemons for remote).
@@ -283,14 +284,14 @@ def parse_items(
 class ExecutionBackend(abc.ABC):
     """How the pipeline's batches actually run.
 
-    Subclasses set :attr:`name` (the registry name), create
+    Subclasses set :attr:`name` (the backend's name), create
     :attr:`_recorder` and implement :meth:`map_ordered`; :meth:`site`
     defaults to :func:`parse_items` in the executing thread and is
     overridden by backends whose batches execute outside the parent
     process.  Backends are context managers (``close()`` on exit).
     """
 
-    #: Registry name of the backend.
+    #: Name the backend is constructed by.
     name: str = "abstract"
     #: What :meth:`map_ordered` records into and :meth:`stats` snapshots.
     _recorder: ExecutionRecorder
@@ -340,28 +341,16 @@ class ExecutionBackend(abc.ABC):
 
 
 # ---------------------------------------------------------------------- #
-# Registry
+# The closed set of backends
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class BackendSpec:
-    """Name-based construction recipe of one backend."""
-
-    name: str
-    factory: Callable[..., ExecutionBackend]
-    options: frozenset[str]
-    description: str
-
-
-_REGISTRY: dict[str, BackendSpec] = {}
-
-#: Built-in backend name → defining module.  Names are knowable without
-#: importing any implementation; a module is imported (running its
-#: ``register_backend`` call) only when its backend is actually named, so
-#: e.g. validating a serial request never loads the cluster stack.
-_BUILTIN_BACKEND_MODULES: dict[str, str] = {
-    "serial": "repro.pipeline.backends.serial",
-    "thread": "repro.pipeline.backends.thread",
-    "remote": "repro.cluster.backend",
+#: Backend name → its class's name among the package's lazy exports.  A
+#: name resolves to its class only when it is constructed or its options
+#: are read, so e.g. validating a serial request never loads the cluster
+#: stack.
+_BACKENDS: dict[str, str] = {
+    "serial": "SerialBackend",
+    "thread": "ThreadBackend",
+    "remote": "RemoteBackend",
 }
 
 #: Accepted names → the backend each resolves to.  ``process`` is kept for
@@ -376,67 +365,51 @@ _REMOVED_NAMES: dict[str, str] = {
 }
 
 
-def register_backend(spec: BackendSpec) -> None:
-    """Register (or replace) a backend spec under its name."""
-    _REGISTRY[spec.name] = spec
+def _backend_class(name: str) -> "type[ExecutionBackend]":
+    from repro.pipeline import backends
+
+    return getattr(backends, _BACKENDS[name])
 
 
-def _ensure_registered(name: str | None = None) -> None:
-    """Import the module defining ``name`` (or every built-in for ``None``)."""
-    import importlib
-
-    if name is None:
-        for module in _BUILTIN_BACKEND_MODULES.values():
-            importlib.import_module(module)
-        return
-    module = _BUILTIN_BACKEND_MODULES.get(name)
-    if module is not None and name not in _REGISTRY:
-        importlib.import_module(module)
+@cache
+def _backend_options(name: str) -> frozenset[str]:
+    """The options backend ``name`` takes: its constructor's parameters."""
+    return frozenset(inspect.signature(_backend_class(name)).parameters)
 
 
 def backend_names() -> list[str]:
-    """Known backend names (sorted; built-ins plus runtime registrations)."""
-    return sorted(set(_REGISTRY) | set(_BUILTIN_BACKEND_MODULES))
-
-
-def backend_specs() -> list[BackendSpec]:
-    """Registered backend specs (sorted by name; for docs and CLI help)."""
-    _ensure_registered()
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+    """Known backend names (sorted)."""
+    return sorted(_BACKENDS)
 
 
 def create_backend(
     name: str, options: Mapping[str, Any] | None = None
 ) -> ExecutionBackend:
-    """Construct a backend by registry name, validating its options."""
-    _ensure_registered(name)
-    spec = _REGISTRY.get(name)
-    if spec is None:
+    """Construct a backend by name, validating its options."""
+    if name not in _BACKENDS:
         raise ValueError(
             f"unknown execution backend {name!r}; known: {backend_names()}"
         )
+    known = _backend_options(name)
     options = dict(options or {})
-    unknown = sorted(set(options) - set(spec.options))
+    unknown = sorted(set(options) - known)
     if unknown:
         raise ValueError(
             f"unknown option(s) {unknown} for backend {name!r}; "
-            f"known: {sorted(spec.options)}"
+            f"known: {sorted(known)}"
         )
-    return spec.factory(**options)
+    return _backend_class(name)(**options)
 
 
 def backend_accepts_option(backend: str, option: str) -> bool:
     """Whether a backend name (or ``"auto"``) takes a construction option.
 
-    Derived from the registry's :class:`BackendSpec` declarations;
     ``"auto"`` accepts ``n_jobs`` because that option is what steers its
     serial-vs-thread choice.
     """
     if backend == "auto":
         return option == "n_jobs"
-    _ensure_registered(backend)
-    spec = _REGISTRY.get(backend)
-    return spec is not None and option in spec.options
+    return backend in _BACKENDS and option in _backend_options(backend)
 
 
 def _positive_int(option: str, value: Any) -> int:
@@ -478,8 +451,7 @@ def normalize_backend_spec(
     options = dict(backend_options or {})
     name = _ACCEPTED_NAMES.get(backend, backend)
     if name != backend:
-        _ensure_registered(name)
-        known = _REGISTRY[name].options
+        known = _backend_options(name)
         unknown = sorted(set(options) - known)
         if unknown:
             # Failing them as the resolved backend's would blame a name
@@ -518,7 +490,7 @@ def validate_backend_spec(
     are spawned), so a construct-and-close round trip is cheap.
     """
     name, options = normalize_backend_spec(backend, backend_options)
-    if name not in backend_names():
+    if name not in _BACKENDS:
         raise ValueError(
             f"unknown execution backend {backend!r}; known: "
             f"{['auto'] + backend_names()}"

@@ -5,13 +5,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from repro.pipeline.backends.base import (
-    BackendError,
-    BackendSpec,
-    ExecutionBackend,
-    ExecutionRecorder,
-    register_backend,
-)
+from repro.pipeline.backends.base import BackendError, ExecutionBackend, ExecutionRecorder
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -46,13 +40,3 @@ class SerialBackend(ExecutionBackend):
 
     def close(self) -> None:
         self._closed = True
-
-
-register_backend(
-    BackendSpec(
-        name="serial",
-        factory=SerialBackend,
-        options=frozenset(),
-        description="inline execution in the calling thread (reference backend)",
-    )
-)

@@ -28,13 +28,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from repro.pipeline.backends.base import (
-    BackendError,
-    BackendSpec,
-    ExecutionBackend,
-    ExecutionRecorder,
-    register_backend,
-)
+from repro.pipeline.backends.base import BackendError, ExecutionBackend, ExecutionRecorder
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -141,13 +135,3 @@ class ThreadBackend(ExecutionBackend):
             # cancel_futures guards against maps still mid-stream; wait=True
             # joins the workers so no threads outlive the backend.
             pool.shutdown(wait=True, cancel_futures=True)
-
-
-register_backend(
-    BackendSpec(
-        name="thread",
-        factory=ThreadBackend,
-        options=frozenset({"n_jobs", "window"}),
-        description="thread pool sharing parent memory (cache/single-flight native)",
-    )
-)

@@ -76,15 +76,15 @@ class ParseRequest:
         Per-request override of the engine's α routing budget; ignored for
         base parsers.
     backend:
-        Execution backend by registry name (``serial``, ``thread``,
+        Execution backend by name (``serial``, ``thread``,
         ``remote``) or ``"auto"``, which picks serial — or thread
         when parallelism is requested via ``backend_options``.  ``"async"``
         and ``"process"`` are accepted names for ``thread``.
     backend_options:
         Backend construction options (e.g. ``{"n_jobs": 8}`` for the
         thread backend, ``{"workers": "host:port,host:port"}`` for
-        ``remote``); see
-        :func:`repro.pipeline.backends.backend_specs`.
+        ``remote``): the parameters of the backend's constructor, and no
+        others.
     cache:
         Cache policy for this run: ``"off"`` (default), ``"read"``,
         ``"write"``, or ``"readwrite"`` — see

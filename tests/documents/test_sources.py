@@ -109,6 +109,27 @@ class TestSyntheticAndExplicit:
         assert rebuilt.config == config
         assert rebuilt == source
 
+    def test_a_misspelled_textgen_option_is_refused(self):
+        """It was dropped, and the source built was the default corpus."""
+        known = sorted(f.name for f in dataclasses.fields(TextGenConfig))
+        spec = SourceSpec("synthetic", {"n_documents": 3, "textgen": {"bogus_knob": 5}})
+        message = (
+            f"unknown option 'bogus_knob' for 'textgen' of source 'synthetic'; "
+            f"known: {known}"
+        )
+        with pytest.raises(ValueError) as info:
+            create_source(spec)
+        assert str(info.value) == message
+        with pytest.raises(ValueError, match="did you mean 'min_words_per_sentence'"):
+            create_source(
+                SourceSpec("synthetic", {"textgen": {"min_word_per_sentence": 4}})
+            )
+        # Over the wire too: a request is built from its JSON.
+        from repro.pipeline import ParseRequest
+
+        with pytest.raises(ValueError, match="'bogus_knob'"):
+            ParseRequest.from_json_dict({"source": spec.to_json_dict()})
+
     def test_synthetic_defaults_keep_the_spec_minimal(self):
         spec = SyntheticSource(CorpusConfig(n_documents=5, seed=3)).spec()
         assert spec.options == {"n_documents": 5, "seed": 3}

@@ -1,6 +1,6 @@
 """Tests of the pluggable execution-backend API.
 
-Covers the backend registry, the ordered-window execution contract (and
+Covers backend name resolution, the ordered-window execution contract (and
 the thread backend's teardown regression), the serial/thread/remote
 parity guarantee (byte-identical reports modulo timings, including
 α-budget boundaries and cache ``readwrite``), the refused ``hpc`` name,
@@ -38,7 +38,6 @@ from repro.pipeline.backends import (
     ExecutionRecorder,
     SerialBackend,
     backend_accepts_option,
-    backend_specs,
     normalize_backend_spec,
     resolve_execution,
     validate_backend_spec,
@@ -110,11 +109,17 @@ class TestRegistry:
         assert backend_accepts_option("auto", "n_jobs")
         assert not backend_accepts_option("auto", "window")
 
-    def test_accepted_options_are_the_spec_declarations(self):
-        for spec in backend_specs():
-            for option in spec.options:
-                assert backend_accepts_option(spec.name, option), (spec.name, option)
-            assert not backend_accepts_option(spec.name, "bogus")
+    def test_accepted_options_are_the_constructor_parameters(self):
+        import inspect
+
+        from repro.cluster.backend import RemoteBackend
+
+        classes = {"serial": SerialBackend, "thread": ThreadBackend, "remote": RemoteBackend}
+        assert sorted(classes) == backend_names()
+        for name, cls in classes.items():
+            for option in inspect.signature(cls).parameters:
+                assert backend_accepts_option(name, option), (name, option)
+            assert not backend_accepts_option(name, "bogus")
 
     def test_thread_takes_n_jobs_and_window_and_serial_neither(self):
         assert backend_accepts_option("thread", "n_jobs")
@@ -490,10 +495,9 @@ class TestRequestBackendFields:
             )
 
     def test_remote_backend_declares_nine_options(self):
-        from repro.pipeline.backends.base import backend_specs
+        from repro.pipeline.backends.base import _backend_options
 
-        (spec,) = [spec for spec in backend_specs() if spec.name == "remote"]
-        assert sorted(spec.options) == [
+        assert sorted(_backend_options("remote")) == [
             "connect_timeout",
             "heartbeat_interval",
             "heartbeat_timeout",
