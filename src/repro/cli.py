@@ -27,8 +27,8 @@ Run the unified parsing pipeline and dump the ``ParseReport`` as JSON::
     adaparse-repro pipeline --documents 100 --parser pymupdf \
         --backend thread --backend-opt n_jobs=4
 
-Parse a directory of SimPDF files instead of the synthetic corpus — any
-registered document source works (``--source KIND:VALUE``)::
+Parse a directory of SimPDF files instead of the synthetic corpus — either
+document source kind works (``--source KIND:VALUE``)::
 
     adaparse-repro pipeline --source simpdf-dir:corpus --parser pymupdf
     adaparse-repro dataset --source simpdf-dir:corpus --output /tmp/dataset
@@ -907,15 +907,19 @@ _CLUSTER_ACTIONS = ("run", "status")
 class _SubcommandParser(argparse.ArgumentParser):
     """A subcommand's parser; ``actions`` lists its optional ``action`` positional's values.
 
+    A flag is taken only as spelled in full: with abbreviations allowed,
+    ``cluster --a 1 --b 2`` ran a campaign as ``--at 1 --batch-size 2``.
+
     argparse hands a bare token to that positional even when it follows an
     unknown flag, so ``cluster --worker-jobs 2`` made ``2`` the action and
     the error blamed the action.  Here such a token stays beside its flag
     among the unrecognized arguments, the rest is parsed again, and only
-    then is the action checked.
+    then is the action checked.  ``--at`` belongs to ``status``: a run
+    given it is refused.
     """
 
     def __init__(self, *args: Any, actions: tuple[str, ...] = (), **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self.actions = actions
 
     def parse_known_args(  # type: ignore[override]
@@ -926,6 +930,11 @@ class _SubcommandParser(argparse.ArgumentParser):
         args = list(sys.argv[1:] if args is None else args)
         parsed, extras = super().parse_known_args(args, copy.copy(namespace))
         if parsed.action in self.actions:
+            if parsed.action != "status" and parsed.at:
+                self.error(
+                    "argument --at: a campaign run does not take it; query a "
+                    "live campaign with `cluster status --at HOST:PORT`"
+                )
             return parsed, extras
         for at in range(1, len(args)):
             flag = args[at - 1]
@@ -946,6 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adaparse-repro",
         description="AdaParse (MLSys 2025) reproduction: corpora, tables, figures.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 

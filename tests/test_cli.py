@@ -229,6 +229,41 @@ class TestBackendOptionHandling:
             "status"
         )
 
+    @pytest.mark.parametrize(
+        "argv, unrecognized",
+        [
+            (["cluster", "--a", "1", "--b", "2"], "--a 1 --b 2"),
+            (["pipeline", "--doc", "4"], "--doc 4"),
+            (["pipeline", "--documents", "4", "--back", "thread"], "--back thread"),
+            (["dataset", "--min-tok", "5"], "--min-tok 5"),
+            (["cache", "stats", "--d", "c"], "--d c"),
+        ],
+        ids=["cluster", "pipeline", "pipeline-backend", "dataset", "nested"],
+    )
+    def test_an_abbreviated_flag_is_an_unrecognized_argument(self, capsys, argv, unrecognized):
+        """``cluster --a 1 --b 2`` ran a campaign as ``--at 1 --batch-size 2``."""
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(argv)
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"unrecognized arguments: {unrecognized}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cluster", "--at", "127.0.0.1:9"], ["cluster", "run", "--at", "127.0.0.1:9"]],
+        ids=["default-action", "run"],
+    )
+    def test_at_on_a_cluster_run_is_refused(self, capsys, argv):
+        """``--at`` names the campaign ``cluster status`` queries; a run ignored it."""
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(argv)
+        assert exc_info.value.code == 2
+        assert (
+            "argument --at: a campaign run does not take it; query a live campaign "
+            "with `cluster status --at HOST:PORT`"
+        ) in capsys.readouterr().err
+        args = build_parser().parse_args(["cluster", "status", "--at", "127.0.0.1:9"])
+        assert (args.action, args.at) == ("status", "127.0.0.1:9")
+
     def test_async_backend_with_bool_option(self, capsys):
         """``async`` names the thread backend; its removed options fail like
         any unknown one, listing the options ``thread`` has."""
