@@ -28,10 +28,9 @@ or declaratively through a :class:`SourceSpec` — a JSON-round-trippable
 ``(kind, options)`` pair resolved against the closed table of two kinds,
 mirroring how execution backends are named
 (:mod:`repro.pipeline.backends.base`); a kind's options are read from its
-constructor.  The
-spec form is what travels in ``ParseRequest`` JSON, gateway request files,
-and the CLI's ``--source kind:path`` shorthand; option typos fail loudly
-at construction with a did-you-mean suggestion.
+constructor.  The spec form is what travels in ``ParseRequest`` JSON,
+gateway request files, and the CLI's ``--source kind:path`` shorthand;
+option typos fail loudly at construction with a did-you-mean suggestion.
 """
 
 from __future__ import annotations
@@ -657,8 +656,10 @@ def _make_synthetic(**options: Any) -> SyntheticSource:
                     f"synthetic option {name!r} must be an integer, not {value!r}"
                 )
             options[name] = int(value)
-    textgen = options.get("textgen")
+    textgen = options.pop("textgen", None)
     if textgen is not None:
+        if not isinstance(textgen, Mapping):
+            raise ValueError(f"synthetic option 'textgen' must be a mapping, not {textgen!r}")
         textgen = dict(textgen)
         known = frozenset(f.name for f in fields(TextGenConfig))
         _check_options(textgen, known, "'textgen' of source 'synthetic'")

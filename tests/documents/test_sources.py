@@ -1,4 +1,4 @@
-"""Tests of the pluggable document-source protocol and its registry."""
+"""Tests of the pluggable document-source protocol and its table of kinds."""
 
 from __future__ import annotations
 
@@ -177,6 +177,7 @@ class TestRegistryAndShorthand:
             ("simpdf-dir:x?glob=a**/*.simpdf", "'\\*\\*' can only be an entire component"),
             ("synthetic:5?n_documents=2.5", "'n_documents' must be an integer"),
             ("synthetic:5?seed=1.5", "'seed' must be an integer"),
+            ("synthetic:5?textgen=5", "'textgen' must be a mapping"),
         ],
     )
     def test_shorthand_errors(self, raw, match):
