@@ -8,8 +8,9 @@ provides the cache the :class:`repro.pipeline.ParsePipeline` consults when a
 * :mod:`repro.cache.keys` — content hashing (built on the dataset-dedup
   hashing scheme) and the ``(content hash, config fingerprint)`` cache key.
 * :mod:`repro.cache.memory` — the bounded in-memory LRU tier.
-* :mod:`repro.cache.disk` — the sharded JSONL disk backend: hash-prefix
-  shards, atomic write-then-rename, corruption-tolerant reads.
+* :mod:`repro.cache.disk` — the sharded disk backend: hash-prefix shards
+  of framed, CRC-checked records, append-on-flush and atomic rewrites,
+  reads that skip a damaged record.
 * :mod:`repro.cache.refindex` — the reference index in front of it all:
   ``ref.key()`` → content hash, so a referenced document that was read once
   is keyed by a ``stat`` instead of a read and a hash.

@@ -52,6 +52,7 @@ from repro.core.engine import RoutingDecision
 from repro.documents.sources import DocumentRef, Item, document_origin, load_items
 from repro.obs import profiling as _profiling
 from repro.parsers.base import ParseResult, ResourceUsage
+from repro.utils.wire import ProtocolError
 
 
 class CachePolicy(str, enum.Enum):
@@ -119,7 +120,7 @@ class CacheEntry:
         )
 
     # ------------------------------------------------------------------ #
-    # Serialisation (the on-disk JSONL line)
+    # Serialisation (the payload of an on-disk record)
     # ------------------------------------------------------------------ #
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -201,21 +202,20 @@ class ParseCache:
             recorder.record_hit(time_saved_seconds=entry.compute_seconds)
             return entry
         if self.disk is not None:
-            found = self.disk.get_with_size(raw)
-            if found is not None:
-                payload, nbytes = found
-                try:
-                    entry = CacheEntry.from_json_dict(payload)
-                except (KeyError, TypeError, ValueError):
-                    # A structurally valid JSON line with a broken schema:
-                    # treat like a torn line and drop it.
-                    self.disk.delete(raw)
+            try:
+                found = self.disk.get_with_size(raw)
+                if found is None:
                     return None
-                self.memory.put(raw, entry)
-                recorder.record_hit(
-                    time_saved_seconds=entry.compute_seconds, bytes_read=nbytes
-                )
-                return entry
+                payload, nbytes = found
+                entry = CacheEntry.from_json_dict(payload)
+            except (KeyError, TypeError, ValueError, ProtocolError):
+                # A record whose checks passed but whose payload does not
+                # decode, or breaks the schema: treat like a torn one and drop it.
+                self.disk.delete(raw)
+                return None
+            self.memory.put(raw, entry)
+            recorder.record_hit(time_saved_seconds=entry.compute_seconds, bytes_read=nbytes)
+            return entry
         return None
 
     def store(

@@ -1,15 +1,19 @@
-"""Durable line-oriented files: append a block, replace the whole file, read it back.
+"""Durable record files: append a block, replace the whole file, read it back.
 
-The two write primitives behind every fsynced JSONL file in the repo (the
-parse cache's shards, the campaign ledger) and the tolerant reader both
-load with.  Lines are ``bytes`` without their newline; the writers add it
-and return the bytes written.
+The two write primitives behind every fsynced record file in the repo —
+the parse cache's shards of framed records, and JSONL files such as the
+campaign ledger and the reference index — plus :class:`JsonLines`, the
+tolerant reader those two JSONL files load with.  Records are ``bytes`` without their closing newline; the
+writers add it and return the bytes written.  A record may hold newlines
+of its own (a cache shard's frames do): the writers only promise where a
+block starts.
 
 * :func:`append_lines` costs the block, never the file.  It is *not*
-  atomic: a kill mid-write leaves a torn last line, and two processes
-  appending at once may interleave.  Readers must skip lines that do not
-  parse.  What it does guarantee is that a block starts on a fresh line,
-  so a torn tail costs the line that was torn and never the next one.
+  atomic: a kill mid-write leaves a torn last record, and two processes
+  appending at once may interleave.  Readers must skip records that do not
+  check out.  What it does guarantee is that a block starts on a fresh
+  line, so a torn tail costs the record that was torn and never the next
+  one.
 * :func:`replace_lines` is atomic: readers see the old file or the new
   one.  It costs the whole file.
 * :class:`JsonLines` is that reader: it skips, and counts, the lines that

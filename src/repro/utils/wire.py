@@ -90,6 +90,33 @@ class PageTexts:
         return iter(self.texts)
 
 
+def encode_body(
+    message: Mapping[str, Any], ensure_ascii: bool = True
+) -> tuple[bytes, list[bytes] | None]:
+    """A message's JSON body (newline included) and its lifted texts.
+
+    Every :class:`PageTexts` value becomes its texts' byte lengths in the
+    JSON; the texts, each encoded UTF-8 with surrogates passed through, are
+    returned in section order (``None`` when the message holds no
+    :class:`PageTexts`).  The body is ASCII by default; ``ensure_ascii=False``
+    writes JSON strings as UTF-8 with surrogates passed through instead, so
+    a split surrogate pair in a JSON field survives too (the parse cache's
+    disk records).  :func:`decode_body` is the inverse.
+    """
+    lifted: list[list[bytes]] = []
+
+    def lift(value: Any) -> list[int]:
+        if not isinstance(value, PageTexts):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        encoded = [text.encode("utf-8", "surrogatepass") for text in value.texts]
+        lifted.append(encoded)
+        return [len(text) for text in encoded]
+
+    text = json.dumps(message, separators=(",", ":"), ensure_ascii=ensure_ascii, default=lift)
+    body = text.encode("utf-8", "surrogatepass") + b"\n"
+    return body, (list(chain.from_iterable(lifted)) if lifted else None)
+
+
 def encode_message(message: Mapping[str, Any]) -> bytes:
     """Frame one message: length prefix + NDJSON body (+ text section).
 
@@ -102,26 +129,21 @@ def encode_message(message: Mapping[str, Any]) -> bytes:
     U+10000.  Page texts (:class:`PageTexts`) cross as UTF-8 with
     surrogates passed through, so they come back code point for code point.
     """
-    lifted: list[list[bytes]] = []
-
-    def lift(value: Any) -> list[int]:
-        if not isinstance(value, PageTexts):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        encoded = [text.encode("utf-8", "surrogatepass") for text in value.texts]
-        lifted.append(encoded)
-        return [len(text) for text in encoded]
-
-    text = json.dumps(message, separators=(",", ":"), default=lift)
-    body = text.encode("ascii") + b"\n"
-    if not lifted:
+    body, texts = encode_body(message)
+    if texts is None:
         return str(len(body)).encode("ascii") + b"\n" + body
-    texts = list(chain.from_iterable(lifted))
     prefix = b"%d %d\n" % (len(body), sum(map(len, texts)))
     return b"".join([prefix, body, *texts])
 
 
-def _decode_with_texts(body: bytes, section: bytes) -> Any:
-    """The message of a frame with a text section, its texts put back."""
+def decode_body(body: str, section: bytes | memoryview) -> Any:
+    """The message a body and its text section encode, texts put back.
+
+    Every object holding a :data:`TEXTS_KEY` list of byte lengths gets the
+    texts those lengths cut from ``section``, in order; the lengths must
+    add up to the whole section.  Raises :class:`ProtocolError` when they
+    do not, and :class:`ValueError` on invalid JSON or UTF-8.
+    """
     end = 0
 
     def restore(member: dict[str, Any]) -> dict[str, Any]:
@@ -135,12 +157,12 @@ def _decode_with_texts(body: bytes, section: bytes) -> Any:
         for length in lengths:
             if type(length) is not int or length < 0:
                 raise ProtocolError(f"{TEXTS_KEY} must be a list of byte lengths")
-            pages.append(section[end : end + length].decode("utf-8", "surrogatepass"))
+            pages.append(str(section[end : end + length], "utf-8", "surrogatepass"))
             end += length
         member[TEXTS_KEY] = pages
         return member
 
-    message = json.loads(body.decode("utf-8"), object_hook=restore)
+    message = json.loads(body, object_hook=restore)
     if end != len(section):
         raise ProtocolError(
             f"text lengths add up to {end} bytes, the text section holds {len(section)}"
@@ -248,7 +270,7 @@ class MessageChannel:
             if len(lengths) == 1:
                 message = json.loads(body.decode("utf-8"))
             else:
-                message = _decode_with_texts(body, section)
+                message = decode_body(body.decode("utf-8"), section)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"message is not valid JSON or UTF-8: {exc}") from exc
         if not isinstance(message, dict) or "type" not in message:

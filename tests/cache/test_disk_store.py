@@ -1,4 +1,4 @@
-"""The sharded JSONL disk backend: atomicity and corruption tolerance."""
+"""The sharded disk backend: atomicity and corruption tolerance."""
 
 from __future__ import annotations
 
@@ -6,11 +6,16 @@ import json
 
 import pytest
 
-from repro.cache.disk import ShardedDiskStore
+from repro.cache.disk import ShardedDiskStore, _encode_record
 
 
 def _payload(key: str, value: str = "v") -> dict:
     return {"key": key, "value": value}
+
+
+def _record(key: str, payload: dict) -> bytes:
+    """The bytes a flush writes for one entry, closing newline included."""
+    return _encode_record(key, payload) + b"\n"
 
 
 class TestShardedDiskStore:
@@ -48,9 +53,10 @@ class TestShardedDiskStore:
         store.put("00000002:fp", _payload("00000002:fp", "keep-too"))
         store.flush()
         path = store.shard_paths()[0]
-        # Simulate a crash mid-write: append half a JSON line.
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"key": "00000003:fp", "value": "tor')
+        # Simulate a crash mid-write: append half a record.
+        torn = _record("00000003:fp", _payload("00000003:fp", "torn" * 20))
+        with path.open("ab") as handle:
+            handle.write(torn[: len(torn) // 2])
         reopened = ShardedDiskStore(tmp_path, n_shards=1)
         assert reopened.get("00000001:fp")["value"] == "keep"
         assert reopened.get("00000002:fp")["value"] == "keep-too"
@@ -62,10 +68,14 @@ class TestShardedDiskStore:
         store.put("00000001:fp", _payload("00000001:fp"))
         store.flush()
         path = store.shard_paths()[0]
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write("\x00\xfengarbage\n")
-            handle.write(json.dumps(["not", "an", "object"]) + "\n")
-            handle.write(json.dumps({"no_key_field": 1}) + "\n")
+        # Garbage; a record whose CRC does not match its bytes; a record
+        # without a key (its CRC right).
+        not_an_object = _record("00000002:fp", ["not", "an", "object"])
+        keyless = _record("", {"no_key_field": 1})
+        with path.open("ab") as handle:
+            handle.write("\x00\xfengarbage\n".encode("utf-8"))
+            handle.write(b"00000000" + not_an_object[8:])
+            handle.write(keyless)
         reopened = ShardedDiskStore(tmp_path, n_shards=1)
         assert reopened.get("00000001:fp") is not None
         assert len(reopened) == 1
@@ -76,8 +86,8 @@ class TestShardedDiskStore:
         store.put("00000001:fp", _payload("00000001:fp", "old"))
         store.flush()
         path = store.shard_paths()[0]
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(_payload("00000001:fp", "new")) + "\n")
+        with path.open("ab") as handle:
+            handle.write(_record("00000001:fp", _payload("00000001:fp", "new")))
         reopened = ShardedDiskStore(tmp_path, n_shards=1)
         assert reopened.get("00000001:fp")["value"] == "new"
 
@@ -122,12 +132,14 @@ class TestShardedDiskStore:
         for i, text in enumerate(texts):
             store.put(f"{i:08x}:fp", _payload(f"{i:08x}:fp", text))
         store.flush()
-        lines = store.shard_paths()[0].read_bytes().splitlines()
-        # ASCII escapes where they are exact; a surrogate as its own bytes.
-        assert lines[0].isascii() and b"\\u6771\\u4eac" in lines[0]
-        assert b"split \xed\xa0\x80\xed\xb0\x80 pair" in lines[2]
+        data = store.shard_paths()[0].read_bytes()
+        # UTF-8, no escapes; a surrogate as its own bytes.
+        assert "naïve 東京".encode("utf-8") in data
+        assert b"split \xed\xa0\x80\xed\xb0\x80 pair" in data
         reopened = ShardedDiskStore(tmp_path, n_shards=1)
-        assert [reopened.get(f"{i:08x}:fp")["value"] for i in range(4)] == texts
+        read = [reopened.get(f"{i:08x}:fp")["value"] for i in range(4)]
+        # Texts read back code point for code point.
+        assert [list(map(ord, text)) for text in read] == [list(map(ord, t)) for t in texts]
 
     def test_shards_of_the_first_format_are_misses_counted_and_purged(self, tmp_path):
         # The first format: ASCII JSON lines in ``shard-NNN.jsonl``.
@@ -137,7 +149,7 @@ class TestShardedDiskStore:
         assert store.get("00000001:fp") is None and len(store) == 0
         store.put("00000002:fp", _payload("00000002:fp"))
         store.flush()
-        assert store.shard_paths() == [tmp_path / "shard-v2-000.jsonl"]
+        assert store.shard_paths() == [tmp_path / "shard-v3-000.frames"]
         assert store.stale_bytes_on_disk() == old.stat().st_size > 0
         assert store.bytes_on_disk() == store.shard_paths()[0].stat().st_size
         store.purge(lambda payload: False)  # a partial purge leaves them
@@ -157,6 +169,23 @@ class TestShardedDiskStore:
         main(["cache", "purge", "--dir", str(tmp_path)])
         assert not old.exists()
 
+    def test_shards_of_the_second_format_are_misses_counted_and_purged(self, tmp_path):
+        # The second format: JSON lines in ``shard-v2-NNN.jsonl``.
+        old = tmp_path / "shard-v2-000.jsonl"
+        old.write_bytes(json.dumps(_payload("00000001:fp", "old")).encode("ascii") + b"\n")
+        store = ShardedDiskStore(tmp_path, n_shards=1)
+        assert store.get("00000001:fp") is None and len(store) == 0
+        assert store.stale_bytes_on_disk() == old.stat().st_size > 0
+        assert store.bytes_on_disk() == 0
+        assert store.purge() == 0
+        assert not old.exists() and store.stale_bytes_on_disk() == 0
+
+    def test_a_key_holding_a_newline_is_refused(self, tmp_path):
+        store = ShardedDiskStore(tmp_path, n_shards=1)
+        with pytest.raises(ValueError, match="newline"):
+            store.put("0000\n0001:fp", _payload("x"))
+        assert len(store) == 0
+
     def test_invalid_parameters(self, tmp_path):
         with pytest.raises(ValueError):
             ShardedDiskStore(tmp_path, n_shards=0)
@@ -175,13 +204,24 @@ def _put_round(store: ShardedDiskStore, start: int, count: int, value: str = "v"
     )
 
 
-def _disk_lines(directory) -> list[bytes]:
-    return [
-        line
-        for path in sorted(directory.glob("shard-*.jsonl"))
-        for line in path.read_bytes().split(b"\n")
-        if line
-    ]
+def _disk_keys(directory) -> list[str]:
+    """The key of every record in the shard files, read by the lengths alone.
+
+    For files without damage: each record's prefix line is
+    ``<crc> <key> <body bytes> <text bytes>``, and a newline closes it.
+    """
+    keys = []
+    for path in sorted(directory.glob("shard-*.frames")):
+        data = path.read_bytes()
+        position = 0
+        while position < len(data):
+            eol = data.index(b"\n", position)
+            key, body, texts = data[position + 9 : eol].rsplit(b" ", 2)
+            position = eol + 1 + int(body) + int(texts)
+            assert data[position : position + 1] == b"\n"
+            position += 1
+            keys.append(key.decode())
+    return keys
 
 
 class TestAppendOnFlush:
@@ -222,8 +262,9 @@ class TestAppendOnFlush:
         store = ShardedDiskStore(tmp_path, n_shards=1)
         _put_round(store, 0, 3, "keep")
         store.flush()
+        torn = _record("torn", _payload("torn", "torn" * 20))
         with store.shard_path(0).open("ab") as handle:
-            handle.write(b'{"key": "torn", "value": "tor')  # killed mid-append
+            handle.write(torn[: len(torn) // 2])  # killed mid-append
         second = ShardedDiskStore(tmp_path, n_shards=1)
         _put_round(second, 3, 2, "new")
         assert second.corrupt_lines_skipped == 1
@@ -232,7 +273,7 @@ class TestAppendOnFlush:
         assert {third.get(_key(i))["value"] for i in range(3)} == {"keep"}
         assert {third.get(_key(i))["value"] for i in (3, 4)} == {"new"}
         assert third.corrupt_lines_skipped == 0
-        assert len(_disk_lines(tmp_path)) == 5
+        assert len(_disk_keys(tmp_path)) == 5
 
     def test_tail_torn_after_load_costs_only_the_torn_line(self, tmp_path):
         # The store loaded a clean shard, then another writer died mid-block:
@@ -240,8 +281,9 @@ class TestAppendOnFlush:
         store = ShardedDiskStore(tmp_path, n_shards=1)
         _put_round(store, 0, 2)
         store.flush()
+        torn = _record("torn", _payload("torn", "torn" * 20))
         with store.shard_path(0).open("ab") as handle:
-            handle.write(b'{"key": "torn", "value": "tor')
+            handle.write(torn[: len(torn) // 2])
         _put_round(store, 2, 2)
         store.flush()
         reopened = ShardedDiskStore(tmp_path, n_shards=1)
@@ -298,14 +340,14 @@ class TestAppendOnFlush:
         store.flush()
         live = {_key(i) for i in (0, 2, 3, 4, 5, 6, 7)}
         # (Key 0's superseded "old" line may remain; a reader lets the last win.)
-        assert {json.loads(line)["key"] for line in _disk_lines(tmp_path)} == live
+        assert set(_disk_keys(tmp_path)) == live
         assert ShardedDiskStore(tmp_path, n_shards=2).get(_key(0))["value"] == "new"
         # Purge after appends: the doomed keys' lines go, staged puts land.
         _put_round(store, 8, 2)
         doomed = {_key(2), _key(8)}
         assert store.purge(lambda payload: payload["key"] in doomed) == 2
         live = (live | {_key(9)}) - doomed
-        assert {json.loads(line)["key"] for line in _disk_lines(tmp_path)} == live
+        assert set(_disk_keys(tmp_path)) == live
         reopened = ShardedDiskStore(tmp_path, n_shards=2)
         assert {payload["key"] for payload in reopened.iter_entries()} == live
         assert not list(tmp_path.glob("*.tmp-*"))
@@ -381,3 +423,72 @@ class TestAppendOnFlush:
         store.flush()
         assert len(ShardedDiskStore(tmp_path, n_shards=2)) == 8
         assert not list(tmp_path.glob("*.tmp-*"))
+
+
+class TestDamagedRecords:
+    """A record that does not check out costs itself, never a neighbour."""
+
+    def test_a_torn_record_does_not_borrow_the_next_block(self, tmp_path):
+        # A writer dies inside a record's text section; a store that loaded
+        # the shard before appends its block on a fresh line, and the torn
+        # record's lengths end exactly on the newline of that block's first
+        # prefix line.  Lengths and a terminator alone would accept the torn
+        # record (with the block's bytes as its text) and lose the block's
+        # first record.
+        store = ShardedDiskStore(tmp_path, n_shards=1)
+        _put_round(store, 0, 1, "keep")
+        store.flush()
+        torn_key = _key(99)
+        torn = _encode_record(torn_key, {"key": torn_key, "page_texts": ["t" * 3000]})
+        first = _encode_record(_key(1), _payload(_key(1), "new"))
+        cut = len(torn) - first.index(b"\n") - 1
+        assert cut > torn.rindex(b"\n")  # inside the text section
+        path = store.shard_path(0)
+        start = path.stat().st_size
+        with path.open("ab") as handle:
+            handle.write(torn[:cut])
+        _put_round(store, 1, 3, "new")
+        store.flush()
+        data = path.read_bytes()
+        assert data[start + len(torn) : start + len(torn) + 1] == b"\n"
+        assert data[start + cut + 1 :].startswith(first)
+
+        reopened = ShardedDiskStore(tmp_path, n_shards=1)
+        assert reopened.get(torn_key) is None
+        assert [reopened.get(_key(i))["value"] for i in range(4)] == ["keep"] + ["new"] * 3
+        assert reopened.corrupt_lines_skipped == 1
+        # The next flush that touches the shard rewrites it without the tear.
+        _put_round(reopened, 4, 1)
+        reopened.flush()
+        healed = ShardedDiskStore(tmp_path, n_shards=1)
+        assert len(healed) == 5 and healed.corrupt_lines_skipped == 0
+        assert healed.superseded_lines() == 0
+        assert sorted(_disk_keys(tmp_path)) == sorted(_key(i) for i in range(5))
+
+    @pytest.mark.parametrize("damage", ["text-byte", "length", "terminator", "key"])
+    def test_a_damaged_record_is_skipped_and_its_neighbours_load(self, tmp_path, damage):
+        store = ShardedDiskStore(tmp_path, n_shards=1)
+        keys = [_key(i) for i in range(3)]
+        for key in keys:
+            store.put(key, {"key": key, "page_texts": [f"page of {key}\nline two", "é"]})
+        store.flush()
+        path = store.shard_path(0)
+        data = bytearray(path.read_bytes())
+        middle = data.index(keys[1].encode()) - 9  # the middle record's start
+        eol = data.index(b"\n", middle)
+        _, body, texts = bytes(data[middle + 9 : eol]).rsplit(b" ", 2)
+        end = eol + 1 + int(body) + int(texts)
+        if damage == "text-byte":
+            data[end - 4] ^= 0x01
+        elif damage == "length":
+            data[middle + 9 : eol] = b"%s %s %d" % (keys[1].encode(), body, int(texts) + 1)
+        elif damage == "terminator":
+            data[end] = ord("x")
+        else:  # another key, so the record would answer for it
+            data[middle + 9 : middle + 10] = b"f"
+        path.write_bytes(bytes(data))
+        reopened = ShardedDiskStore(tmp_path, n_shards=1)
+        assert reopened.get(keys[1]) is None
+        assert len(reopened) == 2 and reopened.corrupt_lines_skipped == 1
+        for key in (keys[0], keys[2]):
+            assert reopened.get(key)["page_texts"] == [f"page of {key}\nline two", "é"]

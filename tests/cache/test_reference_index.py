@@ -691,7 +691,7 @@ class TestMaintenance:
         assert described["ref_index_bytes"] == index.stat().st_size > 0
         assert described["ref_index_stale_bytes"] == 0
         # The index file is not a shard.
-        assert described["shards"] == len(list((tmp_path / "cache").glob("shard-*.jsonl")))
+        assert described["shards"] == len(list((tmp_path / "cache").glob("shard-*.frames")))
 
         assert cache.purge(config_fingerprint="no-such-parser") == 0
         assert cache.purge(config_fingerprint=CountingParser().config_fingerprint()) == 8
