@@ -663,6 +663,14 @@ def _make_synthetic(**options: Any) -> SyntheticSource:
         textgen = dict(textgen)
         known = frozenset(f.name for f in fields(TextGenConfig))
         _check_options(textgen, known, "'textgen' of source 'synthetic'")
+        for name, value in textgen.items():
+            # Every knob is an integer; a string is not read as one here.
+            integral = isinstance(value, float) and value.is_integer()
+            if not integral and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(
+                    f"synthetic option 'textgen.{name}' must be an integer, not {value!r}"
+                )
+            textgen[name] = int(value)
         options["textgen"] = TextGenConfig(**textgen)
     return SyntheticSource(CorpusConfig(**options))
 

@@ -130,6 +130,32 @@ class TestSyntheticAndExplicit:
         with pytest.raises(ValueError, match="'bogus_knob'"):
             ParseRequest.from_json_dict({"source": spec.to_json_dict()})
 
+    @pytest.mark.parametrize("value", ["4", 4.5, True, None, [4]], ids=repr)
+    def test_a_textgen_value_that_is_not_an_integer_is_refused(self, value):
+        """It was passed on unchecked, and the first load failed in the generator."""
+        spec = SourceSpec(
+            "synthetic", {"n_documents": 2, "textgen": {"min_words_per_sentence": value}}
+        )
+        message = (
+            f"synthetic option 'textgen.min_words_per_sentence' must be an integer, "
+            f"not {value!r}"
+        )
+        with pytest.raises(ValueError) as info:
+            create_source(spec)
+        assert str(info.value) == message
+        from repro.pipeline import ParseRequest
+
+        with pytest.raises(ValueError, match="must be an integer"):
+            ParseRequest.from_json_dict({"source": spec.to_json_dict()})
+
+    def test_an_integral_float_textgen_value_is_taken_as_its_integer(self):
+        spec = SourceSpec(
+            "synthetic", {"n_documents": 2, "textgen": {"max_words_per_sentence": 30.0}}
+        )
+        source = create_source(spec)
+        assert source.config.textgen == TextGenConfig(max_words_per_sentence=30)
+        assert len(list(source.iter_documents())) == 2
+
     def test_synthetic_defaults_keep_the_spec_minimal(self):
         spec = SyntheticSource(CorpusConfig(n_documents=5, seed=3)).spec()
         assert spec.options == {"n_documents": 5, "seed": 3}
