@@ -113,7 +113,7 @@ def _encode_record(key: str, payload: dict[str, Any]) -> bytes:
     body, texts = encode_body(_lift_texts(payload), ensure_ascii=False)
     texts = texts or []
     head = b"%s %d %d\n" % (
-        key.encode("utf-8", "surrogatepass"),
+        key.encode("utf-8", "surrogateescape"),
         len(body),
         sum(map(len, texts)),
     )
@@ -128,7 +128,7 @@ def _decode_record(record: bytes) -> dict[str, Any]:
     eol = record.index(b"\n")
     body_end = eol + 1 + int(record[9:eol].rsplit(b" ", 2)[1])
     body = record[eol + 1 : body_end].decode("utf-8", "surrogatepass")
-    return decode_body(body, memoryview(record)[body_end:])
+    return decode_body(body, record[body_end:])
 
 
 def _index_records(data: bytes) -> tuple[dict[str, bytes], int, int]:
@@ -163,7 +163,7 @@ def _index_records(data: bytes) -> tuple[dict[str, bytes], int, int]:
                     and data[position : position + 8]
                     == b"%08x" % zlib.crc32(view[position + 9 : end])
                 ):
-                    entries[key.decode("utf-8", "surrogatepass")] = data[position:end]
+                    entries[key.decode("utf-8", "surrogateescape")] = data[position:end]
                     held += 1
                     in_damage = False
                     position = end + 1
@@ -323,7 +323,8 @@ class ShardedDiskStore:
         """Stage an entry; durable after the next :meth:`flush` (or auto-flush).
 
         Returns the entry's encoded size in bytes (the record is encoded
-        exactly once, here).  A key may not hold a newline.
+        exactly once, here).  A key is one line of text: a newline in it is
+        refused, and so is a surrogate that UTF-8 cannot encode.
         """
         if "\n" in key:
             raise ValueError(f"a cache key may not hold a newline: {key!r}")

@@ -32,7 +32,9 @@ sends, single-reader receives, byte counters in both directions), and
 the oversized-frame refusal (:class:`MessageTooLarge` at send time,
 :class:`ProtocolError` at receive time).  :mod:`repro.cluster.protocol`
 and :mod:`repro.gateway.protocol` both build their message vocabularies
-on top of it, so the two wires cannot drift apart on framing.
+on top of it, so the two wires cannot drift apart on framing.  The body
+codec under the framing, :func:`encode_body` and :func:`decode_body`, is
+also the parse cache's disk record format (:mod:`repro.cache.disk`).
 :class:`Listener` is the accepting side every daemon shares (gateway,
 cluster worker, membership listener): bind, a named accept thread, and a
 stop that actually wakes it.  What happens on a connection once it is
@@ -136,7 +138,7 @@ def encode_message(message: Mapping[str, Any]) -> bytes:
     return b"".join([prefix, body, *texts])
 
 
-def decode_body(body: str, section: bytes | memoryview) -> Any:
+def decode_body(body: str, section: bytes) -> Any:
     """The message a body and its text section encode, texts put back.
 
     Every object holding a :data:`TEXTS_KEY` list of byte lengths gets the
@@ -157,7 +159,7 @@ def decode_body(body: str, section: bytes | memoryview) -> Any:
         for length in lengths:
             if type(length) is not int or length < 0:
                 raise ProtocolError(f"{TEXTS_KEY} must be a list of byte lengths")
-            pages.append(str(section[end : end + length], "utf-8", "surrogatepass"))
+            pages.append(section[end : end + length].decode("utf-8", "surrogatepass"))
             end += length
         member[TEXTS_KEY] = pages
         return member
