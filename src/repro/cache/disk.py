@@ -29,8 +29,11 @@ once its lengths land on its closing newline and its CRC matches, and no
 JSON is parsed until a hit (or ``iter_entries`` / ``purge``) asks for the
 payload.  A record that fails those checks is skipped and counted once in
 ``corrupt_lines_skipped``; the reader then looks for the next record at
-each following line start, so the records after a torn or damaged one
-still load, and a torn record never lends its key to another's bytes.
+each following line start and where the failed record claims to end, so
+the records after a torn or damaged one still load, and a torn record
+never lends its key to another's bytes.  A hit whose body then does not
+decode is dropped by :meth:`repro.cache.ParseCache.lookup`.
+
 Earlier formats were JSON lines in ``shard-NNN.jsonl`` (ASCII) and
 ``shard-v2-NNN.jsonl``; their files are never read (every key is a miss
 there), are counted by :meth:`ShardedDiskStore.stale_bytes_on_disk` and go
@@ -124,11 +127,18 @@ def _encode_record(key: str, payload: dict[str, Any]) -> bytes:
 
 
 def _decode_record(record: bytes) -> dict[str, Any]:
-    """The payload of a record the load checked."""
+    """The payload of a record the load checked.
+
+    Raises :class:`ValueError` (or the codec's ``ProtocolError``) for one
+    whose body is not a JSON object or whose text lengths do not fit.
+    """
     eol = record.index(b"\n")
     body_end = eol + 1 + int(record[9:eol].rsplit(b" ", 2)[1])
     body = record[eol + 1 : body_end].decode("utf-8", "surrogatepass")
-    return decode_body(body, record[body_end:])
+    payload = decode_body(body, record[body_end:])
+    if not isinstance(payload, dict):
+        raise ValueError(f"a cache record holds {type(payload).__name__}, not an object")
+    return payload
 
 
 def _index_records(data: bytes) -> tuple[dict[str, bytes], int, int]:

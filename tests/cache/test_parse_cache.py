@@ -290,6 +290,34 @@ class TestCrashMidWrite:
         assert healed.disk.corrupt_lines_skipped == 0
 
 
+    @pytest.mark.parametrize(
+        ("body", "section"),
+        [
+            (b'{"result":{"page_texts":[5]}}\n', b"abc"),  # lengths past the section
+            (b'{"key":"k"}\n', b""),  # no result
+            (b"[1,2]\n", b""),  # not an object
+        ],
+        ids=["lengths", "schema", "not-an-object"],
+    )
+    def test_a_record_that_checks_out_but_does_not_decode_is_dropped(
+        self, tmp_path, body, section
+    ):
+        import zlib
+
+        cache = ParseCache(tmp_path, n_shards=1)
+        cache.store(_key(1), _result("d1"))
+        cache.flush()
+        head = b"%s %d %d\n" % (_key(0).encode(), len(body), len(section))
+        record = head + body + section
+        with cache.disk.shard_path(0).open("ab") as handle:
+            handle.write(b"%08x " % zlib.crc32(record) + record + b"\n")
+        reopened = ParseCache(tmp_path, n_shards=1)
+        assert reopened.disk.corrupt_lines_skipped == 0  # its CRC is right
+        assert reopened.lookup(_key(0)) is None
+        assert reopened.disk.get(_key(0)) is None  # dropped, not re-read
+        assert reopened.lookup(_key(1)).result.doc_id == "d1"
+
+
 class TestMaintenance:
     def test_purge_all(self, tmp_path):
         cache = ParseCache(tmp_path)
