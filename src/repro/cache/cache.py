@@ -52,7 +52,7 @@ from repro.core.engine import RoutingDecision
 from repro.documents.sources import DocumentRef, Item, document_origin, load_items
 from repro.obs import profiling as _profiling
 from repro.parsers.base import ParseResult, ResourceUsage
-from repro.utils.wire import ProtocolError
+from repro.utils.codec import ProtocolError
 
 
 class CachePolicy(str, enum.Enum):

@@ -5,8 +5,8 @@ carrying its full cache key; when a key appears more than once the last
 record wins.  Entries are distributed over ``n_shards`` files by the content
 hash's prefix, so concurrent writers contend on different files.
 
-A record is a wire frame (:mod:`repro.utils.wire`) behind a prefix line
-that names its key, and a newline ends it::
+A record is a wire frame's body and text section (:mod:`repro.utils.codec`)
+behind a prefix line that names its key, and a newline ends it::
 
     <crc32, 8 hex digits> <key> <body bytes> <text bytes>\\n
     {"key":"...","result":{...,"page_texts":[12,0,7],...},...}\\n
@@ -14,9 +14,9 @@ that names its key, and a newline ends it::
     \\n
 
 The body is the payload's JSON with every ``page_texts`` list replaced by
-its texts' byte lengths (:class:`~repro.utils.wire.PageTexts`, lifted by
-:func:`~repro.utils.wire.encode_body` and put back by
-:func:`~repro.utils.wire.decode_body`); a payload may hold several such
+its texts' byte lengths (:class:`~repro.utils.codec.PageTexts`, lifted by
+:func:`~repro.utils.codec.encode_body` and put back by
+:func:`~repro.utils.codec.decode_body`); a payload may hold several such
 lists, but none inside another object that holds one.  The body's strings
 are UTF-8 with surrogates passed through, like the texts, so every string
 a payload holds reads back code point for code point (a surrogate pair
@@ -87,7 +87,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.utils.durable import append_lines, replace_lines, temporary_suffix
-from repro.utils.wire import TEXTS_KEY, PageTexts, decode_body, encode_body
+from repro.utils.codec import TEXTS_KEY, PageTexts, decode_body, encode_body
 
 #: Version of the record format, in every shard file's name.
 _SHARD_FORMAT = 3

@@ -10,9 +10,13 @@ the text section a frame carrying :class:`~repro.utils.wire.PageTexts` has.
 
 from __future__ import annotations
 
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +35,19 @@ class TestSharedFraming:
         assert protocol.MessageTooLarge is wire.MessageTooLarge
         assert protocol.encode_message is wire.encode_message
         assert protocol.MAX_MESSAGE_BYTES == wire.MAX_MESSAGE_BYTES
+
+    def test_import_repro_cache_does_not_import_the_transport(self):
+        """The disk tier shares the body codec, not the socket behind it."""
+        import repro
+
+        code = (
+            "import sys, repro.cache\n"
+            "bad = [m for m in ('socket', 'selectors', 'repro.utils.wire') if m in sys.modules]\n"
+            "assert not bad, f'import repro.cache loaded the transport: {bad}'\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
     def test_gateway_protocol_shares_the_framing(self):
         from repro.gateway import protocol as gateway_protocol
