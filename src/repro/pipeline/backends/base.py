@@ -54,6 +54,8 @@ from __future__ import annotations
 
 import abc
 import inspect
+import math
+import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -430,6 +432,46 @@ def _positive_int(option: str, value: Any) -> int:
     return value
 
 
+def _positive_seconds(option: str, value: Any) -> int | float:
+    """``value`` as a finite positive number of seconds, rejecting bools.
+
+    A ``heartbeat_timeout`` of 0 would reap every worker at the monitor's
+    first poll, and ``"abc"`` would kill the monitor thread, leaving the run
+    with no liveness detection.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{option} must be a number of seconds, got {value!r}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"{option} must be a positive number of seconds, got {value}")
+    return value
+
+
+def _directory(option: str, value: Any) -> str | os.PathLike | None:
+    """``value`` as a path, or ``None`` for none.
+
+    ``--backend-opt ledger_dir=2024`` reads as the int 2024, and ``07`` as 7:
+    accepted, the first would fail at the first batch and the second would
+    name another directory.
+    """
+    if value is not None and not isinstance(value, (str, os.PathLike)):
+        raise ValueError(
+            f"{option} must be a directory path, got {value!r}; write a "
+            f"directory whose name is all digits with a ./ prefix, as in ./2024"
+        )
+    return value
+
+
+#: Option → the check its value passes wherever the resolved backend takes it.
+_OPTION_CHECKS: dict[str, Callable[[str, Any], Any]] = {
+    "n_jobs": _positive_int,
+    "window": _positive_int,
+    "connect_timeout": _positive_seconds,
+    "heartbeat_interval": _positive_seconds,
+    "heartbeat_timeout": _positive_seconds,
+    "ledger_dir": _directory,
+}
+
+
 def normalize_backend_spec(
     backend: str,
     backend_options: Mapping[str, Any] | None = None,
@@ -440,8 +482,9 @@ def normalize_backend_spec(
     under ``"auto"``; ``"auto"`` without parallelism resolves to the
     serial backend.  ``"async"`` and ``"process"`` are accepted names for
     ``"thread"``; a removed name (``"hpc"``) is refused with what replaces
-    it.  ``n_jobs`` and ``window`` must be positive integers wherever the
-    resolved backend takes them.
+    it.  Wherever the resolved backend takes them, ``n_jobs`` and ``window``
+    must be positive integers, the remote timeouts positive numbers of
+    seconds, and ``ledger_dir`` a path.
     """
     if backend in _REMOVED_NAMES:
         raise ValueError(
@@ -460,9 +503,9 @@ def normalize_backend_spec(
                 f"unknown option(s) {unknown} for backend {backend!r}, an "
                 f"accepted name for {name!r}; known: {sorted(known)}"
             )
-    for option in ("n_jobs", "window"):
+    for option, check in _OPTION_CHECKS.items():
         if option in options and backend_accepts_option(name, option):
-            options[option] = _positive_int(option, options[option])
+            options[option] = check(option, options[option])
     if name == "auto":
         name = "thread" if options.get("n_jobs", 1) > 1 else "serial"
         if name == "serial":

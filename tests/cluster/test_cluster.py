@@ -32,7 +32,12 @@ from repro.documents.sources import ExplicitSource, SourceSpec, create_source
 from repro.parsers.base import Parser, ParserCost
 from repro.parsers.registry import default_registry
 from repro.pipeline import ParsePipeline, ParseRequest, request_for_documents
-from repro.pipeline.backends import BackendError, create_backend, normalize_backend_spec
+from repro.pipeline.backends import (
+    BackendError,
+    create_backend,
+    normalize_backend_spec,
+    validate_backend_spec,
+)
 
 
 class TortoiseParser(Parser):
@@ -122,6 +127,37 @@ class TestRemoteRegistration:
     def test_bad_options_fail_at_construction(self, options, match):
         with pytest.raises(ValueError, match=match):
             create_backend("remote", options)
+
+    @pytest.mark.parametrize(
+        "option, value, refusal",
+        [
+            ("heartbeat_timeout", 0, "a positive number of seconds, got 0"),
+            ("heartbeat_timeout", "abc", "a number of seconds, got 'abc'"),
+            ("heartbeat_interval", -0.5, "a positive number of seconds, got -0.5"),
+            ("heartbeat_interval", float("inf"), "a positive number of seconds, got inf"),
+            ("connect_timeout", True, "a number of seconds, got True"),
+            ("connect_timeout", None, "a number of seconds, got None"),
+        ],
+    )
+    def test_a_bad_timeout_fails_at_the_spec(self, option, value, refusal):
+        """Accepted, a ``heartbeat_timeout`` of 0 would reap every worker at the
+        monitor's first poll, and ``"abc"`` would kill the monitor thread."""
+        spec = {"workers": "127.0.0.1:9101", option: value}
+        with pytest.raises(ValueError) as info:
+            validate_backend_spec("remote", spec)
+        assert str(info.value) == f"{option} must be {refusal}"
+
+    @pytest.mark.parametrize("raw", ["2024", "07"])
+    def test_an_all_digit_ledger_dir_fails_at_the_spec(self, raw):
+        """``--backend-opt ledger_dir=2024`` reads as the int 2024 (and ``07`` as
+        7): accepted, it would fail at the first batch."""
+        from repro.cli import _coerce_opt_value
+
+        spec = {"workers": "127.0.0.1:9101", "ledger_dir": _coerce_opt_value(raw)}
+        with pytest.raises(ValueError, match=r"ledger_dir must be a directory path.*\./2024"):
+            validate_backend_spec("remote", spec)
+        spec["ledger_dir"] = f"./{raw}"
+        validate_backend_spec("remote", spec)
 
     def test_import_repro_does_not_import_cluster(self):
         code = (
