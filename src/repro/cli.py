@@ -55,10 +55,14 @@ service (one backend, one cache, cross-request single-flight), and
 
 Run a distributed cluster: worker daemons plus a coordinated request
 (``cluster`` spawns local workers, runs end to end, and prints the
-placement/dedup summary; ``worker`` is the long-running daemon mode)::
+placement/dedup summary; ``worker`` is the long-running daemon mode).
+``cluster`` takes the remote backend's options as ``--backend-opt
+KEY=VALUE``; with ``workers=`` it uses running workers instead of spawning::
 
     adaparse-repro worker --port 9101 --slots 2
     adaparse-repro cluster --workers 2 --documents 100 --parser pymupdf
+    adaparse-repro cluster --backend-opt workers=127.0.0.1:9101 \
+        --backend-opt listen=9200 --backend-opt ledger_dir=/tmp/ledger
     adaparse-repro pipeline --documents 100 --backend remote \
         --backend-opt workers=127.0.0.1:9101,127.0.0.1:9102
 
@@ -619,7 +623,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         cache=cache,
         name=args.name or None,
         slots=args.slots,
-        heartbeat_interval=args.heartbeat_interval,
         gpu=args.gpu,
     )
     daemon.start()
@@ -674,7 +677,7 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
 
     if not args.at:
         raise SystemExit(
-            "error: cluster status needs --at HOST:PORT (the --listen "
+            "error: cluster status needs --at HOST:PORT (the listen= "
             "address of the running campaign)"
         )
     try:
@@ -747,24 +750,22 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     The end-to-end demonstration of ``repro.cluster``: N worker
     processes, rendezvous shard placement, optional live membership
-    (``--listen``, for ``worker --join`` daemons), and a checkpoint ledger
-    (``--ledger-dir``) — with a
-    ``ParseReport`` whose ``execution.extra`` block carries the
-    wire/dedup/fault/elastic telemetry this command summarises.
+    (``listen=``, for ``worker --join`` daemons), and a checkpoint ledger
+    (``ledger_dir=``) — with a ``ParseReport`` whose ``execution.extra``
+    block carries the wire/dedup/fault/elastic telemetry this command
+    summarises.  Its remote options are the remote backend's, given as
+    ``--backend-opt KEY=VALUE``; ``workers=`` names running workers, and
+    without it ``--workers`` local ones are spawned.
     """
     from repro.pipeline import ENGINE_VARIANTS, ParsePipeline, ParseRequest
 
     _setup_logging(args)
     if args.action == "status":
         return _cmd_cluster_status(args)
-    if args.resume and not args.ledger_dir:
-        raise SystemExit("error: --resume needs --ledger-dir (the campaign ledger)")
+    options = _parse_backend_opts(args.backend_opt)
     procs: list = []
-    addresses: list[str] = []
     try:
-        if args.workers_at:
-            addresses = [a.strip() for a in args.workers_at.split(",") if a.strip()]
-        else:
+        if "workers" not in options:
             for i in range(args.workers):  # start them all, then collect
                 procs.append(
                     spawn_local_worker(
@@ -772,37 +773,25 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                         cache_dir=Path(args.cache_dir) / f"worker-{i}" if args.cache_dir else None,
                     )
                 )
+            addresses = []
             for i, proc in enumerate(procs):
                 try:
                     addresses.append(ready_address(proc))
                 except ValueError as exc:
                     raise SystemExit(f"error: worker {i} {exc}") from exc
             print(f"spawned {len(procs)} worker(s): {', '.join(addresses)}", flush=True)
-        options: dict[str, object] = {
-            "workers": ",".join(addresses),
-            "window": args.window,
-            "placement": args.placement,
-        }
-        if args.listen is not None:
-            options["listen"] = args.listen
-        if args.ledger_dir:
-            options["ledger_dir"] = args.ledger_dir
+            options["workers"] = ",".join(addresses)
+        _validate_backend_spec_or_exit("remote", options)
+        if options.get("ledger_dir"):
             from repro.cluster.ledger import ShardLedger
 
-            completed = len(ShardLedger(args.ledger_dir))
+            completed = len(ShardLedger(options["ledger_dir"]))
             if completed:
                 print(
-                    f"resuming from ledger {args.ledger_dir}: "
+                    f"resuming from ledger {options['ledger_dir']}: "
                     f"{completed} completed shard(s) will replay",
                     flush=True,
                 )
-            elif args.resume:
-                print(
-                    f"--resume: ledger {args.ledger_dir} is empty, "
-                    f"running the campaign from the start",
-                    flush=True,
-                )
-        _validate_backend_spec_or_exit("remote", options)
         cache_policy, cache = resolve_cache_config(args)
         try:
             request = ParseRequest(
@@ -1150,15 +1139,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--slots", type=_positive_int, default=1, help="concurrent shards, a thread each"
     )
     worker.add_argument(
-        "--heartbeat-interval", type=float, default=1.0, help="liveness beacon period (s)"
-    )
-    worker.add_argument(
         "--join",
         type=str,
         default="",
         metavar="HOST:PORT",
         help="announce this worker to a running campaign's membership "
-        "listener (the coordinator's --listen address); the worker joins "
+        "listener (the port of its --backend-opt listen=); the worker joins "
         "mid-run and leaves gracefully on shutdown",
     )
     worker.add_argument(
@@ -1188,9 +1174,10 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = sub.add_parser(
         "cluster",
         actions=_CLUSTER_ACTIONS,
-        help="spawn N local workers (or join --workers-at), run one request "
-        "on the remote backend, and print the placement/dedup summary; "
-        "`cluster status --at HOST:PORT` queries a live campaign",
+        help="spawn N local workers (or use running ones, --backend-opt "
+        "workers=), run one request on the remote backend, and print the "
+        "placement/dedup summary; `cluster status --at HOST:PORT` queries a "
+        "live campaign",
     )
     cluster.add_argument(
         "action",
@@ -1200,27 +1187,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a campaign (default), or query a live coordinator's "
         "membership listener with status --at HOST:PORT",
     )
-    cluster.add_argument("--workers", type=int, default=2, help="local workers to spawn")
     cluster.add_argument(
-        "--workers-at",
-        type=str,
-        default="",
-        help="join existing workers at host:port,host:port instead of spawning",
+        "--workers", type=int, default=2, help="local workers to spawn (without workers=)"
     )
     cluster.add_argument("--documents", type=_positive_int, default=50)
     cluster.add_argument("--seed", type=int, default=2025)
     _add_parser_argument(cluster)
     cluster.add_argument("--batch-size", type=int, default=None)
     cluster.add_argument(
-        "--window", type=int, default=2, help="in-flight shards per worker"
-    )
-    cluster.add_argument(
-        "--placement",
-        type=str,
-        default="rendezvous",
-        choices=["rendezvous", "balanced"],
-        help="shard placement: cache-affine rendezvous hashing, or least-"
-        "backlog balancing",
+        "--backend-opt",
+        action="append",
+        default=None,
+        metavar="KEY=VALUE",
+        help="remote backend option (repeatable): workers=HOST:PORT,... to use "
+        "running workers, window=N, placement=balanced, listen=PORT for "
+        "`worker --join` and `cluster status`, ledger_dir=PATH to checkpoint "
+        "and resume, worker_cache, connect_timeout, heartbeat_interval, "
+        "heartbeat_timeout",
     )
     _add_source_argument(cluster)
     _add_cache_arguments(
@@ -1234,28 +1217,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         metavar="HOST:PORT",
         help="membership listener of the campaign to query (status action)",
-    )
-    cluster.add_argument(
-        "--listen",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="start a membership listener on PORT so `worker --join` "
-        "daemons can join mid-campaign and `cluster status --at` can query it",
-    )
-    cluster.add_argument(
-        "--ledger-dir",
-        type=str,
-        default="",
-        help="checkpoint directory: completed shards are durably recorded "
-        "to a shard ledger there, and a re-run with the same directory "
-        "replays them instead of re-parsing (see --resume)",
-    )
-    cluster.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume a killed campaign from --ledger-dir (completed shards "
-        "are skipped exactly-once; requires --ledger-dir)",
     )
     cluster.add_argument("--output", type=str, default="", help="write the summary JSON here")
     _add_logging_arguments(cluster)

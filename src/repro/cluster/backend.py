@@ -63,6 +63,8 @@ def _parse_addresses(workers: "str | Sequence[str] | None") -> list[str]:
             "`adaparse-repro worker`, or `adaparse-repro cluster` to spawn "
             "a local fleet)"
         )
+    if isinstance(workers, (int, float)):  # ``--backend-opt workers=9101``
+        workers = str(workers)
     if isinstance(workers, str):
         addresses = [part.strip() for part in workers.split(",") if part.strip()]
     else:
@@ -76,6 +78,12 @@ def _parse_addresses(workers: "str | Sequence[str] | None") -> list[str]:
 
 class RemoteBackend(ThreadBackend):
     """Execute batches on a cluster of worker daemons (see module docstring).
+
+    Each parameter is an option of the remote spec, and so a
+    ``--backend-opt KEY=VALUE`` of ``pipeline``, ``dataset``, ``gateway`` and
+    ``cluster`` (``cluster`` spawns local workers unless ``workers`` is
+    given).  :func:`~repro.pipeline.backends.normalize_backend_spec` checks
+    the timeouts and ``ledger_dir``; this constructor checks the rest.
 
     Parameters
     ----------
@@ -91,17 +99,20 @@ class RemoteBackend(ThreadBackend):
         :class:`~repro.cache.ParseCache` (``"off"`` to force re-parses
         even on cache-carrying workers).
     connect_timeout / heartbeat_interval / heartbeat_timeout:
-        See :class:`~repro.cluster.coordinator.ClusterCoordinator`.
+        Positive seconds; see
+        :class:`~repro.cluster.coordinator.ClusterCoordinator`.  Workers
+        beacon at ``heartbeat_interval``.
     listen:
         Membership listener port (0 picks a free one; ``None`` disables).
         When set, ``worker --join`` daemons can join the running
         campaign — the one way to add capacity mid-campaign — and
         ``cluster status`` can query it.
     ledger_dir:
-        Campaign checkpoint directory.  Completed shards are durably
-        recorded to a :class:`~repro.cluster.ledger.ShardLedger` there;
-        re-running with the same directory resumes, replaying completed
-        shards instead of dispatching them.
+        Campaign checkpoint directory (a path; write one whose name is all
+        digits as ``./2024``).  Completed shards are durably recorded to a
+        :class:`~repro.cluster.ledger.ShardLedger` there; re-running with
+        the same directory resumes, replaying completed shards instead of
+        dispatching them.
 
     Construction is lazy: addresses are validated eagerly (so queued
     :class:`~repro.pipeline.request.ParseRequest` objects fail fast) but

@@ -248,19 +248,22 @@ class ClusterCoordinator:
     placement:
         ``"rendezvous"`` (cache-affine, the default) or ``"balanced"``
         (least-backlogged worker first, rendezvous rank as tie-break).
+        :class:`~repro.cluster.backend.RemoteBackend` checks the addresses,
+        the window and the placement; this constructor takes them as given.
     connect_timeout:
         Per-worker TCP connect + handshake budget.  Workers that fail to
         connect are skipped; the coordinator starts as long as one
         worker answered, and :meth:`connect` raises otherwise.
     heartbeat_interval / heartbeat_timeout:
-        Beacon period requested from workers, and the silence after
-        which a worker is declared dead and its shards re-queued.
+        Beacon period every worker is given in its ``hello`` (and beacons
+        at), and the silence after which a worker is declared dead and its
+        shards re-queued.
     ledger:
         Optional :class:`~repro.cluster.ledger.ShardLedger`.  Completed
         shards are durably recorded before their futures resolve, and
         submissions whose (placement key × fingerprint) the ledger
         already holds are replayed without dispatch — the
-        checkpoint/resume path of ``cluster --ledger-dir``.
+        checkpoint/resume path of ``--backend-opt ledger_dir=PATH``.
     """
 
     def __init__(
@@ -274,14 +277,6 @@ class ClusterCoordinator:
         heartbeat_timeout: float = 15.0,
         ledger: "ShardLedger | None" = None,
     ) -> None:
-        if not addresses:
-            raise ClusterError("remote backend needs at least one worker address")
-        if window < 1:
-            raise ClusterError("window must be positive")
-        if placement not in ("rendezvous", "balanced"):
-            raise ClusterError(
-                f"unknown placement {placement!r}; known: rendezvous, balanced"
-            )
         self.addresses = list(addresses)
         self.window = window
         self.placement = placement

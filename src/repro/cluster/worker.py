@@ -27,10 +27,11 @@ A :class:`WorkerDaemon` listens on a TCP port and speaks the
 4. streams an ordered ``batch_result`` back.
 
 Shards execute on a pool of slot threads (one by default), so transfer and
-parse overlap; a heartbeat thread beacons liveness so the coordinator can
-distinguish *slow* from *dead*.  Besides its name, cache and slot count, a
-worker advertises one placement capability: ``gpu``, which draws the
-heavyweight parsers' shards to it.
+parse overlap; a heartbeat thread beacons liveness, at the period the
+coordinator's ``hello`` sets, so the coordinator can distinguish *slow*
+from *dead*.  Besides its name, cache and slot count, a worker advertises
+one placement capability: ``gpu``, which draws the heavyweight parsers'
+shards to it.
 
 The daemon is embeddable (tests and benchmarks run several in one
 process, each on its own port) and is what ``adaparse-repro worker``
@@ -124,9 +125,6 @@ class WorkerDaemon(rpc.Server):
         long-lived workers stable names so repeated runs land shards on
         the same (cache-warm) worker; the default derives from the bound
         address.
-    heartbeat_interval:
-        Default liveness beacon period (the coordinator's ``hello`` may
-        override it per connection).
     gpu:
         Advertise a GPU in the ``hello_ack`` handshake (``"tags":
         {"gpu": true}``); coordinators place heavyweight-parser shards on
@@ -146,7 +144,6 @@ class WorkerDaemon(rpc.Server):
         cache: "ParseCache | str | None" = None,
         slots: int = 1,
         name: str | None = None,
-        heartbeat_interval: float = 1.0,
         gpu: bool = False,
     ) -> None:
         super().__init__(host, port)
@@ -158,7 +155,6 @@ class WorkerDaemon(rpc.Server):
         self.cache = cache
         self._slots = slots
         self._name = name
-        self.heartbeat_interval = heartbeat_interval
         self.gpu = gpu
 
         #: Resolved specs: config fingerprint → parser.
@@ -458,12 +454,16 @@ class _ConnectionHandler(rpc.Session):
         self._in_flight_lock = threading.Lock()
         self._idle = threading.Condition(self._in_flight_lock)
         self._draining = threading.Event()
-        self._heartbeat_interval = daemon.heartbeat_interval
 
     def on_hello(self, hello: dict[str, Any]) -> dict[str, Any]:
-        interval = float(hello.get("heartbeat_interval", 0.0))
-        if interval > 0:
-            self._heartbeat_interval = interval
+        # The coordinator's hello sets the beacon period; a peer that sets
+        # none (a probe) hears one a second.
+        interval = float(hello.get("heartbeat_interval", 1.0))
+        if not 0 < interval < float("inf"):
+            raise rpc.HandshakeRefused(
+                f"heartbeat_interval must be a positive number of seconds, got {interval}"
+            )
+        self._heartbeat_interval = interval
         return {
             "worker_id": self.daemon.name,
             "pid": os.getpid(),

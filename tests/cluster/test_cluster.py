@@ -319,6 +319,39 @@ class TestWorkerDaemon:
         with pytest.raises(ValueError, match="slots must be a positive integer"):
             WorkerDaemon(slots=slots)
 
+    def test_a_worker_beacons_at_the_period_its_coordinators_hello_sets(self, registry):
+        import inspect
+
+        assert "heartbeat_interval" not in inspect.signature(WorkerDaemon).parameters
+        with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
+            channel = dial(daemon)
+            channel.send(
+                {"type": "hello", "protocol": PROTOCOL_VERSION, "heartbeat_interval": 0.05}
+            )
+            assert channel.recv()["type"] == "hello_ack"
+            started = time.monotonic()
+            beacons = [channel.recv()["type"] for _ in range(4)]
+            elapsed = time.monotonic() - started
+            channel.close()
+        assert beacons == ["heartbeat"] * 4
+        assert elapsed < 1.0  # a second's period would take 4 s
+
+    @pytest.mark.parametrize("interval", [0, -1.0])
+    def test_a_hello_without_a_positive_beacon_period_is_refused(self, registry, interval):
+        """A worker has no beacon period of its own to fall back on."""
+        with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
+            channel = dial(daemon)
+            channel.send(
+                {"type": "hello", "protocol": PROTOCOL_VERSION, "heartbeat_interval": interval}
+            )
+            reply = channel.recv()
+            channel.close()
+        assert reply == {
+            "type": "error",
+            "message": f"heartbeat_interval must be a positive number of seconds, "
+            f"got {float(interval)}",
+        }
+
     def test_protocol_version_mismatch_refused(self, registry):
         with WorkerDaemon(pipeline=ParsePipeline(registry)) as daemon:
             channel = dial(daemon)
@@ -1022,8 +1055,8 @@ class TestServiceAndCli:
             exit_code = main(
                 [
                     "cluster",
-                    "--workers-at",
-                    addresses_of(workers),
+                    "--backend-opt",
+                    f"workers={addresses_of(workers)}",
                     "--documents",
                     "12",
                     "--batch-size",
@@ -1052,8 +1085,8 @@ class TestServiceAndCli:
             main(
                 [
                     "cluster",
-                    "--workers-at",
-                    f"127.0.0.1:{free_port}",
+                    "--backend-opt",
+                    f"workers=127.0.0.1:{free_port}",
                     "--documents",
                     "4",
                 ]

@@ -196,6 +196,51 @@ class TestBackendOptionHandling:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--workers-at", "127.0.0.1:9101"],
+            ["cluster", "--window", "1"],
+            ["cluster", "--placement", "balanced"],
+            ["cluster", "--listen", "9200"],
+            ["cluster", "--ledger-dir", "ledger"],
+            ["cluster", "--resume"],
+            ["worker", "--heartbeat-interval", "0.5"],
+        ],
+        ids=["workers-at", "window", "placement", "listen", "ledger-dir", "resume",
+             "heartbeat-interval"],
+    )
+    def test_copies_of_remote_options_are_unrecognized_arguments(self, capsys, argv):
+        """``cluster`` spells a remote option one way, ``--backend-opt KEY=VALUE``;
+        a worker beacons at the period its coordinator's hello sets."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"unrecognized arguments: {' '.join(argv[1:])}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "opt, refusal",
+        [
+            ("windw=1", "unknown option(s) ['windw'] for backend 'remote'; known: ["
+             "'connect_timeout', 'heartbeat_interval', 'heartbeat_timeout', 'ledger_dir', "
+             "'listen', 'placement', 'window', 'worker_cache', 'workers']"),
+            ("placement=modulo", "unknown placement 'modulo'; known: rendezvous, balanced"),
+            ("window=0", "window must be positive, got 0"),
+            ("heartbeat_timeout=abc", "heartbeat_timeout must be a number of seconds, got 'abc'"),
+            ("ledger_dir=2024", "ledger_dir must be a directory path, got 2024; write a "
+             "directory whose name is all digits with a ./ prefix, as in ./2024"),
+            ("workers=9101", "address must be host:port, got '9101'"),
+        ],
+        ids=["misspelled", "placement", "window", "timeout", "ledger-dir", "port-only"],
+    )
+    def test_cluster_checks_its_backend_opts_as_the_remote_spec(self, opt, refusal):
+        """Refused before any worker is dialled: ``workers=`` spawns none."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(["cluster", "--backend-opt", "workers=127.0.0.1:9", "--backend-opt", opt])
+        assert exc_info.value.code == f"error: {refusal}"
+
+    @pytest.mark.parametrize(
         "argv, unrecognized",
         [
             (["cluster", "--worker-jobs", "2"], "--worker-jobs 2"),
