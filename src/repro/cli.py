@@ -763,6 +763,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.action == "status":
         return _cmd_cluster_status(args)
     options = _parse_backend_opts(args.backend_opt)
+    # Checked before any worker is spawned; a stand-in address holds the
+    # place of the spawned workers' until they report theirs.
+    _validate_backend_spec_or_exit("remote", {"workers": "127.0.0.1:1", **options})
     procs: list = []
     try:
         if "workers" not in options:
@@ -781,7 +784,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                     raise SystemExit(f"error: worker {i} {exc}") from exc
             print(f"spawned {len(procs)} worker(s): {', '.join(addresses)}", flush=True)
             options["workers"] = ",".join(addresses)
-        _validate_backend_spec_or_exit("remote", options)
         if options.get("ledger_dir"):
             from repro.cluster.ledger import ShardLedger
 

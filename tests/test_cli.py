@@ -234,10 +234,17 @@ class TestBackendOptionHandling:
         ],
         ids=["misspelled", "placement", "window", "timeout", "ledger-dir", "port-only"],
     )
-    def test_cluster_checks_its_backend_opts_as_the_remote_spec(self, opt, refusal):
-        """Refused before any worker is dialled: ``workers=`` spawns none."""
+    def test_cluster_checks_its_backend_opts_as_the_remote_spec(
+        self, monkeypatch, opt, refusal
+    ):
+        """Refused before any worker is spawned or dialled."""
+
+        def spawn(*args, **kwargs):
+            raise AssertionError("a worker was spawned for a refused option")
+
+        monkeypatch.setattr("repro.cli.spawn_local_worker", spawn)
         with pytest.raises(SystemExit) as exc_info:
-            main(["cluster", "--backend-opt", "workers=127.0.0.1:9", "--backend-opt", opt])
+            main(["cluster", "--backend-opt", opt])
         assert exc_info.value.code == f"error: {refusal}"
 
     @pytest.mark.parametrize(
