@@ -8,6 +8,8 @@ values.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.evaluation.harness import HarnessConfig
@@ -84,6 +86,27 @@ class TestTable1(object):
         summary = report.routing_summary("adaparse_llm")
         assert summary.decisions
         assert summary.fraction_routed() <= context.engine_llm.config.alpha + 1e-9
+
+
+#: sha256 of ``repr(table.rows)`` for Tables 1–3 at ``SCALE`` and ``HARNESS``.
+TABLE_ROW_DIGESTS = {
+    "table1": "baa201aa471dbc0fd64270bab33ecec8b1ba82729d341d47e29c33428b9c47c8",
+    "table2": "0213a12d956274d19f61aa464d4febbc5b9fcaf17374aa3894599c1663e6d27d",
+    "table3": "557ea33b262a41eb4695b639c96a26671e930b427f5346dfea587e84d4403170",
+}
+
+
+class TestTableRowPins:
+    BUILDERS = {
+        "table1": lambda context: table1_born_digital(context, HARNESS),
+        "table2": lambda context: table2_scanned(context, harness_config=HARNESS),
+        "table3": lambda context: table3_degraded_text(context, harness_config=HARNESS),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLE_ROW_DIGESTS))
+    def test_rows_match_the_pinned_digest(self, context, name):
+        rows = self.BUILDERS[name](context).rows
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == TABLE_ROW_DIGESTS[name]
 
 
 class TestTables2and3:
