@@ -8,15 +8,20 @@ Tables 1–3.
 Parsing runs through :class:`repro.pipeline.ParsePipeline`, so engine routing
 telemetry lands in :attr:`EvaluationReport.routing` (one decision list per
 engine) instead of being read back off mutable engine attributes.
+
+Scoring goes through one process-wide memo: the tables, figures and
+ablations score many of the same (ground truth, parse) pairs, and each
+distinct pair is scored once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
+from repro.cache.memory import LruTier
 from repro.core.engine import RoutingDecision, RoutingSummary
 from repro.documents.corpus import Corpus
 from repro.documents.document import SciDocument
@@ -26,8 +31,32 @@ from repro.metrics.winrate import PairwiseOutcome, WinRateTally
 from repro.parsers.base import Parser, ParseResult
 from repro.pipeline.pipeline import ParsePipeline
 from repro.preferences.annotators import AnnotatorPanel
+from repro.utils.hashing import frame_text, framed_hash_hex
 from repro.utils.rng import rng_from
 from repro.utils.tables import Table
+
+#: Metric bundles keyed by everything :func:`evaluate_parse` reads: a digest
+#: of each page list and the CAR cap.  Shared by every harness in the process;
+#: at ~430 B an entry the bound keeps it near 7 MB.
+_BUNDLES: LruTier[MetricBundle] = LruTier(max_entries=1 << 14)
+
+
+def _pages_digest(pages: Sequence[str]) -> str:
+    # Each page is length-prefixed UTF-8 (``surrogatepass``), so page
+    # boundaries and lone surrogates are part of the digest.
+    return framed_hash_hex(frame_text(*pages))
+
+
+def _scored(
+    ground_truth_pages: Sequence[str], parsed_pages: Sequence[str], car_max_chars: int
+) -> MetricBundle:
+    """:func:`evaluate_parse`, through the process-wide memo."""
+    key = f"{_pages_digest(ground_truth_pages)} {_pages_digest(parsed_pages)} {car_max_chars}"
+    bundle = _BUNDLES.get(key)
+    if bundle is None:
+        bundle = evaluate_parse(ground_truth_pages, parsed_pages, car_max_chars=car_max_chars)
+        _BUNDLES.put(key, bundle)
+    return bundle
 
 
 @dataclass(frozen=True)
@@ -182,10 +211,10 @@ class EvaluationHarness:
                 report.routing[parser.name] = decisions
                 for doc, result in zip(documents, results):
                     report.results[(parser.name, doc.doc_id)] = result
-                    report.bundles[(parser.name, doc.doc_id)] = evaluate_parse(
+                    report.bundles[(parser.name, doc.doc_id)] = _scored(
                         gt_pages_by_doc[doc.doc_id],
                         result.page_texts,
-                        car_max_chars=self.config.car_max_chars,
+                        self.config.car_max_chars,
                     )
         finally:
             if owned:

@@ -80,15 +80,8 @@ class ExperimentContext:
     engine_ft: AdaParseFT
     engine_llm: AdaParseLLM
     test_dataset: QualityDataset | None = None
-    _reports: dict[str, EvaluationReport] = field(default_factory=dict)
     #: Shared parsing facade; every table's harness runs through it.
     pipeline: ParsePipeline = field(default_factory=ParsePipeline)
-
-    def cache_report(self, key: str, report: EvaluationReport) -> None:
-        self._reports[key] = report
-
-    def cached_report(self, key: str) -> EvaluationReport | None:
-        return self._reports.get(key)
 
     def harness(self, harness_config: HarnessConfig | None = None) -> EvaluationHarness:
         """An evaluation harness wired to the context's shared pipeline."""
@@ -160,11 +153,9 @@ def table1_born_digital(
     harness = context.harness(harness_config)
     parsers = _evaluation_parsers(context, TABLE1_ORDER)
     report = harness.evaluate(context.splits["test"], parsers)
-    context.cache_report("table1", report)
-    table = report.to_table(
+    return report.to_table(
         "Table 1: Accuracy on born-digital PDFs (all values %)", parser_order=TABLE1_ORDER
     )
-    return table
 
 
 def table2_scanned(
@@ -178,7 +169,6 @@ def table2_scanned(
     harness = context.harness(harness_config)
     parsers = _evaluation_parsers(context, TABLE2_ORDER)
     report = harness.evaluate(augmented, parsers)
-    context.cache_report("table2", report)
     return report.to_table(
         "Table 2: Accuracy on simulated scanned PDFs (all values %)", parser_order=TABLE2_ORDER
     )
@@ -195,7 +185,6 @@ def table3_degraded_text(
     harness = context.harness(harness_config)
     parsers = _evaluation_parsers(context, TABLE3_ORDER)
     report = harness.evaluate(augmented, parsers)
-    context.cache_report("table3", report)
     return report.to_table(
         "Table 3: Accuracy on PDFs with OCR-degraded text layers (all values %)",
         parser_order=TABLE3_ORDER,
@@ -300,13 +289,11 @@ def table4_selector_models(
     scale = context.scale
     registry = context.registry
     test_split = context.splits["test"]
-    # Per-document metrics of every base parser on the test split (reused from
-    # Table 1 when available, restricted to the six base parsers).
-    report = context.cached_report("table4_base")
-    if report is None:
-        harness = context.harness(harness_config)
-        report = harness.evaluate(test_split, list(registry))
-        context.cache_report("table4_base", report)
+    # Per-document metrics of the six base parsers on the test split.  Table 1
+    # scores the same pairs, so after it (at the same CAR cap) the harness's
+    # memo scores none of them again.  The win rates come from this parser
+    # set's own tournament.
+    report = context.harness(harness_config).evaluate(test_split, list(registry))
     # Model inputs for the test split (default-parser text, metadata, labels).
     if context.test_dataset is None:
         context.test_dataset = build_quality_dataset(test_split, registry, label_pages=3)

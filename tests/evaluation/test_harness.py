@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.evaluation.harness as harness_module
+from repro.cache.memory import LruTier
 from repro.evaluation.harness import EvaluationHarness, HarnessConfig
+from repro.metrics.bundle import evaluate_parse
+from repro.parsers.base import Parser
 from repro.parsers.extraction import PyMuPDFSim, PyPDFSim
 from repro.parsers.vit import NougatSim
 
@@ -68,3 +72,75 @@ class TestHarnessOptions:
         strict_at = strict.evaluate(tiny_corpus, parsers, compute_win_rate=False).aggregates["pymupdf"].accepted_tokens
         lenient_at = lenient.evaluate(tiny_corpus, parsers, compute_win_rate=False).aggregates["pymupdf"].accepted_tokens
         assert lenient_at >= strict_at
+
+
+class FixedPagesParser(Parser):
+    """Returns the same page texts for every document."""
+
+    name = "fixed"
+
+    def __init__(self, pages):
+        self.pages = pages
+
+    def _parse_pages(self, document, rng):
+        return list(self.pages)
+
+
+class TestScoringMemo:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """An empty memo, and the list of ``evaluate_parse`` calls it makes."""
+        monkeypatch.setattr(harness_module, "_BUNDLES", LruTier(max_entries=1 << 14))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evaluate_parse(*args, **kwargs)
+
+        monkeypatch.setattr(harness_module, "evaluate_parse", counting)
+        return calls
+
+    def test_a_repeated_evaluation_scores_nothing(self, calls, tiny_corpus):
+        harness = EvaluationHarness(HarnessConfig(car_max_chars=800, seed=7))
+        parsers = [PyMuPDFSim(), PyPDFSim()]
+        first = harness.evaluate(tiny_corpus, parsers)
+        assert len(calls) == 2 * len(tiny_corpus)
+        second = harness.evaluate(tiny_corpus, parsers)
+        assert len(calls) == 2 * len(tiny_corpus)
+        assert second.bundles == first.bundles
+
+    def score(self, document, pages, car_max_chars=800):
+        harness = EvaluationHarness(HarnessConfig(car_max_chars=car_max_chars))
+        report = harness.evaluate([document], [FixedPagesParser(pages)])
+        return report.bundle("fixed", document.doc_id)
+
+    def test_page_boundaries_are_part_of_the_key(self, calls, tiny_corpus):
+        document = tiny_corpus[0]
+        gt = document.ground_truth_pages()
+        direct = {
+            pages: evaluate_parse(gt, list(pages), car_max_chars=800)
+            for pages in [("ab", "c"), ("a", "bc")]
+        }
+        assert direct[("ab", "c")] != direct[("a", "bc")]
+        for pages, expected in direct.items():
+            assert self.score(document, pages) == expected
+        assert len(calls) == 2
+
+    def test_a_lone_surrogate_scores_as_a_direct_call(self, calls, tiny_corpus):
+        document = tiny_corpus[0]
+        pages = ["\ud800", "x\ud800y"]
+        expected = evaluate_parse(document.ground_truth_pages(), pages, car_max_chars=800)
+        assert self.score(document, pages) == expected
+        assert self.score(document, pages) == expected
+        assert len(calls) == 1
+
+    def test_car_caps_share_no_entry(self, calls, tiny_corpus):
+        document = tiny_corpus[0]
+        gt = document.ground_truth_pages()
+        pages = [gt[0][:20]]
+        narrow = self.score(document, pages, car_max_chars=40)
+        wide = self.score(document, pages, car_max_chars=4000)
+        assert len(calls) == 2
+        assert narrow.car != wide.car
+        assert narrow == evaluate_parse(gt, pages, car_max_chars=40)
+        assert wide == evaluate_parse(gt, pages, car_max_chars=4000)

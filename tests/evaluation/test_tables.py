@@ -80,9 +80,10 @@ class TestTable1(object):
         car = column(table, "CAR")
         assert car["pypdf"] < car["pymupdf"]
 
-    def test_budget_respected(self, context, table):
-        report = context.cached_report("table1")
-        assert report is not None
+    def test_budget_respected(self, context):
+        report = context.harness(HARNESS).evaluate(
+            context.splits["test"], [context.engine_llm], compute_win_rate=False
+        )
         summary = report.routing_summary("adaparse_llm")
         assert summary.decisions
         assert summary.fraction_routed() <= context.engine_llm.config.alpha + 1e-9
