@@ -56,7 +56,6 @@ def evaluate_parse(
     ground_truth_pages: Sequence[str],
     parsed_pages: Sequence[str],
     car_max_chars: int = 2000,
-    car_band: int | None = None,
 ) -> MetricBundle:
     """Evaluate a parse given per-page ground truth and per-page parser output."""
     ground_truth_text = "\n".join(ground_truth_pages)
@@ -64,9 +63,7 @@ def evaluate_parse(
     coverage = page_coverage_rate(ground_truth_pages, parsed_pages)
     bleu = bleu_score(parsed_text, ground_truth_text)
     rouge = rouge_n(parsed_text, ground_truth_text, n=1)["f1"]
-    car = character_accuracy_rate(
-        ground_truth_pages, parsed_pages, max_chars=car_max_chars, band=car_band
-    )
+    car = character_accuracy_rate(ground_truth_pages, parsed_pages, max_chars=car_max_chars)
     n_tokens = len(word_tokenize(ground_truth_text))
     return MetricBundle(
         coverage=coverage,

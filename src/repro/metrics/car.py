@@ -4,8 +4,8 @@ CAR measures the fraction of ground-truth characters reproduced by the parser:
 ``1 − edit_distance / len(ground_truth)`` clipped to ``[0, 1]``.  Following
 the paper's observation that edit distance on whole multi-page parses is
 computationally prohibitive, CAR is computed page by page (aligning the
-parser's page outputs with the ground-truth pages) with an optional per-page
-character cap and a banded DP, then averaged weighted by page length.
+parser's page outputs with the ground-truth pages) with a per-page character
+cap, then averaged weighted by page length.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ def page_character_accuracy(
     ground_truth: str,
     parsed: str,
     max_chars: int = 2000,
-    band: int | None = None,
 ) -> float:
     """CAR of one page, in ``[0, 1]``."""
     gt = character_tokens(ground_truth)[:max_chars]
@@ -29,7 +28,7 @@ def page_character_accuracy(
         return 1.0 if not out else 0.0
     if not out:
         return 0.0
-    distance = levenshtein_distance(gt, out, band=band)
+    distance = levenshtein_distance(gt, out)
     return max(0.0, 1.0 - distance / len(gt))
 
 
@@ -37,7 +36,6 @@ def character_accuracy_rate(
     ground_truth_pages: Sequence[str],
     parsed_pages: Sequence[str],
     max_chars: int = 2000,
-    band: int | None = None,
 ) -> float:
     """Document-level CAR: length-weighted mean of per-page CARs.
 
@@ -52,7 +50,7 @@ def character_accuracy_rate(
     for i, gt_page in enumerate(ground_truth_pages):
         parsed = parsed_pages[i] if i < len(parsed_pages) else ""
         weight = max(1, len(gt_page))
-        accuracy = page_character_accuracy(gt_page, parsed, max_chars=max_chars, band=band)
+        accuracy = page_character_accuracy(gt_page, parsed, max_chars=max_chars)
         weighted += weight * accuracy
         total_weight += weight
     return weighted / total_weight if total_weight else 1.0

@@ -1,33 +1,19 @@
-"""Levenshtein (edit) distance with a vectorised and an optionally banded DP.
+"""Levenshtein (edit) distance.
 
 The paper discusses edit distance as the traditional character-level metric
 and notes that it is computationally prohibitive for ultra-long parses.  The
-implementation here vectorises the inner loop with numpy and supports a
-Ukkonen-style band so the character-accuracy metric stays tractable on long
-page texts.
+distance here is exact, computed with Myers' bit-parallel algorithm; the
+character-accuracy metric keeps it tractable by capping each page's length
+(:mod:`repro.metrics.car`).
 """
 
 from __future__ import annotations
 
-import numpy as np
 
+def levenshtein_distance(a: str, b: str) -> int:
+    """Exact edit distance between two strings (unit costs).
 
-def levenshtein_distance(a: str, b: str, band: int | None = None) -> int:
-    """Edit distance between two strings.
-
-    Dispatches to Myers' bit-parallel algorithm (exact, ``O(n·m/w)``) when no
-    band is requested, and to a numpy-vectorised banded dynamic program
-    otherwise.
-
-    Parameters
-    ----------
-    a, b:
-        Input strings.
-    band:
-        Optional half-width of a diagonal band.  With a band the result is
-        exact whenever the true distance is at most ``band`` (plus the length
-        difference); otherwise it is an upper-bound approximation.  Use
-        ``None`` for the exact unbanded computation.
+    Uses Myers' bit-parallel algorithm, ``O(n·m/w)``.
     """
     if a == b:
         return 0
@@ -35,9 +21,7 @@ def levenshtein_distance(a: str, b: str, band: int | None = None) -> int:
         return len(b)
     if not b:
         return len(a)
-    if band is None:
-        return _myers_distance(a, b)
-    return _banded_distance(a, b, band)
+    return _myers_distance(a, b)
 
 
 def _myers_distance(a: str, b: str) -> int:
@@ -74,46 +58,6 @@ def _myers_distance(a: str, b: str) -> int:
         vp = hn | (~(xv | hp) & mask)
         vn = hp & xv
     return score
-
-
-def _banded_distance(a: str, b: str, band: int) -> int:
-    """Banded DP distance (numpy-vectorised rows).
-
-    Notes
-    -----
-    Row ``i`` of the DP is computed with numpy.  The insertion recurrence
-    ``current[j] = min(candidate[j], current[j-1] + 1)`` is a prefix-minimum:
-    ``current[j] = j + min_{k<=j}(d[k] - k)`` where ``d`` is the row of
-    deletion/substitution candidates, so it vectorises with
-    ``np.minimum.accumulate``.
-    """
-    # Keep the inner (vectorised) dimension as the shorter string.
-    if len(b) > len(a):
-        a, b = b, a
-    n, m = len(a), len(b)
-    band = max(band, abs(n - m))
-    b_codes = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32).astype(np.int64)
-    previous = np.arange(m + 1, dtype=np.int64)
-    big = np.int64(n + m + 1)
-    js = np.arange(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        a_code = ord(a[i - 1])
-        substitution_cost = (b_codes != a_code).astype(np.int64)
-        # candidate[j-1] = min(previous[j] + 1, previous[j-1] + cost_j), j = 1..m
-        candidate = np.minimum(previous[1:] + 1, previous[:-1] + substitution_cost)
-        lo = max(1, i - band)
-        hi = min(m, i + band)
-        if lo > 1:
-            candidate[: lo - 1] = big
-        if hi < m:
-            candidate[hi:] = big
-        d = np.empty(m + 1, dtype=np.int64)
-        d[0] = i
-        d[1:] = candidate
-        running = np.minimum.accumulate(d - js)
-        current = js + running
-        previous = current
-    return int(previous[m])
 
 
 def levenshtein_distance_reference(a: str, b: str) -> int:

@@ -40,15 +40,6 @@ class TestAgainstReference:
     def test_matches_reference_implementation(self, a, b):
         assert levenshtein_distance(a, b) == levenshtein_distance_reference(a, b)
 
-    @settings(max_examples=60, deadline=None)
-    @given(short_text, short_text)
-    def test_banded_upper_bounds_and_large_band_exact(self, a, b):
-        exact = levenshtein_distance_reference(a, b)
-        wide = levenshtein_distance(a, b, band=60)
-        assert wide == exact
-        narrow = levenshtein_distance(a, b, band=2)
-        assert narrow >= exact
-
 
 class TestProperties:
     @settings(max_examples=80, deadline=None)
