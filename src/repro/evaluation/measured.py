@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.utils.durable import replace_lines
 from repro.utils.tables import Table
 
 #: Bare placeholder, e.g. ``<!-- MEASURED:TABLE1 -->``.
@@ -54,7 +55,8 @@ class MeasuredStore:
         if append and path.exists():
             existing = path.read_text(encoding="utf-8")
             content = existing.rstrip() + "\n\n" + content
-        path.write_text(content, encoding="utf-8")
+        # One record: the content without the closing newline the writer adds.
+        replace_lines(path, [content[:-1].encode("utf-8")])
         return path
 
     def record_table(

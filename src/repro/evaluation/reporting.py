@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.utils.durable import replace_lines
 from repro.utils.tables import Table
 
 
@@ -42,7 +43,8 @@ class ExperimentRecord:
         """Write the markdown report to disk."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_markdown(), encoding="utf-8")
+        # The markdown ends in a newline, which the writer adds back.
+        replace_lines(path, [self.to_markdown()[:-1].encode("utf-8")])
         return path
 
 

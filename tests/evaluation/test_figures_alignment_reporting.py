@@ -133,6 +133,15 @@ class TestReporting:
         assert path.exists()
         assert "note text" in path.read_text()
 
+    def test_save_writes_the_markdown_whole(self, tmp_path):
+        record = ExperimentRecord(title="Demo")
+        table = Table(title="T", columns=["a"])
+        table.add_row({"a": 1.0})
+        record.add_table("table1", table, note="é")
+        path = record.save(tmp_path / "report.md")
+        assert path.read_bytes() == record.to_markdown().encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.md"]
+
     def test_print_table(self, capsys):
         table = Table(title="T", columns=["a"])
         table.add_row({"a": 2.0})

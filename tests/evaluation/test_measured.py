@@ -58,6 +58,14 @@ class TestMeasuredStore:
         assert "1.23" in content
         assert "a note" in content
 
+    def test_fragments_are_written_whole_with_their_old_bytes(self, store):
+        content = "| a | é |\n|---|---|\n| 1 | 2 |\n\n"
+        path = store.record("x", content)
+        assert path.read_bytes() == (content.rstrip() + "\n").encode("utf-8")
+        store.record("x", "second", append=True)
+        assert path.read_bytes() == (content.rstrip() + "\n\nsecond\n").encode("utf-8")
+        assert [p.name for p in store.directory.iterdir()] == ["X.md"]
+
     def test_record_mapping(self, store):
         store.record_mapping("stats", {"consensus": 0.82, "decisiveness": 0.91}, title="Alignment")
         content = store.load("stats")
