@@ -58,7 +58,7 @@ class TestMeasuredStore:
         assert "1.23" in content
         assert "a note" in content
 
-    def test_fragments_are_written_whole_with_their_old_bytes(self, store):
+    def test_a_fragment_is_its_content_with_one_closing_newline(self, store):
         content = "| a | é |\n|---|---|\n| 1 | 2 |\n\n"
         path = store.record("x", content)
         assert path.read_bytes() == (content.rstrip() + "\n").encode("utf-8")
